@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-smoke bench-publish bench-alloc soak-churn bench-churn soak-delivery bench-delivery bench-aggregate bench-wire ci
+.PHONY: build vet test race bench loc fuzz-smoke bench-publish bench-alloc soak-churn bench-churn soak-delivery bench-delivery bench-aggregate bench-wire ci
 
 build:
 	$(GO) build ./...
@@ -17,14 +17,22 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
+# The size figures every simplicity PR reports, counted the same way each
+# time: the two files the node protocol lives in, and all non-test Go
+# outside benchmark/ (its own module).
+loc:
+	@wc -l internal/node/node.go internal/node/proto.go | sed '$$d'
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l | sed 's/$$/ non-test Go lines outside benchmark\//'
+
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
-# shake out regressions in the codec and tokenizer invariants on each CI
-# run without burning minutes.
+# shake out regressions in the codec, tokenizer, index and node-dispatcher
+# invariants on each CI run without burning minutes.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=10s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/text
 	$(GO) test -run='^$$' -fuzz=FuzzDeliverFrameRoundTrip -fuzztime=10s ./internal/delivery
 	$(GO) test -run='^$$' -fuzz=FuzzIndexRegisterMatch -fuzztime=10s ./internal/index
+	$(GO) test -run='^$$' -fuzz=FuzzNodeHandle -fuzztime=10s ./internal/node
 
 # Regenerate the checked-in publish-latency baseline (BENCH_publish.json):
 # e2e publish p50/p95/p99 plus single-vs-batch match throughput on the
@@ -125,4 +133,4 @@ WIRE_FLUSH_DELAY ?= 200us
 bench-wire:
 	$(GO) run ./cmd/movebench -fig wire -wire-nodes $(WIRE_NODES) -wire-docs $(WIRE_DOCS) -wire-subs $(WIRE_SUBS) -wire-flush-delay $(WIRE_FLUSH_DELAY) -out BENCH_wire.json -baseline BENCH_wire.json
 
-ci: vet build race fuzz-smoke soak-churn soak-delivery bench-publish bench-alloc bench-churn bench-delivery bench-aggregate bench-wire
+ci: vet build loc race fuzz-smoke soak-churn soak-delivery bench-publish bench-alloc bench-churn bench-delivery bench-aggregate bench-wire

@@ -436,16 +436,18 @@ func publishWireDoc(ctx context.Context, client *transport.TCPNode, r *ring.Ring
 	}
 	seen := make(map[model.FilterID]string)
 	for _, home := range homes {
-		raw, err := client.Send(ctx, home, node.EncodePublishMultiHome(node.PublishMultiReq{Doc: doc, Terms: byHome[home]}))
+		raw, err := client.Send(ctx, home, node.EncodePublishFrame([]node.PublishItem{{Doc: &doc, Terms: byHome[home]}}))
 		if err != nil {
 			return fmt.Errorf("publish doc %d to %s: %w", doc.ID, home, err)
 		}
-		resp, err := node.DecodeMatchResp(raw)
+		resps, err := node.DecodeMatchRespBatch(raw)
 		if err != nil {
 			return err
 		}
-		for _, m := range resp.Matches {
-			seen[m.Filter] = m.Subscriber
+		for _, resp := range resps {
+			for _, m := range resp.Matches {
+				seen[m.Filter] = m.Subscriber
+			}
 		}
 	}
 
@@ -623,7 +625,7 @@ func setupWireCluster(dir, movedBin string, opts wireOpts, wl *wireWorkload, coa
 						warmErr.Store(err)
 						return
 					}
-					if _, err := c.client.Send(warmCtx, home, node.EncodePublishMultiHome(node.PublishMultiReq{Doc: doc, Terms: []string{t}})); err != nil {
+					if _, err := c.client.Send(warmCtx, home, node.EncodePublishFrame([]node.PublishItem{{Doc: &doc, Terms: []string{t}}})); err != nil {
 						warmErr.Store(fmt.Errorf("warm-up publish: %w", err))
 						return
 					}
@@ -869,7 +871,8 @@ func runWireFig(outPath, baselinePath string, opts wireOpts, seed int64) error {
 // multi-host deployment: registers the workload, publishes through the
 // client's real TCP transport, and prints client-side wire metrics. No
 // sessions are attached (their addresses are not in the peer map) and no
-// gates apply — deliveries land in mailboxes on the owner nodes.
+// gates apply; the daemons must run a delivery hub (-subscribe.addr), or
+// they refuse the routed deliveries.
 func runWireExisting(opts wireOpts, seed int64) error {
 	peers, err := transport.ParsePeers(opts.Peers)
 	if err != nil {

@@ -4,7 +4,6 @@
 //
 //	movectl -peers n0=...,n1=... register -sub alice -query "breaking news"
 //	movectl -peers n0=...,n1=... publish -text "breaking news tonight"
-//	movectl -peers n0=...,n1=... watch -sub alice
 //	movectl subscribe -addr 127.0.0.1:7100 -sub alice   # live session (moved -subscribe.addr)
 //	movectl -peers n0=...,n1=... allocate          # run a §IV allocation round
 //	movectl -peers n0=...,n1=... stats
@@ -12,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -77,7 +77,7 @@ func run() error {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		return fmt.Errorf("usage: movectl -peers ... <register|publish|watch|subscribe|allocate|stats> [options]")
+		return fmt.Errorf("usage: movectl -peers ... <register|publish|subscribe|allocate|stats> [options]")
 	}
 
 	// subscribe talks the subscriber session protocol directly to one
@@ -128,17 +128,6 @@ func run() error {
 			return fmt.Errorf("publish requires -text")
 		}
 		return c.publish(ctx, *content, *showTrace)
-	case "watch":
-		fs := flag.NewFlagSet("watch", flag.ExitOnError)
-		sub := fs.String("sub", "", "subscriber name")
-		since := fs.Uint64("since", 0, "fetch deliveries after this sequence number")
-		if err := fs.Parse(args[1:]); err != nil {
-			return err
-		}
-		if *sub == "" {
-			return fmt.Errorf("watch requires -sub")
-		}
-		return c.watch(ctx, *sub, *since)
 	case "allocate":
 		fs := flag.NewFlagSet("allocate", flag.ExitOnError)
 		capacity := fs.Int("capacity", 3_000_000, "per-node filter capacity C")
@@ -156,8 +145,11 @@ func run() error {
 
 // allocate runs one §IV allocation round from the client acting as the
 // paper's dedicated coordinator node: pull per-node statistics, solve the
-// MOVE optimization problem, and command each hot home node to migrate its
-// filters onto an allocation grid.
+// MOVE optimization problem, and cut each hot home node over to its
+// allocation grid with the two-phase protocol (§13) — prepare every home
+// (migrate its filters, dual-read the new grid), then broadcast the commit
+// barrier. If any prepare fails the epoch is aborted on every node and the
+// cluster stays on its previous grids.
 func (c *client) allocate(ctx context.Context, capacity int, epoch uint64) error {
 	members := c.ring.Members()
 	type load struct {
@@ -207,7 +199,7 @@ func (c *client) allocate(ctx context.Context, capacity int, epoch uint64) error
 		return err
 	}
 
-	installed := 0
+	prepared := 0
 	for _, f := range factors {
 		if f.Rows*f.Cols <= 1 {
 			continue
@@ -221,14 +213,34 @@ func (c *client) allocate(ctx context.Context, capacity int, epoch uint64) error
 		if err != nil || grid.Size() <= 1 {
 			continue
 		}
-		if _, err := c.tn.Send(ctx, home, node.EncodeAllocate(epoch, grid)); err != nil {
-			return fmt.Errorf("allocate on %s: %w", home, err)
+		if _, err := c.tn.Send(ctx, home, node.EncodePrepareAlloc(epoch, grid)); err != nil {
+			return errors.Join(
+				fmt.Errorf("allocation epoch %d aborted: prepare on %s: %w", epoch, home, err),
+				c.broadcast(ctx, members, node.EncodeAbortGrid(epoch)))
 		}
-		fmt.Printf("allocated %s onto a %dx%d grid (r=%.2f)\n", home, grid.Rows(), grid.Cols(), f.Ratio)
-		installed++
+		fmt.Printf("prepared %s onto a %dx%d grid (r=%.2f)\n", home, grid.Rows(), grid.Cols(), f.Ratio)
+		prepared++
 	}
-	fmt.Printf("allocation epoch %d: %d grid(s) installed across %d nodes\n", epoch, installed, len(members))
+	if prepared > 0 {
+		if err := c.broadcast(ctx, members, node.EncodeCommitGrid(epoch)); err != nil {
+			return fmt.Errorf("allocation epoch %d: commit: %w", epoch, err)
+		}
+	}
+	fmt.Printf("allocation epoch %d: %d grid(s) committed across %d nodes\n", epoch, prepared, len(members))
 	return nil
+}
+
+// broadcast sends an epoch control frame (commit or abort) to every member,
+// as the cluster coordinator does: the copies an epoch migrated are
+// journaled on the grid nodes, so the homes alone are not enough.
+func (c *client) broadcast(ctx context.Context, members []ring.Member, payload []byte) error {
+	var errs []error
+	for _, m := range members {
+		if _, err := c.tn.Send(ctx, m.ID, payload); err != nil {
+			errs = append(errs, fmt.Errorf("epoch control on %s: %w", m.ID, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func maxI64(a, b int64) int64 {
@@ -270,30 +282,6 @@ func subscribe(addr, sub string, resume uint64) error {
 	}
 }
 
-// watch fetches a subscriber's queued deliveries from its mailbox node.
-func (c *client) watch(ctx context.Context, sub string, since uint64) error {
-	home, err := c.ring.HomeNode("subscriber/" + sub)
-	if err != nil {
-		return err
-	}
-	raw, err := c.tn.Send(ctx, home, node.EncodeFetch(sub, since, 100))
-	if err != nil {
-		return fmt.Errorf("fetch from %s: %w", home, err)
-	}
-	ds, err := node.DecodeDeliveries(raw)
-	if err != nil {
-		return err
-	}
-	if len(ds) == 0 {
-		fmt.Printf("no deliveries for %s after seq %d\n", sub, since)
-		return nil
-	}
-	for _, d := range ds {
-		fmt.Printf("seq=%d doc=%d filter=%s terms=%v\n", d.Seq, d.DocID, d.Filter, d.Terms)
-	}
-	return nil
-}
-
 // register places the filter on the home node of each of its terms.
 func (c *client) register(ctx context.Context, id model.FilterID, sub, query string) error {
 	terms := text.Terms(query, text.Options{})
@@ -320,7 +308,7 @@ func (c *client) register(ctx context.Context, id model.FilterID, sub, query str
 }
 
 // publish groups the document's terms by home node, sends each home ONE
-// multi-term frame (the document encoded once plus that node's term list),
+// publish frame (the document encoded once plus that node's term list),
 // and merges the matches. With showTrace, the hop path each home node
 // reports (grid columns visited, failover substitutions) is printed after
 // the matches.
@@ -347,14 +335,18 @@ func (c *client) publish(ctx context.Context, content string, showTrace bool) er
 	for _, home := range homes {
 		homeTerms := byHome[home]
 		start := time.Now()
-		raw, err := c.tn.Send(ctx, home, node.EncodePublishMultiHome(node.PublishMultiReq{Doc: doc, Terms: homeTerms}))
+		raw, err := c.tn.Send(ctx, home, node.EncodePublishFrame([]node.PublishItem{{Doc: &doc, Terms: homeTerms}}))
 		if err != nil {
 			return fmt.Errorf("publish terms %v to %s: %w", homeTerms, home, err)
 		}
-		resp, err := node.DecodeMatchResp(raw)
+		resps, err := node.DecodeMatchRespBatch(raw)
 		if err != nil {
 			return err
 		}
+		if len(resps) != 1 {
+			return fmt.Errorf("publish to %s: %d responses to a one-item frame", home, len(resps))
+		}
+		resp := resps[0]
 		elapsed := time.Since(start).Nanoseconds()
 		for _, t := range homeTerms {
 			hops = append(hops, trace.Hop{Stage: "home", To: string(home), Term: t, ElapsedNS: elapsed})
@@ -370,8 +362,8 @@ func (c *client) publish(ctx context.Context, content string, showTrace bool) er
 	fmt.Printf("published doc with %d terms to %d home node(s); %d matching filter(s)\n", len(terms), len(homes), len(seen))
 	// Route deliveries to each subscriber's session owner: one
 	// deliver-batch frame per owner node carrying every notification it
-	// hosts. Owners with a live hub (moved -subscribe.addr) push to the
-	// session; others fall back to the mailbox `movectl watch` reads.
+	// hosts. Owners push to the session through their hub (moved
+	// -subscribe.addr); an owner without one refuses the batch.
 	matches := make([]node.Match, 0, len(seen))
 	for id, sub := range seen {
 		fmt.Printf("  -> %s (%s)\n", sub, id)

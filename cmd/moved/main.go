@@ -48,7 +48,7 @@ func run() error {
 	gossipEvery := flag.Duration("gossip", time.Second, "gossip interval")
 	debugAddr := flag.String("debug.addr", "", "debug HTTP listen address serving /metrics, /trace/last, /healthz and /debug/pprof ('' = disabled)")
 
-	subAddr := flag.String("subscribe.addr", "", "subscriber session listen address host:port ('' = mailbox-only delivery)")
+	subAddr := flag.String("subscribe.addr", "", "subscriber session listen address host:port ('' = no delivery hub: routed deliveries are refused)")
 	subPolicy := flag.String("subscribe.policy", "drop-oldest", "slow-consumer policy: drop-oldest, coalesce-by-doc, disconnect")
 	subQueue := flag.Int("subscribe.queue", 256, "per-subscriber delivery queue bound")
 	subHeartbeat := flag.Duration("subscribe.heartbeat", 5*time.Second, "subscriber session ping interval (idle timeout is 4x)")

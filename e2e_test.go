@@ -204,8 +204,11 @@ func TestTCPAllocationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := homeNode.BuildAllocation(ctx, 1, grid); err != nil {
+	if err := homeNode.PrepareAllocation(ctx, 1, grid); err != nil {
 		t.Fatal(err)
+	}
+	if !homeNode.CommitGrid(1) {
+		t.Fatal("commit did not promote the prepared grid")
 	}
 
 	doc := &model.Document{ID: 7, Terms: []string{"hotspot"}}

@@ -160,6 +160,11 @@ func DecodeGrid(data []byte) (*Grid, error) {
 		return nil, fmt.Errorf("%w: decoded grid %dx%d", ErrBadInput, rows, cols)
 	}
 	n := int(rows * cols)
+	// Every node name takes at least its length byte: a short payload
+	// cannot declare (and preallocate) a megacell grid.
+	if n > r.Remaining() {
+		return nil, fmt.Errorf("%w: decoded grid %dx%d overflows payload", ErrBadInput, rows, cols)
+	}
 	nodes := make([]ring.NodeID, 0, n)
 	for i := 0; i < n; i++ {
 		s, err := r.String()

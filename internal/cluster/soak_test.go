@@ -146,7 +146,10 @@ func installDeterministicGrid(t *testing.T, c *Cluster, filters int) (home ring.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.sendTo(ctx, home, node.EncodeAllocate(1, grid)); err != nil {
+	if _, err := c.sendTo(ctx, home, node.EncodePrepareAlloc(1, grid)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.sendTo(ctx, home, node.EncodeCommitGrid(1)); err != nil {
 		t.Fatal(err)
 	}
 	return home, grid

@@ -3,11 +3,9 @@ package node
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
-	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/ring"
@@ -63,7 +61,7 @@ type termResult struct {
 // the batch pipeline coalesces along both axes: documents per frame and
 // terms per document.
 type batchItem struct {
-	req PublishMultiReq
+	req PublishItem
 	out chan<- termResult
 	sp  *trace.Span
 }
@@ -84,7 +82,7 @@ var bucketPool = sync.Pool{New: func() any { return new(bucket) }}
 // flushScratch is the per-frame request slice flush stages before
 // encoding, recycled the same way.
 type flushScratch struct {
-	reqs []PublishMultiReq
+	reqs []PublishItem
 }
 
 var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
@@ -190,11 +188,7 @@ func (b *Batcher) Publish(ctx context.Context, doc *model.Document) ([]Match, Ma
 	var errs []error
 	for i := range groups {
 		g := &groups[i]
-		if n.cfg.OnTransfer != nil {
-			// One transfer per home node: the document ships once per frame.
-			n.cfg.OnTransfer(n.cfg.ID, g.home)
-		}
-		item := batchItem{req: PublishMultiReq{Doc: *doc, Terms: g.terms}, out: out, sp: sp}
+		item := batchItem{req: PublishItem{Doc: doc, Terms: g.terms}, out: out, sp: sp}
 		if err := b.enqueue(g.home, item); err != nil {
 			errs = append(errs, err)
 			continue
@@ -312,8 +306,8 @@ func (b *Batcher) tick() {
 	}
 }
 
-// flush sends one coalesced frame to its home node and routes each item's
-// response (or the shared error) back to its publish. The RPC runs under
+// flush sends one coalesced publish frame to its home node and routes each
+// item's response (or the shared error) back to its publish. The RPC runs under
 // context.Background(): a batch belongs to many publishers, so no single
 // caller's deadline governs it — per-attempt deadlines come from the
 // transport's resilience policy.
@@ -325,24 +319,8 @@ func (b *Batcher) flush(bk *bucket) {
 	}
 	b.sizeH.Observe(time.Duration(len(reqs)))
 	b.docsC.Add(int64(len(reqs)))
-	// Pooled frame buffer: send does not retain the payload, so the writer
-	// is recycled as soon as the RPC returns (DESIGN.md §11).
-	pw := codec.GetWriter()
-	AppendPublishMultiBatch(pw, msgPublishMultiBatch, reqs)
-	b.n.homeRPCs.Inc()
-	b.n.homeBytes.Add(int64(len(pw.Bytes())))
-	rpcStart := time.Now()
-	raw, err := b.n.send(context.Background(), bk.home, pw.Bytes())
-	codec.PutWriter(pw)
-	elapsed := time.Since(rpcStart)
+	resps, elapsed, err := b.n.sendPublish(context.Background(), bk.home, false, reqs)
 	b.n.hFanout.Observe(elapsed)
-	var resps []MatchResp
-	if err == nil {
-		resps, err = DecodeMatchRespBatch(raw)
-		if err == nil && len(resps) != len(reqs) {
-			err = fmt.Errorf("node %s: batch response count %d != request count %d", b.n.cfg.ID, len(resps), len(reqs))
-		}
-	}
 	for i := range bk.items {
 		it := bk.items[i]
 		// One "home" hop per term the item carried, sharing the frame's RPC

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"github.com/movesys/move/internal/codec"
@@ -26,28 +27,24 @@ func EncodeDeliverBatch(b *delivery.Batch) []byte {
 	return w.Bytes()
 }
 
-// handleDeliverBatch lands a routed delivery batch on the session owner.
-// With a delivery hub attached the notifications enqueue into subscriber
-// sessions; without one (legacy deployments) they fall back to the polled
-// mailbox tier so mixed clusters still deliver.
+// handleDeliverBatch lands a routed delivery batch on the session owner:
+// the notifications enqueue into its hub's subscriber sessions. A node
+// without a hub refuses the batch, so the sender accounts the notifications
+// as lost (delivery.route.failures / route.lost / OnDeliveryLoss) instead of
+// believing them delivered.
 func (n *Node) handleDeliverBatch(r *codec.Reader) error {
 	b, err := delivery.DecodeBatch(r)
 	if err != nil {
 		return err
 	}
-	if hub := n.cfg.Delivery; hub != nil {
-		// One batched call: session lookups group by registry shard, so a
-		// thousand-subscriber fan-out costs a handful of lock acquisitions
-		// instead of one per subscriber.
-		hub.DeliverBatch(b.DocID, b.Terms, b.Notifs)
-		return nil
+	hub := n.cfg.Delivery
+	if hub == nil {
+		return fmt.Errorf("node %s: no delivery hub: %d notification(s) for doc %d refused", n.cfg.ID, len(b.Notifs), b.DocID)
 	}
-	for i := range b.Notifs {
-		nt := &b.Notifs[i]
-		for _, f := range nt.Filters {
-			n.mail.push(nt.Sub, Delivery{DocID: b.DocID, Filter: f, Terms: b.Terms})
-		}
-	}
+	// One batched call: session lookups group by registry shard, so a
+	// thousand-subscriber fan-out costs a handful of lock acquisitions
+	// instead of one per subscriber.
+	hub.DeliverBatch(b.DocID, b.Terms, b.Notifs)
 	return nil
 }
 

@@ -79,10 +79,27 @@ func installHotGrid(t *testing.T, h *harness, filters int) (*Node, *alloc.Grid) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := homeNode.BuildAllocation(context.Background(), 1, grid); err != nil {
+	allocate(t, homeNode, 1, grid)
+	return homeNode, grid
+}
+
+// publishHome sends one home-routed, one-item publish frame straight to a
+// home node's handler (as a client routing to homes itself would) and
+// returns the item's response.
+func publishHome(t testing.TB, home *Node, doc model.Document, terms ...string) MatchResp {
+	t.Helper()
+	raw, err := home.Handle(context.Background(), "test", EncodePublishFrame([]PublishItem{{Doc: &doc, Terms: terms}}))
+	if err != nil {
+		t.Fatalf("publish doc %d: %v", doc.ID, err)
+	}
+	resps, err := DecodeMatchRespBatch(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return homeNode, grid
+	if len(resps) != 1 {
+		t.Fatalf("publish doc %d: %d responses to a one-item frame", doc.ID, len(resps))
+	}
+	return resps[0]
 }
 
 // TestReplicaRowFailoverFullMatchSet is the acceptance scenario: with one
@@ -96,21 +113,10 @@ func TestReplicaRowFailoverFullMatchSet(t *testing.T) {
 	h, reg := newResilientHarness(t, 6)
 	const filters = 24
 	homeNode, grid := installHotGrid(t, h, filters)
-	ctx := context.Background()
 
 	publish := func(docID uint64) MatchResp {
 		t.Helper()
-		raw, err := homeNode.Handle(ctx, "test", EncodePublishHome(PublishReq{
-			Doc: model.Document{ID: docID, Terms: []string{"hot"}}, Term: "hot",
-		}))
-		if err != nil {
-			t.Fatalf("publish doc %d: %v", docID, err)
-		}
-		resp, err := DecodeMatchResp(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return publishHome(t, homeNode, model.Document{ID: docID, Terms: []string{"hot"}}, "hot")
 	}
 
 	// Healthy baseline: the grid serves every filter.
@@ -327,21 +333,11 @@ func TestRetryRidesOutInjectedFaults(t *testing.T) {
 		}))
 	}
 	homeNode, _ := installHotGrid(t, h, 12)
-	ctx := context.Background()
 
 	complete := 0
 	const probes = 30
 	for doc := uint64(1); doc <= probes; doc++ {
-		raw, err := homeNode.Handle(ctx, "test", EncodePublishHome(PublishReq{
-			Doc: model.Document{ID: doc, Terms: []string{"hot"}}, Term: "hot",
-		}))
-		if err != nil {
-			t.Fatalf("publish doc %d: %v", doc, err)
-		}
-		resp, err := DecodeMatchResp(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := publishHome(t, homeNode, model.Document{ID: doc, Terms: []string{"hot"}}, "hot")
 		if len(resp.Matches) == 12 && !resp.Degraded {
 			complete++
 		}

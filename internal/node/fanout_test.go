@@ -1,0 +1,406 @@
+package node
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/movesys/move/internal/alloc"
+	"github.com/movesys/move/internal/delivery"
+	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/ring"
+	"github.com/movesys/move/internal/transport"
+)
+
+// termHomedAt returns a made-up term whose home node is want.
+func termHomedAt(t testing.TB, r *ring.Ring, prefix string, want ring.NodeID) string {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		term := fmt.Sprintf("%s%d", prefix, i)
+		if home, err := r.HomeNode(term); err == nil && home == want {
+			return term
+		}
+	}
+	t.Fatalf("no %s* term homes at %s", prefix, want)
+	return ""
+}
+
+// fanOutEnv is the cluster the fan-out equivalence table runs on: ten
+// nodes, of which home owns the terms hot and warm, entry owns cold and
+// issues every publish, and the eight peers p[0..7] only ever serve as grid
+// nodes. Row choice is made deterministic (document-ID derived instead of
+// random) so a scenario's failover and RPC counts are exact.
+type fanOutEnv struct {
+	h     *harness
+	home  *Node
+	entry *Node
+	p     []ring.NodeID
+	docs  []model.Document
+}
+
+func newFanOutEnv(t *testing.T) *fanOutEnv {
+	t.Helper()
+	h := newHarness(t, 10)
+	for _, nd := range h.nodes {
+		nd.rng = nil // PickRow falls back to the document-ID hash
+	}
+	e := &fanOutEnv{h: h, home: h.nodes[0], entry: h.nodes[1]}
+	for _, nd := range h.nodes[2:] {
+		e.p = append(e.p, nd.ID())
+	}
+	hot := termHomedAt(t, h.ring, "hot", e.home.ID())
+	warm := termHomedAt(t, h.ring, "warm", e.home.ID())
+	cold := termHomedAt(t, h.ring, "cold", e.entry.ID())
+
+	id := model.FilterID(1)
+	register := func(n int, mode model.MatchMode, terms ...string) {
+		for i := 0; i < n; i++ {
+			h.registerEverywhere(t, model.Filter{ID: id, Subscriber: fmt.Sprintf("s%d", id), Terms: terms, Mode: mode})
+			id++
+		}
+	}
+	register(12, model.MatchAny, hot)
+	register(12, model.MatchAny, warm)
+	register(4, model.MatchAny, cold)
+	register(4, model.MatchAny, hot, warm) // reached through two grids
+	register(4, model.MatchAll, warm, cold)
+
+	// Every grid of the table has two rows; all documents draw row 0.
+	probe, err := alloc.NewGrid(2, 1, e.p[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for docID := uint64(1); len(e.docs) < 4; docID++ {
+		if probe.PickRow(docID, nil) == 0 {
+			e.docs = append(e.docs, model.Document{ID: docID, Terms: []string{hot, warm, cold}})
+		}
+	}
+	return e
+}
+
+func (e *fanOutEnv) grid(t *testing.T, nodes ...int) *alloc.Grid {
+	t.Helper()
+	ids := make([]ring.NodeID, len(nodes))
+	for i, k := range nodes {
+		ids[i] = e.p[k]
+	}
+	g, err := alloc.NewGrid(2, 2, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func (e *fanOutEnv) termGrid(t *testing.T, term string, g *alloc.Grid) {
+	t.Helper()
+	if err := e.home.BuildTermAllocation(context.Background(), 1, term, g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (e *fanOutEnv) fail(peers ...int) {
+	for _, k := range peers {
+		e.h.net.Fail(e.p[k])
+	}
+}
+
+// TestFanOutEquivalenceTable is the one equivalence table of the one grid
+// fan-out: every framing of a publish — a one-item frame per home
+// (PublishEntry), a multi-item frame per home (Batcher) — against the
+// per-term oracle (PublishEntryPerTerm: one frame per term) on the same
+// cluster, across grid layouts and failure regimes. The answer must be
+// identical: sorted match set, PostingsScanned, PostingLists, Degraded,
+// ColumnsLost. What legitimately depends on the framing is pinned exactly
+// instead: a failover is counted once per (grid, column) slot per frame, so
+// the oracle pays it once per term routed through the slot, a one-item
+// frame once per document, a multi-item frame once; and column RPCs go to
+// distinct nodes, not columns.
+func TestFanOutEquivalenceTable(t *testing.T) {
+	// Grid layouts over the peers (row-major 2x2). In "shared" the per-term
+	// grid's (0,0) is the node-wide grid's (0,1).
+	type layout func(t *testing.T, e *fanOutEnv)
+	none := func(*testing.T, *fanOutEnv) {}
+	nodeWide := func(t *testing.T, e *fanOutEnv) { allocate(t, e.home, 1, e.grid(t, 0, 1, 2, 3)) }
+	perTerm := func(t *testing.T, e *fanOutEnv) {
+		e.termGrid(t, e.docs[0].Terms[1], e.grid(t, 4, 5, 6, 7))
+		nodeWide(t, e)
+	}
+	pending := func(t *testing.T, e *fanOutEnv) {
+		nodeWide(t, e)
+		if err := e.home.PrepareAllocation(context.Background(), 2, e.grid(t, 3, 4, 5, 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := func(t *testing.T, e *fanOutEnv) {
+		e.termGrid(t, e.docs[0].Terms[1], e.grid(t, 1, 4, 5, 6))
+		nodeWide(t, e)
+	}
+
+	cases := []struct {
+		name   string
+		layout layout
+		down   []int // peers failed after the layout is installed
+		// Expected answer, per document.
+		degraded bool
+		lost     int
+		// Expected framing-dependent counts at the home node: failed-over
+		// slots per frame, the oracle's failovers per document (one frame
+		// per term), and column RPCs per frame.
+		failSlots, oracleFailovers, columnRPCs int
+	}{
+		{name: "no grid/healthy", layout: none},
+
+		// hot and warm both ride the node-wide grid: 2 columns, 2 RPCs.
+		{name: "node-wide/healthy", layout: nodeWide, columnRPCs: 2},
+		{name: "node-wide/first row of a column down", layout: nodeWide, down: []int{0},
+			failSlots: 1, oracleFailovers: 2, columnRPCs: 3},
+		{name: "node-wide/column lost in every row", layout: nodeWide, down: []int{0, 2},
+			degraded: true, lost: 2, columnRPCs: 3},
+
+		// warm has its own grid on four other nodes: 4 columns, 4 RPCs.
+		{name: "per-term beside node-wide/healthy", layout: perTerm, columnRPCs: 4},
+		{name: "per-term beside node-wide/first row of a column down", layout: perTerm, down: []int{0},
+			failSlots: 1, oracleFailovers: 1, columnRPCs: 5},
+		{name: "per-term beside node-wide/column lost in every row", layout: perTerm, down: []int{0, 2},
+			degraded: true, lost: 1, columnRPCs: 5},
+
+		// Dual-read: the pending grid doubles the columns; its failures never
+		// degrade, and its copies even recover what a lost committed column
+		// misses.
+		{name: "node-wide + pending/healthy", layout: pending, columnRPCs: 4},
+		{name: "node-wide + pending/first row of a column down", layout: pending, down: []int{0},
+			failSlots: 1, oracleFailovers: 2, columnRPCs: 5},
+		{name: "node-wide + pending/column lost in every row", layout: pending, down: []int{0, 2},
+			degraded: true, lost: 2, columnRPCs: 5},
+		{name: "node-wide + pending/pending column down", layout: pending, down: []int{4, 6},
+			columnRPCs: 5},
+
+		// Row 0 is p0 | p1 for hot and p1 | p4 for warm: 4 columns on 3 nodes.
+		{name: "shared node/healthy", layout: shared, columnRPCs: 3},
+		{name: "shared node/shared node down", layout: shared, down: []int{1},
+			failSlots: 2, oracleFailovers: 2, columnRPCs: 5},
+		{name: "shared node/column lost in every row", layout: shared, down: []int{1, 3},
+			degraded: true, lost: 1, failSlots: 1, oracleFailovers: 1, columnRPCs: 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newFanOutEnv(t)
+			tc.layout(t, e)
+			e.fail(tc.down...)
+			ctx := context.Background()
+			// counts reads the home node's failover counter and column-RPC
+			// histogram; each path below is charged its own delta.
+			counts := func() (failovers, rpcs int64) {
+				return e.home.failoverC.Value(), int64(e.home.reg.Histograms()["publish.column.rpc"].Count)
+			}
+			docs := int64(len(e.docs))
+
+			// The oracle first: it defines the answer for each document.
+			type answer struct {
+				matches []Match
+				resp    MatchResp
+			}
+			want := make([]answer, len(e.docs))
+			f0, _ := counts()
+			for i := range e.docs {
+				m, resp, err := e.entry.PublishEntryPerTerm(ctx, &e.docs[i])
+				if err != nil {
+					t.Fatalf("oracle doc %d: %v", e.docs[i].ID, err)
+				}
+				if len(m) == 0 || resp.Degraded != tc.degraded || resp.ColumnsLost != tc.lost {
+					t.Fatalf("oracle doc %d: %d matches degraded=%v lost=%d, scenario wants degraded=%v lost=%d",
+						e.docs[i].ID, len(m), resp.Degraded, resp.ColumnsLost, tc.degraded, tc.lost)
+				}
+				want[i] = answer{m, resp}
+			}
+			f1, r1 := counts()
+			if got := f1 - f0; got != docs*int64(tc.oracleFailovers) {
+				t.Fatalf("oracle failovers = %d over %d docs, want %d per doc", got, docs, tc.oracleFailovers)
+			}
+
+			// One-item frames.
+			for i := range e.docs {
+				m, resp, err := e.entry.PublishEntry(ctx, &e.docs[i])
+				if err != nil {
+					t.Fatalf("one-item doc %d: %v", e.docs[i].ID, err)
+				}
+				assertPublishEquivalent(t, fmt.Sprintf("one-item doc %d", e.docs[i].ID), m, want[i].matches, resp, want[i].resp)
+			}
+			f2, r2 := counts()
+			if got := f2 - f1; got != docs*int64(tc.failSlots) {
+				t.Fatalf("one-item failovers = %d over %d docs, want %d per frame", got, docs, tc.failSlots)
+			}
+			if got := r2 - r1; got != docs*int64(tc.columnRPCs) {
+				t.Fatalf("one-item column RPCs = %d over %d docs, want %d per frame", got, docs, tc.columnRPCs)
+			}
+
+			// One multi-item frame per home: the size cap equals the wave and
+			// the interval never fires.
+			b := NewBatcher(e.entry, BatcherConfig{MaxBatch: len(e.docs), FlushInterval: time.Minute})
+			defer b.Close()
+			got := make([]answer, len(e.docs))
+			errs := make([]error, len(e.docs))
+			var wg sync.WaitGroup
+			for i := range e.docs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i].matches, got[i].resp, errs[i] = b.Publish(ctx, &e.docs[i])
+				}(i)
+			}
+			wg.Wait()
+			for i := range e.docs {
+				if errs[i] != nil {
+					t.Fatalf("multi-item doc %d: %v", e.docs[i].ID, errs[i])
+				}
+				assertPublishEquivalent(t, fmt.Sprintf("multi-item doc %d", e.docs[i].ID), got[i].matches, want[i].matches, got[i].resp, want[i].resp)
+			}
+			f3, r3 := counts()
+			if got := f3 - f2; got != int64(tc.failSlots) {
+				t.Fatalf("multi-item failovers = %d for one frame, want %d", got, tc.failSlots)
+			}
+			if got := r3 - r2; got != int64(tc.columnRPCs) {
+				t.Fatalf("multi-item column RPCs = %d for one frame of %d docs, want %d", got, docs, tc.columnRPCs)
+			}
+		})
+	}
+}
+
+// TestPendingOnlyErrorNeverFailsPublish pins the dual-read rule of the grid
+// fan-out: an RPC whose slots are all pending never fails or degrades the
+// publish, whatever the error class — here the pending grid's only node
+// answers every request with a handler error (not an availability error,
+// which would merely fail over). The committed side (local matching) is
+// authoritative and complete. An RPC that also carries a committed slot
+// keeps the strict rule: only unavailability fails over, anything else is
+// fatal.
+func TestPendingOnlyErrorNeverFailsPublish(t *testing.T) {
+	h := newHarness(t, 4)
+	const filters = 6
+	registerHotFilters(t, h, filters)
+	home, err := h.ring.HomeNode("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	homeNode := h.nodeByID(home)
+	h.net.Join("broken", func(context.Context, ring.NodeID, []byte) ([]byte, error) {
+		return nil, errors.New("handler exploded")
+	})
+	broken, err := alloc.NewGrid(1, 1, []ring.NodeID{"broken"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !homeNode.PrepareGrid(1, broken) {
+		t.Fatal("prepare rejected")
+	}
+	var entry *Node
+	for _, nd := range h.nodes {
+		if nd.ID() != home {
+			entry = nd
+			break
+		}
+	}
+	ctx := context.Background()
+	check := func(label string, matches []Match, resp MatchResp, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: pending-only handler error failed the publish: %v", label, err)
+		}
+		if len(matches) != filters || resp.Degraded || resp.ColumnsLost != 0 {
+			t.Fatalf("%s: %d matches degraded=%v lost=%d, want %d/false/0", label, len(matches), resp.Degraded, resp.ColumnsLost, filters)
+		}
+	}
+
+	m, resp, err := entry.PublishEntry(ctx, &model.Document{ID: 1, Terms: []string{"hot"}})
+	check("one-item frame", m, resp, err)
+
+	const wave = 3
+	b := NewBatcher(entry, BatcherConfig{MaxBatch: wave, FlushInterval: time.Minute})
+	defer b.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < wave; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, resp, err := b.Publish(ctx, &model.Document{ID: uint64(10 + i), Terms: []string{"hot"}})
+			check(fmt.Sprintf("multi-item frame doc %d", i), m, resp, err)
+		}(i)
+	}
+	wg.Wait()
+
+	// The same node serving a committed column too: its handler error is
+	// fatal for the publish.
+	if !homeNode.CommitGrid(1) {
+		t.Fatal("commit did not promote")
+	}
+	if _, _, err := entry.PublishEntry(ctx, &model.Document{ID: 2, Terms: []string{"hot"}}); err == nil {
+		t.Fatal("a committed slot's handler error did not fail the publish")
+	}
+}
+
+// TestDeliverBatchWithoutHubIsAccountedLoss: a routed delivery batch landing
+// on a node with no delivery hub is refused, and the routing entry node
+// accounts every notification in it as lost instead of believing it
+// delivered.
+func TestDeliverBatchWithoutHubIsAccountedLoss(t *testing.T) {
+	r := ring.New(ring.Config{})
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	var mu sync.Mutex
+	lost := map[uint64][]string{}
+	var nodes []*Node
+	for _, id := range []ring.NodeID{"a", "b"} {
+		if err := r.Add(ring.Member{ID: id, Rack: "r0"}); err != nil {
+			t.Fatal(err)
+		}
+		nd, err := New(Config{
+			ID: id, Rack: "r0", Ring: r, RouteDeliveries: true,
+			OnDeliveryLoss: func(docID uint64, subs []string) {
+				mu.Lock()
+				lost[docID] = append(lost[docID], subs...)
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.Attach(net.Join(id, nd.Handle))
+		nodes = append(nodes, nd)
+	}
+	ctx := context.Background()
+	batch := &delivery.Batch{DocID: 5, Terms: []string{"news"}, Notifs: []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{1}}}}
+	if _, err := nodes[0].Handle(ctx, "peer", EncodeDeliverBatch(batch)); err == nil {
+		t.Fatal("hub-less node accepted a routed delivery batch")
+	}
+
+	f := model.Filter{ID: 1, Subscriber: "alice", Terms: []string{"news"}, Mode: model.MatchAny}
+	home, err := r.HomeNode("news")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range nodes {
+		if nd.ID() == home {
+			if _, err := nd.Handle(ctx, "client", EncodeRegister(RegisterReq{Filter: f, PostingTerms: f.Terms})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	entry := nodes[0]
+	matches, _, err := entry.PublishEntry(ctx, &model.Document{ID: 9, Terms: []string{"news"}})
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("publish = %v, %v, want the one match", matches, err)
+	}
+	if got := entry.routeFailures.Value(); got != 1 {
+		t.Fatalf("delivery.route.failures = %d, want 1", got)
+	}
+	if got := entry.routeLost.Value(); got != 1 {
+		t.Fatalf("delivery.route.lost = %d, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if subs := lost[9]; len(subs) != 1 || subs[0] != "alice" {
+		t.Fatalf("OnDeliveryLoss for doc 9 = %v, want [alice]", subs)
+	}
+}

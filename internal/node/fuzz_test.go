@@ -1,0 +1,116 @@
+package node
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"testing"
+
+	"github.com/movesys/move/internal/alloc"
+	"github.com/movesys/move/internal/bloom"
+	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/delivery"
+	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/ring"
+	"github.com/movesys/move/internal/testutil"
+)
+
+// handleSeeds is one real frame of every message type Handle accepts,
+// publish frames first.
+func handleSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	docA := model.Document{ID: 7, Terms: []string{"alpha", "beta", "gamma"}}
+	docB := model.Document{ID: 8, Terms: []string{"beta"}}
+	local := codec.NewWriter(64)
+	AppendPublishFrame(local, true, []PublishItem{
+		{Doc: &docA, Terms: []string{"alpha"}},
+		{Doc: &docB, Terms: []string{"beta"}},
+		{Doc: &docA, Terms: []string{"beta", "gamma"}},
+	})
+	f := model.Filter{ID: 3, Subscriber: "alice", Terms: []string{"alpha", "beta"}, Mode: model.MatchAny}
+	grid, err := alloc.NewGrid(1, 2, []ring.NodeID{"solo", "ghost"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf := bloom.MustNew(64, 0.01)
+	bf.Add("alpha")
+	return [][]byte{
+		EncodePublishFrame([]PublishItem{{Doc: &docA, Terms: []string{"alpha", "beta"}}}),
+		local.Bytes(),
+		EncodeSIFT(&docA),
+		EncodeRegister(RegisterReq{Filter: f, PostingTerms: []string{"alpha"}}),
+		EncodeUnregister(3),
+		EncodeUnregisterBatch([]model.FilterID{3, 4}),
+		EncodeMigrate(MigrateReq{Epoch: 2, Entries: []RegisterReq{{Filter: f, PostingTerms: f.Terms}}}),
+		EncodeStatsPull(),
+		EncodeInstallBloom(bf.Marshal()),
+		EncodeGossip([]byte{1, 2, 3}),
+		EncodeDropGrid(),
+		EncodeAllocateTerm(1, "alpha", grid),
+		EncodePrepareAlloc(2, grid),
+		EncodeCommitGrid(2),
+		EncodeAbortGrid(2),
+		EncodeDeliverBatch(&delivery.Batch{DocID: 7, Terms: docA.Terms, Notifs: []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{3}}}}),
+	}
+}
+
+// FuzzNodeHandle throws hostile bytes at the node's dispatcher — every frame
+// type a peer or client can send. A frame may be refused, but it must never
+// panic, never allocate beyond a fixed multiple of its own length (a length
+// prefix is a claim, not a budget), and a frame refused while decoding must
+// leave the node exactly as it was: counters, filters and epoch state.
+func FuzzNodeHandle(f *testing.F) {
+	for _, seed := range handleSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		nd := newHarness(t, 1).nodes[0]
+		// A resident filter and a committed grid, so publish frames reach the
+		// matcher and the fan-out instead of an empty node.
+		resident := model.Filter{ID: 1, Subscriber: "s", Terms: []string{"alpha"}, Mode: model.MatchAny}
+		if _, err := nd.Handle(context.Background(), "seed", EncodeRegister(RegisterReq{Filter: resident, PostingTerms: resident.Terms})); err != nil {
+			t.Fatal(err)
+		}
+		g, err := alloc.NewGrid(1, 1, []ring.NodeID{nd.ID()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !nd.PrepareGrid(1, g) || !nd.CommitGrid(1) {
+			t.Fatal("seed grid not installed")
+		}
+
+		type state struct {
+			stats                StatsResp
+			filters              int
+			committed, pendingEp uint64
+			dual                 bool
+		}
+		snapshot := func() state {
+			s := state{stats: nd.Stats(), filters: nd.Index().NumFilters()}
+			s.committed, s.pendingEp, s.dual = nd.EpochInfo()
+			return s
+		}
+		before := snapshot()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err = nd.Handle(context.Background(), "fuzz", payload)
+		runtime.ReadMemStats(&m1)
+
+		// The race detector's shadow allocations are not the frame's.
+		if limit := uint64(1<<20 + 512*len(payload)); !testutil.RaceEnabled && m1.TotalAlloc-m0.TotalAlloc > limit {
+			t.Fatalf("a %d-byte frame (type %d) allocated %d bytes, limit %d", len(payload), first(payload), m1.TotalAlloc-m0.TotalAlloc, limit)
+		}
+		if err != nil && (errors.Is(err, codec.ErrTruncated) || errors.Is(err, codec.ErrOverflow)) {
+			if after := snapshot(); after != before {
+				t.Fatalf("frame type %d refused with %v changed the node: %+v -> %+v", first(payload), err, before, after)
+			}
+		}
+	})
+}
+
+func first(b []byte) int {
+	if len(b) == 0 {
+		return -1
+	}
+	return int(b[0])
+}

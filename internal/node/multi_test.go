@@ -9,65 +9,124 @@ import (
 
 	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/testutil"
 	"github.com/movesys/move/internal/transport"
 )
 
-func TestPublishMultiWireRoundTrip(t *testing.T) {
-	req := PublishMultiReq{
-		Doc:   model.Document{ID: 42, Terms: []string{"go", "cluster", "systems"}},
-		Terms: []string{"go", "systems"},
+// PublishEntryPerTerm is the uncoalesced §III fan-out: one publish frame
+// per Bloom-passing term, each a single one-term item re-shipping the
+// document. It is the reference oracle of the coalesced path (equivalence
+// tests, RPC-count ablations); production callers use PublishEntry.
+func (n *Node) PublishEntryPerTerm(ctx context.Context, doc *model.Document) ([]Match, MatchResp, error) {
+	return n.publishEntry(ctx, doc, n.perTermGroups)
+}
+
+// perTermGroups is the uncoalesced grouping: one single-term group per
+// term, homes resolved upfront like groupTermsByHome.
+func (n *Node) perTermGroups(terms []string) ([]homeGroup, error) {
+	groups := make([]homeGroup, 0, len(terms))
+	for i, t := range terms {
+		home, err := n.cfg.Ring.HomeNode(t)
+		if err != nil {
+			return nil, fmt.Errorf("node %s: home of %q: %w", n.cfg.ID, t, err)
+		}
+		groups = append(groups, homeGroup{home: home, terms: terms[i : i+1 : i+1]})
 	}
-	data := EncodePublishMulti(msgPublishLocalMulti, req)
+	return groups, nil
+}
+
+// decodeFrame strips the type byte of an encoded publish frame and decodes
+// the rest.
+func decodeFrame(t *testing.T, data []byte) (bool, []PublishItem) {
+	t.Helper()
 	r := codec.NewReader(data)
-	typ, err := r.Uint8()
-	if err != nil || typ != msgPublishLocalMulti {
+	if typ, err := r.Uint8(); err != nil || typ != msgPublish {
 		t.Fatalf("type byte = %d, %v", typ, err)
 	}
-	got, err := decodePublishMulti(r)
+	local, items, err := decodePublishFrame(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Doc.ID != req.Doc.ID || !equalStrings(got.Doc.Terms, req.Doc.Terms) || !equalStrings(got.Terms, req.Terms) {
-		t.Fatalf("round trip = %+v, want %+v", got, req)
+	if r.Remaining() != 0 {
+		t.Fatalf("%d trailing bytes after the frame", r.Remaining())
+	}
+	return local, items
+}
+
+// TestPublishMultiWireRoundTrip round-trips a one-item frame in both
+// directions of the forward/local bit and pins the frame's budget: three
+// bytes over the bare document-plus-term-list it carries, and no heap
+// allocation to encode.
+func TestPublishMultiWireRoundTrip(t *testing.T) {
+	doc := model.Document{ID: 42, Terms: []string{"go", "cluster", "systems"}}
+	terms := []string{"go", "systems"}
+	for _, local := range []bool{false, true} {
+		w := codec.NewWriter(64)
+		AppendPublishFrame(w, local, []PublishItem{{Doc: &doc, Terms: terms}})
+		gotLocal, got := decodeFrame(t, w.Bytes())
+		if gotLocal != local {
+			t.Fatalf("local bit = %v, want %v", gotLocal, local)
+		}
+		if len(got) != 1 || got[0].Doc.ID != doc.ID || !equalStrings(got[0].Doc.Terms, doc.Terms) || !equalStrings(got[0].Terms, terms) {
+			t.Fatalf("round trip = %+v", got)
+		}
+		bare := codec.NewWriter(64)
+		bare.Uint8(msgPublish)
+		doc.EncodeTo(bare)
+		bare.StringSlice(terms)
+		if over := w.Len() - bare.Len(); over != 3 {
+			t.Fatalf("one-item frame is %d bytes over its document and term list, budget is 3", over)
+		}
+	}
+	if testutil.RaceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	w := codec.NewWriter(256)
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.Reset()
+		AppendPublishFrame(w, false, []PublishItem{{Doc: &doc, Terms: terms}})
+	}); allocs != 0 {
+		t.Fatalf("encoding a one-item frame allocates %.0f times, want 0", allocs)
 	}
 }
 
+// TestPublishMultiBatchWireRoundTrip round-trips a multi-item frame: a
+// document shared by several items is encoded once, every decoded item
+// still sees it (through one shared decode), and the local bit survives.
 func TestPublishMultiBatchWireRoundTrip(t *testing.T) {
 	docA := model.Document{ID: 1, Terms: []string{"alpha", "beta"}}
 	docB := model.Document{ID: 2, Terms: []string{"gamma"}}
-	// Two items share docA: the frame must carry it once and both decoded
-	// items must still see it.
-	reqs := []PublishMultiReq{
-		{Doc: docA, Terms: []string{"alpha"}},
-		{Doc: docB, Terms: []string{"gamma"}},
-		{Doc: docA, Terms: []string{"beta"}},
+	items := []PublishItem{
+		{Doc: &docA, Terms: []string{"alpha"}},
+		{Doc: &docB, Terms: []string{"gamma"}},
+		{Doc: &docA, Terms: []string{"beta"}},
 	}
-	data := EncodePublishMultiBatch(msgPublishLocalMultiBatch, reqs)
-	// The shared document is encoded once: a batch with three distinct
-	// documents of the same shape must be strictly larger.
-	distinct := []PublishMultiReq{
-		{Doc: docA, Terms: []string{"alpha"}},
-		{Doc: docB, Terms: []string{"gamma"}},
-		{Doc: model.Document{ID: 3, Terms: docA.Terms}, Terms: []string{"beta"}},
+	w := codec.NewWriter(64)
+	AppendPublishFrame(w, true, items)
+	// A frame with three distinct documents of the same shape must be
+	// strictly larger.
+	docC := model.Document{ID: 3, Terms: docA.Terms}
+	distinct := []PublishItem{items[0], items[1], {Doc: &docC, Terms: []string{"beta"}}}
+	if bloat := EncodePublishFrame(distinct); w.Len() >= len(bloat) {
+		t.Fatalf("shared-doc frame %dB >= distinct-doc frame %dB, unique-document table not applied", w.Len(), len(bloat))
 	}
-	if bloat := EncodePublishMultiBatch(msgPublishLocalMultiBatch, distinct); len(data) >= len(bloat) {
-		t.Fatalf("shared-doc frame %dB >= distinct-doc frame %dB, unique-document table not applied", len(data), len(bloat))
+	local, got := decodeFrame(t, w.Bytes())
+	if !local {
+		t.Fatal("local bit lost")
 	}
-	r := codec.NewReader(data)
-	if typ, err := r.Uint8(); err != nil || typ != msgPublishLocalMultiBatch {
-		t.Fatalf("type byte = %d, %v", typ, err)
+	if len(got) != len(items) {
+		t.Fatalf("decoded %d items, want %d", len(got), len(items))
 	}
-	got, err := decodePublishMultiBatch(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("decoded %d items, want %d", len(got), len(reqs))
-	}
-	for i := range reqs {
-		if got[i].Doc.ID != reqs[i].Doc.ID || !equalStrings(got[i].Doc.Terms, reqs[i].Doc.Terms) || !equalStrings(got[i].Terms, reqs[i].Terms) {
-			t.Fatalf("item %d = %+v, want %+v", i, got[i], reqs[i])
+	for i := range items {
+		if got[i].Doc.ID != items[i].Doc.ID || !equalStrings(got[i].Doc.Terms, items[i].Doc.Terms) || !equalStrings(got[i].Terms, items[i].Terms) {
+			t.Fatalf("item %d = %+v, want %+v", i, got[i], items[i])
 		}
+	}
+	if got[0].Doc != got[2].Doc {
+		t.Fatal("items of the same document do not share one decode")
+	}
+	if home, _ := decodeFrame(t, EncodePublishFrame(items)); home {
+		t.Fatal("EncodePublishFrame set the local bit")
 	}
 }
 

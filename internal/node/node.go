@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,8 +48,8 @@ type Config struct {
 	// subscribers.
 	OnDeliver func(doc *model.Document, matches []Match)
 	// Delivery, if set, is this node's subscriber-session hub: inbound
-	// msgDeliverBatch frames enqueue into its sessions. Nil falls back to
-	// the polled mailbox tier.
+	// msgDeliverBatch frames enqueue into its sessions. Without one the
+	// node rejects routed deliveries, so the sender accounts them as lost.
 	Delivery *delivery.Hub
 	// RouteDeliveries makes the entry node push each document's matches to
 	// the subscribers' session owners (one msgDeliverBatch per distinct
@@ -110,9 +111,6 @@ type Node struct {
 	// home-owned filters) are never journaled and survive untouched.
 	journalMu sync.Mutex
 	journal   map[uint64]map[model.FilterID]struct{}
-
-	// mail holds subscriber mailboxes for network-polling clients.
-	mail *mailboxes
 
 	// res, when non-nil, wraps outbound RPCs in retries and breakers.
 	res *resilience.Executor
@@ -212,7 +210,6 @@ func New(cfg Config) (*Node, error) {
 		reg:           reg,
 		termGrids:     make(map[string]*alloc.Grid),
 		journal:       make(map[uint64]map[model.FilterID]struct{}),
-		mail:          newMailboxes(),
 		rng:           rand.New(rand.NewSource(seed)),
 		res:           cfg.Resilience,
 		failoverC:     reg.Counter("publish.failover"),
@@ -331,91 +328,18 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		n.updateCoverGauges()
 		return nil, nil
 	case msgPublish:
-		req, err := decodePublish(r)
+		local, items, err := decodePublishFrame(r)
 		if err != nil {
 			return nil, fmt.Errorf("node %s: decode publish: %w", n.cfg.ID, err)
 		}
-		resp, err := n.handlePublish(ctx, req)
+		var resps []MatchResp
+		if local {
+			resps, err = n.matchItems(items)
+		} else {
+			resps, err = n.handlePublish(ctx, items)
+		}
 		if err != nil {
 			return nil, err
-		}
-		return EncodeMatchResp(resp), nil
-	case msgPublishLocal:
-		req, err := decodePublish(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode publish-local: %w", n.cfg.ID, err)
-		}
-		resp, err := n.matchLocal(&req.Doc, req.Term)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeMatchResp(resp), nil
-	case msgPublishBatch:
-		reqs, err := decodePublishBatch(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode publish-batch: %w", n.cfg.ID, err)
-		}
-		resps, err := n.handlePublishBatch(ctx, reqs)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeMatchRespBatch(resps), nil
-	case msgPublishLocalBatch:
-		reqs, err := decodePublishBatch(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode publish-local-batch: %w", n.cfg.ID, err)
-		}
-		resps := make([]MatchResp, len(reqs))
-		for i := range reqs {
-			resp, err := n.matchLocal(&reqs[i].Doc, reqs[i].Term)
-			if err != nil {
-				return nil, err
-			}
-			resps[i] = resp
-		}
-		return EncodeMatchRespBatch(resps), nil
-	case msgPublishMulti:
-		req, err := decodePublishMulti(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode publish-multi: %w", n.cfg.ID, err)
-		}
-		resp, err := n.handlePublishMulti(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeMatchResp(resp), nil
-	case msgPublishLocalMulti:
-		req, err := decodePublishMulti(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode publish-local-multi: %w", n.cfg.ID, err)
-		}
-		resp, err := n.matchLocalTerms(&req.Doc, req.Terms)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeMatchResp(resp), nil
-	case msgPublishMultiBatch:
-		reqs, err := decodePublishMultiBatch(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode publish-multi-batch: %w", n.cfg.ID, err)
-		}
-		resps, err := n.handlePublishMultiBatch(ctx, reqs)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeMatchRespBatch(resps), nil
-	case msgPublishLocalMultiBatch:
-		reqs, err := decodePublishMultiBatch(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode publish-local-multi-batch: %w", n.cfg.ID, err)
-		}
-		resps := make([]MatchResp, len(reqs))
-		for i := range reqs {
-			resp, err := n.matchLocalTerms(&reqs[i].Doc, reqs[i].Terms)
-			if err != nil {
-				return nil, err
-			}
-			resps[i] = resp
 		}
 		return EncodeMatchRespBatch(resps), nil
 	case msgPublishSIFT:
@@ -436,38 +360,9 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		return nil, n.handleMigrate(req)
 	case msgStatsPull:
 		return EncodeStatsResp(n.Stats()), nil
-	case msgInstallGrid:
-		epoch, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		gridBytes, err := r.Bytes0()
-		if err != nil {
-			return nil, err
-		}
-		g, err := alloc.DecodeGrid(gridBytes)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode grid: %w", n.cfg.ID, err)
-		}
-		n.InstallGrid(epoch, g)
-		return nil, nil
 	case msgDropGrid:
 		n.DropGrid()
 		return nil, nil
-	case msgAllocate:
-		epoch, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		gridBytes, err := r.Bytes0()
-		if err != nil {
-			return nil, err
-		}
-		g, err := alloc.DecodeGrid(gridBytes)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode allocation grid: %w", n.cfg.ID, err)
-		}
-		return nil, n.BuildAllocation(ctx, epoch, g)
 	case msgAllocateTerm:
 		epoch, err := r.Uvarint()
 		if err != nil {
@@ -530,12 +425,8 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		}
 		n.InstallBloom(bf)
 		return nil, nil
-	case msgDeliver:
-		return nil, n.handleDeliver(r)
 	case msgDeliverBatch:
 		return nil, n.handleDeliverBatch(r)
-	case msgFetch:
-		return n.handleFetch(r)
 	case msgGossip:
 		if n.cfg.Gossip == nil {
 			return nil, errors.New("node: gossip not enabled")
@@ -619,18 +510,6 @@ func (n *Node) forwardToGridColumn(ctx context.Context, g *alloc.Grid, epoch uin
 	return errors.Join(errs...)
 }
 
-// InstallGrid atomically replaces the node's allocation grid (§V forwarding
-// table: one grid per node, all local terms map to it).
-func (n *Node) InstallGrid(epoch uint64, g *alloc.Grid) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if epoch < n.gridEpoch {
-		return // stale installation from an older allocation round
-	}
-	n.grid = g
-	n.gridEpoch = epoch
-}
-
 // DropGrid clears the allocation grid — pending included, so a recovered
 // node that slept through commits and GC stops trusting stale placements
 // and matches from its complete local store until the next prepare.
@@ -656,360 +535,213 @@ func (n *Node) InstallBloom(bf *bloom.Filter) {
 	n.bloomF = bf
 }
 
-// handlePublish serves a term-routed document on its home node: match
-// locally when unallocated, otherwise fan out to one grid partition. A
-// term-specific grid (per-term allocation) takes precedence over the
-// node-wide grid.
-func (n *Node) handlePublish(ctx context.Context, req PublishReq) (MatchResp, error) {
-	n.homePublishes.Inc()
+// handlePublish serves a home-routed publish frame: every item is one
+// document arriving at the shared home node of its terms. Grid-less terms
+// match locally, grid-routed terms go through the one grid fan-out, and the
+// responses come back in item order.
+func (n *Node) handlePublish(ctx context.Context, items []PublishItem) ([]MatchResp, error) {
+	if len(items) == 0 {
+		return nil, nil
+	}
+	// One item is one document arrival: homePublishes is the numerator of
+	// the §V node frequency q'_i, which counts documents the node receives,
+	// not the terms they were routed under.
+	n.homePublishes.Add(int64(len(items)))
 	// The home-side handling gets its own trace and histogram: in a TCP
 	// deployment the entry is an external client, so this is where the
 	// server-side publish path starts and the only place its traces can be
-	// recorded. The summary is built directly, aliasing resp.Hops — the
-	// response is immutable once handed back for encoding — instead of
-	// paying a span allocation and a hop copy per routed term.
+	// recorded.
 	tm := n.hHome.Start()
-	resp, err := n.homePublish(ctx, req)
+	resps, err := n.homePublish(ctx, items)
 	elapsed := tm.Stop()
 	var hops []trace.Hop
-	if err == nil {
-		hops = resp.Hops
+	if len(resps) == 1 {
+		// A one-item frame's summary aliases its response's hops — the
+		// response is immutable once handed back for encoding — instead of
+		// paying a hop copy per publish.
+		hops = resps[0].Hops
 	}
-	n.traces.Add(trace.Summarize("publish.home", req.Doc.ID, elapsed, hops))
-	return resp, err
-}
-
-// homePublish matches a term-routed document: through the term's
-// allocation grid when one is installed, locally otherwise. During a
-// dual-read window (pending grid installed, node-wide routing only) the
-// document additionally fans out to the pending placements and the match
-// sets union — entry-side dedup removes the overlap, and extra posting
-// entries can only produce true matches.
-func (n *Node) homePublish(ctx context.Context, req PublishReq) (MatchResp, error) {
-	n.mu.RLock()
-	grid := n.termGrids[req.Term]
-	var pending *alloc.Grid
-	if grid == nil {
-		grid = n.grid
-		pending = n.pending
-	}
-	n.mu.RUnlock()
-
-	var resp MatchResp
-	var err error
-	if grid == nil {
-		resp, err = n.matchLocal(&req.Doc, req.Term)
-		if err == nil {
-			resp.Hops = append(resp.Hops, trace.Hop{
-				Stage: "local", To: string(n.cfg.ID), Term: req.Term,
-			})
+	for i := range resps {
+		if resps[i].Degraded {
+			n.degradedC.Inc()
 		}
-	} else {
-		n.mu.Lock()
-		first := grid.PickRow(req.Doc.ID, n.rng)
-		n.mu.Unlock()
-		// The frame is built in a pooled writer: fanOutRow's column RPCs all
-		// finish before it returns, after which the buffer is dead and can be
-		// recycled (transports do not retain payloads past Send — DESIGN.md §11).
-		w := codec.GetWriter()
-		AppendPublish(w, msgPublishLocal, req)
-		resp, err = n.fanOutRow(ctx, grid, first, w.Bytes())
-		codec.PutWriter(w)
-	}
-	if err != nil || pending == nil || pending == grid {
-		return resp, err
-	}
-
-	// Dual-read: the committed path above is authoritative and complete, so
-	// a failure on the pending side never degrades or fails the publish —
-	// its results only add matches the committed placements may not hold yet.
-	n.mu.Lock()
-	pfirst := pending.PickRow(req.Doc.ID, n.rng)
-	n.mu.Unlock()
-	w := codec.GetWriter()
-	AppendPublish(w, msgPublishLocal, req)
-	presp, perr := n.fanOutRow(ctx, pending, pfirst, w.Bytes())
-	codec.PutWriter(w)
-	if perr == nil {
-		presp.Degraded = false
-		presp.ColumnsLost = 0
-		markPendingHops(presp.Hops)
-		mergeResp(&resp, presp)
-	}
-	return resp, nil
-}
-
-// markPendingHops tags every hop as taken against a pending grid, so
-// traces show which edges belonged to the dual-read window.
-func markPendingHops(hops []trace.Hop) {
-	for i := range hops {
-		hops[i].Pending = true
-	}
-}
-
-// fanOutRow dispatches the document to the chosen partition row, one RPC
-// per grid column in parallel. A column whose node is unreachable (after
-// the transport's retry policy) fails over to the same column of the next
-// row — every row holds a full replica of the unit's filter set, and
-// column c of every row stores the same filter subset, so the re-route
-// preserves the exact match set (§VI.D). A column with no live replica in
-// any row is reported through Degraded/ColumnsLost instead of failing the
-// whole publish.
-func (n *Node) fanOutRow(ctx context.Context, grid *alloc.Grid, first int, payload []byte) (MatchResp, error) {
-	rows, cols := grid.Rows(), grid.Cols()
-	type colResult struct {
-		resp MatchResp
-		err  error // non-availability failure: fatal for the publish
-		lost bool  // no row could serve this column
-		hops []trace.Hop
-	}
-	results := make([]colResult, cols)
-	var wg sync.WaitGroup
-	for col := 0; col < cols; col++ {
-		wg.Add(1)
-		go func(col int) {
-			defer wg.Done()
-			var hops []trace.Hop
-			for attempt := 0; attempt < rows; attempt++ {
-				row := (first + attempt) % rows
-				target := grid.Node(row, col)
-				if n.cfg.OnTransfer != nil {
-					n.cfg.OnTransfer(n.cfg.ID, target)
-				}
-				rpcStart := time.Now()
-				raw, err := n.send(ctx, target, payload)
-				elapsed := time.Since(rpcStart)
-				n.hColumnRPC.Observe(elapsed)
-				hop := trace.Hop{
-					Stage: "column", From: string(n.cfg.ID), To: string(target),
-					Row: row, Col: col, Attempt: attempt, Failover: attempt > 0,
-					ElapsedNS: elapsed.Nanoseconds(),
-				}
-				if err == nil {
-					resp, derr := DecodeMatchResp(raw)
-					if derr != nil {
-						results[col] = colResult{err: derr}
-						return
-					}
-					if attempt > 0 {
-						n.failoverC.Inc()
-					}
-					results[col] = colResult{resp: resp, hops: append(hops, hop)}
-					return
-				}
-				hop.Err = err.Error()
-				hops = append(hops, hop)
-				if !transport.IsAvailabilityError(err) {
-					results[col] = colResult{err: err}
-					return
-				}
-			}
-			hops = append(hops, trace.Hop{Stage: "column", From: string(n.cfg.ID), Col: col, Lost: true})
-			results[col] = colResult{lost: true, hops: hops}
-		}(col)
-	}
-	wg.Wait()
-
-	var merged MatchResp
-	for _, res := range results {
-		if res.err != nil {
-			return MatchResp{}, res.err
+		if len(resps) > 1 {
+			hops = append(hops, resps[i].Hops...)
 		}
-		merged.Hops = append(merged.Hops, res.hops...)
-		if res.lost {
-			merged.Degraded = true
-			merged.ColumnsLost++
-			continue
-		}
-		merged.Matches = append(merged.Matches, res.resp.Matches...)
-		merged.PostingsScanned += res.resp.PostingsScanned
-		merged.PostingLists += res.resp.PostingLists
 	}
-	if merged.Degraded {
-		n.degradedC.Inc()
-	}
-	return merged, nil
+	n.traces.Add(trace.Summarize("publish.home", items[0].Doc.ID, elapsed, hops))
+	return resps, err
 }
 
-// handlePublishMulti serves one coalesced multi-term publish on the shared
-// home node of its terms: every term is matched (locally or through its
-// grid) off a single document decode, and the column RPCs behind the grids
-// are deduplicated across terms. The trace/histogram treatment mirrors
-// handlePublish.
-func (n *Node) handlePublishMulti(ctx context.Context, req PublishMultiReq) (MatchResp, error) {
-	// One frame is one document arrival: homePublishes is the numerator of
-	// the §V node frequency q'_i, which counts documents the node receives,
-	// not the terms they were routed under.
-	n.homePublishes.Inc()
-	tm := n.hHome.Start()
-	resp, err := n.homePublishMulti(ctx, req)
-	elapsed := tm.Stop()
-	var hops []trace.Hop
-	if err == nil {
-		hops = resp.Hops
-	}
-	n.traces.Add(trace.Summarize("publish.home", req.Doc.ID, elapsed, hops))
-	return resp, err
+// routeItem is the slice of one frame item bound for one destination class:
+// the item's index in the frame and, in document order, the terms routed
+// there.
+type routeItem struct {
+	item  int
+	terms []string
 }
 
-// gridGroup is the slice of one multi-term publish bound for a single
-// allocation grid: the terms (in document order) whose effective grid it is.
-// pending marks the dual-read group: the same terms fanned out a second
-// time against the not-yet-committed grid, whose losses never degrade the
-// publish (the committed path is authoritative).
-type gridGroup struct {
+// gridRoute is the part of a publish frame bound for one allocation grid:
+// per item, the terms whose effective grid it is. pending marks the
+// dual-read route — the node-wide-routed terms fanned out a second time
+// against the not-yet-committed grid, whose failures never fail or degrade
+// the publish (the committed path is authoritative). A nil grid is the
+// local route: terms with no grid, matched on this node.
+type gridRoute struct {
 	grid    *alloc.Grid
-	terms   []string
 	pending bool
+	first   int // partition row drawn for this frame
+	items   []routeItem
 }
 
-// splitByGrid partitions a multi-term publish's terms by their effective
-// allocation grid — per-term grids take precedence over the node-wide grid,
-// exactly as in the single-term path. Terms with no grid match locally.
-// During a dual-read window every node-wide-routed term additionally joins
-// the pending grid's group.
-func (n *Node) splitByGrid(terms []string) (local []string, groups []gridGroup) {
+// add routes term t of frame item i through r. Items arrive in frame order,
+// so an item's terms are always appended to the route's last entry.
+func (r *gridRoute) add(i int, t string) {
+	if k := len(r.items); k == 0 || r.items[k-1].item != i {
+		r.items = append(r.items, routeItem{item: i})
+	}
+	last := &r.items[len(r.items)-1]
+	last.terms = append(last.terms, t)
+}
+
+// splitByGrid partitions every item's terms by effective allocation grid: a
+// per-term grid takes precedence over the node-wide grid, and terms with
+// neither match locally. During a dual-read window every node-wide-routed
+// term additionally joins the pending grid's route.
+func (n *Node) splitByGrid(items []PublishItem) (local gridRoute, routes []gridRoute) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	var idx map[*alloc.Grid]int
-	add := func(g *alloc.Grid, t string, pending bool) {
-		if idx == nil {
-			idx = make(map[*alloc.Grid]int, 2)
+	route := func(g *alloc.Grid, pending bool) *gridRoute {
+		for i := range routes {
+			if routes[i].grid == g {
+				return &routes[i]
+			}
 		}
-		i, ok := idx[g]
-		if !ok {
-			i = len(groups)
-			idx[g] = i
-			groups = append(groups, gridGroup{grid: g, pending: pending})
-		}
-		groups[i].terms = append(groups[i].terms, t)
+		routes = append(routes, gridRoute{grid: g, pending: pending})
+		return &routes[len(routes)-1]
 	}
-	for _, t := range terms {
-		g := n.termGrids[t]
-		nodeWide := g == nil
-		if nodeWide {
-			g = n.grid
-		}
-		if g == nil {
-			local = append(local, t)
-		} else {
-			add(g, t, false)
-		}
-		if nodeWide && n.pending != nil && n.pending != g {
-			add(n.pending, t, true)
+	for i := range items {
+		for _, t := range items[i].Terms {
+			g := n.termGrids[t]
+			nodeWide := g == nil
+			if nodeWide {
+				g = n.grid
+			}
+			if g == nil {
+				local.add(i, t)
+			} else {
+				route(g, false).add(i, t)
+			}
+			if nodeWide && n.pending != nil && n.pending != g {
+				route(n.pending, true).add(i, t)
+			}
 		}
 	}
-	return local, groups
+	return local, routes
 }
 
-// homePublishMulti matches a multi-term-routed document: grid-less terms in
-// one local MatchTerms pass, grid-routed terms through the deduplicated
+// homePublish matches the items of a home-routed frame: each item's
+// grid-less terms in one local MatchTerms pass, everything else through the
 // grid fan-out.
-func (n *Node) homePublishMulti(ctx context.Context, req PublishMultiReq) (MatchResp, error) {
-	local, groups := n.splitByGrid(req.Terms)
-	var merged MatchResp
-	if len(local) > 0 {
-		resp, err := n.matchLocalTerms(&req.Doc, local)
+func (n *Node) homePublish(ctx context.Context, items []PublishItem) ([]MatchResp, error) {
+	local, routes := n.splitByGrid(items)
+	resps := make([]MatchResp, len(items))
+	for _, ri := range local.items {
+		resp, err := n.matchLocalTerms(items[ri.item].Doc, ri.terms)
 		if err != nil {
-			return MatchResp{}, err
+			return nil, err
 		}
-		for _, t := range local {
+		resp.Hops = make([]trace.Hop, 0, len(ri.terms))
+		for _, t := range ri.terms {
 			resp.Hops = append(resp.Hops, trace.Hop{
-				Stage: "local", To: string(n.cfg.ID), Term: t,
+				Stage: "local", To: string(n.cfg.ID), Term: t, Batch: len(items),
 			})
 		}
-		merged = resp
+		resps[ri.item] = resp
 	}
-	if len(groups) > 0 {
-		resp, err := n.multiFanOut(ctx, &req.Doc, groups)
-		if err != nil {
-			return MatchResp{}, err
-		}
-		mergeResp(&merged, resp)
+	if len(routes) == 0 {
+		return resps, nil
 	}
-	return merged, nil
-}
-
-// mergeResp folds src into dst: matches concatenated (the entry node
-// dedups), cost counters summed, degradation flags accumulated.
-func mergeResp(dst *MatchResp, src MatchResp) {
-	dst.Matches = append(dst.Matches, src.Matches...)
-	dst.PostingsScanned += src.PostingsScanned
-	dst.PostingLists += src.PostingLists
-	dst.Degraded = dst.Degraded || src.Degraded
-	dst.ColumnsLost += src.ColumnsLost
-	dst.Hops = append(dst.Hops, src.Hops...)
-}
-
-// multiFanOut disseminates one document through the union of grid-row
-// destinations across all of its terms' grids: each round, the still-open
-// (grid, column) slots are grouped by the node currently serving them and
-// every distinct node receives ONE msgPublishLocalMulti carrying all the
-// terms routed through it — so k terms sharing the node-wide grid cost one
-// RPC per column, not k. Failover stays per column (the whole slot moves to
-// the same column of the next row, §VI.D) and regrouping each round keeps
-// the dedup exact as slots drift across rows. A column no row can serve
-// degrades once per term routed through it, matching what the per-term
-// fan-out reports.
-func (n *Node) multiFanOut(ctx context.Context, doc *model.Document, groups []gridGroup) (MatchResp, error) {
-	// One partition row per grid, chosen once for all of the grid's terms
-	// (the per-term path draws a row per term; any row serves the exact
-	// match set, so one draw per grid is both cheaper and equivalent).
-	firsts := make([]int, len(groups))
+	// One partition row per grid per frame (the per-term path draws a row
+	// per term; any row serves the exact match set, so one draw is both
+	// cheaper and equivalent).
 	n.mu.Lock()
-	for i := range groups {
-		firsts[i] = groups[i].grid.PickRow(doc.ID, n.rng)
+	for i := range routes {
+		r := &routes[i]
+		r.first = r.grid.PickRow(items[r.items[0].item].Doc.ID, n.rng)
 	}
 	n.mu.Unlock()
+	if err := n.fanOut(ctx, items, routes, resps); err != nil {
+		return nil, err
+	}
+	return resps, nil
+}
 
-	// One slot per (grid, column); a slot is done when some row's node
-	// served it or every row was exhausted (lost).
-	type colSlot struct {
-		group   int // index into groups
-		col     int
-		attempt int
-		done    bool
-		lost    bool
-		hops    []trace.Hop
-	}
+// colSlot is one (grid, column) of a frame's fan-out. It is done when some
+// row's node served it or every row was exhausted (lost).
+type colSlot struct {
+	route   *gridRoute
+	col     int
+	attempt int
+	done    bool
+	lost    bool
+	hops    []trace.Hop
+}
+
+// fanOut is the grid fan-out (§V, §VI.D): it disseminates a frame's
+// grid-routed items through the union of grid-row destinations across all
+// of their grids, folding each node's matches into resps. Each round, the
+// still-open (grid, column) slots are grouped by the node their current row
+// assigns and every distinct node receives ONE local frame carrying, per
+// item, the union of that item's terms routed there — so k terms, or k
+// grids, sharing a node cost one RPC, not k. Failover stays per column: an
+// availability failure moves only that node's slots to the same column of
+// the next row (every row holds a full replica, and column c of every row
+// stores the same filter subset, so the re-route preserves the exact match
+// set), and regrouping each round keeps the dedup exact as slots drift
+// across rows. A committed column no row can serve degrades each of its
+// items once per term routed through it — what the per-term fan-out
+// reports; a pending column never degrades or fails anything.
+func (n *Node) fanOut(ctx context.Context, items []PublishItem, routes []gridRoute, resps []MatchResp) error {
 	nCols := 0
-	for i := range groups {
-		nCols += groups[i].grid.Cols()
+	for i := range routes {
+		nCols += routes[i].grid.Cols()
 	}
-	slots := make([]*colSlot, 0, nCols)
-	for gi := range groups {
-		for col := 0; col < groups[gi].grid.Cols(); col++ {
-			slots = append(slots, &colSlot{group: gi, col: col})
+	slots := make([]colSlot, 0, nCols)
+	for i := range routes {
+		for col := 0; col < routes[i].grid.Cols(); col++ {
+			slots = append(slots, colSlot{route: &routes[i], col: col})
 		}
 	}
 
-	var merged MatchResp
+	type nodeResult struct {
+		src   []int // frame item each response answers
+		resps []MatchResp
+		err   error // fatal for the publish
+	}
 	for {
-		// Group the open slots by the node their current row assigns them —
-		// the union of grid-row destinations across terms.
 		targets := make(map[ring.NodeID][]*colSlot)
 		var order []ring.NodeID
-		for _, s := range slots {
+		for i := range slots {
+			s := &slots[i]
 			if s.done {
 				continue
 			}
-			g := &groups[s.group]
-			rows := g.grid.Rows()
+			rows := s.route.grid.Rows()
 			if s.attempt >= rows {
-				// No live replica in any row: the column's filter slice is
-				// unreachable for every term routed through it. Charge one
-				// lost hop (and one ColumnsLost, below) per term — the same
-				// accounting the per-term fan-out produces.
+				// No live replica in any row. Like the slot's other hops the
+				// lost hops ride its first item — one per term of that item, so
+				// a batch keeps O(columns) trace bytes.
 				s.done, s.lost = true, true
-				for _, t := range g.terms {
+				for _, t := range s.route.items[0].terms {
 					s.hops = append(s.hops, trace.Hop{
 						Stage: "column", From: string(n.cfg.ID), Col: s.col, Term: t, Lost: true,
-						Pending: g.pending,
+						Batch: len(items), Pending: s.route.pending,
 					})
 				}
 				continue
 			}
-			target := g.grid.Node((firsts[s.group]+s.attempt)%rows, s.col)
+			target := s.route.grid.Node((s.route.first+s.attempt)%rows, s.col)
 			if _, ok := targets[target]; !ok {
 				order = append(order, target)
 			}
@@ -1018,549 +750,161 @@ func (n *Node) multiFanOut(ctx context.Context, doc *model.Document, groups []gr
 		if len(order) == 0 {
 			break
 		}
-		type rpcResult struct {
-			resp MatchResp
-			ok   bool
-			err  error // non-availability failure: fatal for the publish
-		}
-		results := make([]rpcResult, len(order))
+		results := make([]nodeResult, len(order))
 		var wg sync.WaitGroup
-		for ti := range order {
+		for ti, target := range order {
 			wg.Add(1)
 			go func(ti int, target ring.NodeID, ss []*colSlot) {
 				defer wg.Done()
-				// Union of the terms riding this RPC. A group contributes its
-				// terms once even when several of its columns land on the same
-				// node, and a term riding both a committed group and the
-				// pending dual-read group is shipped once.
-				var terms []string
-				seenGroup := make(map[int]struct{}, len(ss))
-				seenTerm := make(map[string]struct{}, 8)
-				for _, s := range ss {
-					if _, dup := seenGroup[s.group]; dup {
-						continue
-					}
-					seenGroup[s.group] = struct{}{}
-					for _, t := range groups[s.group].terms {
-						if _, dup := seenTerm[t]; dup {
-							continue
-						}
-						seenTerm[t] = struct{}{}
-						terms = append(terms, t)
-					}
-				}
-				if n.cfg.OnTransfer != nil {
-					// One transfer per node: the document ships once however
-					// many terms ride the frame.
-					n.cfg.OnTransfer(n.cfg.ID, target)
-				}
-				pw := codec.GetWriter()
-				AppendPublishMulti(pw, msgPublishLocalMulti, PublishMultiReq{Doc: *doc, Terms: terms})
-				rpcStart := time.Now()
-				raw, err := n.send(ctx, target, pw.Bytes())
-				codec.PutWriter(pw)
-				elapsed := time.Since(rpcStart)
+				sub, src := itemsVia(items, ss)
+				out, elapsed, err := n.sendPublish(ctx, target, true, sub)
 				n.hColumnRPC.Observe(elapsed)
-				if err == nil {
-					resp, derr := DecodeMatchResp(raw)
-					if derr != nil {
-						results[ti] = rpcResult{err: derr}
-						return
+				committed := false
+				for _, s := range ss {
+					hop := trace.Hop{
+						Stage: "column", From: string(n.cfg.ID), To: string(target),
+						Row: (s.route.first + s.attempt) % s.route.grid.Rows(), Col: s.col,
+						Attempt: s.attempt, Failover: s.attempt > 0, Batch: len(items),
+						Pending: s.route.pending, ElapsedNS: elapsed.Nanoseconds(),
 					}
-					for _, s := range ss {
-						rows := groups[s.group].grid.Rows()
-						s.hops = append(s.hops, trace.Hop{
-							Stage: "column", From: string(n.cfg.ID), To: string(target),
-							Row: (firsts[s.group] + s.attempt) % rows, Col: s.col,
-							Attempt: s.attempt, Failover: s.attempt > 0,
-							Pending:   groups[s.group].pending,
-							ElapsedNS: elapsed.Nanoseconds(),
-						})
+					if err != nil {
+						hop.Err = err.Error()
+						s.attempt++
+						committed = committed || !s.route.pending
+					} else {
 						if s.attempt > 0 {
 							n.failoverC.Inc()
 						}
 						s.done = true
 					}
-					results[ti] = rpcResult{resp: resp, ok: true}
-					return
+					s.hops = append(s.hops, hop)
 				}
-				for _, s := range ss {
-					rows := groups[s.group].grid.Rows()
-					s.hops = append(s.hops, trace.Hop{
-						Stage: "column", From: string(n.cfg.ID), To: string(target),
-						Row: (firsts[s.group] + s.attempt) % rows, Col: s.col,
-						Attempt: s.attempt, Failover: s.attempt > 0,
-						Pending: groups[s.group].pending,
-						Err:     err.Error(), ElapsedNS: elapsed.Nanoseconds(),
-					})
-					s.attempt++
+				switch {
+				case err == nil:
+					results[ti] = nodeResult{src: src, resps: out}
+				case committed && !transport.IsAvailabilityError(err):
+					// Only unavailability fails over. An RPC serving pending
+					// slots alone is best-effort whatever the error: its slots
+					// just move on to the next row.
+					results[ti] = nodeResult{err: err}
 				}
-				if !transport.IsAvailabilityError(err) {
-					results[ti] = rpcResult{err: err}
-				}
-			}(ti, order[ti], targets[order[ti]])
+			}(ti, target, targets[target])
 		}
 		wg.Wait()
 		for ti := range results {
-			if results[ti].err != nil {
-				return MatchResp{}, results[ti].err
+			res := &results[ti]
+			if res.err != nil {
+				return res.err
 			}
-			if results[ti].ok {
-				// Each served node's response is folded in once; duplicate
-				// matches across nodes are deduplicated at the entry.
-				merged.Matches = append(merged.Matches, results[ti].resp.Matches...)
-				merged.PostingsScanned += results[ti].resp.PostingsScanned
-				merged.PostingLists += results[ti].resp.PostingLists
+			// Each served node's answer is folded in once; duplicate matches
+			// across nodes are deduplicated at the entry.
+			for j, i := range res.src {
+				resps[i].Matches = append(resps[i].Matches, res.resps[j].Matches...)
+				resps[i].PostingsScanned += res.resps[j].PostingsScanned
+				resps[i].PostingLists += res.resps[j].PostingLists
 			}
 		}
 	}
 
-	for _, s := range slots {
-		merged.Hops = append(merged.Hops, s.hops...)
-		// A lost pending-grid column never degrades the publish: the
-		// committed placements served every term completely.
-		if s.lost && !groups[s.group].pending {
-			merged.Degraded = true
-			merged.ColumnsLost += len(groups[s.group].terms)
+	for i := range slots {
+		s := &slots[i]
+		first := &resps[s.route.items[0].item]
+		first.Hops = append(first.Hops, s.hops...)
+		if s.lost && !s.route.pending {
+			for _, ri := range s.route.items {
+				resps[ri.item].Degraded = true
+				resps[ri.item].ColumnsLost += len(ri.terms)
+			}
 		}
 	}
-	if merged.Degraded {
-		n.degradedC.Inc()
-	}
-	return merged, nil
+	return nil
 }
 
-// handlePublishBatch serves a coalesced frame of term-routed documents on
-// their shared home node. Items are grouped by their effective allocation
-// grid (per-term grids take precedence, as in the single-document path):
-// grid-less items are matched locally, and each grid group is fanned out
-// as one frame per column via batchFanOutRow. Responses come back in
-// request order.
-func (n *Node) handlePublishBatch(ctx context.Context, reqs []PublishReq) ([]MatchResp, error) {
-	if len(reqs) == 0 {
-		return nil, nil
+// itemsVia builds the local frame for the node currently serving slots ss:
+// per frame item, the union of the item's terms across the slots' routes.
+// A route contributes once even when several of its columns land on the
+// node, and a term riding both a committed route and the pending dual-read
+// route is shipped once. src maps each local item back to its frame item.
+func itemsVia(items []PublishItem, ss []*colSlot) (sub []PublishItem, src []int) {
+	at := make([]int, len(items)) // frame item → its entry in sub, -1 while absent
+	for i := range at {
+		at[i] = -1
 	}
-	n.homePublishes.Add(int64(len(reqs)))
-	sp := trace.New("publish.home.batch", reqs[0].Doc.ID)
-	tm := n.hHome.Start()
-
-	n.mu.RLock()
-	pendingG := n.pending
-	var local []int
-	groups := make(map[*alloc.Grid][]int)
-	var order []*alloc.Grid
-	for i := range reqs {
-		g := n.termGrids[reqs[i].Term]
-		nodeWide := g == nil
-		if nodeWide {
-			g = n.grid
+	var seen []*gridRoute
+	for _, s := range ss {
+		if slices.Contains(seen, s.route) {
+			continue
 		}
-		if g == nil {
-			local = append(local, i)
-		} else {
-			if _, ok := groups[g]; !ok {
-				order = append(order, g)
+		seen = append(seen, s.route)
+		for _, ri := range s.route.items {
+			k := at[ri.item]
+			if k < 0 {
+				at[ri.item] = len(sub)
+				sub = append(sub, PublishItem{Doc: items[ri.item].Doc, Terms: ri.terms})
+				src = append(src, ri.item)
+				continue
 			}
-			groups[g] = append(groups[g], i)
-		}
-		// Dual-read window: node-wide-routed items also fan out to the
-		// pending grid; the entry dedups the unioned matches.
-		if nodeWide && pendingG != nil && pendingG != g {
-			if _, ok := groups[pendingG]; !ok {
-				order = append(order, pendingG)
+			// The entry aliases another route's term list: clip it so the
+			// first append copies.
+			have := sub[k].Terms
+			merged := have[:len(have):len(have)]
+			for _, t := range ri.terms {
+				if !slices.Contains(have, t) {
+					merged = append(merged, t)
+				}
 			}
-			groups[pendingG] = append(groups[pendingG], i)
+			sub[k].Terms = merged
 		}
 	}
-	n.mu.RUnlock()
+	return sub, src
+}
 
-	resps := make([]MatchResp, len(reqs))
-	for _, i := range local {
-		resp, err := n.matchLocal(&reqs[i].Doc, reqs[i].Term)
+// sendPublish issues one publish frame carrying items to node `to` and
+// decodes the per-item responses; elapsed is the RPC's wall time. It is the
+// single sender of publish frames, so the wire accounting lives here: a
+// home-routed frame counts toward publish.home.rpcs/.bytes (the numerators
+// of movebench's home_rpcs_per_doc and home_wire_bytes_per_doc), and
+// OnTransfer is charged once per document shipped. The frame is built in a
+// pooled writer, recycled as soon as the send returns (the transport neither
+// retains the payload nor aliases its response to it — DESIGN.md §11).
+func (n *Node) sendPublish(ctx context.Context, to ring.NodeID, local bool, items []PublishItem) (resps []MatchResp, elapsed time.Duration, err error) {
+	pw := codec.GetWriter()
+	AppendPublishFrame(pw, local, items)
+	if !local {
+		n.homeRPCs.Inc()
+		n.homeBytes.Add(int64(pw.Len()))
+	}
+	if n.cfg.OnTransfer != nil {
+		for range items {
+			n.cfg.OnTransfer(n.cfg.ID, to)
+		}
+	}
+	start := time.Now()
+	raw, err := n.send(ctx, to, pw.Bytes())
+	elapsed = time.Since(start)
+	codec.PutWriter(pw)
+	if err != nil {
+		return nil, elapsed, err
+	}
+	resps, err = DecodeMatchRespBatch(raw)
+	if err == nil && len(resps) != len(items) {
+		err = fmt.Errorf("node %s: %s answered %d items of a %d-item publish frame", n.cfg.ID, to, len(resps), len(items))
+	}
+	return resps, elapsed, err
+}
+
+// matchItems serves a local (grid-node) publish frame: every item is
+// matched here under its term list, never re-forwarded.
+func (n *Node) matchItems(items []PublishItem) ([]MatchResp, error) {
+	resps := make([]MatchResp, len(items))
+	for i := range items {
+		resp, err := n.matchLocalTerms(items[i].Doc, items[i].Terms)
 		if err != nil {
 			return nil, err
 		}
-		resp.Hops = append(resp.Hops, trace.Hop{
-			Stage: "local", To: string(n.cfg.ID), Term: reqs[i].Term, Batch: len(reqs),
-		})
 		resps[i] = resp
 	}
-	for _, g := range order {
-		idx := groups[g]
-		sub := make([]PublishReq, len(idx))
-		for j, i := range idx {
-			sub[j] = reqs[i]
-		}
-		out, err := n.batchFanOutRow(ctx, g, sub)
-		if err != nil {
-			if g == pendingG {
-				continue // pending side is best-effort; committed results are complete
-			}
-			return nil, err
-		}
-		if g == pendingG {
-			for j := range out {
-				out[j].Degraded = false
-				out[j].ColumnsLost = 0
-				markPendingHops(out[j].Hops)
-			}
-		}
-		for j, i := range idx {
-			mergeResp(&resps[i], out[j])
-		}
-	}
-	sp.AddStage("publish.home", tm.Stop())
-	for i := range resps {
-		sp.AddHops(resps[i].Hops)
-	}
-	sp.Finish()
-	n.traces.Add(sp.Summary())
 	return resps, nil
-}
-
-// batchFanOutRow is the batched counterpart of fanOutRow: one partition
-// row is chosen for the whole batch, and every grid column receives the
-// entire frame in a single RPC (the framing win the batch pipeline
-// exists for). Failover is per column and moves the whole frame to the
-// same column of the next row; a column no row can serve degrades every
-// document in the batch. Per-batch column hops are attached to the first
-// item's response only, so the wire cost of the trace stays O(columns),
-// not O(columns × batch).
-func (n *Node) batchFanOutRow(ctx context.Context, grid *alloc.Grid, reqs []PublishReq) ([]MatchResp, error) {
-	n.mu.Lock()
-	first := grid.PickRow(reqs[0].Doc.ID, n.rng)
-	n.mu.Unlock()
-	rows, cols := grid.Rows(), grid.Cols()
-	// Pooled frame buffer, recycled after every column goroutine has
-	// finished sending it (the wg.Wait below).
-	pw := codec.GetWriter()
-	AppendPublishBatch(pw, msgPublishLocalBatch, reqs)
-	payload := pw.Bytes()
-	type colResult struct {
-		resps []MatchResp
-		err   error // non-availability failure: fatal for the publish
-		lost  bool  // no row could serve this column
-		hops  []trace.Hop
-	}
-	results := make([]colResult, cols)
-	var wg sync.WaitGroup
-	for col := 0; col < cols; col++ {
-		wg.Add(1)
-		go func(col int) {
-			defer wg.Done()
-			var hops []trace.Hop
-			for attempt := 0; attempt < rows; attempt++ {
-				row := (first + attempt) % rows
-				target := grid.Node(row, col)
-				if n.cfg.OnTransfer != nil {
-					// One transfer per document: the cost model charges y_d
-					// per document shipped, batched or not.
-					for range reqs {
-						n.cfg.OnTransfer(n.cfg.ID, target)
-					}
-				}
-				rpcStart := time.Now()
-				raw, err := n.send(ctx, target, payload)
-				elapsed := time.Since(rpcStart)
-				n.hColumnRPC.Observe(elapsed)
-				hop := trace.Hop{
-					Stage: "column", From: string(n.cfg.ID), To: string(target),
-					Row: row, Col: col, Attempt: attempt, Batch: len(reqs),
-					Failover: attempt > 0, ElapsedNS: elapsed.Nanoseconds(),
-				}
-				if err == nil {
-					resps, derr := DecodeMatchRespBatch(raw)
-					if derr == nil && len(resps) != len(reqs) {
-						derr = fmt.Errorf("node %s: batch response count %d != request count %d", n.cfg.ID, len(resps), len(reqs))
-					}
-					if derr != nil {
-						results[col] = colResult{err: derr}
-						return
-					}
-					if attempt > 0 {
-						n.failoverC.Inc()
-					}
-					results[col] = colResult{resps: resps, hops: append(hops, hop)}
-					return
-				}
-				hop.Err = err.Error()
-				hops = append(hops, hop)
-				if !transport.IsAvailabilityError(err) {
-					results[col] = colResult{err: err}
-					return
-				}
-			}
-			hops = append(hops, trace.Hop{Stage: "column", From: string(n.cfg.ID), Col: col, Lost: true, Batch: len(reqs)})
-			results[col] = colResult{lost: true, hops: hops}
-		}(col)
-	}
-	wg.Wait()
-	codec.PutWriter(pw)
-
-	out := make([]MatchResp, len(reqs))
-	degraded := false
-	for c := range results {
-		res := &results[c]
-		if res.err != nil {
-			return nil, res.err
-		}
-		out[0].Hops = append(out[0].Hops, res.hops...)
-		if res.lost {
-			degraded = true
-			for i := range out {
-				out[i].Degraded = true
-				out[i].ColumnsLost++
-			}
-			continue
-		}
-		for i := range out {
-			out[i].Matches = append(out[i].Matches, res.resps[i].Matches...)
-			out[i].PostingsScanned += res.resps[i].PostingsScanned
-			out[i].PostingLists += res.resps[i].PostingLists
-			out[i].Degraded = out[i].Degraded || res.resps[i].Degraded
-			out[i].ColumnsLost += res.resps[i].ColumnsLost
-		}
-	}
-	if degraded {
-		n.degradedC.Inc()
-	}
-	return out, nil
-}
-
-// handlePublishMultiBatch serves a coalesced frame of multi-term publishes
-// — the Batcher's wire format, coalescing along both axes (documents ×
-// destinations). Each item's terms are partitioned by effective grid as in
-// the single-document multi path; grid-less slices match locally and every
-// grid's slice fans out as one batch frame per column. Responses come back
-// in item order, with an item's response merged across its grids.
-func (n *Node) handlePublishMultiBatch(ctx context.Context, reqs []PublishMultiReq) ([]MatchResp, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	n.homePublishes.Add(int64(len(reqs)))
-	sp := trace.New("publish.home.batch", reqs[0].Doc.ID)
-	tm := n.hHome.Start()
-
-	// subItem is one item's term slice bound for one destination class
-	// (local or a specific grid).
-	type subItem struct {
-		item  int
-		terms []string
-	}
-	var local []subItem
-	groups := make(map[*alloc.Grid][]subItem)
-	var order []*alloc.Grid
-	n.mu.RLock()
-	pendingG := n.pending
-	for i := range reqs {
-		var localTerms []string
-		var itemGrids []*alloc.Grid
-		var gridTerms map[*alloc.Grid][]string
-		addGrid := func(g *alloc.Grid, t string) {
-			if gridTerms == nil {
-				gridTerms = make(map[*alloc.Grid][]string, 1)
-			}
-			if _, ok := gridTerms[g]; !ok {
-				itemGrids = append(itemGrids, g)
-			}
-			gridTerms[g] = append(gridTerms[g], t)
-		}
-		for _, t := range reqs[i].Terms {
-			g := n.termGrids[t]
-			nodeWide := g == nil
-			if nodeWide {
-				g = n.grid
-			}
-			if g == nil {
-				localTerms = append(localTerms, t)
-			} else {
-				addGrid(g, t)
-			}
-			// Dual-read window: node-wide-routed terms also ride the pending
-			// grid's batch frame.
-			if nodeWide && pendingG != nil && pendingG != g {
-				addGrid(pendingG, t)
-			}
-		}
-		if len(localTerms) > 0 {
-			local = append(local, subItem{item: i, terms: localTerms})
-		}
-		for _, g := range itemGrids {
-			if _, ok := groups[g]; !ok {
-				order = append(order, g)
-			}
-			groups[g] = append(groups[g], subItem{item: i, terms: gridTerms[g]})
-		}
-	}
-	n.mu.RUnlock()
-
-	resps := make([]MatchResp, len(reqs))
-	for _, s := range local {
-		resp, err := n.matchLocalTerms(&reqs[s.item].Doc, s.terms)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range s.terms {
-			resp.Hops = append(resp.Hops, trace.Hop{
-				Stage: "local", To: string(n.cfg.ID), Term: t, Batch: len(reqs),
-			})
-		}
-		mergeResp(&resps[s.item], resp)
-	}
-	for _, g := range order {
-		subs := groups[g]
-		sub := make([]PublishMultiReq, len(subs))
-		for j, s := range subs {
-			sub[j] = PublishMultiReq{Doc: reqs[s.item].Doc, Terms: s.terms}
-		}
-		out, err := n.batchMultiFanOutRow(ctx, g, sub)
-		if err != nil {
-			if g == pendingG {
-				continue // pending side is best-effort; committed results are complete
-			}
-			return nil, err
-		}
-		if g == pendingG {
-			for j := range out {
-				out[j].Degraded = false
-				out[j].ColumnsLost = 0
-				markPendingHops(out[j].Hops)
-			}
-		}
-		for j, s := range subs {
-			mergeResp(&resps[s.item], out[j])
-		}
-	}
-	sp.AddStage("publish.home", tm.Stop())
-	for i := range resps {
-		sp.AddHops(resps[i].Hops)
-	}
-	sp.Finish()
-	n.traces.Add(sp.Summary())
-	return resps, nil
-}
-
-// batchMultiFanOutRow is batchFanOutRow for multi-term items: one partition
-// row for the whole batch, one msgPublishLocalMultiBatch frame per grid
-// column, per-column whole-frame failover to the next row. A lost column
-// degrades each item once per term it carried. Per-batch column hops are
-// attached to the first item's response only, keeping the trace's wire cost
-// O(columns).
-func (n *Node) batchMultiFanOutRow(ctx context.Context, grid *alloc.Grid, reqs []PublishMultiReq) ([]MatchResp, error) {
-	n.mu.Lock()
-	first := grid.PickRow(reqs[0].Doc.ID, n.rng)
-	n.mu.Unlock()
-	rows, cols := grid.Rows(), grid.Cols()
-	// Pooled frame buffer, recycled after every column goroutine has
-	// finished sending it (the wg.Wait below).
-	pw := codec.GetWriter()
-	AppendPublishMultiBatch(pw, msgPublishLocalMultiBatch, reqs)
-	payload := pw.Bytes()
-	type colResult struct {
-		resps []MatchResp
-		err   error // non-availability failure: fatal for the publish
-		lost  bool  // no row could serve this column
-		hops  []trace.Hop
-	}
-	results := make([]colResult, cols)
-	var wg sync.WaitGroup
-	for col := 0; col < cols; col++ {
-		wg.Add(1)
-		go func(col int) {
-			defer wg.Done()
-			var hops []trace.Hop
-			for attempt := 0; attempt < rows; attempt++ {
-				row := (first + attempt) % rows
-				target := grid.Node(row, col)
-				if n.cfg.OnTransfer != nil {
-					// One transfer per document: the cost model charges y_d
-					// per document shipped, batched or not.
-					for range reqs {
-						n.cfg.OnTransfer(n.cfg.ID, target)
-					}
-				}
-				rpcStart := time.Now()
-				raw, err := n.send(ctx, target, payload)
-				elapsed := time.Since(rpcStart)
-				n.hColumnRPC.Observe(elapsed)
-				hop := trace.Hop{
-					Stage: "column", From: string(n.cfg.ID), To: string(target),
-					Row: row, Col: col, Attempt: attempt, Batch: len(reqs),
-					Failover: attempt > 0, ElapsedNS: elapsed.Nanoseconds(),
-				}
-				if err == nil {
-					resps, derr := DecodeMatchRespBatch(raw)
-					if derr == nil && len(resps) != len(reqs) {
-						derr = fmt.Errorf("node %s: multi-batch response count %d != request count %d", n.cfg.ID, len(resps), len(reqs))
-					}
-					if derr != nil {
-						results[col] = colResult{err: derr}
-						return
-					}
-					if attempt > 0 {
-						n.failoverC.Inc()
-					}
-					results[col] = colResult{resps: resps, hops: append(hops, hop)}
-					return
-				}
-				hop.Err = err.Error()
-				hops = append(hops, hop)
-				if !transport.IsAvailabilityError(err) {
-					results[col] = colResult{err: err}
-					return
-				}
-			}
-			hops = append(hops, trace.Hop{Stage: "column", From: string(n.cfg.ID), Col: col, Lost: true, Batch: len(reqs)})
-			results[col] = colResult{lost: true, hops: hops}
-		}(col)
-	}
-	wg.Wait()
-	codec.PutWriter(pw)
-
-	out := make([]MatchResp, len(reqs))
-	degraded := false
-	for c := range results {
-		res := &results[c]
-		if res.err != nil {
-			return nil, res.err
-		}
-		out[0].Hops = append(out[0].Hops, res.hops...)
-		if res.lost {
-			degraded = true
-			for i := range out {
-				out[i].Degraded = true
-				out[i].ColumnsLost += len(reqs[i].Terms)
-			}
-			continue
-		}
-		for i := range out {
-			out[i].Matches = append(out[i].Matches, res.resps[i].Matches...)
-			out[i].PostingsScanned += res.resps[i].PostingsScanned
-			out[i].PostingLists += res.resps[i].PostingLists
-			out[i].Degraded = out[i].Degraded || res.resps[i].Degraded
-			out[i].ColumnsLost += res.resps[i].ColumnsLost
-		}
-	}
-	if degraded {
-		n.degradedC.Inc()
-	}
-	return out, nil
-}
-
-// matchLocal runs the single-posting-list matcher and accounts the work.
-func (n *Node) matchLocal(doc *model.Document, term string) (MatchResp, error) {
-	n.docsProcessed.Inc()
-	n.termsMatched.Inc()
-	n.ix.ObserveDocument(doc)
-	tm := n.hMatchTerm.Start()
-	matched, st, err := n.ix.MatchTerm(doc, term)
-	tm.Stop()
-	if err != nil {
-		return MatchResp{}, err
-	}
-	n.postingsScanned.Add(int64(st.Postings))
-	n.postingLists.Add(int64(st.PostingLists))
-	return toResp(matched, st), nil
 }
 
 // matchLocalTerms runs the multi-term matcher over one decoded document and
@@ -1675,20 +1019,6 @@ func (n *Node) groupTermsByHome(terms []string) ([]homeGroup, error) {
 	return groups, nil
 }
 
-// perTermGroups is the uncoalesced grouping: one single-term group per
-// term, with homes still resolved upfront (same leak-free ordering).
-func (n *Node) perTermGroups(terms []string) ([]homeGroup, error) {
-	groups := make([]homeGroup, 0, len(terms))
-	for i, t := range terms {
-		home, err := n.cfg.Ring.HomeNode(t)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: home of %q: %w", n.cfg.ID, t, err)
-		}
-		groups = append(groups, homeGroup{home: home, terms: terms[i : i+1 : i+1]})
-	}
-	return groups, nil
-}
-
 // PublishEntry is the client-facing dissemination entry point (§V
 // "Document Dissemination"): group the document's Bloom-passing terms by
 // home node, forward the document — in parallel, ONE RPC per distinct home
@@ -1701,18 +1031,13 @@ func (n *Node) perTermGroups(terms []string) ([]homeGroup, error) {
 // grid hops each home node reports back, and the finished span lands in the
 // node's trace ring for the debug server.
 func (n *Node) PublishEntry(ctx context.Context, doc *model.Document) ([]Match, MatchResp, error) {
-	return n.publishEntry(ctx, doc, true)
+	return n.publishEntry(ctx, doc, n.groupTermsByHome)
 }
 
-// PublishEntryPerTerm is the uncoalesced §V fan-out: one msgPublish RPC per
-// Bloom-passing term, each re-shipping the document. Kept as the reference
-// oracle for the coalesced path (equivalence tests, RPC-count ablations);
-// production callers use PublishEntry.
-func (n *Node) PublishEntryPerTerm(ctx context.Context, doc *model.Document) ([]Match, MatchResp, error) {
-	return n.publishEntry(ctx, doc, false)
-}
-
-func (n *Node) publishEntry(ctx context.Context, doc *model.Document, coalesce bool) ([]Match, MatchResp, error) {
+// publishEntry is PublishEntry with the home grouping supplied by the
+// caller — the seam through which the equivalence tests run the per-term
+// §III fan-out (one group per term) as the oracle of the coalesced one.
+func (n *Node) publishEntry(ctx context.Context, doc *model.Document, group func([]string) ([]homeGroup, error)) ([]Match, MatchResp, error) {
 	if err := doc.Validate(); err != nil {
 		return nil, MatchResp{}, err
 	}
@@ -1735,17 +1060,11 @@ func (n *Node) publishEntry(ctx context.Context, doc *model.Document, coalesce b
 		return nil, MatchResp{}, nil
 	}
 
-	var groups []homeGroup
-	var err error
-	if coalesce {
-		groups, err = n.groupTermsByHome(terms)
-	} else {
-		groups, err = n.perTermGroups(terms)
-	}
+	groups, err := group(terms)
 	if err != nil {
 		return nil, MatchResp{}, err
 	}
-	results := n.fanOutHomes(ctx, doc, groups, coalesce)
+	results := n.fanOutHomes(ctx, doc, groups)
 
 	// Merge in group order with exactly-sized hop buffers: one "home" hop
 	// per fanned-out term plus the grid hops each home node reported back.
@@ -1811,47 +1130,22 @@ type entryResult struct {
 	err      error
 }
 
-// fanOutHomes sends one frame per home group in parallel — a multi-term
-// msgPublishMulti when coalescing, the legacy per-term msgPublish otherwise
-// — and collects the per-group results. ALL frames are built (in pooled
-// writers) before the first goroutine spawns; each goroutine recycles its
-// frame as soon as the send returns (the transport neither retains the
-// payload nor aliases its response to it — DESIGN.md §11).
-func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []homeGroup, coalesce bool) []entryResult {
+// fanOutHomes sends each home group its one-item publish frame in parallel
+// and collects the per-group results.
+func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []homeGroup) []entryResult {
 	results := make([]entryResult, len(groups))
-	frames := make([]*codec.Writer, len(groups))
-	for i := range groups {
-		pw := codec.GetWriter()
-		if coalesce {
-			AppendPublishMulti(pw, msgPublishMulti, PublishMultiReq{Doc: *doc, Terms: groups[i].terms})
-		} else {
-			AppendPublish(pw, msgPublish, PublishReq{Doc: *doc, Term: groups[i].terms[0]})
-		}
-		frames[i] = pw
-		n.homeRPCs.Inc()
-		n.homeBytes.Add(int64(len(pw.Bytes())))
-		if n.cfg.OnTransfer != nil {
-			// One transfer per home RPC: the document ships once per frame.
-			n.cfg.OnTransfer(n.cfg.ID, groups[i].home)
-		}
-	}
 	var wg sync.WaitGroup
 	for i := range groups {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			g := &groups[i]
-			pw := frames[i]
-			rpcStart := time.Now()
-			raw, err := n.send(ctx, g.home, pw.Bytes())
-			codec.PutWriter(pw)
-			var resp MatchResp
-			if err == nil {
-				resp, err = DecodeMatchResp(raw)
-			}
-			elapsed := time.Since(rpcStart)
+			resps, elapsed, err := n.sendPublish(ctx, g.home, false, []PublishItem{{Doc: doc, Terms: g.terms}})
 			n.hFanout.Observe(elapsed)
-			res := entryResult{resp: resp, err: err}
+			res := entryResult{err: err}
+			if err == nil {
+				res.resp = resps[0]
+			}
 			res.homeHops = make([]trace.Hop, len(g.terms))
 			for j, t := range g.terms {
 				h := trace.Hop{
@@ -1873,27 +1167,10 @@ func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []ho
 // migrateBatch caps the number of filters per msgMigrate frame.
 const migrateBatch = 512
 
-// BuildAllocation executes one allocation round on this home node (§V):
-// every locally registered filter for which this node is the home of at
-// least one of its terms is copied to its grid column (the same subset
-// index in every partition row), then the grid is installed so subsequent
-// documents fan out to one partition.
-func (n *Node) BuildAllocation(ctx context.Context, epoch uint64, g *alloc.Grid) error {
-	batches, err := n.homeOwnedBatches(g)
-	if err != nil {
-		return err
-	}
-	if err := n.sendMigrations(ctx, epoch, batches); err != nil {
-		return err
-	}
-	n.InstallGrid(epoch, g)
-	return nil
-}
-
 // homeOwnedBatches scans the local filter store for filters this node is
 // the home of (at least one term hashes here) and groups the copies each
-// grid target must receive — the migration work list shared by the hard
-// flip (BuildAllocation) and the two-phase prepare (PrepareAllocation).
+// grid target must receive — the migration work list of the two-phase
+// prepare (PrepareAllocation).
 func (n *Node) homeOwnedBatches(g *alloc.Grid) (map[ring.NodeID][]RegisterReq, error) {
 	batches := make(map[ring.NodeID][]RegisterReq)
 	var iterErr error
@@ -1985,8 +1262,8 @@ func (n *Node) TermGridCount() int {
 }
 
 // BuildTermAllocation migrates the filters on one term's posting list to
-// the grid columns and installs the per-term grid — the ablation
-// counterpart of BuildAllocation.
+// the grid columns and installs the per-term grid — the hard-flip ablation
+// counterpart of PrepareAllocation.
 func (n *Node) BuildTermAllocation(ctx context.Context, epoch uint64, term string, g *alloc.Grid) error {
 	ids, err := n.ix.PostingIDs(term)
 	if err != nil {

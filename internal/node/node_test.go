@@ -64,6 +64,18 @@ func (h *harness) registerEverywhere(t testing.TB, f model.Filter) {
 	}
 }
 
+// allocate runs one two-phase allocation round on a home node: prepare
+// (migrate its filters, install g as pending) then the commit barrier.
+func allocate(t testing.TB, home *Node, epoch uint64, g *alloc.Grid) {
+	t.Helper()
+	if err := home.PrepareAllocation(context.Background(), epoch, g); err != nil {
+		t.Fatal(err)
+	}
+	if !home.CommitGrid(epoch) {
+		t.Fatalf("commit of epoch %d did not promote the prepared grid", epoch)
+	}
+}
+
 func (h *harness) nodeByID(id ring.NodeID) *Node {
 	for _, nd := range h.nodes {
 		if nd.ID() == id {
@@ -188,9 +200,7 @@ func TestGridFanOutMatchesAllSubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := homeNode.BuildAllocation(context.Background(), 1, grid); err != nil {
-		t.Fatal(err)
-	}
+	allocate(t, homeNode, 1, grid)
 	if g, epoch := homeNode.Grid(); g == nil || epoch != 1 {
 		t.Fatal("grid not installed")
 	}
@@ -240,9 +250,7 @@ func TestGridFailoverToReplicaRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := homeNode.BuildAllocation(context.Background(), 1, grid); err != nil {
-		t.Fatal(err)
-	}
+	allocate(t, homeNode, 1, grid)
 
 	// Kill all of row 0; the fan-out must fail over to row 1.
 	for _, id := range grid.RowNodes(0) {
@@ -288,8 +296,12 @@ func TestInstallGridEpochOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.InstallGrid(5, g1)
-	nd.InstallGrid(3, g2) // stale epoch must be ignored
+	if !nd.PrepareGrid(5, g1) || !nd.CommitGrid(5) {
+		t.Fatal("epoch 5 did not install")
+	}
+	if nd.PrepareGrid(3, g2) || nd.CommitGrid(3) { // stale epoch must be ignored
+		t.Fatal("stale epoch 3 accepted over committed epoch 5")
+	}
 	g, epoch := nd.Grid()
 	if epoch != 5 || g.Cols() != 2 {
 		t.Fatalf("grid = %dx%d at epoch %d, want the epoch-5 grid", g.Rows(), g.Cols(), epoch)

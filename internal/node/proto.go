@@ -14,34 +14,25 @@ import (
 	"github.com/movesys/move/internal/trace"
 )
 
-// Message types (first payload byte).
+// Message types (first payload byte). Retired numbers are never reused: a
+// frame from an older peer must fail as "unknown message type", not decode
+// as something else.
 const (
-	msgRegister     = 1  // register a filter with posting terms
-	msgPublish      = 2  // match a document on a home node (term-routed)
-	msgPublishLocal = 3  // match on an allocation-grid node (no re-forward)
-	msgPublishSIFT  = 4  // full SIFT match (RS baseline)
-	msgMigrate      = 5  // install allocated filters (batch)
-	msgStatsPull    = 6  // coordinator statistics pull
-	msgInstallGrid  = 7  // install the node's allocation grid
+	msgRegister = 1 // register a filter with posting terms
+	// 2, 3 retired: msgPublish / msgPublishLocal (per-term publish frames).
+	msgPublishSIFT = 4 // full SIFT match (RS baseline)
+	msgMigrate     = 5 // install allocated filters (batch)
+	msgStatsPull   = 6 // coordinator statistics pull
+	// 7 retired: msgInstallGrid (hard-flip grid installation).
 	msgInstallBloom = 8  // install the global filter-term Bloom filter
 	msgGossip       = 9  // membership digest
 	msgDropGrid     = 10 // clear the allocation grid
 	msgUnregister   = 11 // remove a filter definition
-	msgAllocate     = 12 // run an allocation round: migrate filters, install grid
+	// 12 retired: msgAllocate (hard-flip allocation round).
 	msgAllocateTerm = 13 // per-term allocation round (ablation of §V's per-node grids)
-	// Batched publish framing: many (document, term) pairs bound for the
-	// same home node (or the same grid column) in one frame, answered by a
-	// batch of MatchResps in the same order.
-	msgPublishBatch      = 14 // batched home-node publish (entry → home)
-	msgPublishLocalBatch = 15 // batched grid-column match (home → grid row)
-	// Multi-term publish framing: the document encoded once plus the full
-	// term list bound for one destination, replacing N per-term frames that
-	// each re-shipped the document (§V works per home node, not per term).
-	msgPublishMulti           = 16 // multi-term home publish (entry → home)
-	msgPublishLocalMulti      = 17 // multi-term grid-node match (home → grid row)
-	msgPublishMultiBatch      = 18 // batch of multi-term home publishes
-	msgPublishLocalMultiBatch = 19 // batch of multi-term grid-node matches
-	// 20 and 21 are msgDeliver / msgFetch (mailbox.go).
+	// 14–19 retired: msgPublish{,Local}Batch, msgPublish{,Local}Multi,
+	// msgPublish{,Local}MultiBatch (superseded by msgPublish).
+	// 20, 21 retired: msgDeliver / msgFetch (polled mailbox tier).
 	// Two-phase reallocation framing (§13): the coordinator prepares a
 	// pending grid on a home node (which migrates its filters and starts
 	// dual-reading), then broadcasts a commit barrier or an abort.
@@ -51,6 +42,10 @@ const (
 	msgUnregisterBatch = 25 // batched filter removal (old-placement GC)
 	// 26 is msgDeliverBatch (deliver.go): routed delivery batch to the
 	// session owner of each matched subscriber (§14).
+	// The one publish frame (§12): a unique-document table plus items of
+	// (document index, term list), home-routed or — with the local bit —
+	// bound for a grid node that matches without re-forwarding.
+	msgPublish = 27
 )
 
 // EncodeAllocateTerm serializes a per-term allocation command.
@@ -60,16 +55,6 @@ func EncodeAllocateTerm(epoch uint64, term string, g *alloc.Grid) []byte {
 	w.Uint8(msgAllocateTerm)
 	w.Uvarint(epoch)
 	w.String(term)
-	w.Bytes0(gridBytes)
-	return w.Bytes()
-}
-
-// EncodeAllocate serializes an allocation command for a home node.
-func EncodeAllocate(epoch uint64, g *alloc.Grid) []byte {
-	gridBytes := g.Encode()
-	w := codec.NewWriter(16 + len(gridBytes))
-	w.Uint8(msgAllocate)
-	w.Uvarint(epoch)
 	w.Bytes0(gridBytes)
 	return w.Bytes()
 }
@@ -177,288 +162,140 @@ func decodeRegister(r *codec.Reader) (RegisterReq, error) {
 
 // --- Publish ---
 
-// PublishReq routes a document to the home node of Term for matching.
-type PublishReq struct {
-	Doc  model.Document
-	Term string
-}
-
-// AppendPublish encodes a PublishReq into w with the given message type
-// (msgPublish or msgPublishLocal) — the variant the RPC send paths use
-// with pooled writers.
-func AppendPublish(w *codec.Writer, typ uint8, req PublishReq) {
-	w.Uint8(typ)
-	req.Doc.EncodeTo(w)
-	w.String(req.Term)
-}
-
-// EncodePublish serializes a PublishReq with the given message type
-// (msgPublish or msgPublishLocal) into a fresh buffer.
-func EncodePublish(typ uint8, req PublishReq) []byte {
-	w := codec.NewWriter(32 + 12*len(req.Doc.Terms))
-	AppendPublish(w, typ, req)
-	return w.Bytes()
-}
-
-func decodePublish(r *codec.Reader) (PublishReq, error) {
-	var req PublishReq
-	d, err := model.DecodeDocument(r)
-	if err != nil {
-		return req, err
-	}
-	req.Doc = d
-	// Prime the memoized term-set view while the document is still owned
-	// by this goroutine: every downstream match against copies of the
-	// struct shares it (prime-before-share, model.Document.View).
-	req.Doc.View()
-	if req.Term, err = r.String(); err != nil {
-		return req, err
-	}
-	return req, nil
-}
-
-// EncodePublishHome serializes a home-node-routed publish (the client entry
-// path used by movectl).
-func EncodePublishHome(req PublishReq) []byte {
-	return EncodePublish(msgPublish, req)
-}
-
-// PublishMultiReq routes a document plus every term the destination is
-// responsible for, in one frame — the coalesced counterpart of PublishReq.
-// The destination is a home node (msgPublishMulti: Terms are the document
-// terms whose home it is) or a grid node (msgPublishLocalMulti: Terms are
-// the terms whose grids route this document through it).
-type PublishMultiReq struct {
-	Doc   model.Document
+// PublishItem is one entry of a publish frame: a document plus the terms the
+// destination must match it under. On a home-routed frame the terms are the
+// document terms whose home the destination is; with the local bit they are
+// the terms whose grids route the document through the destination.
+type PublishItem struct {
+	Doc   *model.Document
 	Terms []string
 }
 
-// AppendPublishMulti encodes a PublishMultiReq into w with the given
-// message type (msgPublishMulti or msgPublishLocalMulti) — the variant the
-// RPC send paths use with pooled writers.
-func AppendPublishMulti(w *codec.Writer, typ uint8, req PublishMultiReq) {
-	w.Uint8(typ)
-	req.Doc.EncodeTo(w)
-	w.StringSlice(req.Terms)
-}
-
-// EncodePublishMulti serializes a PublishMultiReq with the given message
-// type into a fresh buffer.
-func EncodePublishMulti(typ uint8, req PublishMultiReq) []byte {
-	w := codec.NewWriter(32 + 12*(len(req.Doc.Terms)+len(req.Terms)))
-	AppendPublishMulti(w, typ, req)
-	return w.Bytes()
-}
-
-// EncodePublishMultiHome serializes a home-routed multi-term publish (the
-// client entry path used by movectl: one frame per distinct home node).
-func EncodePublishMultiHome(req PublishMultiReq) []byte {
-	return EncodePublishMulti(msgPublishMulti, req)
-}
-
-func decodePublishMulti(r *codec.Reader) (PublishMultiReq, error) {
-	var req PublishMultiReq
-	d, err := model.DecodeDocument(r)
-	if err != nil {
-		return req, err
+// AppendPublishFrame encodes a publish frame into w. local marks a frame
+// bound for a grid node (match, never re-forward); otherwise the destination
+// serves it as the home node of the terms. Each distinct document (by ID) is
+// encoded once, in first-appearance order, and every item references it by
+// table index; items sharing a Doc.ID must carry the same document. The
+// local bit rides the low bit of the document count, so a one-item frame is
+// the type byte, two counts, one index, the document and its term list — and
+// costs no map or slice to encode.
+func AppendPublishFrame(w *codec.Writer, local bool, items []PublishItem) {
+	w.Uint8(msgPublish)
+	var flag uint64
+	if local {
+		flag = 1
 	}
-	req.Doc = d
-	// Prime the memoized term-set view while the document is still owned by
-	// this goroutine (prime-before-share, model.Document.View): the one view
-	// serves every term's match evaluation of this frame.
-	req.Doc.View()
-	if req.Terms, err = r.StringSlice(); err != nil {
-		return req, err
+	if len(items) == 1 {
+		w.Uvarint(1<<1 | flag)
+		items[0].Doc.EncodeTo(w)
+		w.Uvarint(1)
+		w.Uvarint(0)
+		w.StringSlice(items[0].Terms)
+		return
 	}
-	return req, nil
-}
-
-// AppendPublishMultiBatch frames a batch of multi-term publishes with the
-// given message type (msgPublishMultiBatch or msgPublishLocalMultiBatch).
-// The framing reuses AppendPublishBatch's unique-document table: each
-// document is encoded once in first-appearance order and every item
-// references its document by table index, carrying only its term list.
-// Items sharing a Doc.ID must carry the same document.
-func AppendPublishMultiBatch(w *codec.Writer, typ uint8, reqs []PublishMultiReq) {
-	w.Uint8(typ)
-	table := make(map[uint64]uint64, len(reqs))
-	unique := make([]int, 0, len(reqs))
-	for i := range reqs {
-		if _, ok := table[reqs[i].Doc.ID]; !ok {
-			table[reqs[i].Doc.ID] = uint64(len(unique))
-			unique = append(unique, i)
+	table := make(map[uint64]uint64, len(items))
+	unique := make([]*model.Document, 0, len(items))
+	for i := range items {
+		if _, ok := table[items[i].Doc.ID]; !ok {
+			table[items[i].Doc.ID] = uint64(len(unique))
+			unique = append(unique, items[i].Doc)
 		}
 	}
-	w.Uvarint(uint64(len(unique)))
-	for _, i := range unique {
-		reqs[i].Doc.EncodeTo(w)
+	w.Uvarint(uint64(len(unique))<<1 | flag)
+	for _, d := range unique {
+		d.EncodeTo(w)
 	}
-	w.Uvarint(uint64(len(reqs)))
-	for i := range reqs {
-		w.Uvarint(table[reqs[i].Doc.ID])
-		w.StringSlice(reqs[i].Terms)
+	w.Uvarint(uint64(len(items)))
+	for i := range items {
+		w.Uvarint(table[items[i].Doc.ID])
+		w.StringSlice(items[i].Terms)
 	}
 }
 
-// EncodePublishMultiBatch is AppendPublishMultiBatch into a fresh buffer.
-func EncodePublishMultiBatch(typ uint8, reqs []PublishMultiReq) []byte {
-	w := codec.NewWriter(16 + 48*len(reqs))
-	AppendPublishMultiBatch(w, typ, reqs)
+// EncodePublishFrame serializes a home-routed publish frame into a fresh
+// buffer — the entry path of clients that route to home nodes themselves
+// (movectl, movebench).
+func EncodePublishFrame(items []PublishItem) []byte {
+	w := codec.NewWriter(32 + 48*len(items))
+	AppendPublishFrame(w, false, items)
 	return w.Bytes()
 }
 
-func decodePublishMultiBatch(r *codec.Reader) ([]PublishMultiReq, error) {
-	nd, err := r.Uvarint()
+// boundedCap caps a wire-declared element count by what the unread bytes can
+// hold at minBytes per element, so a short frame cannot force a
+// preallocation many times its own size.
+func boundedCap(n uint64, r *codec.Reader, minBytes int) int {
+	return int(min(n, uint64(r.Remaining()/minBytes)))
+}
+
+func decodePublishFrame(r *codec.Reader) (local bool, items []PublishItem, err error) {
+	head, err := r.Uvarint()
 	if err != nil {
-		return nil, err
+		return false, nil, err
 	}
+	local, nd := head&1 == 1, head>>1
 	if nd > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("node: publish multi-batch doc count %d overflows payload", nd)
+		return false, nil, fmt.Errorf("node: publish frame doc count %d overflows payload", nd)
 	}
-	docs := make([]model.Document, 0, nd)
+	// A document is at least 2 bytes on the wire (ID + term count).
+	docs := make([]model.Document, 0, boundedCap(nd, r, 2))
 	for i := uint64(0); i < nd; i++ {
 		d, err := model.DecodeDocument(r)
 		if err != nil {
-			return nil, err
+			return false, nil, err
 		}
 		docs = append(docs, d)
 	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("node: publish multi-batch count %d overflows payload", n)
-	}
-	// Prime each unique document's memoized view once (prime-before-share).
+	// Prime each unique document's memoized term-set view once, while this
+	// goroutine still exclusively owns the decode (prime-before-share,
+	// model.Document.View): every item referencing the document, and every
+	// term's match evaluation, shares it.
 	for i := range docs {
 		docs[i].View()
 	}
-	reqs := make([]PublishMultiReq, 0, n)
+	n, err := r.Uvarint()
+	if err != nil {
+		return false, nil, err
+	}
+	if n > uint64(r.Remaining()) {
+		return false, nil, fmt.Errorf("node: publish frame item count %d overflows payload", n)
+	}
+	// An item is at least 2 bytes on the wire (doc index + term count).
+	items = make([]PublishItem, 0, boundedCap(n, r, 2))
 	for i := uint64(0); i < n; i++ {
 		di, err := r.Uvarint()
 		if err != nil {
-			return nil, err
+			return false, nil, err
 		}
 		if di >= uint64(len(docs)) {
-			return nil, fmt.Errorf("node: publish multi-batch doc index %d out of range (%d docs)", di, len(docs))
+			return false, nil, fmt.Errorf("node: publish frame doc index %d out of range (%d docs)", di, len(docs))
 		}
 		terms, err := r.StringSlice()
 		if err != nil {
-			return nil, err
+			return false, nil, err
 		}
-		// Items of the same document share one decode — the Terms slice and
-		// memoized view are aliased, never mutated downstream.
-		reqs = append(reqs, PublishMultiReq{Doc: docs[di], Terms: terms})
+		items = append(items, PublishItem{Doc: &docs[di], Terms: terms})
 	}
-	return reqs, nil
+	return local, items, nil
 }
 
-// EncodePublishBatch frames a batch of publishes with the given message
-// type (msgPublishBatch or msgPublishLocalBatch). A coalesced frame
-// usually repeats a handful of documents — one item per term routed to
-// this destination — so the frame carries a unique-document table
-// (first-appearance order) and each (document, term) item references its
-// document by table index. Items sharing a Doc.ID must carry the same
-// document: IDs are publisher-assigned and unique per document.
-func EncodePublishBatch(typ uint8, reqs []PublishReq) []byte {
-	w := codec.NewWriter(16 + 48*len(reqs))
-	AppendPublishBatch(w, typ, reqs)
-	return w.Bytes()
-}
-
-// AppendPublishBatch is EncodePublishBatch writing into a caller-supplied
-// (typically pooled) writer.
-func AppendPublishBatch(w *codec.Writer, typ uint8, reqs []PublishReq) {
-	w.Uint8(typ)
-	table := make(map[uint64]uint64, len(reqs))
-	unique := make([]int, 0, len(reqs))
-	for i := range reqs {
-		if _, ok := table[reqs[i].Doc.ID]; !ok {
-			table[reqs[i].Doc.ID] = uint64(len(unique))
-			unique = append(unique, i)
-		}
-	}
-	w.Uvarint(uint64(len(unique)))
-	for _, i := range unique {
-		reqs[i].Doc.EncodeTo(w)
-	}
-	w.Uvarint(uint64(len(reqs)))
-	for i := range reqs {
-		w.Uvarint(table[reqs[i].Doc.ID])
-		w.String(reqs[i].Term)
-	}
-}
-
-func decodePublishBatch(r *codec.Reader) ([]PublishReq, error) {
-	nd, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nd > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("node: publish batch doc count %d overflows payload", nd)
-	}
-	docs := make([]model.Document, 0, nd)
-	for i := uint64(0); i < nd; i++ {
-		d, err := model.DecodeDocument(r)
-		if err != nil {
-			return nil, err
-		}
-		docs = append(docs, d)
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("node: publish batch count %d overflows payload", n)
-	}
-	// Prime each unique document's memoized term-set view once, while this
-	// goroutine still exclusively owns the decode: every batch item that
-	// references the document shares the view through the struct copy, so a
-	// frame fanning 30 terms over one document builds its term set once.
-	for i := range docs {
-		docs[i].View()
-	}
-	reqs := make([]PublishReq, 0, n)
-	for i := uint64(0); i < n; i++ {
-		di, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if di >= uint64(len(docs)) {
-			return nil, fmt.Errorf("node: publish batch doc index %d out of range (%d docs)", di, len(docs))
-		}
-		term, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		// Items of the same document share one decode — the Terms slice and
-		// memoized view are aliased, never mutated downstream.
-		reqs = append(reqs, PublishReq{Doc: docs[di], Term: term})
-	}
-	return reqs, nil
-}
-
-// EncodeMatchRespBatch serializes one MatchResp per batched publish, in
-// request order. Each response is length-framed so the items stay
-// independently decodable. Items are staged through one pooled scratch
-// writer instead of a fresh buffer per response; the outer buffer is not
-// pooled because it crosses the Handler ownership boundary (DESIGN.md §11).
+// EncodeMatchRespBatch serializes the answer to a publish frame: one
+// MatchResp per item, in item order. The buffer is not pooled because it
+// crosses the Handler ownership boundary (DESIGN.md §11).
 func EncodeMatchRespBatch(resps []MatchResp) []byte {
-	w := codec.NewWriter(16 + 64*len(resps))
-	w.Uvarint(uint64(len(resps)))
-	scratch := codec.GetWriter()
+	size := 8
 	for i := range resps {
-		scratch.Reset()
-		appendMatchResp(scratch, resps[i])
-		w.Bytes0(scratch.Bytes())
+		size += 16 + 24*len(resps[i].Matches)
 	}
-	codec.PutWriter(scratch)
+	w := codec.NewWriter(size)
+	w.Uvarint(uint64(len(resps)))
+	for i := range resps {
+		appendMatchResp(w, resps[i])
+	}
 	return w.Bytes()
 }
 
-// DecodeMatchRespBatch parses a batch of MatchResps.
+// DecodeMatchRespBatch parses the answer to a publish frame.
 func DecodeMatchRespBatch(data []byte) ([]MatchResp, error) {
 	r := codec.NewReader(data)
 	n, err := r.Uvarint()
@@ -468,13 +305,10 @@ func DecodeMatchRespBatch(data []byte) ([]MatchResp, error) {
 	if n > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("node: match batch count %d overflows payload", n)
 	}
-	resps := make([]MatchResp, 0, n)
+	// A MatchResp is at least 6 bytes on the wire (five counts and a flag).
+	resps := make([]MatchResp, 0, boundedCap(n, r, 6))
 	for i := uint64(0); i < n; i++ {
-		item, err := r.Bytes0()
-		if err != nil {
-			return nil, err
-		}
-		resp, err := DecodeMatchResp(item)
+		resp, err := decodeMatchResp(r)
 		if err != nil {
 			return nil, fmt.Errorf("node: match batch item %d: %w", i, err)
 		}
@@ -562,12 +396,12 @@ func decodeHops(r *codec.Reader) ([]trace.Hop, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Each hop takes at least 8 bytes on the wire (5 length prefixes + 3
-	// varints); reject counts no valid payload could hold.
 	if n > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("node: hop count %d overflows payload", n)
 	}
-	hops := make([]trace.Hop, 0, n)
+	// A hop is at least 13 bytes on the wire (5 length prefixes, 5 varints,
+	// 3 flags).
+	hops := make([]trace.Hop, 0, boundedCap(n, r, 13))
 	for i := uint64(0); i < n; i++ {
 		var h trace.Hop
 		if h.Stage, err = r.String(); err != nil {
@@ -624,8 +458,11 @@ func decodeHops(r *codec.Reader) ([]trace.Hop, error) {
 
 // DecodeMatchResp parses a MatchResp.
 func DecodeMatchResp(data []byte) (MatchResp, error) {
+	return decodeMatchResp(codec.NewReader(data))
+}
+
+func decodeMatchResp(r *codec.Reader) (MatchResp, error) {
 	var resp MatchResp
-	r := codec.NewReader(data)
 	n, err := r.Uvarint()
 	if err != nil {
 		return resp, fmt.Errorf("node: match count: %w", err)
@@ -633,7 +470,8 @@ func DecodeMatchResp(data []byte) (MatchResp, error) {
 	if n > uint64(r.Remaining()) {
 		return resp, fmt.Errorf("node: match count %d overflows payload", n)
 	}
-	resp.Matches = make([]Match, 0, n)
+	// A match is at least 2 bytes on the wire (filter ID + name length).
+	resp.Matches = make([]Match, 0, boundedCap(n, r, 2))
 	for i := uint64(0); i < n; i++ {
 		id, err := r.Uvarint()
 		if err != nil {
@@ -711,7 +549,8 @@ func decodeMigrate(r *codec.Reader) (MigrateReq, error) {
 	if n > uint64(r.Remaining()) {
 		return req, fmt.Errorf("node: migrate count %d overflows payload", n)
 	}
-	req.Entries = make([]RegisterReq, 0, n)
+	// An entry is at least 13 bytes on the wire (filter + posting-term count).
+	req.Entries = make([]RegisterReq, 0, boundedCap(n, r, 13))
 	for i := uint64(0); i < n; i++ {
 		f, err := model.DecodeFilter(r)
 		if err != nil {
@@ -750,8 +589,8 @@ type StatsResp struct {
 	// PostingLists is the cumulative number of posting-list retrievals
 	// (the y_seek unit of the cost model).
 	PostingLists int64
-	// HomePublishes counts msgPublish arrivals (home-node document
-	// arrivals), the numerator of the node frequency q'_i.
+	// HomePublishes counts home-node document arrivals (one per item of a
+	// home-routed publish frame), the numerator of the node frequency q'_i.
 	HomePublishes int64
 }
 
@@ -788,17 +627,7 @@ func DecodeStatsResp(data []byte) (StatsResp, error) {
 // EncodeStatsPull builds a statistics pull request.
 func EncodeStatsPull() []byte { return []byte{msgStatsPull} }
 
-// --- Grid / Bloom install ---
-
-// EncodeInstallGrid serializes a grid installation.
-func EncodeInstallGrid(epoch uint64, g *alloc.Grid) []byte {
-	gridBytes := g.Encode()
-	w := codec.NewWriter(16 + len(gridBytes))
-	w.Uint8(msgInstallGrid)
-	w.Uvarint(epoch)
-	w.Bytes0(gridBytes)
-	return w.Bytes()
-}
+// --- Grid drop / Bloom install ---
 
 // EncodeDropGrid serializes a grid removal.
 func EncodeDropGrid() []byte { return []byte{msgDropGrid} }

@@ -39,24 +39,37 @@ func TestFullRPCSurface(t *testing.T) {
 	}
 
 	// Publish-home via RPC (the movectl path).
-	raw, err = nd.Handle(ctx, "coord", EncodePublishHome(PublishReq{Doc: doc, Term: "alpha"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = DecodeMatchResp(raw); err != nil || len(resp.Matches) != 1 {
-		t.Fatalf("publish-home resp = %+v, %v", resp, err)
+	if resp = publishHome(t, nd, doc, "alpha"); len(resp.Matches) != 1 {
+		t.Fatalf("publish-home resp = %+v", resp)
 	}
 
-	// Grid install / drop via RPC.
+	// Two-phase allocation via RPC: prepare migrates and opens the dual-read
+	// window, commit promotes, a later prepare is unwound by abort, and drop
+	// clears the grid.
 	grid, err := alloc.NewGrid(1, 2, []ring.NodeID{h.nodes[1].ID(), h.nodes[2].ID()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nd.Handle(ctx, "coord", EncodeInstallGrid(3, grid)); err != nil {
+	if _, err := nd.Handle(ctx, "coord", EncodePrepareAlloc(3, grid)); err != nil {
+		t.Fatal(err)
+	}
+	if committed, pending, dual := nd.EpochInfo(); committed != 0 || pending != 3 || !dual {
+		t.Fatalf("after prepare RPC: committed=%d pending=%d dual=%v, want 0/3/true", committed, pending, dual)
+	}
+	if _, err := nd.Handle(ctx, "coord", EncodeCommitGrid(3)); err != nil {
 		t.Fatal(err)
 	}
 	if g, epoch := nd.Grid(); g == nil || epoch != 3 {
-		t.Fatal("grid not installed via RPC")
+		t.Fatal("grid not committed via RPC")
+	}
+	if _, err := nd.Handle(ctx, "coord", EncodePrepareAlloc(4, grid)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nd.Handle(ctx, "coord", EncodeAbortGrid(4)); err != nil {
+		t.Fatal(err)
+	}
+	if committed, pending, dual := nd.EpochInfo(); committed != 3 || pending != 0 || dual {
+		t.Fatalf("after abort RPC: committed=%d pending=%d dual=%v, want 3/0/false", committed, pending, dual)
 	}
 	if _, err := nd.Handle(ctx, "coord", EncodeDropGrid()); err != nil {
 		t.Fatal(err)
@@ -70,14 +83,6 @@ func TestFullRPCSurface(t *testing.T) {
 	bf.Add("alpha")
 	if _, err := nd.Handle(ctx, "coord", EncodeInstallBloom(bf.Marshal())); err != nil {
 		t.Fatal(err)
-	}
-
-	// Allocate via RPC (migrates + installs).
-	if _, err := nd.Handle(ctx, "coord", EncodeAllocate(4, grid)); err != nil {
-		t.Fatal(err)
-	}
-	if g, epoch := nd.Grid(); g == nil || epoch != 4 {
-		t.Fatal("allocate RPC did not install grid")
 	}
 
 	// Gossip envelope without a handler must error.
@@ -160,9 +165,7 @@ func TestRegistrationReachesGridAfterAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := homeNode.BuildAllocation(ctx, 1, grid); err != nil {
-		t.Fatal(err)
-	}
+	allocate(t, homeNode, 1, grid)
 
 	// Register AFTER allocation; the match must still be found via the
 	// grid fan-out.
