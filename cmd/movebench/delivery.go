@@ -196,7 +196,7 @@ func (c *benchConn) SendEvents(evs []*delivery.Event) error {
 // round, exactly where a wireConn would issue its single write syscall.
 func (c *benchConn) Flush() error {
 	if c.pendingFrames > 0 {
-		c.hub.ObserveFlush(c.pendingFrames, c.pendingBytes)
+		c.hub.FlushStats().Observe(c.pendingFrames, c.pendingBytes)
 		c.pendingFrames, c.pendingBytes = 0, 0
 	}
 	return nil

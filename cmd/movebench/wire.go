@@ -31,9 +31,7 @@ import (
 // registers one filter per subscriber, attaches every subscriber as a live
 // TCP delivery session, then drives concurrent batched publishes through
 // the client's real TCP transport, verifying each document's match set and
-// the full delivery fan-out against a brute-force posting-map oracle. The
-// whole run happens twice — coalescing RPC writer on and off — so the
-// checked-in BENCH_wire.json carries its own comparison baseline.
+// the full delivery fan-out against a brute-force posting-map oracle.
 type wireReport struct {
 	GeneratedBy string `json:"generated_by"`
 	Nodes       int    `json:"nodes"`
@@ -41,21 +39,20 @@ type wireReport struct {
 	Docs        int    `json:"docs"`
 	Concurrency int    `json:"concurrency"`
 	Seed        int64  `json:"seed"`
-	// FlushDelayMS is the writer coalescing window both sides ran with
+	// FlushDelayMS is the RPC writer coalescing window the daemons and the
+	// bench client ran with
 	// (0 = natural coalescing only: frames arriving during the previous
 	// write share the next syscall).
 	FlushDelayMS float64 `json:"flush_delay_ms"`
 
-	Coalesced   wireConfigReport `json:"coalesced"`
-	Uncoalesced wireConfigReport `json:"uncoalesced"`
-	// SpeedupDocsPerSec = Coalesced.DocsPerSec / Uncoalesced.DocsPerSec;
-	// the acceptance gate requires >= 1.20.
-	SpeedupDocsPerSec float64 `json:"speedup_docs_per_sec"`
+	// Coalesced keeps its key from when an uncoalesced configuration was
+	// measured beside it (PR 10; EXPERIMENTS.md has that comparison): the
+	// regression guard reads coalesced.docs_per_sec from the baseline file.
+	Coalesced wireConfigReport `json:"coalesced"`
 }
 
-// wireConfigReport is one coalescing configuration's measurements.
+// wireConfigReport is the best measured round.
 type wireConfigReport struct {
-	Coalesce   bool    `json:"coalesce"`
 	DocsPerSec float64 `json:"docs_per_sec"`
 	// PublishP50MS/P99MS time the full per-document pipeline over real
 	// sockets: every home-node publish RPC plus every deliver-batch RPC.
@@ -80,26 +77,24 @@ type wireOpts struct {
 	Subs        int
 	Docs        int
 	Concurrency int           // concurrent publisher goroutines
-	FlushDelay  time.Duration // writer coalescing window for the coalesced config
+	FlushDelay  time.Duration // RPC writer coalescing window (daemons and bench client)
 	MovedBin    string        // prebuilt moved binary ("" = go build into a temp dir)
 	Peers       string        // existing cluster map (multi-host mode): skip spawning and gates
 }
 
-// Acceptance gates for the checked-in loopback figure (ISSUE 10): the
-// coalescing writer must merge more than two frames per write syscall
-// under concurrent batched publish, and beat the coalescing-off
-// configuration by >= 20% docs/sec at identical node/doc counts. The
-// regression guard against -baseline allows 10% docs/sec drift.
+// Acceptance gates for the checked-in loopback figure: the RPC writer must
+// merge more than two frames per write syscall under concurrent batched
+// publish, and the regression guard against -baseline allows 10% docs/sec
+// drift.
 const (
-	wireFPSFloor     = 2.0
-	wireSpeedupFloor = 1.20
-	wireTolerance    = 0.10
+	wireFPSFloor  = 2.0
+	wireTolerance = 0.10
 )
 
 const wireVocab = 2000
 
-// wireRounds is how many times each configuration publishes the document
-// set; the best round is reported (see wireCluster.runRound).
+// wireRounds is how many times the document set is published; the best
+// round is reported (see wireCluster.runRound).
 const wireRounds = 2
 
 // wireWorkload is the deterministic workload plus its brute-force oracle:
@@ -219,16 +214,12 @@ func buildMoved(dir string) (string, error) {
 
 // spawnWireCluster launches one moved per node on pre-picked loopback
 // ports, each with a debug server (for /metrics scraping) and a subscriber
-// session listener, and the requested coalescing configuration.
-func spawnWireCluster(dir, movedBin string, nodes int, coalesce bool, flushDelay time.Duration) ([]*wireDaemon, error) {
+// session listener.
+func spawnWireCluster(dir, movedBin string, nodes int, flushDelay time.Duration) ([]*wireDaemon, error) {
 	daemons := make([]*wireDaemon, nodes)
 	addrs, err := pickLoopbackAddrs(3 * nodes)
 	if err != nil {
 		return nil, err
-	}
-	label := "on"
-	if !coalesce {
-		label = "off"
 	}
 	var peerParts []string
 	for i := 0; i < nodes; i++ {
@@ -245,16 +236,13 @@ func spawnWireCluster(dir, movedBin string, nodes int, coalesce bool, flushDelay
 			"-debug.addr", d.debugAddr,
 			"-subscribe.addr", d.subAddr,
 			"-subscribe.queue", "8192",
-			// Identical in both configs: coalesce subscriber-session event
-			// writes so the session fan-out (delivery.* wire, not under
-			// test) doesn't drown the RPC syscall effect on small machines.
+			// Coalesce subscriber-session event writes so the session
+			// fan-out (delivery.* wire, not under test) doesn't drown the
+			// RPC syscall effect on small machines.
 			"-subscribe.flush-delay", "1ms",
 			"-rpc.flush-delay", flushDelay.String(),
 		}
-		if !coalesce {
-			args = append(args, "-rpc.no-coalesce")
-		}
-		d.logPath = filepath.Join(dir, fmt.Sprintf("%s-%s.log", d.id, label))
+		d.logPath = filepath.Join(dir, fmt.Sprintf("%s.log", d.id))
 		logF, err := os.Create(d.logPath)
 		if err != nil {
 			return daemons, err
@@ -479,18 +467,16 @@ func publishWireDoc(ctx context.Context, client *transport.TCPNode, r *ring.Ring
 	return nil
 }
 
-// wireCluster is one live coalescing configuration under measurement: its
-// spawned daemons, the bench client wired to them, the attached sessions,
-// and the best-round report so far.
+// wireCluster is the live cluster under measurement: its spawned daemons,
+// the bench client wired to them, the attached sessions, and the best-round
+// report so far.
 type wireCluster struct {
-	coalesce bool
-	label    string
-	daemons  []*wireDaemon
-	client   *transport.TCPNode
-	reg      *metrics.Registry
-	r        *ring.Ring
-	st       *wireSessionState
-	closers  []func()
+	daemons []*wireDaemon
+	client  *transport.TCPNode
+	reg     *metrics.Registry
+	r       *ring.Ring
+	st      *wireSessionState
+	closers []func()
 
 	rounds int
 	best   bool
@@ -504,17 +490,14 @@ func (c *wireCluster) close() {
 	c.closers = nil
 }
 
-// setupWireCluster brings one configuration to a warm steady state: spawn
-// the daemons, wait for wire readiness, register every filter, attach
+// setupWireCluster brings the cluster to a warm steady state: spawn the
+// daemons, wait for wire readiness, register every filter, attach
 // every subscriber session, and push warm-up traffic through the full
 // pipeline so all stripes are dialed and all buffer pools hot.
-func setupWireCluster(dir, movedBin string, opts wireOpts, wl *wireWorkload, coalesce bool) (*wireCluster, error) {
-	c := &wireCluster{coalesce: coalesce, label: "coalescing on", rep: wireConfigReport{Coalesce: coalesce}}
-	if !coalesce {
-		c.label = "coalescing off"
-	}
-	fmt.Printf("wire: spawning %d moved daemons (%s)...\n", opts.Nodes, c.label)
-	daemons, err := spawnWireCluster(dir, movedBin, opts.Nodes, coalesce, opts.FlushDelay)
+func setupWireCluster(dir, movedBin string, opts wireOpts, wl *wireWorkload) (*wireCluster, error) {
+	c := &wireCluster{}
+	fmt.Printf("wire: spawning %d moved daemons...\n", opts.Nodes)
+	daemons, err := spawnWireCluster(dir, movedBin, opts.Nodes, opts.FlushDelay)
 	c.daemons = daemons
 	c.closers = append(c.closers, func() { stopWireCluster(daemons) })
 	if err != nil {
@@ -539,7 +522,7 @@ func setupWireCluster(dir, movedBin string, opts wireOpts, wl *wireWorkload, coa
 			return nil, fmt.Errorf("bench client serves no requests")
 		},
 		transport.StaticResolver(peers),
-		transport.TCPOptions{NoCoalesce: !coalesce, FlushDelay: opts.FlushDelay, DialBackoff: 50 * time.Millisecond, Metrics: c.reg})
+		transport.TCPOptions{FlushDelay: opts.FlushDelay, DialBackoff: 50 * time.Millisecond, Metrics: c.reg})
 	if err != nil {
 		c.close()
 		return nil, err
@@ -552,7 +535,7 @@ func setupWireCluster(dir, movedBin string, opts wireOpts, wl *wireWorkload, coa
 	}
 
 	// Register one filter per subscriber on the home node of each term.
-	fmt.Printf("wire: registering %d filters (%s)...\n", len(wl.subs), c.label)
+	fmt.Printf("wire: registering %d filters...\n", len(wl.subs))
 	regCtx, regCancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer regCancel()
 	var regErr atomic.Value
@@ -593,7 +576,7 @@ func setupWireCluster(dir, movedBin string, opts wireOpts, wl *wireWorkload, coa
 	}
 
 	// Attach every subscriber as a live TCP delivery session.
-	fmt.Printf("wire: attaching %d live sessions (%s)...\n", len(wl.subs), c.label)
+	fmt.Printf("wire: attaching %d live sessions...\n", len(wl.subs))
 	c.st = &wireSessionState{count: make([]atomic.Int64, opts.Docs), hash: make([]atomic.Uint64, opts.Docs)}
 	closeSessions, err := attachWireSessions(c.r, wl, subAddrOf, c.st)
 	if err != nil {
@@ -652,7 +635,7 @@ func (c *wireCluster) runRound(opts wireOpts, wl *wireWorkload) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wire: publishing %d docs with %d workers (%s, round %d/%d)...\n", opts.Docs, opts.Concurrency, c.label, c.rounds, wireRounds)
+	fmt.Printf("wire: publishing %d docs with %d workers (round %d/%d)...\n", opts.Docs, opts.Concurrency, c.rounds, wireRounds)
 	pubCtx, pubCancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer pubCancel()
 	latencies := make([]time.Duration, opts.Docs)
@@ -728,11 +711,10 @@ func (c *wireCluster) runRound(opts wireOpts, wl *wireWorkload) error {
 }
 
 func (c *wireCluster) report() wireConfigReport {
-	fmt.Printf("wire: %s: %.1f docs/sec, publish p50 %.2fms p99 %.2fms, %.2f frames/syscall, %.1f RPC syscalls/doc, %d events/round delivered\n",
-		c.label, c.rep.DocsPerSec, c.rep.PublishP50MS, c.rep.PublishP99MS, c.rep.FramesPerSyscall, c.rep.RPCSyscallsPerDoc, c.rep.DeliveredEvents)
+	fmt.Printf("wire: %.1f docs/sec, publish p50 %.2fms p99 %.2fms, %.2f frames/syscall, %.1f RPC syscalls/doc, %d events/round delivered\n",
+		c.rep.DocsPerSec, c.rep.PublishP50MS, c.rep.PublishP99MS, c.rep.FramesPerSyscall, c.rep.RPCSyscallsPerDoc, c.rep.DeliveredEvents)
 	return c.rep
 }
-
 
 func checkWireBaseline(path string, rep wireReport) error {
 	data, err := os.ReadFile(path)
@@ -763,12 +745,9 @@ func checkWireBaseline(path string, rep wireReport) error {
 	return nil
 }
 
-// runWireFig produces BENCH_wire.json: the coalescing-on and -off
-// configurations measured on identical multi-process loopback clusters,
-// gated on frames/syscall and relative docs/sec. Both clusters stay alive
-// for the whole measurement and the rounds interleave off/on, so ambient
-// host noise (scheduler, thermal, background load) lands on both
-// configurations rather than biasing whichever ran second.
+// runWireFig produces BENCH_wire.json: one multi-process loopback cluster,
+// oracle-checked, gated on frames/syscall and on docs/sec against the
+// checked-in baseline.
 // With opts.Peers set the harness instead drives an existing (possibly
 // multi-host) cluster: publish-only, client-side wire metrics, no gates.
 func runWireFig(outPath, baselinePath string, opts wireOpts, seed int64) error {
@@ -803,47 +782,29 @@ func runWireFig(outPath, baselinePath string, opts wireOpts, seed int64) error {
 		opts.Subs, opts.Docs, float64(wl.expTotal)/float64(opts.Docs))
 
 	rep := wireReport{
-		GeneratedBy: "movebench -fig wire",
-		Nodes:       opts.Nodes,
-		Subscribers: opts.Subs,
-		Docs:        opts.Docs,
-		Concurrency: opts.Concurrency,
-		Seed:        seed,
+		GeneratedBy:  "movebench -fig wire",
+		Nodes:        opts.Nodes,
+		Subscribers:  opts.Subs,
+		Docs:         opts.Docs,
+		Concurrency:  opts.Concurrency,
+		Seed:         seed,
 		FlushDelayMS: float64(opts.FlushDelay.Microseconds()) / 1000,
 	}
-	off, err := setupWireCluster(dir, movedBin, opts, wl, false)
+	c, err := setupWireCluster(dir, movedBin, opts, wl)
 	if err != nil {
-		return fmt.Errorf("coalescing-off setup: %w", err)
+		return fmt.Errorf("setup: %w", err)
 	}
-	defer off.close()
-	on, err := setupWireCluster(dir, movedBin, opts, wl, true)
-	if err != nil {
-		return fmt.Errorf("coalescing-on setup: %w", err)
-	}
-	defer on.close()
+	defer c.close()
 	for round := 1; round <= wireRounds; round++ {
-		if err := off.runRound(opts, wl); err != nil {
-			return fmt.Errorf("coalescing-off round %d: %w", round, err)
-		}
-		if err := on.runRound(opts, wl); err != nil {
-			return fmt.Errorf("coalescing-on round %d: %w", round, err)
+		if err := c.runRound(opts, wl); err != nil {
+			return fmt.Errorf("round %d: %w", round, err)
 		}
 	}
-	rep.Uncoalesced = off.report()
-	rep.Coalesced = on.report()
-	if rep.Uncoalesced.DocsPerSec > 0 {
-		rep.SpeedupDocsPerSec = rep.Coalesced.DocsPerSec / rep.Uncoalesced.DocsPerSec
-	}
-	fmt.Printf("wire: coalescing speedup: %.2fx docs/sec (%.1f vs %.1f)\n",
-		rep.SpeedupDocsPerSec, rep.Coalesced.DocsPerSec, rep.Uncoalesced.DocsPerSec)
+	rep.Coalesced = c.report()
 
 	if rep.Coalesced.FramesPerSyscall <= wireFPSFloor {
 		return fmt.Errorf("frames_per_syscall gate failed: %.2f <= %.1f under concurrent batched publish",
 			rep.Coalesced.FramesPerSyscall, wireFPSFloor)
-	}
-	if rep.SpeedupDocsPerSec < wireSpeedupFloor {
-		return fmt.Errorf("speedup gate failed: coalescing-on %.1f docs/sec is only %.2fx coalescing-off %.1f (want >= %.2fx)",
-			rep.Coalesced.DocsPerSec, rep.SpeedupDocsPerSec, rep.Uncoalesced.DocsPerSec, wireSpeedupFloor)
 	}
 	if baselinePath != "" {
 		if err := checkWireBaseline(baselinePath, rep); err != nil {

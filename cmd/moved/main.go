@@ -56,9 +56,7 @@ func run() error {
 	subFlushDelay := flag.Duration("subscribe.flush-delay", 0, "event coalescing window (0 = flush immediately; higher trades latency for frames per syscall)")
 
 	rpcConns := flag.Int("rpc.conns", 0, "striped TCP connections per peer (0 = derive from GOMAXPROCS)")
-	rpcNoCoalesce := flag.Bool("rpc.no-coalesce", false, "disable the coalescing RPC writer (one write syscall pair per frame; comparison baseline)")
 	rpcFlushDelay := flag.Duration("rpc.flush-delay", 0, "RPC writer coalescing window (0 = natural coalescing only)")
-	rpcCoalesceBytes := flag.Int("rpc.coalesce-bytes", 0, "RPC flush-round size bound in bytes (0 = 64KiB)")
 
 	retryAttempts := flag.Int("retry-attempts", 3, "max RPC attempts per destination (1 disables retries)")
 	retryBase := flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per attempt, full jitter)")
@@ -166,11 +164,9 @@ func run() error {
 	}
 
 	tn, err := transport.NewTCPOpts(ring.NodeID(*id), *listen, nd.Handle, transport.StaticResolver(peers), transport.TCPOptions{
-		Conns:         *rpcConns,
-		NoCoalesce:    *rpcNoCoalesce,
-		FlushDelay:    *rpcFlushDelay,
-		CoalesceBytes: *rpcCoalesceBytes,
-		Metrics:       reg,
+		Conns:      *rpcConns,
+		FlushDelay: *rpcFlushDelay,
+		Metrics:    reg,
 	})
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/frame"
 )
 
 // Client is the subscriber side of a delivery connection: dial, receive
@@ -14,8 +15,10 @@ import (
 type Client struct {
 	c     net.Conn
 	hello HelloInfo
+	rbuf  []byte // frame.Read buffer; Recv has one caller at a time
 
-	wmu sync.Mutex
+	wmu  sync.Mutex
+	wbuf []byte // the one frame being written (requires wmu)
 }
 
 // Dial connects to a delivery listener, sends the hello (subscriber name +
@@ -39,7 +42,7 @@ func NewClient(c net.Conn, sub string, resumeAck uint64) (*Client, error) {
 	if err := cl.write(func(enc *codec.Writer) { AppendHello(enc, sub, resumeAck) }); err != nil {
 		return nil, fmt.Errorf("delivery: hello: %w", err)
 	}
-	payload, err := ReadFrame(c)
+	payload, err := frame.Read(c, &cl.rbuf, maxFrame)
 	if err != nil {
 		return nil, fmt.Errorf("delivery: hello-ok: %w", err)
 	}
@@ -76,7 +79,7 @@ type Msg struct {
 // Recv blocks for the next events or bye frame, answering pings inline.
 func (c *Client) Recv() (Msg, error) {
 	for {
-		payload, err := ReadFrame(c.c)
+		payload, err := frame.Read(c.c, &c.rbuf, maxFrame)
 		if err != nil {
 			return Msg{}, err
 		}
@@ -122,5 +125,10 @@ func (c *Client) write(build func(enc *codec.Writer)) error {
 	build(enc)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return WriteFrame(c.c, enc.Bytes())
+	var err error
+	if c.wbuf, err = frame.Append(c.wbuf[:0], enc.Bytes(), maxInboundFrame); err != nil {
+		return err
+	}
+	_, err = c.c.Write(c.wbuf)
+	return err
 }

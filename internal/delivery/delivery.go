@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/model"
 )
@@ -186,11 +187,6 @@ type Flusher interface {
 // registry and ready rings, mirroring internal/index's striping.
 const DefaultShards = 32
 
-// DefaultCoalesceBytes is the default flush threshold for coalescing
-// connection writers: a buffered conn flushes on its own once this many
-// bytes are pending, bounding memory and latency between hub flush rounds.
-const DefaultCoalesceBytes = 64 << 10
-
 // Config parameterizes a Hub.
 type Config struct {
 	// QueueCap bounds each session's not-yet-sent queue; overflow invokes
@@ -210,9 +206,6 @@ type Config struct {
 	// Shards is the session-registry/ready-ring stripe count, rounded up to
 	// a power of two. Default DefaultShards.
 	Shards int
-	// CoalesceBytes is the flush threshold handed to coalescing connection
-	// writers (Server). Default DefaultCoalesceBytes.
-	CoalesceBytes int
 	// FlushDelay, when positive, is the coalescing window: an enqueue on a
 	// session with fewer than FlushBatch pending events defers the flush
 	// for up to ~2x FlushDelay so more events share one frame batch and one
@@ -283,26 +276,23 @@ type Hub struct {
 	batchPool   sync.Pool // *[]*Event
 	scratchPool sync.Pool // *deliverScratch
 
-	sessionsG      *metrics.Counter
-	attachedG      *metrics.Counter
-	enqueuedC      *metrics.Counter
-	deliveredC     *metrics.Counter
-	redeliveredC   *metrics.Counter
-	ackedC         *metrics.Counter
-	dropOldestC    *metrics.Counter
-	dropDisconnC   *metrics.Counter
-	coalescedC     *metrics.Counter
-	idleKicksC     *metrics.Counter
-	replacedC      *metrics.Counter
-	flushFramesC   *metrics.Counter
-	flushSyscallsC *metrics.Counter
-	flushBytesC    *metrics.Counter
-	shardsGauge    *metrics.Gauge
-	hQueueDepth    *metrics.Histogram
-	hAckLatency    *metrics.Histogram
-	hFlushBatch    *metrics.Histogram
-	hFlushFrames   *metrics.Histogram
-	hFlushBytes    *metrics.Histogram
+	sessionsG    *metrics.Counter
+	attachedG    *metrics.Counter
+	enqueuedC    *metrics.Counter
+	deliveredC   *metrics.Counter
+	redeliveredC *metrics.Counter
+	ackedC       *metrics.Counter
+	dropOldestC  *metrics.Counter
+	dropDisconnC *metrics.Counter
+	coalescedC   *metrics.Counter
+	idleKicksC   *metrics.Counter
+	replacedC    *metrics.Counter
+	flushStats   *frame.FlushStats // delivery.flush.{frames,syscalls,frames_per_syscall,bytes}
+	flushBytesC  *metrics.Counter  // delivery.flush.bytes.total (wireConn writes only)
+	shardsGauge  *metrics.Gauge
+	hQueueDepth  *metrics.Histogram
+	hAckLatency  *metrics.Histogram
+	hFlushBatch  *metrics.Histogram
 }
 
 // NewHub builds and starts a hub: Workers flush goroutines plus, when
@@ -325,9 +315,6 @@ func NewHub(cfg Config) *Hub {
 		cfg.Shards = DefaultShards
 	}
 	cfg.Shards = ceilPow2(cfg.Shards)
-	if cfg.CoalesceBytes <= 0 {
-		cfg.CoalesceBytes = DefaultCoalesceBytes
-	}
 	if cfg.IdleTimeout <= 0 && cfg.HeartbeatEvery > 0 {
 		cfg.IdleTimeout = 4 * cfg.HeartbeatEvery
 	}
@@ -340,32 +327,30 @@ func NewHub(cfg Config) *Hub {
 		now = time.Now
 	}
 	h := &Hub{
-		cfg:            cfg,
-		reg:            reg,
-		now:            now,
-		shards:         make([]*shard, cfg.Shards),
-		shardMask:      uint32(cfg.Shards - 1),
-		stopCh:         make(chan struct{}),
-		sessionsG:      reg.Counter("delivery.sessions"),
-		attachedG:      reg.Counter("delivery.attached"),
-		enqueuedC:      reg.Counter("delivery.enqueued"),
-		deliveredC:     reg.Counter("delivery.delivered"),
-		redeliveredC:   reg.Counter("delivery.redelivered"),
-		ackedC:         reg.Counter("delivery.acked"),
-		dropOldestC:    reg.Counter("delivery.drops.oldest"),
-		dropDisconnC:   reg.Counter("delivery.drops.disconnect"),
-		coalescedC:     reg.Counter("delivery.coalesced"),
-		idleKicksC:     reg.Counter("delivery.kicks.idle"),
-		replacedC:      reg.Counter("delivery.kicks.replaced"),
-		flushFramesC:   reg.Counter("delivery.flush.frames"),
-		flushSyscallsC: reg.Counter("delivery.flush.syscalls"),
-		flushBytesC:    reg.Counter("delivery.flush.bytes.total"),
-		shardsGauge:    reg.Gauge("delivery.shards"),
-		hQueueDepth:    reg.Histogram("delivery.queue.depth"),
-		hAckLatency:    reg.Histogram("delivery.ack.latency"),
-		hFlushBatch:    reg.Histogram("delivery.flush.batch"),
-		hFlushFrames:   reg.Histogram("delivery.flush.frames_per_syscall"),
-		hFlushBytes:    reg.Histogram("delivery.flush.bytes"),
+		cfg:          cfg,
+		reg:          reg,
+		now:          now,
+		shards:       make([]*shard, cfg.Shards),
+		shardMask:    uint32(cfg.Shards - 1),
+		stopCh:       make(chan struct{}),
+		sessionsG:    reg.Counter("delivery.sessions"),
+		attachedG:    reg.Counter("delivery.attached"),
+		enqueuedC:    reg.Counter("delivery.enqueued"),
+		deliveredC:   reg.Counter("delivery.delivered"),
+		redeliveredC: reg.Counter("delivery.redelivered"),
+		ackedC:       reg.Counter("delivery.acked"),
+		dropOldestC:  reg.Counter("delivery.drops.oldest"),
+		dropDisconnC: reg.Counter("delivery.drops.disconnect"),
+		coalescedC:   reg.Counter("delivery.coalesced"),
+		idleKicksC:   reg.Counter("delivery.kicks.idle"),
+		replacedC:    reg.Counter("delivery.kicks.replaced"),
+		flushStats: frame.NewFlushStats(reg, "delivery.flush.frames", "delivery.flush.syscalls",
+			"delivery.flush.frames_per_syscall", "delivery.flush.bytes"),
+		flushBytesC: reg.Counter("delivery.flush.bytes.total"),
+		shardsGauge: reg.Gauge("delivery.shards"),
+		hQueueDepth: reg.Histogram("delivery.queue.depth"),
+		hAckLatency: reg.Histogram("delivery.ack.latency"),
+		hFlushBatch: reg.Histogram("delivery.flush.batch"),
 	}
 	for i := range h.shards {
 		h.shards[i] = &shard{sessions: make(map[string]*Session)}
@@ -420,9 +405,6 @@ func (h *Hub) Policy() Policy { return h.cfg.Policy }
 
 // Shards returns the (power-of-two) shard count the hub runs with.
 func (h *Hub) Shards() int { return len(h.shards) }
-
-// CoalesceBytes returns the flush threshold coalescing writers should use.
-func (h *Hub) CoalesceBytes() int { return h.cfg.CoalesceBytes }
 
 // ShardSessions returns the per-shard session counts — the striping balance
 // view /healthz and tests use.
@@ -625,35 +607,11 @@ func (h *Hub) Ack(sub string, seq uint64) {
 	}
 }
 
-// ObserveFlush records one physical connection write that carried frames
-// coalesced frames over bytes wire bytes. Coalescing writers (the server's
-// wireConn, bench sinks) call it once per syscall-sized flush so
-// delivery.flush.frames_per_syscall and delivery.flush.bytes prove the
-// batching.
-func (h *Hub) ObserveFlush(frames, bytes int) {
-	if frames <= 0 {
-		return
-	}
-	h.flushFramesC.Add(int64(frames))
-	h.flushSyscallsC.Inc()
-	h.flushBytesC.Add(int64(bytes))
-	// The ratio histogram stores milli-frames so sub-integer percentiles
-	// survive the log bucketing: 1 frame/syscall → 1000.
-	h.hFlushFrames.Observe(time.Duration(frames) * 1000)
-	h.hFlushBytes.Observe(time.Duration(bytes))
-}
-
-// FlushStats returns the aggregate coalescing ratio (frames per physical
-// write) and total frames/syscalls/bytes recorded by ObserveFlush.
-func (h *Hub) FlushStats() (framesPerSyscall float64, frames, syscalls, bytes int64) {
-	frames = h.flushFramesC.Value()
-	syscalls = h.flushSyscallsC.Value()
-	bytes = h.flushBytesC.Value()
-	if syscalls > 0 {
-		framesPerSyscall = float64(frames) / float64(syscalls)
-	}
-	return framesPerSyscall, frames, syscalls, bytes
-}
+// FlushStats is where a Conn that coalesces frames records each physical
+// write (the server's wireConn through frame's WriteRound; in-process bench
+// sinks through Observe), so delivery.flush.frames_per_syscall and
+// delivery.flush.bytes prove the batching.
+func (h *Hub) FlushStats() *frame.FlushStats { return h.flushStats }
 
 // Attach binds a connection to the subscriber's session, applies the
 // client's resume ack, sends the hello response on the connection, stages

@@ -1,7 +1,6 @@
 package delivery
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -10,11 +9,12 @@ import (
 )
 
 // FuzzDeliverFrameRoundTrip checks the two properties every delivery frame
-// rests on (the same contract FuzzCodecRoundTrip enforces for the
+// payload rests on (the same contract FuzzCodecRoundTrip enforces for the
 // primitives): decode(encode(x)) == x for every frame type — hello,
 // hello-ok, events, ack, bye, and the node-to-node routed batch — and
 // decoding arbitrary or truncated bytes never panics (a malformed frame
-// must not take down a session owner).
+// must not take down a session owner). The length framing around the
+// payloads is internal/frame's, fuzzed there (FuzzFrameRead).
 func FuzzDeliverFrameRoundTrip(f *testing.F) {
 	f.Add("alice", uint64(0), uint64(1), uint64(1), uint64(7), uint64(9), "breaking,news", "replaced", []byte(nil))
 	f.Add("", uint64(1<<40), uint64(1<<63), uint64(300), uint64(0), uint64(1<<20), "", "slow-consumer: disconnect", []byte{0x00, 0xff})
@@ -111,18 +111,6 @@ func FuzzDeliverFrameRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Length framing round trip.
-		var buf bytes.Buffer
-		framed := codec.NewWriter(0)
-		AppendEvents(framed, evs)
-		if err := WriteFrame(&buf, framed.Bytes()); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
-		payload, err := ReadFrame(&buf)
-		if err != nil || !bytes.Equal(payload, framed.Bytes()) {
-			t.Fatalf("ReadFrame: %v (payload mismatch %v)", err, payload)
-		}
-
 		// Decode-never-panics: every decoder over the raw fuzz bytes from
 		// several offsets, and over truncated prefixes of a valid batch —
 		// the shape a torn read produces. Errors are expected; panics are
@@ -133,7 +121,6 @@ func FuzzDeliverFrameRoundTrip(f *testing.F) {
 		for cut := 0; cut < len(batchBytes); cut++ {
 			_, _ = DecodeBatch(codec.NewReader(batchBytes[:cut]))
 		}
-		_, _ = ReadFrame(bytes.NewReader(raw))
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/frame"
 )
 
 // Server accepts subscriber TCP connections and binds them to hub sessions.
@@ -91,10 +92,13 @@ func (s *Server) forget(c net.Conn) {
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	defer s.forget(c)
-	wc := &wireConn{c: c, writeTimeout: s.writeTimeout, hub: s.hub, maxBuf: s.hub.CoalesceBytes()}
+	wc := &wireConn{c: c, writeTimeout: s.writeTimeout, hub: s.hub}
 
-	// First frame must be the hello.
-	payload, err := ReadFrame(c)
+	// First frame must be the hello. Nothing a subscriber sends is large,
+	// so the bound applies before the peer has identified itself; buf is
+	// reused for every inbound frame (the decoders copy what they keep).
+	var buf []byte
+	payload, err := frame.Read(c, &buf, maxInboundFrame)
 	if err != nil {
 		_ = c.Close()
 		return
@@ -121,7 +125,7 @@ func (s *Server) handle(c net.Conn) {
 	// Inbound loop: acks and pongs. A dead socket detaches the session;
 	// its queue and window survive for the reconnect.
 	for {
-		payload, err := ReadFrame(c)
+		payload, err := frame.Read(c, &buf, maxInboundFrame)
 		if err != nil {
 			sess.Detach(wc)
 			_ = c.Close()
@@ -160,70 +164,52 @@ func (s *Server) handle(c net.Conn) {
 // ErrStalled — because the stream may carry a partial frame and must be
 // dropped, not retried.
 //
-// Event frames coalesce: SendEvents appends the length-prefixed frame to a
-// pending buffer instead of issuing a syscall, and the buffer goes to the
-// wire in one Write when the hub's flush round ends (Flush), when the buffer
-// passes maxBuf (the size bound), or when a control frame (hello, ping, bye)
-// needs the stream ordered now. One SetWriteDeadline covers each physical
-// flush, not each frame.
+// What it adds to the shared flush round (frame.Batch, DESIGN.md §16) is
+// when the round goes out: SendEvents only appends, and the pending frames
+// reach the wire in one Write when the hub's flush round ends (Flush), when
+// they pass frame.RoundBytes (the size bound), or when a control frame
+// (hello, ping, bye) needs the stream ordered now. The write runs under the
+// mutex — the caller is a hub flush worker, so there is no writer goroutine
+// to hand it to.
 type wireConn struct {
 	c            net.Conn
 	writeTimeout time.Duration
 	hub          *Hub
-	maxBuf       int
 
-	wmu    sync.Mutex
-	closed bool
-	buf    []byte
-	frames int
+	wmu     sync.Mutex
+	closed  bool
+	pending frame.Batch
 }
 
 var errConnClosed = errors.New("delivery: connection closed")
 
-// appendFrame encodes one frame into the pending buffer (requires wmu).
-func (w *wireConn) appendFrameLocked(build func(enc *codec.Writer)) error {
-	enc := codec.GetWriter()
-	defer codec.PutWriter(enc)
-	build(enc)
-	var err error
-	if w.buf, err = AppendFrame(w.buf, enc.Bytes()); err != nil {
-		return err
-	}
-	w.frames++
-	return nil
-}
-
-// flushLocked writes every pending frame in one syscall under one write
-// deadline (requires wmu).
+// flushLocked writes every pending frame as one round (requires wmu).
 func (w *wireConn) flushLocked() error {
-	if w.frames == 0 {
+	out, frames := w.pending.Take()
+	if frames == 0 {
 		return nil
 	}
-	if w.writeTimeout > 0 {
-		_ = w.c.SetWriteDeadline(time.Now().Add(w.writeTimeout))
-	}
-	frames, bytes := w.frames, len(w.buf)
-	_, err := w.c.Write(w.buf)
-	w.buf = w.buf[:0]
-	w.frames = 0
-	if w.hub != nil {
-		w.hub.ObserveFlush(frames, bytes)
-	}
+	w.hub.flushBytesC.Add(int64(len(out)))
+	err := w.hub.flushStats.WriteRound(w.c, w.writeTimeout, out, frames)
+	w.pending.Recycle(out)
 	return err
 }
 
-// writeFrame buffers one frame; immediate forces the buffer to the wire
-// before returning (control frames and standalone writers).
+// writeFrame buffers one frame; immediate forces the round to the wire
+// before returning (control frames).
 func (w *wireConn) writeFrame(immediate bool, build func(enc *codec.Writer)) error {
+	enc := codec.GetWriter()
+	defer codec.PutWriter(enc)
+	build(enc)
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	if w.closed {
 		return errConnClosed
 	}
-	if err := w.appendFrameLocked(build); err != nil {
+	if err := w.pending.Append(enc.Bytes(), maxFrame); err != nil {
 		return err
 	}
-	if immediate || len(w.buf) >= w.maxBuf || w.maxBuf <= 0 {
+	if immediate || w.pending.Len() >= frame.RoundBytes {
 		return w.flushLocked()
 	}
 	return nil
@@ -263,8 +249,7 @@ func (w *wireConn) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.buf = nil
-	w.frames = 0
+	w.pending = frame.Batch{}
 	w.wmu.Unlock()
 	return w.c.Close()
 }

@@ -1,11 +1,14 @@
 package delivery
 
 import (
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/testutil"
 )
 
 func startServer(t *testing.T, cfg Config) (*Hub, *Server) {
@@ -163,4 +166,48 @@ func TestServerHeartbeat(t *testing.T) {
 		ss, _ := hub.Snapshot("carol")
 		return ss.State == StateDetached
 	})
+}
+
+// TestServerRejectsHostileFirstFrame covers what an unidentified socket can
+// make the server do with one header. Announcing a frame just under the
+// event-frame bound must not be believed (the server used to allocate it —
+// 16 MiB pinned per connection for four bytes), and an empty frame has no
+// type byte to be a hello. Either way the connection is closed and nothing
+// attaches.
+func TestServerRejectsHostileFirstFrame(t *testing.T) {
+	hub, srv := startServer(t, Config{Workers: 1})
+
+	for _, tc := range []struct {
+		name   string
+		header []byte
+	}{
+		{"oversized", []byte{0x00, 0xff, 0xff, 0xff}}, // 16<<20 - 1
+		{"empty", []byte{0, 0, 0, 0}},
+	} {
+		name, header := tc.name, tc.header
+		c, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := c.Write(header); err != nil {
+			t.Fatal(err)
+		}
+		// The server closes without waiting for the announced payload; a
+		// bye may precede the close.
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, c); err != nil {
+			t.Fatalf("%s header: connection still open after 5s: %v", name, err)
+		}
+		runtime.ReadMemStats(&m1)
+		_ = c.Close()
+		// The race detector's shadow allocations are not the frame's.
+		if grew := m1.TotalAlloc - m0.TotalAlloc; !testutil.RaceEnabled && grew > 1<<20 {
+			t.Fatalf("%s header: process allocated %d bytes, limit 1 MiB", name, grew)
+		}
+	}
+	if n := hub.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions exist after two rejected connections", n)
+	}
 }

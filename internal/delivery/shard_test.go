@@ -3,12 +3,14 @@ package delivery
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/frame"
 )
 
 // TestShardedRegistry covers the lock-striped session registry: power-of-two
@@ -241,22 +243,23 @@ func TestWireConnCoalescesFrames(t *testing.T) {
 	defer h.Stop()
 	client, server := net.Pipe()
 	defer client.Close()
-	wc := &wireConn{c: server, hub: h, maxBuf: DefaultCoalesceBytes}
+	wc := &wireConn{c: server, hub: h}
 	defer wc.Close()
 
-	type frame struct {
+	type gotFrame struct {
 		typ byte
 		n   int
 	}
-	frames := make(chan frame, 16)
+	frames := make(chan gotFrame, 16)
 	go func() {
+		var buf []byte
 		for {
-			payload, err := ReadFrame(client)
+			payload, err := frame.Read(client, &buf, maxFrame)
 			if err != nil {
 				close(frames)
 				return
 			}
-			frames <- frame{typ: payload[0], n: len(payload)}
+			frames <- gotFrame{typ: payload[0], n: len(payload)}
 		}
 	}()
 
@@ -290,8 +293,8 @@ func TestWireConnCoalescesFrames(t *testing.T) {
 	if got := counterValue(h, "delivery.flush.frames"); got != 3 {
 		t.Fatalf("frames = %d, want 3", got)
 	}
-	if fps, _, _, _ := h.FlushStats(); fps != 3.0 {
-		t.Fatalf("frames_per_syscall = %v, want 3.0", fps)
+	if hs := h.Metrics().Histograms()["delivery.flush.frames_per_syscall"]; hs.Count != 1 || hs.MaxNS != 3000 {
+		t.Fatalf("frames_per_syscall histogram = %+v, want one observation of 3.0 (3000 milli-frames)", hs)
 	}
 
 	// A control frame (ping) flushes immediately, carrying any buffered
@@ -318,15 +321,17 @@ func TestWireConnCoalescesFrames(t *testing.T) {
 		t.Fatalf("syscalls = %d after ping flush, want 2", got)
 	}
 
-	// The size bound: a buffer passing maxBuf flushes without waiting.
-	small := &wireConn{c: server, hub: h, maxBuf: 8}
-	if err := small.SendEvents(evs(9)); err != nil {
+	// The size bound: a buffer passing frame.RoundBytes flushes without
+	// waiting for Flush.
+	big := evs(9)
+	big[0].Terms = []string{strings.Repeat("x", frame.RoundBytes)}
+	if err := wc.SendEvents(big); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case f := <-frames:
-		if f.typ != frameEvents {
-			t.Fatalf("size-bound flush type = %d", f.typ)
+		if f.typ != frameEvents || f.n < frame.RoundBytes {
+			t.Fatalf("size-bound flush = type %d, %d bytes", f.typ, f.n)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("size-bound flush never arrived")
@@ -360,19 +365,25 @@ func TestServerWriterCoalesced(t *testing.T) {
 	defer c.Close()
 	w := codec.GetWriter()
 	AppendHello(w, "s", 0)
-	if err := WriteFrame(c, w.Bytes()); err != nil {
+	hello, err := frame.Append(nil, w.Bytes(), maxInboundFrame)
+	codec.PutWriter(w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	codec.PutWriter(w)
+	if _, err := c.Write(hello); err != nil {
+		t.Fatal(err)
+	}
 
-	got := 0
+	got, wireFrames := 0, int64(0)
 	deadline := time.Now().Add(10 * time.Second)
 	_ = c.SetReadDeadline(deadline)
+	var buf []byte
 	for got < 32 {
-		payload, err := ReadFrame(c)
+		payload, err := frame.Read(c, &buf, maxFrame)
 		if err != nil {
 			t.Fatalf("after %d events: %v", got, err)
 		}
+		wireFrames++
 		r := codec.NewReader(payload)
 		typ, _ := r.Uint8()
 		switch typ {
@@ -387,6 +398,12 @@ func TestServerWriterCoalesced(t *testing.T) {
 			t.Fatalf("unexpected frame %d", typ)
 		}
 	}
+	// The server records a flush after its Write returns, so the client can
+	// hold every frame before the counters say so: wait for them to cover
+	// what was read off the wire.
+	waitFor(t, "flush counters to cover the frames read", func() bool {
+		return counterValue(h, "delivery.flush.frames") >= wireFrames
+	})
 	frames := counterValue(h, "delivery.flush.frames")
 	syscalls := counterValue(h, "delivery.flush.syscalls")
 	if syscalls == 0 || frames <= syscalls {

@@ -1,9 +1,7 @@
 package delivery
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/model"
@@ -22,8 +20,16 @@ const (
 	frameBye     = 7 // server → client: reason, then close
 )
 
-// maxFrame bounds a subscriber frame; anything larger is a protocol error.
+// maxFrame bounds a server → client frame (events dominate); anything
+// larger is a protocol error.
 const maxFrame = 16 << 20
+
+// maxInboundFrame bounds a client → server frame. Subscribers send only
+// hello, ack and pong; the largest is a hello — type byte, subscriber name
+// with its length prefix, resume ack (≤ 10 bytes) — so 4 KiB admits names
+// of up to ~4,000 bytes while a bare 4-byte header from an unidentified
+// socket can make the server allocate at most this much.
+const maxInboundFrame = 4 << 10
 
 // AppendHello encodes a client hello: the subscriber name and the highest
 // sequence number the client has durably consumed (0 for a fresh session).
@@ -226,53 +232,4 @@ func DecodeBatch(r *codec.Reader) (*Batch, error) {
 		b.Notifs = append(b.Notifs, nt)
 	}
 	return b, nil
-}
-
-// AppendFrame appends one length-prefixed frame to dst — the coalescing
-// writer's building block: several frames appended back-to-back form one
-// contiguous buffer a single Write puts on the wire. The payload must start
-// with a frame-type byte.
-func AppendFrame(dst []byte, payload []byte) ([]byte, error) {
-	if len(payload) > maxFrame {
-		return dst, fmt.Errorf("delivery: frame of %d bytes exceeds max %d", len(payload), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
-}
-
-// WriteFrame writes one length-prefixed frame. The payload must start with
-// a frame-type byte.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("delivery: frame of %d bytes exceeds max %d", len(payload), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame, returning the payload.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, fmt.Errorf("delivery: empty frame")
-	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("delivery: frame of %d bytes exceeds max %d", n, maxFrame)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

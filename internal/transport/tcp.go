@@ -3,10 +3,8 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sort"
@@ -16,6 +14,7 @@ import (
 	"time"
 
 	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/resilience"
 	"github.com/movesys/move/internal/ring"
@@ -26,14 +25,9 @@ import (
 // prefix from allocating unbounded memory.
 const maxFrame = 64 << 20
 
-// maxRetainedReadBuf bounds the per-connection / pooled read buffers that
-// survive across frames; a rare giant frame is served from a one-shot
-// allocation instead of pinning its array forever.
-const maxRetainedReadBuf = 1 << 20
-
-func errFrameTooLarge(n int) error {
-	return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-}
+// readBufSize sizes the per-connection bufio reader so one read syscall
+// can drain an entire coalesced flush round from the socket.
+const readBufSize = frame.RoundBytes
 
 // Resolver maps a node ID to its listen address ("host:port").
 type Resolver func(ring.NodeID) (string, error)
@@ -74,10 +68,9 @@ func StaticResolver(addrs map[ring.NodeID]string) Resolver {
 	}
 }
 
-// TCPOptions tunes the wire fast path (DESIGN.md §17). The zero value asks
-// for defaults everywhere: a GOMAXPROCS-derived stripe count, the
-// coalescing writer enabled with natural coalescing only (no added delay),
-// and dial backoff on.
+// TCPOptions tunes the wire fast path (DESIGN.md §16). The zero value asks
+// for defaults everywhere: a GOMAXPROCS-derived stripe count, natural
+// coalescing only (no added delay), and dial backoff on.
 type TCPOptions struct {
 	// Conns is the number of striped connections kept per peer. Concurrent
 	// Sends round-robin across stripes so high in-flight counts stop
@@ -85,28 +78,11 @@ type TCPOptions struct {
 	// GOMAXPROCS, clamped to [2, 8].
 	Conns int
 
-	// NoCoalesce disables the per-connection writer goroutine and reverts
-	// to one synchronous write per frame (two syscalls: header + body) —
-	// the pre-§17 behavior, kept as the honest comparison baseline for
-	// `movebench -fig wire`.
-	NoCoalesce bool
-
 	// FlushDelay is how long the writer lingers after waking before
 	// draining, letting concurrent senders pile onto the same syscall.
 	// 0 (the default) relies on natural coalescing: frames enqueued while
 	// the previous Write is on the wire share the next one.
 	FlushDelay time.Duration
-
-	// CoalesceBytes is the flush-round size bound: a queue at or past it
-	// drains immediately instead of waiting out FlushDelay. 0 → 64 KiB.
-	CoalesceBytes int
-
-	// QueueBytes bounds the per-connection send queue; enqueues past it
-	// block until the writer drains (backpressure, not buffering). 0 → 4 MiB.
-	QueueBytes int
-
-	// WriteTimeout bounds each flush syscall. 0 → 10s; negative disables.
-	WriteTimeout time.Duration
 
 	// DialBackoff is the cooldown after a failed dial during which further
 	// dial attempts to that peer fail fast with ErrNodeDown instead of
@@ -129,17 +105,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 		if o.Conns > 8 {
 			o.Conns = 8
 		}
-	}
-	if o.CoalesceBytes <= 0 {
-		o.CoalesceBytes = 64 << 10
-	}
-	if o.QueueBytes <= 0 {
-		o.QueueBytes = 4 << 20
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 10 * time.Second
-	} else if o.WriteTimeout < 0 {
-		o.WriteTimeout = 0
 	}
 	if o.DialBackoff == 0 {
 		o.DialBackoff = 250 * time.Millisecond
@@ -229,7 +194,7 @@ func (n *TCPNode) Close() error {
 		c.close(ErrClosed)
 	}
 	// Accepted connections must be torn down too, or serveConn goroutines
-	// block in readFrame and wg.Wait never returns. Stopping the writer
+	// block in frame.Read and wg.Wait never returns. Stopping the writer
 	// closes the raw conn either way.
 	for _, w := range inbound {
 		w.closeWith(ErrClosed)
@@ -306,7 +271,7 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		wr := newConnWriter(conn, n.opts, n.met)
+		wr := newConnWriter(conn, n.opts.FlushDelay, n.met)
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
@@ -314,14 +279,11 @@ func (n *TCPNode) acceptLoop() {
 			return
 		}
 		n.accepted[conn] = wr
-		n.wg.Add(1)
-		if wr.coalesce {
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				wr.run()
-			}()
-		}
+		n.wg.Add(2)
+		go func() {
+			defer n.wg.Done()
+			wr.run()
+		}()
 		n.mu.Unlock()
 		n.met.conns.Add(1)
 		go n.serveConn(conn, wr)
@@ -353,24 +315,22 @@ func (n *TCPNode) serveConn(conn net.Conn, wr *connWriter) {
 	defer reqWG.Wait()
 	for {
 		bp := reqBufPool.Get().(*[]byte)
-		frame, err := readFrameBuf(br, bp)
+		req, err := frame.Read(br, bp, maxFrame)
 		if err != nil {
 			reqBufPool.Put(bp)
 			return
 		}
 		reqWG.Add(1)
-		go func(bp *[]byte, frame []byte) {
+		go func(bp *[]byte, req []byte) {
 			defer reqWG.Done()
-			n.handleFrame(wr, frame)
-			if cap(*bp) <= maxRetainedReadBuf {
-				reqBufPool.Put(bp)
-			}
-		}(bp, frame)
+			n.handleFrame(wr, req)
+			reqBufPool.Put(bp)
+		}(bp, req)
 	}
 }
 
-func (n *TCPNode) handleFrame(wr *connWriter, frame []byte) {
-	r := codec.NewReader(frame)
+func (n *TCPNode) handleFrame(wr *connWriter, req []byte) {
+	r := codec.NewReader(req)
 	reqID, err := r.Uvarint()
 	if err != nil {
 		return
@@ -518,7 +478,7 @@ func (p *peerPool) dial(slot int) (*tcpConn, error) {
 	if p.redial != nil {
 		p.redial.RecordSuccess()
 	}
-	c := newTCPConn(raw, p.n.opts, p.n.met)
+	c := newTCPConn(raw, p.n.opts.FlushDelay, p.n.met)
 
 	n := p.n
 	n.mu.Lock()
@@ -530,18 +490,15 @@ func (p *peerPool) dial(slot int) (*tcpConn, error) {
 	p.mu.Lock()
 	p.conns[slot] = c
 	p.mu.Unlock()
-	n.wg.Add(1)
+	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
 		c.readLoop()
 	}()
-	if c.wr.coalesce {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			c.wr.run()
-		}()
-	}
+	go func() {
+		defer n.wg.Done()
+		c.wr.run()
+	}()
 	n.mu.Unlock()
 	n.met.conns.Add(1)
 	return c, nil
@@ -604,10 +561,10 @@ type result struct {
 	err  error
 }
 
-func newTCPConn(raw net.Conn, opts TCPOptions, met *wireMetrics) *tcpConn {
+func newTCPConn(raw net.Conn, flushDelay time.Duration, met *wireMetrics) *tcpConn {
 	return &tcpConn{
 		raw:     raw,
-		wr:      newConnWriter(raw, opts, met),
+		wr:      newConnWriter(raw, flushDelay, met),
 		met:     met,
 		pending: make(map[uint64]chan result),
 	}
@@ -663,14 +620,13 @@ func (c *tcpConn) abandon(id uint64) {
 func (c *tcpConn) readLoop() {
 	br := bufio.NewReaderSize(c.raw, readBufSize)
 	var buf []byte
-	bp := &buf
 	for {
-		frame, err := readFrameBuf(br, bp)
+		resp, err := frame.Read(br, &buf, maxFrame)
 		if err != nil {
 			c.close(fmt.Errorf("connection lost: %w", ErrNodeDown))
 			return
 		}
-		r := codec.NewReader(frame)
+		r := codec.NewReader(resp)
 		id, err := r.Uvarint()
 		if err != nil {
 			continue
@@ -706,9 +662,6 @@ func (c *tcpConn) readLoop() {
 			res.body = append([]byte(nil), body...)
 		}
 		ch <- res
-		if cap(*bp) > maxRetainedReadBuf {
-			*bp = nil
-		}
 	}
 }
 
@@ -726,56 +679,4 @@ func (c *tcpConn) close(err error) {
 	}
 	c.wr.closeWith(err)
 	c.closeOnce.Do(func() { c.met.conns.Add(-1) })
-}
-
-// writeFrame writes a length-prefixed frame in two writes — the
-// non-coalescing path and the historical baseline the wire bench compares
-// against.
-func writeFrame(w io.Writer, frame []byte) error {
-	if len(frame) > maxFrame {
-		return errFrameTooLarge(len(frame))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(frame)
-	return err
-}
-
-// readBufSize sizes the per-connection bufio reader so one read syscall
-// can drain an entire coalesced flush round from the socket.
-const readBufSize = 64 << 10
-
-// readFrame reads one length-prefixed frame into a fresh buffer.
-func readFrame(r io.Reader) ([]byte, error) {
-	var buf []byte
-	frame, err := readFrameBuf(r, &buf)
-	if err != nil {
-		return nil, err
-	}
-	return frame, nil
-}
-
-// readFrameBuf reads one length-prefixed frame into *bp, growing it as
-// needed. The returned slice aliases *bp and is valid until the next call
-// with the same buffer.
-func readFrameBuf(r io.Reader, bp *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
-	if size > maxFrame {
-		return nil, errFrameTooLarge(size)
-	}
-	if cap(*bp) < size {
-		*bp = make([]byte, size)
-	}
-	frame := (*bp)[:size]
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/ring"
 )
 
@@ -180,14 +182,18 @@ func TestStaticResolver(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxFrame+1)); err == nil {
-		t.Fatal("writeFrame accepted oversized frame")
+	client, server := net.Pipe()
+	defer client.Close()
+	w := newConnWriter(server, 0, newWireMetrics(nil))
+	defer w.closeWith(ErrClosed)
+	if err := w.enqueue(make([]byte, maxFrame+1)); err == nil {
+		t.Fatal("enqueue accepted oversized frame")
 	}
 	// A hostile header claiming a huge frame must be rejected on read.
 	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := readFrame(bytes.NewReader(hostile)); err == nil {
-		t.Fatal("readFrame accepted oversized header")
+	var buf []byte
+	if _, err := frame.Read(bytes.NewReader(hostile), &buf, maxFrame); err == nil {
+		t.Fatal("frame.Read accepted oversized header")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/ring"
 )
@@ -325,37 +326,6 @@ func TestTCPCoalescingMetricsAndStats(t *testing.T) {
 	}
 }
 
-// TestTCPNoCoalesceRoundTrip pins the comparison baseline: with the writer
-// disabled, traffic still flows and every frame costs its own pair of
-// syscalls (length header, then body — the pre-§17 framing).
-func TestTCPNoCoalesceRoundTrip(t *testing.T) {
-	reg := metrics.NewRegistry()
-	p := startTCPPairOpts(t, nil, TCPOptions{NoCoalesce: true, Metrics: reg})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			want := "a:" + strconv.Itoa(i)
-			resp, err := p.a.Send(context.Background(), "b", []byte(strconv.Itoa(i)))
-			if err != nil || string(resp) != want {
-				t.Errorf("send %d: %q, %v", i, resp, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	frames := reg.Counter("transport.tcp.flush.frames").Value()
-	syscalls := reg.Counter("transport.tcp.flush.syscalls").Value()
-	if syscalls != 2*frames {
-		t.Fatalf("no-coalesce: frames=%d syscalls=%d, want 2 syscalls per frame", frames, syscalls)
-	}
-	if frames < 64 { // 32 requests on a + 32 responses on b, shared registry
-		t.Fatalf("frames = %d, want ≥ 64", frames)
-	}
-}
-
 // TestTCPFlushDelayCoalesces forces a flush window and checks that a burst
 // enqueued inside it lands in fewer syscalls than frames.
 func TestTCPFlushDelayCoalesces(t *testing.T) {
@@ -382,5 +352,82 @@ func TestTCPFlushDelayCoalesces(t *testing.T) {
 	}
 	if frames*1000/syscalls < 1500 { // > 1.5 frames/syscall on a 64-deep burst
 		t.Fatalf("flush window did not coalesce: frames=%d syscalls=%d", frames, syscalls)
+	}
+}
+
+// TestConnWriterBackpressure pins the bounded send queue: with the peer not
+// reading, the writer goroutine wedges in its first Write, enqueues pile up
+// to maxQueueBytes, and the next one blocks — until the peer drains (every
+// frame then arrives intact) or the writer is closed (the blocked sender
+// gets the close error).
+func TestConnWriterBackpressure(t *testing.T) {
+	const total = 12 // > one in-flight round + maxQueueBytes of 1 MiB frames
+	payload := make([]byte, 1<<20)
+	errClosed := errors.New("closed under backpressure")
+
+	for _, release := range []string{"drain", "close"} {
+		t.Run(release, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			w := newConnWriter(server, 0, newWireMetrics(nil))
+			ran := make(chan struct{})
+			go func() {
+				defer close(ran)
+				w.run()
+			}()
+			defer func() {
+				w.closeWith(ErrClosed)
+				<-ran
+			}()
+
+			var sent atomic.Int64
+			result := make(chan error, 1)
+			go func() {
+				for i := 0; i < total; i++ {
+					if err := w.enqueue(payload); err != nil {
+						result <- err
+						return
+					}
+					sent.Add(1)
+				}
+				result <- nil
+			}()
+
+			// The queue fills to its bound while nobody reads the pipe...
+			deadline := time.Now().Add(10 * time.Second)
+			for w.queuedBytes() < maxQueueBytes {
+				if time.Now().After(deadline) {
+					t.Fatalf("queue stuck at %d bytes after %d enqueues", w.queuedBytes(), sent.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// ...and the sender behind it stays blocked.
+			select {
+			case err := <-result:
+				t.Fatalf("sender finished (%v) with the queue at its bound", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if n := sent.Load(); n >= total {
+				t.Fatalf("all %d enqueues returned despite a stalled peer", n)
+			}
+
+			if release == "close" {
+				w.closeWith(errClosed)
+				if err := <-result; !errors.Is(err, errClosed) {
+					t.Fatalf("blocked enqueue returned %v, want the close error", err)
+				}
+				return
+			}
+			var buf []byte
+			for i := 0; i < total; i++ {
+				got, err := frame.Read(client, &buf, maxFrame)
+				if err != nil || len(got) != len(payload) {
+					t.Fatalf("frame %d: %d bytes, %v", i, len(got), err)
+				}
+			}
+			if err := <-result; err != nil {
+				t.Fatalf("enqueue after drain: %v", err)
+			}
+		})
 	}
 }

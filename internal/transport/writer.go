@@ -1,23 +1,18 @@
 package transport
 
 import (
-	"encoding/binary"
 	"net"
 	"sync"
 	"time"
 
+	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/metrics"
 )
 
 // wireMetrics is the transport.tcp.* instrumentation shared by every
-// connection of one TCPNode. The frames/syscall histogram stores
-// milli-frames (1 frame = 1000 units) so sub-integer ratios survive the
-// log-bucketed histogram, mirroring delivery.flush.frames_per_syscall.
+// connection of one TCPNode.
 type wireMetrics struct {
-	flushFrames      *metrics.Counter   // transport.tcp.flush.frames
-	flushSyscalls    *metrics.Counter   // transport.tcp.flush.syscalls
-	framesPerSyscall *metrics.Histogram // transport.tcp.frames_per_syscall (milli-frames)
-	flushBytes       *metrics.Histogram // transport.tcp.flush.bytes
+	flush            *frame.FlushStats  // transport.tcp.flush.{frames,syscalls,bytes}, .frames_per_syscall
 	queueBytes       *metrics.Histogram // transport.tcp.queue.bytes (depth at enqueue)
 	conns            *metrics.Gauge     // transport.tcp.conns (live, both directions)
 	dials            *metrics.Counter   // transport.tcp.dials
@@ -30,10 +25,8 @@ func newWireMetrics(reg *metrics.Registry) *wireMetrics {
 		reg = metrics.NewRegistry()
 	}
 	return &wireMetrics{
-		flushFrames:      reg.Counter("transport.tcp.flush.frames"),
-		flushSyscalls:    reg.Counter("transport.tcp.flush.syscalls"),
-		framesPerSyscall: reg.Histogram("transport.tcp.frames_per_syscall"),
-		flushBytes:       reg.Histogram("transport.tcp.flush.bytes"),
+		flush: frame.NewFlushStats(reg, "transport.tcp.flush.frames", "transport.tcp.flush.syscalls",
+			"transport.tcp.frames_per_syscall", "transport.tcp.flush.bytes"),
 		queueBytes:       reg.Histogram("transport.tcp.queue.bytes"),
 		conns:            reg.Gauge("transport.tcp.conns"),
 		dials:            reg.Counter("transport.tcp.dials"),
@@ -42,64 +35,40 @@ func newWireMetrics(reg *metrics.Registry) *wireMetrics {
 	}
 }
 
-// observeFlush records one physical write of frames frames / n bytes.
-func (m *wireMetrics) observeFlush(frames, n int) {
-	m.flushFrames.Add(int64(frames))
-	m.flushSyscalls.Inc()
-	m.framesPerSyscall.Observe(time.Duration(frames) * 1000)
-	m.flushBytes.Observe(time.Duration(n))
-}
+// maxQueueBytes bounds the per-connection send queue: an enqueue that finds
+// it at or past this blocks until the writer drains (backpressure, not
+// buffering).
+const maxQueueBytes = 4 << 20
 
-// observeFrameWrite records one legacy per-frame write: writeFrame issues
-// two syscalls (4-byte header, then body), so the non-coalescing baseline
-// honestly reports 0.5 frames per syscall.
-func (m *wireMetrics) observeFrameWrite(n int) {
-	m.flushFrames.Inc()
-	m.flushSyscalls.Add(2)
-	m.framesPerSyscall.Observe(500)
-	m.flushBytes.Observe(time.Duration(n))
-}
-
-// maxRetainedWriteBuf bounds the send buffers a connWriter keeps across
-// flush rounds; a rare giant round should not pin its backing array on an
-// idle connection forever.
-const maxRetainedWriteBuf = 1 << 20
+// writeTimeout bounds each flush syscall; a peer that stops reading for this
+// long loses the connection instead of wedging its senders.
+const writeTimeout = 10 * time.Second
 
 // connWriter owns the write half of one TCP connection — requests on
-// outbound conns, responses on inbound ones. With coalescing enabled a
-// dedicated writer goroutine drains a bounded send queue into one
-// deadline-bounded Write per round, so N concurrent senders cost one
-// syscall instead of N (DESIGN.md §17, mirroring the delivery writer's
-// size/delay/ordering bounds from §16):
+// outbound conns, responses on inbound ones. A dedicated writer goroutine
+// drains a bounded send queue (a frame.Batch) into one deadline-bounded
+// Write per round, so N concurrent senders cost one syscall instead of N
+// (DESIGN.md §16). What it adds to the shared round:
 //
-//   - size bound: a queue passing CoalesceBytes nudges the writer to drain
-//     mid-delay instead of waiting out the window;
-//   - delay bound: with FlushDelay > 0 the writer lingers that long after
+//   - size bound: a queue passing frame.RoundBytes nudges the writer to
+//     drain mid-delay instead of waiting out the window;
+//   - delay bound: with flushDelay > 0 the writer lingers that long after
 //     waking so concurrent senders pile onto the same round (0 = natural
 //     coalescing only: frames arriving during the previous Write share the
 //     next one);
 //   - ordering bound: frames go to the wire in enqueue order; RPC responses
-//     carry request IDs, so no frame class needs to jump the queue.
-//
-// Enqueues past QueueBytes block until the writer drains — bounded-queue
-// backpressure, not unbounded buffering. With coalescing disabled, enqueue
-// degrades to the pre-§17 behavior: one locked writeFrame per frame.
+//     carry request IDs, so no frame class needs to jump the queue;
+//   - backpressure: enqueues past maxQueueBytes block until the writer
+//     drains.
 type connWriter struct {
-	raw net.Conn
-	met *wireMetrics
-
-	coalesce      bool
-	flushDelay    time.Duration
-	coalesceBytes int
-	queueBytes    int
-	writeTimeout  time.Duration
+	raw        net.Conn
+	met        *wireMetrics
+	flushDelay time.Duration
 
 	mu      sync.Mutex
 	notFull *sync.Cond
-	buf     []byte
-	frames  int
+	queue   frame.Batch
 	err     error
-	spare   []byte
 
 	wake    chan struct{} // buffered(1): frames pending
 	urgent  chan struct{} // buffered(1): size bound passed mid-delay
@@ -107,68 +76,43 @@ type connWriter struct {
 	stopped sync.Once
 }
 
-func newConnWriter(raw net.Conn, opts TCPOptions, met *wireMetrics) *connWriter {
+func newConnWriter(raw net.Conn, flushDelay time.Duration, met *wireMetrics) *connWriter {
 	w := &connWriter{
-		raw:           raw,
-		met:           met,
-		coalesce:      !opts.NoCoalesce,
-		flushDelay:    opts.FlushDelay,
-		coalesceBytes: opts.CoalesceBytes,
-		queueBytes:    opts.QueueBytes,
-		writeTimeout:  opts.WriteTimeout,
-		wake:          make(chan struct{}, 1),
-		urgent:        make(chan struct{}, 1),
-		stop:          make(chan struct{}),
+		raw:        raw,
+		met:        met,
+		flushDelay: flushDelay,
+		wake:       make(chan struct{}, 1),
+		urgent:     make(chan struct{}, 1),
+		stop:       make(chan struct{}),
 	}
 	w.notFull = sync.NewCond(&w.mu)
 	return w
 }
 
 // enqueue appends one length-prefixed frame to the send queue (copying
-// frame, so callers may recycle pooled encode buffers immediately) and
-// wakes the writer. Blocks while the queue is over QueueBytes. Without
-// coalescing it writes the frame synchronously under the queue lock.
-func (w *connWriter) enqueue(frame []byte) error {
-	if len(frame) > maxFrame {
-		return errFrameTooLarge(len(frame))
-	}
+// payload, so callers may recycle pooled encode buffers immediately) and
+// wakes the writer. Blocks while the queue is at or past maxQueueBytes.
+func (w *connWriter) enqueue(payload []byte) error {
 	w.mu.Lock()
-	if !w.coalesce {
-		defer w.mu.Unlock()
-		if w.err != nil {
-			return w.err
-		}
-		if w.writeTimeout > 0 {
-			_ = w.raw.SetWriteDeadline(time.Now().Add(w.writeTimeout))
-		}
-		err := writeFrame(w.raw, frame)
-		w.met.observeFrameWrite(len(frame) + 4)
-		if err != nil && w.err == nil {
-			w.err = err
-		}
-		return err
-	}
-	for w.err == nil && len(w.buf) >= w.queueBytes {
+	for w.err == nil && w.queue.Len() >= maxQueueBytes {
 		w.notFull.Wait()
 	}
-	if w.err != nil {
-		w.mu.Unlock()
-		return w.err
+	err := w.err
+	if err == nil {
+		err = w.queue.Append(payload, maxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, frame...)
-	w.frames++
-	depth := len(w.buf)
+	depth := w.queue.Len()
 	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	w.met.queueBytes.Observe(time.Duration(depth))
 	select {
 	case w.wake <- struct{}{}:
 	default:
 	}
-	if depth >= w.coalesceBytes {
+	if depth >= frame.RoundBytes {
 		select {
 		case w.urgent <- struct{}{}:
 		default:
@@ -190,21 +134,16 @@ func (w *connWriter) run() {
 			_ = w.flushOnce() // best-effort final drain
 			return
 		}
-		if w.flushDelay > 0 {
-			w.mu.Lock()
-			small := len(w.buf) < w.coalesceBytes
-			w.mu.Unlock()
-			if small {
-				t := time.NewTimer(w.flushDelay)
-				select {
-				case <-t.C:
-				case <-w.urgent:
-					t.Stop()
-				case <-w.stop:
-					t.Stop()
-					_ = w.flushOnce()
-					return
-				}
+		if w.flushDelay > 0 && w.queuedBytes() < frame.RoundBytes {
+			t := time.NewTimer(w.flushDelay)
+			select {
+			case <-t.C:
+			case <-w.urgent:
+				t.Stop()
+			case <-w.stop:
+				t.Stop()
+				_ = w.flushOnce()
+				return
 			}
 		}
 		if err := w.flushOnce(); err != nil {
@@ -214,34 +153,26 @@ func (w *connWriter) run() {
 	}
 }
 
-// flushOnce writes every queued frame in one syscall under one write
-// deadline. The queue buffer and a spare alternate, so senders append into
-// a warm array while the previous round is on the wire.
+// flushOnce writes every queued frame as one round. The write runs outside
+// the queue lock, so senders keep appending while it is on the wire.
 func (w *connWriter) flushOnce() error {
 	w.mu.Lock()
-	if w.frames == 0 || w.err != nil {
+	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
 		return err
 	}
-	out := w.buf
-	frames := w.frames
-	w.buf = w.spare[:0]
-	w.spare = nil
-	w.frames = 0
+	out, frames := w.queue.Take()
 	w.notFull.Broadcast()
 	w.mu.Unlock()
-
-	if w.writeTimeout > 0 {
-		_ = w.raw.SetWriteDeadline(time.Now().Add(w.writeTimeout))
+	if frames == 0 {
+		return nil
 	}
-	_, err := w.raw.Write(out)
-	w.met.observeFlush(frames, len(out))
+
+	err := w.met.flush.WriteRound(w.raw, writeTimeout, out, frames)
 
 	w.mu.Lock()
-	if w.spare == nil && cap(out) <= maxRetainedWriteBuf {
-		w.spare = out[:0]
-	}
+	w.queue.Recycle(out)
 	w.mu.Unlock()
 	return err
 }
@@ -272,5 +203,5 @@ func (w *connWriter) closeWith(err error) {
 func (w *connWriter) queuedBytes() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.buf)
+	return w.queue.Len()
 }
