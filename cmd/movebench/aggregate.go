@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -21,8 +19,8 @@ import (
 // the serving-layer memory cost of the flat per-filter index versus the
 // aggregated covering index over the same synthetic Zipf filter set, plus
 // the cover-compression accounting and match timing. Checked into the repo
-// as BENCH_aggregate.json so PRs carry a compression baseline the same way
-// BENCH_alloc.json carries an allocation baseline.
+// as BENCH_aggregate.json, the stored report `make bench-aggregate` guards
+// against.
 type aggregateReport struct {
 	GeneratedBy   string `json:"generated_by"`
 	Filters       int    `json:"filters"`
@@ -64,14 +62,20 @@ type aggregateReport struct {
 	OracleDocs int `json:"oracle_docs"`
 }
 
+// The -fig aggregate workload: aggregateFilters filter instances Zipf-drawn
+// from a catalog of aggregateCatalog distinct predicates over an
+// aggregateDistinctTerms vocabulary, and aggregateDocs oracle-verified
+// documents.
+const (
+	aggregateFilters       = 1_000_000
+	aggregateCatalog       = 150_000
+	aggregateDistinctTerms = 20_000
+	aggregateDocs          = 20
+)
+
 // aggregateReductionFloor is the ISSUE acceptance criterion: the covering
 // index must shave at least this fraction off the flat serving layer.
 const aggregateReductionFloor = 0.30
-
-// aggregateTolerance is the regression budget enforced against -baseline:
-// a reduction more than 10% (relative) below the checked-in baseline, or
-// an agg bytes/filter more than 10% above it, fails the run (and CI).
-const aggregateTolerance = 0.10
 
 // heapInUse settles the heap and returns the live allocation level. Two GC
 // cycles let finalizer-freed objects (store column families dropped between
@@ -179,45 +183,6 @@ func aggregateMatchRun(ix *index.Index, docs []*model.Document) (float64, error)
 		}
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(len(docs)), nil
-}
-
-// checkAggregateBaseline compares a fresh report against the checked-in
-// baseline: the memory reduction must not fall more than
-// aggregateTolerance (relative) below it, and agg bytes/filter must not
-// rise more than aggregateTolerance above it. A missing baseline file is
-// not an error — first runs have nothing to compare.
-func checkAggregateBaseline(path string, rep aggregateReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("aggregate: baseline %s not found, skipping regression check\n", path)
-			return nil
-		}
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base aggregateReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	if base.Reduction > 0 {
-		floor := base.Reduction * (1 - aggregateTolerance)
-		if rep.Reduction < floor {
-			return fmt.Errorf("index memory reduction regression: %.1f%% vs baseline %.1f%% (budget -%d%% relative)",
-				rep.Reduction*100, base.Reduction*100, int(aggregateTolerance*100))
-		}
-		fmt.Printf("aggregate: reduction %.1f%% within -%d%% of baseline (%.1f%%)\n",
-			rep.Reduction*100, int(aggregateTolerance*100), base.Reduction*100)
-	}
-	if base.AggBytesPerFilter > 0 {
-		limit := base.AggBytesPerFilter * (1 + aggregateTolerance)
-		if rep.AggBytesPerFilter > limit {
-			return fmt.Errorf("agg index bytes/filter regression: %.1f vs baseline %.1f (budget +%d%%)",
-				rep.AggBytesPerFilter, base.AggBytesPerFilter, int(aggregateTolerance*100))
-		}
-		fmt.Printf("aggregate: %.1f bytes/filter within +%d%% of baseline (%.1f)\n",
-			rep.AggBytesPerFilter, int(aggregateTolerance*100), base.AggBytesPerFilter)
-	}
-	return nil
 }
 
 // runAggregateFig builds the same synthetic Zipf filter set three times —
@@ -346,24 +311,13 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 		return fmt.Errorf("index memory reduction %.1f%% is below the %.0f%% acceptance floor (flat %.1f B/filter, agg %.1f B/filter)",
 			rep.Reduction*100, aggregateReductionFloor*100, rep.FlatBytesPerFilter, rep.AggBytesPerFilter)
 	}
-	if baselinePath != "" {
-		if err := checkAggregateBaseline(baselinePath, rep); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	// The stored reduction may not shrink, nor the stored bytes/filter grow,
+	// by more than the relative budget.
+	if err := checkBaseline("aggregate", baselinePath, []guard{
+		{field: "index_bytes_reduction", got: rep.Reduction, kind: atLeast, tol: guardTolerance},
+		{field: "agg_index_bytes_per_filter", got: rep.AggBytesPerFilter, kind: atMost, tol: guardTolerance},
+	}); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if outPath == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("aggregate: %d docs oracle-verified -> %s\n", rep.OracleDocs, outPath)
-	return nil
+	return writeReport(outPath, rep, fmt.Sprintf("aggregate: %d docs oracle-verified", rep.OracleDocs))
 }

@@ -2,14 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
+	"sort"
+	"strings"
 	"time"
 
 	"github.com/movesys/move/internal/cluster"
 	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/resilience"
 	"github.com/movesys/move/internal/transport"
 )
@@ -17,8 +18,8 @@ import (
 // churnReport is the JSON document `movebench -fig churn` writes: the
 // two-phase reallocation protocol's latency and safety numbers under a
 // Zipf-drifting, flash-crowding workload with seeded fault injection.
-// Checked into the repo as BENCH_churn.json so PRs carry a reallocation
-// baseline the same way BENCH_publish.json carries a publish one.
+// Checked into the repo as BENCH_churn.json, the stored report
+// `make bench-churn` guards against.
 type churnReport struct {
 	GeneratedBy string `json:"generated_by"`
 	Nodes       int    `json:"nodes"`
@@ -53,51 +54,44 @@ type churnReport struct {
 	FinalEpoch uint64 `json:"final_epoch"`
 }
 
-// churnTolerance is the regression budget enforced against -baseline on
-// the latency stats (realloc round p95, dual-read window p95).
-const churnTolerance = 0.10
-
-// churnSlackMS absorbs scheduler noise on small absolute numbers: a stat
-// must exceed the baseline by both 10% and this many milliseconds to
-// count as a regression.
-const churnSlackMS = 25.0
-
-// checkChurnBaseline compares a fresh report against the checked-in
-// baseline. Correctness fields are not compared — DroppedMatches != 0
-// already failed the run — only the latency envelope is guarded.
-func checkChurnBaseline(path string, rep churnReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("churn: baseline %s not found, skipping regression check\n", path)
-			return nil
-		}
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base churnReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	checks := []struct {
-		name      string
-		base, got float64
-	}{
-		{"realloc_p95_ms", base.ReallocP95MS, rep.ReallocP95MS},
-		{"dual_read_p95_ms", base.DualReadP95MS, rep.DualReadP95MS},
-	}
-	for _, c := range checks {
-		if c.base <= 0 {
-			continue
-		}
-		limit := c.base*(1+churnTolerance) + churnSlackMS
-		if c.got > limit {
-			return fmt.Errorf("%s regression: %.2fms vs baseline %.2fms (budget +%d%% +%.0fms)",
-				c.name, c.got, c.base, int(churnTolerance*100), churnSlackMS)
-		}
-		fmt.Printf("churn: %s %.2fms within budget of baseline %.2fms\n", c.name, c.got, c.base)
-	}
-	return nil
+// oracleFilter is the brute-force oracle's record of one registered
+// filter: match-any semantics over its own copy of the term list.
+type oracleFilter struct {
+	id  model.FilterID
+	sub string
+	set map[string]struct{}
 }
+
+// oracleMatches computes the expected match set for a document by
+// scanning every registered filter — no index, no routing, no dedup
+// subtleties — and returns it in canonical encoded form.
+func oracleMatches(filters []oracleFilter, docTerms []string) string {
+	var exp []node.Match
+	for _, f := range filters {
+		for _, t := range docTerms {
+			if _, ok := f.set[t]; ok {
+				exp = append(exp, node.Match{Filter: f.id, Subscriber: f.sub})
+				break
+			}
+		}
+	}
+	return canonicalMatches(exp)
+}
+
+// canonicalMatches renders a match set as a canonical byte string so
+// cluster results and oracle results can be compared byte-identically
+// regardless of arrival order.
+func canonicalMatches(ms []node.Match) string {
+	keys := make([]string, len(ms))
+	for i, m := range ms {
+		keys[i] = fmt.Sprintf("%d:%s", m.Filter, m.Subscriber)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
+}
+
+// churnRounds is the number of reallocation rounds -fig churn drives.
+const churnRounds = 15
 
 // runChurnFig drives the two-phase reallocation protocol through a chaos
 // soak: a Zipf-drifting workload with flash crowds, seeded fault injection
@@ -262,27 +256,17 @@ func runChurnFig(outPath, baselinePath string, nodes, rounds int, seed int64) er
 	if rep.DualReadWindows == 0 {
 		return fmt.Errorf("churn: no dual-read window observed; cutovers never overlapped publishes")
 	}
-	if baselinePath != "" {
-		if err := checkChurnBaseline(baselinePath, rep); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	// Correctness is not compared — a dropped match already failed the
+	// run — only the latency envelope is guarded.
+	if err := checkBaseline("churn", baselinePath, []guard{
+		{field: "realloc_p95_ms", got: rep.ReallocP95MS, kind: atMost, tol: guardTolerance, slack: guardSlackMS},
+		{field: "dual_read_p95_ms", got: rep.DualReadP95MS, kind: atMost, tol: guardTolerance, slack: guardSlackMS},
+	}); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if outPath == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("churn: %d rounds (%d committed, %d aborted), realloc p95 %.2fms, dual-read p95 %.2fms over %d windows, %d migrated, %d gc'd, %d publishes oracle-verified, 0 dropped -> %s\n",
+	return writeReport(outPath, rep, fmt.Sprintf(
+		"churn: %d rounds (%d committed, %d aborted), realloc p95 %.2fms, dual-read p95 %.2fms over %d windows, %d migrated, %d gc'd, %d publishes oracle-verified, 0 dropped",
 		rep.Rounds, rep.RoundsCommitted, rep.RoundsAborted, rep.ReallocP95MS,
 		rep.DualReadP95MS, rep.DualReadWindows, rep.MigratedFilters, rep.GCFilters,
-		rep.OracleDocs, outPath)
-	return nil
+		rep.OracleDocs))
 }

@@ -1,6 +1,9 @@
 // Command movebench regenerates every figure of the paper's evaluation
-// (§VI). Each figure prints the same series the paper plots, produced by
-// the calibrated synthetic workloads and the virtual-time cost model.
+// (§VI) and the three guards the repository benchmark (benchmark/) does
+// not cover. Each paper figure prints the same series the paper plots,
+// produced by the calibrated synthetic workloads and the virtual-time
+// cost model; each guard runs an oracle-checked workload on an in-process
+// cluster and writes a JSON report.
 //
 // Usage:
 //
@@ -12,10 +15,15 @@
 //	movebench -fig 9a | 9b       # load distributions (Figure 9 a–b)
 //	movebench -fig 9c | 9d       # failure experiments (Figure 9 c–d)
 //	movebench -fig ablation      # design-choice ablations
-//	movebench -fig all           # everything
+//	movebench -fig all           # everything above
+//	movebench -fig trace         # the three schemes on -filters-trace / -docs-trace
+//	movebench -fig churn         # reallocation under chaos      -> BENCH_churn.json
+//	movebench -fig delivery      # fan-out to -subs live sessions -> BENCH_delivery.json
+//	movebench -fig aggregate     # flat vs covering index memory  -> BENCH_aggregate.json
 //
-// Workloads are scaled by -scale (default 0.01 of paper size); -scale 1
-// runs at paper scale.
+// Paper workloads are scaled by -scale (default 0.01 of paper size);
+// -scale 1 runs at paper scale. The JSON-writing figures take -out and,
+// to fail on a regression against a stored report, -baseline.
 package main
 
 import (
@@ -26,42 +34,34 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"text/tabwriter"
-	"time"
 
 	"github.com/movesys/move/internal/cluster"
 	"github.com/movesys/move/internal/dataset"
 	"github.com/movesys/move/internal/experiments"
 )
 
+// options is the parsed command line.
+type options struct {
+	fig                     string
+	scale                   float64
+	seed                    int64
+	filtersTrace, docsTrace string
+	nodes                   int
+	subs                    int
+	out, baseline           string
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: stats, 4, 5, 6, 7, 8a, 8b, 8c, 9a, 9b, 9c, 9d, ablation, trace, bench, alloc, churn, delivery, aggregate, wire, all")
-	scale := flag.Float64("scale", float64(experiments.DefaultScale), "workload scale relative to the paper (1.0 = paper scale)")
-	seed := flag.Int64("seed", 1, "random seed")
-	filtersTrace := flag.String("filters-trace", "", "trace file of preprocessed filters (one per line) for -fig trace")
-	docsTrace := flag.String("docs-trace", "", "trace file of preprocessed documents for -fig trace")
-	nodes := flag.Int("nodes", 20, "cluster size for -fig trace, -fig bench, and -fig alloc")
-	out := flag.String("out", "", "output path for -fig bench / -fig alloc ('-' = stdout; default BENCH_publish.json / BENCH_alloc.json)")
-	baseline := flag.String("baseline", "", "prior report of the same figure to guard against (bench: >20% publish p95 regression fails; alloc: >10% allocs/op or B/op regression fails)")
-	benchFilters := flag.Int("bench-filters", 2000, "registered filters for -fig bench and -fig alloc")
-	benchDocs := flag.Int("bench-docs", 500, "published documents for -fig bench and -fig alloc")
-	benchSubs := flag.Int("bench-subs", 100_000, "simulated concurrent subscribers for -fig delivery")
-	subs := flag.Int("subs", 0, "override subscriber count for -fig delivery (0 = -bench-subs); >=1M enables the frames_per_syscall > 2.0 gate")
-	deliveryDocs := flag.Int("delivery-docs", 150, "published documents for -fig delivery")
-	deliveryShards := flag.Int("delivery-shards", 0, "session registry shards per hub for -fig delivery (0 = default)")
-	deliveryWave := flag.Int("delivery-wave", 1, "documents published before each drain barrier for -fig delivery (1 = drain per doc)")
-	deliveryFlushBatch := flag.Int("delivery-flush-batch", 256, "max events per SendEvents frame for -fig delivery")
-	deliveryFlushDelay := flag.Duration("delivery-flush-delay", 0, "writer coalescing window for -fig delivery (0 = flush immediately)")
-	wireNodes := flag.Int("wire-nodes", 8, "moved processes to launch for -fig wire")
-	wireSubs := flag.Int("wire-subs", 800, "live TCP subscriber sessions for -fig wire")
-	wireDocs := flag.Int("wire-docs", 1600, "published documents per round for -fig wire")
-	wireConcurrency := flag.Int("wire-concurrency", 128, "concurrent publisher workers for -fig wire")
-	wireFlushDelay := flag.Duration("wire-flush-delay", 200*time.Microsecond, "RPC writer coalescing window for -fig wire (0 = natural coalescing only)")
-	wireMoved := flag.String("wire-moved", "", "prebuilt moved binary for -fig wire ('' = go build ./cmd/moved)")
-	wirePeers := flag.String("wire-peers", "", "existing cluster map id=host:port,... for -fig wire (multi-host mode: publish-only, no spawning, no gates)")
-	aggFilters := flag.Int("aggregate-filters", 1_000_000, "registered synthetic Zipf filters for -fig aggregate")
-	aggCatalog := flag.Int("aggregate-catalog", 150_000, "distinct predicate catalog size for -fig aggregate (instances are Zipf-drawn from it)")
-	aggTerms := flag.Int("aggregate-distinct-terms", 20_000, "filter/document vocabulary size for -fig aggregate")
-	aggDocs := flag.Int("aggregate-docs", 20, "oracle-verified documents for -fig aggregate")
+	var o options
+	flag.StringVar(&o.fig, "fig", "all", "figure to regenerate: stats, 4, 5, 6, 7, 8a, 8b, 8c, 9a, 9b, 9c, 9d, ablation, all, trace, churn, delivery, aggregate")
+	flag.Float64Var(&o.scale, "scale", float64(experiments.DefaultScale), "workload scale relative to the paper (1.0 = paper scale)")
+	flag.Int64Var(&o.seed, "seed", 1, "random seed")
+	flag.StringVar(&o.filtersTrace, "filters-trace", "", "trace file of preprocessed filters (one per line) for -fig trace")
+	flag.StringVar(&o.docsTrace, "docs-trace", "", "trace file of preprocessed documents for -fig trace")
+	flag.IntVar(&o.nodes, "nodes", 20, "cluster size for -fig trace, churn and delivery")
+	flag.IntVar(&o.subs, "subs", 100_000, "live subscriber sessions for -fig delivery")
+	flag.StringVar(&o.out, "out", "", "report path for -fig churn, delivery and aggregate ('-' = stdout; default BENCH_<fig>.json)")
+	flag.StringVar(&o.baseline, "baseline", "", "stored report of the same figure to guard against: a latency more than 10% + 25ms above it (churn, delivery), or an index memory figure more than 10% worse (aggregate), fails the run")
 	pprofDir := flag.String("pprof", "", "directory to write cpu.pprof and heap.pprof profiles of the run")
 	flag.Parse()
 
@@ -70,27 +70,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "movebench: %v\n", err)
 		os.Exit(1)
 	}
-	dopts := deliveryOpts{
-		Subs:       *benchSubs,
-		Docs:       *deliveryDocs,
-		Shards:     *deliveryShards,
-		Wave:       *deliveryWave,
-		FlushBatch: *deliveryFlushBatch,
-		FlushDelay: *deliveryFlushDelay,
-	}
-	if *subs > 0 {
-		dopts.Subs = *subs
-	}
-	wopts := wireOpts{
-		Nodes:       *wireNodes,
-		Subs:        *wireSubs,
-		Docs:        *wireDocs,
-		Concurrency: *wireConcurrency,
-		FlushDelay:  *wireFlushDelay,
-		MovedBin:    *wireMoved,
-		Peers:       *wirePeers,
-	}
-	err = dispatch(*fig, *scale, *seed, *filtersTrace, *docsTrace, *nodes, *out, *baseline, *benchFilters, *benchDocs, dopts, wopts, *aggFilters, *aggCatalog, *aggTerms, *aggDocs)
+	err = dispatch(o)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
@@ -100,42 +80,21 @@ func main() {
 	}
 }
 
-func dispatch(fig string, scale float64, seed int64, filtersTrace, docsTrace string, nodes int, out, baseline string, benchFilters, benchDocs int, dopts deliveryOpts, wopts wireOpts, aggFilters, aggCatalog, aggTerms, aggDocs int) error {
-	switch fig {
-	case "wire":
-		if out == "" {
-			out = "BENCH_wire.json"
-		}
-		return runWireFig(out, baseline, wopts, seed)
-	case "aggregate":
-		if out == "" {
-			out = "BENCH_aggregate.json"
-		}
-		return runAggregateFig(out, baseline, aggFilters, aggCatalog, aggTerms, aggDocs, seed)
-	case "delivery":
-		if out == "" {
-			out = "BENCH_delivery.json"
-		}
-		return runDeliveryFig(out, baseline, nodes, dopts, seed)
-	case "bench":
-		if out == "" {
-			out = "BENCH_publish.json"
-		}
-		return runBench(out, baseline, nodes, benchFilters, benchDocs, seed)
-	case "alloc":
-		if out == "" {
-			out = "BENCH_alloc.json"
-		}
-		return runAllocFig(out, baseline, nodes, benchFilters, benchDocs, seed)
-	case "churn":
-		if out == "" {
-			out = "BENCH_churn.json"
-		}
-		return runChurnFig(out, baseline, nodes, 15, seed)
-	case "trace":
-		return runTrace(filtersTrace, docsTrace, nodes, seed)
+func dispatch(o options) error {
+	if o.out == "" { // read by the three JSON-writing figures only
+		o.out = "BENCH_" + o.fig + ".json"
 	}
-	return run(fig, experiments.Scale(scale), seed)
+	switch o.fig {
+	case "aggregate":
+		return runAggregateFig(o.out, o.baseline, aggregateFilters, aggregateCatalog, aggregateDistinctTerms, aggregateDocs, o.seed)
+	case "delivery":
+		return runDeliveryFig(o.out, o.baseline, o.nodes, o.subs, o.seed)
+	case "churn":
+		return runChurnFig(o.out, o.baseline, o.nodes, churnRounds, o.seed)
+	case "trace":
+		return runTrace(o.filtersTrace, o.docsTrace, o.nodes, o.seed)
+	}
+	return run(o.fig, experiments.Scale(o.scale), o.seed)
 }
 
 // startProfiles begins CPU profiling into dir/cpu.pprof and returns a

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/cluster"
@@ -558,6 +559,11 @@ func runCluster(p ClusterParams, nextFilter, nextDoc func() []string) (ClusterOu
 		AllocNoSeparation: p.NoSeparation,
 		AllocRatio:        p.Ratio,
 		Seed:              p.Seed + 1,
+		// These runs report virtual time from the cost model, so wall-clock
+		// speed must not change their outcome: the 30 s default is a
+		// production bound that a 100-node prepare on a slow host (2 vCPUs
+		// under the race detector) overruns, aborting the allocation.
+		ControlTimeout: 10 * time.Minute,
 	})
 	if err != nil {
 		return out, err
