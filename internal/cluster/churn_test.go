@@ -58,7 +58,7 @@ func assertAggregatedCovers(t *testing.T, c *Cluster) {
 			t.Fatalf("node %s: index is not aggregated", id)
 		}
 		cs := ix.CoverStats()
-		if live := ix.LiveFilters(); cs.CoveredFilters != live {
+		if live := ix.NumFilters(); cs.CoveredFilters != live {
 			t.Fatalf("node %s: %d covered filters but the index holds %d live definitions", id, cs.CoveredFilters, live)
 		}
 		if cs.StoredEntries > cs.LogicalPostings {

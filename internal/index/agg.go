@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,23 +55,33 @@ func (p *aggPosting) find(cid uint32) (int, bool) {
 	return lo, lo < len(p.entries) && p.entries[lo].c.id == cid
 }
 
-// aggTermShard holds the aggregated posting lists whose terms hash to it.
-// Unlike the flat termShard, entries and bitsets mutate in place, so the
-// match path holds the read lock for the whole scan instead of copying a
-// snapshot header.
+// aggTermShard holds the aggregated posting lists whose term IDs fall in
+// it (ID & shardMask), as a dense table indexed by the rest of the ID: a
+// posting list is found without hashing, and a term no filter is posted
+// under costs an empty slot. Unlike the flat termShard, entries and bitsets
+// mutate in place, so the match path holds the read lock for the whole scan
+// instead of copying a snapshot header.
 type aggTermShard struct {
 	mu    sync.RWMutex
-	lists map[string]*aggPosting
+	lists []aggPosting
 }
 
-// entryFor returns term's entry for cover c, inserting posting and entry
-// as needed. Caller holds s.mu.
-func (s *aggTermShard) entryFor(term string, c *cover) (*aggPosting, *aggEntry, bool) {
-	p := s.lists[term]
-	if p == nil {
-		p = &aggPosting{}
-		s.lists[term] = p
+// posting returns term's posting list — possibly empty — or nil when the
+// table has not grown to it. Caller holds s.mu.
+func (s *aggTermShard) posting(term uint32) *aggPosting {
+	if i := int(term >> shardBits); i < len(s.lists) {
+		return &s.lists[i]
 	}
+	return nil
+}
+
+// entryFor returns term's entry for cover c, inserting it as needed.
+// Caller holds s.mu.
+func (s *aggTermShard) entryFor(term uint32, c *cover) (*aggPosting, *aggEntry, bool) {
+	if i := int(term >> shardBits); i >= len(s.lists) {
+		s.lists = append(s.lists, make([]aggPosting, i+1-len(s.lists))...)
+	}
+	p := &s.lists[term>>shardBits]
 	i, ok := p.find(c.id)
 	if !ok {
 		p.entries = append(p.entries, aggEntry{})
@@ -103,7 +114,7 @@ func clearID(p *aggPosting, keep *cover, id model.FilterID) int {
 // history — the stale bits are cleared in the same lock hold, so a term's
 // entries never hold the same filter twice and the logical cardinality
 // tracks the flat index's deduplicated list length exactly.
-func (s *aggTermShard) aggAdd(term string, c *cover, slot int, id model.FilterID, prior *cover, fullScan bool) (newBit, newEntry bool) {
+func (s *aggTermShard) aggAdd(term uint32, c *cover, slot int, id model.FilterID, prior *cover, fullScan bool) (newBit, newEntry bool) {
 	s.mu.Lock()
 	p, e, newEntry := s.entryFor(term, c)
 	if fullScan {
@@ -128,7 +139,7 @@ func (s *aggTermShard) aggAdd(term string, c *cover, slot int, id model.FilterID
 // entry of the term — any cover — already holds the filter, mirroring the
 // flat engine's addIfAbsent over the whole deduplicated list. The scan is
 // O(entries); this path only runs during migration replay.
-func (s *aggTermShard) addIfAbsent(term string, c *cover, slot int, id model.FilterID) (added, newEntry bool) {
+func (s *aggTermShard) addIfAbsent(term uint32, c *cover, slot int, id model.FilterID) (added, newEntry bool) {
 	s.mu.Lock()
 	p, e, newEntry := s.entryFor(term, c)
 	present := e.bits.has(slot)
@@ -155,12 +166,12 @@ func (s *aggTermShard) addIfAbsent(term string, c *cover, slot int, id model.Fil
 
 // remove drops term's posting list, returning the physical entry count it
 // held (for stored-entry accounting).
-func (s *aggTermShard) remove(term string) int {
+func (s *aggTermShard) remove(term uint32) int {
 	s.mu.Lock()
 	n := 0
-	if p := s.lists[term]; p != nil {
+	if p := s.posting(term); p != nil {
 		n = len(p.entries)
-		delete(s.lists, term)
+		*p = aggPosting{}
 	}
 	s.mu.Unlock()
 	return n
@@ -185,6 +196,7 @@ type histShard struct {
 // by New (nil under NewFlat).
 type aggState struct {
 	seq  atomic.Uint32
+	dict *termDict
 	sig  [DefaultShards]coverSigShard
 	term [DefaultShards]aggTermShard
 	hist [DefaultShards]histShard
@@ -202,12 +214,9 @@ type aggState struct {
 }
 
 func newAggState() *aggState {
-	a := &aggState{}
-	for i := range a.term {
-		a.term[i].lists = make(map[string]*aggPosting)
-	}
+	a := &aggState{dict: newTermDict()}
 	for i := range a.sig {
-		a.sig[i].covers = make(map[coverKey]*cover)
+		a.sig[i].covers = make(map[uint64]*cover)
 	}
 	for i := range a.hist {
 		a.hist[i].lastGone = make(map[model.FilterID]*cover)
@@ -217,48 +226,79 @@ func newAggState() *aggState {
 	return a
 }
 
-func (a *aggState) termShard(term string) *aggTermShard {
-	return &a.term[termShardFor(term)]
+func (a *aggState) termShard(term uint32) *aggTermShard {
+	return &a.term[term&shardMask]
 }
 
 func (a *aggState) histShard(id model.FilterID) *histShard {
 	return &a.hist[filterShardFor(id)]
 }
 
-// intern returns the cover for key, creating it with the canonical term
-// set on first use. canon must be freshly allocated; the cover takes
-// ownership.
-func (a *aggState) intern(key coverKey, canon []string) *cover {
-	sh := &a.sig[sigShardFor(key)]
+// coverOf returns the cover of f's predicate signature. With create it
+// interns f's terms and, on first use of the signature, the cover; without,
+// it returns nil when no registration ever built that signature.
+func (a *aggState) coverOf(f *model.Filter, create bool) *cover {
+	var idBuf [8]uint32
+	ids := idBuf[:0]
+	for _, t := range f.Terms {
+		var id uint32
+		if create {
+			id = a.dict.intern(t)
+		} else if id = a.dict.lookup(t); id == noTerm {
+			return nil
+		}
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	threshold := 0.0
+	if f.Mode == model.MatchThreshold {
+		threshold = f.Threshold
+	}
+	h := sigHash(f.Mode, threshold, ids)
+	sh := &a.sig[h&shardMask]
 	sh.mu.Lock()
-	c := sh.covers[key]
-	if c == nil {
+	c := sh.covers[h]
+	for c != nil && !c.hasSig(f.Mode, threshold, ids) {
+		c = c.next
+	}
+	if c == nil && create {
 		c = &cover{
 			id:        a.seq.Add(1),
-			mode:      key.mode,
-			threshold: key.threshold,
-			terms:     canon,
+			mode:      f.Mode,
+			threshold: threshold,
+			ids:       slices.Clone(ids),
+			terms:     a.dict.canonical(ids),
+			next:      sh.covers[h],
 		}
-		sh.covers[key] = c
+		sh.covers[h] = c
 	}
 	sh.mu.Unlock()
 	return c
 }
 
-// lookup returns the cover for key, or nil.
-func (a *aggState) lookup(key coverKey) *cover {
-	sh := &a.sig[sigShardFor(key)]
-	sh.mu.Lock()
-	c := sh.covers[key]
-	sh.mu.Unlock()
-	return c
+// attach returns the definition to store for f as a member of c. When f's
+// terms are already in canonical order it shares the cover's own array —
+// the slice identity attachedTo recognizes; otherwise it gets a private
+// array in its own order. Either way the strings are the dictionary's.
+func (a *aggState) attach(f *model.Filter, c *cover) model.Filter {
+	stored := *f
+	if slices.Equal(f.Terms, c.terms) {
+		stored.Terms = c.terms
+		return stored
+	}
+	stored.Terms = make([]string, len(f.Terms))
+	for i, t := range f.Terms {
+		stored.Terms[i] = a.dict.own(t)
+	}
+	return stored
 }
 
 // slotIndex returns id's slot in the cover, if it ever joined.
 func (c *cover) slotIndex(id model.FilterID) (int32, bool) {
-	c.mu.RLock()
+	c.mu.Lock()
 	s, ok := c.findSlot(id)
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	return s, ok
 }
 
@@ -269,6 +309,7 @@ func (c *cover) bareSlot(id model.FilterID) int32 {
 	s, ok := c.findSlot(id)
 	if !ok {
 		s = c.addSlot(id)
+		c.publishFlags(false)
 	}
 	c.mu.Unlock()
 	return s
@@ -291,36 +332,23 @@ func (h *histShard) setLastGone(id model.FilterID, c *cover) {
 	h.mu.Unlock()
 }
 
-// noteCover records that id now belongs to c having previously belonged
-// to prior, and reports whether stale bits could hide outside prior —
-// i.e. whether the id was already multi-cover before this hop.
-func (h *histShard) noteCover(id model.FilterID, prior *cover) (wasMulti bool) {
+// noteCover records that id now belongs to a cover having previously
+// belonged to prior (nil: no hop). wasMulti reports whether the id was
+// already multi-cover before — whether stale bits could hide outside prior;
+// multi whether it is now.
+func (h *histShard) noteCover(id model.FilterID, prior *cover) (wasMulti, multi bool) {
 	h.mu.Lock()
 	_, wasMulti = h.multi[id]
 	if prior != nil {
 		h.multi[id] = struct{}{}
 	}
 	h.mu.Unlock()
-	return wasMulti
-}
-
-// sameStrings reports element-wise equality.
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return wasMulti, wasMulti || prior != nil
 }
 
 // aggRegister is Register on the aggregated engine. The store writes and
-// counter updates mirror the flat path exactly (including its
-// unconditional counter increments); the in-memory layer re-homes the
-// filter's posting bits when its signature changed.
+// counter updates mirror the flat path exactly; the in-memory layer re-homes
+// the filter's posting bits when its signature changed.
 func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -334,59 +362,62 @@ func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 		}
 	}
 	a := ix.agg
-	key, canon := sigOf(&f)
-	c := a.intern(key, canon)
+	c := a.coverOf(&f, true)
 
 	// Locate the filter's previous cover: from its live definition if it
 	// is re-registering, from the tombstone record if it was unregistered
 	// or recovered without a definition.
 	var prior *cover
-	if old, hadOld := ix.state.filterShard(f.ID).get(f.ID); hadOld {
-		if okey, _ := sigOf(&old); okey != key {
-			prior = a.lookup(okey)
-		}
+	fsh := ix.state.filterShard(f.ID)
+	if old, hadOld := fsh.get(f.ID); hadOld {
+		prior = a.coverOf(&old, false)
 	} else {
 		prior = a.histShard(f.ID).takeLastGone(f.ID)
 	}
 	if prior == c {
 		prior = nil
 	}
-	fullScan := a.histShard(f.ID).noteCover(f.ID, prior)
+	fullScan, multi := a.histShard(f.ID).noteCover(f.ID, prior)
 
-	slot, revived, firstLive := c.memberSlot(f.ID)
+	slot := a.join(c, f.ID, multi)
+	if prior != nil {
+		a.leave(prior, f.ID, true)
+	}
+	if fsh.put(a.attach(&f, c)) {
+		ix.numFilters.Add(1)
+	}
+	for _, t := range postingTerms {
+		tid := a.dict.intern(t)
+		if _, newEntry := a.termShard(tid).aggAdd(tid, c, int(slot), f.ID, prior, fullScan); newEntry {
+			a.storedEntries.Add(1)
+		}
+	}
+	ix.numPostings.Add(int64(len(postingTerms)))
+	return nil
+}
+
+// join makes id a live member of c (see cover.memberSlot), keeping the
+// live-cover and live-member gauges, and returns its slot.
+func (a *aggState) join(c *cover, id model.FilterID, multi bool) int32 {
+	slot, revived, firstLive := c.memberSlot(id, multi)
 	if revived {
 		a.membersLive.Add(1)
 	}
 	if firstLive {
 		a.coversLive.Add(1)
 	}
-	if prior != nil {
-		died, emptied, _ := prior.markDead(f.ID)
-		if died {
-			a.membersLive.Add(-1)
-		}
-		if emptied {
-			a.coversLive.Add(-1)
-		}
-	}
+	return slot
+}
 
-	stored := f.Clone()
-	if sameStrings(stored.Terms, c.terms) {
-		// Attach: share the cover's canonical term array so the match path
-		// can recognize membership by slice identity (see attachedTo).
-		stored.Terms = c.terms
+// leave marks id dead in c (see cover.markDead), keeping the gauges.
+func (a *aggState) leave(c *cover, id model.FilterID, left bool) {
+	died, emptied := c.markDead(id, left)
+	if died {
+		a.membersLive.Add(-1)
 	}
-	ix.state.filterShard(f.ID).put(stored)
-
-	for _, t := range postingTerms {
-		_, newEntry := a.termShard(t).aggAdd(t, c, int(slot), f.ID, prior, fullScan)
-		if newEntry {
-			a.storedEntries.Add(1)
-		}
+	if emptied {
+		a.coversLive.Add(-1)
 	}
-	ix.numFilters.Add(1)
-	ix.numPostings.Add(int64(len(postingTerms)))
-	return nil
 }
 
 // aggEnsureRegistered is EnsureRegistered on the aggregated engine:
@@ -397,8 +428,7 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 		return false, err
 	}
 	a := ix.agg
-	key, canon := sigOf(&f)
-	c := a.intern(key, canon)
+	c := a.coverOf(&f, true)
 	created := false
 	sh := ix.state.filterShard(f.ID)
 	sh.mu.Lock()
@@ -408,37 +438,32 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 			sh.mu.Unlock()
 			return false, err
 		}
-		stored := f.Clone()
-		if sameStrings(stored.Terms, c.terms) {
-			stored.Terms = c.terms
-		}
-		sh.filters[f.ID] = stored
-		cur = stored
+		sh.filters[f.ID] = a.attach(&f, c)
 		created = true
 	}
 	sh.mu.Unlock()
+	var prior *cover
 	if created {
 		ix.numFilters.Add(1)
 		// The id may come back from a tombstone whose cover still holds
 		// stale bits on terms this replay doesn't carry; record the hop so
 		// later re-registrations re-home with a full scan.
-		if prior := a.histShard(f.ID).takeLastGone(f.ID); prior != nil && prior != c {
-			a.histShard(f.ID).noteCover(f.ID, prior)
+		if prior = a.histShard(f.ID).takeLastGone(f.ID); prior == c {
+			prior = nil
 		}
-	} else if ckey, ccanon := sigOf(&cur); ckey != key {
-		// A copy already existed under a different signature; the bits
-		// belong with the definition the match path will read.
-		key, c = ckey, a.intern(ckey, ccanon)
+	} else if cc := a.coverOf(&cur, false); cc != nil {
+		// A copy already existed, possibly under a different signature; the
+		// bits belong with the definition the match path will read.
+		c = cc
 	}
-	slot, revived, firstLive := c.memberSlot(f.ID)
-	if revived {
-		a.membersLive.Add(1)
+	_, multi := a.histShard(f.ID).noteCover(f.ID, prior)
+	if prior != nil {
+		a.leave(prior, f.ID, true)
 	}
-	if firstLive {
-		a.coversLive.Add(1)
-	}
+	slot := a.join(c, f.ID, multi)
 	for _, t := range postingTerms {
-		added, newEntry := a.termShard(t).addIfAbsent(t, c, int(slot), f.ID)
+		tid := a.dict.intern(t)
+		added, newEntry := a.termShard(tid).addIfAbsent(tid, c, int(slot), f.ID)
 		if newEntry {
 			a.storedEntries.Add(1)
 		}
@@ -472,15 +497,8 @@ func (ix *Index) aggUnregister(id model.FilterID) error {
 	sh.mu.Unlock()
 	ix.numFilters.Add(-1)
 	a := ix.agg
-	key, _ := sigOf(&f)
-	if c := a.lookup(key); c != nil {
-		died, emptied, _ := c.markDead(id)
-		if died {
-			a.membersLive.Add(-1)
-		}
-		if emptied {
-			a.coversLive.Add(-1)
-		}
+	if c := a.coverOf(&f, false); c != nil {
+		a.leave(c, id, false)
 		a.histShard(id).setLastGone(id, c)
 	}
 	return nil
@@ -491,8 +509,10 @@ func (ix *Index) aggDropTerm(term string) error {
 	if err := ix.postings.Remove(term); err != nil {
 		return err
 	}
-	removed := ix.agg.termShard(term).remove(term)
-	ix.agg.storedEntries.Add(-int64(removed))
+	if tid := ix.agg.dict.lookup(term); tid != noTerm {
+		removed := ix.agg.termShard(tid).remove(tid)
+		ix.agg.storedEntries.Add(-int64(removed))
+	}
 	return nil
 }
 
@@ -505,19 +525,9 @@ func (ix *Index) aggLoad() error {
 	a := ix.agg
 	count := 0
 	err := ix.filters.Each(func(f model.Filter) bool {
-		key, canon := sigOf(&f)
-		c := a.intern(key, canon)
-		_, revived, firstLive := c.memberSlot(f.ID)
-		if revived {
-			a.membersLive.Add(1)
-		}
-		if firstLive {
-			a.coversLive.Add(1)
-		}
-		if sameStrings(f.Terms, c.terms) {
-			f.Terms = c.terms
-		}
-		ix.state.filterShard(f.ID).put(f)
+		c := a.coverOf(&f, true)
+		a.join(c, f.ID, false)
+		ix.state.filterShard(f.ID).put(a.attach(&f, c))
 		count++
 		return true
 	})
@@ -535,21 +545,20 @@ func (ix *Index) aggLoad() error {
 		if err != nil {
 			return err
 		}
-		sh := a.termShard(t)
+		tid := a.dict.intern(t)
+		sh := a.termShard(tid)
 		for _, id := range ids {
 			var c *cover
 			var slot int32
 			if f, ok := ix.state.filterShard(id).get(id); ok {
-				key, canon := sigOf(&f)
-				c = a.intern(key, canon)
-				slot, _, _ = c.memberSlot(id)
+				c = a.coverOf(&f, true)
+				slot = a.join(c, id, false)
 			} else {
 				c = a.orphan
 				slot = c.bareSlot(id)
 				a.histShard(id).setLastGone(id, c)
 			}
-			_, newEntry := sh.aggAdd(t, c, int(slot), id, nil, false)
-			if newEntry {
+			if _, newEntry := sh.aggAdd(tid, c, int(slot), id, nil, false); newEntry {
 				a.storedEntries.Add(1)
 			}
 		}

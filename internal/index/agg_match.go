@@ -6,61 +6,285 @@ import (
 	"github.com/movesys/move/internal/model"
 )
 
-// Match paths of the aggregated engine. The scan order is: posting →
-// entries (ascending cover id) → set bits (ascending slot). For each bit
-// the member's definition is read from the filter shards exactly like the
-// flat engine — a missing definition drops the candidate lazily — and the
-// predicate is decided once per cover for attached members (the cover
-// verdict), individually for stale ones. Container intersection happens
-// before expansion: a candidate only surfaces where the entry's bitset
-// says the cover posted it, and the per-cover verdict lets a whole
-// container short-circuit to one predicate evaluation.
+// Match paths of the aggregated engine. A call first reduces the document
+// to a set of dictionary IDs (one probe per document term; a term no filter
+// names drops out — it can satisfy nothing) and its posting-list terms to
+// IDs. The scan order is then: posting → entries (ascending cover id) → set
+// bits (ascending slot).
 //
-// Lock discipline: the term shard's read lock is held across the whole
+// The cover is decided first. An entry whose cover has no stale member
+// holds only attached members and tombstones, so one integer evaluation of
+// the cover's predicate settles the whole container: on no-match it is
+// skipped without a look at any member — no dedup insert, no definition
+// lookup, no cover lock — and only a matching cover is expanded, member by
+// member, with each definition read from the filter shards exactly like the
+// flat engine (a missing definition drops the candidate lazily). A cover
+// with stale members keeps the per-member path throughout: attached members
+// take the cover's verdict, stale ones are evaluated by their own current
+// definition.
+//
+// Lock discipline: the dictionary's read lock is held only while the call's
+// terms are mapped; a term shard's read lock is held across its whole
 // posting scan (entries and bitsets mutate in place, unlike the flat
 // engine's append-only snapshots); the cover lock is taken only briefly to
-// capture the slots header, and is never held across a filter-shard read.
+// capture the slots header or a live count, and is never held across a
+// filter-shard read.
 
-// verdict cache values: 0 unknown, verdictMatch, verdictNoMatch.
+// cover verdicts: 0 unknown, verdictMatch, verdictNoMatch.
 const (
 	verdictMatch   = uint8(1)
 	verdictNoMatch = uint8(2)
 )
 
-// verdictPool recycles the per-call cover-verdict cache of multi-term
-// matches, keyed by cover id.
-var verdictPool = sync.Pool{
-	New: func() any { return make(map[uint32]uint8, 16) },
+// Per-call memo states of a cover without stale members, in multi-term
+// calls (matchScratch.memo).
+const (
+	memoUnseen  = uint32(iota)
+	memoMatch   // predicate matched: every container is expanded, members deduplicated through seen
+	memoSkipped // no match, every live member already counted in Evaluated: later containers add nothing
+	memoWalked  // no match, but an earlier container held only part of the live members: members are counted one by one through seen
+	memoBits    = 2
+)
+
+// matchScratch is the pooled per-call state of a match.
+type matchScratch struct {
+	// doc is the document's term set as a bitset over dictionary IDs, sized
+	// to the dictionary when the call began; docIDs lists the set bits so
+	// the reset costs the document, not the dictionary.
+	doc    []uint64
+	docIDs []uint32
+	// terms are the call's posting-list terms as IDs, noTerm for a term the
+	// dictionary does not hold.
+	terms []uint32
+	// seen deduplicates expanded members across the call's terms.
+	seen map[model.FilterID]struct{}
+	// memo[cover id] holds epoch<<memoBits | state for the covers this call
+	// decided; a stamp from another epoch reads as memoUnseen, so the table
+	// is never cleared between calls.
+	memo  []uint32
+	epoch uint32
 }
 
-// emitSlot evaluates one member bit: dedup, definition lookup, predicate
-// (cached cover verdict for attached members), result append. Returns the
-// possibly-grown matched slice and the updated verdict state.
-func (ix *Index) emitSlot(c *cover, slots []model.FilterID, slot int, view *model.DocView,
-	seen map[model.FilterID]struct{}, st *MatchStats, matched []model.Filter, capHint int, verdict uint8) ([]model.Filter, uint8) {
+var scratchPool = sync.Pool{
+	New: func() any { return &matchScratch{seen: make(map[model.FilterID]struct{}, 64)} },
+}
+
+// begin maps view's terms and the call's posting-list terms through the
+// dictionary.
+func (sc *matchScratch) begin(d *termDict, view *model.DocView, terms []string) {
+	d.mu.RLock()
+	if words := (len(d.terms) + 63) >> 6; words > len(sc.doc) {
+		sc.doc = make([]uint64, words+words/4)
+	}
+	for _, t := range view.Sorted() {
+		if id, ok := d.ids[t]; ok {
+			sc.doc[id>>6] |= 1 << (id & 63)
+			sc.docIDs = append(sc.docIDs, id)
+		}
+	}
+	for _, t := range terms {
+		id, ok := d.ids[t]
+		if !ok {
+			id = noTerm
+		}
+		sc.terms = append(sc.terms, id)
+	}
+	d.mu.RUnlock()
+	if sc.epoch++; sc.epoch == 1<<(32-memoBits) {
+		clear(sc.memo)
+		sc.epoch = 1
+	}
+}
+
+// release resets the scratch and returns it to the pool.
+func (sc *matchScratch) release() {
+	for _, id := range sc.docIDs {
+		sc.doc[id>>6] = 0
+	}
+	sc.docIDs = sc.docIDs[:0]
+	sc.terms = sc.terms[:0]
+	clear(sc.seen)
+	scratchPool.Put(sc)
+}
+
+// has reports whether the document holds the term with this ID.
+func (sc *matchScratch) has(id uint32) bool {
+	w := int(id >> 6)
+	return w < len(sc.doc) && sc.doc[w]&(1<<(id&63)) != 0
+}
+
+// memoOf returns the call's memo state for cover id.
+func (sc *matchScratch) memoOf(id uint32) uint32 {
+	if int(id) < len(sc.memo) {
+		if m := sc.memo[id]; m>>memoBits == sc.epoch {
+			return m & (1<<memoBits - 1)
+		}
+	}
+	return memoUnseen
+}
+
+// setMemo records the call's memo state for cover id; covers is the number
+// of cover IDs assigned so far, the size to grow the table to.
+func (sc *matchScratch) setMemo(id, state, covers uint32) {
+	if int(id) >= len(sc.memo) {
+		grown := make([]uint32, max(covers, id)+1+covers/4)
+		copy(grown, sc.memo)
+		sc.memo = grown
+	}
+	sc.memo[id] = sc.epoch<<memoBits | state
+}
+
+// coverMatches evaluates c's predicate against the mapped document: integer
+// membership tests with early exit for the boolean modes. MatchAll probes
+// the highest ID first — IDs are assigned in order of first registration,
+// so it is the term the node learned last and, under skewed popularity, the
+// one a document is least likely to hold.
+func (ix *Index) coverMatches(c *cover, sc *matchScratch, view *model.DocView) bool {
+	switch c.mode {
+	case model.MatchAny:
+		for _, id := range c.ids {
+			if sc.has(id) {
+				return true
+			}
+		}
+		return false
+	case model.MatchAll:
+		for i := len(c.ids) - 1; i >= 0; i-- {
+			if !sc.has(c.ids[i]) {
+				return false
+			}
+		}
+		return true
+	case model.MatchThreshold:
+		return ix.corpus.ContainmentScoreSorted(view.Sorted(), c.terms) >= c.threshold
+	default:
+		return false // the orphan cover: matches nothing
+	}
+}
+
+// liveBits returns how many of e's bits belong to live members of its
+// cover, and whether those are all of the cover's live members. flags is
+// the cover's summary as the caller loaded it.
+func liveBits(e *aggEntry, flags uint32) (live int, all bool) {
+	if flags&coverDead == 0 {
+		live = e.bits.count()
+		return live, uint32(live) == flags>>coverSlotShift
+	}
+	c := e.c
+	c.mu.Lock()
+	live = e.bits.intersectCard(&c.alive)
+	all = live == c.alive.count()
+	c.mu.Unlock()
+	return live, all
+}
+
+// matchRun is one call's scan state: the inputs every entry needs and the
+// outputs it accumulates.
+type matchRun struct {
+	ix   *Index
+	sc   *matchScratch
+	view *model.DocView
+	// multi: the call scans several posting lists, so members and covers can
+	// recur and are deduplicated (sc.seen, sc.memo).
+	multi   bool
+	st      MatchStats
+	matched []model.Filter
+	// capHint sizes the first allocation of matched (0: let append grow it).
+	capHint int
+}
+
+// scanPosting decides every entry of p against the document.
+func (r *matchRun) scanPosting(p *aggPosting) {
+	for i := range p.entries {
+		e := &p.entries[i]
+		c := e.c
+		flags := c.flags.Load()
+		if flags&coverStale != 0 {
+			r.walk(e, 0)
+			continue
+		}
+		memo := memoUnseen
+		if r.multi {
+			memo = r.sc.memoOf(c.id)
+		}
+		switch memo {
+		case memoSkipped:
+		case memoMatch:
+			r.walk(e, verdictMatch)
+		case memoWalked:
+			r.walk(e, verdictNoMatch)
+		default:
+			if r.ix.coverMatches(c, r.sc, r.view) {
+				memo = memoMatch
+				r.walk(e, verdictMatch)
+			} else if live, all := liveBits(e, flags); all || !r.multi {
+				// The skip. Evaluated still counts the filters the verdict
+				// decided — the flat engine evaluates each of them.
+				memo = memoSkipped
+				r.st.Evaluated += live
+			} else {
+				memo = memoWalked
+				r.walk(e, verdictNoMatch)
+			}
+			if r.multi {
+				r.sc.setMemo(c.id, memo, r.ix.agg.seq.Load())
+			}
+		}
+	}
+}
+
+// walk visits e's member bits one by one, iterating the container inline
+// (word-wise for bitmap containers) so the warm path stays allocation-free.
+// verdict is the cover's verdict when the caller knows it.
+func (r *matchRun) walk(e *aggEntry, verdict uint8) {
+	c := e.c
+	c.mu.Lock()
+	slots := c.slots
+	c.mu.Unlock()
+	switch b := e.bits.big; {
+	case b == nil:
+		if e.bits.one != 0 {
+			r.emit(c, slots, int(e.bits.one-1), verdict)
+		}
+	case b.words != nil:
+		for w, word := range b.words {
+			for word != 0 {
+				verdict = r.emit(c, slots, w<<6+trailingZeros(word), verdict)
+				word &= word - 1
+			}
+		}
+	default:
+		for _, v := range b.arr {
+			verdict = r.emit(c, slots, int(v), verdict)
+		}
+	}
+}
+
+// emit decides one member bit: dedup, definition lookup, predicate (the
+// cover's verdict for attached members, evaluated on first need), result
+// append. Returns the cover's verdict as far as it is known.
+func (r *matchRun) emit(c *cover, slots []model.FilterID, slot int, verdict uint8) uint8 {
 	if slot >= len(slots) {
-		return matched, verdict
+		return verdict
 	}
 	id := slots[slot]
-	if seen != nil {
-		if _, dup := seen[id]; dup {
-			return matched, verdict
+	if r.multi {
+		if _, dup := r.sc.seen[id]; dup {
+			return verdict
 		}
-		seen[id] = struct{}{}
+		r.sc.seen[id] = struct{}{}
 	}
-	f, ok := ix.state.filterShard(id).get(id)
+	f, ok := r.ix.state.filterShard(id).get(id)
 	if !ok {
-		return matched, verdict // unregistered; lazy posting cleanup
+		return verdict // unregistered; lazy posting cleanup
 	}
-	st.Evaluated++
+	r.st.Evaluated++
 	var isMatch bool
 	if attachedTo(&f, c) {
 		if verdict == 0 {
-			cf := model.Filter{Mode: c.mode, Threshold: c.threshold, Terms: c.terms}
-			if ix.evaluate(&cf, view) {
+			verdict = verdictNoMatch
+			if r.ix.coverMatches(c, r.sc, r.view) {
 				verdict = verdictMatch
-			} else {
-				verdict = verdictNoMatch
 			}
 		}
 		isMatch = verdict == verdictMatch
@@ -68,168 +292,105 @@ func (ix *Index) emitSlot(c *cover, slots []model.FilterID, slot int, view *mode
 		// Stale member: definition re-registered under another signature
 		// while its posting bit still lives here. Evaluate it individually;
 		// exactness beats the fast path.
-		isMatch = ix.evaluate(&f, view)
+		isMatch = r.ix.evaluate(&f, r.view)
 	}
 	if isMatch {
-		if matched == nil && capHint > 0 {
-			matched = make([]model.Filter, 0, capHint)
+		if r.matched == nil && r.capHint > 0 {
+			r.matched = make([]model.Filter, 0, r.capHint)
 		}
-		matched = append(matched, f)
+		r.matched = append(r.matched, f)
 	}
-	return matched, verdict
-}
-
-// emitEntry expands one (term, cover) entry against the document,
-// iterating the bitset container inline (word-wise for bitmap containers)
-// so the warm path stays allocation-free.
-func (ix *Index) emitEntry(e *aggEntry, view *model.DocView,
-	seen map[model.FilterID]struct{}, verdicts map[uint32]uint8, st *MatchStats, matched []model.Filter, capHint int) []model.Filter {
-	c := e.c
-	c.mu.RLock()
-	slots := c.slots
-	c.mu.RUnlock()
-	verdict := uint8(0)
-	if verdicts != nil {
-		verdict = verdicts[c.id]
-	}
-	if e.bits.words != nil {
-		for w, word := range e.bits.words {
-			for word != 0 {
-				b := trailingZeros(word)
-				word &= word - 1
-				matched, verdict = ix.emitSlot(c, slots, w<<6+b, view, seen, st, matched, capHint, verdict)
-			}
-		}
-	} else {
-		for _, v := range e.bits.arr {
-			matched, verdict = ix.emitSlot(c, slots, int(v), view, seen, st, matched, capHint, verdict)
-		}
-	}
-	if verdicts != nil && verdict != 0 {
-		verdicts[c.id] = verdict
-	}
-	return matched
+	return verdict
 }
 
 // aggMatchTerm is MatchTerm on the aggregated engine.
 func (ix *Index) aggMatchTerm(d *model.Document, term string) ([]model.Filter, MatchStats, error) {
-	var st MatchStats
-	sh := ix.agg.termShard(term)
 	view := d.View()
+	sc := scratchPool.Get().(*matchScratch)
+	terms := [1]string{term}
+	sc.begin(ix.agg.dict, view, terms[:])
+	defer sc.release()
+	tid := sc.terms[0]
+	if tid == noTerm {
+		return nil, MatchStats{}, nil
+	}
+	r := matchRun{ix: ix, sc: sc, view: view}
+	sh := ix.agg.termShard(tid)
 	readTm := ix.postingReadH.Start()
 	sh.mu.RLock()
-	p := sh.lists[term]
+	p := sh.posting(tid)
 	readTm.Stop()
 	if p == nil || p.card == 0 {
 		sh.mu.RUnlock()
-		return nil, st, nil
+		return nil, r.st, nil
 	}
-	st.PostingLists = 1
-	st.Postings = p.card
-	evalTm := ix.evalH.Start()
+	r.st.PostingLists = 1
+	r.st.Postings = p.card
 	// Lazy exact-size result allocation, as in the flat MatchTerm: the
 	// no-match case returns nil without touching the heap; the first match
 	// sizes the slice for the whole logical list.
-	var matched []model.Filter
-	for i := range p.entries {
-		matched = ix.emitEntry(&p.entries[i], view, nil, nil, &st, matched, p.card)
-	}
+	r.capHint = p.card
+	evalTm := ix.evalH.Start()
+	r.scanPosting(p)
 	sh.mu.RUnlock()
 	evalTm.Stop()
-	return matched, st, nil
+	return r.matched, r.st, nil
 }
 
-// aggMatchTerms is MatchTerms on the aggregated engine: one pass over the
-// aggregated shards, each term's entries expanded once, duplicates removed
-// across terms, cover verdicts cached across the whole call.
+// aggMatchTerms is MatchTerms (and, over all of the document's terms,
+// MatchSIFT) on the aggregated engine: each term's entries decided once,
+// duplicates removed across terms, cover verdicts remembered across the
+// whole call.
 func (ix *Index) aggMatchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats, error) {
 	if len(terms) == 1 {
 		return ix.aggMatchTerm(d, terms[0])
 	}
-	var st MatchStats
 	view := d.View()
-	seen := seenPool.Get().(map[model.FilterID]struct{})
-	verdicts := verdictPool.Get().(map[uint32]uint8)
-	defer func() {
-		clear(seen)
-		seenPool.Put(seen)
-		clear(verdicts)
-		verdictPool.Put(verdicts)
-	}()
-	var matched []model.Filter
+	sc := scratchPool.Get().(*matchScratch)
+	sc.begin(ix.agg.dict, view, terms)
+	defer sc.release()
+	r := matchRun{ix: ix, sc: sc, view: view, multi: true}
 	evalTm := ix.evalH.Start()
 	defer evalTm.Stop()
-	for _, term := range terms {
-		sh := ix.agg.termShard(term)
-		readTm := ix.postingReadH.Start()
-		sh.mu.RLock()
-		p := sh.lists[term]
-		readTm.Stop()
-		if p == nil || p.card == 0 {
-			sh.mu.RUnlock()
+	for _, tid := range sc.terms {
+		if tid == noTerm {
 			continue
 		}
-		st.PostingLists++
-		st.Postings += p.card
-		for i := range p.entries {
-			matched = ix.emitEntry(&p.entries[i], view, seen, verdicts, &st, matched, 0)
+		sh := ix.agg.termShard(tid)
+		readTm := ix.postingReadH.Start()
+		sh.mu.RLock()
+		p := sh.posting(tid)
+		readTm.Stop()
+		if p != nil && p.card > 0 {
+			r.st.PostingLists++
+			r.st.Postings += p.card
+			r.scanPosting(p)
 		}
 		sh.mu.RUnlock()
 	}
-	return matched, st, nil
-}
-
-// aggMatchSIFT is MatchSIFT on the aggregated engine.
-func (ix *Index) aggMatchSIFT(d *model.Document) ([]model.Filter, MatchStats, error) {
-	var st MatchStats
-	view := d.View()
-	seen := seenPool.Get().(map[model.FilterID]struct{})
-	verdicts := verdictPool.Get().(map[uint32]uint8)
-	defer func() {
-		clear(seen)
-		seenPool.Put(seen)
-		clear(verdicts)
-		verdictPool.Put(verdicts)
-	}()
-	var matched []model.Filter
-	evalTm := ix.evalH.Start()
-	defer evalTm.Stop()
-	for _, term := range d.Terms {
-		sh := ix.agg.termShard(term)
-		readTm := ix.postingReadH.Start()
-		sh.mu.RLock()
-		p := sh.lists[term]
-		readTm.Stop()
-		if p == nil || p.card == 0 {
-			sh.mu.RUnlock()
-			continue
-		}
-		st.PostingLists++
-		st.Postings += p.card
-		for i := range p.entries {
-			matched = ix.emitEntry(&p.entries[i], view, seen, verdicts, &st, matched, 0)
-		}
-		sh.mu.RUnlock()
-	}
-	return matched, st, nil
+	return r.matched, r.st, nil
 }
 
 // aggPostingIDs expands term's aggregated posting list back to concrete
 // filter IDs (covers first by id, members in slot order), as a fresh copy.
 func (ix *Index) aggPostingIDs(term string) []model.FilterID {
-	sh := ix.agg.termShard(term)
+	tid := ix.agg.dict.lookup(term)
+	if tid == noTerm {
+		return nil
+	}
+	sh := ix.agg.termShard(tid)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	p := sh.lists[term]
+	p := sh.posting(tid)
 	if p == nil || p.card == 0 {
 		return nil
 	}
 	out := make([]model.FilterID, 0, p.card)
 	for i := range p.entries {
 		e := &p.entries[i]
-		e.c.mu.RLock()
+		e.c.mu.Lock()
 		slots := e.c.slots
-		e.c.mu.RUnlock()
+		e.c.mu.Unlock()
 		e.bits.forEach(func(slot int) {
 			if slot < len(slots) {
 				out = append(out, slots[slot])
@@ -241,10 +402,14 @@ func (ix *Index) aggPostingIDs(term string) []model.FilterID {
 
 // aggPostingLen returns term's logical posting-list length.
 func (ix *Index) aggPostingLen(term string) int {
-	sh := ix.agg.termShard(term)
+	tid := ix.agg.dict.lookup(term)
+	if tid == noTerm {
+		return 0
+	}
+	sh := ix.agg.termShard(tid)
 	sh.mu.RLock()
 	n := 0
-	if p := sh.lists[term]; p != nil {
+	if p := sh.posting(tid); p != nil {
 		n = p.card
 	}
 	sh.mu.RUnlock()
@@ -272,15 +437,19 @@ func (ix *Index) CoverDetailStats() CoverDetail {
 	for si := range ix.agg.term {
 		sh := &ix.agg.term[si]
 		sh.mu.RLock()
-		for _, p := range sh.lists {
+		for li := range sh.lists {
+			p := &sh.lists[li]
+			if len(p.entries) == 0 {
+				continue
+			}
 			d.Terms++
 			d.Entries += len(p.entries)
 			for i := range p.entries {
 				e := &p.entries[i]
 				d.Bits += e.bits.count()
-				e.c.mu.RLock()
+				e.c.mu.Lock()
 				d.LiveBits += e.bits.intersectCard(&e.c.alive)
-				e.c.mu.RUnlock()
+				e.c.mu.Unlock()
 			}
 		}
 		sh.mu.RUnlock()

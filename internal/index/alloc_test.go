@@ -118,49 +118,88 @@ func TestMatchSIFTSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMatchTermsZeroAllocs guards the bitset match path of the aggregated
-// engine: a warm multi-term MatchTerms call — pooled seen map, pooled
-// cover-verdict cache, inline container iteration — performs zero heap
-// allocations on the unmatched path. Runs both container shapes: distinct
-// signatures (one array-container entry per cover) and one shared
-// signature large enough to promote its entry to a bitmap container.
+// TestMatchTermsZeroAllocs guards the match path of the aggregated engine:
+// a warm multi-term MatchTerms call — pooled ID set, dedup map and cover
+// memo, inline container iteration — performs zero heap allocations on the
+// unmatched path. Runs every container shape: distinct signatures (one
+// inline singleton container per cover), signatures shared by sixteen
+// filters (array containers), one shared signature large enough to promote
+// its entry to a bitmap container, and the repository benchmark's
+// match_heavy shape — a 65-term document, half of its terms unknown to the
+// dictionary, against MatchAll singleton covers of three and four terms,
+// each reached under two of the queried terms.
 func TestMatchTermsZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	for name, shared := range map[string]bool{"array-containers": false, "bitmap-container": true} {
-		t.Run(name, func(t *testing.T) {
+	hotAnd := func(absent func(i int) string) func(i int) (model.Filter, []string) {
+		return func(i int) (model.Filter, []string) {
+			return model.Filter{Terms: []string{"hot", absent(i)}, Mode: model.MatchAll}, []string{"hot"}
+		}
+	}
+	known := func(i int) string { return "known-" + strconv.Itoa(i%32) }
+	mhDoc := func() *model.Document {
+		terms := make([]string, 0, 65)
+		for i := 0; i < 32; i++ {
+			terms = append(terms, known(i))
+		}
+		for len(terms) < 65 {
+			terms = append(terms, "unknown-"+strconv.Itoa(len(terms)))
+		}
+		d := &model.Document{ID: 1, Terms: terms}
+		d.View()
+		return d
+	}()
+	for _, tc := range []struct {
+		name   string
+		filter func(i int) (f model.Filter, postingTerms []string)
+		covers int
+		// dead filters are unregistered again, so their covers price a
+		// skipped container by its intersection with the alive set.
+		dead  int
+		doc   *model.Document
+		query []string
+		// postings is what one call scans: every filter once per queried
+		// term it is posted under.
+		postings int
+	}{
+		{"inline-containers", hotAnd(func(i int) string { return "absent-" + strconv.Itoa(i) }), 128, 0, allocDoc(24), []string{"hot", "term-1"}, 128},
+		{"array-containers", hotAnd(func(i int) string { return "absent-" + strconv.Itoa(i%8) }), 8, 5, allocDoc(24), []string{"hot", "term-1"}, 128},
+		{"bitmap-container", hotAnd(func(int) string { return "absent-shared" }), 1, 5, allocDoc(24), []string{"hot", "term-1"}, 128},
+		{"match-heavy", func(i int) (model.Filter, []string) {
+			terms := []string{known(i), known(i + 7), "absent-" + strconv.Itoa(i)}
+			if i%2 == 1 {
+				terms = append(terms, known(i+13))
+			}
+			return model.Filter{Terms: terms, Mode: model.MatchAll}, terms[:2]
+		}, 128, 0, mhDoc, mhDoc.Terms, 256},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			ix := newIndex(t)
 			for i := 0; i < 128; i++ {
-				absent := "absent-shared"
-				if !shared {
-					absent = "absent-" + strconv.Itoa(i)
-				}
-				f := model.Filter{
-					ID:    model.FilterID(i + 1),
-					Terms: []string{"hot", absent},
-					Mode:  model.MatchAll,
-				}
-				if err := ix.Register(f, []string{"hot"}); err != nil {
+				f, postingTerms := tc.filter(i)
+				f.ID = model.FilterID(i + 1)
+				if err := ix.Register(f, postingTerms); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if shared {
-				if cs := ix.CoverStats(); cs.Covers != 1 {
-					t.Fatalf("Covers = %d, want 1 shared cover", cs.Covers)
+			if cs := ix.CoverStats(); cs.Covers != tc.covers {
+				t.Fatalf("Covers = %d, want %d", cs.Covers, tc.covers)
+			}
+			for i := 0; i < tc.dead; i++ {
+				if err := ix.Unregister(model.FilterID(i + 1)); err != nil {
+					t.Fatal(err)
 				}
 			}
-			doc := allocDoc(24)
-			queryTerms := []string{"hot", "term-1"}
 
-			// Warm call: verifies the multi-term path scans the posting list
-			// (and warms the pools).
-			if _, st, err := ix.MatchTerms(doc, queryTerms); err != nil || st.Postings != 128 {
-				t.Fatalf("warm call: scanned=%d err=%v", st.Postings, err)
+			// Warm call: verifies the multi-term path scans the posting
+			// lists (and warms the pool).
+			if _, st, err := ix.MatchTerms(tc.doc, tc.query); err != nil || st.Postings != tc.postings || st.Evaluated != 128-tc.dead {
+				t.Fatalf("warm call: %+v err=%v, want %d postings / %d evaluated", st, err, tc.postings, 128-tc.dead)
 			}
 
 			allocs := testing.AllocsPerRun(500, func() {
-				fs, _, err := ix.MatchTerms(doc, queryTerms)
+				fs, _, err := ix.MatchTerms(tc.doc, tc.query)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,21 +1,21 @@
 package index
 
 import (
-	"strconv"
-	"strings"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/movesys/move/internal/model"
 )
 
 // A cover is the aggregated index's unit of posting storage: the group of
 // all registered filters sharing one canonical predicate signature (match
-// mode, threshold, sorted deduplicated term set). Instead of one posting
-// entry per filter per term, the aggregated index stores one (term, cover)
-// entry whose slotSet records which members were posted under that term;
-// the cover itself is the expansion table mapping that compressed entry
-// back to concrete filter IDs (and, through the filter shards, to
-// subscribers).
+// mode, threshold, term set). Instead of one posting entry per filter per
+// term, the aggregated index stores one (term, cover) entry whose slotSet
+// records which members were posted under that term; the cover itself is
+// the expansion table mapping that compressed entry back to concrete filter
+// IDs (and, through the filter shards, to subscribers).
 //
 // Members get dense slot indexes in registration order. Slots are
 // append-only — a member that unregisters keeps its slot (cleared in the
@@ -27,18 +27,26 @@ import (
 // promotes a surviving member instead of orphaning the group: when the
 // representative unregisters, the lowest live slot takes over.
 type cover struct {
-	id        uint32
+	id uint32
+	// flags is the lock-free summary the match path reads to decide whether
+	// one evaluation of the cover's predicate settles a whole container
+	// (coverStale, coverDead, and the slot count above them). Stored under
+	// mu, loaded without it.
+	flags     atomic.Uint32
 	mode      model.MatchMode
 	threshold float64
-	// terms is the canonical (sorted, deduplicated) term set, privately
-	// owned by the cover and immutable. Members whose registered Terms are
-	// element-wise equal to it share this exact backing array — that slice
-	// identity is what marks a member as "attached" (safe to take the
-	// cover-level verdict) versus "stale" (re-registered under a different
-	// signature; must be evaluated individually).
+	// ids is the predicate as the match path evaluates it: the term set as
+	// sorted, deduplicated dictionary IDs. Immutable.
+	ids []uint32
+	// terms is the same set as canonical (string-sorted) dictionary-owned
+	// strings, immutable. Members whose registered Terms are element-wise
+	// equal to it share this exact backing array — that slice identity is
+	// what marks a member as "attached" (safe to take the cover-level
+	// verdict) versus "stale" (re-registered under a different signature;
+	// must be evaluated individually).
 	terms []string
 
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	slots []model.FilterID
 	// slotOf accelerates member→slot lookup but is built lazily, once the
 	// cover reaches coverSlotMapMin members: most covers stay small, and a
@@ -48,59 +56,76 @@ type cover struct {
 	// alive marks the slots of currently registered members — an advisory
 	// set: the match path's source of truth for liveness stays the filter
 	// shards (exactly like the flat index's lazy tombstones), while alive
-	// drives representative promotion and the cover statistics.
+	// drives representative promotion, the cover statistics and the live
+	// count of a container the match path skips.
 	alive slotSet
 	// rep is the representative member, 0 when the cover has no live
 	// members.
 	rep model.FilterID
+	// next chains covers whose signatures share a sigHash (coverSigShard).
+	next *cover
 }
 
-// coverKey is a cover's canonical signature, usable as a map key. terms is
-// the canonical term set joined with NUL (terms are tokenized words and
-// never contain NUL, so the join is injective).
-type coverKey struct {
-	mode      model.MatchMode
-	threshold float64
-	terms     string
-}
+// cover.flags: two condition bits below the member-slot count.
+const (
+	// coverStale: some member has at some time belonged to more than one
+	// cover (histShard.multi). Re-homing only clears the old cover's bits
+	// under the terms the new registration posts under, so such a member
+	// can have posting bits in covers its definition is not attached to —
+	// there it matches or not by its own definition, whatever the cover's
+	// verdict — and reaches a document through more than one cover. From
+	// then on neither the cover's verdict nor its live count settles a
+	// container, and the match path decides it member by member. The bit
+	// is never cleared: a restart, which re-homes every posting bit to its
+	// definition's cover, is what resets it.
+	coverStale = uint32(1) << iota
+	// coverDead: some slot is not alive, so a container's live count is not
+	// its cardinality.
+	coverDead
+	coverSlotShift = iota
+)
 
-// sigOf builds the signature key and canonical term set for a filter.
-// The returned slice is freshly allocated and may be retained by a new
-// cover.
-func sigOf(f *model.Filter) (coverKey, []string) {
-	canon := model.SortTerms(append([]string(nil), f.Terms...))
-	key := coverKey{mode: f.Mode, terms: strings.Join(canon, "\x00")}
-	if f.Mode == model.MatchThreshold {
-		key.threshold = f.Threshold
+// publishFlags recomputes flags, setting coverStale for good when stale.
+// Caller holds c.mu.
+func (c *cover) publishFlags(stale bool) {
+	f := c.flags.Load()&coverStale | uint32(len(c.slots))<<coverSlotShift
+	if stale {
+		f |= coverStale
 	}
-	return key, canon
+	if c.alive.count() < len(c.slots) {
+		f |= coverDead
+	}
+	c.flags.Store(f)
 }
 
-// sigShardFor hashes a signature to its shard (FNV-1a over the joined
-// terms, mode and threshold mixed in).
-func sigShardFor(key coverKey) uint32 {
+// sigHash hashes a cover's canonical signature — mode, threshold (zero
+// unless the mode is MatchThreshold) and the sorted term IDs — with FNV-1a
+// over the integers themselves. Its low bits pick the signature shard, the
+// whole value keys the shard's table.
+func sigHash(mode model.MatchMode, threshold float64, ids []uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	h := uint64(offset64)
-	for i := 0; i < len(key.terms); i++ {
-		h ^= uint64(key.terms[i])
-		h *= prime64
+	h := (uint64(offset64) ^ uint64(mode)) * prime64
+	h = (h ^ math.Float64bits(threshold)) * prime64
+	for _, id := range ids {
+		h = (h ^ uint64(id)) * prime64
 	}
-	h ^= uint64(key.mode)
-	h *= prime64
-	if key.threshold != 0 {
-		h ^= uint64(int64(key.threshold * 1e9))
-		h *= prime64
-	}
-	return uint32(h) & shardMask
+	return h
 }
 
-// coverSigShard interns covers by signature.
+// coverSigShard interns covers by signature: a table keyed by sigHash, with
+// the covers whose signatures collide on it chained through cover.next — so
+// a cover costs one 16-byte table slot, not a key string of its own.
 type coverSigShard struct {
 	mu     sync.Mutex
-	covers map[coverKey]*cover
+	covers map[uint64]*cover
+}
+
+// hasSig reports whether c's signature is exactly this one.
+func (c *cover) hasSig(mode model.MatchMode, threshold float64, ids []uint32) bool {
+	return c.mode == mode && c.threshold == threshold && slices.Equal(c.ids, ids)
 }
 
 // attachedTo reports whether f's definition is attached to c: its Terms
@@ -119,27 +144,6 @@ func attachedTo(f *model.Filter, c *cover) bool {
 		return false
 	}
 	return len(f.Terms) == 0 || &f.Terms[0] == &c.terms[0]
-}
-
-// debugString renders the cover for test failure messages.
-func (c *cover) debugString() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var b strings.Builder
-	b.WriteString("cover#")
-	b.WriteString(strconv.FormatUint(uint64(c.id), 10))
-	b.WriteString("{")
-	b.WriteString(c.mode.String())
-	b.WriteString(" [")
-	b.WriteString(strings.Join(c.terms, ","))
-	b.WriteString("] live=")
-	b.WriteString(strconv.Itoa(c.alive.count()))
-	b.WriteString("/")
-	b.WriteString(strconv.Itoa(len(c.slots)))
-	b.WriteString(" rep=")
-	b.WriteString(c.rep.String())
-	b.WriteString("}")
-	return b.String()
 }
 
 // coverSlotMapMin is the membership size at which a cover materializes its
@@ -178,10 +182,11 @@ func (c *cover) addSlot(id model.FilterID) int32 {
 }
 
 // memberSlot returns the member's slot under the cover lock, adding a new
-// slot when the filter was never a member. revived reports whether the
+// slot when the filter was never a member; multi says the ID has belonged
+// to another cover, which marks the cover stale. revived reports whether the
 // member transitioned dead→alive; firstLive whether the cover transitioned
 // empty→populated.
-func (c *cover) memberSlot(id model.FilterID) (slot int32, revived, firstLive bool) {
+func (c *cover) memberSlot(id model.FilterID, multi bool) (slot int32, revived, firstLive bool) {
 	c.mu.Lock()
 	s, ok := c.findSlot(id)
 	if !ok {
@@ -194,36 +199,40 @@ func (c *cover) memberSlot(id model.FilterID) (slot int32, revived, firstLive bo
 			c.rep = id
 		}
 	}
+	c.publishFlags(multi)
 	c.mu.Unlock()
 	return s, revived, firstLive
 }
 
-// markDead clears the member's alive bit. died reports a live→dead
-// transition; emptied that the cover lost its last live member; promoted
-// (non-zero) that a surviving member was promoted to representative
-// because the departing member was the representative — the
+// markDead clears the member's alive bit; left says the member is leaving
+// for another cover rather than unregistering, which also marks the cover
+// stale. died reports a live→dead transition; emptied that the cover lost
+// its last live member, with a surviving member promoted to representative
+// otherwise when the departing member was the representative — the
 // unregister-the-covering-filter case.
-func (c *cover) markDead(id model.FilterID) (died, emptied bool, promoted model.FilterID) {
+func (c *cover) markDead(id model.FilterID, left bool) (died, emptied bool) {
 	c.mu.Lock()
-	if s, ok := c.findSlot(id); ok && c.alive.clear(int(s)) {
-		died = true
-		if c.alive.count() == 0 {
-			emptied = true
-			c.rep = 0
-		} else if c.rep == id {
-			c.rep = c.slots[c.alive.first()]
-			promoted = c.rep
+	if s, ok := c.findSlot(id); ok {
+		if c.alive.clear(int(s)) {
+			died = true
+			if c.alive.count() == 0 {
+				emptied = true
+				c.rep = 0
+			} else if c.rep == id {
+				c.rep = c.slots[c.alive.first()]
+			}
 		}
+		c.publishFlags(left)
 	}
 	c.mu.Unlock()
-	return died, emptied, promoted
+	return died, emptied
 }
 
-// Rep returns the cover's current representative under the read lock.
+// Rep returns the cover's current representative under its lock.
 func (c *cover) Rep() model.FilterID {
-	c.mu.RLock()
+	c.mu.Lock()
 	r := c.rep
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	return r
 }
 
@@ -235,8 +244,7 @@ func (ix *Index) RepFor(f model.Filter) (model.FilterID, bool) {
 	if ix.agg == nil {
 		return 0, false
 	}
-	key, _ := sigOf(&f)
-	c := ix.agg.lookup(key)
+	c := ix.agg.coverOf(&f, false)
 	if c == nil {
 		return 0, false
 	}

@@ -17,6 +17,16 @@ import (
 // all three matchers to byte-identical sorted match sets and identical
 // MatchStats, including register/unregister interleavings that split and
 // merge covers.
+//
+// What MatchStats.Evaluated means where the aggregated engine skips a
+// container — one evaluation of the cover's predicate said no match, and no
+// member was looked at: the filters that verdict decided still count. It
+// stays what the flat engine reports, the number of distinct filters with a
+// live definition that the call's posting lists reach: a skipped container
+// adds its live members (its cardinality, or its intersection with the
+// cover's alive set when the cover has dead slots), once per call however
+// many of the call's terms reach the cover. Only tests read the field;
+// TestSkippedContainerEvaluated pins the cases.
 
 // enginePair is an aggregated index and its flat oracle fed the same
 // operations.
@@ -345,6 +355,40 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 		check(t, p)
 	})
 
+	t.Run("stale-member-at-match-time", func(t *testing.T) {
+		p := newEnginePair(t)
+		// f2 leaves {a,b} for a signature posted under other terms only, so
+		// its bits under a and b stay in the old cover while its definition
+		// says something else: the old cover's verdict must not decide it.
+		p.register(t, allFilter(1, "a", "b"), []string{"a", "b"})
+		p.register(t, allFilter(2, "a", "b"), []string{"a", "b"})
+		p.register(t, anyFilter(2, "c", "d"), []string{"c", "d"})
+		check(t, p)
+		// {a,c}: the old cover says no match, f2's own definition matches.
+		p.compareAll(t, &model.Document{ID: 6, Terms: []string{"a", "c"}})
+		p.unregister(t, 2)
+		check(t, p)
+		p.register(t, allFilter(2, "a", "b"), []string{"a", "b"})
+		check(t, p)
+		p.compareAll(t, &model.Document{ID: 7, Terms: []string{"a", "c"}})
+	})
+
+	t.Run("no-document-term-in-dictionary", func(t *testing.T) {
+		p := newEnginePair(t)
+		p.register(t, anyFilter(1, "a", "b"), []string{"a", "b"})
+		p.register(t, allFilter(2, "a", "c"), []string{"a"})
+		p.compareAll(t, &model.Document{ID: 6, Terms: []string{"x", "y", "z"}})
+		p.compareAll(t, &model.Document{ID: 7, Terms: []string{"x"}})
+		// Half known, half not; and a query term outside the document.
+		p.compareAll(t, &model.Document{ID: 8, Terms: []string{"a", "x", "c", "y"}})
+		for _, ix := range []*Index{p.agg, p.flat} {
+			fs, st, err := ix.MatchTerms(&model.Document{ID: 9, Terms: []string{"x", "y"}}, []string{"a", "x"})
+			if err != nil || len(fs) != 0 || st.PostingLists != 1 || st.Postings != 2 || st.Evaluated != 2 {
+				t.Fatalf("aggregated=%v: query term outside the document: %v %+v %v", ix.Aggregated(), fs, st, err)
+			}
+		}
+	})
+
 	t.Run("ensure-registered-replay", func(t *testing.T) {
 		p := newEnginePair(t)
 		f := allFilter(7, "a", "b")
@@ -493,4 +537,168 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	p2.register(t, allFilter(1, "x", "fresh"), []string{"x", "fresh"})
 	p2.compareAll(t, &model.Document{ID: 3, Terms: []string{"x", "fresh"}})
 	p2.compareAll(t, &model.Document{ID: 4, Terms: []string{"x"}})
+}
+
+// TestSkippedContainerEvaluated pins what Evaluated reports for containers
+// the aggregated engine skips on the cover's verdict (see the file comment),
+// with the flat engine as the reference on every probe.
+func TestSkippedContainerEvaluated(t *testing.T) {
+	p := newEnginePair(t)
+	for i := 1; i <= 10; i++ {
+		p.register(t, allFilter(model.FilterID(i), "go", "news"), []string{"go", "news"})
+	}
+	p.register(t, allFilter(11, "go", "rust"), []string{"go"})
+	evaluated := func(doc *model.Document, terms []string) int {
+		t.Helper()
+		p.compareAll(t, doc)
+		fs, st, err := p.agg.MatchTerms(doc, terms)
+		if err != nil || len(fs) != 0 {
+			t.Fatalf("MatchTerms(%v, %v) = %v, %v; want no match", doc.Terms, terms, fs, err)
+		}
+		return st.Evaluated
+	}
+	// Neither cover matches {go}: both containers under "go" are skipped
+	// and their eleven members counted.
+	doc := &model.Document{ID: 1, Terms: []string{"go", "other"}}
+	if n := evaluated(doc, []string{"go"}); n != 11 {
+		t.Fatalf("one term: Evaluated = %d, want 11", n)
+	}
+	// The ten-member cover is reached under both terms: counted once.
+	if n := evaluated(doc, []string{"go", "news"}); n != 11 {
+		t.Fatalf("two terms: Evaluated = %d, want 11", n)
+	}
+	if n := evaluated(doc, []string{"news", "go", "news"}); n != 11 {
+		t.Fatalf("repeated terms: Evaluated = %d, want 11", n)
+	}
+	// Dead slots: the container still holds ten bits, seven of them live.
+	for _, id := range []model.FilterID{2, 5, 9} {
+		p.unregister(t, id)
+	}
+	if n := evaluated(doc, []string{"go", "news"}); n != 8 {
+		t.Fatalf("three members unregistered: Evaluated = %d, want 8", n)
+	}
+	// A container holding only part of the cover's live members: f12 joins
+	// the cover posted under "news" alone, so "go" reaches seven of eight.
+	p.register(t, allFilter(12, "go", "news"), []string{"news"})
+	if n := evaluated(doc, []string{"go", "news"}); n != 9 {
+		t.Fatalf("partial container first: Evaluated = %d, want 9", n)
+	}
+	if n := evaluated(doc, []string{"news", "go"}); n != 9 {
+		t.Fatalf("full container first: Evaluated = %d, want 9", n)
+	}
+	// An emptied cover: its one bit is a tombstone and adds nothing to the
+	// seven live members "go" reaches through the other cover.
+	p.unregister(t, 11)
+	if n := evaluated(&model.Document{ID: 2, Terms: []string{"go", "rust"}}, []string{"go"}); n != 7 {
+		t.Fatalf("emptied cover: Evaluated = %d, want 7", n)
+	}
+}
+
+// TestNumFiltersCountsDefinitions is the regression test for the filter
+// count the allocator reads (StatsResp.Filters): it counts definitions, so
+// registering one ID three times — same signature, then a new one — reads
+// one, on both engines, and only an unregister takes it back to zero.
+func TestNumFiltersCountsDefinitions(t *testing.T) {
+	p := newEnginePair(t)
+	p.register(t, anyFilter(1, "a", "b"), []string{"a"})
+	p.register(t, anyFilter(1, "a", "b"), []string{"a", "b"})
+	p.register(t, allFilter(1, "a", "c"), []string{"a"})
+	want := func(n int) {
+		t.Helper()
+		for _, ix := range []*Index{p.agg, p.flat} {
+			if got := ix.NumFilters(); got != n {
+				t.Fatalf("aggregated=%v: NumFilters = %d, want %d", ix.Aggregated(), got, n)
+			}
+		}
+	}
+	want(1)
+	p.ensure(t, allFilter(1, "a", "c"), []string{"a", "c"})
+	p.register(t, anyFilter(2, "a"), []string{"a"})
+	want(2)
+	p.unregister(t, 1)
+	p.unregister(t, 1)
+	want(1)
+	p.ensure(t, anyFilter(1, "b"), []string{"b"})
+	want(2)
+}
+
+// TestDictionaryBoundedByVocabulary churns registrations over a fixed
+// vocabulary — fresh IDs, re-registrations under new signatures,
+// unregisters — and checks that the term dictionary stops growing once
+// every term has been seen: IDs are never reclaimed, so the bound is the
+// distinct terms ever registered, not the operations performed.
+func TestDictionaryBoundedByVocabulary(t *testing.T) {
+	ix := newIndex(t)
+	vocab := make([]string, 40)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("v%d", i)
+	}
+	rng := rand.New(rand.NewSource(7))
+	round := func() {
+		for i := 0; i < 400; i++ {
+			id := model.FilterID(1 + rng.Intn(120))
+			if rng.Intn(3) == 0 {
+				if err := ix.Unregister(id); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			terms := make([]string, 1+rng.Intn(4))
+			for j := range terms {
+				terms[j] = vocab[rng.Intn(len(vocab))]
+			}
+			f := model.Filter{ID: id, Subscriber: "s", Terms: model.SortTerms(terms), Mode: model.MatchAll}
+			if err := ix.Register(f, f.Terms[:1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Matching maps documents through the dictionary but never adds to it.
+		doc := &model.Document{ID: 1, Terms: []string{"v1", "v2", "never-registered"}}
+		if _, _, err := ix.MatchTerms(doc, doc.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if got := ix.agg.dict.size(); got != len(vocab) {
+		t.Fatalf("after the first round the dictionary holds %d terms, want the whole %d-term vocabulary", got, len(vocab))
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	if got := ix.agg.dict.size(); got != len(vocab) {
+		t.Fatalf("dictionary grew to %d terms over a %d-term vocabulary", got, len(vocab))
+	}
+}
+
+// TestCoverSigCollisionChain pins the signature table's collision handling:
+// two signatures that share a sigHash live on one chain, and a lookup
+// compares the whole signature, not the hash. A 64-bit FNV collision cannot
+// be produced on demand, so the test plants a foreign cover at the head of a
+// real signature's chain.
+func TestCoverSigCollisionChain(t *testing.T) {
+	ix := newIndex(t)
+	fa, fb := anyFilter(1, "a", "b"), allFilter(2, "c", "d", "e")
+	for _, f := range []model.Filter{fa, fb} {
+		if err := ix.Register(f, f.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := ix.agg
+	ca, cb := a.coverOf(&fa, false), a.coverOf(&fb, false)
+	if ca == nil || cb == nil || ca == cb {
+		t.Fatalf("covers = %p, %p; want two distinct covers", ca, cb)
+	}
+	h := sigHash(ca.mode, ca.threshold, ca.ids)
+	sh := &a.sig[h&shardMask]
+	sh.covers[h] = &cover{id: a.seq.Add(1), mode: cb.mode, ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
+	if got := a.coverOf(&fa, false); got != ca {
+		t.Fatalf("lookup behind a colliding cover = %p, want %p", got, ca)
+	}
+	if rep, ok := ix.RepFor(fa); !ok || rep != 1 {
+		t.Fatalf("RepFor = %v,%v, want f1", rep, ok)
+	}
+	// Same terms, other mode: a different signature.
+	if ca.hasSig(model.MatchAll, 0, ca.ids) || !ca.hasSig(model.MatchAny, 0, ca.ids) {
+		t.Fatal("hasSig does not tell MatchAll{a,b} from MatchAny{a,b}")
+	}
 }

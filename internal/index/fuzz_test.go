@@ -11,18 +11,21 @@ import (
 // a small vocabulary and drives it into an aggregated index and the flat
 // oracle, comparing every matcher after each match op. Any divergence in
 // the sorted match set, MatchStats, or counters fails the target. The
-// checked-in seed corpus (testdata/fuzz/FuzzIndexRegisterMatch) covers the
+// seeds below and in testdata/fuzz/FuzzIndexRegisterMatch cover the
 // interleavings the table tests pin: same-signature sharing, unregister
 // of a cover representative, signature splits and merges with overlapping
-// posting terms, migration replays, and drop-term.
+// posting terms, migration replays, drop-term, a cover matched while it
+// holds a stale member, and documents none of whose terms any filter names.
 //
 // Byte grammar, per op: [opcode, args...] with opcode % 7 selecting
-//   0,1 register   (id, termMask, modeByte, postingPrefixByte)
-//   2   unregister (id)
-//   3   ensure     (id, termMask, modeByte)
-//   4   dropTerm   (termIndex)
-//   5   observe    (termMask)
-//   6   match      (termMask)
+//
+//	0,1 register   (id, termMask, modeByte, postingPrefixByte)
+//	2   unregister (id)
+//	3   ensure     (id, termMask, modeByte)
+//	4   dropTerm   (termIndex)
+//	5   observe    (termMask)
+//	6   match      (termMask)
+//
 // Truncated args end the stream.
 func FuzzIndexRegisterMatch(f *testing.F) {
 	// Same-sig cover sharing, then match.
@@ -35,6 +38,13 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	f.Add([]byte{0, 2, 0x0c, 2, 0, 2, 2, 3, 2, 0x06, 2, 6, 0x0e})
 	// Drop a term out from under a cover, threshold-mode members.
 	f.Add([]byte{5, 0x1f, 0, 3, 0x18, 2, 0, 4, 3, 6, 0x1f, 0, 4, 0x18, 2, 1, 6, 0x18})
+	// Two members of an {a,b} cover; one leaves for {c,d} posted under c,d
+	// only, so its a,b bits go stale: match, unregister it, match,
+	// re-register it back, match.
+	f.Add([]byte{0, 1, 0x03, 1, 0, 0, 2, 0x03, 1, 0, 0, 2, 0x0c, 0, 0, 6, 0x05, 6, 0x0f, 2, 2, 6, 0x0f, 0, 2, 0x03, 1, 0, 6, 0x0f})
+	// Documents over g,h while only a,b,c are in the dictionary; then a
+	// half-known document.
+	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x05, 1, 1, 6, 0xc0, 6, 0x80, 6, 0xc3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		sa, err := store.Open("", store.Options{})
 		if err != nil {

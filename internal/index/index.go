@@ -204,11 +204,12 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 			return err
 		}
 	}
-	ix.state.filterShard(f.ID).put(f.Clone())
+	if ix.state.filterShard(f.ID).put(f.Clone()) {
+		ix.numFilters.Add(1)
+	}
 	for _, t := range postingTerms {
 		ix.state.termShard(t).add(t, f.ID)
 	}
-	ix.numFilters.Add(1)
 	ix.numPostings.Add(int64(len(postingTerms)))
 	return nil
 }
@@ -438,7 +439,7 @@ var seenPool = sync.Pool{
 // snapshots; callers must not mutate Terms (DESIGN.md §11).
 func (ix *Index) MatchSIFT(d *model.Document) ([]model.Filter, MatchStats, error) {
 	if ix.agg != nil {
-		return ix.aggMatchSIFT(d)
+		return ix.aggMatchTerms(d, d.Terms)
 	}
 	var st MatchStats
 	view := d.View()
@@ -507,25 +508,11 @@ func (ix *Index) evaluate(f *model.Filter, view *model.DocView) bool {
 	}
 }
 
-// NumFilters returns the count of registered filter definitions.
+// NumFilters returns the number of filter definitions resident on the
+// node: re-registering a live ID replaces its definition and does not
+// count again.
 func (ix *Index) NumFilters() int {
 	return int(ix.numFilters.Load())
-}
-
-// LiveFilters counts the filter definitions currently resident by walking
-// the definition shards. Unlike NumFilters — which preserves the original
-// engine's accounting and increments on every Register call, including a
-// re-registration of an ID that is already live — this is exact, so tests
-// can cross-check it against CoverStats.CoveredFilters.
-func (ix *Index) LiveFilters() int {
-	total := 0
-	for i := range ix.state.filters {
-		sh := &ix.state.filters[i]
-		sh.mu.RLock()
-		total += len(sh.filters)
-		sh.mu.RUnlock()
-	}
-	return total
 }
 
 // NumPostings returns the total posting entries written (storage-cost

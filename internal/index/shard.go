@@ -11,9 +11,12 @@ import (
 // modulo. 32 shards keeps per-shard maps small at the paper's filter
 // densities while giving concurrent registers/matches on different terms
 // independent locks.
-const DefaultShards = 32
+const DefaultShards = 1 << shardBits
 
-const shardMask = DefaultShards - 1
+const (
+	shardBits = 5
+	shardMask = DefaultShards - 1
+)
 
 // termShardFor hashes a term to its shard with FNV-1a. The low bits of
 // FNV-1a are well distributed for short ASCII terms, which is exactly the
@@ -132,11 +135,14 @@ func (s *filterShard) get(id model.FilterID) (model.Filter, bool) {
 	return f, ok
 }
 
-// put stores (or replaces) a filter definition.
-func (s *filterShard) put(f model.Filter) {
+// put stores (or replaces) a filter definition, reporting whether the ID
+// had none before.
+func (s *filterShard) put(f model.Filter) (created bool) {
 	s.mu.Lock()
+	_, had := s.filters[f.ID]
 	s.filters[f.ID] = f
 	s.mu.Unlock()
+	return !had
 }
 
 // del removes id's definition, reporting whether it was present.

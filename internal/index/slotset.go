@@ -8,28 +8,38 @@ import "math/bits"
 // that term; one more per cover (cover.alive) records which members are
 // currently registered.
 //
-// The representation is roaring-style with two container forms:
+// The representation is roaring-style with three container forms:
 //
-//   - array: a sorted []uint16 of slot indexes, used while the set holds
-//     fewer than slotArrayMax entries and every slot fits in 16 bits. At the
-//     paper's filter densities most (term, cover) memberships are tiny, so
-//     this is the common case: 2 bytes per member.
+//   - inline: a set that has only ever held one slot keeps it in the
+//     16-byte slotSet value itself — no slice header, no heap array. When
+//     subscriptions do not share predicates nearly every (term, cover)
+//     container is this form, so it is what bounds bytes per filter.
+//   - array: a sorted []uint16 of slot indexes, used from the second member
+//     while the set holds fewer than slotArrayMax entries and every slot
+//     fits in 16 bits: 2 bytes per member.
 //   - bitmap: []uint64 words indexed by slot, used once the set grows past
 //     slotArrayMax or sees a slot ≥ 1<<16. Hot covers with hundreds of
 //     thousands of members cost 1 bit per slot instead of the flat index's
 //     8-byte posting entry plus ~50-byte dedup-map entry.
 //
-// Promotion is one-way (array → bitmap); clears never demote. The cached
-// cardinality makes the logical posting-list length — what MatchStats
-// charges — an O(1) read.
+// Promotion is one-way (inline → array → bitmap); clears never demote. The
+// cached cardinality makes the logical posting-list length — what
+// MatchStats charges — an O(1) read.
 //
 // slotSets are guarded by their owner's lock (the term shard's RWMutex for
-// posting memberships, the cover's RWMutex for alive sets); they carry no
+// posting memberships, the cover's mutex for alive sets); they carry no
 // synchronization of their own.
 type slotSet struct {
+	one int32    // inline form: slot+1, 0 when empty; unused once big is set
+	big *slotBig // nil until a second member promotes the set
+}
+
+// slotBig is the heap half of a promoted slotSet: the array or bitmap
+// container and its cardinality.
+type slotBig struct {
 	card  int32
-	arr   []uint16 // sorted; nil once promoted
-	words []uint64 // nil until promoted
+	arr   []uint16 // sorted; nil once promoted to bitmap
+	words []uint64 // nil until promoted to bitmap
 }
 
 // slotArrayMax is the array-container capacity before promotion to a
@@ -38,160 +48,208 @@ type slotSet struct {
 const slotArrayMax = 64
 
 // count returns the cardinality.
-func (s *slotSet) count() int { return int(s.card) }
+func (s *slotSet) count() int {
+	if s.big != nil {
+		return int(s.big.card)
+	}
+	if s.one != 0 {
+		return 1
+	}
+	return 0
+}
 
 // arrFind returns the insertion index of slot in the sorted array container
 // and whether it is already present.
-func (s *slotSet) arrFind(slot int) (int, bool) {
-	lo, hi := 0, len(s.arr)
+func (b *slotBig) arrFind(slot int) (int, bool) {
+	lo, hi := 0, len(b.arr)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(s.arr[mid]) < slot {
+		if int(b.arr[mid]) < slot {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(s.arr) && int(s.arr[lo]) == slot
+	return lo, lo < len(b.arr) && int(b.arr[lo]) == slot
 }
 
 // has reports slot membership.
 func (s *slotSet) has(slot int) bool {
-	if s.words != nil {
-		w := slot >> 6
-		return w < len(s.words) && s.words[w]&(1<<(uint(slot)&63)) != 0
+	b := s.big
+	if b == nil {
+		return s.one != 0 && int(s.one-1) == slot
 	}
-	_, ok := s.arrFind(slot)
+	if b.words != nil {
+		w := slot >> 6
+		return w < len(b.words) && b.words[w]&(1<<(uint(slot)&63)) != 0
+	}
+	_, ok := b.arrFind(slot)
 	return ok
 }
 
 // testAndSet inserts slot, reporting whether it was newly added.
 func (s *slotSet) testAndSet(slot int) bool {
-	if s.words == nil {
-		if len(s.arr) < slotArrayMax && slot < 1<<16 {
-			i, ok := s.arrFind(slot)
+	if s.big == nil {
+		if s.one == 0 {
+			s.one = int32(slot + 1)
+			return true
+		}
+		if int(s.one-1) == slot {
+			return false
+		}
+		s.big = &slotBig{}
+		s.big.set(int(s.one - 1))
+		s.one = 0
+	}
+	return s.big.set(slot)
+}
+
+// set inserts slot into the array or bitmap container.
+func (b *slotBig) set(slot int) bool {
+	if b.words == nil {
+		if len(b.arr) < slotArrayMax && slot < 1<<16 {
+			i, ok := b.arrFind(slot)
 			if ok {
 				return false
 			}
-			s.arr = append(s.arr, 0)
-			copy(s.arr[i+1:], s.arr[i:])
-			s.arr[i] = uint16(slot)
-			s.card++
+			b.arr = append(b.arr, 0)
+			copy(b.arr[i+1:], b.arr[i:])
+			b.arr[i] = uint16(slot)
+			b.card++
 			return true
 		}
-		s.promote(slot)
+		b.promote(slot)
 	}
 	w, mask := slot>>6, uint64(1)<<(uint(slot)&63)
-	if w >= len(s.words) {
+	if w >= len(b.words) {
 		grown := make([]uint64, w+1)
-		copy(grown, s.words)
-		s.words = grown
+		copy(grown, b.words)
+		b.words = grown
 	}
-	if s.words[w]&mask != 0 {
+	if b.words[w]&mask != 0 {
 		return false
 	}
-	s.words[w] |= mask
-	s.card++
+	b.words[w] |= mask
+	b.card++
 	return true
 }
 
 // promote converts the array container to a bitmap sized for maxSlot.
-func (s *slotSet) promote(maxSlot int) {
+func (b *slotBig) promote(maxSlot int) {
 	top := maxSlot
-	if len(s.arr) > 0 && int(s.arr[len(s.arr)-1]) > top {
-		top = int(s.arr[len(s.arr)-1])
+	if len(b.arr) > 0 && int(b.arr[len(b.arr)-1]) > top {
+		top = int(b.arr[len(b.arr)-1])
 	}
-	s.words = make([]uint64, top>>6+1)
-	for _, v := range s.arr {
-		s.words[v>>6] |= 1 << (uint(v) & 63)
+	b.words = make([]uint64, top>>6+1)
+	for _, v := range b.arr {
+		b.words[v>>6] |= 1 << (uint(v) & 63)
 	}
-	s.arr = nil
+	b.arr = nil
 }
 
 // clear removes slot, reporting whether it was present.
 func (s *slotSet) clear(slot int) bool {
-	if s.words != nil {
-		w, mask := slot>>6, uint64(1)<<(uint(slot)&63)
-		if w >= len(s.words) || s.words[w]&mask == 0 {
+	b := s.big
+	if b == nil {
+		if s.one == 0 || int(s.one-1) != slot {
 			return false
 		}
-		s.words[w] &^= mask
-		s.card--
+		s.one = 0
 		return true
 	}
-	i, ok := s.arrFind(slot)
+	if b.words != nil {
+		w, mask := slot>>6, uint64(1)<<(uint(slot)&63)
+		if w >= len(b.words) || b.words[w]&mask == 0 {
+			return false
+		}
+		b.words[w] &^= mask
+		b.card--
+		return true
+	}
+	i, ok := b.arrFind(slot)
 	if !ok {
 		return false
 	}
-	s.arr = append(s.arr[:i], s.arr[i+1:]...)
-	s.card--
+	b.arr = append(b.arr[:i], b.arr[i+1:]...)
+	b.card--
 	return true
 }
 
 // first returns the lowest set slot, or -1 when empty. Used to promote a
 // surviving member to cover representative.
 func (s *slotSet) first() int {
-	if s.words != nil {
-		for w, bits := range s.words {
+	b := s.big
+	if b == nil {
+		return int(s.one) - 1
+	}
+	if b.words != nil {
+		for w, bits := range b.words {
 			if bits != 0 {
 				return w<<6 + trailingZeros(bits)
 			}
 		}
 		return -1
 	}
-	if len(s.arr) == 0 {
+	if len(b.arr) == 0 {
 		return -1
 	}
-	return int(s.arr[0])
+	return int(b.arr[0])
 }
 
 // forEach calls fn for every slot in ascending order. Cold-path helper
 // (PostingIDs, stats, tests); the match loops iterate containers inline to
 // stay allocation-free.
 func (s *slotSet) forEach(fn func(slot int)) {
-	if s.words != nil {
-		for w, bits := range s.words {
+	b := s.big
+	if b == nil {
+		if s.one != 0 {
+			fn(int(s.one - 1))
+		}
+		return
+	}
+	if b.words != nil {
+		for w, bits := range b.words {
 			for bits != 0 {
-				b := trailingZeros(bits)
-				fn(w<<6 + b)
+				fn(w<<6 + trailingZeros(bits))
 				bits &= bits - 1
 			}
 		}
 		return
 	}
-	for _, v := range s.arr {
+	for _, v := range b.arr {
 		fn(int(v))
 	}
 }
 
 // intersectCard returns |s ∩ o| container-wise: word-AND popcounts when
-// both sides are bitmaps, membership probes against the larger side when
-// either is an array. Used to intersect posting memberships with a cover's
-// alive set before expansion accounting (live fan-out statistics).
+// both sides are bitmaps, membership probes against the other side for
+// every element of the smaller inline or array side otherwise. Used to
+// intersect posting memberships with a cover's alive set (live fan-out
+// statistics, and the live count of a container the match path skips).
 func (s *slotSet) intersectCard(o *slotSet) int {
-	if s.words != nil && o.words != nil {
-		n := len(s.words)
-		if len(o.words) < n {
-			n = len(o.words)
-		}
+	if s.isBitmap() && o.isBitmap() {
+		sw, ow := s.big.words, o.big.words
+		n := min(len(sw), len(ow))
 		total := 0
 		for i := 0; i < n; i++ {
-			total += popcount(s.words[i] & o.words[i])
+			total += popcount(sw[i] & ow[i])
 		}
 		return total
 	}
 	small, big := s, o
-	if small.arr == nil || (big.arr != nil && len(big.arr) < len(small.arr)) {
+	if small.isBitmap() || (!big.isBitmap() && big.count() < small.count()) {
 		small, big = big, small
 	}
 	total := 0
-	for _, v := range small.arr {
-		if big.has(int(v)) {
+	small.forEach(func(slot int) {
+		if big.has(slot) {
 			total++
 		}
-	}
+	})
 	return total
 }
+
+func (s *slotSet) isBitmap() bool { return s.big != nil && s.big.words != nil }
 
 func trailingZeros(v uint64) int { return bits.TrailingZeros64(v) }
 

@@ -74,38 +74,96 @@ func TestSlotSetMatchesMapSet(t *testing.T) {
 	}
 }
 
-// TestSlotSetPromotion pins the container transitions: small sets stay in
-// the sorted-array form, crossing slotArrayMax (or seeing a slot beyond
-// 16 bits) promotes to the bitmap form, and membership survives.
+// slotForm names the container a slotSet currently uses.
+func slotForm(s *slotSet) string {
+	switch {
+	case s.big == nil:
+		return "inline"
+	case s.big.words == nil:
+		return "array"
+	default:
+		return "bitmap"
+	}
+}
+
+// TestSlotSetPromotion pins the container transitions: a set that has held
+// one slot stays inline (no heap half at all), the second distinct member
+// promotes it to the sorted array, crossing slotArrayMax or seeing a slot
+// beyond 16 bits promotes to the bitmap, promotion is one-way, and
+// membership survives every step.
 func TestSlotSetPromotion(t *testing.T) {
-	var s slotSet
-	for i := 0; i < slotArrayMax; i++ {
-		s.testAndSet(i * 3)
-	}
-	if s.words != nil {
-		t.Fatalf("set of %d elements should still be an array container", slotArrayMax)
-	}
-	s.testAndSet(1000)
-	if s.words == nil {
-		t.Fatal("crossing slotArrayMax must promote to bitmap")
-	}
-	if s.count() != slotArrayMax+1 {
-		t.Fatalf("count after promotion = %d, want %d", s.count(), slotArrayMax+1)
-	}
-	for i := 0; i < slotArrayMax; i++ {
-		if !s.has(i * 3) {
-			t.Fatalf("slot %d lost in promotion", i*3)
+	seq := func(n, stride int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i * stride
 		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		insert []int
+		clear  []int
+		form   string
+	}{
+		{"empty", nil, nil, "inline"},
+		{"one", []int{7}, nil, "inline"},
+		{"one-repeated", []int{7, 7, 7}, nil, "inline"},
+		{"one-wide", []int{1 << 20}, nil, "inline"},
+		{"one-cleared-then-another", []int{7, 9}, []int{7}, "array"},
+		{"two", []int{7, 3}, nil, "array"},
+		{"array-full", seq(slotArrayMax, 3), nil, "array"},
+		{"array-overflow", append(seq(slotArrayMax, 3), 1000), nil, "bitmap"},
+		{"second-member-wide", []int{7, 1 << 16}, nil, "bitmap"},
+		{"bitmap-drained", append(seq(slotArrayMax, 3), 1000), append(seq(slotArrayMax, 3), 1000), "bitmap"},
+		{"array-drained", []int{7, 3}, []int{7, 3}, "array"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s slotSet
+			want := map[int]bool{}
+			for _, v := range tc.insert {
+				if s.testAndSet(v) == want[v] {
+					t.Fatalf("testAndSet(%d) = %v with the slot already present: %v", v, !want[v], want[v])
+				}
+				want[v] = true
+			}
+			for _, v := range tc.clear {
+				if !s.clear(v) {
+					t.Fatalf("clear(%d) found nothing", v)
+				}
+				delete(want, v)
+			}
+			if got := slotForm(&s); got != tc.form {
+				t.Fatalf("container = %s, want %s", got, tc.form)
+			}
+			if s.count() != len(want) {
+				t.Fatalf("count = %d, want %d", s.count(), len(want))
+			}
+			for _, v := range tc.insert {
+				if s.has(v) != want[v] {
+					t.Fatalf("has(%d) = %v, want %v", v, s.has(v), want[v])
+				}
+			}
+			n := 0
+			s.forEach(func(slot int) {
+				if !want[slot] {
+					t.Fatalf("forEach yielded absent slot %d", slot)
+				}
+				n++
+			})
+			if n != len(want) {
+				t.Fatalf("forEach yielded %d slots, want %d", n, len(want))
+			}
+		})
 	}
 
-	// A huge slot promotes immediately, regardless of cardinality.
-	var wide slotSet
-	wide.testAndSet(1 << 16)
-	if wide.words == nil {
-		t.Fatal("slot >= 1<<16 must use the bitmap form")
-	}
-	if !wide.has(1<<16) || wide.has(0) {
-		t.Fatal("bitmap membership wrong after wide insert")
+	// The inline form re-arms: a set emptied before it ever grew takes its
+	// next member inline again.
+	var s slotSet
+	s.testAndSet(4)
+	s.clear(4)
+	s.testAndSet(11)
+	if slotForm(&s) != "inline" || !s.has(11) || s.has(4) || s.first() != 11 {
+		t.Fatalf("emptied inline set: form=%s has(11)=%v has(4)=%v first=%d", slotForm(&s), s.has(11), s.has(4), s.first())
 	}
 }
 
@@ -115,8 +173,10 @@ func TestSlotSetIntersectCard(t *testing.T) {
 	build := func(slots []int, promote bool) *slotSet {
 		var s slotSet
 		if promote {
-			s.testAndSet(70000) // force bitmap form
+			s.testAndSet(70000) // a second member beyond 16 bits forces the bitmap form
+			s.testAndSet(70001)
 			s.clear(70000)
+			s.clear(70001)
 		}
 		for _, v := range slots {
 			s.testAndSet(v)
@@ -134,6 +194,14 @@ func TestSlotSetIntersectCard(t *testing.T) {
 			}
 			if got := sb.intersectCard(sa); got != want {
 				t.Errorf("reverse intersectCard(promoteA=%v, promoteB=%v) = %d, want %d", pa, pb, got, want)
+			}
+		}
+		// An inline set against every form, hit and miss.
+		sa := build(a, pa)
+		for slot, want := range map[int]int{9: 1, 10: 0} {
+			one := build([]int{slot}, false)
+			if got := one.intersectCard(sa) + sa.intersectCard(one); got != 2*want {
+				t.Errorf("inline{%d} against promoteA=%v: both directions sum to %d, want %d", slot, pa, got, 2*want)
 			}
 		}
 	}

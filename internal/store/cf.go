@@ -10,6 +10,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -29,11 +30,50 @@ const (
 	kindMerge     = 3 // append operand; read accumulates until a Put/Tombstone
 )
 
-// memRecord is the memtable state of one key.
+// memRecord is the memtable state of one key. data is the value of a
+// kindPut record; for kindMerge it holds the operands, oldest first, packed
+// into one buffer — each as its uvarint length followed by its bytes — so a
+// posting list of a thousand few-byte operands is one heap object, not a
+// thousand and a slice header apiece.
 type memRecord struct {
 	kind int
-	val  []byte   // kindPut value
-	ops  [][]byte // kindMerge operands, oldest first
+	data []byte
+}
+
+// val returns the plain value (nil unless kindPut).
+func (r *memRecord) val() []byte {
+	if r.kind != kindPut {
+		return nil
+	}
+	return r.data
+}
+
+// appendOp packs one more merge operand.
+func (r *memRecord) appendOp(op []byte) {
+	r.data = binary.AppendUvarint(r.data, uint64(len(op)))
+	r.data = append(r.data, op...)
+}
+
+// ops returns the merge operands oldest first (nil unless kindMerge), each
+// aliasing the packed buffer: appends only ever write past what an earlier
+// call saw, so the slices stay valid and immutable.
+func (r *memRecord) ops() [][]byte {
+	if r.kind != kindMerge {
+		return nil
+	}
+	n := 0
+	for buf := r.data; len(buf) > 0; n++ {
+		l, w := binary.Uvarint(buf)
+		buf = buf[w+int(l):]
+	}
+	out := make([][]byte, 0, n)
+	for buf := r.data; len(buf) > 0; {
+		l, w := binary.Uvarint(buf)
+		end := w + int(l)
+		out = append(out, buf[w:end:end])
+		buf = buf[end:]
+	}
+	return out
 }
 
 // CF is one column family. All methods are safe for concurrent use.
@@ -112,7 +152,7 @@ func (cf *CF) Name() string { return cf.name }
 // Put stores a plain value for key.
 func (cf *CF) Put(key string, val []byte) error {
 	cf.mu.Lock()
-	rec := &memRecord{kind: kindPut, val: append([]byte(nil), val...)}
+	rec := &memRecord{kind: kindPut, data: append([]byte(nil), val...)}
 	cf.chargeLocked(key, rec)
 	cf.mem[key] = rec
 	return cf.maybeFlushLocked() // unlocks
@@ -137,14 +177,14 @@ func (cf *CF) Append(key string, op []byte) error {
 		rec = &memRecord{kind: kindMerge}
 		cf.mem[key] = rec
 	}
-	rec.ops = append(rec.ops, append([]byte(nil), op...))
+	rec.appendOp(op)
 	cf.memBytes += len(key) + len(op) + 16
 	return cf.maybeFlushLocked()
 }
 
 // chargeLocked accounts memtable size for a replace-style record.
 func (cf *CF) chargeLocked(key string, rec *memRecord) {
-	cf.memBytes += len(key) + len(rec.val) + 16
+	cf.memBytes += len(key) + len(rec.val()) + 16
 }
 
 // maybeFlushLocked flushes when the memtable is full. It releases the lock.
@@ -163,7 +203,7 @@ func (cf *CF) Get(key string) ([]byte, bool, error) {
 	if rec, ok := cf.mem[key]; ok {
 		switch rec.kind {
 		case kindPut:
-			return append([]byte(nil), rec.val...), true, nil
+			return append([]byte(nil), rec.data...), true, nil
 		case kindTombstone:
 			return nil, false, nil
 		case kindMerge:
@@ -204,7 +244,7 @@ func (cf *CF) GetMerged(key string) ([][]byte, error) {
 		case kindPut:
 			return nil, fmt.Errorf("store: GetMerged on plain key %q: %w", key, ErrWrongKind)
 		case kindMerge:
-			layers = append(layers, rec.ops)
+			layers = append(layers, rec.ops())
 		}
 	}
 	stop := false
@@ -281,7 +321,7 @@ func (cf *CF) Scan(prefix string, fn func(key string, val []byte, ops [][]byte) 
 		}
 	}
 	for key, rec := range cf.mem {
-		collect(key, rec.kind, rec.val, rec.ops)
+		collect(key, rec.kind, rec.val(), rec.ops())
 	}
 	for _, seg := range cf.segments {
 		for i := range seg.entries {
@@ -413,9 +453,9 @@ type segEntry struct {
 func newSegmentFromMem(mem map[string]*memRecord) *segment {
 	seg := &segment{entries: make([]segEntry, 0, len(mem))}
 	for key, rec := range mem {
-		e := segEntry{key: key, kind: rec.kind, val: rec.val, ops: rec.ops}
-		seg.bytes += len(key) + len(rec.val) + 16
-		for _, op := range rec.ops {
+		e := segEntry{key: key, kind: rec.kind, val: rec.val(), ops: rec.ops()}
+		seg.bytes += len(key) + len(e.val) + 16
+		for _, op := range e.ops {
 			seg.bytes += len(op)
 		}
 		seg.entries = append(seg.entries, e)
