@@ -20,14 +20,18 @@ bench:
 # The size figures every simplicity PR reports, counted the same way each
 # time: the two files the node protocol lives in, the framed connection and
 # the two writers built on it (one sum), all non-test Go outside benchmark/
-# (its own module), cmd/movebench's share of that, and the number of stored
-# BENCH_*.json reports.
+# (its own module), cmd/movebench's share of that, the number of stored
+# BENCH_*.json reports, and the node's surface: live msg* message types
+# (retired numbers are comments, not constants) and exported top-level
+# identifiers — functions, methods, types, variables, constants.
 loc:
 	@wc -l internal/node/node.go internal/node/proto.go | sed '$$d'
 	@cat $(filter-out %_test.go,$(wildcard internal/frame/*.go)) internal/transport/writer.go internal/delivery/server.go | wc -l | sed 's/$$/ internal\/frame\/*.go (non-test) + transport\/writer.go + delivery\/server.go/'
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l | sed 's/$$/ non-test Go lines outside benchmark\//'
 	@cat $(filter-out %_test.go,$(wildcard cmd/movebench/*.go)) | wc -l | sed 's/$$/ cmd\/movebench (non-test)/'
 	@echo "$(words $(wildcard BENCH_*.json)) BENCH_*.json files"
+	@cat internal/node/proto.go internal/node/deliver.go | grep -cE '^(const)?[[:space:]]+msg[A-Za-z]+[[:space:]]+=[[:space:]]+[0-9]+' | sed 's/$$/ live msg* message types (internal\/node proto.go + deliver.go)/'
+	@cat $(filter-out %_test.go,$(wildcard internal/node/*.go)) | grep -cE '^(func (\([a-z]+ \*?[A-Z][A-Za-z0-9]*\) )?|type |var |const )[A-Z]' | sed 's/$$/ exported identifiers in internal\/node (non-test)/'
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
 # shake out regressions in the codec, framing, tokenizer, index and

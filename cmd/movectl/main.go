@@ -10,11 +10,16 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -35,14 +40,23 @@ func main() {
 	}
 }
 
-// client is a thin entry-point: it shares the ring computation with the
-// servers so it can route directly to home nodes (O(1)-hop, no proxy).
+// client is an off-ring entry node: it shares the ring computation with the
+// servers, so control frames go straight to their home nodes (O(1)-hop, no
+// proxy) and documents enter through the same node.PublishEntry as every
+// other entry point.
 type client struct {
-	ring *ring.Ring
-	tn   *transport.TCPNode
+	ring  *ring.Ring
+	tn    *transport.TCPNode
+	entry *node.Node
+	out   io.Writer
+
+	// lost collects the subscribers OnDeliveryLoss reported for the publish
+	// in flight; lostMu orders the routing goroutines' concurrent reports.
+	lostMu sync.Mutex
+	lost   []string
 }
 
-func newClient(peersFlag string) (*client, error) {
+func newClient(peersFlag string, out io.Writer) (*client, error) {
 	peers, err := transport.ParsePeers(peersFlag)
 	if err != nil {
 		return nil, err
@@ -50,17 +64,29 @@ func newClient(peersFlag string) (*client, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("-peers is required")
 	}
-	r := ring.New(ring.Config{})
+	c := &client{ring: ring.New(ring.Config{}), out: out}
 	for pid := range peers {
-		if err := r.Add(ring.Member{ID: pid, Rack: "rack-0"}); err != nil {
+		if err := c.ring.Add(ring.Member{ID: pid, Rack: "rack-0"}); err != nil {
 			return nil, err
 		}
 	}
-	tn, err := transport.NewTCP("movectl-client", "127.0.0.1:0", rejectInbound, transport.StaticResolver(peers))
+	c.entry, err = node.New(node.Config{
+		ID: "movectl-client", Ring: c.ring, RouteDeliveries: true,
+		OnDeliveryLoss: func(_ uint64, subs []string) {
+			c.lostMu.Lock()
+			c.lost = append(c.lost, subs...)
+			c.lostMu.Unlock()
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &client{ring: r, tn: tn}, nil
+	c.tn, err = transport.NewTCP(c.entry.ID(), "127.0.0.1:0", rejectInbound, transport.StaticResolver(peers))
+	if err != nil {
+		return nil, err
+	}
+	c.entry.Attach(c.tn)
+	return c, nil
 }
 
 func rejectInbound(context.Context, ring.NodeID, []byte) ([]byte, error) {
@@ -96,7 +122,7 @@ func run() error {
 		return subscribe(*addr, *sub, *resume)
 	}
 
-	c, err := newClient(*peersFlag)
+	c, err := newClient(*peersFlag, os.Stdout)
 	if err != nil {
 		return err
 	}
@@ -218,7 +244,7 @@ func (c *client) allocate(ctx context.Context, capacity int, epoch uint64) error
 				fmt.Errorf("allocation epoch %d aborted: prepare on %s: %w", epoch, home, err),
 				c.broadcast(ctx, members, node.EncodeAbortGrid(epoch)))
 		}
-		fmt.Printf("prepared %s onto a %dx%d grid (r=%.2f)\n", home, grid.Rows(), grid.Cols(), f.Ratio)
+		fmt.Fprintf(c.out, "prepared %s onto a %dx%d grid (r=%.2f)\n", home, grid.Rows(), grid.Cols(), f.Ratio)
 		prepared++
 	}
 	if prepared > 0 {
@@ -226,7 +252,7 @@ func (c *client) allocate(ctx context.Context, capacity int, epoch uint64) error
 			return fmt.Errorf("allocation epoch %d: commit: %w", epoch, err)
 		}
 	}
-	fmt.Printf("allocation epoch %d: %d grid(s) committed across %d nodes\n", epoch, prepared, len(members))
+	fmt.Fprintf(c.out, "allocation epoch %d: %d grid(s) committed across %d nodes\n", epoch, prepared, len(members))
 	return nil
 }
 
@@ -303,94 +329,47 @@ func (c *client) register(ctx context.Context, id model.FilterID, sub, query str
 			return fmt.Errorf("register on %s: %w", home, err)
 		}
 	}
-	fmt.Printf("registered filter %s for %s: terms=%v on %d home node(s)\n", f.ID, sub, terms, len(byHome))
+	fmt.Fprintf(c.out, "registered filter %s for %s: terms=%v on %d home node(s)\n", f.ID, sub, terms, len(byHome))
 	return nil
 }
 
-// publish groups the document's terms by home node, sends each home ONE
-// publish frame (the document encoded once plus that node's term list),
-// and merges the matches. With showTrace, the hop path each home node
-// reports (grid columns visited, failover substitutions) is printed after
-// the matches.
+// publish disseminates the document through node.PublishEntry and prints
+// what it returns: the deduplicated matches in filter-ID order, then any
+// subscribers whose session owner refused or could not be reached for the
+// routed delivery (a node without -subscribe.addr has no hub). Delivery loss
+// is reported, not an error — the match succeeded. With showTrace, the hop
+// path (home hops, grid columns visited, failover substitutions) is printed
+// before the matches.
 func (c *client) publish(ctx context.Context, content string, showTrace bool) error {
 	terms := text.Terms(content, text.Options{})
 	if len(terms) == 0 {
 		return fmt.Errorf("document has no indexable terms")
 	}
 	doc := model.Document{ID: uint64(time.Now().UnixNano()), Terms: terms}
-	byHome := make(map[ring.NodeID][]string)
-	var homes []ring.NodeID
-	for _, t := range terms {
-		home, err := c.ring.HomeNode(t)
-		if err != nil {
-			return err
-		}
-		if _, ok := byHome[home]; !ok {
-			homes = append(homes, home)
-		}
-		byHome[home] = append(byHome[home], t)
-	}
-	seen := make(map[model.FilterID]string)
-	var hops []trace.Hop
-	for _, home := range homes {
-		homeTerms := byHome[home]
-		start := time.Now()
-		raw, err := c.tn.Send(ctx, home, node.EncodePublishFrame([]node.PublishItem{{Doc: &doc, Terms: homeTerms}}))
-		if err != nil {
-			return fmt.Errorf("publish terms %v to %s: %w", homeTerms, home, err)
-		}
-		resps, err := node.DecodeMatchRespBatch(raw)
-		if err != nil {
-			return err
-		}
-		if len(resps) != 1 {
-			return fmt.Errorf("publish to %s: %d responses to a one-item frame", home, len(resps))
-		}
-		resp := resps[0]
-		elapsed := time.Since(start).Nanoseconds()
-		for _, t := range homeTerms {
-			hops = append(hops, trace.Hop{Stage: "home", To: string(home), Term: t, ElapsedNS: elapsed})
-		}
-		hops = append(hops, resp.Hops...)
-		for _, m := range resp.Matches {
-			seen[m.Filter] = m.Subscriber
-		}
-	}
+	sp := trace.New("publish", doc.ID)
+	matches, _, err := c.entry.PublishEntry(trace.With(ctx, sp), &doc)
 	if showTrace {
-		printHops(hops)
+		c.printHops(sp.Summary().Hops)
 	}
-	fmt.Printf("published doc with %d terms to %d home node(s); %d matching filter(s)\n", len(terms), len(homes), len(seen))
-	// Route deliveries to each subscriber's session owner: one
-	// deliver-batch frame per owner node carrying every notification it
-	// hosts. Owners push to the session through their hub (moved
-	// -subscribe.addr); an owner without one refuses the batch.
-	matches := make([]node.Match, 0, len(seen))
-	for id, sub := range seen {
-		fmt.Printf("  -> %s (%s)\n", sub, id)
-		matches = append(matches, node.Match{Filter: id, Subscriber: sub})
+	fmt.Fprintf(c.out, "published doc %d with %d terms; %d matching filter(s)\n", doc.ID, len(terms), len(matches))
+	slices.SortFunc(matches, func(a, b node.Match) int { return cmp.Compare(a.Filter, b.Filter) })
+	for _, m := range matches {
+		fmt.Fprintf(c.out, "  -> %s (%s)\n", m.Subscriber, m.Filter)
 	}
-	byOwner := make(map[ring.NodeID][]delivery.Notification)
-	for _, nt := range node.GroupMatchesBySub(matches) {
-		owner, err := c.ring.HomeNode("subscriber/" + nt.Sub)
-		if err != nil {
-			return err
-		}
-		byOwner[owner] = append(byOwner[owner], nt)
+	// Every routing goroutine has reported by the time PublishEntry returns.
+	if len(c.lost) > 0 {
+		slices.Sort(c.lost)
+		fmt.Fprintf(c.out, "%d subscriber(s) not reached: %s\n", len(c.lost), strings.Join(c.lost, ", "))
+		c.lost = nil
 	}
-	for owner, notifs := range byOwner {
-		payload := node.EncodeDeliverBatch(&delivery.Batch{DocID: doc.ID, Terms: doc.Terms, Notifs: notifs})
-		if _, err := c.tn.Send(ctx, owner, payload); err != nil {
-			return fmt.Errorf("deliver batch to %s: %w", owner, err)
-		}
-	}
-	return nil
+	return err
 }
 
 // printHops renders a publish hop path, one line per hop, flagging
 // failovers (a column served by a substitute partition row) and lost
 // columns (every replica row exhausted).
-func printHops(hops []trace.Hop) {
-	fmt.Printf("trace (%d hop(s)):\n", len(hops))
+func (c *client) printHops(hops []trace.Hop) {
+	fmt.Fprintf(c.out, "trace (%d hop(s)):\n", len(hops))
 	for _, h := range hops {
 		line := fmt.Sprintf("  [%s]", h.Stage)
 		if h.Term != "" {
@@ -412,13 +391,13 @@ func printHops(hops []trace.Hop) {
 			line += " err=" + h.Err
 		}
 		line += fmt.Sprintf(" (%.2fms)", float64(h.ElapsedNS)/1e6)
-		fmt.Println(line)
+		fmt.Fprintln(c.out, line)
 	}
 }
 
 // stats pulls and prints every node's counters.
 func (c *client) stats(ctx context.Context) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(c.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "node\tfilters\tpostings\tdocs\tpostings-scanned\n")
 	for _, m := range c.ring.Members() {
 		raw, err := c.tn.Send(ctx, m.ID, node.EncodeStatsPull())

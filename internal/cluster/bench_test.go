@@ -60,29 +60,3 @@ func BenchmarkPublish(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPublishBatch measures the batched pipeline at 64 docs per call;
-// per-doc cost amortizes frame encoding across a row fan-out.
-func BenchmarkPublishBatch(b *testing.B) {
-	c := benchCluster(b, 10, 2000)
-	ctx := context.Background()
-	const batch = 64
-	docs := make([][]string, batch)
-	for i := range docs {
-		docs[i] = benchDoc(i)
-	}
-	if _, err := c.PublishBatch(ctx, docs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := c.PublishBatch(ctx, docs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(results) != batch {
-			b.Fatalf("got %d results", len(results))
-		}
-	}
-}

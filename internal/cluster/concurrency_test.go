@@ -8,28 +8,27 @@ import (
 	"testing"
 
 	"github.com/movesys/move/internal/model"
-	"github.com/movesys/move/internal/node"
 )
 
-// TestBatchedPublishOracleUnderConcurrentMutation is the oracle-backed
-// concurrency stress for the sharded index + batch pipeline. Phase 1 runs
-// concurrent registrars/unregistrars against concurrent batched
-// publishers (under -race this exercises every shard boundary): each
-// publish is checked against a stable base oracle — every base match must
-// be present (no dropped matches) and no base non-match may appear (no
-// phantoms); filters registered concurrently are allowed to surface as
-// they land. Phase 2 quiesces, folds the mutations into the oracle, and
-// requires every batched-publish match set to equal the brute-force
+// TestPublishOracleUnderConcurrentMutation is the oracle-backed
+// concurrency stress for the sharded index under the publish path. Phase 1
+// runs concurrent registrars/unregistrars against concurrent publishers
+// (under -race this exercises every shard boundary): each publish is
+// checked against a stable base oracle — every base match must be present
+// (no dropped matches) and no base non-match may appear (no phantoms);
+// filters registered concurrently are allowed to surface as they land.
+// Phase 2 quiesces, folds the mutations into the oracle, and requires every
+// match set of a second concurrent publish wave to equal the brute-force
 // oracle exactly.
-func TestBatchedPublishOracleUnderConcurrentMutation(t *testing.T) {
+func TestPublishOracleUnderConcurrentMutation(t *testing.T) {
 	for _, seed := range []int64{2, 11} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runBatchedOracleStress(t, seed)
+			runPublishOracleStress(t, seed)
 		})
 	}
 }
 
-func runBatchedOracleStress(t *testing.T, seed int64) {
+func runPublishOracleStress(t *testing.T, seed int64) {
 	t.Helper()
 	ctx := context.Background()
 	c, err := New(Config{Scheme: SchemeMove, Nodes: 10, Capacity: 500, Seed: seed})
@@ -53,7 +52,7 @@ func runBatchedOracleStress(t *testing.T, seed int64) {
 	}
 
 	// Phase 0: a stable base filter set, allocated onto grids so the
-	// batched fan-out exercises the column path, not just local matches.
+	// publishes exercise the column path, not just local matches.
 	baseRng := rand.New(rand.NewSource(seed))
 	o := &oracle{filters: make(map[model.FilterID][]string)}
 	var baseMaxID model.FilterID
@@ -72,11 +71,7 @@ func runBatchedOracleStress(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 
-	// Phase 1: concurrent mutators + batched publishers.
-	bp, err := c.NewBatchPublisher(node.BatcherConfig{MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Phase 1: concurrent mutators + publishers.
 	const (
 		mutators      = 3
 		publishers    = 3
@@ -128,7 +123,7 @@ func runBatchedOracleStress(t *testing.T, seed int64) {
 			rng := rand.New(rand.NewSource(seed + 1000 + int64(w)*37))
 			for i := 0; i < pubsPerWorker; i++ {
 				doc := randTerms(rng, 1+rng.Intn(4))
-				res, err := bp.Publish(ctx, doc)
+				res, err := c.Publish(ctx, doc)
 				if err != nil {
 					t.Errorf("publisher %d doc %d: %v", w, i, err)
 					return
@@ -169,13 +164,12 @@ func runBatchedOracleStress(t *testing.T, seed int64) {
 		}(w)
 	}
 	wg.Wait()
-	bp.Close()
 	if t.Failed() {
 		return
 	}
 
 	// Phase 2: fold the concurrent mutations into the oracle and require
-	// exact equality from the batched publish path.
+	// exact equality from a wave of concurrent publishes.
 	for _, mine := range recorded {
 		for _, m := range mine {
 			if m.removed {
@@ -189,20 +183,24 @@ func runBatchedOracleStress(t *testing.T, seed int64) {
 	for i := range docs {
 		docs[i] = randTerms(verifyRng, 1+verifyRng.Intn(4))
 	}
-	results, err := c.PublishBatch(ctx, docs)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]PublishResult, len(docs))
+	errs := make([]error, len(docs))
+	for i := range docs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = c.Publish(ctx, docs[i])
+		}(i)
 	}
+	wg.Wait()
 	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("quiesced doc %v: %v", docs[i], errs[i])
+		}
 		got := matchIDs(res.Matches)
 		want := o.match(docs[i])
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("quiesced doc %v matched %v, oracle says %v", docs[i], got, want)
 		}
-	}
-	// The batch pipeline must actually have batched: coalesced frames are
-	// what this whole test exercises.
-	if got := c.Metrics().Counter("publish.batch.docs").Value(); got == 0 {
-		t.Fatal("publish.batch.docs = 0 — publishes never went through the batch pipeline")
 	}
 }

@@ -371,7 +371,7 @@ func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, Matc
 
 // MatchTerms finds the filters matching d among those on the posting lists
 // of terms — the multi-term counterpart of MatchTerm that serves one
-// publish frame item (every term of the document this node is
+// publish frame (every term of the document this node is
 // responsible for) in a single pass over the sharded index. Each term's
 // posting list is read once, in term order, and a filter referenced by
 // several of the lists is evaluated once, so the result is the per-term

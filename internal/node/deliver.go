@@ -18,15 +18,6 @@ import (
 // fan-out (§12), applied to the last mile (§14).
 const msgDeliverBatch = 26
 
-// EncodeDeliverBatch serializes a routed delivery batch (entry node or
-// movectl → session owner).
-func EncodeDeliverBatch(b *delivery.Batch) []byte {
-	w := codec.NewWriter(64 + 24*len(b.Notifs) + 12*len(b.Terms))
-	w.Uint8(msgDeliverBatch)
-	delivery.AppendBatch(w, b)
-	return w.Bytes()
-}
-
 // handleDeliverBatch lands a routed delivery batch on the session owner:
 // the notifications enqueue into its hub's subscriber sessions. A node
 // without a hub refuses the batch, so the sender accounts the notifications
@@ -48,10 +39,10 @@ func (n *Node) handleDeliverBatch(r *codec.Reader) error {
 	return nil
 }
 
-// GroupMatchesBySub folds a deduplicated match set into per-subscriber
+// groupMatchesBySub folds a deduplicated match set into per-subscriber
 // notifications (a subscriber with several matching filters gets one
 // notification carrying all their IDs).
-func GroupMatchesBySub(matches []Match) []delivery.Notification {
+func groupMatchesBySub(matches []Match) []delivery.Notification {
 	idx := make(map[string]int, len(matches))
 	notifs := make([]delivery.Notification, 0, len(matches))
 	for _, m := range matches {
@@ -76,7 +67,7 @@ func GroupMatchesBySub(matches []Match) []delivery.Notification {
 // are reported through OnDeliveryLoss so loss is accounted, never silent —
 // publish completion does not block on slow consumers beyond these sends.
 func (n *Node) routeDeliveries(ctx context.Context, doc *model.Document, matches []Match) {
-	notifs := GroupMatchesBySub(matches)
+	notifs := groupMatchesBySub(matches)
 	batches := make(map[ring.NodeID]*delivery.Batch)
 	var unrouted []string
 	for i := range notifs {

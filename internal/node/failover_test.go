@@ -52,26 +52,35 @@ func newResilientHarness(t testing.TB, n int) (*harness, *metrics.Registry) {
 	return h, reg
 }
 
-// installHotGrid registers `filters` single-term ("hot") filters on the
-// term's home node and allocates them onto a hand-built 2x2 grid of peers,
-// returning the home node and the grid.
-func installHotGrid(t *testing.T, h *harness, filters int) (*Node, *alloc.Grid) {
+// registerHotFilters registers n single-term ("hot") filters directly on
+// the term's home node, with no allocation grid — the home matches them
+// locally — and returns that node.
+func registerHotFilters(t *testing.T, h *harness, n int) *Node {
 	t.Helper()
 	home, err := h.ring.HomeNode("hot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	homeNode := h.nodeByID(home)
-	for i := 1; i <= filters; i++ {
+	for i := 1; i <= n; i++ {
 		f := model.Filter{ID: model.FilterID(i), Subscriber: "s", Terms: []string{"hot"}, Mode: model.MatchAny}
 		payload := EncodeRegister(RegisterReq{Filter: f, PostingTerms: []string{"hot"}})
 		if _, err := homeNode.Handle(context.Background(), "test", payload); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return homeNode
+}
+
+// installHotGrid registers `filters` single-term ("hot") filters on the
+// term's home node and allocates them onto a hand-built 2x2 grid of peers,
+// returning the home node and the grid.
+func installHotGrid(t *testing.T, h *harness, filters int) (*Node, *alloc.Grid) {
+	t.Helper()
+	homeNode := registerHotFilters(t, h, filters)
 	var peers []ring.NodeID
 	for _, nd := range h.nodes {
-		if nd.ID() != home {
+		if nd.ID() != homeNode.ID() {
 			peers = append(peers, nd.ID())
 		}
 	}
@@ -83,23 +92,19 @@ func installHotGrid(t *testing.T, h *harness, filters int) (*Node, *alloc.Grid) 
 	return homeNode, grid
 }
 
-// publishHome sends one home-routed, one-item publish frame straight to a
-// home node's handler (as a client routing to homes itself would) and
-// returns the item's response.
+// publishHome sends one home-routed publish frame straight to a home node's
+// handler (as an entry node would) and returns its response.
 func publishHome(t testing.TB, home *Node, doc model.Document, terms ...string) MatchResp {
 	t.Helper()
-	raw, err := home.Handle(context.Background(), "test", EncodePublishFrame([]PublishItem{{Doc: &doc, Terms: terms}}))
+	raw, err := home.Handle(context.Background(), "test", encodePublish(false, &doc, terms...))
 	if err != nil {
 		t.Fatalf("publish doc %d: %v", doc.ID, err)
 	}
-	resps, err := DecodeMatchRespBatch(raw)
+	resp, err := DecodeMatchResp(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resps) != 1 {
-		t.Fatalf("publish doc %d: %d responses to a one-item frame", doc.ID, len(resps))
-	}
-	return resps[0]
+	return resp
 }
 
 // TestReplicaRowFailoverFullMatchSet is the acceptance scenario: with one
@@ -169,15 +174,15 @@ func TestReplicaRowFailoverFullMatchSet(t *testing.T) {
 	}
 }
 
-// TestBatchPublishFailoverAcrossCircuitBrokenColumn is the batched
-// counterpart of TestReplicaRowFailoverFullMatchSet: coalesced frames are
-// fanned out across a grid where each row has one dead node (so whichever
-// row the batch picks, at least one column must fail over — eventually
-// through an open circuit breaker's fast-fail path), and the whole frame
-// must still produce the full match set for every document in it. When a
-// column loses both rows, every document in the batch degrades to exactly
-// the surviving columns' filters.
-func TestBatchPublishFailoverAcrossCircuitBrokenColumn(t *testing.T) {
+// TestPublishWaveFailoverAcrossCircuitBrokenColumn is the concurrent,
+// entry-side counterpart of TestReplicaRowFailoverFullMatchSet: waves of
+// simultaneous publishes are fanned out across a grid where each row has one
+// dead node (so whichever row a document draws, at least one column must
+// fail over — eventually through an open circuit breaker's fast-fail path),
+// and every document of every wave must still see the full match set. When
+// a column loses both rows, every document degrades to exactly the
+// surviving columns' filters.
+func TestPublishWaveFailoverAcrossCircuitBrokenColumn(t *testing.T) {
 	h, reg := newResilientHarness(t, 6)
 	const filters = 24
 	homeNode, grid := installHotGrid(t, h, filters)
@@ -195,9 +200,6 @@ func TestBatchPublishFailoverAcrossCircuitBrokenColumn(t *testing.T) {
 			break
 		}
 	}
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond})
-	defer b.Close()
-
 	publishWave := func(startDoc uint64, count int) []MatchResp {
 		t.Helper()
 		resps := make([]MatchResp, count)
@@ -208,7 +210,7 @@ func TestBatchPublishFailoverAcrossCircuitBrokenColumn(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				doc := model.Document{ID: startDoc + uint64(i), Terms: []string{"hot"}}
-				matches, resp, err := b.Publish(ctx, &doc)
+				matches, resp, err := entry.PublishEntry(ctx, &doc)
 				// The aggregate response carries stats and hops only; stash
 				// the deduplicated matches in it for the assertions below.
 				resp.Matches = matches
@@ -229,7 +231,7 @@ func TestBatchPublishFailoverAcrossCircuitBrokenColumn(t *testing.T) {
 	// breaker's fast-fail. Every document of every wave must see the full
 	// match set regardless.
 	before := reg.Counter("publish.failover").Value()
-	var sawBatchedFailover bool
+	var sawFailoverHop bool
 	for wave := 0; wave < 4; wave++ {
 		resps := publishWave(uint64(100+wave*10), 8)
 		for i, resp := range resps {
@@ -240,23 +242,23 @@ func TestBatchPublishFailoverAcrossCircuitBrokenColumn(t *testing.T) {
 				t.Fatalf("wave %d doc %d: degraded=%v lost=%d, want failover coverage", wave, i, resp.Degraded, resp.ColumnsLost)
 			}
 			for _, hop := range resp.Hops {
-				if hop.Stage == "column" && hop.Failover && hop.Err == "" && hop.Batch > 1 {
-					sawBatchedFailover = true
+				if hop.Stage == "column" && hop.Failover && hop.Err == "" {
+					sawFailoverHop = true
 				}
 			}
 		}
 	}
 	if got := reg.Counter("publish.failover").Value(); got <= before {
-		t.Fatalf("publish.failover = %d (was %d), want increments from batched row failover", got, before)
+		t.Fatalf("publish.failover = %d (was %d), want increments from row failover", got, before)
 	}
-	if !sawBatchedFailover {
-		t.Fatal("no column hop with Failover and Batch > 1 — batched frames never failed over")
+	if !sawFailoverHop {
+		t.Fatal("no served column hop with Failover set — the trace never reported a failover")
 	}
 	if reg.Counter("breaker.open").Value() == 0 {
 		t.Fatal("breaker.open = 0, dead replicas never tripped their breakers")
 	}
 
-	// Column 0 fully dead: every document in the batch degrades to the
+	// Column 0 fully dead: every document of the wave degrades to the
 	// column-1 filters, with no hard error.
 	h.net.Fail(grid.Node(1, 0))
 	wantSurvivors := 0

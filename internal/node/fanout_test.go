@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/delivery"
@@ -108,16 +107,14 @@ func (e *fanOutEnv) fail(peers ...int) {
 }
 
 // TestFanOutEquivalenceTable is the one equivalence table of the one grid
-// fan-out: every framing of a publish — a one-item frame per home
-// (PublishEntry), a multi-item frame per home (Batcher) — against the
+// fan-out: the publish path (PublishEntry: one frame per home) against the
 // per-term oracle (PublishEntryPerTerm: one frame per term) on the same
 // cluster, across grid layouts and failure regimes. The answer must be
 // identical: sorted match set, PostingsScanned, PostingLists, Degraded,
 // ColumnsLost. What legitimately depends on the framing is pinned exactly
 // instead: a failover is counted once per (grid, column) slot per frame, so
-// the oracle pays it once per term routed through the slot, a one-item
-// frame once per document, a multi-item frame once; and column RPCs go to
-// distinct nodes, not columns.
+// the oracle pays it once per term routed through the slot and PublishEntry
+// once per document; and column RPCs go to distinct nodes, not columns.
 func TestFanOutEquivalenceTable(t *testing.T) {
 	// Grid layouts over the peers (row-major 2x2). In "shared" the per-term
 	// grid's (0,0) is the node-wide grid's (0,1).
@@ -221,50 +218,21 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 				t.Fatalf("oracle failovers = %d over %d docs, want %d per doc", got, docs, tc.oracleFailovers)
 			}
 
-			// One-item frames.
 			for i := range e.docs {
 				m, resp, err := e.entry.PublishEntry(ctx, &e.docs[i])
 				if err != nil {
-					t.Fatalf("one-item doc %d: %v", e.docs[i].ID, err)
+					t.Fatalf("doc %d: %v", e.docs[i].ID, err)
 				}
-				assertPublishEquivalent(t, fmt.Sprintf("one-item doc %d", e.docs[i].ID), m, want[i].matches, resp, want[i].resp)
+				assertPublishEquivalent(t, fmt.Sprintf("doc %d", e.docs[i].ID), m, want[i].matches, resp, want[i].resp)
 			}
 			f2, r2 := counts()
 			if got := f2 - f1; got != docs*int64(tc.failSlots) {
-				t.Fatalf("one-item failovers = %d over %d docs, want %d per frame", got, docs, tc.failSlots)
+				t.Fatalf("failovers = %d over %d docs, want %d per frame", got, docs, tc.failSlots)
 			}
 			if got := r2 - r1; got != docs*int64(tc.columnRPCs) {
-				t.Fatalf("one-item column RPCs = %d over %d docs, want %d per frame", got, docs, tc.columnRPCs)
+				t.Fatalf("column RPCs = %d over %d docs, want %d per frame", got, docs, tc.columnRPCs)
 			}
 
-			// One multi-item frame per home: the size cap equals the wave and
-			// the interval never fires.
-			b := NewBatcher(e.entry, BatcherConfig{MaxBatch: len(e.docs), FlushInterval: time.Minute})
-			defer b.Close()
-			got := make([]answer, len(e.docs))
-			errs := make([]error, len(e.docs))
-			var wg sync.WaitGroup
-			for i := range e.docs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					got[i].matches, got[i].resp, errs[i] = b.Publish(ctx, &e.docs[i])
-				}(i)
-			}
-			wg.Wait()
-			for i := range e.docs {
-				if errs[i] != nil {
-					t.Fatalf("multi-item doc %d: %v", e.docs[i].ID, errs[i])
-				}
-				assertPublishEquivalent(t, fmt.Sprintf("multi-item doc %d", e.docs[i].ID), got[i].matches, want[i].matches, got[i].resp, want[i].resp)
-			}
-			f3, r3 := counts()
-			if got := f3 - f2; got != int64(tc.failSlots) {
-				t.Fatalf("multi-item failovers = %d for one frame, want %d", got, tc.failSlots)
-			}
-			if got := r3 - r2; got != int64(tc.columnRPCs) {
-				t.Fatalf("multi-item column RPCs = %d for one frame of %d docs, want %d", got, docs, tc.columnRPCs)
-			}
 		})
 	}
 }
@@ -315,21 +283,7 @@ func TestPendingOnlyErrorNeverFailsPublish(t *testing.T) {
 	}
 
 	m, resp, err := entry.PublishEntry(ctx, &model.Document{ID: 1, Terms: []string{"hot"}})
-	check("one-item frame", m, resp, err)
-
-	const wave = 3
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: wave, FlushInterval: time.Minute})
-	defer b.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < wave; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, resp, err := b.Publish(ctx, &model.Document{ID: uint64(10 + i), Terms: []string{"hot"}})
-			check(fmt.Sprintf("multi-item frame doc %d", i), m, resp, err)
-		}(i)
-	}
-	wg.Wait()
+	check("pending-only", m, resp, err)
 
 	// The same node serving a committed column too: its handler error is
 	// fatal for the publish.
@@ -371,7 +325,7 @@ func TestDeliverBatchWithoutHubIsAccountedLoss(t *testing.T) {
 	}
 	ctx := context.Background()
 	batch := &delivery.Batch{DocID: 5, Terms: []string{"news"}, Notifs: []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{1}}}}
-	if _, err := nodes[0].Handle(ctx, "peer", EncodeDeliverBatch(batch)); err == nil {
+	if _, err := nodes[0].Handle(ctx, "peer", encodeDeliverBatch(batch)); err == nil {
 		t.Fatal("hub-less node accepted a routed delivery batch")
 	}
 

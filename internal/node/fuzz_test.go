@@ -20,13 +20,6 @@ import (
 func handleSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	docA := model.Document{ID: 7, Terms: []string{"alpha", "beta", "gamma"}}
-	docB := model.Document{ID: 8, Terms: []string{"beta"}}
-	local := codec.NewWriter(64)
-	AppendPublishFrame(local, true, []PublishItem{
-		{Doc: &docA, Terms: []string{"alpha"}},
-		{Doc: &docB, Terms: []string{"beta"}},
-		{Doc: &docA, Terms: []string{"beta", "gamma"}},
-	})
 	f := model.Filter{ID: 3, Subscriber: "alice", Terms: []string{"alpha", "beta"}, Mode: model.MatchAny}
 	grid, err := alloc.NewGrid(1, 2, []ring.NodeID{"solo", "ghost"})
 	if err != nil {
@@ -35,8 +28,8 @@ func handleSeeds(t testing.TB) [][]byte {
 	bf := bloom.MustNew(64, 0.01)
 	bf.Add("alpha")
 	return [][]byte{
-		EncodePublishFrame([]PublishItem{{Doc: &docA, Terms: []string{"alpha", "beta"}}}),
-		local.Bytes(),
+		encodePublish(false, &docA, "alpha", "beta"),
+		encodePublish(true, &docA, "beta", "gamma"),
 		EncodeSIFT(&docA),
 		EncodeRegister(RegisterReq{Filter: f, PostingTerms: []string{"alpha"}}),
 		EncodeUnregister(3),
@@ -50,7 +43,7 @@ func handleSeeds(t testing.TB) [][]byte {
 		EncodePrepareAlloc(2, grid),
 		EncodeCommitGrid(2),
 		EncodeAbortGrid(2),
-		EncodeDeliverBatch(&delivery.Batch{DocID: 7, Terms: docA.Terms, Notifs: []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{3}}}}),
+		encodeDeliverBatch(&delivery.Batch{DocID: 7, Terms: docA.Terms, Notifs: []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{3}}}}),
 	}
 }
 

@@ -4,18 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/testutil"
 	"github.com/movesys/move/internal/transport"
 )
 
 // PublishEntryPerTerm is the uncoalesced §III fan-out: one publish frame
-// per Bloom-passing term, each a single one-term item re-shipping the
-// document. It is the reference oracle of the coalesced path (equivalence
+// per Bloom-passing term, each re-shipping the document under that one
+// term. It is the reference oracle of the coalesced path (equivalence
 // tests, RPC-count ablations); production callers use PublishEntry.
 func (n *Node) PublishEntryPerTerm(ctx context.Context, doc *model.Document) ([]Match, MatchResp, error) {
 	return n.publishEntry(ctx, doc, n.perTermGroups)
@@ -35,111 +38,135 @@ func (n *Node) perTermGroups(terms []string) ([]homeGroup, error) {
 	return groups, nil
 }
 
-// decodeFrame strips the type byte of an encoded publish frame and decodes
-// the rest.
-func decodeFrame(t *testing.T, data []byte) (bool, []PublishItem) {
-	t.Helper()
-	r := codec.NewReader(data)
-	if typ, err := r.Uint8(); err != nil || typ != msgPublish {
-		t.Fatalf("type byte = %d, %v", typ, err)
-	}
-	local, items, err := decodePublishFrame(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("%d trailing bytes after the frame", r.Remaining())
-	}
-	return local, items
+// encodePublish builds one publish frame in a fresh buffer, as sendPublish
+// does in a pooled one.
+func encodePublish(local bool, doc *model.Document, terms ...string) []byte {
+	w := codec.NewWriter(64)
+	appendPublishFrame(w, local, doc, terms)
+	return w.Bytes()
 }
 
-// TestPublishMultiWireRoundTrip round-trips a one-item frame in both
-// directions of the forward/local bit and pins the frame's budget: three
-// bytes over the bare document-plus-term-list it carries, and no heap
+// encodeDeliverBatch builds one routed delivery frame, as routeDeliveries
+// does in a pooled buffer.
+func encodeDeliverBatch(b *delivery.Batch) []byte {
+	w := codec.NewWriter(64)
+	w.Uint8(msgDeliverBatch)
+	delivery.AppendBatch(w, b)
+	return w.Bytes()
+}
+
+// TestPublishFrameRoundTrip round-trips the one-document publish frame in
+// both directions of the local flag, with an empty term list and with a
+// 65-term document, and pins the frame's budget: one byte (the flag) over
+// the type byte, the document and the term list it carries, and no heap
 // allocation to encode.
-func TestPublishMultiWireRoundTrip(t *testing.T) {
-	doc := model.Document{ID: 42, Terms: []string{"go", "cluster", "systems"}}
-	terms := []string{"go", "systems"}
-	for _, local := range []bool{false, true} {
-		w := codec.NewWriter(64)
-		AppendPublishFrame(w, local, []PublishItem{{Doc: &doc, Terms: terms}})
-		gotLocal, got := decodeFrame(t, w.Bytes())
-		if gotLocal != local {
-			t.Fatalf("local bit = %v, want %v", gotLocal, local)
-		}
-		if len(got) != 1 || got[0].Doc.ID != doc.ID || !equalStrings(got[0].Doc.Terms, doc.Terms) || !equalStrings(got[0].Terms, terms) {
-			t.Fatalf("round trip = %+v", got)
-		}
-		bare := codec.NewWriter(64)
-		bare.Uint8(msgPublish)
-		doc.EncodeTo(bare)
-		bare.StringSlice(terms)
-		if over := w.Len() - bare.Len(); over != 3 {
-			t.Fatalf("one-item frame is %d bytes over its document and term list, budget is 3", over)
-		}
+func TestPublishFrameRoundTrip(t *testing.T) {
+	small := model.Document{ID: 42, Terms: []string{"go", "cluster", "systems"}}
+	wide := model.Document{ID: 1 << 40}
+	for i := 0; i < 65; i++ {
+		wide.Terms = append(wide.Terms, fmt.Sprintf("term%02d", i))
+	}
+	cases := []struct {
+		name  string
+		local bool
+		doc   *model.Document
+		terms []string
+	}{
+		{"home", false, &small, []string{"go", "systems"}},
+		{"local bit", true, &small, []string{"go", "systems"}},
+		{"empty term list", false, &small, nil},
+		{"65-term document", true, &wide, wide.Terms},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := encodePublish(tc.local, tc.doc, tc.terms...)
+			r := codec.NewReader(frame)
+			if typ, err := r.Uint8(); err != nil || typ != msgPublish {
+				t.Fatalf("type byte = %d, %v", typ, err)
+			}
+			local, doc, terms, err := decodePublishFrame(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if local != tc.local {
+				t.Fatalf("local flag = %v, want %v", local, tc.local)
+			}
+			if doc.ID != tc.doc.ID || !slices.Equal(doc.Terms, tc.doc.Terms) || !slices.Equal(terms, tc.terms) {
+				t.Fatalf("round trip = doc %d %v under %v", doc.ID, doc.Terms, terms)
+			}
+			bare := codec.NewWriter(64)
+			bare.Uint8(msgPublish)
+			tc.doc.EncodeTo(bare)
+			bare.StringSlice(tc.terms)
+			if over := len(frame) - bare.Len(); over != 1 {
+				t.Fatalf("frame is %d bytes over its document and term list, budget is 1", over)
+			}
+		})
 	}
 	if testutil.RaceEnabled {
 		return // the race detector's instrumentation allocates
 	}
-	w := codec.NewWriter(256)
+	w := codec.NewWriter(2048)
 	if allocs := testing.AllocsPerRun(100, func() {
 		w.Reset()
-		AppendPublishFrame(w, false, []PublishItem{{Doc: &doc, Terms: terms}})
+		appendPublishFrame(w, false, &wide, wide.Terms)
 	}); allocs != 0 {
-		t.Fatalf("encoding a one-item frame allocates %.0f times, want 0", allocs)
+		t.Fatalf("encoding a publish frame allocates %.0f times, want 0", allocs)
 	}
 }
 
-// TestPublishMultiBatchWireRoundTrip round-trips a multi-item frame: a
-// document shared by several items is encoded once, every decoded item
-// still sees it (through one shared decode), and the local bit survives.
-func TestPublishMultiBatchWireRoundTrip(t *testing.T) {
-	docA := model.Document{ID: 1, Terms: []string{"alpha", "beta"}}
-	docB := model.Document{ID: 2, Terms: []string{"gamma"}}
-	items := []PublishItem{
-		{Doc: &docA, Terms: []string{"alpha"}},
-		{Doc: &docB, Terms: []string{"gamma"}},
-		{Doc: &docA, Terms: []string{"beta"}},
-	}
-	w := codec.NewWriter(64)
-	AppendPublishFrame(w, true, items)
-	// A frame with three distinct documents of the same shape must be
-	// strictly larger.
-	docC := model.Document{ID: 3, Terms: docA.Terms}
-	distinct := []PublishItem{items[0], items[1], {Doc: &docC, Terms: []string{"beta"}}}
-	if bloat := EncodePublishFrame(distinct); w.Len() >= len(bloat) {
-		t.Fatalf("shared-doc frame %dB >= distinct-doc frame %dB, unique-document table not applied", w.Len(), len(bloat))
-	}
-	local, got := decodeFrame(t, w.Bytes())
-	if !local {
-		t.Fatal("local bit lost")
-	}
-	if len(got) != len(items) {
-		t.Fatalf("decoded %d items, want %d", len(got), len(items))
-	}
-	for i := range items {
-		if got[i].Doc.ID != items[i].Doc.ID || !equalStrings(got[i].Doc.Terms, items[i].Doc.Terms) || !equalStrings(got[i].Terms, items[i].Terms) {
-			t.Fatalf("item %d = %+v, want %+v", i, got[i], items[i])
-		}
-	}
-	if got[0].Doc != got[2].Doc {
-		t.Fatal("items of the same document do not share one decode")
-	}
-	if home, _ := decodeFrame(t, EncodePublishFrame(items)); home {
-		t.Fatal("EncodePublishFrame set the local bit")
-	}
-}
+// TestPublishFrameRefused: a publish frame with bytes left over after its
+// term list, and a frame of the retired multi-item type 27, are refused by
+// Handle and leave the node — counters, filters, traces — as it was.
+func TestPublishFrameRefused(t *testing.T) {
+	doc := model.Document{ID: 7, Terms: []string{"alpha", "beta"}}
+	// Type 27 as its last sender wrote a one-item frame: document count and
+	// flag, the document table, item count, document index, term list.
+	retired := codec.NewWriter(64)
+	retired.Uint8(27)
+	retired.Uvarint(1 << 1)
+	doc.EncodeTo(retired)
+	retired.Uvarint(1)
+	retired.Uvarint(0)
+	retired.StringSlice([]string{"alpha"})
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+	cases := []struct {
+		name    string
+		frame   []byte
+		wantErr string
+	}{
+		{"home frame with a trailing byte", append(encodePublish(false, &doc, "alpha"), 0), "trailing byte"},
+		{"local frame with a second frame appended", append(encodePublish(true, &doc, "alpha"), encodePublish(true, &doc, "beta")...), "trailing byte"},
+		{"retired type 27", retired.Bytes(), "unknown message type 27"},
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nd := newHarness(t, 1).nodes[0]
+			f := model.Filter{ID: 1, Subscriber: "s", Terms: []string{"alpha"}, Mode: model.MatchAny}
+			if _, err := nd.Handle(context.Background(), "seed", EncodeRegister(RegisterReq{Filter: f, PostingTerms: f.Terms})); err != nil {
+				t.Fatal(err)
+			}
+			before, traces := nd.Stats(), len(nd.Traces().Last(8))
+			_, err := nd.Handle(context.Background(), "peer", tc.frame)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Handle = %v, want an error containing %q", err, tc.wantErr)
+			}
+			if after := nd.Stats(); after != before {
+				t.Fatalf("refused frame changed the node: %+v -> %+v", before, after)
+			}
+			if got := len(nd.Traces().Last(8)); got != traces {
+				t.Fatalf("refused frame recorded %d trace(s)", got-traces)
+			}
+			// The well-formed frame the refused one was built from is served.
+			raw, err := nd.Handle(context.Background(), "peer", encodePublish(false, &doc, "alpha"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := DecodeMatchResp(raw); err != nil || len(resp.Matches) != 1 {
+				t.Fatalf("well-formed frame = %+v, %v, want the one match", resp, err)
+			}
+		})
 	}
-	return true
 }
 
 // assertPublishEquivalent asserts the coalesced publish observably equals

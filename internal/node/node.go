@@ -328,20 +328,22 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		n.updateCoverGauges()
 		return nil, nil
 	case msgPublish:
-		local, items, err := decodePublishFrame(r)
+		local, doc, terms, err := decodePublishFrame(r)
 		if err != nil {
 			return nil, fmt.Errorf("node %s: decode publish: %w", n.cfg.ID, err)
 		}
-		var resps []MatchResp
+		var resp MatchResp
 		if local {
-			resps, err = n.matchItems(items)
+			// A grid node matches under the frame's term list and never
+			// re-forwards.
+			resp, err = n.matchLocalTerms(&doc, terms)
 		} else {
-			resps, err = n.handlePublish(ctx, items)
+			resp, err = n.handlePublish(ctx, &doc, terms)
 		}
 		if err != nil {
 			return nil, err
 		}
-		return EncodeMatchRespBatch(resps), nil
+		return EncodeMatchResp(resp), nil
 	case msgPublishSIFT:
 		doc, err := model.DecodeDocument(r)
 		if err != nil {
@@ -535,80 +537,48 @@ func (n *Node) InstallBloom(bf *bloom.Filter) {
 	n.bloomF = bf
 }
 
-// handlePublish serves a home-routed publish frame: every item is one
-// document arriving at the shared home node of its terms. Grid-less terms
-// match locally, grid-routed terms go through the one grid fan-out, and the
-// responses come back in item order.
-func (n *Node) handlePublish(ctx context.Context, items []PublishItem) ([]MatchResp, error) {
-	if len(items) == 0 {
-		return nil, nil
-	}
-	// One item is one document arrival: homePublishes is the numerator of
+// handlePublish serves a home-routed publish frame: one document arriving
+// at the shared home node of its terms. Grid-less terms match locally,
+// grid-routed terms go through the one grid fan-out.
+func (n *Node) handlePublish(ctx context.Context, doc *model.Document, terms []string) (MatchResp, error) {
+	// One frame is one document arrival: homePublishes is the numerator of
 	// the §V node frequency q'_i, which counts documents the node receives,
 	// not the terms they were routed under.
-	n.homePublishes.Add(int64(len(items)))
+	n.homePublishes.Inc()
 	// The home-side handling gets its own trace and histogram: in a TCP
 	// deployment the entry is an external client, so this is where the
 	// server-side publish path starts and the only place its traces can be
 	// recorded.
 	tm := n.hHome.Start()
-	resps, err := n.homePublish(ctx, items)
+	resp, err := n.homePublish(ctx, doc, terms)
 	elapsed := tm.Stop()
-	var hops []trace.Hop
-	if len(resps) == 1 {
-		// A one-item frame's summary aliases its response's hops — the
-		// response is immutable once handed back for encoding — instead of
-		// paying a hop copy per publish.
-		hops = resps[0].Hops
+	if resp.Degraded {
+		n.degradedC.Inc()
 	}
-	for i := range resps {
-		if resps[i].Degraded {
-			n.degradedC.Inc()
-		}
-		if len(resps) > 1 {
-			hops = append(hops, resps[i].Hops...)
-		}
-	}
-	n.traces.Add(trace.Summarize("publish.home", items[0].Doc.ID, elapsed, hops))
-	return resps, err
+	// The summary aliases the response's hops — the response is immutable
+	// once handed back for encoding — instead of paying a hop copy per
+	// publish.
+	n.traces.Add(trace.Summarize("publish.home", doc.ID, elapsed, resp.Hops))
+	return resp, err
 }
 
-// routeItem is the slice of one frame item bound for one destination class:
-// the item's index in the frame and, in document order, the terms routed
-// there.
-type routeItem struct {
-	item  int
-	terms []string
-}
-
-// gridRoute is the part of a publish frame bound for one allocation grid:
-// per item, the terms whose effective grid it is. pending marks the
+// gridRoute is the part of a publish bound for one allocation grid: the
+// terms whose effective grid it is, in document order. pending marks the
 // dual-read route — the node-wide-routed terms fanned out a second time
 // against the not-yet-committed grid, whose failures never fail or degrade
-// the publish (the committed path is authoritative). A nil grid is the
-// local route: terms with no grid, matched on this node.
+// the publish (the committed path is authoritative).
 type gridRoute struct {
 	grid    *alloc.Grid
 	pending bool
 	first   int // partition row drawn for this frame
-	items   []routeItem
+	terms   []string
 }
 
-// add routes term t of frame item i through r. Items arrive in frame order,
-// so an item's terms are always appended to the route's last entry.
-func (r *gridRoute) add(i int, t string) {
-	if k := len(r.items); k == 0 || r.items[k-1].item != i {
-		r.items = append(r.items, routeItem{item: i})
-	}
-	last := &r.items[len(r.items)-1]
-	last.terms = append(last.terms, t)
-}
-
-// splitByGrid partitions every item's terms by effective allocation grid: a
+// splitByGrid partitions a frame's terms by effective allocation grid: a
 // per-term grid takes precedence over the node-wide grid, and terms with
-// neither match locally. During a dual-read window every node-wide-routed
-// term additionally joins the pending grid's route.
-func (n *Node) splitByGrid(items []PublishItem) (local gridRoute, routes []gridRoute) {
+// neither (local) match on this node. During a dual-read window every
+// node-wide-routed term additionally joins the pending grid's route.
+func (n *Node) splitByGrid(terms []string) (local []string, routes []gridRoute) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	route := func(g *alloc.Grid, pending bool) *gridRoute {
@@ -620,61 +590,56 @@ func (n *Node) splitByGrid(items []PublishItem) (local gridRoute, routes []gridR
 		routes = append(routes, gridRoute{grid: g, pending: pending})
 		return &routes[len(routes)-1]
 	}
-	for i := range items {
-		for _, t := range items[i].Terms {
-			g := n.termGrids[t]
-			nodeWide := g == nil
-			if nodeWide {
-				g = n.grid
-			}
-			if g == nil {
-				local.add(i, t)
-			} else {
-				route(g, false).add(i, t)
-			}
-			if nodeWide && n.pending != nil && n.pending != g {
-				route(n.pending, true).add(i, t)
-			}
+	for _, t := range terms {
+		g := n.termGrids[t]
+		nodeWide := g == nil
+		if nodeWide {
+			g = n.grid
+		}
+		if g == nil {
+			local = append(local, t)
+		} else {
+			r := route(g, false)
+			r.terms = append(r.terms, t)
+		}
+		if nodeWide && n.pending != nil && n.pending != g {
+			r := route(n.pending, true)
+			r.terms = append(r.terms, t)
 		}
 	}
 	return local, routes
 }
 
-// homePublish matches the items of a home-routed frame: each item's
-// grid-less terms in one local MatchTerms pass, everything else through the
-// grid fan-out.
-func (n *Node) homePublish(ctx context.Context, items []PublishItem) ([]MatchResp, error) {
-	local, routes := n.splitByGrid(items)
-	resps := make([]MatchResp, len(items))
-	for _, ri := range local.items {
-		resp, err := n.matchLocalTerms(items[ri.item].Doc, ri.terms)
-		if err != nil {
-			return nil, err
+// homePublish matches a home-routed document: its grid-less terms in one
+// local MatchTerms pass, everything else through the grid fan-out.
+func (n *Node) homePublish(ctx context.Context, doc *model.Document, terms []string) (MatchResp, error) {
+	local, routes := n.splitByGrid(terms)
+	var resp MatchResp
+	if len(local) > 0 {
+		var err error
+		if resp, err = n.matchLocalTerms(doc, local); err != nil {
+			return MatchResp{}, err
 		}
-		resp.Hops = make([]trace.Hop, 0, len(ri.terms))
-		for _, t := range ri.terms {
-			resp.Hops = append(resp.Hops, trace.Hop{
-				Stage: "local", To: string(n.cfg.ID), Term: t, Batch: len(items),
-			})
+		resp.Hops = make([]trace.Hop, 0, len(local))
+		for _, t := range local {
+			resp.Hops = append(resp.Hops, trace.Hop{Stage: "local", To: string(n.cfg.ID), Term: t})
 		}
-		resps[ri.item] = resp
 	}
 	if len(routes) == 0 {
-		return resps, nil
+		return resp, nil
 	}
 	// One partition row per grid per frame (the per-term path draws a row
 	// per term; any row serves the exact match set, so one draw is both
 	// cheaper and equivalent).
 	n.mu.Lock()
 	for i := range routes {
-		r := &routes[i]
-		r.first = r.grid.PickRow(items[r.items[0].item].Doc.ID, n.rng)
+		routes[i].first = routes[i].grid.PickRow(doc.ID, n.rng)
 	}
 	n.mu.Unlock()
-	if err := n.fanOut(ctx, items, routes, resps); err != nil {
-		return nil, err
+	if err := n.fanOut(ctx, doc, routes, &resp); err != nil {
+		return MatchResp{}, err
 	}
-	return resps, nil
+	return resp, nil
 }
 
 // colSlot is one (grid, column) of a frame's fan-out. It is done when some
@@ -688,21 +653,21 @@ type colSlot struct {
 	hops    []trace.Hop
 }
 
-// fanOut is the grid fan-out (§V, §VI.D): it disseminates a frame's
-// grid-routed items through the union of grid-row destinations across all
-// of their grids, folding each node's matches into resps. Each round, the
+// fanOut is the grid fan-out (§V, §VI.D): it disseminates a document's
+// grid-routed terms through the union of grid-row destinations across all
+// of their grids, folding each node's matches into resp. Each round, the
 // still-open (grid, column) slots are grouped by the node their current row
-// assigns and every distinct node receives ONE local frame carrying, per
-// item, the union of that item's terms routed there — so k terms, or k
-// grids, sharing a node cost one RPC, not k. Failover stays per column: an
-// availability failure moves only that node's slots to the same column of
-// the next row (every row holds a full replica, and column c of every row
-// stores the same filter subset, so the re-route preserves the exact match
-// set), and regrouping each round keeps the dedup exact as slots drift
-// across rows. A committed column no row can serve degrades each of its
-// items once per term routed through it — what the per-term fan-out
-// reports; a pending column never degrades or fails anything.
-func (n *Node) fanOut(ctx context.Context, items []PublishItem, routes []gridRoute, resps []MatchResp) error {
+// assigns and every distinct node receives ONE local frame carrying the
+// union of the terms routed there — so k terms, or k grids, sharing a node
+// cost one RPC, not k. Failover stays per column: an availability failure
+// moves only that node's slots to the same column of the next row (every row
+// holds a full replica, and column c of every row stores the same filter
+// subset, so the re-route preserves the exact match set), and regrouping
+// each round keeps the dedup exact as slots drift across rows. A committed
+// column no row can serve degrades the publish once per term routed through
+// it — what the per-term fan-out reports; a pending column never degrades or
+// fails anything.
+func (n *Node) fanOut(ctx context.Context, doc *model.Document, routes []gridRoute, resp *MatchResp) error {
 	nCols := 0
 	for i := range routes {
 		nCols += routes[i].grid.Cols()
@@ -715,9 +680,8 @@ func (n *Node) fanOut(ctx context.Context, items []PublishItem, routes []gridRou
 	}
 
 	type nodeResult struct {
-		src   []int // frame item each response answers
-		resps []MatchResp
-		err   error // fatal for the publish
+		resp MatchResp
+		err  error // fatal for the publish
 	}
 	for {
 		targets := make(map[ring.NodeID][]*colSlot)
@@ -729,14 +693,13 @@ func (n *Node) fanOut(ctx context.Context, items []PublishItem, routes []gridRou
 			}
 			rows := s.route.grid.Rows()
 			if s.attempt >= rows {
-				// No live replica in any row. Like the slot's other hops the
-				// lost hops ride its first item — one per term of that item, so
-				// a batch keeps O(columns) trace bytes.
+				// No live replica in any row: one lost hop per term routed
+				// through the column.
 				s.done, s.lost = true, true
-				for _, t := range s.route.items[0].terms {
+				for _, t := range s.route.terms {
 					s.hops = append(s.hops, trace.Hop{
 						Stage: "column", From: string(n.cfg.ID), Col: s.col, Term: t, Lost: true,
-						Batch: len(items), Pending: s.route.pending,
+						Pending: s.route.pending,
 					})
 				}
 				continue
@@ -756,15 +719,14 @@ func (n *Node) fanOut(ctx context.Context, items []PublishItem, routes []gridRou
 			wg.Add(1)
 			go func(ti int, target ring.NodeID, ss []*colSlot) {
 				defer wg.Done()
-				sub, src := itemsVia(items, ss)
-				out, elapsed, err := n.sendPublish(ctx, target, true, sub)
+				out, elapsed, err := n.sendPublish(ctx, target, true, doc, termsVia(ss))
 				n.hColumnRPC.Observe(elapsed)
 				committed := false
 				for _, s := range ss {
 					hop := trace.Hop{
 						Stage: "column", From: string(n.cfg.ID), To: string(target),
 						Row: (s.route.first + s.attempt) % s.route.grid.Rows(), Col: s.col,
-						Attempt: s.attempt, Failover: s.attempt > 0, Batch: len(items),
+						Attempt: s.attempt, Failover: s.attempt > 0,
 						Pending: s.route.pending, ElapsedNS: elapsed.Nanoseconds(),
 					}
 					if err != nil {
@@ -781,7 +743,7 @@ func (n *Node) fanOut(ctx context.Context, items []PublishItem, routes []gridRou
 				}
 				switch {
 				case err == nil:
-					results[ti] = nodeResult{src: src, resps: out}
+					results[ti] = nodeResult{resp: out}
 				case committed && !transport.IsAvailabilityError(err):
 					// Only unavailability fails over. An RPC serving pending
 					// slots alone is best-effort whatever the error: its slots
@@ -798,113 +760,76 @@ func (n *Node) fanOut(ctx context.Context, items []PublishItem, routes []gridRou
 			}
 			// Each served node's answer is folded in once; duplicate matches
 			// across nodes are deduplicated at the entry.
-			for j, i := range res.src {
-				resps[i].Matches = append(resps[i].Matches, res.resps[j].Matches...)
-				resps[i].PostingsScanned += res.resps[j].PostingsScanned
-				resps[i].PostingLists += res.resps[j].PostingLists
-			}
+			resp.Matches = append(resp.Matches, res.resp.Matches...)
+			resp.PostingsScanned += res.resp.PostingsScanned
+			resp.PostingLists += res.resp.PostingLists
 		}
 	}
 
 	for i := range slots {
 		s := &slots[i]
-		first := &resps[s.route.items[0].item]
-		first.Hops = append(first.Hops, s.hops...)
+		resp.Hops = append(resp.Hops, s.hops...)
 		if s.lost && !s.route.pending {
-			for _, ri := range s.route.items {
-				resps[ri.item].Degraded = true
-				resps[ri.item].ColumnsLost += len(ri.terms)
-			}
+			resp.Degraded = true
+			resp.ColumnsLost += len(s.route.terms)
 		}
 	}
 	return nil
 }
 
-// itemsVia builds the local frame for the node currently serving slots ss:
-// per frame item, the union of the item's terms across the slots' routes.
-// A route contributes once even when several of its columns land on the
-// node, and a term riding both a committed route and the pending dual-read
-// route is shipped once. src maps each local item back to its frame item.
-func itemsVia(items []PublishItem, ss []*colSlot) (sub []PublishItem, src []int) {
-	at := make([]int, len(items)) // frame item → its entry in sub, -1 while absent
-	for i := range at {
-		at[i] = -1
-	}
-	var seen []*gridRoute
-	for _, s := range ss {
-		if slices.Contains(seen, s.route) {
+// termsVia builds the term list of the local frame for the node currently
+// serving slots ss: the union of the slots' routes' terms. A route
+// contributes once even when several of its columns land on the node (its
+// slots are adjacent in ss), and a term riding both a committed route and
+// the pending dual-read route is shipped once.
+func termsVia(ss []*colSlot) []string {
+	first := ss[0].route
+	// The list aliases the first route's: clip it so the first append copies.
+	terms := first.terms[:len(first.terms):len(first.terms)]
+	prev := first
+	for _, s := range ss[1:] {
+		if s.route == prev {
 			continue
 		}
-		seen = append(seen, s.route)
-		for _, ri := range s.route.items {
-			k := at[ri.item]
-			if k < 0 {
-				at[ri.item] = len(sub)
-				sub = append(sub, PublishItem{Doc: items[ri.item].Doc, Terms: ri.terms})
-				src = append(src, ri.item)
-				continue
+		prev = s.route
+		for _, t := range s.route.terms {
+			if !slices.Contains(terms, t) {
+				terms = append(terms, t)
 			}
-			// The entry aliases another route's term list: clip it so the
-			// first append copies.
-			have := sub[k].Terms
-			merged := have[:len(have):len(have)]
-			for _, t := range ri.terms {
-				if !slices.Contains(have, t) {
-					merged = append(merged, t)
-				}
-			}
-			sub[k].Terms = merged
 		}
 	}
-	return sub, src
+	return terms
 }
 
-// sendPublish issues one publish frame carrying items to node `to` and
-// decodes the per-item responses; elapsed is the RPC's wall time. It is the
-// single sender of publish frames, so the wire accounting lives here: a
-// home-routed frame counts toward publish.home.rpcs/.bytes (the numerators
-// of movebench's home_rpcs_per_doc and home_wire_bytes_per_doc), and
-// OnTransfer is charged once per document shipped. The frame is built in a
+// sendPublish issues one publish frame carrying doc and terms to node `to`
+// and decodes the response; elapsed is the RPC's wall time. It is the single
+// sender of publish frames, so the wire accounting lives here: a home-routed
+// frame counts toward publish.home.rpcs/.bytes (the numerators of the
+// per-document home-RPC and home wire-byte figures), and OnTransfer is
+// charged once per document shipped. The frame is built in a
 // pooled writer, recycled as soon as the send returns (the transport neither
 // retains the payload nor aliases its response to it — DESIGN.md §11).
-func (n *Node) sendPublish(ctx context.Context, to ring.NodeID, local bool, items []PublishItem) (resps []MatchResp, elapsed time.Duration, err error) {
+func (n *Node) sendPublish(ctx context.Context, to ring.NodeID, local bool, doc *model.Document, terms []string) (resp MatchResp, elapsed time.Duration, err error) {
 	pw := codec.GetWriter()
-	AppendPublishFrame(pw, local, items)
+	appendPublishFrame(pw, local, doc, terms)
 	if !local {
 		n.homeRPCs.Inc()
 		n.homeBytes.Add(int64(pw.Len()))
 	}
 	if n.cfg.OnTransfer != nil {
-		for range items {
-			n.cfg.OnTransfer(n.cfg.ID, to)
-		}
+		n.cfg.OnTransfer(n.cfg.ID, to)
 	}
 	start := time.Now()
 	raw, err := n.send(ctx, to, pw.Bytes())
 	elapsed = time.Since(start)
 	codec.PutWriter(pw)
 	if err != nil {
-		return nil, elapsed, err
+		return MatchResp{}, elapsed, err
 	}
-	resps, err = DecodeMatchRespBatch(raw)
-	if err == nil && len(resps) != len(items) {
-		err = fmt.Errorf("node %s: %s answered %d items of a %d-item publish frame", n.cfg.ID, to, len(resps), len(items))
+	if resp, err = DecodeMatchResp(raw); err != nil {
+		return MatchResp{}, elapsed, err
 	}
-	return resps, elapsed, err
-}
-
-// matchItems serves a local (grid-node) publish frame: every item is
-// matched here under its term list, never re-forwarded.
-func (n *Node) matchItems(items []PublishItem) ([]MatchResp, error) {
-	resps := make([]MatchResp, len(items))
-	for i := range items {
-		resp, err := n.matchLocalTerms(items[i].Doc, items[i].Terms)
-		if err != nil {
-			return nil, err
-		}
-		resps[i] = resp
-	}
-	return resps, nil
+	return resp, elapsed, nil
 }
 
 // matchLocalTerms runs the multi-term matcher over one decoded document and
@@ -1130,8 +1055,8 @@ type entryResult struct {
 	err      error
 }
 
-// fanOutHomes sends each home group its one-item publish frame in parallel
-// and collects the per-group results.
+// fanOutHomes sends each home group its publish frame in parallel and
+// collects the per-group results.
 func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []homeGroup) []entryResult {
 	results := make([]entryResult, len(groups))
 	var wg sync.WaitGroup
@@ -1140,12 +1065,9 @@ func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []ho
 		go func(i int) {
 			defer wg.Done()
 			g := &groups[i]
-			resps, elapsed, err := n.sendPublish(ctx, g.home, false, []PublishItem{{Doc: doc, Terms: g.terms}})
+			resp, elapsed, err := n.sendPublish(ctx, g.home, false, doc, g.terms)
 			n.hFanout.Observe(elapsed)
-			res := entryResult{err: err}
-			if err == nil {
-				res.resp = resps[0]
-			}
+			res := entryResult{resp: resp, err: err}
 			res.homeHops = make([]trace.Hop, len(g.terms))
 			for j, t := range g.terms {
 				h := trace.Hop{

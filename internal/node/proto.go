@@ -42,10 +42,11 @@ const (
 	msgUnregisterBatch = 25 // batched filter removal (old-placement GC)
 	// 26 is msgDeliverBatch (deliver.go): routed delivery batch to the
 	// session owner of each matched subscriber (§14).
-	// The one publish frame (§12): a unique-document table plus items of
-	// (document index, term list), home-routed or — with the local bit —
-	// bound for a grid node that matches without re-forwarding.
-	msgPublish = 27
+	// 27 retired: the multi-item msgPublish (document table + item list).
+	// The one publish frame (§12): one document and the terms the
+	// destination must match it under, home-routed or — with the local
+	// flag — bound for a grid node that matches without re-forwarding.
+	msgPublish = 28
 )
 
 // EncodeAllocateTerm serializes a per-term allocation command.
@@ -162,63 +163,17 @@ func decodeRegister(r *codec.Reader) (RegisterReq, error) {
 
 // --- Publish ---
 
-// PublishItem is one entry of a publish frame: a document plus the terms the
-// destination must match it under. On a home-routed frame the terms are the
-// document terms whose home the destination is; with the local bit they are
-// the terms whose grids route the document through the destination.
-type PublishItem struct {
-	Doc   *model.Document
-	Terms []string
-}
-
-// AppendPublishFrame encodes a publish frame into w. local marks a frame
-// bound for a grid node (match, never re-forward); otherwise the destination
-// serves it as the home node of the terms. Each distinct document (by ID) is
-// encoded once, in first-appearance order, and every item references it by
-// table index; items sharing a Doc.ID must carry the same document. The
-// local bit rides the low bit of the document count, so a one-item frame is
-// the type byte, two counts, one index, the document and its term list — and
-// costs no map or slice to encode.
-func AppendPublishFrame(w *codec.Writer, local bool, items []PublishItem) {
+// appendPublishFrame encodes the publish frame into w: type byte, local
+// flag, the document, and the terms the destination must match it under. On
+// a home-routed frame those are the document terms whose home the
+// destination is; with local set they are the terms whose grids route the
+// document through the destination, which matches and never re-forwards.
+// The answer is a plain MatchResp.
+func appendPublishFrame(w *codec.Writer, local bool, doc *model.Document, terms []string) {
 	w.Uint8(msgPublish)
-	var flag uint64
-	if local {
-		flag = 1
-	}
-	if len(items) == 1 {
-		w.Uvarint(1<<1 | flag)
-		items[0].Doc.EncodeTo(w)
-		w.Uvarint(1)
-		w.Uvarint(0)
-		w.StringSlice(items[0].Terms)
-		return
-	}
-	table := make(map[uint64]uint64, len(items))
-	unique := make([]*model.Document, 0, len(items))
-	for i := range items {
-		if _, ok := table[items[i].Doc.ID]; !ok {
-			table[items[i].Doc.ID] = uint64(len(unique))
-			unique = append(unique, items[i].Doc)
-		}
-	}
-	w.Uvarint(uint64(len(unique))<<1 | flag)
-	for _, d := range unique {
-		d.EncodeTo(w)
-	}
-	w.Uvarint(uint64(len(items)))
-	for i := range items {
-		w.Uvarint(table[items[i].Doc.ID])
-		w.StringSlice(items[i].Terms)
-	}
-}
-
-// EncodePublishFrame serializes a home-routed publish frame into a fresh
-// buffer — the entry path of clients that route to home nodes themselves
-// (movectl, movebench).
-func EncodePublishFrame(items []PublishItem) []byte {
-	w := codec.NewWriter(32 + 48*len(items))
-	AppendPublishFrame(w, false, items)
-	return w.Bytes()
+	w.Bool(local)
+	doc.EncodeTo(w)
+	w.StringSlice(terms)
 }
 
 // boundedCap caps a wire-declared element count by what the unread bytes can
@@ -228,93 +183,27 @@ func boundedCap(n uint64, r *codec.Reader, minBytes int) int {
 	return int(min(n, uint64(r.Remaining()/minBytes)))
 }
 
-func decodePublishFrame(r *codec.Reader) (local bool, items []PublishItem, err error) {
-	head, err := r.Uvarint()
-	if err != nil {
-		return false, nil, err
+// decodePublishFrame parses a publish frame after its type byte. Bytes left
+// over after the term list refuse the frame: it is one document, not a
+// prefix of something longer.
+func decodePublishFrame(r *codec.Reader) (local bool, doc model.Document, terms []string, err error) {
+	if local, err = r.Bool(); err != nil {
+		return false, doc, nil, err
 	}
-	local, nd := head&1 == 1, head>>1
-	if nd > uint64(r.Remaining()) {
-		return false, nil, fmt.Errorf("node: publish frame doc count %d overflows payload", nd)
+	if doc, err = model.DecodeDocument(r); err != nil {
+		return false, doc, nil, err
 	}
-	// A document is at least 2 bytes on the wire (ID + term count).
-	docs := make([]model.Document, 0, boundedCap(nd, r, 2))
-	for i := uint64(0); i < nd; i++ {
-		d, err := model.DecodeDocument(r)
-		if err != nil {
-			return false, nil, err
-		}
-		docs = append(docs, d)
+	if terms, err = r.StringSlice(); err != nil {
+		return false, doc, nil, err
 	}
-	// Prime each unique document's memoized term-set view once, while this
-	// goroutine still exclusively owns the decode (prime-before-share,
-	// model.Document.View): every item referencing the document, and every
-	// term's match evaluation, shares it.
-	for i := range docs {
-		docs[i].View()
+	if r.Remaining() != 0 {
+		return false, doc, nil, fmt.Errorf("node: publish frame: %d trailing byte(s) after the term list", r.Remaining())
 	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return false, nil, err
-	}
-	if n > uint64(r.Remaining()) {
-		return false, nil, fmt.Errorf("node: publish frame item count %d overflows payload", n)
-	}
-	// An item is at least 2 bytes on the wire (doc index + term count).
-	items = make([]PublishItem, 0, boundedCap(n, r, 2))
-	for i := uint64(0); i < n; i++ {
-		di, err := r.Uvarint()
-		if err != nil {
-			return false, nil, err
-		}
-		if di >= uint64(len(docs)) {
-			return false, nil, fmt.Errorf("node: publish frame doc index %d out of range (%d docs)", di, len(docs))
-		}
-		terms, err := r.StringSlice()
-		if err != nil {
-			return false, nil, err
-		}
-		items = append(items, PublishItem{Doc: &docs[di], Terms: terms})
-	}
-	return local, items, nil
-}
-
-// EncodeMatchRespBatch serializes the answer to a publish frame: one
-// MatchResp per item, in item order. The buffer is not pooled because it
-// crosses the Handler ownership boundary (DESIGN.md §11).
-func EncodeMatchRespBatch(resps []MatchResp) []byte {
-	size := 8
-	for i := range resps {
-		size += 16 + 24*len(resps[i].Matches)
-	}
-	w := codec.NewWriter(size)
-	w.Uvarint(uint64(len(resps)))
-	for i := range resps {
-		appendMatchResp(w, resps[i])
-	}
-	return w.Bytes()
-}
-
-// DecodeMatchRespBatch parses the answer to a publish frame.
-func DecodeMatchRespBatch(data []byte) ([]MatchResp, error) {
-	r := codec.NewReader(data)
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("node: match batch count: %w", err)
-	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("node: match batch count %d overflows payload", n)
-	}
-	// A MatchResp is at least 6 bytes on the wire (five counts and a flag).
-	resps := make([]MatchResp, 0, boundedCap(n, r, 6))
-	for i := uint64(0); i < n; i++ {
-		resp, err := decodeMatchResp(r)
-		if err != nil {
-			return nil, fmt.Errorf("node: match batch item %d: %w", i, err)
-		}
-		resps = append(resps, resp)
-	}
-	return resps, nil
+	// Prime the document's memoized term-set view while this goroutine still
+	// exclusively owns the decode (prime-before-share, model.Document.View):
+	// every term's match evaluation shares it.
+	doc.View()
+	return local, doc, terms, nil
 }
 
 // EncodeSIFT serializes a full-match request (RS baseline).
@@ -346,15 +235,10 @@ type MatchResp struct {
 	Hops []trace.Hop
 }
 
-// EncodeMatchResp serializes a MatchResp.
+// EncodeMatchResp serializes a MatchResp. The buffer is not pooled because
+// it crosses the Handler ownership boundary (DESIGN.md §11).
 func EncodeMatchResp(resp MatchResp) []byte {
 	w := codec.NewWriter(16 + 24*len(resp.Matches))
-	appendMatchResp(w, resp)
-	return w.Bytes()
-}
-
-// appendMatchResp encodes a MatchResp into w.
-func appendMatchResp(w *codec.Writer, resp MatchResp) {
 	w.Uvarint(uint64(len(resp.Matches)))
 	for _, m := range resp.Matches {
 		w.Uvarint(uint64(m.Filter))
@@ -365,6 +249,7 @@ func appendMatchResp(w *codec.Writer, resp MatchResp) {
 	w.Bool(resp.Degraded)
 	w.Uvarint(uint64(resp.ColumnsLost))
 	encodeHops(w, resp.Hops)
+	return w.Bytes()
 }
 
 // encodeHops appends the hop list to the wire frame.
@@ -378,7 +263,6 @@ func encodeHops(w *codec.Writer, hops []trace.Hop) {
 		w.Uvarint(uint64(h.Row))
 		w.Uvarint(uint64(h.Col))
 		w.Uvarint(uint64(h.Attempt))
-		w.Uvarint(uint64(h.Batch))
 		w.Bool(h.Failover)
 		w.Bool(h.Lost)
 		w.Bool(h.Pending)
@@ -399,9 +283,9 @@ func decodeHops(r *codec.Reader) ([]trace.Hop, error) {
 	if n > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("node: hop count %d overflows payload", n)
 	}
-	// A hop is at least 13 bytes on the wire (5 length prefixes, 5 varints,
+	// A hop is at least 12 bytes on the wire (5 length prefixes, 4 varints,
 	// 3 flags).
-	hops := make([]trace.Hop, 0, boundedCap(n, r, 13))
+	hops := make([]trace.Hop, 0, boundedCap(n, r, 12))
 	for i := uint64(0); i < n; i++ {
 		var h trace.Hop
 		if h.Stage, err = r.String(); err != nil {
@@ -429,11 +313,6 @@ func decodeHops(r *codec.Reader) ([]trace.Hop, error) {
 			return nil, err
 		}
 		h.Row, h.Col, h.Attempt = int(row), int(col), int(attempt)
-		batch, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		h.Batch = int(batch)
 		if h.Failover, err = r.Bool(); err != nil {
 			return nil, err
 		}
@@ -458,10 +337,7 @@ func decodeHops(r *codec.Reader) ([]trace.Hop, error) {
 
 // DecodeMatchResp parses a MatchResp.
 func DecodeMatchResp(data []byte) (MatchResp, error) {
-	return decodeMatchResp(codec.NewReader(data))
-}
-
-func decodeMatchResp(r *codec.Reader) (MatchResp, error) {
+	r := codec.NewReader(data)
 	var resp MatchResp
 	n, err := r.Uvarint()
 	if err != nil {
@@ -575,9 +451,9 @@ type StatsResp struct {
 	Filters int64
 	// Postings is the number of posting entries stored.
 	Postings int64
-	// DocsProcessed is the number of match frames served. Coalesced publish
-	// frames carry many terms in one frame, so this counts document
-	// arrivals, not routed terms.
+	// DocsProcessed is the number of match frames served. A publish frame
+	// carries all of a document's terms bound for this node, so this counts
+	// document arrivals, not routed terms.
 	DocsProcessed int64
 	// TermsMatched is the number of term match evaluations served — the
 	// matching cost basis of Figure 9(b). Unlike DocsProcessed it is
@@ -589,8 +465,8 @@ type StatsResp struct {
 	// PostingLists is the cumulative number of posting-list retrievals
 	// (the y_seek unit of the cost model).
 	PostingLists int64
-	// HomePublishes counts home-node document arrivals (one per item of a
-	// home-routed publish frame), the numerator of the node frequency q'_i.
+	// HomePublishes counts home-node document arrivals (one per home-routed
+	// publish frame), the numerator of the node frequency q'_i.
 	HomePublishes int64
 }
 

@@ -36,9 +36,6 @@ type Hop struct {
 	Col int `json:"col,omitempty"`
 	// Attempt is 0 for the primary row, k for the k-th failover row.
 	Attempt int `json:"attempt,omitempty"`
-	// Batch is the number of documents coalesced into the frame this hop
-	// carried; 0 or 1 means an unbatched, single-document hop.
-	Batch int `json:"batch,omitempty"`
 	// Failover marks a hop served by a row other than the chosen one.
 	Failover bool `json:"failover,omitempty"`
 	// Lost marks a column with no live replica in any row (the publish
