@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench loc fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
+.PHONY: build vet test race bench loc wire-budget fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,13 @@ loc:
 	@echo "$(words $(wildcard BENCH_*.json)) BENCH_*.json files"
 	@cat internal/node/proto.go internal/node/deliver.go | grep -cE '^(const)?[[:space:]]+msg[A-Za-z]+[[:space:]]+=[[:space:]]+[0-9]+' | sed 's/$$/ live msg* message types (internal\/node proto.go + deliver.go)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/node/*.go)) | grep -cE '^(func (\([a-z]+ \*?[A-Z][A-Za-z0-9]*\) )?|type |var |const )[A-Z]' | sed 's/$$/ exported identifiers in internal\/node (non-test)/'
+
+# The codec layer's microbench: every frame one document costs, by frame
+# class, in the three shapes the repository benchmark publishes — built with
+# the production encoders, no daemon and no clock, one row per class. Fails
+# when a class passes its ceiling; quote its table before changing a frame.
+wire-budget:
+	$(GO) test -count=1 -run TestWireBudget -v ./internal/node
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
 # shake out regressions in the codec, framing, tokenizer, index and
@@ -108,4 +115,4 @@ benchmark-smoke:
 	done
 
 # .github/workflows/ci.yml runs these same steps in this order.
-ci: vet build loc race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke
+ci: vet build loc wire-budget race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke

@@ -716,7 +716,7 @@ func (c *Cluster) publishFlood(ctx context.Context, doc *model.Document) (Publis
 				results[i] = result{err: err}
 				return
 			}
-			resp, err := node.DecodeMatchResp(raw)
+			resp, err := node.DecodeMatchResp(raw, nil)
 			sp.AddHop(trace.Hop{
 				Stage: "flood", From: string(entryID), To: string(id),
 				ElapsedNS: time.Since(floodStart).Nanoseconds(),

@@ -1,12 +1,18 @@
 package delivery
 
 import (
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/testutil"
 )
@@ -171,8 +177,9 @@ func TestServerHeartbeat(t *testing.T) {
 // TestServerRejectsHostileFirstFrame covers what an unidentified socket can
 // make the server do with one header. Announcing a frame just under the
 // event-frame bound must not be believed (the server used to allocate it —
-// 16 MiB pinned per connection for four bytes), and an empty frame has no
-// type byte to be a hello. Either way the connection is closed and nothing
+// 16 MiB pinned per connection for four bytes), a prefix that is not the
+// shortest form of its length is not a frame, and an empty frame has no type
+// byte to be a hello. Either way the connection is closed and nothing
 // attaches.
 func TestServerRejectsHostileFirstFrame(t *testing.T) {
 	hub, srv := startServer(t, Config{Workers: 1})
@@ -181,8 +188,9 @@ func TestServerRejectsHostileFirstFrame(t *testing.T) {
 		name   string
 		header []byte
 	}{
-		{"oversized", []byte{0x00, 0xff, 0xff, 0xff}}, // 16<<20 - 1
-		{"empty", []byte{0, 0, 0, 0}},
+		{"oversized", binary.AppendUvarint(nil, 16<<20)},
+		{"non-minimal", []byte{0x82, 0x00}},
+		{"empty", []byte{0}},
 	} {
 		name, header := tc.name, tc.header
 		c, err := net.Dial("tcp", srv.Addr().String())
@@ -195,9 +203,10 @@ func TestServerRejectsHostileFirstFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The server closes without waiting for the announced payload; a
-		// bye may precede the close.
+		// bye may precede the close, and closing on header bytes it never
+		// needed to read resets the connection instead of ending it.
 		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := io.Copy(io.Discard, c); err != nil {
+		if _, err := io.Copy(io.Discard, c); err != nil && !errors.Is(err, syscall.ECONNRESET) {
 			t.Fatalf("%s header: connection still open after 5s: %v", name, err)
 		}
 		runtime.ReadMemStats(&m1)
@@ -208,6 +217,71 @@ func TestServerRejectsHostileFirstFrame(t *testing.T) {
 		}
 	}
 	if n := hub.SessionCount(); n != 0 {
-		t.Fatalf("%d sessions exist after two rejected connections", n)
+		t.Fatalf("%d sessions exist after three rejected connections", n)
+	}
+}
+
+// countingConn counts the reads a Client issues against its socket.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int32
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestClientReadsARoundInOneRead: the server puts a flush round on the wire
+// in one write, and the client takes it off in one read — not a header read
+// and a payload read per frame.
+func TestClientReadsARoundInOneRead(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	_ = server.SetDeadline(time.Now().Add(5 * time.Second))
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+
+	// frames encodes payload builders back-to-back, as a flush round is.
+	frames := func(build ...func(w *codec.Writer)) []byte {
+		var wire []byte
+		for _, b := range build {
+			w := codec.NewWriter(64)
+			b(w)
+			var err error
+			if wire, err = frame.Append(wire, w.Bytes(), maxFrame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return wire
+	}
+	go func() {
+		var buf []byte
+		if _, err := frame.Read(server, &buf, maxInboundFrame); err != nil {
+			return
+		}
+		_, _ = server.Write(frames(func(w *codec.Writer) { AppendHelloOK(w, HelloInfo{NextSeq: 1}) }))
+		events := func(seq uint64) func(w *codec.Writer) {
+			return func(w *codec.Writer) {
+				AppendEvents(w, []*Event{{Seq: seq, DocID: seq, Filters: fid(seq), Terms: []string{"t"}}})
+			}
+		}
+		_, _ = server.Write(frames(events(1), events(2), events(3)))
+	}()
+
+	cc := &countingConn{Conn: client}
+	cl, err := NewClient(cc, "s", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterHello := cc.reads.Load()
+	for seq := uint64(1); seq <= 3; seq++ {
+		msg, err := cl.Recv()
+		if err != nil || len(msg.Events) != 1 || msg.Events[0].Seq != seq {
+			t.Fatalf("frame %d of the round = %+v, %v", seq, msg, err)
+		}
+	}
+	if got := cc.reads.Load() - afterHello; got != 1 {
+		t.Fatalf("a three-frame round cost the client %d reads, want 1", got)
 	}
 }

@@ -7,9 +7,15 @@ import (
 	"github.com/movesys/move/internal/model"
 )
 
-// Subscriber-facing frame types. Every frame on a subscriber connection is a
-// 4-byte big-endian length prefix followed by a payload whose first byte is
-// one of these.
+// Subscriber-facing frame types. Every frame on a subscriber connection is
+// internal/frame's prefix — the payload length as a minimal uvarint, 1 byte
+// for every frame a subscriber sends and for an event frame under 128 bytes —
+// followed by a payload whose first byte is one of these. The bounds below
+// are checked against the prefix before anything is allocated, and a prefix
+// that is over-long or not minimal is a protocol error. The prefix was 4
+// fixed bytes before this format: a client and a server from either side of
+// that change cannot talk, and neither can two daemons (the inter-node tier
+// shares the prefix).
 const (
 	frameHello   = 1 // client → server: subscriber name + resume ack
 	frameHelloOK = 2 // server → client: HelloInfo
@@ -27,8 +33,8 @@ const maxFrame = 16 << 20
 // maxInboundFrame bounds a client → server frame. Subscribers send only
 // hello, ack and pong; the largest is a hello — type byte, subscriber name
 // with its length prefix, resume ack (≤ 10 bytes) — so 4 KiB admits names
-// of up to ~4,000 bytes while a bare 4-byte header from an unidentified
-// socket can make the server allocate at most this much.
+// of up to ~4,000 bytes while a bare header from an unidentified socket can
+// make the server allocate at most this much.
 const maxInboundFrame = 4 << 10
 
 // AppendHello encodes a client hello: the subscriber name and the highest

@@ -16,9 +16,6 @@ import (
 	"github.com/movesys/move/internal/metrics"
 )
 
-// headerLen is the frame prefix: the payload length, 4 bytes big-endian.
-const headerLen = 4
-
 // RoundBytes is the flush-round size bound: a pending buffer at or past it
 // goes to the wire now instead of waiting for more frames to share the
 // write. 64 KiB is roughly one socket buffer's worth, and matches the
@@ -30,16 +27,56 @@ const RoundBytes = 64 << 10
 // array on an idle connection forever.
 const maxRetained = 1 << 20
 
-// Append appends one length-prefixed frame to dst. Frames appended
-// back-to-back form one contiguous buffer a single Write puts on the wire.
-// max is the caller's frame bound (the tiers differ: RPC carries documents,
-// subscriber frames do not).
+// Append appends one length-prefixed frame to dst: the payload length as a
+// minimal uvarint (1 byte below 128 B, 2 below 16 KiB), then the payload.
+// Frames appended back-to-back form one contiguous buffer a single Write puts
+// on the wire. max is the caller's frame bound (the tiers differ: RPC carries
+// documents, subscriber frames do not).
 func Append(dst, payload []byte, max int) ([]byte, error) {
 	if len(payload) > max {
 		return dst, fmt.Errorf("frame: payload of %d bytes exceeds limit %d", len(payload), max)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	return append(dst, payload...), nil
+}
+
+// readLen reads the uvarint length prefix one byte at a time — through
+// ReadByte when r buffers, so a reader that does not is never asked for more
+// than the header holds. It stops at the first byte that settles the outcome:
+// a length past max is refused as soon as the bits read exceed it, whatever
+// follows, so a hostile header costs at most binary.MaxVarintLen64 reads and
+// no allocation. A prefix that is not the shortest encoding of its value is a
+// protocol error, not a synonym.
+func readLen(r io.Reader, max int) (int, error) {
+	br, _ := r.(io.ByteReader)
+	var one [1]byte
+	var n uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		var b byte
+		var err error
+		if br != nil {
+			b, err = br.ReadByte()
+		} else if _, err = io.ReadFull(r, one[:]); err == nil {
+			b = one[0]
+		}
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		n |= uint64(b&0x7f) << (7 * i)
+		if n > uint64(max) {
+			return 0, fmt.Errorf("frame: header announces at least %d bytes, limit %d", n, max)
+		}
+		if b < 0x80 {
+			if i > 0 && b == 0 {
+				return 0, fmt.Errorf("frame: length %d in a non-minimal %d-byte prefix", n, i+1)
+			}
+			return int(n), nil
+		}
+	}
+	return 0, fmt.Errorf("frame: length prefix longer than %d bytes", binary.MaxVarintLen64)
 }
 
 // Read reads one frame from r into *bp, growing it as needed, and returns
@@ -48,15 +85,10 @@ func Append(dst, payload []byte, max int) ([]byte, error) {
 // before anything is allocated; a payload too large to be worth retaining is
 // read into a buffer of its own.
 func Read(r io.Reader, bp *[]byte, max int) ([]byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	size, err := readLen(r, max)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if uint64(n) > uint64(max) {
-		return nil, fmt.Errorf("frame: header announces %d bytes, limit %d", n, max)
-	}
-	size := int(n)
 	buf := *bp
 	if cap(buf) < size {
 		buf = make([]byte, size)

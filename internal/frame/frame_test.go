@@ -2,29 +2,36 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"testing"
 
 	"github.com/movesys/move/internal/metrics"
 )
 
-// TestAppendReadRoundTrip pins the format at its edges: empty, one byte,
-// exactly the limit, and one past it on both sides of the wire.
+// prefixLen is the size of the uvarint prefix of an n-byte payload.
+func prefixLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
+
+// TestAppendReadRoundTrip pins the format at its edges: empty, one byte, both
+// sides of each prefix-length step, exactly the limit, and one past it on
+// both sides of the wire.
 func TestAppendReadRoundTrip(t *testing.T) {
-	const max = 1 << 10
-	for _, n := range []int{0, 1, max} {
-		payload := bytes.Repeat([]byte{0xab}, n)
+	const max = 1 << 15
+	for _, tc := range []struct{ n, prefix int }{{0, 1}, {1, 1}, {127, 1}, {128, 2}, {1<<14 - 1, 2}, {1 << 14, 3}, {max, 3}} {
+		payload := bytes.Repeat([]byte{0xab}, tc.n)
 		wire, err := Append(nil, payload, max)
 		if err != nil {
-			t.Fatalf("Append(%d bytes): %v", n, err)
+			t.Fatalf("Append(%d bytes): %v", tc.n, err)
 		}
-		if len(wire) != 4+n || wire[0] != 0 || wire[1] != 0 || int(wire[2])<<8|int(wire[3]) != n {
-			t.Fatalf("Append(%d bytes) = %d bytes, header % x", n, len(wire), wire[:4])
+		if n, used := binary.Uvarint(wire); len(wire) != tc.prefix+tc.n || used != tc.prefix || int(n) != tc.n {
+			t.Fatalf("Append(%d bytes) = %d bytes, prefix % x; want a %d-byte uvarint", tc.n, len(wire), wire[:used], tc.prefix)
 		}
 		var buf []byte
 		got, err := Read(bytes.NewReader(wire), &buf, max)
 		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("Read(%d bytes) = %d bytes, %v", n, len(got), err)
+			t.Fatalf("Read(%d bytes) = %d bytes, %v", tc.n, len(got), err)
 		}
 	}
 
@@ -41,6 +48,78 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	var buf []byte
 	if _, err := Read(bytes.NewReader(wire), &buf, max); err == nil || buf != nil {
 		t.Fatalf("Read past the limit: err %v, buffer grown to %d", err, cap(buf))
+	}
+}
+
+// byteAtATime hides bytes.Reader's ReadByte, so Read takes the path an
+// unbuffered socket does, and counts the Read calls it costs.
+type byteAtATime struct {
+	r     *bytes.Reader
+	reads int
+}
+
+func (b *byteAtATime) Read(p []byte) (int, error) {
+	b.reads++
+	return b.r.Read(p)
+}
+
+// TestReadRefusesBadPrefix: a prefix that is over-long, non-minimal, past the
+// bound or cut short is refused with nothing allocated and nothing consumed
+// beyond the header bytes that decided it — on a buffered reader and on a
+// bare one. A frame under 128 bytes costs a bare reader two reads, as the
+// fixed-width header did.
+func TestReadRefusesBadPrefix(t *testing.T) {
+	const max = 1 << 10
+	tail := []byte("the next frame's bytes")
+	for _, tc := range []struct {
+		name     string
+		header   []byte
+		consumed int // header bytes Read may take before refusing
+		cut      bool
+	}{
+		{"10-byte varint", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 2, false},
+		{"11-byte varint of zeros", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, 10, false},
+		{"non-minimal 5", []byte{0x85, 0x00}, 2, false},
+		{"non-minimal 0", []byte{0x80, 0x80, 0x00}, 3, false},
+		{"max+1", binary.AppendUvarint(nil, max+1), 2, false},
+		{"cut mid-varint", []byte{0x85}, 1, true},
+	} {
+		for _, bare := range []bool{false, true} {
+			wire := tc.header
+			if !tc.cut {
+				wire = append(append([]byte(nil), tc.header...), tail...)
+			}
+			src := bytes.NewReader(wire)
+			var r io.Reader = src
+			if bare {
+				r = &byteAtATime{r: src}
+			}
+			var buf []byte
+			_, err := Read(r, &buf, max)
+			if err == nil || buf != nil {
+				t.Fatalf("%s (bare=%v): err %v, buffer grown to %d", tc.name, bare, err, cap(buf))
+			}
+			if tc.cut != errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s (bare=%v): err = %v", tc.name, bare, err)
+			}
+			if took := len(wire) - src.Len(); took > tc.consumed {
+				t.Fatalf("%s (bare=%v): consumed %d bytes, the header settles it in %d", tc.name, bare, took, tc.consumed)
+			}
+		}
+	}
+
+	wire, _ := Append(nil, make([]byte, 127), max)
+	wire, _ = Append(wire, make([]byte, 128), max)
+	r := &byteAtATime{r: bytes.NewReader(wire)}
+	var buf []byte
+	if _, err := Read(r, &buf, max); err != nil || r.reads != 2 {
+		t.Fatalf("a 127-byte frame cost a bare reader %d reads (%v), want 2", r.reads, err)
+	}
+	if _, err := Read(r, &buf, max); err != nil || r.reads != 5 {
+		t.Fatalf("a 128-byte frame cost a bare reader %d reads (%v), want 3", r.reads-2, err)
+	}
+	if _, err := Read(r, &buf, max); err != io.EOF {
+		t.Fatalf("clean end of stream = %v, want io.EOF", err)
 	}
 }
 
@@ -95,7 +174,7 @@ func TestBatchAlternatesBuffers(t *testing.T) {
 	// Synchronous: Append, Take, Recycle — the same array every round.
 	_ = b.Append([]byte("one"), max)
 	out, frames := b.Take()
-	if frames != 1 || len(out) != 7 || b.Len() != 0 {
+	if frames != 1 || len(out) != 4 || b.Len() != 0 {
 		t.Fatalf("Take = %d bytes, %d frames, %d left", len(out), frames, b.Len())
 	}
 	arrayA := first(out)
@@ -154,7 +233,7 @@ func TestFlushStatsMatchTheWire(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantFrames++
-			wantBytes += 4 + n
+			wantBytes += prefixLen(n) + n
 		}
 		out, frames := b.Take()
 		if err := st.WriteRound(conn, 0, out, frames); err != nil {

@@ -2,6 +2,8 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"runtime"
 	"testing"
 
@@ -16,9 +18,15 @@ import (
 // order.
 func FuzzFrameRead(f *testing.F) {
 	f.Add([]byte(nil), []byte(nil), []byte("x"), uint16(0))
-	f.Add([]byte{0, 0, 0, 1, 'x'}, []byte("ab"), []byte(nil), uint16(2))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte("hello"), []byte("world"), uint16(5))
-	f.Add([]byte{0, 0, 0, 5, 'a', 'b'}, bytes.Repeat([]byte("z"), 300), []byte{0}, uint16(299))
+	f.Add([]byte{1, 'x', 0, 2, 'a', 'b'}, []byte("ab"), []byte(nil), uint16(2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, []byte("hello"), []byte("world"), uint16(5))
+	f.Add([]byte{5, 'a', 'b'}, bytes.Repeat([]byte("z"), 300), []byte{0}, uint16(299))
+	// Hostile prefixes: a 10-byte varint, a non-minimal encoding of a small
+	// length, a header announcing max+1, and a header cut mid-varint.
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'x'}, []byte("a"), []byte("b"), uint16(65535))
+	f.Add([]byte{0x83, 0x00, 'a', 'b', 'c'}, []byte("a"), []byte("b"), uint16(64))
+	f.Add([]byte{0xad, 0x02, 'x'}, []byte("a"), []byte("b"), uint16(300))
+	f.Add([]byte{1, 'x', 0x80}, []byte("a"), []byte("b"), uint16(64))
 
 	f.Fuzz(func(t *testing.T, raw, a, b []byte, limit uint16) {
 		max := int(limit)
@@ -29,8 +37,14 @@ func FuzzFrameRead(f *testing.F) {
 		runtime.ReadMemStats(&m0)
 		frames := 0
 		for {
+			before := r.Len()
 			payload, err := Read(r, &buf, max)
 			if err != nil {
+				// A refused header is settled by the header alone: nothing
+				// after it is consumed (a short stream is consumed whole).
+				if took := before - r.Len(); err != io.EOF && err != io.ErrUnexpectedEOF && took > binary.MaxVarintLen64 {
+					t.Fatalf("refusing a header (%v) consumed %d bytes", err, took)
+				}
 				break
 			}
 			if len(payload) > max {
@@ -43,7 +57,7 @@ func FuzzFrameRead(f *testing.F) {
 		// except the last frame's, where a header alone can claim up to
 		// max. TotalAlloc is process-wide, so the constant covers the
 		// error values and whatever the test runtime allocates meanwhile;
-		// a header believed past max (up to 4 GiB) still dwarfs it. The
+		// a header believed past max (up to 2⁶⁴) still dwarfs it. The
 		// race detector's shadow allocations are not the frame's.
 		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(len(raw)+max+64<<10); !testutil.RaceEnabled && grew > bound {
 			t.Fatalf("reading %d raw bytes (%d frames) allocated %d bytes, limit %d", len(raw), frames, grew, bound)

@@ -41,20 +41,34 @@ func (n *Node) handleDeliverBatch(r *codec.Reader) error {
 
 // groupMatchesBySub folds a deduplicated match set into per-subscriber
 // notifications (a subscriber with several matching filters gets one
-// notification carrying all their IDs).
+// notification carrying all their IDs), in first-match order. Every
+// notification's Filters is carved from one backing array: the first pass
+// counts each subscriber's matches, the second fills slices capped at their
+// count, so a subscriber with several filters cannot write into its
+// neighbour's.
 func groupMatchesBySub(matches []Match) []delivery.Notification {
 	idx := make(map[string]int, len(matches))
 	notifs := make([]delivery.Notification, 0, len(matches))
+	counts := make([]int, 0, len(matches))
 	for _, m := range matches {
-		if i, ok := idx[m.Subscriber]; ok {
-			notifs[i].Filters = append(notifs[i].Filters, m.Filter)
-			continue
+		i, ok := idx[m.Subscriber]
+		if !ok {
+			i = len(notifs)
+			idx[m.Subscriber] = i
+			notifs = append(notifs, delivery.Notification{Sub: m.Subscriber})
+			counts = append(counts, 0)
 		}
-		idx[m.Subscriber] = len(notifs)
-		notifs = append(notifs, delivery.Notification{
-			Sub:     m.Subscriber,
-			Filters: []model.FilterID{m.Filter},
-		})
+		counts[i]++
+	}
+	backing := make([]model.FilterID, len(matches))
+	off := 0
+	for i, n := range counts {
+		notifs[i].Filters = backing[off : off : off+n]
+		off += n
+	}
+	for _, m := range matches {
+		i := idx[m.Subscriber]
+		notifs[i].Filters = append(notifs[i].Filters, m.Filter)
 	}
 	return notifs
 }

@@ -100,7 +100,7 @@ func publishHome(t testing.TB, home *Node, doc model.Document, terms ...string) 
 	if err != nil {
 		t.Fatalf("publish doc %d: %v", doc.ID, err)
 	}
-	resp, err := DecodeMatchResp(raw)
+	resp, err := DecodeMatchResp(raw, terms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,15 @@ func encodeDeliverBatch(b *delivery.Batch) []byte {
 }
 
 // TestPublishFrameRoundTrip round-trips the one-document publish frame in
-// both directions of the local flag, with an empty term list and with a
-// 65-term document, and pins the frame's budget: one byte (the flag) over
-// the type byte, the document and the term list it carries, and no heap
-// allocation to encode.
+// both directions of the local flag and over every shape of routed term list
+// — the whole document, empty, out of document order (a termsVia union), a
+// term the document does not hold, a document repeating a term — and pins the
+// frame's budget: the type byte, the flag, the document, the list's count and
+// one byte per routed term (a term spelled out costs its string), no heap
+// allocation to encode, and none to decode the routed list beyond its slice.
 func TestPublishFrameRoundTrip(t *testing.T) {
 	small := model.Document{ID: 42, Terms: []string{"go", "cluster", "systems"}}
+	repeats := model.Document{ID: 43, Terms: []string{"go", "cluster", "go", "systems", "go"}}
 	wide := model.Document{ID: 1 << 40}
 	for i := 0; i < 65; i++ {
 		wide.Terms = append(wide.Terms, fmt.Sprintf("term%02d", i))
@@ -76,6 +79,11 @@ func TestPublishFrameRoundTrip(t *testing.T) {
 		{"local bit", true, &small, []string{"go", "systems"}},
 		{"empty term list", false, &small, nil},
 		{"65-term document", true, &wide, wide.Terms},
+		{"whole document", false, &small, small.Terms},
+		{"out of document order", true, &small, []string{"systems", "go", "cluster"}},
+		{"term absent from the document", false, &small, []string{"go", "absent", "systems"}},
+		{"repeated term", false, &repeats, repeats.Terms},
+		{"repeated term, out of order", true, &repeats, []string{"systems", "go", "go"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,10 +104,18 @@ func TestPublishFrameRoundTrip(t *testing.T) {
 			}
 			bare := codec.NewWriter(64)
 			bare.Uint8(msgPublish)
+			bare.Bool(tc.local)
 			tc.doc.EncodeTo(bare)
-			bare.StringSlice(tc.terms)
-			if over := len(frame) - bare.Len(); over != 1 {
-				t.Fatalf("frame is %d bytes over its document and term list, budget is 1", over)
+			bare.Uvarint(uint64(len(tc.terms)))
+			want := bare.Len()
+			for _, term := range tc.terms {
+				want++
+				if !slices.Contains(tc.doc.Terms, term) {
+					want += 1 + len(term)
+				}
+			}
+			if len(frame) != want {
+				t.Fatalf("frame is %d bytes, budget is %d: one byte per routed term over the document", len(frame), want)
 			}
 		})
 	}
@@ -113,11 +129,27 @@ func TestPublishFrameRoundTrip(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("encoding a publish frame allocates %.0f times, want 0", allocs)
 	}
+	// Decoding: the 65 routed terms are the decoded document's own strings,
+	// so routing all of them costs one allocation (the slice) over routing
+	// none. The retired layout allocated one string per routed term.
+	decodeAllocs := func(terms []string) float64 {
+		frame := encodePublish(false, &wide, terms...)[1:]
+		return testing.AllocsPerRun(100, func() {
+			if _, _, _, err := decodePublishFrame(codec.NewReader(frame)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if all, none := decodeAllocs(wide.Terms), decodeAllocs(nil); all-none != 1 {
+		t.Fatalf("decoding 65 routed terms allocates %.0f times over decoding none (%.0f vs %.0f), want 1", all-none, all, none)
+	}
 }
 
 // TestPublishFrameRefused: a publish frame with bytes left over after its
-// term list, and a frame of the retired multi-item type 27, are refused by
-// Handle and leave the node — counters, filters, traces — as it was.
+// term list, a frame of a retired publish type (the multi-item 27, the
+// string-list 28), and a routed term position past the document's term list
+// are refused by Handle and leave the node — counters, filters, traces — as
+// it was.
 func TestPublishFrameRefused(t *testing.T) {
 	doc := model.Document{ID: 7, Terms: []string{"alpha", "beta"}}
 	// Type 27 as its last sender wrote a one-item frame: document count and
@@ -129,6 +161,20 @@ func TestPublishFrameRefused(t *testing.T) {
 	retired.Uvarint(1)
 	retired.Uvarint(0)
 	retired.StringSlice([]string{"alpha"})
+	// Type 28 as its last sender wrote it: flag, document, terms as strings.
+	retired28 := codec.NewWriter(64)
+	retired28.Uint8(28)
+	retired28.Bool(false)
+	doc.EncodeTo(retired28)
+	retired28.StringSlice([]string{"alpha"})
+	// The routed list names position 2 of a two-term document.
+	past := codec.NewWriter(64)
+	past.Uint8(msgPublish)
+	past.Bool(false)
+	doc.EncodeTo(past)
+	past.Uvarint(2)
+	past.Uvarint(1)
+	past.Uvarint(3)
 
 	cases := []struct {
 		name    string
@@ -138,6 +184,8 @@ func TestPublishFrameRefused(t *testing.T) {
 		{"home frame with a trailing byte", append(encodePublish(false, &doc, "alpha"), 0), "trailing byte"},
 		{"local frame with a second frame appended", append(encodePublish(true, &doc, "alpha"), encodePublish(true, &doc, "beta")...), "trailing byte"},
 		{"retired type 27", retired.Bytes(), "unknown message type 27"},
+		{"retired type 28", retired28.Bytes(), "unknown message type 28"},
+		{"term position past the document", past.Bytes(), "term position 2 past the document's 2 term(s)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,7 +210,7 @@ func TestPublishFrameRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp, err := DecodeMatchResp(raw); err != nil || len(resp.Matches) != 1 {
+			if resp, err := DecodeMatchResp(raw, []string{"alpha"}); err != nil || len(resp.Matches) != 1 {
 				t.Fatalf("well-formed frame = %+v, %v, want the one match", resp, err)
 			}
 		})

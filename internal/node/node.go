@@ -343,7 +343,7 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		if err != nil {
 			return nil, err
 		}
-		return EncodeMatchResp(resp), nil
+		return EncodeMatchResp(resp, terms), nil
 	case msgPublishSIFT:
 		doc, err := model.DecodeDocument(r)
 		if err != nil {
@@ -353,7 +353,7 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		if err != nil {
 			return nil, err
 		}
-		return EncodeMatchResp(resp), nil
+		return EncodeMatchResp(resp, nil), nil
 	case msgMigrate:
 		req, err := decodeMigrate(r)
 		if err != nil {
@@ -826,7 +826,7 @@ func (n *Node) sendPublish(ctx context.Context, to ring.NodeID, local bool, doc 
 	if err != nil {
 		return MatchResp{}, elapsed, err
 	}
-	if resp, err = DecodeMatchResp(raw); err != nil {
+	if resp, err = DecodeMatchResp(raw, terms); err != nil {
 		return MatchResp{}, elapsed, err
 	}
 	return resp, elapsed, nil

@@ -375,14 +375,14 @@ func TestMatchRespRoundTrip(t *testing.T) {
 		PostingsScanned: 42,
 		PostingLists:    3,
 	}
-	got, err := DecodeMatchResp(EncodeMatchResp(resp))
+	got, err := DecodeMatchResp(EncodeMatchResp(resp, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, resp) {
 		t.Fatalf("round trip: %+v != %+v", got, resp)
 	}
-	if _, err := DecodeMatchResp([]byte{0xFF}); err == nil {
+	if _, err := DecodeMatchResp([]byte{0xFF}, nil); err == nil {
 		t.Fatal("corrupt resp accepted")
 	}
 }

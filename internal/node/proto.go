@@ -43,10 +43,13 @@ const (
 	// 26 is msgDeliverBatch (deliver.go): routed delivery batch to the
 	// session owner of each matched subscriber (§14).
 	// 27 retired: the multi-item msgPublish (document table + item list).
+	// 28 retired: the one-document msgPublish that spelled the routed terms
+	// out as strings beside the document that already holds them.
 	// The one publish frame (§12): one document and the terms the
-	// destination must match it under, home-routed or — with the local
-	// flag — bound for a grid node that matches without re-forwarding.
-	msgPublish = 28
+	// destination must match it under — as positions in the document's own
+	// term list — home-routed or, with the local flag, bound for a grid node
+	// that matches without re-forwarding.
+	msgPublish = 29
 )
 
 // EncodeAllocateTerm serializes a per-term allocation command.
@@ -169,11 +172,29 @@ func decodeRegister(r *codec.Reader) (RegisterReq, error) {
 // destination is; with local set they are the terms whose grids route the
 // document through the destination, which matches and never re-forwards.
 // The answer is a plain MatchResp.
+//
+// The routed terms are the document's, so each is sent as a uvarint: its
+// position in doc.Terms plus one, or 0 and then the string for a term the
+// document does not hold. Home groups are in document order, so the search
+// for each position starts where the last one ended (trace.IndexFrom) and the
+// whole list costs one walk of the document; a fan-out union (termsVia) that
+// is not in order wraps around.
 func appendPublishFrame(w *codec.Writer, local bool, doc *model.Document, terms []string) {
 	w.Uint8(msgPublish)
 	w.Bool(local)
 	doc.EncodeTo(w)
-	w.StringSlice(terms)
+	w.Uvarint(uint64(len(terms)))
+	next := 0
+	for _, t := range terms {
+		pos := trace.IndexFrom(doc.Terms, next, t)
+		if pos < 0 {
+			w.Uvarint(0)
+			w.String(t)
+			continue
+		}
+		w.Uvarint(uint64(pos) + 1)
+		next = pos + 1
+	}
 }
 
 // boundedCap caps a wire-declared element count by what the unread bytes can
@@ -183,9 +204,10 @@ func boundedCap(n uint64, r *codec.Reader, minBytes int) int {
 	return int(min(n, uint64(r.Remaining()/minBytes)))
 }
 
-// decodePublishFrame parses a publish frame after its type byte. Bytes left
-// over after the term list refuse the frame: it is one document, not a
-// prefix of something longer.
+// decodePublishFrame parses a publish frame after its type byte. The routed
+// terms it returns are the decoded document's own strings (only a term the
+// document does not hold is allocated). Bytes left over after the term list
+// refuse the frame: it is one document, not a prefix of something longer.
 func decodePublishFrame(r *codec.Reader) (local bool, doc model.Document, terms []string, err error) {
 	if local, err = r.Bool(); err != nil {
 		return false, doc, nil, err
@@ -193,8 +215,32 @@ func decodePublishFrame(r *codec.Reader) (local bool, doc model.Document, terms 
 	if doc, err = model.DecodeDocument(r); err != nil {
 		return false, doc, nil, err
 	}
-	if terms, err = r.StringSlice(); err != nil {
+	n, err := r.Uvarint()
+	if err != nil {
 		return false, doc, nil, err
+	}
+	if n > uint64(r.Remaining()) {
+		// Each routed term takes at least one byte (its position).
+		return false, doc, nil, fmt.Errorf("node: publish frame: %d routed terms in %d bytes: %w", n, r.Remaining(), codec.ErrOverflow)
+	}
+	if n > 0 {
+		terms = make([]string, n)
+	}
+	for i := range terms {
+		ref, err := r.Uvarint()
+		if err != nil {
+			return false, doc, nil, err
+		}
+		switch {
+		case ref == 0:
+			if terms[i], err = r.String(); err != nil {
+				return false, doc, nil, err
+			}
+		case ref <= uint64(len(doc.Terms)):
+			terms[i] = doc.Terms[ref-1]
+		default:
+			return false, doc, nil, fmt.Errorf("node: publish frame: term position %d past the document's %d term(s)", ref-1, len(doc.Terms))
+		}
 	}
 	if r.Remaining() != 0 {
 		return false, doc, nil, fmt.Errorf("node: publish frame: %d trailing byte(s) after the term list", r.Remaining())
@@ -235,10 +281,14 @@ type MatchResp struct {
 	Hops []trace.Hop
 }
 
-// EncodeMatchResp serializes a MatchResp. The buffer is not pooled because
-// it crosses the Handler ownership boundary (DESIGN.md §11).
-func EncodeMatchResp(resp MatchResp) []byte {
-	w := codec.NewWriter(16 + 24*len(resp.Matches))
+// EncodeMatchResp serializes the answer to a request that routed terms (nil
+// for one that named none, the SIFT flood): the hop list refers to them by
+// position (trace.AppendHops). The frame is built in a pooled writer and
+// returned as an exact-size copy — one allocation whatever it carries — since
+// the response crosses the Handler ownership boundary and cannot itself be
+// pooled (DESIGN.md §11).
+func EncodeMatchResp(resp MatchResp, terms []string) []byte {
+	w := codec.GetWriter()
 	w.Uvarint(uint64(len(resp.Matches)))
 	for _, m := range resp.Matches {
 		w.Uvarint(uint64(m.Filter))
@@ -248,95 +298,16 @@ func EncodeMatchResp(resp MatchResp) []byte {
 	w.Uvarint(uint64(resp.PostingLists))
 	w.Bool(resp.Degraded)
 	w.Uvarint(uint64(resp.ColumnsLost))
-	encodeHops(w, resp.Hops)
-	return w.Bytes()
+	trace.AppendHops(w, resp.Hops, terms)
+	out := make([]byte, w.Len())
+	copy(out, w.Bytes())
+	codec.PutWriter(w)
+	return out
 }
 
-// encodeHops appends the hop list to the wire frame.
-func encodeHops(w *codec.Writer, hops []trace.Hop) {
-	w.Uvarint(uint64(len(hops)))
-	for _, h := range hops {
-		w.String(h.Stage)
-		w.String(h.From)
-		w.String(h.To)
-		w.String(h.Term)
-		w.Uvarint(uint64(h.Row))
-		w.Uvarint(uint64(h.Col))
-		w.Uvarint(uint64(h.Attempt))
-		w.Bool(h.Failover)
-		w.Bool(h.Lost)
-		w.Bool(h.Pending)
-		w.String(h.Err)
-		w.Uvarint(uint64(h.ElapsedNS))
-	}
-}
-
-// decodeHops parses the hop list.
-func decodeHops(r *codec.Reader) ([]trace.Hop, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("node: hop count %d overflows payload", n)
-	}
-	// A hop is at least 12 bytes on the wire (5 length prefixes, 4 varints,
-	// 3 flags).
-	hops := make([]trace.Hop, 0, boundedCap(n, r, 12))
-	for i := uint64(0); i < n; i++ {
-		var h trace.Hop
-		if h.Stage, err = r.String(); err != nil {
-			return nil, err
-		}
-		if h.From, err = r.String(); err != nil {
-			return nil, err
-		}
-		if h.To, err = r.String(); err != nil {
-			return nil, err
-		}
-		if h.Term, err = r.String(); err != nil {
-			return nil, err
-		}
-		row, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		col, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		attempt, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		h.Row, h.Col, h.Attempt = int(row), int(col), int(attempt)
-		if h.Failover, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if h.Lost, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if h.Pending, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if h.Err, err = r.String(); err != nil {
-			return nil, err
-		}
-		elapsed, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		h.ElapsedNS = int64(elapsed)
-		hops = append(hops, h)
-	}
-	return hops, nil
-}
-
-// DecodeMatchResp parses a MatchResp.
-func DecodeMatchResp(data []byte) (MatchResp, error) {
+// DecodeMatchResp parses the answer to a request that routed terms — the list
+// EncodeMatchResp was given on the other side, or nil.
+func DecodeMatchResp(data []byte, terms []string) (MatchResp, error) {
 	r := codec.NewReader(data)
 	var resp MatchResp
 	n, err := r.Uvarint()
@@ -377,7 +348,7 @@ func DecodeMatchResp(data []byte) (MatchResp, error) {
 		return resp, err
 	}
 	resp.ColumnsLost = int(lost)
-	if resp.Hops, err = decodeHops(r); err != nil {
+	if resp.Hops, err = trace.DecodeHops(r, terms); err != nil {
 		return resp, err
 	}
 	return resp, nil

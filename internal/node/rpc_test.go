@@ -30,7 +30,7 @@ func TestFullRPCSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := DecodeMatchResp(raw)
+	resp, err := DecodeMatchResp(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

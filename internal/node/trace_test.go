@@ -146,8 +146,14 @@ func TestPublishTraceRecordsFailover(t *testing.T) {
 }
 
 // TestHopsSurviveWire round-trips a MatchResp with every Hop field set
-// through the codec.
+// through the codec, with the hop terms sent as positions in the request's
+// term list and — with no list — spelled out.
 func TestHopsSurviveWire(t *testing.T) {
+	t.Run("terms by position", func(t *testing.T) { hopsSurviveWire(t, []string{"cold", "hot"}) })
+	t.Run("terms spelled out", func(t *testing.T) { hopsSurviveWire(t, nil) })
+}
+
+func hopsSurviveWire(t *testing.T, terms []string) {
 	in := MatchResp{
 		Matches: []Match{{Filter: 1, Subscriber: "s"}},
 		Hops: []trace.Hop{
@@ -156,7 +162,7 @@ func TestHopsSurviveWire(t *testing.T) {
 			{Stage: "home", From: "n5", To: "n0", Term: "hot", Err: "rpc: dropped", ElapsedNS: 99},
 		},
 	}
-	out, err := DecodeMatchResp(EncodeMatchResp(in))
+	out, err := DecodeMatchResp(EncodeMatchResp(in, terms), terms)
 	if err != nil {
 		t.Fatal(err)
 	}

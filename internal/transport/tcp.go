@@ -329,21 +329,19 @@ func (n *TCPNode) serveConn(conn net.Conn, wr *connWriter) {
 	}
 }
 
+// handleFrame serves one request frame. A frame whose request ID parses but
+// whose remainder does not is answered with the decode error, so the caller
+// fails now rather than at its deadline; one whose ID does not parse has no
+// caller to answer and leaves the stream untrustworthy, so the connection is
+// closed and every call pending on it fails on the peer as ErrNodeDown.
 func (n *TCPNode) handleFrame(wr *connWriter, req []byte) {
 	r := codec.NewReader(req)
 	reqID, err := r.Uvarint()
 	if err != nil {
+		wr.closeWith(fmt.Errorf("transport: request id: %w", err))
 		return
 	}
-	from, err := r.String()
-	if err != nil {
-		return
-	}
-	body, err := r.Bytes0()
-	if err != nil {
-		return
-	}
-	resp, herr := n.handler(context.Background(), ring.NodeID(from), body)
+	resp, herr := n.serve(r)
 
 	// The response framing buffer is pooled: enqueue copies its bytes into
 	// the connection's send queue before returning, so the writer may be
@@ -362,6 +360,20 @@ func (n *TCPNode) handleFrame(wr *connWriter, req []byte) {
 	codec.PutWriter(w)
 }
 
+// serve decodes the rest of a request frame — sender and body — and runs the
+// handler on it.
+func (n *TCPNode) serve(r *codec.Reader) ([]byte, error) {
+	from, err := r.String()
+	if err != nil {
+		return nil, fmt.Errorf("transport: malformed request: sender: %w", err)
+	}
+	body, err := r.Bytes0()
+	if err != nil {
+		return nil, fmt.Errorf("transport: malformed request: body: %w", err)
+	}
+	return n.handler(context.Background(), ring.NodeID(from), body)
+}
+
 // Send implements Transport.
 func (n *TCPNode) Send(ctx context.Context, to ring.NodeID, payload []byte) ([]byte, error) {
 	c, err := n.conn(to)
@@ -372,7 +384,7 @@ func (n *TCPNode) Send(ctx context.Context, to ring.NodeID, payload []byte) ([]b
 	if err != nil {
 		// A broken connection is evicted (only its stripe) so a later Send
 		// redials it; the peer's other stripes keep serving.
-		if !errors.Is(err, ErrRemote) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if !errors.Is(err, ErrRemote) && !errors.Is(err, errMalformedResponse) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			n.evict(to, c)
 		}
 		return nil, err
@@ -561,6 +573,10 @@ type result struct {
 	err  error
 }
 
+// errMalformedResponse fails the one call whose response frame named it but
+// could not be parsed past the request ID.
+var errMalformedResponse = errors.New("transport: protocol error: malformed response")
+
 func newTCPConn(raw net.Conn, flushDelay time.Duration, met *wireMetrics) *tcpConn {
 	return &tcpConn{
 		raw:     raw,
@@ -629,26 +645,12 @@ func (c *tcpConn) readLoop() {
 		r := codec.NewReader(resp)
 		id, err := r.Uvarint()
 		if err != nil {
-			continue
+			// No caller can be named, and a peer that writes this may have
+			// written anything: fail them all now, not at their deadlines.
+			c.close(fmt.Errorf("unreadable response id (%v): %w", err, ErrNodeDown))
+			return
 		}
-		status, err := r.Uint8()
-		if err != nil {
-			continue
-		}
-		var body []byte
-		var remoteErr error
-		if status == 0 {
-			body, err = r.Bytes0()
-			if err != nil {
-				continue
-			}
-		} else {
-			msg, err := r.String()
-			if err != nil {
-				continue
-			}
-			remoteErr = fmt.Errorf("%w: %s", ErrRemote, msg)
-		}
+		body, err := decodeResponse(r)
 		c.mu.Lock()
 		ch, ok := c.pending[id]
 		delete(c.pending, id)
@@ -656,13 +658,36 @@ func (c *tcpConn) readLoop() {
 		if !ok {
 			continue // abandoned (context cancel); nothing to copy
 		}
-		var res result
-		res.err = remoteErr
-		if remoteErr == nil && body != nil {
+		res := result{err: err}
+		if err == nil && body != nil {
 			res.body = append([]byte(nil), body...)
 		}
 		ch <- res
 	}
+}
+
+// decodeResponse parses a response frame after its request ID: the body
+// (aliasing the frame) on status 0, the peer's handler error as ErrRemote
+// otherwise. A frame that is neither fails its one caller with
+// errMalformedResponse; the stream's framing is intact, so the connection
+// and the calls pipelined beside it carry on.
+func decodeResponse(r *codec.Reader) ([]byte, error) {
+	status, err := r.Uint8()
+	if err != nil {
+		return nil, fmt.Errorf("%w: status: %v", errMalformedResponse, err)
+	}
+	if status == 0 {
+		body, err := r.Bytes0()
+		if err != nil {
+			return nil, fmt.Errorf("%w: body: %v", errMalformedResponse, err)
+		}
+		return body, nil
+	}
+	msg, err := r.String()
+	if err != nil {
+		return nil, fmt.Errorf("%w: error text: %v", errMalformedResponse, err)
+	}
+	return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
 }
 
 // close fails all pending calls with err and tears the connection down.

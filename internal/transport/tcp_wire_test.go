@@ -6,11 +6,13 @@ import (
 	"net"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/ring"
@@ -429,5 +431,170 @@ func TestConnWriterBackpressure(t *testing.T) {
 				t.Fatalf("enqueue after drain: %v", err)
 			}
 		})
+	}
+}
+
+// rawFrame frames one payload as the wire carries it.
+func rawFrame(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	out, err := frame.Append(nil, payload, maxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTCPServerAnswersMalformedRequest speaks to a node over a raw socket. A
+// request whose ID parses but whose remainder does not used to be dropped
+// without a word, leaving the caller to wait out its deadline; it is answered
+// under its ID with status 1 and the decode error, and the connection keeps
+// serving. A request whose ID itself is unreadable closes the connection.
+func TestTCPServerAnswersMalformedRequest(t *testing.T) {
+	p := startTCPPairOpts(t, nil, TCPOptions{})
+	c, err := net.Dial("tcp", p.b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+
+	good := codec.NewWriter(32)
+	good.Uvarint(8)
+	good.String("raw")
+	good.Bytes0([]byte("ping"))
+	for _, tc := range []struct {
+		name    string
+		request []byte
+		id      uint64
+		status  uint8
+		text    string
+	}{
+		{"sender cut short", []byte{7, 9, 'a'}, 7, 1, "malformed request: sender"},
+		{"body cut short", []byte{9, 1, 'a', 40, 'x'}, 9, 1, "malformed request: body"},
+		{"no remainder at all", []byte{5}, 5, 1, "malformed request: sender"},
+		{"well-formed, after the three", good.Bytes(), 8, 0, "raw:ping"},
+	} {
+		if _, err := c.Write(rawFrame(t, tc.request)); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		resp, err := frame.Read(c, &buf, maxFrame)
+		if err != nil {
+			t.Fatalf("%s: no answer: %v", tc.name, err)
+		}
+		r := codec.NewReader(resp)
+		id, _ := r.Uvarint()
+		status, _ := r.Uint8()
+		text, err := r.String()
+		if err != nil || id != tc.id || status != tc.status || !strings.Contains(text, tc.text) {
+			t.Fatalf("%s: answer = id %d, status %d, %q (%v); want id %d, status %d, text containing %q",
+				tc.name, id, status, text, err, tc.id, tc.status, tc.text)
+		}
+	}
+
+	// 0x80 opens a varint and ends: there is no ID to answer under.
+	if _, err := c.Write(rawFrame(t, []byte{0x80})); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Read(make([]byte, 1)); err == nil || n != 0 {
+		t.Fatalf("after a frame with no readable ID the server sent %d byte(s) (%v), want the connection closed", n, err)
+	}
+}
+
+// TestTCPClientFailsOnMalformedResponse puts a node's outbound side against a
+// raw listener. A response that names its request but cannot be parsed past
+// the ID fails that one call with a protocol error — not at its deadline —
+// and leaves the call pipelined beside it to complete. A response whose ID is
+// unreadable fails everything pending on the connection as ErrNodeDown.
+func TestTCPClientFailsOnMalformedResponse(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := NewTCPOpts("a", "127.0.0.1:0", echoHandler(""), StaticResolver(map[ring.NodeID]string{"raw": ln.Addr().String()}), TCPOptions{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	type call struct {
+		resp []byte
+		err  error
+	}
+	send := func(body string) chan call {
+		ch := make(chan call, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			resp, err := a.Send(ctx, "raw", []byte(body))
+			ch <- call{resp, err}
+		}()
+		return ch
+	}
+	await := func(what string, ch chan call) call {
+		t.Helper()
+		select {
+		case c := <-ch:
+			return c
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Send still blocked after 5s", what)
+			return call{}
+		}
+	}
+	// readRequests takes n request frames off the raw side and returns
+	// body → request ID.
+	var peer net.Conn
+	var buf []byte
+	readRequests := func(n int) map[string]uint64 {
+		t.Helper()
+		ids := make(map[string]uint64, n)
+		for i := 0; i < n; i++ {
+			req, err := frame.Read(peer, &buf, maxFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := codec.NewReader(req)
+			id, _ := r.Uvarint()
+			_, _ = r.String()
+			body, err := r.Bytes0()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[string(body)] = id
+		}
+		return ids
+	}
+
+	one, two := send("one"), send("two")
+	if peer, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	_ = peer.SetDeadline(time.Now().Add(5 * time.Second))
+	ids := readRequests(2)
+	// "one": status 0, then a body length with no body behind it.
+	if _, err := peer.Write(rawFrame(t, []byte{byte(ids["one"]), 0, 50, 'x'})); err != nil {
+		t.Fatal(err)
+	}
+	if c := await("malformed response", one); !errors.Is(c.err, errMalformedResponse) || IsAvailabilityError(c.err) {
+		t.Fatalf("call answered by a malformed response = %q, %v; want the protocol error", c.resp, c.err)
+	}
+	if _, err := peer.Write(rawFrame(t, []byte{byte(ids["two"]), 0, 2, 'o', 'k'})); err != nil {
+		t.Fatal(err)
+	}
+	if c := await("the call pipelined beside it", two); c.err != nil || string(c.resp) != "ok" {
+		t.Fatalf("call beside the malformed one = %q, %v; want ok", c.resp, c.err)
+	}
+
+	three, four := send("three"), send("four")
+	readRequests(2)
+	if _, err := peer.Write(rawFrame(t, []byte{0x80})); err != nil {
+		t.Fatal(err)
+	}
+	for what, ch := range map[string]chan call{"three": three, "four": four} {
+		if c := await("unreadable response id, call "+what, ch); !errors.Is(c.err, ErrNodeDown) {
+			t.Fatalf("call %s after an unreadable response id = %v, want ErrNodeDown", what, c.err)
+		}
 	}
 }
