@@ -12,7 +12,6 @@ package main
 import (
 	"cmp"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +23,7 @@ import (
 	"time"
 
 	"github.com/movesys/move/internal/alloc"
+	"github.com/movesys/move/internal/cluster"
 	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/node"
@@ -161,7 +161,7 @@ func run() error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
-		return c.allocate(ctx, *capacity, *epoch)
+		return c.allocate(ctx, *capacity, *epoch, *timeout)
 	case "stats":
 		return c.stats(ctx)
 	default:
@@ -169,111 +169,43 @@ func run() error {
 	}
 }
 
-// allocate runs one §IV allocation round from the client acting as the
-// paper's dedicated coordinator node: pull per-node statistics, solve the
-// MOVE optimization problem, and cut each hot home node over to its
-// allocation grid with the two-phase protocol (§13) — prepare every home
-// (migrate its filters, dual-read the new grid), then broadcast the commit
-// barrier. If any prepare fails the epoch is aborted on every node and the
-// cluster stays on its previous grids.
-func (c *client) allocate(ctx context.Context, capacity int, epoch uint64) error {
-	members := c.ring.Members()
-	type load struct {
-		id    ring.NodeID
-		stats node.StatsResp
+// allocate runs one §IV allocation round with the client acting as the
+// paper's dedicated coordinator node — the same round the in-process cluster
+// runs (cluster.Coordinator), over TCP: pull per-node statistics, solve the
+// MOVE optimization problem, and cut each hot home node over to its grid
+// with the two-phase protocol (§13). If any prepare fails the epoch is
+// aborted on every node and the cluster stays on its previous grids.
+func (c *client) allocate(ctx context.Context, capacity int, epoch uint64, timeout time.Duration) error {
+	co := cluster.Coordinator{
+		Send:      c.tn.Send,
+		Ring:      c.ring,
+		Placement: ring.PlacementHybrid,
+		Strategy:  alloc.StrategyGeneral,
+		Timeout:   timeout,
 	}
-	var loads []load
-	var totalFilters, totalPublishes, totalScanned int64
-	for _, m := range members {
-		raw, err := c.tn.Send(ctx, m.ID, node.EncodeStatsPull())
-		if err != nil {
-			return fmt.Errorf("stats pull from %s: %w", m.ID, err)
-		}
-		s, err := node.DecodeStatsResp(raw)
-		if err != nil {
-			return err
-		}
-		loads = append(loads, load{id: m.ID, stats: s})
-		totalFilters += s.Filters
-		totalPublishes += s.HomePublishes
-		totalScanned += s.PostingsScanned
+	for _, m := range c.ring.Members() {
+		co.Members = append(co.Members, m.ID)
 	}
-	if totalFilters == 0 {
-		return fmt.Errorf("no filters registered; nothing to allocate")
-	}
-
-	units := make([]alloc.Unit, 0, len(loads))
-	for _, l := range loads {
-		u := alloc.Unit{Key: string(l.id)}
-		u.Popularity = float64(l.stats.Filters) / float64(totalFilters)
-		if totalPublishes > 0 {
-			u.Frequency = float64(l.stats.HomePublishes) / float64(totalPublishes)
-		}
-		if totalScanned > 0 {
-			u.Load = float64(l.stats.PostingsScanned) / float64(totalScanned)
-		}
-		units = append(units, u)
-	}
-	factors, err := alloc.Compute(alloc.Input{
-		Units:        units,
-		TotalFilters: int(totalFilters),
-		TotalDocs:    int(maxI64(totalPublishes, 1)),
-		Nodes:        len(members),
-		Capacity:     capacity,
-	}, alloc.StrategyGeneral, nil)
+	loads, err := co.PullLoads(ctx)
 	if err != nil {
 		return err
 	}
-
-	prepared := 0
-	for _, f := range factors {
-		if f.Rows*f.Cols <= 1 {
-			continue
-		}
-		home := ring.NodeID(f.Key)
-		peers, err := c.ring.AllocationNodesOf(home, f.Rows*f.Cols, ring.PlacementHybrid)
-		if err != nil {
-			return err
-		}
-		grid, err := alloc.FitGrid(f.Rows, f.Cols, peers)
-		if err != nil || grid.Size() <= 1 {
-			continue
-		}
-		if _, err := c.tn.Send(ctx, home, node.EncodePrepareAlloc(epoch, grid)); err != nil {
-			return errors.Join(
-				fmt.Errorf("allocation epoch %d aborted: prepare on %s: %w", epoch, home, err),
-				c.broadcast(ctx, members, node.EncodeAbortGrid(epoch)))
-		}
-		fmt.Fprintf(c.out, "prepared %s onto a %dx%d grid (r=%.2f)\n", home, grid.Rows(), grid.Cols(), f.Ratio)
-		prepared++
+	_, preps, err := co.PlanNodes(loads, alloc.Input{Capacity: capacity})
+	if err != nil {
+		return err
 	}
-	if prepared > 0 {
-		if err := c.broadcast(ctx, members, node.EncodeCommitGrid(epoch)); err != nil {
-			return fmt.Errorf("allocation epoch %d: commit: %w", epoch, err)
-		}
+	committed, err := co.Cutover(ctx, epoch, preps)
+	if !committed {
+		return err
 	}
-	fmt.Fprintf(c.out, "allocation epoch %d: %d grid(s) committed across %d nodes\n", epoch, prepared, len(members))
+	for _, p := range preps {
+		fmt.Fprintf(c.out, "prepared %s onto a %dx%d grid (r=%.2f)\n", p.Home, p.Grid.Rows(), p.Grid.Cols(), p.Ratio)
+	}
+	fmt.Fprintf(c.out, "allocation epoch %d: %d grid(s) committed across %d nodes\n", epoch, len(preps), len(co.Members))
+	if err != nil {
+		return fmt.Errorf("allocation epoch %d: commit: %w", epoch, err)
+	}
 	return nil
-}
-
-// broadcast sends an epoch control frame (commit or abort) to every member,
-// as the cluster coordinator does: the copies an epoch migrated are
-// journaled on the grid nodes, so the homes alone are not enough.
-func (c *client) broadcast(ctx context.Context, members []ring.Member, payload []byte) error {
-	var errs []error
-	for _, m := range members {
-		if _, err := c.tn.Send(ctx, m.ID, payload); err != nil {
-			errs = append(errs, fmt.Errorf("epoch control on %s: %w", m.ID, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // subscribe opens a persistent delivery session and streams matched

@@ -8,11 +8,13 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/delivery"
+	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/ring"
@@ -20,18 +22,28 @@ import (
 	"github.com/movesys/move/internal/transport"
 )
 
-// testCluster is two node.Nodes on real loopback TCP, wired as cmd/moved
-// wires them: each with its RPC listener and — when hubs is set — a delivery
-// hub behind a subscriber-session listener.
+// testCluster is n node.Nodes on real loopback TCP, wired as cmd/moved wires
+// them: each with its RPC listener and — when hubs is set — a delivery hub
+// behind a subscriber-session listener. They share one metrics registry.
 type testCluster struct {
 	peers    string // the -peers flag value
 	nodes    map[ring.NodeID]*node.Node
+	tns      map[ring.NodeID]*transport.TCPNode
 	subAddrs map[ring.NodeID]string
+	reg      *metrics.Registry
+
+	// refuse, when set, sees every inbound frame before the node does; a
+	// non-nil error is the node's answer.
+	refuseMu sync.Mutex
+	refuse   func(id ring.NodeID, payload []byte) error
 }
 
-func startCluster(t *testing.T, hubs bool) *testCluster {
+func startCluster(t *testing.T, n int, hubs bool) *testCluster {
 	t.Helper()
-	ids := []ring.NodeID{"n0", "n1"}
+	var ids []ring.NodeID
+	for i := 0; i < n; i++ {
+		ids = append(ids, ring.NodeID(fmt.Sprintf("n%d", i)))
+	}
 	r := ring.New(ring.Config{})
 	for _, id := range ids {
 		if err := r.Add(ring.Member{ID: id, Rack: "rack-0"}); err != nil {
@@ -50,7 +62,10 @@ func startCluster(t *testing.T, hubs bool) *testCluster {
 		}
 		return "", fmt.Errorf("no address for %s: %w", id, transport.ErrNodeDown)
 	}
-	tc := &testCluster{nodes: map[ring.NodeID]*node.Node{}, subAddrs: map[ring.NodeID]string{}}
+	tc := &testCluster{
+		nodes: map[ring.NodeID]*node.Node{}, tns: map[ring.NodeID]*transport.TCPNode{},
+		subAddrs: map[ring.NodeID]string{}, reg: metrics.NewRegistry(),
+	}
 	var parts []string
 	for _, id := range ids {
 		var hub *delivery.Hub
@@ -65,14 +80,26 @@ func startCluster(t *testing.T, hubs bool) *testCluster {
 			t.Cleanup(func() { _ = srv.Close() })
 			tc.subAddrs[id] = srv.Addr().String()
 		}
-		nd, err := node.New(node.Config{ID: id, Rack: "rack-0", Ring: r, Delivery: hub, RouteDeliveries: hubs})
+		nd, err := node.New(node.Config{ID: id, Rack: "rack-0", Ring: r, Delivery: hub, RouteDeliveries: hubs, Metrics: tc.reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn, err := transport.NewTCP(id, "127.0.0.1:0", nd.Handle, resolve)
+		handle := func(ctx context.Context, from ring.NodeID, payload []byte) ([]byte, error) {
+			tc.refuseMu.Lock()
+			refuse := tc.refuse
+			tc.refuseMu.Unlock()
+			if refuse != nil {
+				if err := refuse(id, payload); err != nil {
+					return nil, err
+				}
+			}
+			return nd.Handle(ctx, from, payload)
+		}
+		tn, err := transport.NewTCP(id, "127.0.0.1:0", handle, resolve)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tc.tns[id] = tn
 		t.Cleanup(func() { _ = tn.Close() })
 		nd.Attach(tn)
 		mu.Lock()
@@ -119,7 +146,7 @@ func publish(t *testing.T, c *client, out *bytes.Buffer, content string) (docID 
 // same publish returns the same match set after the term's home node is cut
 // over to a committed two-node grid.
 func TestRegisterPublishDeliver(t *testing.T) {
-	tc := startCluster(t, true)
+	tc := startCluster(t, 2, true)
 	c, out := tc.client(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -191,8 +218,10 @@ func TestRegisterPublishDeliver(t *testing.T) {
 	if _, err := c.tn.Send(ctx, home, node.EncodePrepareAlloc(1, grid)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.broadcast(ctx, c.ring.Members(), node.EncodeCommitGrid(1)); err != nil {
-		t.Fatal(err)
+	for _, m := range c.ring.Members() {
+		if _, err := c.tn.Send(ctx, m.ID, node.EncodeCommitGrid(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g, epoch := tc.nodes[home].Grid(); g == nil || g.Size() != 2 || epoch != 1 {
 		t.Fatalf("home %s: grid=%v epoch=%d, want the committed two-node grid at epoch 1", home, g, epoch)
@@ -216,7 +245,7 @@ func TestRegisterPublishDeliver(t *testing.T) {
 // node has no delivery hub it refuses the routed batch; publish still prints
 // the match, reports the subscriber as not reached, and succeeds.
 func TestPublishReportsUnreachedSubscriber(t *testing.T) {
-	tc := startCluster(t, false)
+	tc := startCluster(t, 2, false)
 	c, out := tc.client(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -230,5 +259,153 @@ func TestPublishReportsUnreachedSubscriber(t *testing.T) {
 	}
 	if !slices.Equal(rest, want) {
 		t.Fatalf("publish printed:\n%s\nwant after the header:\n%s", out, strings.Join(want, "\n"))
+	}
+}
+
+// seedHotHomes registers perHome single-term filters on one term homed at
+// each node (30 over a capacity of 20 earns the home a grid), publishes docs
+// documents per term so the homes have a document frequency, and returns the
+// terms. Filter IDs are 1..perHome*len(nodes).
+func seedHotHomes(t *testing.T, tc *testCluster, c *client, perHome, docs int) []string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var terms []string
+	homed := map[ring.NodeID]bool{}
+	for i := 0; len(terms) < len(tc.nodes) && i < 1000; i++ {
+		term := fmt.Sprintf("topic%c%c", 'a'+i/26%26, 'a'+i%26)
+		if stemmed := text.Terms(term, text.Options{}); len(stemmed) != 1 || stemmed[0] != term {
+			continue
+		}
+		if home, err := c.ring.HomeNode(term); err == nil && !homed[home] {
+			homed[home] = true
+			terms = append(terms, term)
+		}
+	}
+	if len(terms) != len(tc.nodes) {
+		t.Fatalf("found terms for %d of %d homes", len(terms), len(tc.nodes))
+	}
+	id := model.FilterID(1)
+	for _, term := range terms {
+		for i := 0; i < perHome; i++ {
+			if err := c.register(ctx, id, fmt.Sprintf("sub%03d", id), term); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		for i := 0; i < docs; i++ {
+			if err := c.publish(ctx, term, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return terms
+}
+
+// TestAllocate drives the allocate command against three nodes with one hot
+// term each: every home the round prepared reports the committed epoch with
+// no pending state, the same publish returns the same match set through the
+// grids, and a second round over unchanged statistics creates no filter copy.
+func TestAllocate(t *testing.T) {
+	tc := startCluster(t, 3, false)
+	c, out := tc.client(t)
+	terms := seedHotHomes(t, tc, c, 30, 5)
+	content := strings.Join(terms, " ")
+	_, before := publish(t, c, out, content)
+	if len(before) != 90+1 { // 90 matches and the not-reached line (no hubs)
+		t.Fatalf("publish before the round printed %d lines, want 91:\n%s", len(before), out)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out.Reset()
+	if err := c.allocate(ctx, 20, 5, 10*time.Second); err != nil {
+		t.Fatalf("allocate: %v\n%s", err, out)
+	}
+	prepared := 0
+	for id, nd := range tc.nodes {
+		committed, pending, dual := nd.EpochInfo()
+		if pending != 0 || dual {
+			t.Fatalf("%s: pending=%d dual=%v after a committed round", id, pending, dual)
+		}
+		if strings.Contains(out.String(), fmt.Sprintf("prepared %s onto", id)) {
+			prepared++
+			if g, _ := nd.Grid(); committed != 5 || g == nil {
+				t.Fatalf("%s was prepared but reports epoch %d, grid %v; want the committed epoch 5", id, committed, g)
+			}
+		}
+	}
+	if want := fmt.Sprintf("allocation epoch 5: %d grid(s) committed across 3 nodes", prepared); prepared == 0 || !strings.Contains(out.String(), want) {
+		t.Fatalf("allocate printed:\n%swant %q with at least one prepared home", out, want)
+	}
+	_, after := publish(t, c, out, content)
+	if !slices.Equal(after, before) {
+		t.Fatalf("match set through the grids:\n%s\nwant:\n%s", strings.Join(after, "\n"), strings.Join(before, "\n"))
+	}
+
+	migrated := tc.reg.Counter("realloc.filters.migrated").Value()
+	if migrated == 0 {
+		t.Fatal("the first round migrated no filter copy")
+	}
+	out.Reset()
+	if err := c.allocate(ctx, 20, 6, 10*time.Second); err != nil {
+		t.Fatalf("second allocate: %v\n%s", err, out)
+	}
+	if got := tc.reg.Counter("realloc.filters.migrated").Value(); got != migrated {
+		t.Fatalf("a round over unchanged statistics migrated %d more filter copies", got-migrated)
+	}
+}
+
+// TestAllocateAbortsWhenANodeDiesMidRound closes one node's listener after
+// the statistics pull — its next inbound frame, a prepare or another home's
+// migration batch, is refused and the node goes away. The command returns the
+// failed prepare joined with the abort broadcast's error for the dead node,
+// prints no commit, and the survivors hold no pending epoch and no copy the
+// round created.
+func TestAllocateAbortsWhenANodeDiesMidRound(t *testing.T) {
+	tc := startCluster(t, 3, false)
+	c, out := tc.client(t)
+	seedHotHomes(t, tc, c, 30, 5)
+	stored := func() (total int) {
+		for id, nd := range tc.nodes {
+			if id != "n2" {
+				total += nd.Index().NumFilters()
+			}
+		}
+		return total
+	}
+	before := stored()
+
+	statsPull := node.EncodeStatsPull()[0]
+	var dead atomic.Bool
+	tc.refuseMu.Lock()
+	tc.refuse = func(id ring.NodeID, payload []byte) error {
+		if id != "n2" || (payload[0] == statsPull && !dead.Load()) {
+			return nil
+		}
+		if dead.CompareAndSwap(false, true) {
+			go tc.tns["n2"].Close()
+		}
+		return fmt.Errorf("n2 is gone")
+	}
+	tc.refuseMu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out.Reset()
+	err := c.allocate(ctx, 20, 5, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "epoch 5 aborted: prepare on") || !strings.Contains(err.Error(), "epoch control on n2") {
+		t.Fatalf("allocate with n2 dying mid-round returned %v; want the prepare error joined with the abort error on n2", err)
+	}
+	if strings.Contains(out.String(), "committed") {
+		t.Fatalf("an aborted round printed a commit:\n%s", out)
+	}
+	for _, id := range []ring.NodeID{"n0", "n1"} {
+		if committed, pending, dual := tc.nodes[id].EpochInfo(); committed != 0 || pending != 0 || dual {
+			t.Fatalf("%s after the abort: committed=%d pending=%d dual=%v, want 0/0/false", id, committed, pending, dual)
+		}
+	}
+	if after := stored(); after != before {
+		t.Fatalf("survivors hold %d filter copies after the abort, %d before the round", after, before)
 	}
 }

@@ -53,10 +53,8 @@ func run() error {
 	subQueue := flag.Int("subscribe.queue", 256, "per-subscriber delivery queue bound")
 	subHeartbeat := flag.Duration("subscribe.heartbeat", 5*time.Second, "subscriber session ping interval (idle timeout is 4x)")
 	subShards := flag.Int("subscribe.shards", delivery.DefaultShards, "session registry shard count (rounded up to a power of two)")
-	subFlushDelay := flag.Duration("subscribe.flush-delay", 0, "event coalescing window (0 = flush immediately; higher trades latency for frames per syscall)")
 
 	rpcConns := flag.Int("rpc.conns", 0, "striped TCP connections per peer (0 = derive from GOMAXPROCS)")
-	rpcFlushDelay := flag.Duration("rpc.flush-delay", 0, "RPC writer coalescing window (0 = natural coalescing only)")
 
 	retryAttempts := flag.Int("retry-attempts", 3, "max RPC attempts per destination (1 disables retries)")
 	retryBase := flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per attempt, full jitter)")
@@ -126,14 +124,47 @@ func run() error {
 			QueueCap:       *subQueue,
 			Policy:         policy,
 			Shards:         *subShards,
-			FlushDelay:     *subFlushDelay,
 			HeartbeatEvery: *subHeartbeat,
 			Metrics:        reg,
 		})
 		defer hub.Stop()
 	}
 
-	var g *gossip.Gossiper
+	// The gossiper exists before anything can deliver a frame to it: a peer's
+	// digest may arrive the moment the listener below accepts, long before
+	// Start. Its Send closure runs only from Start's loop, after tn is set.
+	var tn *transport.TCPNode
+	g, err := gossip.New(gossip.Config{
+		Self:     gossip.Member{ID: ring.NodeID(*id), Rack: *rack, Addr: *listen},
+		Interval: *gossipEvery,
+		Send: func(ctx context.Context, to ring.NodeID, digest []byte) ([]byte, error) {
+			return tn.Send(ctx, to, node.EncodeGossip(digest))
+		},
+		OnJoin: func(m gossip.Member) {
+			fmt.Printf("moved: peer %s joined (%s)\n", m.ID, m.Addr)
+		},
+		OnLeave: func(dead ring.NodeID) {
+			fmt.Printf("moved: peer %s declared dead\n", dead)
+		},
+		// Membership changes should trigger a reallocation round; moved has
+		// no embedded coordinator, so log the signal an operator's
+		// coordinator would consume.
+		OnChange: func() {
+			fmt.Printf("moved: membership changed; reallocation advised\n")
+		},
+	})
+	if err != nil {
+		return err
+	}
+	seeds := make([]gossip.Member, 0, len(peers))
+	for pid, addr := range peers {
+		if pid == ring.NodeID(*id) {
+			continue
+		}
+		seeds = append(seeds, gossip.Member{ID: pid, Addr: addr})
+	}
+	g.SeedPeers(seeds...)
+
 	nd, err := node.New(node.Config{
 		ID:              ring.NodeID(*id),
 		Rack:            *rack,
@@ -143,9 +174,7 @@ func run() error {
 		Metrics:         reg,
 		Delivery:        hub,
 		RouteDeliveries: *subAddr != "",
-		Gossip: func(from ring.NodeID, digest []byte) ([]byte, error) {
-			return g.Handle(from, digest)
-		},
+		Gossip:          g.Handle,
 	})
 	if err != nil {
 		return err
@@ -163,10 +192,9 @@ func run() error {
 		fmt.Printf("moved: subscriber sessions on %s (policy=%s queue=%d shards=%d)\n", subSrv.Addr(), *subPolicy, *subQueue, hub.Shards())
 	}
 
-	tn, err := transport.NewTCPOpts(ring.NodeID(*id), *listen, nd.Handle, transport.StaticResolver(peers), transport.TCPOptions{
-		Conns:      *rpcConns,
-		FlushDelay: *rpcFlushDelay,
-		Metrics:    reg,
+	tn, err = transport.NewTCPOpts(ring.NodeID(*id), *listen, nd.Handle, transport.StaticResolver(peers), transport.TCPOptions{
+		Conns:   *rpcConns,
+		Metrics: reg,
 	})
 	if err != nil {
 		return err
@@ -220,9 +248,7 @@ func run() error {
 					h["delivery_shards"] = hub.Shards()
 					h["delivery_shard_sessions"] = hub.ShardSessions()
 				}
-				if g != nil {
-					h["members_alive"] = len(g.Members())
-				}
+				h["members_alive"] = len(g.Members())
 				return h
 			},
 		})
@@ -233,36 +259,6 @@ func run() error {
 		fmt.Printf("moved: debug server on http://%s (/metrics /trace/last /healthz /debug/pprof)\n", ds.Addr())
 	}
 
-	g, err = gossip.New(gossip.Config{
-		Self:     gossip.Member{ID: ring.NodeID(*id), Rack: *rack, Addr: *listen},
-		Interval: *gossipEvery,
-		Send: func(ctx context.Context, to ring.NodeID, digest []byte) ([]byte, error) {
-			return tn.Send(ctx, to, node.EncodeGossip(digest))
-		},
-		OnJoin: func(m gossip.Member) {
-			fmt.Printf("moved: peer %s joined (%s)\n", m.ID, m.Addr)
-		},
-		OnLeave: func(dead ring.NodeID) {
-			fmt.Printf("moved: peer %s declared dead\n", dead)
-		},
-		// Membership changes should trigger a reallocation round; moved has
-		// no embedded coordinator, so log the signal an operator's
-		// coordinator would consume.
-		OnChange: func() {
-			fmt.Printf("moved: membership changed; reallocation advised\n")
-		},
-	})
-	if err != nil {
-		return err
-	}
-	seeds := make([]gossip.Member, 0, len(peers))
-	for pid, addr := range peers {
-		if pid == ring.NodeID(*id) {
-			continue
-		}
-		seeds = append(seeds, gossip.Member{ID: pid, Addr: addr})
-	}
-	g.SeedPeers(seeds...)
 	g.Start()
 	defer g.Stop()
 

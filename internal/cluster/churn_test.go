@@ -86,7 +86,8 @@ func assertAggregatedCovers(t *testing.T, c *Cluster) {
 
 // TestChurnSoak drives the two-phase reallocation protocol through a
 // Zipf-drifting workload with flash crowds, seeded fault injection on the
-// data path, and periodic crash/recover churn. On every single publish the
+// data path, and periodic crash/recover churn. Every round is drawn at
+// random as a per-node or a per-term one — both cut over the same way. On every single publish the
 // reported match set must be byte-identical to a brute-force oracle —
 // including publishes racing a reallocation round through its dual-read
 // window. Rounds that abort (a grid target died mid-prepare) must leave the
@@ -116,6 +117,20 @@ func TestChurnSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
+	// The flavor of each allocation round has its own stream so it does not
+	// perturb the workload's draws.
+	flavor := rand.New(rand.NewSource(11))
+	perNode, perTerm := 0, 0
+	allocate := func(ctx context.Context) error {
+		if flavor.Intn(2) == 0 {
+			perNode++
+			_, err := c.Allocate(ctx)
+			return err
+		}
+		perTerm++
+		_, err := c.AllocateByTerm(ctx, 8)
+		return err
+	}
 
 	// Brute-force oracle: every registered filter with its terms.
 	oracle := make(map[model.FilterID][]string)
@@ -193,11 +208,11 @@ func TestChurnSoak(t *testing.T) {
 
 		if round%5 == 2 {
 			// Forced-abort round. Simulate a coordinator restart (its
-			// committed-grid memory is wiped, so every home re-prepares)
-			// and crash the second prepare mid-round: the first home has
-			// already installed a pending grid and replayed its migrations
-			// when the abort broadcast goes out. Everything must unwind
-			// under the live workload.
+			// committed-grid memory is wiped, so every home and hot term
+			// re-prepares) and crash the second prepare mid-round: the first
+			// home has already installed a pending grid and replayed its
+			// migrations when the abort broadcast goes out. Everything must
+			// unwind under the live workload.
 			c.gridsMu.Lock()
 			if len(c.committedGrids) < 2 {
 				c.gridsMu.Unlock()
@@ -218,7 +233,7 @@ func TestChurnSoak(t *testing.T) {
 				}
 				return nil
 			}
-			_, aerr := c.Allocate(ctx)
+			aerr := allocate(ctx)
 			c.prepareHook = nil
 			if aerr == nil {
 				t.Fatalf("round %d: forced-abort round committed; the hook saw %d prepares", round, calls)
@@ -243,7 +258,7 @@ func TestChurnSoak(t *testing.T) {
 			// is about the coordinator surviving and aborting cleanly.
 			before := c.CommittedEpoch()
 			victims := c.FailFraction(0.25, round%2 == 0)
-			if _, err := c.Allocate(ctx); err != nil {
+			if err := allocate(ctx); err != nil {
 				aborted++
 				if got := c.CommittedEpoch(); got != before {
 					t.Fatalf("round %d: aborted round moved the committed epoch %d -> %d", round, before, got)
@@ -262,10 +277,7 @@ func TestChurnSoak(t *testing.T) {
 		// races the prepare/migrate/commit pipeline and must still match
 		// the oracle exactly (the dual-read window guarantee).
 		done := make(chan error, 1)
-		go func() {
-			_, err := c.Allocate(context.Background())
-			done <- err
-		}()
+		go func() { done <- allocate(context.Background()) }()
 		docs := 20
 		for i := 0; i < docs; i++ {
 			doc := []string{term(round), term(round)}
@@ -294,8 +306,11 @@ func TestChurnSoak(t *testing.T) {
 	if committed == 0 {
 		t.Fatal("soak committed no reallocation rounds")
 	}
-	t.Logf("churn soak: %d rounds (%d committed, %d aborted), %d filters, final epoch %d",
-		rounds, committed, aborted, len(oracle), c.CommittedEpoch())
+	t.Logf("churn soak: %d rounds (%d committed, %d aborted; %d per-node, %d per-term), %d filters, final epoch %d",
+		rounds, committed, aborted, perNode, perTerm, len(oracle), c.CommittedEpoch())
+	if perNode == 0 || perTerm == 0 {
+		t.Fatalf("soak drew %d per-node and %d per-term rounds; both flavors must run", perNode, perTerm)
+	}
 
 	// The dual-read window instrumentation saw real cutovers and the epoch
 	// gauge agrees with the coordinator.

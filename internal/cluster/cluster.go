@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -173,13 +174,13 @@ type Cluster struct {
 	homeHolders map[model.FilterID][]ring.NodeID
 
 	// Committed-grid bookkeeping for the two-phase reallocation GC (§13):
-	// the grid each home node (and each hot term) currently serves, plus
-	// the grids retired by the most recent committed round — kept one extra
-	// round so publishes in flight across a cutover still find every copy.
-	gridsMu            sync.Mutex
-	committedGrids     map[ring.NodeID]*alloc.Grid
-	committedTermGrids map[string]*alloc.Grid
-	prevGrids          []*alloc.Grid
+	// the grid each forwarding-table entry (a home node's node-wide one, or
+	// a hot term's on its home) currently serves, plus the grids retired by
+	// the most recent committed round — kept one extra round so publishes in
+	// flight across a cutover still find every copy.
+	gridsMu        sync.Mutex
+	committedGrids map[gridKey]*alloc.Grid
+	prevGrids      []*alloc.Grid
 
 	// allocKick nudges the auto-allocate loop (gossip join/leave, fail or
 	// recover events) to run a round ahead of its ticker.
@@ -268,27 +269,26 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		cfg:                cfg,
-		net:                transport.NewNetwork(transport.NetworkConfig{Latency: cfg.RPCLatency}),
-		ring:               ring.New(ring.Config{}),
-		rng:                rand.New(rand.NewSource(seed)),
-		nodes:              make(map[ring.NodeID]*node.Node, cfg.Nodes),
-		hubs:               make(map[ring.NodeID]*delivery.Hub),
-		rackOf:             make(map[ring.NodeID]string, cfg.Nodes),
-		alive:              make(map[ring.NodeID]bool, cfg.Nodes),
-		pCounter:           stats.NewTermCounter(),
-		qCounter:           stats.NewTermCounter(),
-		qSketch:            mustSketch(),
-		bloomTerms:         make(map[string]struct{}),
-		filterHolders:      make(map[model.FilterID][]ring.NodeID),
-		filterTerms:        make(map[model.FilterID][]string),
-		homeHolders:        make(map[model.FilterID][]ring.NodeID),
-		committedGrids:     make(map[ring.NodeID]*alloc.Grid),
-		committedTermGrids: make(map[string]*alloc.Grid),
-		allocKick:          make(chan struct{}, 1),
-		perNodeRecv:        make(map[ring.NodeID]int64),
-		perNodeRecvLocal:   make(map[ring.NodeID]int64),
-		metrics:            reg,
+		cfg:              cfg,
+		net:              transport.NewNetwork(transport.NetworkConfig{Latency: cfg.RPCLatency}),
+		ring:             ring.New(ring.Config{}),
+		rng:              rand.New(rand.NewSource(seed)),
+		nodes:            make(map[ring.NodeID]*node.Node, cfg.Nodes),
+		hubs:             make(map[ring.NodeID]*delivery.Hub),
+		rackOf:           make(map[ring.NodeID]string, cfg.Nodes),
+		alive:            make(map[ring.NodeID]bool, cfg.Nodes),
+		pCounter:         stats.NewTermCounter(),
+		qCounter:         stats.NewTermCounter(),
+		qSketch:          mustSketch(),
+		bloomTerms:       make(map[string]struct{}),
+		filterHolders:    make(map[model.FilterID][]ring.NodeID),
+		filterTerms:      make(map[model.FilterID][]string),
+		homeHolders:      make(map[model.FilterID][]ring.NodeID),
+		committedGrids:   make(map[gridKey]*alloc.Grid),
+		allocKick:        make(chan struct{}, 1),
+		perNodeRecv:      make(map[ring.NodeID]int64),
+		perNodeRecvLocal: make(map[ring.NodeID]int64),
+		metrics:          reg,
 	}
 
 	basePolicy := clusterPolicy()
@@ -843,22 +843,22 @@ func (c *Cluster) RecoverNodes(ids ...ring.NodeID) {
 	}
 	c.aliveMu.Unlock()
 
-	// A node that slept through commits and GC holds a grid whose
-	// placements may since have been collected. Drop it (pending included):
-	// the node matches from its complete local store — homes keep full
-	// copies, migrations only ever add — until the next round re-prepares
-	// it. Its retired grid gets the standard one-round GC grace.
+	// A node that slept through commits and GC holds grids whose placements
+	// may since have been collected. A restart loses the forwarding table —
+	// every scope, pending included — so simulate one: the node matches
+	// from its complete local store — homes keep full copies, migrations
+	// only ever add — until the next round re-prepares it. Its retired
+	// grids get the standard one-round GC grace.
 	c.gridsMu.Lock()
-	for _, id := range ids {
-		if g, ok := c.committedGrids[id]; ok {
+	for key, g := range c.committedGrids {
+		if slices.Contains(ids, key.home) {
 			c.prevGrids = append(c.prevGrids, g)
-			delete(c.committedGrids, id)
+			delete(c.committedGrids, key)
 		}
 	}
 	c.gridsMu.Unlock()
-	drop := node.EncodeDropGrid()
 	for _, id := range ids {
-		_, _ = c.sendTo(context.Background(), id, drop)
+		c.nodes[id].DropGrid()
 	}
 	c.KickAllocate()
 }
@@ -914,16 +914,19 @@ func (c *Cluster) FailFraction(frac float64, byRack bool) []ring.NodeID {
 	return victims
 }
 
-// AliveCount returns the number of live nodes.
-func (c *Cluster) AliveCount() int {
-	n := 0
+// liveNodes returns the nodes not currently failed, in creation order.
+func (c *Cluster) liveNodes() []ring.NodeID {
+	live := make([]ring.NodeID, 0, len(c.nodeIDs))
 	for _, id := range c.nodeIDs {
 		if !c.net.Failed(id) {
-			n++
+			live = append(live, id)
 		}
 	}
-	return n
+	return live
 }
+
+// AliveCount returns the number of live nodes.
+func (c *Cluster) AliveCount() int { return len(c.liveNodes()) }
 
 // AvailableFilterFraction returns the fraction of registered filters with
 // at least one live holder — the availability metric of Figure 9(d).
@@ -945,14 +948,8 @@ func (c *Cluster) AvailableFilterFraction() float64 {
 	return float64(avail) / float64(len(c.filterHolders))
 }
 
-// ringHome resolves the home node of a term (exposed for tests and the
-// experiment harness).
-func (c *Cluster) ringHome(term string) (ring.NodeID, error) {
-	return c.ring.HomeNode(term)
-}
-
 // HomeNode resolves the home node of a term.
-func (c *Cluster) HomeNode(term string) (ring.NodeID, error) { return c.ringHome(term) }
+func (c *Cluster) HomeNode(term string) (ring.NodeID, error) { return c.ring.HomeNode(term) }
 
 // RackOf returns the rack of a node.
 func (c *Cluster) RackOf(id ring.NodeID) string { return c.rackOf[id] }

@@ -364,7 +364,7 @@ func TestFailureLosesMatchesButPublishCompletes(t *testing.T) {
 
 func homeOf(t *testing.T, c *Cluster, term string) ring.NodeID {
 	t.Helper()
-	home, err := c.ringHome(term)
+	home, err := c.HomeNode(term)
 	if err != nil {
 		t.Fatal(err)
 	}

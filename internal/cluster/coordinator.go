@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -13,66 +14,64 @@ import (
 	"github.com/movesys/move/internal/ring"
 )
 
-// NodeLoad is one node's Figure 9 load sample.
+// NodeLoad is one node's Figure 9 load sample: the statistics snapshot it
+// answered a pull with (Filters is the storage cost of Figure 9(a),
+// TermsMatched the matching cost of 9(b)).
 type NodeLoad struct {
 	ID ring.NodeID
-	// StorageFilters is the number of filter definitions stored (incl.
-	// replicas) — the storage cost of Figure 9(a).
-	StorageFilters int64
-	// DocsProcessed is the number of match frames served (one per document
-	// arrival, however many terms the frame carries).
-	DocsProcessed int64
-	// TermsMatched is the number of term match evaluations served — the
-	// matching cost of Figure 9(b), invariant to RPC framing.
-	TermsMatched int64
-	// PostingsScanned is the cumulative posting entries read while
-	// matching, the y_p work unit.
-	PostingsScanned int64
-	// PostingLists is the cumulative posting-list retrievals, the y_seek
-	// work unit.
-	PostingLists int64
-	// HomePublishes counts home-node document arrivals.
-	HomePublishes int64
+	node.StatsResp
+}
+
+// Coordinator is the paper's dedicated allocation node reduced to what a
+// round needs of a deployment: a way to reach its nodes, the live member
+// list, and the ring the grids are drawn from. The in-process cluster and
+// movectl (over TCP) each fill one in and run the same round: PullLoads →
+// PlanNodes (or Plan, for units that are not nodes) → Cutover.
+type Coordinator struct {
+	// Send delivers one control frame to a node and returns its answer.
+	Send func(ctx context.Context, to ring.NodeID, payload []byte) ([]byte, error)
+	// Members are the live nodes: the statistics-pull targets and the
+	// commit/abort broadcast set.
+	Members []ring.NodeID
+	// Ring and Placement select the nodes a home's grid is fitted from.
+	Ring      *ring.Ring
+	Placement ring.Placement
+	// Strategy and Rng parameterize the §IV optimizer (alloc.Compute).
+	Strategy alloc.Strategy
+	Rng      *rand.Rand
+	// Timeout bounds the abort broadcast, which must go out even when the
+	// round's own context is what failed the prepare.
+	Timeout time.Duration
+
+	// beforePrepare is the cluster's test seam for mid-prepare failures.
+	beforePrepare func(home ring.NodeID) error
+}
+
+// Prep is one allocation unit's share of a cutover: the home node that
+// prepares it, the forwarding-table scope it installs ("" is the home's
+// node-wide grid, a term that term's own), and the fitted grid.
+type Prep struct {
+	Home  ring.NodeID
+	Term  string
+	Grid  *alloc.Grid
+	Ratio float64 // the optimizer's allocation ratio r_i for the unit
 }
 
 // PullLoads fetches the per-node statistics. Degrades gracefully: a node
-// that dies or errors mid-pull is skipped (counted on realloc.stats.skipped)
-// and the round proceeds on the survivors' samples — only a round where no
-// node at all responds fails.
-func (c *Cluster) PullLoads(ctx context.Context) ([]NodeLoad, error) {
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	skipped := c.metrics.Counter("realloc.stats.skipped")
-	out := make([]NodeLoad, 0, len(c.nodeIDs))
-	for _, id := range c.nodeIDs {
-		if c.net.Failed(id) {
-			continue
-		}
-		if c.pullHook != nil {
-			if err := c.pullHook(id); err != nil {
-				skipped.Inc()
-				continue
-			}
-		}
-		raw, err := c.sendTo(ctx, id, node.EncodeStatsPull())
+// that dies or errors mid-pull is skipped and the round proceeds on the
+// survivors' samples — only a round where no node at all responds fails.
+func (co Coordinator) PullLoads(ctx context.Context) ([]NodeLoad, error) {
+	out := make([]NodeLoad, 0, len(co.Members))
+	for _, id := range co.Members {
+		raw, err := co.Send(ctx, id, node.EncodeStatsPull())
 		if err != nil {
-			skipped.Inc()
 			continue
 		}
 		s, err := node.DecodeStatsResp(raw)
 		if err != nil {
-			skipped.Inc()
 			continue
 		}
-		out = append(out, NodeLoad{
-			ID:              id,
-			StorageFilters:  s.Filters,
-			DocsProcessed:   s.DocsProcessed,
-			TermsMatched:    s.TermsMatched,
-			PostingsScanned: s.PostingsScanned,
-			PostingLists:    s.PostingLists,
-			HomePublishes:   s.HomePublishes,
-		})
+		out = append(out, NodeLoad{ID: id, StatsResp: s})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("cluster: stats pull: no node responded")
@@ -80,212 +79,331 @@ func (c *Cluster) PullLoads(ctx context.Context) ([]NodeLoad, error) {
 	return out, nil
 }
 
-// AllocationReport summarizes one §IV allocation round.
-type AllocationReport struct {
-	// Epoch is the allocation round number.
-	Epoch uint64
-	// Factors are the optimizer decisions per home node.
-	Factors []alloc.Factor
-	// GridsInstalled counts home nodes that received a (non-trivial) grid.
-	GridsInstalled int
-	// FiltersReplicated is the number of filter copies created by
-	// migration (approximate, from placement bookkeeping).
-	FiltersReplicated int
-}
-
-// Allocate runs one coordinator allocation round (SchemeMove only):
-//
-//  1. Pull per-node statistics and aggregate them into node popularity
-//     p'_i and node frequency q'_i (§V: all terms of a node share one
-//     allocation unit, keeping the forwarding table O(1) per node).
-//  2. Solve the MOVE optimization problem for n_i and r_i.
-//  3. Two-phase cutover (§13). Prepare: every home with a changed
-//     non-trivial grid installs it as pending (opening its dual-read
-//     window) and migrates its filters to the new placements. Any prepare
-//     failure aborts the whole round — an epoch-wide abort broadcast
-//     unwinds journaled migrations and the cluster stays on the old epoch
-//     with no partial state. Commit: once all prepares acked, a commit
-//     broadcast promotes the pending grids atomically and the retired
-//     placements are garbage-collected (with a one-round grace so
-//     publishes in flight across the cutover still find every copy).
-func (c *Cluster) Allocate(ctx context.Context) (AllocationReport, error) {
-	if c.cfg.Scheme != SchemeMove {
-		return AllocationReport{}, fmt.Errorf("%w: allocation requires SchemeMove, have %v", ErrBadConfig, c.cfg.Scheme)
-	}
-	if c.allocRoundHook != nil {
-		c.allocRoundHook()
-	}
-	roundStart := time.Now()
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-
-	loads, err := c.PullLoads(ctx)
-	if err != nil {
-		return AllocationReport{}, err
-	}
-	P := c.TotalFilters()
-	Q := c.TotalDocs()
-	if P == 0 {
-		return AllocationReport{}, fmt.Errorf("%w: no filters registered", ErrBadConfig)
-	}
-
-	var totalPublishes, totalScanned int64
+// PlanNodes plans a per-node round from pulled loads, aggregated into node
+// popularity p'_i and node frequency q'_i (§V: all terms of a node share one
+// allocation unit, keeping the forwarding table O(1) per node). in carries the
+// optimizer's other inputs; a zero TotalFilters, TotalDocs or Nodes is derived
+// from the loads and the member list — what a coordinator with no filter
+// registry of its own (movectl) knows.
+func (co Coordinator) PlanNodes(loads []NodeLoad, in alloc.Input) ([]alloc.Factor, []Prep, error) {
+	var stored, publishes, scanned int64
 	for _, l := range loads {
-		totalPublishes += l.HomePublishes
-		totalScanned += l.PostingsScanned
+		stored += l.Filters
+		publishes += l.HomePublishes
+		scanned += l.PostingsScanned
 	}
-	units := make([]alloc.Unit, 0, len(loads))
+	if in.TotalFilters == 0 {
+		in.TotalFilters = int(stored)
+	}
+	if in.TotalFilters == 0 {
+		return nil, nil, fmt.Errorf("%w: no filters registered", ErrBadConfig)
+	}
+	if in.TotalDocs == 0 {
+		in.TotalDocs = int(max(publishes, 1))
+	}
+	if in.Nodes == 0 {
+		in.Nodes = len(co.Members)
+	}
+	in.Units = make([]alloc.Unit, 0, len(loads))
 	for _, l := range loads {
 		u := alloc.Unit{Key: string(l.ID)}
 		// p'_i = Σ_{t on node} p_t = (posting entries on node)/P. Filter
 		// definitions stored ≈ posting entries here because each home node
 		// stores the definition once per owned term.
-		u.Popularity = float64(l.StorageFilters) / float64(P)
-		if totalPublishes > 0 {
-			u.Frequency = float64(l.HomePublishes) / float64(totalPublishes)
+		u.Popularity = float64(l.Filters) / float64(in.TotalFilters)
+		if publishes > 0 {
+			u.Frequency = float64(l.HomePublishes) / float64(publishes)
 		}
 		// The measured matching-work share drives separation (the
 		// meta-data store's statistics, §V).
-		if totalScanned > 0 {
-			u.Load = float64(l.PostingsScanned) / float64(totalScanned)
+		if scanned > 0 {
+			u.Load = float64(l.PostingsScanned) / float64(scanned)
 		}
-		units = append(units, u)
+		in.Units = append(in.Units, u)
 	}
+	return co.Plan(in, false)
+}
 
-	in := alloc.Input{
-		Units:        units,
-		TotalFilters: P,
-		TotalDocs:    maxInt(Q, 1),
-		Nodes:        c.AliveCount(),
-		Capacity:     c.cfg.Capacity,
-		NoSeparation: c.cfg.AllocNoSeparation,
-		ForceRatio:   c.cfg.AllocRatio,
-	}
-	factors, err := alloc.Compute(in, c.cfg.AllocStrategy, c.rng)
+// Plan solves the MOVE optimization problem for in.Units and fits a grid of
+// ring-placed peers for every unit granted more than one node. A unit's key
+// names a home node or, with perTerm, a term: its home node prepares a grid
+// scoped to that term alone. A unit that cannot be placed (its home left the
+// ring, the cluster is too small) is skipped — churn mid-round must not wedge
+// the coordinator.
+func (co Coordinator) Plan(in alloc.Input, perTerm bool) ([]alloc.Factor, []Prep, error) {
+	factors, err := alloc.Compute(in, co.Strategy, co.Rng)
 	if err != nil {
-		return AllocationReport{}, err
+		return nil, nil, err
 	}
-
-	epoch := c.allocEpoch.Add(1)
-	report := AllocationReport{Epoch: epoch, Factors: factors}
-
-	// Plan the prepare set: every home whose new grid is non-trivial and
-	// actually differs from the one it already serves. A home that died
-	// since the stats pull is skipped — churn mid-round must not wedge the
-	// coordinator.
-	type prep struct {
-		home ring.NodeID
-		grid *alloc.Grid
-	}
-	var preps []prep
+	var preps []Prep
 	for _, f := range factors {
 		if f.Rows*f.Cols <= 1 {
-			continue // nothing to allocate for this node
+			continue // nothing to allocate for this unit
 		}
-		home := ring.NodeID(f.Key)
-		if c.net.Failed(home) {
-			continue // died between stats pull and planning
+		home, term := ring.NodeID(f.Key), ""
+		if perTerm {
+			term = f.Key
+			if home, err = co.Ring.HomeNode(term); err != nil {
+				continue
+			}
 		}
-		peers, err := c.ring.AllocationNodesOf(home, f.Rows*f.Cols, c.cfg.Placement)
+		peers, err := co.Ring.AllocationNodesOf(home, f.Rows*f.Cols, co.Placement)
 		if err != nil {
-			continue // home left the ring mid-round
+			continue
 		}
 		grid, err := alloc.FitGrid(f.Rows, f.Cols, peers)
 		if err != nil || grid.Size() <= 1 {
-			continue // cluster too small to allocate this unit
-		}
-		c.gridsMu.Lock()
-		unchanged := grid.Equal(c.committedGrids[home])
-		c.gridsMu.Unlock()
-		if unchanged {
-			report.GridsInstalled++ // placement already live; nothing to move
 			continue
 		}
-		preps = append(preps, prep{home: home, grid: grid})
+		preps = append(preps, Prep{Home: home, Term: term, Grid: grid, Ratio: f.Ratio})
 	}
+	return factors, preps, nil
+}
 
-	// Prepare phase. The first failure aborts the round: every node gets an
-	// epoch-wide abort (unwinding journaled migrations and pending grids)
-	// and the committed epoch is untouched.
+// Cutover runs the two-phase protocol (§13) over preps under one epoch.
+// Prepare: each home installs its grid as pending (opening its dual-read
+// window) and migrates its filters to the new placements. The first failure
+// aborts the round: an epoch-wide abort broadcast unwinds journaled migrations
+// and pending grids, leaving the old epoch with no partial state, and the
+// prepare error comes back joined with the broadcast's. Otherwise a commit
+// broadcast promotes the pending grids; an error with committed set is that
+// broadcast's — a node that missed it keeps dual-reading until a later round
+// re-prepares it: extra fan-out, never lost matches.
+func (co Coordinator) Cutover(ctx context.Context, epoch uint64, preps []Prep) (committed bool, err error) {
 	for _, p := range preps {
-		err := error(nil)
-		if c.prepareHook != nil {
-			err = c.prepareHook(p.home)
+		var perr error
+		if co.beforePrepare != nil {
+			perr = co.beforePrepare(p.Home)
 		}
-		if err == nil {
-			_, err = c.sendTo(ctx, p.home, node.EncodePrepareAlloc(epoch, p.grid))
+		if perr == nil {
+			_, perr = co.Send(ctx, p.Home, node.EncodePrepareTermAlloc(epoch, p.Term, p.Grid))
 		}
-		if err != nil {
-			actx, acancel := c.withTimeout(context.Background())
-			aerr := c.broadcastEpochCtl(actx, node.EncodeAbortGrid(epoch))
-			acancel()
-			c.metrics.Counter("realloc.rounds.aborted").Inc()
-			c.metrics.Histogram("realloc.round.latency").Observe(time.Since(roundStart))
-			return report, errors.Join(
-				fmt.Errorf("cluster: realloc epoch %d aborted: prepare on %s: %w", epoch, p.home, err),
+		if perr != nil {
+			actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), co.Timeout)
+			aerr := co.broadcast(actx, node.EncodeAbortGrid(epoch))
+			cancel()
+			return false, errors.Join(
+				fmt.Errorf("cluster: allocation epoch %d aborted: prepare on %s: %w", epoch, p.Home, perr),
 				aerr)
 		}
 	}
-
-	// Commit phase: the cutover barrier. Every live node promotes its
-	// pending grid (a no-op for non-participants). A node that misses the
-	// commit just keeps dual-reading until a later round re-prepares it —
-	// extra fan-out, never lost matches — so commit errors degrade the GC
-	// (below) instead of failing the round.
-	commitErr := c.broadcastEpochCtl(ctx, node.EncodeCommitGrid(epoch))
-	c.committedEpoch.Store(epoch)
-	c.metrics.Counter("realloc.rounds.committed").Inc()
-	c.metrics.Counter("realloc.epoch").Set(int64(epoch))
-	c.metrics.Histogram("realloc.round.latency").Observe(time.Since(roundStart))
-
-	c.gridsMu.Lock()
-	for _, p := range preps {
-		if old, ok := c.committedGrids[p.home]; ok {
-			c.prevGrids = append(c.prevGrids, old)
-		}
-		c.committedGrids[p.home] = p.grid
-	}
-	c.gridsMu.Unlock()
-	for _, p := range preps {
-		report.GridsInstalled++
-		c.recordGridPlacement(p.home, p.grid)
-	}
-
-	c.runGridGC(ctx, commitErr != nil)
-	report.FiltersReplicated = c.countReplicas()
-	return report, nil
+	return true, co.broadcast(ctx, node.EncodeCommitGrid(epoch))
 }
 
-// broadcastEpochCtl sends an epoch control frame (commit or abort) to every
-// live node, aggregating per-node errors.
-func (c *Cluster) broadcastEpochCtl(ctx context.Context, payload []byte) error {
+// broadcast sends an epoch control frame (commit or abort) to every member —
+// the copies an epoch migrated are journaled on the grid nodes, so the homes
+// alone are not enough — aggregating per-node errors.
+func (co Coordinator) broadcast(ctx context.Context, payload []byte) error {
 	var errs []error
-	for _, id := range c.nodeIDs {
-		if c.net.Failed(id) {
-			continue
-		}
-		if _, err := c.sendTo(ctx, id, payload); err != nil {
+	for _, id := range co.Members {
+		if _, err := co.Send(ctx, id, payload); err != nil {
 			errs = append(errs, fmt.Errorf("cluster: epoch control on %s: %w", id, err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
+// coordinator is the cluster's own, over the nodes live right now.
+func (c *Cluster) coordinator() Coordinator {
+	return Coordinator{
+		Send:          c.sendTo,
+		Members:       c.liveNodes(),
+		Ring:          c.ring,
+		Placement:     c.cfg.Placement,
+		Strategy:      c.cfg.AllocStrategy,
+		Rng:           c.rng,
+		Timeout:       c.cfg.ControlTimeout,
+		beforePrepare: c.prepareHook,
+	}
+}
+
+// PullLoads fetches the live nodes' statistics (Coordinator.PullLoads),
+// counting every node that failed its pull on realloc.stats.skipped.
+func (c *Cluster) PullLoads(ctx context.Context) ([]NodeLoad, error) {
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
+	co := c.coordinator()
+	if hook := c.pullHook; hook != nil {
+		co.Send = func(ctx context.Context, id ring.NodeID, payload []byte) ([]byte, error) {
+			if err := hook(id); err != nil {
+				return nil, err
+			}
+			return c.sendTo(ctx, id, payload)
+		}
+	}
+	loads, err := co.PullLoads(ctx)
+	c.metrics.Counter("realloc.stats.skipped").Add(int64(len(co.Members) - len(loads)))
+	return loads, err
+}
+
+// AllocationReport summarizes one §IV allocation round.
+type AllocationReport struct {
+	// Epoch is the allocation round number.
+	Epoch uint64
+	// Factors are the optimizer decisions per allocation unit.
+	Factors []alloc.Factor
+	// GridsInstalled counts units that received a (non-trivial) grid.
+	GridsInstalled int
+	// FiltersReplicated is the number of filter copies created by
+	// migration (approximate, from placement bookkeeping).
+	FiltersReplicated int
+}
+
+// allocInput is the optimizer input every cluster round shares; the caller
+// adds its units.
+func (c *Cluster) allocInput() (alloc.Input, error) {
+	if c.cfg.Scheme != SchemeMove {
+		return alloc.Input{}, fmt.Errorf("%w: allocation requires SchemeMove, have %v", ErrBadConfig, c.cfg.Scheme)
+	}
+	P := c.TotalFilters()
+	if P == 0 {
+		return alloc.Input{}, fmt.Errorf("%w: no filters registered", ErrBadConfig)
+	}
+	return alloc.Input{
+		TotalFilters: P,
+		TotalDocs:    max(c.TotalDocs(), 1),
+		Nodes:        c.AliveCount(),
+		Capacity:     c.cfg.Capacity,
+		NoSeparation: c.cfg.AllocNoSeparation,
+		ForceRatio:   c.cfg.AllocRatio,
+	}, nil
+}
+
+// Allocate runs one coordinator allocation round (SchemeMove only): pull
+// per-node statistics, plan one unit per node (Coordinator.PlanNodes), and
+// cut the changed grids over (cutover).
+func (c *Cluster) Allocate(ctx context.Context) (AllocationReport, error) {
+	if c.allocRoundHook != nil {
+		c.allocRoundHook()
+	}
+	roundStart := time.Now()
+	in, err := c.allocInput()
+	if err != nil {
+		return AllocationReport{}, err
+	}
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
+	loads, err := c.PullLoads(ctx)
+	if err != nil {
+		return AllocationReport{}, err
+	}
+	factors, preps, err := c.coordinator().PlanNodes(loads, in)
+	if err != nil {
+		return AllocationReport{}, err
+	}
+	return c.cutover(ctx, roundStart, factors, preps)
+}
+
+// AllocateByTerm runs a per-term allocation round for the hottest topK
+// terms — the fine-grained alternative to §V's per-node aggregation, kept
+// as an ablation (BenchmarkAblationGrid). It differs from Allocate only in
+// its units: each hot term's p_t and q_t come from the coordinator's exact
+// term statistics, and the term's home node prepares a term-scoped grid,
+// migrating only the filters that hold the term. Per-term grids are precise
+// but cost one forwarding-table entry per hot term and one optimizer unit
+// per term, which is what the paper's aggregation avoids.
+func (c *Cluster) AllocateByTerm(ctx context.Context, topK int) (AllocationReport, error) {
+	roundStart := time.Now()
+	in, err := c.allocInput()
+	if err != nil {
+		return AllocationReport{}, err
+	}
+	if topK < 1 {
+		return AllocationReport{}, fmt.Errorf("%w: topK=%d", ErrBadConfig, topK)
+	}
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
+
+	// Hot terms come from the bounded-memory sketch (§V's maintenance
+	// concern rules out exact per-term state); the popularity of each
+	// candidate is then read exactly from the filter-side counter.
+	for _, h := range c.qSketch.Top(topK) {
+		p := c.pCounter.Rate(h.Term)
+		if p == 0 {
+			continue // not a filter term; nothing to allocate
+		}
+		q := float64(h.Count) / float64(in.TotalDocs)
+		in.Units = append(in.Units, alloc.Unit{Key: h.Term, Popularity: p, Frequency: q, Load: p * q})
+	}
+	if len(in.Units) == 0 {
+		return AllocationReport{}, fmt.Errorf("%w: no hot filter terms", ErrBadConfig)
+	}
+	factors, preps, err := c.coordinator().Plan(in, true)
+	if err != nil {
+		return AllocationReport{}, err
+	}
+	return c.cutover(ctx, roundStart, factors, preps)
+}
+
+// gridKey names one forwarding-table entry cluster-wide: a home node and the
+// scope on it ("" = node-wide).
+type gridKey struct {
+	home ring.NodeID
+	term string
+}
+
+// cutover takes a planned round through the two-phase protocol and its
+// bookkeeping. A unit whose grid equals the one it already serves is live as
+// it stands and prepares nothing. An aborted round leaves everything — the
+// committed epoch included — untouched. A committed one records the new
+// grids, extends the placement bookkeeping, and garbage-collects the retired
+// placements (with a one-round grace so publishes in flight across the
+// cutover still find every copy); commit-broadcast errors degrade that GC
+// instead of failing the round.
+func (c *Cluster) cutover(ctx context.Context, roundStart time.Time, factors []alloc.Factor, preps []Prep) (AllocationReport, error) {
+	epoch := c.allocEpoch.Add(1)
+	report := AllocationReport{Epoch: epoch, Factors: factors}
+	c.gridsMu.Lock()
+	changed := make([]Prep, 0, len(preps))
+	for _, p := range preps {
+		if !p.Grid.Equal(c.committedGrids[gridKey{p.Home, p.Term}]) {
+			changed = append(changed, p)
+		}
+	}
+	c.gridsMu.Unlock()
+	report.GridsInstalled = len(preps) - len(changed) // placements already live
+
+	committed, err := c.coordinator().Cutover(ctx, epoch, changed)
+	c.metrics.Histogram("realloc.round.latency").Observe(time.Since(roundStart))
+	if !committed {
+		c.metrics.Counter("realloc.rounds.aborted").Inc()
+		return report, err
+	}
+	c.committedEpoch.Store(epoch)
+	c.metrics.Counter("realloc.rounds.committed").Inc()
+	c.metrics.Counter("realloc.epoch").Set(int64(epoch))
+	report.GridsInstalled = len(preps)
+
+	c.gridsMu.Lock()
+	for _, p := range changed {
+		key := gridKey{p.Home, p.Term}
+		if old, ok := c.committedGrids[key]; ok {
+			c.prevGrids = append(c.prevGrids, old)
+		}
+		c.committedGrids[key] = p.Grid
+	}
+	c.gridsMu.Unlock()
+	for _, p := range changed {
+		c.recordGridPlacement(p.Home, p.Grid)
+	}
+	c.runGridGC(ctx, err != nil)
+	report.FiltersReplicated = c.countReplicas()
+	return report, nil
+}
+
 // runGridGC drops the filter copies stranded on retired placements after a
 // committed cutover. The keep set for a filter is its original homes (never
 // collected — §13) plus its placements under every live grid: the committed
-// node and term grids, and the grids retired by the most recent round, which
-// get one extra round of grace for publishes in flight across the cutover.
+// ones, node-wide and term-scoped alike, and the grids retired by the most
+// recent round, which get one extra round of grace for publishes in flight
+// across the cutover.
 // When the commit broadcast had errors the GC only accumulates grace —
 // nothing is dropped, because an uncommitted node may still be serving an
 // old grid.
 func (c *Cluster) runGridGC(ctx context.Context, conservative bool) {
 	c.gridsMu.Lock()
-	keepGrids := make([]*alloc.Grid, 0, len(c.committedGrids)+len(c.committedTermGrids)+len(c.prevGrids))
+	keepGrids := make([]*alloc.Grid, 0, len(c.committedGrids)+len(c.prevGrids))
 	for _, g := range c.committedGrids {
-		keepGrids = append(keepGrids, g)
-	}
-	for _, g := range c.committedTermGrids {
 		keepGrids = append(keepGrids, g)
 	}
 	keepGrids = append(keepGrids, c.prevGrids...)
@@ -339,104 +457,6 @@ func (c *Cluster) runGridGC(ctx context.Context, conservative bool) {
 	if dropped > 0 {
 		c.metrics.Counter("realloc.gc.filters").Add(int64(dropped))
 	}
-}
-
-// AllocateByTerm runs a per-term allocation round for the hottest topK
-// terms — the fine-grained alternative to §V's per-node aggregation, kept
-// as an ablation (BenchmarkAblationGrid). Each hot term's p_t and q_t come
-// from the coordinator's exact term statistics; the home node migrates only
-// that term's posting-list filters onto the grid. Per-term grids are
-// precise but cost one forwarding-table entry per hot term and one
-// optimizer unit per term, which is what the paper's aggregation avoids.
-func (c *Cluster) AllocateByTerm(ctx context.Context, topK int) (AllocationReport, error) {
-	if c.cfg.Scheme != SchemeMove {
-		return AllocationReport{}, fmt.Errorf("%w: allocation requires SchemeMove, have %v", ErrBadConfig, c.cfg.Scheme)
-	}
-	if topK < 1 {
-		return AllocationReport{}, fmt.Errorf("%w: topK=%d", ErrBadConfig, topK)
-	}
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-
-	P := c.TotalFilters()
-	Q := c.TotalDocs()
-	if P == 0 {
-		return AllocationReport{}, fmt.Errorf("%w: no filters registered", ErrBadConfig)
-	}
-
-	// Hot terms come from the bounded-memory sketch (§V's maintenance
-	// concern rules out exact per-term state); the popularity of each
-	// candidate is then read exactly from the filter-side counter.
-	hot := c.qSketch.Top(topK)
-	units := make([]alloc.Unit, 0, len(hot))
-	terms := make([]string, 0, len(hot))
-	for _, h := range hot {
-		p := c.pCounter.Rate(h.Term)
-		if p == 0 {
-			continue // not a filter term; nothing to allocate
-		}
-		q := float64(h.Count) / float64(maxInt(Q, 1))
-		units = append(units, alloc.Unit{
-			Key:        h.Term,
-			Popularity: p,
-			Frequency:  q,
-			Load:       p * q,
-		})
-		terms = append(terms, h.Term)
-	}
-	if len(units) == 0 {
-		return AllocationReport{}, fmt.Errorf("%w: no hot filter terms", ErrBadConfig)
-	}
-	in := alloc.Input{
-		Units:        units,
-		TotalFilters: P,
-		TotalDocs:    maxInt(Q, 1),
-		Nodes:        c.AliveCount(),
-		Capacity:     c.cfg.Capacity,
-		NoSeparation: c.cfg.AllocNoSeparation,
-		ForceRatio:   c.cfg.AllocRatio,
-	}
-	factors, err := alloc.Compute(in, c.cfg.AllocStrategy, c.rng)
-	if err != nil {
-		return AllocationReport{}, err
-	}
-
-	epoch := c.allocEpoch.Add(1)
-	report := AllocationReport{Epoch: epoch, Factors: factors}
-	for i, f := range factors {
-		if f.Rows*f.Cols <= 1 {
-			continue
-		}
-		term := terms[i]
-		home, err := c.ring.HomeNode(term)
-		if err != nil {
-			return report, err
-		}
-		peers, err := c.ring.AllocationNodes(term, f.Rows*f.Cols, c.cfg.Placement)
-		if err != nil {
-			return report, fmt.Errorf("cluster: allocation nodes for term %q: %w", term, err)
-		}
-		grid, err := alloc.FitGrid(f.Rows, f.Cols, peers)
-		if err != nil || grid.Size() <= 1 {
-			continue
-		}
-		if _, err := c.sendTo(ctx, home, node.EncodeAllocateTerm(epoch, term, grid)); err != nil {
-			return report, fmt.Errorf("cluster: term-allocate %q on %s: %w", term, home, err)
-		}
-		// Per-term grids cut over with the legacy hard flip, but their
-		// placements join the GC keep set (retired ones with grace) so a
-		// later two-phase round cannot collect them.
-		c.gridsMu.Lock()
-		if old, ok := c.committedTermGrids[term]; ok {
-			c.prevGrids = append(c.prevGrids, old)
-		}
-		c.committedTermGrids[term] = grid
-		c.gridsMu.Unlock()
-		report.GridsInstalled++
-		c.recordGridPlacement(home, grid)
-	}
-	report.FiltersReplicated = c.countReplicas()
-	return report, nil
 }
 
 // recordGridPlacement extends the availability bookkeeping with the grid
@@ -608,11 +628,4 @@ func (c *Cluster) ResetTransferStats() {
 	c.transferLocal = 0
 	c.perNodeRecv = make(map[ring.NodeID]int64)
 	c.perNodeRecvLocal = make(map[ring.NodeID]int64)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

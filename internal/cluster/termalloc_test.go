@@ -3,8 +3,11 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"testing"
+
+	"github.com/movesys/move/internal/ring"
 )
 
 // seedHotTerm registers many single-term filters on "hot" plus some noise,
@@ -140,6 +143,94 @@ func TestAllocateByTermIgnoresNonFilterTerms(t *testing.T) {
 		if f.Key != "hot" {
 			t.Fatalf("non-filter term %q became an allocation unit", f.Key)
 		}
+	}
+}
+
+// TestAllocateByTermAbortsCleanly fails the second term prepare of a round:
+// the first hot term's home has already installed a pending term entry and
+// migrated that term's filters. The round must end with every node on the
+// old epoch, no term entry anywhere, and not one copy left behind — then
+// commit normally once the fault clears.
+func TestAllocateByTermAbortsCleanly(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, SchemeMove, 12)
+	termA, termB := seedTwoHomes(t, c, 150, 40, nil)
+	before := totalStoredFilters(c)
+
+	calls := 0
+	c.prepareHook = func(home ring.NodeID) error {
+		if calls++; calls == 2 {
+			return fmt.Errorf("injected prepare failure on %s", home)
+		}
+		return nil
+	}
+	if _, err := c.AllocateByTerm(ctx, 8); err == nil || calls < 2 {
+		t.Fatalf("per-term round with a failing second prepare: err=%v after %d prepares", err, calls)
+	}
+	if got := c.CommittedEpoch(); got != 0 {
+		t.Fatalf("CommittedEpoch after abort = %d, want 0", got)
+	}
+	assertNoPendingState(t, c, 0)
+	for _, id := range c.nodeIDs {
+		if n := c.nodes[id].TermGridCount(); n != 0 {
+			t.Fatalf("node %s keeps %d term entries after the abort", id, n)
+		}
+	}
+	// Every journaled copy was unwound, so no journal outlives the round.
+	if after := totalStoredFilters(c); after != before {
+		t.Fatalf("stored filter copies after abort = %d, want %d (partial state leaked)", after, before)
+	}
+	res, err := c.Publish(ctx, []string{termA, termB})
+	if err != nil || !res.Complete || len(res.Matches) != 300 {
+		t.Fatalf("publish after abort: %v complete=%v matches=%d, want 300", err, res.Complete, len(res.Matches))
+	}
+
+	c.prepareHook = nil
+	report, err := c.AllocateByTerm(ctx, 8)
+	if err != nil || report.GridsInstalled < 2 || c.CommittedEpoch() != report.Epoch {
+		t.Fatalf("retry: %v, %d grids, committed epoch %d of %d", err, report.GridsInstalled, c.CommittedEpoch(), report.Epoch)
+	}
+	assertNoPendingState(t, c, report.Epoch)
+	res, err = c.Publish(ctx, []string{termA, termB})
+	if err != nil || !res.Complete || len(res.Matches) != 300 {
+		t.Fatalf("publish after retry: %v complete=%v matches=%d, want 300", err, res.Complete, len(res.Matches))
+	}
+}
+
+// TestRecoveredNodeHoldsNoTermEntry: a node that crashed and came back lost
+// its forwarding table, term entries included — it must not keep routing a
+// hot term to placements the GC may have collected while it was away. It
+// matches from its own complete store until the next round re-prepares it.
+func TestRecoveredNodeHoldsNoTermEntry(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, SchemeMove, 15)
+	seedHotTerm(t, c, 300, 50)
+	if _, err := c.AllocateByTerm(ctx, 8); err != nil {
+		t.Fatal(err)
+	}
+	home, err := c.HomeNode("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Node(home).TermGridCount() == 0 {
+		t.Fatal("hot term's home has no term grid to lose")
+	}
+	c.FailNodes(home)
+	c.RecoverNodes(home)
+	if n := c.Node(home).TermGridCount(); n != 0 {
+		t.Fatalf("recovered node keeps %d term entries", n)
+	}
+	res, err := c.Publish(ctx, []string{"hot"})
+	if err != nil || !res.Complete || len(res.Matches) != 300 {
+		t.Fatalf("publish after recovery: %v complete=%v matches=%d, want 300", err, res.Complete, len(res.Matches))
+	}
+	// The coordinator forgot the grid too: the next round prepares it again
+	// instead of skipping it as unchanged.
+	if _, err := c.AllocateByTerm(ctx, 8); err != nil {
+		t.Fatal(err)
+	}
+	if c.Node(home).TermGridCount() == 0 {
+		t.Fatal("the round after recovery did not re-prepare the hot term")
 	}
 }
 

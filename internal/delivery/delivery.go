@@ -207,11 +207,6 @@ type Config struct {
 	// Shards is the session-registry/ready-ring stripe count, rounded up to
 	// a power of two. Default DefaultShards.
 	Shards int
-	// FlushDelay, when positive, is the coalescing window: an enqueue on a
-	// session with fewer than FlushBatch pending events defers the flush
-	// for up to ~2x FlushDelay so more events share one frame batch and one
-	// syscall. Zero flushes immediately (lowest latency, least coalescing).
-	FlushDelay time.Duration
 	// HeartbeatEvery is the janitor cadence: pings are sent and idle/stall
 	// checks run every interval. Zero disables the janitor (tests drive
 	// Sweep directly).
@@ -231,9 +226,7 @@ type Config struct {
 }
 
 // shard is one stripe of the session registry plus its ready ring: mu guards
-// the sub→session map, rmu the ring of sessions awaiting a flush worker, and
-// dmu the deferred list of sessions waiting out a FlushDelay coalescing
-// window.
+// the sub→session map and rmu the ring of sessions awaiting a flush worker.
 type shard struct {
 	mu       sync.RWMutex
 	sessions map[string]*Session
@@ -241,9 +234,6 @@ type shard struct {
 	rmu   sync.Mutex
 	ring  []*Session
 	rhead int
-
-	dmu      sync.Mutex
-	deferred []*Session
 }
 
 // Hub owns every subscriber session on one node: it enqueues notifications,
@@ -297,8 +287,7 @@ type Hub struct {
 }
 
 // NewHub builds and starts a hub: Workers flush goroutines plus, when
-// HeartbeatEvery > 0, one janitor goroutine, plus, when FlushDelay > 0, one
-// coalescer goroutine draining deferred sessions.
+// HeartbeatEvery > 0, one janitor goroutine.
 func NewHub(cfg Config) *Hub {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 256
@@ -371,10 +360,6 @@ func NewHub(cfg Config) *Hub {
 		h.wg.Add(1)
 		go h.janitor()
 	}
-	if cfg.FlushDelay > 0 {
-		h.wg.Add(1)
-		go h.coalescer()
-	}
 	return h
 }
 
@@ -419,7 +404,7 @@ func (h *Hub) ShardSessions() []int {
 	return counts
 }
 
-// Stop terminates the workers, janitor, and coalescer, drains every shard's
+// Stop terminates the workers and the janitor, drains every shard's
 // ready ring, and closes every attached connection. Queued events are
 // retained in memory until the hub is garbage-collected; Stop is a
 // process-shutdown path, not a flush barrier.
@@ -462,8 +447,8 @@ func (h *Hub) Stop() {
 		}
 	}
 	h.wg.Wait()
-	// With the workers gone, clear whatever the rings and deferred lists
-	// still hold so no session is left marked scheduled/deferred.
+	// With the workers gone, clear whatever the rings still hold so no
+	// session is left marked scheduled.
 	for _, sh := range h.shards {
 		sh.rmu.Lock()
 		for i := sh.rhead; i < len(sh.ring); i++ {
@@ -473,13 +458,6 @@ func (h *Hub) Stop() {
 		}
 		sh.ring, sh.rhead = sh.ring[:0], 0
 		sh.rmu.Unlock()
-		sh.dmu.Lock()
-		for i, s := range sh.deferred {
-			s.deferred.Store(false)
-			sh.deferred[i] = nil
-		}
-		sh.deferred = sh.deferred[:0]
-		sh.dmu.Unlock()
 	}
 }
 
@@ -677,25 +655,6 @@ func (h *Hub) schedule(s *Session) {
 	h.wakeOne()
 }
 
-// deferSchedule parks a session on its shard's deferred list for the
-// coalescer to schedule within ~2x FlushDelay — the deadline half of the
-// "size- and deadline-bounded" coalescing rule. Falls back to an immediate
-// schedule when the hub is stopping or has no coalescer.
-func (h *Hub) deferSchedule(s *Session) {
-	if !s.deferred.CompareAndSwap(false, true) {
-		return
-	}
-	sh := s.shard
-	sh.dmu.Lock()
-	if h.stopped.Load() {
-		sh.dmu.Unlock()
-		s.deferred.Store(false)
-		return
-	}
-	sh.deferred = append(sh.deferred, s)
-	sh.dmu.Unlock()
-}
-
 // wakeOne unparks one idle worker, if any. The nparked fast path makes this
 // a single atomic load when every worker is already busy — the steady state
 // at high flush rates, where the old readyCond.Signal took the mutex every
@@ -791,44 +750,6 @@ func (h *Hub) janitor() {
 			h.Sweep()
 		}
 	}
-}
-
-// coalescer drains the shards' deferred lists every FlushDelay, scheduling
-// each parked session. An event deferred right after a tick waits at most
-// ~2x FlushDelay before its flush is scheduled.
-func (h *Hub) coalescer() {
-	defer h.wg.Done()
-	t := time.NewTicker(h.cfg.FlushDelay)
-	defer t.Stop()
-	var batch []*Session
-	for {
-		select {
-		case <-h.stopCh:
-			return
-		case <-t.C:
-			batch = h.drainDeferred(batch)
-		}
-	}
-}
-
-// drainDeferred runs one coalescer tick: every deferred session is cleared
-// and scheduled. scratch is reused across ticks; the (possibly grown) slice
-// is returned.
-func (h *Hub) drainDeferred(scratch []*Session) []*Session {
-	for _, sh := range h.shards {
-		sh.dmu.Lock()
-		scratch = append(scratch[:0], sh.deferred...)
-		for i := range sh.deferred {
-			sh.deferred[i] = nil
-		}
-		sh.deferred = sh.deferred[:0]
-		sh.dmu.Unlock()
-		for _, s := range scratch {
-			s.deferred.Store(false)
-			h.schedule(s)
-		}
-	}
-	return scratch[:0]
 }
 
 // Sweep runs one janitor pass: idle connections are kicked (detached with a
@@ -1019,7 +940,6 @@ type Session struct {
 	lastPing     time.Time
 
 	scheduled atomic.Bool
-	deferred  atomic.Bool
 }
 
 // Sub returns the subscriber name.
@@ -1073,9 +993,7 @@ func (s *Session) Detach(conn Conn) {
 }
 
 // enqueue admits one notification, applying the slow-consumer policy on
-// overflow. When the hub has a FlushDelay coalescing window, a short queue
-// defers its flush to the coalescer; a queue at FlushBatch or more schedules
-// immediately (the size bound).
+// overflow, and schedules a flush when a connection is attached.
 func (s *Session) enqueue(docID uint64, filters []model.FilterID, terms []string) {
 	h := s.hub
 	var droppedEv *Event
@@ -1151,17 +1069,7 @@ func (s *Session) enqueue(docID uint64, filters []model.FilterID, terms []string
 		}
 	}
 	if ready {
-		// The size half of the coalescing rule: with a flush delay
-		// configured, let the queue accumulate a multi-frame payload and
-		// schedule immediately only once it is half full — the coalescer
-		// tick handles everything shallower within ~2x FlushDelay. At half
-		// capacity the session flushes ahead of the tick so the window
-		// never converts coalescing latency into policy drops.
-		if h.cfg.FlushDelay > 0 && depth*2 < h.cfg.QueueCap {
-			h.deferSchedule(s)
-		} else {
-			h.schedule(s)
-		}
+		h.schedule(s)
 	}
 }
 

@@ -172,68 +172,6 @@ func TestStopUnderConcurrentEnqueue(t *testing.T) {
 	h.Stop()
 }
 
-// TestFlushDelayCoalesces proves both halves of the size-and-deadline
-// coalescing rule deterministically (no worker pool; the tick is driven by
-// hand): sparse enqueues defer rather than schedule, one coalescer tick
-// schedules them, the resulting flush carries the whole accumulation in one
-// SendEvents call, and a queue reaching half capacity schedules immediately
-// without waiting for the tick.
-func TestFlushDelayCoalesces(t *testing.T) {
-	h := NewHub(Config{Workers: -1, QueueCap: 64, FlushBatch: 8, FlushDelay: time.Hour})
-	defer h.Stop()
-	conn := &testConn{}
-	s, _, err := h.Attach("s", conn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.scheduled.Store(false) // clear the attach-time schedule; flush is manual here
-
-	for doc := uint64(1); doc <= 8; doc++ {
-		h.Deliver("s", doc, fid(doc), []string{"t"})
-	}
-	if s.scheduled.Load() {
-		t.Fatal("sparse enqueue scheduled immediately despite FlushDelay")
-	}
-	if !s.deferred.Load() {
-		t.Fatal("sparse enqueue did not defer")
-	}
-	h.drainDeferred(nil)
-	if !s.scheduled.Load() {
-		t.Fatal("coalescer tick did not schedule the deferred session")
-	}
-	if s.deferred.Load() {
-		t.Fatal("deferred flag not cleared by the tick")
-	}
-	s.scheduled.Store(false)
-	s.flush()
-	if got := len(conn.received()); got != 8 {
-		t.Fatalf("received %d events, want 8", got)
-	}
-	conn.mu.Lock()
-	attempts := conn.attempts
-	conn.mu.Unlock()
-	if attempts != 1 {
-		t.Fatalf("8 deferred enqueues took %d SendEvents calls, want 1 coalesced batch", attempts)
-	}
-
-	// The size bound: a queue deeper than FlushBatch still defers — the
-	// whole point of the window is accumulating a multi-frame payload —
-	// but reaching half of QueueCap preempts the deadline so coalescing
-	// latency never turns into policy drops.
-	for doc := uint64(9); doc <= 24; doc++ {
-		h.Deliver("s", doc, fid(doc), []string{"t"})
-	}
-	if s.scheduled.Load() {
-		t.Fatal("queue above FlushBatch but below half capacity scheduled early")
-	}
-	for doc := uint64(25); doc <= 40; doc++ {
-		h.Deliver("s", doc, fid(doc), []string{"t"})
-	}
-	if !s.scheduled.Load() {
-		t.Fatal("queue at half capacity did not schedule immediately")
-	}
-}
-
 // TestWireConnCoalescesFrames drives the buffered TCP writer directly over
 // a net.Pipe: consecutive SendEvents calls buffer without touching the
 // socket, one Flush puts every frame on the wire in a single Write, and the

@@ -665,7 +665,7 @@ func runCluster(p ClusterParams, nextFilter, nextDoc func() []string) (ClusterOu
 		w.DocsReceivedIntra = intra
 		w.DocsReceivedInter = transfers.PerNodeReceived[l.ID] - intra
 		works = append(works, w)
-		out.StoragePerNode = append(out.StoragePerNode, float64(l.StorageFilters))
+		out.StoragePerNode = append(out.StoragePerNode, float64(l.Filters))
 		out.MatchPerNode = append(out.MatchPerNode, float64(l.TermsMatched-prev[l.ID].TermsMatched))
 	}
 	costModel := sim.DefaultCostModel()

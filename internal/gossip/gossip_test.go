@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/transport"
 )
@@ -262,6 +263,50 @@ func TestStartStop(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	g.Stop()
 	g.Stop() // idempotent
+}
+
+// TestHandleBeforeStart is moved's startup window: the node's listener
+// accepts before the gossip loop starts, so a peer's digest frame can reach
+// the node's router first. A gossiper built (not started) before the node
+// answers it with its own digest, merges the sender, and sends nothing.
+func TestHandleBeforeStart(t *testing.T) {
+	g, err := New(Config{
+		Self: Member{ID: "late", Addr: "127.0.0.1:1"},
+		Send: func(context.Context, ring.NodeID, []byte) ([]byte, error) {
+			t.Error("Send invoked before Start")
+			return nil, errors.New("not started")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ring.New(ring.Config{})
+	if err := r.Add(ring.Member{ID: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{ID: "late", Ring: r, Gossip: g.Handle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := newTestCluster(t, 1).gs[0]
+	peer.mu.Lock()
+	frame := node.EncodeGossip(peer.digestLocked())
+	peer.mu.Unlock()
+	raw, err := nd.Handle(context.Background(), "g0", frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members, err := decodeDigest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[ring.NodeID]bool{}
+	for _, m := range members {
+		seen[m.ID] = true
+	}
+	if !seen["late"] || !seen["g0"] {
+		t.Fatalf("digest answered before Start lists %v, want late and g0", members)
+	}
 }
 
 func TestHandleRejectsCorruptDigest(t *testing.T) {

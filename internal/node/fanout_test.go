@@ -93,10 +93,19 @@ func (e *fanOutEnv) grid(t *testing.T, nodes ...int) *alloc.Grid {
 	return g
 }
 
-func (e *fanOutEnv) termGrid(t *testing.T, term string, g *alloc.Grid) {
+// prepare runs the prepare phase of scope term ("" = node-wide) on the home.
+func (e *fanOutEnv) prepare(t *testing.T, epoch uint64, term string, g *alloc.Grid) {
 	t.Helper()
-	if err := e.home.BuildTermAllocation(context.Background(), 1, term, g); err != nil {
+	if err := e.home.PrepareAllocation(context.Background(), epoch, term, g); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// commit closes a round: the home promotes everything pending under epoch.
+func (e *fanOutEnv) commit(t *testing.T, epoch uint64) {
+	t.Helper()
+	if !e.home.CommitGrid(epoch) {
+		t.Fatalf("commit of epoch %d promoted nothing", epoch)
 	}
 }
 
@@ -120,20 +129,32 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 	// grid's (0,0) is the node-wide grid's (0,1).
 	type layout func(t *testing.T, e *fanOutEnv)
 	none := func(*testing.T, *fanOutEnv) {}
-	nodeWide := func(t *testing.T, e *fanOutEnv) { allocate(t, e.home, 1, e.grid(t, 0, 1, 2, 3)) }
+	// Every grid is built the one way there is: prepare, then commit. A
+	// layout with a per-term grid prepares both scopes under one epoch, as a
+	// coordinator round would.
+	nodeWide := func(t *testing.T, e *fanOutEnv) {
+		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
+		e.commit(t, 1)
+	}
 	perTerm := func(t *testing.T, e *fanOutEnv) {
-		e.termGrid(t, e.docs[0].Terms[1], e.grid(t, 4, 5, 6, 7))
-		nodeWide(t, e)
+		e.prepare(t, 1, e.docs[0].Terms[1], e.grid(t, 4, 5, 6, 7))
+		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
+		e.commit(t, 1)
 	}
 	pending := func(t *testing.T, e *fanOutEnv) {
 		nodeWide(t, e)
-		if err := e.home.PrepareAllocation(context.Background(), 2, e.grid(t, 3, 4, 5, 6)); err != nil {
-			t.Fatal(err)
-		}
+		e.prepare(t, 2, "", e.grid(t, 3, 4, 5, 6))
+	}
+	// warm's own grid is prepared and not yet committed: warm is served by
+	// the node-wide grid and dual-reads its pending one.
+	pendingTerm := func(t *testing.T, e *fanOutEnv) {
+		nodeWide(t, e)
+		e.prepare(t, 2, e.docs[0].Terms[1], e.grid(t, 4, 5, 6, 7))
 	}
 	shared := func(t *testing.T, e *fanOutEnv) {
-		e.termGrid(t, e.docs[0].Terms[1], e.grid(t, 1, 4, 5, 6))
-		nodeWide(t, e)
+		e.prepare(t, 1, e.docs[0].Terms[1], e.grid(t, 1, 4, 5, 6))
+		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
+		e.commit(t, 1)
 	}
 
 	cases := []struct {
@@ -173,6 +194,18 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 		{name: "node-wide + pending/column lost in every row", layout: pending, down: []int{0, 2},
 			degraded: true, lost: 2, columnRPCs: 5},
 		{name: "node-wide + pending/pending column down", layout: pending, down: []int{4, 6},
+			columnRPCs: 5},
+
+		// The same window on a term entry: hot and warm ride the node-wide
+		// grid (2 RPCs), warm also its pending grid on four other nodes (2
+		// more); a pending column down costs one more attempt and nothing
+		// else, and a lost committed column degrades both terms.
+		{name: "node-wide + pending term/healthy", layout: pendingTerm, columnRPCs: 4},
+		{name: "node-wide + pending term/first row of a column down", layout: pendingTerm, down: []int{0},
+			failSlots: 1, oracleFailovers: 2, columnRPCs: 5},
+		{name: "node-wide + pending term/column lost in every row", layout: pendingTerm, down: []int{0, 2},
+			degraded: true, lost: 2, columnRPCs: 5},
+		{name: "node-wide + pending term/pending column down", layout: pendingTerm, down: []int{4, 6},
 			columnRPCs: 5},
 
 		// Row 0 is p0 | p1 for hot and p1 | p4 for warm: 4 columns on 3 nodes.
@@ -261,7 +294,7 @@ func TestPendingOnlyErrorNeverFailsPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !homeNode.PrepareGrid(1, broken) {
+	if !homeNode.PrepareGrid(1, "", broken) {
 		t.Fatal("prepare rejected")
 	}
 	var entry *Node

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/movesys/move/internal/alloc"
@@ -38,9 +39,10 @@ func handleSeeds(t testing.TB) [][]byte {
 		EncodeStatsPull(),
 		EncodeInstallBloom(bf.Marshal()),
 		EncodeGossip([]byte{1, 2, 3}),
-		EncodeDropGrid(),
-		EncodeAllocateTerm(1, "alpha", grid),
 		EncodePrepareAlloc(2, grid),
+		EncodePrepareTermAlloc(2, "alpha", grid),
+		// An explicit empty scope: the node-wide prepare with one byte more.
+		append(EncodePrepareAlloc(2, grid), 0),
 		EncodeCommitGrid(2),
 		EncodeAbortGrid(2),
 		encodeDeliverBatch(&delivery.Batch{DocID: 7, Terms: docA.Terms, Notifs: []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{3}}}}),
@@ -51,7 +53,9 @@ func handleSeeds(t testing.TB) [][]byte {
 // type a peer or client can send. A frame may be refused, but it must never
 // panic, never allocate beyond a fixed multiple of its own length (a length
 // prefix is a claim, not a budget), and a frame refused while decoding must
-// leave the node exactly as it was: counters, filters and epoch state.
+// leave the node exactly as it was: counters, filters and epoch state. The
+// retired drop and hard-flip types (10, 13) are unknown whatever follows
+// them, so no frame takes a committed grid out of the forwarding table.
 func FuzzNodeHandle(f *testing.F) {
 	for _, seed := range handleSeeds(f) {
 		f.Add(seed)
@@ -68,7 +72,7 @@ func FuzzNodeHandle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !nd.PrepareGrid(1, g) || !nd.CommitGrid(1) {
+		if !nd.PrepareGrid(1, "", g) || !nd.CommitGrid(1) {
 			t.Fatal("seed grid not installed")
 		}
 
@@ -92,6 +96,12 @@ func FuzzNodeHandle(f *testing.F) {
 		// The race detector's shadow allocations are not the frame's.
 		if limit := uint64(1<<20 + 512*len(payload)); !testutil.RaceEnabled && m1.TotalAlloc-m0.TotalAlloc > limit {
 			t.Fatalf("a %d-byte frame (type %d) allocated %d bytes, limit %d", len(payload), first(payload), m1.TotalAlloc-m0.TotalAlloc, limit)
+		}
+		if typ := first(payload); (typ == 10 || typ == 13) && (err == nil || !strings.Contains(err.Error(), "unknown message type")) {
+			t.Fatalf("retired message type %d answered %v, want unknown message type", typ, err)
+		}
+		if g, _ := nd.Grid(); g == nil {
+			t.Fatalf("frame type %d removed the committed node-wide grid; only a restart drops the table", first(payload))
 		}
 		if err != nil && (errors.Is(err, codec.ErrTruncated) || errors.Is(err, codec.ErrOverflow)) {
 			if after := snapshot(); after != before {

@@ -86,22 +86,14 @@ type Node struct {
 	tr   transport.Transport
 	trMu sync.RWMutex
 
-	mu        sync.RWMutex
-	grid      *alloc.Grid
+	mu sync.RWMutex
+	// table is the forwarding table (§V), keyed by scope: "" is the
+	// node-wide entry — every term of the node shares one allocation unit —
+	// and a term key overrides it for that term (the per-term ablation).
+	// Both kinds cut over the same two-phase way (§13, realloc.go).
+	table map[string]*tableEntry
+	// gridEpoch is the newest epoch a commit promoted on this node.
 	gridEpoch uint64
-	// pending is the next epoch's grid, installed by the prepare phase of a
-	// two-phase reallocation (§13). While pending is non-nil the node
-	// dual-reads: publishes fan out to both grid and pending and union the
-	// match sets, so no match is dropped whichever placement a filter is
-	// physically on. Commit promotes pending to grid; abort drops it.
-	pending      *alloc.Grid
-	pendingEpoch uint64
-	// dualSince marks when the current dual-read window opened.
-	dualSince time.Time
-	// termGrids maps specific terms to their own allocation grids — the
-	// per-term variant of the forwarding table whose maintenance cost §V's
-	// per-node aggregation avoids; kept for the ablation comparison.
-	termGrids map[string]*alloc.Grid
 	bloomF    *bloom.Filter
 	rng       *rand.Rand
 
@@ -208,7 +200,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:           cfg,
 		ix:            ix,
 		reg:           reg,
-		termGrids:     make(map[string]*alloc.Grid),
+		table:         make(map[string]*tableEntry),
 		journal:       make(map[uint64]map[model.FilterID]struct{}),
 		rng:           rand.New(rand.NewSource(seed)),
 		res:           cfg.Resilience,
@@ -362,27 +354,6 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		return nil, n.handleMigrate(req)
 	case msgStatsPull:
 		return EncodeStatsResp(n.Stats()), nil
-	case msgDropGrid:
-		n.DropGrid()
-		return nil, nil
-	case msgAllocateTerm:
-		epoch, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		term, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		gridBytes, err := r.Bytes0()
-		if err != nil {
-			return nil, err
-		}
-		g, err := alloc.DecodeGrid(gridBytes)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode term grid: %w", n.cfg.ID, err)
-		}
-		return nil, n.BuildTermAllocation(ctx, epoch, term, g)
 	case msgPrepareAlloc:
 		epoch, err := r.Uvarint()
 		if err != nil {
@@ -396,7 +367,15 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		if err != nil {
 			return nil, fmt.Errorf("node %s: decode pending grid: %w", n.cfg.ID, err)
 		}
-		return nil, n.PrepareAllocation(ctx, epoch, g)
+		// The scope rides as an optional trailing term: none is the
+		// node-wide entry.
+		term := ""
+		if r.Remaining() > 0 {
+			if term, err = r.String(); err != nil {
+				return nil, err
+			}
+		}
+		return nil, n.PrepareAllocation(ctx, epoch, term, g)
 	case msgCommitGrid:
 		epoch, err := r.Uvarint()
 		if err != nil {
@@ -443,50 +422,52 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 	}
 }
 
-// handleRegister stores a filter and its posting entries. When this home
-// node's filters have been allocated, the new filter must also reach its
-// grid column in every partition row — otherwise documents fanned out to
-// the grid would miss filters registered after the allocation round.
+// handleRegister stores a filter and its posting entries. When the terms it
+// is registered under are served through a grid, the new filter must also
+// reach its column in every partition row — otherwise documents fanned out
+// to the grid would miss filters registered after the allocation round. It is
+// forwarded once per forwarding-table entry that routes any of its terms:
+// to the committed grid, and to a pending one tagged with the pending epoch,
+// so an abort unwinds a mid-prepare registration's copy along with the
+// epoch's migrations.
 func (n *Node) handleRegister(ctx context.Context, req RegisterReq) error {
 	if err := n.ix.Register(req.Filter, req.PostingTerms); err != nil {
 		return err
 	}
 	n.updateCoverGauges()
+
+	type forward struct {
+		grid  *alloc.Grid
+		epoch uint64
+		terms []string
+	}
+	var forwards []forward
+	via := func(e *tableEntry, terms []string) {
+		if e == nil {
+			return
+		}
+		if e.committed != nil {
+			forwards = append(forwards, forward{grid: e.committed, terms: terms})
+		}
+		if e.pending != nil {
+			forwards = append(forwards, forward{grid: e.pending, epoch: e.pendingEpoch, terms: terms})
+		}
+	}
 	n.mu.RLock()
-	grid := n.grid
-	pending, pendingEpoch := n.pending, n.pendingEpoch
-	var termGrids []termGridRef
-	for _, t := range req.PostingTerms {
-		if g, ok := n.termGrids[t]; ok {
-			termGrids = append(termGrids, termGridRef{term: t, grid: g})
+	if len(n.table) > 0 {
+		via(n.table[""], req.PostingTerms)
+		for i, t := range req.PostingTerms {
+			via(n.table[t], req.PostingTerms[i:i+1])
 		}
 	}
 	n.mu.RUnlock()
 
-	if grid != nil {
-		if err := n.forwardToGridColumn(ctx, grid, 0, RegisterReq{Filter: req.Filter, PostingTerms: req.PostingTerms}); err != nil {
-			return err
-		}
-	}
-	if pending != nil {
-		// Mid-prepare registration: the copy on the pending placement is
-		// tagged with the pending epoch so an abort unwinds it along with
-		// the epoch's migrations.
-		if err := n.forwardToGridColumn(ctx, pending, pendingEpoch, RegisterReq{Filter: req.Filter, PostingTerms: req.PostingTerms}); err != nil {
-			return err
-		}
-	}
-	for _, tg := range termGrids {
-		if err := n.forwardToGridColumn(ctx, tg.grid, 0, RegisterReq{Filter: req.Filter, PostingTerms: []string{tg.term}}); err != nil {
+	for _, f := range forwards {
+		if err := n.forwardToGridColumn(ctx, f.grid, f.epoch, RegisterReq{Filter: req.Filter, PostingTerms: f.terms}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-type termGridRef struct {
-	term string
-	grid *alloc.Grid
 }
 
 // forwardToGridColumn copies one registration onto its grid column across
@@ -512,22 +493,37 @@ func (n *Node) forwardToGridColumn(ctx context.Context, g *alloc.Grid, epoch uin
 	return errors.Join(errs...)
 }
 
-// DropGrid clears the allocation grid — pending included, so a recovered
-// node that slept through commits and GC stops trusting stale placements
-// and matches from its complete local store until the next prepare.
+// DropGrid empties the forwarding table — every scope, pending included — so
+// a recovered node that slept through commits and GC stops trusting stale
+// placements and matches from its complete local store until the next
+// prepare.
 func (n *Node) DropGrid() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.grid = nil
-	n.pending = nil
-	n.pendingEpoch = 0
+	clear(n.table)
 }
 
-// Grid returns the current grid (may be nil) and its epoch.
+// Grid returns the committed node-wide grid (may be nil) and the node's
+// committed epoch.
 func (n *Node) Grid() (*alloc.Grid, uint64) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.grid, n.gridEpoch
+	if e := n.table[""]; e != nil {
+		return e.committed, n.gridEpoch
+	}
+	return nil, n.gridEpoch
+}
+
+// TermGridCount returns the number of term-scoped forwarding-table entries —
+// the table growth §V's per-node aggregation keeps at zero.
+func (n *Node) TermGridCount() int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	count := len(n.table)
+	if _, ok := n.table[""]; ok {
+		count--
+	}
+	return count
 }
 
 // InstallBloom replaces the global filter-term Bloom filter.
@@ -563,10 +559,9 @@ func (n *Node) handlePublish(ctx context.Context, doc *model.Document, terms []s
 }
 
 // gridRoute is the part of a publish bound for one allocation grid: the
-// terms whose effective grid it is, in document order. pending marks the
-// dual-read route — the node-wide-routed terms fanned out a second time
-// against the not-yet-committed grid, whose failures never fail or degrade
-// the publish (the committed path is authoritative).
+// terms it serves, in document order. pending marks a dual-read route — terms
+// fanned out a second time against a not-yet-committed grid, whose failures
+// never fail or degrade the publish (the committed path is authoritative).
 type gridRoute struct {
 	grid    *alloc.Grid
 	pending bool
@@ -574,37 +569,48 @@ type gridRoute struct {
 	terms   []string
 }
 
-// splitByGrid partitions a frame's terms by effective allocation grid: a
-// per-term grid takes precedence over the node-wide grid, and terms with
-// neither (local) match on this node. During a dual-read window every
-// node-wide-routed term additionally joins the pending grid's route.
+// splitByGrid partitions a frame's terms by the forwarding-table entry that
+// serves each: the term's own entry once it has a committed grid, else the
+// node-wide one; a term neither routes matches on this node (local). During
+// a dual-read window the term additionally joins the route of the serving
+// entry's pending grid — and of its own entry's, while that still awaits its
+// first commit. An empty table aliases terms as local: read-only for callers.
 func (n *Node) splitByGrid(terms []string) (local []string, routes []gridRoute) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	route := func(g *alloc.Grid, pending bool) *gridRoute {
+	if len(n.table) == 0 {
+		return terms, nil
+	}
+	add := func(g *alloc.Grid, pending bool, term string) {
 		for i := range routes {
 			if routes[i].grid == g {
-				return &routes[i]
+				routes[i].terms = append(routes[i].terms, term)
+				return
 			}
 		}
-		routes = append(routes, gridRoute{grid: g, pending: pending})
-		return &routes[len(routes)-1]
+		routes = append(routes, gridRoute{grid: g, pending: pending, terms: []string{term}})
 	}
+	nodeWide := n.table[""]
 	for _, t := range terms {
-		g := n.termGrids[t]
-		nodeWide := g == nil
-		if nodeWide {
-			g = n.grid
+		own := n.table[t]
+		serving := own
+		if own == nil || own.committed == nil {
+			serving = nodeWide
+		}
+		var g *alloc.Grid
+		if serving != nil {
+			g = serving.committed
 		}
 		if g == nil {
 			local = append(local, t)
 		} else {
-			r := route(g, false)
-			r.terms = append(r.terms, t)
+			add(g, false, t)
 		}
-		if nodeWide && n.pending != nil && n.pending != g {
-			r := route(n.pending, true)
-			r.terms = append(r.terms, t)
+		if serving != nil && serving.pending != nil && serving.pending != g {
+			add(serving.pending, true, t)
+		}
+		if own != nil && own != serving && own.pending != nil && own.pending != g {
+			add(own.pending, true, t)
 		}
 	}
 	return local, routes
@@ -1089,28 +1095,35 @@ func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []ho
 // migrateBatch caps the number of filters per msgMigrate frame.
 const migrateBatch = 512
 
-// homeOwnedBatches scans the local filter store for filters this node is
-// the home of (at least one term hashes here) and groups the copies each
-// grid target must receive — the migration work list of the two-phase
-// prepare (PrepareAllocation).
-func (n *Node) homeOwnedBatches(g *alloc.Grid) (map[ring.NodeID][]RegisterReq, error) {
+// ownedBatches scans the local filter store for the filters a prepare of
+// scope term must place, and groups the copies each grid target must receive
+// — the migration work list of PrepareAllocation. The node-wide scope ("")
+// owns every term that hashes to this node; a term scope owns that term. A
+// filter owning none is a replica migrated here by another home node, not
+// this prepare's to re-allocate.
+func (n *Node) ownedBatches(term string, g *alloc.Grid) (map[ring.NodeID][]RegisterReq, error) {
+	owns := func(t string) (bool, error) {
+		if term != "" {
+			return t == term, nil
+		}
+		home, err := n.cfg.Ring.HomeNode(t)
+		return home == n.cfg.ID, err
+	}
 	batches := make(map[ring.NodeID][]RegisterReq)
 	var iterErr error
 	err := n.ix.EachFilter(func(f model.Filter) bool {
 		var owned []string
 		for _, t := range f.Terms {
-			home, err := n.cfg.Ring.HomeNode(t)
+			ok, err := owns(t)
 			if err != nil {
 				iterErr = err
 				return false
 			}
-			if home == n.cfg.ID {
+			if ok {
 				owned = append(owned, t)
 			}
 		}
 		if len(owned) == 0 {
-			// A replica migrated here by another home node; not ours to
-			// re-allocate.
 			return true
 		}
 		col := g.Column(f.ID)
@@ -1124,13 +1137,7 @@ func (n *Node) homeOwnedBatches(g *alloc.Grid) (map[ring.NodeID][]RegisterReq, e
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	return batches, nil
+	return batches, errors.Join(err, iterErr)
 }
 
 // sendMigrations ships batched filter copies, charging one transfer per
@@ -1162,59 +1169,6 @@ func (n *Node) sendMigrations(ctx context.Context, epoch uint64, batches map[rin
 		codec.PutWriter(pw)
 	}
 	return errors.Join(errs...)
-}
-
-// InstallTermGrid installs a grid for one specific term.
-func (n *Node) InstallTermGrid(term string, g *alloc.Grid) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if g == nil {
-		delete(n.termGrids, term)
-		return
-	}
-	n.termGrids[term] = g
-}
-
-// TermGridCount returns the number of installed per-term grids — the
-// forwarding-table size §V's aggregation keeps at one.
-func (n *Node) TermGridCount() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.termGrids)
-}
-
-// BuildTermAllocation migrates the filters on one term's posting list to
-// the grid columns and installs the per-term grid — the hard-flip ablation
-// counterpart of PrepareAllocation.
-func (n *Node) BuildTermAllocation(ctx context.Context, epoch uint64, term string, g *alloc.Grid) error {
-	ids, err := n.ix.PostingIDs(term)
-	if err != nil {
-		return err
-	}
-	batches := make(map[ring.NodeID][]RegisterReq)
-	for _, id := range ids {
-		f, ok, err := n.ix.GetFilter(id)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		col := g.Column(f.ID)
-		entry := RegisterReq{Filter: f, PostingTerms: []string{term}}
-		for row := 0; row < g.Rows(); row++ {
-			target := g.Node(row, col)
-			if target == n.cfg.ID {
-				continue
-			}
-			batches[target] = append(batches[target], entry)
-		}
-	}
-	if err := n.sendMigrations(ctx, epoch, batches); err != nil {
-		return err
-	}
-	n.InstallTermGrid(term, g)
-	return nil
 }
 
 // Stats snapshots the node's counters.

@@ -24,12 +24,12 @@ const (
 	msgMigrate     = 5 // install allocated filters (batch)
 	msgStatsPull   = 6 // coordinator statistics pull
 	// 7 retired: msgInstallGrid (hard-flip grid installation).
-	msgInstallBloom = 8  // install the global filter-term Bloom filter
-	msgGossip       = 9  // membership digest
-	msgDropGrid     = 10 // clear the allocation grid
-	msgUnregister   = 11 // remove a filter definition
-	// 12 retired: msgAllocate (hard-flip allocation round).
-	msgAllocateTerm = 13 // per-term allocation round (ablation of §V's per-node grids)
+	msgInstallBloom = 8 // install the global filter-term Bloom filter
+	msgGossip       = 9 // membership digest
+	// 10 retired: msgDropGrid (a restart drops the table; nothing sends it).
+	msgUnregister = 11 // remove a filter definition
+	// 12, 13 retired: msgAllocate / msgAllocateTerm (hard-flip allocation
+	// rounds, node-wide and per-term; both cut over through msgPrepareAlloc).
 	// 14–19 retired: msgPublish{,Local}Batch, msgPublish{,Local}Multi,
 	// msgPublish{,Local}MultiBatch (superseded by msgPublish).
 	// 20, 21 retired: msgDeliver / msgFetch (polled mailbox tier).
@@ -52,26 +52,25 @@ const (
 	msgPublish = 29
 )
 
-// EncodeAllocateTerm serializes a per-term allocation command.
-func EncodeAllocateTerm(epoch uint64, term string, g *alloc.Grid) []byte {
-	gridBytes := g.Encode()
-	w := codec.NewWriter(24 + len(term) + len(gridBytes))
-	w.Uint8(msgAllocateTerm)
-	w.Uvarint(epoch)
-	w.String(term)
-	w.Bytes0(gridBytes)
-	return w.Bytes()
-}
-
 // EncodePrepareAlloc serializes a prepare-phase reallocation command for a
 // home node: migrate owned filters to their new placements and install the
 // grid as pending (dual-read until commit or abort).
 func EncodePrepareAlloc(epoch uint64, g *alloc.Grid) []byte {
+	return EncodePrepareTermAlloc(epoch, "", g)
+}
+
+// EncodePrepareTermAlloc is EncodePrepareAlloc scoped to one term of the home
+// node — the per-term ablation's forwarding-table entry. The scope is an
+// optional trailing term; the node-wide scope ("") writes none.
+func EncodePrepareTermAlloc(epoch uint64, term string, g *alloc.Grid) []byte {
 	gridBytes := g.Encode()
-	w := codec.NewWriter(16 + len(gridBytes))
+	w := codec.NewWriter(16 + len(gridBytes) + len(term))
 	w.Uint8(msgPrepareAlloc)
 	w.Uvarint(epoch)
 	w.Bytes0(gridBytes)
+	if term != "" {
+		w.String(term)
+	}
 	return w.Bytes()
 }
 
@@ -474,10 +473,7 @@ func DecodeStatsResp(data []byte) (StatsResp, error) {
 // EncodeStatsPull builds a statistics pull request.
 func EncodeStatsPull() []byte { return []byte{msgStatsPull} }
 
-// --- Grid drop / Bloom install ---
-
-// EncodeDropGrid serializes a grid removal.
-func EncodeDropGrid() []byte { return []byte{msgDropGrid} }
+// --- Bloom install / gossip ---
 
 // EncodeInstallBloom serializes a Bloom-filter installation.
 func EncodeInstallBloom(bloomBytes []byte) []byte {

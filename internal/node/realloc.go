@@ -10,18 +10,21 @@ import (
 	"github.com/movesys/move/internal/model"
 )
 
-// This file is the node side of the two-phase reallocation protocol (§13):
+// This file is the node side of the two-phase reallocation protocol (§13).
+// Every forwarding-table entry — the node-wide one and each term-scoped one
+// — cuts over the same way:
 //
-//	prepare  — PrepareAllocation: install the new grid as *pending* (the
-//	           dual-read window opens), then migrate every home-owned
-//	           filter to its new placements. Migrations are journaled per
-//	           epoch so they can be unwound.
-//	commit   — CommitGrid: promote pending to committed atomically; the
-//	           dual-read window closes and the epoch's journal is retired
-//	           (the copies are now the authoritative placements).
-//	abort    — AbortGrid: drop the pending grid and unregister exactly the
-//	           filter copies this epoch's migrations created, restoring the
-//	           pre-prepare state bit for bit.
+//	prepare  — PrepareAllocation: install the new grid as the entry's
+//	           *pending* (its dual-read window opens), then migrate every
+//	           filter the scope owns to its new placements. Migrations are
+//	           journaled per epoch so they can be unwound.
+//	commit   — CommitGrid: promote every pending grid of the epoch to
+//	           committed atomically; the dual-read windows close and the
+//	           epoch's journal is retired (the copies are now the
+//	           authoritative placements).
+//	abort    — AbortGrid: drop the epoch's pending grids and unregister
+//	           exactly the filter copies its migrations created, restoring
+//	           the pre-prepare state bit for bit.
 //
 // Ordering matters in prepare: the pending grid is installed *before* the
 // filter scan. A registration racing the prepare either lands in the store
@@ -30,53 +33,76 @@ import (
 // the pending placements itself) — both sides of the race deliver the
 // filter, and idempotent replay makes delivering it twice harmless.
 
-// PrepareGrid installs g as the pending grid for epoch, opening the
-// dual-read window. Re-preparing the same epoch is idempotent (a retried
-// prepare RPC must not fail); an epoch at or below the committed one is
-// rejected as stale.
-func (n *Node) PrepareGrid(epoch uint64, g *alloc.Grid) bool {
+// tableEntry is one scope of the forwarding table: the grid serving the
+// scope's terms and, between a prepare and its commit or abort, the next
+// epoch's. While pending is non-nil the node dual-reads the scope: publishes
+// fan out to both grids and union the match sets, so no match is dropped
+// whichever placement a filter is physically on.
+type tableEntry struct {
+	committed    *alloc.Grid
+	pending      *alloc.Grid
+	pendingEpoch uint64
+	// dualSince marks when the current dual-read window opened.
+	dualSince time.Time
+}
+
+// PrepareGrid installs g as the pending grid of scope term ("" = node-wide)
+// for epoch, opening the scope's dual-read window. Re-preparing the same
+// epoch is idempotent (a retried prepare RPC must not fail); an epoch at or
+// below the committed one is rejected as stale.
+func (n *Node) PrepareGrid(epoch uint64, term string, g *alloc.Grid) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if epoch <= n.gridEpoch {
 		return false
 	}
-	if n.pending == nil || n.pendingEpoch != epoch {
-		n.dualSince = time.Now()
+	e := n.table[term]
+	if e == nil {
+		e = &tableEntry{}
+		n.table[term] = e
 	}
-	n.pending = g
-	n.pendingEpoch = epoch
+	if e.pending == nil || e.pendingEpoch != epoch {
+		e.dualSince = time.Now()
+	}
+	e.pending = g
+	e.pendingEpoch = epoch
 	return true
 }
 
-// PrepareAllocation executes the prepare phase on this home node: pending
-// grid first (see the ordering note above), then the filter migrations.
-// Any migration failure propagates so the coordinator aborts the round.
-func (n *Node) PrepareAllocation(ctx context.Context, epoch uint64, g *alloc.Grid) error {
-	if !n.PrepareGrid(epoch, g) {
+// PrepareAllocation executes the prepare phase of scope term on this home
+// node: pending grid first (see the ordering note above), then the filter
+// migrations. Any migration failure propagates so the coordinator aborts
+// the round.
+func (n *Node) PrepareAllocation(ctx context.Context, epoch uint64, term string, g *alloc.Grid) error {
+	if !n.PrepareGrid(epoch, term, g) {
 		return fmt.Errorf("node %s: prepare epoch %d is not newer than committed epoch", n.cfg.ID, epoch)
 	}
-	batches, err := n.homeOwnedBatches(g)
+	batches, err := n.ownedBatches(term, g)
 	if err != nil {
 		return err
 	}
 	return n.sendMigrations(ctx, epoch, batches)
 }
 
-// CommitGrid is the cutover barrier: it atomically promotes epoch's
-// pending grid to committed and retires the epoch's migration journal.
-// Broadcast to every node, it is a benign no-op on nodes without a
-// matching pending grid (non-participants, already-committed retries).
-// Reports whether this call performed the promotion.
+// CommitGrid is the cutover barrier: it atomically promotes every grid
+// pending under epoch to committed and retires the epoch's migration
+// journal. Broadcast to every node, it is a benign no-op on nodes with
+// nothing pending under the epoch (non-participants, already-committed
+// retries). Reports whether this call promoted anything.
 func (n *Node) CommitGrid(epoch uint64) bool {
 	n.mu.Lock()
 	committed := false
-	if n.pending != nil && n.pendingEpoch == epoch && epoch > n.gridEpoch {
-		n.grid = n.pending
-		n.gridEpoch = epoch
-		n.pending = nil
-		n.pendingEpoch = 0
-		n.hDualRead.Observe(time.Since(n.dualSince))
-		committed = true
+	if epoch > n.gridEpoch {
+		for _, e := range n.table {
+			if e.pending != nil && e.pendingEpoch == epoch {
+				e.committed, e.pending, e.pendingEpoch = e.pending, nil, 0
+				n.hDualRead.Observe(time.Since(e.dualSince))
+				committed = true
+			}
+		}
+		if committed {
+			n.gridEpoch = epoch
+		}
 	}
 	n.mu.Unlock()
 	if committed {
@@ -90,16 +116,22 @@ func (n *Node) CommitGrid(epoch uint64) bool {
 	return committed
 }
 
-// AbortGrid unwinds epoch's prepare: the pending grid is dropped and every
-// filter copy the epoch's migrations created is unregistered. Copies that
-// existed before the prepare were never journaled and are untouched.
-// Broadcast to every node; a no-op where the epoch left no state.
+// AbortGrid unwinds epoch's prepares: every grid pending under it is dropped
+// — an entry left with no committed grid leaves the table — and every filter
+// copy the epoch's migrations created is unregistered. Copies that existed
+// before the prepare were never journaled and are untouched. Broadcast to
+// every node; a no-op where the epoch left no state.
 func (n *Node) AbortGrid(epoch uint64) error {
 	n.mu.Lock()
-	hadPending := n.pending != nil && n.pendingEpoch == epoch
-	if hadPending {
-		n.pending = nil
-		n.pendingEpoch = 0
+	hadPending := false
+	for scope, e := range n.table {
+		if e.pending != nil && e.pendingEpoch == epoch {
+			e.pending, e.pendingEpoch = nil, 0
+			hadPending = true
+			if e.committed == nil {
+				delete(n.table, scope)
+			}
+		}
 	}
 	n.mu.Unlock()
 
@@ -124,12 +156,18 @@ func (n *Node) AbortGrid(epoch uint64) error {
 }
 
 // EpochInfo snapshots the node's reallocation state: the committed epoch,
-// the pending epoch (zero when none), and whether a dual-read window is
-// open. Surfaced on /healthz.
+// the newest pending epoch (zero when none), and whether any forwarding-table
+// entry has a dual-read window open. Surfaced on /healthz.
 func (n *Node) EpochInfo() (committed, pending uint64, dualReading bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.gridEpoch, n.pendingEpoch, n.pending != nil
+	for _, e := range n.table {
+		if e.pending != nil {
+			dualReading = true
+			pending = max(pending, e.pendingEpoch)
+		}
+	}
+	return n.gridEpoch, pending, dualReading
 }
 
 // handleMigrate installs a batch of allocated filters. Replay-safe: a

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/movesys/move/internal/alloc"
@@ -71,11 +72,12 @@ func TestFullRPCSurface(t *testing.T) {
 	if committed, pending, dual := nd.EpochInfo(); committed != 3 || pending != 0 || dual {
 		t.Fatalf("after abort RPC: committed=%d pending=%d dual=%v, want 3/0/false", committed, pending, dual)
 	}
-	if _, err := nd.Handle(ctx, "coord", EncodeDropGrid()); err != nil {
-		t.Fatal(err)
-	}
-	if g, _ := nd.Grid(); g != nil {
-		t.Fatal("grid not dropped via RPC")
+	// The retired hard-flip and drop frames are refused, not decoded as
+	// something else.
+	for _, retired := range []byte{7, 10, 12, 13} {
+		if _, err := nd.Handle(ctx, "coord", []byte{retired}); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Fatalf("retired message type %d: err = %v, want unknown message type", retired, err)
+		}
 	}
 
 	// Bloom install via RPC.
@@ -91,24 +93,15 @@ func TestFullRPCSurface(t *testing.T) {
 	}
 }
 
-// TestAllocateTermRPC drives the per-term allocation message end to end.
-func TestAllocateTermRPC(t *testing.T) {
+// TestPrepareTermAllocRPC drives a term-scoped round through the wire frames:
+// the prepare carries the term, the commit is the node-wide one.
+func TestPrepareTermAllocRPC(t *testing.T) {
 	h := newHarness(t, 6)
 	ctx := context.Background()
-	home, err := h.ring.HomeNode("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	homeNode := h.nodeByID(home)
-	for i := 1; i <= 12; i++ {
-		f := model.Filter{ID: model.FilterID(i), Subscriber: "s", Terms: []string{"hot"}, Mode: model.MatchAny}
-		if _, err := homeNode.Handle(ctx, "c", EncodeRegister(RegisterReq{Filter: f, PostingTerms: f.Terms})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	homeNode := registerHotFilters(t, h, 12)
 	var peers []ring.NodeID
 	for _, nd := range h.nodes {
-		if nd.ID() != home {
+		if nd != homeNode {
 			peers = append(peers, nd.ID())
 		}
 	}
@@ -116,11 +109,18 @@ func TestAllocateTermRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := homeNode.Handle(ctx, "c", EncodeAllocateTerm(1, "hot", grid)); err != nil {
+	if _, err := homeNode.Handle(ctx, "c", EncodePrepareTermAlloc(1, "hot", grid)); err != nil {
 		t.Fatal(err)
 	}
-	if homeNode.TermGridCount() != 1 {
-		t.Fatal("term grid not installed via RPC")
+	if committed, pending, dual := homeNode.EpochInfo(); committed != 0 || pending != 1 || !dual || homeNode.TermGridCount() != 1 {
+		t.Fatalf("after the term prepare: committed=%d pending=%d dual=%v term entries=%d, want 0/1/true/1",
+			committed, pending, dual, homeNode.TermGridCount())
+	}
+	if _, err := homeNode.Handle(ctx, "c", EncodeCommitGrid(1)); err != nil {
+		t.Fatal(err)
+	}
+	if g, epoch := homeNode.Grid(); g != nil || epoch != 1 {
+		t.Fatalf("node-wide grid=%v epoch=%d after a term-scoped round, want none at epoch 1", g, epoch)
 	}
 
 	doc := &model.Document{ID: 1, Terms: []string{"hot"}}
@@ -131,11 +131,20 @@ func TestAllocateTermRPC(t *testing.T) {
 	if len(matches) != 12 {
 		t.Fatalf("matches = %d, want 12", len(matches))
 	}
+	columns := 0
+	for _, hop := range homeNode.Traces().Last(1)[0].Hops {
+		if hop.Stage == "column" {
+			columns++
+		}
+	}
+	if columns != 2 {
+		t.Fatalf("home served the publish through %d column hop(s), want the term grid's 2", columns)
+	}
 
-	// Dropping the term grid restores local matching.
-	homeNode.InstallTermGrid("hot", nil)
+	// A restart drops term entries with everything else.
+	homeNode.DropGrid()
 	if homeNode.TermGridCount() != 0 {
-		t.Fatal("term grid not removed")
+		t.Fatal("term entry survived DropGrid")
 	}
 }
 

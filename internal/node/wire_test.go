@@ -1,16 +1,20 @@
 package node
 
 import (
+	"context"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/testutil"
 	"github.com/movesys/move/internal/trace"
 )
@@ -326,6 +330,37 @@ func TestWireBudget(t *testing.T) {
 			}
 			t.Logf("%-12s %6d bytes in %d frames", "total", b.total(), b.frames)
 		})
+	}
+}
+
+// TestPrepareAllocFrame pins the prepare frame. The node-wide form is byte
+// for byte the frame deployed coordinators already send (the hex is the
+// parent commit's output for the same arguments); a term scope rides as one
+// trailing string; and an explicitly empty trailing scope decodes as the
+// node-wide entry — never a second one beside it.
+func TestPrepareAllocFrame(t *testing.T) {
+	g, err := alloc.NewGrid(2, 2, []ring.NodeID{"n1", "n2", "node-3", "d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parent = "16ac02110202026e31026e32066e6f64652d330164"
+	nodeWide := EncodePrepareAlloc(300, g)
+	if got := hex.EncodeToString(nodeWide); got != parent {
+		t.Fatalf("EncodePrepareAlloc(300, g) = %s, want the parent's %s", got, parent)
+	}
+	if got := hex.EncodeToString(EncodePrepareTermAlloc(300, "hot", g)); got != parent+"03686f74" {
+		t.Fatalf("term-scoped prepare = %s, want the node-wide frame plus the term", got)
+	}
+
+	nd := soloNode(t)
+	for _, payload := range [][]byte{nodeWide, append(nodeWide, 0)} {
+		if _, err := nd.Handle(context.Background(), "coord", payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, pending, _ := nd.EpochInfo(); pending != 300 || len(nd.table) != 1 || nd.TermGridCount() != 0 {
+			t.Fatalf("after a %d-byte node-wide prepare: pending=%d, %d entries, %d term-scoped; want 300/1/0",
+				len(payload), pending, len(nd.table), nd.TermGridCount())
+		}
 	}
 }
 

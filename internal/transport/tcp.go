@@ -69,20 +69,14 @@ func StaticResolver(addrs map[ring.NodeID]string) Resolver {
 }
 
 // TCPOptions tunes the wire fast path (DESIGN.md §16). The zero value asks
-// for defaults everywhere: a GOMAXPROCS-derived stripe count, natural
-// coalescing only (no added delay), and dial backoff on.
+// for defaults everywhere: a GOMAXPROCS-derived stripe count and dial backoff
+// on.
 type TCPOptions struct {
 	// Conns is the number of striped connections kept per peer. Concurrent
 	// Sends round-robin across stripes so high in-flight counts stop
 	// serializing on one connection's send queue. 0 derives from
 	// GOMAXPROCS, clamped to [2, 8].
 	Conns int
-
-	// FlushDelay is how long the writer lingers after waking before
-	// draining, letting concurrent senders pile onto the same syscall.
-	// 0 (the default) relies on natural coalescing: frames enqueued while
-	// the previous Write is on the wire share the next one.
-	FlushDelay time.Duration
 
 	// DialBackoff is the cooldown after a failed dial during which further
 	// dial attempts to that peer fail fast with ErrNodeDown instead of
@@ -271,7 +265,7 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		wr := newConnWriter(conn, n.opts.FlushDelay, n.met)
+		wr := newConnWriter(conn, n.met)
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
@@ -490,7 +484,7 @@ func (p *peerPool) dial(slot int) (*tcpConn, error) {
 	if p.redial != nil {
 		p.redial.RecordSuccess()
 	}
-	c := newTCPConn(raw, p.n.opts.FlushDelay, p.n.met)
+	c := newTCPConn(raw, p.n.met)
 
 	n := p.n
 	n.mu.Lock()
@@ -577,10 +571,10 @@ type result struct {
 // could not be parsed past the request ID.
 var errMalformedResponse = errors.New("transport: protocol error: malformed response")
 
-func newTCPConn(raw net.Conn, flushDelay time.Duration, met *wireMetrics) *tcpConn {
+func newTCPConn(raw net.Conn, met *wireMetrics) *tcpConn {
 	return &tcpConn{
 		raw:     raw,
-		wr:      newConnWriter(raw, flushDelay, met),
+		wr:      newConnWriter(raw, met),
 		met:     met,
 		pending: make(map[uint64]chan result),
 	}

@@ -184,7 +184,7 @@ func TestStaticResolver(t *testing.T) {
 func TestFrameSizeLimit(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
-	w := newConnWriter(server, 0, newWireMetrics(nil))
+	w := newConnWriter(server, newWireMetrics(nil))
 	defer w.closeWith(ErrClosed)
 	if err := w.enqueue(make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("enqueue accepted oversized frame")

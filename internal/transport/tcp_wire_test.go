@@ -328,35 +328,6 @@ func TestTCPCoalescingMetricsAndStats(t *testing.T) {
 	}
 }
 
-// TestTCPFlushDelayCoalesces forces a flush window and checks that a burst
-// enqueued inside it lands in fewer syscalls than frames.
-func TestTCPFlushDelayCoalesces(t *testing.T) {
-	reg := metrics.NewRegistry()
-	p := startTCPPairOpts(t, nil, TCPOptions{Conns: 1, FlushDelay: 3 * time.Millisecond, Metrics: reg})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := p.a.Send(context.Background(), "b", []byte(strconv.Itoa(i)))
-			if err != nil {
-				t.Errorf("send %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	frames := reg.Counter("transport.tcp.flush.frames").Value()
-	syscalls := reg.Counter("transport.tcp.flush.syscalls").Value()
-	if syscalls == 0 {
-		t.Fatal("no flushes recorded")
-	}
-	if frames*1000/syscalls < 1500 { // > 1.5 frames/syscall on a 64-deep burst
-		t.Fatalf("flush window did not coalesce: frames=%d syscalls=%d", frames, syscalls)
-	}
-}
-
 // TestConnWriterBackpressure pins the bounded send queue: with the peer not
 // reading, the writer goroutine wedges in its first Write, enqueues pile up
 // to maxQueueBytes, and the next one blocks — until the peer drains (every
@@ -371,7 +342,7 @@ func TestConnWriterBackpressure(t *testing.T) {
 		t.Run(release, func(t *testing.T) {
 			client, server := net.Pipe()
 			defer client.Close()
-			w := newConnWriter(server, 0, newWireMetrics(nil))
+			w := newConnWriter(server, newWireMetrics(nil))
 			ran := make(chan struct{})
 			go func() {
 				defer close(ran)

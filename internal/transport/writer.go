@@ -50,20 +50,15 @@ const writeTimeout = 10 * time.Second
 // Write per round, so N concurrent senders cost one syscall instead of N
 // (DESIGN.md §16). What it adds to the shared round:
 //
-//   - size bound: a queue passing frame.RoundBytes nudges the writer to
-//     drain mid-delay instead of waiting out the window;
-//   - delay bound: with flushDelay > 0 the writer lingers that long after
-//     waking so concurrent senders pile onto the same round (0 = natural
-//     coalescing only: frames arriving during the previous Write share the
-//     next one);
+//   - natural coalescing: the writer never waits for company — frames
+//     arriving during the previous Write share the next one;
 //   - ordering bound: frames go to the wire in enqueue order; RPC responses
 //     carry request IDs, so no frame class needs to jump the queue;
 //   - backpressure: enqueues past maxQueueBytes block until the writer
 //     drains.
 type connWriter struct {
-	raw        net.Conn
-	met        *wireMetrics
-	flushDelay time.Duration
+	raw net.Conn
+	met *wireMetrics
 
 	mu      sync.Mutex
 	notFull *sync.Cond
@@ -71,19 +66,16 @@ type connWriter struct {
 	err     error
 
 	wake    chan struct{} // buffered(1): frames pending
-	urgent  chan struct{} // buffered(1): size bound passed mid-delay
 	stop    chan struct{}
 	stopped sync.Once
 }
 
-func newConnWriter(raw net.Conn, flushDelay time.Duration, met *wireMetrics) *connWriter {
+func newConnWriter(raw net.Conn, met *wireMetrics) *connWriter {
 	w := &connWriter{
-		raw:        raw,
-		met:        met,
-		flushDelay: flushDelay,
-		wake:       make(chan struct{}, 1),
-		urgent:     make(chan struct{}, 1),
-		stop:       make(chan struct{}),
+		raw:  raw,
+		met:  met,
+		wake: make(chan struct{}, 1),
+		stop: make(chan struct{}),
 	}
 	w.notFull = sync.NewCond(&w.mu)
 	return w
@@ -112,19 +104,12 @@ func (w *connWriter) enqueue(payload []byte) error {
 	case w.wake <- struct{}{}:
 	default:
 	}
-	if depth >= frame.RoundBytes {
-		select {
-		case w.urgent <- struct{}{}:
-		default:
-		}
-	}
 	return nil
 }
 
-// run is the writer goroutine: wake → (optional delay window) → one
-// deadline-bounded Write of every queued frame. It owns closing the raw
-// connection, so the read side unblocks as soon as the writer dies —
-// whether from a write error or a closeWith.
+// run is the writer goroutine: wake → one deadline-bounded Write of every
+// queued frame. It owns closing the raw connection, so the read side unblocks
+// as soon as the writer dies — whether from a write error or a closeWith.
 func (w *connWriter) run() {
 	defer func() { _ = w.raw.Close() }()
 	for {
@@ -133,18 +118,6 @@ func (w *connWriter) run() {
 		case <-w.stop:
 			_ = w.flushOnce() // best-effort final drain
 			return
-		}
-		if w.flushDelay > 0 && w.queuedBytes() < frame.RoundBytes {
-			t := time.NewTimer(w.flushDelay)
-			select {
-			case <-t.C:
-			case <-w.urgent:
-				t.Stop()
-			case <-w.stop:
-				t.Stop()
-				_ = w.flushOnce()
-				return
-			}
 		}
 		if err := w.flushOnce(); err != nil {
 			w.fail(err)
