@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench loc wire-budget fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
+.PHONY: build vet test race bench loc wire-budget mem-budget fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ loc:
 # when a class passes its ceiling; quote its table before changing a frame.
 wire-budget:
 	$(GO) test -count=1 -run TestWireBudget -v ./internal/node
+
+# The index layer's memory microbench: heap bytes one registered filter costs
+# in the three populations the repository benchmark registers, on an index
+# over a store without a data directory (what its daemons run), one row per
+# population. Fails when a row passes its ceiling; quote its table before
+# changing what Register retains.
+mem-budget:
+	$(GO) test -count=1 -run TestMemBudget -v ./internal/index
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
 # shake out regressions in the codec, framing, tokenizer, index and
@@ -118,4 +126,4 @@ benchmark-smoke:
 	done
 
 # .github/workflows/ci.yml runs these same steps in this order.
-ci: vet build loc wire-budget race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke
+ci: vet build loc wire-budget mem-budget race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke

@@ -29,13 +29,10 @@ type aggregateReport struct {
 	Docs          int    `json:"docs"`
 	Seed          int64  `json:"seed"`
 
-	// StoreBytesPerFilter is the durable layer's heap cost per filter —
-	// identical content under both engines, measured so the index figures
-	// below can exclude it.
-	StoreBytesPerFilter float64 `json:"store_bytes_per_filter"`
-	// FlatBytesPerFilter / AggBytesPerFilter are the serving-layer heap
-	// bytes per registered filter (store cost subtracted out) for the
-	// flat and aggregated engines.
+	// FlatBytesPerFilter / AggBytesPerFilter are the heap bytes a build
+	// retains per registered filter under the flat and aggregated engines —
+	// all of it the serving layer: an index over a store without a data
+	// directory writes nothing through.
 	FlatBytesPerFilter float64 `json:"flat_index_bytes_per_filter"`
 	AggBytesPerFilter  float64 `json:"agg_index_bytes_per_filter"`
 	// Reduction is 1 - agg/flat: the fraction of serving-layer index
@@ -78,8 +75,8 @@ const (
 const aggregateReductionFloor = 0.30
 
 // heapInUse settles the heap and returns the live allocation level. Two GC
-// cycles let finalizer-freed objects (store column families dropped between
-// builds) actually leave the heap before the reading.
+// cycles let finalizer-freed objects of the previous build actually leave
+// the heap before the reading.
 func heapInUse() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -89,8 +86,8 @@ func heapInUse() uint64 {
 }
 
 // aggregateFilterAt builds the i-th synthetic filter over the prepared
-// term sets — deterministic, so the store-only, flat, and aggregated
-// builds register byte-identical content.
+// term sets — deterministic, so the flat and aggregated builds register
+// byte-identical content.
 func aggregateFilterAt(i int, terms []string) model.Filter {
 	return model.Filter{
 		ID:         model.FilterID(i + 1),
@@ -119,39 +116,6 @@ func buildAggregateIndex(open func(*store.Store) (*index.Index, error), filterTe
 		}
 	}
 	return ix, int64(heapInUse()) - int64(before), nil
-}
-
-// buildAggregateStoreOnly writes the same filters and postings straight to
-// a store with no index on top — the durable-layer baseline subtracted
-// from both engines' totals.
-func buildAggregateStoreOnly(filterTerms [][]string) (int64, error) {
-	before := heapInUse()
-	st, err := store.Open("", store.Options{})
-	if err != nil {
-		return 0, err
-	}
-	fs, err := store.NewFilterStore(st)
-	if err != nil {
-		return 0, err
-	}
-	ps, err := store.NewPostingStore(st)
-	if err != nil {
-		return 0, err
-	}
-	for i, terms := range filterTerms {
-		f := aggregateFilterAt(i, terms)
-		if err := fs.Put(f); err != nil {
-			return 0, err
-		}
-		for _, t := range terms {
-			if err := ps.Add(t, f.ID); err != nil {
-				return 0, err
-			}
-		}
-	}
-	delta := int64(heapInUse()) - int64(before)
-	runtime.KeepAlive(st)
-	return delta, nil
 }
 
 // aggregateMatchSet renders one document's match set in canonical sorted
@@ -185,12 +149,12 @@ func aggregateMatchRun(ix *index.Index, docs []*model.Document) (float64, error)
 	return float64(time.Since(start).Nanoseconds()) / float64(len(docs)), nil
 }
 
-// runAggregateFig builds the same synthetic Zipf filter set three times —
-// store only, flat index, aggregated covering index — and prices each
-// build's retained heap. Every document's aggregated match set is verified
-// byte-identical to the flat engine's (the in-tree oracle), so a memory
-// "optimization" that corrupts matching fails loudly here. Hard-fails when
-// the serving-layer reduction drops below the 30% acceptance floor.
+// runAggregateFig builds the same synthetic Zipf filter set twice — flat
+// index, aggregated covering index — and prices each build's retained heap.
+// Every document's aggregated match set is verified byte-identical to the
+// flat engine's (the in-tree oracle), so a memory "optimization" that
+// corrupts matching fails loudly here. Hard-fails when the serving-layer
+// reduction drops below the 30% acceptance floor.
 func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTerms, docs int, seed int64) error {
 	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: distinctTerms, Seed: seed})
 	if err != nil {
@@ -227,12 +191,7 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 		docSet[i] = d
 	}
 
-	storeBytes, err := buildAggregateStoreOnly(filterTerms)
-	if err != nil {
-		return fmt.Errorf("store-only build: %w", err)
-	}
-
-	flat, flatTotal, err := buildAggregateIndex(index.NewFlat, filterTerms)
+	flat, flatBytes, err := buildAggregateIndex(index.NewFlat, filterTerms)
 	if err != nil {
 		return fmt.Errorf("flat build: %w", err)
 	}
@@ -248,7 +207,7 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 	}
 	flat = nil // release the flat engine before the aggregated build prices its heap
 
-	agg, aggTotal, err := buildAggregateIndex(index.New, filterTerms)
+	agg, aggBytes, err := buildAggregateIndex(index.New, filterTerms)
 	if err != nil {
 		return fmt.Errorf("aggregated build: %w", err)
 	}
@@ -271,10 +230,8 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 	cs := agg.CoverStats()
 	cd := agg.CoverDetailStats()
 
-	flatIndexBytes := flatTotal - storeBytes
-	aggIndexBytes := aggTotal - storeBytes
-	if flatIndexBytes <= 0 {
-		return fmt.Errorf("flat serving layer measured %d bytes over a %d-byte store; workload too small to price", flatIndexBytes, storeBytes)
+	if flatBytes <= 0 {
+		return fmt.Errorf("flat serving layer measured %d bytes; workload too small to price", flatBytes)
 	}
 	n := float64(filters)
 	rep := aggregateReport{
@@ -284,10 +241,9 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 		DistinctTerms:        distinctTerms,
 		Docs:                 docs,
 		Seed:                 seed,
-		StoreBytesPerFilter:  float64(storeBytes) / n,
-		FlatBytesPerFilter:   float64(flatIndexBytes) / n,
-		AggBytesPerFilter:    float64(aggIndexBytes) / n,
-		Reduction:            1 - float64(aggIndexBytes)/float64(flatIndexBytes),
+		FlatBytesPerFilter:   float64(flatBytes) / n,
+		AggBytesPerFilter:    float64(aggBytes) / n,
+		Reduction:            1 - float64(aggBytes)/float64(flatBytes),
 		Covers:               cs.Covers,
 		CoveredFilters:       cs.CoveredFilters,
 		StoredEntries:        cs.StoredEntries,

@@ -44,7 +44,7 @@ func run() error {
 	listen := flag.String("listen", "", "listen address host:port")
 	peersFlag := flag.String("peers", "", "comma-separated id=host:port cluster map")
 	rack := flag.String("rack", "rack-0", "rack label for placement")
-	dir := flag.String("dir", "", "data directory ('' = in-memory)")
+	dir := flag.String("dir", "", "data directory, flushed to on a clean shutdown and read back at start ('' = in-memory, nothing kept)")
 	gossipEvery := flag.Duration("gossip", time.Second, "gossip interval")
 	debugAddr := flag.String("debug.addr", "", "debug HTTP listen address serving /metrics, /trace/last, /healthz and /debug/pprof ('' = disabled)")
 
@@ -270,5 +270,12 @@ func run() error {
 	snap := reg.Snapshot()
 	fmt.Printf("moved: shutting down (retries=%d giveups=%d breaker.open=%d failovers=%d)\n",
 		snap["rpc.retries"], snap["rpc.giveups"], snap["breaker.open"], snap["publish.failover"])
+	// There is no write-ahead log: what -dir keeps of the writes since the
+	// last flush is what this writes out. The listener closes first — Close
+	// waits for the handlers in flight — so every acknowledged write is in.
+	_ = tn.Close()
+	if err := st.FlushAll(); err != nil {
+		return fmt.Errorf("flush %s: %w", *dir, err)
+	}
 	return nil
 }

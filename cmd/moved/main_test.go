@@ -1,0 +1,154 @@
+package main
+
+import (
+	"bufio"
+	"context"
+	"fmt"
+	"net"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/node"
+	"github.com/movesys/move/internal/ring"
+	"github.com/movesys/move/internal/transport"
+)
+
+// startMoved runs the built binary as node n0 on addr over dir and returns
+// once it reports its listener. The process is killed when the test ends if
+// the test did not stop it.
+func startMoved(t *testing.T, bin, addr, dir string) *exec.Cmd {
+	t.Helper()
+	cmd := exec.Command(bin, "-id", "n0", "-listen", addr, "-dir", dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
+	lines := bufio.NewScanner(stdout)
+	for lines.Scan() {
+		if strings.Contains(lines.Text(), "listening on") {
+			go func() { // keep the pipe drained so the daemon never blocks on it
+				for lines.Scan() {
+				}
+			}()
+			return cmd
+		}
+	}
+	t.Fatalf("moved exited before listening: %v\n%s", lines.Err(), stderr.String())
+	return nil
+}
+
+// TestCleanShutdownKeepsFilters: a moved started with -dir that gets SIGTERM
+// writes its memtables out before it exits, so a restart on the same
+// directory holds every filter it had acknowledged and matches as before.
+func TestCleanShutdownKeepsFilters(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "moved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	dir := t.TempDir()
+
+	r := ring.New(ring.Config{})
+	if err := r.Add(ring.Member{ID: "n0", Rack: "rack-0"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	// connect builds an off-ring entry node, as each movectl run is one: one
+	// per daemon incarnation, since pooled connections die with the process.
+	connect := func() (*node.Node, *transport.TCPNode) {
+		t.Helper()
+		entry, err := node.New(node.Config{ID: "client", Ring: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reject := func(context.Context, ring.NodeID, []byte) ([]byte, error) {
+			return nil, fmt.Errorf("the test client serves no requests")
+		}
+		tn, err := transport.NewTCP("client", "127.0.0.1:0", reject, transport.StaticResolver(map[ring.NodeID]string{"n0": addr}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = tn.Close() })
+		entry.Attach(tn)
+		return entry, tn
+	}
+	doc := &model.Document{ID: 1, Terms: []string{"alerts", "storm"}}
+	publish := func(entry *node.Node) []model.FilterID {
+		t.Helper()
+		matches, _, err := entry.PublishEntry(ctx, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]model.FilterID, len(matches))
+		for i, m := range matches {
+			ids[i] = m.Filter
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	filters := func(tn *transport.TCPNode) int64 {
+		t.Helper()
+		raw, err := tn.Send(ctx, "n0", node.EncodeStatsPull())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := node.DecodeStatsResp(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Filters
+	}
+
+	first := startMoved(t, bin, addr, dir)
+	entry, tn := connect()
+	for i := 1; i <= 200; i++ {
+		// Every third filter needs a term the document lacks.
+		f := model.Filter{ID: model.FilterID(i), Subscriber: fmt.Sprintf("sub-%d", i%16), Terms: []string{"alerts", "storm"}, Mode: model.MatchAll}
+		if i%3 == 0 {
+			f.Terms = []string{"alerts", "calm"}
+		}
+		if _, err := tn.Send(ctx, "n0", node.EncodeRegister(node.RegisterReq{Filter: f, PostingTerms: f.Terms})); err != nil {
+			t.Fatalf("register %d: %v", i, err)
+		}
+	}
+	before := publish(entry)
+	if got := filters(tn); got != 200 || len(before) != 134 {
+		t.Fatalf("before the restart: %d filters, %d matches; want 200, 134", got, len(before))
+	}
+	if err := first.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Wait(); err != nil {
+		t.Fatalf("moved after SIGTERM: %v", err)
+	}
+
+	startMoved(t, bin, addr, dir)
+	entry, tn = connect()
+	if got := filters(tn); got != 200 {
+		t.Fatalf("the restarted daemon holds %d filters, want 200", got)
+	}
+	if after := publish(entry); !slices.Equal(after, before) {
+		t.Fatalf("match set changed over the restart:\n before %v\n after  %v", before, after)
+	}
+}

@@ -347,19 +347,14 @@ func (h *histShard) noteCover(id model.FilterID, prior *cover) (wasMulti, multi 
 }
 
 // aggRegister is Register on the aggregated engine. The store writes and
-// counter updates mirror the flat path exactly; the in-memory layer re-homes
-// the filter's posting bits when its signature changed.
+// counter updates mirror the flat path; the in-memory layer re-homes the
+// filter's posting bits when its signature changed.
 func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	if err := ix.filters.Put(f); err != nil {
+	if err := ix.storeFilter(f); err != nil {
 		return err
-	}
-	for _, t := range postingTerms {
-		if err := ix.postings.Add(t, f.ID); err != nil {
-			return err
-		}
 	}
 	a := ix.agg
 	c := a.coverOf(&f, true)
@@ -383,16 +378,23 @@ func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 	if prior != nil {
 		a.leave(prior, f.ID, true)
 	}
-	if fsh.put(a.attach(&f, c)) {
+	if ix.state.putFilter(a.attach(&f, c)) {
 		ix.numFilters.Add(1)
 	}
+	ix.numPostings.Add(int64(len(postingTerms)))
 	for _, t := range postingTerms {
 		tid := a.dict.intern(t)
-		if _, newEntry := a.termShard(tid).aggAdd(tid, c, int(slot), f.ID, prior, fullScan); newEntry {
+		newBit, newEntry := a.termShard(tid).aggAdd(tid, c, int(slot), f.ID, prior, fullScan)
+		if newEntry {
 			a.storedEntries.Add(1)
 		}
+		// A bit already set is an entry the store already has.
+		if newBit {
+			if err := ix.storePosting(t, f.ID); err != nil {
+				return err
+			}
+		}
 	}
-	ix.numPostings.Add(int64(len(postingTerms)))
 	return nil
 }
 
@@ -434,11 +436,13 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 	sh.mu.Lock()
 	cur, ok := sh.filters[f.ID]
 	if !ok {
-		if err := ix.filters.Put(f); err != nil {
+		if err := ix.storeFilter(f); err != nil {
 			sh.mu.Unlock()
 			return false, err
 		}
-		sh.filters[f.ID] = a.attach(&f, c)
+		stored := a.attach(&f, c)
+		stored.Subscriber = ix.state.subs.share(f.Subscriber)
+		sh.filters[f.ID] = stored
 		created = true
 	}
 	sh.mu.Unlock()
@@ -469,7 +473,7 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 		}
 		if added {
 			ix.numPostings.Add(1)
-			if err := ix.postings.Add(t, f.ID); err != nil {
+			if err := ix.storePosting(t, f.ID); err != nil {
 				return created, err
 			}
 		}
@@ -482,20 +486,10 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 // promoting a surviving member to representative when the covering filter
 // itself unregisters, so the cover (and its posting entries) stay owned.
 func (ix *Index) aggUnregister(id model.FilterID) error {
-	sh := ix.state.filterShard(id)
-	sh.mu.Lock()
-	f, present := sh.filters[id]
+	f, present, err := ix.removeFilter(id)
 	if !present {
-		sh.mu.Unlock()
-		return nil
-	}
-	if err := ix.filters.Delete(id); err != nil {
-		sh.mu.Unlock()
 		return err
 	}
-	delete(sh.filters, id)
-	sh.mu.Unlock()
-	ix.numFilters.Add(-1)
 	a := ix.agg
 	if c := a.coverOf(&f, false); c != nil {
 		a.leave(c, id, false)
@@ -506,7 +500,7 @@ func (ix *Index) aggUnregister(id model.FilterID) error {
 
 // aggDropTerm drops a term's aggregated posting list.
 func (ix *Index) aggDropTerm(term string) error {
-	if err := ix.postings.Remove(term); err != nil {
+	if err := ix.storeDropTerm(term); err != nil {
 		return err
 	}
 	if tid := ix.agg.dict.lookup(term); tid != noTerm {
@@ -517,17 +511,17 @@ func (ix *Index) aggDropTerm(term string) error {
 }
 
 // aggLoad rebuilds the aggregated serving layer from the store after a
-// restart. Definitions are interned into covers first; posting bits are
-// then attached to each id's current cover, or to the orphan cover when
-// the definition is gone — which also normalizes every id back to a
-// single cover, clearing any pre-crash multi-cover history.
+// restart, one scan per column family. Definitions are interned into covers
+// first; posting bits are then attached to each id's current cover, or to
+// the orphan cover when the definition is gone — which also normalizes every
+// id back to a single cover, clearing any pre-crash multi-cover history.
 func (ix *Index) aggLoad() error {
 	a := ix.agg
 	count := 0
 	err := ix.filters.Each(func(f model.Filter) bool {
 		c := a.coverOf(&f, true)
 		a.join(c, f.ID, false)
-		ix.state.filterShard(f.ID).put(a.attach(&f, c))
+		ix.state.putFilter(a.attach(&f, c))
 		count++
 		return true
 	})
@@ -535,16 +529,8 @@ func (ix *Index) aggLoad() error {
 		return err
 	}
 	ix.numFilters.Store(int64(count))
-	terms, err := ix.postings.Terms()
-	if err != nil {
-		return err
-	}
 	total := 0
-	for _, t := range terms {
-		ids, err := ix.postings.Get(t)
-		if err != nil {
-			return err
-		}
+	err = ix.postings.Each(func(t string, ids []model.FilterID) bool {
 		tid := a.dict.intern(t)
 		sh := a.termShard(tid)
 		for _, id := range ids {
@@ -563,7 +549,8 @@ func (ix *Index) aggLoad() error {
 			}
 		}
 		total += len(ids)
-	}
+		return true
+	})
 	ix.numPostings.Store(int64(total))
-	return nil
+	return err
 }

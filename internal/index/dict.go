@@ -92,3 +92,41 @@ func (d *termDict) size() int {
 	d.mu.RUnlock()
 	return n
 }
+
+// subCache makes the stored definitions of one subscriber share one copy of
+// its name: a node holds many filters per subscriber, and a name decoded
+// from a frame or a segment would otherwise be a private string per filter.
+// It is a fixed-size direct-mapped cache, not a table. Subscribers, unlike
+// terms, come and go without bound, and an exact table — an entry per
+// distinct name, counted and dropped with the subscriber's last filter —
+// costs about 100 heap bytes per subscriber, several times the name it saves
+// when a subscriber holds one or two filters (at 1 M single-filter
+// subscribers it added half again to the aggregated index). The cache costs
+// 64 KiB whatever the population: names that hash to the same slot take turns
+// and the loser keeps a private copy, nothing else.
+type subCache struct {
+	stripes [DefaultShards]struct {
+		mu    sync.Mutex
+		names [subCacheSlots]string
+	}
+}
+
+// subCacheSlots is the number of names one stripe remembers (32 stripes).
+const subCacheSlots = 128
+
+// share returns a copy of name that other definitions of the subscriber may
+// already hold.
+func (c *subCache) share(name string) string {
+	if name == "" {
+		return ""
+	}
+	h := fnv1a(name)
+	st := &c.stripes[h&shardMask]
+	slot := &st.names[(h>>shardBits)%subCacheSlots]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if *slot != name {
+		*slot = strings.Clone(name)
+	}
+	return *slot
+}

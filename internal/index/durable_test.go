@@ -1,0 +1,385 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/store"
+)
+
+// This file pins the rule the index and the store divide memory by: a filter
+// definition and a posting entry live once in the heap, in the index's
+// shards; the store holds only what is not yet on disk, and nothing at all
+// when there is no disk.
+
+// openDurable opens (or reopens) an aggregated index over dir.
+func openDurable(t testing.TB, dir string, opts store.Options) (*Index, *store.Store) {
+	t.Helper()
+	s, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, s
+}
+
+// churnFilter is a deterministic three-term MatchAll filter for id, one of
+// 64 subscribers.
+func churnFilter(id model.FilterID) model.Filter {
+	n := int(id)
+	terms := model.SortTerms([]string{
+		fmt.Sprintf("t%d", n%211), fmt.Sprintf("u%d", n%97), fmt.Sprintf("v%d", n%13),
+	})
+	return model.Filter{ID: id, Subscriber: fmt.Sprintf("s%03d", n%64), Terms: terms, Mode: model.MatchAll}
+}
+
+// segmentFiles counts the segment files under dir and sums their bytes.
+func segmentFiles(t testing.TB, dir string) (files int, bytes int64) {
+	t.Helper()
+	err := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
+		if err == nil && strings.HasSuffix(info.Name(), ".seg") {
+			files++
+			bytes += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files, bytes
+}
+
+// TestEphemeralIndexWritesNothing: no mutation of an index over a store
+// without a data directory reaches the store.
+func TestEphemeralIndexWritesNothing(t *testing.T) {
+	s, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5000; i++ {
+		f := churnFilter(model.FilterID(i))
+		if err := ix.Register(f, f.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 1000; i++ {
+		if err := ix.Unregister(model.FilterID(i * 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.DropTerm("v3"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ { // a migration batch replayed, half of it already present
+		f := churnFilter(model.FilterID(4975 + i))
+		if _, err := ix.EnsureRegistered(f, f.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ix.NumFilters(); got != 4030 {
+		t.Fatalf("NumFilters = %d, want 4030", got)
+	}
+	for _, name := range []string{"filters", "postings"} {
+		cf, err := s.CF(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := cf.Stats(); st != (store.Stats{}) {
+			t.Errorf("column family %s holds %+v, want nothing", name, st)
+		}
+	}
+}
+
+// TestEachFilterFromShards: the walk is served by the filter shards — in
+// ascending ID, stopping when told to, handing out the stored definitions —
+// and on a durable index it visits exactly what the store's own walk (what
+// EachFilter used to be) decodes, in the same order.
+func TestEachFilterFromShards(t *testing.T) {
+	ix, s := openDurable(t, t.TempDir(), store.Options{FlushAt: 4 << 10})
+	rng := rand.New(rand.NewSource(3))
+	for _, i := range rng.Perm(3000) {
+		f := churnFilter(model.FilterID(i + 1))
+		if err := ix.Register(f, f.Terms[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 3; i <= 3000; i += 3 {
+		if err := ix.Unregister(model.FilterID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var walked []model.Filter
+	if err := ix.EachFilter(func(f model.Filter) bool {
+		walked = append(walked, f)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(walked) != 2000 || len(walked) != ix.NumFilters() {
+		t.Fatalf("EachFilter visited %d filters, NumFilters %d, want 2000", len(walked), ix.NumFilters())
+	}
+	if !slices.IsSortedFunc(walked, func(a, b model.Filter) int { return int(a.ID) - int(b.ID) }) {
+		t.Fatal("EachFilter did not visit in ascending ID order")
+	}
+	fs, err := store.NewFilterStore(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored []model.Filter
+	if err := fs.Each(func(f model.Filter) bool {
+		stored = append(stored, f)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(walked, stored) {
+		t.Fatal("EachFilter and the store's walk disagree")
+	}
+	got, _, _ := ix.GetFilter(walked[0].ID)
+	if unsafe.SliceData(got.Terms) != unsafe.SliceData(walked[0].Terms) {
+		t.Error("EachFilter handed out a copy, want the shard's immutable snapshot")
+	}
+	n := 0
+	if err := ix.EachFilter(func(model.Filter) bool {
+		n++
+		return n < 7
+	}); err != nil || n != 7 {
+		t.Fatalf("early stop: visited %d, err %v; want 7", n, err)
+	}
+
+	// Walks racing writers: IDs 1..2999 not divisible by 3 stay put and must
+	// all be seen, in order, whatever 4000.. does meanwhile.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f := churnFilter(model.FilterID(4000 + w*1000 + i%500))
+				if err := ix.Register(f, f.Terms); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := ix.Unregister(f.ID); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for round := 0; round < 20; round++ {
+		stable, last := 0, model.FilterID(0)
+		if err := ix.EachFilter(func(f model.Filter) bool {
+			if f.ID <= last {
+				t.Errorf("ID %d visited after %d", f.ID, last)
+			}
+			last = f.ID
+			if f.ID < 4000 {
+				stable++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if stable != 2000 {
+			t.Fatalf("round %d: saw %d of the 2000 untouched filters", round, stable)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestDurableStoreReleasesFlushedSegments: what has been flushed is a file,
+// not a heap object, and a reopen reads all of it back.
+func TestDurableStoreReleasesFlushedSegments(t *testing.T) {
+	const filters = 50000
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	dir := t.TempDir()
+	before := heap()
+	ix, s := openDurable(t, dir, store.Options{FlushAt: 1 << 20})
+	for i := 1; i <= filters; i++ {
+		f := churnFilter(model.FilterID(i))
+		if err := ix.Register(f, f.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	ix = nil // what stays reachable from here on is the store
+	held := int64(heap()) - int64(before)
+	runtime.KeepAlive(s)
+	if held > 1<<20 {
+		t.Errorf("the store holds %d bytes of heap after FlushAll, want under 1 MiB", held)
+	}
+	if files, bytes := segmentFiles(t, dir); files == 0 || files > 2*3 || bytes == 0 {
+		t.Errorf("%d segment files, %d bytes on disk", files, bytes)
+	}
+	re, _ := openDurable(t, dir, store.Options{})
+	if got := re.NumFilters(); got != filters {
+		t.Fatalf("reopened index holds %d filters, want %d", got, filters)
+	}
+	if got := re.NumPostings(); got != 3*filters {
+		t.Fatalf("reopened index holds %d postings, want %d", got, 3*filters)
+	}
+}
+
+// TestStoreBoundedUnderChurn: subscriptions that come and go over a constant
+// population leave a directory the size of that population, not of the
+// operations performed — flushes compact at four segments, dropping
+// tombstones and superseded definitions, and a posting entry the shards still
+// hold is not written again. (What does stay is the posting operand of an ID
+// that never comes back, as its tombstone bit stays in the shards.)
+func TestStoreBoundedUnderChurn(t *testing.T) {
+	const population, pairs = 1000, 20000
+	opts := store.Options{FlushAt: 4 << 10}
+	fill := func(ix *Index) {
+		t.Helper()
+		for i := 1; i <= population; i++ {
+			f := churnFilter(model.FilterID(i))
+			if err := ix.Register(f, f.Terms); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	freshDir := t.TempDir()
+	fresh, fs := openDurable(t, freshDir, opts)
+	fill(fresh)
+	if err := fs.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	_, liveBytes := segmentFiles(t, freshDir)
+
+	dir := t.TempDir()
+	ix, s := openDurable(t, dir, opts)
+	fill(ix)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < pairs; i++ {
+		f := churnFilter(model.FilterID(1 + rng.Intn(population)))
+		if err := ix.Unregister(f.ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Register(f, f.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cf := range []string{"filters", "postings"} {
+		if files, _ := segmentFiles(t, filepath.Join(dir, cf)); files > 4 {
+			t.Errorf("%s: %d segment files, want at most 4", cf, files)
+		}
+	}
+	if _, bytes := segmentFiles(t, dir); bytes > 3*liveBytes {
+		t.Errorf("%d bytes on disk after %d register/unregister pairs, live set is %d", bytes, pairs, liveBytes)
+	}
+
+	re, _ := openDurable(t, dir, opts)
+	if a, b := re.NumFilters(), ix.NumFilters(); a != b || a != population {
+		t.Fatalf("NumFilters: reopened %d, live %d, want %d", a, b, population)
+	}
+	var live, reopened []model.Filter
+	for _, side := range []struct {
+		ix  *Index
+		out *[]model.Filter
+	}{{ix, &live}, {re, &reopened}} {
+		if err := side.ix.EachFilter(func(f model.Filter) bool {
+			*side.out = append(*side.out, f)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(live, reopened) {
+		t.Fatal("reopened definitions differ from the live ones")
+	}
+	for i := 0; i < 211; i++ {
+		doc := &model.Document{ID: uint64(i + 1), Terms: model.SortTerms([]string{
+			fmt.Sprintf("t%d", i), fmt.Sprintf("u%d", i%97), fmt.Sprintf("v%d", i%13),
+		})}
+		a, ast, err := ix.MatchTerms(doc, doc.Terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, bst, err := re.MatchTerms(doc, doc.Terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(matchedIDs(a), matchedIDs(b)) || ast != bst {
+			t.Fatalf("doc %v: live %v %+v, reopened %v %+v", doc.Terms, matchedIDs(a), ast, matchedIDs(b), bst)
+		}
+	}
+}
+
+// TestSubscriberNamesShared: the stored definitions of one subscriber share
+// one copy of its name — on both engines, whichever path stored them — and
+// what does the sharing is a fixed-size cache: a population of subscribers
+// with a filter each adds nothing to it.
+func TestSubscriberNamesShared(t *testing.T) {
+	p := newEnginePair(t)
+	for _, ix := range []*Index{p.agg, p.flat} {
+		const subscribers, filters = 64, 6400
+		for i := 1; i <= filters; i++ {
+			f := anyFilter(model.FilterID(i), "a", fmt.Sprintf("t%d", i%50))
+			// A private copy per registration, as a decoded frame delivers it.
+			f.Subscriber = string([]byte(fmt.Sprintf("s%03d", i%subscribers)))
+			var err error
+			if i%2 == 0 {
+				err = ix.Register(f, f.Terms)
+			} else {
+				_, err = ix.EnsureRegistered(f, f.Terms)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		copies := make(map[*byte]string)
+		if err := ix.EachFilter(func(f model.Filter) bool {
+			if want := fmt.Sprintf("s%03d", int(f.ID)%subscribers); f.Subscriber != want {
+				t.Fatalf("filter %d: subscriber %q, want %q", f.ID, f.Subscriber, want)
+			}
+			copies[unsafe.StringData(f.Subscriber)] = f.Subscriber
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Two names in one cache slot take turns and keep private copies; the
+		// 64 names of the benchmark's populations do not collide.
+		if len(copies) != subscribers {
+			t.Errorf("aggregated=%v: %d filters of %d subscribers hold %d copies of their names", ix.Aggregated(), filters, subscribers, len(copies))
+		}
+	}
+	if size := unsafe.Sizeof(subCache{}); size > 80<<10 {
+		t.Errorf("the subscriber cache is %d bytes, want a small constant", size)
+	}
+}

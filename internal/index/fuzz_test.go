@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/movesys/move/internal/model"
@@ -16,6 +17,11 @@ import (
 // of a cover representative, signature splits and merges with overlapping
 // posting terms, migration replays, drop-term, a cover matched while it
 // holds a stale member, and documents none of whose terms any filter names.
+//
+// A third index — aggregated, over a data directory — takes the same
+// operations, and every observe op also flushes its store and reopens it
+// (replaying the idf observations, which are not persisted): a restart in the
+// middle of a sequence must not change any later match set or MatchStats.
 //
 // Byte grammar, per op: [opcode, args...] with opcode % 7 selecting
 //
@@ -45,6 +51,9 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// Documents over g,h while only a,b,c are in the dictionary; then a
 	// half-known document.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x05, 1, 1, 6, 0xc0, 6, 0x80, 6, 0xc3})
+	// Restarts around a dropped term that is posted under again before the
+	// drop's tombstone is flushed, a tombstoned filter, and a re-homed one.
+	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x03, 1, 0, 5, 0x01, 4, 0, 0, 3, 0x03, 0, 0, 2, 1, 5, 0x02, 6, 0x03, 0, 2, 0x05, 0, 0, 5, 0x04, 6, 0x07})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		sa, err := store.Open("", store.Options{})
 		if err != nil {
@@ -63,6 +72,38 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		p := &enginePair{agg: agg, flat: flat}
+		dir := t.TempDir()
+		dur, sd := openDurable(t, dir, store.Options{})
+		var observed []model.Document
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("durable index: %v", err)
+			}
+		}
+		// compare checks the pair against each other and the durable index
+		// against the aggregated one.
+		compare := func(d *model.Document) {
+			t.Helper()
+			p.compareAll(t, d)
+			am, ast, _ := agg.MatchTerms(d, d.Terms)
+			dm, dst, err := dur.MatchTerms(d, d.Terms)
+			if err != nil || ast != dst || !slices.Equal(matchedIDs(am), matchedIDs(dm)) {
+				t.Fatalf("MatchTerms(%v) after a restart: %v %+v (err %v), never restarted: %v %+v",
+					d.Terms, matchedIDs(dm), dst, err, matchedIDs(am), ast)
+			}
+			for _, term := range d.Terms {
+				am, ast, _ := agg.MatchTerm(d, term)
+				dm, dst, err := dur.MatchTerm(d, term)
+				if err != nil || ast != dst || !slices.Equal(matchedIDs(am), matchedIDs(dm)) {
+					t.Fatalf("MatchTerm(%v, %q) after a restart: %v %+v (err %v), never restarted: %v %+v",
+						d.Terms, term, matchedIDs(dm), dst, err, matchedIDs(am), ast)
+				}
+			}
+			if a, b := agg.NumFilters(), dur.NumFilters(); a != b {
+				t.Fatalf("NumFilters after a restart %d, never restarted %d", b, a)
+			}
+		}
 
 		vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 		termsFromMask := func(mask byte) []string {
@@ -120,12 +161,14 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 					postingTerms = fl.Terms[:n]
 				}
 				p.register(t, fl, postingTerms)
+				must(dur.Register(fl, postingTerms))
 			case 2:
 				args := take(1)
 				if args == nil {
 					return
 				}
 				p.unregister(t, model.FilterID(1+args[0]%12))
+				must(dur.Unregister(model.FilterID(1 + args[0]%12)))
 			case 3:
 				args := take(3)
 				if args == nil {
@@ -133,12 +176,15 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				}
 				fl := buildFilter(args[0], args[1], args[2])
 				p.ensure(t, fl, fl.Terms)
+				_, err := dur.EnsureRegistered(fl, fl.Terms)
+				must(err)
 			case 4:
 				args := take(1)
 				if args == nil {
 					return
 				}
 				p.dropTerm(t, vocab[args[0]%8])
+				must(dur.DropTerm(vocab[args[0]%8]))
 			case 5:
 				args := take(1)
 				if args == nil {
@@ -147,6 +193,12 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				docID++
 				d := model.Document{ID: docID, Terms: termsFromMask(args[0])}
 				p.observe(&d)
+				observed = append(observed, d)
+				must(sd.FlushAll())
+				dur, sd = openDurable(t, dir, store.Options{})
+				for i := range observed {
+					dur.ObserveDocument(&observed[i])
+				}
 			case 6:
 				args := take(1)
 				if args == nil {
@@ -154,10 +206,10 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				}
 				docID++
 				d := model.Document{ID: docID, Terms: termsFromMask(args[0])}
-				p.compareAll(t, &d)
+				compare(&d)
 			}
 		}
 		// Terminal probe: full-vocabulary document through every matcher.
-		p.compareAll(t, &model.Document{ID: docID + 1, Terms: vocab})
+		compare(&model.Document{ID: docID + 1, Terms: vocab})
 	})
 }

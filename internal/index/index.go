@@ -16,13 +16,15 @@
 // The index is sharded: posting lists and filter definitions live in
 // power-of-two in-memory shards with per-shard locks (see shard.go), so
 // concurrent registers, unregisters, and matches on different terms do not
-// contend. The match path is served entirely from the shards via snapshot
-// reads; the store is a write-through durability layer that is only read
-// again at startup, when the shards are rebuilt from it.
+// contend. A filter definition and a posting entry live once in the heap —
+// here. Every read is served from the shards; the store is a write-through
+// durability layer that exists only for a node with a data directory and is
+// read once, at startup, when the shards are rebuilt from it.
 package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,12 +37,15 @@ import (
 // Index is one node's filter index: full filter definitions plus posting
 // lists for the terms this node is responsible for.
 type Index struct {
+	// filters and postings are the write-through durability layer; both nil
+	// on a node without a data directory, whose mutations live in the shards
+	// alone (storeFilter and its siblings below are the only users).
 	filters  *store.FilterStore
 	postings *store.PostingStore
 	corpus   *vsm.Corpus
 
-	// state is the sharded in-memory serving layer; every match reads from
-	// it and never touches the store.
+	// state is the sharded in-memory serving layer; every read is answered
+	// from it.
 	state *shardedState
 
 	// agg is the aggregated (covering) engine: posting lists compressed to
@@ -93,27 +98,59 @@ func NewFlat(s *store.Store) (*Index, error) {
 }
 
 func open(s *store.Store, aggregated bool) (*Index, error) {
-	fs, err := store.NewFilterStore(s)
-	if err != nil {
-		return nil, fmt.Errorf("index: open filter store: %w", err)
-	}
-	ps, err := store.NewPostingStore(s)
-	if err != nil {
-		return nil, fmt.Errorf("index: open posting store: %w", err)
-	}
 	ix := &Index{
-		filters:  fs,
-		postings: ps,
-		corpus:   vsm.NewCorpus(),
-		state:    newShardedState(),
+		corpus: vsm.NewCorpus(),
+		state:  newShardedState(),
 	}
 	if aggregated {
 		ix.agg = newAggState()
+	}
+	if !s.Durable() {
+		// Nothing to recover and nowhere to persist: no write-through.
+		return ix, nil
+	}
+	var err error
+	if ix.filters, err = store.NewFilterStore(s); err != nil {
+		return nil, fmt.Errorf("index: open filter store: %w", err)
+	}
+	if ix.postings, err = store.NewPostingStore(s); err != nil {
+		return nil, fmt.Errorf("index: open posting store: %w", err)
 	}
 	if err := ix.loadFromStore(); err != nil {
 		return nil, fmt.Errorf("index: load from store: %w", err)
 	}
 	return ix, nil
+}
+
+// The four write-through operations: each mirrors one shard mutation into
+// the store when there is one.
+
+func (ix *Index) storeFilter(f model.Filter) error {
+	if ix.filters == nil {
+		return nil
+	}
+	return ix.filters.Put(f)
+}
+
+func (ix *Index) storeDeleteFilter(id model.FilterID) error {
+	if ix.filters == nil {
+		return nil
+	}
+	return ix.filters.Delete(id)
+}
+
+func (ix *Index) storePosting(term string, id model.FilterID) error {
+	if ix.postings == nil {
+		return nil
+	}
+	return ix.postings.Add(term, id)
+}
+
+func (ix *Index) storeDropTerm(term string) error {
+	if ix.postings == nil {
+		return nil
+	}
+	return ix.postings.Remove(term)
 }
 
 // Aggregated reports whether this index serves postings from the
@@ -143,16 +180,17 @@ func (ix *Index) CoverStats() CoverStats {
 }
 
 // loadFromStore rebuilds the sharded serving layer and counters after a
-// restart. Posting lists come back deduplicated (PostingStore.Get merges),
-// so the recovered numPostings counts distinct entries even if the live
-// counter had drifted past that before the crash.
+// restart: one scan of each column family. Posting lists come back
+// deduplicated (PostingStore.Each merges), so the recovered numPostings
+// counts distinct entries even if the live counter had drifted past that
+// before the crash.
 func (ix *Index) loadFromStore() error {
 	if ix.agg != nil {
 		return ix.aggLoad()
 	}
 	count := 0
 	err := ix.filters.Each(func(f model.Filter) bool {
-		ix.state.filterShard(f.ID).put(f)
+		ix.state.putFilter(f)
 		count++
 		return true
 	})
@@ -160,31 +198,26 @@ func (ix *Index) loadFromStore() error {
 		return err
 	}
 	ix.numFilters.Store(int64(count))
-	terms, err := ix.postings.Terms()
-	if err != nil {
-		return err
-	}
 	total := 0
-	for _, t := range terms {
-		ids, err := ix.postings.Get(t)
-		if err != nil {
-			return err
-		}
+	err = ix.postings.Each(func(t string, ids []model.FilterID) bool {
 		sh := ix.state.termShard(t)
 		for _, id := range ids {
-			sh.add(t, id)
+			sh.addIfAbsent(t, id)
 		}
 		total += len(ids)
-	}
+		return true
+	})
 	ix.numPostings.Store(int64(total))
-	return nil
+	return err
 }
 
 // Register stores filter f and adds it to the posting lists of
 // postingTerms. On a home node postingTerms is the single responsible term
 // (or the node's responsible subset of f's terms); the RS baseline passes
-// all of f's terms. The store write happens first, so the in-memory shards
-// never serve a filter the durability layer doesn't have.
+// all of f's terms. The definition's store write happens first, so the
+// in-memory shards never serve a filter the durability layer doesn't have; a
+// posting entry is written through only when the shard did not already hold
+// it, so re-registering an ID does not grow the store.
 //
 // The Clone below is the system's single copy point for filter terms: the
 // shard's copy is immutable from here on, which is what lets the match
@@ -196,21 +229,20 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	if err := ix.filters.Put(f); err != nil {
+	if err := ix.storeFilter(f); err != nil {
 		return err
 	}
-	for _, t := range postingTerms {
-		if err := ix.postings.Add(t, f.ID); err != nil {
-			return err
-		}
-	}
-	if ix.state.filterShard(f.ID).put(f.Clone()) {
+	if ix.state.putFilter(f.Clone()) {
 		ix.numFilters.Add(1)
 	}
-	for _, t := range postingTerms {
-		ix.state.termShard(t).add(t, f.ID)
-	}
 	ix.numPostings.Add(int64(len(postingTerms)))
+	for _, t := range postingTerms {
+		if ix.state.termShard(t).addIfAbsent(t, f.ID) {
+			if err := ix.storePosting(t, f.ID); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -222,7 +254,7 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 // copies belong to an older placement or the home itself and must survive
 // an abort of the current epoch).
 //
-// Unlike Register, the posting-shard insert runs before the store write:
+// As in Register, the posting-shard insert runs before the store write:
 // addIfAbsent's single write-lock hold is what arbitrates concurrent
 // replays, so it must decide first and the store add follows only for the
 // winner. A crash between the two loses only in-memory state, which the
@@ -241,11 +273,13 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 		// Store write before the shard publish, under the shard lock —
 		// Unregister's locking mirrored — so concurrent replays agree on
 		// exactly one creator and the layers never disagree.
-		if err := ix.filters.Put(f); err != nil {
+		if err := ix.storeFilter(f); err != nil {
 			sh.mu.Unlock()
 			return false, err
 		}
-		sh.filters[f.ID] = f.Clone()
+		stored := f.Clone()
+		stored.Subscriber = ix.state.subs.share(f.Subscriber)
+		sh.filters[f.ID] = stored
 		created = true
 	}
 	sh.mu.Unlock()
@@ -255,7 +289,7 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 	for _, t := range postingTerms {
 		if ix.state.termShard(t).addIfAbsent(t, f.ID) {
 			ix.numPostings.Add(1)
-			if err := ix.postings.Add(t, f.ID); err != nil {
+			if err := ix.storePosting(t, f.ID); err != nil {
 				return created, err
 			}
 		}
@@ -271,24 +305,31 @@ func (ix *Index) Unregister(id model.FilterID) error {
 	if ix.agg != nil {
 		return ix.aggUnregister(id)
 	}
+	_, _, err := ix.removeFilter(id)
+	return err
+}
+
+// removeFilter deletes id's definition from the store and the shard,
+// returning it when there was one.
+func (ix *Index) removeFilter(id model.FilterID) (model.Filter, bool, error) {
 	sh := ix.state.filterShard(id)
 	sh.mu.Lock()
-	_, present := sh.filters[id]
+	f, present := sh.filters[id]
 	if !present {
 		sh.mu.Unlock()
-		return nil
+		return f, false, nil
 	}
 	// Delete from the store while holding the shard lock so a concurrent
 	// Register of the same ID cannot interleave between the two layers and
 	// leave them disagreeing.
-	if err := ix.filters.Delete(id); err != nil {
+	if err := ix.storeDeleteFilter(id); err != nil {
 		sh.mu.Unlock()
-		return err
+		return f, false, err
 	}
 	delete(sh.filters, id)
 	sh.mu.Unlock()
 	ix.numFilters.Add(-1)
-	return nil
+	return f, true, nil
 }
 
 // ObserveDocument feeds corpus statistics for idf scoring. Called once per
@@ -542,16 +583,28 @@ func (ix *Index) PostingLen(term string) (int, error) {
 	return len(ix.state.termShard(term).snapshot(term)), nil
 }
 
-// Terms lists the terms with posting lists on this node. Delegates to the
-// store so the result stays in sorted key order (allocation relies on a
-// deterministic walk).
-func (ix *Index) Terms() ([]string, error) {
-	return ix.postings.Terms()
-}
-
-// EachFilter iterates the stored filter definitions.
+// EachFilter visits the filter definitions resident on the node in
+// ascending ID order until fn returns false. The IDs are collected first —
+// each shard read-locked only while its own are copied — so fn runs under no
+// lock and a filter unregistered meanwhile is skipped. Visited filters are
+// immutable shard snapshots, as GetFilter's are.
 func (ix *Index) EachFilter(fn func(model.Filter) bool) error {
-	return ix.filters.Each(fn)
+	ids := make([]model.FilterID, 0, ix.NumFilters())
+	for i := range ix.state.filters {
+		sh := &ix.state.filters[i]
+		sh.mu.RLock()
+		for id := range sh.filters {
+			ids = append(ids, id)
+		}
+		sh.mu.RUnlock()
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if f, ok := ix.state.filterShard(id).get(id); ok && !fn(f) {
+			break
+		}
+	}
+	return nil
 }
 
 // DropTerm removes a term's posting list (allocation migration moves its
@@ -560,7 +613,7 @@ func (ix *Index) DropTerm(term string) error {
 	if ix.agg != nil {
 		return ix.aggDropTerm(term)
 	}
-	if err := ix.postings.Remove(term); err != nil {
+	if err := ix.storeDropTerm(term); err != nil {
 		return err
 	}
 	ix.state.termShard(term).remove(term)

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
@@ -38,33 +39,8 @@ func homedHere(term string) bool {
 // bytesPerFilter is the heap the registrations retained.
 func matchHeavyPopulation(tb testing.TB, nFilters, nDocs int) (ix *Index, docs []matchHeavyDoc, bytesPerFilter float64) {
 	tb.Helper()
-	const vocab, seed = 10000, 20120618
-	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: vocab, Seed: seed})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	type reg struct {
-		f     model.Filter
-		terms []string
-	}
-	regs := make([]reg, 0, nFilters)
-	for len(regs) < nFilters {
-		terms := model.SortTerms(fg.Next())
-		if len(terms) < 3 {
-			continue
-		}
-		var mine []string
-		for _, t := range terms {
-			if homedHere(t) {
-				mine = append(mine, t)
-			}
-		}
-		if len(mine) == 0 {
-			continue
-		}
-		id := model.FilterID(len(regs) + 1)
-		regs = append(regs, reg{model.Filter{ID: id, Subscriber: "s", Terms: terms, Mode: model.MatchAll}, mine})
-	}
+	const vocab, seed = 10000, populationSeed
+	regs := zipfPopulation(tb, nFilters, vocab, 3, model.MatchAll)
 	const docTerms, hotTerms, hotVocab = 65, 20, 250
 	rng := rand.New(rand.NewSource(seed + 1))
 	for len(docs) < nDocs {
@@ -88,14 +64,69 @@ func matchHeavyPopulation(tb testing.TB, nFilters, nDocs int) (ix *Index, docs [
 		docs = append(docs, d)
 	}
 
-	ix = newIndex(tb)
+	ix, bytesPerFilter = registerPopulation(tb, regs)
+	return ix, docs, bytesPerFilter
+}
+
+const populationSeed = 20120618
+
+// zipfPopulation draws n filters of at least minTerms terms from
+// internal/dataset's Zipf query model over vocab terms, 64 subscribers in
+// rotation, each posted under its terms homed here.
+func zipfPopulation(tb testing.TB, n, vocab, minTerms int, mode model.MatchMode) []populationReg {
+	tb.Helper()
+	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: vocab, Seed: populationSeed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var regs []populationReg
+	for len(regs) < n {
+		if terms := model.SortTerms(fg.Next()); len(terms) >= minTerms {
+			regs = appendHomed(regs, terms, mode, 64)
+		}
+	}
+	return regs
+}
+
+// populationReg is one registration of a benchmark-shaped population.
+type populationReg struct {
+	f     model.Filter
+	terms []string // the posting terms: f's terms homed here
+}
+
+// appendHomed appends the next filter of a population — the next ID, one of
+// subscribers names in rotation — unless none of its terms is homed here.
+func appendHomed(regs []populationReg, terms []string, mode model.MatchMode, subscribers int) []populationReg {
+	var mine []string
+	for _, t := range terms {
+		if homedHere(t) {
+			mine = append(mine, t)
+		}
+	}
+	if len(mine) == 0 {
+		return regs
+	}
+	n := len(regs)
+	f := model.Filter{ID: model.FilterID(n + 1), Subscriber: fmt.Sprintf("s%03d", n%subscribers), Terms: terms, Mode: mode}
+	return append(regs, populationReg{f, mine})
+}
+
+// registerPopulation registers regs into a fresh index over a store without
+// a data directory — what the repository benchmark's daemons and its index
+// probe run — and returns the heap bytes per filter the registrations
+// retained.
+func registerPopulation(tb testing.TB, regs []populationReg) (*Index, float64) {
+	tb.Helper()
+	ix := newIndex(tb)
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range regs {
-		// Registered from a private copy of the terms, as a decoded RPC
+		// Registered from a private copy of the strings, as a decoded RPC
 		// delivers them: what the index retains of it is the index's cost.
 		f := regs[i].f
+		f.Subscriber = string([]byte(f.Subscriber))
 		f.Terms = make([]string, len(regs[i].f.Terms))
 		for j, t := range regs[i].f.Terms {
 			f.Terms[j] = string([]byte(t))
@@ -105,8 +136,43 @@ func matchHeavyPopulation(tb testing.TB, nFilters, nDocs int) (ix *Index, docs [
 		}
 	}
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&after)
-	return ix, docs, float64(after.HeapAlloc-before.HeapAlloc) / float64(nFilters)
+	return ix, float64(after.HeapAlloc-before.HeapAlloc) / float64(len(regs))
+}
+
+// TestMemBudget is the index layer's memory microbench (make mem-budget, the
+// twin of make wire-budget): heap bytes per registered filter for the three
+// populations the repository benchmark registers, each beside a ceiling 5 %
+// above the value measured when the ceiling was last set. Past a ceiling the
+// test fails; quote its table before and after any change to what Register
+// retains.
+func TestMemBudget(t *testing.T) {
+	matchHeavy := zipfPopulation(t, 40000, 10000, 3, model.MatchAll)
+	wireMixed := zipfPopulation(t, 20000, 16000, 1, model.MatchAny)
+	var fanoutHeavy []populationReg
+	rng := rand.New(rand.NewSource(populationSeed))
+	for len(fanoutHeavy) < 256 {
+		perm := rng.Perm(18)
+		terms := model.SortTerms([]string{dataset.Term(perm[0]), dataset.Term(perm[1]), dataset.Term(perm[2])})
+		fanoutHeavy = appendHomed(fanoutHeavy, terms, model.MatchAny, 256)
+	}
+	for _, row := range []struct {
+		name    string
+		regs    []populationReg
+		ceiling float64
+	}{
+		{"match_heavy: 40k MatchAll, >= 3 terms of 10k, 64 subscribers", matchHeavy, 571},
+		{"wire_mixed: 20k MSN-like MatchAny over 16k terms, 64 subscribers", wireMixed, 484},
+		{"fanout_heavy: 256 three-term MatchAny over 18 terms, 256 subscribers", fanoutHeavy, 441},
+	} {
+		ix, got := registerPopulation(t, row.regs)
+		t.Logf("%-70s %7.1f B/filter (ceiling %.0f)", row.name, got, row.ceiling)
+		if got > row.ceiling {
+			t.Errorf("%s: %.1f heap bytes per filter, ceiling %.0f", row.name, got, row.ceiling)
+		}
+		runtime.KeepAlive(ix)
+	}
 }
 
 // BenchmarkIndexMatchHeavy is the index layer's microbench for the
@@ -115,7 +181,7 @@ func matchHeavyPopulation(tb testing.TB, nFilters, nDocs int) (ix *Index, docs [
 // Besides ns/doc it reports the logical posting entries a document scans —
 // the count the §IV cost model charges, which no change to the engine may
 // move — the matches it finds, and the heap bytes one registered filter
-// costs (store included).
+// costs.
 func BenchmarkIndexMatchHeavy(b *testing.B) {
 	ix, docs, bytesPerFilter := matchHeavyPopulation(b, 35000, 256)
 	var postings, matches int

@@ -22,16 +22,20 @@ const (
 // FNV-1a are well distributed for short ASCII terms, which is exactly the
 // key population here (tokenized words).
 func termShardFor(term string) uint32 {
+	return uint32(fnv1a(term)) & shardMask
+}
+
+func fnv1a(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(term); i++ {
-		h ^= uint64(term[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= prime64
 	}
-	return uint32(h) & shardMask
+	return h
 }
 
 // filterShardFor hashes a filter ID to its shard with a Fibonacci
@@ -48,7 +52,7 @@ func filterShardFor(id model.FilterID) uint32 {
 // snapshot's length (or into a freshly grown backing array), so a snapshot
 // taken before the append never observes the written element and the two
 // accesses touch disjoint memory. seen makes the append-side dedup O(1),
-// mirroring PostingStore.Get's first-insertion-wins ordering.
+// mirroring PostingStore.Each's first-insertion-wins ordering.
 type posting struct {
 	ids  []model.FilterID
 	seen map[model.FilterID]struct{}
@@ -60,27 +64,12 @@ type termShard struct {
 	lists map[string]*posting
 }
 
-// add appends id to term's posting list, creating the list on first use.
-// Duplicate ids are ignored (posting lists are sets in insertion order).
-func (s *termShard) add(term string, id model.FilterID) {
-	s.mu.Lock()
-	p := s.lists[term]
-	if p == nil {
-		p = &posting{seen: make(map[model.FilterID]struct{}, 4)}
-		s.lists[term] = p
-	}
-	if _, dup := p.seen[id]; !dup {
-		p.seen[id] = struct{}{}
-		p.ids = append(p.ids, id)
-	}
-	s.mu.Unlock()
-}
-
-// addIfAbsent is add reporting whether id was newly inserted. The check
-// and the append happen under one write-lock hold, so concurrent replays
-// of the same (term, id) pair agree on exactly one inserter — the caller
-// can count distinct posting entries without a separate read-then-write
-// race window.
+// addIfAbsent appends id to term's posting list, creating the list on first
+// use, and reports whether id was newly inserted (posting lists are sets in
+// insertion order). The check and the append happen under one write-lock
+// hold, so concurrent replays of the same (term, id) pair agree on exactly
+// one inserter — the caller can count distinct posting entries, and write
+// each through once, without a separate read-then-write race window.
 func (s *termShard) addIfAbsent(term string, id model.FilterID) bool {
 	s.mu.Lock()
 	p := s.lists[term]
@@ -125,7 +114,7 @@ type filterShard struct {
 
 // get returns the filter definition for id, if registered. The returned
 // filter is an immutable snapshot sharing its Terms slice with the shard:
-// put stores a private clone and nothing mutates Terms afterwards, so the
+// Register stores a private clone and nothing mutates Terms afterwards, so the
 // match path hands it out of the package without cloning. Everyone —
 // shard, matcher, caller — must treat Terms as read-only (DESIGN.md §11).
 func (s *filterShard) get(id model.FilterID) (model.Filter, bool) {
@@ -135,34 +124,13 @@ func (s *filterShard) get(id model.FilterID) (model.Filter, bool) {
 	return f, ok
 }
 
-// put stores (or replaces) a filter definition, reporting whether the ID
-// had none before.
-func (s *filterShard) put(f model.Filter) (created bool) {
-	s.mu.Lock()
-	_, had := s.filters[f.ID]
-	s.filters[f.ID] = f
-	s.mu.Unlock()
-	return !had
-}
-
-// del removes id's definition, reporting whether it was present.
-func (s *filterShard) del(id model.FilterID) bool {
-	s.mu.Lock()
-	_, ok := s.filters[id]
-	if ok {
-		delete(s.filters, id)
-	}
-	s.mu.Unlock()
-	return ok
-}
-
-// shardedState is the in-memory serving layer of an Index: every read the
-// match path performs is answered here, so matches never touch the store
-// (and never contend with its column-family mutex). Writes go through the
-// shards and are mirrored to the store for durability.
+// shardedState is the in-memory serving layer of an Index: every read —
+// the match path's, GetFilter's, EachFilter's — is answered here, and the
+// store is not read again once open has rebuilt the shards from it.
 type shardedState struct {
 	terms   [DefaultShards]termShard
 	filters [DefaultShards]filterShard
+	subs    subCache
 }
 
 func newShardedState() *shardedState {
@@ -182,4 +150,16 @@ func (st *shardedState) termShard(term string) *termShard {
 
 func (st *shardedState) filterShard(id model.FilterID) *filterShard {
 	return &st.filters[filterShardFor(id)]
+}
+
+// putFilter stores (or replaces) f as its ID's definition, the subscriber
+// name shared, and reports whether the ID had none before.
+func (st *shardedState) putFilter(f model.Filter) (created bool) {
+	f.Subscriber = st.subs.share(f.Subscriber)
+	sh := st.filterShard(f.ID)
+	sh.mu.Lock()
+	_, had := sh.filters[f.ID]
+	sh.filters[f.ID] = f
+	sh.mu.Unlock()
+	return !had
 }

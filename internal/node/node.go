@@ -1095,8 +1095,8 @@ func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []ho
 // migrateBatch caps the number of filters per msgMigrate frame.
 const migrateBatch = 512
 
-// ownedBatches scans the local filter store for the filters a prepare of
-// scope term must place, and groups the copies each grid target must receive
+// ownedBatches walks the index's resident filters (ascending ID, no store
+// read) for the ones a prepare of scope term must place, and groups the copies each grid target must receive
 // — the migration work list of PrepareAllocation. The node-wide scope ("")
 // owns every term that hashes to this node; a term scope owns that term. A
 // filter owning none is a replica migrated here by another home node, not

@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkPut(b *testing.B) {
-	cf := memCF(b, Options{})
+	cf := tempCF(b, Options{})
 	val := []byte("0123456789abcdef")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -16,43 +16,8 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
-func BenchmarkGetMemtable(b *testing.B) {
-	cf := memCF(b, Options{})
-	for i := 0; i < 65536; i++ {
-		if err := cf.Put("key-"+strconv.Itoa(i), []byte("v")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cf.Get("key-" + strconv.Itoa(i%65536)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGetSegments(b *testing.B) {
-	cf := memCF(b, Options{})
-	for i := 0; i < 65536; i++ {
-		if err := cf.Put("key-"+strconv.Itoa(i), []byte("v")); err != nil {
-			b.Fatal(err)
-		}
-		if i%8192 == 8191 {
-			if err := cf.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cf.Get("key-" + strconv.Itoa(i%65536)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAppendPosting(b *testing.B) {
-	cf := memCF(b, Options{})
+	cf := tempCF(b, Options{})
 	op := []byte{1, 2, 3, 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,13 +27,18 @@ func BenchmarkAppendPosting(b *testing.B) {
 	}
 }
 
-func BenchmarkGetMergedPostingList(b *testing.B) {
-	cf := memCF(b, Options{})
-	for i := 0; i < 10_000; i++ {
-		if err := cf.Append("hot", []byte{byte(i)}); err != nil {
+// BenchmarkScanSegments is the recovery read: every segment file loaded,
+// merged with the memtable and walked once.
+func BenchmarkScanSegments(b *testing.B) {
+	cf := tempCF(b, Options{})
+	for i := 0; i < 65536; i++ {
+		if err := cf.Put("key-"+strconv.Itoa(i), []byte("v")); err != nil {
 			b.Fatal(err)
 		}
-		if i%2500 == 2499 {
+		if err := cf.Append("term-"+strconv.Itoa(i%1024), []byte{byte(i)}); err != nil {
+			b.Fatal(err)
+		}
+		if i%24576 == 24575 {
 			if err := cf.Flush(); err != nil {
 				b.Fatal(err)
 			}
@@ -76,7 +46,7 @@ func BenchmarkGetMergedPostingList(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cf.GetMerged("hot"); err != nil {
+		if err := cf.Scan("", func(string, []byte, [][]byte) bool { return true }); err != nil {
 			b.Fatal(err)
 		}
 	}

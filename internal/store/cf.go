@@ -1,17 +1,16 @@
-// Package store implements the node-local storage engine beneath MOVE's
-// three data stores (§V, Figure 3): the filter store, the local inverted
-// list (posting lists), and the meta-data store. It follows the
-// BigTable/Cassandra column-family design the paper builds on: writes land
-// in a memtable, which is flushed into immutable sorted segments;
-// read-merge semantics support both plain keys and append-merge keys (the
-// natural representation of posting lists); segments compact to bound read
-// amplification; optionally the segments persist to a directory so a node
-// restart recovers its registered filters.
+// Package store implements the node-local durability layer beneath two of
+// MOVE's data stores (§V, Figure 3): the filter store and the local inverted
+// list (posting lists). It follows the BigTable/Cassandra column-family
+// design the paper builds on: writes land in a memtable, which is flushed
+// into immutable sorted segment files; merge semantics support both plain
+// keys and append-merge keys (the natural representation of posting lists);
+// segments compact to bound the directory and the recovery scan. Nothing
+// serves reads from here while a node runs — the index's shards do — so the
+// only reader is Scan, which a restarted node uses once to rebuild them.
 package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,11 +26,14 @@ import (
 const (
 	kindPut       = 1 // plain value, replaces anything older
 	kindTombstone = 2 // deletion marker
-	kindMerge     = 3 // append operand; read accumulates until a Put/Tombstone
+	kindMerge     = 3 // append operands; a read accumulates older ones until a Put/Tombstone
+	kindMergeOver = 4 // operands appended over a deletion: a read stops here
 )
 
+func isMerge(kind int) bool { return kind == kindMerge || kind == kindMergeOver }
+
 // memRecord is the memtable state of one key. data is the value of a
-// kindPut record; for kindMerge it holds the operands, oldest first, packed
+// kindPut record; for the merge kinds it holds the operands, oldest first, packed
 // into one buffer — each as its uvarint length followed by its bytes — so a
 // posting list of a thousand few-byte operands is one heap object, not a
 // thousand and a slice header apiece.
@@ -54,11 +56,11 @@ func (r *memRecord) appendOp(op []byte) {
 	r.data = append(r.data, op...)
 }
 
-// ops returns the merge operands oldest first (nil unless kindMerge), each
+// ops returns the merge operands oldest first (nil for the plain kinds), each
 // aliasing the packed buffer: appends only ever write past what an earlier
 // call saw, so the slices stay valid and immutable.
 func (r *memRecord) ops() [][]byte {
-	if r.kind != kindMerge {
+	if !isMerge(r.kind) {
 		return nil
 	}
 	n := 0
@@ -77,6 +79,13 @@ func (r *memRecord) ops() [][]byte {
 }
 
 // CF is one column family. All methods are safe for concurrent use.
+//
+// What a CF keeps in memory is what is not yet on disk: the memtable. With a
+// data directory a flush writes the memtable out as a sorted segment file and
+// lets the entries go; the segments are then a list of file names, read back
+// for the duration of a Scan or a Compact and never kept. Without a directory
+// there is nowhere to flush to, so the memtable is the whole column family
+// and Flush does nothing.
 type CF struct {
 	name    string
 	dir     string // "" = ephemeral
@@ -85,9 +94,20 @@ type CF struct {
 	mu       sync.RWMutex
 	mem      map[string]*memRecord
 	memBytes int
-	segments []*segment // newest first
+	segs     []segFile // newest first; always empty when ephemeral
 	nextSeg  int
 }
+
+// segFile is one segment on disk: its number and its size.
+type segFile struct {
+	id    int
+	bytes int
+}
+
+// compactAt is the segment count at which a flush compacts: without it a
+// directory keeps every tombstone and superseded value for ever, and
+// recovery replays them all.
+const compactAt = 4
 
 // Options configures a column family.
 type Options struct {
@@ -96,7 +116,9 @@ type Options struct {
 	FlushAt int
 }
 
-// openCF creates or recovers a column family.
+// openCF creates a column family, or finds the segment files of an existing
+// one. The files are listed, not read: a corrupt segment is reported by the
+// first Scan or Compact that loads it.
 func openCF(name, dir string, opts Options) (*CF, error) {
 	flushAt := opts.FlushAt
 	if flushAt == 0 {
@@ -118,7 +140,6 @@ func openCF(name, dir string, opts Options) (*CF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: read cf dir: %w", err)
 	}
-	var ids []int
 	for _, e := range entries {
 		base := e.Name()
 		if !strings.HasSuffix(base, ".seg") {
@@ -128,23 +149,22 @@ func openCF(name, dir string, opts Options) (*CF, error) {
 		if err != nil {
 			continue
 		}
-		ids = append(ids, id)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ids))) // newest (highest id) first
-	for _, id := range ids {
-		seg, err := loadSegment(filepath.Join(dir, segName(id)))
+		info, err := e.Info()
 		if err != nil {
-			return nil, fmt.Errorf("store: recover segment %d: %w", id, err)
+			return nil, fmt.Errorf("store: stat segment %d: %w", id, err)
 		}
-		cf.segments = append(cf.segments, seg)
+		cf.segs = append(cf.segs, segFile{id: id, bytes: int(info.Size())})
 		if id >= cf.nextSeg {
 			cf.nextSeg = id + 1
 		}
 	}
+	sort.Slice(cf.segs, func(i, j int) bool { return cf.segs[i].id > cf.segs[j].id })
 	return cf, nil
 }
 
 func segName(id int) string { return fmt.Sprintf("%06d.seg", id) }
+
+func (cf *CF) segPath(id int) string { return filepath.Join(cf.dir, segName(id)) }
 
 // Name returns the column family name.
 func (cf *CF) Name() string { return cf.name }
@@ -152,29 +172,34 @@ func (cf *CF) Name() string { return cf.name }
 // Put stores a plain value for key.
 func (cf *CF) Put(key string, val []byte) error {
 	cf.mu.Lock()
-	rec := &memRecord{kind: kindPut, data: append([]byte(nil), val...)}
-	cf.chargeLocked(key, rec)
-	cf.mem[key] = rec
-	return cf.maybeFlushLocked() // unlocks
+	defer cf.mu.Unlock()
+	cf.mem[key] = &memRecord{kind: kindPut, data: append([]byte(nil), val...)}
+	cf.memBytes += len(key) + len(val) + 16
+	return cf.maybeFlushLocked()
 }
 
 // Delete writes a tombstone for key.
 func (cf *CF) Delete(key string) error {
 	cf.mu.Lock()
-	rec := &memRecord{kind: kindTombstone}
-	cf.chargeLocked(key, rec)
-	cf.mem[key] = rec
+	defer cf.mu.Unlock()
+	cf.mem[key] = &memRecord{kind: kindTombstone}
+	cf.memBytes += len(key) + 16
 	return cf.maybeFlushLocked()
 }
 
-// Append adds a merge operand to key. Readers of merge keys use GetMerged,
-// which concatenates all operands newest-to-oldest segments included. Put
-// and Append must not be mixed on the same key.
+// Append adds a merge operand to key; Scan hands a merge key all its
+// operands, oldest first, segments included. Put and Append must not be
+// mixed on the same key.
 func (cf *CF) Append(key string, op []byte) error {
 	cf.mu.Lock()
+	defer cf.mu.Unlock()
 	rec, ok := cf.mem[key]
-	if !ok || rec.kind != kindMerge {
+	if !ok {
 		rec = &memRecord{kind: kindMerge}
+		cf.mem[key] = rec
+	} else if !isMerge(rec.kind) {
+		// The tombstone this replaces must keep cutting off the segments.
+		rec = &memRecord{kind: kindMergeOver}
 		cf.mem[key] = rec
 	}
 	rec.appendOp(op)
@@ -182,200 +207,74 @@ func (cf *CF) Append(key string, op []byte) error {
 	return cf.maybeFlushLocked()
 }
 
-// chargeLocked accounts memtable size for a replace-style record.
-func (cf *CF) chargeLocked(key string, rec *memRecord) {
-	cf.memBytes += len(key) + len(rec.val()) + 16
-}
-
-// maybeFlushLocked flushes when the memtable is full. It releases the lock.
+// maybeFlushLocked flushes when the memtable is full.
 func (cf *CF) maybeFlushLocked() error {
 	if cf.memBytes < cf.flushAt {
-		cf.mu.Unlock()
 		return nil
 	}
 	return cf.flushLocked()
 }
 
-// Get returns the plain value of key.
-func (cf *CF) Get(key string) ([]byte, bool, error) {
-	cf.mu.RLock()
-	defer cf.mu.RUnlock()
-	if rec, ok := cf.mem[key]; ok {
-		switch rec.kind {
-		case kindPut:
-			return append([]byte(nil), rec.data...), true, nil
-		case kindTombstone:
-			return nil, false, nil
-		case kindMerge:
-			return nil, false, fmt.Errorf("store: Get on merge key %q: %w", key, ErrWrongKind)
-		}
-	}
-	for _, seg := range cf.segments {
-		e, ok := seg.get(key)
-		if !ok {
-			continue
-		}
-		switch e.kind {
-		case kindPut:
-			return append([]byte(nil), e.val...), true, nil
-		case kindTombstone:
-			return nil, false, nil
-		case kindMerge:
-			return nil, false, fmt.Errorf("store: Get on merge key %q: %w", key, ErrWrongKind)
-		}
-	}
-	return nil, false, nil
-}
-
-// ErrWrongKind reports mixing plain and merge operations on one key.
-var ErrWrongKind = errors.New("store: plain/merge operation mismatch")
-
-// GetMerged returns all merge operands for key, oldest first.
-func (cf *CF) GetMerged(key string) ([][]byte, error) {
-	cf.mu.RLock()
-	defer cf.mu.RUnlock()
-	// Collect newest-to-oldest, then reverse layers: segments store ops
-	// oldest-first within a layer.
-	var layers [][][]byte
-	if rec, ok := cf.mem[key]; ok {
-		switch rec.kind {
-		case kindTombstone:
-			return nil, nil
-		case kindPut:
-			return nil, fmt.Errorf("store: GetMerged on plain key %q: %w", key, ErrWrongKind)
-		case kindMerge:
-			layers = append(layers, rec.ops())
-		}
-	}
-	stop := false
-	for _, seg := range cf.segments {
-		if stop {
-			break
-		}
-		e, ok := seg.get(key)
-		if !ok {
-			continue
-		}
-		switch e.kind {
-		case kindTombstone:
-			stop = true
-		case kindPut:
-			return nil, fmt.Errorf("store: GetMerged on plain key %q: %w", key, ErrWrongKind)
-		case kindMerge:
-			layers = append(layers, e.ops)
-		}
-	}
-	var total int
-	for _, l := range layers {
-		total += len(l)
-	}
-	out := make([][]byte, 0, total)
-	for i := len(layers) - 1; i >= 0; i-- {
-		for _, op := range layers[i] {
-			out = append(out, append([]byte(nil), op...))
-		}
-	}
-	return out, nil
-}
-
-// Scan calls fn for every live key with the given prefix, in key order,
-// with the key's newest plain value (merge keys are passed their
-// concatenated operand count encoded implicitly — fn receives nil val and
-// ops). Iteration stops if fn returns false.
+// Scan calls fn for every live key with the given prefix, in key order: a
+// plain key with its newest value, a merge key with its operands oldest
+// first. val and ops are only valid during the call. Iteration stops if fn
+// returns false. Every segment file is read once and dropped again.
 func (cf *CF) Scan(prefix string, fn func(key string, val []byte, ops [][]byte) bool) error {
-	type state struct {
-		kind int
-		val  []byte
-		ops  [][]byte
-		done bool // plain resolved or tombstoned
-	}
 	cf.mu.RLock()
 	defer cf.mu.RUnlock()
-
-	keys := make(map[string]*state)
-	collect := func(key string, kind int, val []byte, ops [][]byte) {
-		if !strings.HasPrefix(key, prefix) {
-			return
-		}
-		st, ok := keys[key]
-		if !ok {
-			st = &state{kind: kind}
-			keys[key] = st
-		}
-		if st.done {
-			return
-		}
-		switch kind {
-		case kindTombstone:
-			st.done = true
-			st.kind = kindTombstone
-		case kindPut:
-			st.val = append([]byte(nil), val...)
-			st.kind = kindPut
-			st.done = true
-		case kindMerge:
-			st.kind = kindMerge
-			// Prepend older layers after newer ones are handled below; we
-			// accumulate newest-first here and reverse at the end.
-			st.ops = append(st.ops, ops...)
-		}
+	layers, err := cf.loadSegmentsLocked()
+	if err != nil {
+		return err
 	}
-	for key, rec := range cf.mem {
-		collect(key, rec.kind, rec.val(), rec.ops())
-	}
-	for _, seg := range cf.segments {
-		for i := range seg.entries {
-			e := &seg.entries[i]
-			collect(e.key, e.kind, e.val, e.ops)
-		}
-	}
-
-	ordered := make([]string, 0, len(keys))
-	for k, st := range keys {
-		if st.kind == kindTombstone {
-			continue
-		}
-		ordered = append(ordered, k)
-	}
-	sort.Strings(ordered)
-	for _, k := range ordered {
-		st := keys[k]
-		// Merge-op order across layers is unspecified in Scan; posting-list
-		// consumers treat operands as a set. GetMerged provides
-		// oldest-first order when it matters.
-		if !fn(k, st.val, st.ops) {
+	// The memtable is the newest layer.
+	merged := mergeSegments(append([]*segment{newSegmentFromMem(cf.mem)}, layers...))
+	for i := range merged.entries {
+		e := &merged.entries[i]
+		if strings.HasPrefix(e.key, prefix) && !fn(e.key, e.val, e.ops) {
 			break
 		}
 	}
 	return nil
 }
 
-// Flush forces the memtable into a new segment.
+// loadSegmentsLocked reads every segment file, newest first.
+func (cf *CF) loadSegmentsLocked() ([]*segment, error) {
+	out := make([]*segment, 0, len(cf.segs))
+	for _, sf := range cf.segs {
+		seg, err := loadSegment(cf.segPath(sf.id))
+		if err != nil {
+			return nil, fmt.Errorf("store: cf %s segment %d: %w", cf.name, sf.id, err)
+		}
+		out = append(out, seg)
+	}
+	return out, nil
+}
+
+// Flush writes the memtable out as a new segment file. Writers and scans wait
+// while it runs.
 func (cf *CF) Flush() error {
 	cf.mu.Lock()
+	defer cf.mu.Unlock()
 	return cf.flushLocked()
 }
 
-// flushLocked writes the memtable to a segment and releases the lock.
+// flushLocked saves the memtable and lets it go; a failed save keeps it. The
+// flush that brings the directory to compactAt segments merges them into one.
 func (cf *CF) flushLocked() error {
-	if len(cf.mem) == 0 {
-		cf.mu.Unlock()
+	if cf.dir == "" || len(cf.mem) == 0 {
 		return nil
 	}
-	seg := newSegmentFromMem(cf.mem)
 	id := cf.nextSeg
+	size, err := newSegmentFromMem(cf.mem).save(cf.segPath(id))
+	if err != nil {
+		return fmt.Errorf("store: flush cf %s: %w", cf.name, err)
+	}
 	cf.nextSeg++
 	cf.mem = make(map[string]*memRecord)
 	cf.memBytes = 0
-	cf.segments = append([]*segment{seg}, cf.segments...)
-	dir := cf.dir
-	cf.mu.Unlock()
-
-	if dir == "" {
-		return nil
-	}
-	if err := seg.save(filepath.Join(dir, segName(id))); err != nil {
-		return fmt.Errorf("store: flush cf %s: %w", cf.name, err)
+	cf.segs = append([]segFile{{id: id, bytes: size}}, cf.segs...)
+	if len(cf.segs) >= compactAt {
+		return cf.compactLocked()
 	}
 	return nil
 }
@@ -384,44 +283,43 @@ func (cf *CF) flushLocked() error {
 // superseded values and tombstoned history.
 func (cf *CF) Compact() error {
 	cf.mu.Lock()
-	if len(cf.segments) <= 1 {
-		cf.mu.Unlock()
-		return nil
-	}
-	old := cf.segments
-	merged := mergeSegments(old)
-	id := cf.nextSeg
-	cf.nextSeg++
-	cf.segments = []*segment{merged}
-	dir := cf.dir
-	cf.mu.Unlock()
+	defer cf.mu.Unlock()
+	return cf.compactLocked()
+}
 
-	if dir == "" {
+func (cf *CF) compactLocked() error {
+	if len(cf.segs) <= 1 {
 		return nil
 	}
-	if err := merged.save(filepath.Join(dir, segName(id))); err != nil {
+	layers, err := cf.loadSegmentsLocked()
+	if err != nil {
+		return err
+	}
+	id := cf.nextSeg
+	size, err := mergeSegments(layers).save(cf.segPath(id))
+	if err != nil {
 		return fmt.Errorf("store: compact cf %s: %w", cf.name, err)
 	}
-	// Old segment files are superseded; removal failures only waste disk.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	for _, e := range entries {
-		if e.Name() == segName(id) || !strings.HasSuffix(e.Name(), ".seg") {
-			continue
+	cf.nextSeg++
+	old := cf.segs
+	cf.segs = []segFile{{id: id, bytes: size}}
+	// The old files are superseded. Oldest first, stopping at a failure: a
+	// leftover newer than every removed file only wastes disk, while an older
+	// one whose tombstone went before it would come back to life on recovery.
+	for i := len(old) - 1; i >= 0; i-- {
+		if err := os.Remove(cf.segPath(old[i].id)); err != nil {
+			break
 		}
-		_ = os.Remove(filepath.Join(dir, e.Name()))
 	}
 	return nil
 }
 
-// Stats describes the column family's footprint.
+// Stats describes the column family's footprint: the memtable in memory,
+// the segments on disk.
 type Stats struct {
 	MemKeys      int
 	MemBytes     int
 	Segments     int
-	SegmentKeys  int
 	SegmentBytes int
 }
 
@@ -429,18 +327,17 @@ type Stats struct {
 func (cf *CF) Stats() Stats {
 	cf.mu.RLock()
 	defer cf.mu.RUnlock()
-	st := Stats{MemKeys: len(cf.mem), MemBytes: cf.memBytes, Segments: len(cf.segments)}
-	for _, seg := range cf.segments {
-		st.SegmentKeys += len(seg.entries)
-		st.SegmentBytes += seg.bytes
+	st := Stats{MemKeys: len(cf.mem), MemBytes: cf.memBytes, Segments: len(cf.segs)}
+	for _, sf := range cf.segs {
+		st.SegmentBytes += sf.bytes
 	}
 	return st
 }
 
-// segment is an immutable sorted run of records.
+// segment is a sorted run of records: the memtable on its way to disk, or a
+// segment file read back for one Scan or Compact.
 type segment struct {
 	entries []segEntry // sorted by key
-	bytes   int
 }
 
 type segEntry struct {
@@ -453,90 +350,52 @@ type segEntry struct {
 func newSegmentFromMem(mem map[string]*memRecord) *segment {
 	seg := &segment{entries: make([]segEntry, 0, len(mem))}
 	for key, rec := range mem {
-		e := segEntry{key: key, kind: rec.kind, val: rec.val(), ops: rec.ops()}
-		seg.bytes += len(key) + len(e.val) + 16
-		for _, op := range e.ops {
-			seg.bytes += len(op)
-		}
-		seg.entries = append(seg.entries, e)
+		seg.entries = append(seg.entries, segEntry{key: key, kind: rec.kind, val: rec.val(), ops: rec.ops()})
 	}
 	sort.Slice(seg.entries, func(i, j int) bool { return seg.entries[i].key < seg.entries[j].key })
 	return seg
 }
 
-func (s *segment) get(key string) (*segEntry, bool) {
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].key >= key })
-	if i < len(s.entries) && s.entries[i].key == key {
-		return &s.entries[i], true
-	}
-	return nil, false
-}
-
-// mergeSegments combines newest-first segments into one, applying
-// supersede/merge semantics.
+// mergeSegments combines newest-first segments into one: a key keeps the
+// state of the newest segment that names it, a merge key also collects the
+// operands of older segments — oldest first — down to the first deletion,
+// and keys whose newest state is a tombstone are dropped.
 func mergeSegments(segs []*segment) *segment {
 	type acc struct {
-		kind int
-		val  []byte
-		ops  [][]byte // newest layer first during accumulation
-		done bool
+		segEntry
+		done bool // nothing older can change it
 	}
 	accs := make(map[string]*acc)
-	for _, seg := range segs { // newest first
+	for _, seg := range segs {
 		for i := range seg.entries {
 			e := &seg.entries[i]
 			a, ok := accs[e.key]
-			if !ok {
-				a = &acc{kind: e.kind}
-				accs[e.key] = a
-			}
-			if a.done {
-				continue
-			}
-			switch e.kind {
-			case kindTombstone:
-				a.kind = kindTombstone
+			switch {
+			case !ok:
+				accs[e.key] = &acc{segEntry: *e, done: e.kind != kindMerge}
+			case a.done:
+			case isMerge(e.kind):
+				a.ops = append(e.ops[:len(e.ops):len(e.ops)], a.ops...)
+				a.done = e.kind == kindMergeOver
+			default:
 				a.done = true
-			case kindPut:
-				if a.kind != kindMerge {
-					a.kind = kindPut
-					a.val = e.val
-				}
-				a.done = true
-			case kindMerge:
-				a.kind = kindMerge
-				a.ops = append(a.ops, e.ops...)
 			}
 		}
 	}
 	out := &segment{entries: make([]segEntry, 0, len(accs))}
-	for key, a := range accs {
-		if a.kind == kindTombstone {
-			// Fully compacted: tombstones can be dropped once they are the
-			// newest state across all merged segments.
-			continue
+	for _, a := range accs {
+		if a.kind != kindTombstone {
+			out.entries = append(out.entries, a.segEntry)
 		}
-		e := segEntry{key: key, kind: a.kind, val: a.val}
-		if a.kind == kindMerge {
-			// Reverse accumulated layers to oldest-first.
-			e.ops = make([][]byte, 0, len(a.ops))
-			for i := len(a.ops) - 1; i >= 0; i-- {
-				e.ops = append(e.ops, a.ops[i])
-			}
-		}
-		out.bytes += len(key) + len(e.val) + 16
-		for _, op := range e.ops {
-			out.bytes += len(op)
-		}
-		out.entries = append(out.entries, e)
 	}
 	sort.Slice(out.entries, func(i, j int) bool { return out.entries[i].key < out.entries[j].key })
 	return out
 }
 
-// save writes the segment to path atomically (write temp + rename).
-func (s *segment) save(path string) error {
-	w := codec.NewWriter(s.bytes + 64)
+// save writes the segment to path — temp file, sync, rename, so a crash
+// leaves the whole segment or none of it — and returns its size.
+func (s *segment) save(path string) (int, error) {
+	w := codec.NewWriter(64 * len(s.entries))
 	w.Uvarint(uint64(len(s.entries)))
 	for i := range s.entries {
 		e := &s.entries[i]
@@ -545,7 +404,7 @@ func (s *segment) save(path string) error {
 		switch e.kind {
 		case kindPut:
 			w.Bytes0(e.val)
-		case kindMerge:
+		case kindMerge, kindMergeOver:
 			w.Uvarint(uint64(len(e.ops)))
 			for _, op := range e.ops {
 				w.Bytes0(op)
@@ -553,13 +412,25 @@ func (s *segment) save(path string) error {
 		}
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, w.Bytes(), 0o644); err != nil {
-		return err
+	f, err := os.Create(tmp)
+	if err != nil {
+		return 0, err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(w.Bytes())
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return len(w.Bytes()), os.Rename(tmp, path)
 }
 
-// loadSegment reads a segment file.
+// loadSegment reads a segment file. Values and operands alias the file's
+// bytes, which live as long as the segment does.
 func loadSegment(path string) (*segment, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -573,7 +444,7 @@ func loadSegment(path string) (*segment, error) {
 	if n > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("store: segment %s claims %d entries", path, n)
 	}
-	seg := &segment{entries: make([]segEntry, 0, n), bytes: len(data)}
+	seg := &segment{entries: make([]segEntry, 0, n)}
 	for i := uint64(0); i < n; i++ {
 		var e segEntry
 		if e.key, err = r.String(); err != nil {
@@ -586,13 +457,11 @@ func loadSegment(path string) (*segment, error) {
 		e.kind = int(kind)
 		switch e.kind {
 		case kindPut:
-			val, err := r.Bytes0()
-			if err != nil {
+			if e.val, err = r.Bytes0(); err != nil {
 				return nil, err
 			}
-			e.val = append([]byte(nil), val...)
 		case kindTombstone:
-		case kindMerge:
+		case kindMerge, kindMergeOver:
 			m, err := r.Uvarint()
 			if err != nil {
 				return nil, err
@@ -606,12 +475,15 @@ func loadSegment(path string) (*segment, error) {
 				if err != nil {
 					return nil, err
 				}
-				e.ops = append(e.ops, append([]byte(nil), op...))
+				e.ops = append(e.ops, op)
 			}
 		default:
 			return nil, fmt.Errorf("store: segment %s bad record kind %d", path, e.kind)
 		}
 		seg.entries = append(seg.entries, e)
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("store: segment %s has %d trailing bytes", path, r.Remaining())
 	}
 	return seg, nil
 }

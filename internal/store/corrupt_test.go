@@ -9,7 +9,10 @@ import (
 )
 
 // TestLoadSegmentRejectsCorruption fuzzes truncation points of a valid
-// segment file: recovery must error, never panic or silently misread.
+// segment file: loading must error, never panic or silently misread. Opening
+// a column family only lists its files, so on a directory the error surfaces
+// at the first Scan (index.New runs one per column family) or Compact — not
+// at Store.CF — and a failed Compact leaves every file where it was.
 func TestLoadSegmentRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -48,6 +51,42 @@ func TestLoadSegmentRejectsCorruption(t *testing.T) {
 		if _, err := loadSegment(tmp); err == nil {
 			t.Errorf("truncation at %d bytes accepted", cut)
 		}
+	}
+	// Trailing garbage is corruption too: the entry count no longer accounts
+	// for the file.
+	if err := os.WriteFile(tmp, append(append([]byte(nil), valid...), 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadSegment(tmp); err == nil {
+		t.Error("trailing byte accepted")
+	}
+
+	// The same truncation inside a data directory, beside a good segment.
+	if err := cf.Put("later", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath, valid[:len(valid)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf2, err := s2.CF("data")
+	if err != nil {
+		t.Fatalf("CF lists segments without reading them, got %v", err)
+	}
+	if err := cf2.Scan("", func(string, []byte, [][]byte) bool { return true }); err == nil {
+		t.Error("Scan over a truncated segment succeeded")
+	}
+	if err := cf2.Compact(); err == nil {
+		t.Error("Compact over a truncated segment succeeded")
+	}
+	if st := cf2.Stats(); st.Segments != 2 {
+		t.Errorf("failed Compact left %d segments listed, want 2", st.Segments)
 	}
 	// Bit flips in the header region must not panic.
 	for i := 0; i < 8 && i < len(valid); i++ {
@@ -90,14 +129,15 @@ func TestRecoveryIgnoresForeignFiles(t *testing.T) {
 	if err := cf.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := cf.Get("k")
-	if err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get = %q, %v, %v", v, ok, err)
+	if st := cf.Stats(); st.Segments != 0 {
+		t.Fatalf("foreign files listed as %d segments", st.Segments)
 	}
+	wantValue(t, cf, "k", "v", true)
 }
 
-// TestMergeOrderPreservedProperty: GetMerged returns operands oldest-first
-// across arbitrary flush boundaries.
+// TestMergeOrderPreservedProperty: Scan hands a merge key its operands
+// oldest-first across arbitrary flush (and, every fourth segment, compaction)
+// boundaries, duplicates included.
 func TestMergeOrderPreservedProperty(t *testing.T) {
 	prop := func(ops []byte, flushMask uint32) bool {
 		if len(ops) == 0 {
@@ -106,14 +146,7 @@ func TestMergeOrderPreservedProperty(t *testing.T) {
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
-		s, err := Open("", Options{})
-		if err != nil {
-			return false
-		}
-		cf, err := s.CF("t")
-		if err != nil {
-			return false
-		}
+		cf := tempCF(t, Options{})
 		for i, b := range ops {
 			if err := cf.Append("k", []byte{b}); err != nil {
 				return false
@@ -124,8 +157,8 @@ func TestMergeOrderPreservedProperty(t *testing.T) {
 				}
 			}
 		}
-		got, err := cf.GetMerged("k")
-		if err != nil || len(got) != len(ops) {
+		_, got, _ := lookup(t, cf, "k")
+		if len(got) != len(ops) {
 			return false
 		}
 		for i := range ops {
@@ -142,7 +175,7 @@ func TestMergeOrderPreservedProperty(t *testing.T) {
 
 // TestCompactIdempotent: compacting twice yields the same reads.
 func TestCompactIdempotent(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	for i := 0; i < 10; i++ {
 		if err := cf.Put("k"+strconv.Itoa(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -158,10 +191,7 @@ func TestCompactIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		v, ok, err := cf.Get("k" + strconv.Itoa(i))
-		if err != nil || !ok || v[0] != byte(i) {
-			t.Fatalf("k%d = %v, %v, %v", i, v, ok, err)
-		}
+		wantValue(t, cf, "k"+strconv.Itoa(i), string([]byte{byte(i)}), true)
 	}
 	if st := cf.Stats(); st.Segments != 1 {
 		t.Fatalf("segments = %d, want 1", st.Segments)
@@ -169,7 +199,7 @@ func TestCompactIdempotent(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	if st := cf.Stats(); st.MemKeys != 0 || st.Segments != 0 {
 		t.Fatalf("empty stats = %+v", st)
 	}
@@ -184,10 +214,51 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = cf.Stats()
-	if st.MemKeys != 0 || st.Segments != 1 || st.SegmentKeys != 1 {
+	if st.MemKeys != 0 || st.MemBytes != 0 || st.Segments != 1 || st.SegmentBytes == 0 {
 		t.Fatalf("stats after flush = %+v", st)
 	}
 	if cf.Name() != "test" {
 		t.Fatalf("Name = %q", cf.Name())
 	}
+}
+
+// TestEphemeralFlushKeepsMemtable: without a data directory there is nowhere
+// to flush to — the memtable is the column family, whatever FlushAt says.
+func TestEphemeralFlushKeepsMemtable(t *testing.T) {
+	s, err := Open("", Options{FlushAt: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Durable() {
+		t.Fatal("a store without a directory reports Durable")
+	}
+	cf, err := s.CF("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := cf.Put("k"+strconv.Itoa(i), []byte("0123456789")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cf.Append("list", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Delete("list"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Append("list", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := cf.Stats(); st.MemKeys != 51 || st.Segments != 0 {
+		t.Fatalf("stats = %+v, want 51 memtable keys and no segment", st)
+	}
+	wantValue(t, cf, "k49", "0123456789", true)
+	wantOps(t, cf, "list", "new")
 }

@@ -22,6 +22,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{dir: dir, opts: opts, cfs: make(map[string]*CF)}, nil
 }
 
+// Durable reports whether the store has a data directory. Writing to one
+// that has none buys nothing a restart could recover, so the index consults
+// this once and skips its write-through altogether.
+func (s *Store) Durable() bool { return s.dir != "" }
+
 // CF returns (opening or recovering on first use) the named column family.
 func (s *Store) CF(name string) (*CF, error) {
 	s.mu.Lock()
@@ -41,7 +46,8 @@ func (s *Store) CF(name string) (*CF, error) {
 	return cf, nil
 }
 
-// FlushAll flushes every open column family.
+// FlushAll flushes every open column family — what a clean shutdown calls,
+// since there is no write-ahead log to replay the memtables from.
 func (s *Store) FlushAll() error {
 	s.mu.Lock()
 	cfs := make([]*CF, 0, len(s.cfs))

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -12,9 +13,11 @@ import (
 	"github.com/movesys/move/internal/model"
 )
 
-func memCF(t testing.TB, opts Options) *CF {
+// tempCF opens a column family over a fresh data directory: flushes write
+// segment files, reads go through Scan.
+func tempCF(t testing.TB, opts Options) *CF {
 	t.Helper()
-	s, err := Open("", opts)
+	s, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,47 +28,77 @@ func memCF(t testing.TB, opts Options) *CF {
 	return cf
 }
 
-func TestPutGetDelete(t *testing.T) {
-	cf := memCF(t, Options{})
-	if err := cf.Put("k1", []byte("v1")); err != nil {
-		t.Fatal(err)
+// lookup reads one key the only way the store is read: a Scan. It returns
+// copies, since Scan's slices die with the call.
+func lookup(t testing.TB, cf *CF, key string) (val []byte, ops [][]byte, ok bool) {
+	t.Helper()
+	err := cf.Scan(key, func(k string, v []byte, o [][]byte) bool {
+		if k != key {
+			return true
+		}
+		val, ok = append([]byte{}, v...), true
+		for _, op := range o {
+			ops = append(ops, append([]byte{}, op...))
+		}
+		return false
+	})
+	if err != nil {
+		t.Fatalf("Scan(%q): %v", key, err)
 	}
-	v, ok, err := cf.Get("k1")
-	if err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("Get = %q, %v, %v", v, ok, err)
-	}
-	if err := cf.Put("k1", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err = cf.Get("k1")
-	if err != nil || !ok || string(v) != "v2" {
-		t.Fatalf("Get after overwrite = %q, %v, %v", v, ok, err)
-	}
-	if err := cf.Delete("k1"); err != nil {
-		t.Fatal(err)
-	}
-	_, ok, err = cf.Get("k1")
-	if err != nil || ok {
-		t.Fatalf("Get after delete: ok=%v err=%v", ok, err)
-	}
-	_, ok, err = cf.Get("never")
-	if err != nil || ok {
-		t.Fatalf("Get missing: ok=%v err=%v", ok, err)
+	return val, ops, ok
+}
+
+// wantValue asserts key's plain value ("" ok=false: the key is absent).
+func wantValue(t testing.TB, cf *CF, key, want string, wantOK bool) {
+	t.Helper()
+	v, _, ok := lookup(t, cf, key)
+	if ok != wantOK || string(v) != want {
+		t.Fatalf("%q = %q, %v; want %q, %v", key, v, ok, want, wantOK)
 	}
 }
 
+// wantOps asserts key's merge operands, oldest first.
+func wantOps(t testing.TB, cf *CF, key string, want ...string) {
+	t.Helper()
+	_, ops, _ := lookup(t, cf, key)
+	got := make([]string, len(ops))
+	for i, op := range ops {
+		got[i] = string(op)
+	}
+	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%q operands = %q, want %q", key, got, want)
+	}
+}
+
+func TestPutGetDelete(t *testing.T) {
+	cf := tempCF(t, Options{})
+	if err := cf.Put("k1", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	wantValue(t, cf, "k1", "v1", true)
+	if err := cf.Put("k1", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	wantValue(t, cf, "k1", "v2", true)
+	if err := cf.Delete("k1"); err != nil {
+		t.Fatal(err)
+	}
+	wantValue(t, cf, "k1", "", false)
+	wantValue(t, cf, "never", "", false)
+}
+
 func TestGetSurvivesFlush(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	if err := cf.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := cf.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := cf.Get("k")
-	if err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get after flush = %q, %v, %v", v, ok, err)
+	if st := cf.Stats(); st.MemKeys != 0 || st.Segments != 1 {
+		t.Fatalf("stats after flush = %+v, want the value on disk only", st)
 	}
+	wantValue(t, cf, "k", "v", true)
 	// Tombstone over a flushed value.
 	if err := cf.Delete("k"); err != nil {
 		t.Fatal(err)
@@ -73,14 +106,11 @@ func TestGetSurvivesFlush(t *testing.T) {
 	if err := cf.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err = cf.Get("k")
-	if err != nil || ok {
-		t.Fatalf("deleted key visible after flush: ok=%v err=%v", ok, err)
-	}
+	wantValue(t, cf, "k", "", false)
 }
 
 func TestNewestSegmentWins(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	for i := 0; i < 3; i++ {
 		if err := cf.Put("k", []byte("v"+strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
@@ -89,14 +119,11 @@ func TestNewestSegmentWins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, ok, err := cf.Get("k")
-	if err != nil || !ok || string(v) != "v2" {
-		t.Fatalf("Get = %q, %v, %v; want v2", v, ok, err)
-	}
+	wantValue(t, cf, "k", "v2", true)
 }
 
 func TestMergeAcrossFlushes(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	for i := 0; i < 5; i++ {
 		if err := cf.Append("list", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -107,22 +134,11 @@ func TestMergeAcrossFlushes(t *testing.T) {
 			}
 		}
 	}
-	ops, err := cf.GetMerged("list")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ops) != 5 {
-		t.Fatalf("got %d ops, want 5", len(ops))
-	}
-	for i, op := range ops {
-		if len(op) != 1 || op[0] != byte(i) {
-			t.Fatalf("op[%d] = %v, want [%d] (oldest first)", i, op, i)
-		}
-	}
+	wantOps(t, cf, "list", "\x00", "\x01", "\x02", "\x03", "\x04")
 }
 
 func TestMergeTombstoneCutsHistory(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	if err := cf.Append("list", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -138,33 +154,34 @@ func TestMergeTombstoneCutsHistory(t *testing.T) {
 	if err := cf.Append("list", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	ops, err := cf.GetMerged("list")
-	if err != nil {
+	wantOps(t, cf, "list", "new")
+	// The same with the tombstone still in the memtable when the append
+	// lands on it, and no tombstone on disk to fall back on: the flushed
+	// history must stay cut, before and after the memtable itself is flushed.
+	if err := cf.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if len(ops) != 1 || string(ops[0]) != "new" {
-		t.Fatalf("ops = %v, want [new]", ops)
-	}
-}
-
-func TestWrongKindErrors(t *testing.T) {
-	cf := memCF(t, Options{})
-	if err := cf.Put("plain", []byte("v")); err != nil {
+	if err := cf.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cf.Append("merged", []byte("op")); err != nil {
+	if err := cf.Delete("list"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cf.GetMerged("plain"); !errors.Is(err, ErrWrongKind) {
-		t.Fatalf("GetMerged on plain key: %v", err)
+	if err := cf.Append("list", []byte("newer")); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := cf.Get("merged"); !errors.Is(err, ErrWrongKind) {
-		t.Fatalf("Get on merge key: %v", err)
+	wantOps(t, cf, "list", "newer")
+	if err := cf.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	if err := cf.Append("list", []byte("newest")); err != nil {
+		t.Fatal(err)
+	}
+	wantOps(t, cf, "list", "newer", "newest")
 }
 
 func TestAutoFlushAtThreshold(t *testing.T) {
-	cf := memCF(t, Options{FlushAt: 256})
+	cf := tempCF(t, Options{FlushAt: 256})
 	for i := 0; i < 100; i++ {
 		if err := cf.Put("key-"+strconv.Itoa(i), []byte("0123456789")); err != nil {
 			t.Fatal(err)
@@ -174,22 +191,25 @@ func TestAutoFlushAtThreshold(t *testing.T) {
 	if st.Segments == 0 {
 		t.Fatal("no auto flush happened")
 	}
+	if st.Segments >= compactAt {
+		t.Fatalf("%d segments: flushing did not compact at %d", st.Segments, compactAt)
+	}
 	for i := 0; i < 100; i++ {
-		v, ok, err := cf.Get("key-" + strconv.Itoa(i))
-		if err != nil || !ok || string(v) != "0123456789" {
-			t.Fatalf("key-%d lost after auto flush", i)
-		}
+		wantValue(t, cf, "key-"+strconv.Itoa(i), "0123456789", true)
 	}
 }
 
 func TestCompact(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	for i := 0; i < 4; i++ {
 		if err := cf.Put("stable", []byte("s"+strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := cf.Append("list", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
+		// Two operands a layer: their order inside it must survive the merge.
+		for _, op := range []string{"a", "b"} {
+			if err := cf.Append("list", []byte(op+strconv.Itoa(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := cf.Flush(); err != nil {
 			t.Fatal(err)
@@ -215,27 +235,13 @@ func TestCompact(t *testing.T) {
 	if st.Segments != 1 {
 		t.Fatalf("segments after compact = %d, want 1", st.Segments)
 	}
-	v, ok, err := cf.Get("stable")
-	if err != nil || !ok || string(v) != "s3" {
-		t.Fatalf("stable = %q, %v, %v", v, ok, err)
-	}
-	_, ok, err = cf.Get("gone")
-	if err != nil || ok {
-		t.Fatalf("tombstoned key resurrected by compaction: ok=%v err=%v", ok, err)
-	}
-	ops, err := cf.GetMerged("list")
-	if err != nil || len(ops) != 4 {
-		t.Fatalf("merged list after compact: %v ops, err %v", len(ops), err)
-	}
-	for i, op := range ops {
-		if op[0] != byte(i) {
-			t.Fatalf("compact broke merge order: op[%d]=%v", i, op)
-		}
-	}
+	wantValue(t, cf, "stable", "s3", true)
+	wantValue(t, cf, "gone", "", false)
+	wantOps(t, cf, "list", "a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3")
 }
 
 func TestScanPrefix(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	for _, k := range []string{"a:1", "a:2", "b:1", "a:3"} {
 		if err := cf.Put(k, []byte(k)); err != nil {
 			t.Fatal(err)
@@ -260,7 +266,7 @@ func TestScanPrefix(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	cf := memCF(t, Options{})
+	cf := tempCF(t, Options{})
 	for i := 0; i < 10; i++ {
 		if err := cf.Put("k"+strconv.Itoa(i), nil); err != nil {
 			t.Fatal(err)
@@ -318,21 +324,12 @@ func TestPersistenceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := cf2.Get("k0")
-	if err != nil || !ok || string(v) != "newer" {
-		t.Fatalf("recovered k0 = %q, %v, %v", v, ok, err)
+	if st := cf2.Stats(); st.MemKeys != 0 || st.Segments != 2 {
+		t.Fatalf("recovered stats = %+v, want two listed segments and nothing loaded", st)
 	}
-	v, ok, err = cf2.Get("k25")
-	if err != nil || !ok || string(v) != "v25" {
-		t.Fatalf("recovered k25 = %q, %v, %v", v, ok, err)
-	}
-	ops, err := cf2.GetMerged("plist")
-	if err != nil || len(ops) != 2 {
-		t.Fatalf("recovered plist: %d ops, err %v", len(ops), err)
-	}
-	if string(ops[0]) != "op1" || string(ops[1]) != "op2" {
-		t.Fatalf("recovered merge order wrong: %q %q", ops[0], ops[1])
-	}
+	wantValue(t, cf2, "k0", "newer", true)
+	wantValue(t, cf2, "k25", "v25", true)
+	wantOps(t, cf2, "plist", "op1", "op2")
 }
 
 func TestPersistenceCompactRemovesOldFiles(t *testing.T) {
@@ -364,13 +361,16 @@ func TestPersistenceCompactRemovesOldFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cf2.Stats(); st.Segments != 1 || st.SegmentKeys != 3 {
-		t.Fatalf("recovered stats = %+v, want 1 segment with 3 keys", st)
+	if st := cf2.Stats(); st.Segments != 1 || st.SegmentBytes == 0 {
+		t.Fatalf("recovered stats = %+v, want 1 segment", st)
+	}
+	for i := 0; i < 3; i++ {
+		wantValue(t, cf2, fmt.Sprintf("k%d", i), "v", true)
 	}
 }
 
 func TestConcurrentMixedOps(t *testing.T) {
-	cf := memCF(t, Options{FlushAt: 1 << 10})
+	cf := tempCF(t, Options{FlushAt: 1 << 10})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -386,28 +386,29 @@ func TestConcurrentMixedOps(t *testing.T) {
 					t.Errorf("append: %v", err)
 					return
 				}
-				if _, _, err := cf.Get(key); err != nil {
-					t.Errorf("get: %v", err)
-					return
+				if i%50 == 0 {
+					if err := cf.Scan(key, func(string, []byte, [][]byte) bool { return false }); err != nil {
+						t.Errorf("scan: %v", err)
+						return
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	ops, err := cf.GetMerged("shared-list")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ops) != 8*200 {
+	if _, ops, _ := lookup(t, cf, "shared-list"); len(ops) != 8*200 {
 		t.Fatalf("shared list has %d ops, want %d", len(ops), 8*200)
+	}
+	if st := cf.Stats(); st.Segments == 0 || st.Segments >= compactAt {
+		t.Fatalf("stats = %+v, want 1..%d segments", st, compactAt-1)
 	}
 }
 
-// TestPutGetRoundTripProperty: a Get after Put returns exactly the stored
-// value across arbitrary flush points.
+// TestPutGetRoundTripProperty: a Scan after the Puts visits exactly the
+// stored values across arbitrary flush points.
 func TestPutGetRoundTripProperty(t *testing.T) {
 	prop := func(pairs map[string][]byte, flushEvery uint8) bool {
-		cf := memCF(t, Options{})
+		cf := tempCF(t, Options{})
 		n := 0
 		for k, v := range pairs {
 			if err := cf.Put(k, v); err != nil {
@@ -420,21 +421,15 @@ func TestPutGetRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
-		for k, v := range pairs {
-			got, ok, err := cf.Get(k)
-			if err != nil || !ok {
-				return false
+		seen := 0
+		err := cf.Scan("", func(k string, got []byte, _ [][]byte) bool {
+			v, ok := pairs[k]
+			if ok && bytes.Equal(got, v) {
+				seen++
 			}
-			if len(got) != len(v) {
-				return false
-			}
-			for i := range v {
-				if got[i] != v[i] {
-					return false
-				}
-			}
-		}
-		return true
+			return true
+		})
+		return err == nil && seen == len(pairs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -454,27 +449,31 @@ func TestFilterStoreRoundTrip(t *testing.T) {
 	if err := fs.Put(f); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := fs.Get(42)
-	if err != nil || !ok {
-		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	all := func() []model.Filter {
+		t.Helper()
+		var out []model.Filter
+		if err := fs.Each(func(f model.Filter) bool {
+			out = append(out, f)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if !reflect.DeepEqual(got, f) {
-		t.Fatalf("got %+v, want %+v", got, f)
+	if got := all(); !reflect.DeepEqual(got, []model.Filter{f}) {
+		t.Fatalf("Each = %+v, want [%+v]", got, f)
 	}
-	_, ok, err = fs.Get(43)
-	if err != nil || ok {
-		t.Fatalf("missing filter: ok=%v err=%v", ok, err)
+	if err := fs.Delete(43); err != nil {
+		t.Fatal(err)
 	}
-	n, err := fs.Count()
-	if err != nil || n != 1 {
-		t.Fatalf("Count = %d, %v", n, err)
+	if got := all(); len(got) != 1 {
+		t.Fatalf("deleting a missing ID left %d filters, want 1", len(got))
 	}
 	if err := fs.Delete(42); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, _ = fs.Get(42)
-	if ok {
-		t.Fatal("filter visible after delete")
+	if got := all(); len(got) != 0 {
+		t.Fatalf("filter visible after delete: %+v", got)
 	}
 }
 
@@ -537,61 +536,24 @@ func TestPostingStore(t *testing.T) {
 	if err := ps.Add("news", 2); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := ps.Get("news")
-	if err != nil {
-		t.Fatal(err)
+	lists := func() map[string][]model.FilterID {
+		t.Helper()
+		out := make(map[string][]model.FilterID)
+		if err := ps.Each(func(term string, ids []model.FilterID) bool {
+			out[term] = ids
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if !reflect.DeepEqual(ids, []model.FilterID{1, 2, 3, 4}) {
-		t.Fatalf("Get = %v", ids)
-	}
-	n, err := ps.Len("news")
-	if err != nil || n != 4 {
-		t.Fatalf("Len = %d, %v", n, err)
-	}
-	terms, err := ps.Terms()
-	if err != nil || !reflect.DeepEqual(terms, []string{"news"}) {
-		t.Fatalf("Terms = %v, %v", terms, err)
+	if got := lists(); !reflect.DeepEqual(got, map[string][]model.FilterID{"news": {1, 2, 3, 4}}) {
+		t.Fatalf("Each = %v, want news: [1 2 3 4]", got)
 	}
 	if err := ps.Remove("news"); err != nil {
 		t.Fatal(err)
 	}
-	ids, err = ps.Get("news")
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("after Remove: %v, %v", ids, err)
-	}
-}
-
-func TestMetaStore(t *testing.T) {
-	s, err := Open("", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := NewMetaStore(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.PutString("policy", "proactive"); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := ms.GetString("policy")
-	if err != nil || !ok || v != "proactive" {
-		t.Fatalf("GetString = %q, %v, %v", v, ok, err)
-	}
-	if err := ms.PutFloat("qi:news", 0.125); err != nil {
-		t.Fatal(err)
-	}
-	f, ok, err := ms.GetFloat("qi:news")
-	if err != nil || !ok || f != 0.125 {
-		t.Fatalf("GetFloat = %v, %v, %v", f, ok, err)
-	}
-	_, ok, err = ms.GetFloat("missing")
-	if err != nil || ok {
-		t.Fatalf("missing float: ok=%v err=%v", ok, err)
-	}
-	if err := ms.PutString("bad", "not-a-float"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ms.GetFloat("bad"); err == nil {
-		t.Fatal("expected parse error")
+	if got := lists(); len(got) != 0 {
+		t.Fatalf("after Remove: %v", got)
 	}
 }

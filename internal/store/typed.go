@@ -3,17 +3,15 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/model"
 )
 
-// Column family names of the three §V data stores.
+// Column family names of the two §V data stores kept here.
 const (
 	cfFilters  = "filters"
 	cfPostings = "postings"
-	cfMeta     = "meta"
 )
 
 // FilterStore persists full filter definitions keyed by ID ("the full
@@ -46,19 +44,6 @@ func (fs *FilterStore) Put(f model.Filter) error {
 	return fs.cf.Put(filterKey(f.ID), f.Encode())
 }
 
-// Get loads a filter by ID.
-func (fs *FilterStore) Get(id model.FilterID) (model.Filter, bool, error) {
-	data, ok, err := fs.cf.Get(filterKey(id))
-	if err != nil || !ok {
-		return model.Filter{}, false, err
-	}
-	f, err := model.DecodeFilter(codec.NewReader(data))
-	if err != nil {
-		return model.Filter{}, false, fmt.Errorf("store: decode filter %s: %w", id, err)
-	}
-	return f, true, nil
-}
-
 // Delete removes a filter definition.
 func (fs *FilterStore) Delete(id model.FilterID) error {
 	return fs.cf.Delete(filterKey(id))
@@ -79,17 +64,6 @@ func (fs *FilterStore) Each(fn func(model.Filter) bool) error {
 		return err
 	}
 	return decodeErr
-}
-
-// Count returns the number of live filters (scans; intended for tests and
-// load accounting, not hot paths).
-func (fs *FilterStore) Count() (int, error) {
-	n := 0
-	err := fs.cf.Scan("", func(string, []byte, [][]byte) bool {
-		n++
-		return true
-	})
-	return n, err
 }
 
 // PostingStore is the local inverted list: term → posting list of filter
@@ -116,92 +90,36 @@ func (ps *PostingStore) Add(term string, id model.FilterID) error {
 	return ps.cf.Append(term, buf[:n])
 }
 
-// Get returns the deduplicated posting list for term. The order is
-// insertion order (oldest first).
-func (ps *PostingStore) Get(term string) ([]model.FilterID, error) {
-	ops, err := ps.cf.GetMerged(term)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]model.FilterID, 0, len(ops))
-	seen := make(map[model.FilterID]struct{}, len(ops))
-	for _, op := range ops {
-		v, n := binary.Uvarint(op)
-		if n <= 0 {
-			return nil, fmt.Errorf("store: corrupt posting entry for %q", term)
-		}
-		id := model.FilterID(v)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
 // Remove drops the whole posting list of a term (used when the term's
 // filters migrate during allocation).
 func (ps *PostingStore) Remove(term string) error {
 	return ps.cf.Delete(term)
 }
 
-// Terms lists all terms that currently have a posting list.
-func (ps *PostingStore) Terms() ([]string, error) {
-	var out []string
-	err := ps.cf.Scan("", func(key string, _ []byte, _ [][]byte) bool {
-		out = append(out, key)
-		return true
+// Each iterates the posting lists in term order, each deduplicated and in
+// insertion order (oldest first); iteration stops when fn returns false.
+func (ps *PostingStore) Each(fn func(term string, ids []model.FilterID) bool) error {
+	var decodeErr error
+	seen := make(map[model.FilterID]struct{})
+	err := ps.cf.Scan("", func(term string, _ []byte, ops [][]byte) bool {
+		clear(seen)
+		ids := make([]model.FilterID, 0, len(ops))
+		for _, op := range ops {
+			v, n := binary.Uvarint(op)
+			if n <= 0 {
+				decodeErr = fmt.Errorf("store: corrupt posting entry for %q", term)
+				return false
+			}
+			id := model.FilterID(v)
+			if _, dup := seen[id]; !dup {
+				seen[id] = struct{}{}
+				ids = append(ids, id)
+			}
+		}
+		return fn(term, ids)
 	})
-	return out, err
-}
-
-// Len returns the posting-list length for term (after dedup).
-func (ps *PostingStore) Len(term string) (int, error) {
-	ids, err := ps.Get(term)
-	return len(ids), err
-}
-
-// MetaStore is the §V meta-data store holding the per-node statistics
-// (popularity, frequency) and allocation bookkeeping.
-type MetaStore struct {
-	cf *CF
-}
-
-// NewMetaStore opens the meta column family.
-func NewMetaStore(s *Store) (*MetaStore, error) {
-	cf, err := s.CF(cfMeta)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &MetaStore{cf: cf}, nil
-}
-
-// PutString stores a string value.
-func (ms *MetaStore) PutString(key, val string) error {
-	return ms.cf.Put(key, []byte(val))
-}
-
-// GetString loads a string value.
-func (ms *MetaStore) GetString(key string) (string, bool, error) {
-	v, ok, err := ms.cf.Get(key)
-	return string(v), ok, err
-}
-
-// PutFloat stores a float64 value.
-func (ms *MetaStore) PutFloat(key string, val float64) error {
-	return ms.cf.Put(key, []byte(strconv.FormatFloat(val, 'g', -1, 64)))
-}
-
-// GetFloat loads a float64 value.
-func (ms *MetaStore) GetFloat(key string) (float64, bool, error) {
-	v, ok, err := ms.cf.Get(key)
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	f, err := strconv.ParseFloat(string(v), 64)
-	if err != nil {
-		return 0, false, fmt.Errorf("store: meta %q not a float: %w", key, err)
-	}
-	return f, true, nil
+	return decodeErr
 }
