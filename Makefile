@@ -46,8 +46,11 @@ wire-budget:
 # The index layer's memory microbench: heap bytes one registered filter costs
 # in the three populations the repository benchmark registers, on an index
 # over a store without a data directory (what its daemons run), one row per
-# population. Fails when a row passes its ceiling; quote its table before
-# changing what Register retains.
+# population; then match_heavy's figure split by what holds the bytes (covers,
+# definitions, posting entries, term arrays, dictionary), the fixed heap of an
+# empty index, and the bytes a departed filter leaves behind under fresh-ID
+# churn. Fails when a row passes its ceiling; quote its table before changing
+# what Register retains.
 mem-budget:
 	$(GO) test -count=1 -run TestMemBudget -v ./internal/index
 

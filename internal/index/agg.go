@@ -178,9 +178,11 @@ func (s *aggTermShard) remove(term uint32) int {
 }
 
 // histShard tracks per-filter cover history for the re-registration
-// paths, sharded like the filter shards. Both maps stay tiny: lastGone
-// only holds ids whose definition is currently deleted (tombstones), and
-// multi only ids that ever switched signatures.
+// paths, sharded like the filter table. multi stays tiny — only ids that
+// ever switched signatures. lastGone does not: an id whose definition is
+// deleted (a tombstone) and that never re-registers — every departed
+// subscriber's — keeps its entry until the process restarts (TestMemBudget's
+// churn row prices it; DESIGN.md §15).
 type histShard struct {
 	mu sync.Mutex
 	// lastGone maps an id with no live definition to the cover that held
@@ -200,6 +202,8 @@ type aggState struct {
 	sig  [DefaultShards]coverSigShard
 	term [DefaultShards]aggTermShard
 	hist [DefaultShards]histShard
+	// defs is the filter table: a definition is its subscriber and its cover.
+	defs filterTable[def]
 
 	// orphan collects posting bits recovered at startup whose filter
 	// definition no longer exists — the flat engine's tombstones. Its mode
@@ -211,10 +215,44 @@ type aggState struct {
 	coversLive    atomic.Int64
 	membersLive   atomic.Int64
 	storedEntries atomic.Int64
+	// singletons counts covers with exactly one member slot: up when slot 0
+	// is assigned, down when slot 1 is.
+	singletons atomic.Int64
+}
+
+// def is a registered filter as the aggregated engine stores it. Mode,
+// Threshold and the canonical Terms are its cover's; the record adds what is
+// the member's own.
+type def struct {
+	sub string // shared through Index.subs
+	c   *cover
+	// own is the filter's Terms when it registered them in another order than
+	// the cover's canonical one (or with repeats) — rare: nil otherwise.
+	own *[]string
+}
+
+// filter is the model.Filter the definition stands for. Its Terms alias the
+// cover's array or the record's own; either is immutable (DESIGN.md §11).
+func (d def) filter(id model.FilterID) model.Filter {
+	f := model.Filter{ID: id, Subscriber: d.sub, Terms: d.c.terms, Mode: d.c.mode(), Threshold: d.c.threshold}
+	if d.own != nil {
+		f.Terms = *d.own
+	}
+	return f
+}
+
+// attachedTo reports whether c's single evaluation decides the definition: c
+// is its cover and it has no term order of its own. Anything else — such as
+// a same-ID filter re-registered under another signature whose posting bits
+// haven't migrated — is evaluated individually, which keeps the aggregated
+// matcher exact under arbitrary register/unregister interleavings.
+func (d def) attachedTo(c *cover) bool {
+	return d.c == c && d.own == nil
 }
 
 func newAggState() *aggState {
 	a := &aggState{dict: newTermDict()}
+	a.defs.init()
 	for i := range a.sig {
 		a.sig[i].covers = make(map[uint64]*cover)
 	}
@@ -222,7 +260,7 @@ func newAggState() *aggState {
 		a.hist[i].lastGone = make(map[model.FilterID]*cover)
 		a.hist[i].multi = make(map[model.FilterID]struct{})
 	}
-	a.orphan = &cover{id: a.seq.Add(1)}
+	a.orphan = &cover{id: a.seq.Add(1)} // mode 0
 	return a
 }
 
@@ -251,47 +289,41 @@ func (a *aggState) coverOf(f *model.Filter, create bool) *cover {
 	}
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
-	threshold := 0.0
-	if f.Mode == model.MatchThreshold {
-		threshold = f.Threshold
-	}
-	h := sigHash(f.Mode, threshold, ids)
+	h := sigHash(f.Mode, f.Threshold, ids)
 	sh := &a.sig[h&shardMask]
 	sh.mu.Lock()
 	c := sh.covers[h]
-	for c != nil && !c.hasSig(f.Mode, threshold, ids) {
+	for c != nil && !c.hasSig(f.Mode, f.Threshold, ids) {
 		c = c.next
 	}
 	if c == nil && create {
 		c = &cover{
 			id:        a.seq.Add(1),
-			mode:      f.Mode,
-			threshold: threshold,
+			threshold: f.Threshold,
 			ids:       slices.Clone(ids),
 			terms:     a.dict.canonical(ids),
 			next:      sh.covers[h],
 		}
+		c.flags.Store(uint32(f.Mode) & coverModeMask)
 		sh.covers[h] = c
 	}
 	sh.mu.Unlock()
 	return c
 }
 
-// attach returns the definition to store for f as a member of c. When f's
-// terms are already in canonical order it shares the cover's own array —
-// the slice identity attachedTo recognizes; otherwise it gets a private
-// array in its own order. Either way the strings are the dictionary's.
-func (a *aggState) attach(f *model.Filter, c *cover) model.Filter {
-	stored := *f
-	if slices.Equal(f.Terms, c.terms) {
-		stored.Terms = c.terms
-		return stored
+// newDef returns the definition to store for f as a member of c. When f's
+// terms are not in canonical order it keeps a private array in its own
+// order, of the dictionary's strings.
+func (ix *Index) newDef(f *model.Filter, c *cover) def {
+	d := def{sub: ix.subs.share(f.Subscriber), c: c}
+	if !slices.Equal(f.Terms, c.terms) {
+		own := make([]string, len(f.Terms))
+		for i, t := range f.Terms {
+			own[i] = ix.agg.dict.own(t)
+		}
+		d.own = &own
 	}
-	stored.Terms = make([]string, len(f.Terms))
-	for i, t := range f.Terms {
-		stored.Terms[i] = a.dict.own(t)
-	}
-	return stored
+	return d
 }
 
 // slotIndex returns id's slot in the cover, if it ever joined.
@@ -309,7 +341,7 @@ func (c *cover) bareSlot(id model.FilterID) int32 {
 	s, ok := c.findSlot(id)
 	if !ok {
 		s = c.addSlot(id)
-		c.publishFlags(false)
+		c.publishFlags(c.flags.Load()|coverDead|coverOneSlot, false)
 	}
 	c.mu.Unlock()
 	return s
@@ -363,9 +395,8 @@ func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 	// is re-registering, from the tombstone record if it was unregistered
 	// or recovered without a definition.
 	var prior *cover
-	fsh := ix.state.filterShard(f.ID)
-	if old, hadOld := fsh.get(f.ID); hadOld {
-		prior = a.coverOf(&old, false)
+	if old, hadOld := a.defs.shard(f.ID).get(f.ID); hadOld {
+		prior = old.c
 	} else {
 		prior = a.histShard(f.ID).takeLastGone(f.ID)
 	}
@@ -378,7 +409,7 @@ func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 	if prior != nil {
 		a.leave(prior, f.ID, true)
 	}
-	if ix.state.putFilter(a.attach(&f, c)) {
+	if a.defs.put(f.ID, ix.newDef(&f, c)) {
 		ix.numFilters.Add(1)
 	}
 	ix.numPostings.Add(int64(len(postingTerms)))
@@ -401,7 +432,10 @@ func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 // join makes id a live member of c (see cover.memberSlot), keeping the
 // live-cover and live-member gauges, and returns its slot.
 func (a *aggState) join(c *cover, id model.FilterID, multi bool) int32 {
-	slot, revived, firstLive := c.memberSlot(id, multi)
+	slot, added, revived, firstLive := c.memberSlot(id, multi)
+	if added && slot < 2 {
+		a.singletons.Add(int64(1 - 2*slot)) // slot 0: one more; slot 1: one fewer
+	}
 	if revived {
 		a.membersLive.Add(1)
 	}
@@ -432,17 +466,15 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 	a := ix.agg
 	c := a.coverOf(&f, true)
 	created := false
-	sh := ix.state.filterShard(f.ID)
+	sh := a.defs.shard(f.ID)
 	sh.mu.Lock()
-	cur, ok := sh.filters[f.ID]
+	cur, ok := sh.defs[f.ID]
 	if !ok {
 		if err := ix.storeFilter(f); err != nil {
 			sh.mu.Unlock()
 			return false, err
 		}
-		stored := a.attach(&f, c)
-		stored.Subscriber = ix.state.subs.share(f.Subscriber)
-		sh.filters[f.ID] = stored
+		sh.defs[f.ID] = ix.newDef(&f, c)
 		created = true
 	}
 	sh.mu.Unlock()
@@ -455,10 +487,10 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 		if prior = a.histShard(f.ID).takeLastGone(f.ID); prior == c {
 			prior = nil
 		}
-	} else if cc := a.coverOf(&cur, false); cc != nil {
+	} else {
 		// A copy already existed, possibly under a different signature; the
 		// bits belong with the definition the match path will read.
-		c = cc
+		c = cur.c
 	}
 	_, multi := a.histShard(f.ID).noteCover(f.ID, prior)
 	if prior != nil {
@@ -486,15 +518,13 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 // promoting a surviving member to representative when the covering filter
 // itself unregisters, so the cover (and its posting entries) stay owned.
 func (ix *Index) aggUnregister(id model.FilterID) error {
-	f, present, err := ix.removeFilter(id)
+	a := ix.agg
+	d, present, err := removeDef(ix, a.defs.shard(id), id)
 	if !present {
 		return err
 	}
-	a := ix.agg
-	if c := a.coverOf(&f, false); c != nil {
-		a.leave(c, id, false)
-		a.histShard(id).setLastGone(id, c)
-	}
+	a.leave(d.c, id, false)
+	a.histShard(id).setLastGone(id, d.c)
 	return nil
 }
 
@@ -521,7 +551,7 @@ func (ix *Index) aggLoad() error {
 	err := ix.filters.Each(func(f model.Filter) bool {
 		c := a.coverOf(&f, true)
 		a.join(c, f.ID, false)
-		ix.state.putFilter(a.attach(&f, c))
+		a.defs.put(f.ID, ix.newDef(&f, c))
 		count++
 		return true
 	})
@@ -536,8 +566,8 @@ func (ix *Index) aggLoad() error {
 		for _, id := range ids {
 			var c *cover
 			var slot int32
-			if f, ok := ix.state.filterShard(id).get(id); ok {
-				c = a.coverOf(&f, true)
+			if d, ok := a.defs.shard(id).get(id); ok {
+				c = d.c
 				slot = a.join(c, id, false)
 			} else {
 				c = a.orphan

@@ -17,7 +17,7 @@ import (
 // the cover's predicate settles the whole container: on no-match it is
 // skipped without a look at any member — no dedup insert, no definition
 // lookup, no cover lock — and only a matching cover is expanded, member by
-// member, with each definition read from the filter shards exactly like the
+// member, with each definition looked up in the filter table exactly like the
 // flat engine (a missing definition drops the candidate lazily). A cover
 // with stale members keeps the per-member path throughout: attached members
 // take the cover's verdict, stale ones are evaluated by their own current
@@ -27,8 +27,9 @@ import (
 // terms are mapped; a term shard's read lock is held across its whole
 // posting scan (entries and bitsets mutate in place, unlike the flat
 // engine's append-only snapshots); the cover lock is taken only briefly to
-// capture the slots header or a live count, and is never held across a
-// filter-shard read.
+// capture the slots header or a live count — not at all for a container
+// holding just the inline member — and is never held across a filter-table
+// read.
 
 // cover verdicts: 0 unknown, verdictMatch, verdictNoMatch.
 const (
@@ -140,7 +141,7 @@ func (sc *matchScratch) setMemo(id, state, covers uint32) {
 // so it is the term the node learned last and, under skewed popularity, the
 // one a document is least likely to hold.
 func (ix *Index) coverMatches(c *cover, sc *matchScratch, view *model.DocView) bool {
-	switch c.mode {
+	switch c.mode() {
 	case model.MatchAny:
 		for _, id := range c.ids {
 			if sc.has(id) {
@@ -172,10 +173,9 @@ func liveBits(e *aggEntry, flags uint32) (live int, all bool) {
 	}
 	c := e.c
 	c.mu.Lock()
-	live = e.bits.intersectCard(&c.alive)
-	all = live == c.alive.count()
+	live, total := c.liveIn(&e.bits)
 	c.mu.Unlock()
-	return live, all
+	return live, live == total
 }
 
 // matchRun is one call's scan state: the inputs every entry needs and the
@@ -238,49 +238,53 @@ func (r *matchRun) scanPosting(p *aggPosting) {
 // verdict is the cover's verdict when the caller knows it.
 func (r *matchRun) walk(e *aggEntry, verdict uint8) {
 	c := e.c
-	c.mu.Lock()
-	slots := c.slots
-	c.mu.Unlock()
-	switch b := e.bits.big; {
-	case b == nil:
-		if e.bits.one != 0 {
-			r.emit(c, slots, int(e.bits.one-1), verdict)
+	b := e.bits.big
+	if b == nil && e.bits.one <= 1 {
+		// At most slot 0, the inline member: read without the cover lock
+		// (cover.first).
+		if e.bits.one == 1 {
+			r.emit(c, c.first, verdict)
 		}
+		return
+	}
+	// Some other slot: a second member joined before its bit was set.
+	c.mu.Lock()
+	slots := c.more.slots
+	c.mu.Unlock()
+	switch {
+	case b == nil:
+		r.emit(c, slots[e.bits.one-1], verdict)
 	case b.words != nil:
 		for w, word := range b.words {
 			for word != 0 {
-				verdict = r.emit(c, slots, w<<6+trailingZeros(word), verdict)
+				verdict = r.emit(c, slots[w<<6+trailingZeros(word)], verdict)
 				word &= word - 1
 			}
 		}
 	default:
 		for _, v := range b.arr {
-			verdict = r.emit(c, slots, int(v), verdict)
+			verdict = r.emit(c, slots[v], verdict)
 		}
 	}
 }
 
-// emit decides one member bit: dedup, definition lookup, predicate (the
-// cover's verdict for attached members, evaluated on first need), result
-// append. Returns the cover's verdict as far as it is known.
-func (r *matchRun) emit(c *cover, slots []model.FilterID, slot int, verdict uint8) uint8 {
-	if slot >= len(slots) {
-		return verdict
-	}
-	id := slots[slot]
+// emit decides one member: dedup, definition lookup, predicate (the cover's
+// verdict for attached members, evaluated on first need), result append.
+// Returns the cover's verdict as far as it is known.
+func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 	if r.multi {
 		if _, dup := r.sc.seen[id]; dup {
 			return verdict
 		}
 		r.sc.seen[id] = struct{}{}
 	}
-	f, ok := r.ix.state.filterShard(id).get(id)
+	d, ok := r.ix.agg.defs.shard(id).get(id)
 	if !ok {
 		return verdict // unregistered; lazy posting cleanup
 	}
 	r.st.Evaluated++
 	var isMatch bool
-	if attachedTo(&f, c) {
+	if d.attachedTo(c) {
 		if verdict == 0 {
 			verdict = verdictNoMatch
 			if r.ix.coverMatches(c, r.sc, r.view) {
@@ -292,13 +296,14 @@ func (r *matchRun) emit(c *cover, slots []model.FilterID, slot int, verdict uint
 		// Stale member: definition re-registered under another signature
 		// while its posting bit still lives here. Evaluate it individually;
 		// exactness beats the fast path.
+		f := d.filter(id)
 		isMatch = r.ix.evaluate(&f, r.view)
 	}
 	if isMatch {
 		if r.matched == nil && r.capHint > 0 {
 			r.matched = make([]model.Filter, 0, r.capHint)
 		}
-		r.matched = append(r.matched, f)
+		r.matched = append(r.matched, d.filter(id))
 	}
 	return verdict
 }
@@ -389,13 +394,12 @@ func (ix *Index) aggPostingIDs(term string) []model.FilterID {
 	for i := range p.entries {
 		e := &p.entries[i]
 		e.c.mu.Lock()
-		slots := e.c.slots
+		slots := []model.FilterID{e.c.first}
+		if m := e.c.more; m != nil {
+			slots = m.slots
+		}
 		e.c.mu.Unlock()
-		e.bits.forEach(func(slot int) {
-			if slot < len(slots) {
-				out = append(out, slots[slot])
-			}
-		})
+		e.bits.forEach(func(slot int) { out = append(out, slots[slot]) })
 	}
 	return out
 }
@@ -448,8 +452,9 @@ func (ix *Index) CoverDetailStats() CoverDetail {
 				e := &p.entries[i]
 				d.Bits += e.bits.count()
 				e.c.mu.Lock()
-				d.LiveBits += e.bits.intersectCard(&e.c.alive)
+				live, _ := e.c.liveIn(&e.bits)
 				e.c.mu.Unlock()
+				d.LiveBits += live
 			}
 		}
 		sh.mu.RUnlock()

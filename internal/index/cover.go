@@ -15,38 +15,52 @@ import (
 // term, the aggregated index stores one (term, cover) entry whose slotSet
 // records which members were posted under that term; the cover itself is
 // the expansion table mapping that compressed entry back to concrete filter
-// IDs (and, through the filter shards, to subscribers).
+// IDs (and, through the filter table, to subscribers). It is also where a
+// member's predicate is stored: a filter's definition is (subscriber, cover).
 //
 // Members get dense slot indexes in registration order. Slots are
-// append-only — a member that unregisters keeps its slot (cleared in the
-// alive set) and reclaims the same slot if it re-registers under the same
-// signature, so posting slotSets never need rewriting on membership churn.
+// append-only — a member that unregisters keeps its slot (marked dead) and
+// reclaims the same slot if it re-registers under the same signature, so
+// posting slotSets never need rewriting on membership churn.
 //
-// rep is the cover's representative — the "covering filter" in the
-// subsumption literature. It is maintained so the unregister-a-cover case
-// promotes a surviving member instead of orphaning the group: when the
-// representative unregisters, the lowest live slot takes over.
+// When subscriptions do not share predicates nearly every cover has one
+// member for life, so that shape is the one priced: slot 0's ID is held
+// inline (first) and its liveness is the coverDead flag; everything a group
+// needs — the slot table, the member→slot map, the alive set, the
+// representative — sits behind more, allocated when a second member joins.
 type cover struct {
 	id uint32
-	// flags is the lock-free summary the match path reads to decide whether
-	// one evaluation of the cover's predicate settles a whole container
-	// (coverStale, coverDead, and the slot count above them). Stored under
-	// mu, loaded without it.
+	// flags is the lock-free summary the match path reads: the match mode
+	// (immutable), whether one evaluation of the cover's predicate settles a
+	// whole container (coverStale, coverDead) and the slot count above them.
+	// Stored under mu, loaded without it.
 	flags     atomic.Uint32
-	mode      model.MatchMode
 	threshold float64
 	// ids is the predicate as the match path evaluates it: the term set as
 	// sorted, deduplicated dictionary IDs. Immutable.
 	ids []uint32
 	// terms is the same set as canonical (string-sorted) dictionary-owned
-	// strings, immutable. Members whose registered Terms are element-wise
-	// equal to it share this exact backing array — that slice identity is
-	// what marks a member as "attached" (safe to take the cover-level
-	// verdict) versus "stale" (re-registered under a different signature;
-	// must be evaluated individually).
+	// strings, immutable: the Terms of every member registered in canonical
+	// order (def.filter hands out this very array).
 	terms []string
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// first is the member in slot 0. It is written once, under mu, when the
+	// slot is assigned — before any posting entry can carry the slot's bit,
+	// since a bit is set only after its member joined — and never changed, so
+	// a reader that found the bit under a term shard's lock reads it without
+	// taking mu.
+	first model.FilterID
+	// more is nil until a second member joins.
+	more *coverMembers
+	// next chains covers whose signatures share a sigHash (coverSigShard).
+	next *cover
+}
+
+// coverMembers is the membership state of a cover that has had more than one
+// member. Guarded by cover.mu.
+type coverMembers struct {
+	// slots maps slot to member; slots[0] is cover.first.
 	slots []model.FilterID
 	// slotOf accelerates member→slot lookup but is built lazily, once the
 	// cover reaches coverSlotMapMin members: most covers stay small, and a
@@ -55,19 +69,22 @@ type cover struct {
 	slotOf map[model.FilterID]int32
 	// alive marks the slots of currently registered members — an advisory
 	// set: the match path's source of truth for liveness stays the filter
-	// shards (exactly like the flat index's lazy tombstones), while alive
+	// table (exactly like the flat index's lazy tombstones), while alive
 	// drives representative promotion, the cover statistics and the live
 	// count of a container the match path skips.
 	alive slotSet
-	// rep is the representative member, 0 when the cover has no live
-	// members.
+	// rep is the cover's representative — the "covering filter" in the
+	// subsumption literature — 0 when the cover has no live members. It is
+	// maintained so the unregister-a-cover case promotes a surviving member
+	// instead of orphaning the group: when the representative unregisters,
+	// the lowest live slot takes over.
 	rep model.FilterID
-	// next chains covers whose signatures share a sigHash (coverSigShard).
-	next *cover
 }
 
-// cover.flags: two condition bits below the member-slot count.
+// cover.flags: the match mode in the low bits (0 for the orphan cover), two
+// condition bits, the member-slot count above them.
 const (
+	coverModeMask = uint32(3)
 	// coverStale: some member has at some time belonged to more than one
 	// cover (histShard.multi). Re-homing only clears the old cover's bits
 	// under the terms the new registration posts under, so such a member
@@ -78,30 +95,46 @@ const (
 	// container, and the match path decides it member by member. The bit
 	// is never cleared: a restart, which re-homes every posting bit to its
 	// definition's cover, is what resets it.
-	coverStale = uint32(1) << iota
+	coverStale = uint32(1) << 2
 	// coverDead: some slot is not alive, so a container's live count is not
-	// its cardinality.
-	coverDead
-	coverSlotShift = iota
+	// its cardinality. For a cover without coverMembers this bit is the
+	// liveness of its one member.
+	coverDead      = uint32(1) << 3
+	coverSlotShift = 4
+	coverOneSlot   = uint32(1) << coverSlotShift
 )
 
-// publishFlags recomputes flags, setting coverStale for good when stale.
-// Caller holds c.mu.
-func (c *cover) publishFlags(stale bool) {
-	f := c.flags.Load()&coverStale | uint32(len(c.slots))<<coverSlotShift
+// mode returns the match mode of the cover's signature.
+func (c *cover) mode() model.MatchMode {
+	return model.MatchMode(c.flags.Load() & coverModeMask)
+}
+
+// singletonLive reports whether flags f describe a cover whose only slot is
+// assigned and alive.
+func singletonLive(f uint32) bool {
+	return f>>coverSlotShift == 1 && f&coverDead == 0
+}
+
+// publishFlags stores the summary f, with coverStale set for good when
+// stale. Once the cover has coverMembers its slot count and coverDead are
+// recomputed from them; before that f carries them — the flags are the only
+// place a singleton's liveness lives. Caller holds c.mu.
+func (c *cover) publishFlags(f uint32, stale bool) {
+	if m := c.more; m != nil {
+		f = f&(coverModeMask|coverStale) | uint32(len(m.slots))<<coverSlotShift
+		if m.alive.count() < len(m.slots) {
+			f |= coverDead
+		}
+	}
 	if stale {
 		f |= coverStale
-	}
-	if c.alive.count() < len(c.slots) {
-		f |= coverDead
 	}
 	c.flags.Store(f)
 }
 
-// sigHash hashes a cover's canonical signature — mode, threshold (zero
-// unless the mode is MatchThreshold) and the sorted term IDs — with FNV-1a
-// over the integers themselves. Its low bits pick the signature shard, the
-// whole value keys the shard's table.
+// sigHash hashes a cover's canonical signature — mode, threshold and the
+// sorted term IDs — with FNV-1a over the integers themselves. Its low bits
+// pick the signature shard, the whole value keys the shard's table.
 func sigHash(mode model.MatchMode, threshold float64, ids []uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -123,89 +156,101 @@ type coverSigShard struct {
 	covers map[uint64]*cover
 }
 
-// hasSig reports whether c's signature is exactly this one.
+// hasSig reports whether c's signature is exactly this one — the threshold
+// bit for bit: a member's Threshold is read back from its cover.
 func (c *cover) hasSig(mode model.MatchMode, threshold float64, ids []uint32) bool {
-	return c.mode == mode && c.threshold == threshold && slices.Equal(c.ids, ids)
-}
-
-// attachedTo reports whether f's definition is attached to c: its Terms
-// slice IS the cover's canonical array (identity, not just equality) and
-// mode/threshold agree. Attached members are exactly those whose predicate
-// the cover's single evaluation decides; anything else — including a
-// same-ID filter re-registered under a different signature whose posting
-// bits haven't migrated — falls back to individual evaluation, which keeps
-// the aggregated matcher exact under arbitrary register/unregister
-// interleavings.
-func attachedTo(f *model.Filter, c *cover) bool {
-	if f.Mode != c.mode || len(f.Terms) != len(c.terms) {
-		return false
-	}
-	if f.Mode == model.MatchThreshold && f.Threshold != c.threshold {
-		return false
-	}
-	return len(f.Terms) == 0 || &f.Terms[0] == &c.terms[0]
+	return c.mode() == mode && math.Float64bits(c.threshold) == math.Float64bits(threshold) && slices.Equal(c.ids, ids)
 }
 
 // coverSlotMapMin is the membership size at which a cover materializes its
 // slotOf map; below it, findSlot scans the slots slice.
 const coverSlotMapMin = 16
 
-// findSlot returns id's slot, via the map when materialized or a linear
-// scan of the (small) slots slice otherwise. Caller holds c.mu.
+// findSlot returns id's slot: the inline one, or via the map when
+// materialized or a linear scan of the (small) slots slice otherwise. Caller
+// holds c.mu.
 func (c *cover) findSlot(id model.FilterID) (int32, bool) {
-	if c.slotOf != nil {
-		s, ok := c.slotOf[id]
+	m := c.more
+	if m == nil {
+		return 0, c.flags.Load() >= coverOneSlot && c.first == id
+	}
+	if m.slotOf != nil {
+		s, ok := m.slotOf[id]
 		return s, ok
 	}
-	for i, m := range c.slots {
-		if m == id {
+	for i, member := range m.slots {
+		if member == id {
 			return int32(i), true
 		}
 	}
 	return 0, false
 }
 
-// addSlot appends a new member slot, materializing the lookup map once the
+// addSlot gives id the next member slot. The first is the inline one, and
+// the caller publishes it (coverOneSlot, with the liveness it decides); the
+// second allocates the cover's coverMembers, which take over the first
+// member's liveness from the flags; the lookup map is materialized once the
 // cover grows past coverSlotMapMin. Caller holds c.mu.
 func (c *cover) addSlot(id model.FilterID) int32 {
-	s := int32(len(c.slots))
-	c.slots = append(c.slots, id)
-	if c.slotOf != nil {
-		c.slotOf[id] = s
-	} else if len(c.slots) >= coverSlotMapMin {
-		c.slotOf = make(map[model.FilterID]int32, len(c.slots))
-		for i, m := range c.slots {
-			c.slotOf[m] = int32(i)
+	m := c.more
+	if m == nil {
+		f := c.flags.Load()
+		if f < coverOneSlot {
+			c.first = id
+			return 0
+		}
+		m = &coverMembers{slots: make([]model.FilterID, 1, 2)}
+		m.slots[0] = c.first
+		if singletonLive(f) {
+			m.alive.testAndSet(0)
+			m.rep = c.first
+		}
+		c.more = m
+	}
+	s := int32(len(m.slots))
+	m.slots = append(m.slots, id)
+	if m.slotOf != nil {
+		m.slotOf[id] = s
+	} else if len(m.slots) >= coverSlotMapMin {
+		m.slotOf = make(map[model.FilterID]int32, len(m.slots))
+		for i, member := range m.slots {
+			m.slotOf[member] = int32(i)
 		}
 	}
 	return s
 }
 
 // memberSlot returns the member's slot under the cover lock, adding a new
-// slot when the filter was never a member; multi says the ID has belonged
-// to another cover, which marks the cover stale. revived reports whether the
-// member transitioned dead→alive; firstLive whether the cover transitioned
-// empty→populated.
-func (c *cover) memberSlot(id model.FilterID, multi bool) (slot int32, revived, firstLive bool) {
+// slot (added) when the filter was never a member; multi says the ID has
+// belonged to another cover, which marks the cover stale. revived reports
+// whether the member transitioned dead→alive; firstLive whether the cover
+// transitioned empty→populated.
+func (c *cover) memberSlot(id model.FilterID, multi bool) (slot int32, added, revived, firstLive bool) {
 	c.mu.Lock()
+	f := c.flags.Load()
 	s, ok := c.findSlot(id)
 	if !ok {
 		s = c.addSlot(id)
+		added = true
 	}
-	if c.alive.testAndSet(int(s)) {
+	if m := c.more; m == nil {
+		revived = !singletonLive(f)
+		firstLive = revived
+		f = f&^coverDead | coverOneSlot
+	} else if m.alive.testAndSet(int(s)) {
 		revived = true
-		if c.alive.count() == 1 {
+		if m.alive.count() == 1 {
 			firstLive = true
-			c.rep = id
+			m.rep = id
 		}
 	}
-	c.publishFlags(multi)
+	c.publishFlags(f, multi)
 	c.mu.Unlock()
-	return s, revived, firstLive
+	return s, added, revived, firstLive
 }
 
-// markDead clears the member's alive bit; left says the member is leaving
-// for another cover rather than unregistering, which also marks the cover
+// markDead marks the member dead; left says the member is leaving for
+// another cover rather than unregistering, which also marks the cover
 // stale. died reports a live→dead transition; emptied that the cover lost
 // its last live member, with a surviving member promoted to representative
 // otherwise when the departing member was the representative — the
@@ -213,27 +258,52 @@ func (c *cover) memberSlot(id model.FilterID, multi bool) (slot int32, revived, 
 func (c *cover) markDead(id model.FilterID, left bool) (died, emptied bool) {
 	c.mu.Lock()
 	if s, ok := c.findSlot(id); ok {
-		if c.alive.clear(int(s)) {
+		f := c.flags.Load()
+		if m := c.more; m == nil {
+			died = singletonLive(f)
+			emptied = died
+			f |= coverDead
+		} else if m.alive.clear(int(s)) {
 			died = true
-			if c.alive.count() == 0 {
+			if m.alive.count() == 0 {
 				emptied = true
-				c.rep = 0
-			} else if c.rep == id {
-				c.rep = c.slots[c.alive.first()]
+				m.rep = 0
+			} else if m.rep == id {
+				m.rep = m.slots[m.alive.first()]
 			}
 		}
-		c.publishFlags(left)
+		c.publishFlags(f, left)
 	}
 	c.mu.Unlock()
 	return died, emptied
 }
 
+// liveIn returns how many of bits' slots belong to live members, and how
+// many live members the cover has. Caller holds c.mu.
+func (c *cover) liveIn(bits *slotSet) (live, total int) {
+	if m := c.more; m != nil {
+		return bits.intersectCard(&m.alive), m.alive.count()
+	}
+	if singletonLive(c.flags.Load()) {
+		total = 1
+		if bits.has(0) {
+			live = 1
+		}
+	}
+	return live, total
+}
+
 // Rep returns the cover's current representative under its lock.
 func (c *cover) Rep() model.FilterID {
 	c.mu.Lock()
-	r := c.rep
-	c.mu.Unlock()
-	return r
+	defer c.mu.Unlock()
+	if m := c.more; m != nil {
+		return m.rep
+	}
+	if singletonLive(c.flags.Load()) {
+		return c.first
+	}
+	return 0
 }
 
 // RepFor returns the representative filter ID of the cover holding f's
@@ -275,4 +345,8 @@ type CoverStats struct {
 	// entry, in thousandths (logical/stored × 1000); 1000 means no
 	// compression, higher is better.
 	ExpansionFanoutMilli int
+	// Singletons is the number of covers that have only ever had one member,
+	// registered or not. Where it approaches Covers the population shares no
+	// predicates and aggregation has nothing to merge.
+	Singletons int
 }

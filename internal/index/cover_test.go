@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/store"
@@ -269,6 +271,259 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 	p.compareAll(t, doc)
 }
 
+// coverShape is what TestCoverShapes reads off a cover under its lock.
+type coverShape struct {
+	slots            int
+	promoted         bool // coverMembers allocated
+	dead, stale      bool
+	rep              model.FilterID
+	first            model.FilterID
+	singletonsInStat int
+}
+
+func shapeOf(t *testing.T, ix *Index, sig model.Filter) coverShape {
+	t.Helper()
+	c := ix.agg.coverOf(&sig, false)
+	if c == nil {
+		t.Fatalf("no cover for %v", sig.Terms)
+	}
+	rep := c.Rep()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.flags.Load()
+	if c.more != nil && (c.more.slots[0] != c.first || len(c.more.slots) != int(f>>coverSlotShift)) {
+		t.Fatalf("cover %v: slot table %v beside first=%v, flags say %d slots", sig.Terms, c.more.slots, c.first, f>>coverSlotShift)
+	}
+	return coverShape{
+		slots: int(f >> coverSlotShift), promoted: c.more != nil,
+		dead: f&coverDead != 0, stale: f&coverStale != 0,
+		rep: rep, first: c.first, singletonsInStat: ix.CoverStats().Singletons,
+	}
+}
+
+// TestCoverSize pins the struct the singleton shape is priced by.
+func TestCoverSize(t *testing.T) {
+	if size := unsafe.Sizeof(cover{}); size > 104 {
+		t.Fatalf("cover is %d bytes, want at most 104", size)
+	}
+	if size := unsafe.Sizeof(def{}); size > 32 {
+		t.Fatalf("def is %d bytes, want at most 32 (a 40-byte filter-table slot)", size)
+	}
+}
+
+// TestCoverShapes walks a cover through the shapes its representation
+// distinguishes — inline singleton, singleton re-registered, promoted by a
+// second member, demoted to one live member behind the pointer, a member
+// with its own term order, a stale member — holding every matcher to the
+// flat oracle at each step and checking the shape itself.
+func TestCoverShapes(t *testing.T) {
+	docs := []*model.Document{
+		{ID: 1, Terms: []string{"a"}},
+		{ID: 2, Terms: []string{"a", "b"}},
+		{ID: 3, Terms: []string{"b", "c"}},
+		{ID: 4, Terms: []string{"a", "b", "c", "d"}},
+	}
+	check := func(t *testing.T, p *enginePair) {
+		t.Helper()
+		for _, d := range docs {
+			p.compareAll(t, &model.Document{ID: d.ID, Terms: d.Terms})
+		}
+		var got, want []model.Filter
+		collect := func(into *[]model.Filter) func(model.Filter) bool {
+			return func(f model.Filter) bool { *into = append(*into, f); return true }
+		}
+		if err := p.agg.EachFilter(collect(&got)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.flat.EachFilter(collect(&want)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeMatches(got, MatchStats{}), encodeMatches(want, MatchStats{})) {
+			t.Fatalf("EachFilter diverged:\n agg:  %v\n flat: %v", got, want)
+		}
+	}
+	sig := allFilter(0, "a", "b")
+
+	t.Run("singleton", func(t *testing.T) {
+		p := newEnginePair(t)
+		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
+			t.Fatalf("shape = %+v, want %+v", got, want)
+		}
+		// Unregistered: the liveness is the flag, nothing else.
+		p.unregister(t, 7)
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, dead: true, first: 7, singletonsInStat: 1}); got != want {
+			t.Fatalf("shape after unregister = %+v, want %+v", got, want)
+		}
+		if cs := p.agg.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 {
+			t.Fatalf("CoverStats after unregister = %+v, want no live cover", cs)
+		}
+		// Re-registered into its own slot, under a subset of the terms.
+		p.register(t, allFilter(7, "a", "b"), []string{"b"})
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
+			t.Fatalf("shape after re-register = %+v, want %+v", got, want)
+		}
+		// And once more while live: nothing moves.
+		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
+		check(t, p)
+		if cs := p.agg.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 || cs.StoredEntries != 2 {
+			t.Fatalf("CoverStats = %+v, want 1 cover / 1 member / 2 entries", cs)
+		}
+	})
+
+	t.Run("promotion-then-first-leaves", func(t *testing.T) {
+		p := newEnginePair(t)
+		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
+		p.register(t, allFilter(9, "a", "b"), []string{"a"})
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, rep: 7, first: 7}); got != want {
+			t.Fatalf("shape after promotion = %+v, want %+v", got, want)
+		}
+		p.unregister(t, 7)
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
+			t.Fatalf("shape after the first member left = %+v, want %+v", got, want)
+		}
+		if cs := p.agg.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 {
+			t.Fatalf("CoverStats = %+v, want 1 cover / 1 member", cs)
+		}
+		// The first member returns to slot 0; the survivor stays representative.
+		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, rep: 9, first: 7}); got != want {
+			t.Fatalf("shape after the first member returned = %+v, want %+v", got, want)
+		}
+	})
+
+	t.Run("promotion-of-a-dead-singleton", func(t *testing.T) {
+		p := newEnginePair(t)
+		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
+		p.unregister(t, 7)
+		p.register(t, allFilter(9, "a", "b"), []string{"a", "b"})
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
+			t.Fatalf("shape = %+v, want %+v", got, want)
+		}
+	})
+
+	t.Run("own-term-order", func(t *testing.T) {
+		p := newEnginePair(t)
+		p.register(t, allFilter(1, "a", "b"), []string{"a", "b"})
+		p.register(t, allFilter(2, "b", "a"), []string{"a", "b"})
+		p.register(t, allFilter(3, "a", "b", "a"), []string{"b"})
+		check(t, p)
+		if cs := p.agg.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 3 {
+			t.Fatalf("CoverStats = %+v, want one cover of three", cs)
+		}
+		for id, want := range map[model.FilterID][]string{1: {"a", "b"}, 2: {"b", "a"}, 3: {"a", "b", "a"}} {
+			f, ok, err := p.agg.GetFilter(id)
+			if err != nil || !ok || !reflect.DeepEqual(f.Terms, want) || f.Mode != model.MatchAll {
+				t.Fatalf("GetFilter(%d) = %+v, %v, %v; want terms %v", id, f, ok, err, want)
+			}
+		}
+		// The canonical member's Terms are the cover's array, not a copy.
+		f1, _, _ := p.agg.GetFilter(1)
+		if c := p.agg.agg.coverOf(&sig, false); &f1.Terms[0] != &c.terms[0] {
+			t.Fatal("a canonical member does not alias its cover's terms")
+		}
+		p.unregister(t, 1)
+		check(t, p)
+	})
+
+	t.Run("stale-member", func(t *testing.T) {
+		p := newEnginePair(t)
+		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
+		// Same ID, another signature, posted under c alone: its a and b bits
+		// stay in the singleton it left.
+		p.register(t, anyFilter(7, "a", "c"), []string{"c"})
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, dead: true, stale: true, first: 7, singletonsInStat: 2}); got != want {
+			t.Fatalf("shape of the cover it left = %+v, want %+v", got, want)
+		}
+		if got := shapeOf(t, p.agg, anyFilter(0, "a", "c")); !got.stale || got.dead || got.rep != 7 {
+			t.Fatalf("shape of the cover it joined = %+v, want stale, live, rep 7", got)
+		}
+		// A second member of the stale singleton promotes it.
+		p.register(t, allFilter(8, "a", "b"), []string{"a", "b"})
+		check(t, p)
+		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, dead: true, stale: true, rep: 8, first: 7, singletonsInStat: 1}); got != want {
+			t.Fatalf("shape after a second member = %+v, want %+v", got, want)
+		}
+		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
+		check(t, p)
+	})
+
+	t.Run("threshold-read-back", func(t *testing.T) {
+		// Mode and Threshold come back from the cover, whatever the mode.
+		p := newEnginePair(t)
+		odd := allFilter(1, "a", "b")
+		odd.Threshold = 0.25
+		p.register(t, odd, []string{"a"})
+		p.register(t, allFilter(2, "a", "b"), []string{"a"})
+		thr := model.Filter{ID: 3, Subscriber: "s", Terms: []string{"a", "b"}, Mode: model.MatchThreshold, Threshold: 0.25}
+		p.register(t, thr, []string{"a"})
+		p.observe(docs[1])
+		check(t, p)
+		if f, _, _ := p.agg.GetFilter(1); f.Threshold != 0.25 || f.Mode != model.MatchAll {
+			t.Fatalf("GetFilter(1) = %+v, want MatchAll with threshold 0.25", f)
+		}
+	})
+}
+
+// TestMatchWhileCoverPromotes runs MatchTerms over one term's posting list
+// while second members promote the list's singleton covers one after the
+// other — the match path reads a singleton's member without the cover lock
+// (run under -race).
+func TestMatchWhileCoverPromotes(t *testing.T) {
+	ix := newIndex(t)
+	const covers = 400
+	doc := model.Document{ID: 1, Terms: []string{"t"}}
+	for i := 0; i < covers; i++ {
+		f := anyFilter(model.FilterID(i+1), "t", fmt.Sprintf("u%d", i))
+		if err := ix.Register(f, []string{"t"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc.View()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < covers; i++ {
+			f := anyFilter(model.FilterID(covers+i+1), "t", fmt.Sprintf("u%d", i))
+			if err := ix.Register(f, []string{"t"}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for promoting := true; promoting; {
+		select {
+		case <-done:
+			promoting = false
+		default:
+		}
+		fs, st, err := ix.MatchTerms(&doc, doc.Terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every filter matches {t}; a scan sees each cover's first member and
+		// however many second members had joined.
+		if len(fs) < covers || len(fs) > 2*covers || st.Evaluated != len(fs) {
+			t.Fatalf("matched %d filters (evaluated %d), want between %d and %d", len(fs), st.Evaluated, covers, 2*covers)
+		}
+	}
+	fs, _, err := ix.MatchTerms(&doc, doc.Terms)
+	if err != nil || len(fs) != 2*covers {
+		t.Fatalf("matched %d filters after the promotions (err %v), want %d", len(fs), err, 2*covers)
+	}
+	if cs := ix.CoverStats(); cs.Singletons != 0 || cs.Covers != covers {
+		t.Fatalf("CoverStats = %+v, want %d covers, none a singleton", cs, covers)
+	}
+}
+
 // TestCoverSplitMergeInterleavings walks scripted re-registration
 // interleavings that move a filter between covers — split (same ID
 // re-registered under a new signature), merge (back to the original),
@@ -516,6 +771,22 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	for i := 1; i <= 20; i += 3 {
 		p.unregister(t, model.FilterID(i))
 	}
+	// The shapes a cover's representation distinguishes: a singleton; a
+	// promoted cover whose first member left; a member with its own term
+	// order beside a canonical one; a member gone stale in the singleton it
+	// left; a dead singleton.
+	p.register(t, allFilter(101, "solo", "x"), []string{"solo", "x"})
+	p.register(t, allFilter(102, "p", "x"), []string{"p", "x"})
+	p.register(t, allFilter(103, "p", "x"), []string{"p", "x"})
+	p.unregister(t, 102)
+	p.register(t, allFilter(104, "x", "own"), []string{"x", "own"})
+	p.register(t, allFilter(105, "own", "x"), []string{"x"})
+	p.register(t, allFilter(106, "q", "x"), []string{"q", "x"})
+	p.register(t, anyFilter(106, "r", "s"), []string{"r"})
+	p.register(t, allFilter(107, "gone", "x"), []string{"gone", "x"})
+	p.unregister(t, 107)
+	shapes := &model.Document{ID: 9, Terms: []string{"gone", "own", "p", "q", "r", "solo", "x"}}
+	p.compareAll(t, shapes)
 	if err := sa.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -531,6 +802,35 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	}
 	p2.compareAll(t, &model.Document{ID: 1, Terms: []string{"x"}})
 	p2.compareAll(t, &model.Document{ID: 2, Terms: []string{"t1", "t2"}})
+	p2.compareAll(t, shapes)
+	// Rebuilt from the definitions: each of these covers has the one member
+	// whose definition survived, inline; the departed are the orphan cover's.
+	for _, want := range []struct {
+		sig   model.Filter
+		shape coverShape
+	}{
+		{allFilter(0, "solo", "x"), coverShape{slots: 1, rep: 101, first: 101}},
+		{allFilter(0, "p", "x"), coverShape{slots: 1, rep: 103, first: 103}},
+		{anyFilter(0, "r", "s"), coverShape{slots: 1, rep: 106, first: 106}},
+		{allFilter(0, "own", "x"), coverShape{slots: 2, promoted: true, rep: 104, first: 104}},
+	} {
+		got := shapeOf(t, agg2, want.sig)
+		got.singletonsInStat = 0
+		if got != want.shape {
+			t.Fatalf("recovered cover %v = %+v, want %+v", want.sig.Terms, got, want.shape)
+		}
+	}
+	for _, gone := range []model.Filter{allFilter(0, "gone", "x"), allFilter(0, "q", "x")} {
+		if c := agg2.agg.coverOf(&gone, false); c != nil {
+			t.Fatalf("cover %v was rebuilt though no definition names it", gone.Terms)
+		}
+	}
+	if f, ok, _ := agg2.GetFilter(104); !ok || !reflect.DeepEqual(f.Terms, []string{"x", "own"}) {
+		t.Fatalf("GetFilter(104) after restart = %+v, %v; want terms [x own]", f, ok)
+	}
+	if cs := agg2.CoverStats(); cs.Singletons != 3 {
+		t.Fatalf("Singletons after restart = %d, want solo, p and r-s (the orphan cover is not one)", cs.Singletons)
+	}
 
 	// Re-register a tombstoned ID under a new signature with an
 	// overlapping posting term: its orphan bit must re-home, not double.
@@ -688,9 +988,11 @@ func TestCoverSigCollisionChain(t *testing.T) {
 	if ca == nil || cb == nil || ca == cb {
 		t.Fatalf("covers = %p, %p; want two distinct covers", ca, cb)
 	}
-	h := sigHash(ca.mode, ca.threshold, ca.ids)
+	h := sigHash(ca.mode(), ca.threshold, ca.ids)
 	sh := &a.sig[h&shardMask]
-	sh.covers[h] = &cover{id: a.seq.Add(1), mode: cb.mode, ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
+	foreign := &cover{id: a.seq.Add(1), ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
+	foreign.flags.Store(uint32(cb.mode()))
+	sh.covers[h] = foreign
 	if got := a.coverOf(&fa, false); got != ca {
 		t.Fatalf("lookup behind a colliding cover = %p, want %p", got, ca)
 	}

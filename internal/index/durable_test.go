@@ -216,15 +216,8 @@ func TestEachFilterFromShards(t *testing.T) {
 // not a heap object, and a reopen reads all of it back.
 func TestDurableStoreReleasesFlushedSegments(t *testing.T) {
 	const filters = 50000
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	dir := t.TempDir()
-	before := heap()
+	before := heapNow()
 	ix, s := openDurable(t, dir, store.Options{FlushAt: 1 << 20})
 	for i := 1; i <= filters; i++ {
 		f := churnFilter(model.FilterID(i))
@@ -236,7 +229,7 @@ func TestDurableStoreReleasesFlushedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix = nil // what stays reachable from here on is the store
-	held := int64(heap()) - int64(before)
+	held := int64(heapNow()) - int64(before)
 	runtime.KeepAlive(s)
 	if held > 1<<20 {
 		t.Errorf("the store holds %d bytes of heap after FlushAll, want under 1 MiB", held)

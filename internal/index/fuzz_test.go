@@ -16,7 +16,9 @@ import (
 // interleavings the table tests pin: same-signature sharing, unregister
 // of a cover representative, signature splits and merges with overlapping
 // posting terms, migration replays, drop-term, a cover matched while it
-// holds a stale member, and documents none of whose terms any filter names.
+// holds a stale member, documents none of whose terms any filter names, and
+// a cover's promotion from its inline member to a slot table and back to one
+// live member.
 //
 // A third index — aggregated, over a data directory — takes the same
 // operations, and every observe op also flushes its store and reopens it
@@ -54,6 +56,14 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// Restarts around a dropped term that is posted under again before the
 	// drop's tombstone is flushed, a tombstoned filter, and a re-homed one.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x03, 1, 0, 5, 0x01, 4, 0, 0, 3, 0x03, 0, 0, 2, 1, 5, 0x02, 6, 0x03, 0, 2, 0x05, 0, 0, 5, 0x04, 6, 0x07})
+	// A singleton cover promoted by a second member posted under one term;
+	// the first member unregisters (one live member behind the pointer),
+	// returns to its slot, restart.
+	f.Add([]byte{0, 1, 0x03, 1, 0, 6, 0x03, 0, 2, 0x03, 1, 1, 6, 0x03, 2, 1, 6, 0x03, 0, 1, 0x03, 1, 0, 6, 0x03, 5, 0x01, 6, 0x07})
+	// A singleton dies and re-registers into its inline slot; dies again and
+	// is promoted dead by another member, which then leaves for a second
+	// signature (stale) while a third joins; restart.
+	f.Add([]byte{0, 3, 0x06, 0, 0, 2, 3, 6, 0x06, 0, 3, 0x06, 0, 1, 6, 0x02, 2, 3, 0, 4, 0x06, 0, 0, 6, 0x06, 0, 4, 0x18, 1, 1, 0, 5, 0x06, 0, 0, 6, 0x1e, 5, 0x02, 6, 0x1e})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		sa, err := store.Open("", store.Options{})
 		if err != nil {

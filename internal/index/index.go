@@ -24,7 +24,6 @@ package index
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,17 +43,15 @@ type Index struct {
 	postings *store.PostingStore
 	corpus   *vsm.Corpus
 
-	// state is the sharded in-memory serving layer; every read is answered
-	// from it.
+	// Exactly one of state and agg is set — the sharded in-memory serving
+	// layer every read is answered from. agg (New, the production
+	// configuration) is the aggregated engine of agg.go; state (NewFlat) the
+	// flat one, a posting entry and a model.Filter per filter: the in-tree
+	// correctness oracle.
 	state *shardedState
-
-	// agg is the aggregated (covering) engine: posting lists compressed to
-	// one bitset entry per predicate signature (agg.go). Non-nil for
-	// indexes built by New — the production configuration — and nil for
-	// NewFlat, which serves postings one entry per filter and acts as the
-	// in-tree correctness oracle. Filter definitions live in state's
-	// filter shards either way.
-	agg *aggState
+	agg   *aggState
+	// subs shares subscriber names between either engine's definitions.
+	subs subCache
 
 	// Optional per-stage latency instrumentation (§IV cost model: the
 	// posting-list read is the "disk seek" y_seek, the evaluation loop is
@@ -98,12 +95,11 @@ func NewFlat(s *store.Store) (*Index, error) {
 }
 
 func open(s *store.Store, aggregated bool) (*Index, error) {
-	ix := &Index{
-		corpus: vsm.NewCorpus(),
-		state:  newShardedState(),
-	}
+	ix := &Index{corpus: vsm.NewCorpus()}
 	if aggregated {
 		ix.agg = newAggState()
+	} else {
+		ix.state = newShardedState()
 	}
 	if !s.Durable() {
 		// Nothing to recover and nowhere to persist: no write-through.
@@ -169,6 +165,7 @@ func (ix *Index) CoverStats() CoverStats {
 		CoveredFilters:  int(a.membersLive.Load()),
 		StoredEntries:   int(a.storedEntries.Load()),
 		LogicalPostings: int(ix.numPostings.Load()),
+		Singletons:      int(a.singletons.Load()),
 	}
 	if saved := st.LogicalPostings - st.StoredEntries; saved > 0 {
 		st.PostingsSaved = saved
@@ -190,7 +187,7 @@ func (ix *Index) loadFromStore() error {
 	}
 	count := 0
 	err := ix.filters.Each(func(f model.Filter) bool {
-		ix.state.putFilter(f)
+		ix.putFlat(f)
 		count++
 		return true
 	})
@@ -232,7 +229,7 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	if err := ix.storeFilter(f); err != nil {
 		return err
 	}
-	if ix.state.putFilter(f.Clone()) {
+	if ix.putFlat(f.Clone()) {
 		ix.numFilters.Add(1)
 	}
 	ix.numPostings.Add(int64(len(postingTerms)))
@@ -267,9 +264,9 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 		return false, err
 	}
 	created := false
-	sh := ix.state.filterShard(f.ID)
+	sh := ix.state.filters.shard(f.ID)
 	sh.mu.Lock()
-	if _, ok := sh.filters[f.ID]; !ok {
+	if _, ok := sh.defs[f.ID]; !ok {
 		// Store write before the shard publish, under the shard lock —
 		// Unregister's locking mirrored — so concurrent replays agree on
 		// exactly one creator and the layers never disagree.
@@ -278,8 +275,8 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 			return false, err
 		}
 		stored := f.Clone()
-		stored.Subscriber = ix.state.subs.share(f.Subscriber)
-		sh.filters[f.ID] = stored
+		stored.Subscriber = ix.subs.share(f.Subscriber)
+		sh.defs[f.ID] = stored
 		created = true
 	}
 	sh.mu.Unlock()
@@ -305,16 +302,22 @@ func (ix *Index) Unregister(id model.FilterID) error {
 	if ix.agg != nil {
 		return ix.aggUnregister(id)
 	}
-	_, _, err := ix.removeFilter(id)
+	_, _, err := removeDef(ix, ix.state.filters.shard(id), id)
 	return err
 }
 
-// removeFilter deletes id's definition from the store and the shard,
-// returning it when there was one.
-func (ix *Index) removeFilter(id model.FilterID) (model.Filter, bool, error) {
-	sh := ix.state.filterShard(id)
+// putFlat stores (or replaces) f as its ID's definition on the flat engine,
+// the subscriber name shared, and reports whether the ID had none before.
+func (ix *Index) putFlat(f model.Filter) (created bool) {
+	f.Subscriber = ix.subs.share(f.Subscriber)
+	return ix.state.filters.put(f.ID, f)
+}
+
+// removeDef deletes id's definition from the store and from sh, its shard,
+// returning what the shard held when there was one.
+func removeDef[V any](ix *Index, sh *filterShard[V], id model.FilterID) (V, bool, error) {
 	sh.mu.Lock()
-	f, present := sh.filters[id]
+	f, present := sh.defs[id]
 	if !present {
 		sh.mu.Unlock()
 		return f, false, nil
@@ -326,7 +329,7 @@ func (ix *Index) removeFilter(id model.FilterID) (model.Filter, bool, error) {
 		sh.mu.Unlock()
 		return f, false, err
 	}
-	delete(sh.filters, id)
+	delete(sh.defs, id)
 	sh.mu.Unlock()
 	ix.numFilters.Add(-1)
 	return f, true, nil
@@ -395,7 +398,7 @@ func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, Matc
 	// bytes for the same result.
 	var matched []model.Filter
 	for _, id := range ids {
-		f, ok := ix.state.filterShard(id).get(id)
+		f, ok := ix.state.filters.shard(id).get(id)
 		if !ok {
 			continue // unregistered; lazy posting cleanup
 		}
@@ -454,7 +457,7 @@ func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, 
 				continue
 			}
 			seen[id] = struct{}{}
-			f, ok := ix.state.filterShard(id).get(id)
+			f, ok := ix.state.filters.shard(id).get(id)
 			if !ok {
 				continue // unregistered; lazy posting cleanup
 			}
@@ -509,7 +512,7 @@ func (ix *Index) MatchSIFT(d *model.Document) ([]model.Filter, MatchStats, error
 				continue
 			}
 			seen[id] = struct{}{}
-			f, ok := ix.state.filterShard(id).get(id)
+			f, ok := ix.state.filters.shard(id).get(id)
 			if !ok {
 				continue
 			}
@@ -589,18 +592,14 @@ func (ix *Index) PostingLen(term string) (int, error) {
 // lock and a filter unregistered meanwhile is skipped. Visited filters are
 // immutable shard snapshots, as GetFilter's are.
 func (ix *Index) EachFilter(fn func(model.Filter) bool) error {
-	ids := make([]model.FilterID, 0, ix.NumFilters())
-	for i := range ix.state.filters {
-		sh := &ix.state.filters[i]
-		sh.mu.RLock()
-		for id := range sh.filters {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
+	var ids []model.FilterID
+	if ix.agg != nil {
+		ids = ix.agg.defs.ids(ix.NumFilters())
+	} else {
+		ids = ix.state.filters.ids(ix.NumFilters())
 	}
-	slices.Sort(ids)
 	for _, id := range ids {
-		if f, ok := ix.state.filterShard(id).get(id); ok && !fn(f) {
+		if f, ok, _ := ix.GetFilter(id); ok && !fn(f) {
 			break
 		}
 	}
@@ -623,9 +622,13 @@ func (ix *Index) DropTerm(term string) error {
 // GetFilter loads one filter definition. The result is an immutable shard
 // snapshot — callers may keep it but must not mutate Terms.
 func (ix *Index) GetFilter(id model.FilterID) (model.Filter, bool, error) {
-	f, ok := ix.state.filterShard(id).get(id)
-	if !ok {
-		return model.Filter{}, false, nil
+	if ix.agg != nil {
+		d, ok := ix.agg.defs.shard(id).get(id)
+		if !ok {
+			return model.Filter{}, false, nil
+		}
+		return d.filter(id), true, nil
 	}
-	return f, true, nil
+	f, ok := ix.state.filters.shard(id).get(id)
+	return f, ok, nil
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/movesys/move/internal/dataset"
@@ -111,6 +112,15 @@ func appendHomed(regs []populationReg, terms []string, mode model.MatchMode, sub
 	return append(regs, populationReg{f, mine})
 }
 
+// heapNow returns the live heap after a full collection.
+func heapNow() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // registerPopulation registers regs into a fresh index over a store without
 // a data directory — what the repository benchmark's daemons and its index
 // probe run — and returns the heap bytes per filter the registrations
@@ -118,35 +128,85 @@ func appendHomed(regs []populationReg, terms []string, mode model.MatchMode, sub
 func registerPopulation(tb testing.TB, regs []populationReg) (*Index, float64) {
 	tb.Helper()
 	ix := newIndex(tb)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := heapNow()
 	for i := range regs {
-		// Registered from a private copy of the strings, as a decoded RPC
-		// delivers them: what the index retains of it is the index's cost.
-		f := regs[i].f
-		f.Subscriber = string([]byte(f.Subscriber))
-		f.Terms = make([]string, len(regs[i].f.Terms))
-		for j, t := range regs[i].f.Terms {
-			f.Terms[j] = string([]byte(t))
-		}
-		if err := ix.Register(f, regs[i].terms); err != nil {
-			tb.Fatal(err)
-		}
+		registerDecoded(tb, ix, regs[i])
 	}
+	return ix, float64(heapNow()-before) / float64(len(regs))
+}
+
+// registerDecoded registers reg from a private copy of its strings, as a
+// decoded RPC delivers them: what the index retains of it is the index's
+// cost.
+func registerDecoded(tb testing.TB, ix *Index, reg populationReg) {
+	tb.Helper()
+	f := reg.f
+	f.Subscriber = string([]byte(f.Subscriber))
+	f.Terms = make([]string, len(reg.f.Terms))
+	for j, t := range reg.f.Terms {
+		f.Terms[j] = string([]byte(t))
+	}
+	if err := ix.Register(f, reg.terms); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// memComponents are the parts TestMemBudget splits a population's heap into,
+// each named by the functions that allocate it: a live object is charged to
+// the first of these found on its allocation stack, innermost frame first.
+var memComponents = []struct {
+	name  string
+	funcs []string
+}{
+	{"cover.terms + cover.ids", []string{"slices.Clone", "(*termDict).canonical"}},
+	{"dictionary", []string{"(*termDict).intern"}},
+	{"posting entries", []string{"(*aggTermShard).entryFor", "(*slotSet).", "(*slotBig)."}},
+	{"covers + signature table", []string{"(*aggState).coverOf", "(*cover).addSlot"}},
+	{"definitions", []string{"filterTable", "(*Index).newDef", "(*subCache).share"}},
+}
+
+// heapByComponent sums the live heap bytes the allocation profile holds per
+// memComponents entry (the last element: everything else). Exact only for
+// what was allocated while runtime.MemProfileRate was 1.
+func heapByComponent() []float64 {
 	runtime.GC()
 	runtime.GC()
-	runtime.ReadMemStats(&after)
-	return ix, float64(after.HeapAlloc-before.HeapAlloc) / float64(len(regs))
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("allocation profile grew while it was read")
+	}
+	out := make([]float64, len(memComponents)+1)
+records:
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			fr, more := frames.Next()
+			for i, c := range memComponents {
+				for _, fn := range c.funcs {
+					if strings.Contains(fr.Function, fn) {
+						out[i] += float64(r.InUseBytes())
+						continue records
+					}
+				}
+			}
+			if !more {
+				break
+			}
+		}
+		out[len(memComponents)] += float64(r.InUseBytes())
+	}
+	return out
 }
 
 // TestMemBudget is the index layer's memory microbench (make mem-budget, the
 // twin of make wire-budget): heap bytes per registered filter for the three
 // populations the repository benchmark registers, each beside a ceiling 5 %
-// above the value measured when the ceiling was last set. Past a ceiling the
-// test fails; quote its table before and after any change to what Register
-// retains.
+// above the value measured when the ceiling was last set; then match_heavy's
+// figure split by what holds the bytes, the fixed heap of an empty index, and
+// what a departed filter leaves behind. Past a ceiling the test fails; quote
+// its table before and after any change to what Register retains.
 func TestMemBudget(t *testing.T) {
 	matchHeavy := zipfPopulation(t, 40000, 10000, 3, model.MatchAll)
 	wireMixed := zipfPopulation(t, 20000, 16000, 1, model.MatchAny)
@@ -157,22 +217,89 @@ func TestMemBudget(t *testing.T) {
 		terms := model.SortTerms([]string{dataset.Term(perm[0]), dataset.Term(perm[1]), dataset.Term(perm[2])})
 		fanoutHeavy = appendHomed(fanoutHeavy, terms, model.MatchAny, 256)
 	}
-	for _, row := range []struct {
+	row := func(name string, got, ceiling float64, unit string) {
+		t.Helper()
+		t.Logf("%-70s %8.1f %s (ceiling %.0f)", name, got, unit, ceiling)
+		if got > ceiling {
+			t.Errorf("%s: %.1f %s, ceiling %.0f", name, got, unit, ceiling)
+		}
+	}
+	for _, p := range []struct {
 		name    string
 		regs    []populationReg
 		ceiling float64
 	}{
-		{"match_heavy: 40k MatchAll, >= 3 terms of 10k, 64 subscribers", matchHeavy, 571},
-		{"wire_mixed: 20k MSN-like MatchAny over 16k terms, 64 subscribers", wireMixed, 484},
-		{"fanout_heavy: 256 three-term MatchAny over 18 terms, 256 subscribers", fanoutHeavy, 441},
+		{"match_heavy: 40k MatchAll, >= 3 terms of 10k, 64 subscribers", matchHeavy, 456},
+		{"wire_mixed: 20k MSN-like MatchAny over 16k terms, 64 subscribers", wireMixed, 386},
+		{"fanout_heavy: 256 three-term MatchAny over 18 terms, 256 subscribers", fanoutHeavy, 349},
 	} {
-		ix, got := registerPopulation(t, row.regs)
-		t.Logf("%-70s %7.1f B/filter (ceiling %.0f)", row.name, got, row.ceiling)
-		if got > row.ceiling {
-			t.Errorf("%s: %.1f heap bytes per filter, ceiling %.0f", row.name, got, row.ceiling)
-		}
+		ix, got := registerPopulation(t, p.regs)
+		row(p.name, got, p.ceiling, "B/filter")
 		runtime.KeepAlive(ix)
 	}
+
+	// match_heavy again with every allocation profiled, for the split. The
+	// parts are sized as the allocator rounds them, so they sum to the row
+	// above.
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	base := heapByComponent()
+	ix, _ := registerPopulation(t, matchHeavy)
+	parts := heapByComponent()
+	runtime.MemProfileRate = rate
+	cs := ix.CoverStats()
+	t.Logf("match_heavy by component (%d covers, %d singletons):", cs.Covers, cs.Singletons)
+	for i := range parts {
+		// Besides the empty index: 16-byte allocator blocks a dictionary string
+		// shares with a caller's temporary one are charged to the caller.
+		name := "other"
+		if i < len(memComponents) {
+			name = memComponents[i].name
+		}
+		t.Logf("    %-66s %8.1f B/filter", name, (parts[i]-base[i])/float64(len(matchHeavy)))
+	}
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(matchHeavy) // or its array's release lands in "other"
+
+	// The fixed heap of an index nothing is registered in: its shard tables
+	// and the subscriber-name cache.
+	before := heapNow()
+	ix = newIndex(t)
+	row("empty index.New(store.Open(\"\"))", float64(heapNow()-before), 88500, "B")
+	runtime.KeepAlive(ix)
+
+	// Churn: a constant population of 1 k filters, 20 k times one of them
+	// unregistered and a filter with a fresh ID registered — term sets from a
+	// pool of 4,096, as the benchmark's scripted writers draw them and as
+	// subscribers come and go. What grows is what the departed leave behind.
+	const live, pairs = 1000, 20000
+	pool := zipfPopulation(t, 4096, 16000, 1, model.MatchAny)
+	ix = newIndex(t)
+	next := 0
+	fresh := func() populationReg {
+		reg := pool[rng.Intn(len(pool))]
+		next++
+		reg.f.ID = model.FilterID(next)
+		return reg
+	}
+	ids := make([]model.FilterID, live)
+	for i := range ids {
+		reg := fresh()
+		registerDecoded(t, ix, reg)
+		ids[i] = reg.f.ID
+	}
+	before = heapNow()
+	for i := 0; i < pairs; i++ {
+		j := rng.Intn(live)
+		if err := ix.Unregister(ids[j]); err != nil {
+			t.Fatal(err)
+		}
+		reg := fresh()
+		registerDecoded(t, ix, reg)
+		ids[j] = reg.f.ID
+	}
+	row("churn: 20k unregister/register-fresh-ID pairs over 1k live filters", float64(heapNow()-before)/pairs, 98, "B/departed filter")
+	runtime.KeepAlive(ix)
 }
 
 // BenchmarkIndexMatchHeavy is the index layer's microbench for the

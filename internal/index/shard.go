@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/movesys/move/internal/model"
@@ -106,31 +107,72 @@ func (s *termShard) remove(term string) {
 	s.mu.Unlock()
 }
 
-// filterShard holds the filter definitions whose IDs hash to it.
-type filterShard struct {
-	mu      sync.RWMutex
-	filters map[model.FilterID]model.Filter
+// filterShard holds the filter definitions whose IDs hash to it. V is what a
+// definition is stored as: the model.Filter itself on the flat engine, a def
+// — (subscriber, cover) — on the aggregated one.
+type filterShard[V any] struct {
+	mu   sync.RWMutex
+	defs map[model.FilterID]V
 }
 
-// get returns the filter definition for id, if registered. The returned
-// filter is an immutable snapshot sharing its Terms slice with the shard:
-// Register stores a private clone and nothing mutates Terms afterwards, so the
-// match path hands it out of the package without cloning. Everyone —
-// shard, matcher, caller — must treat Terms as read-only (DESIGN.md §11).
-func (s *filterShard) get(id model.FilterID) (model.Filter, bool) {
+// get returns the stored definition of id, if registered.
+func (s *filterShard[V]) get(id model.FilterID) (V, bool) {
 	s.mu.RLock()
-	f, ok := s.filters[id]
+	v, ok := s.defs[id]
 	s.mu.RUnlock()
-	return f, ok
+	return v, ok
 }
 
-// shardedState is the in-memory serving layer of an Index: every read —
+// filterTable is an engine's sharded filter table.
+type filterTable[V any] [DefaultShards]filterShard[V]
+
+func (t *filterTable[V]) init() {
+	for i := range t {
+		t[i].defs = make(map[model.FilterID]V)
+	}
+}
+
+func (t *filterTable[V]) shard(id model.FilterID) *filterShard[V] {
+	return &t[filterShardFor(id)]
+}
+
+// put stores (or replaces) v as id's definition and reports whether the ID
+// had none before.
+func (t *filterTable[V]) put(id model.FilterID, v V) (created bool) {
+	sh := t.shard(id)
+	sh.mu.Lock()
+	_, had := sh.defs[id]
+	sh.defs[id] = v
+	sh.mu.Unlock()
+	return !had
+}
+
+// ids returns the registered IDs in ascending order, each shard read-locked
+// only while its own are copied; sizeHint sizes the result.
+func (t *filterTable[V]) ids(sizeHint int) []model.FilterID {
+	ids := make([]model.FilterID, 0, sizeHint)
+	for i := range t {
+		sh := &t[i]
+		sh.mu.RLock()
+		for id := range sh.defs {
+			ids = append(ids, id)
+		}
+		sh.mu.RUnlock()
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// shardedState is the flat engine's in-memory serving layer: every read —
 // the match path's, GetFilter's, EachFilter's — is answered here, and the
-// store is not read again once open has rebuilt the shards from it.
+// store is not read again once open has rebuilt the shards from it. A stored
+// filter is an immutable snapshot sharing its Terms slice with the shard:
+// Register stores a private clone and nothing mutates Terms afterwards, so
+// the match path hands it out of the package without cloning. Everyone —
+// shard, matcher, caller — must treat Terms as read-only (DESIGN.md §11).
 type shardedState struct {
 	terms   [DefaultShards]termShard
-	filters [DefaultShards]filterShard
-	subs    subCache
+	filters filterTable[model.Filter]
 }
 
 func newShardedState() *shardedState {
@@ -138,28 +180,10 @@ func newShardedState() *shardedState {
 	for i := range st.terms {
 		st.terms[i].lists = make(map[string]*posting)
 	}
-	for i := range st.filters {
-		st.filters[i].filters = make(map[model.FilterID]model.Filter)
-	}
+	st.filters.init()
 	return st
 }
 
 func (st *shardedState) termShard(term string) *termShard {
 	return &st.terms[termShardFor(term)]
-}
-
-func (st *shardedState) filterShard(id model.FilterID) *filterShard {
-	return &st.filters[filterShardFor(id)]
-}
-
-// putFilter stores (or replaces) f as its ID's definition, the subscriber
-// name shared, and reports whether the ID had none before.
-func (st *shardedState) putFilter(f model.Filter) (created bool) {
-	f.Subscriber = st.subs.share(f.Subscriber)
-	sh := st.filterShard(f.ID)
-	sh.mu.Lock()
-	_, had := sh.filters[f.ID]
-	sh.filters[f.ID] = f
-	sh.mu.Unlock()
-	return !had
 }

@@ -153,13 +153,15 @@ type Node struct {
 	hDualRead *metrics.Histogram
 
 	// Aggregated-index observability (DESIGN.md §15): live covers, filters
-	// attached to them, posting entries saved versus the flat layout, and
-	// the mean cover→filter expansion fan-out (×1000). Refreshed from the
+	// attached to them, posting entries saved versus the flat layout, the
+	// mean cover→filter expansion fan-out (×1000) and the covers that have
+	// only ever had one member. Refreshed from the
 	// index's O(1) CoverStats after every filter mutation.
 	coverCoversG  *metrics.Gauge
 	coverFiltersG *metrics.Gauge
 	coverSavedG   *metrics.Gauge
 	coverFanoutG  *metrics.Gauge
+	coverSingleG  *metrics.Gauge
 }
 
 // New builds a node. Call Attach to connect it to a transport before use.
@@ -228,6 +230,7 @@ func New(cfg Config) (*Node, error) {
 		coverFiltersG: reg.Gauge("index.cover.covered_filters"),
 		coverSavedG:   reg.Gauge("index.cover.postings_saved"),
 		coverFanoutG:  reg.Gauge("index.cover.expansion_fanout_milli"),
+		coverSingleG:  reg.Gauge("index.cover.singletons"),
 	}
 	// Seed the cover gauges so a node whose index recovered filters from
 	// the store reports its compression levels before any mutation.
@@ -245,6 +248,7 @@ func (n *Node) updateCoverGauges() {
 	n.coverFiltersG.Set(int64(cs.CoveredFilters))
 	n.coverSavedG.Set(int64(cs.PostingsSaved))
 	n.coverFanoutG.Set(int64(cs.ExpansionFanoutMilli))
+	n.coverSingleG.Set(int64(cs.Singletons))
 }
 
 // Traces exposes the node's ring of recent publish traces (the debug
