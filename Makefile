@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench loc wire-budget mem-budget fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
+.PHONY: build vet test race bench loc wire-budget mem-budget bench-home fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
 
 build:
 	$(GO) build ./...
@@ -50,9 +50,20 @@ wire-budget:
 # definitions, posting entries, term arrays, dictionary), the fixed heap of an
 # empty index, and the bytes a departed filter leaves behind under fresh-ID
 # churn. Fails when a row passes its ceiling; quote its table before changing
-# what Register retains.
+# what Register retains. Those rows call index.Register themselves; the rows of
+# internal/node register match_heavy through the node's register path, which
+# keys every MatchAll filter once per home: posting entries per filter (exactly
+# 1.0) and the heap bytes per filter that leaves.
 mem-budget:
-	$(GO) test -count=1 -run TestMemBudget -v ./internal/index
+	$(GO) test -count=1 -run TestMemBudget -v ./internal/index ./internal/node
+
+# The home node's microbench for match_heavy: the population registered
+# through Handle, one home-routed publish frame per iteration. Reports ns/doc,
+# posting entries scanned per document (what keying a MatchAll filter once per
+# home divides), matches per document and heap bytes per filter; compare
+# against a parent binary built with `go test -c`.
+bench-home:
+	$(GO) test -run='^$$' -bench=BenchmarkHomeMatchConjunctive -benchtime=2000x ./internal/node
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
 # shake out regressions in the codec, framing, tokenizer, index and
@@ -129,4 +140,4 @@ benchmark-smoke:
 	done
 
 # .github/workflows/ci.yml runs these same steps in this order.
-ci: vet build loc wire-budget mem-budget race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke
+ci: vet build loc wire-budget mem-budget bench-home race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/resilience"
 	"github.com/movesys/move/internal/ring"
@@ -92,6 +94,12 @@ func assertAggregatedCovers(t *testing.T, c *Cluster) {
 // including publishes racing a reallocation round through its dual-read
 // window. Rounds that abort (a grid target died mid-prepare) must leave the
 // cluster on the old epoch with no partial state.
+//
+// A third of the population is conjunctive (MatchAll, up to three terms), each
+// keyed once per home by the home itself (node.conjunctiveKey), live IDs
+// register again every round, and every sixth round walks the hazard that
+// keying sets up (conjunctiveHazard) — so the oracle also holds the invariant
+// that every forward and migration repeats the home's key.
 func TestChurnSoak(t *testing.T) {
 	ctx := context.Background()
 	c, err := New(Config{
@@ -132,15 +140,23 @@ func TestChurnSoak(t *testing.T) {
 		return err
 	}
 
-	// Brute-force oracle: every registered filter with its terms.
-	oracle := make(map[model.FilterID][]string)
-	register := func(sub string, terms []string) {
+	// Brute-force oracle: every registered filter as the cluster stored it,
+	// in registration order.
+	var oracle []model.Filter
+	conjMatches := 0 // MatchAll filters the oracle expected, over all publishes
+	registerMode := func(sub string, terms []string, mode model.MatchMode) model.Filter {
 		t.Helper()
-		id, err := c.Register(ctx, sub, terms, model.MatchAny, 0)
+		id, err := c.Register(ctx, sub, terms, mode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle[id] = terms
+		f := model.Filter{ID: id, Subscriber: sub, Terms: model.SortTerms(append([]string(nil), terms...)), Mode: mode}
+		oracle = append(oracle, f)
+		return f
+	}
+	register := func(sub string, terms []string) {
+		t.Helper()
+		registerMode(sub, terms, model.MatchAny)
 	}
 	oracleMatch := func(doc []string) string {
 		set := make(map[string]struct{}, len(doc))
@@ -148,11 +164,17 @@ func TestChurnSoak(t *testing.T) {
 			set[d] = struct{}{}
 		}
 		var ids []model.FilterID
-		for id, terms := range oracle {
-			for _, ft := range terms {
+		for _, f := range oracle {
+			held := 0
+			for _, ft := range f.Terms {
 				if _, ok := set[ft]; ok {
-					ids = append(ids, id)
-					break
+					held++
+				}
+			}
+			if held == len(f.Terms) || (f.Mode == model.MatchAny && held > 0) {
+				ids = append(ids, f.ID)
+				if f.Mode == model.MatchAll {
+					conjMatches++
 				}
 			}
 		}
@@ -179,9 +201,40 @@ func TestChurnSoak(t *testing.T) {
 		return fmt.Sprintf("k%d", (int(zipf.Uint64())+round)%vocab)
 	}
 
+	// The conjunctive third of the population and the wider documents that can
+	// match it draw from a stream of their own, so the disjunctive workload is
+	// the one this soak has always run.
+	conj := rand.New(rand.NewSource(13))
+	conjZipf := rand.NewZipf(conj, 1.3, 1.0, vocab-1)
+	conjTerms := func(round, n int) []string {
+		terms := make([]string, n)
+		for i := range terms {
+			terms[i] = fmt.Sprintf("k%d", (int(conjZipf.Uint64())+round)%vocab)
+		}
+		return terms
+	}
+	// population adds one round's conjunctive filters, registers a few live
+	// IDs again — same definition, same homes: the copies and keys they have
+	// are the ones they keep — and checks documents wide enough to match them.
+	population := func(round, filters int) {
+		t.Helper()
+		for i := 0; i < filters; i++ {
+			registerMode(fmt.Sprintf("c%d-%d", round, i), conjTerms(round, 3), model.MatchAll)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := c.registerFilter(ctx, oracle[conj.Intn(len(oracle))]); err != nil {
+				t.Fatalf("round %d: re-register a live ID: %v", round, err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			checkPublish(round, conjTerms(round, 6))
+		}
+	}
+
 	for i := 0; i < 200; i++ {
 		register("seed"+strconv.Itoa(i), []string{term(0), term(0)})
 	}
+	population(0, 100)
 	for i := 0; i < 30; i++ {
 		checkPublish(0, []string{term(0), term(0)})
 	}
@@ -192,6 +245,13 @@ func TestChurnSoak(t *testing.T) {
 		// Drift: new filters follow the rotated keyword ranking.
 		for i := 0; i < 10; i++ {
 			register(fmt.Sprintf("r%d-%d", round, i), []string{term(round), term(round)})
+		}
+		population(round, 5)
+		if round%6 == 1 {
+			f := conjunctiveHazard(t, c, round, registerMode)
+			for i := 0; i < 5; i++ {
+				checkPublish(round, append(conjTerms(round, i), f.Terms...))
+			}
 		}
 		// Flash crowd every 4th round: a cold term becomes the hottest
 		// thing in the system inside one round.
@@ -284,6 +344,9 @@ func TestChurnSoak(t *testing.T) {
 			if flash != "" && i%3 == 0 {
 				doc = append(doc, flash)
 			}
+			if i%4 == 3 {
+				doc = conjTerms(round, 6)
+			}
 			checkPublish(round, doc)
 		}
 		if err := <-done; err != nil {
@@ -299,6 +362,7 @@ func TestChurnSoak(t *testing.T) {
 		// accounting must have survived the epoch boundary intact.
 		for i := 0; i < 10; i++ {
 			checkPublish(round, []string{term(round), term(round)})
+			checkPublish(round, conjTerms(round, 6))
 		}
 		assertAggregatedCovers(t, c)
 	}
@@ -311,6 +375,11 @@ func TestChurnSoak(t *testing.T) {
 	if perNode == 0 || perTerm == 0 {
 		t.Fatalf("soak drew %d per-node and %d per-term rounds; both flavors must run", perNode, perTerm)
 	}
+	assertKeyedOncePerHome(t, c, oracle)
+	if conjMatches < 30*rounds {
+		t.Fatalf("the oracle expected only %d MatchAll matches over %d rounds; the documents do not exercise the conjunctive filters", conjMatches, rounds)
+	}
+	t.Logf("the oracle expected %d MatchAll matches", conjMatches)
 
 	// The dual-read window instrumentation saw real cutovers and the epoch
 	// gauge agrees with the coordinator.
@@ -320,4 +389,120 @@ func TestChurnSoak(t *testing.T) {
 	if snap := c.Metrics().Snapshot(); snap["realloc.epoch"] != int64(c.CommittedEpoch()) {
 		t.Fatalf("realloc.epoch gauge = %d, coordinator says %d", snap["realloc.epoch"], c.CommittedEpoch())
 	}
+}
+
+// conjunctiveHazard walks, on the live cluster, the one sequence in which
+// keying a MatchAll filter once per home could lose it: a home fails and
+// recovers; a term's own grid is committed on it; a filter over that term and
+// a second term of the same home registers live and the home keys it under the
+// second; the home's node-wide grid is then prepared. The prepare's migration
+// must ship the filter under the key the home chose — keyed again, under the
+// first term, the copy would wait on the node-wide grid under a term that
+// documents route to the term's own grid, which never received it. Returns the
+// filter; the caller publishes against the oracle.
+func conjunctiveHazard(t *testing.T, c *Cluster, round int, register func(sub string, terms []string, mode model.MatchMode) model.Filter) model.Filter {
+	t.Helper()
+	ctx := context.Background()
+	// Two fresh terms of one home, so no other filter's posting decides the key.
+	byHome := make(map[ring.NodeID]string)
+	var home ring.NodeID
+	var own, key string
+	for i := 0; key == ""; i++ {
+		term := fmt.Sprintf("hz%d-%d", round, i)
+		h, err := c.HomeNode(term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first, ok := byHome[h]; ok {
+			home, own, key = h, first, term
+		}
+		byHome[h] = term
+	}
+	// The home crashes and comes back: it has lost its forwarding table, so the
+	// live filter below is forwarded nowhere when it registers and the
+	// node-wide grid answers from nothing but what its prepare ships.
+	c.FailNodes(home)
+	c.RecoverNodes(home)
+	for i := 0; i < 6; i++ { // own's list is the longer one
+		register(fmt.Sprintf("hz%d-any%d", round, i), []string{own}, model.MatchAny)
+	}
+	// cutover puts scope term of the home onto a rows x cols grid of its ring
+	// peers outside avoid, retrying a round a data-path fault burst aborted.
+	cutover := func(term string, rows, cols int, avoid map[ring.NodeID]bool) *alloc.Grid {
+		t.Helper()
+		peers, err := c.ring.AllocationNodesOf(home, c.Size()-1, c.cfg.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers = slices.DeleteFunc(peers, func(id ring.NodeID) bool { return avoid[id] })
+		if len(peers) < rows*cols {
+			t.Fatalf("round %d: %d peers of %s left for a %dx%d grid", round, len(peers), home, rows, cols)
+		}
+		grid, err := alloc.NewGrid(rows, cols, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for attempt := 0; ; attempt++ {
+			_, err := c.cutover(ctx, time.Now(), nil, []Prep{{Home: home, Term: term, Grid: grid}})
+			if err == nil {
+				return grid
+			}
+			if attempt == 4 {
+				t.Fatalf("round %d: hazard cutover of scope %q on %s: %v", round, term, home, err)
+			}
+		}
+	}
+	ownGrid := cutover(own, 2, 2, nil)
+	f := register(fmt.Sprintf("hz%d-all", round), []string{own, key}, model.MatchAll)
+	if got := c.nodes[home].Index().PostedUnder(f.ID, f.Terms); len(got) != 1 || got[0] != key {
+		t.Fatalf("round %d: live filter %v is posted under %v on %s, the hazard needs [%s]", round, f.ID, got, home, key)
+	}
+	// By the time the node-wide grid is prepared, key's list is the longer one:
+	// choosing again would choose own.
+	for i := 0; i < 12; i++ {
+		register(fmt.Sprintf("hz%d-late%d", round, i), []string{key}, model.MatchAny)
+	}
+	// The node-wide grid goes to nodes that serve nothing of own's grid, and
+	// none holds a copy of the filter (the recovered home forwarded it
+	// nowhere): what they answer is what the prepare shipped.
+	avoid := make(map[ring.NodeID]bool)
+	for _, id := range ownGrid.AllNodes() {
+		avoid[id] = true
+	}
+	cutover("", 1, 3, avoid)
+	return f
+}
+
+// assertKeyedOncePerHome checks the layout the soak leaves behind: on each of
+// its homes a MatchAll filter is posted under exactly one of the home's terms
+// — through every forward, replay, abort and re-registration of the run — and
+// enough of them had a choice to make.
+func assertKeyedOncePerHome(t *testing.T, c *Cluster, filters []model.Filter) {
+	t.Helper()
+	chose := 0
+	for _, f := range filters {
+		if f.Mode != model.MatchAll {
+			continue
+		}
+		byHome := make(map[ring.NodeID][]string)
+		for _, term := range f.Terms {
+			home, err := c.HomeNode(term)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byHome[home] = append(byHome[home], term)
+		}
+		for home, terms := range byHome {
+			if got := c.nodes[home].Index().PostedUnder(f.ID, terms); len(got) != 1 {
+				t.Fatalf("MatchAll filter %v is posted under %v of its terms %v on its home %s, want exactly one", f.ID, got, terms, home)
+			}
+			if len(terms) > 1 {
+				chose++
+			}
+		}
+	}
+	if chose < 10 {
+		t.Fatalf("only %d MatchAll filters had two terms on one home; the soak does not exercise the key", chose)
+	}
+	t.Logf("keyed once per home: %d MatchAll filters chose among several terms of a home", chose)
 }

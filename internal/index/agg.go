@@ -142,26 +142,44 @@ func (s *aggTermShard) aggAdd(term uint32, c *cover, slot int, id model.FilterID
 func (s *aggTermShard) addIfAbsent(term uint32, c *cover, slot int, id model.FilterID) (added, newEntry bool) {
 	s.mu.Lock()
 	p, e, newEntry := s.entryFor(term, c)
-	present := e.bits.has(slot)
-	if !present {
-		for i := range p.entries {
-			oe := &p.entries[i]
-			if oe.c == c {
-				continue
-			}
-			if s2, ok := oe.c.slotIndex(id); ok && oe.bits.has(int(s2)) {
-				present = true
-				break
-			}
-		}
-	}
-	if !present {
+	if !e.bits.has(slot) && !p.heldElsewhere(c, id) {
 		e.bits.testAndSet(slot)
 		p.card++
 		added = true
 	}
 	s.mu.Unlock()
 	return added, newEntry
+}
+
+// heldElsewhere reports whether an entry of p for a cover other than c holds
+// id. Caller holds the shard's lock.
+func (p *aggPosting) heldElsewhere(c *cover, id model.FilterID) bool {
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.c == c {
+			continue
+		}
+		if s, ok := e.c.slotIndex(id); ok && e.bits.has(int(s)) {
+			return true
+		}
+	}
+	return false
+}
+
+// holds reports whether term's posting list holds id: under (c, slot), the
+// cover its bits belong with, or — anyCover, for an id with multi-cover
+// history — under whichever cover a stale bit was left.
+func (s *aggTermShard) holds(term uint32, c *cover, slot int, id model.FilterID, anyCover bool) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p := s.posting(term)
+	if p == nil {
+		return false
+	}
+	if i, ok := p.find(c.id); ok && p.entries[i].bits.has(slot) {
+		return true
+	}
+	return anyCover && p.heldElsewhere(c, id)
 }
 
 // remove drops term's posting list, returning the physical entry count it

@@ -420,6 +420,36 @@ func (ix *Index) aggPostingLen(term string) int {
 	return n
 }
 
+// aggPostedUnder is PostedUnder on the aggregated engine. An id's bits sit
+// under its definition's cover — its tombstone's when it has none — and only
+// an id that has changed covers can have left one anywhere else.
+func (ix *Index) aggPostedUnder(id model.FilterID, terms []string) []string {
+	a := ix.agg
+	d, _ := a.defs.shard(id).get(id)
+	c := d.c
+	h := a.histShard(id)
+	h.mu.Lock()
+	if c == nil {
+		c = h.lastGone[id]
+	}
+	_, multi := h.multi[id]
+	h.mu.Unlock()
+	if c == nil {
+		return nil
+	}
+	slot, ok := c.slotIndex(id)
+	if !ok {
+		return nil
+	}
+	var posted []string
+	for _, t := range terms {
+		if tid := a.dict.lookup(t); tid != noTerm && a.termShard(tid).holds(tid, c, int(slot), id, multi) {
+			posted = append(posted, t)
+		}
+	}
+	return posted
+}
+
 // CoverDetail is a deep, O(index) walk of the aggregated posting lists —
 // bench/diagnostic use only. LiveBits intersects each entry's bitset with
 // its cover's alive set container-wise, separating live expansion fan-out

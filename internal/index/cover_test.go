@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -113,7 +114,8 @@ func (p *enginePair) observe(d *model.Document) {
 
 // compareAll matches doc through MatchTerm (for every doc term),
 // MatchTerms, and MatchSIFT on both engines and fails on any divergence
-// in the sorted match set or the stats.
+// in the sorted match set or the stats; then PostedUnder must name the same
+// lists on both for every ID the document's terms reach.
 func (p *enginePair) compareAll(t *testing.T, doc *model.Document) {
 	t.Helper()
 	for _, term := range doc.Terms {
@@ -159,6 +161,19 @@ func (p *enginePair) compareAll(t *testing.T, doc *model.Document) {
 	}
 	if a, f := p.agg.NumPostings(), p.flat.NumPostings(); a != f {
 		t.Fatalf("NumPostings diverged: agg=%d flat=%d", a, f)
+	}
+	// Every ID on a list of the document's terms — tombstones included — is
+	// posted under the same of those terms on both engines.
+	for _, term := range doc.Terms {
+		ids, err := p.flat.PostingIDs(term)
+		if err != nil {
+			t.Fatalf("flat PostingIDs(%q): %v", term, err)
+		}
+		for _, id := range ids {
+			if a, f := p.agg.PostedUnder(id, doc.Terms), p.flat.PostedUnder(id, doc.Terms); !slices.Equal(a, f) || !slices.Contains(f, term) {
+				t.Fatalf("PostedUnder(%v, %v) diverged (ID taken from %q's list): agg=%v flat=%v", id, doc.Terms, term, a, f)
+			}
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/store"
+	"github.com/movesys/move/internal/testutil"
 )
 
 // This file pins the rule the index and the store divide memory by: a filter
@@ -217,7 +218,7 @@ func TestEachFilterFromShards(t *testing.T) {
 func TestDurableStoreReleasesFlushedSegments(t *testing.T) {
 	const filters = 50000
 	dir := t.TempDir()
-	before := heapNow()
+	before := testutil.HeapNow()
 	ix, s := openDurable(t, dir, store.Options{FlushAt: 1 << 20})
 	for i := 1; i <= filters; i++ {
 		f := churnFilter(model.FilterID(i))
@@ -229,7 +230,7 @@ func TestDurableStoreReleasesFlushedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix = nil // what stays reachable from here on is the store
-	held := int64(heapNow()) - int64(before)
+	held := int64(testutil.HeapNow()) - int64(before)
 	runtime.KeepAlive(s)
 	if held > 1<<20 {
 		t.Errorf("the store holds %d bytes of heap after FlushAll, want under 1 MiB", held)

@@ -113,6 +113,11 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 			if a, b := agg.NumFilters(), dur.NumFilters(); a != b {
 				t.Fatalf("NumFilters after a restart %d, never restarted %d", b, a)
 			}
+			for id := model.FilterID(1); id <= 12; id++ {
+				if a, b := agg.PostedUnder(id, d.Terms), dur.PostedUnder(id, d.Terms); !slices.Equal(a, b) {
+					t.Fatalf("PostedUnder(%v, %v) after a restart %v, never restarted %v", id, d.Terms, b, a)
+				}
+			}
 		}
 
 		vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}

@@ -24,6 +24,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -584,6 +585,23 @@ func (ix *Index) PostingLen(term string) (int, error) {
 		return ix.aggPostingLen(term), nil
 	}
 	return len(ix.state.termShard(term).snapshot(term)), nil
+}
+
+// PostedUnder returns, in the order given, the terms whose posting list holds
+// id — the lists a match on this node reaches the filter through, tombstoned
+// entries of an unregistered ID included. Read-only: it is how a node repeats
+// a posting choice (re-registration, migration) instead of making it again.
+func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
+	if ix.agg != nil {
+		return ix.aggPostedUnder(id, terms)
+	}
+	var posted []string
+	for _, t := range terms {
+		if slices.Contains(ix.state.termShard(t).snapshot(t), id) {
+			posted = append(posted, t)
+		}
+	}
+	return posted
 }
 
 // EachFilter visits the filter definitions resident on the node in

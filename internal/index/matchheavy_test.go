@@ -10,6 +10,7 @@ import (
 
 	"github.com/movesys/move/internal/dataset"
 	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/testutil"
 )
 
 // matchHeavyDoc is one document as a home node sees it: the full term set
@@ -112,15 +113,6 @@ func appendHomed(regs []populationReg, terms []string, mode model.MatchMode, sub
 	return append(regs, populationReg{f, mine})
 }
 
-// heapNow returns the live heap after a full collection.
-func heapNow() uint64 {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // registerPopulation registers regs into a fresh index over a store without
 // a data directory — what the repository benchmark's daemons and its index
 // probe run — and returns the heap bytes per filter the registrations
@@ -128,11 +120,11 @@ func heapNow() uint64 {
 func registerPopulation(tb testing.TB, regs []populationReg) (*Index, float64) {
 	tb.Helper()
 	ix := newIndex(tb)
-	before := heapNow()
+	before := testutil.HeapNow()
 	for i := range regs {
 		registerDecoded(tb, ix, regs[i])
 	}
-	return ix, float64(heapNow()-before) / float64(len(regs))
+	return ix, float64(testutil.HeapNow()-before) / float64(len(regs))
 }
 
 // registerDecoded registers reg from a private copy of its strings, as a
@@ -263,9 +255,9 @@ func TestMemBudget(t *testing.T) {
 
 	// The fixed heap of an index nothing is registered in: its shard tables
 	// and the subscriber-name cache.
-	before := heapNow()
+	before := testutil.HeapNow()
 	ix = newIndex(t)
-	row("empty index.New(store.Open(\"\"))", float64(heapNow()-before), 88500, "B")
+	row("empty index.New(store.Open(\"\"))", float64(testutil.HeapNow()-before), 88500, "B")
 	runtime.KeepAlive(ix)
 
 	// Churn: a constant population of 1 k filters, 20 k times one of them
@@ -288,7 +280,7 @@ func TestMemBudget(t *testing.T) {
 		registerDecoded(t, ix, reg)
 		ids[i] = reg.f.ID
 	}
-	before = heapNow()
+	before = testutil.HeapNow()
 	for i := 0; i < pairs; i++ {
 		j := rng.Intn(live)
 		if err := ix.Unregister(ids[j]); err != nil {
@@ -298,7 +290,7 @@ func TestMemBudget(t *testing.T) {
 		registerDecoded(t, ix, reg)
 		ids[j] = reg.f.ID
 	}
-	row("churn: 20k unregister/register-fresh-ID pairs over 1k live filters", float64(heapNow()-before)/pairs, 98, "B/departed filter")
+	row("churn: 20k unregister/register-fresh-ID pairs over 1k live filters", float64(testutil.HeapNow()-before)/pairs, 98, "B/departed filter")
 	runtime.KeepAlive(ix)
 }
 

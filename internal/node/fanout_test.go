@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -38,6 +39,8 @@ type fanOutEnv struct {
 	entry *Node
 	p     []ring.NodeID
 	docs  []model.Document
+	// filters is the population; every one matches every document of docs.
+	filters []model.Filter
 }
 
 func newFanOutEnv(t *testing.T) *fanOutEnv {
@@ -54,11 +57,9 @@ func newFanOutEnv(t *testing.T) *fanOutEnv {
 	warm := termHomedAt(t, h.ring, "warm", e.home.ID())
 	cold := termHomedAt(t, h.ring, "cold", e.entry.ID())
 
-	id := model.FilterID(1)
 	register := func(n int, mode model.MatchMode, terms ...string) {
 		for i := 0; i < n; i++ {
-			h.registerEverywhere(t, model.Filter{ID: id, Subscriber: fmt.Sprintf("s%d", id), Terms: terms, Mode: mode})
-			id++
+			e.register(t, mode, terms...)
 		}
 	}
 	register(12, model.MatchAny, hot)
@@ -66,6 +67,11 @@ func newFanOutEnv(t *testing.T) *fanOutEnv {
 	register(4, model.MatchAny, cold)
 	register(4, model.MatchAny, hot, warm) // reached through two grids
 	register(4, model.MatchAll, warm, cold)
+	register(4, model.MatchAll, hot, warm) // keyed under one of the home's two lists
+	// Every live ID registers again: the keys it has are the ones it keeps.
+	for _, f := range e.filters {
+		h.registerEverywhere(t, f)
+	}
 
 	// Every grid of the table has two rows; all documents draw row 0.
 	probe, err := alloc.NewGrid(2, 1, e.p[:2])
@@ -78,6 +84,16 @@ func newFanOutEnv(t *testing.T) *fanOutEnv {
 		}
 	}
 	return e
+}
+
+// register adds the next filter of the population and returns it.
+func (e *fanOutEnv) register(t *testing.T, mode model.MatchMode, terms ...string) model.Filter {
+	t.Helper()
+	id := model.FilterID(len(e.filters) + 1)
+	f := model.Filter{ID: id, Subscriber: fmt.Sprintf("s%d", id), Terms: terms, Mode: mode}
+	e.h.registerEverywhere(t, f)
+	e.filters = append(e.filters, f)
+	return f
 }
 
 func (e *fanOutEnv) grid(t *testing.T, nodes ...int) *alloc.Grid {
@@ -157,6 +173,36 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 		e.commit(t, 1)
 	}
 
+	// The hazard row of keying a MatchAll filter once per home: warm's own grid
+	// is committed, a filter over hot and warm registers live and is keyed
+	// under hot, then the node-wide grid moves to nodes that hold only what the
+	// move migrates. The migration must repeat the key. Keyed again, under
+	// warm, the copy would wait on the node-wide grid for a term every document
+	// routes to warm's grid instead, and the filter would be lost.
+	hazard := func(t *testing.T, e *fanOutEnv) {
+		hot, warm := e.docs[0].Terms[0], e.docs[0].Terms[1]
+		warmGrid, err := alloc.NewGrid(2, 1, e.p[6:8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.prepare(t, 1, warm, warmGrid)
+		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
+		e.commit(t, 1)
+		e.register(t, model.MatchAny, warm) // warm's list is the longer one
+		f := e.register(t, model.MatchAll, hot, warm)
+		e.h.registerEverywhere(t, f) // and again, forwarded to the same columns
+		if got := e.home.Index().PostedUnder(f.ID, f.Terms); !slices.Equal(got, []string{hot}) {
+			t.Fatalf("the live filter is keyed under %v, the hazard needs [%s]", got, hot)
+		}
+		// By the time the grid moves, hot's list is the longer one: choosing
+		// again would not choose hot.
+		for i := 0; i < 8; i++ {
+			e.register(t, model.MatchAny, hot)
+		}
+		e.prepare(t, 2, "", e.grid(t, 4, 5, 2, 3))
+		e.commit(t, 2)
+	}
+
 	cases := []struct {
 		name   string
 		layout layout
@@ -214,6 +260,11 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 			failSlots: 2, oracleFailovers: 2, columnRPCs: 5},
 		{name: "shared node/column lost in every row", layout: shared, down: []int{1, 3},
 			degraded: true, lost: 1, failSlots: 1, oracleFailovers: 1, columnRPCs: 5},
+
+		// Row 0 is p4 | p5 for hot and p6 for warm: 3 columns on 3 nodes.
+		{name: "live MatchAll beside a term grid, node-wide grid moved/healthy", layout: hazard, columnRPCs: 3},
+		{name: "live MatchAll beside a term grid, node-wide grid moved/first row of a column down", layout: hazard, down: []int{4},
+			failSlots: 1, oracleFailovers: 1, columnRPCs: 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,6 +294,11 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 				if len(m) == 0 || resp.Degraded != tc.degraded || resp.ColumnsLost != tc.lost {
 					t.Fatalf("oracle doc %d: %d matches degraded=%v lost=%d, scenario wants degraded=%v lost=%d",
 						e.docs[i].ID, len(m), resp.Degraded, resp.ColumnsLost, tc.degraded, tc.lost)
+				}
+				// The oracle's own oracle: with no column lost, brute force —
+				// every filter of the population matches every document.
+				if !tc.degraded && len(m) != len(e.filters) {
+					t.Fatalf("oracle doc %d: %d matches, brute force says all %d filters", e.docs[i].ID, len(m), len(e.filters))
 				}
 				want[i] = answer{m, resp}
 			}

@@ -434,7 +434,14 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 // to the committed grid, and to a pending one tagged with the pending epoch,
 // so an abort unwinds a mid-prepare registration's copy along with the
 // epoch's migrations.
+//
+// A MatchAll filter is posted under one of the terms it was sent with
+// (conjunctiveKey), chosen here, once: the index, every forward below and
+// every later migration (ownedBatches) repeat the choice.
 func (n *Node) handleRegister(ctx context.Context, req RegisterReq) error {
+	if req.Filter.Mode == model.MatchAll && len(req.PostingTerms) > 1 {
+		req.PostingTerms = n.conjunctiveKey(req.Filter.ID, req.PostingTerms)
+	}
 	if err := n.ix.Register(req.Filter, req.PostingTerms); err != nil {
 		return err
 	}
@@ -472,6 +479,34 @@ func (n *Node) handleRegister(ctx context.Context, req RegisterReq) error {
 		}
 	}
 	return nil
+}
+
+// conjunctiveKey picks the one term of terms — a home's share of a MatchAll
+// filter's terms, as every registrar sends it — that filter id is posted
+// under on this node. A document the filter matches holds all of them and
+// reaches this home with every one that passes the entry's Bloom gate, so one
+// key finds it: the term the filter is already posted under when there is one
+// (a re-registration adds no key), else the shortest posting list — the fewest
+// entries scanned beside it — both among the terms the installed Bloom filter
+// passes when any does, so a filter with a brand-new term stays visible
+// before the next Bloom refresh.
+func (n *Node) conjunctiveKey(id model.FilterID, terms []string) []string {
+	n.mu.RLock()
+	bf := n.bloomF
+	n.mu.RUnlock()
+	if passing := bloomPassTerms(bf, terms); len(passing) > 0 {
+		terms = passing
+	}
+	if posted := n.ix.PostedUnder(id, terms); len(posted) > 0 {
+		return posted[:1]
+	}
+	key, shortest := 0, -1
+	for i, t := range terms {
+		if l, _ := n.ix.PostingLen(t); shortest < 0 || l < shortest {
+			key, shortest = i, l
+		}
+	}
+	return terms[key : key+1]
 }
 
 // forwardToGridColumn copies one registration onto its grid column across
@@ -1100,11 +1135,16 @@ func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []ho
 const migrateBatch = 512
 
 // ownedBatches walks the index's resident filters (ascending ID, no store
-// read) for the ones a prepare of scope term must place, and groups the copies each grid target must receive
-// — the migration work list of PrepareAllocation. The node-wide scope ("")
-// owns every term that hashes to this node; a term scope owns that term. A
-// filter owning none is a replica migrated here by another home node, not
-// this prepare's to re-allocate.
+// read) for the ones a prepare of scope term must place, and groups the copies
+// each grid target must receive — the migration work list of
+// PrepareAllocation. The node-wide scope ("") owns every term that hashes to
+// this node; a term scope owns that term. A copy is posted on its target under
+// the owned terms the filter is posted under here, not under every owned term
+// it has: what a registration chose (conjunctiveKey, or a registrar posting
+// under fewer terms) a migration repeats, because choosing again could key a
+// filter under a term whose own grid — which overrides this one for that term
+// — never received it. A filter posted under no owned term is a replica
+// migrated here by another home node, not this prepare's to re-allocate.
 func (n *Node) ownedBatches(term string, g *alloc.Grid) (map[ring.NodeID][]RegisterReq, error) {
 	owns := func(t string) (bool, error) {
 		if term != "" {
@@ -1116,8 +1156,9 @@ func (n *Node) ownedBatches(term string, g *alloc.Grid) (map[ring.NodeID][]Regis
 	batches := make(map[ring.NodeID][]RegisterReq)
 	var iterErr error
 	err := n.ix.EachFilter(func(f model.Filter) bool {
-		var owned []string
-		for _, t := range f.Terms {
+		posted := n.ix.PostedUnder(f.ID, f.Terms)
+		owned := posted[:0]
+		for _, t := range posted {
 			ok, err := owns(t)
 			if err != nil {
 				iterErr = err
