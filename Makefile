@@ -51,17 +51,21 @@ wire-budget:
 # empty index, and the bytes a departed filter leaves behind under fresh-ID
 # churn. Fails when a row passes its ceiling; quote its table before changing
 # what Register retains. Those rows call index.Register themselves; the rows of
-# internal/node register match_heavy through the node's register path, which
-# keys every MatchAll filter once per home: posting entries per filter (exactly
-# 1.0) and the heap bytes per filter that leaves.
+# internal/node register match_heavy through the register path of both homes of
+# a two-node ring, each sent its share as the benchmark's harness sends it: the
+# home of a MatchAll filter's key term keeps it, keyed once, the other declines
+# it — filters held and posting entries per filter cluster-wide (exactly 1.0
+# each) and the heap bytes per filter over both homes.
 mem-budget:
 	$(GO) test -count=1 -run TestMemBudget -v ./internal/index ./internal/node
 
-# The home node's microbench for match_heavy: the population registered
-# through Handle, one home-routed publish frame per iteration. Reports ns/doc,
-# posting entries scanned per document (what keying a MatchAll filter once per
-# home divides), matches per document and heap bytes per filter; compare
-# against a parent binary built with `go test -c`.
+# The home nodes' microbench for match_heavy: the population registered
+# through Handle on both homes of a two-node ring, one document — a home-routed
+# publish frame per home — per iteration. Reports ns/doc, posting entries
+# scanned per document on both homes (what holding a MatchAll filter on one
+# home, under one key, divides), matches the homes report per document before
+# the entry's dedup and heap bytes per filter; compare against a parent binary
+# built with `go test -c` (copy internal/node/matchheavy_test.go into its tree).
 bench-home:
 	$(GO) test -run='^$$' -bench=BenchmarkHomeMatchConjunctive -benchtime=2000x ./internal/node
 

@@ -247,13 +247,10 @@ func (c *client) register(ctx context.Context, id model.FilterID, sub, query str
 		return fmt.Errorf("query has no indexable terms")
 	}
 	f := model.Filter{ID: id, Subscriber: sub, Terms: terms, Mode: model.MatchAny}
-	byHome := make(map[ring.NodeID][]string)
-	for _, t := range terms {
-		home, err := c.ring.HomeNode(t)
-		if err != nil {
-			return err
-		}
-		byHome[home] = append(byHome[home], t)
+	// No Bloom filter: nothing installs one on moved daemons.
+	byHome, err := cluster.RegisterShares(c.ring, &f, nil)
+	if err != nil {
+		return err
 	}
 	for home, postingTerms := range byHome {
 		payload := node.EncodeRegister(node.RegisterReq{Filter: f, PostingTerms: postingTerms})

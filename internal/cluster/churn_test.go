@@ -96,10 +96,11 @@ func assertAggregatedCovers(t *testing.T, c *Cluster) {
 // cluster on the old epoch with no partial state.
 //
 // A third of the population is conjunctive (MatchAll, up to three terms), each
-// keyed once per home by the home itself (node.conjunctiveKey), live IDs
-// register again every round, and every sixth round walks the hazard that
-// keying sets up (conjunctiveHazard) — so the oracle also holds the invariant
-// that every forward and migration repeats the home's key.
+// held by the home of its key term alone and keyed once there by the home
+// itself (node.conjunctiveKey), live IDs register again every round, and every
+// sixth round walks the hazard that keying sets up (conjunctiveHazard) — so
+// the oracle also holds the invariant that every forward and migration repeats
+// the home's key.
 func TestChurnSoak(t *testing.T) {
 	ctx := context.Background()
 	c, err := New(Config{
@@ -473,13 +474,16 @@ func conjunctiveHazard(t *testing.T, c *Cluster, round int, register func(sub st
 	return f
 }
 
-// assertKeyedOncePerHome checks the layout the soak leaves behind: on each of
-// its homes a MatchAll filter is posted under exactly one of the home's terms
-// — through every forward, replay, abort and re-registration of the run — and
-// enough of them had a choice to make.
+// assertKeyedOncePerHome checks the layout the soak leaves behind — through
+// every forward, replay, abort and re-registration of the run: the home of a
+// MatchAll filter's key term holds it, posted under exactly one term of that
+// home's share; its other homes declined it, or were never sent it, and hold no
+// posting of it under their own share (as grid columns they may under the key
+// home's); filterHolders' home is that one node. Enough filters had a choice
+// of home, and enough a choice of term on it.
 func assertKeyedOncePerHome(t *testing.T, c *Cluster, filters []model.Filter) {
 	t.Helper()
-	chose := 0
+	declined, chose := 0, 0
 	for _, f := range filters {
 		if f.Mode != model.MatchAll {
 			continue
@@ -493,16 +497,30 @@ func assertKeyedOncePerHome(t *testing.T, c *Cluster, filters []model.Filter) {
 			byHome[home] = append(byHome[home], term)
 		}
 		for home, terms := range byHome {
-			if got := c.nodes[home].Index().PostedUnder(f.ID, terms); len(got) != 1 {
-				t.Fatalf("MatchAll filter %v is posted under %v of its terms %v on its home %s, want exactly one", f.ID, got, terms, home)
+			got := c.nodes[home].Index().PostedUnder(f.ID, terms)
+			if !slices.Contains(terms, f.KeyTerm()) {
+				if len(got) != 0 {
+					t.Fatalf("MatchAll filter %v (key term %s) is posted under %v on %s, a home that holds no key term of it", f.ID, f.KeyTerm(), got, home)
+				}
+				declined++
+				continue
+			}
+			if len(got) != 1 {
+				t.Fatalf("MatchAll filter %v is posted under %v of its terms %v on its key home %s, want exactly one", f.ID, got, terms, home)
 			}
 			if len(terms) > 1 {
 				chose++
 			}
+			c.placementMu.RLock()
+			homes := c.homeHolders[f.ID]
+			c.placementMu.RUnlock()
+			if !slices.Equal(homes, []ring.NodeID{home}) {
+				t.Fatalf("MatchAll filter %v: homeHolders %v, want its key home %s alone", f.ID, homes, home)
+			}
 		}
 	}
-	if chose < 10 {
-		t.Fatalf("only %d MatchAll filters had two terms on one home; the soak does not exercise the key", chose)
+	if declined < 50 || chose < 10 {
+		t.Fatalf("%d homes held no key term of a MatchAll filter of theirs and %d key homes had two terms to choose from; the soak does not exercise the key", declined, chose)
 	}
-	t.Logf("keyed once per home: %d MatchAll filters chose among several terms of a home", chose)
+	t.Logf("held once per cluster: %d other homes hold nothing of a MatchAll filter, %d key homes chose among several terms", declined, chose)
 }

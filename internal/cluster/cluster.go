@@ -158,6 +158,7 @@ type Cluster struct {
 	qSketch    *stats.SpaceSaving // bounded-memory hot-term detection
 	bloomMu    sync.Mutex
 	bloomTerms map[string]struct{}
+	bloom      *bloom.Filter // what RefreshBloom last installed; nil before
 	allocEpoch atomic.Uint64
 	// committedEpoch is the newest epoch whose two-phase round reached
 	// commit; an aborted round never advances it.
@@ -463,18 +464,15 @@ func (c *Cluster) Register(ctx context.Context, subscriber string, terms []strin
 func (c *Cluster) registerFilter(ctx context.Context, f model.Filter) ([]ring.NodeID, error) {
 	switch c.cfg.Scheme {
 	case SchemeMove, SchemeIL:
-		// Home node of every term stores the full filter and builds the
-		// posting list for its own term only (§III.B).
-		holders := make([]ring.NodeID, 0, len(f.Terms))
-		seen := make(map[ring.NodeID][]string)
-		for _, t := range f.Terms {
-			home, err := c.ring.HomeNode(t)
-			if err != nil {
-				return nil, err
-			}
-			seen[home] = append(seen[home], t)
+		c.bloomMu.Lock()
+		bf := c.bloom
+		c.bloomMu.Unlock()
+		shares, err := RegisterShares(c.ring, &f, bf)
+		if err != nil {
+			return nil, err
 		}
-		for home, postingTerms := range seen {
+		holders := make([]ring.NodeID, 0, len(shares))
+		for home, postingTerms := range shares {
 			payload := node.EncodeRegister(node.RegisterReq{Filter: f, PostingTerms: postingTerms})
 			if _, err := c.sendTo(ctx, home, payload); err != nil {
 				return nil, fmt.Errorf("cluster: register %s on %s: %w", f.ID, home, err)
@@ -512,6 +510,33 @@ func (c *Cluster) registerFilter(ctx context.Context, f model.Filter) ([]ring.No
 	default:
 		return nil, fmt.Errorf("%w: scheme=%v", ErrBadConfig, c.cfg.Scheme)
 	}
+}
+
+// RegisterShares groups f's terms by home node: the registrations a registrar
+// sends, each home with its share as the posting terms. The home node of every
+// term stores the full filter and builds the posting lists of its own terms
+// only (§III.B) — except that a MatchAll filter is held by the home of its key
+// term alone (model.Filter.KeyTerm; the other homes would decline their share,
+// DESIGN.md §6), so only that home is sent to. bf is the Bloom filter installed
+// on the cluster, nil when there is none: while it rejects the key term no
+// entry routes it, and every home still takes its share.
+func RegisterShares(r *ring.Ring, f *model.Filter, bf *bloom.Filter) (map[ring.NodeID][]string, error) {
+	shares := make(map[ring.NodeID][]string)
+	for _, t := range f.Terms {
+		home, err := r.HomeNode(t)
+		if err != nil {
+			return nil, err
+		}
+		shares[home] = append(shares[home], t)
+	}
+	if key := f.KeyTerm(); f.Mode == model.MatchAll && (bf == nil || bf.Contains(key)) {
+		for home, terms := range shares {
+			if !slices.Contains(terms, key) {
+				delete(shares, home)
+			}
+		}
+	}
+	return shares, nil
 }
 
 // sendTo routes through an arbitrary live endpoint (the in-memory fabric
@@ -800,6 +825,12 @@ func (c *Cluster) RefreshBloom(ctx context.Context) error {
 		if _, err := c.sendTo(ctx, id, payload); err != nil {
 			errs = append(errs, fmt.Errorf("cluster: install bloom on %s: %w", id, err))
 		}
+	}
+	if len(errs) == 0 {
+		// Registrars go by the new filter only once every live node has it.
+		c.bloomMu.Lock()
+		c.bloom = bf
+		c.bloomMu.Unlock()
 	}
 	return errors.Join(errs...)
 }

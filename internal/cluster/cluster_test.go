@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -435,6 +436,114 @@ func TestAvailableFilterFractionIL(t *testing.T) {
 	c.RecoverNodes(victims...)
 	if got := c.AvailableFilterFraction(); got != 1 {
 		t.Fatalf("availability = %v after recovery", got)
+	}
+}
+
+// TestConjunctiveFilterIsDownWithItsKeyHome prices holding a MatchAll filter
+// once per cluster (DESIGN.md §6): the home of its key term is its only
+// holder, so while that node is down the filter is unavailable — counted so by
+// AvailableFilterFraction (Figure 9 d) and matched by nothing — where a
+// MatchAny filter over the same two terms stays reachable through its other
+// home. Losing the other home costs the MatchAll filter nothing, and the key
+// home's recovery brings the match back.
+func TestConjunctiveFilterIsDownWithItsKeyHome(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, SchemeMove, 8)
+	first := "storm"
+	var terms []string
+	for i := 0; terms == nil; i++ {
+		if second := "alerts" + strconv.Itoa(i); homeOf(t, c, second) != homeOf(t, c, first) {
+			terms = model.SortTerms([]string{first, second})
+		}
+	}
+	all, err := c.Register(ctx, "conjunctive", terms, model.MatchAll, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	either, err := c.Register(ctx, "disjunctive", terms, model.MatchAny, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := (&model.Filter{ID: all, Terms: terms}).KeyTerm()
+	keyHome := homeOf(t, c, key)
+	otherHome := homeOf(t, c, terms[0])
+	if terms[0] == key {
+		otherHome = homeOf(t, c, terms[1])
+	}
+	expect := func(label string, availability float64, want ...model.FilterID) {
+		t.Helper()
+		if got := c.AvailableFilterFraction(); got != availability {
+			t.Fatalf("%s: availability = %v, want %v", label, got, availability)
+		}
+		res, err := c.Publish(ctx, terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := matchIDs(res.Matches); !slices.Equal(got, want) {
+			t.Fatalf("%s: matched %v, want %v", label, got, want)
+		}
+	}
+	expect("all nodes up", 1, all, either)
+	c.FailNodes(otherHome)
+	expect("the other home down", 1, all, either)
+	c.RecoverNodes(otherHome)
+	c.FailNodes(keyHome)
+	expect("the key home down", 0.5, either)
+	c.RecoverNodes(keyHome)
+	expect("the key home back", 1, all, either)
+}
+
+// TestConjunctiveFilterWithFreshKeyTermMatchesBeforeRefresh: a MatchAll filter
+// whose key term the installed Bloom filter does not hold yet is registered on
+// every home of its terms, as all filters were — no entry routes a document
+// under the key term until RefreshBloom — and on the key term's home alone
+// once the Bloom filter holds it.
+func TestConjunctiveFilterWithFreshKeyTermMatchesBeforeRefresh(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, SchemeMove, 8)
+	seedWorkload(t, c)
+	if err := c.RefreshBloom(ctx); err != nil {
+		t.Fatal(err)
+	}
+	holdersOf := func(id model.FilterID) int {
+		c.placementMu.RLock()
+		defer c.placementMu.RUnlock()
+		return len(c.filterHolders[id])
+	}
+	// A fresh term of another home than "cloud" that is the next filter's key.
+	next := model.FilterID(c.TotalFilters() + 1)
+	var terms []string
+	for i := 0; terms == nil; i++ {
+		fresh := "fresh" + strconv.Itoa(i)
+		f := model.Filter{ID: next, Terms: []string{"cloud", fresh}}
+		if f.KeyTerm() == fresh && homeOf(t, c, fresh) != homeOf(t, c, "cloud") {
+			terms = f.Terms
+		}
+	}
+	id, err := c.Register(ctx, "early", terms, model.MatchAll, 0)
+	if err != nil || id != next {
+		t.Fatalf("Register = %v, %v; want filter %v", id, err, next)
+	}
+	matched := func() bool {
+		t.Helper()
+		res, err := c.Publish(ctx, terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Contains(matchIDs(res.Matches), id)
+	}
+	if !matched() || holdersOf(id) != 2 {
+		t.Fatalf("before the refresh: matched=%v on %d holders, want a match and both homes holding it", matched(), holdersOf(id))
+	}
+	if err := c.RefreshBloom(ctx); err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Register(ctx, "late", terms, model.MatchAll, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matched() || holdersOf(again) != 1 {
+		t.Fatalf("after the refresh: matched=%v, the filter registered now has %d holders, want a match and one holder", matched(), holdersOf(again))
 	}
 }
 

@@ -1,6 +1,7 @@
 package delivery
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -97,8 +98,12 @@ func (s *Server) handle(c net.Conn) {
 	// First frame must be the hello. Nothing a subscriber sends is large,
 	// so the bound applies before the peer has identified itself; buf is
 	// reused for every inbound frame (the decoders copy what they keep).
+	// An ack is a handful of bytes: through a small buffered reader its prefix
+	// and payload — and any acks queued behind it — cost one read call, not
+	// two each; a frame larger than the buffer is still read straight into buf.
+	in := bufio.NewReaderSize(c, inboundBuffer)
 	var buf []byte
-	payload, err := frame.Read(c, &buf, maxInboundFrame)
+	payload, err := frame.Read(in, &buf, maxInboundFrame)
 	if err != nil {
 		_ = c.Close()
 		return
@@ -125,7 +130,7 @@ func (s *Server) handle(c net.Conn) {
 	// Inbound loop: acks and pongs. A dead socket detaches the session;
 	// its queue and window survive for the reconnect.
 	for {
-		payload, err := frame.Read(c, &buf, maxInboundFrame)
+		payload, err := frame.Read(in, &buf, maxInboundFrame)
 		if err != nil {
 			sess.Detach(wc)
 			_ = c.Close()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -283,5 +284,60 @@ func TestClientReadsARoundInOneRead(t *testing.T) {
 	}
 	if got := cc.reads.Load() - afterHello; got != 1 {
 		t.Fatalf("a three-frame round cost the client %d reads, want 1", got)
+	}
+}
+
+// TestServerReadsQueuedAcksInOneRead: a subscriber's acks are a few bytes
+// each, and the server takes what has arrived off the socket in one read — not
+// a prefix read and a payload read per frame — while a hello larger than its
+// read buffer still attaches.
+func TestServerReadsQueuedAcksInOneRead(t *testing.T) {
+	hub := NewHub(Config{Workers: 1})
+	defer hub.Stop()
+	client, server := net.Pipe()
+	defer client.Close()
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+	srv := &Server{hub: hub, conns: make(map[net.Conn]struct{})}
+	cc := &countingConn{Conn: server}
+	srv.wg.Add(1)
+	go srv.handle(cc)
+	defer srv.wg.Wait()
+	defer server.Close()
+
+	sub := strings.Repeat("n", 4*inboundBuffer)
+	cl, err := NewClient(client, sub, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for doc := uint64(1); doc <= 3; doc++ {
+		hub.Deliver(sub, doc, fid(doc), []string{"t"})
+	}
+	for got := 0; got < 3; {
+		msg, err := cl.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += len(msg.Events)
+	}
+	before := cc.reads.Load()
+	var acks []byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		w := codec.NewWriter(16)
+		AppendAck(w, seq)
+		if acks, err = frame.Append(acks, w.Bytes(), maxInboundFrame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.Write(acks); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the third ack", func() bool {
+		ss, _ := hub.Snapshot(sub)
+		return ss.AckSeq == 3
+	})
+	// The read the acks arrive in and the one the server then waits in; one
+	// more if it had not started waiting when the count was taken.
+	if got := cc.reads.Load() - before; got > 2 {
+		t.Fatalf("three queued acks cost the server %d reads, want at most 2", got)
 	}
 }

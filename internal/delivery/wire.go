@@ -37,6 +37,10 @@ const maxFrame = 16 << 20
 // make the server allocate at most this much.
 const maxInboundFrame = 4 << 10
 
+// inboundBuffer sizes the server's buffered reader per subscriber connection:
+// room for several acks (type byte + uvarint seq, behind a one-byte prefix).
+const inboundBuffer = 64
+
 // AppendHello encodes a client hello: the subscriber name and the highest
 // sequence number the client has durably consumed (0 for a fresh session).
 func AppendHello(w *codec.Writer, sub string, resumeAck uint64) {

@@ -88,6 +88,33 @@ func (f *Filter) Validate() error {
 	return nil
 }
 
+// KeyTerm returns the one term a MatchAll filter is held under cluster-wide:
+// a document the filter matches holds all its terms and so reaches the home of
+// every one of them, and one of those homes storing the filter finds every
+// match. It is a function of the filter alone — the term minimising a hash of
+// (ID, term) — so a registrar, the home that stores the filter and the homes
+// that decline it agree with nothing exchanged, and the filters over a popular
+// term spread across their other terms' homes instead of all keying on it.
+func (f *Filter) KeyTerm() string {
+	key, low := "", uint64(0)
+	for _, t := range f.Terms {
+		// FNV-1a over the term, seeded with the ID, then a 64-bit finalizer:
+		// FNV's high bits alone barely depend on a short term's last bytes,
+		// and the minimum is decided by the high bits.
+		h := uint64(f.ID)*0x9e3779b97f4a7c15 ^ 14695981039346656037
+		for i := 0; i < len(t); i++ {
+			h = (h ^ uint64(t[i])) * 1099511628211
+		}
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		if key == "" || h < low || (h == low && t < key) {
+			key, low = t, h
+		}
+	}
+	return key
+}
+
 // Clone returns a deep copy (term slice included), so stores can hand out
 // filters without aliasing their internals.
 func (f *Filter) Clone() Filter {

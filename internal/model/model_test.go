@@ -153,3 +153,31 @@ func TestFilterRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKeyTerm: the key term is one of the filter's terms, whatever their
+// order, moves with the ID — so the filters over one popular term do not all
+// key on it — and falls on each term of a set about equally often.
+func TestKeyTerm(t *testing.T) {
+	terms := []string{"alerts", "cloud", "storm"}
+	picked := make(map[string]int)
+	for id := FilterID(1); id <= 3000; id++ {
+		f := Filter{ID: id, Terms: terms, Mode: MatchAll}
+		key := f.KeyTerm()
+		reversed := Filter{ID: id, Terms: []string{"storm", "cloud", "alerts"}, Mode: MatchAll}
+		if got := reversed.KeyTerm(); got != key {
+			t.Fatalf("filter %v: key term %q, %q with the terms reversed", id, key, got)
+		}
+		picked[key]++
+	}
+	for _, term := range terms {
+		if n := picked[term]; n < 900 || n > 1100 {
+			t.Fatalf("key terms over 3000 IDs: %v; want each of the three about 1000 times", picked)
+		}
+	}
+	if len(picked) != len(terms) {
+		t.Fatalf("key terms %v are not all terms of the filter", picked)
+	}
+	if got := (&Filter{ID: 1}).KeyTerm(); got != "" {
+		t.Fatalf("key term of a filter without terms = %q", got)
+	}
+}

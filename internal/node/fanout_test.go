@@ -270,6 +270,13 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newFanOutEnv(t)
 			tc.layout(t, e)
+			// Whatever the grids: outside them every MatchAll filter sits on the
+			// home of its key term, under one term, and nowhere else.
+			for _, f := range e.filters {
+				if f.Mode == model.MatchAll {
+					assertHeldOnce(t, e.h, tc.name, f)
+				}
+			}
 			e.fail(tc.down...)
 			ctx := context.Background()
 			// counts reads the home node's failover counter and column-RPC
@@ -322,6 +329,16 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 				t.Fatalf("column RPCs = %d over %d docs, want %d per frame", got, docs, tc.columnRPCs)
 			}
 
+			// Before the entry's dedup: one home reports a MatchAll filter (none
+			// when its column is lost), where two homes used to find it twice.
+			for i := range e.docs {
+				homes := reportingHomes(t, e.entry, &e.docs[i])
+				for _, f := range e.filters {
+					if n := homes[f.ID]; f.Mode == model.MatchAll && n != 1 && !(tc.degraded && n == 0) {
+						t.Fatalf("doc %d: MatchAll filter %v reached the entry from %d homes, want 1", e.docs[i].ID, f.ID, n)
+					}
+				}
+			}
 		})
 	}
 }

@@ -12,20 +12,20 @@ import (
 	"github.com/movesys/move/internal/testutil"
 )
 
-// matchHeavyHome builds the repository benchmark's match_heavy shape on one
-// home of a two-node ring, the way a daemon receives it: nFilters MatchAll
-// filters of three and more terms drawn from internal/dataset's Zipf query
-// model over a 10 k vocabulary, 64 subscribers in rotation, each registered by
-// one frame through Handle carrying the filter's terms that home here (about
-// half of them; a filter with none is not sent). It is the population of
-// internal/index's TestMemBudget and BenchmarkIndexMatchHeavy — which call
-// index.Register themselves and so post every filter under all of those terms
-// — behind the register path, which keys each filter once. bytesPerFilter is
-// the heap the registrations retained.
-func matchHeavyHome(tb testing.TB, nFilters int) (home *Node, bytesPerFilter float64) {
+// matchHeavyHomes builds the repository benchmark's match_heavy shape on a
+// two-node ring, the way its daemons receive it: nFilters MatchAll filters of
+// three and more terms drawn from internal/dataset's Zipf query model over a
+// 10 k vocabulary, 64 subscribers in rotation, each registered by one frame
+// through Handle per home carrying the filter's terms that home there (the
+// harness sends every home its share; a home with none is not sent to). It is
+// the population of internal/index's TestMemBudget and BenchmarkIndexMatchHeavy
+// — which call index.Register themselves and so post every filter under all of
+// a home's terms — behind the register path, where one home keeps each filter
+// and keys it once. bytesPerFilter is the heap the registrations retained on
+// both homes together.
+func matchHeavyHomes(tb testing.TB, nFilters int) (homes []*Node, bytesPerFilter float64) {
 	tb.Helper()
-	h := newHarness(tb, 2)
-	home = h.nodes[0]
+	homes = newHarness(tb, 2).nodes
 	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: matchHeavyVocab, Seed: matchHeavySeed})
 	if err != nil {
 		tb.Fatal(err)
@@ -37,17 +37,19 @@ func matchHeavyHome(tb testing.TB, nFilters int) (home *Node, bytesPerFilter flo
 		if len(terms) < 3 {
 			continue
 		}
-		mine := homedAt(tb, home, terms)
-		if len(mine) == 0 {
-			continue
-		}
 		n++
 		f := model.Filter{ID: model.FilterID(n), Subscriber: fmt.Sprintf("s%03d", n%64), Terms: terms, Mode: model.MatchAll}
-		if _, err := home.Handle(ctx, "client", EncodeRegister(RegisterReq{Filter: f, PostingTerms: mine})); err != nil {
-			tb.Fatal(err)
+		for _, home := range homes {
+			mine := homedAt(tb, home, terms)
+			if len(mine) == 0 {
+				continue
+			}
+			if _, err := home.Handle(ctx, "client", EncodeRegister(RegisterReq{Filter: f, PostingTerms: mine})); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
-	return home, float64(testutil.HeapNow()-before) / float64(nFilters)
+	return homes, float64(testutil.HeapNow()-before) / float64(nFilters)
 }
 
 const (
@@ -74,12 +76,14 @@ func homedAt(tb testing.TB, nd *Node, terms []string) []string {
 // TestMemBudget is the node's rows of make mem-budget, beside the index's
 // own (internal/index TestMemBudget, whose match_heavy row registers straight
 // into the index under every homed term and must not move): the match_heavy
-// population registered through the node, where the home keys every MatchAll
-// filter once. Posting entries per filter is exact; the heap row's ceiling is
-// 5 % above the value measured when it was last set.
+// population registered through both homes' register paths, where the home of
+// a MatchAll filter's key term keeps it, keyed once, and the other declines it.
+// Filters and posting entries are exact — one of each per filter cluster-wide,
+// split between the homes; the heap row's ceiling is 5 % above the value
+// measured when it was last set.
 func TestMemBudget(t *testing.T) {
 	const filters = 40000
-	home, bytesPerFilter := matchHeavyHome(t, filters)
+	homes, bytesPerFilter := matchHeavyHomes(t, filters)
 	row := func(name string, got, ceiling float64, unit string) {
 		t.Helper()
 		t.Logf("%-70s %8.1f %s (ceiling %.1f)", name, got, unit, ceiling)
@@ -87,33 +91,46 @@ func TestMemBudget(t *testing.T) {
 			t.Errorf("%s: %.1f %s, ceiling %.1f", name, got, unit, ceiling)
 		}
 	}
-	ix := home.Index()
-	if got := ix.NumFilters(); got != filters {
-		t.Fatalf("the home holds %d filters, want %d", got, filters)
+	held, postings := 0, 0
+	for _, home := range homes {
+		n := home.Index().NumFilters()
+		// A filter's key term is any of its terms with equal odds, so a home
+		// keeps the share of term occurrences that hash to it: 40 % and 60 %
+		// on this ring, where the most popular query terms home on n1.
+		t.Logf("%s keeps %d of %d filters", home.ID(), n, filters)
+		if n < filters/3 || n > filters*2/3 {
+			t.Errorf("%s keeps %d of %d filters; the key term must spread them over both homes", home.ID(), n, filters)
+		}
+		held += n
+		postings += home.Index().NumPostings()
 	}
-	row("match_heavy through the node: posting entries per filter", float64(ix.NumPostings())/filters, 1.0, "entries/filter")
-	row("match_heavy through the node: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 401, "B/filter")
-	runtime.KeepAlive(home)
+	if held != filters {
+		t.Fatalf("the homes hold %d filters between them, want each of the %d once", held, filters)
+	}
+	row("match_heavy through the nodes: posting entries per filter, both homes", float64(postings)/filters, 1.0, "entries/filter")
+	row("match_heavy through the nodes: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 412, "B/filter")
+	runtime.KeepAlive(homes)
 }
 
-// BenchmarkHomeMatchConjunctive is the home node's microbench for the
+// BenchmarkHomeMatchConjunctive is the home nodes' microbench for the
 // repository benchmark's match_heavy workload (ROADMAP aim 1): the population
-// registered through Handle, then one iteration is one home-routed publish
-// frame through Handle — decode, match under the document's terms that home
-// here, encode the response — for documents of 65 terms, 20 spread over the
-// 250 most popular query terms and 45 over the rest of the vocabulary, as the
-// benchmark's document table spreads them. Besides ns/doc it reports the
-// posting entries a document scans, the number keying a MatchAll filter once
-// per home divides, the matches it finds and the heap bytes one registered
-// filter costs.
+// registered through Handle on both homes, then one iteration is one document
+// — a home-routed publish frame through each home's Handle: decode, match
+// under the document's terms that home there, encode the response — for
+// documents of 65 terms, 20 spread over the 250 most popular query terms and
+// 45 over the rest of the vocabulary, as the benchmark's document table spreads
+// them. Besides ns/doc it reports the posting entries a document scans on both
+// homes, the number holding a MatchAll filter on one home under one key
+// divides, the matches the homes report before the entry deduplicates them and
+// the heap bytes one registered filter costs.
 func BenchmarkHomeMatchConjunctive(b *testing.B) {
-	home, bytesPerFilter := matchHeavyHome(b, 35000)
+	homes, bytesPerFilter := matchHeavyHomes(b, 35000)
 	const nDocs, docTerms, hotTerms, hotVocab = 256, 65, 20, 250
 	rng := rand.New(rand.NewSource(matchHeavySeed + 1))
 	ctx := context.Background()
-	var frames [][]byte
+	var frames [][]byte // one per home per document
 	matches := 0
-	for len(frames) < nDocs {
+	for len(frames) < nDocs*len(homes) {
 		var terms []string
 		for len(terms) < hotTerms {
 			terms = model.SortTerms(append(terms, dataset.Term(rng.Intn(hotVocab))))
@@ -121,37 +138,43 @@ func BenchmarkHomeMatchConjunctive(b *testing.B) {
 		for len(terms) < docTerms {
 			terms = model.SortTerms(append(terms, dataset.Term(hotVocab+rng.Intn(matchHeavyVocab-hotVocab))))
 		}
-		doc := model.Document{ID: uint64(len(frames) + 1), Terms: terms}
-		mine := homedAt(b, home, terms)
-		if len(mine) < 2 {
-			continue
+		doc := model.Document{ID: uint64(len(frames)/len(homes) + 1), Terms: terms}
+		for _, home := range homes {
+			mine := homedAt(b, home, terms)
+			frame := encodePublish(false, &doc, mine...)
+			// One untimed pass per document: it warms the index's scratch and
+			// counts what the document matches.
+			raw, err := home.Handle(ctx, "entry", frame)
+			if err != nil {
+				b.Fatal(err)
+			}
+			resp, err := DecodeMatchResp(raw, mine)
+			if err != nil {
+				b.Fatal(err)
+			}
+			matches += len(resp.Matches)
+			frames = append(frames, frame)
 		}
-		frame := encodePublish(false, &doc, mine...)
-		// One untimed pass per document: it warms the index's scratch and
-		// counts what the document matches.
-		raw, err := home.Handle(ctx, "entry", frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp, err := DecodeMatchResp(raw, mine)
-		if err != nil {
-			b.Fatal(err)
-		}
-		matches += len(resp.Matches)
-		frames = append(frames, frame)
 	}
-	scanned := home.Stats().PostingsScanned
+	scanned := func() (n int64) {
+		for _, home := range homes {
+			n += home.Stats().PostingsScanned
+		}
+		return n
+	}
+	before := scanned()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := home.Handle(ctx, "entry", frames[i%len(frames)]); err != nil {
-			b.Fatal(err)
+		for k, home := range homes {
+			if _, err := home.Handle(ctx, "entry", frames[i%nDocs*len(homes)+k]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.StopTimer()
-	scanned = home.Stats().PostingsScanned - scanned
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/doc")
-	b.ReportMetric(float64(scanned)/float64(b.N), "postings/doc")
+	b.ReportMetric(float64(scanned()-before)/float64(b.N), "postings/doc")
 	b.ReportMetric(float64(matches)/nDocs, "matches/doc")
 	b.ReportMetric(bytesPerFilter, "heapB/filter")
 }

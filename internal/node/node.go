@@ -435,12 +435,27 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 // so an abort unwinds a mid-prepare registration's copy along with the
 // epoch's migrations.
 //
-// A MatchAll filter is posted under one of the terms it was sent with
+// A MatchAll filter is held by one home cluster-wide, the home of its key term
+// (model.Filter.KeyTerm): a document it matches reaches every home of its
+// terms, so the other homes acknowledge their share and decline it
+// (declineRegister) and a registrar may send every home its share as before.
+// Only a key term the installed Bloom filter rejects — the entry's gate will
+// not route it until the next refresh — leaves the copy on every home, as a
+// registration with no posting terms (a definition-only replica) always is.
+// The home that keeps the filter posts it under one of the terms it was sent
 // (conjunctiveKey), chosen here, once: the index, every forward below and
 // every later migration (ownedBatches) repeat the choice.
 func (n *Node) handleRegister(ctx context.Context, req RegisterReq) error {
-	if req.Filter.Mode == model.MatchAll && len(req.PostingTerms) > 1 {
-		req.PostingTerms = n.conjunctiveKey(req.Filter.ID, req.PostingTerms)
+	if req.Filter.Mode == model.MatchAll && len(req.PostingTerms) > 0 {
+		n.mu.RLock()
+		bf := n.bloomF
+		n.mu.RUnlock()
+		if key := req.Filter.KeyTerm(); !slices.Contains(req.PostingTerms, key) && (bf == nil || bf.Contains(key)) {
+			return n.declineRegister(req)
+		}
+		if len(req.PostingTerms) > 1 {
+			req.PostingTerms = n.conjunctiveKey(bf, req.Filter.ID, req.PostingTerms)
+		}
 	}
 	if err := n.ix.Register(req.Filter, req.PostingTerms); err != nil {
 		return err
@@ -481,19 +496,48 @@ func (n *Node) handleRegister(ctx context.Context, req RegisterReq) error {
 	return nil
 }
 
-// conjunctiveKey picks the one term of terms — a home's share of a MatchAll
-// filter's terms, as every registrar sends it — that filter id is posted
+// declineRegister is the register path of a home that does not hold the
+// filter's key term. It stores nothing, and a copy this node already has of
+// the same definition stays exactly as it is: the node may be a grid column of
+// the key term's home, which forwarded it (the index keys one definition per
+// ID, whoever placed it), or have kept it under a stale Bloom filter — a
+// duplicate the entry deduplicates. Only a definition the registration
+// replaces must not keep matching: it is rewritten under the posting terms
+// another home placed it with, and removed when there are none.
+func (n *Node) declineRegister(req RegisterReq) error {
+	f := req.Filter
+	cur, ok, err := n.ix.GetFilter(f.ID)
+	if err != nil || !ok || sameDefinition(&cur, &f) {
+		return err
+	}
+	placed := n.ix.PostedUnder(f.ID, slices.DeleteFunc(slices.Clone(f.Terms), func(t string) bool {
+		return slices.Contains(req.PostingTerms, t)
+	}))
+	if len(placed) > 0 {
+		err = n.ix.Register(f, placed)
+	} else {
+		err = n.ix.Unregister(f.ID)
+	}
+	n.updateCoverGauges()
+	return err
+}
+
+// sameDefinition reports whether a and b, two filters of one ID, match the
+// same documents for the same subscriber.
+func sameDefinition(a, b *model.Filter) bool {
+	return a.Mode == b.Mode && a.Threshold == b.Threshold && a.Subscriber == b.Subscriber && slices.Equal(a.Terms, b.Terms)
+}
+
+// conjunctiveKey picks the one term of terms — the share of a MatchAll
+// filter's terms sent to the home that keeps it — that filter id is posted
 // under on this node. A document the filter matches holds all of them and
 // reaches this home with every one that passes the entry's Bloom gate, so one
 // key finds it: the term the filter is already posted under when there is one
 // (a re-registration adds no key), else the shortest posting list — the fewest
 // entries scanned beside it — both among the terms the installed Bloom filter
-// passes when any does, so a filter with a brand-new term stays visible
+// bf passes when any does, so a filter with a brand-new term stays visible
 // before the next Bloom refresh.
-func (n *Node) conjunctiveKey(id model.FilterID, terms []string) []string {
-	n.mu.RLock()
-	bf := n.bloomF
-	n.mu.RUnlock()
+func (n *Node) conjunctiveKey(bf *bloom.Filter, id model.FilterID, terms []string) []string {
 	if passing := bloomPassTerms(bf, terms); len(passing) > 0 {
 		terms = passing
 	}

@@ -44,9 +44,8 @@ func newHarness(t testing.TB, n int) *harness {
 	return h
 }
 
-// registerEverywhere registers a filter on the home nodes of its terms, as
-// the cluster layer would.
-func (h *harness) registerEverywhere(t testing.TB, f model.Filter) {
+// sharesOf groups f's terms by home node: what a registrar sends each home.
+func (h *harness) sharesOf(t testing.TB, f model.Filter) map[ring.NodeID][]string {
 	t.Helper()
 	byHome := make(map[ring.NodeID][]string)
 	for _, term := range f.Terms {
@@ -56,7 +55,14 @@ func (h *harness) registerEverywhere(t testing.TB, f model.Filter) {
 		}
 		byHome[home] = append(byHome[home], term)
 	}
-	for home, terms := range byHome {
+	return byHome
+}
+
+// registerEverywhere registers a filter on the home nodes of its terms, each
+// sent its share — as a registrar that knows nothing of key terms does.
+func (h *harness) registerEverywhere(t testing.TB, f model.Filter) {
+	t.Helper()
+	for home, terms := range h.sharesOf(t, f) {
 		payload := EncodeRegister(RegisterReq{Filter: f, PostingTerms: terms})
 		if _, err := h.nodeByID(home).Handle(context.Background(), "test", payload); err != nil {
 			t.Fatal(err)

@@ -135,7 +135,8 @@ type Match struct {
 
 // RegisterReq registers one filter; PostingTerms is the subset of the
 // filter's terms this node must build posting lists for (§III.B: the home
-// node of t builds only t's posting list).
+// node of t builds only t's posting list) — its share. A MatchAll filter is
+// stored only where the share holds its key term (handleRegister).
 type RegisterReq struct {
 	Filter       model.Filter
 	PostingTerms []string
