@@ -4,23 +4,21 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/movesys/move/internal/dataset"
 	"github.com/movesys/move/internal/index"
 	"github.com/movesys/move/internal/model"
+	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/store"
 )
 
 // aggregateReport is the JSON document `movebench -fig aggregate` writes:
-// the serving-layer memory cost of the flat per-filter index versus the
-// aggregated covering index over the same synthetic Zipf filter set, plus
-// the cover-compression accounting and match timing. Checked into the repo
-// as BENCH_aggregate.json, the stored report `make bench-aggregate` guards
-// against.
+// the serving-layer memory cost of the covering index over a synthetic Zipf
+// filter set, its cover-compression accounting and match timing. Checked
+// into the repo as BENCH_aggregate.json, the stored report
+// `make bench-aggregate` guards against.
 type aggregateReport struct {
 	GeneratedBy   string `json:"generated_by"`
 	Filters       int    `json:"filters"`
@@ -29,18 +27,13 @@ type aggregateReport struct {
 	Docs          int    `json:"docs"`
 	Seed          int64  `json:"seed"`
 
-	// FlatBytesPerFilter / AggBytesPerFilter are the heap bytes a build
-	// retains per registered filter under the flat and aggregated engines —
-	// all of it the serving layer: an index over a store without a data
-	// directory writes nothing through.
-	FlatBytesPerFilter float64 `json:"flat_index_bytes_per_filter"`
-	AggBytesPerFilter  float64 `json:"agg_index_bytes_per_filter"`
-	// Reduction is 1 - agg/flat: the fraction of serving-layer index
-	// memory the covering index saves. The acceptance floor is 0.30.
-	Reduction float64 `json:"index_bytes_reduction"`
+	// AggBytesPerFilter is the heap bytes the build retains per registered
+	// filter — all of it the serving layer: an index over a store without a
+	// data directory writes nothing through.
+	AggBytesPerFilter float64 `json:"agg_index_bytes_per_filter"`
 
 	// Cover-compression accounting, from Index.CoverStats and
-	// Index.CoverDetailStats on the aggregated build.
+	// Index.CoverDetailStats.
 	Covers               int `json:"covers"`
 	CoveredFilters       int `json:"covered_filters"`
 	StoredEntries        int `json:"stored_entries"`
@@ -50,12 +43,12 @@ type aggregateReport struct {
 	PostingTerms         int `json:"posting_terms"`
 	LiveBits             int `json:"live_bits"`
 
-	// Match timing over the oracle document set (MatchSIFT per document).
-	FlatMatchNsPerDoc float64 `json:"flat_match_ns_per_doc"`
-	AggMatchNsPerDoc  float64 `json:"agg_match_ns_per_doc"`
+	// Match timing over the document set (the SIFT match, MatchTerms over
+	// every document term).
+	AggMatchNsPerDoc float64 `json:"agg_match_ns_per_doc"`
 
-	// OracleDocs is the number of documents whose aggregated match set
-	// was verified byte-identical to the flat engine's.
+	// OracleDocs is the number of documents whose match set was verified
+	// byte-identical to the brute-force oracle's.
 	OracleDocs int `json:"oracle_docs"`
 }
 
@@ -70,10 +63,6 @@ const (
 	aggregateDocs          = 20
 )
 
-// aggregateReductionFloor is the ISSUE acceptance criterion: the covering
-// index must shave at least this fraction off the flat serving layer.
-const aggregateReductionFloor = 0.30
-
 // heapInUse settles the heap and returns the live allocation level. Two GC
 // cycles let finalizer-freed objects of the previous build actually leave
 // the heap before the reading.
@@ -86,8 +75,8 @@ func heapInUse() uint64 {
 }
 
 // aggregateFilterAt builds the i-th synthetic filter over the prepared
-// term sets — deterministic, so the flat and aggregated builds register
-// byte-identical content.
+// term sets — deterministic, so the oracle and the index see byte-identical
+// content.
 func aggregateFilterAt(i int, terms []string) model.Filter {
 	return model.Filter{
 		ID:         model.FilterID(i + 1),
@@ -98,15 +87,14 @@ func aggregateFilterAt(i int, terms []string) model.Filter {
 }
 
 // buildAggregateIndex opens a fresh in-memory store, registers every
-// filter through the given engine constructor, and returns the index plus
-// the heap delta the build retained.
-func buildAggregateIndex(open func(*store.Store) (*index.Index, error), filterTerms [][]string) (*index.Index, int64, error) {
+// filter, and returns the index plus the heap delta the build retained.
+func buildAggregateIndex(filterTerms [][]string) (*index.Index, int64, error) {
 	before := heapInUse()
 	st, err := store.Open("", store.Options{})
 	if err != nil {
 		return nil, 0, err
 	}
-	ix, err := open(st)
+	ix, err := index.New(st)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -118,43 +106,39 @@ func buildAggregateIndex(open func(*store.Store) (*index.Index, error), filterTe
 	return ix, int64(heapInUse()) - int64(before), nil
 }
 
-// aggregateMatchSet renders one document's match set in canonical sorted
-// form for byte-identical engine comparison.
+// aggregateOracle returns each document's expected match set, in
+// oracleMatches' canonical form, from a brute-force scan of every filter.
+func aggregateOracle(filterTerms [][]string, docs []*model.Document) []string {
+	filters := make([]oracleFilter, len(filterTerms))
+	for i, terms := range filterTerms {
+		f := aggregateFilterAt(i, terms)
+		filters[i] = oracleFilter{id: f.ID, sub: f.Subscriber, terms: terms}
+	}
+	want := make([]string, len(docs))
+	for i, d := range docs {
+		want[i] = oracleMatches(filters, d.Terms)
+	}
+	return want
+}
+
+// aggregateMatchSet renders one document's SIFT match set in oracleMatches'
+// canonical form.
 func aggregateMatchSet(ix *index.Index, doc *model.Document) (string, error) {
-	fs, _, err := ix.MatchSIFT(doc)
+	fs, _, err := ix.MatchTerms(doc, doc.Terms)
 	if err != nil {
 		return "", err
 	}
-	ids := make([]int, len(fs))
+	ms := make([]node.Match, len(fs))
 	for i, f := range fs {
-		ids[i] = int(f.ID)
+		ms[i] = node.Match{Filter: f.ID, Subscriber: f.Subscriber}
 	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d,", id)
-	}
-	return b.String(), nil
+	return canonicalMatches(ms), nil
 }
 
-// aggregateMatchRun times MatchSIFT over the document set, returning
-// ns/doc.
-func aggregateMatchRun(ix *index.Index, docs []*model.Document) (float64, error) {
-	start := time.Now()
-	for _, d := range docs {
-		if _, _, err := ix.MatchSIFT(d); err != nil {
-			return 0, err
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(len(docs)), nil
-}
-
-// runAggregateFig builds the same synthetic Zipf filter set twice — flat
-// index, aggregated covering index — and prices each build's retained heap.
-// Every document's aggregated match set is verified byte-identical to the
-// flat engine's (the in-tree oracle), so a memory "optimization" that
-// corrupts matching fails loudly here. Hard-fails when the serving-layer
-// reduction drops below the 30% acceptance floor.
+// runAggregateFig builds the covering index over a synthetic Zipf filter set
+// and prices the build's retained heap. Every document's match set is
+// verified byte-identical to the brute-force oracle's, so a memory
+// "optimization" that corrupts matching fails loudly here.
 func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTerms, docs int, seed int64) error {
 	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: distinctTerms, Seed: seed})
 	if err != nil {
@@ -190,50 +174,33 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 		d.View()
 		docSet[i] = d
 	}
+	// Computed, and its filter records released, before the build prices its
+	// heap.
+	want := aggregateOracle(filterTerms, docSet)
 
-	flat, flatBytes, err := buildAggregateIndex(index.NewFlat, filterTerms)
+	ix, aggBytes, err := buildAggregateIndex(filterTerms)
 	if err != nil {
-		return fmt.Errorf("flat build: %w", err)
-	}
-	oracle := make([]string, docs)
-	for i, d := range docSet {
-		if oracle[i], err = aggregateMatchSet(flat, d); err != nil {
-			return fmt.Errorf("flat match doc %d: %w", i, err)
-		}
-	}
-	flatNs, err := aggregateMatchRun(flat, docSet)
-	if err != nil {
-		return err
-	}
-	flat = nil // release the flat engine before the aggregated build prices its heap
-
-	agg, aggBytes, err := buildAggregateIndex(index.New, filterTerms)
-	if err != nil {
-		return fmt.Errorf("aggregated build: %w", err)
-	}
-	if !agg.Aggregated() {
-		return fmt.Errorf("index.New did not select the aggregated engine")
+		return fmt.Errorf("build: %w", err)
 	}
 	for i, d := range docSet {
-		got, err := aggregateMatchSet(agg, d)
+		got, err := aggregateMatchSet(ix, d)
 		if err != nil {
-			return fmt.Errorf("agg match doc %d: %w", i, err)
+			return fmt.Errorf("match doc %d: %w", i, err)
 		}
-		if got != oracle[i] {
-			return fmt.Errorf("doc %d: aggregated match set diverges from flat oracle\n got: %q\nwant: %q", i, got, oracle[i])
+		if got != want[i] {
+			return fmt.Errorf("doc %d: match set diverges from the brute-force oracle\n got: %q\nwant: %q", i, got, want[i])
 		}
 	}
-	aggNs, err := aggregateMatchRun(agg, docSet)
-	if err != nil {
-		return err
+	start := time.Now()
+	for _, d := range docSet {
+		if _, _, err := ix.MatchTerms(d, d.Terms); err != nil {
+			return err
+		}
 	}
-	cs := agg.CoverStats()
-	cd := agg.CoverDetailStats()
+	matchNs := float64(time.Since(start).Nanoseconds()) / float64(docs)
+	cs := ix.CoverStats()
+	cd := ix.CoverDetailStats()
 
-	if flatBytes <= 0 {
-		return fmt.Errorf("flat serving layer measured %d bytes; workload too small to price", flatBytes)
-	}
-	n := float64(filters)
 	rep := aggregateReport{
 		GeneratedBy:          "movebench -fig aggregate",
 		Filters:              filters,
@@ -241,9 +208,7 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 		DistinctTerms:        distinctTerms,
 		Docs:                 docs,
 		Seed:                 seed,
-		FlatBytesPerFilter:   float64(flatBytes) / n,
-		AggBytesPerFilter:    float64(aggBytes) / n,
-		Reduction:            1 - float64(aggBytes)/float64(flatBytes),
+		AggBytesPerFilter:    float64(aggBytes) / float64(filters),
 		Covers:               cs.Covers,
 		CoveredFilters:       cs.CoveredFilters,
 		StoredEntries:        cs.StoredEntries,
@@ -252,25 +217,16 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 		ExpansionFanoutMilli: cs.ExpansionFanoutMilli,
 		PostingTerms:         cd.Terms,
 		LiveBits:             cd.LiveBits,
-		FlatMatchNsPerDoc:    flatNs,
-		AggMatchNsPerDoc:     aggNs,
+		AggMatchNsPerDoc:     matchNs,
 		OracleDocs:           docs,
 	}
-	runtime.KeepAlive(agg)
 
-	fmt.Printf("aggregate: %d filters -> %d covers, %d stored entries for %d logical postings over %d terms; flat %.1f B/filter, agg %.1f B/filter (%.1f%% reduction); match %.0f ns/doc flat vs %.0f ns/doc agg\n",
+	fmt.Printf("aggregate: %d filters -> %d covers, %d stored entries for %d logical postings over %d terms; %.1f B/filter; match %.0f ns/doc\n",
 		rep.Filters, rep.Covers, rep.StoredEntries, rep.LogicalPostings, rep.PostingTerms,
-		rep.FlatBytesPerFilter, rep.AggBytesPerFilter, rep.Reduction*100,
-		rep.FlatMatchNsPerDoc, rep.AggMatchNsPerDoc)
+		rep.AggBytesPerFilter, rep.AggMatchNsPerDoc)
 
-	if rep.Reduction < aggregateReductionFloor {
-		return fmt.Errorf("index memory reduction %.1f%% is below the %.0f%% acceptance floor (flat %.1f B/filter, agg %.1f B/filter)",
-			rep.Reduction*100, aggregateReductionFloor*100, rep.FlatBytesPerFilter, rep.AggBytesPerFilter)
-	}
-	// The stored reduction may not shrink, nor the stored bytes/filter grow,
-	// by more than the relative budget.
+	// The stored bytes/filter may not grow by more than the relative budget.
 	if err := checkBaseline("aggregate", baselinePath, []guard{
-		{field: "index_bytes_reduction", got: rep.Reduction, kind: atLeast, tol: guardTolerance},
 		{field: "agg_index_bytes_per_filter", got: rep.AggBytesPerFilter, kind: atMost, tol: guardTolerance},
 	}); err != nil {
 		return err

@@ -55,21 +55,25 @@ type churnReport struct {
 }
 
 // oracleFilter is the brute-force oracle's record of one registered
-// filter: match-any semantics over its own copy of the term list.
+// filter: match-any semantics over its term list.
 type oracleFilter struct {
-	id  model.FilterID
-	sub string
-	set map[string]struct{}
+	id    model.FilterID
+	sub   string
+	terms []string
 }
 
 // oracleMatches computes the expected match set for a document by
 // scanning every registered filter — no index, no routing, no dedup
 // subtleties — and returns it in canonical encoded form.
 func oracleMatches(filters []oracleFilter, docTerms []string) string {
+	doc := make(map[string]struct{}, len(docTerms))
+	for _, t := range docTerms {
+		doc[t] = struct{}{}
+	}
 	var exp []node.Match
 	for _, f := range filters {
-		for _, t := range docTerms {
-			if _, ok := f.set[t]; ok {
+		for _, t := range f.terms {
+			if _, ok := doc[t]; ok {
 				exp = append(exp, node.Match{Filter: f.id, Subscriber: f.sub})
 				break
 			}
@@ -131,11 +135,7 @@ func runChurnFig(outPath, baselinePath string, nodes, rounds int, seed int64) er
 		if err != nil {
 			return err
 		}
-		set := make(map[string]struct{}, len(terms))
-		for _, t := range terms {
-			set[t] = struct{}{}
-		}
-		oracle = append(oracle, oracleFilter{id: id, sub: sub, set: set})
+		oracle = append(oracle, oracleFilter{id: id, sub: sub, terms: terms})
 		return nil
 	}
 	oracleDocs, dropped := 0, 0

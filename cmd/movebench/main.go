@@ -19,7 +19,7 @@
 //	movebench -fig trace         # the three schemes on -filters-trace / -docs-trace
 //	movebench -fig churn         # reallocation under chaos      -> BENCH_churn.json
 //	movebench -fig delivery      # fan-out to -subs live sessions -> BENCH_delivery.json
-//	movebench -fig aggregate     # flat vs covering index memory  -> BENCH_aggregate.json
+//	movebench -fig aggregate     # covering index memory         -> BENCH_aggregate.json
 //
 // Paper workloads are scaled by -scale (default 0.01 of paper size);
 // -scale 1 runs at paper scale. The JSON-writing figures take -out and,

@@ -44,21 +44,17 @@ func canonicalIDs(ids []model.FilterID) string {
 	return b.String()
 }
 
-// assertAggregatedCovers verifies the cluster serves from the aggregated
-// (covering) index and that its compression accounting stayed exact across
-// every epoch of the run: each node's live cover members equal its filter
-// count (no dropped or phantom index entries survived migration, abort
-// unwinding, or crash churn), the stored posting entries never exceed the
-// flat-equivalent logical postings, and the savings arithmetic is
+// assertAggregatedCovers verifies that the covering index's compression
+// accounting stayed exact across every epoch of the run: each node's live
+// cover members equal its filter count (no dropped or phantom index entries
+// survived migration, abort unwinding, or crash churn), the stored posting
+// entries never exceed the logical postings, and the savings arithmetic is
 // internally consistent.
 func assertAggregatedCovers(t *testing.T, c *Cluster) {
 	t.Helper()
 	totalCovers, totalMembers, totalSaved := 0, 0, 0
 	for _, id := range c.nodeIDs {
 		ix := c.nodes[id].Index()
-		if !ix.Aggregated() {
-			t.Fatalf("node %s: index is not aggregated", id)
-		}
 		cs := ix.CoverStats()
 		if live := ix.NumFilters(); cs.CoveredFilters != live {
 			t.Fatalf("node %s: %d covered filters but the index holds %d live definitions", id, cs.CoveredFilters, live)

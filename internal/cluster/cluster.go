@@ -168,7 +168,6 @@ type Cluster struct {
 	// maintained for availability measurement (Figure 9 d) and pruned by
 	// the reallocation GC.
 	filterHolders map[model.FilterID][]ring.NodeID
-	filterTerms   map[model.FilterID][]string
 	// homeHolders maps each filter to its original registration homes.
 	// Home copies are never garbage-collected: a term re-homed by churn
 	// and homed back later must still find its filters (§13 GC rules).
@@ -283,7 +282,6 @@ func New(cfg Config) (*Cluster, error) {
 		qSketch:          mustSketch(),
 		bloomTerms:       make(map[string]struct{}),
 		filterHolders:    make(map[model.FilterID][]ring.NodeID),
-		filterTerms:      make(map[model.FilterID][]string),
 		homeHolders:      make(map[model.FilterID][]ring.NodeID),
 		committedGrids:   make(map[gridKey]*alloc.Grid),
 		allocKick:        make(chan struct{}, 1),
@@ -453,7 +451,6 @@ func (c *Cluster) Register(ctx context.Context, subscriber string, terms []strin
 	c.bloomMu.Unlock()
 	c.placementMu.Lock()
 	c.filterHolders[id] = holders
-	c.filterTerms[id] = f.Terms
 	// The original homes, immutable: the GC's floor for this filter.
 	c.homeHolders[id] = append([]ring.NodeID(nil), holders...)
 	c.placementMu.Unlock()
@@ -571,7 +568,6 @@ func (c *Cluster) Unregister(ctx context.Context, id model.FilterID) error {
 	c.placementMu.Lock()
 	_, known := c.filterHolders[id]
 	delete(c.filterHolders, id)
-	delete(c.filterTerms, id)
 	delete(c.homeHolders, id)
 	c.placementMu.Unlock()
 	if !known {

@@ -356,7 +356,7 @@ func runSingleNodePoint(p SingleNodeParams, r, q, vocab int) (SingleNodePoint, e
 	var lists, postings int64
 	for i := 0; i < q; i++ {
 		doc := model.Document{ID: uint64(i + 1), Terms: dg.Next()}
-		_, ms, err := ix.MatchSIFT(&doc)
+		_, ms, err := ix.MatchTerms(&doc, doc.Terms)
 		if err != nil {
 			return pt, err
 		}

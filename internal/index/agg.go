@@ -3,46 +3,43 @@ package index
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/movesys/move/internal/model"
 )
 
-// This file is the aggregated (covering) index engine — the production
-// serving layer built by New. It stores posting lists as one compressed
-// (term, cover) entry per predicate signature instead of one entry per
-// filter, and expands covers back to concrete filters at match time. The
-// flat per-filter engine (index.go + shard.go, built by NewFlat) stays
-// alive as the in-tree correctness oracle; the equivalence battery in
-// cover_test.go / fuzz_test.go / shard_equiv_test.go pins the two engines
-// to identical (sorted) match sets and identical MatchStats.
+// This file holds the index's posting lists and filter definitions and the
+// paths that write them. A posting list stores one compressed (term, cover)
+// entry per predicate signature instead of one entry per filter, and
+// agg_match.go expands covers back to concrete filters at match time. The
+// equivalence battery in cover_test.go / fuzz_test.go / shard_equiv_test.go
+// pins the index to refIndex — one plain posting list of filter IDs per
+// term — with identical (sorted) match sets and identical MatchStats.
 //
 // Stats parity is a hard invariant, not an accident: every (term, filter)
-// pair the flat index would keep on a posting list corresponds to exactly
-// one set bit across that term's entries, tombstones included. MatchStats
-// therefore reports the same logical PostingLists/Postings/Evaluated the
-// flat engine reports; the physical savings are visible through
-// CoverStats and the index.cover.* gauges instead.
+// pair a plain posting list would keep corresponds to exactly one set bit
+// across that term's entries, tombstones included. MatchStats therefore
+// reports the logical PostingLists/Postings/Evaluated; the physical savings
+// are visible through CoverStats and the index.cover.* gauges instead.
 
-// aggEntry is one (term, cover) posting entry: the compressed replacement
-// for a run of per-filter posting entries sharing a signature. bits holds
-// member slots posted under the term.
-type aggEntry struct {
+// postingEntry is one (term, cover) posting entry: the compressed
+// replacement for a run of per-filter posting entries sharing a signature.
+// bits holds member slots posted under the term.
+type postingEntry struct {
 	c    *cover
 	bits slotSet
 }
 
-// aggPosting is one term's posting list: entries sorted by cover id, plus
-// the cached logical cardinality (total set bits — what the flat engine's
-// len(ids) would be).
-type aggPosting struct {
-	entries []aggEntry
+// posting is one term's posting list: entries sorted by cover id, plus the
+// cached logical cardinality (total set bits — the length of the plain
+// posting list it stands for).
+type posting struct {
+	entries []postingEntry
 	card    int
 }
 
 // find returns the index of cid in entries (or its insertion point) and
 // whether it is present.
-func (p *aggPosting) find(cid uint32) (int, bool) {
+func (p *posting) find(cid uint32) (int, bool) {
 	lo, hi := 0, len(p.entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -55,20 +52,19 @@ func (p *aggPosting) find(cid uint32) (int, bool) {
 	return lo, lo < len(p.entries) && p.entries[lo].c.id == cid
 }
 
-// aggTermShard holds the aggregated posting lists whose term IDs fall in
-// it (ID & shardMask), as a dense table indexed by the rest of the ID: a
-// posting list is found without hashing, and a term no filter is posted
-// under costs an empty slot. Unlike the flat termShard, entries and bitsets
-// mutate in place, so the match path holds the read lock for the whole scan
-// instead of copying a snapshot header.
-type aggTermShard struct {
+// termShard holds the posting lists whose term IDs fall in it (ID &
+// shardMask), as a dense table indexed by the rest of the ID: a posting list
+// is found without hashing, and a term no filter is posted under costs an
+// empty slot. Entries and bitsets mutate in place, so the match path holds
+// the read lock for the whole scan.
+type termShard struct {
 	mu    sync.RWMutex
-	lists []aggPosting
+	lists []posting
 }
 
 // posting returns term's posting list — possibly empty — or nil when the
 // table has not grown to it. Caller holds s.mu.
-func (s *aggTermShard) posting(term uint32) *aggPosting {
+func (s *termShard) posting(term uint32) *posting {
 	if i := int(term >> shardBits); i < len(s.lists) {
 		return &s.lists[i]
 	}
@@ -77,23 +73,23 @@ func (s *aggTermShard) posting(term uint32) *aggPosting {
 
 // entryFor returns term's entry for cover c, inserting it as needed.
 // Caller holds s.mu.
-func (s *aggTermShard) entryFor(term uint32, c *cover) (*aggPosting, *aggEntry, bool) {
+func (s *termShard) entryFor(term uint32, c *cover) (*posting, *postingEntry, bool) {
 	if i := int(term >> shardBits); i >= len(s.lists) {
-		s.lists = append(s.lists, make([]aggPosting, i+1-len(s.lists))...)
+		s.lists = append(s.lists, make([]posting, i+1-len(s.lists))...)
 	}
 	p := &s.lists[term>>shardBits]
 	i, ok := p.find(c.id)
 	if !ok {
-		p.entries = append(p.entries, aggEntry{})
+		p.entries = append(p.entries, postingEntry{})
 		copy(p.entries[i+1:], p.entries[i:])
-		p.entries[i] = aggEntry{c: c}
+		p.entries[i] = postingEntry{c: c}
 	}
 	return p, &p.entries[i], !ok
 }
 
 // clearID clears id's bit in every entry of p other than keep, returning
 // the number of bits cleared. Caller holds s.mu.
-func clearID(p *aggPosting, keep *cover, id model.FilterID) int {
+func clearID(p *posting, keep *cover, id model.FilterID) int {
 	cleared := 0
 	for i := range p.entries {
 		e := &p.entries[i]
@@ -108,13 +104,13 @@ func clearID(p *aggPosting, keep *cover, id model.FilterID) int {
 	return cleared
 }
 
-// aggAdd sets (c, slot)'s bit under term. Re-homing first: when the filter
+// add sets (c, slot)'s bit under term. Re-homing first: when the filter
 // previously carried this term under another cover — prior when its last
 // cover is known, any entry when fullScan says the id has multi-cover
 // history — the stale bits are cleared in the same lock hold, so a term's
 // entries never hold the same filter twice and the logical cardinality
-// tracks the flat index's deduplicated list length exactly.
-func (s *aggTermShard) aggAdd(term uint32, c *cover, slot int, id model.FilterID, prior *cover, fullScan bool) (newBit, newEntry bool) {
+// tracks the deduplicated list length exactly.
+func (s *termShard) add(term uint32, c *cover, slot int, id model.FilterID, prior *cover, fullScan bool) (newBit, newEntry bool) {
 	s.mu.Lock()
 	p, e, newEntry := s.entryFor(term, c)
 	if fullScan {
@@ -136,10 +132,10 @@ func (s *aggTermShard) aggAdd(term uint32, c *cover, slot int, id model.FilterID
 }
 
 // addIfAbsent is the migration-replay variant: the bit is set only when no
-// entry of the term — any cover — already holds the filter, mirroring the
-// flat engine's addIfAbsent over the whole deduplicated list. The scan is
-// O(entries); this path only runs during migration replay.
-func (s *aggTermShard) addIfAbsent(term uint32, c *cover, slot int, id model.FilterID) (added, newEntry bool) {
+// entry of the term — any cover — already holds the filter, so the whole
+// deduplicated list gains the filter at most once. The scan is O(entries);
+// this path only runs during migration replay.
+func (s *termShard) addIfAbsent(term uint32, c *cover, slot int, id model.FilterID) (added, newEntry bool) {
 	s.mu.Lock()
 	p, e, newEntry := s.entryFor(term, c)
 	if !e.bits.has(slot) && !p.heldElsewhere(c, id) {
@@ -153,7 +149,7 @@ func (s *aggTermShard) addIfAbsent(term uint32, c *cover, slot int, id model.Fil
 
 // heldElsewhere reports whether an entry of p for a cover other than c holds
 // id. Caller holds the shard's lock.
-func (p *aggPosting) heldElsewhere(c *cover, id model.FilterID) bool {
+func (p *posting) heldElsewhere(c *cover, id model.FilterID) bool {
 	for i := range p.entries {
 		e := &p.entries[i]
 		if e.c == c {
@@ -169,7 +165,7 @@ func (p *aggPosting) heldElsewhere(c *cover, id model.FilterID) bool {
 // holds reports whether term's posting list holds id: under (c, slot), the
 // cover its bits belong with, or — anyCover, for an id with multi-cover
 // history — under whichever cover a stale bit was left.
-func (s *aggTermShard) holds(term uint32, c *cover, slot int, id model.FilterID, anyCover bool) bool {
+func (s *termShard) holds(term uint32, c *cover, slot int, id model.FilterID, anyCover bool) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := s.posting(term)
@@ -180,19 +176,6 @@ func (s *aggTermShard) holds(term uint32, c *cover, slot int, id model.FilterID,
 		return true
 	}
 	return anyCover && p.heldElsewhere(c, id)
-}
-
-// remove drops term's posting list, returning the physical entry count it
-// held (for stored-entry accounting).
-func (s *aggTermShard) remove(term uint32) int {
-	s.mu.Lock()
-	n := 0
-	if p := s.posting(term); p != nil {
-		n = len(p.entries)
-		*p = aggPosting{}
-	}
-	s.mu.Unlock()
-	return n
 }
 
 // histShard tracks per-filter cover history for the re-registration
@@ -212,35 +195,8 @@ type histShard struct {
 	multi map[model.FilterID]struct{}
 }
 
-// aggState is the aggregated engine's serving state, attached to an Index
-// by New (nil under NewFlat).
-type aggState struct {
-	seq  atomic.Uint32
-	dict *termDict
-	sig  [DefaultShards]coverSigShard
-	term [DefaultShards]aggTermShard
-	hist [DefaultShards]histShard
-	// defs is the filter table: a definition is its subscriber and its cover.
-	defs filterTable[def]
-
-	// orphan collects posting bits recovered at startup whose filter
-	// definition no longer exists — the flat engine's tombstones. Its mode
-	// is invalid so it never matches as a cover; its members are dropped
-	// at match time by the same missing-definition check the flat index
-	// uses.
-	orphan *cover
-
-	coversLive    atomic.Int64
-	membersLive   atomic.Int64
-	storedEntries atomic.Int64
-	// singletons counts covers with exactly one member slot: up when slot 0
-	// is assigned, down when slot 1 is.
-	singletons atomic.Int64
-}
-
-// def is a registered filter as the aggregated engine stores it. Mode,
-// Threshold and the canonical Terms are its cover's; the record adds what is
-// the member's own.
+// def is a registered filter as the index stores it. Mode, Threshold and the
+// canonical Terms are its cover's; the record adds what is the member's own.
 type def struct {
 	sub string // shared through Index.subs
 	c   *cover
@@ -262,45 +218,31 @@ func (d def) filter(id model.FilterID) model.Filter {
 // attachedTo reports whether c's single evaluation decides the definition: c
 // is its cover and it has no term order of its own. Anything else — such as
 // a same-ID filter re-registered under another signature whose posting bits
-// haven't migrated — is evaluated individually, which keeps the aggregated
+// haven't migrated — is evaluated individually, which keeps the covering
 // matcher exact under arbitrary register/unregister interleavings.
 func (d def) attachedTo(c *cover) bool {
 	return d.c == c && d.own == nil
 }
 
-func newAggState() *aggState {
-	a := &aggState{dict: newTermDict()}
-	a.defs.init()
-	for i := range a.sig {
-		a.sig[i].covers = make(map[uint64]*cover)
-	}
-	for i := range a.hist {
-		a.hist[i].lastGone = make(map[model.FilterID]*cover)
-		a.hist[i].multi = make(map[model.FilterID]struct{})
-	}
-	a.orphan = &cover{id: a.seq.Add(1)} // mode 0
-	return a
+func (ix *Index) termShard(term uint32) *termShard {
+	return &ix.term[term&shardMask]
 }
 
-func (a *aggState) termShard(term uint32) *aggTermShard {
-	return &a.term[term&shardMask]
-}
-
-func (a *aggState) histShard(id model.FilterID) *histShard {
-	return &a.hist[filterShardFor(id)]
+func (ix *Index) histShard(id model.FilterID) *histShard {
+	return &ix.hist[filterShardFor(id)]
 }
 
 // coverOf returns the cover of f's predicate signature. With create it
 // interns f's terms and, on first use of the signature, the cover; without,
 // it returns nil when no registration ever built that signature.
-func (a *aggState) coverOf(f *model.Filter, create bool) *cover {
+func (ix *Index) coverOf(f *model.Filter, create bool) *cover {
 	var idBuf [8]uint32
 	ids := idBuf[:0]
 	for _, t := range f.Terms {
 		var id uint32
 		if create {
-			id = a.dict.intern(t)
-		} else if id = a.dict.lookup(t); id == noTerm {
+			id = ix.dict.intern(t)
+		} else if id = ix.dict.lookup(t); id == noTerm {
 			return nil
 		}
 		ids = append(ids, id)
@@ -308,7 +250,7 @@ func (a *aggState) coverOf(f *model.Filter, create bool) *cover {
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
 	h := sigHash(f.Mode, f.Threshold, ids)
-	sh := &a.sig[h&shardMask]
+	sh := &ix.sig[h&shardMask]
 	sh.mu.Lock()
 	c := sh.covers[h]
 	for c != nil && !c.hasSig(f.Mode, f.Threshold, ids) {
@@ -316,10 +258,10 @@ func (a *aggState) coverOf(f *model.Filter, create bool) *cover {
 	}
 	if c == nil && create {
 		c = &cover{
-			id:        a.seq.Add(1),
+			id:        ix.seq.Add(1),
 			threshold: f.Threshold,
 			ids:       slices.Clone(ids),
-			terms:     a.dict.canonical(ids),
+			terms:     ix.dict.canonical(ids),
 			next:      sh.covers[h],
 		}
 		c.flags.Store(uint32(f.Mode) & coverModeMask)
@@ -337,7 +279,7 @@ func (ix *Index) newDef(f *model.Filter, c *cover) def {
 	if !slices.Equal(f.Terms, c.terms) {
 		own := make([]string, len(f.Terms))
 		for i, t := range f.Terms {
-			own[i] = ix.agg.dict.own(t)
+			own[i] = ix.dict.own(t)
 		}
 		d.own = &own
 	}
@@ -396,46 +338,55 @@ func (h *histShard) noteCover(id model.FilterID, prior *cover) (wasMulti, multi 
 	return wasMulti, wasMulti || prior != nil
 }
 
-// aggRegister is Register on the aggregated engine. The store writes and
-// counter updates mirror the flat path; the in-memory layer re-homes the
-// filter's posting bits when its signature changed.
-func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
+// Register stores filter f and adds it to the posting lists of
+// postingTerms. On a home node postingTerms is the single responsible term
+// (or the node's responsible subset of f's terms); the RS baseline passes
+// all of f's terms. The definition's store write happens first, so the
+// in-memory shards never serve a filter the durability layer doesn't have; a
+// posting entry is written through only when its bit was not already set, so
+// re-registering an ID does not grow the store. When the ID re-registers
+// under another signature, its posting bits are re-homed to the new cover.
+//
+// What the index keeps of f's Terms is the dictionary's copy (newDef), never
+// the caller's slice: a stored definition is immutable from here on, which is
+// what lets the match path return filters without cloning them back out
+// (DESIGN.md §11).
+func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
 	if err := ix.storeFilter(f); err != nil {
 		return err
 	}
-	a := ix.agg
-	c := a.coverOf(&f, true)
+	c := ix.coverOf(&f, true)
 
 	// Locate the filter's previous cover: from its live definition if it
 	// is re-registering, from the tombstone record if it was unregistered
 	// or recovered without a definition.
 	var prior *cover
-	if old, hadOld := a.defs.shard(f.ID).get(f.ID); hadOld {
+	if old, hadOld := ix.defs.shard(f.ID).get(f.ID); hadOld {
 		prior = old.c
 	} else {
-		prior = a.histShard(f.ID).takeLastGone(f.ID)
+		prior = ix.histShard(f.ID).takeLastGone(f.ID)
 	}
 	if prior == c {
 		prior = nil
 	}
-	fullScan, multi := a.histShard(f.ID).noteCover(f.ID, prior)
+	fullScan, multi := ix.histShard(f.ID).noteCover(f.ID, prior)
 
-	slot := a.join(c, f.ID, multi)
+	slot := ix.join(c, f.ID, multi)
 	if prior != nil {
-		a.leave(prior, f.ID, true)
+		ix.leave(prior, f.ID, true)
 	}
-	if a.defs.put(f.ID, ix.newDef(&f, c)) {
+	if ix.defs.put(f.ID, ix.newDef(&f, c)) {
 		ix.numFilters.Add(1)
 	}
 	ix.numPostings.Add(int64(len(postingTerms)))
 	for _, t := range postingTerms {
-		tid := a.dict.intern(t)
-		newBit, newEntry := a.termShard(tid).aggAdd(tid, c, int(slot), f.ID, prior, fullScan)
+		tid := ix.dict.intern(t)
+		newBit, newEntry := ix.termShard(tid).add(tid, c, int(slot), f.ID, prior, fullScan)
 		if newEntry {
-			a.storedEntries.Add(1)
+			ix.storedEntries.Add(1)
 		}
 		// A bit already set is an entry the store already has.
 		if newBit {
@@ -449,42 +400,54 @@ func (ix *Index) aggRegister(f model.Filter, postingTerms []string) error {
 
 // join makes id a live member of c (see cover.memberSlot), keeping the
 // live-cover and live-member gauges, and returns its slot.
-func (a *aggState) join(c *cover, id model.FilterID, multi bool) int32 {
+func (ix *Index) join(c *cover, id model.FilterID, multi bool) int32 {
 	slot, added, revived, firstLive := c.memberSlot(id, multi)
 	if added && slot < 2 {
-		a.singletons.Add(int64(1 - 2*slot)) // slot 0: one more; slot 1: one fewer
+		ix.singletons.Add(int64(1 - 2*slot)) // slot 0: one more; slot 1: one fewer
 	}
 	if revived {
-		a.membersLive.Add(1)
+		ix.membersLive.Add(1)
 	}
 	if firstLive {
-		a.coversLive.Add(1)
+		ix.coversLive.Add(1)
 	}
 	return slot
 }
 
 // leave marks id dead in c (see cover.markDead), keeping the gauges.
-func (a *aggState) leave(c *cover, id model.FilterID, left bool) {
+func (ix *Index) leave(c *cover, id model.FilterID, left bool) {
 	died, emptied := c.markDead(id, left)
 	if died {
-		a.membersLive.Add(-1)
+		ix.membersLive.Add(-1)
 	}
 	if emptied {
-		a.coversLive.Add(-1)
+		ix.coversLive.Add(-1)
 	}
 }
 
-// aggEnsureRegistered is EnsureRegistered on the aggregated engine:
-// idempotent for migration replay, with posting bits attached to the
-// cover of whichever definition is current.
-func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (bool, error) {
+// EnsureRegistered is Register made idempotent for migration replay: a
+// duplicated or retried MigrateReq batch may deliver the same (filter,
+// posting terms) pair any number of times, and the counters must still
+// count distinct state. created reports whether this call stored the
+// filter definition (false when a copy already existed — pre-existing
+// copies belong to an older placement or the home itself and must survive
+// an abort of the current epoch); the posting bits attach to the cover of
+// whichever definition is current.
+//
+// The definition's store write happens under its filter-shard lock, so
+// concurrent replays agree on exactly one creator and the layers never
+// disagree. A posting entry's term-shard insert runs before its store write:
+// addIfAbsent's single write-lock hold is what arbitrates concurrent replays,
+// so it must decide first and the store add follows only for the winner. A
+// crash between the two loses only in-memory state, which the next replay of
+// the same batch restores.
+func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, error) {
 	if err := f.Validate(); err != nil {
 		return false, err
 	}
-	a := ix.agg
-	c := a.coverOf(&f, true)
+	c := ix.coverOf(&f, true)
 	created := false
-	sh := a.defs.shard(f.ID)
+	sh := ix.defs.shard(f.ID)
 	sh.mu.Lock()
 	cur, ok := sh.defs[f.ID]
 	if !ok {
@@ -502,7 +465,7 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 		// The id may come back from a tombstone whose cover still holds
 		// stale bits on terms this replay doesn't carry; record the hop so
 		// later re-registrations re-home with a full scan.
-		if prior = a.histShard(f.ID).takeLastGone(f.ID); prior == c {
+		if prior = ix.histShard(f.ID).takeLastGone(f.ID); prior == c {
 			prior = nil
 		}
 	} else {
@@ -510,16 +473,16 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 		// bits belong with the definition the match path will read.
 		c = cur.c
 	}
-	_, multi := a.histShard(f.ID).noteCover(f.ID, prior)
+	_, multi := ix.histShard(f.ID).noteCover(f.ID, prior)
 	if prior != nil {
-		a.leave(prior, f.ID, true)
+		ix.leave(prior, f.ID, true)
 	}
-	slot := a.join(c, f.ID, multi)
+	slot := ix.join(c, f.ID, multi)
 	for _, t := range postingTerms {
-		tid := a.dict.intern(t)
-		added, newEntry := a.termShard(tid).addIfAbsent(tid, c, int(slot), f.ID)
+		tid := ix.dict.intern(t)
+		added, newEntry := ix.termShard(tid).addIfAbsent(tid, c, int(slot), f.ID)
 		if newEntry {
-			a.storedEntries.Add(1)
+			ix.storedEntries.Add(1)
 		}
 		if added {
 			ix.numPostings.Add(1)
@@ -531,45 +494,50 @@ func (ix *Index) aggEnsureRegistered(f model.Filter, postingTerms []string) (boo
 	return created, nil
 }
 
-// aggUnregister is Unregister on the aggregated engine. Beyond the flat
-// path's tombstone discipline it maintains cover liveness — in particular
-// promoting a surviving member to representative when the covering filter
-// itself unregisters, so the cover (and its posting entries) stay owned.
-func (ix *Index) aggUnregister(id model.FilterID) error {
-	a := ix.agg
-	d, present, err := removeDef(ix, a.defs.shard(id), id)
+// Unregister removes a filter definition if present (no-op otherwise, so
+// cluster-wide broadcasts are safe). Posting entries are left to be
+// filtered lazily on match (a standard tombstone-style design: posting
+// lists are append-only; a missing filter definition drops the candidate).
+// The cover's liveness is kept — in particular a surviving member is
+// promoted to representative when the covering filter itself unregisters,
+// so the cover (and its posting entries) stay owned.
+func (ix *Index) Unregister(id model.FilterID) error {
+	sh := ix.defs.shard(id)
+	sh.mu.Lock()
+	d, present := sh.defs[id]
 	if !present {
+		sh.mu.Unlock()
+		return nil
+	}
+	// Delete from the store while holding the shard lock so a concurrent
+	// Register of the same ID cannot interleave between the two layers and
+	// leave them disagreeing.
+	if err := ix.storeDeleteFilter(id); err != nil {
+		sh.mu.Unlock()
 		return err
 	}
-	a.leave(d.c, id, false)
-	a.histShard(id).setLastGone(id, d.c)
+	delete(sh.defs, id)
+	sh.mu.Unlock()
+	ix.numFilters.Add(-1)
+	ix.leave(d.c, id, false)
+	ix.histShard(id).setLastGone(id, d.c)
 	return nil
 }
 
-// aggDropTerm drops a term's aggregated posting list.
-func (ix *Index) aggDropTerm(term string) error {
-	if err := ix.storeDropTerm(term); err != nil {
-		return err
-	}
-	if tid := ix.agg.dict.lookup(term); tid != noTerm {
-		removed := ix.agg.termShard(tid).remove(tid)
-		ix.agg.storedEntries.Add(-int64(removed))
-	}
-	return nil
-}
-
-// aggLoad rebuilds the aggregated serving layer from the store after a
-// restart, one scan per column family. Definitions are interned into covers
-// first; posting bits are then attached to each id's current cover, or to
-// the orphan cover when the definition is gone — which also normalizes every
-// id back to a single cover, clearing any pre-crash multi-cover history.
-func (ix *Index) aggLoad() error {
-	a := ix.agg
+// loadFromStore rebuilds the serving layer and counters after a restart, one
+// scan per column family. Definitions are interned into covers first; posting
+// bits are then attached to each id's current cover, or to the orphan cover
+// when the definition is gone — which also normalizes every id back to a
+// single cover, clearing any pre-crash multi-cover history. Posting lists
+// come back deduplicated (PostingStore.Each merges), so the recovered
+// numPostings counts distinct entries even if the live counter had drifted
+// past that before the crash.
+func (ix *Index) loadFromStore() error {
 	count := 0
 	err := ix.filters.Each(func(f model.Filter) bool {
-		c := a.coverOf(&f, true)
-		a.join(c, f.ID, false)
-		a.defs.put(f.ID, ix.newDef(&f, c))
+		c := ix.coverOf(&f, true)
+		ix.join(c, f.ID, false)
+		ix.defs.put(f.ID, ix.newDef(&f, c))
 		count++
 		return true
 	})
@@ -579,21 +547,21 @@ func (ix *Index) aggLoad() error {
 	ix.numFilters.Store(int64(count))
 	total := 0
 	err = ix.postings.Each(func(t string, ids []model.FilterID) bool {
-		tid := a.dict.intern(t)
-		sh := a.termShard(tid)
+		tid := ix.dict.intern(t)
+		sh := ix.termShard(tid)
 		for _, id := range ids {
 			var c *cover
 			var slot int32
-			if d, ok := a.defs.shard(id).get(id); ok {
+			if d, ok := ix.defs.shard(id).get(id); ok {
 				c = d.c
-				slot = a.join(c, id, false)
+				slot = ix.join(c, id, false)
 			} else {
-				c = a.orphan
+				c = ix.orphan
 				slot = c.bareSlot(id)
-				a.histShard(id).setLastGone(id, c)
+				ix.histShard(id).setLastGone(id, c)
 			}
-			if _, newEntry := sh.aggAdd(tid, c, int(slot), id, nil, false); newEntry {
-				a.storedEntries.Add(1)
+			if _, newEntry := sh.add(tid, c, int(slot), id, nil, false); newEntry {
+				ix.storedEntries.Add(1)
 			}
 		}
 		total += len(ids)

@@ -6,10 +6,9 @@ import (
 	"github.com/movesys/move/internal/model"
 )
 
-// Match paths of the aggregated engine. A call first reduces the document
-// to a set of dictionary IDs (one probe per document term; a term no filter
-// names drops out — it can satisfy nothing) and its posting-list terms to
-// IDs. The scan order is then: posting → entries (ascending cover id) → set
+// The index's match paths. A call first reduces the document to a set of
+// dictionary IDs (one probe per document term; a term no filter names drops
+// out — it can satisfy nothing) and its posting-list terms to IDs. The scan order is then: posting → entries (ascending cover id) → set
 // bits (ascending slot).
 //
 // The cover is decided first. An entry whose cover has no stale member
@@ -17,19 +16,17 @@ import (
 // the cover's predicate settles the whole container: on no-match it is
 // skipped without a look at any member — no dedup insert, no definition
 // lookup, no cover lock — and only a matching cover is expanded, member by
-// member, with each definition looked up in the filter table exactly like the
-// flat engine (a missing definition drops the candidate lazily). A cover
-// with stale members keeps the per-member path throughout: attached members
-// take the cover's verdict, stale ones are evaluated by their own current
-// definition.
+// member, with each definition looked up in the filter table (a missing
+// definition drops the candidate lazily). A cover with stale members keeps
+// the per-member path throughout: attached members take the cover's
+// verdict, stale ones are evaluated by their own current definition.
 //
 // Lock discipline: the dictionary's read lock is held only while the call's
 // terms are mapped; a term shard's read lock is held across its whole
-// posting scan (entries and bitsets mutate in place, unlike the flat
-// engine's append-only snapshots); the cover lock is taken only briefly to
-// capture the slots header or a live count — not at all for a container
-// holding just the inline member — and is never held across a filter-table
-// read.
+// posting scan (entries and bitsets mutate in place); the cover lock is
+// taken only briefly to capture the slots header or a live count — not at
+// all for a container holding just the inline member — and is never held
+// across a filter-table read.
 
 // cover verdicts: 0 unknown, verdictMatch, verdictNoMatch.
 const (
@@ -166,7 +163,7 @@ func (ix *Index) coverMatches(c *cover, sc *matchScratch, view *model.DocView) b
 // liveBits returns how many of e's bits belong to live members of its
 // cover, and whether those are all of the cover's live members. flags is
 // the cover's summary as the caller loaded it.
-func liveBits(e *aggEntry, flags uint32) (live int, all bool) {
+func liveBits(e *postingEntry, flags uint32) (live int, all bool) {
 	if flags&coverDead == 0 {
 		live = e.bits.count()
 		return live, uint32(live) == flags>>coverSlotShift
@@ -194,7 +191,7 @@ type matchRun struct {
 }
 
 // scanPosting decides every entry of p against the document.
-func (r *matchRun) scanPosting(p *aggPosting) {
+func (r *matchRun) scanPosting(p *posting) {
 	for i := range p.entries {
 		e := &p.entries[i]
 		c := e.c
@@ -219,7 +216,7 @@ func (r *matchRun) scanPosting(p *aggPosting) {
 				r.walk(e, verdictMatch)
 			} else if live, all := liveBits(e, flags); all || !r.multi {
 				// The skip. Evaluated still counts the filters the verdict
-				// decided — the flat engine evaluates each of them.
+				// decided, as if each had been evaluated.
 				memo = memoSkipped
 				r.st.Evaluated += live
 			} else {
@@ -227,7 +224,7 @@ func (r *matchRun) scanPosting(p *aggPosting) {
 				r.walk(e, verdictNoMatch)
 			}
 			if r.multi {
-				r.sc.setMemo(c.id, memo, r.ix.agg.seq.Load())
+				r.sc.setMemo(c.id, memo, r.ix.seq.Load())
 			}
 		}
 	}
@@ -236,7 +233,7 @@ func (r *matchRun) scanPosting(p *aggPosting) {
 // walk visits e's member bits one by one, iterating the container inline
 // (word-wise for bitmap containers) so the warm path stays allocation-free.
 // verdict is the cover's verdict when the caller knows it.
-func (r *matchRun) walk(e *aggEntry, verdict uint8) {
+func (r *matchRun) walk(e *postingEntry, verdict uint8) {
 	c := e.c
 	b := e.bits.big
 	if b == nil && e.bits.one <= 1 {
@@ -278,7 +275,7 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 		}
 		r.sc.seen[id] = struct{}{}
 	}
-	d, ok := r.ix.agg.defs.shard(id).get(id)
+	d, ok := r.ix.defs.shard(id).get(id)
 	if !ok {
 		return verdict // unregistered; lazy posting cleanup
 	}
@@ -308,32 +305,47 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 	return verdict
 }
 
-// aggMatchTerm is MatchTerm on the aggregated engine.
-func (ix *Index) aggMatchTerm(d *model.Document, term string) ([]model.Filter, MatchStats, error) {
+// MatchTerm finds the filters matching d among those on term's posting
+// list only (§III.B). The caller guarantees term ∈ d (the forwarding
+// engine only routes documents to home nodes of their own terms). The
+// term shard's read lock is held across the scan, so matches on different
+// terms — and matches racing registers under other terms — never contend.
+//
+// Returned filters are immutable shard snapshots: callers may keep them
+// but must not mutate Terms (see DESIGN.md §11). Excluding the matched-
+// results slice, a call on a warm index performs zero heap allocations —
+// the document view is memoized, the scratch pooled, and filters are
+// returned without cloning.
+func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, MatchStats, error) {
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
 	terms := [1]string{term}
-	sc.begin(ix.agg.dict, view, terms[:])
+	sc.begin(ix.dict, view, terms[:])
 	defer sc.release()
 	tid := sc.terms[0]
 	if tid == noTerm {
 		return nil, MatchStats{}, nil
 	}
 	r := matchRun{ix: ix, sc: sc, view: view}
-	sh := ix.agg.termShard(tid)
+	sh := ix.termShard(tid)
 	readTm := ix.postingReadH.Start()
 	sh.mu.RLock()
 	p := sh.posting(tid)
 	readTm.Stop()
+	// Only non-empty lists count as retrievals: a miss is answered by the
+	// in-memory term dictionary and never touches the list store.
 	if p == nil || p.card == 0 {
 		sh.mu.RUnlock()
 		return nil, r.st, nil
 	}
 	r.st.PostingLists = 1
 	r.st.Postings = p.card
-	// Lazy exact-size result allocation, as in the flat MatchTerm: the
-	// no-match case returns nil without touching the heap; the first match
-	// sizes the slice for the whole logical list.
+	// Lazily allocated: the no-match case — most posting scans, once the
+	// Bloom gate has done its job — returns nil without touching the heap.
+	// When something does match, size for the whole logical list at once:
+	// posting entries are filters registered under this term, so on a routed
+	// document most of them match and append-doubling would pay ~2x the
+	// bytes for the same result.
 	r.capHint = p.card
 	evalTm := ix.evalH.Start()
 	r.scanPosting(p)
@@ -342,17 +354,28 @@ func (ix *Index) aggMatchTerm(d *model.Document, term string) ([]model.Filter, M
 	return r.matched, r.st, nil
 }
 
-// aggMatchTerms is MatchTerms (and, over all of the document's terms,
-// MatchSIFT) on the aggregated engine: each term's entries decided once,
-// duplicates removed across terms, cover verdicts remembered across the
-// whole call.
-func (ix *Index) aggMatchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats, error) {
+// MatchTerms finds the filters matching d among those on the posting lists
+// of terms — the multi-term counterpart of MatchTerm that serves one
+// publish frame (every term of the document this node is responsible for)
+// in a single pass, and, over all of d's terms, the SIFT matcher. Each
+// term's entries are decided once, in term order, and a filter referenced by
+// several of the lists is evaluated once, with cover verdicts remembered
+// across the whole call, so the result is the per-term union with duplicates
+// removed while the PostingLists and Postings accounting stays exactly the
+// sum of the equivalent per-term MatchTerm calls (the §IV cost model charges
+// list retrievals and entry scans, which coalescing does not change — only
+// the RPCs around them).
+//
+// Returned filters are immutable shard snapshots; callers must not mutate
+// Terms (DESIGN.md §11).
+func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats, error) {
 	if len(terms) == 1 {
-		return ix.aggMatchTerm(d, terms[0])
+		// Single-term frames keep MatchTerm's lazy exact-size allocation.
+		return ix.MatchTerm(d, terms[0])
 	}
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
-	sc.begin(ix.agg.dict, view, terms)
+	sc.begin(ix.dict, view, terms)
 	defer sc.release()
 	r := matchRun{ix: ix, sc: sc, view: view, multi: true}
 	evalTm := ix.evalH.Start()
@@ -361,7 +384,7 @@ func (ix *Index) aggMatchTerms(d *model.Document, terms []string) ([]model.Filte
 		if tid == noTerm {
 			continue
 		}
-		sh := ix.agg.termShard(tid)
+		sh := ix.termShard(tid)
 		readTm := ix.postingReadH.Start()
 		sh.mu.RLock()
 		p := sh.posting(tid)
@@ -376,58 +399,33 @@ func (ix *Index) aggMatchTerms(d *model.Document, terms []string) ([]model.Filte
 	return r.matched, r.st, nil
 }
 
-// aggPostingIDs expands term's aggregated posting list back to concrete
-// filter IDs (covers first by id, members in slot order), as a fresh copy.
-func (ix *Index) aggPostingIDs(term string) []model.FilterID {
-	tid := ix.agg.dict.lookup(term)
+// PostingLen returns the posting-list length of term.
+func (ix *Index) PostingLen(term string) (int, error) {
+	tid := ix.dict.lookup(term)
 	if tid == noTerm {
-		return nil
+		return 0, nil
 	}
-	sh := ix.agg.termShard(tid)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	p := sh.posting(tid)
-	if p == nil || p.card == 0 {
-		return nil
-	}
-	out := make([]model.FilterID, 0, p.card)
-	for i := range p.entries {
-		e := &p.entries[i]
-		e.c.mu.Lock()
-		slots := []model.FilterID{e.c.first}
-		if m := e.c.more; m != nil {
-			slots = m.slots
-		}
-		e.c.mu.Unlock()
-		e.bits.forEach(func(slot int) { out = append(out, slots[slot]) })
-	}
-	return out
-}
-
-// aggPostingLen returns term's logical posting-list length.
-func (ix *Index) aggPostingLen(term string) int {
-	tid := ix.agg.dict.lookup(term)
-	if tid == noTerm {
-		return 0
-	}
-	sh := ix.agg.termShard(tid)
+	sh := ix.termShard(tid)
 	sh.mu.RLock()
 	n := 0
 	if p := sh.posting(tid); p != nil {
 		n = p.card
 	}
 	sh.mu.RUnlock()
-	return n
+	return n, nil
 }
 
-// aggPostedUnder is PostedUnder on the aggregated engine. An id's bits sit
-// under its definition's cover — its tombstone's when it has none — and only
-// an id that has changed covers can have left one anywhere else.
-func (ix *Index) aggPostedUnder(id model.FilterID, terms []string) []string {
-	a := ix.agg
-	d, _ := a.defs.shard(id).get(id)
+// PostedUnder returns, in the order given, the terms whose posting list holds
+// id — the lists a match on this node reaches the filter through, tombstoned
+// entries of an unregistered ID included. Read-only: it is how a node repeats
+// a posting choice (re-registration, migration) instead of making it again.
+// An id's bits sit under its definition's cover — its tombstone's when it has
+// none — and only an id that has changed covers can have left one anywhere
+// else.
+func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
+	d, _ := ix.defs.shard(id).get(id)
 	c := d.c
-	h := a.histShard(id)
+	h := ix.histShard(id)
 	h.mu.Lock()
 	if c == nil {
 		c = h.lastGone[id]
@@ -443,14 +441,14 @@ func (ix *Index) aggPostedUnder(id model.FilterID, terms []string) []string {
 	}
 	var posted []string
 	for _, t := range terms {
-		if tid := a.dict.lookup(t); tid != noTerm && a.termShard(tid).holds(tid, c, int(slot), id, multi) {
+		if tid := ix.dict.lookup(t); tid != noTerm && ix.termShard(tid).holds(tid, c, int(slot), id, multi) {
 			posted = append(posted, t)
 		}
 	}
 	return posted
 }
 
-// CoverDetail is a deep, O(index) walk of the aggregated posting lists —
+// CoverDetail is a deep, O(index) walk of the posting lists —
 // bench/diagnostic use only. LiveBits intersects each entry's bitset with
 // its cover's alive set container-wise, separating live expansion fan-out
 // from tombstone bits.
@@ -461,15 +459,11 @@ type CoverDetail struct {
 	LiveBits int // bits whose member is currently registered
 }
 
-// CoverDetailStats walks every aggregated posting list. Returns the zero
-// value on a flat index.
+// CoverDetailStats walks every posting list.
 func (ix *Index) CoverDetailStats() CoverDetail {
 	var d CoverDetail
-	if ix.agg == nil {
-		return d
-	}
-	for si := range ix.agg.term {
-		sh := &ix.agg.term[si]
+	for si := range ix.term {
+		sh := &ix.term[si]
 		sh.mu.RLock()
 		for li := range sh.lists {
 			p := &sh.lists[li]

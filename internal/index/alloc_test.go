@@ -87,8 +87,9 @@ func TestMatchTermMatchedPathAllocs(t *testing.T) {
 	}
 }
 
-// TestMatchSIFTSteadyStateAllocs guards the pooled seen-map: with no
-// matching filters, a warm MatchSIFT call allocates nothing.
+// TestMatchSIFTSteadyStateAllocs guards the SIFT matcher — MatchTerms over
+// every document term, most of them unknown to the dictionary — on the
+// pooled scratch: with no matching filters, a warm call allocates nothing.
 func TestMatchSIFTSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -107,18 +108,18 @@ func TestMatchSIFTSteadyStateAllocs(t *testing.T) {
 	doc := allocDoc(24)
 
 	allocs := testing.AllocsPerRun(500, func() {
-		fs, _, err := ix.MatchSIFT(doc)
+		fs, _, err := ix.MatchTerms(doc, doc.Terms)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocSinkFilters = fs
 	})
 	if allocs != 0 {
-		t.Fatalf("MatchSIFT on warm index: %.1f allocs/op, want 0", allocs)
+		t.Fatalf("SIFT match on warm index: %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// TestMatchTermsZeroAllocs guards the match path of the aggregated engine:
+// TestMatchTermsZeroAllocs guards the covering match path:
 // a warm multi-term MatchTerms call — pooled ID set, dedup map and cover
 // memo, inline container iteration — performs zero heap allocations on the
 // unmatched path. Runs every container shape: distinct signatures (one
@@ -212,7 +213,7 @@ func TestMatchTermsZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchTermsWarm measures the aggregated multi-term match (the
+// BenchmarkMatchTermsWarm measures the multi-term match (the
 // coalesced-publish serving path) with -benchmem visibility; steady state
 // is 0 B/op on the unmatched path.
 func BenchmarkMatchTermsWarm(b *testing.B) {

@@ -9,7 +9,7 @@ import (
 	"github.com/movesys/move/internal/model"
 )
 
-// A cover is the aggregated index's unit of posting storage: the group of
+// A cover is the index's unit of posting storage: the group of
 // all registered filters sharing one canonical predicate signature (match
 // mode, threshold, term set). Instead of one posting entry per filter per
 // term, the aggregated index stores one (term, cover) entry whose slotSet
@@ -69,7 +69,7 @@ type coverMembers struct {
 	slotOf map[model.FilterID]int32
 	// alive marks the slots of currently registered members — an advisory
 	// set: the match path's source of truth for liveness stays the filter
-	// table (exactly like the flat index's lazy tombstones), while alive
+	// table (a missing definition is a lazy tombstone), while alive
 	// drives representative promotion, the cover statistics and the live
 	// count of a container the match path skips.
 	alive slotSet
@@ -308,13 +308,10 @@ func (c *cover) Rep() model.FilterID {
 
 // RepFor returns the representative filter ID of the cover holding f's
 // predicate signature — the "covering filter" of f's group. ok is false
-// on a flat index, when no such cover exists, or when the cover has no
-// live members. Diagnostic/test use.
+// when no such cover exists, or when the cover has no live members.
+// Diagnostic/test use.
 func (ix *Index) RepFor(f model.Filter) (model.FilterID, bool) {
-	if ix.agg == nil {
-		return 0, false
-	}
-	c := ix.agg.coverOf(&f, false)
+	c := ix.coverOf(&f, false)
 	if c == nil {
 		return 0, false
 	}
@@ -334,7 +331,7 @@ type CoverStats struct {
 	// StoredEntries is the number of physical (term, cover) posting entries
 	// — what the aggregated index actually stores.
 	StoredEntries int
-	// LogicalPostings is the flat-equivalent posting count (one per
+	// LogicalPostings is the uncompressed posting count (one per
 	// (term, filter) pair, tombstones included) — identical to
 	// NumPostings().
 	LogicalPostings int

@@ -14,164 +14,103 @@ import (
 	"github.com/movesys/move/internal/store"
 )
 
-// This file is the oracle-equivalence battery for the aggregated
-// (covering) engine: every test drives identical operations into an
-// aggregated index (New) and a flat per-filter index (NewFlat) and holds
-// all three matchers to byte-identical sorted match sets and identical
-// MatchStats, including register/unregister interleavings that split and
-// merge covers.
+// This file is the oracle-equivalence battery for the covering index: every
+// test drives identical operations into an Index (New) and the plain-map
+// refIndex (shard_equiv_test.go) and holds both matchers to byte-identical
+// sorted match sets and identical MatchStats, including register/unregister
+// interleavings that split and merge covers.
 //
-// What MatchStats.Evaluated means where the aggregated engine skips a
-// container — one evaluation of the cover's predicate said no match, and no
-// member was looked at: the filters that verdict decided still count. It
-// stays what the flat engine reports, the number of distinct filters with a
-// live definition that the call's posting lists reach: a skipped container
-// adds its live members (its cardinality, or its intersection with the
-// cover's alive set when the cover has dead slots), once per call however
-// many of the call's terms reach the cover. Only tests read the field;
+// What MatchStats.Evaluated means where the index skips a container — one
+// evaluation of the cover's predicate said no match, and no member was
+// looked at: the filters that verdict decided still count. It stays what the
+// reference reports, the number of distinct filters with a live definition
+// that the call's posting lists reach: a skipped container adds its live
+// members (its cardinality, or its intersection with the cover's alive set
+// when the cover has dead slots), once per call however many of the call's
+// terms reach the cover. Only tests read the field;
 // TestSkippedContainerEvaluated pins the cases.
 
-// enginePair is an aggregated index and its flat oracle fed the same
-// operations.
+// enginePair is an index and its reference fed the same operations.
 type enginePair struct {
-	agg  *Index
-	flat *Index
+	ix  *Index
+	ref *refIndex
 }
 
 func newEnginePair(t *testing.T) *enginePair {
 	t.Helper()
-	sa, err := store.Open("", store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := store.Open("", store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := New(sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := NewFlat(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agg.Aggregated() || flat.Aggregated() {
-		t.Fatal("engine selection broken: New must aggregate, NewFlat must not")
-	}
-	return &enginePair{agg: agg, flat: flat}
+	return &enginePair{ix: newIndex(t), ref: newRefIndex()}
 }
 
 func (p *enginePair) register(t *testing.T, f model.Filter, postingTerms []string) {
 	t.Helper()
-	if err := p.agg.Register(f, postingTerms); err != nil {
-		t.Fatalf("agg register %v: %v", f.ID, err)
+	if err := p.ix.Register(f, postingTerms); err != nil {
+		t.Fatalf("register %v: %v", f.ID, err)
 	}
-	if err := p.flat.Register(f, postingTerms); err != nil {
-		t.Fatalf("flat register %v: %v", f.ID, err)
-	}
+	p.ref.register(f, postingTerms)
 }
 
 func (p *enginePair) ensure(t *testing.T, f model.Filter, postingTerms []string) {
 	t.Helper()
-	aCreated, err := p.agg.EnsureRegistered(f, postingTerms)
+	created, err := p.ix.EnsureRegistered(f, postingTerms)
 	if err != nil {
-		t.Fatalf("agg ensure %v: %v", f.ID, err)
+		t.Fatalf("ensure %v: %v", f.ID, err)
 	}
-	fCreated, err := p.flat.EnsureRegistered(f, postingTerms)
-	if err != nil {
-		t.Fatalf("flat ensure %v: %v", f.ID, err)
-	}
-	if aCreated != fCreated {
-		t.Fatalf("ensure %v: created diverged: agg=%v flat=%v", f.ID, aCreated, fCreated)
+	if want := p.ref.ensure(f, postingTerms); created != want {
+		t.Fatalf("ensure %v: created = %v, reference %v", f.ID, created, want)
 	}
 }
 
 func (p *enginePair) unregister(t *testing.T, id model.FilterID) {
 	t.Helper()
-	if err := p.agg.Unregister(id); err != nil {
-		t.Fatalf("agg unregister %v: %v", id, err)
+	if err := p.ix.Unregister(id); err != nil {
+		t.Fatalf("unregister %v: %v", id, err)
 	}
-	if err := p.flat.Unregister(id); err != nil {
-		t.Fatalf("flat unregister %v: %v", id, err)
-	}
-}
-
-func (p *enginePair) dropTerm(t *testing.T, term string) {
-	t.Helper()
-	if err := p.agg.DropTerm(term); err != nil {
-		t.Fatalf("agg drop %q: %v", term, err)
-	}
-	if err := p.flat.DropTerm(term); err != nil {
-		t.Fatalf("flat drop %q: %v", term, err)
-	}
+	p.ref.unregister(id)
 }
 
 func (p *enginePair) observe(d *model.Document) {
-	p.agg.ObserveDocument(d)
-	p.flat.ObserveDocument(d)
+	p.ix.ObserveDocument(d)
+	p.ref.corpus.AddDocument(d.Terms)
 }
 
-// compareAll matches doc through MatchTerm (for every doc term),
-// MatchTerms, and MatchSIFT on both engines and fails on any divergence
-// in the sorted match set or the stats; then PostedUnder must name the same
-// lists on both for every ID the document's terms reach.
+// compareAll matches doc through MatchTerm (for every doc term) and
+// MatchTerms over all of them on both sides and fails on any divergence in
+// the sorted match set or the stats, or in the counters; then PostedUnder
+// must name the same lists on both for every ID the document's terms reach.
 func (p *enginePair) compareAll(t *testing.T, doc *model.Document) {
 	t.Helper()
 	for _, term := range doc.Terms {
-		am, ast, err := p.agg.MatchTerm(doc, term)
+		m, st, err := p.ix.MatchTerm(doc, term)
 		if err != nil {
-			t.Fatalf("agg MatchTerm(%q): %v", term, err)
+			t.Fatalf("MatchTerm(%q): %v", term, err)
 		}
-		fm, fst, err := p.flat.MatchTerm(doc, term)
-		if err != nil {
-			t.Fatalf("flat MatchTerm(%q): %v", term, err)
-		}
-		if !bytes.Equal(encodeMatches(am, ast), encodeMatches(fm, fst)) {
-			t.Fatalf("MatchTerm(%v, %q) diverged:\n agg:  %v %+v\n flat: %v %+v",
-				doc.Terms, term, am, ast, fm, fst)
+		rm, rst := p.ref.matchTerm(doc, term)
+		if !bytes.Equal(encodeMatches(m, st), encodeMatches(rm, rst)) {
+			t.Fatalf("MatchTerm(%v, %q) diverged:\n index: %v %+v\n ref:   %v %+v",
+				doc.Terms, term, m, st, rm, rst)
 		}
 	}
-	am, ast, err := p.agg.MatchTerms(doc, doc.Terms)
+	m, st, err := p.ix.MatchTerms(doc, doc.Terms)
 	if err != nil {
-		t.Fatalf("agg MatchTerms: %v", err)
+		t.Fatalf("MatchTerms: %v", err)
 	}
-	fm, fst, err := p.flat.MatchTerms(doc, doc.Terms)
-	if err != nil {
-		t.Fatalf("flat MatchTerms: %v", err)
+	rm, rst := p.ref.matchTerms(doc, doc.Terms)
+	if !bytes.Equal(encodeMatches(m, st), encodeMatches(rm, rst)) {
+		t.Fatalf("MatchTerms(%v) diverged:\n index: %v %+v\n ref:   %v %+v",
+			doc.Terms, m, st, rm, rst)
 	}
-	if !bytes.Equal(encodeMatches(am, ast), encodeMatches(fm, fst)) {
-		t.Fatalf("MatchTerms(%v) diverged:\n agg:  %v %+v\n flat: %v %+v",
-			doc.Terms, am, ast, fm, fst)
+	if a, r := p.ix.NumFilters(), p.ref.numFilters(); a != r {
+		t.Fatalf("NumFilters diverged: index=%d ref=%d", a, r)
 	}
-	am, ast, err = p.agg.MatchSIFT(doc)
-	if err != nil {
-		t.Fatalf("agg MatchSIFT: %v", err)
-	}
-	fm, fst, err = p.flat.MatchSIFT(doc)
-	if err != nil {
-		t.Fatalf("flat MatchSIFT: %v", err)
-	}
-	if !bytes.Equal(encodeMatches(am, ast), encodeMatches(fm, fst)) {
-		t.Fatalf("MatchSIFT(%v) diverged:\n agg:  %v %+v\n flat: %v %+v",
-			doc.Terms, am, ast, fm, fst)
-	}
-	if a, f := p.agg.NumFilters(), p.flat.NumFilters(); a != f {
-		t.Fatalf("NumFilters diverged: agg=%d flat=%d", a, f)
-	}
-	if a, f := p.agg.NumPostings(), p.flat.NumPostings(); a != f {
-		t.Fatalf("NumPostings diverged: agg=%d flat=%d", a, f)
+	if a, r := p.ix.NumPostings(), p.ref.numPostings; a != r {
+		t.Fatalf("NumPostings diverged: index=%d ref=%d", a, r)
 	}
 	// Every ID on a list of the document's terms — tombstones included — is
-	// posted under the same of those terms on both engines.
+	// posted under the same of those terms on both sides.
 	for _, term := range doc.Terms {
-		ids, err := p.flat.PostingIDs(term)
-		if err != nil {
-			t.Fatalf("flat PostingIDs(%q): %v", term, err)
-		}
-		for _, id := range ids {
-			if a, f := p.agg.PostedUnder(id, doc.Terms), p.flat.PostedUnder(id, doc.Terms); !slices.Equal(a, f) || !slices.Contains(f, term) {
-				t.Fatalf("PostedUnder(%v, %v) diverged (ID taken from %q's list): agg=%v flat=%v", id, doc.Terms, term, a, f)
+		for _, id := range p.ref.postings[term] {
+			if a, r := p.ix.PostedUnder(id, doc.Terms), p.ref.postedUnder(id, doc.Terms); !slices.Equal(a, r) || !slices.Contains(r, term) {
+				t.Fatalf("PostedUnder(%v, %v) diverged (ID taken from %q's list): index=%v ref=%v", id, doc.Terms, term, a, r)
 			}
 		}
 	}
@@ -188,13 +127,13 @@ func allFilter(id model.FilterID, terms ...string) model.Filter {
 // TestCoverSharingAndStats pins the basic aggregation contract: filters
 // with the same signature share one cover and one posting entry per term,
 // and CoverStats reports the physical savings while the logical counters
-// stay flat-identical.
+// stay the reference's.
 func TestCoverSharingAndStats(t *testing.T) {
 	p := newEnginePair(t)
 	for i := 1; i <= 10; i++ {
 		p.register(t, allFilter(model.FilterID(i), "go", "news"), []string{"go", "news"})
 	}
-	cs := p.agg.CoverStats()
+	cs := p.ix.CoverStats()
 	if cs.Covers != 1 {
 		t.Fatalf("Covers = %d, want 1 (identical signatures must share)", cs.Covers)
 	}
@@ -216,7 +155,7 @@ func TestCoverSharingAndStats(t *testing.T) {
 
 	// A different signature over the same terms is a different cover.
 	p.register(t, anyFilter(500, "go", "news"), []string{"go", "news"})
-	if cs := p.agg.CoverStats(); cs.Covers != 2 {
+	if cs := p.ix.CoverStats(); cs.Covers != 2 {
 		t.Fatalf("Covers after second signature = %d, want 2", cs.Covers)
 	}
 	p.compareAll(t, &model.Document{ID: 4, Terms: []string{"go"}})
@@ -233,24 +172,24 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 	p.register(t, anyFilter(1, "alpha", "beta"), []string{"alpha", "beta"})
 	p.register(t, anyFilter(2, "alpha", "beta"), []string{"alpha", "beta"})
 	p.register(t, anyFilter(3, "alpha", "beta"), []string{"alpha", "beta"})
-	if rep, ok := p.agg.RepFor(sig); !ok || rep != 1 {
+	if rep, ok := p.ix.RepFor(sig); !ok || rep != 1 {
 		t.Fatalf("RepFor = %v,%v, want f1 (first member is representative)", rep, ok)
 	}
 
 	// Unregister the covering filter itself.
 	p.unregister(t, 1)
-	rep, ok := p.agg.RepFor(sig)
+	rep, ok := p.ix.RepFor(sig)
 	if !ok {
 		t.Fatal("cover lost its representative: no survivor was promoted")
 	}
 	if rep != 2 && rep != 3 {
 		t.Fatalf("promoted representative = %v, want a surviving member (f2 or f3)", rep)
 	}
-	if cs := p.agg.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 2 {
+	if cs := p.ix.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 2 {
 		t.Fatalf("CoverStats after promotion = %+v, want 1 cover / 2 members", cs)
 	}
 	doc := &model.Document{ID: 1, Terms: []string{"alpha"}}
-	matched, _, err := p.agg.MatchTerm(doc, "alpha")
+	matched, _, err := p.ix.MatchTerm(doc, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +208,10 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 	// Remove the survivors too: the cover empties and stops counting.
 	p.unregister(t, 2)
 	p.unregister(t, 3)
-	if _, ok := p.agg.RepFor(sig); ok {
+	if _, ok := p.ix.RepFor(sig); ok {
 		t.Fatal("emptied cover still has a representative")
 	}
-	if cs := p.agg.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 {
+	if cs := p.ix.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 {
 		t.Fatalf("CoverStats after emptying = %+v, want 0/0", cs)
 	}
 	p.compareAll(t, doc)
@@ -280,7 +219,7 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 	// Revive one member: the cover repopulates and the revived member
 	// becomes representative.
 	p.register(t, anyFilter(3, "alpha", "beta"), []string{"alpha", "beta"})
-	if rep, ok := p.agg.RepFor(sig); !ok || rep != 3 {
+	if rep, ok := p.ix.RepFor(sig); !ok || rep != 3 {
 		t.Fatalf("RepFor after revive = %v,%v, want f3", rep, ok)
 	}
 	p.compareAll(t, doc)
@@ -298,7 +237,7 @@ type coverShape struct {
 
 func shapeOf(t *testing.T, ix *Index, sig model.Filter) coverShape {
 	t.Helper()
-	c := ix.agg.coverOf(&sig, false)
+	c := ix.coverOf(&sig, false)
 	if c == nil {
 		t.Fatalf("no cover for %v", sig.Terms)
 	}
@@ -330,7 +269,7 @@ func TestCoverSize(t *testing.T) {
 // distinguishes — inline singleton, singleton re-registered, promoted by a
 // second member, demoted to one live member behind the pointer, a member
 // with its own term order, a stale member — holding every matcher to the
-// flat oracle at each step and checking the shape itself.
+// reference at each step and checking the shape itself.
 func TestCoverShapes(t *testing.T) {
 	docs := []*model.Document{
 		{ID: 1, Terms: []string{"a"}},
@@ -347,14 +286,14 @@ func TestCoverShapes(t *testing.T) {
 		collect := func(into *[]model.Filter) func(model.Filter) bool {
 			return func(f model.Filter) bool { *into = append(*into, f); return true }
 		}
-		if err := p.agg.EachFilter(collect(&got)); err != nil {
+		if err := p.ix.EachFilter(collect(&got)); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.flat.EachFilter(collect(&want)); err != nil {
-			t.Fatal(err)
+		for _, f := range p.ref.filters {
+			want = append(want, f)
 		}
 		if !bytes.Equal(encodeMatches(got, MatchStats{}), encodeMatches(want, MatchStats{})) {
-			t.Fatalf("EachFilter diverged:\n agg:  %v\n flat: %v", got, want)
+			t.Fatalf("EachFilter diverged:\n index: %v\n ref:   %v", got, want)
 		}
 	}
 	sig := allFilter(0, "a", "b")
@@ -363,28 +302,28 @@ func TestCoverShapes(t *testing.T) {
 		p := newEnginePair(t)
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
 			t.Fatalf("shape = %+v, want %+v", got, want)
 		}
 		// Unregistered: the liveness is the flag, nothing else.
 		p.unregister(t, 7)
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, dead: true, first: 7, singletonsInStat: 1}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, dead: true, first: 7, singletonsInStat: 1}); got != want {
 			t.Fatalf("shape after unregister = %+v, want %+v", got, want)
 		}
-		if cs := p.agg.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 {
+		if cs := p.ix.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 {
 			t.Fatalf("CoverStats after unregister = %+v, want no live cover", cs)
 		}
 		// Re-registered into its own slot, under a subset of the terms.
 		p.register(t, allFilter(7, "a", "b"), []string{"b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
 			t.Fatalf("shape after re-register = %+v, want %+v", got, want)
 		}
 		// And once more while live: nothing moves.
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if cs := p.agg.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 || cs.StoredEntries != 2 {
+		if cs := p.ix.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 || cs.StoredEntries != 2 {
 			t.Fatalf("CoverStats = %+v, want 1 cover / 1 member / 2 entries", cs)
 		}
 	})
@@ -394,21 +333,21 @@ func TestCoverShapes(t *testing.T) {
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		p.register(t, allFilter(9, "a", "b"), []string{"a"})
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, rep: 7, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, rep: 7, first: 7}); got != want {
 			t.Fatalf("shape after promotion = %+v, want %+v", got, want)
 		}
 		p.unregister(t, 7)
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
 			t.Fatalf("shape after the first member left = %+v, want %+v", got, want)
 		}
-		if cs := p.agg.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 {
+		if cs := p.ix.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 {
 			t.Fatalf("CoverStats = %+v, want 1 cover / 1 member", cs)
 		}
 		// The first member returns to slot 0; the survivor stays representative.
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, rep: 9, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, rep: 9, first: 7}); got != want {
 			t.Fatalf("shape after the first member returned = %+v, want %+v", got, want)
 		}
 	})
@@ -419,7 +358,7 @@ func TestCoverShapes(t *testing.T) {
 		p.unregister(t, 7)
 		p.register(t, allFilter(9, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
 			t.Fatalf("shape = %+v, want %+v", got, want)
 		}
 	})
@@ -430,18 +369,18 @@ func TestCoverShapes(t *testing.T) {
 		p.register(t, allFilter(2, "b", "a"), []string{"a", "b"})
 		p.register(t, allFilter(3, "a", "b", "a"), []string{"b"})
 		check(t, p)
-		if cs := p.agg.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 3 {
+		if cs := p.ix.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 3 {
 			t.Fatalf("CoverStats = %+v, want one cover of three", cs)
 		}
 		for id, want := range map[model.FilterID][]string{1: {"a", "b"}, 2: {"b", "a"}, 3: {"a", "b", "a"}} {
-			f, ok, err := p.agg.GetFilter(id)
+			f, ok, err := p.ix.GetFilter(id)
 			if err != nil || !ok || !reflect.DeepEqual(f.Terms, want) || f.Mode != model.MatchAll {
 				t.Fatalf("GetFilter(%d) = %+v, %v, %v; want terms %v", id, f, ok, err, want)
 			}
 		}
 		// The canonical member's Terms are the cover's array, not a copy.
-		f1, _, _ := p.agg.GetFilter(1)
-		if c := p.agg.agg.coverOf(&sig, false); &f1.Terms[0] != &c.terms[0] {
+		f1, _, _ := p.ix.GetFilter(1)
+		if c := p.ix.coverOf(&sig, false); &f1.Terms[0] != &c.terms[0] {
 			t.Fatal("a canonical member does not alias its cover's terms")
 		}
 		p.unregister(t, 1)
@@ -455,16 +394,16 @@ func TestCoverShapes(t *testing.T) {
 		// stay in the singleton it left.
 		p.register(t, anyFilter(7, "a", "c"), []string{"c"})
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 1, dead: true, stale: true, first: 7, singletonsInStat: 2}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, dead: true, stale: true, first: 7, singletonsInStat: 2}); got != want {
 			t.Fatalf("shape of the cover it left = %+v, want %+v", got, want)
 		}
-		if got := shapeOf(t, p.agg, anyFilter(0, "a", "c")); !got.stale || got.dead || got.rep != 7 {
+		if got := shapeOf(t, p.ix, anyFilter(0, "a", "c")); !got.stale || got.dead || got.rep != 7 {
 			t.Fatalf("shape of the cover it joined = %+v, want stale, live, rep 7", got)
 		}
 		// A second member of the stale singleton promotes it.
 		p.register(t, allFilter(8, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.agg, sig), (coverShape{slots: 2, promoted: true, dead: true, stale: true, rep: 8, first: 7, singletonsInStat: 1}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, dead: true, stale: true, rep: 8, first: 7, singletonsInStat: 1}); got != want {
 			t.Fatalf("shape after a second member = %+v, want %+v", got, want)
 		}
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
@@ -482,7 +421,7 @@ func TestCoverShapes(t *testing.T) {
 		p.register(t, thr, []string{"a"})
 		p.observe(docs[1])
 		check(t, p)
-		if f, _, _ := p.agg.GetFilter(1); f.Threshold != 0.25 || f.Mode != model.MatchAll {
+		if f, _, _ := p.ix.GetFilter(1); f.Threshold != 0.25 || f.Mode != model.MatchAll {
 			t.Fatalf("GetFilter(1) = %+v, want MatchAll with threshold 0.25", f)
 		}
 	})
@@ -543,7 +482,7 @@ func TestMatchWhileCoverPromotes(t *testing.T) {
 // interleavings that move a filter between covers — split (same ID
 // re-registered under a new signature), merge (back to the original),
 // and multi-hop chains through three signatures with overlapping posting
-// terms — comparing every matcher against the flat oracle at each step.
+// terms — comparing every matcher against the reference at each step.
 func TestCoverSplitMergeInterleavings(t *testing.T) {
 	probes := []*model.Document{
 		{ID: 1, Terms: []string{"a"}},
@@ -567,7 +506,7 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 		// Split: f2 leaves for a new signature; posting term "a" overlaps.
 		p.register(t, anyFilter(2, "a", "c"), []string{"a", "c"})
 		check(t, p)
-		if cs := p.agg.CoverStats(); cs.Covers != 2 {
+		if cs := p.ix.CoverStats(); cs.Covers != 2 {
 			t.Fatalf("Covers after split = %d, want 2", cs.Covers)
 		}
 		// Merge: f2 returns to the original signature.
@@ -608,20 +547,10 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 		p.register(t, allFilter(2, "a", "b", "c"), []string{"b"})
 		p.register(t, allFilter(3, "a", "b", "c"), []string{"a", "c"})
 		check(t, p)
-		if cs := p.agg.CoverStats(); cs.Covers != 1 {
+		if cs := p.ix.CoverStats(); cs.Covers != 1 {
 			t.Fatalf("Covers = %d, want 1 (posting subset must not split the cover)", cs.Covers)
 		}
 		p.unregister(t, 3)
-		check(t, p)
-	})
-
-	t.Run("drop-term-mid-cover", func(t *testing.T) {
-		p := newEnginePair(t)
-		p.register(t, anyFilter(1, "a", "b"), []string{"a", "b"})
-		p.register(t, anyFilter(2, "a", "b"), []string{"a", "b"})
-		p.dropTerm(t, "a")
-		check(t, p)
-		p.register(t, anyFilter(3, "a", "b"), []string{"a", "b"})
 		check(t, p)
 	})
 
@@ -651,11 +580,11 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 		p.compareAll(t, &model.Document{ID: 7, Terms: []string{"x"}})
 		// Half known, half not; and a query term outside the document.
 		p.compareAll(t, &model.Document{ID: 8, Terms: []string{"a", "x", "c", "y"}})
-		for _, ix := range []*Index{p.agg, p.flat} {
-			fs, st, err := ix.MatchTerms(&model.Document{ID: 9, Terms: []string{"x", "y"}}, []string{"a", "x"})
-			if err != nil || len(fs) != 0 || st.PostingLists != 1 || st.Postings != 2 || st.Evaluated != 2 {
-				t.Fatalf("aggregated=%v: query term outside the document: %v %+v %v", ix.Aggregated(), fs, st, err)
-			}
+		doc := &model.Document{ID: 9, Terms: []string{"x", "y"}}
+		fs, st, err := p.ix.MatchTerms(doc, []string{"a", "x"})
+		if rfs, rst := p.ref.matchTerms(doc, []string{"a", "x"}); err != nil || len(fs) != 0 || st != rst || len(rfs) != 0 ||
+			st.PostingLists != 1 || st.Postings != 2 || st.Evaluated != 2 {
+			t.Fatalf("query term outside the document: %v %+v %v, reference %+v", fs, st, err, rst)
 		}
 	})
 
@@ -668,7 +597,7 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 			p.ensure(t, f, []string{"a", "b"})
 		}
 		check(t, p)
-		if cs := p.agg.CoverStats(); cs.CoveredFilters != 1 || cs.StoredEntries != 2 {
+		if cs := p.ix.CoverStats(); cs.CoveredFilters != 1 || cs.StoredEntries != 2 {
 			t.Fatalf("CoverStats after replay = %+v, want 1 member / 2 entries", cs)
 		}
 		// Replay racing an unregister: the copy comes back, still exact.
@@ -678,12 +607,12 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 	})
 }
 
-// TestAggFlatOracleQuick is the random-walk half of the battery: a
+// TestAggRefOracleQuick is the random-walk half of the battery: a
 // testing/quick property driving long random interleavings of register
-// (fresh and re-register), unregister, EnsureRegistered replay, drop-term
-// and observe into both engines with match comparison on random
+// (fresh and re-register), unregister, EnsureRegistered replay and observe
+// into the index and the reference with match comparison on random
 // documents after every mutation batch.
-func TestAggFlatOracleQuick(t *testing.T) {
+func TestAggRefOracleQuick(t *testing.T) {
 	vocab := make([]string, 20)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("w%d", i)
@@ -722,7 +651,7 @@ func TestAggFlatOracleQuick(t *testing.T) {
 		var ids []model.FilterID
 		nextID := model.FilterID(1)
 		for step := 0; step < 150; step++ {
-			switch op := rng.Intn(12); {
+			switch op := rng.Intn(11); {
 			case op < 4: // fresh register
 				f := randFilter(nextID)
 				nextID++
@@ -740,9 +669,7 @@ func TestAggFlatOracleQuick(t *testing.T) {
 			case op == 8 && len(ids) > 0: // migration replay
 				f := randFilter(ids[rng.Intn(len(ids))])
 				p.ensure(t, f, f.Terms)
-			case op == 9: // drop a term
-				p.dropTerm(t, vocab[rng.Intn(len(vocab))])
-			case op == 10: // idf statistics
+			case op == 9: // idf statistics
 				d := model.Document{ID: uint64(step), Terms: pick(1 + rng.Intn(5))}
 				p.observe(&d)
 			default: // match and compare
@@ -760,25 +687,12 @@ func TestAggFlatOracleQuick(t *testing.T) {
 
 // TestAggRestartRecoversCovers exercises the recovery path: covers are
 // rebuilt from stored definitions, defless posting entries land in the
-// orphan cover (flat tombstone parity, NumPostings included), and a
+// orphan cover (the reference's tombstones, NumPostings included), and a
 // post-restart re-registration of an orphaned ID re-homes its bits.
 func TestAggRestartRecoversCovers(t *testing.T) {
-	dirA, dirF := t.TempDir(), t.TempDir()
-	open := func(dir string, build func(*store.Store) (*Index, error)) (*Index, *store.Store) {
-		t.Helper()
-		s, err := store.Open(dir, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := build(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix, s
-	}
-	agg, sa := open(dirA, New)
-	flat, sf := open(dirF, NewFlat)
-	p := &enginePair{agg: agg, flat: flat}
+	dir := t.TempDir()
+	agg, sa := openDurable(t, dir, store.Options{})
+	p := &enginePair{ix: agg, ref: newRefIndex()}
 	for i := 1; i <= 20; i++ {
 		p.register(t, anyFilter(model.FilterID(i), "x", fmt.Sprintf("t%d", i%4)), []string{"x", fmt.Sprintf("t%d", i%4)})
 	}
@@ -805,15 +719,11 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	if err := sa.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sf.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
 
-	agg2, _ := open(dirA, New)
-	flat2, _ := open(dirF, NewFlat)
-	p2 := &enginePair{agg: agg2, flat: flat2}
-	if a, f := agg2.NumPostings(), flat2.NumPostings(); a != f {
-		t.Fatalf("recovered NumPostings diverged: agg=%d flat=%d", a, f)
+	agg2, _ := openDurable(t, dir, store.Options{})
+	p2 := &enginePair{ix: agg2, ref: p.ref.restarted()}
+	if a, r := agg2.NumPostings(), p2.ref.numPostings; a != r {
+		t.Fatalf("recovered NumPostings diverged: index=%d ref=%d", a, r)
 	}
 	p2.compareAll(t, &model.Document{ID: 1, Terms: []string{"x"}})
 	p2.compareAll(t, &model.Document{ID: 2, Terms: []string{"t1", "t2"}})
@@ -836,7 +746,7 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 		}
 	}
 	for _, gone := range []model.Filter{allFilter(0, "gone", "x"), allFilter(0, "q", "x")} {
-		if c := agg2.agg.coverOf(&gone, false); c != nil {
+		if c := agg2.coverOf(&gone, false); c != nil {
 			t.Fatalf("cover %v was rebuilt though no definition names it", gone.Terms)
 		}
 	}
@@ -855,8 +765,8 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 }
 
 // TestSkippedContainerEvaluated pins what Evaluated reports for containers
-// the aggregated engine skips on the cover's verdict (see the file comment),
-// with the flat engine as the reference on every probe.
+// the index skips on the cover's verdict (see the file comment),
+// with the reference on every probe.
 func TestSkippedContainerEvaluated(t *testing.T) {
 	p := newEnginePair(t)
 	for i := 1; i <= 10; i++ {
@@ -866,7 +776,7 @@ func TestSkippedContainerEvaluated(t *testing.T) {
 	evaluated := func(doc *model.Document, terms []string) int {
 		t.Helper()
 		p.compareAll(t, doc)
-		fs, st, err := p.agg.MatchTerms(doc, terms)
+		fs, st, err := p.ix.MatchTerms(doc, terms)
 		if err != nil || len(fs) != 0 {
 			t.Fatalf("MatchTerms(%v, %v) = %v, %v; want no match", doc.Terms, terms, fs, err)
 		}
@@ -920,10 +830,8 @@ func TestNumFiltersCountsDefinitions(t *testing.T) {
 	p.register(t, allFilter(1, "a", "c"), []string{"a"})
 	want := func(n int) {
 		t.Helper()
-		for _, ix := range []*Index{p.agg, p.flat} {
-			if got := ix.NumFilters(); got != n {
-				t.Fatalf("aggregated=%v: NumFilters = %d, want %d", ix.Aggregated(), got, n)
-			}
+		if got, ref := p.ix.NumFilters(), p.ref.numFilters(); got != n || ref != n {
+			t.Fatalf("NumFilters = %d, reference %d, want %d", got, ref, n)
 		}
 	}
 	want(1)
@@ -974,13 +882,13 @@ func TestDictionaryBoundedByVocabulary(t *testing.T) {
 		}
 	}
 	round()
-	if got := ix.agg.dict.size(); got != len(vocab) {
+	if got := ix.dict.size(); got != len(vocab) {
 		t.Fatalf("after the first round the dictionary holds %d terms, want the whole %d-term vocabulary", got, len(vocab))
 	}
 	for i := 0; i < 10; i++ {
 		round()
 	}
-	if got := ix.agg.dict.size(); got != len(vocab) {
+	if got := ix.dict.size(); got != len(vocab) {
 		t.Fatalf("dictionary grew to %d terms over a %d-term vocabulary", got, len(vocab))
 	}
 }
@@ -998,17 +906,16 @@ func TestCoverSigCollisionChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a := ix.agg
-	ca, cb := a.coverOf(&fa, false), a.coverOf(&fb, false)
+	ca, cb := ix.coverOf(&fa, false), ix.coverOf(&fb, false)
 	if ca == nil || cb == nil || ca == cb {
 		t.Fatalf("covers = %p, %p; want two distinct covers", ca, cb)
 	}
 	h := sigHash(ca.mode(), ca.threshold, ca.ids)
-	sh := &a.sig[h&shardMask]
-	foreign := &cover{id: a.seq.Add(1), ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
+	sh := &ix.sig[h&shardMask]
+	foreign := &cover{id: ix.seq.Add(1), ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
 	foreign.flags.Store(uint32(cb.mode()))
 	sh.covers[h] = foreign
-	if got := a.coverOf(&fa, false); got != ca {
+	if got := ix.coverOf(&fa, false); got != ca {
 		t.Fatalf("lookup behind a colliding cover = %p, want %p", got, ca)
 	}
 	if rep, ok := ix.RepFor(fa); !ok || rep != 1 {

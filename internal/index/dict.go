@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// termDict is the aggregated engine's node-local term dictionary: every
+// termDict is the index's node-local term dictionary: every
 // term a registered filter names, or is posted under, gets a dense uint32
 // ID on first sight, and everything below Register/Unregister/Match* speaks
 // those IDs — covers are keyed and evaluated by them, posting lists are

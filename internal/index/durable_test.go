@@ -85,9 +85,6 @@ func TestEphemeralIndexWritesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ix.DropTerm("v3"); err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i <= 50; i++ { // a migration batch replayed, half of it already present
 		f := churnFilter(model.FilterID(4975 + i))
 		if _, err := ix.EnsureRegistered(f, f.Terms); err != nil {
@@ -336,42 +333,40 @@ func TestStoreBoundedUnderChurn(t *testing.T) {
 }
 
 // TestSubscriberNamesShared: the stored definitions of one subscriber share
-// one copy of its name — on both engines, whichever path stored them — and
+// one copy of its name — whichever path stored them — and
 // what does the sharing is a fixed-size cache: a population of subscribers
 // with a filter each adds nothing to it.
 func TestSubscriberNamesShared(t *testing.T) {
-	p := newEnginePair(t)
-	for _, ix := range []*Index{p.agg, p.flat} {
-		const subscribers, filters = 64, 6400
-		for i := 1; i <= filters; i++ {
-			f := anyFilter(model.FilterID(i), "a", fmt.Sprintf("t%d", i%50))
-			// A private copy per registration, as a decoded frame delivers it.
-			f.Subscriber = string([]byte(fmt.Sprintf("s%03d", i%subscribers)))
-			var err error
-			if i%2 == 0 {
-				err = ix.Register(f, f.Terms)
-			} else {
-				_, err = ix.EnsureRegistered(f, f.Terms)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+	ix := newIndex(t)
+	const subscribers, filters = 64, 6400
+	for i := 1; i <= filters; i++ {
+		f := anyFilter(model.FilterID(i), "a", fmt.Sprintf("t%d", i%50))
+		// A private copy per registration, as a decoded frame delivers it.
+		f.Subscriber = string([]byte(fmt.Sprintf("s%03d", i%subscribers)))
+		var err error
+		if i%2 == 0 {
+			err = ix.Register(f, f.Terms)
+		} else {
+			_, err = ix.EnsureRegistered(f, f.Terms)
 		}
-		copies := make(map[*byte]string)
-		if err := ix.EachFilter(func(f model.Filter) bool {
-			if want := fmt.Sprintf("s%03d", int(f.ID)%subscribers); f.Subscriber != want {
-				t.Fatalf("filter %d: subscriber %q, want %q", f.ID, f.Subscriber, want)
-			}
-			copies[unsafe.StringData(f.Subscriber)] = f.Subscriber
-			return true
-		}); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Two names in one cache slot take turns and keep private copies; the
-		// 64 names of the benchmark's populations do not collide.
-		if len(copies) != subscribers {
-			t.Errorf("aggregated=%v: %d filters of %d subscribers hold %d copies of their names", ix.Aggregated(), filters, subscribers, len(copies))
+	}
+	copies := make(map[*byte]string)
+	if err := ix.EachFilter(func(f model.Filter) bool {
+		if want := fmt.Sprintf("s%03d", int(f.ID)%subscribers); f.Subscriber != want {
+			t.Fatalf("filter %d: subscriber %q, want %q", f.ID, f.Subscriber, want)
 		}
+		copies[unsafe.StringData(f.Subscriber)] = f.Subscriber
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Two names in one cache slot take turns and keep private copies; the
+	// 64 names of the benchmark's populations do not collide.
+	if len(copies) != subscribers {
+		t.Errorf("%d filters of %d subscribers hold %d copies of their names", filters, subscribers, len(copies))
 	}
 	if size := unsafe.Sizeof(subCache{}); size > 80<<10 {
 		t.Errorf("the subscriber cache is %d bytes, want a small constant", size)

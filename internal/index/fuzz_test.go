@@ -9,18 +9,18 @@ import (
 )
 
 // FuzzIndexRegisterMatch interprets the input as an operation stream over
-// a small vocabulary and drives it into an aggregated index and the flat
-// oracle, comparing every matcher after each match op. Any divergence in
+// a small vocabulary and drives it into an index and the reference
+// (refIndex), comparing every matcher after each match op. Any divergence in
 // the sorted match set, MatchStats, or counters fails the target. The
 // seeds below and in testdata/fuzz/FuzzIndexRegisterMatch cover the
 // interleavings the table tests pin: same-signature sharing, unregister
 // of a cover representative, signature splits and merges with overlapping
-// posting terms, migration replays, drop-term, a cover matched while it
+// posting terms, migration replays, a cover matched while it
 // holds a stale member, documents none of whose terms any filter names, and
 // a cover's promotion from its inline member to a slot table and back to one
 // live member.
 //
-// A third index — aggregated, over a data directory — takes the same
+// A second index — over a data directory — takes the same
 // operations, and every observe op also flushes its store and reopens it
 // (replaying the idf observations, which are not persisted): a restart in the
 // middle of a sequence must not change any later match set or MatchStats.
@@ -30,11 +30,13 @@ import (
 //	0,1 register   (id, termMask, modeByte, postingPrefixByte)
 //	2   unregister (id)
 //	3   ensure     (id, termMask, modeByte)
-//	4   dropTerm   (termIndex)
+//	4,6 match      (termMask)
 //	5   observe    (termMask)
-//	6   match      (termMask)
 //
-// Truncated args end the stream.
+// Opcode 4 was drop-term (termIndex), an operation the index no longer has.
+// It still takes one argument byte, read as a match's term mask, so every
+// input under testdata/fuzz keeps its alignment. Truncated args end the
+// stream.
 func FuzzIndexRegisterMatch(f *testing.F) {
 	// Same-sig cover sharing, then match.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x03, 0, 0, 6, 0x03})
@@ -44,8 +46,9 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	f.Add([]byte{0, 1, 0x03, 0, 0, 6, 0x03, 0, 1, 0x05, 0, 0, 6, 0x07, 0, 1, 0x03, 0, 0, 6, 0x03})
 	// Tombstone, migration replay under a new signature, match.
 	f.Add([]byte{0, 2, 0x0c, 2, 0, 2, 2, 3, 2, 0x06, 2, 6, 0x0e})
-	// Drop a term out from under a cover, threshold-mode members.
-	f.Add([]byte{5, 0x1f, 0, 3, 0x18, 2, 0, 4, 3, 6, 0x1f, 0, 4, 0x18, 2, 1, 6, 0x18})
+	// Threshold-mode members of one cover, the second posted under one of its
+	// terms.
+	f.Add([]byte{5, 0x1f, 0, 3, 0x18, 2, 0, 6, 0x1f, 0, 4, 0x18, 2, 1, 6, 0x18})
 	// Two members of an {a,b} cover; one leaves for {c,d} posted under c,d
 	// only, so its a,b bits go stale: match, unregister it, match,
 	// re-register it back, match.
@@ -53,9 +56,9 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// Documents over g,h while only a,b,c are in the dictionary; then a
 	// half-known document.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x05, 1, 1, 6, 0xc0, 6, 0x80, 6, 0xc3})
-	// Restarts around a dropped term that is posted under again before the
-	// drop's tombstone is flushed, a tombstoned filter, and a re-homed one.
-	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x03, 1, 0, 5, 0x01, 4, 0, 0, 3, 0x03, 0, 0, 2, 1, 5, 0x02, 6, 0x03, 0, 2, 0x05, 0, 0, 5, 0x04, 6, 0x07})
+	// Restarts around a cover that gains a member after one, a tombstoned
+	// filter, and a re-homed one.
+	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x03, 1, 0, 5, 0x01, 0, 3, 0x03, 0, 0, 2, 1, 5, 0x02, 6, 0x03, 0, 2, 0x05, 0, 0, 5, 0x04, 6, 0x07})
 	// A singleton cover promoted by a second member posted under one term;
 	// the first member unregisters (one live member behind the pointer),
 	// returns to its slot, restart.
@@ -65,23 +68,8 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// signature (stale) while a third joins; restart.
 	f.Add([]byte{0, 3, 0x06, 0, 0, 2, 3, 6, 0x06, 0, 3, 0x06, 0, 1, 6, 0x02, 2, 3, 0, 4, 0x06, 0, 0, 6, 0x06, 0, 4, 0x18, 1, 1, 0, 5, 0x06, 0, 0, 6, 0x1e, 5, 0x02, 6, 0x1e})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		sa, err := store.Open("", store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf, err := store.Open("", store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg, err := New(sa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat, err := NewFlat(sf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := &enginePair{agg: agg, flat: flat}
+		p := &enginePair{ix: newIndex(t), ref: newRefIndex()}
+		ix := p.ix
 		dir := t.TempDir()
 		dur, sd := openDurable(t, dir, store.Options{})
 		var observed []model.Document
@@ -91,30 +79,30 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				t.Fatalf("durable index: %v", err)
 			}
 		}
-		// compare checks the pair against each other and the durable index
-		// against the aggregated one.
+		// compare checks the index against the reference and the durable
+		// index against the index.
 		compare := func(d *model.Document) {
 			t.Helper()
 			p.compareAll(t, d)
-			am, ast, _ := agg.MatchTerms(d, d.Terms)
+			am, ast, _ := ix.MatchTerms(d, d.Terms)
 			dm, dst, err := dur.MatchTerms(d, d.Terms)
 			if err != nil || ast != dst || !slices.Equal(matchedIDs(am), matchedIDs(dm)) {
 				t.Fatalf("MatchTerms(%v) after a restart: %v %+v (err %v), never restarted: %v %+v",
 					d.Terms, matchedIDs(dm), dst, err, matchedIDs(am), ast)
 			}
 			for _, term := range d.Terms {
-				am, ast, _ := agg.MatchTerm(d, term)
+				am, ast, _ := ix.MatchTerm(d, term)
 				dm, dst, err := dur.MatchTerm(d, term)
 				if err != nil || ast != dst || !slices.Equal(matchedIDs(am), matchedIDs(dm)) {
 					t.Fatalf("MatchTerm(%v, %q) after a restart: %v %+v (err %v), never restarted: %v %+v",
 						d.Terms, term, matchedIDs(dm), dst, err, matchedIDs(am), ast)
 				}
 			}
-			if a, b := agg.NumFilters(), dur.NumFilters(); a != b {
+			if a, b := ix.NumFilters(), dur.NumFilters(); a != b {
 				t.Fatalf("NumFilters after a restart %d, never restarted %d", b, a)
 			}
 			for id := model.FilterID(1); id <= 12; id++ {
-				if a, b := agg.PostedUnder(id, d.Terms), dur.PostedUnder(id, d.Terms); !slices.Equal(a, b) {
+				if a, b := ix.PostedUnder(id, d.Terms), dur.PostedUnder(id, d.Terms); !slices.Equal(a, b) {
 					t.Fatalf("PostedUnder(%v, %v) after a restart %v, never restarted %v", id, d.Terms, b, a)
 				}
 			}
@@ -193,13 +181,6 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				p.ensure(t, fl, fl.Terms)
 				_, err := dur.EnsureRegistered(fl, fl.Terms)
 				must(err)
-			case 4:
-				args := take(1)
-				if args == nil {
-					return
-				}
-				p.dropTerm(t, vocab[args[0]%8])
-				must(dur.DropTerm(vocab[args[0]%8]))
 			case 5:
 				args := take(1)
 				if args == nil {
@@ -214,7 +195,7 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				for i := range observed {
 					dur.ObserveDocument(&observed[i])
 				}
-			case 6:
+			case 4, 6:
 				args := take(1)
 				if args == nil {
 					return

@@ -89,6 +89,8 @@ func TestPaperFigure1Scenario(t *testing.T) {
 	}
 }
 
+// TestMatchSIFTFindsAllAndUnionsLists: the SIFT matcher is MatchTerms over
+// every document term.
 func TestMatchSIFTFindsAllAndUnionsLists(t *testing.T) {
 	ix := newIndex(t)
 	registerAny(t, ix, 1, "A", "E")
@@ -97,7 +99,7 @@ func TestMatchSIFTFindsAllAndUnionsLists(t *testing.T) {
 	registerAny(t, ix, 7, "Z")
 
 	doc := &model.Document{ID: 1, Terms: []string{"A", "B", "D"}}
-	fs, st, err := ix.MatchSIFT(doc)
+	fs, st, err := ix.MatchTerms(doc, doc.Terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,22 +225,6 @@ func TestRegisterInvalidFilter(t *testing.T) {
 	}
 }
 
-func TestDropTerm(t *testing.T) {
-	ix := newIndex(t)
-	registerAny(t, ix, 1, "A")
-	if err := ix.DropTerm("A"); err != nil {
-		t.Fatal(err)
-	}
-	doc := &model.Document{ID: 1, Terms: []string{"A"}}
-	fs, _, err := ix.MatchTerm(doc, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Fatalf("match after DropTerm = %v, want none", fs)
-	}
-}
-
 func TestTermsAndEachFilter(t *testing.T) {
 	ix := newIndex(t)
 	registerAny(t, ix, 1, "A", "B")
@@ -265,7 +251,8 @@ func TestTermsAndEachFilter(t *testing.T) {
 }
 
 // TestMatchEquivalenceProperty: for OR filters registered on all their
-// terms, the union of MatchTerm over every document term equals MatchSIFT.
+// terms, the union of MatchTerm over every document term equals the SIFT
+// match, MatchTerms over all of them.
 func TestMatchEquivalenceProperty(t *testing.T) {
 	prop := func(filterSeeds [][3]uint8, docSeed []uint8) bool {
 		if len(docSeed) == 0 {
@@ -286,7 +273,7 @@ func TestMatchEquivalenceProperty(t *testing.T) {
 		}
 		doc := &model.Document{ID: 1, Terms: model.SortTerms(docTerms)}
 
-		sift, _, err := ix.MatchSIFT(doc)
+		sift, _, err := ix.MatchTerms(doc, doc.Terms)
 		if err != nil {
 			return false
 		}
@@ -349,7 +336,7 @@ func BenchmarkMatchSIFTWideDoc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.MatchSIFT(doc); err != nil {
+		if _, _, err := ix.MatchTerms(doc, doc.Terms); err != nil {
 			b.Fatal(err)
 		}
 	}

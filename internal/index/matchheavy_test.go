@@ -152,8 +152,8 @@ var memComponents = []struct {
 }{
 	{"cover.terms + cover.ids", []string{"slices.Clone", "(*termDict).canonical"}},
 	{"dictionary", []string{"(*termDict).intern"}},
-	{"posting entries", []string{"(*aggTermShard).entryFor", "(*slotSet).", "(*slotBig)."}},
-	{"covers + signature table", []string{"(*aggState).coverOf", "(*cover).addSlot"}},
+	{"posting entries", []string{"(*termShard).entryFor", "(*slotSet).", "(*slotBig)."}},
+	{"covers + signature table", []string{"(*Index).coverOf", "(*cover).addSlot"}},
 	{"definitions", []string{"filterTable", "(*Index).newDef", "(*subCache).share"}},
 }
 

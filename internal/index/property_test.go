@@ -47,7 +47,8 @@ func randMode(rng *rand.Rand) (model.MatchMode, float64) {
 // TestMatchTermSubsetOfSIFT is the §III.B correctness property linking the
 // two matchers: for any filter set and document, the filters MatchTerm
 // finds on the home node of term t (for every t in the document) must be a
-// subset of what the centralized SIFT matcher finds — MatchTerm only
+// subset of what the centralized SIFT matcher — MatchTerms over all of the
+// document's terms — finds: MatchTerm only
 // narrows the posting lists read, never the answer. Conversely every SIFT
 // match must be found by MatchTerm on at least one document term it was
 // posted under, so the union over home nodes recovers the full match set.
@@ -73,7 +74,7 @@ func TestMatchTermSubsetOfSIFT(t *testing.T) {
 		// matchers must see the same corpus state, so observe before both.
 		ix.ObserveDocument(doc)
 
-		siftMatches, _, err := ix.MatchSIFT(doc)
+		siftMatches, _, err := ix.MatchTerms(doc, doc.Terms)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,8 @@ import "math/bits"
 //     fits in 16 bits: 2 bytes per member.
 //   - bitmap: []uint64 words indexed by slot, used once the set grows past
 //     slotArrayMax or sees a slot ≥ 1<<16. Hot covers with hundreds of
-//     thousands of members cost 1 bit per slot instead of the flat index's
-//     8-byte posting entry plus ~50-byte dedup-map entry.
+//     thousands of members cost 1 bit per slot instead of an 8-byte
+//     per-filter posting entry.
 //
 // Promotion is one-way (inline → array → bitmap); clears never demote. The
 // cached cardinality makes the logical posting-list length — what
@@ -197,7 +197,7 @@ func (s *slotSet) first() int {
 }
 
 // forEach calls fn for every slot in ascending order. Cold-path helper
-// (PostingIDs, stats, tests); the match loops iterate containers inline to
+// (intersectCard, tests); the match loops iterate containers inline to
 // stay allocation-free.
 func (s *slotSet) forEach(fn func(slot int)) {
 	b := s.big

@@ -948,7 +948,7 @@ func (n *Node) matchSIFT(doc *model.Document) (MatchResp, error) {
 	n.termsMatched.Add(int64(len(doc.Terms)))
 	n.ix.ObserveDocument(doc)
 	tm := n.hMatchSIFT.Start()
-	matched, st, err := n.ix.MatchSIFT(doc)
+	matched, st, err := n.ix.MatchTerms(doc, doc.Terms)
 	tm.Stop()
 	if err != nil {
 		return MatchResp{}, err

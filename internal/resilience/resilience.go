@@ -65,11 +65,6 @@ type Policy struct {
 	Seed int64
 }
 
-// DefaultPolicy returns the documented defaults.
-func DefaultPolicy() Policy {
-	return Policy{}.withDefaults()
-}
-
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = 3
@@ -186,15 +181,6 @@ func (e *Executor) Reset(dest string) {
 	b, ok := e.breakers[dest]
 	e.bmu.RUnlock()
 	if ok {
-		b.Reset()
-	}
-}
-
-// ResetAll force-closes every breaker.
-func (e *Executor) ResetAll() {
-	e.bmu.RLock()
-	defer e.bmu.RUnlock()
-	for _, b := range e.breakers {
 		b.Reset()
 	}
 }

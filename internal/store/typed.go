@@ -90,12 +90,6 @@ func (ps *PostingStore) Add(term string, id model.FilterID) error {
 	return ps.cf.Append(term, buf[:n])
 }
 
-// Remove drops the whole posting list of a term (used when the term's
-// filters migrate during allocation).
-func (ps *PostingStore) Remove(term string) error {
-	return ps.cf.Delete(term)
-}
-
 // Each iterates the posting lists in term order, each deduplicated and in
 // insertion order (oldest first); iteration stops when fn returns false.
 func (ps *PostingStore) Each(fn func(term string, ids []model.FilterID) bool) error {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/cluster"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/node"
@@ -172,9 +171,8 @@ type Cluster struct {
 	inner *cluster.Cluster
 	cfg   Config
 
-	mu     sync.RWMutex
-	subs   map[uint64]*Subscription
-	lastID uint64
+	mu   sync.RWMutex
+	subs map[uint64]*Subscription
 }
 
 // Errors returned by the public API.
@@ -275,7 +273,6 @@ func (c *Cluster) SubscribeTerms(subscriber string, terms []string, opts ...Subs
 	}
 	c.mu.Lock()
 	c.subs[uint64(id)] = sub
-	c.lastID = uint64(id)
 	c.mu.Unlock()
 	return sub, nil
 }
@@ -309,7 +306,7 @@ func (c *Cluster) PublishTerms(terms []string) (PublishReceipt, error) {
 		return PublishReceipt{}, fmt.Errorf("move: publish: %w", err)
 	}
 	return PublishReceipt{
-		DocID:       uint64(c.inner.TotalDocs()),
+		DocID:       res.DocID,
 		Matched:     len(res.Matches),
 		Complete:    res.Complete,
 		Degraded:    res.Degraded,
@@ -380,10 +377,3 @@ func (c *Cluster) Stats() Stats {
 func (c *Cluster) FailNodes(fraction float64, rackCorrelated bool) int {
 	return len(c.inner.FailFraction(fraction, rackCorrelated))
 }
-
-// Internal exposes the underlying experiment-grade cluster to the
-// benchmark harness in this module. It is not part of the stable API.
-func (c *Cluster) Internal() *cluster.Cluster { return c.inner }
-
-// AllocStrategyName reports the active allocation strategy (for logs).
-func AllocStrategyName() string { return alloc.StrategyGeneral.String() }

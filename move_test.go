@@ -3,6 +3,9 @@ package move
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -45,6 +48,59 @@ func TestSubscribePublishDeliver(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("no notification delivered")
+	}
+}
+
+// TestConcurrentPublishReceiptsCarryTheirDocID: publishes racing each other
+// each get a receipt naming the document they sequenced — the one their
+// content's notification carries.
+func TestConcurrentPublishReceiptsCarryTheirDocID(t *testing.T) {
+	const publishers = 32
+	c := newTestCluster(t, 4)
+	sub, err := c.SubscribeTerms("ann", []string{"news"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	receipts := make([]PublishReceipt, publishers)
+	errs := make([]error, publishers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < publishers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			receipts[i], errs[i] = c.PublishTerms([]string{"news", fmt.Sprintf("story%d", i)})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	// The DocID of the notification each publish's content produced.
+	delivered := make(map[string]uint64, publishers)
+	for range publishers {
+		select {
+		case n := <-sub.C:
+			for _, term := range n.Terms {
+				if strings.HasPrefix(term, "story") {
+					delivered[term] = n.DocID
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d notifications delivered", len(delivered), publishers)
+		}
+	}
+	seen := make(map[uint64]int, publishers)
+	for i, r := range receipts {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if j, dup := seen[r.DocID]; dup {
+			t.Errorf("publishes %d and %d both got DocID %d", j, i, r.DocID)
+		}
+		seen[r.DocID] = i
+		if want := delivered[fmt.Sprintf("story%d", i)]; r.DocID != want {
+			t.Errorf("publish %d: receipt DocID %d, its notification's %d", i, r.DocID, want)
+		}
 	}
 }
 
