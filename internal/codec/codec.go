@@ -103,6 +103,12 @@ func (w *Writer) StringSlice(ss []string) {
 	}
 }
 
+// Raw appends s's bytes with no length prefix: the caller's format carries
+// the length elsewhere.
+func (w *Writer) Raw(s string) {
+	w.buf = append(w.buf, s...)
+}
+
 // Bytes0 appends a length-prefixed byte slice.
 func (w *Writer) Bytes0(b []byte) {
 	w.Uvarint(uint64(len(b)))
@@ -203,6 +209,17 @@ func (r *Reader) StringSlice() ([]string, error) {
 	return out, nil
 }
 
+// Raw reads n bytes that carry no length prefix of their own. The result
+// aliases the input buffer.
+func (r *Reader) Raw(n uint64) ([]byte, error) {
+	if n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("codec: bytes of %d: %w", n, ErrOverflow)
+	}
+	b := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b, nil
+}
+
 // Bytes0 reads a length-prefixed byte slice. The result aliases the input
 // buffer.
 func (r *Reader) Bytes0() ([]byte, error) {
@@ -210,10 +227,5 @@ func (r *Reader) Bytes0() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("codec: bytes of %d: %w", n, ErrOverflow)
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
+	return r.Raw(n)
 }

@@ -21,6 +21,10 @@ type Client struct {
 	// one caller at a time.
 	br   *bufio.Reader
 	rbuf []byte // frame.Read buffer
+	// events mirrors the server's event state for this connection; err is the
+	// first Recv failure, after which the stream cannot be decoded.
+	events EventDecoder
+	err    error
 
 	wmu  sync.Mutex
 	wbuf []byte // the one frame being written (requires wmu)
@@ -81,8 +85,21 @@ type Msg struct {
 	Bye string
 }
 
-// Recv blocks for the next events or bye frame, answering pings inline.
+// Recv blocks for the next events or bye frame, answering pings inline. Once
+// it fails it keeps returning the same error: event frames are coded against
+// the connection's state, so nothing after a failure can be read reliably.
 func (c *Client) Recv() (Msg, error) {
+	if c.err != nil {
+		return Msg{}, c.err
+	}
+	msg, err := c.recv()
+	if err != nil {
+		c.err = err
+	}
+	return msg, err
+}
+
+func (c *Client) recv() (Msg, error) {
 	for {
 		payload, err := frame.Read(c.br, &c.rbuf, maxFrame)
 		if err != nil {
@@ -95,7 +112,7 @@ func (c *Client) Recv() (Msg, error) {
 		}
 		switch t {
 		case frameEvents:
-			evs, err := DecodeEvents(r)
+			evs, err := c.events.Decode(r)
 			if err != nil {
 				return Msg{}, err
 			}
@@ -111,7 +128,7 @@ func (c *Client) Recv() (Msg, error) {
 			}
 			return Msg{Bye: reason}, nil
 		default:
-			return Msg{}, fmt.Errorf("delivery: unexpected frame %d", t)
+			return Msg{}, fmt.Errorf("delivery: unexpected frame %d from the server", t)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package delivery
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,8 +15,11 @@ import (
 // primitives): decode(encode(x)) == x for every frame type — hello,
 // hello-ok, events, ack, bye, and the node-to-node routed batch — and
 // decoding arbitrary or truncated bytes never panics (a malformed frame
-// must not take down a session owner). The length framing around the
-// payloads is internal/frame's, fuzzed there (FuzzFrameRead).
+// must not take down a session owner). Event frames are coded against a
+// per-connection state, so they run as a sequence through one encoder and
+// one decoder, and the raw bytes go through a fresh decoder and a warm one.
+// The length framing around the payloads is internal/frame's, fuzzed there
+// (FuzzFrameRead).
 func FuzzDeliverFrameRoundTrip(f *testing.F) {
 	f.Add("alice", uint64(0), uint64(1), uint64(1), uint64(7), uint64(9), "breaking,news", "replaced", []byte(nil))
 	f.Add("", uint64(1<<40), uint64(1<<63), uint64(300), uint64(0), uint64(1<<20), "", "slow-consumer: disconnect", []byte{0x00, 0xff})
@@ -44,32 +49,20 @@ func FuzzDeliverFrameRoundTrip(f *testing.F) {
 			t.Fatalf("hello-ok: %+v %v, want %+v", gotInfo, err, info)
 		}
 
-		// Events.
-		evs := []*Event{
-			{Seq: seq, DocID: docID, Filters: filters, Terms: terms},
-			{Seq: seq + 1, DocID: docID + 1, Terms: terms},
-		}
-		w = codec.NewWriter(0)
-		AppendEvents(w, evs)
-		r = mustFrame(t, w.Bytes(), frameEvents)
-		gotEvs, err := DecodeEvents(r)
-		if err != nil || len(gotEvs) != len(evs) {
-			t.Fatalf("events: %d %v, want %d", len(gotEvs), err, len(evs))
-		}
-		for i, ev := range evs {
-			got := gotEvs[i]
-			if got.Seq != ev.Seq || got.DocID != ev.DocID || len(got.Filters) != len(ev.Filters) || len(got.Terms) != len(ev.Terms) {
-				t.Fatalf("events[%d]: %+v, want %+v", i, got, ev)
+		// Events: one encoder/decoder pair across a connection's worth of
+		// frames must stay in lockstep, every event round-tripping exactly.
+		var enc EventEncoder
+		var dec EventDecoder
+		for k, evs := range eventFrames(seq, docID, filters, terms, raw) {
+			w = codec.NewWriter(0)
+			enc.Append(w, evs)
+			r = mustFrame(t, w.Bytes(), frameEvents)
+			got, err := dec.Decode(r)
+			if err != nil || r.Remaining() != 0 {
+				t.Fatalf("events frame %d: %v, %d bytes left over", k, err, r.Remaining())
 			}
-			for j := range ev.Filters {
-				if got.Filters[j] != ev.Filters[j] {
-					t.Fatalf("events[%d].Filters[%d]: %d, want %d", i, j, got.Filters[j], ev.Filters[j])
-				}
-			}
-			for j := range ev.Terms {
-				if got.Terms[j] != ev.Terms[j] {
-					t.Fatalf("events[%d].Terms[%d]: %q, want %q", i, j, got.Terms[j], ev.Terms[j])
-				}
+			if err := sameEvents(got, evs); err != nil {
+				t.Fatalf("events frame %d: %v", k, err)
 			}
 		}
 
@@ -116,12 +109,77 @@ func FuzzDeliverFrameRoundTrip(f *testing.F) {
 		// the shape a torn read produces. Errors are expected; panics are
 		// bugs.
 		for off := 0; off <= len(raw) && off < 32; off++ {
-			chew(raw[off:])
+			chew(t, raw[off:])
 		}
 		for cut := 0; cut < len(batchBytes); cut++ {
 			_, _ = DecodeBatch(codec.NewReader(batchBytes[:cut]))
 		}
+		// The same bytes through the decoder the frames above warmed.
+		if evs, err := dec.Decode(codec.NewReader(raw)); err == nil {
+			reencodes(t, evs)
+		}
 	})
+}
+
+// eventFrames is a connection's worth of event frames built from the fuzz
+// inputs: the inputs' own events; more distinct terms than the table has
+// slots, so FIFO replacement runs and the raw bytes choose which evicted or
+// resident terms come back; literals of 63, 64 and 200 bytes — either side
+// of the one-byte tag and far past it — sent twice; and Seq and DocID values
+// that go down, wrap, and jump to 1<<63.
+func eventFrames(seq, docID uint64, filters []model.FilterID, terms []string, raw []byte) [][]*Event {
+	frames := [][]*Event{{
+		{Seq: seq, DocID: docID, Filters: filters, Terms: terms},
+		{Seq: seq + 1, DocID: docID + 1, Terms: terms},
+	}}
+	vocab := make([]string, 80)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("v%02d", i)
+	}
+	heads := []uint64{seq + 2, seq - 5, 1 << 63, 0, math.MaxUint64, 1<<63 - 1, seq, 1, docID}
+	var evs []*Event
+	for i := 0; i < len(vocab)/8; i++ {
+		evs = append(evs, &Event{
+			Seq: heads[i%len(heads)], DocID: heads[(i+4)%len(heads)] ^ docID,
+			Filters: filters[:i%3], Terms: vocab[8*i : 8*i+8],
+		})
+	}
+	frames = append(frames, evs[:5], evs[5:])
+	long := []string{strings.Repeat("a", 63), strings.Repeat("b", 64), strings.Repeat("c", 200)}
+	var picks []string
+	for _, b := range raw {
+		picks = append(picks, vocab[int(b)%len(vocab)])
+	}
+	frames = append(frames, []*Event{
+		{Seq: 1 << 63, DocID: 1 << 63, Terms: append(append([]string{}, long...), long...)},
+		{Seq: seq, DocID: docID - 1, Filters: filters, Terms: append(picks, terms...)},
+		{Seq: seq + 1, DocID: docID, Terms: long},
+	})
+	return frames
+}
+
+// sameEvents reports the first difference between decoded and sent events.
+func sameEvents(got, want []*Event) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d events, want %d", len(got), len(want))
+	}
+	for i, ev := range want {
+		g := got[i]
+		if g.Seq != ev.Seq || g.DocID != ev.DocID || len(g.Filters) != len(ev.Filters) || len(g.Terms) != len(ev.Terms) {
+			return fmt.Errorf("event %d: %+v, want %+v", i, g, ev)
+		}
+		for j := range ev.Filters {
+			if g.Filters[j] != ev.Filters[j] {
+				return fmt.Errorf("event %d filter %d: %d, want %d", i, j, g.Filters[j], ev.Filters[j])
+			}
+		}
+		for j := range ev.Terms {
+			if g.Terms[j] != ev.Terms[j] {
+				return fmt.Errorf("event %d term %d: %q, want %q", i, j, g.Terms[j], ev.Terms[j])
+			}
+		}
+	}
+	return nil
 }
 
 // mustFrame asserts the payload's leading frame-type byte and returns a
@@ -136,12 +194,34 @@ func mustFrame(t *testing.T, payload []byte, want uint8) *codec.Reader {
 	return r
 }
 
-// chew runs every payload decoder over arbitrary bytes.
-func chew(data []byte) {
+// chew runs every payload decoder over arbitrary bytes, the events decoder
+// on a fresh connection.
+func chew(t *testing.T, data []byte) {
+	t.Helper()
 	_, _, _ = DecodeHello(codec.NewReader(data))
 	_, _ = DecodeHelloOK(codec.NewReader(data))
-	_, _ = DecodeEvents(codec.NewReader(data))
+	var fresh EventDecoder
+	if evs, err := fresh.Decode(codec.NewReader(data)); err == nil {
+		reencodes(t, evs)
+	}
 	_, _ = DecodeAck(codec.NewReader(data))
 	_, _ = DecodeBye(codec.NewReader(data))
 	_, _ = DecodeBatch(codec.NewReader(data))
+}
+
+// reencodes holds events a decoder accepted to what an encoder sends: on a
+// fresh connection they encode to a frame that decodes to the same events.
+func reencodes(t *testing.T, evs []*Event) {
+	t.Helper()
+	var enc EventEncoder
+	var dec EventDecoder
+	w := codec.NewWriter(64)
+	enc.Append(w, evs)
+	again, err := dec.Decode(mustFrame(t, w.Bytes(), frameEvents))
+	if err != nil {
+		t.Fatalf("accepted events re-encode to an undecodable frame: %v", err)
+	}
+	if err := sameEvents(again, evs); err != nil {
+		t.Fatalf("accepted events re-encode differently: %v", err)
+	}
 }

@@ -176,6 +176,10 @@ func (s *Server) handle(c net.Conn) {
 // (hello, ping, bye) needs the stream ordered now. The write runs under the
 // mutex — the caller is a hub flush worker, so there is no writer goroutine
 // to hand it to.
+//
+// Event frames are coded against the connection's state (events), so every
+// frame is encoded under the mutex: the state advances in the order frames
+// reach pending.
 type wireConn struct {
 	c            net.Conn
 	writeTimeout time.Duration
@@ -184,6 +188,7 @@ type wireConn struct {
 	wmu     sync.Mutex
 	closed  bool
 	pending frame.Batch
+	events  EventEncoder
 }
 
 var errConnClosed = errors.New("delivery: connection closed")
@@ -200,17 +205,17 @@ func (w *wireConn) flushLocked() error {
 	return err
 }
 
-// writeFrame buffers one frame; immediate forces the round to the wire
-// before returning (control frames).
+// writeFrame builds and buffers one frame under wmu; immediate forces the
+// round to the wire before returning (control frames).
 func (w *wireConn) writeFrame(immediate bool, build func(enc *codec.Writer)) error {
 	enc := codec.GetWriter()
 	defer codec.PutWriter(enc)
-	build(enc)
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	if w.closed {
 		return errConnClosed
 	}
+	build(enc)
 	if err := w.pending.Append(enc.Bytes(), maxFrame); err != nil {
 		return err
 	}
@@ -224,8 +229,12 @@ func (w *wireConn) SendHello(info HelloInfo) error {
 	return w.writeFrame(true, func(enc *codec.Writer) { AppendHelloOK(enc, info) })
 }
 
+// SendEvents advances the connection's event state even when pending refuses
+// the frame (one past maxFrame). That never desynchronizes a client: the hub
+// detaches and closes a connection on any error SendEvents returns, and a
+// reattach is a new wireConn with a fresh state.
 func (w *wireConn) SendEvents(evs []*Event) error {
-	return w.writeFrame(false, func(enc *codec.Writer) { AppendEvents(enc, evs) })
+	return w.writeFrame(false, func(enc *codec.Writer) { w.events.Append(enc, evs) })
 }
 
 func (w *wireConn) SendPing() error {

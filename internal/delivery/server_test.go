@@ -262,9 +262,10 @@ func TestClientReadsARoundInOneRead(t *testing.T) {
 			return
 		}
 		_, _ = server.Write(frames(func(w *codec.Writer) { AppendHelloOK(w, HelloInfo{NextSeq: 1}) }))
+		var enc EventEncoder
 		events := func(seq uint64) func(w *codec.Writer) {
 			return func(w *codec.Writer) {
-				AppendEvents(w, []*Event{{Seq: seq, DocID: seq, Filters: fid(seq), Terms: []string{"t"}}})
+				enc.Append(w, []*Event{{Seq: seq, DocID: seq, Filters: fid(seq), Terms: []string{"t"}}})
 			}
 		}
 		_, _ = server.Write(frames(events(1), events(2), events(3)))

@@ -312,6 +312,7 @@ func TestServerWriterCoalesced(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var dec EventDecoder
 	got, wireFrames := 0, int64(0)
 	deadline := time.Now().Add(10 * time.Second)
 	_ = c.SetReadDeadline(deadline)
@@ -327,7 +328,7 @@ func TestServerWriterCoalesced(t *testing.T) {
 		switch typ {
 		case frameHelloOK, framePing:
 		case frameEvents:
-			evs, err := DecodeEvents(r)
+			evs, err := dec.Decode(r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -125,9 +125,11 @@ type wireBudget struct {
 	matches  int // match responses less their hop lists: envelope, counters, matches
 	hops     int // the hop lists of those responses
 	batch    int // deliver-batch requests and their empty answers
-	event    int // subscriber event frames
+	event    int // subscriber event frames on warm connections
 	prefixes int // the length prefix of every frame above
 	frames   int
+
+	eventCold int // the same event frames on fresh connections (not in the total)
 }
 
 func (b *wireBudget) total() int {
@@ -189,7 +191,9 @@ func (b *wireBudget) publish(t *testing.T, from string, local bool, doc *model.D
 
 // deliver adds the last mile of one document: a deliver batch to each owner
 // carrying its share of subs (one matched filter each), and one event frame
-// per subscriber.
+// per subscriber. Event frames are coded against their connection's state;
+// the budget counts a warm connection — its last event was the previous
+// document's, over the same terms — and, apart, a fresh one.
 func (b *wireBudget) deliver(t *testing.T, doc *model.Document, owners int, subs []string) {
 	t.Helper()
 	for o := 0; o < owners; o++ {
@@ -201,9 +205,18 @@ func (b *wireBudget) deliver(t *testing.T, doc *model.Document, owners int, subs
 		b.batch += b.put(t, rpcAnswer(nil))
 	}
 	for i := range subs {
+		ev := delivery.Event{Seq: uint64(3000 + i), DocID: doc.ID, Filters: []model.FilterID{model.FilterID(20000 + i)}, Terms: doc.Terms}
+		prev := ev
+		prev.Seq--
+		prev.DocID--
+		var warm, cold delivery.EventEncoder
+		warm.Append(codec.NewWriter(64), []*delivery.Event{&prev})
 		w := codec.NewWriter(64)
-		delivery.AppendEvents(w, []*delivery.Event{{Seq: uint64(3000 + i), DocID: doc.ID, Filters: []model.FilterID{model.FilterID(20000 + i)}, Terms: doc.Terms}})
+		warm.Append(w, []*delivery.Event{&ev})
 		b.event += b.put(t, w.Bytes())
+		w.Reset()
+		cold.Append(w, []*delivery.Event{&ev})
+		b.eventCold += w.Len()
 	}
 }
 
@@ -237,9 +250,11 @@ func matchesFor(subs []string, from, to int) []Match {
 // shapes the repository benchmark publishes — no daemon, no clock. Run it
 // with -v for one row per frame class; it fails when a class passes its
 // ceiling (5 % over the figures of the change that last touched a frame), so
-// the number to quote before the next such change is here.
+// the number to quote before the next such change is here. The cold event
+// row is the same frames on fresh connections, where every term is a miss:
+// its ceiling is what those frames cost before the term table, exactly.
 func TestWireBudget(t *testing.T) {
-	type ceilings struct{ request, routed, matches, hops, batch, event, prefixes int }
+	type ceilings struct{ request, routed, matches, hops, batch, event, prefixes, eventCold int }
 	shapes := []struct {
 		name  string
 		build func(t *testing.T, b *wireBudget)
@@ -265,7 +280,7 @@ func TestWireBudget(t *testing.T) {
 					t.Errorf("routed lists cost %.2f B per routed term, ceiling 1.1", perTerm)
 				}
 			},
-			max: ceilings{request: 1262, routed: 70, matches: 73, hops: 213, batch: 1327, event: 3761, prefixes: 27},
+			max: ceilings{request: 1262, routed: 70, matches: 73, hops: 213, batch: 1327, event: 3742, prefixes: 27, eventCold: 3582},
 		},
 		{
 			// fanout_heavy: 4 terms over two homes, 160 match entries for 142
@@ -281,7 +296,7 @@ func TestWireBudget(t *testing.T) {
 				}
 				b.deliver(t, doc, 2, subs)
 			},
-			max: ceilings{request: 107, routed: 6, matches: 1365, hops: 21, batch: 1459, event: 7156, prefixes: 161},
+			max: ceilings{request: 107, routed: 6, matches: 1365, hops: 21, batch: 1459, event: 1938, prefixes: 161, eventCold: 6816},
 		},
 		{
 			// wire_mixed: 8 terms to one home through its committed 1 × 2
@@ -303,7 +318,7 @@ func TestWireBudget(t *testing.T) {
 					t.Errorf("a served \"column\" hop costs %.1f B, ceiling 12", c)
 				}
 			},
-			max: ceilings{request: 179, routed: 18, matches: 44, hops: 28, batch: 114, event: 176, prefixes: 8},
+			max: ceilings{request: 179, routed: 18, matches: 44, hops: 28, batch: 114, event: 35, prefixes: 8, eventCold: 168},
 		},
 	}
 	for _, sh := range shapes {
@@ -322,6 +337,7 @@ func TestWireBudget(t *testing.T) {
 				{"deliver batch", b.batch, sh.max.batch},
 				{"event", b.event, sh.max.event},
 				{"prefixes", b.prefixes, sh.max.prefixes},
+				{"event, cold", b.eventCold, sh.max.eventCold},
 			} {
 				t.Logf("%-12s %6d %8d", row.class, row.got, row.max)
 				if row.got > row.max {
