@@ -25,13 +25,15 @@ bench:
 # message types (retired numbers are comments, not constants) and exported
 # top-level identifiers — functions, methods, types, variables, constants —
 # counted the same way for the index, and the two operator surfaces:
-# cmd/movectl's lines and the flags `moved -h` lists.
+# cmd/movectl's lines and the flags `moved -h` lists — plus the one server
+# assembly, internal/daemon with cmd/moved, its flag front end.
 loc:
 	@wc -l internal/node/node.go internal/node/proto.go | sed '$$d'
 	@cat $(filter-out %_test.go,$(wildcard internal/frame/*.go)) internal/transport/writer.go internal/delivery/server.go | wc -l | sed 's/$$/ internal\/frame\/*.go (non-test) + transport\/writer.go + delivery\/server.go/'
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l | sed 's/$$/ non-test Go lines outside benchmark\//'
 	@cat $(filter-out %_test.go,$(wildcard cmd/movebench/*.go)) | wc -l | sed 's/$$/ cmd\/movebench (non-test)/'
 	@cat $(filter-out %_test.go,$(wildcard cmd/movectl/*.go)) | wc -l | sed 's/$$/ cmd\/movectl (non-test)/'
+	@cat $(filter-out %_test.go,$(wildcard internal/daemon/*.go cmd/moved/*.go)) | wc -l | sed 's/$$/ internal\/daemon + cmd\/moved (non-test)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/index/*.go)) | wc -l | sed 's/$$/ internal\/index (non-test)/'
 	@echo "$(words $(wildcard BENCH_*.json)) BENCH_*.json files"
 	@cat internal/node/proto.go internal/node/deliver.go | grep -cE '^(const)?[[:space:]]+msg[A-Za-z]+[[:space:]]+=[[:space:]]+[0-9]+' | sed 's/$$/ live msg* message types (internal\/node proto.go + deliver.go)/'

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"slices"
 	"strings"
 	"sync"
@@ -13,18 +12,21 @@ import (
 	"time"
 
 	"github.com/movesys/move/internal/alloc"
+	"github.com/movesys/move/internal/daemon"
 	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/node"
+	"github.com/movesys/move/internal/resilience"
 	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/text"
 	"github.com/movesys/move/internal/transport"
 )
 
-// testCluster is n node.Nodes on real loopback TCP, wired as cmd/moved wires
-// them: each with its RPC listener and — when hubs is set — a delivery hub
-// behind a subscriber-session listener. They share one metrics registry.
+// testCluster is n daemons on real loopback TCP, booted by daemon.Start as
+// cmd/moved boots one: each with its RPC listener and — when hubs is set — a
+// delivery hub behind a subscriber-session listener. They share one metrics
+// registry.
 type testCluster struct {
 	peers    string // the -peers flag value
 	nodes    map[ring.NodeID]*node.Node
@@ -68,45 +70,44 @@ func startCluster(t *testing.T, n int, hubs bool) *testCluster {
 	}
 	var parts []string
 	for _, id := range ids {
-		var hub *delivery.Hub
+		cfg := daemon.Config{
+			ID: id, Rack: "rack-0", Ring: r, Metrics: tc.reg,
+			Resilience: resilience.Policy{Retryable: transport.IsAvailabilityError},
+		}
 		if hubs {
-			hub = delivery.NewHub(delivery.Config{})
-			t.Cleanup(hub.Stop)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := delivery.Serve(ln, hub, 5*time.Second)
-			t.Cleanup(func() { _ = srv.Close() })
-			tc.subAddrs[id] = srv.Addr().String()
+			cfg.Delivery, cfg.SubscribeAddr = &delivery.Config{}, "127.0.0.1:0"
 		}
-		nd, err := node.New(node.Config{ID: id, Rack: "rack-0", Ring: r, Delivery: hub, RouteDeliveries: hubs, Metrics: tc.reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handle := func(ctx context.Context, from ring.NodeID, payload []byte) ([]byte, error) {
-			tc.refuseMu.Lock()
-			refuse := tc.refuse
-			tc.refuseMu.Unlock()
-			if refuse != nil {
-				if err := refuse(id, payload); err != nil {
-					return nil, err
+		d, err := daemon.Start(cfg, func(h transport.Handler) (transport.Transport, error) {
+			handle := func(ctx context.Context, from ring.NodeID, payload []byte) ([]byte, error) {
+				tc.refuseMu.Lock()
+				refuse := tc.refuse
+				tc.refuseMu.Unlock()
+				if refuse != nil {
+					if err := refuse(id, payload); err != nil {
+						return nil, err
+					}
 				}
+				return h(ctx, from, payload)
 			}
-			return nd.Handle(ctx, from, payload)
-		}
-		tn, err := transport.NewTCP(id, "127.0.0.1:0", handle, resolve)
+			tn, err := transport.NewTCP(id, "127.0.0.1:0", handle, resolve)
+			if err != nil {
+				return nil, err
+			}
+			tc.tns[id] = tn
+			return tn, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc.tns[id] = tn
-		t.Cleanup(func() { _ = tn.Close() })
-		nd.Attach(tn)
+		t.Cleanup(func() { _ = d.Close() })
 		mu.Lock()
-		addrs[id] = tn.Addr()
+		addrs[id] = tc.tns[id].Addr()
 		mu.Unlock()
-		tc.nodes[id] = nd
-		parts = append(parts, fmt.Sprintf("%s=%s", id, tn.Addr()))
+		tc.nodes[id] = d.Node
+		if hubs {
+			tc.subAddrs[id] = d.Sub.Addr().String()
+		}
+		parts = append(parts, fmt.Sprintf("%s=%s", id, tc.tns[id].Addr()))
 	}
 	tc.peers = strings.Join(parts, ",")
 	return tc

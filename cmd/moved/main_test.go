@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"slices"
@@ -19,12 +21,12 @@ import (
 	"github.com/movesys/move/internal/transport"
 )
 
-// startMoved runs the built binary as node n0 on addr over dir and returns
-// once it reports its listener. The process is killed when the test ends if
-// the test did not stop it.
-func startMoved(t *testing.T, bin, addr, dir string) *exec.Cmd {
+// startMoved runs the built binary as node n0 on addr over dir, with any
+// further flags, and returns once it reports its listener. The process is
+// killed when the test ends if the test did not stop it.
+func startMoved(t *testing.T, bin, addr, dir string, flags ...string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin, "-id", "n0", "-listen", addr, "-dir", dir)
+	cmd := exec.Command(bin, append([]string{"-id", "n0", "-listen", addr, "-dir", dir}, flags...)...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -151,4 +153,57 @@ func TestCleanShutdownKeepsFilters(t *testing.T) {
 	if after := publish(entry); !slices.Equal(after, before) {
 		t.Fatalf("match set changed over the restart:\n before %v\n after  %v", before, after)
 	}
+}
+
+// freeAddr returns a loopback address no listener holds right now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestHealthzKeys: a moved with a subscriber listener and a debug server
+// serves /healthz with exactly the keys the repository benchmark polls and
+// its README freezes — no key added or lost.
+func TestHealthzKeys(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "moved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	debugAddr := freeAddr(t)
+	startMoved(t, bin, freeAddr(t), t.TempDir(), "-subscribe.addr", freeAddr(t), "-debug.addr", debugAddr)
+	resp, err := http.Get("http://" + debugAddr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"delivery_pending", "delivery_sessions", "delivery_shard_sessions", "delivery_shards",
+		"dual_read", "epoch", "filters", "info", "members_alive", "status",
+		"transport_conns", "transport_inbound", "transport_peers", "transport_queued_bytes",
+	}
+	if got := sortedKeys(body); !slices.Equal(got, want) {
+		t.Fatalf("/healthz keys\n got  %v\n want %v", got, want)
+	}
+	info, _ := body["info"].(map[string]any)
+	if got := sortedKeys(info); !slices.Equal(got, []string{"id", "listen", "rack"}) {
+		t.Fatalf("/healthz info keys %v, want [id listen rack]", got)
+	}
+}
+
+func sortedKeys(m map[string]any) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -9,21 +9,23 @@ import (
 	"time"
 
 	"github.com/movesys/move/internal/alloc"
+	"github.com/movesys/move/internal/cluster"
+	"github.com/movesys/move/internal/daemon"
 	"github.com/movesys/move/internal/gossip"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/node"
+	"github.com/movesys/move/internal/resilience"
 	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/text"
 	"github.com/movesys/move/internal/transport"
 )
 
-// tcpCluster is a real-sockets deployment: N server nodes over TCP with
-// live gossip, exactly what cmd/moved runs.
+// tcpCluster is a real-sockets deployment: N daemons over TCP with live
+// gossip, booted by daemon.Start as cmd/moved boots one.
 type tcpCluster struct {
 	ringView *ring.Ring
-	nodes    []*node.Node
+	daemons  []*daemon.Daemon
 	tns      []*transport.TCPNode
-	gossips  []*gossip.Gossiper
 	addrs    map[ring.NodeID]string
 }
 
@@ -43,60 +45,43 @@ func startTCPCluster(t *testing.T, n int) *tcpCluster {
 		}
 		return a, nil
 	}
-
+	var ids []ring.NodeID
 	for i := 0; i < n; i++ {
 		id := ring.NodeID(fmt.Sprintf("tcp-%d", i))
-		rack := fmt.Sprintf("rack-%d", i%2)
-		if err := tc.ringView.Add(ring.Member{ID: id, Rack: rack}); err != nil {
+		if err := tc.ringView.Add(ring.Member{ID: id, Rack: fmt.Sprintf("rack-%d", i%2)}); err != nil {
 			t.Fatal(err)
 		}
-		gIdx := i
-		nd, err := node.New(node.Config{
-			ID:   id,
-			Rack: rack,
-			Ring: tc.ringView,
-			Gossip: func(from ring.NodeID, digest []byte) ([]byte, error) {
-				return tc.gossips[gIdx].Handle(from, digest)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn, err := transport.NewTCP(id, "127.0.0.1:0", nd.Handle, resolver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.Attach(tn)
-		t.Cleanup(func() { _ = tn.Close() })
-		mu.Lock()
-		tc.addrs[id] = tn.Addr()
-		mu.Unlock()
-		tc.nodes = append(tc.nodes, nd)
-		tc.tns = append(tc.tns, tn)
+		ids = append(ids, id)
 	}
 
-	// Live gossip between the real sockets.
-	for i := 0; i < n; i++ {
-		tn := tc.tns[i]
-		g, err := gossip.New(gossip.Config{
-			Self:     gossip.Member{ID: tn.Self(), Addr: tn.Addr()},
-			Interval: 20 * time.Millisecond,
-			Send: func(ctx context.Context, to ring.NodeID, digest []byte) ([]byte, error) {
-				return tn.Send(ctx, to, node.EncodeGossip(digest))
-			},
-			Seed: int64(i + 1),
+	// Every daemon but the first gossips with the first one to begin with.
+	for i, id := range ids {
+		cfg := daemon.Config{
+			ID: id, Rack: fmt.Sprintf("rack-%d", i%2), Ring: tc.ringView,
+			Resilience: resilience.Policy{Retryable: transport.IsAvailabilityError},
+			Gossip:     &gossip.Config{Interval: 20 * time.Millisecond, Seed: int64(i + 1)},
+		}
+		if i > 0 {
+			cfg.Peers = []gossip.Member{{ID: ids[0], Addr: tc.addrs[ids[0]]}}
+		}
+		var tn *transport.TCPNode
+		d, err := daemon.Start(cfg, func(h transport.Handler) (transport.Transport, error) {
+			var err error
+			tn, err = transport.NewTCP(id, "127.0.0.1:0", h, resolver)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			tc.addrs[id] = tn.Addr()
+			mu.Unlock()
+			return tn, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc.gossips = append(tc.gossips, g)
-	}
-	for i := 1; i < n; i++ {
-		tc.gossips[i].SeedPeers(gossip.Member{ID: tc.tns[0].Self(), Addr: tc.tns[0].Addr()})
-	}
-	for _, g := range tc.gossips {
-		g.Start()
-		t.Cleanup(g.Stop)
+		t.Cleanup(func() { _ = d.Close() })
+		tc.daemons = append(tc.daemons, d)
+		tc.tns = append(tc.tns, tn)
 	}
 	return tc
 }
@@ -107,17 +92,13 @@ func (tc *tcpCluster) register(t *testing.T, id model.FilterID, sub, query strin
 	t.Helper()
 	terms := text.Terms(query, text.Options{})
 	f := model.Filter{ID: id, Subscriber: sub, Terms: terms, Mode: model.MatchAny}
-	byHome := make(map[ring.NodeID][]string)
-	for _, term := range terms {
-		home, err := tc.ringView.HomeNode(term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byHome[home] = append(byHome[home], term)
+	shares, err := cluster.RegisterShares(tc.ringView, &f, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for home, postingTerms := range byHome {
+	for home, postingTerms := range shares {
 		payload := node.EncodeRegister(node.RegisterReq{Filter: f, PostingTerms: postingTerms})
 		if _, err := tc.tns[0].Send(ctx, home, payload); err != nil {
 			t.Fatalf("register on %s: %v", home, err)
@@ -137,7 +118,7 @@ func TestEndToEndOverRealTCP(t *testing.T) {
 	doc := &model.Document{ID: 42, Terms: text.Terms("breaking news from the football pitch", text.Options{})}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	matches, total, err := tc.nodes[2].PublishEntry(ctx, doc)
+	matches, total, err := tc.daemons[2].Node.PublishEntry(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +138,11 @@ func TestEndToEndOverRealTCP(t *testing.T) {
 	// Gossip must converge to full membership.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if len(tc.gossips[4].Alive()) == 5 {
+		if len(tc.daemons[4].Gossip.Alive()) == 5 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("gossip did not converge: %d alive", len(tc.gossips[4].Alive()))
+			t.Fatalf("gossip did not converge: %d alive", len(tc.daemons[4].Gossip.Alive()))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -189,8 +170,8 @@ func TestTCPAllocationRoundTrip(t *testing.T) {
 	}
 	var homeNode *node.Node
 	var peers []ring.NodeID
-	for _, nd := range tc.nodes {
-		if nd.ID() == home {
+	for _, d := range tc.daemons {
+		if nd := d.Node; nd.ID() == home {
 			homeNode = nd
 		} else {
 			peers = append(peers, nd.ID())
@@ -212,7 +193,7 @@ func TestTCPAllocationRoundTrip(t *testing.T) {
 	}
 
 	doc := &model.Document{ID: 7, Terms: []string{"hotspot"}}
-	matches, _, err := tc.nodes[0].PublishEntry(ctx, doc)
+	matches, _, err := tc.daemons[0].Node.PublishEntry(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func assertAggregatedCovers(t *testing.T, c *Cluster) {
 	t.Helper()
 	totalCovers, totalMembers, totalSaved := 0, 0, 0
 	for _, id := range c.nodeIDs {
-		ix := c.nodes[id].Index()
+		ix := c.Node(id).Index()
 		cs := ix.CoverStats()
 		if live := ix.NumFilters(); cs.CoveredFilters != live {
 			t.Fatalf("node %s: %d covered filters but the index holds %d live definitions", id, cs.CoveredFilters, live)
@@ -451,7 +451,7 @@ func conjunctiveHazard(t *testing.T, c *Cluster, round int, register func(sub st
 	}
 	ownGrid := cutover(own, 2, 2, nil)
 	f := register(fmt.Sprintf("hz%d-all", round), []string{own, key}, model.MatchAll)
-	if got := c.nodes[home].Index().PostedUnder(f.ID, f.Terms); len(got) != 1 || got[0] != key {
+	if got := c.Node(home).Index().PostedUnder(f.ID, f.Terms); len(got) != 1 || got[0] != key {
 		t.Fatalf("round %d: live filter %v is posted under %v on %s, the hazard needs [%s]", round, f.ID, got, home, key)
 	}
 	// By the time the node-wide grid is prepared, key's list is the longer one:
@@ -493,7 +493,7 @@ func assertKeyedOncePerHome(t *testing.T, c *Cluster, filters []model.Filter) {
 			byHome[home] = append(byHome[home], term)
 		}
 		for home, terms := range byHome {
-			got := c.nodes[home].Index().PostedUnder(f.ID, terms)
+			got := c.Node(home).Index().PostedUnder(f.ID, terms)
 			if !slices.Contains(terms, f.KeyTerm()) {
 				if len(got) != 0 {
 					t.Fatalf("MatchAll filter %v (key term %s) is posted under %v on %s, a home that holds no key term of it", f.ID, f.KeyTerm(), got, home)

@@ -15,6 +15,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,6 +28,7 @@ import (
 
 	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/bloom"
+	"github.com/movesys/move/internal/daemon"
 	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/model"
@@ -135,19 +137,16 @@ type Cluster struct {
 	ring *ring.Ring
 	rng  *rand.Rand
 
-	nodes    map[ring.NodeID]*node.Node
-	hubs     map[ring.NodeID]*delivery.Hub
+	daemons  map[ring.NodeID]*daemon.Daemon
 	nodeIDs  []ring.NodeID // stable order
 	rackOf   map[ring.NodeID]string
-	alive    map[ring.NodeID]bool
-	aliveMu  sync.RWMutex
+	aliveMu  sync.Mutex // serializes FailNodes and RecoverNodes
 	entrySeq atomic.Uint64
 
-	// Resilience: one executor per node (wired into node.send) plus one for
-	// coordinator control RPCs; kept together so RecoverNodes can reset the
-	// breakers of a rejoining peer everywhere at once.
+	// Resilience: each daemon's executor wraps its node's RPCs; the
+	// coordinator's wraps control RPCs. RecoverNodes resets the breakers of
+	// a rejoining peer in all of them.
 	metrics   *metrics.Registry
-	executors []*resilience.Executor
 	coordExec *resilience.Executor
 
 	// Coordinator state (the paper's dedicated master node).
@@ -273,10 +272,8 @@ func New(cfg Config) (*Cluster, error) {
 		net:              transport.NewNetwork(transport.NetworkConfig{Latency: cfg.RPCLatency}),
 		ring:             ring.New(ring.Config{}),
 		rng:              rand.New(rand.NewSource(seed)),
-		nodes:            make(map[ring.NodeID]*node.Node, cfg.Nodes),
-		hubs:             make(map[ring.NodeID]*delivery.Hub),
+		daemons:          make(map[ring.NodeID]*daemon.Daemon, cfg.Nodes),
 		rackOf:           make(map[ring.NodeID]string, cfg.Nodes),
-		alive:            make(map[ring.NodeID]bool, cfg.Nodes),
 		pCounter:         stats.NewTermCounter(),
 		qCounter:         stats.NewTermCounter(),
 		qSketch:          mustSketch(),
@@ -297,7 +294,6 @@ func New(cfg Config) (*Cluster, error) {
 	coordPolicy := basePolicy
 	coordPolicy.Seed = seed
 	c.coordExec = resilience.New(coordPolicy, reg)
-	c.executors = append(c.executors, c.coordExec)
 
 	for i := 0; i < cfg.Nodes; i++ {
 		id := ring.NodeID("node-" + strconv.Itoa(i))
@@ -305,47 +301,24 @@ func New(cfg Config) (*Cluster, error) {
 		if err := c.ring.Add(ring.Member{ID: id, Rack: rack}); err != nil {
 			return nil, err
 		}
-		pol := basePolicy
-		pol.Seed = seed + int64(i) + 1
-		ex := resilience.New(pol, reg)
-		c.executors = append(c.executors, ex)
-		var hub *delivery.Hub
-		if cfg.Delivery != nil {
-			dcfg := *cfg.Delivery
-			dcfg.Metrics = reg
-			hub = delivery.NewHub(dcfg)
-			c.hubs[id] = hub
+		dcfg := daemon.Config{
+			ID: id, Rack: rack, Ring: c.ring, Resilience: basePolicy, Delivery: cfg.Delivery, Seed: seed + int64(i) + 1,
+			OnDeliver: cfg.OnDeliver, OnDeliveryLoss: cfg.OnDeliveryLoss, OnTransfer: c.recordTransfer, Metrics: reg,
 		}
-		nd, err := node.New(node.Config{
-			ID:              id,
-			Rack:            rack,
-			Ring:            c.ring,
-			Seed:            seed + int64(i) + 1,
-			OnDeliver:       cfg.OnDeliver,
-			Delivery:        hub,
-			RouteDeliveries: cfg.Delivery != nil,
-			OnDeliveryLoss:  cfg.OnDeliveryLoss,
-			OnTransfer:      c.recordTransfer,
-			Resilience:      ex,
-			Metrics:         reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var tr transport.Transport = c.net.Join(id, nd.Handle)
+		dcfg.Resilience.Seed = dcfg.Seed
 		if cfg.Fault != nil {
 			fc := *cfg.Fault
-			if fc.Seed == 0 {
-				fc.Seed = 1
-			}
-			fc.Seed = fc.Seed*1000 + int64(i)
-			tr = transport.NewFaulty(tr, fc)
+			fc.Seed = cmp.Or(fc.Seed, 1)*1000 + int64(i)
+			dcfg.Fault = &fc
 		}
-		nd.Attach(tr)
-		c.nodes[id] = nd
+		d, err := daemon.Start(dcfg, func(h transport.Handler) (transport.Transport, error) { return c.net.Join(id, h), nil })
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.daemons[id] = d
 		c.nodeIDs = append(c.nodeIDs, id)
 		c.rackOf[id] = rack
-		c.alive[id] = true
 	}
 	return c, nil
 }
@@ -371,12 +344,12 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.metrics }
 
 // DeliveryHub returns the session hub on one node (nil when the delivery
 // tier is disabled).
-func (c *Cluster) DeliveryHub(id ring.NodeID) *delivery.Hub { return c.hubs[id] }
+func (c *Cluster) DeliveryHub(id ring.NodeID) *delivery.Hub { return c.daemons[id].Hub }
 
 // EachDeliveryHub calls fn with every node's session hub, in node order.
 func (c *Cluster) EachDeliveryHub(fn func(id ring.NodeID, h *delivery.Hub)) {
 	for _, id := range c.nodeIDs {
-		if h := c.hubs[id]; h != nil {
+		if h := c.daemons[id].Hub; h != nil {
 			fn(id, h)
 		}
 	}
@@ -388,11 +361,11 @@ func (c *Cluster) SubscriberOwner(sub string) (ring.NodeID, error) {
 	return c.ring.HomeNode("subscriber/" + sub)
 }
 
-// Close stops the delivery hubs (worker pools, janitors, attached
-// connections). The in-memory transport itself needs no teardown.
+// Close stops every node's daemon: its endpoint on the in-memory fabric and
+// its delivery hub (worker pools, janitors, attached connections).
 func (c *Cluster) Close() {
-	for _, h := range c.hubs {
-		h.Stop()
+	for _, d := range c.daemons {
+		_ = d.Close()
 	}
 }
 
@@ -408,7 +381,7 @@ func (c *Cluster) NodeIDs() []ring.NodeID {
 }
 
 // Node returns a member server (tests and load accounting).
-func (c *Cluster) Node(id ring.NodeID) *node.Node { return c.nodes[id] }
+func (c *Cluster) Node(id ring.NodeID) *node.Node { return c.daemons[id].Node }
 
 // recordTransfer tallies one document transfer for the cost model.
 func (c *Cluster) recordTransfer(from, to ring.NodeID) {
@@ -542,7 +515,7 @@ func RegisterShares(r *ring.Ring, f *model.Filter, bf *bloom.Filter) (map[ring.N
 // that keeps failing trips a breaker so subsequent control rounds fail
 // fast instead of burning their timeout budget on it.
 func (c *Cluster) sendTo(ctx context.Context, to ring.NodeID, payload []byte) ([]byte, error) {
-	nd, ok := c.nodes[to]
+	d, ok := c.daemons[to]
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown node %s: %w", to, ErrNoMatchPath)
 	}
@@ -550,7 +523,7 @@ func (c *Cluster) sendTo(ctx context.Context, to ring.NodeID, payload []byte) ([
 		if c.net.Failed(to) {
 			return nil, fmt.Errorf("cluster: node %s down: %w", to, transport.ErrNodeDown)
 		}
-		return nd.Handle(ctx, "coordinator", payload)
+		return d.Node.Handle(ctx, "coordinator", payload)
 	})
 	if err != nil && errors.Is(err, resilience.ErrOpen) {
 		err = fmt.Errorf("cluster: node %s: %w: %w", to, transport.ErrNodeDown, err)
@@ -785,7 +758,7 @@ func (c *Cluster) pickEntry() *node.Node {
 	for i := 0; i < n; i++ {
 		id := c.nodeIDs[(start+i)%n]
 		if !c.net.Failed(id) {
-			return c.nodes[id]
+			return c.daemons[id].Node
 		}
 	}
 	return nil
@@ -840,7 +813,6 @@ func (c *Cluster) FailNodes(ids ...ring.NodeID) {
 	c.aliveMu.Lock()
 	for _, id := range ids {
 		c.net.Fail(id)
-		c.alive[id] = false
 		// Removal is idempotent-enough: an unknown-node error only means
 		// the node was already evicted.
 		_ = c.ring.Remove(id)
@@ -857,15 +829,15 @@ func (c *Cluster) RecoverNodes(ids ...ring.NodeID) {
 	c.aliveMu.Lock()
 	for _, id := range ids {
 		c.net.Recover(id)
-		c.alive[id] = true
 		if !c.ring.Contains(id) {
 			_ = c.ring.Add(ring.Member{ID: id, Rack: c.rackOf[id]})
 		}
 		// The gossip node-up signal: clear every sender's breaker for the
 		// rejoined peer so it is probed immediately instead of after the
 		// cooldown of a breaker that opened while it was dead.
-		for _, ex := range c.executors {
-			ex.Reset(string(id))
+		c.coordExec.Reset(string(id))
+		for _, d := range c.daemons {
+			d.Exec.Reset(string(id))
 		}
 	}
 	c.aliveMu.Unlock()
@@ -885,7 +857,7 @@ func (c *Cluster) RecoverNodes(ids ...ring.NodeID) {
 	}
 	c.gridsMu.Unlock()
 	for _, id := range ids {
-		c.nodes[id].DropGrid()
+		c.daemons[id].Node.DropGrid()
 	}
 	c.KickAllocate()
 }

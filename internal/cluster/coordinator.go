@@ -508,7 +508,7 @@ func (c *Cluster) RenewWindow() {
 		if c.net.Failed(id) {
 			continue
 		}
-		c.nodes[id].ResetWindowCounters()
+		c.daemons[id].Node.ResetWindowCounters()
 	}
 	c.qCounter.Reset()
 	c.qSketch.Reset()

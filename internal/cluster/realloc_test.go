@@ -17,7 +17,7 @@ import (
 func totalStoredFilters(c *Cluster) int {
 	total := 0
 	for _, id := range c.nodeIDs {
-		total += c.nodes[id].Index().NumFilters()
+		total += c.Node(id).Index().NumFilters()
 	}
 	return total
 }
@@ -25,7 +25,7 @@ func totalStoredFilters(c *Cluster) int {
 func assertNoPendingState(t *testing.T, c *Cluster, wantEpoch uint64) {
 	t.Helper()
 	for _, id := range c.nodeIDs {
-		committed, pending, dual := c.nodes[id].EpochInfo()
+		committed, pending, dual := c.Node(id).EpochInfo()
 		if pending != 0 || dual {
 			t.Fatalf("node %s: pending=%d dual=%v, want no pending state", id, pending, dual)
 		}

@@ -172,7 +172,7 @@ func TestAllocateByTermAbortsCleanly(t *testing.T) {
 	}
 	assertNoPendingState(t, c, 0)
 	for _, id := range c.nodeIDs {
-		if n := c.nodes[id].TermGridCount(); n != 0 {
+		if n := c.Node(id).TermGridCount(); n != 0 {
 			t.Fatalf("node %s keeps %d term entries after the abort", id, n)
 		}
 	}
