@@ -123,18 +123,19 @@ func FuzzDeliverFrameRoundTrip(f *testing.F) {
 
 // eventFrames is a connection's worth of event frames built from the fuzz
 // inputs: the inputs' own events; more distinct terms than the table has
-// slots, so FIFO replacement runs and the raw bytes choose which evicted or
-// resident terms come back; literals of 63, 64 and 200 bytes — either side
-// of the one-byte tag and far past it — sent twice; and Seq and DocID values
-// that go down, wrap, and jump to 1<<63.
+// slots, so least-recently-used replacement runs and the raw bytes, two to a
+// pick, choose which replaced or resident terms come back, in one-byte and
+// two-byte slots; literals of 63, 64 and 200 bytes — either side of the
+// one-byte tag and far past it — sent twice; and Seq and DocID values that go
+// down, wrap, and jump to 1<<63.
 func eventFrames(seq, docID uint64, filters []model.FilterID, terms []string, raw []byte) [][]*Event {
 	frames := [][]*Event{{
 		{Seq: seq, DocID: docID, Filters: filters, Terms: terms},
 		{Seq: seq + 1, DocID: docID + 1, Terms: terms},
 	}}
-	vocab := make([]string, 80)
+	vocab := make([]string, tableSlots+88)
 	for i := range vocab {
-		vocab[i] = fmt.Sprintf("v%02d", i)
+		vocab[i] = fmt.Sprintf("v%03d", i)
 	}
 	heads := []uint64{seq + 2, seq - 5, 1 << 63, 0, math.MaxUint64, 1<<63 - 1, seq, 1, docID}
 	var evs []*Event
@@ -147,8 +148,8 @@ func eventFrames(seq, docID uint64, filters []model.FilterID, terms []string, ra
 	frames = append(frames, evs[:5], evs[5:])
 	long := []string{strings.Repeat("a", 63), strings.Repeat("b", 64), strings.Repeat("c", 200)}
 	var picks []string
-	for _, b := range raw {
-		picks = append(picks, vocab[int(b)%len(vocab)])
+	for i := 0; i+1 < len(raw); i += 2 {
+		picks = append(picks, vocab[(int(raw[i])<<8|int(raw[i+1]))%len(vocab)])
 	}
 	frames = append(frames, []*Event{
 		{Seq: 1 << 63, DocID: 1 << 63, Terms: append(append([]string{}, long...), long...)},

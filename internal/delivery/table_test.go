@@ -2,9 +2,11 @@ package delivery
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -21,7 +23,9 @@ import (
 // error, never a panic and never an empty string — a reference to a slot no
 // literal has filled, on a fresh table and a partly filled one; a slot past
 // the table; a tag or literal running past the payload. Good references read
-// the FIFO's contents: after 70 literals slot 0 holds the 65th.
+// what least-recently-used replacement leaves: after 520 literals slots 0–7
+// hold the last eight, and a term referenced before a literal is not the one
+// it replaces.
 func TestEventDecoderRefusesBadTags(t *testing.T) {
 	lit := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))<<1), s...) }
 	ref := func(slot uint64) []byte { return binary.AppendUvarint(nil, slot<<1|1) }
@@ -55,9 +59,12 @@ func TestEventDecoderRefusesBadTags(t *testing.T) {
 		{"three filled, slot 3", filled(3), event(1, ref(3)), ""},
 		{"three filled, slot 2", filled(3), event(1, ref(2)), "l2"},
 		{"literal then its slot", filled(0), event(2, lit("x"), ref(0)), "x"},
-		{"full table, slot 64", filled(70), event(1, ref(64)), ""},
-		{"full table, slot 0 replaced", filled(70), event(1, ref(0)), "l64"},
-		{"full table, slot 6 kept", filled(70), event(1, ref(6)), "l6"},
+		{"full table, slot 512", filled(520), event(1, ref(512)), ""},
+		{"full table, slot 0 replaced", filled(520), event(1, ref(0)), "l512"},
+		{"full table, slot 7 replaced", filled(520), event(1, ref(7)), "l519"},
+		{"full table, slot 8 kept", filled(520), event(1, ref(8)), "l8"},
+		{"used slot 0 survives a literal", filled(512), event(3, ref(0), lit("x"), ref(0)), "l0"},
+		{"the literal takes slot 1 instead", filled(512), event(3, ref(0), lit("x"), ref(1)), "x"},
 		{"tag overflows 64 bits", filled(3), event(1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}), ""},
 		{"literal past the payload", filled(0), event(1, append(binary.AppendUvarint(nil, 10<<1), "abc"...)), ""},
 		{"term count past the payload", filled(0), event(5, lit("x")), ""},
@@ -79,95 +86,171 @@ func TestEventDecoderRefusesBadTags(t *testing.T) {
 	}
 }
 
-// TestEncoderTableFindsWhatItHolds: the fingerprint match finds every term
-// the table holds at its slot — 64 terms over 255 fingerprints, so several
-// almost surely share one — before and after FIFO replacement, an empty
-// string included,
-// and finds nothing it does not hold, empty slots included.
+// TestEncoderTableFindsWhatItHolds: the encoder's index finds every term the
+// table holds at its slot — the decoder's copy of the table says which — as
+// the table fills, once it is full and replacing, an empty string included;
+// and finds nothing it does not hold. 300 documents of 40 terms drawn from
+// 1,500 leave the table full with thousands of replacements behind it, so
+// probe runs have been cut and closed many times over.
 func TestEncoderTableFindsWhatItHolds(t *testing.T) {
 	var enc EventEncoder
+	var dec EventDecoder
 	w := codec.NewWriter(1024)
-	held := func(from, to int) map[string]int {
-		in := map[string]int{}
-		for i := from; i < to; i++ {
-			in[fmt.Sprintf("t%d", i)] = i % tableSlots
-		}
-		return in
+	vocab := make([]string, 1500)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("t%d", i)
 	}
-	send := func(from, to int) {
-		var terms []string
-		for i := from; i < to; i++ {
-			terms = append(terms, fmt.Sprintf("t%d", i))
+	vocab[0] = ""
+	check := func(doc int) {
+		t.Helper()
+		held := make(map[string]bool, len(dec.table.terms))
+		for slot, term := range dec.table.terms {
+			held[term] = true
+			if got := enc.lookup(term, hashTerm(term)); got != slot {
+				t.Fatalf("after document %d: %q found at %d, the decoder holds it in slot %d", doc, term, got, slot)
+			}
 		}
+		for _, term := range vocab {
+			if !held[term] && enc.lookup(term, hashTerm(term)) != -1 {
+				t.Fatalf("after document %d: %q found, not held", doc, term)
+			}
+		}
+	}
+	check(-1)
+	rng := rand.New(rand.NewSource(1))
+	for doc := 0; doc < 300; doc++ {
+		terms := make([]string, 40)
+		for i := range terms {
+			terms[i] = vocab[rng.Intn(len(vocab))]
+		}
+		w.Reset()
 		enc.Append(w, []*Event{{Terms: terms}})
-	}
-	if enc.table.slot("", fingerprint("")) != -1 {
-		t.Fatal("an empty table holds the empty string")
-	}
-	send(0, 40)
-	if got := enc.table.slot("", fingerprint("")); got != -1 {
-		t.Fatalf("empty slots hold the empty string at %d", got)
-	}
-	for _, span := range [][2]int{{40, 64}, {64, 90}} {
-		send(span[0], span[1])
-		for term, slot := range held(span[1]-tableSlots, span[1]) {
-			if got := enc.table.slot(term, fingerprint(term)); got != slot {
-				t.Fatalf("after t0..t%d: %s found at %d, want %d", span[1]-1, term, got, slot)
-			}
+		if _, err := dec.Decode(mustFrame(t, w.Bytes(), frameEvents)); err != nil {
+			t.Fatal(err)
 		}
-		for i := span[1]; i < span[1]+1000; i++ {
-			if term := fmt.Sprintf("t%d", i); enc.table.slot(term, fingerprint(term)) != -1 {
-				t.Fatalf("after t0..t%d: %s found, never sent", span[1]-1, term)
-			}
-		}
+		check(doc)
 	}
-	enc.Append(w, []*Event{{Terms: []string{""}}})
-	if got := enc.table.slot("", fingerprint("")); got != 90%tableSlots {
-		t.Fatalf("the empty string found at %d, want %d", got, 90%tableSlots)
+	if len(dec.table.terms) != tableSlots {
+		t.Fatalf("the table holds %d terms, want it full (%d)", len(dec.table.terms), tableSlots)
 	}
 }
 
-// TestClientRefusesRetiredEventsFrame: a server from before the term table
-// sends events as frame 3. A new client must refuse it by number — not read
-// its absolute headers and spelled-out terms as tags — and stay refused.
+// TestTermTableIsLRU holds the encoder to a plain model of its rule — a list
+// of (term, last use) searched end to end: a held term is sent as its slot; a
+// new one as a literal, which takes the next unfilled slot while there is one
+// and the least recently used term's slot after that. Every frame of 400
+// documents, 1 to 65 terms each, over a skewed 3,300-term vocabulary must be
+// byte for byte the model's, and decode to what was sent.
+func TestTermTableIsLRU(t *testing.T) {
+	type entry struct {
+		term string
+		used int
+	}
+	var model []entry
+	var enc EventEncoder
+	var dec EventDecoder
+	w := codec.NewWriter(1024)
+	rng := rand.New(rand.NewSource(7))
+	clock, replaced := 0, 0
+	for doc := 1; doc <= 400; doc++ {
+		terms := make([]string, 1+rng.Intn(65))
+		want := binary.AppendUvarint([]byte{frameEvents, 1, 0, 0, 0}, uint64(len(terms)))
+		for i := range terms {
+			if rng.Intn(5) < 3 {
+				terms[i] = fmt.Sprintf("hot%d", rng.Intn(300))
+			} else {
+				terms[i] = fmt.Sprintf("cold%d", rng.Intn(3000))
+			}
+			clock++
+			slot := -1
+			for s := range model {
+				if model[s].term == terms[i] {
+					slot = s
+				}
+			}
+			switch {
+			case slot >= 0:
+				model[slot].used = clock
+				want = binary.AppendUvarint(want, uint64(slot)<<1|1)
+				continue
+			case len(model) < tableSlots:
+				model = append(model, entry{terms[i], clock})
+			default:
+				lru := 0
+				for s := range model {
+					if model[s].used < model[lru].used {
+						lru = s
+					}
+				}
+				model[lru] = entry{terms[i], clock}
+				replaced++
+			}
+			want = append(binary.AppendUvarint(want, uint64(len(terms[i]))<<1), terms[i]...)
+		}
+		ev := &Event{Seq: uint64(doc), Terms: terms}
+		w.Reset()
+		enc.Append(w, []*Event{ev})
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("document %d: frame\n%x\nwant the model's\n%x", doc, w.Bytes(), want)
+		}
+		got, err := dec.Decode(mustFrame(t, w.Bytes(), frameEvents))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameEvents(got, []*Event{ev}); err != nil {
+			t.Fatalf("document %d: %v", doc, err)
+		}
+	}
+	if replaced < 1000 {
+		t.Fatalf("only %d replacements: the model never ran full", replaced)
+	}
+}
+
+// TestClientRefusesRetiredEventsFrame: servers from before the term table
+// send events as frame 3, servers from before least-recently-used replacement
+// as frame 8. A new client must refuse either by number — not read absolute
+// headers and spelled-out terms as tags, nor tags against a table that
+// replaced its terms in another order — and stay refused.
 func TestClientRefusesRetiredEventsFrame(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
-	go func() {
-		var buf []byte
-		if _, err := frame.Read(server, &buf, maxInboundFrame); err != nil {
-			return
+	for _, retired := range []struct {
+		typ     uint8
+		payload []byte // after the type byte
+	}{
+		// One event, Seq 1, DocID 1, no filters, the terms as a string slice.
+		{3, append([]byte{1, 1, 1, 0, 1, 4}, "news"...)},
+		// One event, Seq and DocID deltas 0, no filters, one literal.
+		{8, append([]byte{1, 0, 0, 0, 1, 4 << 1}, "news"...)},
+	} {
+		client, server := net.Pipe()
+		defer client.Close()
+		defer server.Close()
+		_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+		go func() {
+			var buf []byte
+			if _, err := frame.Read(server, &buf, maxInboundFrame); err != nil {
+				return
+			}
+			w := codec.NewWriter(32)
+			AppendHelloOK(w, HelloInfo{NextSeq: 1})
+			wire, _ := frame.Append(nil, w.Bytes(), maxFrame)
+			wire, _ = frame.Append(wire, append([]byte{retired.typ}, retired.payload...), maxFrame)
+			_, _ = server.Write(wire)
+		}()
+		cl, err := NewClient(client, "old-server", 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		w := codec.NewWriter(32)
-		AppendHelloOK(w, HelloInfo{NextSeq: 1})
-		wire, _ := frame.Append(nil, w.Bytes(), maxFrame)
-		// The retired layout: type 3, one event, Seq 1, DocID 1, no
-		// filters, the terms as a string slice.
-		w = codec.NewWriter(32)
-		w.Uint8(3)
-		w.Uvarint(1)
-		w.Uvarint(1)
-		w.Uvarint(1)
-		w.Uvarint(0)
-		w.StringSlice([]string{"news"})
-		wire, _ = frame.Append(wire, w.Bytes(), maxFrame)
-		_, _ = server.Write(wire)
-	}()
-	cl, err := NewClient(client, "old-server", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		msg, err := cl.Recv()
-		if err == nil || !strings.Contains(err.Error(), "frame 3") || msg.Events != nil {
-			t.Fatalf("Recv %d of a retired events frame = %+v, %v; want an error naming frame 3", i, msg, err)
+		name := fmt.Sprintf("frame %d", retired.typ)
+		for i := 0; i < 2; i++ {
+			msg, err := cl.Recv()
+			if err == nil || !strings.Contains(err.Error(), name) || msg.Events != nil {
+				t.Fatalf("Recv %d of a retired events frame = %+v, %v; want an error naming %s", i, msg, err, name)
+			}
 		}
 	}
 }
 
-// TestResumeWithWarmTableOverTCP: a session's table is warmed past its 64
+// TestResumeWithWarmTableOverTCP: a session's table is warmed past its 512
 // slots, the socket drops with events unacked, more are queued while it is
 // down, and the subscriber reattaches with a stale resume ack. Every
 // redelivered and fresh event decodes, on the new connection's fresh table,
@@ -208,38 +291,39 @@ func TestResumeWithWarmTableOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 81 distinct terms over 40 documents: the table wraps.
-	for doc := uint64(1); doc <= 40; doc++ {
+	// 561 distinct terms over 280 documents: the table replaces w2–w50.
+	const warm = 280
+	for doc := uint64(1); doc <= warm; doc++ {
 		deliver(doc, fmt.Sprintf("w%d", 2*doc), fmt.Sprintf("w%d", 2*doc+1), "news")
 	}
-	recv(cl, 1, 40)
-	if err := cl.Ack(30); err != nil {
+	recv(cl, 1, warm)
+	if err := cl.Ack(warm - 10); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "server-side ack 30", func() bool {
+	waitFor(t, "server-side ack", func() bool {
 		ss, _ := hub.Snapshot("dana")
-		return ss.AckSeq == 30
+		return ss.AckSeq == warm-10
 	})
 	_ = cl.Close()
 	waitFor(t, "detach", func() bool {
 		ss, _ := hub.Snapshot("dana")
 		return ss.State == StateDetached
 	})
-	// Queued while down: a term the old table evicted, a term of the
+	// Queued while down: a term the old table replaced, a term of the
 	// redelivered documents, a resident one.
-	for doc := uint64(41); doc <= 60; doc++ {
-		deliver(doc, fmt.Sprintf("w%d", doc-38), fmt.Sprintf("w%d", doc+21), "news")
+	for doc := uint64(warm + 1); doc <= warm+20; doc++ {
+		deliver(doc, fmt.Sprintf("w%d", doc-warm+2), fmt.Sprintf("w%d", doc+warm-19), "news")
 	}
 
-	cl2, err := Dial(addr, "dana", 20)
+	cl2, err := Dial(addr, "dana", warm-20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	if h := cl2.Hello(); h.AckSeq != 30 || h.NextSeq != 41 || h.Redeliver != 10 {
-		t.Fatalf("resume hello = %+v, want ack 30, next 41, redeliver 10", h)
+	if h := cl2.Hello(); h.AckSeq != warm-10 || h.NextSeq != warm+1 || h.Redeliver != 10 {
+		t.Fatalf("resume hello = %+v, want ack %d, next %d, redeliver 10", h, warm-10, warm+1)
 	}
-	recv(cl2, 31, 30)
+	recv(cl2, warm-9, 30)
 }
 
 // discardConn is a net.Conn whose writes succeed without going anywhere.
@@ -358,21 +442,14 @@ func TestClientRecvAllHitAllocs(t *testing.T) {
 // linux/amd64).
 const parentConnBytes = 2431
 
-// TestWarmTermTableCost prices the term table where fanout_heavy pays it:
-// 256 sessions attached over loopback TCP, each warmed by documents over
-// fanout_heavy's 18-term vocabulary — each batch's term strings fresh, as a
-// routed delivery batch decodes them, and shared by every session it
-// reaches. The subscribers are raw sockets that keep no table: each reads a
-// document's one event frame without decoding it and acks everything sent.
-// A session's heap — the daemon's side and the test's socket — is held
-// against parentConnBytes: the difference is the table in every wireConn
-// (its 1,088 B take the struct from the 112 B size class to 1,280 B) and
-// the frame buffers, smaller now that terms are one byte.
-func TestWarmTermTableCost(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("heap figures are meaningless under -race")
-	}
-	const sessions = 256
+// sessionHeap attaches sessions subscriber sockets over loopback TCP and runs
+// rounds of deliveries: each round the hub delivers the batches batch returns
+// for it — every session reached once — and every socket reads its one event
+// frame and acks everything sent. The subscribers are raw sockets that keep
+// no table: they read a frame without decoding it. It returns the heap one
+// session holds at the end — the daemon's side and the test's socket.
+func sessionHeap(t *testing.T, sessions, rounds int, batch func(round int, notifs []Notification) []Batch) float64 {
+	t.Helper()
 	hub, srv := startServer(t, Config{Workers: 2})
 	notifs := make([]Notification, sessions)
 	conns := make([]net.Conn, sessions)
@@ -396,13 +473,19 @@ func TestWarmTermTableCost(t *testing.T) {
 	}
 	var buf []byte
 	base := heap()
+	t.Cleanup(func() {
+		for _, c := range conns {
+			if c != nil {
+				_ = c.Close()
+			}
+		}
+	})
 	for i := range conns {
 		notifs[i] = Notification{Sub: fmt.Sprintf("s%03d", i), Filters: []model.FilterID{model.FilterID(20000 + i)}}
 		c, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
 		_ = c.SetDeadline(time.Now().Add(30 * time.Second))
 		if _, err := c.Write(frameOf(func(w *codec.Writer) { AppendHello(w, notifs[i].Sub, 0) })); err != nil {
 			t.Fatal(err)
@@ -412,17 +495,14 @@ func TestWarmTermTableCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	doc := uint64(0)
-	// deliver sends one document to every session, reads its event frame off
-	// every socket and acks it.
-	deliver := func(terms []string) {
-		t.Helper()
-		doc++
-		hub.DeliverBatch(doc, terms, notifs)
+	for round := 0; round < rounds; round++ {
+		for _, b := range batch(round, notifs) {
+			hub.DeliverBatch(b.DocID, b.Terms, b.Notifs)
+		}
 		for i, c := range conns {
 			payload, err := frame.Read(readers[i], &buf, maxFrame)
 			if err != nil || payload[0] != frameEvents {
-				t.Fatalf("session %d, document %d: %v", i, doc, err)
+				t.Fatalf("session %d, round %d: %v", i, round, err)
 			}
 			if _, err := c.Write(ackAll); err != nil {
 				t.Fatal(err)
@@ -430,31 +510,91 @@ func TestWarmTermTableCost(t *testing.T) {
 		}
 		waitFor(t, "every session acked", func() bool { return hub.Pending() == 0 })
 	}
-	for i := 0; i < 20; i++ {
-		terms := fanoutTerms(doc)
+	perConn := (float64(heap()) - float64(base)) / float64(sessions)
+	runtime.KeepAlive(readers)
+	return perConn
+}
+
+// TestWarmTermTableCost prices the term table where fanout_heavy pays it:
+// 256 sessions, each warmed by 20 documents over fanout_heavy's 18-term
+// vocabulary — each document one batch to every session, its term strings
+// fresh, as a routed delivery batch decodes them, and shared by every session
+// it reaches. A session is held against parentConnBytes: the difference is
+// the table, which grows with the terms the connection has carried (18 slots
+// here, ≈ 900 B), and the frame buffers, smaller now that terms are one byte.
+func TestWarmTermTableCost(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("heap figures are meaningless under -race")
+	}
+	const sessions = 256
+	perConn := sessionHeap(t, sessions, 20, func(round int, notifs []Notification) []Batch {
+		terms := fanoutTerms(uint64(round))
 		for i := range terms {
 			terms[i] = strings.Clone(terms[i])
 		}
-		deliver(terms)
-	}
-	perConn := (float64(heap()) - float64(base)) / sessions
-	runtime.KeepAlive(readers)
+		return []Batch{{DocID: uint64(round + 1), Terms: terms, Notifs: notifs}}
+	})
 	t.Logf("a warm session holds %.0f B, %+.0f B over the parent's %d B (%d sessions)", perConn, perConn-parentConnBytes, parentConnBytes, sessions)
 	if perConn > parentConnBytes+1536 {
 		t.Fatalf("a warm session holds %.0f B, more than 1,536 B over the parent's %d B", perConn, parentConnBytes)
 	}
 }
 
-// BenchmarkEncodeEvents prices one event frame on a warm connection in the
-// two shapes the table meets: fanout_heavy's four terms, all held, and
-// match_heavy's 65 distinct terms, which cycle a 64-slot FIFO so that every
-// one is a miss — the encoder's worst case.
-func BenchmarkEncodeEvents(b *testing.B) {
-	many := make([][]string, 64)
-	for d := range many {
-		for i := 0; i < 65; i++ {
-			many[d] = append(many[d], fmt.Sprintf("term%04d", (d*7+i*13)%3000))
+// parentFullBytes is what one session of TestFullTermTableCost held when the
+// table was 64 slots replacing the oldest first: the same test body run at the
+// commit before 512 slots (5,816–5,820 B over three runs; Go 1.24,
+// linux/amd64).
+const parentFullBytes = 5818
+
+// fullTableBytes is a full table: 512 string headers (8 KiB, which the
+// runtime's 8-byte malloc header puts in the 9,472 B size class), 513
+// recency links (2,052 B, a 2,304 B size class), the encoder's 1,024-bucket
+// index (4 KiB), and the 512 terms it keeps alive at up to 16 B each (a
+// tiny-allocator block).
+const fullTableBytes = 9472 + 2304 + 4096 + 512*16
+
+// TestFullTermTableCost prices the table where match_heavy pays it: 64
+// sessions, each sent ten 65-term documents of its own — 650 distinct
+// eight-byte terms, so the table fills and replaces, and no term string is
+// shared with another session (the most a table can keep alive). A session
+// is held against what it held with the 64-slot table plus a full table's
+// bytes, which leaves the old table's ≈ 2 KB as the margin.
+func TestFullTermTableCost(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("heap figures are meaningless under -race")
+	}
+	const sessions = 64
+	perConn := sessionHeap(t, sessions, 10, func(round int, notifs []Notification) []Batch {
+		batches := make([]Batch, len(notifs))
+		for i := range notifs {
+			terms := make([]string, 65)
+			for j := range terms {
+				terms[j] = fmt.Sprintf("t%07d", (round*len(notifs)+i)*65+j)
+			}
+			batches[i] = Batch{DocID: uint64(round + 1), Terms: terms, Notifs: notifs[i : i+1]}
 		}
+		return batches
+	})
+	t.Logf("a session with a full table holds %.0f B, %+.0f B over the parent's %d B (%d sessions)", perConn, perConn-parentFullBytes, parentFullBytes, sessions)
+	if perConn > parentFullBytes+fullTableBytes {
+		t.Fatalf("a session with a full table holds %.0f B, more than a full table's %d B over the parent's %d B", perConn, fullTableBytes, parentFullBytes)
+	}
+}
+
+// BenchmarkEncodeEvents prices one event frame on a warm connection in the
+// three shapes the table meets: fanout_heavy's four terms, all held; 65 terms
+// the table holds, in two-byte slots as much as one-byte ones; and 65 terms
+// cycling through 4,160, so that every one is a miss that replaces the least
+// recently used term — the encoder's worst case.
+func BenchmarkEncodeEvents(b *testing.B) {
+	docs := func(n, vocab int) [][]string {
+		out := make([][]string, n)
+		for d := range out {
+			for i := 0; i < 65; i++ {
+				out[d] = append(out[d], fmt.Sprintf("term%04d", (d*65+i)%vocab))
+			}
+		}
+		return out
 	}
 	few := make([][]string, 18)
 	for d := range few {
@@ -463,7 +603,7 @@ func BenchmarkEncodeEvents(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		docs [][]string
-	}{{"4 terms held", few}, {"65 terms missed", many}} {
+	}{{"4 terms held", few}, {"65 terms held", docs(64, 500)}, {"65 terms missed", docs(64, 64*65)}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var enc EventEncoder
 			w := codec.NewWriter(1024)

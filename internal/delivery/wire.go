@@ -3,7 +3,6 @@ package delivery
 import (
 	"fmt"
 	"hash/maphash"
-	"math/bits"
 
 	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/model"
@@ -20,22 +19,23 @@ import (
 // shares the prefix).
 //
 // Event frames are stateful per connection (DESIGN.md §14). Both ends keep a
-// table of the last 64 terms spelled out on the connection and the Seq and
-// DocID of its last event, all empty/zero when the connection opens; a
-// reattach is a new connection, so it starts over on both ends. An events
-// payload is
+// table of up to 512 terms spelled out on the connection, in the order they
+// were last used, and the Seq and DocID of its last event, all empty/zero
+// when the connection opens; a reattach is a new connection, so it starts
+// over on both ends. An events payload is
 //
 //	type, event count, then per event:
 //	  zigzag(Seq − (previous Seq + 1)), zigzag(DocID − previous DocID),
 //	  filter count, filter IDs, term count, one tag per term
 //
 // where a term's tag t is a uvarint: an even t is a literal of t>>1 bytes
-// that follows the tag, which both ends then store at the table's next slot
-// (FIFO: the slot after the last one filled, wrapping at 64, so the oldest
-// literal is replaced); an odd t names the term in slot t>>1. A literal
-// shorter than 64 bytes costs what a length-prefixed string does, and a
-// term the table holds costs one byte. A reference to a slot no literal has
-// filled is a protocol error.
+// that follows the tag, which both ends then store in the table — at the
+// next unfilled slot while there is one, else in the slot of the least
+// recently used term; an odd t names the term in slot t>>1. Either way the
+// term becomes the most recently used. A literal shorter than 64 bytes costs
+// what a length-prefixed string does, and a term the table holds costs one
+// byte in slots 0–63 and two in slots 64–511. A reference to a slot no
+// literal has filled is a protocol error.
 //
 // Retired numbers are never reused: a frame from an older peer must fail as
 // an unexpected frame, not decode as something else.
@@ -44,15 +44,17 @@ const (
 	frameHelloOK = 2 // server → client: HelloInfo
 	// 3 retired: events with every term spelled out and Seq and DocID sent
 	// absolute (the layout before the per-connection term table).
-	frameAck    = 4 // client → server: cumulative ack
-	framePing   = 5 // server → client: heartbeat probe
-	framePong   = 6 // client → server: heartbeat reply
-	frameBye    = 7 // server → client: reason, then close
-	frameEvents = 8 // server → client: batch of sequenced events, coded against the connection's state
+	frameAck  = 4 // client → server: cumulative ack
+	framePing = 5 // server → client: heartbeat probe
+	framePong = 6 // client → server: heartbeat reply
+	frameBye  = 7 // server → client: reason, then close
+	// 8 retired: events coded against a 64-slot table that replaced its
+	// oldest literal first.
+	frameEvents = 9 // server → client: batch of sequenced events, coded against the connection's state
 )
 
-// tableSlots is the size of each connection's term table.
-const tableSlots = 64
+// tableSlots is the most terms a connection's term table holds.
+const tableSlots = 512
 
 // maxFrame bounds a server → client frame (events dominate); anything
 // larger is a protocol error.
@@ -117,66 +119,143 @@ func DecodeHelloOK(r *codec.Reader) (HelloInfo, error) {
 	return info, nil
 }
 
+// termTable is one end's copy of a connection's term table. Both ends apply
+// the same two operations in the same order — use on a reference, place on a
+// literal — so they hold the same term in every slot. The slices grow with
+// the distinct terms the connection has carried, up to tableSlots: a session
+// that repeats a small vocabulary (fanout_heavy's 18 terms) holds 18 slots,
+// while a full table is ≈ 15.9 KB of string headers, links and (on the
+// server) index plus the term bytes it keeps alive (TestWarmTermTableCost and
+// TestFullTermTableCost price the two).
+type termTable struct {
+	terms []string
+	// link is a circular recency list: link[0] is its sentinel and
+	// link[s+1] slot s's entry, so link[0].next is 1 + the most recently
+	// used slot and link[0].prev 1 + the least recently used.
+	link []link
+}
+
+type link struct{ prev, next uint16 }
+
+// use makes slot the most recently used.
+func (t *termTable) use(slot int) {
+	i := uint16(slot + 1)
+	l := t.link[i]
+	t.link[l.prev].next, t.link[l.next].prev = l.next, l.prev
+	t.pushFront(i)
+}
+
+func (t *termTable) pushFront(i uint16) {
+	head := t.link[0].next
+	t.link[i] = link{next: head}
+	t.link[head].prev = i
+	t.link[0].next = i
+}
+
+// place stores a literal in the next unfilled slot while the table has one,
+// else over the least recently used term, and makes it the most recently
+// used. It returns the slot and, when full, the term it replaced.
+func (t *termTable) place(term string) (slot int, replaced string, full bool) {
+	if len(t.terms) == tableSlots {
+		slot = int(t.link[0].prev - 1)
+		replaced, t.terms[slot] = t.terms[slot], term
+		t.use(slot)
+		return slot, replaced, true
+	}
+	if len(t.terms) == cap(t.terms) {
+		// Exact capacities: append would overshoot tableSlots.
+		n := min(max(2*cap(t.terms), 8), tableSlots)
+		t.terms = append(make([]string, 0, n), t.terms...)
+		t.link = append(make([]link, 0, n+1), t.link...)
+	}
+	if len(t.link) == 0 {
+		t.link = append(t.link, link{}) // the sentinel of an empty list
+	}
+	t.terms = append(t.terms, term)
+	t.link = append(t.link, link{})
+	t.pushFront(uint16(len(t.terms)))
+	return len(t.terms) - 1, "", false
+}
+
 // EventEncoder is the server's half of one connection's event state. The
 // zero value is a fresh connection's. Every frame Append encodes must reach
 // the client, in order: the client's EventDecoder advances in lockstep.
 type EventEncoder struct {
-	table    encoderTable
-	next     uint8 // slot the next literal fills
+	table termTable
+	// index finds a term's slot: open addressing with linear probing, kept
+	// at most half full (1,024 buckets once the table is full). A bucket is
+	// 0 when empty, else the low 16 bits of its term's hash above 1 + the
+	// slot: a probe compares a string only where those bits agree, and
+	// neither moving a bucket nor growing the index hashes a term again.
+	index    []uint32
 	seq, doc uint64
 }
 
-// encoderTable holds the terms and, per slot, a one-byte fingerprint of the
-// term's hash (0 marks an empty slot; fingerprint never returns it). A lookup
-// compares the fingerprints eight slots to a word, and a string only where a
-// fingerprint matches: a miss — every term of a document the table does not
-// hold — costs eight word operations, not 64 compares. The table is 1,088 B
-// of every subscriber connection (TestWarmTermTableCost prices it).
-type encoderTable struct {
-	terms [tableSlots]string
-	fps   [tableSlots / 8]uint64
-}
+var indexSeed = maphash.MakeSeed()
 
-const (
-	lowBits  = 0x0101010101010101
-	highBits = 0x8080808080808080
-)
+func hashTerm(term string) uint64 { return maphash.String(indexSeed, term) }
 
-// slot returns the slot holding term, whose fingerprint is fp, or -1.
-func (t *encoderTable) slot(term string, fp uint8) int {
-	want := uint64(fp) * lowBits
-	for w, word := range &t.fps {
-		// A byte of x is zero where a slot's fingerprint is fp. The first
-		// test says whether any byte is (a borrow can flag extra bytes, but
-		// never in a word without a zero byte); the second marks which.
-		x := word ^ want
-		if (x-lowBits)&^x&highBits == 0 {
-			continue
-		}
-		zero := ^((x&^highBits + ^uint64(highBits)) | x | ^uint64(highBits))
-		for zero != 0 {
-			if i := w*8 + bits.TrailingZeros64(zero)/8; t.terms[i] == term {
-				return i
-			}
-			zero &= zero - 1
+// lookup returns the slot holding term, whose hash is h, or -1.
+func (e *EventEncoder) lookup(term string, h uint64) int {
+	if len(e.index) == 0 {
+		return -1
+	}
+	mask := uint64(len(e.index) - 1)
+	for b := h & mask; e.index[b] != 0; b = (b + 1) & mask {
+		if x := e.index[b]; x>>16 == uint32(uint16(h)) && e.table.terms[x&0xffff-1] == term {
+			return int(x&0xffff) - 1
 		}
 	}
 	return -1
 }
 
-// set stores term, whose fingerprint is fp, in slot i.
-func (t *encoderTable) set(i int, term string, fp uint8) {
-	t.terms[i] = term
-	shift := 8 * (i % 8)
-	t.fps[i/8] = t.fps[i/8]&^(0xff<<shift) | uint64(fp)<<shift
+// learn places a literal, whose hash is h, in the table and the index.
+func (e *EventEncoder) learn(term string, h uint64) {
+	slot, replaced, full := e.table.place(term)
+	if full {
+		e.unindex(hashTerm(replaced), slot)
+	}
+	if 2*len(e.table.terms) > len(e.index) {
+		old := e.index
+		e.index = make([]uint32, max(16, 2*len(old)))
+		for _, x := range old {
+			if x != 0 {
+				e.indexAt(x)
+			}
+		}
+	}
+	e.indexAt(uint32(uint16(h))<<16 | uint32(slot+1))
 }
 
-// fingerprint is a byte of the term's hash other than 0.
-func fingerprint(term string) uint8 {
-	return uint8(maphash.String(fingerprintSeed, term)%255) + 1
+// indexAt puts bucket value x in the first empty bucket from its home on.
+func (e *EventEncoder) indexAt(x uint32) {
+	mask := uint32(len(e.index) - 1)
+	b := x >> 16 & mask
+	for e.index[b] != 0 {
+		b = (b + 1) & mask
+	}
+	e.index[b] = x
 }
 
-var fingerprintSeed = maphash.MakeSeed()
+// unindex removes slot's bucket — the term it held hashed to h — and moves
+// later buckets of its probe run back over the hole, so that no lookup meets
+// an empty bucket before its term.
+func (e *EventEncoder) unindex(h uint64, slot int) {
+	mask := uint32(len(e.index) - 1)
+	hole := uint32(h) & mask
+	for e.index[hole]&0xffff != uint32(slot+1) {
+		hole = (hole + 1) & mask
+	}
+	for b := (hole + 1) & mask; e.index[b] != 0; b = (b + 1) & mask {
+		// The bucket at b may fill the hole unless its home lies
+		// cyclically after the hole, in (hole, b].
+		if home := e.index[b] >> 16 & mask; (b-home)&mask >= (b-hole)&mask {
+			e.index[hole] = e.index[b]
+			hole = b
+		}
+	}
+	e.index[hole] = 0
+}
 
 // zigzag maps a wrapped difference to a small uvarint whichever way it went.
 func zigzag(d uint64) uint64 { return d<<1 ^ uint64(int64(d)>>63) }
@@ -198,15 +277,15 @@ func (e *EventEncoder) Append(w *codec.Writer, evs []*Event) {
 		}
 		w.Uvarint(uint64(len(ev.Terms)))
 		for _, term := range ev.Terms {
-			fp := fingerprint(term)
-			if slot := e.table.slot(term, fp); slot >= 0 {
+			h := hashTerm(term)
+			if slot := e.lookup(term, h); slot >= 0 {
+				e.table.use(slot)
 				w.Uvarint(uint64(slot)<<1 | 1)
 				continue
 			}
 			w.Uvarint(uint64(len(term)) << 1)
 			w.Raw(term)
-			e.table.set(int(e.next), term, fp)
-			e.next = (e.next + 1) % tableSlots
+			e.learn(term, h)
 		}
 	}
 }
@@ -215,9 +294,7 @@ func (e *EventEncoder) Append(w *codec.Writer, evs []*Event) {
 // zero value is a fresh connection's. After Decode returns an error the state
 // no longer mirrors the server's, and the connection must be dropped.
 type EventDecoder struct {
-	terms    [tableSlots]string
-	next     uint8 // slot the next literal fills
-	filled   uint8 // slots [0, filled) hold a term
+	table    termTable
 	seq, doc uint64
 }
 
@@ -288,21 +365,18 @@ func (d *EventDecoder) term(r *codec.Reader) (string, error) {
 	}
 	if tag&1 == 1 {
 		slot := tag >> 1
-		if slot >= uint64(d.filled) {
-			return "", fmt.Errorf("delivery: term tag %d names slot %d, %d filled", tag, slot, d.filled)
+		if slot >= uint64(len(d.table.terms)) {
+			return "", fmt.Errorf("delivery: term tag %d names slot %d, %d filled", tag, slot, len(d.table.terms))
 		}
-		return d.terms[slot], nil
+		d.table.use(int(slot))
+		return d.table.terms[slot], nil
 	}
 	b, err := r.Raw(tag >> 1)
 	if err != nil {
 		return "", err
 	}
 	term := string(b)
-	d.terms[d.next] = term
-	d.next = (d.next + 1) % tableSlots
-	if d.filled < tableSlots {
-		d.filled++
-	}
+	d.table.place(term)
 	return term, nil
 }
 

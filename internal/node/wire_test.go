@@ -11,6 +11,7 @@ import (
 
 	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/codec"
+	"github.com/movesys/move/internal/dataset"
 	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/model"
@@ -192,9 +193,10 @@ func (b *wireBudget) publish(t *testing.T, from string, local bool, doc *model.D
 // deliver adds the last mile of one document: a deliver batch to each owner
 // carrying its share of subs (one matched filter each), and one event frame
 // per subscriber. Event frames are coded against their connection's state;
-// the budget counts a warm connection — its last event was the previous
-// document's, over the same terms — and, apart, a fresh one.
-func (b *wireBudget) deliver(t *testing.T, doc *model.Document, owners int, subs []string) {
+// the budget counts a warm connection — one that has carried an event for
+// each document of history, in order, the last of them the document before
+// this one — and, apart, a fresh one.
+func (b *wireBudget) deliver(t *testing.T, doc *model.Document, owners int, subs []string, history [][]string) {
 	t.Helper()
 	for o := 0; o < owners; o++ {
 		batch := &delivery.Batch{DocID: doc.ID, Terms: doc.Terms}
@@ -206,17 +208,39 @@ func (b *wireBudget) deliver(t *testing.T, doc *model.Document, owners int, subs
 	}
 	for i := range subs {
 		ev := delivery.Event{Seq: uint64(3000 + i), DocID: doc.ID, Filters: []model.FilterID{model.FilterID(20000 + i)}, Terms: doc.Terms}
-		prev := ev
-		prev.Seq--
-		prev.DocID--
 		var warm, cold delivery.EventEncoder
-		warm.Append(codec.NewWriter(64), []*delivery.Event{&prev})
 		w := codec.NewWriter(64)
+		for k, terms := range history {
+			back := uint64(len(history) - k)
+			w.Reset()
+			warm.Append(w, []*delivery.Event{{Seq: ev.Seq - back, DocID: doc.ID - back, Filters: ev.Filters, Terms: terms}})
+		}
+		w.Reset()
 		warm.Append(w, []*delivery.Event{&ev})
 		b.event += b.put(t, w.Bytes())
 		w.Reset()
 		cold.Append(w, []*delivery.Event{&ev})
 		b.eventCold += w.Len()
+	}
+}
+
+// wtStream is match_heavy's document stream as internal/dataset draws it —
+// TREC WT10G's Zipf term frequency and length over a 10,000-term vocabulary,
+// the benchmark's document shape — cut after n documents at the next one of
+// exactly 65 terms: that document, and every one before it.
+func wtStream(t *testing.T, n int) (*model.Document, [][]string) {
+	t.Helper()
+	g, err := dataset.NewDocGen(dataset.CorpusConfig{Kind: dataset.CorpusWT, DistinctTerms: 10000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var history [][]string
+	for {
+		terms := g.Next()
+		if len(history) >= n && len(terms) == 65 {
+			return &model.Document{ID: 70000, Terms: terms}, history
+		}
+		history = append(history, terms)
 	}
 }
 
@@ -261,10 +285,14 @@ func TestWireBudget(t *testing.T) {
 		max   ceilings
 	}{
 		{
-			// match_heavy: 65 terms over two grid-less homes, 6 matches.
+			// match_heavy: a 65-term WT-like document over two grid-less
+			// homes, 6 matches; each subscriber's connection has carried
+			// the 1,000 documents before it (a session of a 32 s run
+			// receives ≈ 2,000, a skewed sample of the same stream).
 			name: "65 terms, two homes, 6 matches",
 			build: func(t *testing.T, b *wireBudget) {
-				doc, subs := wireDoc(70000, 65), subNames(6)
+				doc, history := wtStream(t, 1000)
+				subs := subNames(6)
 				for h, terms := range [][]string{doc.Terms[:33], doc.Terms[33:]} {
 					resp := MatchResp{
 						Matches: matchesFor(subs, 3*h, 3*h+3), PostingsScanned: 8000, PostingLists: len(terms),
@@ -275,12 +303,12 @@ func TestWireBudget(t *testing.T) {
 						t.Errorf("a \"local\" hop costs %.1f B, ceiling 4", c)
 					}
 				}
-				b.deliver(t, doc, 2, subs)
+				b.deliver(t, doc, 2, subs, history)
 				if perTerm := float64(b.routed) / 65; perTerm > 1.1 {
 					t.Errorf("routed lists cost %.2f B per routed term, ceiling 1.1", perTerm)
 				}
 			},
-			max: ceilings{request: 1262, routed: 70, matches: 73, hops: 213, batch: 1327, event: 3742, prefixes: 27, eventCold: 3582},
+			max: ceilings{request: 1226, routed: 70, matches: 73, hops: 213, batch: 1291, event: 1644, prefixes: 27, eventCold: 3480},
 		},
 		{
 			// fanout_heavy: 4 terms over two homes, 160 match entries for 142
@@ -294,7 +322,7 @@ func TestWireBudget(t *testing.T) {
 						Hops: localHops(fmt.Sprintf("n%d", h), terms),
 					})
 				}
-				b.deliver(t, doc, 2, subs)
+				b.deliver(t, doc, 2, subs, [][]string{doc.Terms})
 			},
 			max: ceilings{request: 107, routed: 6, matches: 1365, hops: 21, batch: 1459, event: 1938, prefixes: 161, eventCold: 6816},
 		},
@@ -313,7 +341,7 @@ func TestWireBudget(t *testing.T) {
 					Hops: []trace.Hop{column(0, "n0"), column(1, "n1")},
 				}
 				b.publish(t, "entry", false, doc, doc.Terms, resp)
-				b.deliver(t, doc, 1, subs)
+				b.deliver(t, doc, 1, subs, [][]string{doc.Terms})
 				if c := hopCost(resp, doc.Terms); c > 12 {
 					t.Errorf("a served \"column\" hop costs %.1f B, ceiling 12", c)
 				}
