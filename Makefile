@@ -21,7 +21,7 @@ bench:
 # time: the two files the node protocol lives in, the framed connection and
 # the two writers built on it (one sum), all non-test Go outside benchmark/
 # (its own module), cmd/movebench's share of that, the index layer's lines,
-# the number of stored BENCH_*.json reports, the node's surface: live msg*
+# the delivery tier's lines, the number of stored BENCH_*.json reports, the node's surface: live msg*
 # message types (retired numbers are comments, not constants) and exported
 # top-level identifiers — functions, methods, types, variables, constants —
 # counted the same way for the index, and the two operator surfaces:
@@ -35,6 +35,7 @@ loc:
 	@cat $(filter-out %_test.go,$(wildcard cmd/movectl/*.go)) | wc -l | sed 's/$$/ cmd\/movectl (non-test)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/daemon/*.go cmd/moved/*.go)) | wc -l | sed 's/$$/ internal\/daemon + cmd\/moved (non-test)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/index/*.go)) | wc -l | sed 's/$$/ internal\/index (non-test)/'
+	@cat $(filter-out %_test.go,$(wildcard internal/delivery/*.go)) | wc -l | sed 's/$$/ internal\/delivery (non-test)/'
 	@echo "$(words $(wildcard BENCH_*.json)) BENCH_*.json files"
 	@cat internal/node/proto.go internal/node/deliver.go | grep -cE '^(const)?[[:space:]]+msg[A-Za-z]+[[:space:]]+=[[:space:]]+[0-9]+' | sed 's/$$/ live msg* message types (internal\/node proto.go + deliver.go)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/node/*.go)) | grep -cE '^(func (\([a-z]+ \*?[A-Z][A-Za-z0-9]*\) )?|type |var |const )[A-Z]' | sed 's/$$/ exported identifiers in internal\/node (non-test)/'
@@ -104,9 +105,9 @@ bench-churn:
 	$(GO) run ./cmd/movebench -fig churn -out BENCH_churn.json -baseline BENCH_churn.json
 
 # Chaos soak of the end-to-end delivery tier under the race detector:
-# subscriber connect/disconnect churn, stalled readers triggering the
-# slow-consumer policy, node crash/recover cycles, and reallocation rounds
-# racing live publishes. Every published document's notifications must be
+# subscriber connect/disconnect churn, stalled readers (acks withheld)
+# triggering the slow-consumer policy — the run fails if it never sheds —,
+# node crash/recover cycles, and reallocation rounds racing live publishes. Every published document's notifications must be
 # fully accounted — received, pending in a bounded queue, policy-dropped,
 # or route-lost — with zero silent losses and zero phantom deliveries.
 soak-delivery:

@@ -87,14 +87,15 @@ func (l *deliveryLedger) has(m map[string]map[uint64]bool, sub string, doc uint6
 }
 
 // chaosConn is an in-process subscriber connection for the chaos harness:
-// it records every event into the ledger and acks immediately, unless
-// switched into a stalled state (write timeouts) to provoke the
-// slow-consumer policy.
+// it records every event into the ledger and acks at once, unless stalled:
+// a stalled reader withholds its acks, so its window fills, its queue backs
+// up and the slow-consumer policy sheds.
 type chaosConn struct {
 	hub     *delivery.Hub
 	sub     string
 	led     *deliveryLedger
 	stalled atomic.Bool
+	last    atomic.Uint64 // highest sequence number received
 }
 
 func (c *chaosConn) SendHello(delivery.HelloInfo) error { return nil }
@@ -103,14 +104,26 @@ func (c *chaosConn) SendBye(string) error               { return nil }
 func (c *chaosConn) Close() error                       { return nil }
 
 func (c *chaosConn) SendEvents(evs []*delivery.Event) error {
-	if c.stalled.Load() {
-		return delivery.ErrStalled
-	}
 	for _, ev := range evs {
 		c.led.markReceived(c.sub, ev.DocID)
 	}
-	c.hub.Ack(c.sub, evs[len(evs)-1].Seq)
+	seq := evs[len(evs)-1].Seq
+	c.last.Store(seq)
+	if !c.stalled.Load() {
+		c.hub.Ack(c.sub, seq)
+	}
 	return nil
+}
+
+// setStalled switches the reader; one that stops stalling acks what it
+// withheld. SendEvents stores last before it reads stalled and setStalled
+// stores stalled before it reads last, so one of the two acks the newest
+// event.
+func (c *chaosConn) setStalled(stalled bool) {
+	c.stalled.Store(stalled)
+	if !stalled {
+		c.hub.Ack(c.sub, c.last.Load())
+	}
 }
 
 // runDeliveryChaos drives the full dissemination path — register, publish
@@ -151,7 +164,7 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 			Retryable:        transport.IsAvailabilityError,
 		},
 		// Tight bounds so stalled readers overflow and the policy really
-		// fires during the soak.
+		// fires during the soak (asserted at the end).
 		Delivery: &delivery.Config{
 			QueueCap:   8,
 			WindowCap:  8,
@@ -292,7 +305,7 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 				if rng.Intn(2) == 0 {
 					detach(sub)
 				} else {
-					conns[sub].stalled.Store(rng.Intn(2) == 0)
+					conns[sub].setStalled(rng.Intn(2) == 0)
 				}
 			} else {
 				attach(sub)
@@ -333,14 +346,13 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 		}
 	}
 
-	// Settle: unstall every connected reader and let the janitor-retry
-	// path drain what it can. Detached and policy-closed sessions keep
-	// their backlog — that is the "pending in bounded queues" side of the
-	// union.
+	// Settle: every connected reader stops stalling and acks what it
+	// withheld, which frees its window for the rest of its queue. Detached
+	// and policy-closed sessions keep their backlog — that is the "pending
+	// in bounded queues" side of the union.
 	for _, conn := range conns {
-		conn.stalled.Store(false)
+		conn.setStalled(false)
 	}
-	c.EachDeliveryHub(func(_ ring.NodeID, h *delivery.Hub) { h.Sweep() })
 
 	// Pending side of the union: every queued or unacked event across
 	// every hub.
@@ -365,7 +377,6 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 		if !busy || time.Now().After(deadline) {
 			break
 		}
-		c.EachDeliveryHub(func(_ ring.NodeID, h *delivery.Hub) { h.Sweep() })
 		time.Sleep(time.Millisecond)
 	}
 
@@ -415,6 +426,16 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 		reg.Counter("delivery.redelivered").Value(), reg.Counter("delivery.drops.oldest").Value(),
 		reg.Counter("delivery.drops.disconnect").Value(), reg.Counter("delivery.coalesced").Value(),
 		reg.Counter("delivery.route.rpcs").Value(), reg.Counter("delivery.route.lost").Value())
+
+	// The tight bounds must have made the policy shed during the run.
+	drops, disconnects, coalesced := reg.Counter("delivery.drops.oldest").Value(),
+		reg.Counter("delivery.drops.disconnect").Value(), reg.Counter("delivery.coalesced").Value()
+	switch {
+	case policy == delivery.DropOldest && drops == 0,
+		policy == delivery.Disconnect && disconnects == 0,
+		policy == delivery.CoalesceByDoc && coalesced+drops == 0:
+		t.Fatalf("%v never shed an event: drops.oldest=%d drops.disconnect=%d coalesced=%d", policy, drops, disconnects, coalesced)
+	}
 }
 
 // TestDeliveryOracle is the oracle-backed delivery equivalence suite: the

@@ -10,17 +10,15 @@
 // what the bounded queue sheds, and every shed event is counted and reported
 // so delivery loss is always accounted for, never silent.
 //
-// The hub is designed for 1M+ live sessions on one node (DESIGN.md §16;
-// what CI checks is 100k sessions against a brute-force oracle — the 1M run
-// was last made at PR 8/10 and has no standing guard): the session registry is lock-striped into power-of-two shards, each shard has
-// its own ready ring that flush workers drain (stealing from sibling shards
-// when their own is dry), the warm enqueue→flush path recycles Event objects
+// The hub holds every session of one node (DESIGN.md §16): the session
+// registry is lock-striped into power-of-two shards, each shard has its own
+// ready ring that flush workers drain (stealing from sibling shards when
+// their own is dry), the warm enqueue→flush path recycles Event objects
 // through a pool so steady-state delivery allocates nothing, and connections
 // that implement Flusher coalesce consecutive event frames into one syscall.
 package delivery
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -89,10 +87,6 @@ const (
 	StateDetached State = iota
 	// StateAttached: connection live, events flowing.
 	StateAttached
-	// StateStalled: connection live but writes are timing out; the janitor
-	// retries the flush on its next sweep while the queue absorbs (and the
-	// policy sheds) the backlog.
-	StateStalled
 	// StateClosed: terminated by the Disconnect policy. Notifications are
 	// dropped (and counted) until the subscriber reconnects.
 	StateClosed
@@ -105,8 +99,6 @@ func (s State) String() string {
 		return "detached"
 	case StateAttached:
 		return "attached"
-	case StateStalled:
-		return "stalled"
 	case StateClosed:
 		return "closed"
 	default:
@@ -125,13 +117,6 @@ const (
 	// DropReasonClosed: arrived while the session was policy-closed.
 	DropReasonClosed = "closed"
 )
-
-// ErrStalled marks a connection write that timed out but left the stream
-// usable, so the session parks in StateStalled and the janitor retries.
-// Transports whose stream a timed-out write corrupts (TCP: a partial frame
-// may be on the wire) must return a different error so the session detaches
-// instead.
-var ErrStalled = errors.New("delivery: consumer stalled")
 
 // Event is one matched-document notification bound for a subscriber. Seq is
 // zero while queued and assigned from the session's monotonic counter when
@@ -163,11 +148,11 @@ type HelloInfo struct {
 
 // Conn is the server-side sink of one subscriber connection. Implementations
 // must be safe for concurrent use (the flush workers and the janitor both
-// write). SendEvents may return ErrStalled (wrapped) to signal a retryable
-// write timeout; any other error detaches the session. Events handed to
-// SendEvents are owned by the hub and recycled after acknowledgement: a Conn
-// must not retain the slice, the *Event pointers, or their Filters slices
-// beyond the call.
+// write). Any SendEvents error detaches the session: the hub closes the
+// connection and keeps the unacked window for the next attach to replay.
+// Events handed to SendEvents are owned by the hub and recycled after
+// acknowledgement: a Conn must not retain the slice, the *Event pointers, or
+// their Filters slices beyond the call.
 type Conn interface {
 	SendHello(info HelloInfo) error
 	SendEvents(evs []*Event) error
@@ -179,14 +164,18 @@ type Conn interface {
 // Flusher is implemented by Conns that buffer event frames (the coalescing
 // TCP writer). The hub calls Flush once at the end of every flush round so
 // frames buffered across consecutive SendEvents calls hit the wire in one
-// syscall. A Flush error is a hard connection error: the session detaches.
+// syscall. A Flush error detaches the session like a SendEvents error.
 type Flusher interface {
 	Flush() error
 }
 
 // DefaultShards is the default power-of-two shard count for the session
-// registry and ready rings, mirroring internal/index's striping.
+// registry, mirroring internal/index's striping.
 const DefaultShards = 32
+
+// idleHeartbeats is the idle timeout in heartbeat intervals: a connection
+// with no inbound activity for this many is detached.
+const idleHeartbeats = 4
 
 // Config parameterizes a Hub.
 type Config struct {
@@ -204,16 +193,14 @@ type Config struct {
 	// Workers is the flush worker-pool size. Default GOMAXPROCS; negative
 	// disables the pool entirely (tests drive Session.flush directly).
 	Workers int
-	// Shards is the session-registry/ready-ring stripe count, rounded up to
-	// a power of two. Default DefaultShards.
+	// Shards is the session-registry stripe count, rounded up to a power of
+	// two. Default DefaultShards.
 	Shards int
-	// HeartbeatEvery is the janitor cadence: pings are sent and idle/stall
-	// checks run every interval. Zero disables the janitor (tests drive
-	// Sweep directly).
+	// HeartbeatEvery is the janitor cadence: every interval, connections
+	// quiet for an interval are pinged and a connection with no inbound
+	// activity (hello, ack, pong) for idleHeartbeats intervals is detached.
+	// Zero disables the janitor.
 	HeartbeatEvery time.Duration
-	// IdleTimeout detaches a connection with no inbound activity (hello,
-	// ack, pong) for this long. Default 4x HeartbeatEvery.
-	IdleTimeout time.Duration
 	// Metrics receives the delivery.* counters and histograms; nil creates
 	// a private registry.
 	Metrics *metrics.Registry
@@ -236,12 +223,23 @@ type shard struct {
 	rhead int
 }
 
+// list copies the shard's sessions out under the read lock, so callers can
+// lock each session without holding the stripe.
+func (sh *shard) list() []*Session {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	sessions := make([]*Session, 0, len(sh.sessions))
+	for _, s := range sh.sessions {
+		sessions = append(sessions, s)
+	}
+	return sessions
+}
+
 // Hub owns every subscriber session on one node: it enqueues notifications,
-// schedules flushes over a fixed worker pool (no per-session goroutines, so
-// the 1M+ concurrent sessions it is designed for stay cheap), and sweeps heartbeats and idle
-// timeouts. Sessions are striped across power-of-two shards; each worker
-// drains its home shard's ready ring first and steals from sibling shards
-// when idle.
+// schedules flushes over a fixed worker pool (no per-session goroutines),
+// and sweeps heartbeats and idle timeouts. Sessions are striped across
+// power-of-two shards; each worker drains its home shard's ready ring first
+// and steals from sibling shards when idle.
 type Hub struct {
 	cfg Config
 	reg *metrics.Registry
@@ -305,9 +303,6 @@ func NewHub(cfg Config) *Hub {
 		cfg.Shards = DefaultShards
 	}
 	cfg.Shards = ceilPow2(cfg.Shards)
-	if cfg.IdleTimeout <= 0 && cfg.HeartbeatEvery > 0 {
-		cfg.IdleTimeout = 4 * cfg.HeartbeatEvery
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -350,11 +345,9 @@ func NewHub(cfg Config) *Hub {
 		b := make([]*Event, 0, cfg.FlushBatch)
 		return &b
 	}
-	if cfg.Workers > 0 {
-		for i := 0; i < cfg.Workers; i++ {
-			h.wg.Add(1)
-			go h.worker(i)
-		}
+	for i := 0; i < cfg.Workers; i++ {
+		h.wg.Add(1)
+		go h.worker(i)
 	}
 	if cfg.HeartbeatEvery > 0 {
 		h.wg.Add(1)
@@ -431,13 +424,7 @@ func (h *Hub) Stop() {
 	h.parkMu.Unlock()
 
 	for _, sh := range h.shards {
-		sh.mu.RLock()
-		sessions := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			sessions = append(sessions, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
+		for _, s := range sh.list() {
 			s.mu.Lock()
 			conn := s.detachLocked()
 			s.mu.Unlock()
@@ -623,11 +610,7 @@ func (h *Hub) Attach(sub string, conn Conn, resumeAck uint64) (*Session, HelloIn
 		h.replacedC.Inc()
 	}
 	if err := conn.SendHello(info); err != nil {
-		s.mu.Lock()
-		if s.conn == conn {
-			_ = s.detachLocked()
-		}
-		s.mu.Unlock()
+		s.Detach(conn)
 		return nil, HelloInfo{}, fmt.Errorf("delivery: hello to %q: %w", sub, err)
 	}
 	h.schedule(s)
@@ -657,8 +640,7 @@ func (h *Hub) schedule(s *Session) {
 
 // wakeOne unparks one idle worker, if any. The nparked fast path makes this
 // a single atomic load when every worker is already busy — the steady state
-// at high flush rates, where the old readyCond.Signal took the mutex every
-// time.
+// at high flush rates.
 func (h *Hub) wakeOne() {
 	if h.nparked.Load() == 0 {
 		return
@@ -747,62 +729,37 @@ func (h *Hub) janitor() {
 		case <-h.stopCh:
 			return
 		case <-t.C:
-			h.Sweep()
+			h.sweep()
 		}
 	}
 }
 
-// Sweep runs one janitor pass: idle connections are kicked (detached with a
-// bye — the queue survives for a reconnect), stalled sessions get a flush
-// retry, and live connections quiet for a heartbeat interval are pinged.
-// Exported so tests (and hubs with no janitor goroutine) can drive it.
-func (h *Hub) Sweep() {
+// sweep runs one janitor pass: a connection with no inbound activity for
+// idleHeartbeats intervals is kicked (detached with a bye — the queue
+// survives for a reconnect), and live connections quiet for an interval are
+// pinged. Requires HeartbeatEvery > 0.
+func (h *Hub) sweep() {
+	every := h.cfg.HeartbeatEvery
 	now := h.now()
 	for _, sh := range h.shards {
-		sh.mu.RLock()
-		sessions := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			sessions = append(sessions, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
+		for _, s := range sh.list() {
 			var kicked, ping Conn
 			s.mu.Lock()
-			switch s.state {
-			case StateAttached, StateStalled:
-				if h.cfg.IdleTimeout > 0 && now.Sub(s.lastActivity) > h.cfg.IdleTimeout {
+			if s.state == StateAttached {
+				if now.Sub(s.lastActivity) > idleHeartbeats*every {
 					kicked = s.detachLocked()
-					break
-				}
-				if s.state == StateStalled {
-					s.state = StateAttached
-				}
-				if h.cfg.HeartbeatEvery > 0 && now.Sub(s.lastPing) >= h.cfg.HeartbeatEvery {
+				} else if now.Sub(s.lastPing) >= every {
 					s.lastPing = now
 					ping = s.conn
 				}
 			}
-			retry := s.state == StateAttached && s.flushableLocked()
 			s.mu.Unlock()
 			if kicked != nil {
 				h.idleKicksC.Inc()
 				_ = kicked.SendBye("idle-timeout")
 				_ = kicked.Close()
-				continue
-			}
-			if ping != nil {
-				if err := ping.SendPing(); err != nil {
-					s.mu.Lock()
-					if s.conn == ping {
-						_ = s.detachLocked()
-					}
-					s.mu.Unlock()
-					_ = ping.Close()
-					continue
-				}
-			}
-			if retry {
-				h.schedule(s)
+			} else if ping != nil && ping.SendPing() != nil {
+				s.dropConn(ping)
 			}
 		}
 	}
@@ -837,13 +794,7 @@ func (h *Hub) Snapshot(sub string) (SessionSnapshot, bool) {
 // Each calls fn with a snapshot of every session.
 func (h *Hub) Each(fn func(SessionSnapshot)) {
 	for _, sh := range h.shards {
-		sh.mu.RLock()
-		sessions := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			sessions = append(sessions, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
+		for _, s := range sh.list() {
 			fn(s.snapshot())
 		}
 	}
@@ -865,13 +816,7 @@ func (h *Hub) SessionCount() int {
 func (h *Hub) Pending() int {
 	total := 0
 	for _, sh := range h.shards {
-		sh.mu.RLock()
-		sessions := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			sessions = append(sessions, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
+		for _, s := range sh.list() {
 			s.mu.Lock()
 			total += len(s.queue) - s.qhead + len(s.window) - s.whead
 			s.mu.Unlock()
@@ -990,6 +935,21 @@ func (s *Session) Detach(conn Conn) {
 		_ = s.detachLocked()
 	}
 	s.mu.Unlock()
+}
+
+// dropConn detaches and closes conn after a failed write, if it is still the
+// session's connection; one already replaced or detached was closed by
+// whoever did that. The unacked window stays for the next attach.
+func (s *Session) dropConn(conn Conn) {
+	s.mu.Lock()
+	current := s.conn == conn
+	if current {
+		_ = s.detachLocked()
+	}
+	s.mu.Unlock()
+	if current {
+		_ = conn.Close()
+	}
 }
 
 // enqueue admits one notification, applying the slow-consumer policy on
@@ -1123,9 +1083,11 @@ func (s *Session) flushableLocked() bool {
 // then fresh queue events (assigned their sequence numbers here, at send
 // time, so coalesce merges never leave gaps). Stops when the window is full,
 // the queue is empty, the connection fails, or the session detaches — then
-// flushes the connection's coalescing buffer if it has one. Also the
-// recycling point: events acked since the last flush are returned to the
-// pool here, under flushMu, where no SendEvents can still be reading them.
+// flushes the connection's coalescing buffer if it has one. A failed send or
+// flush detaches the session: the stream may hold a partial frame, so only a
+// fresh connection's replay of the window is safe. Also the recycling point:
+// events acked since the last flush are returned to the pool here, under
+// flushMu, where no SendEvents can still be reading them.
 func (s *Session) flush() {
 	h := s.hub
 	s.flushMu.Lock()
@@ -1178,60 +1140,19 @@ func (s *Session) flush() {
 		}
 		s.mu.Unlock()
 
-		err := conn.SendEvents(batch)
-		if err == nil {
-			fconn = conn
-			h.deliveredC.Add(int64(len(batch) - resent))
-			h.redeliveredC.Add(int64(resent))
-			h.hFlushBatch.Observe(time.Duration(len(batch)))
-			continue
+		if err := conn.SendEvents(batch); err != nil {
+			s.dropConn(conn)
+			fconn = nil
+			break
 		}
-		s.mu.Lock()
-		if s.conn == conn {
-			if errors.Is(err, ErrStalled) {
-				// The stream survived the timeout: park and let the janitor
-				// retry. The batch slice is pooled, so the unsent events are
-				// copied (not aliased) back onto the resend stage.
-				s.state = StateStalled
-				ns := make([]*Event, 0, len(batch)+len(s.resend))
-				ns = append(ns, batch...)
-				ns = append(ns, s.resend...)
-				s.resend = ns
-				s.mu.Unlock()
-			} else {
-				conn = s.detachLocked()
-				s.mu.Unlock()
-				if conn != nil {
-					_ = conn.Close()
-				}
-				fconn = nil
-			}
-		} else {
-			s.mu.Unlock()
-		}
-		break
+		fconn = conn
+		h.deliveredC.Add(int64(len(batch) - resent))
+		h.redeliveredC.Add(int64(resent))
+		h.hFlushBatch.Observe(time.Duration(len(batch)))
 	}
 	h.batchPool.Put(bp)
-	if fconn == nil {
-		return
-	}
-	f, ok := fconn.(Flusher)
-	if !ok {
-		return
-	}
-	if err := f.Flush(); err != nil {
-		// A failed physical flush is a hard connection error: frames are
-		// gone mid-stream, so detach; the window redelivers on reconnect.
-		s.mu.Lock()
-		if s.conn == fconn {
-			c := s.detachLocked()
-			s.mu.Unlock()
-			if c != nil {
-				_ = c.Close()
-			}
-			return
-		}
-		s.mu.Unlock()
+	if f, ok := fconn.(Flusher); ok && f.Flush() != nil {
+		s.dropConn(fconn)
 	}
 }
 

@@ -293,47 +293,41 @@ func TestPolicyDisconnect(t *testing.T) {
 	}
 }
 
-// TestStalledTransition parks a session on a write-timeout error and
-// asserts the janitor retry path: Stalled → (sweep) → Attached → flushed.
+// TestStalledTransition: a send error detaches the session and closes the
+// connection with the window intact (a session is attached or not — there
+// is no stalled state to park in), a reattach redelivers the unacked event,
+// and an ack drains it.
 func TestStalledTransition(t *testing.T) {
 	h := NewHub(Config{QueueCap: 8, WindowCap: 8, Workers: 1})
 	defer h.Stop()
 
 	conn := &testConn{}
-	conn.setErr(ErrStalled)
+	conn.setErr(errors.New("write timeout"))
 	if _, _, err := h.Attach("s", conn, 0); err != nil {
 		t.Fatal(err)
 	}
 	h.Deliver("s", 1, fid(1), []string{"t"})
-	waitFor(t, "stall", func() bool {
+	waitFor(t, "detach and close", func() bool {
 		ss, _ := h.Snapshot("s")
-		return ss.State == StateStalled
+		return ss.State == StateDetached && conn.isClosed()
 	})
-	ss, _ := h.Snapshot("s")
-	if ss.Window != 1 {
-		t.Fatalf("window = %d, want 1 (event stays staged while stalled)", ss.Window)
-	}
-	if len(conn.received()) != 0 {
-		t.Fatal("stalled conn received events")
+	if ss, _ := h.Snapshot("s"); ss.Window != 1 {
+		t.Fatalf("window = %d, want 1 (kept for the reattach)", ss.Window)
 	}
 
-	// Reader recovers; the sweep retries the flush.
-	conn.setErr(nil)
-	h.Sweep()
-	waitFor(t, "retry delivery", func() bool { return len(conn.received()) == 1 })
-	ss, _ = h.Snapshot("s")
-	if ss.State != StateAttached {
-		t.Fatalf("state = %v, want attached", ss.State)
+	conn2 := &testConn{}
+	if _, _, err := h.Attach("s", conn2, 0); err != nil {
+		t.Fatal(err)
 	}
-	if got := counterValue(h, "delivery.redelivered"); got != 1 {
-		t.Fatalf("redelivered = %d, want 1 (retry resends the staged event)", got)
-	}
+	waitFor(t, "redelivery", func() bool {
+		return len(conn2.received()) == 1 && counterValue(h, "delivery.redelivered") == 1
+	})
 
 	// Ack drains the window.
 	h.Ack("s", 1)
-	ss, _ = h.Snapshot("s")
-	if ss.Window != 0 || ss.AckSeq != 1 {
-		t.Fatalf("window=%d ack=%d after ack, want 0/1", ss.Window, ss.AckSeq)
+	ss, _ := h.Snapshot("s")
+	if ss.State != StateAttached || ss.Window != 0 || ss.AckSeq != 1 {
+		t.Fatalf("state=%v window=%d ack=%d after ack, want attached/0/1", ss.State, ss.Window, ss.AckSeq)
 	}
 	if got := counterValue(h, "delivery.acked"); got != 1 {
 		t.Fatalf("acked = %d, want 1", got)
@@ -410,8 +404,8 @@ func TestAttachReplacesConnection(t *testing.T) {
 }
 
 // TestIdleKickAndHeartbeat drives the sweep with a fake clock: a connection
-// with no inbound activity past the idle timeout is detached (queue
-// preserved), and a quiet-but-alive connection gets pinged.
+// with no inbound activity for idleHeartbeats heartbeat intervals is
+// detached (queue preserved), and a quiet-but-alive connection gets pinged.
 func TestIdleKickAndHeartbeat(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(0, 0)
@@ -425,7 +419,8 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 		now = now.Add(d)
 		mu.Unlock()
 	}
-	h := NewHub(Config{Workers: 1, HeartbeatEvery: 10 * time.Second, IdleTimeout: 30 * time.Second, Clock: clock})
+	const hb = 10 * time.Second
+	h := NewHub(Config{Workers: 1, HeartbeatEvery: hb, Clock: clock})
 	defer h.Stop()
 	// No janitor interference: HeartbeatEvery spawns one, but its real-time
 	// ticks observe the same fake clock, so sweeps are deterministic here.
@@ -435,8 +430,8 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	advance(15 * time.Second) // past heartbeat, inside idle budget
-	h.Sweep()
+	advance(hb + hb/2) // past a heartbeat, inside the idle timeout
+	h.sweep()
 	waitFor(t, "ping", func() bool {
 		conn.mu.Lock()
 		defer conn.mu.Unlock()
@@ -449,8 +444,8 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 	// A pong keeps the session alive.
 	s, _ := h.Session("s")
 	s.Touch()
-	advance(20 * time.Second)
-	h.Sweep() // 20s since pong: pinged again, not kicked
+	advance(2 * hb)
+	h.sweep() // two heartbeats since the pong: pinged again, not kicked
 	if ss, _ := h.Snapshot("s"); ss.State != StateAttached {
 		t.Fatalf("state after pong = %v, want attached", ss.State)
 	}
@@ -458,8 +453,8 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 	// Silence past the idle timeout: kicked, queue preserved.
 	h.Deliver("s", 9, fid(9), []string{"t"})
 	waitFor(t, "delivery", func() bool { return len(conn.received()) == 1 })
-	advance(31 * time.Second)
-	h.Sweep()
+	advance((idleHeartbeats-2)*hb + time.Second) // idleHeartbeats heartbeats and a second since the pong
+	h.sweep()
 	ss, _ := h.Snapshot("s")
 	if ss.State != StateDetached {
 		t.Fatalf("state = %v, want detached after idle kick", ss.State)

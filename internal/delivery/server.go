@@ -165,9 +165,9 @@ func (s *Server) handle(c net.Conn) {
 
 // wireConn adapts one subscriber TCP connection to the Conn sink. Writes
 // are serialized (flush workers and the janitor both send) and bounded by
-// the server's write timeout. A timed-out write returns the raw error — not
-// ErrStalled — because the stream may carry a partial frame and must be
-// dropped, not retried.
+// the server's write timeout. A failed or timed-out write returns its error
+// and the hub detaches the session: the stream may carry a partial frame, so
+// it is dropped, never retried.
 //
 // What it adds to the shared flush round (frame.Batch, DESIGN.md §16) is
 // when the round goes out: SendEvents only appends, and the pending frames

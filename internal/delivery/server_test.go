@@ -143,9 +143,10 @@ func TestServerTakeoverBye(t *testing.T) {
 }
 
 // TestServerHeartbeat runs a real janitor: the client's transparent pong
-// keeps an otherwise silent session attached across several idle windows.
+// keeps an otherwise silent session attached across several idle timeouts.
 func TestServerHeartbeat(t *testing.T) {
-	hub, srv := startServer(t, Config{Workers: 1, HeartbeatEvery: 20 * time.Millisecond, IdleTimeout: 100 * time.Millisecond})
+	const hb = 25 * time.Millisecond // an idle timeout is idleHeartbeats × hb
+	hub, srv := startServer(t, Config{Workers: 1, HeartbeatEvery: hb})
 	addr := srv.Addr().String()
 
 	cl, err := Dial(addr, "carol", 0)
@@ -163,7 +164,7 @@ func TestServerHeartbeat(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(300 * time.Millisecond) // 3x the idle timeout
+	time.Sleep(3 * idleHeartbeats * hb) // 3x the idle timeout
 	if ss, _ := hub.Snapshot("carol"); ss.State != StateAttached {
 		t.Fatalf("state = %v, want attached (pongs keep it alive)", ss.State)
 	}

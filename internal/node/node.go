@@ -313,16 +313,6 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 			return nil, fmt.Errorf("node %s: decode register: %w", n.cfg.ID, err)
 		}
 		return nil, n.handleRegister(ctx, req)
-	case msgUnregister:
-		id, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := n.ix.Unregister(model.FilterID(id)); err != nil {
-			return nil, err
-		}
-		n.updateCoverGauges()
-		return nil, nil
 	case msgPublish:
 		local, doc, terms, err := decodePublishFrame(r)
 		if err != nil {

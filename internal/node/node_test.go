@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/movesys/move/internal/alloc"
@@ -114,6 +115,11 @@ func TestHandleRejectsGarbage(t *testing.T) {
 	}
 	if _, err := nd.Handle(context.Background(), "peer", []byte{msgGossip, 1, 0}); err == nil {
 		t.Fatal("gossip without handler accepted")
+	}
+	// Type 11, the one-ID unregister, is retired: EncodeUnregister sends a
+	// one-ID batch.
+	if _, err := nd.Handle(context.Background(), "peer", []byte{11, 3}); err == nil || !strings.Contains(err.Error(), "unknown message type 11") {
+		t.Fatalf("retired unregister frame: err = %v, want unknown message type 11", err)
 	}
 }
 

@@ -27,7 +27,8 @@ const (
 	msgInstallBloom = 8 // install the global filter-term Bloom filter
 	msgGossip       = 9 // membership digest
 	// 10 retired: msgDropGrid (a restart drops the table; nothing sends it).
-	msgUnregister = 11 // remove a filter definition
+	// 11 retired: msgUnregister (one ID; EncodeUnregister writes a one-ID
+	// msgUnregisterBatch).
 	// 12, 13 retired: msgAllocate / msgAllocateTerm (hard-flip allocation
 	// rounds, node-wide and per-term; both cut over through msgPrepareAlloc).
 	// 14–19 retired: msgPublish{,Local}Batch, msgPublish{,Local}Multi,
@@ -39,7 +40,7 @@ const (
 	msgPrepareAlloc    = 22 // prepare: migrate filters + install pending grid
 	msgCommitGrid      = 23 // commit barrier: promote the pending grid
 	msgAbortGrid       = 24 // abort: drop pending grid, unwind journaled migrations
-	msgUnregisterBatch = 25 // batched filter removal (old-placement GC)
+	msgUnregisterBatch = 25 // filter removal: one ID, or an old-placement GC batch
 	// 26 is msgDeliverBatch (deliver.go): routed delivery batch to the
 	// session owner of each matched subscriber (§14).
 	// 27 retired: the multi-item msgPublish (document table + item list).
@@ -492,10 +493,7 @@ func EncodeGossip(digest []byte) []byte {
 	return w.Bytes()
 }
 
-// EncodeUnregister serializes a filter removal.
+// EncodeUnregister serializes a filter removal: a one-ID unregister batch.
 func EncodeUnregister(id model.FilterID) []byte {
-	w := codec.NewWriter(12)
-	w.Uint8(msgUnregister)
-	w.Uvarint(uint64(id))
-	return w.Bytes()
+	return EncodeUnregisterBatch([]model.FilterID{id})
 }
