@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build vet test race bench loc wire-budget mem-budget bench-home fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
+.PHONY: build vet fmt-check test race bench loc wire-budget mem-budget bench-home fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt must have nothing to say about any Go file in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -148,4 +152,4 @@ benchmark-smoke:
 	done
 
 # .github/workflows/ci.yml runs these same steps in this order.
-ci: vet build loc wire-budget mem-budget bench-home race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke
+ci: vet fmt-check build loc wire-budget mem-budget bench-home race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke

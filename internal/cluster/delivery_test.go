@@ -141,20 +141,26 @@ func (c *chaosConn) setStalled(stalled bool) {
 //
 // shards sets the hub's registry stripe count so the suite proves the
 // sharded registry behaves identically to the degenerate single-map layout
-// (shards=1) under churn.
-func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int64, shards int) {
+// (shards=1) under churn. Without faults there is no data-path fault
+// injection and no crash: every deliver batch to an owner that matched the
+// document resolves its reference, so none is re-sent inline.
+func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int64, shards int, faults bool) {
 	ctx := context.Background()
 	led := newDeliveryLedger()
+	var fault *transport.FaultConfig
+	if faults {
+		fault = &transport.FaultConfig{
+			Seed:    seed,
+			Default: transport.FaultProbs{Drop: 0.01, Error: 0.01, Duplicate: 0.01},
+		}
+	}
 	c, err := New(Config{
 		Scheme:   SchemeMove,
 		Nodes:    12,
 		RackSize: 3,
 		Capacity: 100_000,
 		Seed:     seed,
-		Fault: &transport.FaultConfig{
-			Seed:    seed,
-			Default: transport.FaultProbs{Drop: 0.01, Error: 0.01, Duplicate: 0.01},
-		},
+		Fault:    fault,
 		Resilience: &resilience.Policy{
 			MaxAttempts:      5,
 			BaseDelay:        200 * time.Microsecond,
@@ -186,7 +192,9 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 	// several filters — delivery is per subscriber).
 	subTerms := make(map[string][][]string)
 	var subs []string
-	term := func(i int) string { return fmt.Sprintf("k%d", i%24) }
+	// Two of these terms spell more than a deliver batch's reference
+	// (9 bytes), so the batches to owners that matched a document name it.
+	term := func(i int) string { return fmt.Sprintf("term%d", i%24) }
 	register := func(sub string, terms []string) {
 		t.Helper()
 		if _, err := c.Register(ctx, sub, terms, model.MatchAny, 0); err != nil {
@@ -316,7 +324,7 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 			publish([]string{term(rng.Intn(24)), term(round)})
 		}
 
-		if round%3 == 0 {
+		if faults && round%3 == 0 {
 			// Crash a slice of the cluster, publish into the hole (routing
 			// to dead owners must surface as accounted loss, not silence),
 			// then recover and reallocate.
@@ -420,12 +428,16 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 	assertAggregatedCovers(t, c)
 
 	reg := c.Metrics()
-	t.Logf("delivery chaos (%v): %d docs, %d subs, %d reallocs; enqueued=%d delivered=%d redelivered=%d drops.oldest=%d drops.disconnect=%d coalesced=%d route.rpcs=%d route.lost=%d",
+	t.Logf("delivery chaos (%v): %d docs, %d subs, %d reallocs; enqueued=%d delivered=%d redelivered=%d drops.oldest=%d drops.disconnect=%d coalesced=%d route.rpcs=%d route.resent=%d route.lost=%d",
 		policy, len(published), len(subs), reallocs,
 		reg.Counter("delivery.enqueued").Value(), reg.Counter("delivery.delivered").Value(),
 		reg.Counter("delivery.redelivered").Value(), reg.Counter("delivery.drops.oldest").Value(),
 		reg.Counter("delivery.drops.disconnect").Value(), reg.Counter("delivery.coalesced").Value(),
-		reg.Counter("delivery.route.rpcs").Value(), reg.Counter("delivery.route.lost").Value())
+		reg.Counter("delivery.route.rpcs").Value(), reg.Counter("delivery.route.resent").Value(),
+		reg.Counter("delivery.route.lost").Value())
+	if resent := reg.Counter("delivery.route.resent").Value(); !faults && resent != 0 {
+		t.Fatalf("delivery.route.resent = %d without faults, want 0: a deliver batch named a document its owner did not hold", resent)
+	}
 
 	// The tight bounds must have made the policy shed during the run.
 	drops, disconnects, coalesced := reg.Counter("delivery.drops.oldest").Value(),
@@ -448,16 +460,17 @@ func TestDeliveryOracle(t *testing.T) {
 	for _, shards := range []int{1, 4, 32} {
 		shards := shards
 		t.Run(fmt.Sprintf("drop-oldest/shards=%d", shards), func(t *testing.T) {
-			runDeliveryChaos(t, delivery.DropOldest, 6, 11, shards)
+			runDeliveryChaos(t, delivery.DropOldest, 6, 11, shards, true)
 		})
 	}
-	t.Run("disconnect/shards=4", func(t *testing.T) { runDeliveryChaos(t, delivery.Disconnect, 6, 13, 4) })
-	t.Run("coalesce-by-doc/shards=32", func(t *testing.T) { runDeliveryChaos(t, delivery.CoalesceByDoc, 6, 17, 32) })
+	t.Run("disconnect/shards=4", func(t *testing.T) { runDeliveryChaos(t, delivery.Disconnect, 6, 13, 4, true) })
+	t.Run("coalesce-by-doc/shards=32", func(t *testing.T) { runDeliveryChaos(t, delivery.CoalesceByDoc, 6, 17, 32, true) })
+	t.Run("fault-free/drop-oldest/shards=4", func(t *testing.T) { runDeliveryChaos(t, delivery.DropOldest, 6, 19, 4, false) })
 }
 
 // TestDeliverySoak is the long-run chaos soak (`make soak-delivery`):
 // the same harness at SOAK_DELIVERY_ROUNDS length under -race, on the
 // full production shard count.
 func TestDeliverySoak(t *testing.T) {
-	runDeliveryChaos(t, delivery.DropOldest, deliveryRounds(t), 23, delivery.DefaultShards)
+	runDeliveryChaos(t, delivery.DropOldest, deliveryRounds(t), 23, delivery.DefaultShards, true)
 }

@@ -84,10 +84,11 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
+// Uint64 appends v as 8 little-endian bytes (a hash costs less than as a uvarint).
+func (w *Writer) Uint64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+
 // Float64 appends an IEEE-754 double.
-func (w *Writer) Float64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
+func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
@@ -164,14 +165,20 @@ func (r *Reader) Bool() (bool, error) {
 	return b != 0, nil
 }
 
-// Float64 reads an IEEE-754 double.
-func (r *Reader) Float64() (float64, error) {
+// Uint64 reads 8 little-endian bytes.
+func (r *Reader) Uint64() (uint64, error) {
 	if r.Remaining() < 8 {
 		return 0, ErrTruncated
 	}
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
-	return math.Float64frombits(v), nil
+	return v, nil
+}
+
+// Float64 reads an IEEE-754 double.
+func (r *Reader) Float64() (float64, error) {
+	v, err := r.Uint64()
+	return math.Float64frombits(v), err
 }
 
 // String reads a length-prefixed string.

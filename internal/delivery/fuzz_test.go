@@ -82,37 +82,46 @@ func FuzzDeliverFrameRoundTrip(f *testing.F) {
 			t.Fatalf("bye: %q %v, want %q", gotReason, err, reason)
 		}
 
-		// Routed batch (msgDeliverBatch body).
-		b := &Batch{
-			DocID: docID,
-			Terms: terms,
-			Notifs: []Notification{
-				{Sub: sub, Filters: filters},
-				{Sub: sub + "-2"},
-			},
-		}
-		w = codec.NewWriter(0)
-		AppendBatch(w, b)
-		batchBytes := append([]byte(nil), w.Bytes()...)
-		gotB, err := DecodeBatch(codec.NewReader(batchBytes))
-		if err != nil || gotB.DocID != b.DocID || len(gotB.Terms) != len(b.Terms) || len(gotB.Notifs) != len(b.Notifs) {
-			t.Fatalf("batch: %+v %v, want %+v", gotB, err, b)
-		}
-		for i := range b.Notifs {
-			if gotB.Notifs[i].Sub != b.Notifs[i].Sub || len(gotB.Notifs[i].Filters) != len(b.Notifs[i].Filters) {
-				t.Fatalf("batch notif[%d]: %+v, want %+v", i, gotB.Notifs[i], b.Notifs[i])
+		// Routed batch (msgDeliverBatch body), inline and asking for a
+		// reference, which carries the digest and no terms when it is the
+		// shorter form.
+		var batchBytes []byte
+		for _, ref := range []bool{false, true} {
+			b := &Batch{
+				DocID: docID,
+				Terms: terms,
+				Ref:   ref,
+				Notifs: []Notification{
+					{Sub: sub, Filters: filters},
+					{Sub: sub + "-2"},
+				},
+			}
+			w = codec.NewWriter(0)
+			AppendBatch(w, b)
+			batchBytes = append(batchBytes[:0], w.Bytes()...)
+			gotB, err := DecodeBatch(codec.NewReader(batchBytes))
+			byRef := ref && refShorter(terms)
+			if err != nil || gotB.DocID != b.DocID || gotB.Ref != byRef || len(gotB.Notifs) != len(b.Notifs) {
+				t.Fatalf("batch: %+v %v, want %+v", gotB, err, b)
+			}
+			if byRef && (gotB.Terms != nil || gotB.Digest != TermsDigest(terms)) || !byRef && len(gotB.Terms) != len(b.Terms) {
+				t.Fatalf("batch document field (ref=%v): terms %q digest %x, want %d terms", byRef, gotB.Terms, gotB.Digest, len(terms))
+			}
+			for i := range b.Notifs {
+				if gotB.Notifs[i].Sub != b.Notifs[i].Sub || len(gotB.Notifs[i].Filters) != len(b.Notifs[i].Filters) {
+					t.Fatalf("batch notif[%d]: %+v, want %+v", i, gotB.Notifs[i], b.Notifs[i])
+				}
+			}
+			for cut := 0; cut < len(batchBytes); cut++ {
+				_, _ = DecodeBatch(codec.NewReader(batchBytes[:cut]))
 			}
 		}
 
 		// Decode-never-panics: every decoder over the raw fuzz bytes from
-		// several offsets, and over truncated prefixes of a valid batch —
-		// the shape a torn read produces. Errors are expected; panics are
-		// bugs.
+		// several offsets (the truncated batches above are the shape a torn
+		// read produces). Errors are expected; panics are bugs.
 		for off := 0; off <= len(raw) && off < 32; off++ {
 			chew(t, raw[off:])
-		}
-		for cut := 0; cut < len(batchBytes); cut++ {
-			_, _ = DecodeBatch(codec.NewReader(batchBytes[:cut]))
 		}
 		// The same bytes through the decoder the frames above warmed.
 		if evs, err := dec.Decode(codec.NewReader(raw)); err == nil {

@@ -390,9 +390,9 @@ func (c *replayConn) Read(p []byte) (int, error) {
 }
 
 // TestClientRecvAllHitAllocs: receiving an events frame whose terms the table
-// holds allocates frame.Read's one-byte prefix buffer, the frame's event list
-// and, per event, the Event, its filter IDs and its term list — and no term
-// string.
+// holds allocates the frame's event list and, per event, the Event, its
+// filter IDs and its term list — and no term string, and nothing to read the
+// frame.
 func TestClientRecvAllHitAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -431,7 +431,7 @@ func TestClientRecvAllHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := float64(2 + 3*perFrame); allocs != want {
+	if want := float64(1 + 3*perFrame); allocs != want {
 		t.Fatalf("Recv of a %d-event all-hit frame allocated %.2f times, want %.0f (no term strings)", perFrame, allocs, want)
 	}
 }

@@ -409,18 +409,33 @@ type Notification struct {
 // matched document plus every notification bound for sessions owned by the
 // destination node. The document is encoded once no matter how many
 // subscribers it fans out to — the same coalescing discipline as the
-// publish fan-out.
+// publish fan-out — or not at all: Ref asks for a reference to the copy the
+// owner was just sent to match, DocID and TermsDigest (DESIGN.md §14). A
+// decoded reference has Ref and Digest set and no Terms.
 type Batch struct {
 	DocID  uint64
 	Terms  []string
+	Ref    bool
+	Digest uint64
 	Notifs []Notification
 }
 
+// The forms of a batch's document field: its terms, or their digest.
+const batchInline, batchRef = 0, 1
+
 // AppendBatch encodes a routed delivery batch (no type byte — the node
-// layer owns its message-type namespace).
+// layer owns its message-type namespace): the document ID, the document
+// field — a form byte, then the term list or, when Ref is set and it is
+// shorter, the 8-byte digest — and the notifications.
 func AppendBatch(w *codec.Writer, b *Batch) {
 	w.Uvarint(b.DocID)
-	w.StringSlice(b.Terms)
+	if b.Ref && refShorter(b.Terms) {
+		w.Uint8(batchRef)
+		w.Uint64(TermsDigest(b.Terms))
+	} else {
+		w.Uint8(batchInline)
+		w.StringSlice(b.Terms)
+	}
 	w.Uvarint(uint64(len(b.Notifs)))
 	for i := range b.Notifs {
 		n := &b.Notifs[i]
@@ -432,14 +447,39 @@ func AppendBatch(w *codec.Writer, b *Batch) {
 	}
 }
 
-// DecodeBatch decodes a routed delivery batch.
+// refShorter reports whether a reference's 8 digest bytes are fewer than the
+// term list's: the sum is a lower bound of its size, exact below 9 bytes.
+func refShorter(terms []string) bool {
+	size := 1
+	for _, t := range terms {
+		if size += 1 + len(t); size > 8 {
+			return true
+		}
+	}
+	return false
+}
+
+// DecodeBatch decodes a routed delivery batch in either form.
 func DecodeBatch(r *codec.Reader) (*Batch, error) {
 	b := &Batch{}
 	var err error
 	if b.DocID, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	if b.Terms, err = r.StringSlice(); err != nil {
+	form, err := r.Uint8()
+	if err != nil {
+		return nil, err
+	}
+	switch form {
+	case batchInline:
+		b.Terms, err = r.StringSlice()
+	case batchRef:
+		b.Ref = true
+		b.Digest, err = r.Uint64()
+	default:
+		err = fmt.Errorf("delivery: batch document form %d", form)
+	}
+	if err != nil {
 		return nil, err
 	}
 	n, err := r.Uvarint()
@@ -475,4 +515,23 @@ func DecodeBatch(r *codec.Reader) (*Batch, error) {
 		b.Notifs = append(b.Notifs, nt)
 	}
 	return b, nil
+}
+
+// TermsDigest is the FNV-1a 64 hash of each term's uvarint length and bytes,
+// so ["ab", "c"] and ["a", "bc"] differ: the same in every process, and
+// allocation-free. A reference batch names its document by it.
+func TermsDigest(terms []string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, t := range terms {
+		n := uint64(len(t))
+		for ; n >= 0x80; n >>= 7 {
+			h = (h ^ (n&0x7f | 0x80)) * prime
+		}
+		h = (h ^ n) * prime
+		for i := 0; i < len(t); i++ {
+			h = (h ^ uint64(t[i])) * prime
+		}
+	}
+	return h
 }

@@ -42,21 +42,25 @@ func Append(dst, payload []byte, max int) ([]byte, error) {
 
 // readLen reads the uvarint length prefix one byte at a time — through
 // ReadByte when r buffers, so a reader that does not is never asked for more
-// than the header holds. It stops at the first byte that settles the outcome:
-// a length past max is refused as soon as the bits read exceed it, whatever
+// than the header holds; that one reads into *bp, which the payload
+// overwrites next. It stops at the first byte that settles the outcome: a
+// length past max is refused as soon as the bits read exceed it, whatever
 // follows, so a hostile header costs at most binary.MaxVarintLen64 reads and
-// no allocation. A prefix that is not the shortest encoding of its value is a
-// protocol error, not a synonym.
-func readLen(r io.Reader, max int) (int, error) {
+// never grows *bp. A prefix that is not the shortest encoding of its value is
+// a protocol error, not a synonym.
+func readLen(r io.Reader, bp *[]byte, max int) (int, error) {
 	br, _ := r.(io.ByteReader)
-	var one [1]byte
+	var one []byte
+	if br == nil {
+		one = append((*bp)[:0], 0) // a fresh buffer's first header allocates
+	}
 	var n uint64
 	for i := 0; i < binary.MaxVarintLen64; i++ {
 		var b byte
 		var err error
 		if br != nil {
 			b, err = br.ReadByte()
-		} else if _, err = io.ReadFull(r, one[:]); err == nil {
+		} else if _, err = io.ReadFull(r, one); err == nil {
 			b = one[0]
 		}
 		if err != nil {
@@ -85,7 +89,7 @@ func readLen(r io.Reader, max int) (int, error) {
 // before anything is allocated; a payload too large to be worth retaining is
 // read into a buffer of its own.
 func Read(r io.Reader, bp *[]byte, max int) ([]byte, error) {
-	size, err := readLen(r, max)
+	size, err := readLen(r, bp, max)
 	if err != nil {
 		return nil, err
 	}

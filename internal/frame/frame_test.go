@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/movesys/move/internal/metrics"
+	"github.com/movesys/move/internal/testutil"
 )
 
 // prefixLen is the size of the uvarint prefix of an n-byte payload.
@@ -139,6 +141,47 @@ func TestReadReusesBuffer(t *testing.T) {
 		}
 		if cap(buf) != 100 {
 			t.Fatalf("after frame %d (%d bytes) the retained buffer holds %d bytes, want the first frame's 100", i, len(got), cap(buf))
+		}
+	}
+}
+
+// loop replays one wire image forever, and hides bytes.Reader's ReadByte.
+type loop struct{ r *bytes.Reader }
+
+func (l loop) Read(p []byte) (int, error) {
+	if l.r.Len() == 0 {
+		l.r.Seek(0, io.SeekStart)
+	}
+	return l.r.Read(p)
+}
+
+// TestReadZeroAlloc: once its buffer has held a frame, a frame read allocates
+// nothing — through a bufio.Reader, which the length prefix is read from a
+// byte at a time, and through a reader that does not buffer, whose prefix
+// byte lands in the caller's buffer.
+func TestReadZeroAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	wire, _ := Append(nil, make([]byte, 300), 1<<10)
+	for _, tc := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"bufio.Reader", bufio.NewReader(loop{bytes.NewReader(wire)})},
+		{"plain io.Reader", loop{bytes.NewReader(wire)}},
+	} {
+		var buf []byte
+		if _, err := Read(tc.r, &buf, 1<<10); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := Read(tc.r, &buf, 1<<10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a frame read allocated %.2f times, want 0", tc.name, allocs)
 		}
 	}
 }

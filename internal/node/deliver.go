@@ -1,8 +1,14 @@
 package node
 
+// The last mile (DESIGN.md §14): one msgDeliverBatch per session owner. The
+// owner is usually a home that just matched the document, so it holds it
+// (heldDocs) and the batch names it; an owner that does not answers "not
+// held" and gets it inline. Correctness never rests on a hit, only bytes do.
+
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/movesys/move/internal/codec"
@@ -13,30 +19,91 @@ import (
 
 // msgDeliverBatch routes a matched document's notifications to the session
 // owner of each subscriber: one frame per destination node carrying the
-// document once plus every (subscriber, matched-filter-IDs) pair whose
-// session that node owns — the same coalescing discipline as the publish
-// fan-out (§12), applied to the last mile (§14).
-const msgDeliverBatch = 26
+// document at most once plus every (subscriber, matched-filter-IDs) pair
+// whose session that node owns — the same coalescing discipline as the
+// publish fan-out (§12). The answer is empty, or deliverNotHeld.
+const msgDeliverBatch = 30
+
+// deliverNotHeld is the whole answer of an owner that does not hold the
+// document a reference batch names. It enqueued nothing; the sender re-sends
+// the batch inline.
+const deliverNotHeld = 1
+
+// heldCap is the number of documents a home holds for reference batches. A
+// batch follows its publish by one round trip, so a document need outlast
+// only the few that reach the same home meanwhile; a miss costs a re-send,
+// never a delivery, which is why this is a constant and not a knob.
+const heldCap = 256
+
+// heldDoc is one held document; a slot whose terms are nil is free.
+type heldDoc struct {
+	from   ring.NodeID
+	id     uint64
+	digest uint64
+	terms  []string
+}
+
+// heldDocs is a node's recent-document table: the documents home-routed
+// publishes brought it, oldest overwritten first, each removed by the batch
+// that uses it. The terms are the decode's own copies and are never mutated:
+// the hub's event windows share them once used (DESIGN.md §11).
+type heldDocs struct {
+	mu    sync.Mutex
+	next  int
+	slots [heldCap]heldDoc
+}
+
+// put holds doc, sent by from, in the oldest slot.
+func (h *heldDocs) put(from ring.NodeID, doc *model.Document) {
+	d := heldDoc{from: from, id: doc.ID, digest: delivery.TermsDigest(doc.Terms), terms: doc.Terms}
+	h.mu.Lock()
+	h.slots[h.next] = d
+	h.next = (h.next + 1) % heldCap
+	h.mu.Unlock()
+}
+
+// take removes and returns the terms of the document from sent as id whose
+// digest is digest, or nil. A held copy of the same ID with other terms is
+// not it.
+func (h *heldDocs) take(from ring.NodeID, id, digest uint64) []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.slots {
+		d := &h.slots[i]
+		if d.id == id && d.digest == digest && d.terms != nil && d.from == from {
+			terms := d.terms
+			*d = heldDoc{}
+			return terms
+		}
+	}
+	return nil
+}
 
 // handleDeliverBatch lands a routed delivery batch on the session owner:
 // the notifications enqueue into its hub's subscriber sessions. A node
 // without a hub refuses the batch, so the sender accounts the notifications
 // as lost (delivery.route.failures / route.lost / OnDeliveryLoss) instead of
-// believing them delivered.
-func (n *Node) handleDeliverBatch(r *codec.Reader) error {
+// believing them delivered. An unresolved reference enqueues nothing.
+func (n *Node) handleDeliverBatch(from ring.NodeID, r *codec.Reader) ([]byte, error) {
 	b, err := delivery.DecodeBatch(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hub := n.cfg.Delivery
 	if hub == nil {
-		return fmt.Errorf("node %s: no delivery hub: %d notification(s) for doc %d refused", n.cfg.ID, len(b.Notifs), b.DocID)
+		return nil, fmt.Errorf("node %s: no delivery hub: %d notification(s) for doc %d refused", n.cfg.ID, len(b.Notifs), b.DocID)
+	}
+	if b.Ref {
+		if b.Terms = n.held.take(from, b.DocID, b.Digest); b.Terms == nil {
+			n.routeUnheld.Inc()
+			return []byte{deliverNotHeld}, nil
+		}
 	}
 	// One batched call: session lookups group by registry shard, so a
 	// thousand-subscriber fan-out costs a handful of lock acquisitions
 	// instead of one per subscriber.
 	hub.DeliverBatch(b.DocID, b.Terms, b.Notifs)
-	return nil
+	return nil, nil
 }
 
 // groupMatchesBySub folds a deduplicated match set into per-subscriber
@@ -76,11 +143,13 @@ func groupMatchesBySub(matches []Match) []delivery.Notification {
 // routeDeliveries ships a matched document's notifications to each
 // subscriber's session owner (the home node of "subscriber/<name>"): one
 // msgDeliverBatch per distinct owner, all frames built in pooled writers
-// before the first goroutine spawns (DESIGN.md §11). Routing is
+// before the first goroutine spawns (DESIGN.md §11). homes are the nodes that
+// answered this document's publish without error: a batch to one of them
+// asks for the reference form (delivery.AppendBatch). Routing is
 // best-effort: a failed owner RPC is counted, and the affected subscribers
 // are reported through OnDeliveryLoss so loss is accounted, never silent —
 // publish completion does not block on slow consumers beyond these sends.
-func (n *Node) routeDeliveries(ctx context.Context, doc *model.Document, matches []Match) {
+func (n *Node) routeDeliveries(ctx context.Context, doc *model.Document, matches []Match, homes []ring.NodeID) {
 	notifs := groupMatchesBySub(matches)
 	batches := make(map[ring.NodeID]*delivery.Batch)
 	var unrouted []string
@@ -92,7 +161,7 @@ func (n *Node) routeDeliveries(ctx context.Context, doc *model.Document, matches
 		}
 		b := batches[home]
 		if b == nil {
-			b = &delivery.Batch{DocID: doc.ID, Terms: doc.Terms}
+			b = &delivery.Batch{DocID: doc.ID, Terms: doc.Terms, Ref: slices.Contains(homes, home)}
 			batches[home] = b
 		}
 		b.Notifs = append(b.Notifs, notifs[i])
@@ -127,7 +196,18 @@ func (n *Node) routeDeliveries(ctx context.Context, doc *model.Document, matches
 		wg.Add(1)
 		go func(d *dest) {
 			defer wg.Done()
-			_, err := n.send(ctx, d.home, d.frame.Bytes())
+			resp, err := n.send(ctx, d.home, d.frame.Bytes())
+			if err == nil && len(resp) == 1 && resp[0] == deliverNotHeld {
+				// The owner does not hold the document the batch named:
+				// the same batch once more, inline. A re-send is not a new
+				// route RPC.
+				n.routeResent.Inc()
+				d.batch.Ref = false
+				d.frame.Reset()
+				d.frame.Uint8(msgDeliverBatch)
+				delivery.AppendBatch(d.frame, d.batch)
+				_, err = n.send(ctx, d.home, d.frame.Bytes())
+			}
 			codec.PutWriter(d.frame)
 			if err == nil {
 				return

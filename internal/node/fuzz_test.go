@@ -28,6 +28,8 @@ func handleSeeds(t testing.TB) [][]byte {
 	}
 	bf := bloom.MustNew(64, 0.01)
 	bf.Add("alpha")
+	notifs := []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{3}}}
+	ref := encodeDeliverBatch(&delivery.Batch{DocID: docA.ID, Terms: docA.Terms, Ref: true, Notifs: notifs})
 	return [][]byte{
 		encodePublish(false, &docA, "alpha", "beta"),
 		encodePublish(true, &docA, "beta", "gamma"),
@@ -45,7 +47,12 @@ func handleSeeds(t testing.TB) [][]byte {
 		append(EncodePrepareAlloc(2, grid), 0),
 		EncodeCommitGrid(2),
 		EncodeAbortGrid(2),
-		encodeDeliverBatch(&delivery.Batch{DocID: 7, Terms: docA.Terms, Notifs: []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{3}}}}),
+		encodeDeliverBatch(&delivery.Batch{DocID: 7, Terms: docA.Terms, Notifs: notifs}),
+		// The reference form names docA, which the fuzz node holds.
+		ref,
+		// A reference cut short: type, DocID, form and 5 of the digest's 8
+		// bytes.
+		ref[:8],
 	}
 }
 
@@ -55,7 +62,9 @@ func handleSeeds(t testing.TB) [][]byte {
 // prefix is a claim, not a budget), and a frame refused while decoding must
 // leave the node exactly as it was: counters, filters and epoch state. The
 // retired drop and hard-flip types (10, 13) are unknown whatever follows
-// them, so no frame takes a committed grid out of the forwarding table.
+// them, so no frame takes a committed grid out of the forwarding table. The
+// node has a delivery hub and holds the seeds' document, sent by the fuzz
+// sender, so a reference batch resolves and enqueues within the same bound.
 func FuzzNodeHandle(f *testing.F) {
 	for _, seed := range handleSeeds(f) {
 		f.Add(seed)
@@ -74,6 +83,13 @@ func FuzzNodeHandle(f *testing.F) {
 		}
 		if !nd.PrepareGrid(1, "", g) || !nd.CommitGrid(1) {
 			t.Fatal("seed grid not installed")
+		}
+		hub := delivery.NewHub(delivery.Config{})
+		defer hub.Stop()
+		nd.cfg.Delivery = hub
+		docA := model.Document{ID: 7, Terms: []string{"alpha", "beta", "gamma"}}
+		if _, err := nd.Handle(context.Background(), "fuzz", encodePublish(false, &docA, "alpha")); err != nil {
+			t.Fatal(err)
 		}
 
 		type state struct {

@@ -48,8 +48,9 @@ type Config struct {
 	// subscribers.
 	OnDeliver func(doc *model.Document, matches []Match)
 	// Delivery, if set, is this node's subscriber-session hub: inbound
-	// msgDeliverBatch frames enqueue into its sessions. Without one the
-	// node rejects routed deliveries, so the sender accounts them as lost.
+	// msgDeliverBatch frames enqueue into its sessions (and the documents
+	// of home-routed publishes are held for them). Without one the node
+	// rejects routed deliveries, so the sender accounts them as lost.
 	Delivery *delivery.Hub
 	// RouteDeliveries makes the entry node push each document's matches to
 	// the subscribers' session owners (one msgDeliverBatch per distinct
@@ -126,12 +127,17 @@ type Node struct {
 	homeBytes *metrics.Counter
 
 	// Delivery-routing accounting (§14): owner-bound batch frames, the
-	// subscriber notifications they carried, failed sends, and
-	// notifications lost to failed sends.
+	// subscriber notifications they carried, failed sends, notifications
+	// lost to failed sends, reference batches re-sent inline (entry side),
+	// and references this node could not resolve (owner side).
 	routeRPCs     *metrics.Counter
 	routeSubs     *metrics.Counter
 	routeFailures *metrics.Counter
 	routeLost     *metrics.Counter
+	routeResent   *metrics.Counter
+	routeUnheld   *metrics.Counter
+
+	held heldDocs // documents reference batches name (deliver.go)
 
 	// Per-stage latency histograms (§IV latency model, one per pipeline
 	// stage) and the ring of recent publish traces.
@@ -214,6 +220,8 @@ func New(cfg Config) (*Node, error) {
 		routeSubs:     reg.Counter("delivery.route.subs"),
 		routeFailures: reg.Counter("delivery.route.failures"),
 		routeLost:     reg.Counter("delivery.route.lost"),
+		routeResent:   reg.Counter("delivery.route.resent"),
+		routeUnheld:   reg.Counter("delivery.route.unheld"),
 		hE2E:          reg.Histogram("publish.e2e"),
 		hHome:         reg.Histogram("publish.home"),
 		hFanout:       reg.Histogram("publish.fanout"),
@@ -325,6 +333,9 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 			resp, err = n.matchLocalTerms(&doc, terms)
 		} else {
 			resp, err = n.handlePublish(ctx, &doc, terms)
+			if err == nil && n.cfg.Delivery != nil {
+				n.held.put(from, &doc) // for the entry's deliver batch
+			}
 		}
 		if err != nil {
 			return nil, err
@@ -401,7 +412,7 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		n.InstallBloom(bf)
 		return nil, nil
 	case msgDeliverBatch:
-		return nil, n.handleDeliverBatch(r)
+		return n.handleDeliverBatch(from, r)
 	case msgGossip:
 		if n.cfg.Gossip == nil {
 			return nil, errors.New("node: gossip not enabled")
@@ -1084,6 +1095,7 @@ func (n *Node) publishEntry(ctx context.Context, doc *model.Document, group func
 	}
 	var total MatchResp
 	var errs []error
+	var answered []ring.NodeID
 	total.Hops = make([]trace.Hop, 0, nHops)
 	spanHops := make([]trace.Hop, 0, nHops+nHome)
 	seen := matchSeenPool.Get().(map[model.FilterID]struct{})
@@ -1095,6 +1107,7 @@ func (n *Node) publishEntry(ctx context.Context, doc *model.Document, group func
 			errs = append(errs, res.err)
 			continue
 		}
+		answered = append(answered, groups[i].home)
 		total.PostingsScanned += res.resp.PostingsScanned
 		total.PostingLists += res.resp.PostingLists
 		total.Degraded = total.Degraded || res.resp.Degraded
@@ -1119,7 +1132,7 @@ func (n *Node) publishEntry(ctx context.Context, doc *model.Document, group func
 		n.cfg.OnDeliver(doc, matches)
 	}
 	if n.cfg.RouteDeliveries && len(matches) > 0 {
-		n.routeDeliveries(ctx, doc, matches)
+		n.routeDeliveries(ctx, doc, matches, answered)
 	}
 	// Partial failure: report what matched alongside the aggregated
 	// per-home errors so the caller can account availability (Fig. 9 c–d).

@@ -11,6 +11,7 @@ import (
 
 	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/bloom"
+	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/transport"
@@ -120,6 +121,46 @@ func TestHandleRejectsGarbage(t *testing.T) {
 	// one-ID batch.
 	if _, err := nd.Handle(context.Background(), "peer", []byte{11, 3}); err == nil || !strings.Contains(err.Error(), "unknown message type 11") {
 		t.Fatalf("retired unregister frame: err = %v, want unknown message type 11", err)
+	}
+	// Type 26, the deliver batch that always carried its document, is
+	// retired: msgDeliverBatch is 30.
+	inline := encodeDeliverBatch(&delivery.Batch{DocID: 5, Terms: []string{"news"}, Notifs: []delivery.Notification{{Sub: "alice"}}})
+	inline[0] = 26
+	if _, err := nd.Handle(context.Background(), "peer", inline); err == nil || !strings.Contains(err.Error(), "unknown message type 26") {
+		t.Fatalf("retired deliver batch frame: err = %v, want unknown message type 26", err)
+	}
+
+	// A reference the node cannot resolve — from a sender that never sent
+	// the document, or naming other terms under its ID — answers "not
+	// held" and enqueues nothing; the one it can resolve enqueues.
+	hub := delivery.NewHub(delivery.Config{})
+	defer hub.Stop()
+	nd.cfg.Delivery = hub
+	doc := &model.Document{ID: 5, Terms: []string{"news", "today"}}
+	if _, err := nd.Handle(context.Background(), "entry", encodePublish(false, doc, doc.Terms...)); err != nil {
+		t.Fatal(err)
+	}
+	enqueued := hub.Metrics().Counter("delivery.enqueued")
+	ref := func(terms ...string) []byte {
+		return encodeDeliverBatch(&delivery.Batch{DocID: doc.ID, Terms: terms, Ref: true, Notifs: []delivery.Notification{{Sub: "alice"}}})
+	}
+	for _, tc := range []struct {
+		name, from string
+		terms      []string
+	}{
+		{"unknown sender", "stranger", doc.Terms},
+		{"wrong digest", "entry", []string{"news", "yesterday"}},
+	} {
+		resp, err := nd.Handle(context.Background(), ring.NodeID(tc.from), ref(tc.terms...))
+		if err != nil || !reflect.DeepEqual(resp, []byte{deliverNotHeld}) || enqueued.Value() != 0 {
+			t.Fatalf("%s: answer %v, %v with %d enqueued; want not held and none", tc.name, resp, err, enqueued.Value())
+		}
+	}
+	if resp, err := nd.Handle(context.Background(), "entry", ref(doc.Terms...)); err != nil || resp != nil || enqueued.Value() != 1 {
+		t.Fatalf("held reference: answer %v, %v with %d enqueued; want empty and 1", resp, err, enqueued.Value())
+	}
+	if got := nd.routeUnheld.Value(); got != 2 {
+		t.Fatalf("delivery.route.unheld = %d, want 2", got)
 	}
 }
 

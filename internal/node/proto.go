@@ -41,8 +41,7 @@ const (
 	msgCommitGrid      = 23 // commit barrier: promote the pending grid
 	msgAbortGrid       = 24 // abort: drop pending grid, unwind journaled migrations
 	msgUnregisterBatch = 25 // filter removal: one ID, or an old-placement GC batch
-	// 26 is msgDeliverBatch (deliver.go): routed delivery batch to the
-	// session owner of each matched subscriber (§14).
+	// 26 retired: msgDeliverBatch with the document always inline.
 	// 27 retired: the multi-item msgPublish (document table + item list).
 	// 28 retired: the one-document msgPublish that spelled the routed terms
 	// out as strings beside the document that already holds them.
@@ -51,6 +50,9 @@ const (
 	// term list — home-routed or, with the local flag, bound for a grid node
 	// that matches without re-forwarding.
 	msgPublish = 29
+	// 30 is msgDeliverBatch (deliver.go): routed delivery batch to the
+	// session owner of each matched subscriber, the document inline or by
+	// reference (§14).
 )
 
 // EncodePrepareAlloc serializes a prepare-phase reallocation command for a

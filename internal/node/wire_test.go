@@ -130,7 +130,8 @@ type wireBudget struct {
 	prefixes int // the length prefix of every frame above
 	frames   int
 
-	eventCold int // the same event frames on fresh connections (not in the total)
+	batchInline int // the same deliver batches, every document inline (not in the total)
+	eventCold   int // the same event frames on fresh connections (not in the total)
 }
 
 func (b *wireBudget) total() int {
@@ -191,20 +192,26 @@ func (b *wireBudget) publish(t *testing.T, from string, local bool, doc *model.D
 }
 
 // deliver adds the last mile of one document: a deliver batch to each owner
-// carrying its share of subs (one matched filter each), and one event frame
-// per subscriber. Event frames are coded against their connection's state;
-// the budget counts a warm connection — one that has carried an event for
-// each document of history, in order, the last of them the document before
-// this one — and, apart, a fresh one.
-func (b *wireBudget) deliver(t *testing.T, doc *model.Document, owners int, subs []string, history [][]string) {
+// carrying its share of subs (one matched filter each) — naming the document
+// when the owner is one it was published to (homes[o]) and that is shorter,
+// as routeDeliveries does, and carrying it otherwise — and one event frame
+// per subscriber. The batches are priced apart with every document inline.
+// Event frames are coded against their connection's state; the budget counts
+// a warm connection — one that has carried an event for each document of
+// history, in order, the last of them the document before this one — and,
+// apart, a fresh one.
+func (b *wireBudget) deliver(t *testing.T, doc *model.Document, homes []bool, subs []string, history [][]string) {
 	t.Helper()
-	for o := 0; o < owners; o++ {
-		batch := &delivery.Batch{DocID: doc.ID, Terms: doc.Terms}
+	owners := len(homes)
+	for o, home := range homes {
+		batch := &delivery.Batch{DocID: doc.ID, Terms: doc.Terms, Ref: home}
 		for i := o; i < len(subs); i += owners {
 			batch.Notifs = append(batch.Notifs, delivery.Notification{Sub: subs[i], Filters: []model.FilterID{model.FilterID(20000 + i)}})
 		}
 		b.batch += b.put(t, rpcRequest("entry", encodeDeliverBatch(batch)))
 		b.batch += b.put(t, rpcAnswer(nil))
+		batch.Ref = false
+		b.batchInline += len(rpcRequest("entry", encodeDeliverBatch(batch))) + len(rpcAnswer(nil))
 	}
 	for i := range subs {
 		ev := delivery.Event{Seq: uint64(3000 + i), DocID: doc.ID, Filters: []model.FilterID{model.FilterID(20000 + i)}, Terms: doc.Terms}
@@ -274,11 +281,14 @@ func matchesFor(subs []string, from, to int) []Match {
 // shapes the repository benchmark publishes — no daemon, no clock. Run it
 // with -v for one row per frame class; it fails when a class passes its
 // ceiling (5 % over the figures of the change that last touched a frame), so
-// the number to quote before the next such change is here. The cold event
-// row is the same frames on fresh connections, where every term is a miss:
-// its ceiling is what those frames cost before the term table, exactly.
+// the number to quote before the next such change is here. Every shape's
+// owners are homes of its document, so its deliver batches name the document;
+// the inline row prices the same batches carrying it, which an owner that is
+// not a home — or no longer holds it — is sent. The cold event row is the same
+// frames on fresh connections, where every term is a miss: its ceiling is what
+// those frames cost before the term table, exactly.
 func TestWireBudget(t *testing.T) {
-	type ceilings struct{ request, routed, matches, hops, batch, event, prefixes, eventCold int }
+	type ceilings struct{ request, routed, matches, hops, batch, event, prefixes, batchInline, eventCold int }
 	shapes := []struct {
 		name  string
 		build func(t *testing.T, b *wireBudget)
@@ -286,7 +296,8 @@ func TestWireBudget(t *testing.T) {
 	}{
 		{
 			// match_heavy: a 65-term WT-like document over two grid-less
-			// homes, 6 matches; each subscriber's connection has carried
+			// homes, 6 matches for subscribers whose sessions the two homes
+			// own; each subscriber's connection has carried
 			// the 1,000 documents before it (a session of a 32 s run
 			// receives ≈ 2,000, a skewed sample of the same stream).
 			name: "65 terms, two homes, 6 matches",
@@ -303,12 +314,12 @@ func TestWireBudget(t *testing.T) {
 						t.Errorf("a \"local\" hop costs %.1f B, ceiling 4", c)
 					}
 				}
-				b.deliver(t, doc, 2, subs, history)
+				b.deliver(t, doc, []bool{true, true}, subs, history)
 				if perTerm := float64(b.routed) / 65; perTerm > 1.1 {
 					t.Errorf("routed lists cost %.2f B per routed term, ceiling 1.1", perTerm)
 				}
 			},
-			max: ceilings{request: 1226, routed: 70, matches: 73, hops: 213, batch: 1291, event: 1644, prefixes: 27, eventCold: 3480},
+			max: ceilings{request: 1226, routed: 70, matches: 73, hops: 213, batch: 113, event: 1644, prefixes: 25, batchInline: 1293, eventCold: 3480},
 		},
 		{
 			// fanout_heavy: 4 terms over two homes, 160 match entries for 142
@@ -322,13 +333,13 @@ func TestWireBudget(t *testing.T) {
 						Hops: localHops(fmt.Sprintf("n%d", h), terms),
 					})
 				}
-				b.deliver(t, doc, 2, subs, [][]string{doc.Terms})
+				b.deliver(t, doc, []bool{true, true}, subs, [][]string{doc.Terms})
 			},
-			max: ceilings{request: 107, routed: 6, matches: 1365, hops: 21, batch: 1459, event: 1938, prefixes: 161, eventCold: 6816},
+			max: ceilings{request: 107, routed: 6, matches: 1365, hops: 21, batch: 1400, event: 1938, prefixes: 161, batchInline: 1461, eventCold: 6816},
 		},
 		{
 			// wire_mixed: 8 terms to one home through its committed 1 × 2
-			// grid — itself and n1 — 2 matches.
+			// grid — itself and n1 — 2 matches for subscribers the home owns.
 			name: "8 terms, one home, 1x2 grid, 2 matches",
 			build: func(t *testing.T, b *wireBudget) {
 				doc, subs := wireDoc(70000, 8), subNames(2)
@@ -341,19 +352,19 @@ func TestWireBudget(t *testing.T) {
 					Hops: []trace.Hop{column(0, "n0"), column(1, "n1")},
 				}
 				b.publish(t, "entry", false, doc, doc.Terms, resp)
-				b.deliver(t, doc, 1, subs, [][]string{doc.Terms})
+				b.deliver(t, doc, []bool{true}, subs, [][]string{doc.Terms})
 				if c := hopCost(resp, doc.Terms); c > 12 {
 					t.Errorf("a served \"column\" hop costs %.1f B, ceiling 12", c)
 				}
 			},
-			max: ceilings{request: 179, routed: 18, matches: 44, hops: 28, batch: 114, event: 35, prefixes: 8, eventCold: 168},
+			max: ceilings{request: 179, routed: 18, matches: 44, hops: 28, batch: 47, event: 35, prefixes: 8, batchInline: 115, eventCold: 168},
 		},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			var b wireBudget
 			sh.build(t, &b)
-			t.Logf("%-12s %6s %8s", "frame class", "bytes", "ceiling")
+			t.Logf("%-21s %6s %8s", "frame class", "bytes", "ceiling")
 			for _, row := range []struct {
 				class    string
 				got, max int
@@ -365,14 +376,15 @@ func TestWireBudget(t *testing.T) {
 				{"deliver batch", b.batch, sh.max.batch},
 				{"event", b.event, sh.max.event},
 				{"prefixes", b.prefixes, sh.max.prefixes},
+				{"deliver batch, inline", b.batchInline, sh.max.batchInline},
 				{"event, cold", b.eventCold, sh.max.eventCold},
 			} {
-				t.Logf("%-12s %6d %8d", row.class, row.got, row.max)
+				t.Logf("%-21s %6d %8d", row.class, row.got, row.max)
 				if row.got > row.max {
 					t.Errorf("%s: %d bytes per document, ceiling %d", row.class, row.got, row.max)
 				}
 			}
-			t.Logf("%-12s %6d bytes in %d frames", "total", b.total(), b.frames)
+			t.Logf("%-21s %6d bytes in %d frames", "total", b.total(), b.frames)
 		})
 	}
 }
