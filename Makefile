@@ -65,9 +65,13 @@ wire-budget:
 # a two-node ring, each sent its share as the benchmark's harness sends it: the
 # home of a MatchAll filter's key term keeps it, keyed once, the other declines
 # it — filters held and posting entries per filter cluster-wide (exactly 1.0
-# each) and the heap bytes per filter over both homes.
+# each) and the heap bytes per filter over both homes. Then the churn soak
+# (TestMemChurnSoak, both packages): rounds of fresh-ID unregister/register
+# pairs at a constant live population, on a bare index and through Handle on
+# a two-home ring with a committed grid; the post-GC heap after the last round
+# must stay within 2 % of the heap after the first.
 mem-budget:
-	$(GO) test -count=1 -run TestMemBudget -v ./internal/index ./internal/node
+	$(GO) test -count=1 -run 'TestMemBudget|TestMemChurnSoak' -v ./internal/index ./internal/node
 
 # The home nodes' microbench for match_heavy: the population registered
 # through Handle on both homes of a two-node ring, one document — a home-routed

@@ -216,7 +216,7 @@ func runAggregateFig(outPath, baselinePath string, filters, catalog, distinctTer
 		PostingsSaved:        cs.PostingsSaved,
 		ExpansionFanoutMilli: cs.ExpansionFanoutMilli,
 		PostingTerms:         cd.Terms,
-		LiveBits:             cd.LiveBits,
+		LiveBits:             cd.Bits, // every bit is a registered filter's
 		AggMatchNsPerDoc:     matchNs,
 		OracleDocs:           docs,
 	}

@@ -17,9 +17,16 @@ import (
 //
 // Stats parity is a hard invariant, not an accident: every (term, filter)
 // pair a plain posting list would keep corresponds to exactly one set bit
-// across that term's entries, tombstones included. MatchStats therefore
-// reports the logical PostingLists/Postings/Evaluated; the physical savings
-// are visible through CoverStats and the index.cover.* gauges instead.
+// across that term's entries, and a filter that unregisters takes its bits
+// along. MatchStats therefore reports the logical PostingLists/Postings/
+// Evaluated; the physical savings are visible through CoverStats and the
+// index.cover.* gauges instead.
+//
+// Where a filter's bits are: under its cover's entries only — a registration
+// joins the cover of the filter's current signature, and one that changes
+// signature moves out of the old cover, bits and slot — and a cover's entries
+// are under its own terms (cover.ids) and the few others its members were
+// posted under (Index.extra): the whole list a departing member visits.
 
 // postingEntry is one (term, cover) posting entry: the compressed
 // replacement for a run of per-filter posting entries sharing a signature.
@@ -71,128 +78,101 @@ func (s *termShard) posting(term uint32) *posting {
 	return nil
 }
 
-// entryFor returns term's entry for cover c, inserting it as needed.
-// Caller holds s.mu.
-func (s *termShard) entryFor(term uint32, c *cover) (*posting, *postingEntry, bool) {
+// add sets (c, slot)'s bit under term, inserting the entry as needed.
+// newBit reports whether the bit was not set, newEntry whether the entry
+// was not there.
+func (s *termShard) add(term uint32, c *cover, slot int32) (newBit, newEntry bool) {
+	s.mu.Lock()
 	if i := int(term >> shardBits); i >= len(s.lists) {
 		s.lists = append(s.lists, make([]posting, i+1-len(s.lists))...)
 	}
 	p := &s.lists[term>>shardBits]
 	i, ok := p.find(c.id)
 	if !ok {
-		p.entries = append(p.entries, postingEntry{})
-		copy(p.entries[i+1:], p.entries[i:])
-		p.entries[i] = postingEntry{c: c}
+		p.entries = slices.Insert(p.entries, i, postingEntry{c: c})
 	}
-	return p, &p.entries[i], !ok
-}
-
-// clearID clears id's bit in every entry of p other than keep, returning
-// the number of bits cleared. Caller holds s.mu.
-func clearID(p *posting, keep *cover, id model.FilterID) int {
-	cleared := 0
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.c == keep {
-			continue
-		}
-		if s, ok := e.c.slotIndex(id); ok && e.bits.clear(int(s)) {
-			cleared++
-		}
-	}
-	p.card -= cleared
-	return cleared
-}
-
-// add sets (c, slot)'s bit under term. Re-homing first: when the filter
-// previously carried this term under another cover — prior when its last
-// cover is known, any entry when fullScan says the id has multi-cover
-// history — the stale bits are cleared in the same lock hold, so a term's
-// entries never hold the same filter twice and the logical cardinality
-// tracks the deduplicated list length exactly.
-func (s *termShard) add(term uint32, c *cover, slot int, id model.FilterID, prior *cover, fullScan bool) (newBit, newEntry bool) {
-	s.mu.Lock()
-	p, e, newEntry := s.entryFor(term, c)
-	if fullScan {
-		clearID(p, c, id)
-	} else if prior != nil && prior != c {
-		if i, ok := p.find(prior.id); ok {
-			pe := &p.entries[i]
-			if ps, ok := prior.slotIndex(id); ok && pe.bits.clear(int(ps)) {
-				p.card--
-			}
-		}
-	}
-	if e.bits.testAndSet(slot) {
+	if p.entries[i].bits.testAndSet(int(slot)) {
 		p.card++
 		newBit = true
 	}
 	s.mu.Unlock()
-	return newBit, newEntry
+	return newBit, !ok
 }
 
-// addIfAbsent is the migration-replay variant: the bit is set only when no
-// entry of the term — any cover — already holds the filter, so the whole
-// deduplicated list gains the filter at most once. The scan is O(entries);
-// this path only runs during migration replay.
-func (s *termShard) addIfAbsent(term uint32, c *cover, slot int, id model.FilterID) (added, newEntry bool) {
+// clear clears (c, slot)'s bit under term and drops the entry once it holds
+// no bit, so a retiring cover leaves no entry behind. cleared reports
+// whether the bit was set, gone whether the entry went.
+func (s *termShard) clear(term uint32, c *cover, slot int32) (cleared, gone bool) {
 	s.mu.Lock()
-	p, e, newEntry := s.entryFor(term, c)
-	if !e.bits.has(slot) && !p.heldElsewhere(c, id) {
-		e.bits.testAndSet(slot)
-		p.card++
-		added = true
+	defer s.mu.Unlock()
+	p := s.posting(term)
+	if p == nil {
+		return false, false
 	}
-	s.mu.Unlock()
-	return added, newEntry
+	i, ok := p.find(c.id)
+	if !ok || !p.entries[i].bits.clear(int(slot)) {
+		return false, false
+	}
+	p.card--
+	if p.entries[i].bits.count() > 0 {
+		return true, false
+	}
+	if p.entries = slices.Delete(p.entries, i, i+1); len(p.entries) == 0 {
+		p.entries = nil
+	}
+	return true, true
 }
 
-// heldElsewhere reports whether an entry of p for a cover other than c holds
-// id. Caller holds the shard's lock.
-func (p *posting) heldElsewhere(c *cover, id model.FilterID) bool {
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.c == c {
-			continue
-		}
-		if s, ok := e.c.slotIndex(id); ok && e.bits.has(int(s)) {
-			return true
-		}
-	}
-	return false
+// extraTerms records, per cover, the terms outside its signature that it has
+// posting entries under: rare — a grid column replaying a newer definition of
+// a filter it holds under an older one posts the old cover under a term of
+// the new — so one locked map, not a field of every cover. An entry lives
+// until its cover retires.
+type extraTerms struct {
+	mu    sync.Mutex
+	terms map[*cover][]uint32
 }
 
-// holds reports whether term's posting list holds id: under (c, slot), the
-// cover its bits belong with, or — anyCover, for an id with multi-cover
-// history — under whichever cover a stale bit was left.
-func (s *termShard) holds(term uint32, c *cover, slot int, id model.FilterID, anyCover bool) bool {
+// add records tid as one of c's extra terms.
+func (x *extraTerms) add(c *cover, tid uint32) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if !slices.Contains(x.terms[c], tid) {
+		if x.terms == nil {
+			x.terms = make(map[*cover][]uint32)
+		}
+		x.terms[c] = append(x.terms[c], tid)
+	}
+}
+
+// of returns every term c may have posting entries under: ids, its own,
+// and its extra terms.
+func (x *extraTerms) of(c *cover, ids []uint32) []uint32 {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if more := x.terms[c]; len(more) > 0 {
+		return append(slices.Clip(ids), more...)
+	}
+	return ids
+}
+
+// forget drops a retired cover's record.
+func (x *extraTerms) forget(c *cover) {
+	x.mu.Lock()
+	delete(x.terms, c)
+	x.mu.Unlock()
+}
+
+// holds reports whether term's posting list holds (c, slot).
+func (s *termShard) holds(term uint32, c *cover, slot int32) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := s.posting(term)
 	if p == nil {
 		return false
 	}
-	if i, ok := p.find(c.id); ok && p.entries[i].bits.has(slot) {
-		return true
-	}
-	return anyCover && p.heldElsewhere(c, id)
-}
-
-// histShard tracks per-filter cover history for the re-registration
-// paths, sharded like the filter table. multi stays tiny — only ids that
-// ever switched signatures. lastGone does not: an id whose definition is
-// deleted (a tombstone) and that never re-registers — every departed
-// subscriber's — keeps its entry until the process restarts (TestMemBudget's
-// churn row prices it; DESIGN.md §15).
-type histShard struct {
-	mu sync.Mutex
-	// lastGone maps an id with no live definition to the cover that held
-	// it when it unregistered (or the orphan cover after a restart).
-	lastGone map[model.FilterID]*cover
-	// multi marks ids that have been members of more than one cover; their
-	// stale bits can hide in any entry, so re-registration re-homes them
-	// with a full entry scan instead of a targeted clear.
-	multi map[model.FilterID]struct{}
+	i, ok := p.find(c.id)
+	return ok && p.entries[i].bits.has(int(slot))
 }
 
 // def is a registered filter as the index stores it. Mode, Threshold and the
@@ -216,59 +196,16 @@ func (d def) filter(id model.FilterID) model.Filter {
 }
 
 // attachedTo reports whether c's single evaluation decides the definition: c
-// is its cover and it has no term order of its own. Anything else — such as
-// a same-ID filter re-registered under another signature whose posting bits
-// haven't migrated — is evaluated individually, which keeps the covering
-// matcher exact under arbitrary register/unregister interleavings.
+// is its cover and it has no term order of its own. Anything else — a
+// member read while it moves to another signature — is evaluated
+// individually, which keeps the covering matcher exact under concurrent
+// register/unregister.
 func (d def) attachedTo(c *cover) bool {
 	return d.c == c && d.own == nil
 }
 
 func (ix *Index) termShard(term uint32) *termShard {
 	return &ix.term[term&shardMask]
-}
-
-func (ix *Index) histShard(id model.FilterID) *histShard {
-	return &ix.hist[filterShardFor(id)]
-}
-
-// coverOf returns the cover of f's predicate signature. With create it
-// interns f's terms and, on first use of the signature, the cover; without,
-// it returns nil when no registration ever built that signature.
-func (ix *Index) coverOf(f *model.Filter, create bool) *cover {
-	var idBuf [8]uint32
-	ids := idBuf[:0]
-	for _, t := range f.Terms {
-		var id uint32
-		if create {
-			id = ix.dict.intern(t)
-		} else if id = ix.dict.lookup(t); id == noTerm {
-			return nil
-		}
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	h := sigHash(f.Mode, f.Threshold, ids)
-	sh := &ix.sig[h&shardMask]
-	sh.mu.Lock()
-	c := sh.covers[h]
-	for c != nil && !c.hasSig(f.Mode, f.Threshold, ids) {
-		c = c.next
-	}
-	if c == nil && create {
-		c = &cover{
-			id:        ix.seq.Add(1),
-			threshold: f.Threshold,
-			ids:       slices.Clone(ids),
-			terms:     ix.dict.canonical(ids),
-			next:      sh.covers[h],
-		}
-		c.flags.Store(uint32(f.Mode) & coverModeMask)
-		sh.covers[h] = c
-	}
-	sh.mu.Unlock()
-	return c
 }
 
 // newDef returns the definition to store for f as a member of c. When f's
@@ -286,66 +223,70 @@ func (ix *Index) newDef(f *model.Filter, c *cover) def {
 	return d
 }
 
-// slotIndex returns id's slot in the cover, if it ever joined.
-func (c *cover) slotIndex(id model.FilterID) (int32, bool) {
-	c.mu.Lock()
-	s, ok := c.findSlot(id)
-	c.mu.Unlock()
-	return s, ok
-}
-
-// bareSlot assigns a slot without touching liveness — used for orphan
-// members, which have no definition and therefore are not alive.
-func (c *cover) bareSlot(id model.FilterID) int32 {
-	c.mu.Lock()
-	s, ok := c.findSlot(id)
-	if !ok {
-		s = c.addSlot(id)
-		c.publishFlags(c.flags.Load()|coverDead|coverOneSlot, false)
+// post sets (c, slot)'s bit under each of terms, writing a posting operand
+// through for every bit it sets unless the bits are being recovered from the
+// store, and returns the term IDs it posted under. A term c does not name —
+// a grid column's replay of a newer definition than the one it holds —
+// is recorded as one of the cover's extra terms first.
+func (ix *Index) post(c *cover, slot int32, id model.FilterID, terms []string, write bool) ([]uint32, error) {
+	var posted []uint32
+	for _, t := range terms {
+		tid := ix.dict.intern(t)
+		if !c.names(tid) {
+			ix.extra.add(c, tid)
+		}
+		posted = append(posted, tid)
+		newBit, newEntry := ix.termShard(tid).add(tid, c, slot)
+		if newEntry {
+			ix.storedEntries.Add(1)
+		}
+		if !newBit {
+			continue
+		}
+		ix.numPostings.Add(1)
+		if write {
+			if err := ix.storePosting(t, id); err != nil {
+				return posted, err
+			}
+		}
 	}
-	c.mu.Unlock()
-	return s
+	return posted, nil
 }
 
-// takeLastGone removes and returns id's tombstone cover, if any.
-func (h *histShard) takeLastGone(id model.FilterID) *cover {
-	h.mu.Lock()
-	c := h.lastGone[id]
-	if c != nil {
-		delete(h.lastGone, id)
+// drop takes id, the member in slot, out of c: its bit leaves every entry of
+// the cover, under the cover's terms and its extra ones — with a removal
+// operand written through for each term but those in keep, the terms the
+// same filter was just posted under in its new cover — and the slot is
+// vacated, retiring the cover when it was the last member.
+func (ix *Index) drop(c *cover, slot int32, id model.FilterID, keep []uint32) error {
+	var err error
+	for _, tid := range ix.extra.of(c, c.ids) {
+		cleared, gone := ix.termShard(tid).clear(tid, c, slot)
+		if gone {
+			ix.storedEntries.Add(-1)
+		}
+		if cleared {
+			ix.numPostings.Add(-1)
+			if !slices.Contains(keep, tid) && err == nil {
+				err = ix.storeRemovePosting(tid, id)
+			}
+		}
 	}
-	h.mu.Unlock()
-	return c
-}
-
-func (h *histShard) setLastGone(id model.FilterID, c *cover) {
-	h.mu.Lock()
-	h.lastGone[id] = c
-	h.mu.Unlock()
-}
-
-// noteCover records that id now belongs to a cover having previously
-// belonged to prior (nil: no hop). wasMulti reports whether the id was
-// already multi-cover before — whether stale bits could hide outside prior;
-// multi whether it is now.
-func (h *histShard) noteCover(id model.FilterID, prior *cover) (wasMulti, multi bool) {
-	h.mu.Lock()
-	_, wasMulti = h.multi[id]
-	if prior != nil {
-		h.multi[id] = struct{}{}
-	}
-	h.mu.Unlock()
-	return wasMulti, wasMulti || prior != nil
+	ix.leave(c, slot)
+	return err
 }
 
 // Register stores filter f and adds it to the posting lists of
-// postingTerms. On a home node postingTerms is the single responsible term
-// (or the node's responsible subset of f's terms); the RS baseline passes
+// postingTerms. On a home node postingTerms is the single responsible
+// term (or the node's responsible subset of f's terms); the RS baseline passes
 // all of f's terms. The definition's store write happens first, so the
 // in-memory shards never serve a filter the durability layer doesn't have; a
-// posting entry is written through only when its bit was not already set, so
-// re-registering an ID does not grow the store. When the ID re-registers
-// under another signature, its posting bits are re-homed to the new cover.
+// posting entry is written through only when its bit was not already set.
+//
+// Re-registering a live ID with the same signature adds to the terms it is
+// posted under; with another signature it replaces the filter: the posting
+// lists then hold it under the new postingTerms only, and the old cover has
+// lost a member.
 //
 // What the index keeps of f's Terms is the dictionary's copy (newDef), never
 // the caller's slice: a stored definition is immutable from here on, which is
@@ -355,74 +296,25 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
+	sh := ix.defs.shard(f.ID)
+	sh.wmu.Lock()
+	defer sh.wmu.Unlock()
 	if err := ix.storeFilter(f); err != nil {
 		return err
 	}
-	c := ix.coverOf(&f, true)
-
-	// Locate the filter's previous cover: from its live definition if it
-	// is re-registering, from the tombstone record if it was unregistered
-	// or recovered without a definition.
-	var prior *cover
-	if old, hadOld := ix.defs.shard(f.ID).get(f.ID); hadOld {
-		prior = old.c
-	} else {
-		prior = ix.histShard(f.ID).takeLastGone(f.ID)
-	}
-	if prior == c {
-		prior = nil
-	}
-	fullScan, multi := ix.histShard(f.ID).noteCover(f.ID, prior)
-
-	slot := ix.join(c, f.ID, multi)
-	if prior != nil {
-		ix.leave(prior, f.ID, true)
-	}
+	old, had := sh.get(f.ID)
+	c, slot := ix.joinCover(&f, f.ID)
 	if ix.defs.put(f.ID, ix.newDef(&f, c)) {
 		ix.numFilters.Add(1)
 	}
-	ix.numPostings.Add(int64(len(postingTerms)))
-	for _, t := range postingTerms {
-		tid := ix.dict.intern(t)
-		newBit, newEntry := ix.termShard(tid).add(tid, c, int(slot), f.ID, prior, fullScan)
-		if newEntry {
-			ix.storedEntries.Add(1)
-		}
-		// A bit already set is an entry the store already has.
-		if newBit {
-			if err := ix.storePosting(t, f.ID); err != nil {
-				return err
-			}
+	posted, err := ix.post(c, slot, f.ID, postingTerms, true)
+	if had && old.c != c {
+		oldSlot, _ := old.c.slotIndex(f.ID)
+		if e := ix.drop(old.c, oldSlot, f.ID, posted); err == nil {
+			err = e
 		}
 	}
-	return nil
-}
-
-// join makes id a live member of c (see cover.memberSlot), keeping the
-// live-cover and live-member gauges, and returns its slot.
-func (ix *Index) join(c *cover, id model.FilterID, multi bool) int32 {
-	slot, added, revived, firstLive := c.memberSlot(id, multi)
-	if added && slot < 2 {
-		ix.singletons.Add(int64(1 - 2*slot)) // slot 0: one more; slot 1: one fewer
-	}
-	if revived {
-		ix.membersLive.Add(1)
-	}
-	if firstLive {
-		ix.coversLive.Add(1)
-	}
-	return slot
-}
-
-// leave marks id dead in c (see cover.markDead), keeping the gauges.
-func (ix *Index) leave(c *cover, id model.FilterID, left bool) {
-	died, emptied := c.markDead(id, left)
-	if died {
-		ix.membersLive.Add(-1)
-	}
-	if emptied {
-		ix.coversLive.Add(-1)
-	}
+	return err
 }
 
 // EnsureRegistered is Register made idempotent for migration replay: a
@@ -434,109 +326,93 @@ func (ix *Index) leave(c *cover, id model.FilterID, left bool) {
 // an abort of the current epoch); the posting bits attach to the cover of
 // whichever definition is current.
 //
-// The definition's store write happens under its filter-shard lock, so
-// concurrent replays agree on exactly one creator and the layers never
-// disagree. A posting entry's term-shard insert runs before its store write:
-// addIfAbsent's single write-lock hold is what arbitrates concurrent replays,
-// so it must decide first and the store add follows only for the winner. A
-// crash between the two loses only in-memory state, which the next replay of
-// the same batch restores.
+// The ID's writers are serialized (filterShard.wmu), so concurrent replays
+// agree on exactly one creator and the layers never disagree. A crash
+// between a bit and its store write loses only in-memory state, which the
+// next replay of the same batch restores.
 func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, error) {
 	if err := f.Validate(); err != nil {
 		return false, err
 	}
-	c := ix.coverOf(&f, true)
-	created := false
 	sh := ix.defs.shard(f.ID)
-	sh.mu.Lock()
-	cur, ok := sh.defs[f.ID]
-	if !ok {
-		if err := ix.storeFilter(f); err != nil {
-			sh.mu.Unlock()
-			return false, err
-		}
-		sh.defs[f.ID] = ix.newDef(&f, c)
-		created = true
-	}
-	sh.mu.Unlock()
-	var prior *cover
-	if created {
-		ix.numFilters.Add(1)
-		// The id may come back from a tombstone whose cover still holds
-		// stale bits on terms this replay doesn't carry; record the hop so
-		// later re-registrations re-home with a full scan.
-		if prior = ix.histShard(f.ID).takeLastGone(f.ID); prior == c {
-			prior = nil
-		}
-	} else {
+	sh.wmu.Lock()
+	defer sh.wmu.Unlock()
+	cur, ok := sh.get(f.ID)
+	var c *cover
+	var slot int32
+	if ok {
 		// A copy already existed, possibly under a different signature; the
 		// bits belong with the definition the match path will read.
 		c = cur.c
-	}
-	_, multi := ix.histShard(f.ID).noteCover(f.ID, prior)
-	if prior != nil {
-		ix.leave(prior, f.ID, true)
-	}
-	slot := ix.join(c, f.ID, multi)
-	for _, t := range postingTerms {
-		tid := ix.dict.intern(t)
-		added, newEntry := ix.termShard(tid).addIfAbsent(tid, c, int(slot), f.ID)
-		if newEntry {
-			ix.storedEntries.Add(1)
+		slot, _ = c.slotIndex(f.ID)
+	} else {
+		if err := ix.storeFilter(f); err != nil {
+			return false, err
 		}
-		if added {
-			ix.numPostings.Add(1)
-			if err := ix.storePosting(t, f.ID); err != nil {
-				return created, err
-			}
-		}
+		c, slot = ix.joinCover(&f, f.ID)
+		ix.defs.put(f.ID, ix.newDef(&f, c))
+		ix.numFilters.Add(1)
 	}
-	return created, nil
+	_, err := ix.post(c, slot, f.ID, postingTerms, true)
+	return !ok, err
 }
 
 // Unregister removes a filter definition if present (no-op otherwise, so
-// cluster-wide broadcasts are safe). Posting entries are left to be
-// filtered lazily on match (a standard tombstone-style design: posting
-// lists are append-only; a missing filter definition drops the candidate).
-// The cover's liveness is kept — in particular a surviving member is
-// promoted to representative when the covering filter itself unregisters,
-// so the cover (and its posting entries) stay owned.
+// cluster-wide broadcasts are safe) and everything the index held for it:
+// its posting bits, its slot in its cover, and the cover itself when it was
+// the last member (DESIGN.md §15). The definition goes first, so a match
+// racing the removal drops the filter's still-set bits on the missing
+// definition, as it would a stale candidate of a plain posting list.
 func (ix *Index) Unregister(id model.FilterID) error {
 	sh := ix.defs.shard(id)
-	sh.mu.Lock()
-	d, present := sh.defs[id]
+	sh.wmu.Lock()
+	defer sh.wmu.Unlock()
+	d, present := sh.get(id)
 	if !present {
-		sh.mu.Unlock()
 		return nil
 	}
-	// Delete from the store while holding the shard lock so a concurrent
-	// Register of the same ID cannot interleave between the two layers and
-	// leave them disagreeing.
 	if err := ix.storeDeleteFilter(id); err != nil {
-		sh.mu.Unlock()
 		return err
 	}
+	sh.mu.Lock()
 	delete(sh.defs, id)
 	sh.mu.Unlock()
 	ix.numFilters.Add(-1)
-	ix.leave(d.c, id, false)
-	ix.histShard(id).setLastGone(id, d.c)
-	return nil
+	slot, _ := d.c.slotIndex(id)
+	return ix.drop(d.c, slot, id, nil)
+}
+
+// PostedUnder returns, in the order given, the terms whose posting list holds
+// id. Read-only: it is how a node repeats a posting choice (re-registration,
+// migration) instead of making it again. An unregistered id is posted under
+// nothing.
+func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
+	d, ok := ix.defs.shard(id).get(id)
+	if !ok {
+		return nil
+	}
+	slot, ok := d.c.slotIndex(id)
+	if !ok {
+		return nil
+	}
+	var posted []string
+	for _, t := range terms {
+		if tid := ix.dict.lookup(t); tid != noTerm && ix.termShard(tid).holds(tid, d.c, slot) {
+			posted = append(posted, t)
+		}
+	}
+	return posted
 }
 
 // loadFromStore rebuilds the serving layer and counters after a restart, one
-// scan per column family. Definitions are interned into covers first; posting
-// bits are then attached to each id's current cover, or to the orphan cover
-// when the definition is gone — which also normalizes every id back to a
-// single cover, clearing any pre-crash multi-cover history. Posting lists
-// come back deduplicated (PostingStore.Each merges), so the recovered
-// numPostings counts distinct entries even if the live counter had drifted
-// past that before the crash.
+// scan per column family. Definitions are interned into covers first; then
+// each recovered posting is attached to its ID's cover. An ID without a
+// definition is one that unregistered before an older binary wrote removal
+// operands, and is skipped.
 func (ix *Index) loadFromStore() error {
 	count := 0
 	err := ix.filters.Each(func(f model.Filter) bool {
-		c := ix.coverOf(&f, true)
-		ix.join(c, f.ID, false)
+		c, _ := ix.joinCover(&f, f.ID)
 		ix.defs.put(f.ID, ix.newDef(&f, c))
 		count++
 		return true
@@ -545,28 +421,14 @@ func (ix *Index) loadFromStore() error {
 		return err
 	}
 	ix.numFilters.Store(int64(count))
-	total := 0
-	err = ix.postings.Each(func(t string, ids []model.FilterID) bool {
-		tid := ix.dict.intern(t)
-		sh := ix.termShard(tid)
+	return ix.postings.Each(func(t string, ids []model.FilterID) bool {
+		term := [1]string{t}
 		for _, id := range ids {
-			var c *cover
-			var slot int32
 			if d, ok := ix.defs.shard(id).get(id); ok {
-				c = d.c
-				slot = ix.join(c, id, false)
-			} else {
-				c = ix.orphan
-				slot = c.bareSlot(id)
-				ix.histShard(id).setLastGone(id, c)
-			}
-			if _, newEntry := sh.add(tid, c, int(slot), id, nil, false); newEntry {
-				ix.storedEntries.Add(1)
+				slot, _ := d.c.slotIndex(id)
+				ix.post(d.c, slot, id, term[:], false)
 			}
 		}
-		total += len(ids)
 		return true
 	})
-	ix.numPostings.Store(int64(total))
-	return err
 }

@@ -11,21 +11,21 @@ import (
 // out — it can satisfy nothing) and its posting-list terms to IDs. The scan order is then: posting → entries (ascending cover id) → set
 // bits (ascending slot).
 //
-// The cover is decided first. An entry whose cover has no stale member
-// holds only attached members and tombstones, so one integer evaluation of
-// the cover's predicate settles the whole container: on no-match it is
-// skipped without a look at any member — no dedup insert, no definition
-// lookup, no cover lock — and only a matching cover is expanded, member by
-// member, with each definition looked up in the filter table (a missing
-// definition drops the candidate lazily). A cover with stale members keeps
-// the per-member path throughout: attached members take the cover's
-// verdict, stale ones are evaluated by their own current definition.
+// The cover is decided first. An entry holds only members of its cover, so
+// one integer evaluation of the cover's predicate settles the whole
+// container: on no-match it is skipped without a look at any member — no
+// dedup insert, no definition lookup, no cover lock — and only a matching
+// cover is expanded, member by member, with each definition looked up in the
+// filter table. A definition that is missing or not attached to the cover is
+// a member caught mid-way through Unregister or a move to another signature:
+// the first drops the candidate, the second is evaluated by its own
+// definition.
 //
 // Lock discipline: the dictionary's read lock is held only while the call's
 // terms are mapped; a term shard's read lock is held across its whole
 // posting scan (entries and bitsets mutate in place); the cover lock is
-// taken only briefly to capture the slots header or a live count — not at
-// all for a container holding just the inline member — and is never held
+// taken only briefly to capture the slots header — not at all for a
+// container holding just the inline member — and is never held
 // across a filter-table read.
 
 // cover verdicts: 0 unknown, verdictMatch, verdictNoMatch.
@@ -34,13 +34,12 @@ const (
 	verdictNoMatch = uint8(2)
 )
 
-// Per-call memo states of a cover without stale members, in multi-term
-// calls (matchScratch.memo).
+// Per-call memo states of a cover, in multi-term calls (matchScratch.memo).
 const (
 	memoUnseen  = uint32(iota)
 	memoMatch   // predicate matched: every container is expanded, members deduplicated through seen
-	memoSkipped // no match, every live member already counted in Evaluated: later containers add nothing
-	memoWalked  // no match, but an earlier container held only part of the live members: members are counted one by one through seen
+	memoSkipped // no match, every member already counted in Evaluated: later containers add nothing
+	memoWalked  // no match, but an earlier container held only part of the members: members are counted one by one through seen
 	memoBits    = 2
 )
 
@@ -58,7 +57,9 @@ type matchScratch struct {
 	seen map[model.FilterID]struct{}
 	// memo[cover id] holds epoch<<memoBits | state for the covers this call
 	// decided; a stamp from another epoch reads as memoUnseen, so the table
-	// is never cleared between calls.
+	// is never cleared between calls. An ID names one cover for the whole
+	// call: a retired cover's ID is not reused while a call that may have
+	// decided it runs (coverIDs.enter).
 	memo  []uint32
 	epoch uint32
 }
@@ -121,8 +122,8 @@ func (sc *matchScratch) memoOf(id uint32) uint32 {
 	return memoUnseen
 }
 
-// setMemo records the call's memo state for cover id; covers is the number
-// of cover IDs assigned so far, the size to grow the table to.
+// setMemo records the call's memo state for cover id; covers is the highest
+// cover ID handed out so far, the size to grow the table to.
 func (sc *matchScratch) setMemo(id, state, covers uint32) {
 	if int(id) >= len(sc.memo) {
 		grown := make([]uint32, max(covers, id)+1+covers/4)
@@ -156,23 +157,8 @@ func (ix *Index) coverMatches(c *cover, sc *matchScratch, view *model.DocView) b
 	case model.MatchThreshold:
 		return ix.corpus.ContainmentScoreSorted(view.Sorted(), c.terms) >= c.threshold
 	default:
-		return false // the orphan cover: matches nothing
+		return false
 	}
-}
-
-// liveBits returns how many of e's bits belong to live members of its
-// cover, and whether those are all of the cover's live members. flags is
-// the cover's summary as the caller loaded it.
-func liveBits(e *postingEntry, flags uint32) (live int, all bool) {
-	if flags&coverDead == 0 {
-		live = e.bits.count()
-		return live, uint32(live) == flags>>coverSlotShift
-	}
-	c := e.c
-	c.mu.Lock()
-	live, total := c.liveIn(&e.bits)
-	c.mu.Unlock()
-	return live, live == total
 }
 
 // matchRun is one call's scan state: the inputs every entry needs and the
@@ -195,11 +181,6 @@ func (r *matchRun) scanPosting(p *posting) {
 	for i := range p.entries {
 		e := &p.entries[i]
 		c := e.c
-		flags := c.flags.Load()
-		if flags&coverStale != 0 {
-			r.walk(e, 0)
-			continue
-		}
 		memo := memoUnseen
 		if r.multi {
 			memo = r.sc.memoOf(c.id)
@@ -214,17 +195,17 @@ func (r *matchRun) scanPosting(p *posting) {
 			if r.ix.coverMatches(c, r.sc, r.view) {
 				memo = memoMatch
 				r.walk(e, verdictMatch)
-			} else if live, all := liveBits(e, flags); all || !r.multi {
+			} else if n := e.bits.count(); !r.multi || n == c.members() {
 				// The skip. Evaluated still counts the filters the verdict
 				// decided, as if each had been evaluated.
 				memo = memoSkipped
-				r.st.Evaluated += live
+				r.st.Evaluated += n
 			} else {
 				memo = memoWalked
 				r.walk(e, verdictNoMatch)
 			}
 			if r.multi {
-				r.sc.setMemo(c.id, memo, r.ix.seq.Load())
+				r.sc.setMemo(c.id, memo, r.ix.coverIDs.seq.Load())
 			}
 		}
 	}
@@ -277,7 +258,7 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 	}
 	d, ok := r.ix.defs.shard(id).get(id)
 	if !ok {
-		return verdict // unregistered; lazy posting cleanup
+		return verdict // unregistering: its bits are on their way out
 	}
 	r.st.Evaluated++
 	var isMatch bool
@@ -290,9 +271,9 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 		}
 		isMatch = verdict == verdictMatch
 	} else {
-		// Stale member: definition re-registered under another signature
-		// while its posting bit still lives here. Evaluate it individually;
-		// exactness beats the fast path.
+		// A member with its own term order, or one moving to another
+		// signature whose bit has not left this cover yet: evaluate it
+		// individually; exactness beats the fast path.
 		f := d.filter(id)
 		isMatch = r.ix.evaluate(&f, r.view)
 	}
@@ -373,6 +354,8 @@ func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, 
 		// Single-term frames keep MatchTerm's lazy exact-size allocation.
 		return ix.MatchTerm(d, terms[0])
 	}
+	phase := ix.coverIDs.enter()
+	defer ix.coverIDs.exit(phase)
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
 	sc.begin(ix.dict, view, terms)
@@ -415,48 +398,12 @@ func (ix *Index) PostingLen(term string) (int, error) {
 	return n, nil
 }
 
-// PostedUnder returns, in the order given, the terms whose posting list holds
-// id — the lists a match on this node reaches the filter through, tombstoned
-// entries of an unregistered ID included. Read-only: it is how a node repeats
-// a posting choice (re-registration, migration) instead of making it again.
-// An id's bits sit under its definition's cover — its tombstone's when it has
-// none — and only an id that has changed covers can have left one anywhere
-// else.
-func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
-	d, _ := ix.defs.shard(id).get(id)
-	c := d.c
-	h := ix.histShard(id)
-	h.mu.Lock()
-	if c == nil {
-		c = h.lastGone[id]
-	}
-	_, multi := h.multi[id]
-	h.mu.Unlock()
-	if c == nil {
-		return nil
-	}
-	slot, ok := c.slotIndex(id)
-	if !ok {
-		return nil
-	}
-	var posted []string
-	for _, t := range terms {
-		if tid := ix.dict.lookup(t); tid != noTerm && ix.termShard(tid).holds(tid, c, int(slot), id, multi) {
-			posted = append(posted, t)
-		}
-	}
-	return posted
-}
-
 // CoverDetail is a deep, O(index) walk of the posting lists —
-// bench/diagnostic use only. LiveBits intersects each entry's bitset with
-// its cover's alive set container-wise, separating live expansion fan-out
-// from tombstone bits.
+// bench/diagnostic use only.
 type CoverDetail struct {
-	Terms    int // terms with a posting list
-	Entries  int // physical (term, cover) entries
-	Bits     int // total set bits (= logical postings, tombstones included)
-	LiveBits int // bits whose member is currently registered
+	Terms   int // terms with a posting list
+	Entries int // physical (term, cover) entries
+	Bits    int // total set bits (= logical postings)
 }
 
 // CoverDetailStats walks every posting list.
@@ -472,14 +419,7 @@ func (ix *Index) CoverDetailStats() CoverDetail {
 			}
 			d.Terms++
 			d.Entries += len(p.entries)
-			for i := range p.entries {
-				e := &p.entries[i]
-				d.Bits += e.bits.count()
-				e.c.mu.Lock()
-				live, _ := e.c.liveIn(&e.bits)
-				e.c.mu.Unlock()
-				d.LiveBits += live
-			}
+			d.Bits += p.card
 		}
 		sh.mu.RUnlock()
 	}

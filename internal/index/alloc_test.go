@@ -155,18 +155,18 @@ func TestMatchTermsZeroAllocs(t *testing.T) {
 		name   string
 		filter func(i int) (f model.Filter, postingTerms []string)
 		covers int
-		// dead filters are unregistered again, so their covers price a
-		// skipped container by its intersection with the alive set.
+		// dead filters are unregistered again: their bits leave the
+		// containers, and their covers keep the vacated slots.
 		dead  int
 		doc   *model.Document
 		query []string
-		// postings is what one call scans: every filter once per queried
-		// term it is posted under.
+		// postings is what one call scans: every registered filter once per
+		// queried term it is posted under.
 		postings int
 	}{
 		{"inline-containers", hotAnd(func(i int) string { return "absent-" + strconv.Itoa(i) }), 128, 0, allocDoc(24), []string{"hot", "term-1"}, 128},
-		{"array-containers", hotAnd(func(i int) string { return "absent-" + strconv.Itoa(i%8) }), 8, 5, allocDoc(24), []string{"hot", "term-1"}, 128},
-		{"bitmap-container", hotAnd(func(int) string { return "absent-shared" }), 1, 5, allocDoc(24), []string{"hot", "term-1"}, 128},
+		{"array-containers", hotAnd(func(i int) string { return "absent-" + strconv.Itoa(i%8) }), 8, 5, allocDoc(24), []string{"hot", "term-1"}, 123},
+		{"bitmap-container", hotAnd(func(int) string { return "absent-shared" }), 1, 5, allocDoc(24), []string{"hot", "term-1"}, 123},
 		{"match-heavy", func(i int) (model.Filter, []string) {
 			terms := []string{known(i), known(i + 7), "absent-" + strconv.Itoa(i)}
 			if i%2 == 1 {

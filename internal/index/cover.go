@@ -18,26 +18,29 @@ import (
 // IDs (and, through the filter table, to subscribers). It is also where a
 // member's predicate is stored: a filter's definition is (subscriber, cover).
 //
-// Members get dense slot indexes in registration order. Slots are
-// append-only — a member that unregisters keeps its slot (marked dead) and
-// reclaims the same slot if it re-registers under the same signature, so
-// posting slotSets never need rewriting on membership churn.
+// Members get dense slot indexes. A member that unregisters, or re-registers
+// under another signature, takes its posting bits with it and vacates its
+// slot, which the cover's next member reuses; a cover left with no member is
+// retired — out of the signature table, its ID free for the next cover — so
+// what the index holds follows the filters registered now, not the ones that
+// ever were (DESIGN.md §15).
 //
 // When subscriptions do not share predicates nearly every cover has one
 // member for life, so that shape is the one priced: slot 0's ID is held
-// inline (first) and its liveness is the coverDead flag; everything a group
-// needs — the slot table, the member→slot map, the alive set, the
-// representative — sits behind more, allocated when a second member joins.
+// inline (first); everything a group needs — the slot table, the member→slot
+// map, the vacated slots — sits behind more, allocated when a second member
+// joins.
 type cover struct {
 	id uint32
 	// flags is the lock-free summary the match path reads: the match mode
-	// (immutable), whether one evaluation of the cover's predicate settles a
-	// whole container (coverStale, coverDead) and the slot count above them.
-	// Stored under mu, loaded without it.
+	// (immutable), the retired mark and the member count above them. Stored
+	// under mu, loaded without it.
 	flags     atomic.Uint32
 	threshold float64
 	// ids is the predicate as the match path evaluates it: the term set as
-	// sorted, deduplicated dictionary IDs. Immutable.
+	// sorted, deduplicated dictionary IDs. Immutable. They are also the terms
+	// the cover has posting entries under, but for the rare extra ones
+	// (Index.extra).
 	ids []uint32
 	// terms is the same set as canonical (string-sorted) dictionary-owned
 	// strings, immutable: the Terms of every member registered in canonical
@@ -45,11 +48,12 @@ type cover struct {
 	terms []string
 
 	mu sync.Mutex
-	// first is the member in slot 0. It is written once, under mu, when the
-	// slot is assigned — before any posting entry can carry the slot's bit,
-	// since a bit is set only after its member joined — and never changed, so
-	// a reader that found the bit under a term shard's lock reads it without
-	// taking mu.
+	// first is the member in slot 0. It is written under mu when slot 0 is
+	// assigned — before any posting entry can carry the slot's bit, since a
+	// bit is set only after its member joined — and only rewritten once the
+	// slot is vacant, which its member's bits must have left first. A reader
+	// that found slot 0's bit under a term shard's lock therefore reads it
+	// without taking mu.
 	first model.FilterID
 	// more is nil until a second member joins.
 	more *coverMembers
@@ -60,48 +64,28 @@ type cover struct {
 // coverMembers is the membership state of a cover that has had more than one
 // member. Guarded by cover.mu.
 type coverMembers struct {
-	// slots maps slot to member; slots[0] is cover.first.
+	// slots maps slot to member; slots[0] is cover.first. A vacant slot keeps
+	// the ID that left it until it is reused.
 	slots []model.FilterID
 	// slotOf accelerates member→slot lookup but is built lazily, once the
-	// cover reaches coverSlotMapMin members: most covers stay small, and a
+	// cover reaches coverSlotMapMin slots: most covers stay small, and a
 	// per-cover map would dominate the memory the aggregation saves. Below
 	// the threshold lookups scan slots linearly (nil map).
 	slotOf map[model.FilterID]int32
-	// alive marks the slots of currently registered members — an advisory
-	// set: the match path's source of truth for liveness stays the filter
-	// table (a missing definition is a lazy tombstone), while alive
-	// drives representative promotion, the cover statistics and the live
-	// count of a container the match path skips.
-	alive slotSet
-	// rep is the cover's representative — the "covering filter" in the
-	// subsumption literature — 0 when the cover has no live members. It is
-	// maintained so the unregister-a-cover case promotes a surviving member
-	// instead of orphaning the group: when the representative unregisters,
-	// the lowest live slot takes over.
-	rep model.FilterID
+	// vacant lists the slots no member holds, the next joiner's first.
+	vacant []int32
 }
 
-// cover.flags: the match mode in the low bits (0 for the orphan cover), two
-// condition bits, the member-slot count above them.
+// cover.flags: the match mode in the low bits, the retired mark, the member
+// count above them.
 const (
 	coverModeMask = uint32(3)
-	// coverStale: some member has at some time belonged to more than one
-	// cover (histShard.multi). Re-homing only clears the old cover's bits
-	// under the terms the new registration posts under, so such a member
-	// can have posting bits in covers its definition is not attached to —
-	// there it matches or not by its own definition, whatever the cover's
-	// verdict — and reaches a document through more than one cover. From
-	// then on neither the cover's verdict nor its live count settles a
-	// container, and the match path decides it member by member. The bit
-	// is never cleared: a restart, which re-homes every posting bit to its
-	// definition's cover, is what resets it.
-	coverStale = uint32(1) << 2
-	// coverDead: some slot is not alive, so a container's live count is not
-	// its cardinality. For a cover without coverMembers this bit is the
-	// liveness of its one member.
-	coverDead      = uint32(1) << 3
-	coverSlotShift = 4
-	coverOneSlot   = uint32(1) << coverSlotShift
+	// coverRetired: the cover lost its last member and left the signature
+	// table. A registration that found it there before that retries
+	// (Index.joinCover); nothing else reads it again.
+	coverRetired    = uint32(1) << 2
+	coverCountShift = 3
+	coverOneMember  = uint32(1) << coverCountShift
 )
 
 // mode returns the match mode of the cover's signature.
@@ -109,27 +93,9 @@ func (c *cover) mode() model.MatchMode {
 	return model.MatchMode(c.flags.Load() & coverModeMask)
 }
 
-// singletonLive reports whether flags f describe a cover whose only slot is
-// assigned and alive.
-func singletonLive(f uint32) bool {
-	return f>>coverSlotShift == 1 && f&coverDead == 0
-}
-
-// publishFlags stores the summary f, with coverStale set for good when
-// stale. Once the cover has coverMembers its slot count and coverDead are
-// recomputed from them; before that f carries them — the flags are the only
-// place a singleton's liveness lives. Caller holds c.mu.
-func (c *cover) publishFlags(f uint32, stale bool) {
-	if m := c.more; m != nil {
-		f = f&(coverModeMask|coverStale) | uint32(len(m.slots))<<coverSlotShift
-		if m.alive.count() < len(m.slots) {
-			f |= coverDead
-		}
-	}
-	if stale {
-		f |= coverStale
-	}
-	c.flags.Store(f)
+// members returns the member count the flags carry.
+func (c *cover) members() int {
+	return int(c.flags.Load() >> coverCountShift)
 }
 
 // sigHash hashes a cover's canonical signature — mode, threshold and the
@@ -162,177 +128,331 @@ func (c *cover) hasSig(mode model.MatchMode, threshold float64, ids []uint32) bo
 	return c.mode() == mode && math.Float64bits(c.threshold) == math.Float64bits(threshold) && slices.Equal(c.ids, ids)
 }
 
-// coverSlotMapMin is the membership size at which a cover materializes its
-// slotOf map; below it, findSlot scans the slots slice.
+// names reports whether term ID tid is one of the cover's terms.
+func (c *cover) names(tid uint32) bool {
+	_, ok := slices.BinarySearch(c.ids, tid)
+	return ok
+}
+
+// coverSlotMapMin is the slot count at which a cover materializes its slotOf
+// map; below it, findSlot scans the slots slice.
 const coverSlotMapMin = 16
 
-// findSlot returns id's slot: the inline one, or via the map when
-// materialized or a linear scan of the (small) slots slice otherwise. Caller
-// holds c.mu.
+// findSlot returns id's slot, if id is a member: the inline one, or via the
+// map when materialized or a linear scan of the (small) slots slice
+// otherwise. Caller holds c.mu.
 func (c *cover) findSlot(id model.FilterID) (int32, bool) {
 	m := c.more
 	if m == nil {
-		return 0, c.flags.Load() >= coverOneSlot && c.first == id
+		return 0, c.flags.Load() >= coverOneMember && c.first == id
 	}
 	if m.slotOf != nil {
 		s, ok := m.slotOf[id]
 		return s, ok
 	}
 	for i, member := range m.slots {
-		if member == id {
+		if member == id && !slices.Contains(m.vacant, int32(i)) {
 			return int32(i), true
 		}
 	}
 	return 0, false
 }
 
-// addSlot gives id the next member slot. The first is the inline one, and
-// the caller publishes it (coverOneSlot, with the liveness it decides); the
-// second allocates the cover's coverMembers, which take over the first
-// member's liveness from the flags; the lookup map is materialized once the
-// cover grows past coverSlotMapMin. Caller holds c.mu.
-func (c *cover) addSlot(id model.FilterID) int32 {
+// slotIndex returns id's slot in the cover, if it is a member.
+func (c *cover) slotIndex(id model.FilterID) (int32, bool) {
+	c.mu.Lock()
+	s, ok := c.findSlot(id)
+	c.mu.Unlock()
+	return s, ok
+}
+
+// memberSlot returns id's slot, giving it one — a vacant slot first — when
+// it is not a member yet. The first member takes the inline slot (first);
+// the second allocates the cover's coverMembers (promoted); the lookup map is
+// materialized once the slot table reaches coverSlotMapMin. Caller holds
+// c.mu and has checked that the cover is not retired.
+func (c *cover) memberSlot(id model.FilterID) (slot int32, first, promoted bool) {
+	if s, ok := c.findSlot(id); ok {
+		return s, false, false
+	}
+	f := c.flags.Load()
 	m := c.more
-	if m == nil {
-		f := c.flags.Load()
-		if f < coverOneSlot {
-			c.first = id
-			return 0
-		}
+	switch {
+	case m == nil && f < coverOneMember:
+		c.first = id
+		first = true
+	case m == nil:
 		m = &coverMembers{slots: make([]model.FilterID, 1, 2)}
 		m.slots[0] = c.first
-		if singletonLive(f) {
-			m.alive.testAndSet(0)
-			m.rep = c.first
-		}
 		c.more = m
-	}
-	s := int32(len(m.slots))
-	m.slots = append(m.slots, id)
-	if m.slotOf != nil {
-		m.slotOf[id] = s
-	} else if len(m.slots) >= coverSlotMapMin {
-		m.slotOf = make(map[model.FilterID]int32, len(m.slots))
-		for i, member := range m.slots {
-			m.slotOf[member] = int32(i)
-		}
-	}
-	return s
-}
-
-// memberSlot returns the member's slot under the cover lock, adding a new
-// slot (added) when the filter was never a member; multi says the ID has
-// belonged to another cover, which marks the cover stale. revived reports
-// whether the member transitioned dead→alive; firstLive whether the cover
-// transitioned empty→populated.
-func (c *cover) memberSlot(id model.FilterID, multi bool) (slot int32, added, revived, firstLive bool) {
-	c.mu.Lock()
-	f := c.flags.Load()
-	s, ok := c.findSlot(id)
-	if !ok {
-		s = c.addSlot(id)
-		added = true
-	}
-	if m := c.more; m == nil {
-		revived = !singletonLive(f)
-		firstLive = revived
-		f = f&^coverDead | coverOneSlot
-	} else if m.alive.testAndSet(int(s)) {
-		revived = true
-		if m.alive.count() == 1 {
-			firstLive = true
-			m.rep = id
-		}
-	}
-	c.publishFlags(f, multi)
-	c.mu.Unlock()
-	return s, added, revived, firstLive
-}
-
-// markDead marks the member dead; left says the member is leaving for
-// another cover rather than unregistering, which also marks the cover
-// stale. died reports a live→dead transition; emptied that the cover lost
-// its last live member, with a surviving member promoted to representative
-// otherwise when the departing member was the representative — the
-// unregister-the-covering-filter case.
-func (c *cover) markDead(id model.FilterID, left bool) (died, emptied bool) {
-	c.mu.Lock()
-	if s, ok := c.findSlot(id); ok {
-		f := c.flags.Load()
-		if m := c.more; m == nil {
-			died = singletonLive(f)
-			emptied = died
-			f |= coverDead
-		} else if m.alive.clear(int(s)) {
-			died = true
-			if m.alive.count() == 0 {
-				emptied = true
-				m.rep = 0
-			} else if m.rep == id {
-				m.rep = m.slots[m.alive.first()]
+		promoted = true
+		fallthrough
+	case len(m.vacant) == 0:
+		slot = int32(len(m.slots))
+		m.slots = append(m.slots, id)
+		if m.slotOf == nil && len(m.slots) >= coverSlotMapMin {
+			m.slotOf = make(map[model.FilterID]int32, len(m.slots))
+			for i, member := range m.slots {
+				m.slotOf[member] = int32(i)
 			}
 		}
-		c.publishFlags(f, left)
-	}
-	c.mu.Unlock()
-	return died, emptied
-}
-
-// liveIn returns how many of bits' slots belong to live members, and how
-// many live members the cover has. Caller holds c.mu.
-func (c *cover) liveIn(bits *slotSet) (live, total int) {
-	if m := c.more; m != nil {
-		return bits.intersectCard(&m.alive), m.alive.count()
-	}
-	if singletonLive(c.flags.Load()) {
-		total = 1
-		if bits.has(0) {
-			live = 1
+	default:
+		slot = m.vacant[len(m.vacant)-1]
+		m.vacant = m.vacant[:len(m.vacant)-1]
+		m.slots[slot] = id
+		if slot == 0 {
+			c.first = id
 		}
 	}
-	return live, total
+	if m != nil && m.slotOf != nil {
+		m.slotOf[id] = slot
+	}
+	c.flags.Store(f + coverOneMember)
+	return slot, first, promoted
 }
 
-// Rep returns the cover's current representative under its lock.
+// vacate takes the member out of slot, reporting whether the cover is left
+// without members. Its posting bits must be gone already. Caller holds c.mu.
+func (c *cover) vacate(slot int32) (emptied bool) {
+	f := c.flags.Load() - coverOneMember
+	if m := c.more; m != nil {
+		if m.slotOf != nil {
+			delete(m.slotOf, m.slots[slot])
+		}
+		m.vacant = append(m.vacant, slot)
+	}
+	c.flags.Store(f)
+	return f < coverOneMember
+}
+
+// Rep returns the cover's representative — the "covering filter" of the
+// subsumption literature: the member in the lowest occupied slot, 0 when the
+// cover has none.
 func (c *cover) Rep() model.FilterID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m := c.more; m != nil {
-		return m.rep
+	if c.flags.Load() < coverOneMember {
+		return 0
 	}
-	if singletonLive(c.flags.Load()) {
+	m := c.more
+	if m == nil {
 		return c.first
+	}
+	for i, member := range m.slots {
+		if !slices.Contains(m.vacant, int32(i)) {
+			return member
+		}
 	}
 	return 0
 }
 
 // RepFor returns the representative filter ID of the cover holding f's
 // predicate signature — the "covering filter" of f's group. ok is false
-// when no such cover exists, or when the cover has no live members.
-// Diagnostic/test use.
+// when no such cover exists. Diagnostic/test use.
 func (ix *Index) RepFor(f model.Filter) (model.FilterID, bool) {
 	c := ix.coverOf(&f, false)
 	if c == nil {
 		return 0, false
 	}
 	r := c.Rep()
-	return r, r != 0
+	return r, c.members() > 0
+}
+
+// sigShard returns the signature shard of a signature hash.
+func (ix *Index) sigShard(h uint64) *coverSigShard {
+	return &ix.sig[h&shardMask]
+}
+
+// coverOf returns the cover of f's predicate signature. With create it
+// interns f's terms and, on first use of the signature, the cover; without,
+// it returns nil when no live cover has that signature.
+func (ix *Index) coverOf(f *model.Filter, create bool) *cover {
+	var idBuf [8]uint32
+	ids := idBuf[:0]
+	for _, t := range f.Terms {
+		var id uint32
+		if create {
+			id = ix.dict.intern(t)
+		} else if id = ix.dict.lookup(t); id == noTerm {
+			return nil
+		}
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	h := sigHash(f.Mode, f.Threshold, ids)
+	sh := ix.sigShard(h)
+	sh.mu.Lock()
+	c := sh.covers[h]
+	for c != nil && !c.hasSig(f.Mode, f.Threshold, ids) {
+		c = c.next
+	}
+	if c == nil && create {
+		c = &cover{
+			id:        ix.coverIDs.take(),
+			threshold: f.Threshold,
+			ids:       slices.Clone(ids),
+			terms:     ix.dict.canonical(ids),
+			next:      sh.covers[h],
+		}
+		c.flags.Store(uint32(f.Mode) & coverModeMask)
+		sh.covers[h] = c
+	}
+	sh.mu.Unlock()
+	return c
+}
+
+// joinCover makes id a member of the cover of f's signature and returns the
+// cover and id's slot in it. A cover coverOf handed out can retire before
+// its lock is taken here — its last member left in between — and then no
+// longer serves the signature: the lookup is repeated, and finds or creates
+// its successor.
+func (ix *Index) joinCover(f *model.Filter, id model.FilterID) (*cover, int32) {
+	for {
+		c := ix.coverOf(f, true)
+		c.mu.Lock()
+		if c.flags.Load()&coverRetired != 0 {
+			c.mu.Unlock()
+			continue
+		}
+		slot, first, promoted := c.memberSlot(id)
+		c.mu.Unlock()
+		if first {
+			ix.coversLive.Add(1)
+			ix.singletons.Add(1)
+		} else if promoted {
+			ix.singletons.Add(-1)
+		}
+		return c, slot
+	}
+}
+
+// leave takes the member in slot out of c, whose posting bits it no longer
+// holds, and retires the cover when that was its last member: the cover is
+// marked and unlinked from the signature table under the signature shard's
+// lock — the lock coverOf reads the table under — so no registration can
+// join it afterwards (joinCover retries on the mark), and its ID goes back to
+// the pool.
+func (ix *Index) leave(c *cover, slot int32) {
+	h := sigHash(c.mode(), c.threshold, c.ids)
+	sh := ix.sigShard(h)
+	sh.mu.Lock()
+	c.mu.Lock()
+	emptied := c.vacate(slot)
+	if emptied {
+		c.flags.Store(c.flags.Load() | coverRetired)
+		if sh.covers[h] == c {
+			if c.next == nil {
+				delete(sh.covers, h)
+			} else {
+				sh.covers[h] = c.next
+			}
+		} else {
+			for p := sh.covers[h]; p != nil; p = p.next {
+				if p.next == c {
+					p.next = c.next
+					break
+				}
+			}
+		}
+	}
+	single := c.more == nil
+	c.mu.Unlock()
+	sh.mu.Unlock()
+	if emptied {
+		ix.coversLive.Add(-1)
+		if single {
+			ix.singletons.Add(-1)
+		}
+		ix.extra.forget(c)
+		ix.coverIDs.put(c.id)
+	}
+}
+
+// coverIDs hands out cover IDs: those of retired covers first, so the IDs in
+// use — and the per-call memo the multi-term match path indexes by them —
+// stay bounded by the covers alive at once, not by every cover there ever
+// was. A retired ID is reused only after a grace period, so an ID names one
+// cover for the whole of any call that may have decided it: each such call
+// enters the current phase and leaves it when it returns, an ID retired in a
+// phase waits in that phase's list, and the list is freed — and the phase
+// advanced — once the calls that entered in the phase before have all left.
+// By then every call that could have seen the retired covers, all of which
+// started in that phase or the one before it, has returned.
+type coverIDs struct {
+	mu   sync.Mutex
+	free []uint32
+	// waiting[p] holds the IDs retired while the phase had parity p.
+	waiting [2][]uint32
+	// seq is the highest ID handed out.
+	seq   atomic.Uint32
+	phase atomic.Uint32
+	// calls[p] counts the calls in flight that entered while the phase had
+	// parity p.
+	calls [2]atomic.Int64
+}
+
+// enter registers a call in the current phase and returns the phase, for
+// exit.
+func (p *coverIDs) enter() uint32 {
+	for {
+		ph := p.phase.Load()
+		p.calls[ph&1].Add(1)
+		if p.phase.Load() == ph {
+			return ph
+		}
+		p.calls[ph&1].Add(-1)
+	}
+}
+
+func (p *coverIDs) exit(ph uint32) { p.calls[ph&1].Add(-1) }
+
+func (p *coverIDs) take() uint32 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// Advance while the free list is empty and IDs wait: once the calls that
+	// entered in the previous phase have left, what was retired in it is
+	// free and the current phase becomes the previous one. Two steps free
+	// what the current phase retired.
+	for range 2 {
+		ph := p.phase.Load()
+		prev := (ph + 1) & 1
+		if len(p.free) > 0 || len(p.waiting[0])+len(p.waiting[1]) == 0 || p.calls[prev].Load() != 0 {
+			break
+		}
+		p.free, p.waiting[prev] = p.waiting[prev], p.free
+		p.phase.Store(ph + 1)
+	}
+	if n := len(p.free); n > 0 {
+		id := p.free[n-1]
+		p.free = p.free[:n-1]
+		return id
+	}
+	return p.seq.Add(1)
+}
+
+func (p *coverIDs) put(id uint32) {
+	p.mu.Lock()
+	ph := p.phase.Load() & 1
+	p.waiting[ph] = append(p.waiting[ph], id)
+	p.mu.Unlock()
 }
 
 // CoverStats summarizes the aggregated index's compression state. All
 // fields are O(1) atomic reads — cheap enough to export as gauges on every
-// register/unregister.
+// register/unregister — and count what is registered now: a departed filter
+// takes its posting bits, its slot and, as the last member, its cover along.
 type CoverStats struct {
-	// Covers is the number of covers with at least one live member.
+	// Covers is the number of covers, each with at least one member.
 	Covers int
-	// CoveredFilters is the number of live filter definitions attached to
-	// those covers (every registered filter belongs to exactly one cover).
+	// CoveredFilters is the number of filter definitions attached to those
+	// covers (every registered filter belongs to exactly one cover).
 	CoveredFilters int
 	// StoredEntries is the number of physical (term, cover) posting entries
 	// — what the aggregated index actually stores.
 	StoredEntries int
 	// LogicalPostings is the uncompressed posting count (one per
-	// (term, filter) pair, tombstones included) — identical to
+	// (term, filter) pair of a registered filter) — identical to
 	// NumPostings().
 	LogicalPostings int
 	// PostingsSaved is LogicalPostings − StoredEntries: posting entries the
@@ -342,8 +462,8 @@ type CoverStats struct {
 	// entry, in thousandths (logical/stored × 1000); 1000 means no
 	// compression, higher is better.
 	ExpansionFanoutMilli int
-	// Singletons is the number of covers that have only ever had one member,
-	// registered or not. Where it approaches Covers the population shares no
+	// Singletons is the number of covers that have only ever had one member
+	// at a time. Where it approaches Covers the population shares no
 	// predicates and aggregation has nothing to merge.
 	Singletons int
 }

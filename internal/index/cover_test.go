@@ -23,12 +23,11 @@ import (
 // What MatchStats.Evaluated means where the index skips a container — one
 // evaluation of the cover's predicate said no match, and no member was
 // looked at: the filters that verdict decided still count. It stays what the
-// reference reports, the number of distinct filters with a live definition
-// that the call's posting lists reach: a skipped container adds its live
-// members (its cardinality, or its intersection with the cover's alive set
-// when the cover has dead slots), once per call however many of the call's
-// terms reach the cover. Only tests read the field;
-// TestSkippedContainerEvaluated pins the cases.
+// reference reports, the number of distinct registered filters that the
+// call's posting lists reach: a skipped container adds its members (its
+// cardinality), once per call however many of the call's terms reach the
+// cover. Only tests read the field; TestSkippedContainerEvaluated pins the
+// cases.
 
 // enginePair is an index and its reference fed the same operations.
 type enginePair struct {
@@ -105,8 +104,8 @@ func (p *enginePair) compareAll(t *testing.T, doc *model.Document) {
 	if a, r := p.ix.NumPostings(), p.ref.numPostings; a != r {
 		t.Fatalf("NumPostings diverged: index=%d ref=%d", a, r)
 	}
-	// Every ID on a list of the document's terms — tombstones included — is
-	// posted under the same of those terms on both sides.
+	// Every ID on a list of the document's terms is posted under the same of
+	// those terms on both sides.
 	for _, term := range doc.Terms {
 		for _, id := range p.ref.postings[term] {
 			if a, r := p.ix.PostedUnder(id, doc.Terms), p.ref.postedUnder(id, doc.Terms); !slices.Equal(a, r) || !slices.Contains(r, term) {
@@ -205,19 +204,18 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 	}
 	p.compareAll(t, doc)
 
-	// Remove the survivors too: the cover empties and stops counting.
+	// Remove the survivors too: the cover empties and retires.
 	p.unregister(t, 2)
 	p.unregister(t, 3)
 	if _, ok := p.ix.RepFor(sig); ok {
 		t.Fatal("emptied cover still has a representative")
 	}
-	if cs := p.ix.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 {
-		t.Fatalf("CoverStats after emptying = %+v, want 0/0", cs)
+	if cs := p.ix.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 || cs.StoredEntries != 0 {
+		t.Fatalf("CoverStats after emptying = %+v, want 0/0/0", cs)
 	}
 	p.compareAll(t, doc)
 
-	// Revive one member: the cover repopulates and the revived member
-	// becomes representative.
+	// Register one member again: a new cover, whose representative it is.
 	p.register(t, anyFilter(3, "alpha", "beta"), []string{"alpha", "beta"})
 	if rep, ok := p.ix.RepFor(sig); !ok || rep != 3 {
 		t.Fatalf("RepFor after revive = %v,%v, want f3", rep, ok)
@@ -227,9 +225,9 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 
 // coverShape is what TestCoverShapes reads off a cover under its lock.
 type coverShape struct {
-	slots            int
+	slots            int // slot table length (1 for an inline cover)
+	members          int
 	promoted         bool // coverMembers allocated
-	dead, stale      bool
 	rep              model.FilterID
 	first            model.FilterID
 	singletonsInStat int
@@ -244,14 +242,24 @@ func shapeOf(t *testing.T, ix *Index, sig model.Filter) coverShape {
 	rep := c.Rep()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := c.flags.Load()
-	if c.more != nil && (c.more.slots[0] != c.first || len(c.more.slots) != int(f>>coverSlotShift)) {
-		t.Fatalf("cover %v: slot table %v beside first=%v, flags say %d slots", sig.Terms, c.more.slots, c.first, f>>coverSlotShift)
+	slots := 1
+	if m := c.more; m != nil {
+		slots = len(m.slots)
+		if m.slots[0] != c.first || c.members() != slots-len(m.vacant) {
+			t.Fatalf("cover %v: slot table %v (vacant %v) beside first=%v, flags say %d members", sig.Terms, m.slots, m.vacant, c.first, c.members())
+		}
 	}
 	return coverShape{
-		slots: int(f >> coverSlotShift), promoted: c.more != nil,
-		dead: f&coverDead != 0, stale: f&coverStale != 0,
+		slots: slots, members: c.members(), promoted: c.more != nil,
 		rep: rep, first: c.first, singletonsInStat: ix.CoverStats().Singletons,
+	}
+}
+
+// retired fails unless no cover serves sig's signature.
+func retired(t *testing.T, ix *Index, sig model.Filter) {
+	t.Helper()
+	if c := ix.coverOf(&sig, false); c != nil {
+		t.Fatalf("cover %v (%d members) still serves its signature", sig.Terms, c.members())
 	}
 }
 
@@ -266,10 +274,10 @@ func TestCoverSize(t *testing.T) {
 }
 
 // TestCoverShapes walks a cover through the shapes its representation
-// distinguishes — inline singleton, singleton re-registered, promoted by a
-// second member, demoted to one live member behind the pointer, a member
-// with its own term order, a stale member — holding every matcher to the
-// reference at each step and checking the shape itself.
+// distinguishes — inline singleton, retired with its member and built again,
+// promoted by a second member, a vacated slot reused, a member with its own
+// term order, a member that leaves for another signature — holding every
+// matcher to the reference at each step and checking the shape itself.
 func TestCoverShapes(t *testing.T) {
 	docs := []*model.Document{
 		{ID: 1, Terms: []string{"a"}},
@@ -302,25 +310,23 @@ func TestCoverShapes(t *testing.T) {
 		p := newEnginePair(t)
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, members: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
 			t.Fatalf("shape = %+v, want %+v", got, want)
 		}
-		// Unregistered: the liveness is the flag, nothing else.
+		// Unregistered: the cover goes with its only member, entries and all.
 		p.unregister(t, 7)
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, dead: true, first: 7, singletonsInStat: 1}); got != want {
-			t.Fatalf("shape after unregister = %+v, want %+v", got, want)
+		retired(t, p.ix, sig)
+		if cs := p.ix.CoverStats(); cs != (CoverStats{}) {
+			t.Fatalf("CoverStats after unregister = %+v, want nothing", cs)
 		}
-		if cs := p.ix.CoverStats(); cs.Covers != 0 || cs.CoveredFilters != 0 {
-			t.Fatalf("CoverStats after unregister = %+v, want no live cover", cs)
-		}
-		// Re-registered into its own slot, under a subset of the terms.
+		// Registered again, under a subset of the terms: a new cover.
 		p.register(t, allFilter(7, "a", "b"), []string{"b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, members: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
 			t.Fatalf("shape after re-register = %+v, want %+v", got, want)
 		}
-		// And once more while live: nothing moves.
+		// And once more while live: the terms add up.
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		check(t, p)
 		if cs := p.ix.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 || cs.StoredEntries != 2 {
@@ -333,32 +339,41 @@ func TestCoverShapes(t *testing.T) {
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		p.register(t, allFilter(9, "a", "b"), []string{"a"})
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, rep: 7, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, members: 2, promoted: true, rep: 7, first: 7}); got != want {
 			t.Fatalf("shape after promotion = %+v, want %+v", got, want)
 		}
 		p.unregister(t, 7)
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, members: 1, promoted: true, rep: 9, first: 7}); got != want {
 			t.Fatalf("shape after the first member left = %+v, want %+v", got, want)
 		}
-		if cs := p.ix.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 {
-			t.Fatalf("CoverStats = %+v, want 1 cover / 1 member", cs)
+		if cs := p.ix.CoverStats(); cs.Covers != 1 || cs.CoveredFilters != 1 || cs.LogicalPostings != 1 {
+			t.Fatalf("CoverStats = %+v, want 1 cover / 1 member / 1 posting", cs)
 		}
-		// The first member returns to slot 0; the survivor stays representative.
+		// A fresh ID takes the vacated slot 0 — and the inline member's place.
+		p.register(t, allFilter(11, "a", "b"), []string{"a", "b"})
+		check(t, p)
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, members: 2, promoted: true, rep: 11, first: 11}); got != want {
+			t.Fatalf("shape after a fresh member = %+v, want %+v", got, want)
+		}
+		// The first member returns: a third slot.
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, rep: 9, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 3, members: 3, promoted: true, rep: 11, first: 11}); got != want {
 			t.Fatalf("shape after the first member returned = %+v, want %+v", got, want)
 		}
 	})
 
 	t.Run("promotion-of-a-dead-singleton", func(t *testing.T) {
+		// A singleton whose member left is not there to promote: the next
+		// member of the signature starts a singleton of its own.
 		p := newEnginePair(t)
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		p.unregister(t, 7)
+		retired(t, p.ix, sig)
 		p.register(t, allFilter(9, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, dead: true, rep: 9, first: 7}); got != want {
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, members: 1, rep: 9, first: 9, singletonsInStat: 1}); got != want {
 			t.Fatalf("shape = %+v, want %+v", got, want)
 		}
 	})
@@ -390,24 +405,26 @@ func TestCoverShapes(t *testing.T) {
 	t.Run("stale-member", func(t *testing.T) {
 		p := newEnginePair(t)
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
-		// Same ID, another signature, posted under c alone: its a and b bits
-		// stay in the singleton it left.
+		// Same ID, another signature, posted under c alone: it leaves the
+		// singleton, which retires, and nothing of it stays under a or b.
 		p.register(t, anyFilter(7, "a", "c"), []string{"c"})
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 1, dead: true, stale: true, first: 7, singletonsInStat: 2}); got != want {
-			t.Fatalf("shape of the cover it left = %+v, want %+v", got, want)
+		retired(t, p.ix, sig)
+		if got, want := shapeOf(t, p.ix, anyFilter(0, "a", "c")), (coverShape{slots: 1, members: 1, rep: 7, first: 7, singletonsInStat: 1}); got != want {
+			t.Fatalf("shape of the cover it joined = %+v, want %+v", got, want)
 		}
-		if got := shapeOf(t, p.ix, anyFilter(0, "a", "c")); !got.stale || got.dead || got.rep != 7 {
-			t.Fatalf("shape of the cover it joined = %+v, want stale, live, rep 7", got)
+		if n, _ := p.ix.PostingLen("a"); n != 0 {
+			t.Fatalf("PostingLen(a) = %d after the move, want 0", n)
 		}
-		// A second member of the stale singleton promotes it.
+		// A new member of the old signature, then the mover comes back to it.
 		p.register(t, allFilter(8, "a", "b"), []string{"a", "b"})
 		check(t, p)
-		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, promoted: true, dead: true, stale: true, rep: 8, first: 7, singletonsInStat: 1}); got != want {
-			t.Fatalf("shape after a second member = %+v, want %+v", got, want)
-		}
 		p.register(t, allFilter(7, "a", "b"), []string{"a", "b"})
 		check(t, p)
+		retired(t, p.ix, anyFilter(0, "a", "c"))
+		if got, want := shapeOf(t, p.ix, sig), (coverShape{slots: 2, members: 2, promoted: true, rep: 8, first: 8}); got != want {
+			t.Fatalf("shape after the return = %+v, want %+v", got, want)
+		}
 	})
 
 	t.Run("threshold-read-back", func(t *testing.T) {
@@ -516,8 +533,8 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 
 	t.Run("multi-hop-rehoming", func(t *testing.T) {
 		p := newEnginePair(t)
-		// f1 hops through three signatures, always posting under "a"; stale
-		// bits from any earlier cover must be re-homed, not duplicated.
+		// f1 hops through three signatures, always posting under "a"; each
+		// hop takes its bits out of the cover it leaves, none duplicated.
 		p.register(t, anyFilter(1, "a"), []string{"a"})
 		p.register(t, anyFilter(1, "a", "b"), []string{"a", "b"})
 		check(t, p)
@@ -533,8 +550,8 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 		p.register(t, allFilter(2, "a", "b"), []string{"a", "b"})
 		p.unregister(t, 1)
 		check(t, p)
-		// Tombstoned f1 returns under a different signature with an
-		// overlapping posting term: the old cover's stale bit must clear.
+		// Unregistered f1 returns under a different signature with an
+		// overlapping posting term: the old cover holds nothing of it.
 		p.register(t, anyFilter(1, "a", "c"), []string{"a", "c"})
 		check(t, p)
 	})
@@ -556,14 +573,15 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 
 	t.Run("stale-member-at-match-time", func(t *testing.T) {
 		p := newEnginePair(t)
-		// f2 leaves {a,b} for a signature posted under other terms only, so
-		// its bits under a and b stay in the old cover while its definition
-		// says something else: the old cover's verdict must not decide it.
+		// f2 leaves {a,b} for a signature posted under other terms only: its
+		// bits under a and b leave with it, and the old cover's verdict can
+		// decide it nowhere.
 		p.register(t, allFilter(1, "a", "b"), []string{"a", "b"})
 		p.register(t, allFilter(2, "a", "b"), []string{"a", "b"})
 		p.register(t, anyFilter(2, "c", "d"), []string{"c", "d"})
 		check(t, p)
-		// {a,c}: the old cover says no match, f2's own definition matches.
+		// {a,c}: the old cover says no match, f2's own definition matches
+		// through c.
 		p.compareAll(t, &model.Document{ID: 6, Terms: []string{"a", "c"}})
 		p.unregister(t, 2)
 		check(t, p)
@@ -686,9 +704,10 @@ func TestAggRefOracleQuick(t *testing.T) {
 }
 
 // TestAggRestartRecoversCovers exercises the recovery path: covers are
-// rebuilt from stored definitions, defless posting entries land in the
-// orphan cover (the reference's tombstones, NumPostings included), and a
-// post-restart re-registration of an orphaned ID re-homes its bits.
+// rebuilt from stored definitions and the posting lists from the store's
+// operands — what unregistered filters and signature moves wrote there
+// included, which recovery must replay to nothing — and an ID that departed
+// before the restart registers again afterwards.
 func TestAggRestartRecoversCovers(t *testing.T) {
 	dir := t.TempDir()
 	agg, sa := openDurable(t, dir, store.Options{})
@@ -696,14 +715,15 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		p.register(t, anyFilter(model.FilterID(i), "x", fmt.Sprintf("t%d", i%4)), []string{"x", fmt.Sprintf("t%d", i%4)})
 	}
-	// Tombstones: unregister a third of the filters, postings stay.
+	// Unregister a third of the filters: their operands stay on disk, with
+	// their removals after them.
 	for i := 1; i <= 20; i += 3 {
 		p.unregister(t, model.FilterID(i))
 	}
 	// The shapes a cover's representation distinguishes: a singleton; a
 	// promoted cover whose first member left; a member with its own term
-	// order beside a canonical one; a member gone stale in the singleton it
-	// left; a dead singleton.
+	// order beside a canonical one; a member that left its singleton for
+	// another signature; a singleton whose member unregistered.
 	p.register(t, allFilter(101, "solo", "x"), []string{"solo", "x"})
 	p.register(t, allFilter(102, "p", "x"), []string{"p", "x"})
 	p.register(t, allFilter(103, "p", "x"), []string{"p", "x"})
@@ -729,15 +749,15 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	p2.compareAll(t, &model.Document{ID: 2, Terms: []string{"t1", "t2"}})
 	p2.compareAll(t, shapes)
 	// Rebuilt from the definitions: each of these covers has the one member
-	// whose definition survived, inline; the departed are the orphan cover's.
+	// whose definition survived, inline.
 	for _, want := range []struct {
 		sig   model.Filter
 		shape coverShape
 	}{
-		{allFilter(0, "solo", "x"), coverShape{slots: 1, rep: 101, first: 101}},
-		{allFilter(0, "p", "x"), coverShape{slots: 1, rep: 103, first: 103}},
-		{anyFilter(0, "r", "s"), coverShape{slots: 1, rep: 106, first: 106}},
-		{allFilter(0, "own", "x"), coverShape{slots: 2, promoted: true, rep: 104, first: 104}},
+		{allFilter(0, "solo", "x"), coverShape{slots: 1, members: 1, rep: 101, first: 101}},
+		{allFilter(0, "p", "x"), coverShape{slots: 1, members: 1, rep: 103, first: 103}},
+		{anyFilter(0, "r", "s"), coverShape{slots: 1, members: 1, rep: 106, first: 106}},
+		{allFilter(0, "own", "x"), coverShape{slots: 2, members: 2, promoted: true, rep: 104, first: 104}},
 	} {
 		got := shapeOf(t, agg2, want.sig)
 		got.singletonsInStat = 0
@@ -754,11 +774,11 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 		t.Fatalf("GetFilter(104) after restart = %+v, %v; want terms [x own]", f, ok)
 	}
 	if cs := agg2.CoverStats(); cs.Singletons != 3 {
-		t.Fatalf("Singletons after restart = %d, want solo, p and r-s (the orphan cover is not one)", cs.Singletons)
+		t.Fatalf("Singletons after restart = %d, want solo, p and r-s", cs.Singletons)
 	}
 
-	// Re-register a tombstoned ID under a new signature with an
-	// overlapping posting term: its orphan bit must re-home, not double.
+	// An ID unregistered before the restart comes back under a new
+	// signature with one of its old posting terms.
 	p2.register(t, allFilter(1, "x", "fresh"), []string{"x", "fresh"})
 	p2.compareAll(t, &model.Document{ID: 3, Terms: []string{"x", "fresh"}})
 	p2.compareAll(t, &model.Document{ID: 4, Terms: []string{"x"}})
@@ -795,7 +815,7 @@ func TestSkippedContainerEvaluated(t *testing.T) {
 	if n := evaluated(doc, []string{"news", "go", "news"}); n != 11 {
 		t.Fatalf("repeated terms: Evaluated = %d, want 11", n)
 	}
-	// Dead slots: the container still holds ten bits, seven of them live.
+	// Three members leave: the container holds the seven others' bits.
 	for _, id := range []model.FilterID{2, 5, 9} {
 		p.unregister(t, id)
 	}
@@ -811,8 +831,8 @@ func TestSkippedContainerEvaluated(t *testing.T) {
 	if n := evaluated(doc, []string{"news", "go"}); n != 9 {
 		t.Fatalf("full container first: Evaluated = %d, want 9", n)
 	}
-	// An emptied cover: its one bit is a tombstone and adds nothing to the
-	// seven live members "go" reaches through the other cover.
+	// An emptied cover retires with its entry: "go" reaches the seven
+	// members of the other cover alone.
 	p.unregister(t, 11)
 	if n := evaluated(&model.Document{ID: 2, Terms: []string{"go", "rust"}}, []string{"go"}); n != 7 {
 		t.Fatalf("emptied cover: Evaluated = %d, want 7", n)
@@ -912,7 +932,7 @@ func TestCoverSigCollisionChain(t *testing.T) {
 	}
 	h := sigHash(ca.mode(), ca.threshold, ca.ids)
 	sh := &ix.sig[h&shardMask]
-	foreign := &cover{id: ix.seq.Add(1), ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
+	foreign := &cover{id: ix.coverIDs.take(), ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
 	foreign.flags.Store(uint32(cb.mode()))
 	sh.covers[h] = foreign
 	if got := ix.coverOf(&fa, false); got != ca {
@@ -924,5 +944,34 @@ func TestCoverSigCollisionChain(t *testing.T) {
 	// Same terms, other mode: a different signature.
 	if ca.hasSig(model.MatchAll, 0, ca.ids) || !ca.hasSig(model.MatchAny, 0, ca.ids) {
 		t.Fatal("hasSig does not tell MatchAll{a,b} from MatchAny{a,b}")
+	}
+}
+
+// TestCoverIDsGracePeriod pins the reuse rule of cover IDs: a retired
+// cover's ID comes back only once every multi-term call that entered before
+// its retirement has returned, and then it does come back — the IDs in use
+// stay bounded by the covers alive at once.
+func TestCoverIDsGracePeriod(t *testing.T) {
+	var p coverIDs
+	a, b := p.take(), p.take()
+	call := p.enter() // a call that may decide a and b
+	p.put(a)
+	for i := 0; i < 4; i++ {
+		if id := p.take(); id == a {
+			t.Fatalf("take %d handed out retired ID %d while a call that entered before its retirement runs", i, id)
+		}
+	}
+	p.exit(call)
+	later := p.enter() // entered after the retirement: a is not its concern
+	defer p.exit(later)
+	if id := p.take(); id != a {
+		t.Fatalf("take after the call returned = %d, want the retired ID %d", id, a)
+	}
+	p.put(b)
+	if id := p.take(); id == b {
+		t.Fatalf("take handed out %d, retired while a call runs", id)
+	}
+	if seq := p.seq.Load(); seq != 7 {
+		t.Fatalf("%d IDs handed out, want 7: a, b, four while a waited and one while b did", seq)
 	}
 }

@@ -74,6 +74,13 @@ func (d *termDict) canonical(ids []uint32) []string {
 	return out
 }
 
+// term returns the term with ID id.
+func (d *termDict) term(id uint32) string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.terms[id]
+}
+
 // lookup returns term's ID, or noTerm.
 func (d *termDict) lookup(term string) uint32 {
 	d.mu.RLock()

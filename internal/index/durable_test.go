@@ -247,9 +247,8 @@ func TestDurableStoreReleasesFlushedSegments(t *testing.T) {
 // TestStoreBoundedUnderChurn: subscriptions that come and go over a constant
 // population leave a directory the size of that population, not of the
 // operations performed — flushes compact at four segments, dropping
-// tombstones and superseded definitions, and a posting entry the shards still
-// hold is not written again. (What does stay is the posting operand of an ID
-// that never comes back, as its tombstone bit stays in the shards.)
+// tombstones and superseded definitions and folding each posting list's add
+// and removal operands to the IDs it holds.
 func TestStoreBoundedUnderChurn(t *testing.T) {
 	const population, pairs = 1000, 20000
 	opts := store.Options{FlushAt: 4 << 10}

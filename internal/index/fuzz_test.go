@@ -16,9 +16,10 @@ import (
 // interleavings the table tests pin: same-signature sharing, unregister
 // of a cover representative, signature splits and merges with overlapping
 // posting terms, migration replays, a cover matched while it
-// holds a stale member, documents none of whose terms any filter names, and
-// a cover's promotion from its inline member to a slot table and back to one
-// live member.
+// holds a member mid-move, documents none of whose terms any filter names, a
+// cover's promotion from its inline member to a slot table and back to one
+// live member, slots vacated and reused under fresh-ID churn, a retired
+// cover's signature registered again, and a retirement across a restart.
 //
 // A second index — over a data directory — takes the same
 // operations, and every observe op also flushes its store and reopens it
@@ -50,23 +51,34 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// terms.
 	f.Add([]byte{5, 0x1f, 0, 3, 0x18, 2, 0, 6, 0x1f, 0, 4, 0x18, 2, 1, 6, 0x18})
 	// Two members of an {a,b} cover; one leaves for {c,d} posted under c,d
-	// only, so its a,b bits go stale: match, unregister it, match,
+	// only, taking its a,b bits along: match, unregister it, match,
 	// re-register it back, match.
 	f.Add([]byte{0, 1, 0x03, 1, 0, 0, 2, 0x03, 1, 0, 0, 2, 0x0c, 0, 0, 6, 0x05, 6, 0x0f, 2, 2, 6, 0x0f, 0, 2, 0x03, 1, 0, 6, 0x0f})
 	// Documents over g,h while only a,b,c are in the dictionary; then a
 	// half-known document.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x05, 1, 1, 6, 0xc0, 6, 0x80, 6, 0xc3})
-	// Restarts around a cover that gains a member after one, a tombstoned
-	// filter, and a re-homed one.
+	// Restarts around a cover that gains a member after one, an
+	// unregistered filter, and one moved to another signature.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x03, 1, 0, 5, 0x01, 0, 3, 0x03, 0, 0, 2, 1, 5, 0x02, 6, 0x03, 0, 2, 0x05, 0, 0, 5, 0x04, 6, 0x07})
 	// A singleton cover promoted by a second member posted under one term;
-	// the first member unregisters (one live member behind the pointer),
-	// returns to its slot, restart.
+	// the first member unregisters (one member behind the pointer), returns
+	// to its vacated slot, restart.
 	f.Add([]byte{0, 1, 0x03, 1, 0, 6, 0x03, 0, 2, 0x03, 1, 1, 6, 0x03, 2, 1, 6, 0x03, 0, 1, 0x03, 1, 0, 6, 0x03, 5, 0x01, 6, 0x07})
-	// A singleton dies and re-registers into its inline slot; dies again and
-	// is promoted dead by another member, which then leaves for a second
-	// signature (stale) while a third joins; restart.
+	// A singleton retires with its member, which registers again into a new
+	// one; a second member, the first leaves again, the second leaves for
+	// another signature while a third joins; restart.
 	f.Add([]byte{0, 3, 0x06, 0, 0, 2, 3, 6, 0x06, 0, 3, 0x06, 0, 1, 6, 0x02, 2, 3, 0, 4, 0x06, 0, 0, 6, 0x06, 0, 4, 0x18, 1, 1, 0, 5, 0x06, 0, 0, 6, 0x1e, 5, 0x02, 6, 0x1e})
+	// Fresh-ID churn on one signature: three members, the first leaves and a
+	// fresh ID takes its slot 0, the third leaves and another takes slot 2;
+	// then all leave and the cover retires.
+	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x03, 0, 0, 0, 3, 0x03, 0, 1, 2, 1, 0, 4, 0x03, 0, 0, 6, 0x03, 2, 3, 0, 5, 0x03, 0, 2, 6, 0x07, 2, 2, 2, 4, 2, 5, 6, 0x03})
+	// A singleton retires with its member; its signature registers again —
+	// a fresh ID, then the departed one.
+	f.Add([]byte{0, 1, 0x05, 1, 0, 6, 0x05, 2, 1, 6, 0x05, 0, 7, 0x05, 1, 1, 6, 0x07, 0, 1, 0x05, 1, 0, 6, 0x05})
+	// A retirement, then a restart of the durable twin; the departed ID
+	// returns under one of its old posting terms, restart; the last
+	// member of the other cover leaves, restart.
+	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x0c, 1, 0, 2, 2, 5, 0x01, 6, 0x0f, 0, 2, 0x0c, 1, 1, 5, 0x02, 6, 0x0f, 2, 1, 5, 0x04, 6, 0x0f})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		p := &enginePair{ix: newIndex(t), ref: newRefIndex()}
 		ix := p.ix

@@ -47,20 +47,16 @@ type Index struct {
 	corpus   *vsm.Corpus
 
 	// The sharded in-memory serving layer every read is answered from.
-	seq  atomic.Uint32 // the last cover id assigned
-	dict *termDict
-	sig  [DefaultShards]coverSigShard
-	term [DefaultShards]termShard
-	hist [DefaultShards]histShard
+	coverIDs coverIDs
+	dict     *termDict
+	sig      [DefaultShards]coverSigShard
+	term     [DefaultShards]termShard
 	// defs is the filter table: a definition is its subscriber and its cover.
 	defs filterTable
 	// subs shares subscriber names between definitions.
 	subs subCache
-	// orphan collects posting bits recovered at startup whose filter
-	// definition no longer exists — tombstones. Its mode is invalid so it
-	// never matches as a cover; its members are dropped at match time by the
-	// missing-definition check every tombstone gets.
-	orphan *cover
+	// extra holds the posting terms of covers outside their signatures.
+	extra extraTerms
 
 	// Optional per-stage latency instrumentation (§IV cost model: the
 	// posting-list read is the "disk seek" y_seek, the evaluation loop is
@@ -72,10 +68,10 @@ type Index struct {
 	numPostings atomic.Int64
 
 	coversLive    atomic.Int64
-	membersLive   atomic.Int64
 	storedEntries atomic.Int64
-	// singletons counts covers with exactly one member slot: up when slot 0
-	// is assigned, down when slot 1 is.
+	// singletons counts covers that never held two members at once: up when
+	// a cover gets its first member, down when it gets a slot table or
+	// retires without one.
 	singletons atomic.Int64
 }
 
@@ -101,11 +97,6 @@ func New(s *store.Store) (*Index, error) {
 	for i := range ix.sig {
 		ix.sig[i].covers = make(map[uint64]*cover)
 	}
-	for i := range ix.hist {
-		ix.hist[i].lastGone = make(map[model.FilterID]*cover)
-		ix.hist[i].multi = make(map[model.FilterID]struct{})
-	}
-	ix.orphan = &cover{id: ix.seq.Add(1)} // mode 0
 	if !s.Durable() {
 		// Nothing to recover and nowhere to persist: no write-through.
 		return ix, nil
@@ -123,7 +114,7 @@ func New(s *store.Store) (*Index, error) {
 	return ix, nil
 }
 
-// The three write-through operations: each mirrors one shard mutation into
+// The four write-through operations: each mirrors one shard mutation into
 // the store when there is one.
 
 func (ix *Index) storeFilter(f model.Filter) error {
@@ -147,11 +138,18 @@ func (ix *Index) storePosting(term string, id model.FilterID) error {
 	return ix.postings.Add(term, id)
 }
 
+func (ix *Index) storeRemovePosting(tid uint32, id model.FilterID) error {
+	if ix.postings == nil {
+		return nil
+	}
+	return ix.postings.Remove(ix.dict.term(tid), id)
+}
+
 // CoverStats summarizes the index's compression state (O(1) atomic reads).
 func (ix *Index) CoverStats() CoverStats {
 	st := CoverStats{
 		Covers:          int(ix.coversLive.Load()),
-		CoveredFilters:  int(ix.membersLive.Load()),
+		CoveredFilters:  int(ix.numFilters.Load()),
 		StoredEntries:   int(ix.storedEntries.Load()),
 		LogicalPostings: int(ix.numPostings.Load()),
 		Singletons:      int(ix.singletons.Load()),
@@ -227,8 +225,9 @@ func (ix *Index) NumFilters() int {
 	return int(ix.numFilters.Load())
 }
 
-// NumPostings returns the total posting entries written (storage-cost
-// accounting for Figure 9(a)).
+// NumPostings returns the number of (term, filter) posting entries of the
+// registered filters — the length of the plain posting lists the covering
+// index stands for (storage-cost accounting for Figure 9(a)).
 func (ix *Index) NumPostings() int {
 	return int(ix.numPostings.Load())
 }

@@ -173,10 +173,16 @@ func TestMatchThresholdSemantics(t *testing.T) {
 	}
 }
 
-func TestUnregisterDropsCandidateLazily(t *testing.T) {
+// TestUnregisterDropsCandidateEagerly: an unregistered filter leaves its
+// posting list at once — a match neither scans nor evaluates it, and
+// NumPostings and PostedUnder stop counting it.
+func TestUnregisterDropsCandidateEagerly(t *testing.T) {
 	ix := newIndex(t)
 	registerAny(t, ix, 1, "A")
 	registerAny(t, ix, 2, "A")
+	if got := ix.NumPostings(); got != 2 {
+		t.Fatalf("NumPostings = %d, want 2", got)
+	}
 	if err := ix.Unregister(1); err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +194,21 @@ func TestUnregisterDropsCandidateLazily(t *testing.T) {
 	if got := matchedIDs(fs); !reflect.DeepEqual(got, []model.FilterID{2}) {
 		t.Fatalf("match = %v, want only f2", got)
 	}
-	// The stale posting is scanned but not evaluated.
-	if st.Postings != 2 || st.Evaluated != 1 {
-		t.Fatalf("stats = %+v, want 2 postings / 1 evaluated", st)
+	if st.Postings != 1 || st.Evaluated != 1 {
+		t.Fatalf("stats = %+v, want 1 posting / 1 evaluated", st)
 	}
-	if ix.NumFilters() != 1 {
-		t.Fatalf("NumFilters = %d, want 1", ix.NumFilters())
+	if ix.NumFilters() != 1 || ix.NumPostings() != 1 {
+		t.Fatalf("NumFilters/NumPostings = %d/%d, want 1/1", ix.NumFilters(), ix.NumPostings())
+	}
+	if got := ix.PostedUnder(1, []string{"A"}); got != nil {
+		t.Fatalf("PostedUnder(f1) = %v after its unregister, want nothing", got)
+	}
+	// The last one out: the list is empty, the cover gone.
+	if err := ix.Unregister(2); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := ix.PostingLen("A"); n != 0 || ix.NumPostings() != 0 || ix.CoverStats() != (CoverStats{}) {
+		t.Fatalf("after both left: PostingLen(A) = %d, NumPostings = %d, %+v", n, ix.NumPostings(), ix.CoverStats())
 	}
 }
 

@@ -152,8 +152,8 @@ var memComponents = []struct {
 }{
 	{"cover.terms + cover.ids", []string{"slices.Clone", "(*termDict).canonical"}},
 	{"dictionary", []string{"(*termDict).intern"}},
-	{"posting entries", []string{"(*termShard).entryFor", "(*slotSet).", "(*slotBig)."}},
-	{"covers + signature table", []string{"(*Index).coverOf", "(*cover).addSlot"}},
+	{"posting entries", []string{"(*termShard).add", "(*slotSet).", "(*slotBig)."}},
+	{"covers + signature table", []string{"(*Index).coverOf", "(*cover).memberSlot"}},
 	{"definitions", []string{"filterTable", "(*Index).newDef", "(*subCache).share"}},
 }
 
@@ -263,35 +263,88 @@ func TestMemBudget(t *testing.T) {
 	// Churn: a constant population of 1 k filters, 20 k times one of them
 	// unregistered and a filter with a fresh ID registered — term sets from a
 	// pool of 4,096, as the benchmark's scripted writers draw them and as
-	// subscribers come and go. What grows is what the departed leave behind.
-	const live, pairs = 1000, 20000
-	pool := zipfPopulation(t, 4096, 16000, 1, model.MatchAny)
-	ix = newIndex(t)
-	next := 0
-	fresh := func() populationReg {
-		reg := pool[rng.Intn(len(pool))]
-		next++
-		reg.f.ID = model.FilterID(next)
-		return reg
-	}
-	ids := make([]model.FilterID, live)
-	for i := range ids {
-		reg := fresh()
-		registerDecoded(t, ix, reg)
-		ids[i] = reg.f.ID
-	}
+	// subscribers come and go — after a first 20 k that let the dictionary
+	// learn the pool's vocabulary. What grows is what the departed leave
+	// behind.
+	const pairs = 20000
+	ch := newChurn(t, 1000)
+	ch.round(t, pairs)
 	before = testutil.HeapNow()
-	for i := 0; i < pairs; i++ {
-		j := rng.Intn(live)
-		if err := ix.Unregister(ids[j]); err != nil {
-			t.Fatal(err)
-		}
-		reg := fresh()
-		registerDecoded(t, ix, reg)
-		ids[j] = reg.f.ID
+	ch.round(t, pairs)
+	row("churn: 20k unregister/register-fresh-ID pairs over 1k live filters", (float64(testutil.HeapNow())-float64(before))/pairs, 8, "B/departed filter")
+	runtime.KeepAlive(ch)
+}
+
+// churn is a constant population of live filters on one index that rounds
+// of fresh-ID unregister/register pairs turn over: each pair unregisters a
+// live filter at random and registers a filter with the next ID, its terms
+// drawn from a pool of 4,096 MSN-like MatchAny term sets — as the benchmark's
+// scripted writers draw them and as subscribers come and go.
+type churn struct {
+	ix   *Index
+	pool []populationReg
+	ids  []model.FilterID
+	next model.FilterID
+	rng  *rand.Rand
+}
+
+func newChurn(tb testing.TB, live int) *churn {
+	tb.Helper()
+	ch := &churn{
+		ix:   newIndex(tb),
+		pool: zipfPopulation(tb, 4096, 16000, 1, model.MatchAny),
+		rng:  rand.New(rand.NewSource(populationSeed)),
 	}
-	row("churn: 20k unregister/register-fresh-ID pairs over 1k live filters", float64(testutil.HeapNow()-before)/pairs, 98, "B/departed filter")
-	runtime.KeepAlive(ix)
+	for range live {
+		ch.ids = append(ch.ids, ch.register(tb))
+	}
+	return ch
+}
+
+// register registers a filter of the pool with the next ID and returns it.
+func (ch *churn) register(tb testing.TB) model.FilterID {
+	reg := ch.pool[ch.rng.Intn(len(ch.pool))]
+	ch.next++
+	reg.f.ID = ch.next
+	registerDecoded(tb, ch.ix, reg)
+	return ch.next
+}
+
+// round runs pairs unregister/register pairs.
+func (ch *churn) round(tb testing.TB, pairs int) {
+	tb.Helper()
+	for range pairs {
+		j := ch.rng.Intn(len(ch.ids))
+		if err := ch.ix.Unregister(ch.ids[j]); err != nil {
+			tb.Fatal(err)
+		}
+		ch.ids[j] = ch.register(tb)
+	}
+}
+
+// TestMemChurnSoak is the index half of make mem-budget's churn soak: rounds
+// of fresh-ID churn at a constant live population, and the post-GC heap
+// after the last round within 2 % of the heap after the first — the index
+// holds what is registered, not what ever was. internal/node's
+// TestMemChurnSoak runs the same through the register and unregister frames
+// of a two-home ring.
+func TestMemChurnSoak(t *testing.T) {
+	const live, rounds, pairs = 1000, 6, 20000
+	ch := newChurn(t, live)
+	ch.round(t, pairs)
+	first := testutil.HeapNow()
+	for k := 2; k <= rounds; k++ {
+		ch.round(t, pairs)
+	}
+	last := testutil.HeapNow()
+	t.Logf("heap after round 1: %d B; after round %d: %d B (%+.2f %%); %d filters, %d covers",
+		first, rounds, last, 100*(float64(last)/float64(first)-1), ch.ix.NumFilters(), ch.ix.CoverStats().Covers)
+	if float64(last) > 1.02*float64(first) {
+		t.Fatalf("heap grew from %d to %d B over %d rounds of %d fresh-ID pairs at %d live filters", first, last, rounds-1, pairs, live)
+	}
+	if ch.ix.NumFilters() != live || ch.ix.CoverStats().CoveredFilters != live {
+		t.Fatalf("NumFilters = %d, CoverStats = %+v; want %d live filters", ch.ix.NumFilters(), ch.ix.CoverStats(), live)
+	}
 }
 
 // BenchmarkIndexMatchHeavy is the index layer's microbench for the

@@ -46,6 +46,11 @@ func filterShardFor(id model.FilterID) uint32 {
 type filterShard struct {
 	mu   sync.RWMutex
 	defs map[model.FilterID]def
+	// wmu serializes the writers of the shard's IDs (Register,
+	// EnsureRegistered, Unregister) from first read to last write, so an ID's
+	// definition, cover slot, posting bits and store operands change as one;
+	// readers never take it.
+	wmu sync.Mutex
 }
 
 // get returns the stored definition of id, if registered.

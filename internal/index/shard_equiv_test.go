@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -18,19 +19,18 @@ import (
 
 // refIndex is the reference implementation the index is held to: one
 // RWMutex over plain maps — a posting list is the insertion-ordered,
-// deduplicated list of the filter IDs posted under its term, a definition is
-// the model.Filter itself — with lazy tombstones, the same evaluate logic and
-// the index's counting rules. The equivalence batteries (here, cover_test.go,
-// fuzz_test.go) hold the sharded covering Index to byte-identical results
-// against it.
+// deduplicated list of the registered filter IDs posted under its term, a
+// definition is the model.Filter itself — with the same evaluate logic and
+// the index's posting rules: re-registered with the same signature a filter
+// keeps the lists it was on, with another it is on the new posting terms'
+// lists alone; unregistered it is on none. The equivalence batteries (here, cover_test.go, fuzz_test.go) hold
+// the sharded covering Index to byte-identical results against it.
 type refIndex struct {
 	mu       sync.RWMutex
 	filters  map[model.FilterID]model.Filter
 	postings map[string][]model.FilterID
 	corpus   *vsm.Corpus
-	// numPostings follows Index.NumPostings: Register counts every posting
-	// term it is given, EnsureRegistered only the entries it adds, and a
-	// restart the distinct entries it recovers.
+	// numPostings follows Index.NumPostings: the entries on all lists.
 	numPostings int
 }
 
@@ -42,24 +42,46 @@ func newRefIndex() *refIndex {
 	}
 }
 
-// post appends id to term's list unless it is there, reporting whether it
-// was added. Caller holds r.mu.
-func (r *refIndex) post(term string, id model.FilterID) bool {
-	if slices.Contains(r.postings[term], id) {
-		return false
+// post appends id to the lists of terms it is not on yet. Caller holds
+// r.mu.
+func (r *refIndex) post(id model.FilterID, terms []string) {
+	for _, t := range terms {
+		if !slices.Contains(r.postings[t], id) {
+			r.postings[t] = append(r.postings[t], id)
+			r.numPostings++
+		}
 	}
-	r.postings[term] = append(r.postings[term], id)
-	return true
+}
+
+// unpost takes id off every list. Caller holds r.mu.
+func (r *refIndex) unpost(id model.FilterID) {
+	for t, ids := range r.postings {
+		if i := slices.Index(ids, id); i >= 0 {
+			r.numPostings--
+			if ids = slices.Delete(ids, i, i+1); len(ids) == 0 {
+				delete(r.postings, t)
+			} else {
+				r.postings[t] = ids
+			}
+		}
+	}
+}
+
+// sameSignature reports whether a and b have one predicate: mode, threshold
+// bit for bit, and term set.
+func sameSignature(a, b *model.Filter) bool {
+	set := func(f *model.Filter) []string { return model.SortTerms(slices.Clone(f.Terms)) }
+	return a.Mode == b.Mode && math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) && slices.Equal(set(a), set(b))
 }
 
 func (r *refIndex) register(f model.Filter, postingTerms []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.filters[f.ID] = f.Clone()
-	r.numPostings += len(postingTerms)
-	for _, t := range postingTerms {
-		r.post(t, f.ID)
+	if old, ok := r.filters[f.ID]; ok && !sameSignature(&old, &f) {
+		r.unpost(f.ID)
 	}
+	r.filters[f.ID] = f.Clone()
+	r.post(f.ID, postingTerms)
 }
 
 // ensure is EnsureRegistered: an existing definition is kept, and created
@@ -71,11 +93,7 @@ func (r *refIndex) ensure(f model.Filter, postingTerms []string) (created bool) 
 		r.filters[f.ID] = f.Clone()
 		created = true
 	}
-	for _, t := range postingTerms {
-		if r.post(t, f.ID) {
-			r.numPostings++
-		}
-	}
+	r.post(f.ID, postingTerms)
 	return created
 }
 
@@ -83,6 +101,7 @@ func (r *refIndex) unregister(id model.FilterID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.filters, id)
+	r.unpost(id)
 }
 
 func (r *refIndex) numFilters() int {
@@ -92,8 +111,8 @@ func (r *refIndex) numFilters() int {
 }
 
 // restarted is what a restart from a flushed data directory recovers: every
-// definition and posting entry, NumPostings recounted from the deduplicated
-// lists, and no idf statistics (they are not persisted).
+// definition and posting entry, and no idf statistics (they are not
+// persisted).
 func (r *refIndex) restarted() *refIndex {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -312,9 +331,14 @@ func checkShardedMatchesReference(t *testing.T) {
 }
 
 // TestShardedIndexConcurrentMutationsAndMatches hammers one Index from
-// concurrent registrars, unregistrars, and matchers. Run under -race this
-// is the shard-layout safety net: snapshot reads must never tear, and the
-// final state must reflect every registration that wasn't removed.
+// concurrent registrars, unregistrars, churners and matchers. Run under -race
+// this is the shard-layout safety net: snapshot reads must never tear, a
+// match must never return a filter its document does not satisfy — while
+// churners register fresh IDs into the registrars' covers and take them out
+// again, so slots are vacated and reused under the matchers, and register and
+// unregister the only member of two-term covers, so covers retire and their
+// IDs come back for others — and the final state must reflect every
+// registration that wasn't removed.
 func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	st, err := store.Open("", store.Options{})
 	if err != nil {
@@ -326,8 +350,10 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	}
 	const (
 		writers   = 4
+		churners  = 2
 		matchers  = 4
 		perWriter = 150
+		perChurn  = 400
 	)
 	terms := make([]string, 16)
 	for i := range terms {
@@ -335,6 +361,29 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	}
 	var writerWg, matcherWg sync.WaitGroup
 	stop := make(chan struct{})
+	for c := 0; c < churners; c++ {
+		writerWg.Add(1)
+		go func(c int) {
+			defer writerWg.Done()
+			rng := rand.New(rand.NewSource(int64(50 + c)))
+			for i := 0; i < perChurn; i++ {
+				id := model.FilterID(100000 + c*perChurn + i)
+				f := model.Filter{ID: id, Subscriber: "churn", Terms: []string{terms[rng.Intn(len(terms))]}, Mode: model.MatchAny}
+				if i%2 == 1 {
+					f.Terms = model.SortTerms([]string{terms[rng.Intn(4)], terms[4+rng.Intn(4)]})
+					f.Mode = model.MatchAll
+				}
+				if err := ix.Register(f, f.Terms); err != nil {
+					t.Errorf("register %v: %v", id, err)
+					return
+				}
+				if err := ix.Unregister(id); err != nil {
+					t.Errorf("unregister %v: %v", id, err)
+					return
+				}
+			}
+		}(c)
+	}
 	for w := 0; w < writers; w++ {
 		writerWg.Add(1)
 		go func(w int) {
@@ -376,13 +425,20 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 				}
 				doc := model.Document{ID: 1, Terms: []string{terms[rng.Intn(len(terms))], terms[rng.Intn(len(terms))]}}
 				doc.Terms = model.SortTerms(doc.Terms)
-				if _, _, err := ix.MatchTerm(&doc, doc.Terms[0]); err != nil {
-					t.Errorf("match term: %v", err)
-					return
-				}
-				if _, _, err := ix.MatchTerms(&doc, doc.Terms); err != nil {
-					t.Errorf("match terms: %v", err)
-					return
+				docSet := doc.TermSet()
+				ref := newRefIndex()
+				for _, query := range [][]string{doc.Terms[:1], doc.Terms} {
+					fs, _, err := ix.MatchTerms(&doc, query)
+					if err != nil {
+						t.Errorf("match terms: %v", err)
+						return
+					}
+					for i := range fs {
+						if !ref.evaluate(&fs[i], docSet) {
+							t.Errorf("phantom match: %+v for document %v", fs[i], doc.Terms)
+							return
+						}
+					}
 				}
 			}
 		}(m)
@@ -406,5 +462,13 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	}
 	if total != writers*perWriter {
 		t.Fatalf("matchable filters = %d, want %d", total, writers*perWriter)
+	}
+	// Nothing of the churn is left: one posting per registration, every
+	// filter in a cover.
+	if got, want := ix.NumPostings(), writers*perWriter; got != want {
+		t.Fatalf("NumPostings = %d, want %d", got, want)
+	}
+	if cs := ix.CoverStats(); cs.CoveredFilters != writers*perWriter || cs.Covers != len(terms) || cs.LogicalPostings != writers*perWriter {
+		t.Fatalf("CoverStats = %+v, want %d filters in %d covers", cs, writers*perWriter, len(terms))
 	}
 }

@@ -4,9 +4,8 @@ import "math/bits"
 
 // slotSet is a compressed bitset over a cover's dense member-slot indexes —
 // the storage unit of the aggregated index's posting lists. One slotSet per
-// (term, cover) pair records which of the cover's members were posted under
-// that term; one more per cover (cover.alive) records which members are
-// currently registered.
+// (term, cover) pair records which of the cover's members are posted under
+// that term.
 //
 // The representation is roaring-style with three container forms:
 //
@@ -26,8 +25,7 @@ import "math/bits"
 // cached cardinality makes the logical posting-list length — what
 // MatchStats charges — an O(1) read.
 //
-// slotSets are guarded by their owner's lock (the term shard's RWMutex for
-// posting memberships, the cover's mutex for alive sets); they carry no
+// slotSets are guarded by their term shard's RWMutex; they carry no
 // synchronization of their own.
 type slotSet struct {
 	one int32    // inline form: slot+1, 0 when empty; unused once big is set
@@ -175,82 +173,4 @@ func (s *slotSet) clear(slot int) bool {
 	return true
 }
 
-// first returns the lowest set slot, or -1 when empty. Used to promote a
-// surviving member to cover representative.
-func (s *slotSet) first() int {
-	b := s.big
-	if b == nil {
-		return int(s.one) - 1
-	}
-	if b.words != nil {
-		for w, bits := range b.words {
-			if bits != 0 {
-				return w<<6 + trailingZeros(bits)
-			}
-		}
-		return -1
-	}
-	if len(b.arr) == 0 {
-		return -1
-	}
-	return int(b.arr[0])
-}
-
-// forEach calls fn for every slot in ascending order. Cold-path helper
-// (intersectCard, tests); the match loops iterate containers inline to
-// stay allocation-free.
-func (s *slotSet) forEach(fn func(slot int)) {
-	b := s.big
-	if b == nil {
-		if s.one != 0 {
-			fn(int(s.one - 1))
-		}
-		return
-	}
-	if b.words != nil {
-		for w, bits := range b.words {
-			for bits != 0 {
-				fn(w<<6 + trailingZeros(bits))
-				bits &= bits - 1
-			}
-		}
-		return
-	}
-	for _, v := range b.arr {
-		fn(int(v))
-	}
-}
-
-// intersectCard returns |s ∩ o| container-wise: word-AND popcounts when
-// both sides are bitmaps, membership probes against the other side for
-// every element of the smaller inline or array side otherwise. Used to
-// intersect posting memberships with a cover's alive set (live fan-out
-// statistics, and the live count of a container the match path skips).
-func (s *slotSet) intersectCard(o *slotSet) int {
-	if s.isBitmap() && o.isBitmap() {
-		sw, ow := s.big.words, o.big.words
-		n := min(len(sw), len(ow))
-		total := 0
-		for i := 0; i < n; i++ {
-			total += popcount(sw[i] & ow[i])
-		}
-		return total
-	}
-	small, big := s, o
-	if small.isBitmap() || (!big.isBitmap() && big.count() < small.count()) {
-		small, big = big, small
-	}
-	total := 0
-	small.forEach(func(slot int) {
-		if big.has(slot) {
-			total++
-		}
-	})
-	return total
-}
-
-func (s *slotSet) isBitmap() bool { return s.big != nil && s.big.words != nil }
-
 func trailingZeros(v uint64) int { return bits.TrailingZeros64(v) }
-
-func popcount(v uint64) int { return bits.OnesCount64(v) }

@@ -8,8 +8,8 @@ import (
 
 // TestSlotSetMatchesMapSet drives random insert/remove sequences into a
 // slotSet and a plain map set, checking membership, cardinality, ascending
-// iteration, first(), and that the container promotes from array to bitmap
-// exactly once and never loses elements doing so.
+// iteration, and that the container promotes from array to bitmap exactly
+// once and never loses elements doing so.
 func TestSlotSetMatchesMapSet(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -55,16 +55,6 @@ func TestSlotSetMatchesMapSet(t *testing.T) {
 		})
 		if n != len(ref) {
 			t.Errorf("seed %d: forEach yielded %d, want %d", seed, n, len(ref))
-			return false
-		}
-		want := -1
-		for slot := range ref {
-			if want == -1 || slot < want {
-				want = slot
-			}
-		}
-		if s.first() != want {
-			t.Errorf("seed %d: first=%d want %d", seed, s.first(), want)
 			return false
 		}
 		return !t.Failed()
@@ -162,47 +152,30 @@ func TestSlotSetPromotion(t *testing.T) {
 	s.testAndSet(4)
 	s.clear(4)
 	s.testAndSet(11)
-	if slotForm(&s) != "inline" || !s.has(11) || s.has(4) || s.first() != 11 {
-		t.Fatalf("emptied inline set: form=%s has(11)=%v has(4)=%v first=%d", slotForm(&s), s.has(11), s.has(4), s.first())
+	if slotForm(&s) != "inline" || !s.has(11) || s.has(4) {
+		t.Fatalf("emptied inline set: form=%s has(11)=%v has(4)=%v", slotForm(&s), s.has(11), s.has(4))
 	}
 }
 
-// TestSlotSetIntersectCard checks container-wise intersection across all
-// four form combinations.
-func TestSlotSetIntersectCard(t *testing.T) {
-	build := func(slots []int, promote bool) *slotSet {
-		var s slotSet
-		if promote {
-			s.testAndSet(70000) // a second member beyond 16 bits forces the bitmap form
-			s.testAndSet(70001)
-			s.clear(70000)
-			s.clear(70001)
+// forEach calls fn for every slot of s in ascending order.
+func (s *slotSet) forEach(fn func(slot int)) {
+	b := s.big
+	if b == nil {
+		if s.one != 0 {
+			fn(int(s.one - 1))
 		}
-		for _, v := range slots {
-			s.testAndSet(v)
-		}
-		return &s
+		return
 	}
-	a := []int{1, 5, 9, 100, 2000}
-	b := []int{5, 9, 2000, 3000}
-	const want = 3
-	for _, pa := range []bool{false, true} {
-		for _, pb := range []bool{false, true} {
-			sa, sb := build(a, pa), build(b, pb)
-			if got := sa.intersectCard(sb); got != want {
-				t.Errorf("intersectCard(promoteA=%v, promoteB=%v) = %d, want %d", pa, pb, got, want)
-			}
-			if got := sb.intersectCard(sa); got != want {
-				t.Errorf("reverse intersectCard(promoteA=%v, promoteB=%v) = %d, want %d", pa, pb, got, want)
+	if b.words != nil {
+		for w, bits := range b.words {
+			for bits != 0 {
+				fn(w<<6 + trailingZeros(bits))
+				bits &= bits - 1
 			}
 		}
-		// An inline set against every form, hit and miss.
-		sa := build(a, pa)
-		for slot, want := range map[int]int{9: 1, 10: 0} {
-			one := build([]int{slot}, false)
-			if got := one.intersectCard(sa) + sa.intersectCard(one); got != 2*want {
-				t.Errorf("inline{%d} against promoteA=%v: both directions sum to %d, want %d", slot, pa, got, 2*want)
-			}
-		}
+		return
+	}
+	for _, v := range b.arr {
+		fn(int(v))
 	}
 }

@@ -178,3 +178,79 @@ func BenchmarkHomeMatchConjunctive(b *testing.B) {
 	b.ReportMetric(float64(matches)/nDocs, "matches/doc")
 	b.ReportMetric(bytesPerFilter, "heapB/filter")
 }
+
+// TestMemChurnSoak is the node half of make mem-budget's churn soak (the
+// index half is internal/index's TestMemChurnSoak): a two-home ring with a
+// committed grid — each home's one column the other node, as the repository
+// benchmark's allocation round leaves its daemons — takes rounds of fresh-ID
+// churn at a constant live population through Handle, the way the
+// benchmark's harness sends it: each home the share of a registration's
+// terms homed there, which the home forwards on to its grid column, and
+// every unregister to both nodes. The post-GC heap after the last round is
+// within 2 % of the heap after the first.
+func TestMemChurnSoak(t *testing.T) {
+	const live, rounds, pairs = 1000, 5, 20000
+	h := newHarness(t, 2)
+	ctx := context.Background()
+	send := func(nd *Node, payload []byte) {
+		t.Helper()
+		if _, err := nd.Handle(ctx, "client", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, home := range h.nodes {
+		send(home, EncodePrepareAlloc(1, mustGrid(t, 1, 1, h.nodes[1-i].ID())))
+	}
+	for _, nd := range h.nodes {
+		send(nd, EncodeCommitGrid(1))
+	}
+	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: 16000, Seed: matchHeavySeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([][]string, 4096)
+	for i := range pool {
+		pool[i] = model.SortTerms(fg.Next())
+	}
+	rng := rand.New(rand.NewSource(matchHeavySeed))
+	next := model.FilterID(0)
+	register := func() model.FilterID {
+		next++
+		f := model.Filter{ID: next, Subscriber: fmt.Sprintf("s%03d", next%64), Terms: pool[rng.Intn(len(pool))], Mode: model.MatchAny}
+		for home, terms := range h.sharesOf(t, f) {
+			send(h.nodeByID(home), EncodeRegister(RegisterReq{Filter: f, PostingTerms: terms}))
+		}
+		return next
+	}
+	ids := make([]model.FilterID, live)
+	for i := range ids {
+		ids[i] = register()
+	}
+	round := func() {
+		for range pairs {
+			j := rng.Intn(live)
+			for _, nd := range h.nodes {
+				send(nd, EncodeUnregister(ids[j]))
+			}
+			ids[j] = register()
+		}
+	}
+	round()
+	first := testutil.HeapNow()
+	for k := 2; k <= rounds; k++ {
+		round()
+	}
+	last := testutil.HeapNow()
+	held := 0
+	for _, nd := range h.nodes {
+		held += nd.Index().NumFilters()
+	}
+	t.Logf("heap after round 1: %d B; after round %d: %d B (%+.2f %%); %d copies of %d live filters on the two nodes",
+		first, rounds, last, 100*(float64(last)/float64(first)-1), held, live)
+	if float64(last) > 1.02*float64(first) {
+		t.Fatalf("heap grew from %d to %d B over %d rounds of %d fresh-ID pairs at %d live filters", first, last, rounds-1, pairs, live)
+	}
+	if held < live || held > 2*live {
+		t.Fatalf("the nodes hold %d copies of %d live filters", held, live)
+	}
+}

@@ -423,7 +423,8 @@ type StatsResp struct {
 	// Filters is the number of filter definitions stored (incl. replicas) —
 	// the storage cost of Figure 9(a).
 	Filters int64
-	// Postings is the number of posting entries stored.
+	// Postings is the number of (term, filter) posting entries of the
+	// filters stored — an unregistered filter's leave with it.
 	Postings int64
 	// DocsProcessed is the number of match frames served. A publish frame
 	// carries all of a document's terms bound for this node, so this counts

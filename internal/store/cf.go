@@ -91,6 +91,10 @@ type CF struct {
 	dir     string // "" = ephemeral
 	flushAt int
 
+	// fold, when set, rewrites a merge key's whole operand history at
+	// compaction (a key it leaves without operands is dropped).
+	fold func(ops [][]byte) [][]byte
+
 	mu       sync.RWMutex
 	mem      map[string]*memRecord
 	memBytes int
@@ -279,6 +283,13 @@ func (cf *CF) flushLocked() error {
 	return nil
 }
 
+// setFold installs the column family's compaction fold.
+func (cf *CF) setFold(fold func(ops [][]byte) [][]byte) {
+	cf.mu.Lock()
+	cf.fold = fold
+	cf.mu.Unlock()
+}
+
 // Compact merges all segments (not the memtable) into one, dropping
 // superseded values and tombstoned history.
 func (cf *CF) Compact() error {
@@ -295,8 +306,23 @@ func (cf *CF) compactLocked() error {
 	if err != nil {
 		return err
 	}
+	merged := mergeSegments(layers)
+	if cf.fold != nil {
+		// Every segment is in the merge, so a merge key's operands are its
+		// whole history.
+		kept := merged.entries[:0]
+		for _, e := range merged.entries {
+			if isMerge(e.kind) {
+				if e.ops = cf.fold(e.ops); len(e.ops) == 0 {
+					continue
+				}
+			}
+			kept = append(kept, e)
+		}
+		merged.entries = kept
+	}
 	id := cf.nextSeg
-	size, err := mergeSegments(layers).save(cf.segPath(id))
+	size, err := merged.save(cf.segPath(id))
 	if err != nil {
 		return fmt.Errorf("store: compact cf %s: %w", cf.name, err)
 	}

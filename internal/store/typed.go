@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"github.com/movesys/move/internal/codec"
@@ -70,9 +71,17 @@ func (fs *FilterStore) Each(fn func(model.Filter) bool) error {
 // IDs. The crucial property (§III.B) is that the home node of term t builds
 // a posting list only for t, so matching a document retrieves exactly one
 // list per forwarded term.
+//
+// A list is a run of operands, oldest first: an ID added (its uvarint) or
+// removed (its uvarint and then removeMark). Compaction folds a list to the
+// IDs it holds (foldPostings), so an ID that came and went leaves nothing
+// behind once its operands have been through a compaction.
 type PostingStore struct {
 	cf *CF
 }
+
+// removeMark follows the ID of a removal operand.
+const removeMark = 0
 
 // NewPostingStore opens the posting column family.
 func NewPostingStore(s *Store) (*PostingStore, error) {
@@ -80,40 +89,79 @@ func NewPostingStore(s *Store) (*PostingStore, error) {
 	if err != nil {
 		return nil, err
 	}
+	cf.setFold(foldPostings)
 	return &PostingStore{cf: cf}, nil
 }
 
 // Add appends filter id to term's posting list.
 func (ps *PostingStore) Add(term string, id model.FilterID) error {
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(id))
-	return ps.cf.Append(term, buf[:n])
+	return ps.cf.Append(term, binary.AppendUvarint(buf[:0], uint64(id)))
 }
 
-// Each iterates the posting lists in term order, each deduplicated and in
-// insertion order (oldest first); iteration stops when fn returns false.
+// Remove takes filter id off term's posting list.
+func (ps *PostingStore) Remove(term string, id model.FilterID) error {
+	var buf [binary.MaxVarintLen64 + 1]byte
+	return ps.cf.Append(term, append(binary.AppendUvarint(buf[:0], uint64(id)), removeMark))
+}
+
+// Each iterates the posting lists in term order, each the IDs it holds in
+// the order they were added (oldest first); iteration stops when fn returns
+// false.
 func (ps *PostingStore) Each(fn func(term string, ids []model.FilterID) bool) error {
 	var decodeErr error
-	seen := make(map[model.FilterID]struct{})
 	err := ps.cf.Scan("", func(term string, _ []byte, ops [][]byte) bool {
-		clear(seen)
-		ids := make([]model.FilterID, 0, len(ops))
-		for _, op := range ops {
-			v, n := binary.Uvarint(op)
-			if n <= 0 {
-				decodeErr = fmt.Errorf("store: corrupt posting entry for %q", term)
-				return false
-			}
-			id := model.FilterID(v)
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				ids = append(ids, id)
-			}
+		ids, err := postingIDs(ops)
+		if err != nil {
+			decodeErr = fmt.Errorf("store: corrupt posting entry for %q", term)
+			return false
 		}
-		return fn(term, ids)
+		return len(ids) == 0 || fn(term, ids)
 	})
 	if err != nil {
 		return err
 	}
 	return decodeErr
+}
+
+// postingIDs replays a list's operands: the IDs held at the end, each where
+// it was added since it was last removed.
+func postingIDs(ops [][]byte) ([]model.FilterID, error) {
+	added := make(map[model.FilterID]int, len(ops))
+	order := make([]model.FilterID, 0, len(ops))
+	for _, op := range ops {
+		v, n := binary.Uvarint(op)
+		if n <= 0 || len(op) > n+1 || (len(op) == n+1 && op[n] != removeMark) {
+			return nil, errors.New("bad operand")
+		}
+		id := model.FilterID(v)
+		if _, held := added[id]; len(op) > n {
+			delete(added, id)
+		} else if !held {
+			added[id] = len(order)
+			order = append(order, id)
+		}
+	}
+	ids := order[:0]
+	for i, id := range order {
+		if at, held := added[id]; held && at == i {
+			ids = append(ids, id)
+		}
+	}
+	return ids, nil
+}
+
+// foldPostings is the posting column family's compaction fold: a list's
+// whole operand history becomes one add per ID it holds. A list it cannot
+// decode is kept as it is, for recovery to report.
+func foldPostings(ops [][]byte) [][]byte {
+	ids, err := postingIDs(ops)
+	if err != nil {
+		return ops
+	}
+	out := make([][]byte, len(ids))
+	for i, id := range ids {
+		out[i] = binary.AppendUvarint(nil, uint64(id))
+	}
+	return out
 }
