@@ -58,10 +58,12 @@ wire-budget:
 # over a store without a data directory (what its daemons run), one row per
 # population; then match_heavy's figure split by what holds the bytes (covers,
 # definitions, posting entries, term arrays, dictionary), the fixed heap of an
-# empty index, and the bytes a departed filter leaves behind under fresh-ID
-# churn. Fails when a row passes its ceiling; quote its table before changing
-# what Register retains. Those rows call index.Register themselves; the rows of
-# internal/node register match_heavy through the register path of both homes of
+# empty index, the bytes a departed filter leaves behind under fresh-ID
+# churn, and the bytes per distinct document term no filter names that a
+# document stream through MatchTerms leaves behind (the document frequencies
+# count dictionary terms only). Fails when a row passes its ceiling; quote
+# its table before changing what Register or a match retains. Those rows
+# call index.Register themselves; the rows of internal/node register match_heavy through the register path of both homes of
 # a two-node ring, each sent its share as the benchmark's harness sends it: the
 # home of a MatchAll filter's key term keeps it, keyed once, the other declines
 # it — filters held and posting entries per filter cluster-wide (exactly 1.0
@@ -69,9 +71,13 @@ wire-budget:
 # (TestMemChurnSoak, both packages): rounds of fresh-ID unregister/register
 # pairs at a constant live population, on a bare index and through Handle on
 # a two-home ring with a committed grid; the post-GC heap after the last round
-# must stay within 2 % of the heap after the first.
+# must stay within 2 % of the heap after the first. Then the document-stream
+# soak (TestMemDocStreamSoak, internal/node): a constant wire_mixed-shaped
+# population on a two-home ring takes rounds of home-routed publish frames
+# whose 8-term documents draw half their words fresh, in no filter; the
+# post-GC heap after the last round must stay within 2 % of the first.
 mem-budget:
-	$(GO) test -count=1 -run 'TestMemBudget|TestMemChurnSoak' -v ./internal/index ./internal/node
+	$(GO) test -count=1 -run 'TestMemBudget|TestMemChurnSoak|TestMemDocStreamSoak' -v ./internal/index ./internal/node
 
 # The home nodes' microbench for match_heavy: the population registered
 # through Handle on both homes of a two-node ring, one document — a home-routed

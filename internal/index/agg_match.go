@@ -2,13 +2,17 @@ package index
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/movesys/move/internal/model"
 )
 
 // The index's match paths. A call first reduces the document to a set of
 // dictionary IDs (one probe per document term; a term no filter names drops
-// out — it can satisfy nothing) and its posting-list terms to IDs. The scan order is then: posting → entries (ascending cover id) → set
+// out — it can satisfy nothing) and its posting-list terms to IDs; a
+// MatchTerms call, the one that serves a document's arrival, counts the
+// document's IDs into the dictionary's document frequencies in that same
+// pass. The scan order is then: posting → entries (ascending cover id) → set
 // bits (ascending slot).
 //
 // The cover is decided first. An entry holds only members of its cover, so
@@ -53,6 +57,11 @@ type matchScratch struct {
 	// terms are the call's posting-list terms as IDs, noTerm for a term the
 	// dictionary does not hold.
 	terms []uint32
+	// df and docs are the dictionary's document frequencies and document
+	// count as the call began, the weights its threshold scores read: df is
+	// read atomically and is shorter than an ID interned since (df 0).
+	df   []int64
+	docs int64
 	// seen deduplicates expanded members across the call's terms.
 	seen map[model.FilterID]struct{}
 	// memo[cover id] holds epoch<<memoBits | state for the covers this call
@@ -69,18 +78,25 @@ var scratchPool = sync.Pool{
 }
 
 // begin maps view's terms and the call's posting-list terms through the
-// dictionary.
-func (sc *matchScratch) begin(d *termDict, view *model.DocView, terms []string) {
+// dictionary; count also counts the document into its document frequencies.
+func (sc *matchScratch) begin(d *termDict, view *model.DocView, terms []string, count bool) {
 	d.mu.RLock()
 	if words := (len(d.terms) + 63) >> 6; words > len(sc.doc) {
 		sc.doc = make([]uint64, words+words/4)
+	}
+	if count {
+		d.docs.Add(1)
 	}
 	for _, t := range view.Sorted() {
 		if id, ok := d.ids[t]; ok {
 			sc.doc[id>>6] |= 1 << (id & 63)
 			sc.docIDs = append(sc.docIDs, id)
+			if count {
+				atomic.AddInt64(&d.df[id], 1)
+			}
 		}
 	}
+	sc.df, sc.docs = d.df, d.docs.Load()
 	for _, t := range terms {
 		id, ok := d.ids[t]
 		if !ok {
@@ -102,6 +118,7 @@ func (sc *matchScratch) release() {
 	}
 	sc.docIDs = sc.docIDs[:0]
 	sc.terms = sc.terms[:0]
+	sc.df = nil
 	clear(sc.seen)
 	scratchPool.Put(sc)
 }
@@ -110,6 +127,34 @@ func (sc *matchScratch) release() {
 func (sc *matchScratch) has(id uint32) bool {
 	w := int(id >> 6)
 	return w < len(sc.doc) && sc.doc[w]&(1<<(id&63)) != 0
+}
+
+// idf returns the weight of the term with this ID.
+func (sc *matchScratch) idf(id uint32) float64 {
+	var df int64
+	if int(id) < len(sc.df) {
+		df = atomic.LoadInt64(&sc.df[id])
+	}
+	return idf(sc.docs, df)
+}
+
+// containment is the share of a threshold filter's idf mass the document
+// covers: Σ_{t ∈ f ∩ d} idf(t)² / Σ_{t ∈ f} idf(t)² over the filter's term
+// IDs. Unlike a cosine it does not penalize long documents, which suits the
+// paper's workload, where documents are 20–2000× longer than filters.
+func (sc *matchScratch) containment(ids []uint32) float64 {
+	var dot, norm float64
+	for _, id := range ids {
+		w := sc.idf(id)
+		norm += w * w
+		if sc.has(id) {
+			dot += w * w
+		}
+	}
+	if norm == 0 {
+		return 0
+	}
+	return dot / norm
 }
 
 // memoOf returns the call's memo state for cover id.
@@ -138,7 +183,7 @@ func (sc *matchScratch) setMemo(id, state, covers uint32) {
 // the highest ID first — IDs are assigned in order of first registration,
 // so it is the term the node learned last and, under skewed popularity, the
 // one a document is least likely to hold.
-func (ix *Index) coverMatches(c *cover, sc *matchScratch, view *model.DocView) bool {
+func coverMatches(c *cover, sc *matchScratch) bool {
 	switch c.mode() {
 	case model.MatchAny:
 		for _, id := range c.ids {
@@ -155,7 +200,7 @@ func (ix *Index) coverMatches(c *cover, sc *matchScratch, view *model.DocView) b
 		}
 		return true
 	case model.MatchThreshold:
-		return ix.corpus.ContainmentScoreSorted(view.Sorted(), c.terms) >= c.threshold
+		return sc.containment(c.ids) >= c.threshold
 	default:
 		return false
 	}
@@ -192,7 +237,7 @@ func (r *matchRun) scanPosting(p *posting) {
 		case memoWalked:
 			r.walk(e, verdictNoMatch)
 		default:
-			if r.ix.coverMatches(c, r.sc, r.view) {
+			if coverMatches(c, r.sc) {
 				memo = memoMatch
 				r.walk(e, verdictMatch)
 			} else if n := e.bits.count(); !r.multi || n == c.members() {
@@ -265,7 +310,7 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 	if d.attachedTo(c) {
 		if verdict == 0 {
 			verdict = verdictNoMatch
-			if r.ix.coverMatches(c, r.sc, r.view) {
+			if coverMatches(c, r.sc) {
 				verdict = verdictMatch
 			}
 		}
@@ -275,7 +320,7 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 		// signature whose bit has not left this cover yet: evaluate it
 		// individually; exactness beats the fast path.
 		f := d.filter(id)
-		isMatch = r.ix.evaluate(&f, r.view)
+		isMatch = r.ix.evaluate(&f, r.sc, r.view)
 	}
 	if isMatch {
 		if r.matched == nil && r.capHint > 0 {
@@ -296,12 +341,18 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 // but must not mutate Terms (see DESIGN.md §11). Excluding the matched-
 // results slice, a call on a warm index performs zero heap allocations —
 // the document view is memoized, the scratch pooled, and filters are
-// returned without cloning.
+// returned without cloning. It does not count the document into the
+// document frequencies: MatchTerms serves an arrival, MatchTerm only a probe.
 func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, MatchStats, error) {
+	return ix.matchTerm(d, term, false)
+}
+
+// matchTerm is MatchTerm; count counts the document's arrival.
+func (ix *Index) matchTerm(d *model.Document, term string, count bool) ([]model.Filter, MatchStats, error) {
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
 	terms := [1]string{term}
-	sc.begin(ix.dict, view, terms[:])
+	sc.begin(ix.dict, view, terms[:], count)
 	defer sc.release()
 	tid := sc.terms[0]
 	if tid == noTerm {
@@ -347,18 +398,23 @@ func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, Matc
 // list retrievals and entry scans, which coalescing does not change — only
 // the RPCs around them).
 //
+// A call is one document's arrival at the node: it counts the document, and
+// each of its terms some filter here has named, into the document
+// frequencies MatchThreshold scores weigh by, before it scores — so a node
+// makes one call per document.
+//
 // Returned filters are immutable shard snapshots; callers must not mutate
 // Terms (DESIGN.md §11).
 func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats, error) {
 	if len(terms) == 1 {
 		// Single-term frames keep MatchTerm's lazy exact-size allocation.
-		return ix.MatchTerm(d, terms[0])
+		return ix.matchTerm(d, terms[0], true)
 	}
 	phase := ix.coverIDs.enter()
 	defer ix.coverIDs.exit(phase)
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
-	sc.begin(ix.dict, view, terms)
+	sc.begin(ix.dict, view, terms, true)
 	defer sc.release()
 	r := matchRun{ix: ix, sc: sc, view: view, multi: true}
 	evalTm := ix.evalH.Start()

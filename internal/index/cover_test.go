@@ -67,16 +67,30 @@ func (p *enginePair) unregister(t *testing.T, id model.FilterID) {
 	p.ref.unregister(id)
 }
 
-func (p *enginePair) observe(d *model.Document) {
-	p.ix.ObserveDocument(d)
-	p.ref.corpus.AddDocument(d.Terms)
+// arrive is one document's arrival on both sides — MatchTerms over all of
+// its terms, which counts it into the document frequencies — and fails on
+// any divergence in the sorted match set or the stats. It returns the
+// index's result.
+func (p *enginePair) arrive(t *testing.T, doc *model.Document) ([]model.Filter, MatchStats) {
+	t.Helper()
+	m, st, err := p.ix.MatchTerms(doc, doc.Terms)
+	if err != nil {
+		t.Fatalf("MatchTerms: %v", err)
+	}
+	rm, rst := p.ref.matchTerms(doc, doc.Terms)
+	if !bytes.Equal(encodeMatches(m, st), encodeMatches(rm, rst)) {
+		t.Fatalf("MatchTerms(%v) diverged:\n index: %v %+v\n ref:   %v %+v",
+			doc.Terms, m, st, rm, rst)
+	}
+	return m, st
 }
 
-// compareAll matches doc through MatchTerm (for every doc term) and
-// MatchTerms over all of them on both sides and fails on any divergence in
-// the sorted match set or the stats, or in the counters; then PostedUnder
-// must name the same lists on both for every ID the document's terms reach.
-func (p *enginePair) compareAll(t *testing.T, doc *model.Document) {
+// compareAll matches doc through MatchTerm (for every doc term, probes that
+// count nothing) and then arrives it (arrive) on both sides and fails on any
+// divergence in the sorted match set or the stats, or in the counters; then
+// PostedUnder must name the same lists on both for every ID the document's
+// terms reach. It returns the index's MatchTerms result.
+func (p *enginePair) compareAll(t *testing.T, doc *model.Document) ([]model.Filter, MatchStats) {
 	t.Helper()
 	for _, term := range doc.Terms {
 		m, st, err := p.ix.MatchTerm(doc, term)
@@ -89,15 +103,7 @@ func (p *enginePair) compareAll(t *testing.T, doc *model.Document) {
 				doc.Terms, term, m, st, rm, rst)
 		}
 	}
-	m, st, err := p.ix.MatchTerms(doc, doc.Terms)
-	if err != nil {
-		t.Fatalf("MatchTerms: %v", err)
-	}
-	rm, rst := p.ref.matchTerms(doc, doc.Terms)
-	if !bytes.Equal(encodeMatches(m, st), encodeMatches(rm, rst)) {
-		t.Fatalf("MatchTerms(%v) diverged:\n index: %v %+v\n ref:   %v %+v",
-			doc.Terms, m, st, rm, rst)
-	}
+	m, st := p.arrive(t, doc)
 	if a, r := p.ix.NumFilters(), p.ref.numFilters(); a != r {
 		t.Fatalf("NumFilters diverged: index=%d ref=%d", a, r)
 	}
@@ -113,6 +119,7 @@ func (p *enginePair) compareAll(t *testing.T, doc *model.Document) {
 			}
 		}
 	}
+	return m, st
 }
 
 func anyFilter(id model.FilterID, terms ...string) model.Filter {
@@ -436,7 +443,7 @@ func TestCoverShapes(t *testing.T) {
 		p.register(t, allFilter(2, "a", "b"), []string{"a"})
 		thr := model.Filter{ID: 3, Subscriber: "s", Terms: []string{"a", "b"}, Mode: model.MatchThreshold, Threshold: 0.25}
 		p.register(t, thr, []string{"a"})
-		p.observe(docs[1])
+		p.arrive(t, docs[1])
 		check(t, p)
 		if f, _, _ := p.ix.GetFilter(1); f.Threshold != 0.25 || f.Mode != model.MatchAll {
 			t.Fatalf("GetFilter(1) = %+v, want MatchAll with threshold 0.25", f)
@@ -627,7 +634,7 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 
 // TestAggRefOracleQuick is the random-walk half of the battery: a
 // testing/quick property driving long random interleavings of register
-// (fresh and re-register), unregister, EnsureRegistered replay and observe
+// (fresh and re-register), unregister, EnsureRegistered replay and arrivals
 // into the index and the reference with match comparison on random
 // documents after every mutation batch.
 func TestAggRefOracleQuick(t *testing.T) {
@@ -687,9 +694,9 @@ func TestAggRefOracleQuick(t *testing.T) {
 			case op == 8 && len(ids) > 0: // migration replay
 				f := randFilter(ids[rng.Intn(len(ids))])
 				p.ensure(t, f, f.Terms)
-			case op == 9: // idf statistics
+			case op == 9: // an arrival alone: document frequencies move
 				d := model.Document{ID: uint64(step), Terms: pick(1 + rng.Intn(5))}
-				p.observe(&d)
+				p.arrive(t, &d)
 			default: // match and compare
 				d := model.Document{ID: uint64(step), Terms: pick(1 + rng.Intn(5))}
 				p.compareAll(t, &d)

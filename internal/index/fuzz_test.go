@@ -19,12 +19,16 @@ import (
 // holds a member mid-move, documents none of whose terms any filter names, a
 // cover's promotion from its inline member to a slot table and back to one
 // live member, slots vacated and reused under fresh-ID churn, a retired
-// cover's signature registered again, and a retirement across a restart.
+// cover's signature registered again, a retirement across a restart, and
+// threshold filters over terms documents carried before a filter named them.
 //
 // A second index — over a data directory — takes the same
-// operations, and every observe op also flushes its store and reopens it
-// (replaying the idf observations, which are not persisted): a restart in the
-// middle of a sequence must not change any later match set or MatchStats.
+// operations, and every arrive op also flushes its store and reopens it: a
+// restart in the middle of a sequence must not change any later MatchStats,
+// boolean match, counter or posting choice. Document frequencies are not
+// persisted, so the reopened index is held to the reference as a restart
+// leaves it (refIndex.restarted), byte for byte, as the first index is to the
+// reference that never restarted.
 //
 // Byte grammar, per op: [opcode, args...] with opcode % 7 selecting
 //
@@ -32,7 +36,7 @@ import (
 //	2   unregister (id)
 //	3   ensure     (id, termMask, modeByte)
 //	4,6 match      (termMask)
-//	5   observe    (termMask)
+//	5   arrive     (termMask), then restart the durable index
 //
 // Opcode 4 was drop-term (termIndex), an operation the index no longer has.
 // It still takes one argument byte, read as a match's term mask, so every
@@ -79,33 +83,44 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// returns under one of its old posting terms, restart; the last
 	// member of the other cover leaves, restart.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x0c, 1, 0, 2, 2, 5, 0x01, 6, 0x0f, 0, 2, 0x0c, 1, 1, 5, 0x02, 6, 0x0f, 2, 1, 5, 0x04, 6, 0x0f})
+	// Threshold filters weighing terms that documents carried before any
+	// filter named them, across restarts: a two-term filter, a three-term one
+	// posted under one term, a replayed one, an unregistration.
+	f.Add([]byte{5, 0x03, 6, 0x01, 0, 0, 0x03, 32, 0, 6, 0x02, 0, 1, 0x07, 14, 1, 5, 0x05, 6, 0x03, 6, 0x04, 6, 0x07, 3, 2, 0x06, 2, 6, 0x06, 2, 0, 5, 0x01, 6, 0x07})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		p := &enginePair{ix: newIndex(t), ref: newRefIndex()}
 		ix := p.ix
 		dir := t.TempDir()
 		dur, sd := openDurable(t, dir, store.Options{})
-		var observed []model.Document
-		must := func(err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("durable index: %v", err)
+		dp := &enginePair{ix: dur, ref: newRefIndex()}
+		// boolean is the sorted IDs of the MatchAny and MatchAll filters in
+		// fs: the matches a restart, which starts document frequencies over,
+		// must not change.
+		boolean := func(fs []model.Filter) []model.FilterID {
+			var ids []model.FilterID
+			for _, f := range fs {
+				if f.Mode != model.MatchThreshold {
+					ids = append(ids, f.ID)
+				}
 			}
+			slices.Sort(ids)
+			return ids
 		}
-		// compare checks the index against the reference and the durable
-		// index against the index.
+		// compare checks each index against its reference, and the durable
+		// index's stats, boolean matches, counters and posting choices
+		// against the index's.
 		compare := func(d *model.Document) {
 			t.Helper()
-			p.compareAll(t, d)
-			am, ast, _ := ix.MatchTerms(d, d.Terms)
-			dm, dst, err := dur.MatchTerms(d, d.Terms)
-			if err != nil || ast != dst || !slices.Equal(matchedIDs(am), matchedIDs(dm)) {
-				t.Fatalf("MatchTerms(%v) after a restart: %v %+v (err %v), never restarted: %v %+v",
-					d.Terms, matchedIDs(dm), dst, err, matchedIDs(am), ast)
+			am, ast := p.compareAll(t, d)
+			dm, dst := dp.compareAll(t, d)
+			if ast != dst || !slices.Equal(boolean(am), boolean(dm)) {
+				t.Fatalf("MatchTerms(%v) after a restart: %v %+v, never restarted: %v %+v",
+					d.Terms, matchedIDs(dm), dst, matchedIDs(am), ast)
 			}
 			for _, term := range d.Terms {
 				am, ast, _ := ix.MatchTerm(d, term)
 				dm, dst, err := dur.MatchTerm(d, term)
-				if err != nil || ast != dst || !slices.Equal(matchedIDs(am), matchedIDs(dm)) {
+				if err != nil || ast != dst || !slices.Equal(boolean(am), boolean(dm)) {
 					t.Fatalf("MatchTerm(%v, %q) after a restart: %v %+v (err %v), never restarted: %v %+v",
 						d.Terms, term, matchedIDs(dm), dst, err, matchedIDs(am), ast)
 				}
@@ -176,14 +191,14 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 					postingTerms = fl.Terms[:n]
 				}
 				p.register(t, fl, postingTerms)
-				must(dur.Register(fl, postingTerms))
+				dp.register(t, fl, postingTerms)
 			case 2:
 				args := take(1)
 				if args == nil {
 					return
 				}
 				p.unregister(t, model.FilterID(1+args[0]%12))
-				must(dur.Unregister(model.FilterID(1 + args[0]%12)))
+				dp.unregister(t, model.FilterID(1+args[0]%12))
 			case 3:
 				args := take(3)
 				if args == nil {
@@ -191,8 +206,7 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				}
 				fl := buildFilter(args[0], args[1], args[2])
 				p.ensure(t, fl, fl.Terms)
-				_, err := dur.EnsureRegistered(fl, fl.Terms)
-				must(err)
+				dp.ensure(t, fl, fl.Terms)
 			case 5:
 				args := take(1)
 				if args == nil {
@@ -200,13 +214,13 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				}
 				docID++
 				d := model.Document{ID: docID, Terms: termsFromMask(args[0])}
-				p.observe(&d)
-				observed = append(observed, d)
-				must(sd.FlushAll())
-				dur, sd = openDurable(t, dir, store.Options{})
-				for i := range observed {
-					dur.ObserveDocument(&observed[i])
+				p.arrive(t, &d)
+				dp.arrive(t, &d)
+				if err := sd.FlushAll(); err != nil {
+					t.Fatalf("durable index: %v", err)
 				}
+				dur, sd = openDurable(t, dir, store.Options{})
+				dp = &enginePair{ix: dur, ref: dp.ref.restarted()}
 			case 4, 6:
 				args := take(1)
 				if args == nil {

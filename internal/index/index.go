@@ -33,7 +33,6 @@ import (
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/store"
-	"github.com/movesys/move/internal/vsm"
 )
 
 // Index is one node's filter index: full filter definitions plus posting
@@ -44,7 +43,6 @@ type Index struct {
 	// alone (storeFilter and its siblings below are the only users).
 	filters  *store.FilterStore
 	postings *store.PostingStore
-	corpus   *vsm.Corpus
 
 	// The sharded in-memory serving layer every read is answered from.
 	coverIDs coverIDs
@@ -92,7 +90,7 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 // the recovered filters and posting lists, so a restarted node resumes
 // serving matches with its full pre-crash state.
 func New(s *store.Store) (*Index, error) {
-	ix := &Index{corpus: vsm.NewCorpus(), dict: newTermDict()}
+	ix := &Index{dict: newTermDict()}
 	ix.defs.init()
 	for i := range ix.sig {
 		ix.sig[i].covers = make(map[uint64]*cover)
@@ -163,15 +161,6 @@ func (ix *Index) CoverStats() CoverStats {
 	return st
 }
 
-// ObserveDocument feeds corpus statistics for idf scoring. Called once per
-// document arriving at a node.
-func (ix *Index) ObserveDocument(d *model.Document) {
-	ix.corpus.AddDocument(d.Terms)
-}
-
-// Corpus exposes the idf statistics (read-only use).
-func (ix *Index) Corpus() *vsm.Corpus { return ix.corpus }
-
 // MatchStats counts the work one match performed; the units the §IV cost
 // model charges.
 type MatchStats struct {
@@ -194,8 +183,10 @@ func (s *MatchStats) Add(other MatchStats) {
 // evaluate applies the filter's matching semantics against the memoized
 // document view. Filters are short (2–3 terms, §VI.A), so membership
 // probes dominate: the view answers them map-free for short documents and
-// from its prebuilt set for wide ones, never allocating either way.
-func (ix *Index) evaluate(f *model.Filter, view *model.DocView) bool {
+// from its prebuilt set for wide ones, never allocating either way. A
+// threshold filter is scored over its terms' dictionary IDs, which its
+// registration interned.
+func (ix *Index) evaluate(f *model.Filter, sc *matchScratch, view *model.DocView) bool {
 	switch f.Mode {
 	case model.MatchAny:
 		for _, t := range f.Terms {
@@ -212,7 +203,12 @@ func (ix *Index) evaluate(f *model.Filter, view *model.DocView) bool {
 		}
 		return true
 	case model.MatchThreshold:
-		return ix.corpus.ContainmentScoreSorted(view.Sorted(), f.Terms) >= f.Threshold
+		var idBuf [8]uint32
+		ids := idBuf[:0]
+		for _, t := range f.Terms {
+			ids = append(ids, ix.dict.lookup(t))
+		}
+		return sc.containment(ids) >= f.Threshold
 	default:
 		return false
 	}

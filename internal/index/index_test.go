@@ -145,9 +145,13 @@ func TestMatchAllSemantics(t *testing.T) {
 
 func TestMatchThresholdSemantics(t *testing.T) {
 	ix := newIndex(t)
-	// Warm the corpus so idf values are meaningful.
+	// Fifty arrivals before the filter registers: they count as documents,
+	// and their terms, which no filter names, count nothing.
 	for i := 0; i < 50; i++ {
-		ix.ObserveDocument(&model.Document{ID: uint64(i), Terms: []string{"noise" + strconv.Itoa(i), "common"}})
+		d := &model.Document{ID: uint64(i), Terms: []string{"noise" + strconv.Itoa(i), "common"}}
+		if _, _, err := ix.MatchTerms(d, d.Terms); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f := model.Filter{ID: 20, Terms: []string{"quantum", "computing"}, Mode: model.MatchThreshold, Threshold: 0.9}
 	if err := ix.Register(f, f.Terms); err != nil {

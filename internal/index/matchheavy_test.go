@@ -196,9 +196,10 @@ records:
 // twin of make wire-budget): heap bytes per registered filter for the three
 // populations the repository benchmark registers, each beside a ceiling 5 %
 // above the value measured when the ceiling was last set; then match_heavy's
-// figure split by what holds the bytes, the fixed heap of an empty index, and
-// what a departed filter leaves behind. Past a ceiling the test fails; quote
-// its table before and after any change to what Register retains.
+// figure split by what holds the bytes, the fixed heap of an empty index,
+// what a departed filter leaves behind, and what a document stream leaves
+// behind of the words no filter names. Past a ceiling the test fails; quote
+// its table before and after any change to what Register or a match retains.
 func TestMemBudget(t *testing.T) {
 	matchHeavy := zipfPopulation(t, 40000, 10000, 3, model.MatchAll)
 	wireMixed := zipfPopulation(t, 20000, 16000, 1, model.MatchAny)
@@ -273,6 +274,40 @@ func TestMemBudget(t *testing.T) {
 	ch.round(t, pairs)
 	row("churn: 20k unregister/register-fresh-ID pairs over 1k live filters", (float64(testutil.HeapNow())-float64(before))/pairs, 8, "B/departed filter")
 	runtime.KeepAlive(ch)
+
+	// A document stream over the wire_mixed population: 8-term documents
+	// through MatchTerms, half their terms from the filters' vocabulary and
+	// half fresh words no filter names. What grows is what the index keeps of
+	// the words it has no filter for.
+	ix, _ = registerPopulation(t, wireMixed)
+	docStream(t, ix, "warm", 1000) // sizes the pooled scratch
+	const docs = 20000
+	before = testutil.HeapNow()
+	docStream(t, ix, "fresh", docs)
+	row("document stream: 20k 8-term documents, half their words in no filter", (float64(testutil.HeapNow())-float64(before))/(docs*4), 1, "B/unnamed term")
+	runtime.KeepAlive(ix)
+}
+
+// docStream matches n 8-term documents through ix.MatchTerms, each one a
+// document's arrival: four terms drawn from the first 16 k of
+// internal/dataset's terms, the wire_mixed population's vocabulary, and four
+// fresh words, prefix and a number no other of the call's documents uses.
+func docStream(tb testing.TB, ix *Index, prefix string, n int) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(populationSeed + 2))
+	for i := range n {
+		var terms []string
+		for len(terms) < 4 {
+			terms = append(terms, dataset.Term(rng.Intn(16000)))
+		}
+		for j := range 4 {
+			terms = append(terms, fmt.Sprintf("%s%d.%d", prefix, i, j))
+		}
+		d := model.Document{ID: uint64(i + 1), Terms: model.SortTerms(terms)}
+		if _, _, err := ix.MatchTerms(&d, d.Terms); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
 // churn is a constant population of live filters on one index that rounds

@@ -70,10 +70,9 @@ func TestMatchTermSubsetOfSIFT(t *testing.T) {
 			}
 		}
 		doc := &model.Document{ID: uint64(seed)&0xffff + 1, Terms: randTerms(rng, 6)}
-		// Corpus statistics feed the threshold matcher's idf scores; both
-		// matchers must see the same corpus state, so observe before both.
-		ix.ObserveDocument(doc)
-
+		// The SIFT pass is the document's arrival and counts it into the
+		// document frequencies before it scores; the per-term probes after
+		// it count nothing, so both matchers see the same idf state.
 		siftMatches, _, err := ix.MatchTerms(doc, doc.Terms)
 		if err != nil {
 			t.Fatal(err)
@@ -130,9 +129,6 @@ func TestMatchTermsEquivalentToPerTermUnion(t *testing.T) {
 			}
 		}
 		doc := &model.Document{ID: uint64(seed)&0xffff + 1, Terms: randTerms(rng, 6)}
-		// Observe once, before both paths: matching itself never mutates the
-		// corpus, so threshold filters see identical idf state.
-		ix.ObserveDocument(doc)
 		// Query a random multiset of terms — duplicates included, because the
 		// coalesced path must dedup candidates across repeated terms too.
 		queried := make([]string, 0, 6)
@@ -141,6 +137,14 @@ func TestMatchTermsEquivalentToPerTermUnion(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				queried = append(queried, term)
 			}
+		}
+
+		// The coalesced pass first: it is the document's arrival and counts
+		// it into the document frequencies, and the per-term probes after it
+		// count nothing, so threshold filters see identical idf state.
+		fs, st, err := ix.MatchTerms(doc, queried)
+		if err != nil {
+			t.Fatal(err)
 		}
 
 		var wantIDs []model.FilterID
@@ -160,11 +164,6 @@ func TestMatchTermsEquivalentToPerTermUnion(t *testing.T) {
 				seen[f.ID] = struct{}{}
 				wantIDs = append(wantIDs, f.ID)
 			}
-		}
-
-		fs, st, err := ix.MatchTerms(doc, queried)
-		if err != nil {
-			t.Fatal(err)
 		}
 		gotIDs := make([]model.FilterID, 0, len(fs))
 		for _, f := range fs {

@@ -357,18 +357,17 @@ func TestDeliverByReference(t *testing.T) {
 
 // heldDocBytes is what one held match_heavy document keeps alive: its
 // 65-element term slice (1,040 B, in the 1,152 B size class) and its 65
-// eight-byte term strings (two to a 16 B tiny-allocator block).
-const heldDocBytes = 1152 + 65*8
+// eight-byte term strings, two to a 16 B tiny-allocator block — 33 blocks,
+// the last one holding a single string.
+const heldDocBytes = 1152 + 33*16
 
 // TestHeldTableCost prices the recent-document table at capacity where
 // match_heavy fills it: a home sent heldCap 65-term documents of eight-byte
-// terms as home-routed publish frames through Handle, each then sent again
-// to be matched without being held — so the home's corpus, which keys every
-// term by the copy it saw last, no longer shares the held copies' strings,
-// as for a document whose terms recur. What the held documents alone keep
-// alive — the heap the table frees when emptied — must stay within
-// heldDocBytes a document; the table's own slots are a fixed array in the
-// Node.
+// terms as home-routed publish frames through Handle. No filter names the
+// terms, so nothing in the index keeps a copy of them. What the held
+// documents alone keep alive — the heap the table frees when emptied — must
+// stay within heldDocBytes a document; the table's own slots are a fixed
+// array in the Node.
 func TestHeldTableCost(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("heap figures are meaningless under -race")
@@ -382,10 +381,8 @@ func TestHeldTableCost(t *testing.T) {
 		for j := 0; j < 65; j++ {
 			doc.Terms = append(doc.Terms, fmt.Sprintf("t%07d", i*65+j))
 		}
-		for _, local := range []bool{false, true} {
-			if _, err := nd.Handle(context.Background(), "entry", encodePublish(local, doc, doc.Terms[0])); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := nd.Handle(context.Background(), "entry", encodePublish(false, doc, doc.Terms[0])); err != nil {
+			t.Fatal(err)
 		}
 	}
 	heap := func() uint64 {

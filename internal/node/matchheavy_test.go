@@ -254,3 +254,77 @@ func TestMemChurnSoak(t *testing.T) {
 		t.Fatalf("the nodes hold %d copies of %d live filters", held, live)
 	}
 }
+
+// TestMemDocStreamSoak is make mem-budget's document-stream soak: a two-home
+// ring holding a constant wire_mixed-shaped population — 20 k MSN-like
+// MatchAny filters over 16 k terms, registered through Handle, each home sent
+// its share — takes rounds of home-routed publish frames whose 8-term
+// documents draw half their terms from the filters' vocabulary and half from
+// fresh words no filter names, every home sent the document with the terms
+// homed there. The post-GC heap after the last round is within 2 % of the
+// heap after the first: a home's heap follows its filters, not the
+// vocabulary of the documents it has seen.
+func TestMemDocStreamSoak(t *testing.T) {
+	const filters, vocab, rounds, docsPerRound, docTerms = 20000, 16000, 5, 5000, 8
+	h := newHarness(t, 2)
+	ctx := context.Background()
+	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: vocab, Seed: matchHeavySeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := model.FilterID(1); id <= filters; id++ {
+		f := model.Filter{ID: id, Subscriber: fmt.Sprintf("s%03d", id%64), Terms: model.SortTerms(fg.Next()), Mode: model.MatchAny}
+		for home, terms := range h.sharesOf(t, f) {
+			if _, err := h.nodeByID(home).Handle(ctx, "client", EncodeRegister(RegisterReq{Filter: f, PostingTerms: terms})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(matchHeavySeed + 1))
+	docID, fresh := uint64(0), 0
+	matched := 0
+	round := func() {
+		for range docsPerRound {
+			docID++
+			var terms []string
+			for len(terms) < docTerms/2 {
+				terms = model.SortTerms(append(terms, dataset.Term(rng.Intn(vocab))))
+			}
+			for len(terms) < docTerms {
+				fresh++
+				terms = model.SortTerms(append(terms, fmt.Sprintf("fresh%07d", fresh)))
+			}
+			doc := model.Document{ID: docID, Terms: terms}
+			for _, home := range h.nodes {
+				mine := homedAt(t, home, terms)
+				if len(mine) == 0 {
+					continue
+				}
+				raw, err := home.Handle(ctx, "entry", encodePublish(false, &doc, mine...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := DecodeMatchResp(raw, mine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matched += len(resp.Matches)
+			}
+		}
+	}
+	round()
+	first := testutil.HeapNow()
+	for k := 2; k <= rounds; k++ {
+		round()
+	}
+	last := testutil.HeapNow()
+	runtime.KeepAlive(h)
+	t.Logf("heap after round 1: %d B; after round %d: %d B (%+.2f %%); %d documents, %d fresh words, %.1f matches per document",
+		first, rounds, last, 100*(float64(last)/float64(first)-1), docID, fresh, float64(matched)/float64(docID))
+	if float64(last) > 1.02*float64(first) {
+		t.Fatalf("heap grew from %d to %d B over %d rounds of %d documents at %d filters", first, last, rounds-1, docsPerRound, filters)
+	}
+	if matched == 0 {
+		t.Fatal("no document matched a filter: the stream never reached the population")
+	}
+}

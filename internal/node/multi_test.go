@@ -258,8 +258,8 @@ func equalMatchSets(a, b []Match) bool {
 // sets and documents through the coalesced entry path and the per-term
 // oracle on a healthy cluster (no grids) and requires exact observable
 // equality. Threshold filters are excluded: the two framings legitimately
-// observe the corpus a different number of times, and corpus-dependent
-// scoring is covered at the index layer instead.
+// count a document's arrival a different number of times, and scoring by
+// document frequency is covered at the index layer instead.
 func TestPublishEntryCoalescedMatchesPerTermOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := newHarness(t, 6)

@@ -924,14 +924,13 @@ func (n *Node) sendPublish(ctx context.Context, to ring.NodeID, local bool, doc 
 
 // matchLocalTerms runs the multi-term matcher over one decoded document and
 // accounts the work. One frame is one document arrival, so DocsProcessed
-// and the corpus observation are charged once however many terms it
-// carries (the per-term path charged one per routed term — an artifact of
+// and the index's document frequencies (MatchTerms) count it once however
+// many terms it carries (the per-term path charged one per routed term — an artifact of
 // its framing, not of the workload). TermsMatched charges one per term so
 // the matching-cost figure stays comparable across framings.
 func (n *Node) matchLocalTerms(doc *model.Document, terms []string) (MatchResp, error) {
 	n.docsProcessed.Inc()
 	n.termsMatched.Add(int64(len(terms)))
-	n.ix.ObserveDocument(doc)
 	tm := n.hMatchTerm.Start()
 	matched, st, err := n.ix.MatchTerms(doc, terms)
 	tm.Stop()
@@ -947,7 +946,6 @@ func (n *Node) matchLocalTerms(doc *model.Document, terms []string) (MatchResp, 
 func (n *Node) matchSIFT(doc *model.Document) (MatchResp, error) {
 	n.docsProcessed.Inc()
 	n.termsMatched.Add(int64(len(doc.Terms)))
-	n.ix.ObserveDocument(doc)
 	tm := n.hMatchSIFT.Start()
 	matched, st, err := n.ix.MatchTerms(doc, doc.Terms)
 	tm.Stop()

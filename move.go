@@ -55,7 +55,8 @@ type MatchMode int
 // Matching semantics: MatchAny (the paper's boolean model) fires when any
 // filter term occurs in the document; MatchAll requires all terms;
 // MatchThreshold requires a tf-idf containment score above the filter's
-// threshold.
+// threshold, each home weighing a term by its own document frequency: the
+// number of documents that reached it after a filter there named the term.
 const (
 	// MatchAny fires when at least one filter term appears.
 	MatchAny MatchMode = iota + 1
