@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test race bench loc wire-budget mem-budget bench-home fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
+.PHONY: build vet fmt-check test race bench examples loc wire-budget mem-budget bench-home fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,16 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# Run every example under a timeout: each must exit 0 and print something.
+# The tests build and vet them; this is where they run.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		out=$$(timeout 120 $(GO) run ./$$d) || { echo "$$d failed"; exit 1; }; \
+		[ -n "$$out" ] || { echo "$$d printed nothing"; exit 1; }; \
+		echo "$$out"; \
+	done
 
 # The size figures every simplicity PR reports, counted the same way each
 # time: the two files the node protocol lives in, the framed connection and
@@ -162,4 +172,4 @@ benchmark-smoke:
 	done
 
 # .github/workflows/ci.yml runs these same steps in this order.
-ci: vet fmt-check build loc wire-budget mem-budget bench-home race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke
+ci: vet fmt-check build examples loc wire-budget mem-budget bench-home race fuzz-smoke soak-churn soak-delivery bench-churn bench-delivery bench-aggregate benchmark-unit benchmark-smoke

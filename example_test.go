@@ -14,6 +14,7 @@ func ExampleNewCluster() {
 	if err != nil {
 		panic(err)
 	}
+	defer cluster.Close()
 	sub, err := cluster.Subscribe("alice", "distributed systems")
 	if err != nil {
 		panic(err)
@@ -32,6 +33,7 @@ func ExampleCluster_Subscribe() {
 	if err != nil {
 		panic(err)
 	}
+	defer cluster.Close()
 	sub, err := cluster.Subscribe("bob", "golang concurrency",
 		move.SubscribeOptions{Mode: move.MatchAll})
 	if err != nil {
@@ -57,6 +59,7 @@ func ExampleCluster_Allocate() {
 	if err != nil {
 		panic(err)
 	}
+	defer cluster.Close()
 	for i := 0; i < 100; i++ {
 		if _, err := cluster.Subscribe("user", "trending topic"); err != nil {
 			panic(err)

@@ -65,6 +65,7 @@ func runPlacement(placement move.Placement) error {
 	if err != nil {
 		return err
 	}
+	defer cluster.Close()
 	rng := rand.New(rand.NewSource(3))
 
 	// 50 subscribers per topic: hot enough that every topic's home node

@@ -39,6 +39,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer cluster.Close()
 	rng := rand.New(rand.NewSource(7))
 
 	// 2000 users register alerts; popularity is Zipf-ish over topics.

@@ -24,6 +24,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer cluster.Close()
 
 	// Subscriptions are raw keyword queries; the same preprocessing
 	// pipeline (stop words, Porter stemming) is applied to filters and

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"strings"
+	"time"
 
 	"github.com/movesys/move"
 )
@@ -26,6 +27,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer cluster.Close()
 
 	// Carol follows her friends' postings but only wants hiking content —
 	// boolean OR over two keywords (the paper's default model).
@@ -75,7 +77,7 @@ func run() error {
 			case n := <-sub.C:
 				delivered[sub.Subscriber]++
 				fmt.Printf("%-5s <- doc %d %v\n", sub.Subscriber, n.DocID, n.Terms)
-			default:
+			case <-time.After(100 * time.Millisecond):
 				goto next
 			}
 		}

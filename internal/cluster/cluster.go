@@ -97,8 +97,6 @@ type Config struct {
 	BloomCapacity int
 	// Seed makes the cluster deterministic.
 	Seed int64
-	// OnDeliver, if set, receives every (document, matches) delivery.
-	OnDeliver func(doc *model.Document, matches []node.Match)
 	// Delivery, when set, enables the subscriber delivery tier (§14): every
 	// node gets a session hub built from this config (sharing the cluster
 	// registry), and entry nodes route each match set to the subscribers'
@@ -303,7 +301,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		dcfg := daemon.Config{
 			ID: id, Rack: rack, Ring: c.ring, Resilience: basePolicy, Delivery: cfg.Delivery, Seed: seed + int64(i) + 1,
-			OnDeliver: cfg.OnDeliver, OnDeliveryLoss: cfg.OnDeliveryLoss, OnTransfer: c.recordTransfer, Metrics: reg,
+			OnDeliveryLoss: cfg.OnDeliveryLoss, OnTransfer: c.recordTransfer, Metrics: reg,
 		}
 		dcfg.Resilience.Seed = dcfg.Seed
 		if cfg.Fault != nil {
@@ -534,9 +532,8 @@ func (c *Cluster) sendTo(ctx context.Context, to ring.NodeID, payload []byte) ([
 // Unregister removes a filter's definition from every live node. The
 // removal is broadcast rather than holder-targeted because allocation
 // rounds and post-allocation registrations replicate definitions onto grid
-// nodes; a broadcast reaches every copy regardless of how it got there.
-// Posting entries are cleaned lazily on match (§III.B design: posting
-// lists are append-only; a missing definition drops the candidate).
+// nodes; a broadcast reaches every copy regardless of how it got there. Each
+// holder reclaims the filter's posting entries with its definition.
 func (c *Cluster) Unregister(ctx context.Context, id model.FilterID) error {
 	c.placementMu.Lock()
 	_, known := c.filterHolders[id]
@@ -739,9 +736,7 @@ func (c *Cluster) publishFlood(ctx context.Context, doc *model.Document) (Publis
 			res.Matches = append(res.Matches, m)
 		}
 	}
-	if c.cfg.OnDeliver != nil && len(res.Matches) > 0 {
-		c.cfg.OnDeliver(doc, res.Matches)
-	}
+	entry.Deliver(ctx, doc, res.Matches)
 	// Same contract as publishInverted: successes are kept, unreachable
 	// nodes only cost completeness, and non-availability failures surface
 	// with every per-destination error joined.

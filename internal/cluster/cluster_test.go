@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/movesys/move/internal/alloc"
+	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/ring"
@@ -651,28 +652,34 @@ func TestCountersAndAccessors(t *testing.T) {
 	}
 }
 
+// TestDeliveryCallback: a publish's match set lands in the hub session of
+// each matched subscriber on its owner — dave's and erin's, queued for their
+// first attach — and in no other session.
 func TestDeliveryCallback(t *testing.T) {
 	ctx := context.Background()
-	delivered := make(map[string]int)
-	c, err := New(Config{
-		Scheme: SchemeMove,
-		Nodes:  8,
-		Seed:   1,
-		OnDeliver: func(doc *model.Document, matches []node.Match) {
-			for _, m := range matches {
-				delivered[m.Subscriber]++
-			}
-		},
-	})
+	c, err := New(Config{Scheme: SchemeMove, Nodes: 8, Seed: 1, Delivery: &delivery.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	seedWorkload(t, c)
-	if _, err := c.Publish(ctx, []string{"news"}); err != nil {
+	res, err := c.Publish(ctx, []string{"news"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if delivered["dave"] != 1 || delivered["erin"] != 1 {
-		t.Fatalf("deliveries = %v, want dave and erin", delivered)
+	for _, sub := range []string{"dave", "erin"} {
+		owner, err := c.SubscriberOwner(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss, _ := c.DeliveryHub(owner).Snapshot(sub); !slices.Equal(ss.QueuedDocs, []uint64{res.DocID}) {
+			t.Fatalf("%s's session on %s queues docs %v, want [%d]", sub, owner, ss.QueuedDocs, res.DocID)
+		}
+	}
+	sessions := 0
+	c.EachDeliveryHub(func(_ ring.NodeID, h *delivery.Hub) { sessions += h.SessionCount() })
+	if sessions != 2 {
+		t.Fatalf("%d sessions across the hubs, want dave's and erin's", sessions)
 	}
 }
 

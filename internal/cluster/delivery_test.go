@@ -127,10 +127,10 @@ func (c *chaosConn) setStalled(stalled bool) {
 }
 
 // runDeliveryChaos drives the full dissemination path — register, publish
-// through entry/home/grid fan-out, route to session owners, enqueue, flush
-// to subscriber connections — under seeded data-path fault injection,
-// subscriber connect/disconnect churn, stalled readers, node crash/recover
-// cycles, and live reallocation rounds. It then settles the cluster and
+// through entry/home/grid fan-out (under SchemeRS, the flood), route to
+// session owners, enqueue, flush to subscriber connections — under seeded
+// data-path fault injection, subscriber connect/disconnect churn, stalled
+// readers, node crash/recover cycles, and live reallocation rounds. It then settles the cluster and
 // proves the delivery-equivalence invariant for every published document:
 //
 //	for every subscriber the publish matched, the notification was either
@@ -143,8 +143,9 @@ func (c *chaosConn) setStalled(stalled bool) {
 // sharded registry behaves identically to the degenerate single-map layout
 // (shards=1) under churn. Without faults there is no data-path fault
 // injection and no crash: every deliver batch to an owner that matched the
-// document resolves its reference, so none is re-sent inline.
-func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int64, shards int, faults bool) {
+// document resolves its reference, so none is re-sent inline. SchemeRS has
+// no allocation, so its reallocation rounds fail and are not counted.
+func runDeliveryChaos(t *testing.T, scheme Scheme, policy delivery.Policy, rounds int, seed int64, shards int, faults bool) {
 	ctx := context.Background()
 	led := newDeliveryLedger()
 	var fault *transport.FaultConfig
@@ -155,7 +156,7 @@ func runDeliveryChaos(t *testing.T, policy delivery.Policy, rounds int, seed int
 		}
 	}
 	c, err := New(Config{
-		Scheme:   SchemeMove,
+		Scheme:   scheme,
 		Nodes:    12,
 		RackSize: 3,
 		Capacity: 100_000,
@@ -460,17 +461,18 @@ func TestDeliveryOracle(t *testing.T) {
 	for _, shards := range []int{1, 4, 32} {
 		shards := shards
 		t.Run(fmt.Sprintf("drop-oldest/shards=%d", shards), func(t *testing.T) {
-			runDeliveryChaos(t, delivery.DropOldest, 6, 11, shards, true)
+			runDeliveryChaos(t, SchemeMove, delivery.DropOldest, 6, 11, shards, true)
 		})
 	}
-	t.Run("disconnect/shards=4", func(t *testing.T) { runDeliveryChaos(t, delivery.Disconnect, 6, 13, 4, true) })
-	t.Run("coalesce-by-doc/shards=32", func(t *testing.T) { runDeliveryChaos(t, delivery.CoalesceByDoc, 6, 17, 32, true) })
-	t.Run("fault-free/drop-oldest/shards=4", func(t *testing.T) { runDeliveryChaos(t, delivery.DropOldest, 6, 19, 4, false) })
+	t.Run("disconnect/shards=4", func(t *testing.T) { runDeliveryChaos(t, SchemeMove, delivery.Disconnect, 6, 13, 4, true) })
+	t.Run("coalesce-by-doc/shards=32", func(t *testing.T) { runDeliveryChaos(t, SchemeMove, delivery.CoalesceByDoc, 6, 17, 32, true) })
+	t.Run("fault-free/drop-oldest/shards=4", func(t *testing.T) { runDeliveryChaos(t, SchemeMove, delivery.DropOldest, 6, 19, 4, false) })
+	t.Run("rs/drop-oldest/shards=4", func(t *testing.T) { runDeliveryChaos(t, SchemeRS, delivery.DropOldest, 6, 29, 4, true) })
 }
 
 // TestDeliverySoak is the long-run chaos soak (`make soak-delivery`):
 // the same harness at SOAK_DELIVERY_ROUNDS length under -race, on the
 // full production shard count.
 func TestDeliverySoak(t *testing.T) {
-	runDeliveryChaos(t, delivery.DropOldest, deliveryRounds(t), 23, delivery.DefaultShards, true)
+	runDeliveryChaos(t, SchemeMove, delivery.DropOldest, deliveryRounds(t), 23, delivery.DefaultShards, true)
 }

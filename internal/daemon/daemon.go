@@ -13,7 +13,6 @@ import (
 	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/gossip"
 	"github.com/movesys/move/internal/metrics"
-	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/resilience"
 	"github.com/movesys/move/internal/ring"
@@ -49,9 +48,8 @@ type Config struct {
 	DebugAddr string
 	Info      map[string]string
 	Health    func(h map[string]any)
-	// Seed, OnDeliver, OnDeliveryLoss and OnTransfer go to node.Config.
+	// Seed, OnDeliveryLoss and OnTransfer go to node.Config.
 	Seed           int64
-	OnDeliver      func(doc *model.Document, matches []node.Match)
 	OnDeliveryLoss func(docID uint64, subs []string)
 	OnTransfer     func(from, to ring.NodeID)
 	// Metrics receives the counters of the node, its executor and its hub;
@@ -128,7 +126,6 @@ func Start(cfg Config, listen func(transport.Handler) (transport.Transport, erro
 		Store:           d.store,
 		Seed:            cfg.Seed,
 		Gossip:          gossipHandle,
-		OnDeliver:       cfg.OnDeliver,
 		Delivery:        d.Hub,
 		RouteDeliveries: d.Hub != nil,
 		OnDeliveryLoss:  cfg.OnDeliveryLoss,

@@ -140,6 +140,13 @@ func groupMatchesBySub(matches []Match) []delivery.Notification {
 	return notifs
 }
 
+// Deliver routes a match set gathered outside PublishEntry — the RS
+// flood's — exactly as PublishEntry routes its own, the document inline in
+// every batch. A node without RouteDeliveries does nothing.
+func (n *Node) Deliver(ctx context.Context, doc *model.Document, matches []Match) {
+	n.routeDeliveries(ctx, doc, matches, nil)
+}
+
 // routeDeliveries ships a matched document's notifications to each
 // subscriber's session owner (the home node of "subscriber/<name>"): one
 // msgDeliverBatch per distinct owner, all frames built in pooled writers
@@ -149,7 +156,11 @@ func groupMatchesBySub(matches []Match) []delivery.Notification {
 // best-effort: a failed owner RPC is counted, and the affected subscribers
 // are reported through OnDeliveryLoss so loss is accounted, never silent —
 // publish completion does not block on slow consumers beyond these sends.
+// It does nothing unless the node routes deliveries and something matched.
 func (n *Node) routeDeliveries(ctx context.Context, doc *model.Document, matches []Match, homes []ring.NodeID) {
+	if !n.cfg.RouteDeliveries || len(matches) == 0 {
+		return
+	}
 	notifs := groupMatchesBySub(matches)
 	batches := make(map[ring.NodeID]*delivery.Batch)
 	var unrouted []string

@@ -23,7 +23,8 @@ import (
 // entry node outside the ring that routes deliveries — over the in-memory
 // network or loopback TCP. Each ring node sits behind a slot so a test can
 // restart it (a fresh Node, the same hub and sessions). hook runs on the
-// entry between the match and the routing.
+// entry between the match and the routing: once per publish, before the
+// entry's transport sends the first deliver batch (hookTransport).
 type refNet struct {
 	t     *testing.T
 	ring  *ring.Ring
@@ -32,6 +33,7 @@ type refNet struct {
 	trs   map[ring.NodeID]transport.Transport
 	hubs  map[ring.NodeID]*delivery.Hub
 	hook  func()
+	once  *sync.Once
 
 	mu  sync.Mutex
 	got map[string][]received
@@ -102,19 +104,29 @@ func newRefNet(t *testing.T, tcp bool) *refNet {
 	}
 	entry, err := New(Config{
 		ID: "entry", Ring: rn.ring, RouteDeliveries: true,
-		OnDeliver: func(*model.Document, []Match) {
-			if rn.hook != nil {
-				rn.hook()
-			}
-		},
 		OnDeliveryLoss: func(doc uint64, subs []string) { t.Errorf("doc %d: delivery to %v lost", doc, subs) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry.Attach(join("entry", entry.Handle))
+	entry.Attach(hookTransport{Transport: join("entry", entry.Handle), rn: rn})
 	rn.entry = entry
 	return rn
+}
+
+// hookTransport is the entry's transport: before the first deliver batch of
+// a publish leaves, it runs the publish's hook. The batches of one publish
+// go out concurrently; the Once holds them all until the hook has returned.
+type hookTransport struct {
+	transport.Transport
+	rn *refNet
+}
+
+func (h hookTransport) Send(ctx context.Context, to ring.NodeID, payload []byte) ([]byte, error) {
+	if len(payload) > 0 && payload[0] == msgDeliverBatch && h.rn.hook != nil {
+		h.rn.once.Do(h.rn.hook)
+	}
+	return h.Transport.Send(ctx, to, payload)
 }
 
 // restart replaces id's node with a fresh one on the same hub: everything it
@@ -188,7 +200,7 @@ func holds(nd *Node, from ring.NodeID, id uint64) bool {
 // and been acked, so what the subscribers received is final.
 func (rn *refNet) publish(doc *model.Document, hook func()) {
 	rn.t.Helper()
-	rn.hook = hook
+	rn.hook, rn.once = hook, &sync.Once{}
 	defer func() { rn.hook = nil }()
 	if _, _, err := rn.entry.PublishEntry(context.Background(), doc); err != nil {
 		rn.t.Fatal(err)

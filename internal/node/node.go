@@ -43,10 +43,6 @@ type Config struct {
 	Seed int64
 	// Gossip, if set, receives msgGossip payloads.
 	Gossip GossipHandler
-	// OnDeliver, if set, is invoked on the entry node for every document
-	// with its deduplicated matches — the final dissemination hop to
-	// subscribers.
-	OnDeliver func(doc *model.Document, matches []Match)
 	// Delivery, if set, is this node's subscriber-session hub: inbound
 	// msgDeliverBatch frames enqueue into its sessions (and the documents
 	// of home-routed publishes are held for them). Without one the node
@@ -1126,12 +1122,7 @@ func (n *Node) publishEntry(ctx context.Context, doc *model.Document, group func
 	if len(matches) == 0 {
 		matches = nil
 	}
-	if n.cfg.OnDeliver != nil && len(matches) > 0 {
-		n.cfg.OnDeliver(doc, matches)
-	}
-	if n.cfg.RouteDeliveries && len(matches) > 0 {
-		n.routeDeliveries(ctx, doc, matches, answered)
-	}
+	n.routeDeliveries(ctx, doc, matches, answered)
 	// Partial failure: report what matched alongside the aggregated
 	// per-home errors so the caller can account availability (Fig. 9 c–d).
 	return matches, total, errors.Join(errs...)

@@ -15,6 +15,7 @@
 //
 //	c, err := move.NewCluster(move.Config{Nodes: 8})
 //	...
+//	defer c.Close()
 //	sub, err := c.Subscribe("alice", "breaking news")
 //	_, err = c.Publish("Breaking news: gophers ship a pub/sub system")
 //	n := <-sub.C // Notification for alice
@@ -24,11 +25,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/movesys/move/internal/cluster"
+	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/model"
-	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/text"
 	"github.com/movesys/move/internal/trace"
@@ -122,31 +125,19 @@ type Subscription struct {
 	Subscriber string
 	// Terms is the preprocessed filter term set.
 	Terms []string
-	// C receives notifications.
+	// C receives notifications. A notification reaches it through the
+	// subscriber's delivery session, so it may arrive after the Publish
+	// that matched it has returned.
 	C <-chan Notification
 
 	ch      chan Notification
-	dropped sync.Mutex
-	nDrop   int64
+	dropped atomic.Int64
 }
 
 // Dropped returns how many notifications were discarded because the
-// channel was full.
-func (s *Subscription) Dropped() int64 {
-	s.dropped.Lock()
-	defer s.dropped.Unlock()
-	return s.nDrop
-}
-
-func (s *Subscription) deliver(n Notification) {
-	select {
-	case s.ch <- n:
-	default:
-		s.dropped.Lock()
-		s.nDrop++
-		s.dropped.Unlock()
-	}
-}
+// channel was full. What the subscriber's delivery session shed before
+// the channel is counted in Cluster.Metrics (delivery.drops.*).
+func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
 // PublishReceipt summarizes one publication.
 type PublishReceipt struct {
@@ -167,13 +158,17 @@ type PublishReceipt struct {
 	Trace trace.Summary
 }
 
-// Cluster is an embedded MOVE deployment.
+// Cluster is an embedded MOVE deployment. Every node runs a delivery hub,
+// and every subscriber name has a session on each of them: the session on
+// the name's ring owner receives its notifications, the others stand by
+// for when a failure re-homes the name.
 type Cluster struct {
 	inner *cluster.Cluster
 	cfg   Config
 
-	mu   sync.RWMutex
-	subs map[uint64]*Subscription
+	mu    sync.RWMutex
+	subs  map[uint64]*Subscription
+	names map[string]struct{} // subscriber names with attached sessions
 }
 
 // Errors returned by the public API.
@@ -196,8 +191,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.SubscriptionBuffer == 0 {
 		cfg.SubscriptionBuffer = 128
 	}
-	c := &Cluster{cfg: cfg, subs: make(map[uint64]*Subscription)}
-
+	// No heartbeat: an in-process connection sends no inbound traffic, so
+	// the hub's idle janitor would detach it.
 	inner, err := cluster.New(cluster.Config{
 		Scheme:    cluster.Scheme(cfg.Scheme),
 		Nodes:     cfg.Nodes,
@@ -205,31 +200,52 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Capacity:  cfg.Capacity,
 		Placement: ring.Placement(cfg.Placement),
 		Seed:      cfg.Seed,
-		OnDeliver: c.dispatch,
+		Delivery:  &delivery.Config{},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("move: boot cluster: %w", err)
 	}
-	c.inner = inner
-	return c, nil
+	return &Cluster{inner: inner, cfg: cfg, subs: make(map[uint64]*Subscription), names: make(map[string]struct{})}, nil
 }
 
-// dispatch fans a delivery out to subscription channels.
-func (c *Cluster) dispatch(doc *model.Document, matches []node.Match) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, m := range matches {
-		sub, ok := c.subs[uint64(m.Filter)]
-		if !ok {
-			continue
+// Close stops the cluster's nodes and their delivery hubs. Notifications
+// not yet handed to a channel are discarded.
+func (c *Cluster) Close() { c.inner.Close() }
+
+// sessionConn is a subscriber name's connection to one node's hub: it
+// hands each event to the channels of the name's subscriptions, never
+// blocking on a full one, and acks the batch at once.
+type sessionConn struct {
+	c   *Cluster
+	hub *delivery.Hub
+	sub string
+}
+
+func (sc *sessionConn) SendHello(delivery.HelloInfo) error { return nil }
+func (sc *sessionConn) SendPing() error                    { return nil }
+func (sc *sessionConn) SendBye(string) error               { return nil }
+func (sc *sessionConn) Close() error                       { return nil }
+
+func (sc *sessionConn) SendEvents(evs []*delivery.Event) error {
+	sc.c.mu.RLock()
+	for _, ev := range evs {
+		for _, id := range ev.Filters {
+			sub, ok := sc.c.subs[uint64(id)]
+			if !ok {
+				continue
+			}
+			// The hub recycles its events: the notification owns a copy.
+			n := Notification{DocID: ev.DocID, Terms: slices.Clone(ev.Terms), FilterID: uint64(id), Subscriber: sc.sub}
+			select {
+			case sub.ch <- n:
+			default:
+				sub.dropped.Add(1)
+			}
 		}
-		sub.deliver(Notification{
-			DocID:      doc.ID,
-			Terms:      append([]string(nil), doc.Terms...),
-			FilterID:   uint64(m.Filter),
-			Subscriber: m.Subscriber,
-		})
 	}
+	sc.c.mu.RUnlock()
+	sc.hub.Ack(sc.sub, evs[len(evs)-1].Seq)
+	return nil
 }
 
 // SubscribeOptions tweaks one subscription.
@@ -273,14 +289,22 @@ func (c *Cluster) SubscribeTerms(subscriber string, terms []string, opts ...Subs
 		ch:         ch,
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.subs[uint64(id)] = sub
-	c.mu.Unlock()
+	if _, ok := c.names[subscriber]; !ok {
+		c.names[subscriber] = struct{}{}
+		// Attached on every hub, the session is already in place on
+		// whichever node a failure makes the name's owner.
+		c.inner.EachDeliveryHub(func(_ ring.NodeID, h *delivery.Hub) {
+			// An in-process hello cannot fail.
+			_, _, _ = h.Attach(subscriber, &sessionConn{c: c, hub: h, sub: subscriber}, 0)
+		})
+	}
 	return sub, nil
 }
 
 // Unsubscribe removes the subscription's delivery channel and deletes the
-// filter definition from every node holding it (posting entries are
-// cleaned lazily on match).
+// filter from every node holding it.
 func (c *Cluster) Unsubscribe(sub *Subscription) {
 	c.mu.Lock()
 	delete(c.subs, sub.ID)
@@ -297,7 +321,10 @@ func (c *Cluster) Publish(content string) (PublishReceipt, error) {
 	return c.PublishTerms(terms)
 }
 
-// PublishTerms disseminates a preprocessed term set.
+// PublishTerms disseminates a preprocessed term set. Its notifications are
+// routed to each matched subscriber's session owner, one RPC per distinct
+// owner, before it returns; they reach the subscription channels
+// asynchronously.
 func (c *Cluster) PublishTerms(terms []string) (PublishReceipt, error) {
 	if len(terms) == 0 {
 		return PublishReceipt{}, ErrEmptyQuery
@@ -316,9 +343,12 @@ func (c *Cluster) PublishTerms(terms []string) (PublishReceipt, error) {
 	}, nil
 }
 
-// Metrics snapshots the cluster's resilience counters: rpc.retries,
-// rpc.giveups, breaker.open, breaker.fastfail, publish.failover,
-// publish.degraded.
+// Metrics snapshots the cluster's counters: the resilience ones
+// (rpc.retries, rpc.giveups, breaker.open, breaker.fastfail,
+// publish.failover, publish.degraded) and the delivery tier's — among them
+// delivery.drops.* (notifications a subscriber session shed) and
+// delivery.route.lost (notifications whose session owner could not be
+// reached).
 func (c *Cluster) Metrics() map[string]int64 {
 	return c.inner.Metrics().Snapshot()
 }

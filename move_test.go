@@ -4,10 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/movesys/move/internal/delivery"
+	"github.com/movesys/move/internal/ring"
 )
 
 func newTestCluster(t testing.TB, nodes int) *Cluster {
@@ -16,6 +22,7 @@ func newTestCluster(t testing.TB, nodes int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	return c
 }
 
@@ -192,6 +199,7 @@ func TestSubscriptionOverflowDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	sub, err := c.Subscribe("frank", "alerts")
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +208,11 @@ func TestSubscriptionOverflowDrops(t *testing.T) {
 		if _, err := c.Publish("alerts keep firing"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The session hands notifications over after Publish returns: wait
+	// for the last of them.
+	for deadline := time.Now().Add(5 * time.Second); sub.Dropped() < 4 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if sub.Dropped() != 4 {
 		t.Fatalf("Dropped = %d, want 4 (buffer of 1)", sub.Dropped())
@@ -260,6 +273,7 @@ func TestSchemeBaselinesThroughPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer c.Close()
 		sub, err := c.Subscribe("u", "database systems")
 		if err != nil {
 			t.Fatal(err)
@@ -272,5 +286,256 @@ func TestSchemeBaselinesThroughPublicAPI(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("scheme %d: no delivery", scheme)
 		}
+	}
+}
+
+// TestCloseStopsGoroutines: Close stops what NewCluster started, the
+// delivery hubs' flush workers included.
+func TestCloseStopsGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := NewCluster(Config{Nodes: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Subscribe("gail", "leak check")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Publish("a leak check"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sub.C:
+	case <-time.After(time.Second):
+		t.Fatal("no notification delivered")
+	}
+	if running := runtime.NumGoroutine(); running <= before {
+		t.Fatalf("%d goroutines with the cluster up, %d before: no hub workers to stop", running, before)
+	}
+	c.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewCluster", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestLibraryDeliveryOracle holds the delivery identity for library
+// subscribers, one filter per subscriber name, each drained by a slow reader
+// through a two-slot channel: once no hub has anything pending, every
+// (filter, document) pair a publish matched was received on the channel,
+// counted in Dropped, shed by the session (delivery.drops.*) or lost on the
+// way to the session owner (delivery.route.lost) — the counts add up to the
+// receipts' Matched, and nothing is received twice or against the
+// brute-force oracle. The failure row crashes nodes halfway: a filter stays
+// available through the terms whose home survived, and a subscriber whose
+// session owner died keeps receiving on the session its new owner already
+// has.
+func TestLibraryDeliveryOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fail float64
+	}{{name: "healthy"}, {name: "owner failed", fail: 0.25}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(Config{Nodes: 8, SubscriptionBuffer: 2, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(9))
+			vocab := make([]string, 10)
+			for i := range vocab {
+				vocab[i] = fmt.Sprintf("topic%d", i)
+			}
+			pick := func(n int) []string {
+				terms := make([]string, n)
+				for i, j := range rng.Perm(len(vocab))[:n] {
+					terms[i] = vocab[j]
+				}
+				return terms
+			}
+
+			subs := make([]*Subscription, 24)
+			for i := range subs {
+				if subs[i], err = c.SubscribeTerms(fmt.Sprintf("sub%02d", i), pick(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A term is served while its home at registration is alive:
+			// only that node posts the filters under it.
+			regHome := make(map[string]ring.NodeID, len(vocab))
+			for _, term := range vocab {
+				if regHome[term], err = c.inner.HomeNode(term); err != nil {
+					t.Fatal(err)
+				}
+			}
+			served := func(term string) bool {
+				home, err := c.inner.HomeNode(term)
+				return err == nil && home == regHome[term]
+			}
+			owners := make([]ring.NodeID, len(subs))
+			for i, sub := range subs {
+				if owners[i], err = c.inner.SubscriberOwner(sub.Subscriber); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Slow readers: each sleeps after every notification, so its
+			// channel fills while the publisher runs ahead.
+			var mu sync.Mutex
+			got := make([][]Notification, len(subs))
+			received := func(i int) []Notification {
+				mu.Lock()
+				defer mu.Unlock()
+				return slices.Clone(got[i])
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for i, sub := range subs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case n := <-sub.C:
+							mu.Lock()
+							got[i] = append(got[i], n)
+							mu.Unlock()
+							time.Sleep(200 * time.Microsecond)
+						case <-stop:
+							return
+						}
+					}
+				}()
+			}
+
+			docs := make(map[uint64][]string)
+			oracle := make([]map[uint64]bool, len(subs)) // the pairs each filter matched
+			for i := range oracle {
+				oracle[i] = make(map[uint64]bool)
+			}
+			matched := 0
+			publish := func(terms []string) uint64 {
+				t.Helper()
+				r, err := c.PublishTerms(terms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 0
+				for i, sub := range subs {
+					for _, term := range sub.Terms {
+						if slices.Contains(terms, term) && served(term) {
+							oracle[i][r.DocID] = true
+							want++
+							break
+						}
+					}
+				}
+				if r.Matched != want {
+					t.Fatalf("doc %d %v matched %d filters, the oracle %d", r.DocID, terms, r.Matched, want)
+				}
+				docs[r.DocID] = slices.Clone(terms)
+				slices.Sort(docs[r.DocID])
+				matched += r.Matched
+				return r.DocID
+			}
+			settle := func() {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					pending := 0
+					c.inner.EachDeliveryHub(func(_ ring.NodeID, h *delivery.Hub) { pending += h.Pending() })
+					if pending == 0 {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("%d notification(s) still pending", pending)
+					}
+				}
+			}
+
+			const publishes = 200
+			for i := 0; i < publishes; i++ {
+				if tc.fail > 0 && i == publishes/2 {
+					if c.FailNodes(tc.fail, false) == 0 {
+						t.Fatal("no node failed")
+					}
+				}
+				publish(pick(3))
+			}
+			settle()
+
+			if tc.fail > 0 {
+				// A subscriber whose owner died, through a term still served.
+				orphan, term := -1, ""
+				for i, sub := range subs {
+					owner, err := c.inner.SubscriberOwner(sub.Subscriber)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, tm := range sub.Terms {
+						if owner != owners[i] && served(tm) && orphan < 0 {
+							orphan, term = i, tm
+						}
+					}
+				}
+				if orphan < 0 {
+					t.Fatal("no subscriber lost its owner with a filter still served")
+				}
+				for deadline := time.Now().Add(5 * time.Second); len(subs[orphan].C) > 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s's reader never drained its channel", subs[orphan].Subscriber)
+					}
+				}
+				doc := publish([]string{term})
+				settle()
+				for deadline := time.Now().Add(5 * time.Second); !slices.ContainsFunc(received(orphan), func(n Notification) bool { return n.DocID == doc }); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s, owner %s failed, never received doc %d on %q", subs[orphan].Subscriber, owners[orphan], doc, term)
+					}
+				}
+			}
+			close(stop)
+			wg.Wait()
+
+			accounted, dropped := 0, int64(0)
+			for i, sub := range subs {
+				seen := make(map[uint64]bool)
+				for _, n := range received(i) {
+					switch {
+					case n.FilterID != sub.ID || n.Subscriber != sub.Subscriber:
+						t.Fatalf("%s's channel got %+v", sub.Subscriber, n)
+					case !oracle[i][n.DocID]:
+						t.Fatalf("phantom: %s received doc %d %v", sub.Subscriber, n.DocID, n.Terms)
+					case seen[n.DocID]:
+						t.Fatalf("%s received doc %d twice", sub.Subscriber, n.DocID)
+					case !slices.Equal(n.Terms, docs[n.DocID]):
+						t.Fatalf("doc %d reached %s with terms %v, published %v", n.DocID, sub.Subscriber, n.Terms, docs[n.DocID])
+					}
+					seen[n.DocID] = true
+				}
+				// Whatever is still in the channel was handed over too.
+				for len(sub.C) > 0 {
+					n := <-sub.C
+					if !oracle[i][n.DocID] || seen[n.DocID] {
+						t.Fatalf("%s's channel holds doc %d: a phantom or a repeat", sub.Subscriber, n.DocID)
+					}
+					seen[n.DocID] = true
+				}
+				if len(seen)+int(sub.Dropped()) > len(oracle[i]) {
+					t.Fatalf("%s: %d received + %d dropped, but only %d matched", sub.Subscriber, len(seen), sub.Dropped(), len(oracle[i]))
+				}
+				accounted += len(seen)
+				dropped += sub.Dropped()
+			}
+			m := c.Metrics()
+			shed, lost := m["delivery.drops.oldest"]+m["delivery.drops.disconnect"], m["delivery.route.lost"]
+			t.Logf("%d pairs matched: %d received, %d dropped on a full channel, %d shed by sessions, %d lost in routing", matched, accounted, dropped, shed, lost)
+			if int64(accounted)+dropped+shed+lost != int64(matched) {
+				t.Fatalf("%d received + %d dropped + %d shed + %d lost != %d matched", accounted, dropped, shed, lost, matched)
+			}
+			if dropped == 0 {
+				t.Fatal("no reader fell behind: the channels never overflowed")
+			}
+		})
 	}
 }
