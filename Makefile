@@ -21,14 +21,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# Run every example under a timeout: each must exit 0 and print something.
-# The tests build and vet them; this is where they run.
+# Run every example under a timeout: each must exit 0 and print exactly its
+# checked-in expected.txt. The tests build and vet them; this is where they
+# run. After a deliberate change to an example's output, regenerate its file
+# with `go run ./examples/<name> > examples/<name>/expected.txt`.
 examples:
 	@for d in examples/*/; do \
 		echo "examples: $$d"; \
 		out=$$(timeout 120 $(GO) run ./$$d) || { echo "$$d failed"; exit 1; }; \
-		[ -n "$$out" ] || { echo "$$d printed nothing"; exit 1; }; \
-		echo "$$out"; \
+		printf '%s\n' "$$out" | diff -u $${d}expected.txt - || { echo "$$d printed other than $${d}expected.txt"; exit 1; }; \
 	done
 
 # The size figures every simplicity PR reports, counted the same way each
@@ -70,8 +71,8 @@ wire-budget:
 # definitions, posting entries, term arrays, dictionary), the fixed heap of an
 # empty index, the bytes a departed filter leaves behind under fresh-ID
 # churn, and the bytes per distinct document term no filter names that a
-# document stream through MatchTerms leaves behind (the document frequencies
-# count dictionary terms only). Fails when a row passes its ceiling; quote
+# document stream through MatchTerms leaves behind (a match writes nothing
+# to the index). Fails when a row passes its ceiling; quote
 # its table before changing what Register or a match retains. Those rows
 # call index.Register themselves; the rows of internal/node register match_heavy through the register path of both homes of
 # a two-node ring, each sent its share as the benchmark's harness sends it: the

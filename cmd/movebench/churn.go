@@ -131,7 +131,7 @@ func runChurnFig(outPath, baselinePath string, nodes, rounds int, seed int64) er
 
 	var oracle []oracleFilter
 	register := func(sub string, terms []string) error {
-		id, err := c.Register(ctx, sub, terms, model.MatchAny, 0)
+		id, err := c.Register(ctx, sub, terms, model.MatchAny)
 		if err != nil {
 			return err
 		}

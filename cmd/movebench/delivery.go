@@ -175,7 +175,7 @@ func runDeliveryFig(outPath, baselinePath string, nodes, subs int, seed int64) e
 		for t2 == t1 {
 			t2 = term()
 		}
-		if _, err := c.Register(ctx, sub, []string{t1, t2}, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, sub, []string{t1, t2}, model.MatchAny); err != nil {
 			return fmt.Errorf("register %s: %w", sub, err)
 		}
 		subHashes[i] = subNameHash(sub)

@@ -1,8 +1,8 @@
 // Socialstream: the fine-grained-filtering scenario from the paper's
 // introduction. Coarse "follow everything" feeds (Facebook-style) flood
 // users with every posting; MOVE's keyword filters deliver only relevant
-// postings. The example contrasts the two and demonstrates the AND and
-// similarity-threshold matching semantics.
+// postings. The example contrasts the two and demonstrates the OR and AND
+// matching semantics.
 package main
 
 import (
@@ -41,10 +41,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Erin uses a relevance threshold: a post must cover most of her
-	// query's tf-idf mass to fire.
+	// Erin wants only posts naming all three of her baking words.
 	erin, err := cluster.Subscribe("erin", "sourdough baking starter",
-		move.SubscribeOptions{Mode: move.MatchThreshold, Threshold: 0.6})
+		move.SubscribeOptions{Mode: move.MatchAll})
 	if err != nil {
 		return err
 	}
@@ -60,7 +59,7 @@ func run() error {
 		"sourdough crumb shot — the baking obsession continues",
 	}
 	rng := rand.New(rand.NewSource(1))
-	// Pad the stream with noise so idf statistics are meaningful.
+	// Pad the stream with posts no filter matches.
 	for i := 0; i < 60; i++ {
 		posts = append(posts, noisePost(rng, i))
 	}

@@ -19,7 +19,7 @@ func TestReallocationRoundsKeepMatching(t *testing.T) {
 	}
 	// The load pattern shifts: a second hot term emerges.
 	for i := 0; i < 150; i++ {
-		if _, err := c.Register(ctx, "x"+strconv.Itoa(i), []string{"newhot"}, 1, 0); err != nil {
+		if _, err := c.Register(ctx, "x"+strconv.Itoa(i), []string{"newhot"}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func benchCluster(b *testing.B, nodes, filters int) *Cluster {
 			"topic-" + strconv.Itoa(i%64),
 			"tag-" + strconv.Itoa(i%256),
 		}
-		if _, err := c.Register(ctx, "sub-"+strconv.Itoa(i), terms, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "sub-"+strconv.Itoa(i), terms, model.MatchAny); err != nil {
 			b.Fatal(err)
 		}
 	}

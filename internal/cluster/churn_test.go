@@ -143,7 +143,7 @@ func TestChurnSoak(t *testing.T) {
 	conjMatches := 0 // MatchAll filters the oracle expected, over all publishes
 	registerMode := func(sub string, terms []string, mode model.MatchMode) model.Filter {
 		t.Helper()
-		id, err := c.Register(ctx, sub, terms, mode, 0)
+		id, err := c.Register(ctx, sub, terms, mode)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -395,14 +395,13 @@ func (c *Cluster) recordTransfer(from, to ring.NodeID) {
 
 // Register creates a filter from subscriber + terms and registers it
 // according to the scheme. Terms must be preprocessed (text.Terms).
-func (c *Cluster) Register(ctx context.Context, subscriber string, terms []string, mode model.MatchMode, threshold float64) (model.FilterID, error) {
+func (c *Cluster) Register(ctx context.Context, subscriber string, terms []string, mode model.MatchMode) (model.FilterID, error) {
 	id := model.FilterID(c.filterSeq.Add(1))
 	f := model.Filter{
 		ID:         id,
 		Subscriber: subscriber,
 		Terms:      model.SortTerms(append([]string(nil), terms...)),
 		Mode:       mode,
-		Threshold:  threshold,
 	}
 	if err := f.Validate(); err != nil {
 		return 0, err

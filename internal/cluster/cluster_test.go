@@ -49,7 +49,7 @@ func seedWorkload(t testing.TB, c *Cluster) map[string][]model.FilterID {
 		{"frank", []string{"football", "league", "cup"}},
 	}
 	for _, s := range specs {
-		id, err := c.Register(ctx, s.sub, s.terms, model.MatchAny, 0)
+		id, err := c.Register(ctx, s.sub, s.terms, model.MatchAny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestBloomReducesForwarding(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	c := newCluster(t, SchemeMove, 4)
-	if _, err := c.Register(context.Background(), "x", nil, model.MatchAny, 0); err == nil {
+	if _, err := c.Register(context.Background(), "x", nil, model.MatchAny); err == nil {
 		t.Fatal("expected error for empty terms")
 	}
 }
@@ -229,7 +229,7 @@ func TestAllocationPreservesMatches(t *testing.T) {
 	// Register a hot-spot term so the optimizer has something to allocate:
 	// many filters on one term, many documents containing it.
 	for i := 0; i < 200; i++ {
-		if _, err := c.Register(ctx, "hotsub"+strconv.Itoa(i), []string{"hotterm"}, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "hotsub"+strconv.Itoa(i), []string{"hotterm"}, model.MatchAny); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func TestAllocationSpreadsHomeLoad(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, SchemeMove, 15)
 	for i := 0; i < 300; i++ {
-		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"hot"}, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"hot"}, model.MatchAny); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func TestMoveSurvivesHomeFailureAfterAllocation(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, SchemeMove, 15)
 	for i := 0; i < 300; i++ {
-		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"hot"}, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"hot"}, model.MatchAny); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +417,7 @@ func TestAvailableFilterFractionIL(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, SchemeIL, 10)
 	for i := 0; i < 100; i++ {
-		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"term" + strconv.Itoa(i)}, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"term" + strconv.Itoa(i)}, model.MatchAny); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,11 +457,11 @@ func TestConjunctiveFilterIsDownWithItsKeyHome(t *testing.T) {
 			terms = model.SortTerms([]string{first, second})
 		}
 	}
-	all, err := c.Register(ctx, "conjunctive", terms, model.MatchAll, 0)
+	all, err := c.Register(ctx, "conjunctive", terms, model.MatchAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	either, err := c.Register(ctx, "disjunctive", terms, model.MatchAny, 0)
+	either, err := c.Register(ctx, "disjunctive", terms, model.MatchAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestConjunctiveFilterWithFreshKeyTermMatchesBeforeRefresh(t *testing.T) {
 			terms = f.Terms
 		}
 	}
-	id, err := c.Register(ctx, "early", terms, model.MatchAll, 0)
+	id, err := c.Register(ctx, "early", terms, model.MatchAll)
 	if err != nil || id != next {
 		t.Fatalf("Register = %v, %v; want filter %v", id, err, next)
 	}
@@ -539,7 +539,7 @@ func TestConjunctiveFilterWithFreshKeyTermMatchesBeforeRefresh(t *testing.T) {
 	if err := c.RefreshBloom(ctx); err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.Register(ctx, "late", terms, model.MatchAll, 0)
+	again, err := c.Register(ctx, "late", terms, model.MatchAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestAvailableFilterFractionRSReplicated(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, SchemeRS, 10)
 	for i := 0; i < 100; i++ {
-		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"term" + strconv.Itoa(i)}, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), []string{"term" + strconv.Itoa(i)}, model.MatchAny); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -710,7 +710,7 @@ func TestUnregisterRemovesMatches(t *testing.T) {
 func TestUnregisterRSRemovesAllReplicas(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, SchemeRS, 6)
-	id, err := c.Register(ctx, "sub", []string{"solo"}, model.MatchAny, 0)
+	id, err := c.Register(ctx, "sub", []string{"solo"}, model.MatchAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,7 +734,7 @@ func TestAllocStrategiesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			if _, err := c.Register(ctx, "s", []string{"hot", "t" + strconv.Itoa(i)}, model.MatchAny, 0); err != nil {
+			if _, err := c.Register(ctx, "s", []string{"hot", "t" + strconv.Itoa(i)}, model.MatchAny); err != nil {
 				t.Fatal(err)
 			}
 		}

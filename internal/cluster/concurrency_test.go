@@ -58,7 +58,7 @@ func runPublishOracleStress(t *testing.T, seed int64) {
 	var baseMaxID model.FilterID
 	for i := 0; i < 120; i++ {
 		terms := randTerms(baseRng, 1+baseRng.Intn(3))
-		id, err := c.Register(ctx, "s", terms, model.MatchAny, 0)
+		id, err := c.Register(ctx, "s", terms, model.MatchAny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func runPublishOracleStress(t *testing.T, seed int64) {
 			var mine []mutation
 			for i := 0; i < opsPerWorker; i++ {
 				terms := randTerms(rng, 1+rng.Intn(3))
-				id, err := c.Register(ctx, "s", terms, model.MatchAny, 0)
+				id, err := c.Register(ctx, "s", terms, model.MatchAny)
 				if err != nil {
 					t.Errorf("mutator %d: register: %v", w, err)
 					return

@@ -575,7 +575,7 @@ func (c *Cluster) StartAutoAllocate(interval time.Duration, onErr func(error)) (
 	}
 }
 
-// safeAllocate runs one allocation round with panic containment — a bug in
+// safeAllocate runs one allocation round and recovers from a panic — a bug in
 // the optimizer or a hook must not kill the auto-allocate goroutine.
 func (c *Cluster) safeAllocate() (err error) {
 	defer func() {

@@ -198,7 +198,7 @@ func runDeliveryChaos(t *testing.T, scheme Scheme, policy delivery.Policy, round
 	term := func(i int) string { return fmt.Sprintf("term%d", i%24) }
 	register := func(sub string, terms []string) {
 		t.Helper()
-		if _, err := c.Register(ctx, sub, terms, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, sub, terms, model.MatchAny); err != nil {
 			t.Fatal(err)
 		}
 		if _, known := subTerms[sub]; !known {

@@ -75,7 +75,7 @@ func runOracleTrial(t *testing.T, seed int64) {
 		switch op := rng.Intn(10); {
 		case op < 4: // register
 			terms := randTerms(1 + rng.Intn(3))
-			id, err := c.Register(ctx, "s", terms, model.MatchAny, 0)
+			id, err := c.Register(ctx, "s", terms, model.MatchAny)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestClusterOracleWithUnregister(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				terms = append(terms, fmt.Sprintf("t%d", rng.Intn(25)))
 			}
-			id, err := c.Register(ctx, "s", model.SortTerms(terms), model.MatchAny, 0)
+			id, err := c.Register(ctx, "s", model.SortTerms(terms), model.MatchAny)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,10 +95,10 @@ func seedTwoHomes(t *testing.T, c *Cluster, filtersEach, docsEach int, candidate
 		t.Fatal("no candidate term with a distinct home node")
 	}
 	for i := 0; i < filtersEach; i++ {
-		if _, err := c.Register(ctx, "a"+strconv.Itoa(i), []string{a}, 1, 0); err != nil {
+		if _, err := c.Register(ctx, "a"+strconv.Itoa(i), []string{a}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Register(ctx, "b"+strconv.Itoa(i), []string{b}, 1, 0); err != nil {
+		if _, err := c.Register(ctx, "b"+strconv.Itoa(i), []string{b}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

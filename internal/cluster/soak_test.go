@@ -33,7 +33,7 @@ func TestSoakFailureRecoveryCycles(t *testing.T) {
 	term := func() string { return fmt.Sprintf("t%d", rng.Intn(30)) }
 	for i := 0; i < 120; i++ {
 		terms := model.SortTerms([]string{term(), term()})
-		id, err := c.Register(ctx, "s", terms, model.MatchAny, 0)
+		id, err := c.Register(ctx, "s", terms, model.MatchAny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func installDeterministicGrid(t *testing.T, c *Cluster, filters int) (home ring.
 	t.Helper()
 	ctx := context.Background()
 	for i := 0; i < filters; i++ {
-		if _, err := c.Register(ctx, "s", []string{"hot"}, model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "s", []string{"hot"}, model.MatchAny); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestClusterPublishUnderInjectedFaults(t *testing.T) {
 	filters := make(map[model.FilterID][]string)
 	for i := 0; i < 80; i++ {
 		terms := model.SortTerms([]string{term(), term()})
-		id, err := c.Register(ctx, "s", terms, model.MatchAny, 0)
+		id, err := c.Register(ctx, "s", terms, model.MatchAny)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func seedHotTerm(t *testing.T, c *Cluster, filters, docs int) {
 		if i%4 == 0 {
 			terms = append(terms, "noise"+strconv.Itoa(i%50))
 		}
-		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), terms, 1, 0); err != nil {
+		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), terms, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestAllocateByTermIgnoresNonFilterTerms(t *testing.T) {
 	// Filters exist only for "hot"; documents are full of non-filter
 	// terms which must not become allocation units.
 	for i := 0; i < 50; i++ {
-		if _, err := c.Register(ctx, "s", []string{"hot"}, 1, 0); err != nil {
+		if _, err := c.Register(ctx, "s", []string{"hot"}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestRingEvictionRehomesTerms(t *testing.T) {
 		t.Fatal("term still homed on evicted node")
 	}
 	// New registrations for the term land on the new home and match.
-	id, err := c.Register(ctx, "late", []string{"news"}, 1, 0)
+	id, err := c.Register(ctx, "late", []string{"news"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -571,7 +571,7 @@ func runCluster(p ClusterParams, nextFilter, nextDoc func() []string) (ClusterOu
 	ctx := context.Background()
 
 	for i := 0; i < p.Filters; i++ {
-		if _, err := c.Register(ctx, "sub", nextFilter(), model.MatchAny, 0); err != nil {
+		if _, err := c.Register(ctx, "sub", nextFilter(), model.MatchAny); err != nil {
 			return out, err
 		}
 	}

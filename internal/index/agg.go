@@ -175,8 +175,8 @@ func (s *termShard) holds(term uint32, c *cover, slot int32) bool {
 	return ok && p.entries[i].bits.has(int(slot))
 }
 
-// def is a registered filter as the index stores it. Mode, Threshold and the
-// canonical Terms are its cover's; the record adds what is the member's own.
+// def is a registered filter as the index stores it. Mode and the canonical
+// Terms are its cover's; the record adds what is the member's own.
 type def struct {
 	sub string // shared through Index.subs
 	c   *cover
@@ -188,7 +188,7 @@ type def struct {
 // filter is the model.Filter the definition stands for. Its Terms alias the
 // cover's array or the record's own; either is immutable (DESIGN.md §11).
 func (d def) filter(id model.FilterID) model.Filter {
-	f := model.Filter{ID: id, Subscriber: d.sub, Terms: d.c.terms, Mode: d.c.mode(), Threshold: d.c.threshold}
+	f := model.Filter{ID: id, Subscriber: d.sub, Terms: d.c.terms, Mode: d.c.mode()}
 	if d.own != nil {
 		f.Terms = *d.own
 	}

@@ -2,18 +2,15 @@ package index
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/movesys/move/internal/model"
 )
 
 // The index's match paths. A call first reduces the document to a set of
 // dictionary IDs (one probe per document term; a term no filter names drops
-// out — it can satisfy nothing) and its posting-list terms to IDs; a
-// MatchTerms call, the one that serves a document's arrival, counts the
-// document's IDs into the dictionary's document frequencies in that same
-// pass. The scan order is then: posting → entries (ascending cover id) → set
-// bits (ascending slot).
+// out — it can satisfy nothing) and its posting-list terms to IDs, and writes
+// nothing back. The scan order is then: posting → entries (ascending cover
+// id) → set bits (ascending slot).
 //
 // The cover is decided first. An entry holds only members of its cover, so
 // one integer evaluation of the cover's predicate settles the whole
@@ -57,11 +54,6 @@ type matchScratch struct {
 	// terms are the call's posting-list terms as IDs, noTerm for a term the
 	// dictionary does not hold.
 	terms []uint32
-	// df and docs are the dictionary's document frequencies and document
-	// count as the call began, the weights its threshold scores read: df is
-	// read atomically and is shorter than an ID interned since (df 0).
-	df   []int64
-	docs int64
 	// seen deduplicates expanded members across the call's terms.
 	seen map[model.FilterID]struct{}
 	// memo[cover id] holds epoch<<memoBits | state for the covers this call
@@ -78,25 +70,18 @@ var scratchPool = sync.Pool{
 }
 
 // begin maps view's terms and the call's posting-list terms through the
-// dictionary; count also counts the document into its document frequencies.
-func (sc *matchScratch) begin(d *termDict, view *model.DocView, terms []string, count bool) {
+// dictionary.
+func (sc *matchScratch) begin(d *termDict, view *model.DocView, terms []string) {
 	d.mu.RLock()
 	if words := (len(d.terms) + 63) >> 6; words > len(sc.doc) {
 		sc.doc = make([]uint64, words+words/4)
-	}
-	if count {
-		d.docs.Add(1)
 	}
 	for _, t := range view.Sorted() {
 		if id, ok := d.ids[t]; ok {
 			sc.doc[id>>6] |= 1 << (id & 63)
 			sc.docIDs = append(sc.docIDs, id)
-			if count {
-				atomic.AddInt64(&d.df[id], 1)
-			}
 		}
 	}
-	sc.df, sc.docs = d.df, d.docs.Load()
 	for _, t := range terms {
 		id, ok := d.ids[t]
 		if !ok {
@@ -118,7 +103,6 @@ func (sc *matchScratch) release() {
 	}
 	sc.docIDs = sc.docIDs[:0]
 	sc.terms = sc.terms[:0]
-	sc.df = nil
 	clear(sc.seen)
 	scratchPool.Put(sc)
 }
@@ -127,34 +111,6 @@ func (sc *matchScratch) release() {
 func (sc *matchScratch) has(id uint32) bool {
 	w := int(id >> 6)
 	return w < len(sc.doc) && sc.doc[w]&(1<<(id&63)) != 0
-}
-
-// idf returns the weight of the term with this ID.
-func (sc *matchScratch) idf(id uint32) float64 {
-	var df int64
-	if int(id) < len(sc.df) {
-		df = atomic.LoadInt64(&sc.df[id])
-	}
-	return idf(sc.docs, df)
-}
-
-// containment is the share of a threshold filter's idf mass the document
-// covers: Σ_{t ∈ f ∩ d} idf(t)² / Σ_{t ∈ f} idf(t)² over the filter's term
-// IDs. Unlike a cosine it does not penalize long documents, which suits the
-// paper's workload, where documents are 20–2000× longer than filters.
-func (sc *matchScratch) containment(ids []uint32) float64 {
-	var dot, norm float64
-	for _, id := range ids {
-		w := sc.idf(id)
-		norm += w * w
-		if sc.has(id) {
-			dot += w * w
-		}
-	}
-	if norm == 0 {
-		return 0
-	}
-	return dot / norm
 }
 
 // memoOf returns the call's memo state for cover id.
@@ -179,10 +135,10 @@ func (sc *matchScratch) setMemo(id, state, covers uint32) {
 }
 
 // coverMatches evaluates c's predicate against the mapped document: integer
-// membership tests with early exit for the boolean modes. MatchAll probes
-// the highest ID first — IDs are assigned in order of first registration,
-// so it is the term the node learned last and, under skewed popularity, the
-// one a document is least likely to hold.
+// membership tests with early exit. MatchAll probes the highest ID first —
+// IDs are assigned in order of first registration, so it is the term the
+// node learned last and, under skewed popularity, the one a document is
+// least likely to hold.
 func coverMatches(c *cover, sc *matchScratch) bool {
 	switch c.mode() {
 	case model.MatchAny:
@@ -199,8 +155,6 @@ func coverMatches(c *cover, sc *matchScratch) bool {
 			}
 		}
 		return true
-	case model.MatchThreshold:
-		return sc.containment(c.ids) >= c.threshold
 	default:
 		return false
 	}
@@ -320,7 +274,7 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 		// signature whose bit has not left this cover yet: evaluate it
 		// individually; exactness beats the fast path.
 		f := d.filter(id)
-		isMatch = r.ix.evaluate(&f, r.sc, r.view)
+		isMatch = evaluate(&f, r.view)
 	}
 	if isMatch {
 		if r.matched == nil && r.capHint > 0 {
@@ -341,18 +295,12 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 // but must not mutate Terms (see DESIGN.md §11). Excluding the matched-
 // results slice, a call on a warm index performs zero heap allocations —
 // the document view is memoized, the scratch pooled, and filters are
-// returned without cloning. It does not count the document into the
-// document frequencies: MatchTerms serves an arrival, MatchTerm only a probe.
+// returned without cloning.
 func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, MatchStats, error) {
-	return ix.matchTerm(d, term, false)
-}
-
-// matchTerm is MatchTerm; count counts the document's arrival.
-func (ix *Index) matchTerm(d *model.Document, term string, count bool) ([]model.Filter, MatchStats, error) {
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
 	terms := [1]string{term}
-	sc.begin(ix.dict, view, terms[:], count)
+	sc.begin(ix.dict, view, terms[:])
 	defer sc.release()
 	tid := sc.terms[0]
 	if tid == noTerm {
@@ -398,23 +346,18 @@ func (ix *Index) matchTerm(d *model.Document, term string, count bool) ([]model.
 // list retrievals and entry scans, which coalescing does not change — only
 // the RPCs around them).
 //
-// A call is one document's arrival at the node: it counts the document, and
-// each of its terms some filter here has named, into the document
-// frequencies MatchThreshold scores weigh by, before it scores — so a node
-// makes one call per document.
-//
 // Returned filters are immutable shard snapshots; callers must not mutate
 // Terms (DESIGN.md §11).
 func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats, error) {
 	if len(terms) == 1 {
 		// Single-term frames keep MatchTerm's lazy exact-size allocation.
-		return ix.matchTerm(d, terms[0], true)
+		return ix.MatchTerm(d, terms[0])
 	}
 	phase := ix.coverIDs.enter()
 	defer ix.coverIDs.exit(phase)
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
-	sc.begin(ix.dict, view, terms, true)
+	sc.begin(ix.dict, view, terms)
 	defer sc.release()
 	r := matchRun{ix: ix, sc: sc, view: view, multi: true}
 	evalTm := ix.evalH.Start()

@@ -128,8 +128,7 @@ func TestMatchSIFTSteadyStateAllocs(t *testing.T) {
 // its entry to a bitmap container, and the repository benchmark's
 // match_heavy shape — a 65-term document, half of its terms unknown to the
 // dictionary, against MatchAll singleton covers of three and four terms,
-// each reached under two of the queried terms — and threshold covers, each
-// scored over its term IDs' document frequencies, which every call counts.
+// each reached under two of the queried terms.
 func TestMatchTermsZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -175,10 +174,6 @@ func TestMatchTermsZeroAllocs(t *testing.T) {
 			}
 			return model.Filter{Terms: terms, Mode: model.MatchAll}, terms[:2]
 		}, 128, 0, mhDoc, mhDoc.Terms, 256},
-		{"threshold", func(i int) (model.Filter, []string) {
-			terms := []string{"absent-" + strconv.Itoa(i), "hot"}
-			return model.Filter{Terms: terms, Mode: model.MatchThreshold, Threshold: 0.9}, []string{"hot"}
-		}, 128, 0, allocDoc(24), []string{"hot", "term-1"}, 128},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix := newIndex(t)

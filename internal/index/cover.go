@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,7 @@ import (
 
 // A cover is the index's unit of posting storage: the group of
 // all registered filters sharing one canonical predicate signature (match
-// mode, threshold, term set). Instead of one posting entry per filter per
+// mode, term set). Instead of one posting entry per filter per
 // term, the aggregated index stores one (term, cover) entry whose slotSet
 // records which members were posted under that term; the cover itself is
 // the expansion table mapping that compressed entry back to concrete filter
@@ -35,8 +34,7 @@ type cover struct {
 	// flags is the lock-free summary the match path reads: the match mode
 	// (immutable), the retired mark and the member count above them. Stored
 	// under mu, loaded without it.
-	flags     atomic.Uint32
-	threshold float64
+	flags atomic.Uint32
 	// ids is the predicate as the match path evaluates it: the term set as
 	// sorted, deduplicated dictionary IDs. Immutable. They are also the terms
 	// the cover has posting entries under, but for the rare extra ones
@@ -98,16 +96,15 @@ func (c *cover) members() int {
 	return int(c.flags.Load() >> coverCountShift)
 }
 
-// sigHash hashes a cover's canonical signature — mode, threshold and the
-// sorted term IDs — with FNV-1a over the integers themselves. Its low bits
-// pick the signature shard, the whole value keys the shard's table.
-func sigHash(mode model.MatchMode, threshold float64, ids []uint32) uint64 {
+// sigHash hashes a cover's canonical signature — mode and the sorted term
+// IDs — with FNV-1a over the integers themselves. Its low bits pick the
+// signature shard, the whole value keys the shard's table.
+func sigHash(mode model.MatchMode, ids []uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := (uint64(offset64) ^ uint64(mode)) * prime64
-	h = (h ^ math.Float64bits(threshold)) * prime64
 	for _, id := range ids {
 		h = (h ^ uint64(id)) * prime64
 	}
@@ -122,10 +119,9 @@ type coverSigShard struct {
 	covers map[uint64]*cover
 }
 
-// hasSig reports whether c's signature is exactly this one — the threshold
-// bit for bit: a member's Threshold is read back from its cover.
-func (c *cover) hasSig(mode model.MatchMode, threshold float64, ids []uint32) bool {
-	return c.mode() == mode && math.Float64bits(c.threshold) == math.Float64bits(threshold) && slices.Equal(c.ids, ids)
+// hasSig reports whether c's signature is exactly this one.
+func (c *cover) hasSig(mode model.MatchMode, ids []uint32) bool {
+	return c.mode() == mode && slices.Equal(c.ids, ids)
 }
 
 // names reports whether term ID tid is one of the cover's terms.
@@ -280,20 +276,19 @@ func (ix *Index) coverOf(f *model.Filter, create bool) *cover {
 	}
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
-	h := sigHash(f.Mode, f.Threshold, ids)
+	h := sigHash(f.Mode, ids)
 	sh := ix.sigShard(h)
 	sh.mu.Lock()
 	c := sh.covers[h]
-	for c != nil && !c.hasSig(f.Mode, f.Threshold, ids) {
+	for c != nil && !c.hasSig(f.Mode, ids) {
 		c = c.next
 	}
 	if c == nil && create {
 		c = &cover{
-			id:        ix.coverIDs.take(),
-			threshold: f.Threshold,
-			ids:       slices.Clone(ids),
-			terms:     ix.dict.canonical(ids),
-			next:      sh.covers[h],
+			id:    ix.coverIDs.take(),
+			ids:   slices.Clone(ids),
+			terms: ix.dict.canonical(ids),
+			next:  sh.covers[h],
 		}
 		c.flags.Store(uint32(f.Mode) & coverModeMask)
 		sh.covers[h] = c
@@ -334,7 +329,7 @@ func (ix *Index) joinCover(f *model.Filter, id model.FilterID) (*cover, int32) {
 // join it afterwards (joinCover retries on the mark), and its ID goes back to
 // the pool.
 func (ix *Index) leave(c *cover, slot int32) {
-	h := sigHash(c.mode(), c.threshold, c.ids)
+	h := sigHash(c.mode(), c.ids)
 	sh := ix.sigShard(h)
 	sh.mu.Lock()
 	c.mu.Lock()

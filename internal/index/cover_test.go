@@ -67,11 +67,10 @@ func (p *enginePair) unregister(t *testing.T, id model.FilterID) {
 	p.ref.unregister(id)
 }
 
-// arrive is one document's arrival on both sides — MatchTerms over all of
-// its terms, which counts it into the document frequencies — and fails on
-// any divergence in the sorted match set or the stats. It returns the
+// matchDoc runs MatchTerms over all of doc's terms on both sides and fails
+// on any divergence in the sorted match set or the stats. It returns the
 // index's result.
-func (p *enginePair) arrive(t *testing.T, doc *model.Document) ([]model.Filter, MatchStats) {
+func (p *enginePair) matchDoc(t *testing.T, doc *model.Document) ([]model.Filter, MatchStats) {
 	t.Helper()
 	m, st, err := p.ix.MatchTerms(doc, doc.Terms)
 	if err != nil {
@@ -85,9 +84,8 @@ func (p *enginePair) arrive(t *testing.T, doc *model.Document) ([]model.Filter, 
 	return m, st
 }
 
-// compareAll matches doc through MatchTerm (for every doc term, probes that
-// count nothing) and then arrives it (arrive) on both sides and fails on any
-// divergence in the sorted match set or the stats, or in the counters; then
+// compareAll matches doc through MatchTerm (for every doc term) and then
+// MatchTerms (matchDoc) on both sides and fails on any divergence in the sorted match set or the stats, or in the counters; then
 // PostedUnder must name the same lists on both for every ID the document's
 // terms reach. It returns the index's MatchTerms result.
 func (p *enginePair) compareAll(t *testing.T, doc *model.Document) ([]model.Filter, MatchStats) {
@@ -103,7 +101,7 @@ func (p *enginePair) compareAll(t *testing.T, doc *model.Document) ([]model.Filt
 				doc.Terms, term, m, st, rm, rst)
 		}
 	}
-	m, st := p.arrive(t, doc)
+	m, st := p.matchDoc(t, doc)
 	if a, r := p.ix.NumFilters(), p.ref.numFilters(); a != r {
 		t.Fatalf("NumFilters diverged: index=%d ref=%d", a, r)
 	}
@@ -434,19 +432,21 @@ func TestCoverShapes(t *testing.T) {
 		}
 	})
 
-	t.Run("threshold-read-back", func(t *testing.T) {
-		// Mode and Threshold come back from the cover, whatever the mode.
+	t.Run("mode-read-back", func(t *testing.T) {
+		// Mode comes back from the cover: one term set under two modes is two
+		// covers, and each member reads its own back.
 		p := newEnginePair(t)
-		odd := allFilter(1, "a", "b")
-		odd.Threshold = 0.25
-		p.register(t, odd, []string{"a"})
-		p.register(t, allFilter(2, "a", "b"), []string{"a"})
-		thr := model.Filter{ID: 3, Subscriber: "s", Terms: []string{"a", "b"}, Mode: model.MatchThreshold, Threshold: 0.25}
-		p.register(t, thr, []string{"a"})
-		p.arrive(t, docs[1])
+		p.register(t, allFilter(1, "a", "b"), []string{"a"})
+		p.register(t, anyFilter(2, "a", "b"), []string{"a"})
+		p.register(t, allFilter(3, "a", "b"), []string{"a"})
 		check(t, p)
-		if f, _, _ := p.ix.GetFilter(1); f.Threshold != 0.25 || f.Mode != model.MatchAll {
-			t.Fatalf("GetFilter(1) = %+v, want MatchAll with threshold 0.25", f)
+		if cs := p.ix.CoverStats(); cs.Covers != 2 {
+			t.Fatalf("Covers = %d, want 2", cs.Covers)
+		}
+		for id, want := range map[model.FilterID]model.MatchMode{1: model.MatchAll, 2: model.MatchAny, 3: model.MatchAll} {
+			if f, _, _ := p.ix.GetFilter(id); f.Mode != want {
+				t.Fatalf("GetFilter(%v) = %+v, want mode %v", id, f, want)
+			}
 		}
 	})
 }
@@ -634,8 +634,8 @@ func TestCoverSplitMergeInterleavings(t *testing.T) {
 
 // TestAggRefOracleQuick is the random-walk half of the battery: a
 // testing/quick property driving long random interleavings of register
-// (fresh and re-register), unregister, EnsureRegistered replay and arrivals
-// into the index and the reference with match comparison on random
+// (fresh and re-register), unregister, EnsureRegistered replay and
+// multi-term matches into the index and the reference with match comparison on random
 // documents after every mutation batch.
 func TestAggRefOracleQuick(t *testing.T) {
 	vocab := make([]string, 20)
@@ -662,14 +662,9 @@ func TestAggRefOracleQuick(t *testing.T) {
 				Subscriber: fmt.Sprintf("s%d", rng.Intn(4)),
 				Terms:      pick(1 + rng.Intn(3)),
 			}
-			switch rng.Intn(3) {
-			case 0:
-				f.Mode = model.MatchAny
-			case 1:
+			f.Mode = model.MatchAny
+			if rng.Intn(2) == 1 {
 				f.Mode = model.MatchAll
-			default:
-				f.Mode = model.MatchThreshold
-				f.Threshold = 0.2 + 0.6*rng.Float64()
 			}
 			return f
 		}
@@ -694,9 +689,9 @@ func TestAggRefOracleQuick(t *testing.T) {
 			case op == 8 && len(ids) > 0: // migration replay
 				f := randFilter(ids[rng.Intn(len(ids))])
 				p.ensure(t, f, f.Terms)
-			case op == 9: // an arrival alone: document frequencies move
+			case op == 9: // a multi-term match alone
 				d := model.Document{ID: uint64(step), Terms: pick(1 + rng.Intn(5))}
-				p.arrive(t, &d)
+				p.matchDoc(t, &d)
 			default: // match and compare
 				d := model.Document{ID: uint64(step), Terms: pick(1 + rng.Intn(5))}
 				p.compareAll(t, &d)
@@ -748,7 +743,7 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	}
 
 	agg2, _ := openDurable(t, dir, store.Options{})
-	p2 := &enginePair{ix: agg2, ref: p.ref.restarted()}
+	p2 := &enginePair{ix: agg2, ref: p.ref}
 	if a, r := agg2.NumPostings(), p2.ref.numPostings; a != r {
 		t.Fatalf("recovered NumPostings diverged: index=%d ref=%d", a, r)
 	}
@@ -937,7 +932,7 @@ func TestCoverSigCollisionChain(t *testing.T) {
 	if ca == nil || cb == nil || ca == cb {
 		t.Fatalf("covers = %p, %p; want two distinct covers", ca, cb)
 	}
-	h := sigHash(ca.mode(), ca.threshold, ca.ids)
+	h := sigHash(ca.mode(), ca.ids)
 	sh := &ix.sig[h&shardMask]
 	foreign := &cover{id: ix.coverIDs.take(), ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
 	foreign.flags.Store(uint32(cb.mode()))
@@ -949,7 +944,7 @@ func TestCoverSigCollisionChain(t *testing.T) {
 		t.Fatalf("RepFor = %v,%v, want f1", rep, ok)
 	}
 	// Same terms, other mode: a different signature.
-	if ca.hasSig(model.MatchAll, 0, ca.ids) || !ca.hasSig(model.MatchAny, 0, ca.ids) {
+	if ca.hasSig(model.MatchAll, ca.ids) || !ca.hasSig(model.MatchAny, ca.ids) {
 		t.Fatal("hasSig does not tell MatchAll{a,b} from MatchAny{a,b}")
 	}
 }

@@ -1,11 +1,9 @@
 package index
 
 import (
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // termDict is the index's node-local term dictionary: every
@@ -21,22 +19,12 @@ import (
 // store carries them, and a restarted node assigns fresh ones while it
 // reloads. They are never reclaimed — the dictionary is bounded by the
 // number of distinct filter terms ever registered on the node, not by the
-// live filter count (DESIGN.md §11).
-//
-// The dictionary also keeps the document frequencies MatchThreshold scores
-// weigh terms by. A term's df is the number of documents that reached the
-// node after a filter here named it, and docs is the number of documents
-// that reached it: a document is counted by the MatchTerms call that serves
-// its arrival, in the same pass that reduces it to IDs, one counter per term
-// the dictionary holds. A term no filter names costs nothing.
+// live filter count (DESIGN.md §11). A match reads the dictionary and
+// writes nothing to it.
 type termDict struct {
 	mu    sync.RWMutex
 	ids   map[string]uint32
 	terms []string
-	// df[id] is the document frequency of terms[id]; grown beside terms
-	// under mu, counted atomically under its read lock.
-	df   []int64
-	docs atomic.Int64
 }
 
 // noTerm marks a term the dictionary has never seen: no filter names it,
@@ -62,7 +50,6 @@ func (d *termDict) intern(term string) uint32 {
 	term = strings.Clone(term)
 	id := uint32(len(d.terms))
 	d.terms = append(d.terms, term)
-	d.df = append(d.df, 0)
 	d.ids[term] = id
 	return id
 }
@@ -104,27 +91,6 @@ func (d *termDict) lookup(term string) uint32 {
 		return noTerm
 	}
 	return id
-}
-
-// idf is the smoothed inverse document frequency of a term with document
-// frequency df among docs documents: ln(1 + docs / (1 + df)). The smoothing
-// keeps a term no document has held yet finite and positive, so a filter
-// registered on a cold node still scores.
-func idf(docs, df int64) float64 {
-	return math.Log(1 + float64(docs)/(1+float64(df)))
-}
-
-// IDF returns term's inverse document frequency on this node (idf above): a
-// term no filter here has named counts no document.
-func (ix *Index) IDF(term string) float64 {
-	d := ix.dict
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var df int64
-	if id, ok := d.ids[term]; ok {
-		df = atomic.LoadInt64(&d.df[id])
-	}
-	return idf(d.docs.Load(), df)
 }
 
 // size returns the number of IDs assigned.

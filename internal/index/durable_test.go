@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/store"
 	"github.com/movesys/move/internal/testutil"
@@ -369,5 +371,58 @@ func TestSubscriberNamesShared(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(subCache{}); size > 80<<10 {
 		t.Errorf("the subscriber cache is %d bytes, want a small constant", size)
+	}
+}
+
+// TestLoadsFilterValueWithTrailingFloat: a data directory whose filter
+// values carry an 8-byte float after the mode byte — the layout filters were
+// stored in while a score threshold was part of them — loads as the same
+// MatchAny and MatchAll filters, posted as before, and matches.
+func TestLoadsFilterValueWithTrailingFloat(t *testing.T) {
+	dir := t.TempDir()
+	ix, s := openDurable(t, dir, store.Options{})
+	fs := []model.Filter{
+		{ID: 1, Subscriber: "alice", Terms: []string{"go", "news"}, Mode: model.MatchAny},
+		{ID: 2, Subscriber: "bob", Terms: []string{"go", "news"}, Mode: model.MatchAll},
+	}
+	cf, err := s.CF("filters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs {
+		if err := ix.Register(f, f.Terms); err != nil {
+			t.Fatal(err)
+		}
+		w := codec.NewWriter(64)
+		f.EncodeTo(w)
+		w.Float64(0)
+		var key [8]byte
+		binary.BigEndian.PutUint64(key[:], uint64(f.ID))
+		if err := cf.Put(string(key[:]), w.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, _ := openDurable(t, dir, store.Options{})
+	for _, f := range fs {
+		if got, ok, err := re.GetFilter(f.ID); err != nil || !ok || !reflect.DeepEqual(got, f) {
+			t.Fatalf("GetFilter(%v) after reload = %+v, %v, %v; want %+v", f.ID, got, ok, err, f)
+		}
+	}
+	for _, tc := range []struct {
+		terms []string
+		want  []model.FilterID
+	}{
+		{[]string{"go", "weather"}, []model.FilterID{1}},
+		{[]string{"go", "news"}, []model.FilterID{1, 2}},
+	} {
+		d := &model.Document{ID: 1, Terms: tc.terms}
+		matched, _, err := re.MatchTerms(d, d.Terms)
+		if err != nil || !slices.Equal(matchedIDs(matched), tc.want) {
+			t.Fatalf("MatchTerms(%v) after reload = %v, %v; want %v", tc.terms, matchedIDs(matched), err, tc.want)
+		}
 	}
 }

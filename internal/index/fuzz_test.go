@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -20,15 +21,14 @@ import (
 // cover's promotion from its inline member to a slot table and back to one
 // live member, slots vacated and reused under fresh-ID churn, a retired
 // cover's signature registered again, a retirement across a restart, and
-// threshold filters over terms documents carried before a filter named them.
+// MatchAll filters over terms documents carried before a filter named them.
 //
 // A second index — over a data directory — takes the same
-// operations, and every arrive op also flushes its store and reopens it: a
-// restart in the middle of a sequence must not change any later MatchStats,
-// boolean match, counter or posting choice. Document frequencies are not
-// persisted, so the reopened index is held to the reference as a restart
-// leaves it (refIndex.restarted), byte for byte, as the first index is to the
-// reference that never restarted.
+// operations, and every op 5 also flushes its store and reopens it: a
+// restart in the middle of a sequence must not change any later match set,
+// MatchStats, counter or posting choice. A verdict depends on the filter and
+// the document alone, so the reopened index is held byte for byte to the same
+// reference as before the restart, and to the index that never restarted.
 //
 // Byte grammar, per op: [opcode, args...] with opcode % 7 selecting
 //
@@ -36,7 +36,9 @@ import (
 //	2   unregister (id)
 //	3   ensure     (id, termMask, modeByte)
 //	4,6 match      (termMask)
-//	5   arrive     (termMask), then restart the durable index
+//	5   matchDoc   (termMask), then restart the durable index
+//
+// An even modeByte registers a MatchAny filter, an odd one a MatchAll filter.
 //
 // Opcode 4 was drop-term (termIndex), an operation the index no longer has.
 // It still takes one argument byte, read as a match's term mask, so every
@@ -51,9 +53,9 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	f.Add([]byte{0, 1, 0x03, 0, 0, 6, 0x03, 0, 1, 0x05, 0, 0, 6, 0x07, 0, 1, 0x03, 0, 0, 6, 0x03})
 	// Tombstone, migration replay under a new signature, match.
 	f.Add([]byte{0, 2, 0x0c, 2, 0, 2, 2, 3, 2, 0x06, 2, 6, 0x0e})
-	// Threshold-mode members of one cover, the second posted under one of its
-	// terms.
-	f.Add([]byte{5, 0x1f, 0, 3, 0x18, 2, 0, 6, 0x1f, 0, 4, 0x18, 2, 1, 6, 0x18})
+	// MatchAll members of one cover, registered after a document that held
+	// their terms, the second posted under one of its terms.
+	f.Add([]byte{5, 0x1f, 0, 3, 0x18, 1, 0, 6, 0x1f, 0, 4, 0x18, 1, 1, 6, 0x18})
 	// Two members of an {a,b} cover; one leaves for {c,d} posted under c,d
 	// only, taking its a,b bits along: match, unregister it, match,
 	// re-register it back, match.
@@ -83,44 +85,31 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// returns under one of its old posting terms, restart; the last
 	// member of the other cover leaves, restart.
 	f.Add([]byte{0, 1, 0x03, 0, 0, 0, 2, 0x0c, 1, 0, 2, 2, 5, 0x01, 6, 0x0f, 0, 2, 0x0c, 1, 1, 5, 0x02, 6, 0x0f, 2, 1, 5, 0x04, 6, 0x0f})
-	// Threshold filters weighing terms that documents carried before any
-	// filter named them, across restarts: a two-term filter, a three-term one
-	// posted under one term, a replayed one, an unregistration.
-	f.Add([]byte{5, 0x03, 6, 0x01, 0, 0, 0x03, 32, 0, 6, 0x02, 0, 1, 0x07, 14, 1, 5, 0x05, 6, 0x03, 6, 0x04, 6, 0x07, 3, 2, 0x06, 2, 6, 0x06, 2, 0, 5, 0x01, 6, 0x07})
+	// MatchAll filters over terms that documents carried before any filter
+	// named them, across restarts: a two-term filter, a three-term one posted
+	// under one term, a replayed one, an unregistration.
+	f.Add([]byte{5, 0x03, 6, 0x01, 0, 0, 0x03, 33, 0, 6, 0x02, 0, 1, 0x07, 15, 1, 5, 0x05, 6, 0x03, 6, 0x04, 6, 0x07, 3, 2, 0x06, 3, 6, 0x06, 2, 0, 5, 0x01, 6, 0x07})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		p := &enginePair{ix: newIndex(t), ref: newRefIndex()}
 		ix := p.ix
 		dir := t.TempDir()
 		dur, sd := openDurable(t, dir, store.Options{})
 		dp := &enginePair{ix: dur, ref: newRefIndex()}
-		// boolean is the sorted IDs of the MatchAny and MatchAll filters in
-		// fs: the matches a restart, which starts document frequencies over,
-		// must not change.
-		boolean := func(fs []model.Filter) []model.FilterID {
-			var ids []model.FilterID
-			for _, f := range fs {
-				if f.Mode != model.MatchThreshold {
-					ids = append(ids, f.ID)
-				}
-			}
-			slices.Sort(ids)
-			return ids
-		}
 		// compare checks each index against its reference, and the durable
-		// index's stats, boolean matches, counters and posting choices
-		// against the index's.
+		// index's match sets, stats, counters and posting choices against
+		// the index's.
 		compare := func(d *model.Document) {
 			t.Helper()
 			am, ast := p.compareAll(t, d)
 			dm, dst := dp.compareAll(t, d)
-			if ast != dst || !slices.Equal(boolean(am), boolean(dm)) {
+			if !bytes.Equal(encodeMatches(am, ast), encodeMatches(dm, dst)) {
 				t.Fatalf("MatchTerms(%v) after a restart: %v %+v, never restarted: %v %+v",
 					d.Terms, matchedIDs(dm), dst, matchedIDs(am), ast)
 			}
 			for _, term := range d.Terms {
 				am, ast, _ := ix.MatchTerm(d, term)
 				dm, dst, err := dur.MatchTerm(d, term)
-				if err != nil || ast != dst || !slices.Equal(boolean(am), boolean(dm)) {
+				if err != nil || !bytes.Equal(encodeMatches(am, ast), encodeMatches(dm, dst)) {
 					t.Fatalf("MatchTerm(%v, %q) after a restart: %v %+v (err %v), never restarted: %v %+v",
 						d.Terms, term, matchedIDs(dm), dst, err, matchedIDs(am), ast)
 				}
@@ -154,14 +143,9 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				Subscriber: "s",
 				Terms:      termsFromMask(mask),
 			}
-			switch modeByte % 3 {
-			case 0:
-				f.Mode = model.MatchAny
-			case 1:
+			f.Mode = model.MatchAny
+			if modeByte%2 == 1 {
 				f.Mode = model.MatchAll
-			default:
-				f.Mode = model.MatchThreshold
-				f.Threshold = 0.2 + float64(modeByte%60)/100
 			}
 			return f
 		}
@@ -214,13 +198,13 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				}
 				docID++
 				d := model.Document{ID: docID, Terms: termsFromMask(args[0])}
-				p.arrive(t, &d)
-				dp.arrive(t, &d)
+				p.matchDoc(t, &d)
+				dp.matchDoc(t, &d)
 				if err := sd.FlushAll(); err != nil {
 					t.Fatalf("durable index: %v", err)
 				}
 				dur, sd = openDurable(t, dir, store.Options{})
-				dp = &enginePair{ix: dur, ref: dp.ref.restarted()}
+				dp = &enginePair{ix: dur, ref: dp.ref}
 			case 4, 6:
 				args := take(1)
 				if args == nil {

@@ -183,10 +183,8 @@ func (s *MatchStats) Add(other MatchStats) {
 // evaluate applies the filter's matching semantics against the memoized
 // document view. Filters are short (2–3 terms, §VI.A), so membership
 // probes dominate: the view answers them map-free for short documents and
-// from its prebuilt set for wide ones, never allocating either way. A
-// threshold filter is scored over its terms' dictionary IDs, which its
-// registration interned.
-func (ix *Index) evaluate(f *model.Filter, sc *matchScratch, view *model.DocView) bool {
+// from its prebuilt set for wide ones, never allocating either way.
+func evaluate(f *model.Filter, view *model.DocView) bool {
 	switch f.Mode {
 	case model.MatchAny:
 		for _, t := range f.Terms {
@@ -202,13 +200,6 @@ func (ix *Index) evaluate(f *model.Filter, sc *matchScratch, view *model.DocView
 			}
 		}
 		return true
-	case model.MatchThreshold:
-		var idBuf [8]uint32
-		ids := idBuf[:0]
-		for _, t := range f.Terms {
-			ids = append(ids, ix.dict.lookup(t))
-		}
-		return sc.containment(ids) >= f.Threshold
 	default:
 		return false
 	}

@@ -143,40 +143,6 @@ func TestMatchAllSemantics(t *testing.T) {
 	}
 }
 
-func TestMatchThresholdSemantics(t *testing.T) {
-	ix := newIndex(t)
-	// Fifty arrivals before the filter registers: they count as documents,
-	// and their terms, which no filter names, count nothing.
-	for i := 0; i < 50; i++ {
-		d := &model.Document{ID: uint64(i), Terms: []string{"noise" + strconv.Itoa(i), "common"}}
-		if _, _, err := ix.MatchTerms(d, d.Terms); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := model.Filter{ID: 20, Terms: []string{"quantum", "computing"}, Mode: model.MatchThreshold, Threshold: 0.9}
-	if err := ix.Register(f, f.Terms); err != nil {
-		t.Fatal(err)
-	}
-
-	both := &model.Document{ID: 100, Terms: []string{"quantum", "computing", "common"}}
-	fs, _, err := ix.MatchTerm(both, "quantum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 {
-		t.Fatalf("threshold filter should match full coverage, got %v", fs)
-	}
-
-	one := &model.Document{ID: 101, Terms: []string{"quantum", "common"}}
-	fs, _, err = ix.MatchTerm(one, "quantum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Fatalf("threshold 0.9 must reject half coverage, got %v", fs)
-	}
-}
-
 // TestUnregisterDropsCandidateEagerly: an unregistered filter leaves its
 // posting list at once — a match neither scans nor evaluates it, and
 // NumPostings and PostedUnder stop counting it.

@@ -31,17 +31,12 @@ func randTerms(rng *rand.Rand, maxLen int) []string {
 	return terms
 }
 
-// randMode draws a matching mode; thresholds stay low enough that
-// MatchThreshold filters can fire.
-func randMode(rng *rand.Rand) (model.MatchMode, float64) {
-	switch rng.Intn(3) {
-	case 0:
-		return model.MatchAny, 0
-	case 1:
-		return model.MatchAll, 0
-	default:
-		return model.MatchThreshold, 0.2 + 0.5*rng.Float64()
+// randMode draws a matching mode.
+func randMode(rng *rand.Rand) model.MatchMode {
+	if rng.Intn(2) == 0 {
+		return model.MatchAny
 	}
+	return model.MatchAll
 }
 
 // TestMatchTermSubsetOfSIFT is the §III.B correctness property linking the
@@ -58,10 +53,9 @@ func TestMatchTermSubsetOfSIFT(t *testing.T) {
 		ix := newIndex(t)
 		numFilters := 1 + rng.Intn(30)
 		for i := 1; i <= numFilters; i++ {
-			mode, thr := randMode(rng)
 			f := model.Filter{
 				ID: model.FilterID(i), Subscriber: "s",
-				Terms: randTerms(rng, 4), Mode: mode, Threshold: thr,
+				Terms: randTerms(rng, 4), Mode: randMode(rng),
 			}
 			// Home-node style: posted under every one of its terms (the
 			// union property below needs each term's list to carry it).
@@ -70,9 +64,6 @@ func TestMatchTermSubsetOfSIFT(t *testing.T) {
 			}
 		}
 		doc := &model.Document{ID: uint64(seed)&0xffff + 1, Terms: randTerms(rng, 6)}
-		// The SIFT pass is the document's arrival and counts it into the
-		// document frequencies before it scores; the per-term probes after
-		// it count nothing, so both matchers see the same idf state.
 		siftMatches, _, err := ix.MatchTerms(doc, doc.Terms)
 		if err != nil {
 			t.Fatal(err)
@@ -119,10 +110,9 @@ func TestMatchTermsEquivalentToPerTermUnion(t *testing.T) {
 		ix := newIndex(t)
 		numFilters := 1 + rng.Intn(30)
 		for i := 1; i <= numFilters; i++ {
-			mode, thr := randMode(rng)
 			f := model.Filter{
 				ID: model.FilterID(i), Subscriber: "s",
-				Terms: randTerms(rng, 4), Mode: mode, Threshold: thr,
+				Terms: randTerms(rng, 4), Mode: randMode(rng),
 			}
 			if err := ix.Register(f, f.Terms); err != nil {
 				t.Fatal(err)
@@ -139,9 +129,6 @@ func TestMatchTermsEquivalentToPerTermUnion(t *testing.T) {
 			}
 		}
 
-		// The coalesced pass first: it is the document's arrival and counts
-		// it into the document frequencies, and the per-term probes after it
-		// count nothing, so threshold filters see identical idf state.
 		fs, st, err := ix.MatchTerms(doc, queried)
 		if err != nil {
 			t.Fatal(err)

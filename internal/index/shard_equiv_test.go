@@ -3,8 +3,6 @@ package index
 import (
 	"bytes"
 	"fmt"
-	"maps"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -23,21 +21,15 @@ import (
 // definition is the model.Filter itself — with the same evaluate logic and
 // the index's posting rules: re-registered with the same signature a filter
 // keeps the lists it was on, with another it is on the new posting terms'
-// lists alone; unregistered it is on none. Its document frequencies follow
-// the index's definition: matchTerms, a document's arrival, counts the
-// document, and each of its terms that some filter registered here has named
-// — as a term of its definition or one it was posted under — since that
-// registration; matchTerm, a probe, counts nothing. The equivalence batteries
-// (here, cover_test.go, fuzz_test.go) hold the sharded covering Index to
-// byte-identical results against it.
+// lists alone; unregistered it is on none. A verdict depends on the filter
+// and the document alone, so matching changes nothing here and a restart
+// from a flushed data directory recovers exactly this state. The equivalence
+// batteries (here, cover_test.go, fuzz_test.go) hold the sharded covering
+// Index to byte-identical results against it.
 type refIndex struct {
 	mu       sync.RWMutex
 	filters  map[model.FilterID]model.Filter
 	postings map[string][]model.FilterID
-	// named holds every term a registration has named; df counts them.
-	named map[string]struct{}
-	df    map[string]int64
-	docs  int64
 	// numPostings follows Index.NumPostings: the entries on all lists.
 	numPostings int
 }
@@ -46,38 +38,7 @@ func newRefIndex() *refIndex {
 	return &refIndex{
 		filters:  make(map[model.FilterID]model.Filter),
 		postings: make(map[string][]model.FilterID),
-		named:    make(map[string]struct{}),
-		df:       make(map[string]int64),
 	}
-}
-
-// name records terms as named by a registration. Caller holds r.mu.
-func (r *refIndex) name(terms []string) {
-	for _, t := range terms {
-		r.named[t] = struct{}{}
-	}
-}
-
-// idf is the index's inverse document frequency, ln(1 + N / (1 + df)),
-// written out over the reference's counts.
-func (r *refIndex) idf(term string) float64 {
-	return math.Log(1 + float64(r.docs)/(1+float64(r.df[term])))
-}
-
-// containment is Σ_{t ∈ f ∩ d} idf(t)² / Σ_{t ∈ f} idf(t)² over f's terms.
-func (r *refIndex) containment(docSet map[string]struct{}, terms []string) float64 {
-	var dot, norm float64
-	for _, t := range terms {
-		w := r.idf(t)
-		norm += w * w
-		if _, ok := docSet[t]; ok {
-			dot += w * w
-		}
-	}
-	if norm == 0 {
-		return 0
-	}
-	return dot / norm
 }
 
 // post appends id to the lists of terms it is not on yet. Caller holds
@@ -105,11 +66,11 @@ func (r *refIndex) unpost(id model.FilterID) {
 	}
 }
 
-// sameSignature reports whether a and b have one predicate: mode, threshold
-// bit for bit, and term set.
+// sameSignature reports whether a and b have one predicate: mode and term
+// set.
 func sameSignature(a, b *model.Filter) bool {
 	set := func(f *model.Filter) []string { return model.SortTerms(slices.Clone(f.Terms)) }
-	return a.Mode == b.Mode && math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) && slices.Equal(set(a), set(b))
+	return a.Mode == b.Mode && slices.Equal(set(a), set(b))
 }
 
 func (r *refIndex) register(f model.Filter, postingTerms []string) {
@@ -119,8 +80,6 @@ func (r *refIndex) register(f model.Filter, postingTerms []string) {
 		r.unpost(f.ID)
 	}
 	r.filters[f.ID] = f.Clone()
-	r.name(f.Terms)
-	r.name(postingTerms)
 	r.post(f.ID, postingTerms)
 }
 
@@ -131,10 +90,8 @@ func (r *refIndex) ensure(f model.Filter, postingTerms []string) (created bool) 
 	defer r.mu.Unlock()
 	if _, ok := r.filters[f.ID]; !ok {
 		r.filters[f.ID] = f.Clone()
-		r.name(f.Terms)
 		created = true
 	}
-	r.name(postingTerms)
 	r.post(f.ID, postingTerms)
 	return created
 }
@@ -152,27 +109,7 @@ func (r *refIndex) numFilters() int {
 	return len(r.filters)
 }
 
-// restarted is what a restart from a flushed data directory recovers: every
-// definition and posting entry, and no document frequencies (they are not
-// persisted) — the terms named from then on are those of the recovered
-// definitions and posting lists.
-func (r *refIndex) restarted() *refIndex {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	re := newRefIndex()
-	re.filters = maps.Clone(r.filters)
-	for _, f := range re.filters {
-		re.name(f.Terms)
-	}
-	for t, ids := range r.postings {
-		re.postings[t] = slices.Clone(ids)
-		re.numPostings += len(ids)
-		re.named[t] = struct{}{}
-	}
-	return re
-}
-
-func (r *refIndex) evaluate(f *model.Filter, docSet map[string]struct{}) bool {
+func evaluateRef(f *model.Filter, docSet map[string]struct{}) bool {
 	switch f.Mode {
 	case model.MatchAny:
 		for _, t := range f.Terms {
@@ -188,38 +125,22 @@ func (r *refIndex) evaluate(f *model.Filter, docSet map[string]struct{}) bool {
 			}
 		}
 		return true
-	case model.MatchThreshold:
-		return r.containment(docSet, f.Terms) >= f.Threshold
 	default:
 		return false
 	}
 }
 
 func (r *refIndex) matchTerm(d *model.Document, term string) ([]model.Filter, MatchStats) {
-	return r.match(d, []string{term}, false)
+	return r.matchTerms(d, []string{term})
 }
 
-// matchTerms is a document's arrival: it counts d, then matches it.
-func (r *refIndex) matchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats) {
-	return r.match(d, terms, true)
-}
-
-// match reads the posting list of every term in order, evaluating each
+// matchTerms reads the posting list of every term in order, evaluating each
 // filter it reaches once; over all of d's terms it is the SIFT matcher.
-// count first counts d into the document frequencies.
-func (r *refIndex) match(d *model.Document, terms []string, count bool) ([]model.Filter, MatchStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *refIndex) matchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var st MatchStats
 	docSet := d.TermSet()
-	if count {
-		r.docs++
-		for t := range docSet {
-			if _, ok := r.named[t]; ok {
-				r.df[t]++
-			}
-		}
-	}
 	seen := make(map[model.FilterID]struct{})
 	var matched []model.Filter
 	for _, term := range terms {
@@ -238,7 +159,7 @@ func (r *refIndex) match(d *model.Document, terms []string, count bool) ([]model
 				continue
 			}
 			st.Evaluated++
-			if r.evaluate(&f, docSet) {
+			if evaluateRef(&f, docSet) {
 				matched = append(matched, f)
 			}
 		}
@@ -277,7 +198,7 @@ func encodeMatches(matched []model.Filter, st MatchStats) []byte {
 }
 
 // TestShardedMatchesReferenceByteIdentical drives random workloads
-// (register / unregister / arrival, across all three match modes) into the
+// (register / unregister / match, across both match modes) into the
 // sharded Index and the single-lock reference, then compares MatchTerm and
 // MatchTerms over every document term byte-for-byte on random documents.
 // The subtest names the aggregated (covering) engine that index.New builds.
@@ -327,14 +248,9 @@ func checkShardedMatchesReference(t *testing.T) {
 					Terms:      pick(1 + rng.Intn(3)),
 				}
 				nextID++
-				switch rng.Intn(3) {
-				case 0:
-					f.Mode = model.MatchAny
-				case 1:
+				f.Mode = model.MatchAny
+				if rng.Intn(2) == 1 {
 					f.Mode = model.MatchAll
-				default:
-					f.Mode = model.MatchThreshold
-					f.Threshold = 0.2 + 0.6*rng.Float64()
 				}
 				postingTerms := f.Terms
 				if len(f.Terms) > 1 && rng.Intn(2) == 0 {
@@ -351,7 +267,7 @@ func checkShardedMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: unregister: %v", seed, step, err)
 				}
 				ref.unregister(id)
-			case op == 6: // an arrival alone: document frequencies move
+			case op == 6: // a multi-term match alone
 				doc := model.Document{ID: uint64(step), Terms: pick(1 + rng.Intn(5))}
 				gotM, gotSt, err := ix.MatchTerms(&doc, doc.Terms)
 				if err != nil {
@@ -407,11 +323,10 @@ func checkShardedMatchesReference(t *testing.T) {
 // churners register fresh IDs into the registrars' covers and take them out
 // again, so slots are vacated and reused under the matchers, and register and
 // unregister the only member of two-term covers, so covers retire and their
-// IDs come back for others, and a namer registers threshold filters over
-// terms no filter named before, so the dictionary and its document
-// frequencies grow under matchers counting arrivals into them — and the final
-// state must reflect every registration that wasn't removed, and every
-// arrival be counted: N all of them, the anchor term's df each that held it.
+// IDs come back for others, and a namer registers MatchAll filters over
+// terms no filter named before, so the dictionary grows under matchers
+// reading it — and the final state must reflect every registration that
+// wasn't removed.
 func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	st, err := store.Open("", store.Options{})
 	if err != nil {
@@ -433,11 +348,6 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	for i := range terms {
 		terms[i] = fmt.Sprintf("w%d", i)
 	}
-	const anchorID = model.FilterID(900000)
-	if err := ix.Register(model.Filter{ID: anchorID, Subscriber: "anchor", Terms: []string{"anchor"}, Mode: model.MatchAny}, []string{"anchor"}); err != nil {
-		t.Fatal(err)
-	}
-	var arrivals, anchored atomic.Int64
 	var named atomic.Int64 // the namer's last fresh term
 	var writerWg, matcherWg sync.WaitGroup
 	stop := make(chan struct{})
@@ -448,7 +358,7 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 		for i := 1; i <= perNamer+1; i++ {
 			id := model.FilterID(200000 + i)
 			if i <= perNamer {
-				f := model.Filter{ID: id, Subscriber: "namer", Terms: model.SortTerms([]string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}), Mode: model.MatchThreshold, Threshold: 0.5}
+				f := model.Filter{ID: id, Subscriber: "namer", Terms: model.SortTerms([]string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}), Mode: model.MatchAll}
 				if err := ix.Register(f, f.Terms[:1]); err != nil {
 					t.Errorf("register %v: %v", id, err)
 					return
@@ -472,17 +382,15 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 			default:
 			}
 			n := named.Load()
-			doc := model.Document{ID: 2, Terms: model.SortTerms([]string{"anchor", fmt.Sprintf("n%d", n), fmt.Sprintf("n%d", n+1), terms[rng.Intn(len(terms))]})}
+			doc := model.Document{ID: 2, Terms: model.SortTerms([]string{fmt.Sprintf("n%d", n), fmt.Sprintf("n%d", n+1), terms[rng.Intn(len(terms))]})}
 			fs, _, err := ix.MatchTerms(&doc, doc.Terms)
 			if err != nil {
 				t.Errorf("match terms: %v", err)
 				return
 			}
-			arrivals.Add(1)
-			anchored.Add(1)
 			docSet := doc.TermSet()
 			for i := range fs {
-				if !slices.ContainsFunc(fs[i].Terms, func(t string) bool { _, ok := docSet[t]; return ok }) {
+				if !evaluateRef(&fs[i], docSet) {
 					t.Errorf("phantom match: %+v for document %v", fs[i], doc.Terms)
 					return
 				}
@@ -554,16 +462,14 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 				doc := model.Document{ID: 1, Terms: []string{terms[rng.Intn(len(terms))], terms[rng.Intn(len(terms))]}}
 				doc.Terms = model.SortTerms(doc.Terms)
 				docSet := doc.TermSet()
-				ref := newRefIndex()
 				for _, query := range [][]string{doc.Terms[:1], doc.Terms} {
 					fs, _, err := ix.MatchTerms(&doc, query)
 					if err != nil {
 						t.Errorf("match terms: %v", err)
 						return
 					}
-					arrivals.Add(1)
 					for i := range fs {
-						if !ref.evaluate(&fs[i], docSet) {
+						if !evaluateRef(&fs[i], docSet) {
 							t.Errorf("phantom match: %+v for document %v", fs[i], doc.Terms)
 							return
 						}
@@ -575,13 +481,6 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	writerWg.Wait()
 	close(stop)
 	matcherWg.Wait()
-
-	if n, a := arrivals.Load(), anchored.Load(); ix.IDF("anchor") != math.Log(1+float64(n)/(1+float64(a))) {
-		t.Fatalf("IDF(anchor) = %v after %d arrivals, %d of them holding it: want %v", ix.IDF("anchor"), n, a, math.Log(1+float64(n)/(1+float64(a))))
-	}
-	if err := ix.Unregister(anchorID); err != nil {
-		t.Fatal(err)
-	}
 
 	if got, want := ix.NumFilters(), writers*perWriter; got != want {
 		t.Fatalf("NumFilters after quiesce = %d, want %d", got, want)

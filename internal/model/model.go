@@ -23,19 +23,16 @@ func (id FilterID) String() string { return "f" + strconv.FormatUint(uint64(id),
 // MatchMode selects the matching semantics between a document and a filter.
 type MatchMode int
 
-// Matching semantics. The paper's default is boolean OR ("we say that d
-// successfully matches f if there is a term t that appears inside both d
-// and f", §III.A); AND and similarity-threshold semantics are the "more
-// involved matching semantics" extension it mentions (following SIFT [25]
-// and STAIRS [17]).
+// Matching semantics: boolean keyword filters. The paper's default is
+// boolean OR ("we say that d successfully matches f if there is a term t that
+// appears inside both d and f", §III.A); AND is the conjunctive form of the
+// same predicate. Either verdict depends on the filter and the document
+// alone, never on which node evaluates it.
 const (
 	// MatchAny matches when at least one filter term occurs in the document.
 	MatchAny MatchMode = iota + 1
 	// MatchAll matches when every filter term occurs in the document.
 	MatchAll
-	// MatchThreshold matches when the VSM relevance score between document
-	// and filter reaches the filter's threshold.
-	MatchThreshold
 )
 
 // String returns the mode name.
@@ -45,8 +42,6 @@ func (m MatchMode) String() string {
 		return "any"
 	case MatchAll:
 		return "all"
-	case MatchThreshold:
-		return "threshold"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -59,8 +54,6 @@ type Filter struct {
 	Subscriber string
 	Terms      []string
 	Mode       MatchMode
-	// Threshold is the minimum VSM score for MatchThreshold filters.
-	Threshold float64
 }
 
 // Validation errors.
@@ -78,10 +71,6 @@ func (f *Filter) Validate() error {
 	}
 	switch f.Mode {
 	case MatchAny, MatchAll:
-	case MatchThreshold:
-		if f.Threshold <= 0 || f.Threshold > 1 {
-			return fmt.Errorf("filter %s: threshold %v outside (0,1]: %w", f.ID, f.Threshold, ErrBadMode)
-		}
 	default:
 		return fmt.Errorf("filter %s: %w: %v", f.ID, ErrBadMode, f.Mode)
 	}
@@ -136,10 +125,12 @@ func (f *Filter) EncodeTo(w *codec.Writer) {
 	w.String(f.Subscriber)
 	w.StringSlice(f.Terms)
 	w.Uint8(uint8(f.Mode))
-	w.Float64(f.Threshold)
 }
 
-// DecodeFilter parses a filter from r.
+// DecodeFilter parses a filter from r. Bytes after the mode byte are left
+// unread, so a stored value that carries an 8-byte float there (data
+// directories written while filters had a score threshold) decodes as the
+// same filter.
 func DecodeFilter(r *codec.Reader) (Filter, error) {
 	var f Filter
 	id, err := r.Uvarint()
@@ -157,9 +148,10 @@ func DecodeFilter(r *codec.Reader) (Filter, error) {
 	if err != nil {
 		return f, fmt.Errorf("model: filter mode: %w", err)
 	}
-	f.Mode = MatchMode(mode)
-	if f.Threshold, err = r.Float64(); err != nil {
-		return f, fmt.Errorf("model: filter threshold: %w", err)
+	// An unknown mode ends the decode, so the bytes after it — the 8-byte
+	// score a mode-3 filter carries — are never read as this layout.
+	if f.Mode = MatchMode(mode); f.Mode != MatchAny && f.Mode != MatchAll {
+		return f, fmt.Errorf("model: filter %s: %w: %v", f.ID, ErrBadMode, f.Mode)
 	}
 	return f, nil
 }

@@ -17,11 +17,9 @@ func TestFilterValidate(t *testing.T) {
 	}{
 		{"ok-any", Filter{ID: 1, Terms: []string{"a"}, Mode: MatchAny}, nil},
 		{"ok-all", Filter{ID: 2, Terms: []string{"a", "b"}, Mode: MatchAll}, nil},
-		{"ok-threshold", Filter{ID: 3, Terms: []string{"a"}, Mode: MatchThreshold, Threshold: 0.4}, nil},
 		{"no-terms", Filter{ID: 4, Mode: MatchAny}, ErrNoTerms},
 		{"bad-mode", Filter{ID: 5, Terms: []string{"a"}}, ErrBadMode},
-		{"bad-threshold-zero", Filter{ID: 6, Terms: []string{"a"}, Mode: MatchThreshold}, ErrBadMode},
-		{"bad-threshold-high", Filter{ID: 7, Terms: []string{"a"}, Mode: MatchThreshold, Threshold: 1.5}, ErrBadMode},
+		{"mode-3", Filter{ID: 6, Terms: []string{"a"}, Mode: 3}, ErrBadMode},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -48,7 +46,7 @@ func TestDocumentValidate(t *testing.T) {
 }
 
 func TestFilterEncodeDecode(t *testing.T) {
-	f := Filter{ID: 99, Subscriber: "bob", Terms: []string{"cloud", "db"}, Mode: MatchThreshold, Threshold: 0.7}
+	f := Filter{ID: 99, Subscriber: "bob", Terms: []string{"cloud", "db"}, Mode: MatchAll}
 	got, err := DecodeFilter(codec.NewReader(f.Encode()))
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +107,7 @@ func TestSortTerms(t *testing.T) {
 }
 
 func TestModeAndIDStrings(t *testing.T) {
-	if MatchAny.String() != "any" || MatchAll.String() != "all" || MatchThreshold.String() != "threshold" {
+	if MatchAny.String() != "any" || MatchAll.String() != "all" || MatchMode(3).String() != "mode(3)" {
 		t.Fatal("mode names wrong")
 	}
 	if MatchMode(9).String() != "mode(9)" {
@@ -121,17 +119,19 @@ func TestModeAndIDStrings(t *testing.T) {
 }
 
 // TestFilterRoundTripProperty: encode/decode is the identity on arbitrary
-// filters.
+// filters of a known mode, and refuses modes 0 and 3 with ErrBadMode.
 func TestFilterRoundTripProperty(t *testing.T) {
-	prop := func(id uint64, sub string, terms []string, mode uint8, thr float64) bool {
+	prop := func(id uint64, sub string, terms []string, mode uint8) bool {
 		f := Filter{
 			ID:         FilterID(id),
 			Subscriber: sub,
 			Terms:      terms,
-			Mode:       MatchMode(mode),
-			Threshold:  thr,
+			Mode:       MatchMode(mode % 4),
 		}
 		got, err := DecodeFilter(codec.NewReader(f.Encode()))
+		if f.Mode != MatchAny && f.Mode != MatchAll {
+			return errors.Is(err, ErrBadMode)
+		}
 		if err != nil {
 			return false
 		}
@@ -146,8 +146,7 @@ func TestFilterRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		// NaN thresholds cannot compare equal; skip the comparison then.
-		return thr != thr || got.Threshold == f.Threshold
+		return true
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -257,9 +257,7 @@ func equalMatchSets(a, b []Match) bool {
 // TestPublishEntryCoalescedMatchesPerTermOracle drives randomized filter
 // sets and documents through the coalesced entry path and the per-term
 // oracle on a healthy cluster (no grids) and requires exact observable
-// equality. Threshold filters are excluded: the two framings legitimately
-// count a document's arrival a different number of times, and scoring by
-// document frequency is covered at the index layer instead.
+// equality.
 func TestPublishEntryCoalescedMatchesPerTermOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := newHarness(t, 6)

@@ -522,7 +522,7 @@ func (n *Node) declineRegister(req RegisterReq) error {
 // sameDefinition reports whether a and b, two filters of one ID, match the
 // same documents for the same subscriber.
 func sameDefinition(a, b *model.Filter) bool {
-	return a.Mode == b.Mode && a.Threshold == b.Threshold && a.Subscriber == b.Subscriber && slices.Equal(a.Terms, b.Terms)
+	return a.Mode == b.Mode && a.Subscriber == b.Subscriber && slices.Equal(a.Terms, b.Terms)
 }
 
 // conjunctiveKey picks the one term of terms — the share of a MatchAll
@@ -920,10 +920,10 @@ func (n *Node) sendPublish(ctx context.Context, to ring.NodeID, local bool, doc 
 
 // matchLocalTerms runs the multi-term matcher over one decoded document and
 // accounts the work. One frame is one document arrival, so DocsProcessed
-// and the index's document frequencies (MatchTerms) count it once however
-// many terms it carries (the per-term path charged one per routed term — an artifact of
-// its framing, not of the workload). TermsMatched charges one per term so
-// the matching-cost figure stays comparable across framings.
+// counts it once however many terms it carries (the per-term path charged one
+// per routed term — an artifact of its framing, not of the workload).
+// TermsMatched charges one per term so the matching-cost figure stays
+// comparable across framings.
 func (n *Node) matchLocalTerms(doc *model.Document, terms []string) (MatchResp, error) {
 	n.docsProcessed.Inc()
 	n.termsMatched.Add(int64(len(terms)))

@@ -11,6 +11,7 @@ import (
 
 	"github.com/movesys/move/internal/alloc"
 	"github.com/movesys/move/internal/bloom"
+	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/delivery"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/ring"
@@ -161,6 +162,34 @@ func TestHandleRejectsGarbage(t *testing.T) {
 	}
 	if got := nd.routeUnheld.Value(); got != 2 {
 		t.Fatalf("delivery.route.unheld = %d, want 2", got)
+	}
+}
+
+// TestRegisterRefusesModeThree: a register frame whose filter has mode 3 —
+// the layout that carried a score threshold, an 8-byte float after the mode
+// byte — is refused with model.ErrBadMode whatever the float, and the node
+// holds nothing afterwards.
+func TestRegisterRefusesModeThree(t *testing.T) {
+	h := newHarness(t, 1)
+	nd := h.nodes[0]
+	for _, threshold := range []float64{0.3, 0.5, 0.6, 1} {
+		w := codec.NewWriter(64)
+		w.Uint8(msgRegister)
+		w.Uvarint(7)
+		w.String("erin")
+		w.StringSlice([]string{"baking", "sourdough", "starter"})
+		w.Uint8(3)
+		w.Float64(threshold)
+		w.StringSlice([]string{"baking", "sourdough", "starter"})
+		if _, err := nd.Handle(context.Background(), "peer", w.Bytes()); !errors.Is(err, model.ErrBadMode) {
+			t.Fatalf("threshold %v: err = %v, want model.ErrBadMode", threshold, err)
+		}
+	}
+	if n := nd.ix.NumFilters(); n != 0 {
+		t.Fatalf("node holds %d filters, want 0", n)
+	}
+	if n := nd.ix.NumPostings(); n != 0 {
+		t.Fatalf("node holds %d posting entries, want 0", n)
 	}
 }
 

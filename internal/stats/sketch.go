@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 )
 
 // SpaceSaving is the Metwally et al. heavy-hitter sketch: it tracks the
@@ -125,54 +124,4 @@ func (s *SpaceSaving) Reset() {
 	defer s.mu.Unlock()
 	s.counts = make(map[string]*ssEntry, s.capacity)
 	s.total = 0
-}
-
-// DecayCounter is an exponentially-weighted rate estimator: each
-// observation contributes weight decaying with half-life h. The §V
-// meta-data store uses it so allocation decisions favor the *current*
-// document pattern over stale history without hard window resets.
-type DecayCounter struct {
-	mu       sync.Mutex
-	halfLife time.Duration
-	value    float64
-	last     time.Time
-	now      func() time.Time
-}
-
-// NewDecayCounter builds a counter with the given half-life. now == nil
-// uses time.Now (tests inject a fake clock).
-func NewDecayCounter(halfLife time.Duration, now func() time.Time) (*DecayCounter, error) {
-	if halfLife <= 0 {
-		return nil, errors.New("stats: half-life must be positive")
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &DecayCounter{halfLife: halfLife, now: now, last: now()}, nil
-}
-
-// Add records weight w at the current time.
-func (c *DecayCounter) Add(w float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.decayLocked()
-	c.value += w
-}
-
-// Value returns the decayed total.
-func (c *DecayCounter) Value() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.decayLocked()
-	return c.value
-}
-
-func (c *DecayCounter) decayLocked() {
-	now := c.now()
-	dt := now.Sub(c.last)
-	if dt <= 0 {
-		return
-	}
-	c.value *= math.Exp2(-float64(dt) / float64(c.halfLife))
-	c.last = now
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestSpaceSavingValidation(t *testing.T) {
@@ -110,37 +109,5 @@ func TestSpaceSavingConcurrent(t *testing.T) {
 	}
 	if top := s.Top(1); top[0].Term != "shared" {
 		t.Fatalf("top = %+v", top)
-	}
-}
-
-func TestDecayCounterHalfLife(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	c, err := NewDecayCounter(time.Minute, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(100)
-	if v := c.Value(); v != 100 {
-		t.Fatalf("Value = %v", v)
-	}
-	now = now.Add(time.Minute)
-	if v := c.Value(); v < 49.9 || v > 50.1 {
-		t.Fatalf("after one half-life = %v, want ≈50", v)
-	}
-	now = now.Add(2 * time.Minute)
-	if v := c.Value(); v < 12.4 || v > 12.6 {
-		t.Fatalf("after three half-lives = %v, want ≈12.5", v)
-	}
-	// Fresh adds dominate stale history.
-	c.Add(100)
-	if v := c.Value(); v < 112 || v > 113 {
-		t.Fatalf("after add = %v", v)
-	}
-}
-
-func TestDecayCounterValidation(t *testing.T) {
-	if _, err := NewDecayCounter(0, nil); err == nil {
-		t.Fatal("expected error for zero half-life")
 	}
 }

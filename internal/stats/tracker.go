@@ -69,25 +69,6 @@ func (c *TermCounter) Distinct() int {
 	return len(c.counts)
 }
 
-// Merge folds other's counts into c. Used by the coordinator to aggregate
-// node-local statistics.
-func (c *TermCounter) Merge(other *TermCounter) {
-	other.mu.RLock()
-	snapshot := make(map[string]int64, len(other.counts))
-	for t, n := range other.counts {
-		snapshot[t] = n
-	}
-	items := other.items
-	other.mu.RUnlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.items += items
-	for t, n := range snapshot {
-		c.counts[t] += n
-	}
-}
-
 // Reset clears all counts; used when q_i is renewed from a fresh window of
 // incoming documents (§VI.A: "every 10 minutes, the values of qi are
 // renewed based on new incoming documents").

@@ -123,24 +123,6 @@ func TestEntropySkewedLowerThanUniform(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewTermCounter()
-	b := NewTermCounter()
-	a.Observe([]string{"x"})
-	b.Observe([]string{"x", "y"})
-	b.Observe([]string{"y"})
-	a.Merge(b)
-	if got := a.Items(); got != 3 {
-		t.Fatalf("Items after merge = %d, want 3", got)
-	}
-	if got := a.Count("x"); got != 2 {
-		t.Fatalf("Count(x) = %d, want 2", got)
-	}
-	if got := a.Count("y"); got != 2 {
-		t.Fatalf("Count(y) = %d, want 2", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := NewTermCounter()
 	c.Observe([]string{"x"})

@@ -56,17 +56,12 @@ const (
 type MatchMode int
 
 // Matching semantics: MatchAny (the paper's boolean model) fires when any
-// filter term occurs in the document; MatchAll requires all terms;
-// MatchThreshold requires a tf-idf containment score above the filter's
-// threshold, each home weighing a term by its own document frequency: the
-// number of documents that reached it after a filter there named the term.
+// filter term occurs in the document; MatchAll requires all terms.
 const (
 	// MatchAny fires when at least one filter term appears.
 	MatchAny MatchMode = iota + 1
 	// MatchAll fires when every filter term appears.
 	MatchAll
-	// MatchThreshold fires when the relevance score reaches the threshold.
-	MatchThreshold
 )
 
 // Placement selects where allocated filter replicas go.
@@ -252,8 +247,6 @@ func (sc *sessionConn) SendEvents(evs []*delivery.Event) error {
 type SubscribeOptions struct {
 	// Mode defaults to MatchAny.
 	Mode MatchMode
-	// Threshold applies to MatchThreshold (0 < Threshold ≤ 1).
-	Threshold float64
 }
 
 // Subscribe registers a keyword filter from raw text ("breaking news")
@@ -276,7 +269,7 @@ func (c *Cluster) SubscribeTerms(subscriber string, terms []string, opts ...Subs
 			opt.Mode = MatchAny
 		}
 	}
-	id, err := c.inner.Register(context.Background(), subscriber, terms, model.MatchMode(opt.Mode), opt.Threshold)
+	id, err := c.inner.Register(context.Background(), subscriber, terms, model.MatchMode(opt.Mode))
 	if err != nil {
 		return nil, fmt.Errorf("move: subscribe: %w", err)
 	}
@@ -364,12 +357,6 @@ func (c *Cluster) Allocate(ctx context.Context) error {
 		return fmt.Errorf("move: allocate: %w", err)
 	}
 	return nil
-}
-
-// AllocateReport is Allocate plus the optimizer's decisions, for
-// observability.
-func (c *Cluster) AllocateReport(ctx context.Context) (cluster.AllocationReport, error) {
-	return c.inner.Allocate(ctx)
 }
 
 // RefreshBloom rebuilds and installs the global filter-term Bloom filter
