@@ -86,9 +86,14 @@ wire-budget:
 # soak (TestMemDocStreamSoak, internal/node): a constant wire_mixed-shaped
 # population on a two-home ring takes rounds of home-routed publish frames
 # whose 8-term documents draw half their words fresh, in no filter; the
-# post-GC heap after the last round must stay within 2 % of the first.
+# post-GC heap after the last round must stay within 2 % of the first. Then
+# the library soak (TestClusterDocStreamHeapFlat, internal/cluster): a
+# two-node SchemeMove cluster with filters registered takes rounds of
+# Cluster.Publish whose documents carry fresh words; the post-GC heap after
+# the last round must stay within 2 % of the first — the coordinator keeps no
+# per-term state of what it publishes.
 mem-budget:
-	$(GO) test -count=1 -run 'TestMemBudget|TestMemChurnSoak|TestMemDocStreamSoak' -v ./internal/index ./internal/node
+	$(GO) test -count=1 -run 'TestMemBudget|TestMemChurnSoak|TestMemDocStreamSoak|TestClusterDocStreamHeapFlat' -v ./internal/index ./internal/node ./internal/cluster
 
 # The home nodes' microbench for match_heavy: the population registered
 # through Handle on both homes of a two-node ring, one document — a home-routed

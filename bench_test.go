@@ -218,20 +218,6 @@ func BenchmarkAblationBloom(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGrid compares per-node vs per-term allocation grids
-// (§V forwarding-table aggregation).
-func BenchmarkAblationGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunAblationGrid(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			b.ReportMetric(p.Throughput, p.Name)
-		}
-	}
-}
-
 // BenchmarkAblationPolicy compares proactive vs passive allocation timing
 // (§V allocation policy).
 func BenchmarkAblationPolicy(b *testing.B) {

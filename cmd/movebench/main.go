@@ -423,18 +423,6 @@ func runAblation(scale experiments.Scale, seed int64) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	grid, err := experiments.RunAblationGrid(scale)
-	if err != nil {
-		return err
-	}
-	w = header("Ablation: per-node vs per-term allocation grids (§V)")
-	fmt.Fprintf(w, "variant\tthroughput\n")
-	for _, p := range grid {
-		fmt.Fprintf(w, "%s\t%.1f\n", p.Name, p.Throughput)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
 	policy, err := experiments.RunAblationPolicy(scale)
 	if err != nil {
 		return err

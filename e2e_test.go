@@ -185,7 +185,7 @@ func TestTCPAllocationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := homeNode.PrepareAllocation(ctx, 1, "", grid); err != nil {
+	if err := homeNode.PrepareAllocation(ctx, 1, grid); err != nil {
 		t.Fatal(err)
 	}
 	if !homeNode.CommitGrid(1) {

@@ -78,9 +78,6 @@ func TestRenewWindowResetsStats(t *testing.T) {
 			t.Fatalf("node %s still has %d windowed publishes", l.ID, l.HomePublishes)
 		}
 	}
-	if c.QCounter().Items() != 0 {
-		t.Fatal("q counter not reset")
-	}
 }
 
 func TestStartAutoAllocate(t *testing.T) {

@@ -84,8 +84,7 @@ func assertAggregatedCovers(t *testing.T, c *Cluster) {
 
 // TestChurnSoak drives the two-phase reallocation protocol through a
 // Zipf-drifting workload with flash crowds, seeded fault injection on the
-// data path, and periodic crash/recover churn. Every round is drawn at
-// random as a per-node or a per-term one — both cut over the same way. On every single publish the
+// data path, and periodic crash/recover churn. On every single publish the
 // reported match set must be byte-identical to a brute-force oracle —
 // including publishes racing a reallocation round through its dual-read
 // window. Rounds that abort (a grid target died mid-prepare) must leave the
@@ -94,9 +93,9 @@ func assertAggregatedCovers(t *testing.T, c *Cluster) {
 // A third of the population is conjunctive (MatchAll, up to three terms), each
 // held by the home of its key term alone and keyed once there by the home
 // itself (node.conjunctiveKey), live IDs register again every round, and every
-// sixth round walks the hazard that keying sets up (conjunctiveHazard) — so
-// the oracle also holds the invariant that every forward and migration repeats
-// the home's key.
+// sixth round registers one on a freshly recovered home
+// (registerOnRecoveredHome) — so the oracle also holds the invariant that
+// every forward and migration repeats the home's key.
 func TestChurnSoak(t *testing.T) {
 	ctx := context.Background()
 	c, err := New(Config{
@@ -122,18 +121,8 @@ func TestChurnSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	// The flavor of each allocation round has its own stream so it does not
-	// perturb the workload's draws.
-	flavor := rand.New(rand.NewSource(11))
-	perNode, perTerm := 0, 0
 	allocate := func(ctx context.Context) error {
-		if flavor.Intn(2) == 0 {
-			perNode++
-			_, err := c.Allocate(ctx)
-			return err
-		}
-		perTerm++
-		_, err := c.AllocateByTerm(ctx, 8)
+		_, err := c.Allocate(ctx)
 		return err
 	}
 
@@ -245,7 +234,7 @@ func TestChurnSoak(t *testing.T) {
 		}
 		population(round, 5)
 		if round%6 == 1 {
-			f := conjunctiveHazard(t, c, round, registerMode)
+			f := registerOnRecoveredHome(t, c, round, registerMode)
 			for i := 0; i < 5; i++ {
 				checkPublish(round, append(conjTerms(round, i), f.Terms...))
 			}
@@ -265,8 +254,8 @@ func TestChurnSoak(t *testing.T) {
 
 		if round%5 == 2 {
 			// Forced-abort round. Simulate a coordinator restart (its
-			// committed-grid memory is wiped, so every home and hot term
-			// re-prepares) and crash the second prepare mid-round: the first
+			// committed-grid memory is wiped, so every home re-prepares)
+			// and crash the second prepare mid-round: the first
 			// home has already installed a pending grid and replayed its
 			// migrations when the abort broadcast goes out. Everything must
 			// unwind under the live workload.
@@ -367,11 +356,8 @@ func TestChurnSoak(t *testing.T) {
 	if committed == 0 {
 		t.Fatal("soak committed no reallocation rounds")
 	}
-	t.Logf("churn soak: %d rounds (%d committed, %d aborted; %d per-node, %d per-term), %d filters, final epoch %d",
-		rounds, committed, aborted, perNode, perTerm, len(oracle), c.CommittedEpoch())
-	if perNode == 0 || perTerm == 0 {
-		t.Fatalf("soak drew %d per-node and %d per-term rounds; both flavors must run", perNode, perTerm)
-	}
+	t.Logf("churn soak: %d rounds (%d committed, %d aborted), %d filters, final epoch %d",
+		rounds, committed, aborted, len(oracle), c.CommittedEpoch())
 	assertKeyedOncePerHome(t, c, oracle)
 	if conjMatches < 30*rounds {
 		t.Fatalf("the oracle expected only %d MatchAll matches over %d rounds; the documents do not exercise the conjunctive filters", conjMatches, rounds)
@@ -388,16 +374,14 @@ func TestChurnSoak(t *testing.T) {
 	}
 }
 
-// conjunctiveHazard walks, on the live cluster, the one sequence in which
-// keying a MatchAll filter once per home could lose it: a home fails and
-// recovers; a term's own grid is committed on it; a filter over that term and
-// a second term of the same home registers live and the home keys it under the
-// second; the home's node-wide grid is then prepared. The prepare's migration
-// must ship the filter under the key the home chose — keyed again, under the
-// first term, the copy would wait on the node-wide grid under a term that
-// documents route to the term's own grid, which never received it. Returns the
-// filter; the caller publishes against the oracle.
-func conjunctiveHazard(t *testing.T, c *Cluster, round int, register func(sub string, terms []string, mode model.MatchMode) model.Filter) model.Filter {
+// registerOnRecoveredHome walks, on the live cluster, a registration on a
+// home that has just lost its forwarding table: the home fails and recovers,
+// a MatchAll filter over two terms of it registers live — keyed by the home
+// under the shorter list, and forwarded nowhere — and the home's grid is
+// then cut over to peers holding no copy of it, so what they answer is what
+// the prepare's migration shipped. Returns the filter; the caller publishes
+// against the oracle.
+func registerOnRecoveredHome(t *testing.T, c *Cluster, round int, register func(sub string, terms []string, mode model.MatchMode) model.Filter) model.Filter {
 	t.Helper()
 	ctx := context.Background()
 	// Two fresh terms of one home, so no other filter's posting decides the key.
@@ -415,59 +399,33 @@ func conjunctiveHazard(t *testing.T, c *Cluster, round int, register func(sub st
 		}
 		byHome[h] = term
 	}
-	// The home crashes and comes back: it has lost its forwarding table, so the
-	// live filter below is forwarded nowhere when it registers and the
-	// node-wide grid answers from nothing but what its prepare ships.
 	c.FailNodes(home)
 	c.RecoverNodes(home)
 	for i := 0; i < 6; i++ { // own's list is the longer one
 		register(fmt.Sprintf("hz%d-any%d", round, i), []string{own}, model.MatchAny)
 	}
-	// cutover puts scope term of the home onto a rows x cols grid of its ring
-	// peers outside avoid, retrying a round a data-path fault burst aborted.
-	cutover := func(term string, rows, cols int, avoid map[ring.NodeID]bool) *alloc.Grid {
-		t.Helper()
-		peers, err := c.ring.AllocationNodesOf(home, c.Size()-1, c.cfg.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = slices.DeleteFunc(peers, func(id ring.NodeID) bool { return avoid[id] })
-		if len(peers) < rows*cols {
-			t.Fatalf("round %d: %d peers of %s left for a %dx%d grid", round, len(peers), home, rows, cols)
-		}
-		grid, err := alloc.NewGrid(rows, cols, peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for attempt := 0; ; attempt++ {
-			_, err := c.cutover(ctx, time.Now(), nil, []Prep{{Home: home, Term: term, Grid: grid}})
-			if err == nil {
-				return grid
-			}
-			if attempt == 4 {
-				t.Fatalf("round %d: hazard cutover of scope %q on %s: %v", round, term, home, err)
-			}
-		}
-	}
-	ownGrid := cutover(own, 2, 2, nil)
 	f := register(fmt.Sprintf("hz%d-all", round), []string{own, key}, model.MatchAll)
 	if got := c.Node(home).Index().PostedUnder(f.ID, f.Terms); len(got) != 1 || got[0] != key {
-		t.Fatalf("round %d: live filter %v is posted under %v on %s, the hazard needs [%s]", round, f.ID, got, home, key)
+		t.Fatalf("round %d: live filter %v is posted under %v on %s, want [%s]", round, f.ID, got, home, key)
 	}
-	// By the time the node-wide grid is prepared, key's list is the longer one:
-	// choosing again would choose own.
-	for i := 0; i < 12; i++ {
-		register(fmt.Sprintf("hz%d-late%d", round, i), []string{key}, model.MatchAny)
+	peers, err := c.ring.AllocationNodesOf(home, 3, c.cfg.Placement)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The node-wide grid goes to nodes that serve nothing of own's grid, and
-	// none holds a copy of the filter (the recovered home forwarded it
-	// nowhere): what they answer is what the prepare shipped.
-	avoid := make(map[ring.NodeID]bool)
-	for _, id := range ownGrid.AllNodes() {
-		avoid[id] = true
+	grid, err := alloc.NewGrid(1, 3, peers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cutover("", 1, 3, avoid)
-	return f
+	// Retry a round a data-path fault burst aborted.
+	for attempt := 0; ; attempt++ {
+		_, err := c.cutover(ctx, time.Now(), nil, []Prep{{Home: home, Grid: grid}})
+		if err == nil {
+			return f
+		}
+		if attempt == 4 {
+			t.Fatalf("round %d: cutover of %s's grid: %v", round, home, err)
+		}
+	}
 }
 
 // assertKeyedOncePerHome checks the layout the soak leaves behind — through

@@ -35,7 +35,6 @@ import (
 	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/resilience"
 	"github.com/movesys/move/internal/ring"
-	"github.com/movesys/move/internal/stats"
 	"github.com/movesys/move/internal/trace"
 	"github.com/movesys/move/internal/transport"
 )
@@ -150,9 +149,6 @@ type Cluster struct {
 	// Coordinator state (the paper's dedicated master node).
 	filterSeq  atomic.Uint64
 	docSeq     atomic.Uint64
-	pCounter   *stats.TermCounter // term popularity over registered filters
-	qCounter   *stats.TermCounter // term frequency over published documents
-	qSketch    *stats.SpaceSaving // bounded-memory hot-term detection
 	bloomMu    sync.Mutex
 	bloomTerms map[string]struct{}
 	bloom      *bloom.Filter // what RefreshBloom last installed; nil before
@@ -171,12 +167,11 @@ type Cluster struct {
 	homeHolders map[model.FilterID][]ring.NodeID
 
 	// Committed-grid bookkeeping for the two-phase reallocation GC (§13):
-	// the grid each forwarding-table entry (a home node's node-wide one, or
-	// a hot term's on its home) currently serves, plus the grids retired by
+	// the grid each home node currently serves, plus the grids retired by
 	// the most recent committed round — kept one extra round so publishes in
 	// flight across a cutover still find every copy.
 	gridsMu        sync.Mutex
-	committedGrids map[gridKey]*alloc.Grid
+	committedGrids map[ring.NodeID]*alloc.Grid
 	prevGrids      []*alloc.Grid
 
 	// allocKick nudges the auto-allocate loop (gossip join/leave, fail or
@@ -195,20 +190,6 @@ type Cluster struct {
 	transferLocal    int64 // intra-rack transfers
 	perNodeRecv      map[ring.NodeID]int64
 	perNodeRecvLocal map[ring.NodeID]int64
-}
-
-// hotTermSketchCapacity bounds the coordinator's hot-term sketch: §V's
-// maintenance concern is exactly that exact per-term state over millions
-// of terms is too big, so hot-term detection runs on a SpaceSaving sketch.
-const hotTermSketchCapacity = 4096
-
-// mustSketch builds the hot-term sketch (the capacity constant is valid).
-func mustSketch() *stats.SpaceSaving {
-	s, err := stats.NewSpaceSaving(hotTermSketchCapacity)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // rsReplicas is the key/value platform's standard replication factor
@@ -272,13 +253,10 @@ func New(cfg Config) (*Cluster, error) {
 		rng:              rand.New(rand.NewSource(seed)),
 		daemons:          make(map[ring.NodeID]*daemon.Daemon, cfg.Nodes),
 		rackOf:           make(map[ring.NodeID]string, cfg.Nodes),
-		pCounter:         stats.NewTermCounter(),
-		qCounter:         stats.NewTermCounter(),
-		qSketch:          mustSketch(),
 		bloomTerms:       make(map[string]struct{}),
 		filterHolders:    make(map[model.FilterID][]ring.NodeID),
 		homeHolders:      make(map[model.FilterID][]ring.NodeID),
-		committedGrids:   make(map[gridKey]*alloc.Grid),
+		committedGrids:   make(map[ring.NodeID]*alloc.Grid),
 		allocKick:        make(chan struct{}, 1),
 		perNodeRecv:      make(map[ring.NodeID]int64),
 		perNodeRecvLocal: make(map[ring.NodeID]int64),
@@ -411,9 +389,8 @@ func (c *Cluster) Register(ctx context.Context, subscriber string, terms []strin
 		return 0, err
 	}
 
-	// Coordinator-side bookkeeping: popularity statistics, Bloom terms,
-	// placement for availability accounting.
-	c.pCounter.Observe(f.Terms)
+	// Coordinator-side bookkeeping: Bloom terms, placement for
+	// availability accounting.
 	c.bloomMu.Lock()
 	for _, t := range f.Terms {
 		c.bloomTerms[t] = struct{}{}
@@ -592,8 +569,6 @@ func (c *Cluster) Publish(ctx context.Context, terms []string) (PublishResult, e
 	if err := doc.Validate(); err != nil {
 		return PublishResult{}, err
 	}
-	c.qCounter.Observe(doc.Terms)
-	c.qSketch.ObserveSet(doc.Terms)
 
 	sp := trace.New("publish", doc.ID)
 	ctx = trace.With(ctx, sp)
@@ -838,15 +813,15 @@ func (c *Cluster) RecoverNodes(ids ...ring.NodeID) {
 
 	// A node that slept through commits and GC holds grids whose placements
 	// may since have been collected. A restart loses the forwarding table —
-	// every scope, pending included — so simulate one: the node matches
+	// pending grid included — so simulate one: the node matches
 	// from its complete local store — homes keep full copies, migrations
 	// only ever add — until the next round re-prepares it. Its retired
 	// grids get the standard one-round GC grace.
 	c.gridsMu.Lock()
-	for key, g := range c.committedGrids {
-		if slices.Contains(ids, key.home) {
+	for _, id := range ids {
+		if g, ok := c.committedGrids[id]; ok {
 			c.prevGrids = append(c.prevGrids, g)
-			delete(c.committedGrids, key)
+			delete(c.committedGrids, id)
 		}
 	}
 	c.gridsMu.Unlock()
@@ -946,12 +921,6 @@ func (c *Cluster) HomeNode(term string) (ring.NodeID, error) { return c.ring.Hom
 
 // RackOf returns the rack of a node.
 func (c *Cluster) RackOf(id ring.NodeID) string { return c.rackOf[id] }
-
-// PCounter exposes the coordinator's filter-term popularity statistics.
-func (c *Cluster) PCounter() *stats.TermCounter { return c.pCounter }
-
-// QCounter exposes the coordinator's document-term frequency statistics.
-func (c *Cluster) QCounter() *stats.TermCounter { return c.qCounter }
 
 // TotalFilters returns the number of registered filters.
 func (c *Cluster) TotalFilters() int { return int(c.filterSeq.Load()) }

@@ -615,6 +615,40 @@ func TestTransferAccounting(t *testing.T) {
 	}
 }
 
+func TestRingEvictionRehomesTerms(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, SchemeMove, 10)
+	seedWorkload(t, c)
+	home := homeOf(t, c, "news")
+	c.FailNodes(home)
+
+	newHome, err := c.HomeNode("news")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newHome == home {
+		t.Fatal("term still homed on evicted node")
+	}
+	// New registrations for the term land on the new home and match.
+	id, err := c.Register(ctx, "late", []string{"news"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Publish(ctx, []string{"news"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, m := range res.Matches {
+		if m.Filter == id {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("filter registered after eviction not matched")
+	}
+}
+
 func TestRSFloodsEveryNode(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, SchemeRS, 9)
@@ -643,9 +677,6 @@ func TestCountersAndAccessors(t *testing.T) {
 	}
 	if c.Size() != 6 || len(c.NodeIDs()) != 6 {
 		t.Fatal("size accessors wrong")
-	}
-	if c.PCounter().Items() != 6 || c.QCounter().Items() != 1 {
-		t.Fatal("stat counters wrong")
 	}
 	if c.Scheme() != SchemeMove {
 		t.Fatal("scheme accessor wrong")

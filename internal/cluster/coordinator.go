@@ -26,7 +26,7 @@ type NodeLoad struct {
 // round needs of a deployment: a way to reach its nodes, the live member
 // list, and the ring the grids are drawn from. The in-process cluster and
 // movectl (over TCP) each fill one in and run the same round: PullLoads →
-// PlanNodes (or Plan, for units that are not nodes) → Cutover.
+// PlanNodes → Cutover.
 type Coordinator struct {
 	// Send delivers one control frame to a node and returns its answer.
 	Send func(ctx context.Context, to ring.NodeID, payload []byte) ([]byte, error)
@@ -47,12 +47,10 @@ type Coordinator struct {
 	beforePrepare func(home ring.NodeID) error
 }
 
-// Prep is one allocation unit's share of a cutover: the home node that
-// prepares it, the forwarding-table scope it installs ("" is the home's
-// node-wide grid, a term that term's own), and the fitted grid.
+// Prep is one home node's share of a cutover: the home that prepares it and
+// the grid fitted for it.
 type Prep struct {
 	Home  ring.NodeID
-	Term  string
 	Grid  *alloc.Grid
 	Ratio float64 // the optimizer's allocation ratio r_i for the unit
 }
@@ -121,16 +119,11 @@ func (co Coordinator) PlanNodes(loads []NodeLoad, in alloc.Input) ([]alloc.Facto
 		}
 		in.Units = append(in.Units, u)
 	}
-	return co.Plan(in, false)
-}
 
-// Plan solves the MOVE optimization problem for in.Units and fits a grid of
-// ring-placed peers for every unit granted more than one node. A unit's key
-// names a home node or, with perTerm, a term: its home node prepares a grid
-// scoped to that term alone. A unit that cannot be placed (its home left the
-// ring, the cluster is too small) is skipped — churn mid-round must not wedge
-// the coordinator.
-func (co Coordinator) Plan(in alloc.Input, perTerm bool) ([]alloc.Factor, []Prep, error) {
+	// Solve the MOVE optimization problem over the nodes and fit a grid of
+	// ring-placed peers for every home granted more than one node. A home
+	// that cannot be placed (it left the ring, the cluster is too small) is
+	// skipped — churn mid-round must not wedge the coordinator.
 	factors, err := alloc.Compute(in, co.Strategy, co.Rng)
 	if err != nil {
 		return nil, nil, err
@@ -138,15 +131,9 @@ func (co Coordinator) Plan(in alloc.Input, perTerm bool) ([]alloc.Factor, []Prep
 	var preps []Prep
 	for _, f := range factors {
 		if f.Rows*f.Cols <= 1 {
-			continue // nothing to allocate for this unit
+			continue // nothing to allocate for this node
 		}
-		home, term := ring.NodeID(f.Key), ""
-		if perTerm {
-			term = f.Key
-			if home, err = co.Ring.HomeNode(term); err != nil {
-				continue
-			}
-		}
+		home := ring.NodeID(f.Key)
 		peers, err := co.Ring.AllocationNodesOf(home, f.Rows*f.Cols, co.Placement)
 		if err != nil {
 			continue
@@ -155,7 +142,7 @@ func (co Coordinator) Plan(in alloc.Input, perTerm bool) ([]alloc.Factor, []Prep
 		if err != nil || grid.Size() <= 1 {
 			continue
 		}
-		preps = append(preps, Prep{Home: home, Term: term, Grid: grid, Ratio: f.Ratio})
+		preps = append(preps, Prep{Home: home, Grid: grid, Ratio: f.Ratio})
 	}
 	return factors, preps, nil
 }
@@ -176,7 +163,7 @@ func (co Coordinator) Cutover(ctx context.Context, epoch uint64, preps []Prep) (
 			perr = co.beforePrepare(p.Home)
 		}
 		if perr == nil {
-			_, perr = co.Send(ctx, p.Home, node.EncodePrepareTermAlloc(epoch, p.Term, p.Grid))
+			_, perr = co.Send(ctx, p.Home, node.EncodePrepareAlloc(epoch, p.Grid))
 		}
 		if perr != nil {
 			actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), co.Timeout)
@@ -249,26 +236,6 @@ type AllocationReport struct {
 	FiltersReplicated int
 }
 
-// allocInput is the optimizer input every cluster round shares; the caller
-// adds its units.
-func (c *Cluster) allocInput() (alloc.Input, error) {
-	if c.cfg.Scheme != SchemeMove {
-		return alloc.Input{}, fmt.Errorf("%w: allocation requires SchemeMove, have %v", ErrBadConfig, c.cfg.Scheme)
-	}
-	P := c.TotalFilters()
-	if P == 0 {
-		return alloc.Input{}, fmt.Errorf("%w: no filters registered", ErrBadConfig)
-	}
-	return alloc.Input{
-		TotalFilters: P,
-		TotalDocs:    max(c.TotalDocs(), 1),
-		Nodes:        c.AliveCount(),
-		Capacity:     c.cfg.Capacity,
-		NoSeparation: c.cfg.AllocNoSeparation,
-		ForceRatio:   c.cfg.AllocRatio,
-	}, nil
-}
-
 // Allocate runs one coordinator allocation round (SchemeMove only): pull
 // per-node statistics, plan one unit per node (Coordinator.PlanNodes), and
 // cut the changed grids over (cutover).
@@ -277,9 +244,20 @@ func (c *Cluster) Allocate(ctx context.Context) (AllocationReport, error) {
 		c.allocRoundHook()
 	}
 	roundStart := time.Now()
-	in, err := c.allocInput()
-	if err != nil {
-		return AllocationReport{}, err
+	if c.cfg.Scheme != SchemeMove {
+		return AllocationReport{}, fmt.Errorf("%w: allocation requires SchemeMove, have %v", ErrBadConfig, c.cfg.Scheme)
+	}
+	P := c.TotalFilters()
+	if P == 0 {
+		return AllocationReport{}, fmt.Errorf("%w: no filters registered", ErrBadConfig)
+	}
+	in := alloc.Input{
+		TotalFilters: P,
+		TotalDocs:    max(c.TotalDocs(), 1),
+		Nodes:        c.AliveCount(),
+		Capacity:     c.cfg.Capacity,
+		NoSeparation: c.cfg.AllocNoSeparation,
+		ForceRatio:   c.cfg.AllocRatio,
 	}
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
@@ -294,57 +272,9 @@ func (c *Cluster) Allocate(ctx context.Context) (AllocationReport, error) {
 	return c.cutover(ctx, roundStart, factors, preps)
 }
 
-// AllocateByTerm runs a per-term allocation round for the hottest topK
-// terms — the fine-grained alternative to §V's per-node aggregation, kept
-// as an ablation (BenchmarkAblationGrid). It differs from Allocate only in
-// its units: each hot term's p_t and q_t come from the coordinator's exact
-// term statistics, and the term's home node prepares a term-scoped grid,
-// migrating only the filters that hold the term. Per-term grids are precise
-// but cost one forwarding-table entry per hot term and one optimizer unit
-// per term, which is what the paper's aggregation avoids.
-func (c *Cluster) AllocateByTerm(ctx context.Context, topK int) (AllocationReport, error) {
-	roundStart := time.Now()
-	in, err := c.allocInput()
-	if err != nil {
-		return AllocationReport{}, err
-	}
-	if topK < 1 {
-		return AllocationReport{}, fmt.Errorf("%w: topK=%d", ErrBadConfig, topK)
-	}
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-
-	// Hot terms come from the bounded-memory sketch (§V's maintenance
-	// concern rules out exact per-term state); the popularity of each
-	// candidate is then read exactly from the filter-side counter.
-	for _, h := range c.qSketch.Top(topK) {
-		p := c.pCounter.Rate(h.Term)
-		if p == 0 {
-			continue // not a filter term; nothing to allocate
-		}
-		q := float64(h.Count) / float64(in.TotalDocs)
-		in.Units = append(in.Units, alloc.Unit{Key: h.Term, Popularity: p, Frequency: q, Load: p * q})
-	}
-	if len(in.Units) == 0 {
-		return AllocationReport{}, fmt.Errorf("%w: no hot filter terms", ErrBadConfig)
-	}
-	factors, preps, err := c.coordinator().Plan(in, true)
-	if err != nil {
-		return AllocationReport{}, err
-	}
-	return c.cutover(ctx, roundStart, factors, preps)
-}
-
-// gridKey names one forwarding-table entry cluster-wide: a home node and the
-// scope on it ("" = node-wide).
-type gridKey struct {
-	home ring.NodeID
-	term string
-}
-
 // cutover takes a planned round through the two-phase protocol and its
-// bookkeeping. A unit whose grid equals the one it already serves is live as
-// it stands and prepares nothing. An aborted round leaves everything — the
+// bookkeeping. A home whose grid equals the one it already serves is live
+// as it stands and prepares nothing. An aborted round leaves everything — the
 // committed epoch included — untouched. A committed one records the new
 // grids, extends the placement bookkeeping, and garbage-collects the retired
 // placements (with a one-round grace so publishes in flight across the
@@ -356,7 +286,7 @@ func (c *Cluster) cutover(ctx context.Context, roundStart time.Time, factors []a
 	c.gridsMu.Lock()
 	changed := make([]Prep, 0, len(preps))
 	for _, p := range preps {
-		if !p.Grid.Equal(c.committedGrids[gridKey{p.Home, p.Term}]) {
+		if !p.Grid.Equal(c.committedGrids[p.Home]) {
 			changed = append(changed, p)
 		}
 	}
@@ -376,11 +306,10 @@ func (c *Cluster) cutover(ctx context.Context, roundStart time.Time, factors []a
 
 	c.gridsMu.Lock()
 	for _, p := range changed {
-		key := gridKey{p.Home, p.Term}
-		if old, ok := c.committedGrids[key]; ok {
+		if old, ok := c.committedGrids[p.Home]; ok {
 			c.prevGrids = append(c.prevGrids, old)
 		}
-		c.committedGrids[key] = p.Grid
+		c.committedGrids[p.Home] = p.Grid
 	}
 	c.gridsMu.Unlock()
 	for _, p := range changed {
@@ -394,8 +323,7 @@ func (c *Cluster) cutover(ctx context.Context, roundStart time.Time, factors []a
 // runGridGC drops the filter copies stranded on retired placements after a
 // committed cutover. The keep set for a filter is its original homes (never
 // collected — §13) plus its placements under every live grid: the committed
-// ones, node-wide and term-scoped alike, and the grids retired by the most
-// recent round, which get one extra round of grace for publishes in flight
+// one of each home, and the grids retired by the most recent round, which get one extra round of grace for publishes in flight
 // across the cutover.
 // When the commit broadcast had errors the GC only accumulates grace —
 // nothing is dropped, because an uncommitted node may still be serving an
@@ -510,8 +438,6 @@ func (c *Cluster) RenewWindow() {
 		}
 		c.daemons[id].Node.ResetWindowCounters()
 	}
-	c.qCounter.Reset()
-	c.qSketch.Reset()
 }
 
 // StartAutoAllocate launches the periodic allocation loop: every interval

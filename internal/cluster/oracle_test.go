@@ -34,8 +34,7 @@ func (o *oracle) match(doc []string) []model.FilterID {
 }
 
 // TestClusterNeverMissesMatchesUnderRandomAllocation interleaves random
-// registrations, publishes, allocation rounds (per-node and per-term), and
-// window renewals, checking every publish against the brute-force oracle —
+// registrations, publishes, allocation rounds and window renewals, checking every publish against the brute-force oracle —
 // the §IV correctness invariant ("we can ensure all matching filters ...
 // are found") under arbitrary allocation churn.
 func TestClusterNeverMissesMatchesUnderRandomAllocation(t *testing.T) {
@@ -94,21 +93,12 @@ func runOracleTrial(t *testing.T, seed int64) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("step %d: doc %v matched %v, oracle says %v", step, doc, got, want)
 			}
-		case op == 8: // allocation round (random flavor)
+		case op == 8: // allocation round
 			if len(o.filters) == 0 {
 				continue
 			}
-			if rng.Intn(2) == 0 {
-				if _, err := c.Allocate(ctx); err != nil {
-					t.Fatalf("step %d: allocate: %v", step, err)
-				}
-			} else {
-				if _, err := c.AllocateByTerm(ctx, 8); err != nil && c.TotalDocs() > 0 {
-					// No hot filter terms yet is acceptable early on.
-					if c.QCounter().Items() > 10 {
-						t.Fatalf("step %d: allocate-by-term: %v", step, err)
-					}
-				}
+			if _, err := c.Allocate(ctx); err != nil {
+				t.Fatalf("step %d: allocate: %v", step, err)
 			}
 		default: // window renewal
 			c.RenewWindow()

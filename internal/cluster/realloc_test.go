@@ -35,6 +35,27 @@ func assertNoPendingState(t *testing.T, c *Cluster, wantEpoch uint64) {
 	}
 }
 
+// seedHotTerm registers many single-term filters on "hot" plus some noise,
+// then publishes enough documents that the statistics are meaningful.
+func seedHotTerm(t *testing.T, c *Cluster, filters, docs int) {
+	t.Helper()
+	ctx := context.Background()
+	for i := 0; i < filters; i++ {
+		terms := []string{"hot"}
+		if i%4 == 0 {
+			terms = append(terms, "noise"+strconv.Itoa(i%50))
+		}
+		if _, err := c.Register(ctx, "s"+strconv.Itoa(i), terms, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < docs; i++ {
+		if _, err := c.Publish(ctx, []string{"hot", "pad" + strconv.Itoa(i%30)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestTwoPhaseAllocateCommits(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, SchemeMove, 12)
@@ -65,6 +86,43 @@ func TestTwoPhaseAllocateCommits(t *testing.T) {
 	}
 	if snap["realloc.epoch"] != int64(report.Epoch) {
 		t.Fatalf("realloc.epoch gauge = %d, want %d", snap["realloc.epoch"], report.Epoch)
+	}
+}
+
+// TestRecoveredNodeHoldsNoGrid: a node that crashed and came back lost its
+// forwarding table — it must not keep routing its terms to placements the GC
+// may have collected while it was away. It matches from its own complete
+// store until the next round re-prepares it.
+func TestRecoveredNodeHoldsNoGrid(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, SchemeMove, 15)
+	seedHotTerm(t, c, 300, 50)
+	if _, err := c.Allocate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	home, err := c.HomeNode("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := c.Node(home).Grid(); g == nil {
+		t.Fatal("hot term's home has no grid to lose")
+	}
+	c.FailNodes(home)
+	c.RecoverNodes(home)
+	if g, _ := c.Node(home).Grid(); g != nil {
+		t.Fatalf("recovered node keeps its grid %v", g)
+	}
+	res, err := c.Publish(ctx, []string{"hot"})
+	if err != nil || !res.Complete || len(res.Matches) != 300 {
+		t.Fatalf("publish after recovery: %v complete=%v matches=%d, want 300", err, res.Complete, len(res.Matches))
+	}
+	// The coordinator forgot the grid too: the next round prepares it again
+	// instead of skipping it as unchanged.
+	if _, err := c.Allocate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := c.Node(home).Grid(); g == nil {
+		t.Fatal("the round after recovery did not re-prepare the hot term's home")
 	}
 }
 

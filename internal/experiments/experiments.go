@@ -381,18 +381,6 @@ func runSingleNodePoint(p SingleNodeParams, r, q, vocab int) (SingleNodePoint, e
 
 // --- Figure 8: cluster throughput sweeps ---
 
-// GridMode selects how allocation units are formed.
-type GridMode int
-
-// Grid modes for the §V forwarding-table ablation.
-const (
-	// GridPerNode aggregates all of a home node's terms into one grid
-	// (the paper's deployed design, §V).
-	GridPerNode GridMode = iota
-	// GridPerTerm allocates the hottest terms individually.
-	GridPerTerm
-)
-
 // Policy selects when allocation happens (§V "Allocation Policy").
 type Policy int
 
@@ -437,12 +425,6 @@ type ClusterParams struct {
 	// keep the scan:seek:transfer balance the paper's hardware had. 0 or
 	// 1 means no compensation (paper-scale runs).
 	CostScale float64
-	// Grid selects per-node (default, the paper's §V design) or per-term
-	// allocation units.
-	Grid GridMode
-	// TermTopK bounds per-term allocation to the hottest K terms; 0 means
-	// 64.
-	TermTopK int
 	// Policy selects proactive (default) or passive allocation timing.
 	Policy Policy
 	// NoSeparation disables the optimizer's balance-driven separation
@@ -582,14 +564,6 @@ func runCluster(p ClusterParams, nextFilter, nextDoc func() []string) (ClusterOu
 	}
 
 	allocate := func() error {
-		if p.Grid == GridPerTerm {
-			topK := p.TermTopK
-			if topK == 0 {
-				topK = 64
-			}
-			_, err := c.AllocateByTerm(ctx, topK)
-			return err
-		}
 		_, err := c.Allocate(ctx)
 		return err
 	}

@@ -366,37 +366,6 @@ func RunAblationRatio(scale Scale) ([]AblationPoint, error) {
 	return out, nil
 }
 
-// RunAblationGrid compares §V's per-node allocation grids with per-term
-// grids, reporting throughput and the forwarding-table size each needs.
-func RunAblationGrid(scale Scale) ([]AblationPoint, error) {
-	d := DefaultsAt(scale)
-	var out []AblationPoint
-	for _, tc := range []struct {
-		name string
-		grid GridMode
-	}{
-		{"grid-per-node", GridPerNode},
-		{"grid-per-term", GridPerTerm},
-	} {
-		o, err := RunCluster(ClusterParams{
-			Scheme:    cluster.SchemeMove,
-			Nodes:     d.Nodes,
-			Filters:   d.Filters,
-			Docs:      d.Docs,
-			Capacity:  d.Capacity,
-			CostScale: d.CostScale,
-			Grid:      tc.grid,
-			Corpus:    dataset.CorpusWT,
-			Seed:      d.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationPoint{Name: tc.name, Throughput: o.Throughput})
-	}
-	return out, nil
-}
-
 // RunAblationPolicy compares proactive and passive allocation timing.
 func RunAblationPolicy(scale Scale) ([]AblationPoint, error) {
 	d := DefaultsAt(scale)

@@ -472,8 +472,8 @@ func TestReRegisterMovesKeyHome(t *testing.T) {
 	}
 }
 
-// TestMigrationsRepeatWhatIsPosted pins the migration half of the invariant
-// on both scopes: a prepare ships each filter under the owned terms it is
+// TestMigrationsRepeatWhatIsPosted pins the migration half of the invariant:
+// a prepare ships each filter under the owned terms it is
 // posted under on the home — the key the home chose for a MatchAll filter, or
 // the one a registrar sent — not under every owned term it has, which is what
 // ownedBatches used to re-derive. Node a is a home and, for home b, a grid
@@ -511,10 +511,10 @@ func TestMigrationsRepeatWhatIsPosted(t *testing.T) {
 
 	ctx := context.Background()
 	epoch := uint64(0)
-	round := func(home *Node, scope string, target *Node) {
+	round := func(home *Node, target *Node) {
 		t.Helper()
 		epoch++
-		if err := home.PrepareAllocation(ctx, epoch, scope, mustGrid(t, 1, 1, target.ID())); err != nil {
+		if err := home.PrepareAllocation(ctx, epoch, mustGrid(t, 1, 1, target.ID())); err != nil {
 			t.Fatal(err)
 		}
 		for _, nd := range []*Node{a, b, target} {
@@ -533,23 +533,15 @@ func TestMigrationsRepeatWhatIsPosted(t *testing.T) {
 		}
 	}
 
-	// b's node-wide grid is a: a now also holds b's replicas.
-	round(b, "", a)
+	// b's grid is a: a now also holds b's replicas.
+	round(b, a)
 	wantOn("b's column", a, map[model.FilterID][]string{subset.ID: {a1}, 2: {a2}, 3: {a1, b1}, 4: {b1}})
 
 	c := peer("c")
-	round(a, "", c)
-	wantOn("node-wide scope", c, map[model.FilterID][]string{subset.ID: {a1}, 2: {a2}, 3: {a1}})
+	round(a, c)
+	wantOn("a's column", c, map[model.FilterID][]string{subset.ID: {a1}, 2: {a2}, 3: {a1}})
 
-	d := peer("d")
-	round(a, a2, d)
-	wantOn("term scope "+a2, d, map[model.FilterID][]string{2: {a2}})
-
-	e := peer("e")
-	round(a, a1, e)
-	wantOn("term scope "+a1, e, map[model.FilterID][]string{subset.ID: {a1}, 3: {a1}})
-
-	// Every term is now served off its home: a1 by e, a2 by d, b1 by a.
+	// Every term is now served off its home: a's by c, b's by a.
 	filters := []model.Filter{subset, keyedF, both, replica}
 	for docID, doc := range [][]string{{a1}, {a2}, {a1, a2}, {b1}, {a2, b1}, {a1, a2, b1}} {
 		matches, resp, err := b.PublishEntry(ctx, &model.Document{ID: uint64(docID + 1), Terms: doc})

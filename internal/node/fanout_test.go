@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
@@ -65,7 +64,7 @@ func newFanOutEnv(t *testing.T) *fanOutEnv {
 	register(12, model.MatchAny, hot)
 	register(12, model.MatchAny, warm)
 	register(4, model.MatchAny, cold)
-	register(4, model.MatchAny, hot, warm) // reached through two grids
+	register(4, model.MatchAny, hot, warm) // posted under both of the home's terms
 	register(4, model.MatchAll, warm, cold)
 	register(4, model.MatchAll, hot, warm) // keyed under one of the home's two lists
 	// Every live ID registers again: the keys it has are the ones it keeps.
@@ -109,15 +108,15 @@ func (e *fanOutEnv) grid(t *testing.T, nodes ...int) *alloc.Grid {
 	return g
 }
 
-// prepare runs the prepare phase of scope term ("" = node-wide) on the home.
-func (e *fanOutEnv) prepare(t *testing.T, epoch uint64, term string, g *alloc.Grid) {
+// prepare runs the prepare phase on the home.
+func (e *fanOutEnv) prepare(t *testing.T, epoch uint64, g *alloc.Grid) {
 	t.Helper()
-	if err := e.home.PrepareAllocation(context.Background(), epoch, term, g); err != nil {
+	if err := e.home.PrepareAllocation(context.Background(), epoch, g); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// commit closes a round: the home promotes everything pending under epoch.
+// commit closes a round: the home promotes the grid pending under epoch.
 func (e *fanOutEnv) commit(t *testing.T, epoch uint64) {
 	t.Helper()
 	if !e.home.CommitGrid(epoch) {
@@ -141,66 +140,22 @@ func (e *fanOutEnv) fail(peers ...int) {
 // the oracle pays it once per term routed through the slot and PublishEntry
 // once per document; and column RPCs go to distinct nodes, not columns.
 func TestFanOutEquivalenceTable(t *testing.T) {
-	// Grid layouts over the peers (row-major 2x2). In "shared" the per-term
-	// grid's (0,0) is the node-wide grid's (0,1).
+	// Grid layouts over the peers (row-major 2x2). In "shared" the pending
+	// grid's (0,0) is the committed grid's (0,1).
 	type layout func(t *testing.T, e *fanOutEnv)
 	none := func(*testing.T, *fanOutEnv) {}
-	// Every grid is built the one way there is: prepare, then commit. A
-	// layout with a per-term grid prepares both scopes under one epoch, as a
-	// coordinator round would.
+	// Every grid is built the one way there is: prepare, then commit.
 	nodeWide := func(t *testing.T, e *fanOutEnv) {
-		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
-		e.commit(t, 1)
-	}
-	perTerm := func(t *testing.T, e *fanOutEnv) {
-		e.prepare(t, 1, e.docs[0].Terms[1], e.grid(t, 4, 5, 6, 7))
-		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
+		e.prepare(t, 1, e.grid(t, 0, 1, 2, 3))
 		e.commit(t, 1)
 	}
 	pending := func(t *testing.T, e *fanOutEnv) {
 		nodeWide(t, e)
-		e.prepare(t, 2, "", e.grid(t, 3, 4, 5, 6))
-	}
-	// warm's own grid is prepared and not yet committed: warm is served by
-	// the node-wide grid and dual-reads its pending one.
-	pendingTerm := func(t *testing.T, e *fanOutEnv) {
-		nodeWide(t, e)
-		e.prepare(t, 2, e.docs[0].Terms[1], e.grid(t, 4, 5, 6, 7))
+		e.prepare(t, 2, e.grid(t, 3, 4, 5, 6))
 	}
 	shared := func(t *testing.T, e *fanOutEnv) {
-		e.prepare(t, 1, e.docs[0].Terms[1], e.grid(t, 1, 4, 5, 6))
-		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
-		e.commit(t, 1)
-	}
-
-	// The hazard row of keying a MatchAll filter once per home: warm's own grid
-	// is committed, a filter over hot and warm registers live and is keyed
-	// under hot, then the node-wide grid moves to nodes that hold only what the
-	// move migrates. The migration must repeat the key. Keyed again, under
-	// warm, the copy would wait on the node-wide grid for a term every document
-	// routes to warm's grid instead, and the filter would be lost.
-	hazard := func(t *testing.T, e *fanOutEnv) {
-		hot, warm := e.docs[0].Terms[0], e.docs[0].Terms[1]
-		warmGrid, err := alloc.NewGrid(2, 1, e.p[6:8])
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.prepare(t, 1, warm, warmGrid)
-		e.prepare(t, 1, "", e.grid(t, 0, 1, 2, 3))
-		e.commit(t, 1)
-		e.register(t, model.MatchAny, warm) // warm's list is the longer one
-		f := e.register(t, model.MatchAll, hot, warm)
-		e.h.registerEverywhere(t, f) // and again, forwarded to the same columns
-		if got := e.home.Index().PostedUnder(f.ID, f.Terms); !slices.Equal(got, []string{hot}) {
-			t.Fatalf("the live filter is keyed under %v, the hazard needs [%s]", got, hot)
-		}
-		// By the time the grid moves, hot's list is the longer one: choosing
-		// again would not choose hot.
-		for i := 0; i < 8; i++ {
-			e.register(t, model.MatchAny, hot)
-		}
-		e.prepare(t, 2, "", e.grid(t, 4, 5, 2, 3))
-		e.commit(t, 2)
+		nodeWide(t, e)
+		e.prepare(t, 2, e.grid(t, 1, 4, 5, 6))
 	}
 
 	cases := []struct {
@@ -224,13 +179,6 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 		{name: "node-wide/column lost in every row", layout: nodeWide, down: []int{0, 2},
 			degraded: true, lost: 2, columnRPCs: 3},
 
-		// warm has its own grid on four other nodes: 4 columns, 4 RPCs.
-		{name: "per-term beside node-wide/healthy", layout: perTerm, columnRPCs: 4},
-		{name: "per-term beside node-wide/first row of a column down", layout: perTerm, down: []int{0},
-			failSlots: 1, oracleFailovers: 1, columnRPCs: 5},
-		{name: "per-term beside node-wide/column lost in every row", layout: perTerm, down: []int{0, 2},
-			degraded: true, lost: 1, columnRPCs: 5},
-
 		// Dual-read: the pending grid doubles the columns; its failures never
 		// degrade, and its copies even recover what a lost committed column
 		// misses.
@@ -242,29 +190,13 @@ func TestFanOutEquivalenceTable(t *testing.T) {
 		{name: "node-wide + pending/pending column down", layout: pending, down: []int{4, 6},
 			columnRPCs: 5},
 
-		// The same window on a term entry: hot and warm ride the node-wide
-		// grid (2 RPCs), warm also its pending grid on four other nodes (2
-		// more); a pending column down costs one more attempt and nothing
-		// else, and a lost committed column degrades both terms.
-		{name: "node-wide + pending term/healthy", layout: pendingTerm, columnRPCs: 4},
-		{name: "node-wide + pending term/first row of a column down", layout: pendingTerm, down: []int{0},
-			failSlots: 1, oracleFailovers: 2, columnRPCs: 5},
-		{name: "node-wide + pending term/column lost in every row", layout: pendingTerm, down: []int{0, 2},
-			degraded: true, lost: 2, columnRPCs: 5},
-		{name: "node-wide + pending term/pending column down", layout: pendingTerm, down: []int{4, 6},
-			columnRPCs: 5},
-
-		// Row 0 is p0 | p1 for hot and p1 | p4 for warm: 4 columns on 3 nodes.
+		// Row 0 is p0 | p1 committed and p1 | p4 pending: 4 columns on 3
+		// nodes, the shared node's frame serving a slot of each grid.
 		{name: "shared node/healthy", layout: shared, columnRPCs: 3},
 		{name: "shared node/shared node down", layout: shared, down: []int{1},
-			failSlots: 2, oracleFailovers: 2, columnRPCs: 5},
+			failSlots: 2, oracleFailovers: 4, columnRPCs: 5},
 		{name: "shared node/column lost in every row", layout: shared, down: []int{1, 3},
-			degraded: true, lost: 1, failSlots: 1, oracleFailovers: 1, columnRPCs: 5},
-
-		// Row 0 is p4 | p5 for hot and p6 for warm: 3 columns on 3 nodes.
-		{name: "live MatchAll beside a term grid, node-wide grid moved/healthy", layout: hazard, columnRPCs: 3},
-		{name: "live MatchAll beside a term grid, node-wide grid moved/first row of a column down", layout: hazard, down: []int{4},
-			failSlots: 1, oracleFailovers: 1, columnRPCs: 4},
+			degraded: true, lost: 2, failSlots: 1, oracleFailovers: 2, columnRPCs: 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -367,7 +299,7 @@ func TestPendingOnlyErrorNeverFailsPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !homeNode.PrepareGrid(1, "", broken) {
+	if !homeNode.PrepareGrid(1, broken) {
 		t.Fatal("prepare rejected")
 	}
 	var entry *Node

@@ -42,8 +42,9 @@ func handleSeeds(t testing.TB) [][]byte {
 		EncodeInstallBloom(bf.Marshal()),
 		EncodeGossip([]byte{1, 2, 3}),
 		EncodePrepareAlloc(2, grid),
-		EncodePrepareTermAlloc(2, "alpha", grid),
-		// An explicit empty scope: the node-wide prepare with one byte more.
+		// An older coordinator's term-scoped prepare, refused.
+		mustHex(t, termScopedPrepareHex),
+		// A prepare with one byte after the grid, refused the same way.
 		append(EncodePrepareAlloc(2, grid), 0),
 		EncodeCommitGrid(2),
 		EncodeAbortGrid(2),
@@ -60,7 +61,8 @@ func handleSeeds(t testing.TB) [][]byte {
 // type a peer or client can send. A frame may be refused, but it must never
 // panic, never allocate beyond a fixed multiple of its own length (a length
 // prefix is a claim, not a budget), and a frame refused while decoding must
-// leave the node exactly as it was: counters, filters and epoch state. The
+// leave the node exactly as it was: counters, filters and epoch state — as
+// must a prepare refused for bytes after its grid (errScopedPrepare). The
 // retired drop and hard-flip types (10, 13) are unknown whatever follows
 // them, so no frame takes a committed grid out of the forwarding table. The
 // node has a delivery hub and holds the seeds' document, sent by the fuzz
@@ -81,7 +83,7 @@ func FuzzNodeHandle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !nd.PrepareGrid(1, "", g) || !nd.CommitGrid(1) {
+		if !nd.PrepareGrid(1, g) || !nd.CommitGrid(1) {
 			t.Fatal("seed grid not installed")
 		}
 		hub := delivery.NewHub(delivery.Config{})
@@ -119,7 +121,7 @@ func FuzzNodeHandle(f *testing.F) {
 		if g, _ := nd.Grid(); g == nil {
 			t.Fatalf("frame type %d removed the committed node-wide grid; only a restart drops the table", first(payload))
 		}
-		if err != nil && (errors.Is(err, codec.ErrTruncated) || errors.Is(err, codec.ErrOverflow)) {
+		if err != nil && (errors.Is(err, codec.ErrTruncated) || errors.Is(err, codec.ErrOverflow) || errors.Is(err, errScopedPrepare)) {
 			if after := snapshot(); after != before {
 				t.Fatalf("frame type %d refused with %v changed the node: %+v -> %+v", first(payload), err, before, after)
 			}

@@ -57,7 +57,7 @@ func encodeDeliverBatch(b *delivery.Batch) []byte {
 
 // TestPublishFrameRoundTrip round-trips the one-document publish frame in
 // both directions of the local flag and over every shape of routed term list
-// — the whole document, empty, out of document order (a termsVia union), a
+// — the whole document, empty, out of document order, a
 // term the document does not hold, a document repeating a term — and pins the
 // frame's budget: the type byte, the flag, the document, the list's count and
 // one byte per routed term (a term spelled out costs its string), no heap

@@ -84,11 +84,10 @@ type Node struct {
 	trMu sync.RWMutex
 
 	mu sync.RWMutex
-	// table is the forwarding table (§V), keyed by scope: "" is the
-	// node-wide entry — every term of the node shares one allocation unit —
-	// and a term key overrides it for that term (the per-term ablation).
-	// Both kinds cut over the same two-phase way (§13, realloc.go).
-	table map[string]*tableEntry
+	// table is the forwarding table (§V): one entry per node — every term
+	// the node homes shares one allocation unit — cut over the two-phase
+	// way (§13, realloc.go).
+	table tableEntry
 	// gridEpoch is the newest epoch a commit promoted on this node.
 	gridEpoch uint64
 	bloomF    *bloom.Filter
@@ -204,7 +203,6 @@ func New(cfg Config) (*Node, error) {
 		cfg:           cfg,
 		ix:            ix,
 		reg:           reg,
-		table:         make(map[string]*tableEntry),
 		journal:       make(map[uint64]map[model.FilterID]struct{}),
 		rng:           rand.New(rand.NewSource(seed)),
 		res:           cfg.Resilience,
@@ -368,15 +366,10 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		if err != nil {
 			return nil, fmt.Errorf("node %s: decode pending grid: %w", n.cfg.ID, err)
 		}
-		// The scope rides as an optional trailing term: none is the
-		// node-wide entry.
-		term := ""
 		if r.Remaining() > 0 {
-			if term, err = r.String(); err != nil {
-				return nil, err
-			}
+			return nil, fmt.Errorf("node %s: %w: %d byte(s) after the grid", n.cfg.ID, errScopedPrepare, r.Remaining())
 		}
-		return nil, n.PrepareAllocation(ctx, epoch, term, g)
+		return nil, n.PrepareAllocation(ctx, epoch, g)
 	case msgCommitGrid:
 		epoch, err := r.Uvarint()
 		if err != nil {
@@ -423,14 +416,13 @@ func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 	}
 }
 
-// handleRegister stores a filter and its posting entries. When the terms it
-// is registered under are served through a grid, the new filter must also
-// reach its column in every partition row — otherwise documents fanned out
-// to the grid would miss filters registered after the allocation round. It is
-// forwarded once per forwarding-table entry that routes any of its terms:
-// to the committed grid, and to a pending one tagged with the pending epoch,
-// so an abort unwinds a mid-prepare registration's copy along with the
-// epoch's migrations.
+// handleRegister stores a filter and its posting entries. When the node's
+// terms are served through a grid, the new filter must also reach its column
+// in every partition row — otherwise documents fanned out to the grid would
+// miss filters registered after the allocation round. It is forwarded to the
+// committed grid, and to a pending one tagged with the pending epoch, so an
+// abort unwinds a mid-prepare registration's copy along with the epoch's
+// migrations.
 //
 // A MatchAll filter is held by one home cluster-wide, the home of its key term
 // (model.Filter.KeyTerm): a document it matches reaches every home of its
@@ -459,36 +451,16 @@ func (n *Node) handleRegister(ctx context.Context, req RegisterReq) error {
 	}
 	n.updateCoverGauges()
 
-	type forward struct {
-		grid  *alloc.Grid
-		epoch uint64
-		terms []string
-	}
-	var forwards []forward
-	via := func(e *tableEntry, terms []string) {
-		if e == nil {
-			return
-		}
-		if e.committed != nil {
-			forwards = append(forwards, forward{grid: e.committed, terms: terms})
-		}
-		if e.pending != nil {
-			forwards = append(forwards, forward{grid: e.pending, epoch: e.pendingEpoch, terms: terms})
-		}
-	}
 	n.mu.RLock()
-	if len(n.table) > 0 {
-		via(n.table[""], req.PostingTerms)
-		for i, t := range req.PostingTerms {
-			via(n.table[t], req.PostingTerms[i:i+1])
-		}
-	}
+	e := n.table
 	n.mu.RUnlock()
-
-	for _, f := range forwards {
-		if err := n.forwardToGridColumn(ctx, f.grid, f.epoch, RegisterReq{Filter: req.Filter, PostingTerms: f.terms}); err != nil {
+	if e.committed != nil {
+		if err := n.forwardToGridColumn(ctx, e.committed, 0, req); err != nil {
 			return err
 		}
+	}
+	if e.pending != nil {
+		return n.forwardToGridColumn(ctx, e.pending, e.pendingEpoch, req)
 	}
 	return nil
 }
@@ -573,37 +545,22 @@ func (n *Node) forwardToGridColumn(ctx context.Context, g *alloc.Grid, epoch uin
 	return errors.Join(errs...)
 }
 
-// DropGrid empties the forwarding table — every scope, pending included — so
-// a recovered node that slept through commits and GC stops trusting stale
+// DropGrid empties the forwarding table — pending grid included — so a
+// recovered node that slept through commits and GC stops trusting stale
 // placements and matches from its complete local store until the next
 // prepare.
 func (n *Node) DropGrid() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	clear(n.table)
+	n.table = tableEntry{}
 }
 
-// Grid returns the committed node-wide grid (may be nil) and the node's
-// committed epoch.
+// Grid returns the committed grid (may be nil) and the node's committed
+// epoch.
 func (n *Node) Grid() (*alloc.Grid, uint64) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if e := n.table[""]; e != nil {
-		return e.committed, n.gridEpoch
-	}
-	return nil, n.gridEpoch
-}
-
-// TermGridCount returns the number of term-scoped forwarding-table entries —
-// the table growth §V's per-node aggregation keeps at zero.
-func (n *Node) TermGridCount() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	count := len(n.table)
-	if _, ok := n.table[""]; ok {
-		count--
-	}
-	return count
+	return n.table.committed, n.gridEpoch
 }
 
 // InstallBloom replaces the global filter-term Bloom filter.
@@ -638,76 +595,46 @@ func (n *Node) handlePublish(ctx context.Context, doc *model.Document, terms []s
 	return resp, err
 }
 
-// gridRoute is the part of a publish bound for one allocation grid: the
-// terms it serves, in document order. pending marks a dual-read route — terms
-// fanned out a second time against a not-yet-committed grid, whose failures
-// never fail or degrade the publish (the committed path is authoritative).
+// gridRoute is one allocation grid a publish fans out through. pending marks
+// a dual-read route — the terms fanned out a second time against a
+// not-yet-committed grid, whose failures never fail or degrade the publish
+// (the committed path is authoritative).
 type gridRoute struct {
 	grid    *alloc.Grid
 	pending bool
 	first   int // partition row drawn for this frame
-	terms   []string
 }
 
-// splitByGrid partitions a frame's terms by the forwarding-table entry that
-// serves each: the term's own entry once it has a committed grid, else the
-// node-wide one; a term neither routes matches on this node (local). During
-// a dual-read window the term additionally joins the route of the serving
-// entry's pending grid — and of its own entry's, while that still awaits its
-// first commit. An empty table aliases terms as local: read-only for callers.
-func (n *Node) splitByGrid(terms []string) (local []string, routes []gridRoute) {
+// splitByGrid reads the forwarding table for one frame. With no grid the
+// node matches the frame's terms itself (local); with a committed grid they
+// fan out through it; during a dual-read window they fan out through the
+// pending grid as well — beside the local match while the table awaits its
+// first commit. Every route carries all of the frame's terms.
+func (n *Node) splitByGrid() (local bool, routes []gridRoute) {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if len(n.table) == 0 {
-		return terms, nil
+	e := n.table
+	n.mu.RUnlock()
+	if e.committed != nil {
+		routes = append(routes, gridRoute{grid: e.committed})
 	}
-	add := func(g *alloc.Grid, pending bool, term string) {
-		for i := range routes {
-			if routes[i].grid == g {
-				routes[i].terms = append(routes[i].terms, term)
-				return
-			}
-		}
-		routes = append(routes, gridRoute{grid: g, pending: pending, terms: []string{term}})
+	if e.pending != nil && e.pending != e.committed {
+		routes = append(routes, gridRoute{grid: e.pending, pending: true})
 	}
-	nodeWide := n.table[""]
-	for _, t := range terms {
-		own := n.table[t]
-		serving := own
-		if own == nil || own.committed == nil {
-			serving = nodeWide
-		}
-		var g *alloc.Grid
-		if serving != nil {
-			g = serving.committed
-		}
-		if g == nil {
-			local = append(local, t)
-		} else {
-			add(g, false, t)
-		}
-		if serving != nil && serving.pending != nil && serving.pending != g {
-			add(serving.pending, true, t)
-		}
-		if own != nil && own != serving && own.pending != nil && own.pending != g {
-			add(own.pending, true, t)
-		}
-	}
-	return local, routes
+	return e.committed == nil, routes
 }
 
-// homePublish matches a home-routed document: its grid-less terms in one
-// local MatchTerms pass, everything else through the grid fan-out.
+// homePublish matches a home-routed document: locally in one MatchTerms pass
+// when the node has no committed grid, through the grid fan-out otherwise.
 func (n *Node) homePublish(ctx context.Context, doc *model.Document, terms []string) (MatchResp, error) {
-	local, routes := n.splitByGrid(terms)
+	local, routes := n.splitByGrid()
 	var resp MatchResp
-	if len(local) > 0 {
+	if local {
 		var err error
-		if resp, err = n.matchLocalTerms(doc, local); err != nil {
+		if resp, err = n.matchLocalTerms(doc, terms); err != nil {
 			return MatchResp{}, err
 		}
-		resp.Hops = make([]trace.Hop, 0, len(local))
-		for _, t := range local {
+		resp.Hops = make([]trace.Hop, 0, len(terms))
+		for _, t := range terms {
 			resp.Hops = append(resp.Hops, trace.Hop{Stage: "local", To: string(n.cfg.ID), Term: t})
 		}
 	}
@@ -722,7 +649,7 @@ func (n *Node) homePublish(ctx context.Context, doc *model.Document, terms []str
 		routes[i].first = routes[i].grid.PickRow(doc.ID, n.rng)
 	}
 	n.mu.Unlock()
-	if err := n.fanOut(ctx, doc, routes, &resp); err != nil {
+	if err := n.fanOut(ctx, doc, terms, routes, &resp); err != nil {
 		return MatchResp{}, err
 	}
 	return resp, nil
@@ -740,20 +667,19 @@ type colSlot struct {
 }
 
 // fanOut is the grid fan-out (§V, §VI.D): it disseminates a document's
-// grid-routed terms through the union of grid-row destinations across all
-// of their grids, folding each node's matches into resp. Each round, the
-// still-open (grid, column) slots are grouped by the node their current row
-// assigns and every distinct node receives ONE local frame carrying the
-// union of the terms routed there — so k terms, or k grids, sharing a node
-// cost one RPC, not k. Failover stays per column: an availability failure
-// moves only that node's slots to the same column of the next row (every row
-// holds a full replica, and column c of every row stores the same filter
-// subset, so the re-route preserves the exact match set), and regrouping
-// each round keeps the dedup exact as slots drift across rows. A committed
-// column no row can serve degrades the publish once per term routed through
-// it — what the per-term fan-out reports; a pending column never degrades or
-// fails anything.
-func (n *Node) fanOut(ctx context.Context, doc *model.Document, routes []gridRoute, resp *MatchResp) error {
+// terms through the union of grid-row destinations across the routes' grids,
+// folding each node's matches into resp. Each round, the still-open (grid,
+// column) slots are grouped by the node their current row assigns and every
+// distinct node receives ONE local frame carrying the terms — so the
+// committed and the pending grid sharing a node cost one RPC, not two.
+// Failover stays per column: an availability failure moves only that node's
+// slots to the same column of the next row (every row holds a full replica,
+// and column c of every row stores the same filter subset, so the re-route
+// preserves the exact match set), and regrouping each round keeps the dedup
+// exact as slots drift across rows. A committed column no row can serve
+// degrades the publish once per term routed through it — what the per-term
+// fan-out reports; a pending column never degrades or fails anything.
+func (n *Node) fanOut(ctx context.Context, doc *model.Document, terms []string, routes []gridRoute, resp *MatchResp) error {
 	nCols := 0
 	for i := range routes {
 		nCols += routes[i].grid.Cols()
@@ -782,7 +708,7 @@ func (n *Node) fanOut(ctx context.Context, doc *model.Document, routes []gridRou
 				// No live replica in any row: one lost hop per term routed
 				// through the column.
 				s.done, s.lost = true, true
-				for _, t := range s.route.terms {
+				for _, t := range terms {
 					s.hops = append(s.hops, trace.Hop{
 						Stage: "column", From: string(n.cfg.ID), Col: s.col, Term: t, Lost: true,
 						Pending: s.route.pending,
@@ -805,7 +731,7 @@ func (n *Node) fanOut(ctx context.Context, doc *model.Document, routes []gridRou
 			wg.Add(1)
 			go func(ti int, target ring.NodeID, ss []*colSlot) {
 				defer wg.Done()
-				out, elapsed, err := n.sendPublish(ctx, target, true, doc, termsVia(ss))
+				out, elapsed, err := n.sendPublish(ctx, target, true, doc, terms)
 				n.hColumnRPC.Observe(elapsed)
 				committed := false
 				for _, s := range ss {
@@ -857,34 +783,10 @@ func (n *Node) fanOut(ctx context.Context, doc *model.Document, routes []gridRou
 		resp.Hops = append(resp.Hops, s.hops...)
 		if s.lost && !s.route.pending {
 			resp.Degraded = true
-			resp.ColumnsLost += len(s.route.terms)
+			resp.ColumnsLost += len(terms)
 		}
 	}
 	return nil
-}
-
-// termsVia builds the term list of the local frame for the node currently
-// serving slots ss: the union of the slots' routes' terms. A route
-// contributes once even when several of its columns land on the node (its
-// slots are adjacent in ss), and a term riding both a committed route and
-// the pending dual-read route is shipped once.
-func termsVia(ss []*colSlot) []string {
-	first := ss[0].route
-	// The list aliases the first route's: clip it so the first append copies.
-	terms := first.terms[:len(first.terms):len(first.terms)]
-	prev := first
-	for _, s := range ss[1:] {
-		if s.route == prev {
-			continue
-		}
-		prev = s.route
-		for _, t := range s.route.terms {
-			if !slices.Contains(terms, t) {
-				terms = append(terms, t)
-			}
-		}
-	}
-	return terms
 }
 
 // sendPublish issues one publish frame carrying doc and terms to node `to`
@@ -1171,36 +1073,27 @@ func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []ho
 const migrateBatch = 512
 
 // ownedBatches walks the index's resident filters (ascending ID, no store
-// read) for the ones a prepare of scope term must place, and groups the copies
-// each grid target must receive — the migration work list of
-// PrepareAllocation. The node-wide scope ("") owns every term that hashes to
-// this node; a term scope owns that term. A copy is posted on its target under
-// the owned terms the filter is posted under here, not under every owned term
-// it has: what a registration chose (conjunctiveKey, or a registrar posting
-// under fewer terms) a migration repeats, because choosing again could key a
-// filter under a term whose own grid — which overrides this one for that term
-// — never received it. A filter posted under no owned term is a replica
-// migrated here by another home node, not this prepare's to re-allocate.
-func (n *Node) ownedBatches(term string, g *alloc.Grid) (map[ring.NodeID][]RegisterReq, error) {
-	owns := func(t string) (bool, error) {
-		if term != "" {
-			return t == term, nil
-		}
-		home, err := n.cfg.Ring.HomeNode(t)
-		return home == n.cfg.ID, err
-	}
+// read) for the ones this home must place, and groups the copies each grid
+// target must receive — the migration work list of PrepareAllocation. The
+// home owns every term that hashes to it. A copy is posted on its target
+// under the owned terms the filter is posted under here, not under every
+// owned term it has: what a registration chose (conjunctiveKey, or a
+// registrar posting under fewer terms) a migration repeats. A filter posted
+// under no owned term is a replica migrated here by another home node, not
+// this prepare's to re-allocate.
+func (n *Node) ownedBatches(g *alloc.Grid) (map[ring.NodeID][]RegisterReq, error) {
 	batches := make(map[ring.NodeID][]RegisterReq)
 	var iterErr error
 	err := n.ix.EachFilter(func(f model.Filter) bool {
 		posted := n.ix.PostedUnder(f.ID, f.Terms)
 		owned := posted[:0]
 		for _, t := range posted {
-			ok, err := owns(t)
+			home, err := n.cfg.Ring.HomeNode(t)
 			if err != nil {
 				iterErr = err
 				return false
 			}
-			if ok {
+			if home == n.cfg.ID {
 				owned = append(owned, t)
 			}
 		}

@@ -77,7 +77,7 @@ func (h *harness) registerEverywhere(t testing.TB, f model.Filter) {
 // (migrate its filters, install g as pending) then the commit barrier.
 func allocate(t testing.TB, home *Node, epoch uint64, g *alloc.Grid) {
 	t.Helper()
-	if err := home.PrepareAllocation(context.Background(), epoch, "", g); err != nil {
+	if err := home.PrepareAllocation(context.Background(), epoch, g); err != nil {
 		t.Fatal(err)
 	}
 	if !home.CommitGrid(epoch) {
@@ -378,10 +378,10 @@ func TestInstallGridEpochOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nd.PrepareGrid(5, "", g1) || !nd.CommitGrid(5) {
+	if !nd.PrepareGrid(5, g1) || !nd.CommitGrid(5) {
 		t.Fatal("epoch 5 did not install")
 	}
-	if nd.PrepareGrid(3, "", g2) || nd.CommitGrid(3) { // stale epoch must be ignored
+	if nd.PrepareGrid(3, g2) || nd.CommitGrid(3) { // stale epoch must be ignored
 		t.Fatal("stale epoch 3 accepted over committed epoch 5")
 	}
 	g, epoch := nd.Grid()

@@ -30,7 +30,8 @@ const (
 	// 11 retired: msgUnregister (one ID; EncodeUnregister writes a one-ID
 	// msgUnregisterBatch).
 	// 12, 13 retired: msgAllocate / msgAllocateTerm (hard-flip allocation
-	// rounds, node-wide and per-term; both cut over through msgPrepareAlloc).
+	// rounds, node-wide and per-term; a node-wide round cuts over through
+	// msgPrepareAlloc, and per-term rounds are gone).
 	// 14–19 retired: msgPublish{,Local}Batch, msgPublish{,Local}Multi,
 	// msgPublish{,Local}MultiBatch (superseded by msgPublish).
 	// 20, 21 retired: msgDeliver / msgFetch (polled mailbox tier).
@@ -57,23 +58,14 @@ const (
 
 // EncodePrepareAlloc serializes a prepare-phase reallocation command for a
 // home node: migrate owned filters to their new placements and install the
-// grid as pending (dual-read until commit or abort).
+// grid as pending (dual-read until commit or abort). Nothing follows the
+// grid: a node refuses a prepare with trailing bytes (errScopedPrepare).
 func EncodePrepareAlloc(epoch uint64, g *alloc.Grid) []byte {
-	return EncodePrepareTermAlloc(epoch, "", g)
-}
-
-// EncodePrepareTermAlloc is EncodePrepareAlloc scoped to one term of the home
-// node — the per-term ablation's forwarding-table entry. The scope is an
-// optional trailing term; the node-wide scope ("") writes none.
-func EncodePrepareTermAlloc(epoch uint64, term string, g *alloc.Grid) []byte {
 	gridBytes := g.Encode()
-	w := codec.NewWriter(16 + len(gridBytes) + len(term))
+	w := codec.NewWriter(16 + len(gridBytes))
 	w.Uint8(msgPrepareAlloc)
 	w.Uvarint(epoch)
 	w.Bytes0(gridBytes)
-	if term != "" {
-		w.String(term)
-	}
 	return w.Bytes()
 }
 
@@ -180,8 +172,8 @@ func decodeRegister(r *codec.Reader) (RegisterReq, error) {
 // position in doc.Terms plus one, or 0 and then the string for a term the
 // document does not hold. Home groups are in document order, so the search
 // for each position starts where the last one ended (trace.IndexFrom) and the
-// whole list costs one walk of the document; a fan-out union (termsVia) that
-// is not in order wraps around.
+// whole list costs one walk of the document; a list that is not in order
+// wraps around.
 func appendPublishFrame(w *codec.Writer, local bool, doc *model.Document, terms []string) {
 	w.Uint8(msgPublish)
 	w.Bool(local)

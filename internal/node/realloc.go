@@ -11,18 +11,17 @@ import (
 )
 
 // This file is the node side of the two-phase reallocation protocol (§13).
-// Every forwarding-table entry — the node-wide one and each term-scoped one
-// — cuts over the same way:
+// The forwarding table is one entry per node (§V: one grid per node, not per
+// term), and it cuts over in three steps:
 //
-//	prepare  — PrepareAllocation: install the new grid as the entry's
-//	           *pending* (its dual-read window opens), then migrate every
-//	           filter the scope owns to its new placements. Migrations are
-//	           journaled per epoch so they can be unwound.
-//	commit   — CommitGrid: promote every pending grid of the epoch to
-//	           committed atomically; the dual-read windows close and the
-//	           epoch's journal is retired (the copies are now the
-//	           authoritative placements).
-//	abort    — AbortGrid: drop the epoch's pending grids and unregister
+//	prepare  — PrepareAllocation: install the new grid as *pending* (the
+//	           dual-read window opens), then migrate every filter this home
+//	           owns to its new placements. Migrations are journaled per
+//	           epoch so they can be unwound.
+//	commit   — CommitGrid: promote the epoch's pending grid to committed;
+//	           the dual-read window closes and the epoch's journal is
+//	           retired (the copies are now the authoritative placements).
+//	abort    — AbortGrid: drop the epoch's pending grid and unregister
 //	           exactly the filter copies its migrations created, restoring
 //	           the pre-prepare state bit for bit.
 //
@@ -33,11 +32,11 @@ import (
 // the pending placements itself) — both sides of the race deliver the
 // filter, and idempotent replay makes delivering it twice harmless.
 
-// tableEntry is one scope of the forwarding table: the grid serving the
-// scope's terms and, between a prepare and its commit or abort, the next
-// epoch's. While pending is non-nil the node dual-reads the scope: publishes
-// fan out to both grids and union the match sets, so no match is dropped
-// whichever placement a filter is physically on.
+// tableEntry is the forwarding table: the grid serving the node's terms and,
+// between a prepare and its commit or abort, the next epoch's. While pending
+// is non-nil the node dual-reads: publishes fan out to both grids and union
+// the match sets, so no match is dropped whichever placement a filter is
+// physically on. Both nil is the empty table: every term matches locally.
 type tableEntry struct {
 	committed    *alloc.Grid
 	pending      *alloc.Grid
@@ -46,21 +45,22 @@ type tableEntry struct {
 	dualSince time.Time
 }
 
-// PrepareGrid installs g as the pending grid of scope term ("" = node-wide)
-// for epoch, opening the scope's dual-read window. Re-preparing the same
-// epoch is idempotent (a retried prepare RPC must not fail); an epoch at or
-// below the committed one is rejected as stale.
-func (n *Node) PrepareGrid(epoch uint64, term string, g *alloc.Grid) bool {
+// errScopedPrepare refuses a prepare frame that carries bytes after its
+// grid: an older coordinator's term-scoped prepare, which this node must not
+// install as its one grid.
+var errScopedPrepare = errors.New("term-scoped prepare refused")
+
+// PrepareGrid installs g as the pending grid for epoch, opening the
+// dual-read window. Re-preparing the same epoch is idempotent (a retried
+// prepare RPC must not fail); an epoch at or below the committed one is
+// rejected as stale.
+func (n *Node) PrepareGrid(epoch uint64, g *alloc.Grid) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if epoch <= n.gridEpoch {
 		return false
 	}
-	e := n.table[term]
-	if e == nil {
-		e = &tableEntry{}
-		n.table[term] = e
-	}
+	e := &n.table
 	if e.pending == nil || e.pendingEpoch != epoch {
 		e.dualSince = time.Now()
 	}
@@ -69,40 +69,33 @@ func (n *Node) PrepareGrid(epoch uint64, term string, g *alloc.Grid) bool {
 	return true
 }
 
-// PrepareAllocation executes the prepare phase of scope term on this home
-// node: pending grid first (see the ordering note above), then the filter
-// migrations. Any migration failure propagates so the coordinator aborts
-// the round.
-func (n *Node) PrepareAllocation(ctx context.Context, epoch uint64, term string, g *alloc.Grid) error {
-	if !n.PrepareGrid(epoch, term, g) {
+// PrepareAllocation executes the prepare phase on this home node: pending
+// grid first (see the ordering note above), then the filter migrations. Any
+// migration failure propagates so the coordinator aborts the round.
+func (n *Node) PrepareAllocation(ctx context.Context, epoch uint64, g *alloc.Grid) error {
+	if !n.PrepareGrid(epoch, g) {
 		return fmt.Errorf("node %s: prepare epoch %d is not newer than committed epoch", n.cfg.ID, epoch)
 	}
-	batches, err := n.ownedBatches(term, g)
+	batches, err := n.ownedBatches(g)
 	if err != nil {
 		return err
 	}
 	return n.sendMigrations(ctx, epoch, batches)
 }
 
-// CommitGrid is the cutover barrier: it atomically promotes every grid
-// pending under epoch to committed and retires the epoch's migration
-// journal. Broadcast to every node, it is a benign no-op on nodes with
-// nothing pending under the epoch (non-participants, already-committed
-// retries). Reports whether this call promoted anything.
+// CommitGrid is the cutover barrier: it promotes the grid pending under
+// epoch to committed and retires the epoch's migration journal. Broadcast to
+// every node, it is a benign no-op on nodes with nothing pending under the
+// epoch (non-participants, already-committed retries). Reports whether this
+// call promoted anything.
 func (n *Node) CommitGrid(epoch uint64) bool {
 	n.mu.Lock()
-	committed := false
-	if epoch > n.gridEpoch {
-		for _, e := range n.table {
-			if e.pending != nil && e.pendingEpoch == epoch {
-				e.committed, e.pending, e.pendingEpoch = e.pending, nil, 0
-				n.hDualRead.Observe(time.Since(e.dualSince))
-				committed = true
-			}
-		}
-		if committed {
-			n.gridEpoch = epoch
-		}
+	e := &n.table
+	committed := epoch > n.gridEpoch && e.pending != nil && e.pendingEpoch == epoch
+	if committed {
+		e.committed, e.pending, e.pendingEpoch = e.pending, nil, 0
+		n.hDualRead.Observe(time.Since(e.dualSince))
+		n.gridEpoch = epoch
 	}
 	n.mu.Unlock()
 	if committed {
@@ -116,22 +109,16 @@ func (n *Node) CommitGrid(epoch uint64) bool {
 	return committed
 }
 
-// AbortGrid unwinds epoch's prepares: every grid pending under it is dropped
-// — an entry left with no committed grid leaves the table — and every filter
-// copy the epoch's migrations created is unregistered. Copies that existed
-// before the prepare were never journaled and are untouched. Broadcast to
-// every node; a no-op where the epoch left no state.
+// AbortGrid unwinds epoch's prepare: the grid pending under it is dropped
+// and every filter copy the epoch's migrations created is unregistered.
+// Copies that existed before the prepare were never journaled and are
+// untouched. Broadcast to every node; a no-op where the epoch left no state.
 func (n *Node) AbortGrid(epoch uint64) error {
 	n.mu.Lock()
-	hadPending := false
-	for scope, e := range n.table {
-		if e.pending != nil && e.pendingEpoch == epoch {
-			e.pending, e.pendingEpoch = nil, 0
-			hadPending = true
-			if e.committed == nil {
-				delete(n.table, scope)
-			}
-		}
+	e := &n.table
+	hadPending := e.pending != nil && e.pendingEpoch == epoch
+	if hadPending {
+		e.pending, e.pendingEpoch = nil, 0
 	}
 	n.mu.Unlock()
 
@@ -156,18 +143,12 @@ func (n *Node) AbortGrid(epoch uint64) error {
 }
 
 // EpochInfo snapshots the node's reallocation state: the committed epoch,
-// the newest pending epoch (zero when none), and whether any forwarding-table
-// entry has a dual-read window open. Surfaced on /healthz.
+// the pending epoch (zero when none), and whether the dual-read window is
+// open. Surfaced on /healthz.
 func (n *Node) EpochInfo() (committed, pending uint64, dualReading bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, e := range n.table {
-		if e.pending != nil {
-			dualReading = true
-			pending = max(pending, e.pendingEpoch)
-		}
-	}
-	return n.gridEpoch, pending, dualReading
+	return n.gridEpoch, n.table.pendingEpoch, n.table.pending != nil
 }
 
 // handleMigrate installs a batch of allocated filters. Replay-safe: a

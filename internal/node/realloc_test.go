@@ -30,85 +30,73 @@ func soloNode(t *testing.T) *Node {
 	return nd
 }
 
-// TestPrepareCommitAbortStateMachine walks the §13 epoch transitions on one
-// node, once per kind of forwarding-table entry — the node-wide scope and a
-// term scope take the same steps: stale prepares rejected, re-prepares
-// idempotent, an abort before any commit leaves no entry behind, commit
-// promotes exactly the matching pending epoch, abort restores the committed
-// state.
+// TestPrepareCommitAbortStateMachine walks the §13 epoch transitions of the
+// one forwarding-table entry on one node: stale prepares rejected,
+// re-prepares idempotent, an abort before any commit leaves the table empty,
+// commit promotes exactly the matching pending epoch, abort restores the
+// committed state.
 func TestPrepareCommitAbortStateMachine(t *testing.T) {
-	for _, scope := range []string{"", "alerts"} {
-		t.Run("scope="+scope, func(t *testing.T) {
-			nd := soloNode(t)
-			g, err := alloc.NewGrid(1, 1, []ring.NodeID{"solo"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			other := "alerts"
-			if scope == other {
-				other = ""
-			}
+	// "scope=" names the node-wide scope, the forwarding table's one entry.
+	t.Run("scope=", func(t *testing.T) {
+		nd := soloNode(t)
+		g, err := alloc.NewGrid(1, 1, []ring.NodeID{"solo"})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			if nd.PrepareGrid(0, scope, g) {
-				t.Fatal("prepare epoch 0 accepted; epochs start at 1")
-			}
-			if !nd.PrepareGrid(1, scope, g) {
-				t.Fatal("prepare epoch 1 rejected")
-			}
-			if err := nd.AbortGrid(1); err != nil {
-				t.Fatal(err)
-			}
-			if committed, pending, dual := nd.EpochInfo(); committed != 0 || pending != 0 || dual || len(nd.table) != 0 {
-				t.Fatalf("after aborting a never-committed scope: committed=%d pending=%d dual=%v entries=%d, want 0/0/false/0",
-					committed, pending, dual, len(nd.table))
-			}
+		if nd.PrepareGrid(0, g) {
+			t.Fatal("prepare epoch 0 accepted; epochs start at 1")
+		}
+		if !nd.PrepareGrid(1, g) {
+			t.Fatal("prepare epoch 1 rejected")
+		}
+		if err := nd.AbortGrid(1); err != nil {
+			t.Fatal(err)
+		}
+		if committed, pending, dual := nd.EpochInfo(); committed != 0 || pending != 0 || dual || nd.table.committed != nil || nd.table.pending != nil {
+			t.Fatalf("after aborting a never-committed grid: committed=%d pending=%d dual=%v table=%+v, want 0/0/false/empty",
+				committed, pending, dual, nd.table)
+		}
 
-			if !nd.PrepareGrid(2, scope, g) {
-				t.Fatal("prepare epoch 2 rejected")
-			}
-			if !nd.PrepareGrid(2, scope, g) {
-				t.Fatal("re-prepare of the same epoch must be idempotent, not an error")
-			}
-			if committed, pending, dual := nd.EpochInfo(); committed != 0 || pending != 2 || !dual {
-				t.Fatalf("after prepare: committed=%d pending=%d dual=%v, want 0/2/true", committed, pending, dual)
-			}
+		if !nd.PrepareGrid(2, g) {
+			t.Fatal("prepare epoch 2 rejected")
+		}
+		if !nd.PrepareGrid(2, g) {
+			t.Fatal("re-prepare of the same epoch must be idempotent, not an error")
+		}
+		if committed, pending, dual := nd.EpochInfo(); committed != 0 || pending != 2 || !dual {
+			t.Fatalf("after prepare: committed=%d pending=%d dual=%v, want 0/2/true", committed, pending, dual)
+		}
 
-			if nd.CommitGrid(3) {
-				t.Fatal("commit of a never-prepared epoch promoted something")
-			}
-			if !nd.CommitGrid(2) {
-				t.Fatal("commit of the prepared epoch did not promote")
-			}
-			if committed, pending, dual := nd.EpochInfo(); committed != 2 || pending != 0 || dual {
-				t.Fatalf("after commit: committed=%d pending=%d dual=%v, want 2/0/false", committed, pending, dual)
-			}
-			// The committed epoch is the node's, not the entry's: it is stale
-			// for every scope.
-			if nd.PrepareGrid(2, scope, g) || nd.PrepareGrid(2, other, g) {
-				t.Fatal("prepare at the committed epoch accepted; must be stale")
-			}
-			wantTerms := 0
-			if scope != "" {
-				wantTerms = 1
-			}
-			if nodeWide, _ := nd.Grid(); (nodeWide != nil) != (scope == "") || nd.TermGridCount() != wantTerms {
-				t.Fatalf("after commit: node-wide grid=%v, %d term entries; want the grid under scope %q only", nodeWide, nd.TermGridCount(), scope)
-			}
+		if nd.CommitGrid(3) {
+			t.Fatal("commit of a never-prepared epoch promoted something")
+		}
+		if !nd.CommitGrid(2) {
+			t.Fatal("commit of the prepared epoch did not promote")
+		}
+		if committed, pending, dual := nd.EpochInfo(); committed != 2 || pending != 0 || dual {
+			t.Fatalf("after commit: committed=%d pending=%d dual=%v, want 2/0/false", committed, pending, dual)
+		}
+		if nd.PrepareGrid(2, g) {
+			t.Fatal("prepare at the committed epoch accepted; must be stale")
+		}
+		if committed, _ := nd.Grid(); committed != g {
+			t.Fatalf("after commit: grid=%v, want the prepared one", committed)
+		}
 
-			if !nd.PrepareGrid(3, scope, g) {
-				t.Fatal("prepare epoch 3 rejected")
-			}
-			if err := nd.AbortGrid(3); err != nil {
-				t.Fatal(err)
-			}
-			if committed, pending, dual := nd.EpochInfo(); committed != 2 || pending != 0 || dual || len(nd.table) != 1 {
-				t.Fatalf("after abort: committed=%d pending=%d dual=%v entries=%d, want 2/0/false/1", committed, pending, dual, len(nd.table))
-			}
-			if nd.CommitGrid(3) {
-				t.Fatal("commit of an aborted epoch promoted something")
-			}
-		})
-	}
+		if !nd.PrepareGrid(3, g) {
+			t.Fatal("prepare epoch 3 rejected")
+		}
+		if err := nd.AbortGrid(3); err != nil {
+			t.Fatal(err)
+		}
+		if committed, pending, dual := nd.EpochInfo(); committed != 2 || pending != 0 || dual || nd.table.committed != g {
+			t.Fatalf("after abort: committed=%d pending=%d dual=%v grid=%v, want 2/0/false and the epoch-2 grid", committed, pending, dual, nd.table.committed)
+		}
+		if nd.CommitGrid(3) {
+			t.Fatal("commit of an aborted epoch promoted something")
+		}
+	})
 }
 
 // TestMigrateReplayIsNoop replays the same migration batch three times —
@@ -156,85 +144,78 @@ func TestMigrateReplayIsNoop(t *testing.T) {
 
 // TestAbortPreservesPreexistingCopies aborts an epoch whose migrations
 // included a filter the target already held: only the copies the epoch
-// created may be unwound. The home prepares the epoch under either kind of
-// scope; a term scope additionally migrates only the filters holding the
-// term, and its abort leaves no entry on the home.
+// created may be unwound, and the home's table is left empty.
 func TestAbortPreservesPreexistingCopies(t *testing.T) {
-	for _, scope := range []string{"", "alerts"} {
-		t.Run("scope="+scope, func(t *testing.T) {
-			h := newHarness(t, 1) // n0 is the only ring member: it homes every term
-			home := h.nodes[0]
-			peer, err := New(Config{ID: "peer", Ring: h.ring})
-			if err != nil {
+	// "scope=" names the node-wide scope, the forwarding table's one entry.
+	t.Run("scope=", func(t *testing.T) {
+		h := newHarness(t, 1) // n0 is the only ring member: it homes every term
+		home := h.nodes[0]
+		peer, err := New(Config{ID: "peer", Ring: h.ring})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer.Attach(h.net.Join("peer", peer.Handle))
+		ctx := context.Background()
+		filter := func(id model.FilterID, term string) RegisterReq {
+			return RegisterReq{
+				Filter:       model.Filter{ID: id, Subscriber: "s", Terms: []string{term}, Mode: model.MatchAny},
+				PostingTerms: []string{term},
+			}
+		}
+		for _, req := range []RegisterReq{filter(1, "alerts"), filter(2, "alerts"), filter(3, "other")} {
+			if _, err := home.Handle(ctx, "client", EncodeRegister(req)); err != nil {
 				t.Fatal(err)
 			}
-			peer.Attach(h.net.Join("peer", peer.Handle))
-			ctx := context.Background()
-			filter := func(id model.FilterID, term string) RegisterReq {
-				return RegisterReq{
-					Filter:       model.Filter{ID: id, Subscriber: "s", Terms: []string{term}, Mode: model.MatchAny},
-					PostingTerms: []string{term},
-				}
-			}
-			for _, req := range []RegisterReq{filter(1, "alerts"), filter(2, "alerts"), filter(3, "other")} {
-				if _, err := home.Handle(ctx, "client", EncodeRegister(req)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The peer already holds filter 1 (an older placement).
-			if _, err := peer.Handle(ctx, "client", EncodeRegister(filter(1, "alerts"))); err != nil {
-				t.Fatal(err)
-			}
+		}
+		// The peer already holds filter 1 (an older placement).
+		if _, err := peer.Handle(ctx, "client", EncodeRegister(filter(1, "alerts"))); err != nil {
+			t.Fatal(err)
+		}
 
-			grid, err := alloc.NewGrid(1, 1, []ring.NodeID{"peer"})
-			if err != nil {
+		grid, err := alloc.NewGrid(1, 1, []ring.NodeID{"peer"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := home.PrepareAllocation(ctx, 7, grid); err != nil {
+			t.Fatal(err)
+		}
+		if got := peer.Index().NumFilters(); got != 3 {
+			t.Fatalf("peer NumFilters after prepare = %d, want 3 (every filter homed here)", got)
+		}
+		// A stale epoch's abort touches nothing.
+		if err := peer.AbortGrid(6); err != nil || peer.Index().NumFilters() != 3 {
+			t.Fatalf("abort of epoch 6 disturbed epoch 7's copies: %v, %d filters", err, peer.Index().NumFilters())
+		}
+		for _, nd := range []*Node{home, peer} {
+			if err := nd.AbortGrid(7); err != nil {
 				t.Fatal(err)
 			}
-			if err := home.PrepareAllocation(ctx, 7, scope, grid); err != nil {
-				t.Fatal(err)
-			}
-			wantCopies := 3 // node-wide: every filter homed here
-			if scope != "" {
-				wantCopies = 2 // only the term's filters
-			}
-			if got := peer.Index().NumFilters(); got != wantCopies {
-				t.Fatalf("peer NumFilters after prepare = %d, want %d", got, wantCopies)
-			}
-			// A stale epoch's abort touches nothing.
-			if err := peer.AbortGrid(6); err != nil || peer.Index().NumFilters() != wantCopies {
-				t.Fatalf("abort of epoch 6 disturbed epoch 7's copies: %v, %d filters", err, peer.Index().NumFilters())
-			}
-			for _, nd := range []*Node{home, peer} {
-				if err := nd.AbortGrid(7); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := peer.Index().NumFilters(); got != 1 {
-				t.Fatalf("peer NumFilters after abort = %d, want 1 (pre-existing copy kept)", got)
-			}
-			if got := home.Index().NumFilters(); got != 3 || len(home.table) != 0 {
-				t.Fatalf("home after abort: %d filters, %d table entries; want 3 and none", got, len(home.table))
-			}
-			matches, _, err := peer.PublishEntry(ctx, &model.Document{ID: 1, Terms: []string{"alerts"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(matches) != 2 {
-				t.Fatalf("matches after abort = %v, want filters 1 and 2 from the home", matches)
-			}
-		})
-	}
+		}
+		if got := peer.Index().NumFilters(); got != 1 {
+			t.Fatalf("peer NumFilters after abort = %d, want 1 (pre-existing copy kept)", got)
+		}
+		if got := home.Index().NumFilters(); got != 3 || home.table.committed != nil || home.table.pending != nil {
+			t.Fatalf("home after abort: %d filters, table %+v; want 3 and an empty table", got, home.table)
+		}
+		matches, _, err := peer.PublishEntry(ctx, &model.Document{ID: 1, Terms: []string{"alerts"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(matches) != 2 {
+			t.Fatalf("matches after abort = %v, want filters 1 and 2 from the home", matches)
+		}
+	})
 }
 
-// TestRegistrationRacingTermPrepareReachesItsColumn registers filters on a
-// term while its term-scoped prepare is in flight, on both sides of the
-// prepare's filter scan: one after the pending grid is installed but before
+// TestRegistrationRacingPrepareReachesItsColumn registers filters on the
+// home while its prepare is in flight, on both sides of the prepare's filter
+// scan: one after the pending grid is installed but before
 // the scan (the scan migrates it, the registration forwards it — delivered
 // twice, harmlessly), one after the scan while its migrations are still on
 // the wire (only the registration's own pending-aware forward can deliver
-// it). After the commit the term is served by the grid alone, so a filter
+// it). After the commit the home is served by the grid alone, so a filter
 // that missed its column would be missing from every publish.
-func TestRegistrationRacingTermPrepareReachesItsColumn(t *testing.T) {
+func TestRegistrationRacingPrepareReachesItsColumn(t *testing.T) {
 	h := newHarness(t, 3)
 	ctx := context.Background()
 	home := registerHotFilters(t, h, 6)
@@ -269,19 +250,19 @@ func TestRegistrationRacingTermPrepareReachesItsColumn(t *testing.T) {
 		})
 	}
 
-	if !home.PrepareGrid(1, "hot", grid) {
+	if !home.PrepareGrid(1, grid) {
 		t.Fatal("prepare rejected")
 	}
 	register(7) // pending installed, scan not started
 	register(8)
 	armed = true
-	if err := home.PrepareAllocation(ctx, 1, "hot", grid); err != nil {
+	if err := home.PrepareAllocation(ctx, 1, grid); err != nil {
 		t.Fatal(err)
 	}
 	for _, nd := range h.nodes {
 		nd.CommitGrid(1)
 	}
-	if local, _ := home.splitByGrid([]string{"hot"}); len(local) != 0 {
+	if local, _ := home.splitByGrid(); local {
 		t.Fatal("hot still matches locally after the commit; the test would not see a missed column")
 	}
 	matches, resp, err := peers[0].PublishEntry(ctx, &model.Document{ID: 1, Terms: []string{"hot"}})
@@ -360,7 +341,7 @@ func TestRestartMidPrepareRejoinsAtCorrectEpoch(t *testing.T) {
 	}
 
 	// Round 1 prepares... and then the home dies before the commit.
-	if err := h.PrepareAllocation(ctx, 1, "", grid); err != nil {
+	if err := h.PrepareAllocation(ctx, 1, grid); err != nil {
 		t.Fatal(err)
 	}
 	if err := flushStore(h); err != nil {
@@ -385,7 +366,7 @@ func TestRestartMidPrepareRejoinsAtCorrectEpoch(t *testing.T) {
 
 	// Round 2 runs to commit. Replay against the already-aborted peers must
 	// recreate exactly one copy per placement.
-	if err := h.PrepareAllocation(ctx, 2, "", grid); err != nil {
+	if err := h.PrepareAllocation(ctx, 2, grid); err != nil {
 		t.Fatal(err)
 	}
 	for _, nd := range []*Node{h, a, b} {

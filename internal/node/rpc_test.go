@@ -93,61 +93,6 @@ func TestFullRPCSurface(t *testing.T) {
 	}
 }
 
-// TestPrepareTermAllocRPC drives a term-scoped round through the wire frames:
-// the prepare carries the term, the commit is the node-wide one.
-func TestPrepareTermAllocRPC(t *testing.T) {
-	h := newHarness(t, 6)
-	ctx := context.Background()
-	homeNode := registerHotFilters(t, h, 12)
-	var peers []ring.NodeID
-	for _, nd := range h.nodes {
-		if nd != homeNode {
-			peers = append(peers, nd.ID())
-		}
-	}
-	grid, err := alloc.NewGrid(2, 2, peers[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := homeNode.Handle(ctx, "c", EncodePrepareTermAlloc(1, "hot", grid)); err != nil {
-		t.Fatal(err)
-	}
-	if committed, pending, dual := homeNode.EpochInfo(); committed != 0 || pending != 1 || !dual || homeNode.TermGridCount() != 1 {
-		t.Fatalf("after the term prepare: committed=%d pending=%d dual=%v term entries=%d, want 0/1/true/1",
-			committed, pending, dual, homeNode.TermGridCount())
-	}
-	if _, err := homeNode.Handle(ctx, "c", EncodeCommitGrid(1)); err != nil {
-		t.Fatal(err)
-	}
-	if g, epoch := homeNode.Grid(); g != nil || epoch != 1 {
-		t.Fatalf("node-wide grid=%v epoch=%d after a term-scoped round, want none at epoch 1", g, epoch)
-	}
-
-	doc := &model.Document{ID: 1, Terms: []string{"hot"}}
-	matches, _, err := h.nodes[1].PublishEntry(ctx, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 12 {
-		t.Fatalf("matches = %d, want 12", len(matches))
-	}
-	columns := 0
-	for _, hop := range homeNode.Traces().Last(1)[0].Hops {
-		if hop.Stage == "column" {
-			columns++
-		}
-	}
-	if columns != 2 {
-		t.Fatalf("home served the publish through %d column hop(s), want the term grid's 2", columns)
-	}
-
-	// A restart drops term entries with everything else.
-	homeNode.DropGrid()
-	if homeNode.TermGridCount() != 0 {
-		t.Fatal("term entry survived DropGrid")
-	}
-}
-
 // TestRegistrationReachesGridAfterAllocation pins the regression the
 // cluster oracle found: filters registered after an allocation round must
 // be forwarded to their grid column.

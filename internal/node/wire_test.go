@@ -3,9 +3,11 @@ package node
 import (
 	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -389,34 +391,54 @@ func TestWireBudget(t *testing.T) {
 	}
 }
 
-// TestPrepareAllocFrame pins the prepare frame. The node-wide form is byte
-// for byte the frame deployed coordinators already send (the hex is the
-// parent commit's output for the same arguments); a term scope rides as one
-// trailing string; and an explicitly empty trailing scope decodes as the
-// node-wide entry — never a second one beside it.
+// The prepare frame's bytes for epoch 300 and a 2x2 grid over n1, n2, node-3
+// and d: node-wide, and an older coordinator's term-scoped form — the same
+// frame with the term "hot" after the grid.
+const (
+	nodeWidePrepareHex   = "16ac02110202026e31026e32066e6f64652d330164"
+	termScopedPrepareHex = nodeWidePrepareHex + "03686f74"
+)
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPrepareAllocFrame pins the prepare frame. It is byte for byte the
+// frame deployed coordinators already send, and a node installs it as its
+// pending grid. A frame with bytes after the grid — an older coordinator's
+// term-scoped prepare — is refused with errScopedPrepare and leaves no
+// pending grid: installing it as the node's one grid would route every term
+// the wrong way.
 func TestPrepareAllocFrame(t *testing.T) {
 	g, err := alloc.NewGrid(2, 2, []ring.NodeID{"n1", "n2", "node-3", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const parent = "16ac02110202026e31026e32066e6f64652d330164"
 	nodeWide := EncodePrepareAlloc(300, g)
-	if got := hex.EncodeToString(nodeWide); got != parent {
-		t.Fatalf("EncodePrepareAlloc(300, g) = %s, want the parent's %s", got, parent)
-	}
-	if got := hex.EncodeToString(EncodePrepareTermAlloc(300, "hot", g)); got != parent+"03686f74" {
-		t.Fatalf("term-scoped prepare = %s, want the node-wide frame plus the term", got)
+	if got := hex.EncodeToString(nodeWide); got != nodeWidePrepareHex {
+		t.Fatalf("EncodePrepareAlloc(300, g) = %s, want %s", got, nodeWidePrepareHex)
 	}
 
+	ctx := context.Background()
 	nd := soloNode(t)
-	for _, payload := range [][]byte{nodeWide, append(nodeWide, 0)} {
-		if _, err := nd.Handle(context.Background(), "coord", payload); err != nil {
-			t.Fatal(err)
+	for _, payload := range [][]byte{mustHex(t, termScopedPrepareHex), append(slices.Clip(nodeWide), 0)} {
+		if _, err := nd.Handle(ctx, "coord", payload); !errors.Is(err, errScopedPrepare) {
+			t.Fatalf("a %d-byte prepare with bytes after the grid answered %v, want %v", len(payload), err, errScopedPrepare)
 		}
-		if _, pending, _ := nd.EpochInfo(); pending != 300 || len(nd.table) != 1 || nd.TermGridCount() != 0 {
-			t.Fatalf("after a %d-byte node-wide prepare: pending=%d, %d entries, %d term-scoped; want 300/1/0",
-				len(payload), pending, len(nd.table), nd.TermGridCount())
+		if nd.table.committed != nil || nd.table.pending != nil {
+			t.Fatalf("a refused %d-byte prepare left the table %+v, want it empty", len(payload), nd.table)
 		}
+	}
+	if _, err := nd.Handle(ctx, "coord", nodeWide); err != nil {
+		t.Fatal(err)
+	}
+	if _, pending, dual := nd.EpochInfo(); pending != 300 || !dual || !nd.table.pending.Equal(g) {
+		t.Fatalf("after the prepare: pending=%d dual=%v grid=%v; want 300/true and the encoded grid", pending, dual, nd.table.pending)
 	}
 }
 
