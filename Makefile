@@ -51,6 +51,7 @@ loc:
 	@cat $(filter-out %_test.go,$(wildcard internal/daemon/*.go cmd/moved/*.go)) | wc -l | sed 's/$$/ internal\/daemon + cmd\/moved (non-test)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/index/*.go)) | wc -l | sed 's/$$/ internal\/index (non-test)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/delivery/*.go)) | wc -l | sed 's/$$/ internal\/delivery (non-test)/'
+	@cat $(filter-out %_test.go,$(wildcard internal/store/*.go)) | wc -l | sed 's/$$/ internal\/store (non-test)/'
 	@echo "$(words $(wildcard BENCH_*.json)) BENCH_*.json files"
 	@cat internal/node/proto.go internal/node/deliver.go | grep -cE '^(const)?[[:space:]]+msg[A-Za-z]+[[:space:]]+=[[:space:]]+[0-9]+' | sed 's/$$/ live msg* message types (internal\/node proto.go + deliver.go)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/node/*.go)) | grep -cE '^(func (\([a-z]+ \*?[A-Z][A-Za-z0-9]*\) )?|type |var |const )[A-Z]' | sed 's/$$/ exported identifiers in internal\/node (non-test)/'
@@ -115,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeliverFrameRoundTrip -fuzztime=10s ./internal/delivery
 	$(GO) test -run='^$$' -fuzz=FuzzIndexRegisterMatch -fuzztime=10s ./internal/index
 	$(GO) test -run='^$$' -fuzz=FuzzNodeHandle -fuzztime=10s ./internal/node
+	$(GO) test -run='^$$' -fuzz=FuzzStoreReplay -fuzztime=10s ./internal/store
 
 # Full chaos soak of the two-phase reallocation protocol under the race
 # detector: 100 consecutive realloc rounds with Zipf-drift, flash crowds,

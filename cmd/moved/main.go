@@ -36,7 +36,7 @@ func run() error {
 	listen := flag.String("listen", "", "listen address host:port")
 	peersFlag := flag.String("peers", "", "comma-separated id=host:port cluster map")
 	rack := flag.String("rack", "rack-0", "rack label for placement")
-	dir := flag.String("dir", "", "data directory, flushed to on a clean shutdown and read back at start ('' = in-memory, nothing kept)")
+	dir := flag.String("dir", "", "data directory: an answered register, migrate or unregister is in its commit log, replayed at start ('' = in-memory, nothing kept)")
 	gossipEvery := flag.Duration("gossip", time.Second, "gossip interval")
 	debugAddr := flag.String("debug.addr", "", "debug HTTP listen address serving /metrics, /trace/last, /healthz and /debug/pprof ('' = disabled)")
 	subAddr := flag.String("subscribe.addr", "", "subscriber session listen address host:port ('' = no delivery hub: routed deliveries are refused)")

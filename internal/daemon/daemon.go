@@ -26,8 +26,8 @@ type Config struct {
 	ID   ring.NodeID
 	Rack string
 	Ring *ring.Ring
-	// Dir is the data directory, read at start and flushed by Close; ""
-	// keeps nothing.
+	// Dir is the data directory, whose commit log is replayed at start: an
+	// answered register, migrate or unregister is on disk. "" keeps nothing.
 	Dir string
 	// Resilience is the retry/breaker policy of the node's outbound RPCs.
 	Resilience resilience.Policy
@@ -83,6 +83,13 @@ func Start(cfg Config, listen func(transport.Handler) (transport.Transport, erro
 	st, err := store.Open(cfg.Dir, store.Options{})
 	if err != nil {
 		return nil, err
+	}
+	if st.Durable() {
+		r := st.Replayed()
+		slog.Info("replayed log", "node", cfg.ID, "records", r.Records, "bytes", r.Bytes)
+		if r.Truncated > 0 {
+			slog.Warn("cut a torn log tail", "node", cfg.ID, "bytes", r.Truncated)
+		}
 	}
 	d := &Daemon{store: st}
 	defer func() {
@@ -191,10 +198,10 @@ func (d *Daemon) health(extra func(map[string]any)) map[string]any {
 	return h
 }
 
-// Close stops the server in the reverse of Start's order, then flushes the
-// data directory. There is no write-ahead log: the RPC transport closes
-// first — its Close waits for the handlers in flight — so every acknowledged
-// write is in the flush. Safe to call more than once.
+// Close stops the server in the reverse of Start's order, then closes the
+// data directory's log. Every answered write is already on disk; the log is
+// closed last so the handlers in flight, which the transport's Close waits
+// for, can still write it. Safe to call more than once.
 func (d *Daemon) Close() error {
 	if d.Gossip != nil {
 		d.Gossip.Stop()
@@ -213,5 +220,5 @@ func (d *Daemon) Close() error {
 	if d.Hub != nil {
 		d.Hub.Stop()
 	}
-	return d.store.FlushAll()
+	return d.store.Close()
 }

@@ -1,13 +1,18 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,11 +43,35 @@ func (c *countingTransport) Send(ctx context.Context, to ring.NodeID, payload []
 // TestLifecycle starts three daemons on loopback with hubs, gossip and debug
 // servers. A gossip digest delivered to the first one's handler before its
 // gossip loop starts is answered, and nothing is sent. One document reaches
-// a subscriber's session end to end. After Close the goroutine count returns
-// to where it was and every RPC, subscriber and debug address can be bound
-// again.
+// a subscriber's session end to end. After Close the goroutine count and
+// the number of open file descriptors return to where they were and every
+// RPC, subscriber and debug address can be bound again — with and without a
+// data directory (whose log is a descriptor of its own).
 func TestLifecycle(t *testing.T) {
-	before := runtime.NumGoroutine()
+	// The runtime's network poller holds descriptors once anything has
+	// listened; open it before counting.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = ln.Close()
+	for _, dir := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dir=%v", dir), func(t *testing.T) { lifecycle(t, dir) })
+	}
+}
+
+// openFDs counts the process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(fds)
+}
+
+func lifecycle(t *testing.T, withDir bool) {
+	before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
 	ids := []ring.NodeID{"d0", "d1", "d2"}
 	r := ring.New(ring.Config{})
 	for _, id := range ids {
@@ -84,6 +113,9 @@ func TestLifecycle(t *testing.T) {
 			SubscribeAddr: "127.0.0.1:0",
 			DebugAddr:     "127.0.0.1:0",
 			Gossip:        &gossip.Config{Interval: 10 * time.Millisecond},
+		}
+		if withDir {
+			cfg.Dir = t.TempDir()
 		}
 		if i > 0 {
 			cfg.Peers = []gossip.Member{{ID: ids[0]}}
@@ -170,6 +202,12 @@ func TestLifecycle(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	for openFDs(t) != fdsBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d open file descriptors after Close, %d before", openFDs(t), fdsBefore)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	for _, addr := range listened {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
@@ -218,6 +256,67 @@ func get(t *testing.T, url string) []byte {
 		t.Fatalf("read %s: %v", url, err)
 	}
 	return body
+}
+
+// TestStartLogsReplay: a daemon started on a data directory logs the records
+// and bytes its log replayed, and a warning with the bytes of a torn tail it
+// cut; the filters it had answered are back.
+func TestStartLogsReplay(t *testing.T) {
+	r := ring.New(ring.Config{})
+	if err := r.Add(ring.Member{ID: "node-a"}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	start := func() *Daemon {
+		t.Helper()
+		fabric := transport.NewNetwork(transport.NetworkConfig{})
+		d, err := Start(Config{ID: "node-a", Ring: r, Dir: dir},
+			func(h transport.Handler) (transport.Transport, error) { return fabric.Join("node-a", h), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d := start()
+	for i := 1; i <= 3; i++ {
+		f := model.Filter{ID: model.FilterID(i), Subscriber: "alice", Terms: []string{"storm"}, Mode: model.MatchAny}
+		if _, err := d.Node.Handle(context.Background(), "test", node.EncodeRegister(node.RegisterReq{Filter: f, PostingTerms: f.Terms})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logFile := filepath.Join(dir, "commit.log")
+	info, err := os.Stat(logFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(logFile, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("torn!")); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+
+	var out bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&out, nil)))
+	d = start()
+	defer d.Close()
+	for _, want := range []string{
+		fmt.Sprintf(`level=INFO msg="replayed log" node=node-a records=6 bytes=%d`, info.Size()),
+		`level=WARN msg="cut a torn log tail" node=node-a bytes=5`,
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("the start's log lacks %s:\n%s", want, out.String())
+		}
+	}
+	if got := d.Node.Stats().Filters; got != 3 {
+		t.Fatalf("the restarted daemon holds %d filters, want 3", got)
+	}
 }
 
 // TestDebugEndpoints: the debug endpoint serves the daemon's registry, its

@@ -738,7 +738,7 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	p.unregister(t, 107)
 	shapes := &model.Document{ID: 9, Terms: []string{"gone", "own", "p", "q", "r", "solo", "x"}}
 	p.compareAll(t, shapes)
-	if err := sa.FlushAll(); err != nil {
+	if err := sa.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,7 +24,7 @@ import (
 // MatchAll filters over terms documents carried before a filter named them.
 //
 // A second index — over a data directory — takes the same
-// operations, and every op 5 also flushes its store and reopens it: a
+// operations, and every op 5 also closes its store and reopens it: a
 // restart in the middle of a sequence must not change any later match set,
 // MatchStats, counter or posting choice. A verdict depends on the filter and
 // the document alone, so the reopened index is held byte for byte to the same
@@ -200,7 +200,7 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 				d := model.Document{ID: docID, Terms: termsFromMask(args[0])}
 				p.matchDoc(t, &d)
 				dp.matchDoc(t, &d)
-				if err := sd.FlushAll(); err != nil {
+				if err := sd.Close(); err != nil {
 					t.Fatalf("durable index: %v", err)
 				}
 				dur, sd = openDurable(t, dir, store.Options{})

@@ -99,13 +99,7 @@ func New(s *store.Store) (*Index, error) {
 		// Nothing to recover and nowhere to persist: no write-through.
 		return ix, nil
 	}
-	var err error
-	if ix.filters, err = store.NewFilterStore(s); err != nil {
-		return nil, fmt.Errorf("index: open filter store: %w", err)
-	}
-	if ix.postings, err = store.NewPostingStore(s); err != nil {
-		return nil, fmt.Errorf("index: open posting store: %w", err)
-	}
+	ix.filters, ix.postings = store.NewFilterStore(s), store.NewPostingStore(s)
 	if err := ix.loadFromStore(); err != nil {
 		return nil, fmt.Errorf("index: load from store: %w", err)
 	}

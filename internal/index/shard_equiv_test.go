@@ -23,7 +23,7 @@ import (
 // keeps the lists it was on, with another it is on the new posting terms'
 // lists alone; unregistered it is on none. A verdict depends on the filter
 // and the document alone, so matching changes nothing here and a restart
-// from a flushed data directory recovers exactly this state. The equivalence
+// from a data directory recovers exactly this state. The equivalence
 // batteries (here, cover_test.go, fuzz_test.go) hold the sharded covering
 // Index to byte-identical results against it.
 type refIndex struct {

@@ -581,9 +581,6 @@ func TestRestartKeepsAllTermsPosting(t *testing.T) {
 		t.Fatal(err)
 	}
 	handleRegister(t, old, model.Filter{ID: 8, Subscriber: "s", Terms: []string{"alerts"}, Mode: model.MatchAny}, "alerts")
-	if err := flushStore(old); err != nil {
-		t.Fatal(err)
-	}
 
 	nd := boot()
 	ctx := context.Background()

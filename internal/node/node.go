@@ -301,8 +301,17 @@ func (n *Node) send(ctx context.Context, to ring.NodeID, payload []byte) ([]byte
 }
 
 // Handle is the node's transport handler: it dispatches on the message
-// type byte.
+// type byte, and answers once what the frame wrote to the store is on disk
+// (one group-committed Sync a frame, free without a data directory).
 func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]byte, error) {
+	resp, err := n.handle(ctx, from, payload)
+	if serr := n.cfg.Store.Sync(); err == nil && serr != nil {
+		return nil, serr
+	}
+	return resp, err
+}
+
+func (n *Node) handle(ctx context.Context, from ring.NodeID, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("node: empty payload")
 	}

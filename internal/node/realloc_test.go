@@ -344,9 +344,6 @@ func TestRestartMidPrepareRejoinsAtCorrectEpoch(t *testing.T) {
 	if err := h.PrepareAllocation(ctx, 1, grid); err != nil {
 		t.Fatal(err)
 	}
-	if err := flushStore(h); err != nil {
-		t.Fatal(err)
-	}
 	h = bootHome() // crash + restart: pending grid and epoch are gone
 	if committed, pending, dual := h.EpochInfo(); committed != 0 || pending != 0 || dual {
 		t.Fatalf("restarted home: committed=%d pending=%d dual=%v, want 0/0/false", committed, pending, dual)

@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkPut(b *testing.B) {
-	cf := tempCF(b, Options{})
+	cf := tempCF(b)
 	val := []byte("0123456789abcdef")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -17,7 +17,7 @@ func BenchmarkPut(b *testing.B) {
 }
 
 func BenchmarkAppendPosting(b *testing.B) {
-	cf := tempCF(b, Options{})
+	cf := tempCF(b)
 	op := []byte{1, 2, 3, 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -27,21 +27,16 @@ func BenchmarkAppendPosting(b *testing.B) {
 	}
 }
 
-// BenchmarkScanSegments is the recovery read: every segment file loaded,
-// merged with the memtable and walked once.
-func BenchmarkScanSegments(b *testing.B) {
-	cf := tempCF(b, Options{})
+// BenchmarkScanLog is the recovery read: the log read and replayed, and
+// every live key of the column family walked once.
+func BenchmarkScanLog(b *testing.B) {
+	cf := tempCF(b)
 	for i := 0; i < 65536; i++ {
 		if err := cf.Put("key-"+strconv.Itoa(i), []byte("v")); err != nil {
 			b.Fatal(err)
 		}
 		if err := cf.Append("term-"+strconv.Itoa(i%1024), []byte{byte(i)}); err != nil {
 			b.Fatal(err)
-		}
-		if i%24576 == 24575 {
-			if err := cf.Flush(); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 	b.ResetTimer()

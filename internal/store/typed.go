@@ -23,18 +23,10 @@ type FilterStore struct {
 }
 
 // NewFilterStore opens the filter column family.
-func NewFilterStore(s *Store) (*FilterStore, error) {
-	cf, err := s.CF(cfFilters)
-	if err != nil {
-		return nil, err
-	}
-	return &FilterStore{cf: cf}, nil
-}
+func NewFilterStore(s *Store) *FilterStore { return &FilterStore{cf: s.CF(cfFilters)} }
 
 func filterKey(id model.FilterID) string {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(id))
-	return string(buf[:])
+	return string(binary.BigEndian.AppendUint64(nil, uint64(id)))
 }
 
 // Put stores a filter definition.
@@ -61,10 +53,7 @@ func (fs *FilterStore) Each(fn func(model.Filter) bool) error {
 		}
 		return fn(f)
 	})
-	if err != nil {
-		return err
-	}
-	return decodeErr
+	return errors.Join(err, decodeErr)
 }
 
 // PostingStore is the local inverted list: term → posting list of filter
@@ -73,9 +62,9 @@ func (fs *FilterStore) Each(fn func(model.Filter) bool) error {
 // list per forwarded term.
 //
 // A list is a run of operands, oldest first: an ID added (its uvarint) or
-// removed (its uvarint and then removeMark). Compaction folds a list to the
-// IDs it holds (foldPostings), so an ID that came and went leaves nothing
-// behind once its operands have been through a compaction.
+// removed (its uvarint and then removeMark). A rewrite of the log folds a
+// list to the IDs it holds (foldPostings), so an ID that came and went
+// leaves nothing behind once its operands have been through a rewrite.
 type PostingStore struct {
 	cf *CF
 }
@@ -84,14 +73,7 @@ type PostingStore struct {
 const removeMark = 0
 
 // NewPostingStore opens the posting column family.
-func NewPostingStore(s *Store) (*PostingStore, error) {
-	cf, err := s.CF(cfPostings)
-	if err != nil {
-		return nil, err
-	}
-	cf.setFold(foldPostings)
-	return &PostingStore{cf: cf}, nil
-}
+func NewPostingStore(s *Store) *PostingStore { return &PostingStore{cf: s.CF(cfPostings)} }
 
 // Add appends filter id to term's posting list.
 func (ps *PostingStore) Add(term string, id model.FilterID) error {
@@ -118,10 +100,7 @@ func (ps *PostingStore) Each(fn func(term string, ids []model.FilterID) bool) er
 		}
 		return len(ids) == 0 || fn(term, ids)
 	})
-	if err != nil {
-		return err
-	}
-	return decodeErr
+	return errors.Join(err, decodeErr)
 }
 
 // postingIDs replays a list's operands: the IDs held at the end, each where
@@ -151,9 +130,10 @@ func postingIDs(ops [][]byte) ([]model.FilterID, error) {
 	return ids, nil
 }
 
-// foldPostings is the posting column family's compaction fold: a list's
-// whole operand history becomes one add per ID it holds. A list it cannot
-// decode is kept as it is, for recovery to report.
+// foldPostings is how a rewrite of the log keeps a posting list: its whole
+// operand history becomes one add per ID it holds, and a list that holds
+// none is dropped. A list it cannot decode is kept as it is, for recovery to
+// report.
 func foldPostings(ops [][]byte) [][]byte {
 	ids, err := postingIDs(ops)
 	if err != nil {
