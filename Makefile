@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test race bench examples loc wire-budget mem-budget bench-home fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
+.PHONY: build vet fmt-check test race bench examples loc wire-budget mem-budget bench-home bench-rpc fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,14 @@ mem-budget:
 # built with `go test -c` (copy internal/node/matchheavy_test.go into its tree).
 bench-home:
 	$(GO) test -run='^$$' -bench=BenchmarkHomeMatchConjunctive -benchtime=2000x ./internal/node
+
+# The RPC tier's microbench: one warm round trip between two in-process
+# nodes over loopback TCP, a 600-byte request (match_heavy's median home RPC)
+# and an empty answer, serial and RunParallel; reports ns/op and allocs/op.
+# Compare against a parent binary built with `go test -c` (copy
+# internal/transport/tcp_bench_test.go into its tree).
+bench-rpc:
+	$(GO) test -run='^$$' -bench=BenchmarkTCPRoundTrip -benchtime=20000x -count=5 ./internal/transport
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
 # shake out regressions in the codec, framing, tokenizer, index and

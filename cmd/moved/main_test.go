@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -202,7 +203,7 @@ func TestHealthzKeys(t *testing.T) {
 	}
 	want := []string{
 		"delivery_pending", "delivery_sessions", "delivery_shard_sessions", "delivery_shards",
-		"dual_read", "epoch", "filters", "info", "members_alive", "status",
+		"dual_read", "epoch", "filters", "goroutines", "info", "members_alive", "status",
 		"transport_conns", "transport_inbound", "transport_peers", "transport_queued_bytes",
 	}
 	if got := sortedKeys(body); !slices.Equal(got, want) {
@@ -211,6 +212,81 @@ func TestHealthzKeys(t *testing.T) {
 	info, _ := body["info"].(map[string]any)
 	if got := sortedKeys(info); !slices.Equal(got, []string{"id", "listen", "rack"}) {
 		t.Fatalf("/healthz info keys %v, want [id listen rack]", got)
+	}
+}
+
+// TestBurstLeavesNoGoroutines: a moved with a data directory — so every
+// registration detaches from its connection's reader before its fsync —
+// takes a burst of 4,000 registrations from 8 concurrent callers over real
+// TCP, and once it is quiet its /healthz goroutine count is back within a
+// small constant of its value before the burst: no detached reader, handler
+// or writer is left behind.
+func TestBurstLeavesNoGoroutines(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "moved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	addr, debugAddr := freeAddr(t), freeAddr(t)
+	startMoved(t, bin, addr, t.TempDir(), "-debug.addr", debugAddr)
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 5 * time.Second}
+	goroutines := func() int {
+		t.Helper()
+		resp, err := hc.Get("http://" + debugAddr + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Goroutines *int `json:"goroutines"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Goroutines == nil {
+			t.Fatalf("/healthz goroutines: %v (decode: %v)", body.Goroutines, err)
+		}
+		return *body.Goroutines
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	tn, err := transport.NewTCPOpts("client", "127.0.0.1:0", nil, transport.StaticResolver(map[ring.NodeID]string{"n0": addr}), transport.TCPOptions{Conns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	for i := 0; i < 4; i++ { // dial both stripes: their readers are part of the baseline
+		if _, err := tn.Send(ctx, "n0", node.EncodeStatsPull()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := goroutines()
+
+	const callers, each = 8, 500
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := c*each + i + 1
+				f := model.Filter{ID: model.FilterID(id), Subscriber: fmt.Sprintf("sub-%d", id%32), Terms: []string{"alerts", fmt.Sprintf("t%d", id%97)}, Mode: model.MatchAny}
+				if _, err := tn.Send(ctx, "n0", node.EncodeRegister(node.RegisterReq{Filter: f, PostingTerms: f.Terms})); err != nil {
+					t.Errorf("register %d: %v", id, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	const slack = 3
+	after := goroutines()
+	for deadline := time.Now().Add(10 * time.Second); after > before+slack && time.Now().Before(deadline); after = goroutines() {
+		time.Sleep(50 * time.Millisecond)
+	}
+	if after > before+slack {
+		t.Fatalf("%d goroutines after the burst went quiet, %d before it (slack %d)", after, before, slack)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime"
 	"time"
 
 	"github.com/movesys/move/internal/delivery"
@@ -176,10 +177,11 @@ func Start(cfg Config, listen func(transport.Handler) (transport.Transport, erro
 }
 
 // health is the daemon's /healthz answer: the node's epochs and filters, the
-// hub's sessions, the live membership, then the caller's keys.
+// process's goroutines (a reader or a handler stranded after a burst shows
+// here), the hub's sessions, the live membership, then the caller's keys.
 func (d *Daemon) health(extra func(map[string]any)) map[string]any {
 	committed, pending, dual := d.Node.EpochInfo()
-	h := map[string]any{"epoch": committed, "dual_read": dual, "filters": d.Node.Stats().Filters}
+	h := map[string]any{"epoch": committed, "dual_read": dual, "filters": d.Node.Stats().Filters, "goroutines": runtime.NumGoroutine()}
 	if pending != 0 {
 		h["pending_epoch"] = pending
 	}

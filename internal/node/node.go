@@ -276,7 +276,9 @@ func (n *Node) Index() *index.Index { return n.ix }
 // send issues an RPC through the attached transport, applying the
 // resilience policy (retries, backoff, per-destination breaker) when one
 // is configured. A breaker-open fast-fail is surfaced as ErrNodeDown so
-// callers treat it like any other unreachable peer.
+// callers treat it like any other unreachable peer. A remote send waits, so
+// a handler that sends first detaches from its connection's reader
+// (transport.Detach): two nodes calling each other cannot deadlock on one.
 func (n *Node) send(ctx context.Context, to ring.NodeID, payload []byte) ([]byte, error) {
 	n.trMu.RLock()
 	tr := n.tr
@@ -288,6 +290,7 @@ func (n *Node) send(ctx context.Context, to ring.NodeID, payload []byte) ([]byte
 		// Local fast path: skip the network for self-addressed requests.
 		return n.Handle(ctx, n.cfg.ID, payload)
 	}
+	transport.Detach(ctx)
 	if n.res == nil {
 		return tr.Send(ctx, to, payload)
 	}
@@ -302,9 +305,16 @@ func (n *Node) send(ctx context.Context, to ring.NodeID, payload []byte) ([]byte
 
 // Handle is the node's transport handler: it dispatches on the message
 // type byte, and answers once what the frame wrote to the store is on disk
-// (one group-committed Sync a frame, free without a data directory).
+// (one group-committed Sync a frame, free without a data directory). It
+// detaches from the connection's reader where it starts to wait (the
+// transport.Handler rule): before a Sync that may fsync, so the frames
+// behind it on the connection can join that fsync, and at dispatch of the
+// frames whose work is long or fans out.
 func (n *Node) Handle(ctx context.Context, from ring.NodeID, payload []byte) ([]byte, error) {
 	resp, err := n.handle(ctx, from, payload)
+	if n.cfg.Store.Durable() {
+		transport.Detach(ctx)
+	}
 	if serr := n.cfg.Store.Sync(); err == nil && serr != nil {
 		return nil, serr
 	}
@@ -325,6 +335,7 @@ func (n *Node) handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		}
 		return nil, n.handleRegister(ctx, req)
 	case msgPublish:
+		transport.Detach(ctx)
 		local, doc, terms, err := decodePublishFrame(r)
 		if err != nil {
 			return nil, fmt.Errorf("node %s: decode publish: %w", n.cfg.ID, err)
@@ -345,6 +356,7 @@ func (n *Node) handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 		}
 		return EncodeMatchResp(resp, terms), nil
 	case msgPublishSIFT:
+		transport.Detach(ctx)
 		doc, err := model.DecodeDocument(r)
 		if err != nil {
 			return nil, fmt.Errorf("node %s: decode sift: %w", n.cfg.ID, err)
@@ -363,6 +375,7 @@ func (n *Node) handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 	case msgStatsPull:
 		return EncodeStatsResp(n.Stats()), nil
 	case msgPrepareAlloc:
+		transport.Detach(ctx)
 		epoch, err := r.Uvarint()
 		if err != nil {
 			return nil, err

@@ -74,7 +74,7 @@ func StaticResolver(addrs map[ring.NodeID]string) Resolver {
 type TCPOptions struct {
 	// Conns is the number of striped connections kept per peer. Concurrent
 	// Sends round-robin across stripes so high in-flight counts stop
-	// serializing on one connection's send queue. 0 derives from
+	// serializing on one connection's send queue and reader. 0 derives from
 	// GOMAXPROCS, clamped to [2, 8].
 	Conns int
 
@@ -164,7 +164,7 @@ func (n *TCPNode) Addr() string { return n.listener.Addr().String() }
 func (n *TCPNode) Self() ring.NodeID { return n.id }
 
 // Close shuts the listener and all pooled connections down and waits for
-// the serving, reading, and writing goroutines to exit.
+// the reading goroutines, and the handlers running on them, to exit.
 func (n *TCPNode) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -187,9 +187,9 @@ func (n *TCPNode) Close() error {
 	for _, c := range conns {
 		c.close(ErrClosed)
 	}
-	// Accepted connections must be torn down too, or serveConn goroutines
-	// block in frame.Read and wg.Wait never returns. Stopping the writer
-	// closes the raw conn either way.
+	// Accepted connections must be torn down too, or their readers block
+	// in frame.Read and wg.Wait never returns. Closing the writer closes
+	// the raw conn.
 	for _, w := range inbound {
 		w.closeWith(ErrClosed)
 	}
@@ -265,61 +265,100 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		wr := newConnWriter(conn, n.met)
+		c := &inbound{n: n, conn: conn, wr: newConnWriter(conn, n.met), br: bufio.NewReaderSize(conn, readBufSize)}
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
 			_ = conn.Close()
 			return
 		}
-		n.accepted[conn] = wr
-		n.wg.Add(2)
-		go func() {
-			defer n.wg.Done()
-			wr.run()
-		}()
+		n.accepted[conn] = c.wr
+		c.startReader()
 		n.mu.Unlock()
 		n.met.conns.Add(1)
-		go n.serveConn(conn, wr)
 	}
 }
 
-// reqBufPool recycles inbound request-frame buffers across serveConn
-// goroutines. A buffer is returned only after handleFrame finishes: the
-// handler contract (§11) says the payload is transport-owned and must not
-// be retained, and the response has been copied into the send queue by
-// then, so no live reference can alias the recycled array.
+// reqBufPool recycles inbound request-frame buffers across readers. A
+// reader keeps its buffer from frame to frame; one that detaches hands it
+// back here once its handler returns (the handler contract, §11, says the
+// payload is transport-owned and must not be retained, and the response
+// has been copied into the send queue by then), and the reader started in
+// its place takes one from here.
 var reqBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// serveConn reads request frames from one inbound connection and dispatches
-// them to the handler, one goroutine per request so a slow match does not
-// head-of-line-block the connection. Responses funnel through the shared
-// coalescing writer.
-func (n *TCPNode) serveConn(conn net.Conn, wr *connWriter) {
-	defer n.wg.Done()
-	defer func() {
-		wr.closeWith(ErrClosed)
-		n.met.conns.Add(-1)
-		n.mu.Lock()
-		delete(n.accepted, conn)
-		n.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, readBufSize)
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
+// inbound is one accepted connection. Exactly one goroutine at a time reads
+// it — its reader — and each request's handler runs on the reader that read
+// it, so a request that never waits costs no goroutine hand-off. A handler
+// about to wait calls Detach, which starts a fresh reader; the old one
+// finishes its handler, writes the response and exits.
+type inbound struct {
+	n    *TCPNode
+	conn net.Conn
+	wr   *connWriter
+	br   *bufio.Reader
+}
+
+// readerKey is the context key under which a handler's context carries its
+// reader.
+type readerKey struct{}
+
+// reader is one goroutine's turn at reading an inbound connection, with the
+// context its handlers receive and the sender ID of its last frame (both
+// kept across frames, so a warm frame allocates neither). attached is set
+// while a handler runs on the reader; Detach clears it, and a reader that
+// finds it cleared when its handler returns has been replaced and exits.
+type reader struct {
+	c        *inbound
+	ctx      context.Context
+	from     ring.NodeID
+	attached atomic.Bool
+}
+
+// startReader starts a reader goroutine on c. The caller holds n.mu or runs
+// on a goroutine n.wg counts, so Close's Wait cannot miss it.
+func (c *inbound) startReader() {
+	rd := &reader{c: c}
+	rd.ctx = context.WithValue(context.Background(), readerKey{}, rd)
+	c.n.wg.Add(1)
+	go rd.run()
+}
+
+// Detach tells the transport that the handler serving ctx is about to wait
+// on something other than the CPU — a nested RPC, an fsync, a long match.
+// Inside a TCP handler it hands the connection's reading to a fresh
+// goroutine, so the requests behind this one are read and served while it
+// waits; at most once per frame, and the later calls are free. Outside a
+// TCP handler (memnet, a client's own context) it does nothing.
+func Detach(ctx context.Context) {
+	rd, _ := ctx.Value(readerKey{}).(*reader)
+	if rd != nil && rd.attached.CompareAndSwap(true, false) {
+		rd.c.startReader()
+	}
+}
+
+// run reads request frames and serves each on this goroutine until a read
+// fails (the connection is then torn down) or a handler detaches.
+func (rd *reader) run() {
+	c := rd.c
+	defer c.n.wg.Done()
+	bp := reqBufPool.Get().(*[]byte)
+	defer reqBufPool.Put(bp)
 	for {
-		bp := reqBufPool.Get().(*[]byte)
-		req, err := frame.Read(br, bp, maxFrame)
+		req, err := frame.Read(c.br, bp, maxFrame)
 		if err != nil {
-			reqBufPool.Put(bp)
+			c.wr.closeWith(ErrClosed)
+			c.n.met.conns.Add(-1)
+			c.n.mu.Lock()
+			delete(c.n.accepted, c.conn)
+			c.n.mu.Unlock()
 			return
 		}
-		reqWG.Add(1)
-		go func(bp *[]byte, req []byte) {
-			defer reqWG.Done()
-			n.handleFrame(wr, req)
-			reqBufPool.Put(bp)
-		}(bp, req)
+		rd.attached.Store(true)
+		rd.handleFrame(req)
+		if !rd.attached.CompareAndSwap(true, false) {
+			return // detached: another reader owns the connection now
+		}
 	}
 }
 
@@ -328,16 +367,16 @@ func (n *TCPNode) serveConn(conn net.Conn, wr *connWriter) {
 // fails now rather than at its deadline; one whose ID does not parse has no
 // caller to answer and leaves the stream untrustworthy, so the connection is
 // closed and every call pending on it fails on the peer as ErrNodeDown.
-func (n *TCPNode) handleFrame(wr *connWriter, req []byte) {
+func (rd *reader) handleFrame(req []byte) {
 	r := codec.NewReader(req)
 	reqID, err := r.Uvarint()
 	if err != nil {
-		wr.closeWith(fmt.Errorf("transport: request id: %w", err))
+		rd.c.wr.closeWith(fmt.Errorf("transport: request id: %w", err))
 		return
 	}
-	resp, herr := n.serve(r)
+	resp, herr := rd.serve(r)
 
-	// The response framing buffer is pooled: enqueue copies its bytes into
+	// The response framing buffer is pooled: send copies its bytes into
 	// the connection's send queue before returning, so the writer may be
 	// recycled immediately. (resp itself is handler-owned and merely copied
 	// through.)
@@ -350,14 +389,14 @@ func (n *TCPNode) handleFrame(wr *connWriter, req []byte) {
 		w.Uint8(0)
 		w.Bytes0(resp)
 	}
-	_ = wr.enqueue(w.Bytes())
+	_ = rd.c.wr.send(w.Bytes())
 	codec.PutWriter(w)
 }
 
 // serve decodes the rest of a request frame — sender and body — and runs the
 // handler on it.
-func (n *TCPNode) serve(r *codec.Reader) ([]byte, error) {
-	from, err := r.String()
+func (rd *reader) serve(r *codec.Reader) ([]byte, error) {
+	from, err := r.Bytes0()
 	if err != nil {
 		return nil, fmt.Errorf("transport: malformed request: sender: %w", err)
 	}
@@ -365,7 +404,10 @@ func (n *TCPNode) serve(r *codec.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: malformed request: body: %w", err)
 	}
-	return n.handler(context.Background(), ring.NodeID(from), body)
+	if string(from) != string(rd.from) { // a connection carries one sender
+		rd.from = ring.NodeID(from)
+	}
+	return rd.c.n.handler(rd.ctx, rd.from, body)
 }
 
 // Send implements Transport.
@@ -496,14 +538,10 @@ func (p *peerPool) dial(slot int) (*tcpConn, error) {
 	p.mu.Lock()
 	p.conns[slot] = c
 	p.mu.Unlock()
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		c.readLoop()
-	}()
-	go func() {
-		defer n.wg.Done()
-		c.wr.run()
 	}()
 	n.mu.Unlock()
 	n.met.conns.Add(1)
@@ -593,14 +631,14 @@ func (c *tcpConn) roundTrip(ctx context.Context, from ring.NodeID, payload []byt
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	// Pooled request framing buffer: enqueue copies the frame into the send
+	// Pooled request framing buffer: send copies the frame into the send
 	// queue, so both the pooled writer and the caller's payload are free to
 	// be recycled as soon as Send returns.
 	w := codec.GetWriter()
 	w.Uvarint(id)
 	w.String(string(from))
 	w.Bytes0(payload)
-	err := c.wr.enqueue(w.Bytes())
+	err := c.wr.send(w.Bytes())
 	codec.PutWriter(w)
 	if err != nil {
 		c.abandon(id)

@@ -186,8 +186,8 @@ func TestFrameSizeLimit(t *testing.T) {
 	defer client.Close()
 	w := newConnWriter(server, newWireMetrics(nil))
 	defer w.closeWith(ErrClosed)
-	if err := w.enqueue(make([]byte, maxFrame+1)); err == nil {
-		t.Fatal("enqueue accepted oversized frame")
+	if err := w.send(make([]byte, maxFrame+1)); err == nil {
+		t.Fatal("send accepted oversized frame")
 	}
 	// A hostile header claiming a huge frame must be rejected on read.
 	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF}

@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strconv"
@@ -328,81 +332,185 @@ func TestTCPCoalescingMetricsAndStats(t *testing.T) {
 	}
 }
 
-// TestConnWriterBackpressure pins the bounded send queue: with the peer not
-// reading, the writer goroutine wedges in its first Write, enqueues pile up
-// to maxQueueBytes, and the next one blocks — until the peer drains (every
-// frame then arrives intact) or the writer is closed (the blocked sender
-// gets the close error).
+// wedgeConn reports each Write as it starts, so a test can tell a sender
+// wedged in its Write from one that never reached it.
+type wedgeConn struct {
+	net.Conn
+	writing chan struct{}
+}
+
+func (c wedgeConn) Write(b []byte) (int, error) {
+	select {
+	case c.writing <- struct{}{}:
+	default:
+	}
+	return c.Conn.Write(b)
+}
+
+// TestConnWriterBackpressure pins the bounded send queue of a writer with no
+// goroutine: with the peer not reading, the first sender finds the
+// connection idle and wedges in its own Write; the senders after it queue
+// their frames and return until the queue reaches maxQueueBytes, and the
+// ones after that block — until the peer drains (every frame then arrives
+// intact, each once, the first and the queued ones in send order) or the
+// writer is closed (the wedged writer and every blocked sender get the
+// close error). A third case has 8 goroutines send continuously against a
+// reading peer: every send returns and every frame arrives, each sender's
+// in its send order — no frame is left queued with no writer.
 func TestConnWriterBackpressure(t *testing.T) {
 	const total = 12 // > one in-flight round + maxQueueBytes of 1 MiB frames
-	payload := make([]byte, 1<<20)
+	payloads := make([][]byte, total)
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte(i)}, 1<<20)
+	}
 	errClosed := errors.New("closed under backpressure")
 
 	for _, release := range []string{"drain", "close"} {
 		t.Run(release, func(t *testing.T) {
 			client, server := net.Pipe()
 			defer client.Close()
-			w := newConnWriter(server, newWireMetrics(nil))
-			ran := make(chan struct{})
-			go func() {
-				defer close(ran)
-				w.run()
-			}()
-			defer func() {
-				w.closeWith(ErrClosed)
-				<-ran
-			}()
+			writing := make(chan struct{}, 1)
+			w := newConnWriter(wedgeConn{server, writing}, newWireMetrics(nil))
+			defer w.closeWith(ErrClosed)
 
-			var sent atomic.Int64
-			result := make(chan error, 1)
-			go func() {
-				for i := 0; i < total; i++ {
-					if err := w.enqueue(payload); err != nil {
-						result <- err
-						return
-					}
-					sent.Add(1)
-				}
-				result <- nil
-			}()
-
-			// The queue fills to its bound while nobody reads the pipe...
-			deadline := time.Now().Add(10 * time.Second)
-			for w.queuedBytes() < maxQueueBytes {
-				if time.Now().After(deadline) {
-					t.Fatalf("queue stuck at %d bytes after %d enqueues", w.queuedBytes(), sent.Load())
-				}
-				time.Sleep(time.Millisecond)
+			done := make([]chan error, total)
+			start := func(i int) {
+				done[i] = make(chan error, 1)
+				go func() { done[i] <- w.send(payloads[i]) }()
 			}
-			// ...and the sender behind it stays blocked.
+
+			// Nobody reads the pipe: the first sender writes and wedges...
+			start(0)
 			select {
-			case err := <-result:
-				t.Fatalf("sender finished (%v) with the queue at its bound", err)
-			case <-time.After(50 * time.Millisecond):
+			case <-writing:
+			case <-time.After(10 * time.Second):
+				t.Fatal("first sender never reached Write")
 			}
-			if n := sent.Load(); n >= total {
-				t.Fatalf("all %d enqueues returned despite a stalled peer", n)
+			// ...the next ones queue and return until the queue is full...
+			queued := 1
+			for ; w.queuedBytes() < maxQueueBytes; queued++ {
+				if queued == total {
+					t.Fatalf("%d frames queued below the %d-byte bound", total-1, maxQueueBytes)
+				}
+				start(queued)
+				select {
+				case err := <-done[queued]:
+					if err != nil {
+						t.Fatalf("send %d with the queue at %d bytes: %v", queued, w.queuedBytes(), err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("send %d blocked with the queue at %d bytes", queued, w.queuedBytes())
+				}
+			}
+			// ...and the rest block behind the bound, as does the writer.
+			for i := queued; i < total; i++ {
+				start(i)
+			}
+			time.Sleep(50 * time.Millisecond)
+			blocked := []int{0}
+			for i := queued; i < total; i++ {
+				blocked = append(blocked, i)
+			}
+			for _, i := range blocked {
+				select {
+				case err := <-done[i]:
+					t.Fatalf("send %d returned (%v) with the peer not reading and the queue at its bound", i, err)
+				default:
+				}
+			}
+			if n := w.queuedBytes(); n < maxQueueBytes || n > maxQueueBytes+(1<<20)+8 {
+				t.Fatalf("queue holds %d bytes, want the %d-byte bound plus at most one frame", n, maxQueueBytes)
 			}
 
 			if release == "close" {
 				w.closeWith(errClosed)
-				if err := <-result; !errors.Is(err, errClosed) {
-					t.Fatalf("blocked enqueue returned %v, want the close error", err)
+				for _, i := range blocked {
+					if err := <-done[i]; !errors.Is(err, errClosed) {
+						t.Fatalf("blocked send %d returned %v, want the close error", i, err)
+					}
 				}
 				return
 			}
 			var buf []byte
-			for i := 0; i < total; i++ {
+			seen := make([]bool, total)
+			for k := 0; k < total; k++ {
 				got, err := frame.Read(client, &buf, maxFrame)
-				if err != nil || len(got) != len(payload) {
-					t.Fatalf("frame %d: %d bytes, %v", i, len(got), err)
+				if err != nil || len(got) == 0 {
+					t.Fatalf("frame %d: %d bytes, %v", k, len(got), err)
 				}
+				i := int(got[0])
+				if i >= total || seen[i] || !bytes.Equal(got, payloads[i]) {
+					t.Fatalf("frame %d: not one of the sent frames, or a repeat (tag %d)", k, i)
+				}
+				if k < queued && i != k {
+					t.Fatalf("frame %d is send %d's: the first %d went out of send order", k, i, queued)
+				}
+				seen[i] = true
 			}
-			if err := <-result; err != nil {
-				t.Fatalf("enqueue after drain: %v", err)
+			for _, i := range blocked {
+				if err := <-done[i]; err != nil {
+					t.Fatalf("send %d after drain: %v", i, err)
+				}
 			}
 		})
 	}
+
+	t.Run("eight senders", func(t *testing.T) {
+		const senders, perSender = 8, 100
+		client, server := net.Pipe()
+		defer client.Close()
+		w := newConnWriter(server, newWireMetrics(nil))
+		defer w.closeWith(ErrClosed)
+		// Frame q of sender s: s, q (uvarint), then up to 64 KiB of byte(s+q),
+		// so the queue reaches its bound while the peer reads.
+		body := func(s, q int) []byte {
+			out := binary.AppendUvarint([]byte{byte(s)}, uint64(q))
+			return append(out, bytes.Repeat([]byte{byte(s + q)}, (s*7919+q*104729)%(64<<10))...)
+		}
+		read := make(chan error, 1)
+		go func() {
+			br := bufio.NewReaderSize(client, readBufSize)
+			next := make([]int, senders)
+			var buf []byte
+			for k := 0; k < senders*perSender; k++ {
+				got, err := frame.Read(br, &buf, maxFrame)
+				if err != nil {
+					read <- fmt.Errorf("frame %d: %w", k, err)
+					return
+				}
+				s := int(got[0])
+				q, _ := binary.Uvarint(got[1:])
+				if s >= senders || int(q) != next[s] || !bytes.Equal(got, body(s, int(q))) {
+					read <- fmt.Errorf("frame %d: sender %d seq %d, want seq %d intact", k, s, q, next[s])
+					return
+				}
+				next[s]++
+			}
+			read <- nil
+		}()
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for q := 0; q < perSender; q++ {
+					if err := w.send(body(s, q)); err != nil {
+						t.Errorf("sender %d, frame %d: %v", s, q, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		select {
+		case err := <-read:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("the peer is still waiting for frames: one was left queued with no writer")
+		}
+	})
 }
 
 // rawFrame frames one payload as the wire carries it.

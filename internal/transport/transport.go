@@ -24,6 +24,14 @@ func IsAvailabilityError(err error) bool {
 // Handler processes one inbound request and returns the response payload.
 // Handlers must be safe for concurrent use.
 //
+// Serving model (see DESIGN.md §16): over TCP a handler runs on the
+// goroutine that reads its connection, and the requests behind it on that
+// connection wait until it returns. So the one rule: call Detach(ctx)
+// before waiting on anything but the CPU — a nested Send, an fsync, a
+// channel — which hands the reading to a fresh goroutine. A handler that
+// waits attached can stall its connection, and two nodes whose handlers
+// call each other that way can deadlock.
+//
 // Buffer ownership (see DESIGN.md §11): the payload belongs to the
 // transport and may be recycled after the handler returns — handlers must
 // not retain it (decode in place; copy anything long-lived). The returned
@@ -35,6 +43,9 @@ type Handler func(ctx context.Context, from ring.NodeID, payload []byte) ([]byte
 // Transport is one node's endpoint in the cluster.
 type Transport interface {
 	// Send delivers payload to the node `to` and waits for its response.
+	// Over TCP a caller that finds its connection idle writes the request
+	// itself, and the frames queued behind it while it writes, so it may
+	// spend up to the 10 s write deadline per round in its own write.
 	//
 	// Buffer ownership (see DESIGN.md §11): the transport does not retain
 	// payload past the point Send returns, so callers may recycle pooled

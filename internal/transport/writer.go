@@ -45,16 +45,18 @@ const maxQueueBytes = 4 << 20
 const writeTimeout = 10 * time.Second
 
 // connWriter owns the write half of one TCP connection — requests on
-// outbound conns, responses on inbound ones. A dedicated writer goroutine
-// drains a bounded send queue (a frame.Batch) into one deadline-bounded
-// Write per round, so N concurrent senders cost one syscall instead of N
-// (DESIGN.md §16). What it adds to the shared round:
+// outbound conns, responses on inbound ones. It has no goroutine: a sender
+// appends its frame to a bounded send queue (a frame.Batch) and, if no
+// other sender is writing, writes the queue itself as one deadline-bounded
+// Write per round, so N concurrent senders still cost one syscall instead
+// of N (DESIGN.md §16). What it adds to the shared round:
 //
-//   - natural coalescing: the writer never waits for company — frames
-//     arriving during the previous Write share the next one;
+//   - natural coalescing: a writer never waits for company — frames
+//     arriving during its Write share its next one, and it keeps writing
+//     until the queue is empty, so no frame is left queued with no writer;
 //   - ordering bound: frames go to the wire in enqueue order; RPC responses
 //     carry request IDs, so no frame class needs to jump the queue;
-//   - backpressure: enqueues past maxQueueBytes block until the writer
+//   - backpressure: sends past maxQueueBytes block until the writer
 //     drains.
 type connWriter struct {
 	raw net.Conn
@@ -63,28 +65,26 @@ type connWriter struct {
 	mu      sync.Mutex
 	notFull *sync.Cond
 	queue   frame.Batch
+	writing bool // a sender is writing rounds; it also writes what queues meanwhile
 	err     error
 
-	wake    chan struct{} // buffered(1): frames pending
-	stop    chan struct{}
-	stopped sync.Once
+	closed sync.Once
 }
 
 func newConnWriter(raw net.Conn, met *wireMetrics) *connWriter {
-	w := &connWriter{
-		raw:  raw,
-		met:  met,
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-	}
+	w := &connWriter{raw: raw, met: met}
 	w.notFull = sync.NewCond(&w.mu)
 	return w
 }
 
-// enqueue appends one length-prefixed frame to the send queue (copying
-// payload, so callers may recycle pooled encode buffers immediately) and
-// wakes the writer. Blocks while the queue is at or past maxQueueBytes.
-func (w *connWriter) enqueue(payload []byte) error {
+// send appends one length-prefixed frame to the send queue (copying
+// payload, so callers may recycle pooled encode buffers immediately). It
+// blocks while the queue is at or past maxQueueBytes. When no other sender
+// is writing, the caller becomes the writer: it writes rounds until the
+// queue is empty, which may hold it up to writeTimeout per round. A failed
+// write closes the connection; the writer and every sender after it get
+// the connection's first error.
+func (w *connWriter) send(payload []byte) error {
 	w.mu.Lock()
 	for w.err == nil && w.queue.Len() >= maxQueueBytes {
 		w.notFull.Wait()
@@ -94,82 +94,53 @@ func (w *connWriter) enqueue(payload []byte) error {
 		err = w.queue.Append(payload, maxFrame)
 	}
 	depth := w.queue.Len()
+	lead := err == nil && !w.writing
+	w.writing = w.writing || lead
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
-
 	w.met.queueBytes.Observe(time.Duration(depth))
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// run is the writer goroutine: wake → one deadline-bounded Write of every
-// queued frame. It owns closing the raw connection, so the read side unblocks
-// as soon as the writer dies — whether from a write error or a closeWith.
-func (w *connWriter) run() {
-	defer func() { _ = w.raw.Close() }()
-	for {
-		select {
-		case <-w.wake:
-		case <-w.stop:
-			_ = w.flushOnce() // best-effort final drain
-			return
-		}
-		if err := w.flushOnce(); err != nil {
-			w.fail(err)
-			return
-		}
-	}
-}
-
-// flushOnce writes every queued frame as one round. The write runs outside
-// the queue lock, so senders keep appending while it is on the wire.
-func (w *connWriter) flushOnce() error {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	out, frames := w.queue.Take()
-	w.notFull.Broadcast()
-	w.mu.Unlock()
-	if frames == 0 {
+	if !lead {
 		return nil
 	}
-
-	err := w.met.flush.WriteRound(w.raw, writeTimeout, out, frames)
-
-	w.mu.Lock()
-	w.queue.Recycle(out)
-	w.mu.Unlock()
-	return err
+	return w.writeRounds()
 }
 
-// fail marks the writer broken so blocked and future enqueues return err.
-// The raw conn closes when run returns, which unwinds the read loop.
-func (w *connWriter) fail(err error) {
+// writeRounds is the writer's loop: take every queued frame, write it as
+// one round outside the queue lock (senders keep appending meanwhile, into
+// the batch's spare buffer), and go again until a take finds nothing.
+func (w *connWriter) writeRounds() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil {
+		out, frames := w.queue.Take()
+		if frames == 0 {
+			break
+		}
+		w.notFull.Broadcast()
+		w.mu.Unlock()
+		if err := w.met.flush.WriteRound(w.raw, writeTimeout, out, frames); err != nil {
+			w.closeWith(err)
+		}
+		w.mu.Lock()
+		w.queue.Recycle(out)
+	}
+	w.writing = false
+	return w.err
+}
+
+// closeWith marks the writer broken with err (the first error wins), so
+// blocked and future sends return it, and closes the raw connection, which
+// unblocks the connection's read side and any Write in flight. Idempotent.
+func (w *connWriter) closeWith(err error) {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
 	}
 	w.notFull.Broadcast()
 	w.mu.Unlock()
-}
-
-// closeWith stops the writer with err and closes the raw connection, which
-// unblocks the connection's read loop. Idempotent, and safe whether or not
-// a writer goroutine is running.
-func (w *connWriter) closeWith(err error) {
-	w.fail(err)
-	w.stopped.Do(func() {
-		close(w.stop)
-		_ = w.raw.Close()
-	})
+	w.closed.Do(func() { _ = w.raw.Close() })
 }
 
 // queuedBytes reports the send-queue depth (for Stats and /healthz).
