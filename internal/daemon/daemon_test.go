@@ -70,6 +70,18 @@ func openFDs(t *testing.T) int {
 	return len(fds)
 }
 
+// waitForFDs waits until deadline for the process to hold want open file
+// descriptors again.
+func waitForFDs(t *testing.T, want int, deadline time.Time) {
+	t.Helper()
+	for openFDs(t) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d open file descriptors after Close, %d before", openFDs(t), want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func lifecycle(t *testing.T, withDir bool) {
 	before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
 	ids := []ring.NodeID{"d0", "d1", "d2"}
@@ -202,12 +214,7 @@ func lifecycle(t *testing.T, withDir bool) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for openFDs(t) != fdsBefore {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d open file descriptors after Close, %d before", openFDs(t), fdsBefore)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitForFDs(t, fdsBefore, deadline)
 	for _, addr := range listened {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
@@ -323,6 +330,11 @@ func TestStartLogsReplay(t *testing.T) {
 // node's recent traces, /healthz with the static info and the caller's keys,
 // and pprof; a malformed trace count is a bad request.
 func TestDebugEndpoints(t *testing.T) {
+	// The default client keeps its connections open, and either end closes
+	// its side on a goroutine of its own: wait for them to go, or a later
+	// test's file descriptor count sees them go.
+	fdsBefore := openFDs(t)
+	t.Cleanup(func() { waitForFDs(t, fdsBefore, time.Now().Add(5*time.Second)) })
 	reg := metrics.NewRegistry()
 	reg.Counter("rpc.retries").Add(3)
 	h := reg.Histogram("publish.e2e")
@@ -343,6 +355,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	defer http.DefaultClient.CloseIdleConnections()
 	sp := trace.New("publish", 1)
 	sp.AddHop(trace.Hop{Stage: "column", Row: 1, Col: 0, Attempt: 1, Failover: true})
 	sp.Finish()

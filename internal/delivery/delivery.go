@@ -5,10 +5,9 @@
 // replay window of sent-but-unacked events — owned by the Hub on the home
 // node of "subscriber/<name>". Sessions survive disconnects: a reconnect
 // resumes at the first unacked sequence number and the window is redelivered
-// (at-least-once). When a consumer cannot keep up, a configurable
-// slow-consumer policy (drop-oldest, coalesce-by-doc, disconnect) decides
-// what the bounded queue sheds, and every shed event is counted and reported
-// so delivery loss is always accounted for, never silent.
+// (at-least-once). When a consumer cannot keep up, the bounded queue sheds
+// its oldest not-yet-sent event, and every shed event is counted and
+// reported so delivery loss is always accounted for, never silent.
 //
 // The hub holds every session of one node (DESIGN.md §16): the session
 // registry is lock-striped into power-of-two shards, each shard has its own
@@ -28,94 +27,6 @@ import (
 	"github.com/movesys/move/internal/frame"
 	"github.com/movesys/move/internal/metrics"
 	"github.com/movesys/move/internal/model"
-)
-
-// Policy selects what a subscriber's bounded delivery queue sheds when it
-// overflows (slow-consumer handling, DESIGN.md §14).
-type Policy int
-
-const (
-	// DropOldest evicts the oldest queued (not-yet-sent) event to admit the
-	// new one. Sent-but-unacked events are never evicted by this policy.
-	DropOldest Policy = iota
-	// CoalesceByDoc merges notifications for the same document into one
-	// queued event (filter-ID union) at enqueue time — one notification per
-	// document per subscriber. On overflow with no same-document event to
-	// merge into, it falls back to DropOldest.
-	CoalesceByDoc
-	// Disconnect terminates the session on overflow: the connection is told
-	// why and closed, every queued and unacked event is dropped (and
-	// accounted), and further notifications are dropped until the
-	// subscriber reconnects.
-	Disconnect
-)
-
-// String returns the flag spelling of the policy.
-func (p Policy) String() string {
-	switch p {
-	case DropOldest:
-		return "drop-oldest"
-	case CoalesceByDoc:
-		return "coalesce-by-doc"
-	case Disconnect:
-		return "disconnect"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy parses a flag spelling ("drop-oldest", "coalesce-by-doc",
-// "disconnect").
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "drop-oldest":
-		return DropOldest, nil
-	case "coalesce-by-doc":
-		return CoalesceByDoc, nil
-	case "disconnect":
-		return Disconnect, nil
-	default:
-		return 0, fmt.Errorf("delivery: unknown policy %q", s)
-	}
-}
-
-// State is a session's lifecycle state.
-type State int
-
-const (
-	// StateDetached: no connection; the queue accumulates for a reconnect.
-	StateDetached State = iota
-	// StateAttached: connection live, events flowing.
-	StateAttached
-	// StateClosed: terminated by the Disconnect policy. Notifications are
-	// dropped (and counted) until the subscriber reconnects.
-	StateClosed
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case StateDetached:
-		return "detached"
-	case StateAttached:
-		return "attached"
-	case StateClosed:
-		return "closed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// Drop reasons passed to Config.OnDrop.
-const (
-	// DropReasonOldest: evicted from a full queue by DropOldest (or the
-	// CoalesceByDoc fallback).
-	DropReasonOldest = "drop-oldest"
-	// DropReasonDisconnect: shed when the Disconnect policy killed the
-	// session (queued and unacked events alike).
-	DropReasonDisconnect = "disconnect"
-	// DropReasonClosed: arrived while the session was policy-closed.
-	DropReasonClosed = "closed"
 )
 
 // Event is one matched-document notification bound for a subscriber. Seq is
@@ -179,14 +90,13 @@ const idleHeartbeats = 4
 
 // Config parameterizes a Hub.
 type Config struct {
-	// QueueCap bounds each session's not-yet-sent queue; overflow invokes
-	// Policy. Default 256.
+	// QueueCap bounds each session's not-yet-sent queue; an enqueue into a
+	// full queue evicts its oldest event (sent-but-unacked events are never
+	// evicted). Default 256.
 	QueueCap int
-	// Policy is the slow-consumer policy. Default DropOldest.
-	Policy Policy
 	// WindowCap bounds the sent-but-unacked replay window. A full window
 	// pauses sending (flow control), letting the queue absorb the backlog
-	// until the policy sheds it. Default 1024.
+	// until it sheds. Default 1024.
 	WindowCap int
 	// FlushBatch caps events per SendEvents call. Default 64.
 	FlushBatch int
@@ -206,10 +116,10 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
-	// OnDrop, if set, is invoked for every event shed by a policy — the
+	// OnDrop, if set, is invoked for every event the queue sheds — the
 	// accounting hook the oracle-equivalence suite uses to prove no loss is
 	// silent.
-	OnDrop func(sub string, docID uint64, reason string)
+	OnDrop func(sub string, docID uint64)
 }
 
 // shard is one stripe of the session registry plus its ready ring: mu guards
@@ -272,8 +182,6 @@ type Hub struct {
 	redeliveredC *metrics.Counter
 	ackedC       *metrics.Counter
 	dropOldestC  *metrics.Counter
-	dropDisconnC *metrics.Counter
-	coalescedC   *metrics.Counter
 	idleKicksC   *metrics.Counter
 	replacedC    *metrics.Counter
 	flushStats   *frame.FlushStats // delivery.flush.{frames,syscalls,frames_per_syscall,bytes}
@@ -325,8 +233,6 @@ func NewHub(cfg Config) *Hub {
 		redeliveredC: reg.Counter("delivery.redelivered"),
 		ackedC:       reg.Counter("delivery.acked"),
 		dropOldestC:  reg.Counter("delivery.drops.oldest"),
-		dropDisconnC: reg.Counter("delivery.drops.disconnect"),
-		coalescedC:   reg.Counter("delivery.coalesced"),
 		idleKicksC:   reg.Counter("delivery.kicks.idle"),
 		replacedC:    reg.Counter("delivery.kicks.replaced"),
 		flushStats: frame.NewFlushStats(reg, "delivery.flush.frames", "delivery.flush.syscalls",
@@ -337,6 +243,10 @@ func NewHub(cfg Config) *Hub {
 		hAckLatency: reg.Histogram("delivery.ack.latency"),
 		hFlushBatch: reg.Histogram("delivery.flush.batch"),
 	}
+	// Nothing counts these any more; the repository benchmark's report
+	// scrapes both by name, so they stay registered and read 0.
+	reg.Counter("delivery.coalesced")
+	reg.Counter("delivery.drops.disconnect")
 	for i := range h.shards {
 		h.shards[i] = &shard{sessions: make(map[string]*Session)}
 	}
@@ -378,9 +288,6 @@ func (h *Hub) shardIndex(sub string) uint32 {
 
 // Metrics exposes the hub's registry.
 func (h *Hub) Metrics() *metrics.Registry { return h.reg }
-
-// Policy returns the configured slow-consumer policy.
-func (h *Hub) Policy() Policy { return h.cfg.Policy }
 
 // Shards returns the (power-of-two) shard count the hub runs with.
 func (h *Hub) Shards() int { return len(h.shards) }
@@ -472,9 +379,6 @@ func (h *Hub) createLocked(sh *shard, sub string) *Session {
 		return s
 	}
 	s := &Session{hub: h, sub: sub, shard: sh}
-	if h.cfg.Policy == CoalesceByDoc {
-		s.byDoc = make(map[uint64]*Event)
-	}
 	sh.sessions[sub] = s
 	// Add, not Set: several hubs may share one registry (one per cluster
 	// node), and the counter is the cluster-wide session total.
@@ -588,16 +492,9 @@ func (h *Hub) Attach(sub string, conn Conn, resumeAck uint64) (*Session, HelloIn
 	s := h.session(sub)
 	s.mu.Lock()
 	old := s.detachLocked()
-	if s.state == StateClosed {
-		// A reconnect revives a policy-closed session; the dropped range is
-		// visible to the client as the gap between its resume ack and
-		// HelloInfo.NextSeq.
-		s.state = StateDetached
-	}
 	s.ackLocked(resumeAck)
 	s.resend = append(s.resend[:0], s.window[s.whead:]...)
 	s.conn = conn
-	s.state = StateAttached
 	s.touchLocked()
 	s.lastPing = s.hub.now()
 	info := HelloInfo{AckSeq: s.ackSeq, NextSeq: s.sendSeq + 1, Redeliver: len(s.resend)}
@@ -745,7 +642,7 @@ func (h *Hub) sweep() {
 		for _, s := range sh.list() {
 			var kicked, ping Conn
 			s.mu.Lock()
-			if s.state == StateAttached {
+			if s.conn != nil {
 				if now.Sub(s.lastActivity) > idleHeartbeats*every {
 					kicked = s.detachLocked()
 				} else if now.Sub(s.lastPing) >= every {
@@ -769,12 +666,13 @@ func (h *Hub) sweep() {
 // /healthz, and the oracle accounting suite (QueuedDocs and WindowDocs are
 // the "pending in bounded queues" side of the delivery-equivalence union).
 type SessionSnapshot struct {
-	Sub     string
-	State   State
-	AckSeq  uint64
-	SendSeq uint64
-	Queued  int
-	Window  int
+	Sub string
+	// Attached reports whether the session has a connection.
+	Attached bool
+	AckSeq   uint64
+	SendSeq  uint64
+	Queued   int
+	Window   int
 	// QueuedDocs lists the DocID of every not-yet-sent event, oldest first.
 	QueuedDocs []uint64
 	// WindowDocs lists the DocID of every sent-but-unacked event, in
@@ -857,16 +755,15 @@ type Session struct {
 
 	flushMu sync.Mutex
 
-	mu    sync.Mutex
-	state State
-	conn  Conn
+	mu sync.Mutex
+	// conn is the attached connection; nil while detached, when the queue
+	// accumulates for a reconnect.
+	conn Conn
 	// queue[qhead:] holds not-yet-sent events (no Seq); the head index (with
 	// reset-on-empty and bounded compaction) keeps the backing array stable
-	// so the warm path never reallocates. byDoc indexes the live portion by
-	// DocID under CoalesceByDoc.
+	// so the warm path never reallocates.
 	queue []*Event
 	qhead int
-	byDoc map[uint64]*Event
 	// window[whead:] holds sent-but-unacked events in Seq order; resend
 	// stages the window slice scheduled for redelivery after an attach.
 	window []*Event
@@ -890,13 +787,6 @@ type Session struct {
 // Sub returns the subscriber name.
 func (s *Session) Sub() string { return s.sub }
 
-// State returns the session's current lifecycle state.
-func (s *Session) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
 // qlen returns the live queue length (requires mu).
 func (s *Session) qlen() int { return len(s.queue) - s.qhead }
 
@@ -911,7 +801,7 @@ func (s *Session) Touch() {
 }
 
 // detachLocked unbinds the current connection (requires mu) and returns it
-// for the caller to close outside the lock. Closed sessions stay closed.
+// for the caller to close outside the lock.
 func (s *Session) detachLocked() Conn {
 	conn := s.conn
 	if conn == nil {
@@ -919,9 +809,6 @@ func (s *Session) detachLocked() Conn {
 	}
 	s.conn = nil
 	s.resend = nil
-	if s.state != StateClosed {
-		s.state = StateDetached
-	}
 	s.hub.attachedG.Add(-1)
 	return conn
 }
@@ -952,57 +839,17 @@ func (s *Session) dropConn(conn Conn) {
 	}
 }
 
-// enqueue admits one notification, applying the slow-consumer policy on
-// overflow, and schedules a flush when a connection is attached.
+// enqueue admits one notification, evicting the oldest queued event when the
+// queue is full, and schedules a flush when a connection is attached.
 func (s *Session) enqueue(docID uint64, filters []model.FilterID, terms []string) {
 	h := s.hub
-	var droppedEv *Event
-	var killed Conn
+	var dropped *Event
 
 	s.mu.Lock()
-	if s.state == StateClosed {
-		s.mu.Unlock()
-		h.dropDisconnC.Inc()
-		if h.cfg.OnDrop != nil {
-			h.cfg.OnDrop(s.sub, docID, DropReasonClosed)
-		}
-		return
-	}
-	if s.byDoc != nil {
-		if ev, ok := s.byDoc[docID]; ok {
-			ev.Filters = mergeFilterIDs(ev.Filters, filters)
-			s.mu.Unlock()
-			h.coalescedC.Inc()
-			return
-		}
-	}
 	if s.qlen() >= h.cfg.QueueCap {
-		switch h.cfg.Policy {
-		case Disconnect:
-			killed = s.detachLocked()
-			dropped := s.shedAllLocked()
-			s.state = StateClosed
-			s.mu.Unlock()
-			h.dropDisconnC.Add(int64(len(dropped) + 1))
-			if h.cfg.OnDrop != nil {
-				for _, ev := range dropped {
-					h.cfg.OnDrop(s.sub, ev.DocID, DropReasonDisconnect)
-				}
-				h.cfg.OnDrop(s.sub, docID, DropReasonDisconnect)
-			}
-			if killed != nil {
-				_ = killed.SendBye("slow-consumer: " + DropReasonDisconnect)
-				_ = killed.Close()
-			}
-			return
-		default: // DropOldest, and the CoalesceByDoc fallback
-			droppedEv = s.queue[s.qhead]
-			s.queue[s.qhead] = nil
-			s.qhead++
-			if s.byDoc != nil {
-				delete(s.byDoc, droppedEv.DocID)
-			}
-		}
+		dropped = s.queue[s.qhead]
+		s.queue[s.qhead] = nil
+		s.qhead++
 	}
 	ev := h.getEvent()
 	ev.DocID = docID
@@ -1010,22 +857,19 @@ func (s *Session) enqueue(docID uint64, filters []model.FilterID, terms []string
 	ev.Terms = terms
 	ev.enqueuedAt = h.now()
 	s.appendQueueLocked(ev)
-	if s.byDoc != nil {
-		s.byDoc[docID] = ev
-	}
 	depth := s.qlen()
-	ready := s.state == StateAttached
+	ready := s.conn != nil
 	s.mu.Unlock()
 
 	h.enqueuedC.Inc()
 	h.hQueueDepth.Observe(time.Duration(depth))
-	if droppedEv != nil {
-		docID := droppedEv.DocID
+	if dropped != nil {
+		docID := dropped.DocID
 		// Never sent, so no other goroutine can hold it: recycle now.
-		h.putEvent(droppedEv)
+		h.putEvent(dropped)
 		h.dropOldestC.Inc()
 		if h.cfg.OnDrop != nil {
-			h.cfg.OnDrop(s.sub, docID, DropReasonOldest)
+			h.cfg.OnDrop(s.sub, docID)
 		}
 	}
 	if ready {
@@ -1052,25 +896,6 @@ func (s *Session) appendQueueLocked(ev *Event) {
 	s.queue = append(s.queue, ev)
 }
 
-// shedAllLocked empties the queue and window (requires mu) and returns the
-// shed events: the queue plus the unacked window. Resend entries alias
-// window entries, so the window alone covers them. The shed events are NOT
-// recycled — window events may still be referenced by an in-flight
-// SendEvents, so they are left to the garbage collector (disconnects are the
-// cold path).
-func (s *Session) shedAllLocked() []*Event {
-	shed := make([]*Event, 0, s.qlen()+len(s.window)-s.whead)
-	shed = append(shed, s.queue[s.qhead:]...)
-	shed = append(shed, s.window[s.whead:]...)
-	s.queue, s.qhead = nil, 0
-	s.window, s.whead = nil, 0
-	s.resend = nil
-	if s.byDoc != nil {
-		clear(s.byDoc)
-	}
-	return shed
-}
-
 // flushableLocked reports whether a flush would send anything (requires mu).
 func (s *Session) flushableLocked() bool {
 	if len(s.resend) > 0 {
@@ -1081,7 +906,7 @@ func (s *Session) flushableLocked() bool {
 
 // flush drains the session to its connection: staged redeliveries first,
 // then fresh queue events (assigned their sequence numbers here, at send
-// time, so coalesce merges never leave gaps). Stops when the window is full,
+// time, so queue evictions never leave gaps). Stops when the window is full,
 // the queue is empty, the connection fails, or the session detaches — then
 // flushes the connection's coalescing buffer if it has one. A failed send or
 // flush detaches the session: the stream may hold a partial frame, so only a
@@ -1103,7 +928,7 @@ func (s *Session) flush() {
 			}
 			s.retired = s.retired[:0]
 		}
-		if s.state != StateAttached || s.conn == nil {
+		if s.conn == nil {
 			s.mu.Unlock()
 			break
 		}
@@ -1117,9 +942,6 @@ func (s *Session) flush() {
 			ev := s.queue[s.qhead]
 			s.queue[s.qhead] = nil
 			s.qhead++
-			if s.byDoc != nil {
-				delete(s.byDoc, ev.DocID)
-			}
 			s.sendSeq++
 			ev.Seq = s.sendSeq
 			s.appendWindowLocked(ev)
@@ -1220,7 +1042,7 @@ func (s *Session) ackLocked(seq uint64) (acked int, canFlush bool) {
 		j++
 	}
 	s.resend = s.resend[j:]
-	return acked, s.state == StateAttached && s.flushableLocked()
+	return acked, s.conn != nil && s.flushableLocked()
 }
 
 // snapshot captures the session state for tests and accounting.
@@ -1228,12 +1050,12 @@ func (s *Session) snapshot() SessionSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ss := SessionSnapshot{
-		Sub:     s.sub,
-		State:   s.state,
-		AckSeq:  s.ackSeq,
-		SendSeq: s.sendSeq,
-		Queued:  s.qlen(),
-		Window:  len(s.window) - s.whead,
+		Sub:      s.sub,
+		Attached: s.conn != nil,
+		AckSeq:   s.ackSeq,
+		SendSeq:  s.sendSeq,
+		Queued:   s.qlen(),
+		Window:   len(s.window) - s.whead,
 	}
 	if ss.Queued > 0 {
 		ss.QueuedDocs = make([]uint64, 0, ss.Queued)
@@ -1248,21 +1070,4 @@ func (s *Session) snapshot() SessionSnapshot {
 		}
 	}
 	return ss
-}
-
-// mergeFilterIDs unions add into dst, preserving dst's order.
-func mergeFilterIDs(dst, add []model.FilterID) []model.FilterID {
-	for _, id := range add {
-		dup := false
-		for _, have := range dst {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, id)
-		}
-	}
-	return dst
 }

@@ -111,19 +111,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // dropRecorder collects OnDrop callbacks.
 type dropRecorder struct {
 	mu    sync.Mutex
-	drops []string // "docID/reason"
+	drops []uint64
 }
 
-func (d *dropRecorder) hook(sub string, docID uint64, reason string) {
+func (d *dropRecorder) hook(sub string, docID uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.drops = append(d.drops, fmt.Sprintf("%d/%s", docID, reason))
+	d.drops = append(d.drops, docID)
 }
 
-func (d *dropRecorder) list() []string {
+func (d *dropRecorder) list() []uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]string(nil), d.drops...)
+	return append([]uint64(nil), d.drops...)
 }
 
 func counterValue(h *Hub, name string) int64 { return h.Metrics().Counter(name).Value() }
@@ -135,7 +135,7 @@ func fid(id uint64) []model.FilterID { return []model.FilterID{model.FilterID(id
 // the per-event accounting callbacks.
 func TestPolicyDropOldest(t *testing.T) {
 	rec := &dropRecorder{}
-	h := NewHub(Config{QueueCap: 3, Policy: DropOldest, Workers: 1, OnDrop: rec.hook})
+	h := NewHub(Config{QueueCap: 3, Workers: 1, OnDrop: rec.hook})
 	defer h.Stop()
 
 	for doc := uint64(1); doc <= 5; doc++ {
@@ -145,8 +145,8 @@ func TestPolicyDropOldest(t *testing.T) {
 	if !ok {
 		t.Fatal("no session")
 	}
-	if ss.State != StateDetached {
-		t.Fatalf("state = %v, want detached", ss.State)
+	if ss.Attached {
+		t.Fatal("session attached, want detached")
 	}
 	if want := []uint64{3, 4, 5}; fmt.Sprint(ss.QueuedDocs) != fmt.Sprint(want) {
 		t.Fatalf("queue = %v, want %v", ss.QueuedDocs, want)
@@ -154,142 +154,11 @@ func TestPolicyDropOldest(t *testing.T) {
 	if got := counterValue(h, "delivery.drops.oldest"); got != 2 {
 		t.Fatalf("drops.oldest = %d, want 2", got)
 	}
-	if want := []string{"1/drop-oldest", "2/drop-oldest"}; fmt.Sprint(rec.list()) != fmt.Sprint(want) {
+	if want := []uint64{1, 2}; fmt.Sprint(rec.list()) != fmt.Sprint(want) {
 		t.Fatalf("OnDrop = %v, want %v", rec.list(), want)
 	}
 	if got := counterValue(h, "delivery.enqueued"); got != 5 {
 		t.Fatalf("enqueued = %d, want 5", got)
-	}
-}
-
-// TestPolicyCoalesceByDoc asserts same-document merging (one queued event,
-// filter-ID union, no drop) and the DropOldest fallback when a full queue
-// holds no event for the incoming document.
-func TestPolicyCoalesceByDoc(t *testing.T) {
-	rec := &dropRecorder{}
-	h := NewHub(Config{QueueCap: 3, Policy: CoalesceByDoc, Workers: 1, OnDrop: rec.hook})
-	defer h.Stop()
-
-	h.Deliver("s", 1, fid(10), []string{"t"})
-	h.Deliver("s", 1, fid(11), []string{"t"}) // merges into doc 1
-	h.Deliver("s", 2, fid(12), []string{"t"})
-	h.Deliver("s", 3, fid(13), []string{"t"})
-	h.Deliver("s", 1, []model.FilterID{11, 14}, []string{"t"}) // merges again, 11 deduped
-
-	ss, _ := h.Snapshot("s")
-	if want := []uint64{1, 2, 3}; fmt.Sprint(ss.QueuedDocs) != fmt.Sprint(want) {
-		t.Fatalf("queue = %v, want %v", ss.QueuedDocs, want)
-	}
-	if got := counterValue(h, "delivery.coalesced"); got != 2 {
-		t.Fatalf("coalesced = %d, want 2", got)
-	}
-	if got := counterValue(h, "delivery.drops.oldest"); got != 0 {
-		t.Fatalf("drops.oldest = %d, want 0 (merges are not drops)", got)
-	}
-
-	s, _ := h.Session("s")
-	s.mu.Lock()
-	gotFilters := fmt.Sprint(s.queue[s.qhead].Filters)
-	s.mu.Unlock()
-	if want := fmt.Sprint([]model.FilterID{10, 11, 14}); gotFilters != want {
-		t.Fatalf("coalesced filters = %v, want %v", gotFilters, want)
-	}
-
-	// Full queue, incoming doc 4 has nothing to merge into → fallback.
-	h.Deliver("s", 4, fid(15), []string{"t"})
-	ss, _ = h.Snapshot("s")
-	if want := []uint64{2, 3, 4}; fmt.Sprint(ss.QueuedDocs) != fmt.Sprint(want) {
-		t.Fatalf("queue after fallback = %v, want %v", ss.QueuedDocs, want)
-	}
-	if got := counterValue(h, "delivery.drops.oldest"); got != 1 {
-		t.Fatalf("drops.oldest = %d, want 1", got)
-	}
-	if want := "1/drop-oldest"; fmt.Sprint(rec.list()) != fmt.Sprint([]string{want}) {
-		t.Fatalf("OnDrop = %v, want [%s]", rec.list(), want)
-	}
-}
-
-// TestPolicyDisconnect stalls a reader behind a full window and a full
-// queue, then asserts the overflow kills the session: bye + close on the
-// connection, every queued and unacked event dropped and accounted, state
-// Closed (with subsequent notifications dropped), and a clean revival on
-// reattach.
-func TestPolicyDisconnect(t *testing.T) {
-	rec := &dropRecorder{}
-	h := NewHub(Config{QueueCap: 2, WindowCap: 2, FlushBatch: 8, Policy: Disconnect, Workers: 1, OnDrop: rec.hook})
-	defer h.Stop()
-
-	conn := &testConn{}
-	if _, _, err := h.Attach("s", conn, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Docs 1 and 2 flush into the window (never acked: the reader stalls).
-	h.Deliver("s", 1, fid(1), []string{"t"})
-	h.Deliver("s", 2, fid(2), []string{"t"})
-	waitFor(t, "window to fill", func() bool {
-		ss, _ := h.Snapshot("s")
-		return ss.Window == 2 && ss.Queued == 0
-	})
-	// Docs 3 and 4 park in the queue behind the full window.
-	h.Deliver("s", 3, fid(3), []string{"t"})
-	h.Deliver("s", 4, fid(4), []string{"t"})
-	ss, _ := h.Snapshot("s")
-	if ss.Queued != 2 || ss.Window != 2 {
-		t.Fatalf("queued=%d window=%d, want 2/2", ss.Queued, ss.Window)
-	}
-	// Doc 5 overflows: the session dies.
-	h.Deliver("s", 5, fid(5), []string{"t"})
-
-	ss, _ = h.Snapshot("s")
-	if ss.State != StateClosed {
-		t.Fatalf("state = %v, want closed", ss.State)
-	}
-	if ss.Queued != 0 || ss.Window != 0 {
-		t.Fatalf("queued=%d window=%d after kill, want 0/0", ss.Queued, ss.Window)
-	}
-	if !conn.isClosed() {
-		t.Fatal("connection not closed")
-	}
-	if got := conn.lastBye(); got != "slow-consumer: disconnect" {
-		t.Fatalf("bye = %q", got)
-	}
-	if got := counterValue(h, "delivery.drops.disconnect"); got != 5 {
-		t.Fatalf("drops.disconnect = %d, want 5", got)
-	}
-	// Accounting covers the queue (3,4), the unacked window (1,2), and the
-	// overflowing event itself (5).
-	want := []string{"3/disconnect", "4/disconnect", "1/disconnect", "2/disconnect", "5/disconnect"}
-	if fmt.Sprint(rec.list()) != fmt.Sprint(want) {
-		t.Fatalf("OnDrop = %v, want %v", rec.list(), want)
-	}
-
-	// Closed sessions keep dropping (and keep accounting).
-	h.Deliver("s", 6, fid(6), []string{"t"})
-	if got := counterValue(h, "delivery.drops.disconnect"); got != 6 {
-		t.Fatalf("drops.disconnect after closed-drop = %d, want 6", got)
-	}
-	ss, _ = h.Snapshot("s")
-	if ss.Queued != 0 {
-		t.Fatalf("closed session queued %d events", ss.Queued)
-	}
-
-	// Reattach revives the session; the dropped range is visible as the gap
-	// up to NextSeq.
-	conn2 := &testConn{}
-	_, info, err := h.Attach("s", conn2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.NextSeq != 3 || info.Redeliver != 0 {
-		t.Fatalf("hello = %+v, want NextSeq 3, Redeliver 0", info)
-	}
-	if got, _ := h.Snapshot("s"); got.State != StateAttached {
-		t.Fatalf("state after revival = %v", got.State)
-	}
-	h.Deliver("s", 7, fid(7), []string{"t"})
-	waitFor(t, "post-revival delivery", func() bool { return len(conn2.received()) == 1 })
-	if evs := conn2.received(); evs[0].Seq != 3 || evs[0].DocID != 7 {
-		t.Fatalf("revived delivery = seq %d doc %d, want 3/7", evs[0].Seq, evs[0].DocID)
 	}
 }
 
@@ -309,7 +178,7 @@ func TestStalledTransition(t *testing.T) {
 	h.Deliver("s", 1, fid(1), []string{"t"})
 	waitFor(t, "detach and close", func() bool {
 		ss, _ := h.Snapshot("s")
-		return ss.State == StateDetached && conn.isClosed()
+		return !ss.Attached && conn.isClosed()
 	})
 	if ss, _ := h.Snapshot("s"); ss.Window != 1 {
 		t.Fatalf("window = %d, want 1 (kept for the reattach)", ss.Window)
@@ -326,8 +195,8 @@ func TestStalledTransition(t *testing.T) {
 	// Ack drains the window.
 	h.Ack("s", 1)
 	ss, _ := h.Snapshot("s")
-	if ss.State != StateAttached || ss.Window != 0 || ss.AckSeq != 1 {
-		t.Fatalf("state=%v window=%d ack=%d after ack, want attached/0/1", ss.State, ss.Window, ss.AckSeq)
+	if !ss.Attached || ss.Window != 0 || ss.AckSeq != 1 {
+		t.Fatalf("attached=%v window=%d ack=%d after ack, want true/0/1", ss.Attached, ss.Window, ss.AckSeq)
 	}
 	if got := counterValue(h, "delivery.acked"); got != 1 {
 		t.Fatalf("acked = %d, want 1", got)
@@ -349,7 +218,7 @@ func TestHardConnErrorDetaches(t *testing.T) {
 	h.Deliver("s", 1, fid(1), []string{"t"})
 	waitFor(t, "detach", func() bool {
 		ss, _ := h.Snapshot("s")
-		return ss.State == StateDetached
+		return !ss.Attached
 	})
 	if !conn.isClosed() {
 		t.Fatal("broken connection not closed")
@@ -437,8 +306,8 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 		defer conn.mu.Unlock()
 		return conn.pings == 1
 	})
-	if ss, _ := h.Snapshot("s"); ss.State != StateAttached {
-		t.Fatalf("state = %v, want attached", ss.State)
+	if ss, _ := h.Snapshot("s"); !ss.Attached {
+		t.Fatal("session detached, want attached")
 	}
 
 	// A pong keeps the session alive.
@@ -446,8 +315,8 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 	s.Touch()
 	advance(2 * hb)
 	h.sweep() // two heartbeats since the pong: pinged again, not kicked
-	if ss, _ := h.Snapshot("s"); ss.State != StateAttached {
-		t.Fatalf("state after pong = %v, want attached", ss.State)
+	if ss, _ := h.Snapshot("s"); !ss.Attached {
+		t.Fatal("session detached after pong, want attached")
 	}
 
 	// Silence past the idle timeout: kicked, queue preserved.
@@ -456,8 +325,8 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 	advance((idleHeartbeats-2)*hb + time.Second) // idleHeartbeats heartbeats and a second since the pong
 	h.sweep()
 	ss, _ := h.Snapshot("s")
-	if ss.State != StateDetached {
-		t.Fatalf("state = %v, want detached after idle kick", ss.State)
+	if ss.Attached {
+		t.Fatal("session attached, want detached after idle kick")
 	}
 	if got := conn.lastBye(); got != "idle-timeout" {
 		t.Fatalf("bye = %q, want idle-timeout", got)
@@ -467,18 +336,5 @@ func TestIdleKickAndHeartbeat(t *testing.T) {
 	}
 	if got := counterValue(h, "delivery.kicks.idle"); got != 1 {
 		t.Fatalf("kicks.idle = %d, want 1", got)
-	}
-}
-
-// TestParsePolicy covers the flag spellings both ways.
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{DropOldest, CoalesceByDoc, Disconnect} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy(bogus) succeeded")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // (FuzzFrameRead).
 func FuzzDeliverFrameRoundTrip(f *testing.F) {
 	f.Add("alice", uint64(0), uint64(1), uint64(1), uint64(7), uint64(9), "breaking,news", "replaced", []byte(nil))
-	f.Add("", uint64(1<<40), uint64(1<<63), uint64(300), uint64(0), uint64(1<<20), "", "slow-consumer: disconnect", []byte{0x00, 0xff})
+	f.Add("", uint64(1<<40), uint64(1<<63), uint64(300), uint64(0), uint64(1<<20), "", "idle-timeout", []byte{0x00, 0xff})
 	f.Add("bob/with/slashes", uint64(2), uint64(2), uint64(128), uint64(1), uint64(1), "a", "", []byte("go test fuzz"))
 	f.Add(strings.Repeat("s", 200), uint64(12345), uint64(99), uint64(7), uint64(42), uint64(43), "t1,t2,t3,t4", "idle-timeout", []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 

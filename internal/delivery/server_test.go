@@ -83,7 +83,7 @@ func TestServerEndToEnd(t *testing.T) {
 	_ = cl.Close()
 	waitFor(t, "detach", func() bool {
 		ss, _ := hub.Snapshot("alice")
-		return ss.State == StateDetached
+		return !ss.Attached
 	})
 
 	cl2, err := Dial(addr, "alice", 3)
@@ -165,14 +165,14 @@ func TestServerHeartbeat(t *testing.T) {
 	}()
 
 	time.Sleep(3 * idleHeartbeats * hb) // 3x the idle timeout
-	if ss, _ := hub.Snapshot("carol"); ss.State != StateAttached {
-		t.Fatalf("state = %v, want attached (pongs keep it alive)", ss.State)
+	if ss, _ := hub.Snapshot("carol"); !ss.Attached {
+		t.Fatal("session detached, want attached (pongs keep it alive)")
 	}
 	_ = cl.Close()
 	<-done
 	waitFor(t, "idle kick or detach", func() bool {
 		ss, _ := hub.Snapshot("carol")
-		return ss.State == StateDetached
+		return !ss.Attached
 	})
 }
 

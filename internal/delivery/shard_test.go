@@ -80,9 +80,9 @@ func TestShardedRegistry(t *testing.T) {
 // TestDeliverBatchMatchesDeliver proves the batched enqueue path is
 // observably identical to the one-call-per-subscriber path.
 func TestDeliverBatchMatchesDeliver(t *testing.T) {
-	a := NewHub(Config{Workers: -1, Shards: 4, Policy: CoalesceByDoc})
+	a := NewHub(Config{Workers: -1, Shards: 4})
 	defer a.Stop()
-	b := NewHub(Config{Workers: -1, Shards: 4, Policy: CoalesceByDoc})
+	b := NewHub(Config{Workers: -1, Shards: 4})
 	defer b.Stop()
 
 	docs := []uint64{7, 8, 7}

@@ -307,7 +307,7 @@ func TestResumeWithWarmTableOverTCP(t *testing.T) {
 	_ = cl.Close()
 	waitFor(t, "detach", func() bool {
 		ss, _ := hub.Snapshot("dana")
-		return ss.State == StateDetached
+		return !ss.Attached
 	})
 	// Queued while down: a term the old table replaced, a term of the
 	// redelivered documents, a resident one.

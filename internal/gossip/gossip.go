@@ -450,6 +450,9 @@ func decodeDigest(data []byte) ([]Member, error) {
 		if err != nil {
 			return nil, err
 		}
+		if id == "" {
+			return nil, errors.New("gossip: digest member with an empty id")
+		}
 		m.ID = ring.NodeID(id)
 		if m.Rack, err = r.String(); err != nil {
 			return nil, err

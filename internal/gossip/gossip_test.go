@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/node"
 	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/transport"
@@ -317,6 +318,28 @@ func TestHandleRejectsCorruptDigest(t *testing.T) {
 	// A digest claiming many members but carrying none must be rejected.
 	if _, err := tc.gs[0].Handle("g1", []byte{200}); err == nil {
 		t.Fatal("expected error for overclaiming digest")
+	}
+}
+
+// TestHandleRejectsEmptyMemberID: a digest naming a member with an empty ID
+// is refused whole, so that member never enters the table, Members() or the
+// digests this node spreads.
+func TestHandleRejectsEmptyMemberID(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	w := codec.NewWriter(16)
+	w.Uvarint(1)
+	w.String("")
+	w.String("rack-0")
+	w.String("127.0.0.1:1")
+	w.Uvarint(5)
+	w.Uint8(uint8(StatusAlive))
+	if _, err := tc.gs[0].Handle("g1", w.Bytes()); err == nil {
+		t.Fatal("digest with an empty member id accepted")
+	}
+	for _, m := range tc.gs[0].Members() {
+		if m.ID == "" {
+			t.Fatalf("Members() lists an empty id: %+v", tc.gs[0].Members())
+		}
 	}
 }
 

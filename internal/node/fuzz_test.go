@@ -11,6 +11,7 @@ import (
 	"github.com/movesys/move/internal/bloom"
 	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/delivery"
+	"github.com/movesys/move/internal/gossip"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/ring"
 	"github.com/movesys/move/internal/testutil"
@@ -30,6 +31,12 @@ func handleSeeds(t testing.TB) [][]byte {
 	bf.Add("alpha")
 	notifs := []delivery.Notification{{Sub: "alice", Filters: []model.FilterID{3}}}
 	ref := encodeDeliverBatch(&delivery.Batch{DocID: docA.ID, Terms: docA.Terms, Ref: true, Notifs: notifs})
+	// An empty digest is answered with the peer's own: a valid one-member
+	// digest.
+	digest, err := fuzzGossiper(t, "peer").Handle("solo", []byte{0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return [][]byte{
 		encodePublish(false, &docA, "alpha", "beta"),
 		encodePublish(true, &docA, "beta", "gamma"),
@@ -41,6 +48,7 @@ func handleSeeds(t testing.TB) [][]byte {
 		EncodeStatsPull(),
 		EncodeInstallBloom(bf.Marshal()),
 		EncodeGossip([]byte{1, 2, 3}),
+		EncodeGossip(digest),
 		EncodePrepareAlloc(2, grid),
 		// An older coordinator's term-scoped prepare, refused.
 		mustHex(t, termScopedPrepareHex),
@@ -66,7 +74,9 @@ func handleSeeds(t testing.TB) [][]byte {
 // retired drop and hard-flip types (10, 13) are unknown whatever follows
 // them, so no frame takes a committed grid out of the forwarding table. The
 // node has a delivery hub and holds the seeds' document, sent by the fuzz
-// sender, so a reference batch resolves and enqueues within the same bound.
+// sender, so a reference batch resolves and enqueues within the same bound;
+// it has a gossiper too, so a digest is decoded and merged, not refused as
+// "gossip not enabled".
 func FuzzNodeHandle(f *testing.F) {
 	for _, seed := range handleSeeds(f) {
 		f.Add(seed)
@@ -89,6 +99,7 @@ func FuzzNodeHandle(f *testing.F) {
 		hub := delivery.NewHub(delivery.Config{})
 		defer hub.Stop()
 		nd.cfg.Delivery = hub
+		nd.cfg.Gossip = fuzzGossiper(t, nd.ID()).Handle
 		docA := model.Document{ID: 7, Terms: []string{"alpha", "beta", "gamma"}}
 		if _, err := nd.Handle(context.Background(), "fuzz", encodePublish(false, &docA, "alpha")); err != nil {
 			t.Fatal(err)
@@ -127,6 +138,20 @@ func FuzzNodeHandle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzGossiper is a gossiper that is never started, so it only answers
+// digests; it never sends one.
+func fuzzGossiper(t testing.TB, id ring.NodeID) *gossip.Gossiper {
+	t.Helper()
+	g, err := gossip.New(gossip.Config{
+		Self: gossip.Member{ID: id, Addr: "127.0.0.1:1"},
+		Send: func(context.Context, ring.NodeID, []byte) ([]byte, error) { return nil, errors.New("fuzz: no sends") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func first(b []byte) int {

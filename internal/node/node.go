@@ -66,7 +66,7 @@ type Config struct {
 	Resilience *resilience.Executor
 	// Metrics receives the node's failover counters (publish.failover,
 	// publish.degraded) and per-stage latency histograms (publish.e2e,
-	// publish.home, publish.fanout, publish.column.rpc, match.term, match.sift,
+	// publish.home, publish.fanout, publish.column.rpc, match.term,
 	// index.posting.read, index.eval); nil creates a private registry.
 	Metrics *metrics.Registry
 	// TraceDepth sizes the ring buffer of recent publish traces the node
@@ -141,7 +141,6 @@ type Node struct {
 	hFanout    *metrics.Histogram
 	hColumnRPC *metrics.Histogram
 	hMatchTerm *metrics.Histogram
-	hMatchSIFT *metrics.Histogram
 	traces     *trace.Ring
 
 	// Reallocation observability (§13): distinct filter copies installed by
@@ -221,7 +220,6 @@ func New(cfg Config) (*Node, error) {
 		hFanout:       reg.Histogram("publish.fanout"),
 		hColumnRPC:    reg.Histogram("publish.column.rpc"),
 		hMatchTerm:    reg.Histogram("match.term"),
-		hMatchSIFT:    reg.Histogram("match.sift"),
 		traces:        trace.NewRing(depth),
 		migratedC:     reg.Counter("realloc.filters.migrated"),
 		commitsC:      reg.Counter("realloc.commits"),
@@ -355,17 +353,6 @@ func (n *Node) handle(ctx context.Context, from ring.NodeID, payload []byte) ([]
 			return nil, err
 		}
 		return EncodeMatchResp(resp, terms), nil
-	case msgPublishSIFT:
-		transport.Detach(ctx)
-		doc, err := model.DecodeDocument(r)
-		if err != nil {
-			return nil, fmt.Errorf("node %s: decode sift: %w", n.cfg.ID, err)
-		}
-		resp, err := n.matchSIFT(&doc)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeMatchResp(resp, nil), nil
 	case msgMigrate:
 		req, err := decodeMigrate(r)
 		if err != nil {
@@ -853,21 +840,6 @@ func (n *Node) matchLocalTerms(doc *model.Document, terms []string) (MatchResp, 
 	n.termsMatched.Add(int64(len(terms)))
 	tm := n.hMatchTerm.Start()
 	matched, st, err := n.ix.MatchTerms(doc, terms)
-	tm.Stop()
-	if err != nil {
-		return MatchResp{}, err
-	}
-	n.postingsScanned.Add(int64(st.Postings))
-	n.postingLists.Add(int64(st.PostingLists))
-	return toResp(matched, st), nil
-}
-
-// matchSIFT runs the full SIFT matcher (RS baseline path).
-func (n *Node) matchSIFT(doc *model.Document) (MatchResp, error) {
-	n.docsProcessed.Inc()
-	n.termsMatched.Add(int64(len(doc.Terms)))
-	tm := n.hMatchSIFT.Start()
-	matched, st, err := n.ix.MatchTerms(doc, doc.Terms)
 	tm.Stop()
 	if err != nil {
 		return MatchResp{}, err

@@ -20,9 +20,10 @@ import (
 const (
 	msgRegister = 1 // register a filter with posting terms
 	// 2, 3 retired: msgPublish / msgPublishLocal (per-term publish frames).
-	msgPublishSIFT = 4 // full SIFT match (RS baseline)
-	msgMigrate     = 5 // install allocated filters (batch)
-	msgStatsPull   = 6 // coordinator statistics pull
+	// 4 retired: msgPublishSIFT (the RS flood sends a local msgPublish
+	// routing every document term).
+	msgMigrate   = 5 // install allocated filters (batch)
+	msgStatsPull = 6 // coordinator statistics pull
 	// 7 retired: msgInstallGrid (hard-flip grid installation).
 	msgInstallBloom = 8 // install the global filter-term Bloom filter
 	msgGossip       = 9 // membership digest
@@ -247,11 +248,12 @@ func decodePublishFrame(r *codec.Reader) (local bool, doc model.Document, terms 
 	return local, doc, terms, nil
 }
 
-// EncodeSIFT serializes a full-match request (RS baseline).
+// EncodeSIFT serializes the RS flood's full-match request: a local publish
+// frame routing every document term, so the node runs the SIFT matcher
+// (MatchTerms over all of them) and never re-forwards.
 func EncodeSIFT(doc *model.Document) []byte {
-	w := codec.NewWriter(32 + 12*len(doc.Terms))
-	w.Uint8(msgPublishSIFT)
-	doc.EncodeTo(w)
+	w := codec.NewWriter(32 + 13*len(doc.Terms))
+	appendPublishFrame(w, true, doc, doc.Terms)
 	return w.Bytes()
 }
 

@@ -72,9 +72,9 @@ func TestFullRPCSurface(t *testing.T) {
 	if committed, pending, dual := nd.EpochInfo(); committed != 3 || pending != 0 || dual {
 		t.Fatalf("after abort RPC: committed=%d pending=%d dual=%v, want 3/0/false", committed, pending, dual)
 	}
-	// The retired hard-flip and drop frames are refused, not decoded as
+	// The retired SIFT, hard-flip and drop frames are refused, not decoded as
 	// something else.
-	for _, retired := range []byte{7, 10, 12, 13} {
+	for _, retired := range []byte{4, 7, 10, 12, 13} {
 		if _, err := nd.Handle(ctx, "coord", []byte{retired}); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Fatalf("retired message type %d: err = %v, want unknown message type", retired, err)
 		}

@@ -131,7 +131,7 @@ type Subscription struct {
 
 // Dropped returns how many notifications were discarded because the
 // channel was full. What the subscriber's delivery session shed before
-// the channel is counted in Cluster.Metrics (delivery.drops.*).
+// the channel is counted in Cluster.Metrics (delivery.drops.oldest).
 func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
 // PublishReceipt summarizes one publication.
@@ -339,7 +339,7 @@ func (c *Cluster) PublishTerms(terms []string) (PublishReceipt, error) {
 // Metrics snapshots the cluster's counters: the resilience ones
 // (rpc.retries, rpc.giveups, breaker.open, breaker.fastfail,
 // publish.failover, publish.degraded) and the delivery tier's — among them
-// delivery.drops.* (notifications a subscriber session shed) and
+// delivery.drops.oldest (notifications a subscriber session shed) and
 // delivery.route.lost (notifications whose session owner could not be
 // reached).
 func (c *Cluster) Metrics() map[string]int64 {

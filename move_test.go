@@ -528,7 +528,7 @@ func TestLibraryDeliveryOracle(t *testing.T) {
 				dropped += sub.Dropped()
 			}
 			m := c.Metrics()
-			shed, lost := m["delivery.drops.oldest"]+m["delivery.drops.disconnect"], m["delivery.route.lost"]
+			shed, lost := m["delivery.drops.oldest"], m["delivery.route.lost"]
 			t.Logf("%d pairs matched: %d received, %d dropped on a full channel, %d shed by sessions, %d lost in routing", matched, accounted, dropped, shed, lost)
 			if int64(accounted)+dropped+shed+lost != int64(matched) {
 				t.Fatalf("%d received + %d dropped + %d shed + %d lost != %d matched", accounted, dropped, shed, lost, matched)
