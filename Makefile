@@ -108,11 +108,12 @@ bench-home:
 
 # The RPC tier's microbench: one warm round trip between two in-process
 # nodes over loopback TCP, a 600-byte request (match_heavy's median home RPC)
-# and an empty answer, serial and RunParallel; reports ns/op and allocs/op.
-# Compare against a parent binary built with `go test -c` (copy
-# internal/transport/tcp_bench_test.go into its tree).
+# and an empty answer, serial and RunParallel, at one and two Ps (a hand-off
+# between goroutines shows as the gap between the two serial rows); reports
+# ns/op and allocs/op. Compare against a parent binary built with `go test -c`
+# (copy internal/transport/tcp_bench_test.go into its tree).
 bench-rpc:
-	$(GO) test -run='^$$' -bench=BenchmarkTCPRoundTrip -benchtime=20000x -count=5 ./internal/transport
+	$(GO) test -run='^$$' -bench=BenchmarkTCPRoundTrip -benchtime=20000x -count=5 -cpu 1,2 ./internal/transport
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
 # shake out regressions in the codec, framing, tokenizer, index and

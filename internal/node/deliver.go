@@ -202,37 +202,32 @@ func (n *Node) routeDeliveries(ctx context.Context, doc *model.Document, matches
 		n.routeRPCs.Inc()
 		n.routeSubs.Add(int64(len(b.Notifs)))
 	}
-	var wg sync.WaitGroup
-	for i := range dests {
-		wg.Add(1)
-		go func(d *dest) {
-			defer wg.Done()
-			resp, err := n.send(ctx, d.home, d.frame.Bytes())
-			if err == nil && len(resp) == 1 && resp[0] == deliverNotHeld {
-				// The owner does not hold the document the batch named:
-				// the same batch once more, inline. A re-send is not a new
-				// route RPC.
-				n.routeResent.Inc()
-				d.batch.Ref = false
-				d.frame.Reset()
-				d.frame.Uint8(msgDeliverBatch)
-				delivery.AppendBatch(d.frame, d.batch)
-				_, err = n.send(ctx, d.home, d.frame.Bytes())
+	concurrently(len(dests), func(i int) {
+		d := &dests[i]
+		resp, err := n.send(ctx, d.home, d.frame.Bytes())
+		if err == nil && len(resp) == 1 && resp[0] == deliverNotHeld {
+			// The owner does not hold the document the batch named:
+			// the same batch once more, inline. A re-send is not a new
+			// route RPC.
+			n.routeResent.Inc()
+			d.batch.Ref = false
+			d.frame.Reset()
+			d.frame.Uint8(msgDeliverBatch)
+			delivery.AppendBatch(d.frame, d.batch)
+			_, err = n.send(ctx, d.home, d.frame.Bytes())
+		}
+		codec.PutWriter(d.frame)
+		if err == nil {
+			return
+		}
+		n.routeFailures.Inc()
+		n.routeLost.Add(int64(len(d.batch.Notifs)))
+		if n.cfg.OnDeliveryLoss != nil {
+			subs := make([]string, len(d.batch.Notifs))
+			for j := range d.batch.Notifs {
+				subs[j] = d.batch.Notifs[j].Sub
 			}
-			codec.PutWriter(d.frame)
-			if err == nil {
-				return
-			}
-			n.routeFailures.Inc()
-			n.routeLost.Add(int64(len(d.batch.Notifs)))
-			if n.cfg.OnDeliveryLoss != nil {
-				subs := make([]string, len(d.batch.Notifs))
-				for j := range d.batch.Notifs {
-					subs[j] = d.batch.Notifs[j].Sub
-				}
-				n.cfg.OnDeliveryLoss(doc.ID, subs)
-			}
-		}(&dests[i])
-	}
-	wg.Wait()
+			n.cfg.OnDeliveryLoss(doc.ID, subs)
+		}
+	})
 }

@@ -1,9 +1,11 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -395,4 +397,46 @@ func TestDeliverBatchWithoutHubIsAccountedLoss(t *testing.T) {
 	if subs := lost[9]; len(subs) != 1 || subs[0] != "alice" {
 		t.Fatalf("OnDeliveryLoss for doc 9 = %v, want [alice]", subs)
 	}
+}
+
+// TestConcurrentlyRunsEachOnce calls every index exactly once for fan-outs
+// of zero to four destinations, and runs the last on the calling goroutine,
+// so a single destination starts none.
+func TestConcurrentlyRunsEachOnce(t *testing.T) {
+	self := goroutineHeader()
+	for n := 0; n <= 4; n++ {
+		var mu sync.Mutex
+		seen := make(map[int]int)
+		lastInline := false
+		concurrently(n, func(i int) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[i]++
+			if i == n-1 {
+				lastInline = goroutineHeader() == self
+			}
+		})
+		if len(seen) != n {
+			t.Fatalf("n=%d: ran %v", n, seen)
+		}
+		for i, c := range seen {
+			if i < 0 || i >= n || c != 1 {
+				t.Fatalf("n=%d: ran %v", n, seen)
+			}
+		}
+		if n > 0 && !lastInline {
+			t.Fatalf("n=%d: the last destination ran on another goroutine", n)
+		}
+	}
+}
+
+// goroutineHeader is the first line of the calling goroutine's stack trace,
+// "goroutine N [running]:", which names it.
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	if i := bytes.IndexByte(buf, '\n'); i >= 0 {
+		buf = buf[:i]
+	}
+	return string(buf)
 }

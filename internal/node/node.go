@@ -735,45 +735,41 @@ func (n *Node) fanOut(ctx context.Context, doc *model.Document, terms []string, 
 			break
 		}
 		results := make([]nodeResult, len(order))
-		var wg sync.WaitGroup
-		for ti, target := range order {
-			wg.Add(1)
-			go func(ti int, target ring.NodeID, ss []*colSlot) {
-				defer wg.Done()
-				out, elapsed, err := n.sendPublish(ctx, target, true, doc, terms)
-				n.hColumnRPC.Observe(elapsed)
-				committed := false
-				for _, s := range ss {
-					hop := trace.Hop{
-						Stage: "column", From: string(n.cfg.ID), To: string(target),
-						Row: (s.route.first + s.attempt) % s.route.grid.Rows(), Col: s.col,
-						Attempt: s.attempt, Failover: s.attempt > 0,
-						Pending: s.route.pending, ElapsedNS: elapsed.Nanoseconds(),
-					}
-					if err != nil {
-						hop.Err = err.Error()
-						s.attempt++
-						committed = committed || !s.route.pending
-					} else {
-						if s.attempt > 0 {
-							n.failoverC.Inc()
-						}
-						s.done = true
-					}
-					s.hops = append(s.hops, hop)
+		concurrently(len(order), func(ti int) {
+			target := order[ti]
+			ss := targets[target]
+			out, elapsed, err := n.sendPublish(ctx, target, true, doc, terms)
+			n.hColumnRPC.Observe(elapsed)
+			committed := false
+			for _, s := range ss {
+				hop := trace.Hop{
+					Stage: "column", From: string(n.cfg.ID), To: string(target),
+					Row: (s.route.first + s.attempt) % s.route.grid.Rows(), Col: s.col,
+					Attempt: s.attempt, Failover: s.attempt > 0,
+					Pending: s.route.pending, ElapsedNS: elapsed.Nanoseconds(),
 				}
-				switch {
-				case err == nil:
-					results[ti] = nodeResult{resp: out}
-				case committed && !transport.IsAvailabilityError(err):
-					// Only unavailability fails over. An RPC serving pending
-					// slots alone is best-effort whatever the error: its slots
-					// just move on to the next row.
-					results[ti] = nodeResult{err: err}
+				if err != nil {
+					hop.Err = err.Error()
+					s.attempt++
+					committed = committed || !s.route.pending
+				} else {
+					if s.attempt > 0 {
+						n.failoverC.Inc()
+					}
+					s.done = true
 				}
-			}(ti, target, targets[target])
-		}
-		wg.Wait()
+				s.hops = append(s.hops, hop)
+			}
+			switch {
+			case err == nil:
+				results[ti] = nodeResult{resp: out}
+			case committed && !transport.IsAvailabilityError(err):
+				// Only unavailability fails over. An RPC serving pending
+				// slots alone is best-effort whatever the error: its slots
+				// just move on to the next row.
+				results[ti] = nodeResult{err: err}
+			}
+		})
 		for ti := range results {
 			res := &results[ti]
 			if res.err != nil {
@@ -1036,31 +1032,44 @@ type entryResult struct {
 // collects the per-group results.
 func (n *Node) fanOutHomes(ctx context.Context, doc *model.Document, groups []homeGroup) []entryResult {
 	results := make([]entryResult, len(groups))
+	concurrently(len(groups), func(i int) {
+		g := &groups[i]
+		resp, elapsed, err := n.sendPublish(ctx, g.home, false, doc, g.terms)
+		n.hFanout.Observe(elapsed)
+		res := entryResult{resp: resp, err: err}
+		res.homeHops = make([]trace.Hop, len(g.terms))
+		for j, t := range g.terms {
+			h := trace.Hop{
+				Stage: "home", From: string(n.cfg.ID), To: string(g.home),
+				Term: t, ElapsedNS: elapsed.Nanoseconds(),
+			}
+			if err != nil {
+				h.Err = err.Error()
+			}
+			res.homeHops[j] = h
+		}
+		results[i] = res
+	})
+	return results
+}
+
+// concurrently runs f(0), …, f(n-1) at once and returns when all have
+// returned. The last runs on the calling goroutine, so a fan-out to a single
+// destination starts no goroutine.
+func concurrently(n int, f func(i int)) {
+	if n <= 0 {
+		return
+	}
 	var wg sync.WaitGroup
-	for i := range groups {
-		wg.Add(1)
+	wg.Add(n - 1)
+	for i := 0; i < n-1; i++ {
 		go func(i int) {
 			defer wg.Done()
-			g := &groups[i]
-			resp, elapsed, err := n.sendPublish(ctx, g.home, false, doc, g.terms)
-			n.hFanout.Observe(elapsed)
-			res := entryResult{resp: resp, err: err}
-			res.homeHops = make([]trace.Hop, len(g.terms))
-			for j, t := range g.terms {
-				h := trace.Hop{
-					Stage: "home", From: string(n.cfg.ID), To: string(g.home),
-					Term: t, ElapsedNS: elapsed.Nanoseconds(),
-				}
-				if err != nil {
-					h.Err = err.Error()
-				}
-				res.homeHops[j] = h
-			}
-			results[i] = res
+			f(i)
 		}(i)
 	}
+	f(n - 1)
 	wg.Wait()
-	return results
 }
 
 // migrateBatch caps the number of filters per msgMigrate frame.

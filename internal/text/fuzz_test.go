@@ -15,6 +15,8 @@ import (
 //   - every term is >= MinTermLen bytes of [a-z0-9] only
 //   - deterministic: the same input yields the same terms
 //   - stop-word removal only removes: Terms ⊆ Terms(KeepStopWords)
+//   - byte-identical to termsReference, the tokenizer it replaced, under
+//     every option set referenceOptions lists, for Terms and NormalizeTerms
 func FuzzTokenize(f *testing.F) {
 	f.Add("Breaking news tonight: markets RALLY 7%!")
 	f.Add("the a an and or of to in is was")
@@ -27,6 +29,7 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("x\x00y\xff\xfez invalid\xc3(utf8")
 
 	f.Fuzz(func(t *testing.T, raw string) {
+		checkReference(t, raw)
 		terms := Terms(raw, Options{})
 
 		for i, term := range terms {

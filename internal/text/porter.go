@@ -13,7 +13,17 @@ func Stem(word string) string {
 	if len(word) < 3 {
 		return word
 	}
-	s := stemmer{buf: []byte(word)}
+	return string(stem([]byte(word)))
+}
+
+// stem is Stem in place: it rewrites the lower-case ASCII word in b and
+// returns it. The result is never longer than b, and no step writes past the
+// length it has cut the word to, so b's own array always holds it.
+func stem(b []byte) []byte {
+	if len(b) < 3 {
+		return b
+	}
+	s := stemmer{buf: b}
 	s.step1a()
 	s.step1b()
 	s.step1c()
@@ -22,12 +32,12 @@ func Stem(word string) string {
 	s.step4()
 	s.step5a()
 	s.step5b()
-	return string(s.buf)
+	return s.buf
 }
 
 // stemmer holds the working buffer for one word. All step methods mutate
-// buf in place (truncation or suffix rewrite only, so no reallocation is
-// needed beyond the initial copy).
+// buf in place (truncation or suffix rewrite only, so nothing is
+// reallocated).
 type stemmer struct {
 	buf []byte
 }
@@ -115,10 +125,11 @@ func (s *stemmer) endsCVC(end int) bool {
 	return true
 }
 
-// hasSuffix reports whether buf ends with suf.
+// hasSuffix reports whether buf ends with suf. Most probes fail on the
+// last byte, which is checked first.
 func (s *stemmer) hasSuffix(suf string) bool {
 	n := len(s.buf)
-	if n < len(suf) {
+	if n < len(suf) || s.buf[n-1] != suf[len(suf)-1] {
 		return false
 	}
 	return string(s.buf[n-len(suf):]) == suf
@@ -135,8 +146,17 @@ func (s *stemmer) replaceSuffix(suf, repl string, minM int) bool {
 	if s.measure(stemEnd) <= minM {
 		return false
 	}
-	s.buf = append(s.buf[:stemEnd], repl...)
+	s.setSuffix(stemEnd, repl)
 	return true
+}
+
+// setSuffix cuts buf to buf[:stemEnd] and appends repl in place. No rewrite
+// makes the word longer than it came in (step 1b's restored e follows the
+// longer ed or ing it removed), so buf's array holds it: buf is only ever
+// resliced, never reallocated, which keeps a caller's buffer on its stack.
+func (s *stemmer) setSuffix(stemEnd int, repl string) {
+	s.buf = s.buf[:stemEnd+len(repl)]
+	copy(s.buf[stemEnd:], repl)
 }
 
 // step1a handles plurals: sses→ss, ies→i, ss→ss, s→"".
@@ -174,14 +194,14 @@ func (s *stemmer) step1b() {
 	}
 	switch {
 	case s.hasSuffix("at"), s.hasSuffix("bl"), s.hasSuffix("iz"):
-		s.buf = append(s.buf, 'e')
+		s.setSuffix(len(s.buf), "e")
 	case s.endsDoubleConsonant(len(s.buf)):
 		last := s.buf[len(s.buf)-1]
 		if last != 'l' && last != 's' && last != 'z' {
 			s.buf = s.buf[:len(s.buf)-1]
 		}
 	case s.measure(len(s.buf)) == 1 && s.endsCVC(len(s.buf)):
-		s.buf = append(s.buf, 'e')
+		s.setSuffix(len(s.buf), "e")
 	}
 }
 
@@ -192,10 +212,11 @@ func (s *stemmer) step1c() {
 	}
 }
 
-// step2 maps double suffixes to single ones when m > 0. Ordered by the
-// penultimate letter as in Porter's original table.
-func (s *stemmer) step2() {
-	pairs := [...]struct{ suf, repl string }{
+// suffixRule rewrites suffix suf to repl, never longer.
+type suffixRule struct{ suf, repl string }
+
+var (
+	step2Pairs = []suffixRule{
 		{"ational", "ate"}, {"tional", "tion"},
 		{"enci", "ence"}, {"anci", "ance"},
 		{"izer", "ize"},
@@ -204,7 +225,21 @@ func (s *stemmer) step2() {
 		{"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"}, {"ousness", "ous"},
 		{"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"},
 	}
-	for _, p := range pairs {
+	step3Pairs = []suffixRule{
+		{"icate", "ic"}, {"ative", ""}, {"alize", "al"},
+		{"iciti", "ic"}, {"ical", "ic"}, {"ful", ""}, {"ness", ""},
+	}
+	step4Suffixes = []string{
+		"al", "ance", "ence", "er", "ic", "able", "ible", "ant",
+		"ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
+		"ous", "ive", "ize",
+	}
+)
+
+// step2 maps double suffixes to single ones when m > 0. Ordered by the
+// penultimate letter as in Porter's original table.
+func (s *stemmer) step2() {
+	for _, p := range step2Pairs {
 		if s.hasSuffix(p.suf) {
 			s.replaceSuffix(p.suf, p.repl, 0)
 			return
@@ -214,11 +249,7 @@ func (s *stemmer) step2() {
 
 // step3 strips -ic-, -full, -ness etc. when m > 0.
 func (s *stemmer) step3() {
-	pairs := [...]struct{ suf, repl string }{
-		{"icate", "ic"}, {"ative", ""}, {"alize", "al"},
-		{"iciti", "ic"}, {"ical", "ic"}, {"ful", ""}, {"ness", ""},
-	}
-	for _, p := range pairs {
+	for _, p := range step3Pairs {
 		if s.hasSuffix(p.suf) {
 			s.replaceSuffix(p.suf, p.repl, 0)
 			return
@@ -228,12 +259,7 @@ func (s *stemmer) step3() {
 
 // step4 strips -ant, -ence etc. when m > 1.
 func (s *stemmer) step4() {
-	sufs := [...]string{
-		"al", "ance", "ence", "er", "ic", "able", "ible", "ant",
-		"ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
-		"ous", "ive", "ize",
-	}
-	for _, suf := range sufs {
+	for _, suf := range step4Suffixes {
 		if !s.hasSuffix(suf) {
 			continue
 		}

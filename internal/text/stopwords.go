@@ -43,3 +43,9 @@ func IsStopWord(w string) bool {
 	_, ok := stopWords[w]
 	return ok
 }
+
+// isStopWord is IsStopWord on bytes, without converting them.
+func isStopWord(w []byte) bool {
+	_, ok := stopWords[string(w)]
+	return ok
+}

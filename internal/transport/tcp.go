@@ -3,9 +3,12 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -164,7 +167,8 @@ func (n *TCPNode) Addr() string { return n.listener.Addr().String() }
 func (n *TCPNode) Self() ring.NodeID { return n.id }
 
 // Close shuts the listener and all pooled connections down and waits for
-// the reading goroutines, and the handlers running on them, to exit.
+// the inbound readers, and the handlers running on them, to exit. Calls in
+// flight on the outbound connections fail with ErrClosed.
 func (n *TCPNode) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -538,11 +542,6 @@ func (p *peerPool) dial(slot int) (*tcpConn, error) {
 	p.mu.Lock()
 	p.conns[slot] = c
 	p.mu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		c.readLoop()
-	}()
 	n.mu.Unlock()
 	n.met.conns.Add(1)
 	return c, nil
@@ -586,40 +585,89 @@ func (p *peerPool) snapshot() []*tcpConn {
 	return out
 }
 
-// tcpConn is one striped outbound connection with pipelined round trips.
+// tcpConn is one striped outbound connection with pipelined round trips. It
+// has no goroutine of its own: a caller waiting for its response reads the
+// connection itself whenever no other caller is reading (leader/follower).
+// The reader hands each response it reads for another caller to that
+// caller's waiter and returns with its own, so a response read by the caller
+// that waits for it crosses no goroutine. A reader whose own response
+// arrived, or whose context ended, passes the reading to one parked caller.
 type tcpConn struct {
 	raw net.Conn
 	wr  *connWriter
 	met *wireMetrics
+	// interrupt cuts the reader's read short when its context ends: a read
+	// deadline in the past. Built once per connection.
+	interrupt func()
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan result
+	pending map[uint64]*waiter
+	reading bool // a caller is the reader; it alone touches rd
 	err     error
 
+	rd frameReader
+
 	closeOnce sync.Once
+}
+
+// Waiter states, guarded by tcpConn.mu.
+const (
+	waitSending   = iota // request not yet queued: may be answered or failed, never made the reader
+	waitParked           // waits on its channel for any signal, the reading included
+	waitSignalled        // one signal is committed to the channel, or the caller reads: send nothing more
+)
+
+// waiter is one call's slot in pending. Its channel carries at most one
+// signal: the response, the connection's failure, or the reading.
+type waiter struct {
+	ch    chan result // capacity 1
+	state int
 }
 
 type result struct {
 	body []byte
 	err  error
+	lead bool // the caller is the connection's reader now
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan result, 1)} }}
+
+// putWaiter recycles a waiter that is out of pending. Every committed signal
+// has been received by then; a stale one is drained anyway, so it can never
+// reach the next call.
+func putWaiter(w *waiter) {
+	select {
+	case <-w.ch:
+	default:
+	}
+	w.state = waitSending
+	waiterPool.Put(w)
 }
 
 // errMalformedResponse fails the one call whose response frame named it but
 // could not be parsed past the request ID.
 var errMalformedResponse = errors.New("transport: protocol error: malformed response")
 
+// aLongTimeAgo is the read deadline that interrupts the reader at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
 func newTCPConn(raw net.Conn, met *wireMetrics) *tcpConn {
 	return &tcpConn{
-		raw:     raw,
-		wr:      newConnWriter(raw, met),
-		met:     met,
-		pending: make(map[uint64]chan result),
+		raw:       raw,
+		wr:        newConnWriter(raw, met),
+		met:       met,
+		interrupt: func() { _ = raw.SetReadDeadline(aLongTimeAgo) },
+		pending:   make(map[uint64]*waiter),
+		rd:        frameReader{br: bufio.NewReaderSize(raw, readBufSize)},
 	}
 }
 
+// roundTrip sends payload and waits for its response: parked on its waiter
+// while another caller reads, as the connection's reader otherwise.
 func (c *tcpConn) roundTrip(ctx context.Context, from ring.NodeID, payload []byte) ([]byte, error) {
-	ch := make(chan result, 1)
+	wt := waiterPool.Get().(*waiter)
+	defer putWaiter(wt)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -628,7 +676,7 @@ func (c *tcpConn) roundTrip(ctx context.Context, from ring.NodeID, payload []byt
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = wt
 	c.mu.Unlock()
 
 	// Pooled request framing buffer: send copies the frame into the send
@@ -641,61 +689,200 @@ func (c *tcpConn) roundTrip(ctx context.Context, from ring.NodeID, payload []byt
 	err := c.wr.send(w.Bytes())
 	codec.PutWriter(w)
 	if err != nil {
-		c.abandon(id)
+		c.abandon(id, wt)
 		return nil, fmt.Errorf("write to peer: %w", ErrNodeDown)
 	}
 
-	select {
-	case res := <-ch:
-		return res.body, res.err
-	case <-ctx.Done():
-		c.abandon(id)
-		return nil, ctx.Err()
-	}
-}
-
-func (c *tcpConn) abandon(id uint64) {
 	c.mu.Lock()
-	delete(c.pending, id)
+	lead := false
+	switch {
+	case wt.state == waitSignalled: // answered already
+	case !c.reading:
+		c.reading, wt.state, lead = true, waitSignalled, true
+	default:
+		wt.state = waitParked
+	}
 	c.mu.Unlock()
+	for !lead {
+		select {
+		case res := <-wt.ch:
+			if !res.lead {
+				return res.body, res.err
+			}
+			lead = true
+		case <-ctx.Done():
+			c.abandon(id, wt)
+			return nil, ctx.Err()
+		}
+	}
+	var stop func() bool
+	if ctx.Done() != nil { // a context that can end: AfterFunc's cost only then
+		stop = context.AfterFunc(ctx, c.interrupt)
+	}
+	body, err := c.readFor(ctx, id)
+	if stop != nil {
+		stop()
+	}
+	c.pass(id)
+	return body, err
 }
 
-// readLoop demultiplexes response frames to their waiting callers. The
-// frame buffer is reused across responses (single reader goroutine); the
-// body is copied to an exact-size slice only once a waiter is confirmed, so
-// the §11 ownership contract — response bytes transfer to the caller and
-// never alias transport buffers — still holds.
-func (c *tcpConn) readLoop() {
-	br := bufio.NewReaderSize(c.raw, readBufSize)
-	var buf []byte
+// readFor reads response frames as the connection's reader until the one
+// for id arrives, the context ends or the connection fails. Frames for other
+// callers go to their waiters; frames for abandoned calls are dropped.
+func (c *tcpConn) readFor(ctx context.Context, id uint64) ([]byte, error) {
 	for {
-		resp, err := frame.Read(br, &buf, maxFrame)
+		resp, err := c.rd.next()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// This reader's interrupt, or a former reader's that fired too
+			// late to be stopped: clear it, and read on while ctx is live.
+			_ = c.raw.SetReadDeadline(time.Time{})
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			continue
+		}
 		if err != nil {
-			c.close(fmt.Errorf("connection lost: %w", ErrNodeDown))
-			return
+			return nil, c.close(fmt.Errorf("connection lost: %w", ErrNodeDown))
 		}
 		r := codec.NewReader(resp)
-		id, err := r.Uvarint()
+		rid, err := r.Uvarint()
 		if err != nil {
 			// No caller can be named, and a peer that writes this may have
 			// written anything: fail them all now, not at their deadlines.
-			c.close(fmt.Errorf("unreadable response id (%v): %w", err, ErrNodeDown))
-			return
+			return nil, c.close(fmt.Errorf("unreadable response id (%v): %w", err, ErrNodeDown))
 		}
 		body, err := decodeResponse(r)
+		if rid == id {
+			return copyBody(body, err), err
+		}
 		c.mu.Lock()
-		ch, ok := c.pending[id]
-		delete(c.pending, id)
+		wt, ok := c.pending[rid]
+		if ok {
+			delete(c.pending, rid)
+			wt.state = waitSignalled
+		}
 		c.mu.Unlock()
-		if !ok {
-			continue // abandoned (context cancel); nothing to copy
+		if ok {
+			wt.ch <- result{body: copyBody(body, err), err: err}
 		}
-		res := result{err: err}
-		if err == nil && body != nil {
-			res.body = append([]byte(nil), body...)
-		}
-		ch <- res
 	}
+}
+
+// copyBody copies a response body out of the reader's frame buffer, which
+// the next frame overwrites: response bytes transfer to the caller and never
+// alias transport buffers (§11).
+func copyBody(body []byte, err error) []byte {
+	if err != nil || body == nil {
+		return nil
+	}
+	return append([]byte(nil), body...)
+}
+
+// abandon withdraws a call that stops waiting for its response. A signal
+// already committed to its waiter is taken off the channel, and the reading,
+// if that is what it was, passed on.
+func (c *tcpConn) abandon(id uint64, wt *waiter) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	committed := wt.state == waitSignalled
+	c.mu.Unlock()
+	if committed && (<-wt.ch).lead {
+		c.pass(id)
+	}
+}
+
+// pass ends the reader's turn, which was call id's: the reading goes to one
+// parked caller, or, with none parked, to whichever caller parks next.
+func (c *tcpConn) pass(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	var next *waiter
+	for _, wt := range c.pending {
+		if wt.state == waitParked {
+			next = wt
+			break
+		}
+	}
+	if next != nil {
+		next.state = waitSignalled
+	} else {
+		c.reading = false
+	}
+	c.mu.Unlock()
+	if next != nil {
+		next.ch <- result{lead: true}
+	}
+}
+
+// frameReader reads frames with frame.Read's checks — the length bound
+// before anything is allocated, a minimal prefix — but keeps its place when
+// a read deadline cuts a frame short: the prefix is consumed only once it is
+// whole, and the payload bytes read so far stay in cur, so the next reader
+// resumes mid-frame.
+type frameReader struct {
+	br   *bufio.Reader
+	buf  []byte // kept across frames
+	cur  []byte // the frame being read: buf, or a one-shot buffer for a giant
+	got  int    // bytes of cur read so far
+	open bool   // a prefix has been consumed and cur is not yet full
+}
+
+// retainMax is frame.Read's bound on a buffer kept across frames.
+const retainMax = 1 << 20
+
+// next returns the next frame's payload, valid until the following call.
+func (r *frameReader) next() ([]byte, error) {
+	if !r.open {
+		size, err := r.readLen()
+		if err != nil {
+			return nil, err
+		}
+		if cap(r.buf) >= size {
+			r.cur = r.buf[:size]
+		} else {
+			r.cur = make([]byte, size)
+			if size <= retainMax {
+				r.buf = r.cur
+			}
+		}
+		r.got, r.open = 0, true
+	}
+	n, err := io.ReadFull(r.br, r.cur[r.got:])
+	r.got += n
+	if err != nil {
+		return nil, err
+	}
+	r.open = false
+	return r.cur, nil
+}
+
+// readLen peeks the uvarint length prefix and consumes it only once it
+// settles the length.
+func (r *frameReader) readLen() (int, error) {
+	var n uint64
+	for i := 1; i <= binary.MaxVarintLen64; i++ {
+		p, err := r.br.Peek(i)
+		if err != nil {
+			if i > 1 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		b := p[i-1]
+		n |= uint64(b&0x7f) << (7 * (i - 1))
+		if n > maxFrame {
+			return 0, fmt.Errorf("frame: header announces at least %d bytes, limit %d", n, maxFrame)
+		}
+		if b < 0x80 {
+			if i > 1 && b == 0 {
+				return 0, fmt.Errorf("frame: length %d in a non-minimal %d-byte prefix", n, i)
+			}
+			_, _ = r.br.Discard(i)
+			return int(n), nil
+		}
+	}
+	return 0, fmt.Errorf("frame: length prefix longer than %d bytes", binary.MaxVarintLen64)
 }
 
 // decodeResponse parses a response frame after its request ID: the body
@@ -722,18 +909,24 @@ func decodeResponse(r *codec.Reader) ([]byte, error) {
 	return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
 }
 
-// close fails all pending calls with err and tears the connection down.
-func (c *tcpConn) close(err error) {
+// close fails every pending call with the connection's first error, tears
+// the connection down and returns that error. A call that is the reader, or
+// is being made it, is not sent to: its read fails on the closed socket.
+func (c *tcpConn) close(err error) error {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
-	pending := c.pending
-	c.pending = make(map[uint64]chan result)
-	c.mu.Unlock()
-	for _, ch := range pending {
-		ch <- result{err: err}
+	err = c.err
+	for id, wt := range c.pending {
+		delete(c.pending, id)
+		if wt.state != waitSignalled {
+			wt.state = waitSignalled
+			wt.ch <- result{err: err} // the channel is empty: this cannot block
+		}
 	}
+	c.mu.Unlock()
 	c.wr.closeWith(err)
 	c.closeOnce.Do(func() { c.met.conns.Add(-1) })
+	return err
 }

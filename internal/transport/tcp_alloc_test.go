@@ -14,12 +14,13 @@ import (
 
 // TestTCPWarmRoundTripAllocs guards the warm request/response cycle over a
 // real socket. A round trip can never be zero-alloc — the response must be
-// copied out of the transport-owned read buffer (§11) and the waiter needs a
-// channel — but the framing and read paths are pooled (codec writers,
-// request/response frame buffers, send-queue rounds) and the server runs
-// the handler on the connection's reader, so the count must stay small and
-// constant regardless of payload size. A regression to per-frame fresh
-// buffers, or to a goroutine per request, shows up here immediately.
+// copied out of the transport-owned read buffer (§11) — but the framing and
+// read paths are pooled (codec writers, waiters, request/response frame
+// buffers, send-queue rounds), the caller reads its own response, and the
+// server runs the handler on the connection's reader, so the count must stay
+// small and constant regardless of payload size. A regression to per-frame
+// fresh buffers, to a per-call waiter, or to a goroutine per request, shows
+// up here immediately.
 func TestTCPWarmRoundTripAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -56,13 +57,9 @@ func TestTCPWarmRoundTripAllocs(t *testing.T) {
 			t.Fatalf("got=%q err=%v", got, err)
 		}
 	})
-	// Measured 3 allocs/op warm, all on the client: the result channel
-	// (its header and its buffer) and the response copy. The server side
-	// allocates nothing per frame (TestTCPServeFrameAllocs). The bound
-	// leaves one for the pending map's occasional growth; a goroutine per
-	// request (two more) or a fresh 4 KiB read buffer per frame (at least
-	// one more) passes it.
-	const maxAllocs = 4
+	// Measured 1 alloc/op warm, on the client: the response copy. The
+	// server side allocates nothing per frame (TestTCPServeFrameAllocs).
+	const maxAllocs = 1
 	if allocs > maxAllocs {
 		t.Fatalf("warm TCP round trip: %.1f allocs/op, want ≤ %d", allocs, maxAllocs)
 	}
