@@ -175,33 +175,33 @@ func (s *termShard) holds(term uint32, c *cover, slot int32) bool {
 	return ok && p.entries[i].bits.has(int(slot))
 }
 
-// def is a registered filter as the index stores it. Mode and the canonical
-// Terms are its cover's; the record adds what is the member's own.
+// def is a registered filter as the index stores it. Mode and the term set
+// are its cover's; the record adds what is the member's own.
 type def struct {
 	sub string // shared through Index.subs
 	c   *cover
 	// own is the filter's Terms when it registered them in another order than
-	// the cover's canonical one (or with repeats) — rare: nil otherwise.
+	// the canonical (string-sorted) one, or with repeats — rare: nil
+	// otherwise.
 	own *[]string
 }
 
-// filter is the model.Filter the definition stands for. Its Terms alias the
-// cover's array or the record's own; either is immutable (DESIGN.md §11).
-func (d def) filter(id model.FilterID) model.Filter {
-	f := model.Filter{ID: id, Subscriber: d.sub, Terms: d.c.terms, Mode: d.c.mode()}
-	if d.own != nil {
-		f.Terms = *d.own
-	}
-	return f
+// attachedTo reports whether c's single evaluation decides the definition: c
+// is its cover. A member with its own term order has its cover's term set, so
+// the cover's verdict is its own; a member read while it moves to another
+// signature is evaluated individually, which keeps the covering matcher exact
+// under concurrent register/unregister.
+func (d def) attachedTo(c *cover) bool {
+	return d.c == c
 }
 
-// attachedTo reports whether c's single evaluation decides the definition: c
-// is its cover and it has no term order of its own. Anything else — a
-// member read while it moves to another signature — is evaluated
-// individually, which keeps the covering matcher exact under concurrent
-// register/unregister.
-func (d def) attachedTo(c *cover) bool {
-	return d.c == c && d.own == nil
+// termsOf spells d's Terms: the record's own array, or the cover's term set
+// in canonical order, written out from the dictionary into a fresh slice.
+func (ix *Index) termsOf(d def) []string {
+	if d.own != nil {
+		return *d.own
+	}
+	return ix.dict.canonical(d.c.ids)
 }
 
 func (ix *Index) termShard(term uint32) *termShard {
@@ -209,11 +209,12 @@ func (ix *Index) termShard(term uint32) *termShard {
 }
 
 // newDef returns the definition to store for f as a member of c. When f's
-// terms are not in canonical order it keeps a private array in its own
-// order, of the dictionary's strings.
+// terms are not strictly sorted — another order than the canonical one, or
+// repeats — it keeps a private array in f's order, of the dictionary's
+// strings; a canonical filter keeps none, its terms are c's IDs.
 func (ix *Index) newDef(f *model.Filter, c *cover) def {
 	d := def{sub: ix.subs.share(f.Subscriber), c: c}
-	if !slices.Equal(f.Terms, c.terms) {
+	if !strictlySorted(f.Terms) {
 		own := make([]string, len(f.Terms))
 		for i, t := range f.Terms {
 			own[i] = ix.dict.own(t)
@@ -221,6 +222,17 @@ func (ix *Index) newDef(f *model.Filter, c *cover) def {
 		d.own = &own
 	}
 	return d
+}
+
+// strictlySorted reports whether terms is in canonical order: ascending,
+// without repeats.
+func strictlySorted(terms []string) bool {
+	for i := 1; i < len(terms); i++ {
+		if terms[i-1] >= terms[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // post sets (c, slot)'s bit under each of terms, writing a posting operand
@@ -288,10 +300,10 @@ func (ix *Index) drop(c *cover, slot int32, id model.FilterID, keep []uint32) er
 // lists then hold it under the new postingTerms only, and the old cover has
 // lost a member.
 //
-// What the index keeps of f's Terms is the dictionary's copy (newDef), never
-// the caller's slice: a stored definition is immutable from here on, which is
-// what lets the match path return filters without cloning them back out
-// (DESIGN.md §11).
+// What the index keeps of f's Terms is its cover's dictionary IDs, and for a
+// filter registered out of canonical order an array of the dictionary's
+// strings (newDef) — never the caller's slice. A stored definition is
+// immutable from here on (DESIGN.md §11).
 func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	if err := f.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/movesys/move/internal/model"
@@ -20,7 +21,8 @@ import (
 // filter table. A definition that is missing or not attached to the cover is
 // a member caught mid-way through Unregister or a move to another signature:
 // the first drops the candidate, the second is evaluated by its own
-// definition.
+// definition. A matched filter is reported by ID, subscriber and mode; no term
+// is spelled on the match path.
 //
 // Lock discipline: the dictionary's read lock is held only while the call's
 // terms are mapped; a term shard's read lock is held across its whole
@@ -63,6 +65,9 @@ type matchScratch struct {
 	// decided it runs (coverIDs.enter).
 	memo  []uint32
 	epoch uint32
+	// matched collects the call's results; the caller gets an exact-size
+	// copy (results), so a call with matches allocates once however many.
+	matched []model.Filter
 }
 
 var scratchPool = sync.Pool{
@@ -104,6 +109,8 @@ func (sc *matchScratch) release() {
 	sc.docIDs = sc.docIDs[:0]
 	sc.terms = sc.terms[:0]
 	clear(sc.seen)
+	clear(sc.matched)
+	sc.matched = sc.matched[:0]
 	scratchPool.Put(sc)
 }
 
@@ -161,18 +168,24 @@ func coverMatches(c *cover, sc *matchScratch) bool {
 }
 
 // matchRun is one call's scan state: the inputs every entry needs and the
-// outputs it accumulates.
+// stats it accumulates; the matches go to sc.matched.
 type matchRun struct {
 	ix   *Index
 	sc   *matchScratch
 	view *model.DocView
 	// multi: the call scans several posting lists, so members and covers can
 	// recur and are deduplicated (sc.seen, sc.memo).
-	multi   bool
-	st      MatchStats
-	matched []model.Filter
-	// capHint sizes the first allocation of matched (0: let append grow it).
-	capHint int
+	multi bool
+	st    MatchStats
+}
+
+// results returns the call's matches as a slice of their own, nil when there
+// are none: the one allocation of a call that matched.
+func (r *matchRun) results() []model.Filter {
+	if len(r.sc.matched) == 0 {
+		return nil
+	}
+	return slices.Clone(r.sc.matched)
 }
 
 // scanPosting decides every entry of p against the document.
@@ -270,17 +283,15 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 		}
 		isMatch = verdict == verdictMatch
 	} else {
-		// A member with its own term order, or one moving to another
-		// signature whose bit has not left this cover yet: evaluate it
-		// individually; exactness beats the fast path.
-		f := d.filter(id)
+		// A member moving to another signature whose bit has not left this
+		// cover yet: evaluate its current definition individually, its terms
+		// spelled from the dictionary — they may be newer than the call's ID
+		// set. Rare, and exactness beats the fast path.
+		f := model.Filter{Terms: r.ix.termsOf(d), Mode: d.c.mode()}
 		isMatch = evaluate(&f, r.view)
 	}
 	if isMatch {
-		if r.matched == nil && r.capHint > 0 {
-			r.matched = make([]model.Filter, 0, r.capHint)
-		}
-		r.matched = append(r.matched, d.filter(id))
+		r.sc.matched = append(r.sc.matched, model.Filter{ID: id, Subscriber: d.sub, Mode: d.c.mode()})
 	}
 	return verdict
 }
@@ -291,11 +302,11 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 // term shard's read lock is held across the scan, so matches on different
 // terms — and matches racing registers under other terms — never contend.
 //
-// Returned filters are immutable shard snapshots: callers may keep them
-// but must not mutate Terms (see DESIGN.md §11). Excluding the matched-
-// results slice, a call on a warm index performs zero heap allocations —
-// the document view is memoized, the scratch pooled, and filters are
-// returned without cloning.
+// A returned filter names a match by ID, Subscriber and Mode; its Terms are
+// nil — GetFilter spells a definition's terms (DESIGN.md §11). Excluding the
+// matched-results slice, a call on a warm index performs zero heap
+// allocations: the document view is memoized, the scratch pooled, and a
+// result holds nothing but the ID, the shared subscriber name and the mode.
 func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, MatchStats, error) {
 	view := d.View()
 	sc := scratchPool.Get().(*matchScratch)
@@ -320,18 +331,11 @@ func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, Matc
 	}
 	r.st.PostingLists = 1
 	r.st.Postings = p.card
-	// Lazily allocated: the no-match case — most posting scans, once the
-	// Bloom gate has done its job — returns nil without touching the heap.
-	// When something does match, size for the whole logical list at once:
-	// posting entries are filters registered under this term, so on a routed
-	// document most of them match and append-doubling would pay ~2x the
-	// bytes for the same result.
-	r.capHint = p.card
 	evalTm := ix.evalH.Start()
 	r.scanPosting(p)
 	sh.mu.RUnlock()
 	evalTm.Stop()
-	return r.matched, r.st, nil
+	return r.results(), r.st, nil
 }
 
 // MatchTerms finds the filters matching d among those on the posting lists
@@ -346,11 +350,10 @@ func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, Matc
 // list retrievals and entry scans, which coalescing does not change — only
 // the RPCs around them).
 //
-// Returned filters are immutable shard snapshots; callers must not mutate
-// Terms (DESIGN.md §11).
+// Returned filters carry ID, Subscriber and Mode, with Terms nil, as
+// MatchTerm's do (DESIGN.md §11).
 func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, MatchStats, error) {
 	if len(terms) == 1 {
-		// Single-term frames keep MatchTerm's lazy exact-size allocation.
 		return ix.MatchTerm(d, terms[0])
 	}
 	phase := ix.coverIDs.enter()
@@ -378,7 +381,7 @@ func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, 
 		}
 		sh.mu.RUnlock()
 	}
-	return r.matched, r.st, nil
+	return r.results(), r.st, nil
 }
 
 // PostingLen returns the posting-list length of term.

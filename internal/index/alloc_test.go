@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -210,6 +211,50 @@ func TestMatchTermsZeroAllocs(t *testing.T) {
 				t.Fatalf("MatchTerms on warm index: %.1f allocs/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestMatchTermsMatchedPathAllocs guards the multi-term matched path at the
+// repository benchmark's fanout_heavy shape: 256 three-term MatchAny filters
+// over 18 terms, each posted under all of its terms, and one 4-term document
+// that matches more than half of them. However many filters match, the only
+// heap traffic is the results slice: a result names its filter by ID,
+// subscriber and mode, and no term is spelled.
+func TestMatchTermsMatchedPathAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	ix := newIndex(t)
+	rng := rand.New(rand.NewSource(20120618))
+	term := func(i int) string { return "f" + strconv.Itoa(i) }
+	for i := 0; i < 256; i++ {
+		perm := rng.Perm(18)
+		f := model.Filter{
+			ID:         model.FilterID(i + 1),
+			Subscriber: "s" + strconv.Itoa(i),
+			Terms:      model.SortTerms([]string{term(perm[0]), term(perm[1]), term(perm[2])}),
+			Mode:       model.MatchAny,
+		}
+		if err := ix.Register(f, f.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := &model.Document{ID: 1, Terms: model.SortTerms([]string{term(0), term(5), term(11), term(16)})}
+	doc.View()
+
+	fs, _, err := ix.MatchTerms(doc, doc.Terms)
+	if err != nil || len(fs) < 120 || len(fs) > 170 {
+		t.Fatalf("warm call matched %d filters (err %v), want the shape's ≈ 142", len(fs), err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		fs, _, err := ix.MatchTerms(doc, doc.Terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocSinkFilters = fs
+	})
+	if allocs > 1 {
+		t.Fatalf("MatchTerms matched path: %.1f allocs/op for %d matches, want <= 1 (results slice only)", allocs, len(fs))
 	}
 }
 

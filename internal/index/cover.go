@@ -35,15 +35,12 @@ type cover struct {
 	// (immutable), the retired mark and the member count above them. Stored
 	// under mu, loaded without it.
 	flags atomic.Uint32
-	// ids is the predicate as the match path evaluates it: the term set as
-	// sorted, deduplicated dictionary IDs. Immutable. They are also the terms
-	// the cover has posting entries under, but for the rare extra ones
-	// (Index.extra).
+	// ids is the predicate, and the only copy of it the index keeps: the term
+	// set as sorted, deduplicated dictionary IDs. Immutable. The match path
+	// evaluates them; GetFilter and EachFilter spell them back into strings
+	// (Index.termsOf). They are also the terms the cover has posting entries
+	// under, but for the rare extra ones (Index.extra).
 	ids []uint32
-	// terms is the same set as canonical (string-sorted) dictionary-owned
-	// strings, immutable: the Terms of every member registered in canonical
-	// order (def.filter hands out this very array).
-	terms []string
 
 	mu sync.Mutex
 	// first is the member in slot 0. It is written under mu when slot 0 is
@@ -285,10 +282,9 @@ func (ix *Index) coverOf(f *model.Filter, create bool) *cover {
 	}
 	if c == nil && create {
 		c = &cover{
-			id:    ix.coverIDs.take(),
-			ids:   slices.Clone(ids),
-			terms: ix.dict.canonical(ids),
-			next:  sh.covers[h],
+			id:   ix.coverIDs.take(),
+			ids:  slices.Clone(ids),
+			next: sh.covers[h],
 		}
 		c.flags.Store(uint32(f.Mode) & coverModeMask)
 		sh.covers[h] = c

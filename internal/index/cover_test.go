@@ -81,6 +81,9 @@ func (p *enginePair) matchDoc(t *testing.T, doc *model.Document) ([]model.Filter
 		t.Fatalf("MatchTerms(%v) diverged:\n index: %v %+v\n ref:   %v %+v",
 			doc.Terms, m, st, rm, rst)
 	}
+	if err := matchedDefinitions(p.ix, p.ref, m); err != nil {
+		t.Fatalf("MatchTerms(%v): %v", doc.Terms, err)
+	}
 	return m, st
 }
 
@@ -99,6 +102,9 @@ func (p *enginePair) compareAll(t *testing.T, doc *model.Document) ([]model.Filt
 		if !bytes.Equal(encodeMatches(m, st), encodeMatches(rm, rst)) {
 			t.Fatalf("MatchTerm(%v, %q) diverged:\n index: %v %+v\n ref:   %v %+v",
 				doc.Terms, term, m, st, rm, rst)
+		}
+		if err := matchedDefinitions(p.ix, p.ref, m); err != nil {
+			t.Fatalf("MatchTerm(%v, %q): %v", doc.Terms, term, err)
 		}
 	}
 	m, st := p.matchDoc(t, doc)
@@ -270,8 +276,8 @@ func retired(t *testing.T, ix *Index, sig model.Filter) {
 
 // TestCoverSize pins the struct the singleton shape is priced by.
 func TestCoverSize(t *testing.T) {
-	if size := unsafe.Sizeof(cover{}); size > 104 {
-		t.Fatalf("cover is %d bytes, want at most 104", size)
+	if size := unsafe.Sizeof(cover{}); size > 64 {
+		t.Fatalf("cover is %d bytes, want at most 64", size)
 	}
 	if size := unsafe.Sizeof(def{}); size > 32 {
 		t.Fatalf("def is %d bytes, want at most 32 (a 40-byte filter-table slot)", size)
@@ -305,7 +311,7 @@ func TestCoverShapes(t *testing.T) {
 		for _, f := range p.ref.filters {
 			want = append(want, f)
 		}
-		if !bytes.Equal(encodeMatches(got, MatchStats{}), encodeMatches(want, MatchStats{})) {
+		if !bytes.Equal(encodeFilters(got), encodeFilters(want)) {
 			t.Fatalf("EachFilter diverged:\n index: %v\n ref:   %v", got, want)
 		}
 	}
@@ -398,10 +404,17 @@ func TestCoverShapes(t *testing.T) {
 				t.Fatalf("GetFilter(%d) = %+v, %v, %v; want terms %v", id, f, ok, err, want)
 			}
 		}
-		// The canonical member's Terms are the cover's array, not a copy.
-		f1, _, _ := p.ix.GetFilter(1)
-		if c := p.ix.coverOf(&sig, false); &f1.Terms[0] != &c.terms[0] {
-			t.Fatal("a canonical member does not alias its cover's terms")
+		// The canonical member keeps no array: its terms are the cover's IDs,
+		// spelled in canonical order on the way out. A member registered out of
+		// that order keeps its own, and GetFilter hands out that very array.
+		for id, own := range map[model.FilterID]bool{1: false, 2: true, 3: true} {
+			d, _ := p.ix.defs.shard(id).get(id)
+			if (d.own != nil) != own {
+				t.Fatalf("filter %d: own term array %v, want one: %v", id, d.own, own)
+			}
+			if f, _, _ := p.ix.GetFilter(id); own && unsafe.SliceData(f.Terms) != unsafe.SliceData(*d.own) {
+				t.Fatalf("GetFilter(%d) handed out a copy of the record's own terms", id)
+			}
 		}
 		p.unregister(t, 1)
 		check(t, p)
@@ -449,6 +462,39 @@ func TestCoverShapes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMatchMemberMidMove: a member found under its old cover while it moves
+// to another signature — its new definition stored, its old bits not cleared
+// yet, as a match racing Register sees it — is decided by its new
+// definition, its terms spelled from the dictionary, and reported with the
+// new definition's mode; the old cover's verdict does not decide it.
+func TestMatchMemberMidMove(t *testing.T) {
+	ix := newIndex(t)
+	old := allFilter(1, "a", "b")
+	if err := ix.Register(old, old.Terms); err != nil {
+		t.Fatal(err)
+	}
+	// Register's first half for the new definition, stopped before the old
+	// cover's bits are dropped.
+	moved := anyFilter(1, "c", "z")
+	c, _ := ix.joinCover(&moved, moved.ID)
+	ix.defs.put(moved.ID, ix.newDef(&moved, c))
+	for _, tc := range []struct {
+		doc  []string
+		want []model.Filter
+	}{
+		{[]string{"a", "b"}, nil},
+		{[]string{"a", "b", "z"}, []model.Filter{{ID: 1, Subscriber: moved.Subscriber, Mode: model.MatchAny}}},
+	} {
+		doc := &model.Document{ID: 1, Terms: tc.doc}
+		for _, query := range [][]string{{"a"}, {"a", "b"}} {
+			got, _, err := ix.MatchTerms(doc, query)
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("MatchTerms(%v, %v) = %+v, %v; want %+v", tc.doc, query, got, err, tc.want)
+			}
+		}
+	}
 }
 
 // TestMatchWhileCoverPromotes runs MatchTerms over one term's posting list
@@ -934,7 +980,7 @@ func TestCoverSigCollisionChain(t *testing.T) {
 	}
 	h := sigHash(ca.mode(), ca.ids)
 	sh := &ix.sig[h&shardMask]
-	foreign := &cover{id: ix.coverIDs.take(), ids: cb.ids, terms: cb.terms, next: sh.covers[h]}
+	foreign := &cover{id: ix.coverIDs.take(), ids: cb.ids, next: sh.covers[h]}
 	foreign.flags.Store(uint32(cb.mode()))
 	sh.covers[h] = foreign
 	if got := ix.coverOf(&fa, false); got != ca {

@@ -12,8 +12,9 @@ import (
 // those IDs — covers are keyed and evaluated by them, posting lists are
 // found by them, and a document is reduced to a set of them once per match
 // call. The dictionary is also where term strings live: it keeps one copy
-// per distinct term and stored filter definitions alias it, so a term
-// shared by ten thousand filters costs its bytes once.
+// per distinct term, covers name it by ID and the rare definition with its
+// own term order aliases it, so a term shared by ten thousand filters costs
+// its bytes once.
 //
 // IDs are local to the node and the process: nothing on the wire or in the
 // store carries them, and a restarted node assigns fresh ones while it
@@ -62,7 +63,7 @@ func (d *termDict) own(term string) string {
 	return d.terms[id]
 }
 
-// canonical returns the terms of ids as dictionary-owned strings in
+// canonical spells ids into a fresh slice of dictionary-owned strings in
 // canonical (string-sorted) order. ids must be distinct.
 func (d *termDict) canonical(ids []uint32) []string {
 	out := make([]string, len(ids))

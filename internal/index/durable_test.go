@@ -99,14 +99,24 @@ func TestEphemeralIndexWritesNothing(t *testing.T) {
 }
 
 // TestEachFilterFromShards: the walk is served by the filter shards — in
-// ascending ID, stopping when told to, handing out the stored definitions —
-// and on a durable index it visits exactly what the store's own walk (what
-// EachFilter used to be) decodes, in the same order.
+// ascending ID, stopping when told to, handing out the stored definitions in
+// canonical term order, or in registration order for a filter registered out
+// of it — and on a durable index it visits exactly what the store's own walk
+// (what EachFilter used to be) decodes, in the same order.
 func TestEachFilterFromShards(t *testing.T) {
 	ix, s := openDurable(t, t.TempDir(), store.Options{})
 	rng := rand.New(rand.NewSource(3))
+	// Every seventh filter registers its terms in reverse: out of canonical
+	// order.
+	registered := func(id model.FilterID) model.Filter {
+		f := churnFilter(id)
+		if id%7 == 0 {
+			slices.Reverse(f.Terms)
+		}
+		return f
+	}
 	for _, i := range rng.Perm(3000) {
-		f := churnFilter(model.FilterID(i + 1))
+		f := registered(model.FilterID(i + 1))
 		if err := ix.Register(f, f.Terms[:1]); err != nil {
 			t.Fatal(err)
 		}
@@ -140,9 +150,16 @@ func TestEachFilterFromShards(t *testing.T) {
 	if !reflect.DeepEqual(walked, stored) {
 		t.Fatal("EachFilter and the store's walk disagree")
 	}
-	got, _, _ := ix.GetFilter(walked[0].ID)
-	if unsafe.SliceData(got.Terms) != unsafe.SliceData(walked[0].Terms) {
-		t.Error("EachFilter handed out a copy, want the shard's immutable snapshot")
+	for _, f := range walked {
+		want := registered(f.ID)
+		if !slices.Equal(f.Terms, want.Terms) {
+			t.Fatalf("EachFilter spelled %d as %v, registered as %v", f.ID, f.Terms, want.Terms)
+		}
+		got, _, _ := ix.GetFilter(f.ID)
+		if own := f.ID%7 == 0; own != (unsafe.SliceData(got.Terms) == unsafe.SliceData(f.Terms)) {
+			t.Fatalf("filter %d (own order: %v): GetFilter and EachFilter share its terms: %v; want the record's own array shared, canonical terms spelled afresh",
+				f.ID, own, !own)
+		}
 	}
 	n := 0
 	if err := ix.EachFilter(func(model.Filter) bool {

@@ -21,9 +21,13 @@
 // and filter definitions live in power-of-two in-memory shards with per-shard
 // locks (shard.go), so concurrent registers, unregisters, and matches on
 // different terms do not contend. A filter definition and a posting entry live
-// once in the heap — here. Every read is served from the shards; the store is
-// a write-through durability layer that exists only for a node with a data
-// directory and is read once, at startup, when the shards are rebuilt from it.
+// once in the heap — here — and a predicate is kept once, as its cover's
+// sorted dictionary IDs: a match result names its filter by ID, subscriber and
+// mode, and only GetFilter and EachFilter, where a whole definition leaves the
+// index, spell the terms back into strings. Every read is served from the
+// shards; the store is a write-through durability layer that exists only for a
+// node with a data directory and is read once, at startup, when the shards are
+// rebuilt from it.
 package index
 
 import (
@@ -216,8 +220,8 @@ func (ix *Index) NumPostings() int {
 // EachFilter visits the filter definitions resident on the node in
 // ascending ID order until fn returns false. The IDs are collected first —
 // each shard read-locked only while its own are copied — so fn runs under no
-// lock and a filter unregistered meanwhile is skipped. Visited filters are
-// immutable shard snapshots, as GetFilter's are.
+// lock and a filter unregistered meanwhile is skipped. Each visited filter is
+// spelled as GetFilter spells it.
 func (ix *Index) EachFilter(fn func(model.Filter) bool) error {
 	for _, id := range ix.defs.ids(ix.NumFilters()) {
 		if f, ok, _ := ix.GetFilter(id); ok && !fn(f) {
@@ -227,12 +231,14 @@ func (ix *Index) EachFilter(fn func(model.Filter) bool) error {
 	return nil
 }
 
-// GetFilter loads one filter definition. The result is an immutable shard
-// snapshot — callers may keep it but must not mutate Terms.
+// GetFilter loads one filter definition, writing its Terms out of the index:
+// in canonical (string-sorted) order, spelled from the dictionary into a
+// fresh slice, or — for a filter registered in another order or with repeats
+// — the record's own array, which is shared and must not be mutated.
 func (ix *Index) GetFilter(id model.FilterID) (model.Filter, bool, error) {
 	d, ok := ix.defs.shard(id).get(id)
 	if !ok {
 		return model.Filter{}, false, nil
 	}
-	return d.filter(id), true, nil
+	return model.Filter{ID: id, Subscriber: d.sub, Terms: ix.termsOf(d), Mode: d.c.mode()}, true, nil
 }

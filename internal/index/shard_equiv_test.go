@@ -182,19 +182,56 @@ func (r *refIndex) postedUnder(id model.FilterID, terms []string) []string {
 }
 
 // encodeMatches flattens a match result to bytes, so equivalence is
-// byte-level: same filters, same field contents, same stats. Results are
-// compared as sorted sets: the reference emits posting-insertion order while
-// the index emits cover/slot order, and the system nowhere depends on
-// match-result order (delivery routing keys on filter ID).
+// byte-level: the same filters, each named as a match result names it — ID,
+// subscriber and mode — and the same stats. Results are compared as sorted
+// sets: the reference emits posting-insertion order while the index emits
+// cover/slot order, and the system nowhere depends on match-result order
+// (delivery routing keys on filter ID). The matched filters' terms are held
+// to the reference by matchedDefinitions.
 func encodeMatches(matched []model.Filter, st MatchStats) []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "lists=%d postings=%d eval=%d\n", st.PostingLists, st.Postings, st.Evaluated)
-	byID := append([]model.Filter(nil), matched...)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].ID < byID[j].ID })
-	for i := range byID {
-		buf.Write(byID[i].Encode())
+	for _, f := range sortedByID(matched) {
+		fmt.Fprintf(&buf, "%d %q %d\n", f.ID, f.Subscriber, f.Mode)
 	}
 	return buf.Bytes()
+}
+
+// encodeFilters flattens whole definitions to bytes, every field, sorted by
+// ID.
+func encodeFilters(fs []model.Filter) []byte {
+	var buf bytes.Buffer
+	for _, f := range sortedByID(fs) {
+		buf.Write(f.Encode())
+	}
+	return buf.Bytes()
+}
+
+func sortedByID(fs []model.Filter) []model.Filter {
+	byID := slices.Clone(fs)
+	sort.Slice(byID, func(i, j int) bool { return byID[i].ID < byID[j].ID })
+	return byID
+}
+
+// matchedDefinitions holds the index's match result to the contract the
+// match-set comparison leaves out: a result carries no terms, and each
+// matched ID's GetFilter is, field for field, the definition the reference
+// holds for it now — canonical order, or the registration order of a filter
+// registered out of it.
+func matchedDefinitions(ix *Index, ref *refIndex, matched []model.Filter) error {
+	ref.mu.RLock()
+	defer ref.mu.RUnlock()
+	for _, m := range matched {
+		if m.Terms != nil {
+			return fmt.Errorf("match result %+v carries terms", m)
+		}
+		got, ok, err := ix.GetFilter(m.ID)
+		want := ref.filters[m.ID]
+		if err != nil || !ok || !bytes.Equal(got.Encode(), want.Encode()) {
+			return fmt.Errorf("GetFilter(%d) of a match = %+v, %v, %v; reference %+v", m.ID, got, ok, err, want)
+		}
+	}
+	return nil
 }
 
 // TestShardedMatchesReferenceByteIdentical drives random workloads
@@ -279,6 +316,10 @@ func checkShardedMatchesReference(t *testing.T) {
 						seed, step, doc.Terms, gotM, gotSt, refM, refSt)
 					return false
 				}
+				if err := matchedDefinitions(ix, ref, gotM); err != nil {
+					t.Logf("seed %d step %d: MatchTerms(%v): %v", seed, step, doc.Terms, err)
+					return false
+				}
 			default: // match and compare
 				doc := model.Document{ID: uint64(step), Terms: pick(1 + rng.Intn(5))}
 				term := doc.Terms[rng.Intn(len(doc.Terms))]
@@ -292,6 +333,10 @@ func checkShardedMatchesReference(t *testing.T) {
 						seed, step, doc.Terms, term, gotM, gotSt, refM, refSt)
 					return false
 				}
+				if err := matchedDefinitions(ix, ref, gotM); err != nil {
+					t.Logf("seed %d step %d: MatchTerm(%v, %q): %v", seed, step, doc.Terms, term, err)
+					return false
+				}
 				gotM, gotSt, err = ix.MatchTerms(&doc, doc.Terms)
 				if err != nil {
 					t.Fatalf("seed %d step %d: match terms: %v", seed, step, err)
@@ -300,6 +345,10 @@ func checkShardedMatchesReference(t *testing.T) {
 				if !bytes.Equal(encodeMatches(gotM, gotSt), encodeMatches(refM, refSt)) {
 					t.Logf("seed %d step %d: MatchTerms(%v) diverged:\n sharded: %v %+v\n ref:     %v %+v",
 						seed, step, doc.Terms, gotM, gotSt, refM, refSt)
+					return false
+				}
+				if err := matchedDefinitions(ix, ref, gotM); err != nil {
+					t.Logf("seed %d step %d: MatchTerms(%v): %v", seed, step, doc.Terms, err)
 					return false
 				}
 			}
@@ -349,6 +398,29 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 		terms[i] = fmt.Sprintf("w%d", i)
 	}
 	var named atomic.Int64 // the namer's last fresh term
+	// defs records each ID's definition before it is first registered; every
+	// ID here is registered with one definition only. A match result names
+	// its filter by ID, subscriber and mode, and is held to this record.
+	var defs sync.Map
+	register := func(f model.Filter, postingTerms []string) error {
+		defs.Store(f.ID, f)
+		return ix.Register(f, postingTerms)
+	}
+	// phantom returns why m, a match for doc, is wrong, or "".
+	phantom := func(m model.Filter, doc *model.Document) string {
+		v, ok := defs.Load(m.ID)
+		if !ok {
+			return "never registered"
+		}
+		f := v.(model.Filter)
+		if m.Subscriber != f.Subscriber || m.Mode != f.Mode || m.Terms != nil {
+			return fmt.Sprintf("names another definition than %+v", f)
+		}
+		if !evaluateRef(&f, doc.TermSet()) {
+			return fmt.Sprintf("its definition %+v does not match", f)
+		}
+		return ""
+	}
 	var writerWg, matcherWg sync.WaitGroup
 	stop := make(chan struct{})
 	writerWg.Add(1)
@@ -359,7 +431,7 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 			id := model.FilterID(200000 + i)
 			if i <= perNamer {
 				f := model.Filter{ID: id, Subscriber: "namer", Terms: model.SortTerms([]string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}), Mode: model.MatchAll}
-				if err := ix.Register(f, f.Terms[:1]); err != nil {
+				if err := register(f, f.Terms[:1]); err != nil {
 					t.Errorf("register %v: %v", id, err)
 					return
 				}
@@ -388,10 +460,9 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 				t.Errorf("match terms: %v", err)
 				return
 			}
-			docSet := doc.TermSet()
-			for i := range fs {
-				if !evaluateRef(&fs[i], docSet) {
-					t.Errorf("phantom match: %+v for document %v", fs[i], doc.Terms)
+			for _, m := range fs {
+				if why := phantom(m, &doc); why != "" {
+					t.Errorf("phantom match: %+v for document %v: %s", m, doc.Terms, why)
 					return
 				}
 			}
@@ -409,7 +480,7 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 					f.Terms = model.SortTerms([]string{terms[rng.Intn(4)], terms[4+rng.Intn(4)]})
 					f.Mode = model.MatchAll
 				}
-				if err := ix.Register(f, f.Terms); err != nil {
+				if err := register(f, f.Terms); err != nil {
 					t.Errorf("register %v: %v", id, err)
 					return
 				}
@@ -429,7 +500,7 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 				id := model.FilterID(w*perWriter + i + 1)
 				term := terms[rng.Intn(len(terms))]
 				f := model.Filter{ID: id, Subscriber: "s", Terms: []string{term}, Mode: model.MatchAny}
-				if err := ix.Register(f, f.Terms); err != nil {
+				if err := register(f, f.Terms); err != nil {
 					t.Errorf("register %v: %v", id, err)
 					return
 				}
@@ -440,7 +511,7 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 					}
 					// Re-register under the same ID: exercises the posting
 					// dedup path (the ID is already on the term's list).
-					if err := ix.Register(f, f.Terms); err != nil {
+					if err := register(f, f.Terms); err != nil {
 						t.Errorf("re-register %v: %v", id, err)
 						return
 					}
@@ -461,16 +532,15 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 				}
 				doc := model.Document{ID: 1, Terms: []string{terms[rng.Intn(len(terms))], terms[rng.Intn(len(terms))]}}
 				doc.Terms = model.SortTerms(doc.Terms)
-				docSet := doc.TermSet()
 				for _, query := range [][]string{doc.Terms[:1], doc.Terms} {
 					fs, _, err := ix.MatchTerms(&doc, query)
 					if err != nil {
 						t.Errorf("match terms: %v", err)
 						return
 					}
-					for i := range fs {
-						if !evaluateRef(&fs[i], docSet) {
-							t.Errorf("phantom match: %+v for document %v", fs[i], doc.Terms)
+					for _, m := range fs {
+						if why := phantom(m, &doc); why != "" {
+							t.Errorf("phantom match: %+v for document %v: %s", m, doc.Terms, why)
 							return
 						}
 					}

@@ -24,9 +24,19 @@ import (
 // and keys it once. bytesPerFilter is the heap the registrations retained on
 // both homes together.
 func matchHeavyHomes(tb testing.TB, nFilters int) (homes []*Node, bytesPerFilter float64) {
+	return populationHomes(tb, nFilters, matchHeavyVocab, 3, model.MatchAll)
+}
+
+// populationHomes registers nFilters filters of at least minTerms terms,
+// drawn from internal/dataset's Zipf query model over vocab terms, on a
+// two-node ring through Handle as matchHeavyHomes describes, and returns the
+// heap bytes per filter they retained on both homes together. A MatchAny
+// filter is kept by every home it is sent to, under all of its terms homed
+// there.
+func populationHomes(tb testing.TB, nFilters, vocab, minTerms int, mode model.MatchMode) (homes []*Node, bytesPerFilter float64) {
 	tb.Helper()
 	homes = newHarness(tb, 2).nodes
-	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: matchHeavyVocab, Seed: matchHeavySeed})
+	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: vocab, Seed: matchHeavySeed})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -34,11 +44,11 @@ func matchHeavyHomes(tb testing.TB, nFilters int) (homes []*Node, bytesPerFilter
 	before := testutil.HeapNow()
 	for n := 0; n < nFilters; {
 		terms := model.SortTerms(fg.Next())
-		if len(terms) < 3 {
+		if len(terms) < minTerms {
 			continue
 		}
 		n++
-		f := model.Filter{ID: model.FilterID(n), Subscriber: fmt.Sprintf("s%03d", n%64), Terms: terms, Mode: model.MatchAll}
+		f := model.Filter{ID: model.FilterID(n), Subscriber: fmt.Sprintf("s%03d", n%64), Terms: terms, Mode: mode}
 		for _, home := range homes {
 			mine := homedAt(tb, home, terms)
 			if len(mine) == 0 {
@@ -74,13 +84,14 @@ func homedAt(tb testing.TB, nd *Node, terms []string) []string {
 }
 
 // TestMemBudget is the node's rows of make mem-budget, beside the index's
-// own (internal/index TestMemBudget, whose match_heavy row registers straight
-// into the index under every homed term and must not move): the match_heavy
-// population registered through both homes' register paths, where the home of
-// a MatchAll filter's key term keeps it, keyed once, and the other declines it.
-// Filters and posting entries are exact — one of each per filter cluster-wide,
-// split between the homes; the heap row's ceiling is 5 % above the value
-// measured when it was last set.
+// own (internal/index TestMemBudget, whose rows register straight into the
+// index under every homed term): the match_heavy population registered
+// through both homes' register paths, where the home of a MatchAll filter's
+// key term keeps it, keyed once, and the other declines it — filters and
+// posting entries are exact, one of each per filter cluster-wide, split
+// between the homes — and the wire_mixed population of MatchAny filters, which
+// every home they are sent to keeps under all of their terms homed there. Each
+// heap row's ceiling is 5 % above the value measured when it was last set.
 func TestMemBudget(t *testing.T) {
 	const filters = 40000
 	homes, bytesPerFilter := matchHeavyHomes(t, filters)
@@ -108,7 +119,11 @@ func TestMemBudget(t *testing.T) {
 		t.Fatalf("the homes hold %d filters between them, want each of the %d once", held, filters)
 	}
 	row("match_heavy through the nodes: posting entries per filter, both homes", float64(postings)/filters, 1.0, "entries/filter")
-	row("match_heavy through the nodes: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 412, "B/filter")
+	row("match_heavy through the nodes: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 290, "B/filter")
+	runtime.KeepAlive(homes)
+
+	homes, bytesPerFilter = populationHomes(t, 20000, 16000, 1, model.MatchAny)
+	row("wire_mixed through the nodes: 20k MSN-like MatchAny over 16k terms, 64 subs", bytesPerFilter, 441, "B/filter")
 	runtime.KeepAlive(homes)
 }
 
