@@ -136,14 +136,21 @@ fuzz-smoke:
 soak-churn:
 	CHURN_ROUNDS=100 $(GO) test -race -run TestChurnSoak -timeout 900s -v ./internal/cluster
 
-# Regenerate the checked-in churn baseline (BENCH_churn.json): realloc
-# round p50/p95 latency, dual-read window p95, migrated/GC'd filter
-# counts from a fault-injected soak with live publishes racing every
-# cutover. dropped_matches must be 0 or the run fails outright; a >10%
-# (+25ms slack) regression on either p95 against the checked-in baseline
-# fails the target (and CI) before the file is overwritten.
+# The three movebench guards below hold a fresh report against the
+# checked-in BENCH_*.json and print it on stdout; none rewrites its
+# baseline, so a passing run never becomes the next run's ceiling. To
+# re-baseline on purpose — after a change that moves a figure, in the
+# commit that explains why — run the same command with the file as -out,
+# e.g. `go run ./cmd/movebench -fig aggregate -out BENCH_aggregate.json
+# -baseline BENCH_aggregate.json` (the guard still runs before the write).
+
+# The churn guard (BENCH_churn.json): realloc round p50/p95 latency,
+# dual-read window p95, migrated/GC'd filter counts from a fault-injected
+# soak with live publishes racing every cutover. dropped_matches must be 0
+# or the run fails outright; a >10% (+25ms slack) regression on either p95
+# against the checked-in baseline fails the target (and CI).
 bench-churn:
-	$(GO) run ./cmd/movebench -fig churn -out BENCH_churn.json -baseline BENCH_churn.json
+	$(GO) run ./cmd/movebench -fig churn -out - -baseline BENCH_churn.json
 
 # Chaos soak of the end-to-end delivery tier under the race detector:
 # subscriber connect/disconnect churn, stalled readers (acks withheld)
@@ -155,24 +162,22 @@ bench-churn:
 soak-delivery:
 	SOAK_DELIVERY_ROUNDS=40 $(GO) test -race -run TestDeliverySoak -timeout 900s -v ./internal/cluster
 
-# Regenerate the checked-in delivery baseline (BENCH_delivery.json): 100k
-# live subscriber sessions on a 20-node cluster with immediate flushing,
-# every publish's fan-out verified against a brute-force inverted-index
-# oracle, publish->delivery p50/p99 and fan-out amplification recorded.
-# dropped must be 0 or the run fails outright; a >10% (+25ms slack) p99
-# regression against the checked-in baseline fails the target (and CI)
-# before the file is overwritten.
+# The delivery guard (BENCH_delivery.json): 100k live subscriber sessions
+# on a 20-node cluster with immediate flushing, every publish's fan-out
+# verified against a brute-force inverted-index oracle, publish->delivery
+# p50/p99 and fan-out amplification recorded. dropped must be 0 or the run
+# fails outright; a >10% (+25ms slack) p99 regression against the
+# checked-in baseline fails the target (and CI).
 bench-delivery:
-	$(GO) run ./cmd/movebench -fig delivery -out BENCH_delivery.json -baseline BENCH_delivery.json
+	$(GO) run ./cmd/movebench -fig delivery -out - -baseline BENCH_delivery.json
 
-# Regenerate the checked-in index-aggregation baseline
-# (BENCH_aggregate.json): serving-layer bytes/filter of the covering index
-# over 1M Zipf-drawn filter instances, with every document's match set
-# verified byte-identical to a brute-force scan of all the filters. A
-# mismatch fails outright; more than 10% bytes/filter over the checked-in
-# baseline fails the target (and CI) before the file is overwritten.
+# The index-aggregation guard (BENCH_aggregate.json): serving-layer
+# bytes/filter of the covering index over 1M Zipf-drawn filter instances,
+# with every document's match set verified byte-identical to a brute-force
+# scan of all the filters. A mismatch fails outright; more than 10%
+# bytes/filter over the checked-in baseline fails the target (and CI).
 bench-aggregate:
-	$(GO) run ./cmd/movebench -fig aggregate -out BENCH_aggregate.json -baseline BENCH_aggregate.json
+	$(GO) run ./cmd/movebench -fig aggregate -out - -baseline BENCH_aggregate.json
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) is its
 # own module, invisible to `go test ./...`: run its unit tests, then each

@@ -30,10 +30,12 @@ import (
 
 // postingEntry is one (term, cover) posting entry: the compressed
 // replacement for a run of per-filter posting entries sharing a signature.
-// bits holds member slots posted under the term.
+// set holds the member slots posted under the term; cid is the cover's ID,
+// so a list is searched without a load from each cover. 16 bytes.
 type postingEntry struct {
-	c    *cover
-	bits slotSet
+	c   *cover
+	cid uint32
+	set slotSet
 }
 
 // posting is one term's posting list: entries sorted by cover id, plus the
@@ -50,23 +52,25 @@ func (p *posting) find(cid uint32) (int, bool) {
 	lo, hi := 0, len(p.entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if p.entries[mid].c.id < cid {
+		if p.entries[mid].cid < cid {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(p.entries) && p.entries[lo].c.id == cid
+	return lo, lo < len(p.entries) && p.entries[lo].cid == cid
 }
 
 // termShard holds the posting lists whose term IDs fall in it (ID &
 // shardMask), as a dense table indexed by the rest of the ID: a posting list
 // is found without hashing, and a term no filter is posted under costs an
 // empty slot. Entries and bitsets mutate in place, so the match path holds
-// the read lock for the whole scan.
+// the read lock for the whole scan. sets holds the shard's promoted slot
+// sets.
 type termShard struct {
 	mu    sync.RWMutex
 	lists []posting
+	sets  slotSets
 }
 
 // posting returns term's posting list — possibly empty — or nil when the
@@ -83,15 +87,21 @@ func (s *termShard) posting(term uint32) *posting {
 // was not there.
 func (s *termShard) add(term uint32, c *cover, slot int32) (newBit, newEntry bool) {
 	s.mu.Lock()
-	if i := int(term >> shardBits); i >= len(s.lists) {
-		s.lists = append(s.lists, make([]posting, i+1-len(s.lists))...)
+	if i := int(term >> shardBits); i >= cap(s.lists) {
+		// An eighth of headroom, not append's doubling: term IDs arrive one
+		// by one, and a table grown by doubling sits up to half empty.
+		grown := make([]posting, i+1, i+1+i/8)
+		copy(grown, s.lists)
+		s.lists = grown
+	} else if i >= len(s.lists) {
+		s.lists = s.lists[:i+1]
 	}
 	p := &s.lists[term>>shardBits]
 	i, ok := p.find(c.id)
 	if !ok {
-		p.entries = slices.Insert(p.entries, i, postingEntry{c: c})
+		p.entries = slices.Insert(p.entries, i, postingEntry{c: c, cid: c.id})
 	}
-	if p.entries[i].bits.testAndSet(int(slot)) {
+	if s.sets.testAndSet(&p.entries[i].set, int(slot)) {
 		p.card++
 		newBit = true
 	}
@@ -110,13 +120,18 @@ func (s *termShard) clear(term uint32, c *cover, slot int32) (cleared, gone bool
 		return false, false
 	}
 	i, ok := p.find(c.id)
-	if !ok || !p.entries[i].bits.clear(int(slot)) {
+	if !ok {
+		return false, false
+	}
+	e := &p.entries[i]
+	if !s.sets.clear(&e.set, int(slot)) {
 		return false, false
 	}
 	p.card--
-	if p.entries[i].bits.count() > 0 {
+	if s.sets.count(e.set) > 0 {
 		return true, false
 	}
+	s.sets.release(e.set)
 	if p.entries = slices.Delete(p.entries, i, i+1); len(p.entries) == 0 {
 		p.entries = nil
 	}
@@ -172,56 +187,79 @@ func (s *termShard) holds(term uint32, c *cover, slot int32) bool {
 		return false
 	}
 	i, ok := p.find(c.id)
-	return ok && p.entries[i].bits.has(int(slot))
-}
-
-// def is a registered filter as the index stores it. Mode and the term set
-// are its cover's; the record adds what is the member's own.
-type def struct {
-	sub string // shared through Index.subs
-	c   *cover
-	// own is the filter's Terms when it registered them in another order than
-	// the canonical (string-sorted) one, or with repeats — rare: nil
-	// otherwise.
-	own *[]string
-}
-
-// attachedTo reports whether c's single evaluation decides the definition: c
-// is its cover. A member with its own term order has its cover's term set, so
-// the cover's verdict is its own; a member read while it moves to another
-// signature is evaluated individually, which keeps the covering matcher exact
-// under concurrent register/unregister.
-func (d def) attachedTo(c *cover) bool {
-	return d.c == c
-}
-
-// termsOf spells d's Terms: the record's own array, or the cover's term set
-// in canonical order, written out from the dictionary into a fresh slice.
-func (ix *Index) termsOf(d def) []string {
-	if d.own != nil {
-		return *d.own
-	}
-	return ix.dict.canonical(d.c.ids)
+	return ok && s.sets.has(p.entries[i].set, int(slot))
 }
 
 func (ix *Index) termShard(term uint32) *termShard {
 	return &ix.term[term&shardMask]
 }
 
-// newDef returns the definition to store for f as a member of c. When f's
-// terms are not strictly sorted — another order than the canonical one, or
-// repeats — it keeps a private array in f's order, of the dictionary's
-// strings; a canonical filter keeps none, its terms are c's IDs.
-func (ix *Index) newDef(f *model.Filter, c *cover) def {
-	d := def{sub: ix.subs.share(f.Subscriber), c: c}
-	if !strictlySorted(f.Terms) {
-		own := make([]string, len(f.Terms))
-		for i, t := range f.Terms {
-			own[i] = ix.dict.own(t)
-		}
-		d.own = &own
+// ownTerms returns what the index keeps of f's Terms besides its cover's
+// IDs: nil when they are in canonical order — the cover's term set spelled
+// out — and otherwise, registered in another order or with repeats, a
+// private array in f's order of the dictionary's strings.
+func (ix *Index) ownTerms(f *model.Filter) []string {
+	if strictlySorted(f.Terms) {
+		return nil
 	}
-	return d
+	own := make([]string, len(f.Terms))
+	for i, t := range f.Terms {
+		own[i] = ix.dict.own(t)
+	}
+	return own
+}
+
+// join makes f a member of the cover of its signature and stores that cover
+// as f's definition in sh, f's filter shard, with f's own term order when it
+// has one; it returns the cover, f's slot and whether the ID had no
+// definition before. A member of the cover already — a re-registration
+// under the same signature — keeps its slot and takes f's subscriber,
+// written under the shard's write lock, which the match path reads a
+// member's subscriber under.
+func (ix *Index) join(sh *filterShard, f *model.Filter) (c *cover, slot int32, created bool) {
+	sub := ix.subs.share(f.Subscriber)
+	c, slot, joined := ix.joinCover(f, sub)
+	own := ix.ownTerms(f)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, had := sh.defs[f.ID]
+	sh.defs[f.ID] = c
+	if own != nil {
+		if sh.own == nil {
+			sh.own = make(map[model.FilterID][]string)
+		}
+		sh.own[f.ID] = own
+	} else {
+		delete(sh.own, f.ID)
+	}
+	if !joined {
+		mu := ix.coverMu(c)
+		mu.Lock()
+		c.setSub(slot, sub)
+		mu.Unlock()
+	}
+	return c, slot, !had
+}
+
+// lookup returns id's definition: its cover, subscriber and own term order.
+func (ix *Index) lookup(id model.FilterID) (c *cover, sub string, own []string, ok bool) {
+	sh := ix.defs.shard(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if c, ok = sh.defs[id]; !ok {
+		return nil, "", nil, false
+	}
+	return c, ix.subOf(c, id), sh.own[id], true
+}
+
+// termsOf spells a definition's Terms: its own array, or the cover's term
+// set in canonical order, written out from the dictionary into a fresh
+// slice.
+func (ix *Index) termsOf(c *cover, own []string) []string {
+	if own != nil {
+		return own
+	}
+	return ix.dict.canonical(c.terms())
 }
 
 // strictlySorted reports whether terms is in canonical order: ascending,
@@ -272,7 +310,7 @@ func (ix *Index) post(c *cover, slot int32, id model.FilterID, terms []string, w
 // vacated, retiring the cover when it was the last member.
 func (ix *Index) drop(c *cover, slot int32, id model.FilterID, keep []uint32) error {
 	var err error
-	for _, tid := range ix.extra.of(c, c.ids) {
+	for _, tid := range ix.extra.of(c, c.terms()) {
 		cleared, gone := ix.termShard(tid).clear(tid, c, slot)
 		if gone {
 			ix.storedEntries.Add(-1)
@@ -302,8 +340,9 @@ func (ix *Index) drop(c *cover, slot int32, id model.FilterID, keep []uint32) er
 //
 // What the index keeps of f's Terms is its cover's dictionary IDs, and for a
 // filter registered out of canonical order an array of the dictionary's
-// strings (newDef) — never the caller's slice. A stored definition is
-// immutable from here on (DESIGN.md §11).
+// strings (ownTerms) — never the caller's slice. A stored definition is
+// immutable from here on (DESIGN.md §11), but for the subscriber a
+// re-registration under the same signature rewrites in its slot.
 func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -315,14 +354,14 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 		return err
 	}
 	old, had := sh.get(f.ID)
-	c, slot := ix.joinCover(&f, f.ID)
-	if ix.defs.put(f.ID, ix.newDef(&f, c)) {
+	c, slot, created := ix.join(sh, &f)
+	if created {
 		ix.numFilters.Add(1)
 	}
 	posted, err := ix.post(c, slot, f.ID, postingTerms, true)
-	if had && old.c != c {
-		oldSlot, _ := old.c.slotIndex(f.ID)
-		if e := ix.drop(old.c, oldSlot, f.ID, posted); err == nil {
+	if had && old != c {
+		oldSlot, _ := ix.slotIndex(old, f.ID)
+		if e := ix.drop(old, oldSlot, f.ID, posted); err == nil {
 			err = e
 		}
 	}
@@ -349,20 +388,17 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 	sh := ix.defs.shard(f.ID)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	cur, ok := sh.get(f.ID)
-	var c *cover
+	c, ok := sh.get(f.ID)
 	var slot int32
 	if ok {
 		// A copy already existed, possibly under a different signature; the
 		// bits belong with the definition the match path will read.
-		c = cur.c
-		slot, _ = c.slotIndex(f.ID)
+		slot, _ = ix.slotIndex(c, f.ID)
 	} else {
 		if err := ix.storeFilter(f); err != nil {
 			return false, err
 		}
-		c, slot = ix.joinCover(&f, f.ID)
-		ix.defs.put(f.ID, ix.newDef(&f, c))
+		c, slot, _ = ix.join(sh, &f)
 		ix.numFilters.Add(1)
 	}
 	_, err := ix.post(c, slot, f.ID, postingTerms, true)
@@ -379,7 +415,7 @@ func (ix *Index) Unregister(id model.FilterID) error {
 	sh := ix.defs.shard(id)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	d, present := sh.get(id)
+	c, present := sh.get(id)
 	if !present {
 		return nil
 	}
@@ -388,10 +424,11 @@ func (ix *Index) Unregister(id model.FilterID) error {
 	}
 	sh.mu.Lock()
 	delete(sh.defs, id)
+	delete(sh.own, id)
 	sh.mu.Unlock()
 	ix.numFilters.Add(-1)
-	slot, _ := d.c.slotIndex(id)
-	return ix.drop(d.c, slot, id, nil)
+	slot, _ := ix.slotIndex(c, id)
+	return ix.drop(c, slot, id, nil)
 }
 
 // PostedUnder returns, in the order given, the terms whose posting list holds
@@ -399,17 +436,17 @@ func (ix *Index) Unregister(id model.FilterID) error {
 // migration) instead of making it again. An unregistered id is posted under
 // nothing.
 func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
-	d, ok := ix.defs.shard(id).get(id)
+	c, ok := ix.defs.shard(id).get(id)
 	if !ok {
 		return nil
 	}
-	slot, ok := d.c.slotIndex(id)
+	slot, ok := ix.slotIndex(c, id)
 	if !ok {
 		return nil
 	}
 	var posted []string
 	for _, t := range terms {
-		if tid := ix.dict.lookup(t); tid != noTerm && ix.termShard(tid).holds(tid, d.c, slot) {
+		if tid := ix.dict.lookup(t); tid != noTerm && ix.termShard(tid).holds(tid, c, slot) {
 			posted = append(posted, t)
 		}
 	}
@@ -424,8 +461,7 @@ func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
 func (ix *Index) loadFromStore() error {
 	count := 0
 	err := ix.filters.Each(func(f model.Filter) bool {
-		c, _ := ix.joinCover(&f, f.ID)
-		ix.defs.put(f.ID, ix.newDef(&f, c))
+		ix.join(ix.defs.shard(f.ID), &f)
 		count++
 		return true
 	})
@@ -436,9 +472,9 @@ func (ix *Index) loadFromStore() error {
 	return ix.postings.Each(func(t string, ids []model.FilterID) bool {
 		term := [1]string{t}
 		for _, id := range ids {
-			if d, ok := ix.defs.shard(id).get(id); ok {
-				slot, _ := d.c.slotIndex(id)
-				ix.post(d.c, slot, id, term[:], false)
+			if c, ok := ix.defs.shard(id).get(id); ok {
+				slot, _ := ix.slotIndex(c, id)
+				ix.post(c, slot, id, term[:], false)
 			}
 		}
 		return true

@@ -147,17 +147,18 @@ func (sc *matchScratch) setMemo(id, state, covers uint32) {
 // node learned last and, under skewed popularity, the one a document is
 // least likely to hold.
 func coverMatches(c *cover, sc *matchScratch) bool {
+	ids := c.terms()
 	switch c.mode() {
 	case model.MatchAny:
-		for _, id := range c.ids {
+		for _, id := range ids {
 			if sc.has(id) {
 				return true
 			}
 		}
 		return false
 	case model.MatchAll:
-		for i := len(c.ids) - 1; i >= 0; i-- {
-			if !sc.has(c.ids[i]) {
+		for i := len(ids) - 1; i >= 0; i-- {
+			if !sc.has(ids[i]) {
 				return false
 			}
 		}
@@ -188,8 +189,9 @@ func (r *matchRun) results() []model.Filter {
 	return slices.Clone(r.sc.matched)
 }
 
-// scanPosting decides every entry of p against the document.
-func (r *matchRun) scanPosting(p *posting) {
+// scanPosting decides every entry of p, a list of term shard sh, against
+// the document.
+func (r *matchRun) scanPosting(sh *termShard, p *posting) {
 	for i := range p.entries {
 		e := &p.entries[i]
 		c := e.c
@@ -200,21 +202,21 @@ func (r *matchRun) scanPosting(p *posting) {
 		switch memo {
 		case memoSkipped:
 		case memoMatch:
-			r.walk(e, verdictMatch)
+			r.walk(sh, e, verdictMatch)
 		case memoWalked:
-			r.walk(e, verdictNoMatch)
+			r.walk(sh, e, verdictNoMatch)
 		default:
 			if coverMatches(c, r.sc) {
 				memo = memoMatch
-				r.walk(e, verdictMatch)
-			} else if n := e.bits.count(); !r.multi || n == c.members() {
+				r.walk(sh, e, verdictMatch)
+			} else if n := sh.sets.count(e.set); !r.multi || n == c.members() {
 				// The skip. Evaluated still counts the filters the verdict
 				// decided, as if each had been evaluated.
 				memo = memoSkipped
 				r.st.Evaluated += n
 			} else {
 				memo = memoWalked
-				r.walk(e, verdictNoMatch)
+				r.walk(sh, e, verdictNoMatch)
 			}
 			if r.multi {
 				r.sc.setMemo(c.id, memo, r.ix.coverIDs.seq.Load())
@@ -226,55 +228,67 @@ func (r *matchRun) scanPosting(p *posting) {
 // walk visits e's member bits one by one, iterating the container inline
 // (word-wise for bitmap containers) so the warm path stays allocation-free.
 // verdict is the cover's verdict when the caller knows it.
-func (r *matchRun) walk(e *postingEntry, verdict uint8) {
+func (r *matchRun) walk(sh *termShard, e *postingEntry, verdict uint8) {
 	c := e.c
-	b := e.bits.big
-	if b == nil && e.bits.one <= 1 {
+	if e.set == 0 || e.set == 1 {
 		// At most slot 0, the inline member: read without the cover lock
 		// (cover.first).
-		if e.bits.one == 1 {
-			r.emit(c, c.first, verdict)
+		if e.set == 1 {
+			r.emit(c, c.first, &c.sub, verdict)
 		}
 		return
 	}
 	// Some other slot: a second member joined before its bit was set.
-	c.mu.Lock()
-	slots := c.more.slots
-	c.mu.Unlock()
+	mu := r.ix.coverMu(c)
+	mu.Lock()
+	slots, subs := c.more.slots, c.more.subs
+	mu.Unlock()
+	b := sh.sets.of(e.set)
 	switch {
 	case b == nil:
-		r.emit(c, slots[e.bits.one-1], verdict)
+		r.emit(c, slots[e.set-1], &subs[e.set-1], verdict)
 	case b.words != nil:
 		for w, word := range b.words {
 			for word != 0 {
-				verdict = r.emit(c, slots[w<<6+trailingZeros(word)], verdict)
+				s := w<<6 + trailingZeros(word)
+				verdict = r.emit(c, slots[s], &subs[s], verdict)
 				word &= word - 1
 			}
 		}
 	default:
 		for _, v := range b.arr {
-			verdict = r.emit(c, slots[v], verdict)
+			verdict = r.emit(c, slots[v], &subs[v], verdict)
 		}
 	}
 }
 
-// emit decides one member: dedup, definition lookup, predicate (the cover's
-// verdict for attached members, evaluated on first need), result append.
-// Returns the cover's verdict as far as it is known.
-func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
+// emit decides one member of c, id with its subscriber at sub: dedup,
+// definition lookup, predicate (the cover's verdict for a member whose
+// definition c is, evaluated on first need), result append. sub is read
+// under the member's filter shard's read lock, the lock a re-registration
+// rewrites it under. Returns the cover's verdict as far as it is known.
+func (r *matchRun) emit(c *cover, id model.FilterID, sub *string, verdict uint8) uint8 {
 	if r.multi {
 		if _, dup := r.sc.seen[id]; dup {
 			return verdict
 		}
 		r.sc.seen[id] = struct{}{}
 	}
-	d, ok := r.ix.defs.shard(id).get(id)
+	sh := r.ix.defs.shard(id)
+	sh.mu.RLock()
+	dc, ok := sh.defs[id]
+	var name string
+	if dc == c {
+		name = *sub
+	}
+	sh.mu.RUnlock()
 	if !ok {
 		return verdict // unregistering: its bits are on their way out
 	}
 	r.st.Evaluated++
+	mode := c.mode()
 	var isMatch bool
-	if d.attachedTo(c) {
+	if dc == c {
 		if verdict == 0 {
 			verdict = verdictNoMatch
 			if coverMatches(c, r.sc) {
@@ -287,11 +301,16 @@ func (r *matchRun) emit(c *cover, id model.FilterID, verdict uint8) uint8 {
 		// cover yet: evaluate its current definition individually, its terms
 		// spelled from the dictionary — they may be newer than the call's ID
 		// set. Rare, and exactness beats the fast path.
-		f := model.Filter{Terms: r.ix.termsOf(d), Mode: d.c.mode()}
+		nc, nsub, own, ok := r.ix.lookup(id)
+		if !ok {
+			return verdict
+		}
+		name, mode = nsub, nc.mode()
+		f := model.Filter{Terms: r.ix.termsOf(nc, own), Mode: mode}
 		isMatch = evaluate(&f, r.view)
 	}
 	if isMatch {
-		r.sc.matched = append(r.sc.matched, model.Filter{ID: id, Subscriber: d.sub, Mode: d.c.mode()})
+		r.sc.matched = append(r.sc.matched, model.Filter{ID: id, Subscriber: name, Mode: mode})
 	}
 	return verdict
 }
@@ -332,7 +351,7 @@ func (ix *Index) MatchTerm(d *model.Document, term string) ([]model.Filter, Matc
 	r.st.PostingLists = 1
 	r.st.Postings = p.card
 	evalTm := ix.evalH.Start()
-	r.scanPosting(p)
+	r.scanPosting(sh, p)
 	sh.mu.RUnlock()
 	evalTm.Stop()
 	return r.results(), r.st, nil
@@ -377,7 +396,7 @@ func (ix *Index) MatchTerms(d *model.Document, terms []string) ([]model.Filter, 
 		if p != nil && p.card > 0 {
 			r.st.PostingLists++
 			r.st.Postings += p.card
-			r.scanPosting(p)
+			r.scanPosting(sh, p)
 		}
 		sh.mu.RUnlock()
 	}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/movesys/move/internal/model"
 )
@@ -14,8 +15,9 @@ import (
 // term, the aggregated index stores one (term, cover) entry whose slotSet
 // records which members were posted under that term; the cover itself is
 // the expansion table mapping that compressed entry back to concrete filter
-// IDs (and, through the filter table, to subscribers). It is also where a
-// member's predicate is stored: a filter's definition is (subscriber, cover).
+// IDs and their subscribers. It is also where a member's predicate is
+// stored: the filter table maps an ID to its cover and nothing else, and a
+// filter is a slot of its cover.
 //
 // Members get dense slot indexes. A member that unregisters, or re-registers
 // under another signature, takes its posting bits with it and vacates its
@@ -25,43 +27,53 @@ import (
 // ever were (DESIGN.md §15).
 //
 // When subscriptions do not share predicates nearly every cover has one
-// member for life, so that shape is the one priced: slot 0's ID is held
-// inline (first); everything a group needs — the slot table, the member→slot
-// map, the vacated slots — sits behind more, allocated when a second member
-// joins.
+// member for life, so that shape is the one priced, at 64 bytes: slot 0's ID
+// and subscriber are held inline (first, sub), and so is a predicate of up to
+// coverInline terms (ids); everything a group needs — the slot and
+// subscriber tables, the member→slot map, the vacated slots — sits behind
+// more, allocated when a second member joins. The membership lock is not a
+// field either: Index.coverMu stripes it by cover ID.
 type cover struct {
 	id uint32
-	// flags is the lock-free summary the match path reads: the match mode
-	// (immutable), the retired mark and the member count above them. Stored
-	// under mu, loaded without it.
+	// flags is the lock-free summary the match path reads: the match mode and
+	// the inline term count (both immutable), the retired mark and the member
+	// count above them. Stored under the cover's lock, loaded without it.
 	flags atomic.Uint32
 	// ids is the predicate, and the only copy of it the index keeps: the term
-	// set as sorted, deduplicated dictionary IDs. Immutable. The match path
-	// evaluates them; GetFilter and EachFilter spell them back into strings
-	// (Index.termsOf). They are also the terms the cover has posting entries
-	// under, but for the rare extra ones (Index.extra).
-	ids []uint32
-
-	mu sync.Mutex
-	// first is the member in slot 0. It is written under mu when slot 0 is
+	// set as sorted, deduplicated dictionary IDs, inline when it has at most
+	// coverInline terms. A longer one is an array of its own at long, its
+	// length in ids[0]. Immutable. The match path evaluates them; GetFilter
+	// and EachFilter spell them back into strings. They are also the terms
+	// the cover has posting entries under, but for the rare extra ones
+	// (Index.extra).
+	ids  [coverInline]uint32
+	long *uint32
+	// first and sub are the member in slot 0 and its subscriber. first and a
+	// joining member's sub are written under the cover's lock when slot 0 is
 	// assigned — before any posting entry can carry the slot's bit, since a
 	// bit is set only after its member joined — and only rewritten once the
 	// slot is vacant, which its member's bits must have left first. A reader
-	// that found slot 0's bit under a term shard's lock therefore reads it
-	// without taking mu.
+	// that found slot 0's bit under a term shard's lock therefore reads them
+	// without the cover's lock. A re-registration under the same signature
+	// rewrites sub in place under the member's filter shard's write lock as
+	// well, so the match path reads it under that shard's read lock.
 	first model.FilterID
+	sub   string
 	// more is nil until a second member joins.
 	more *coverMembers
-	// next chains covers whose signatures share a sigHash (coverSigShard).
-	next *cover
 }
 
+// coverInline is the longest predicate a cover holds inline.
+const coverInline = 4
+
 // coverMembers is the membership state of a cover that has had more than one
-// member. Guarded by cover.mu.
+// member. Guarded by the cover's lock.
 type coverMembers struct {
-	// slots maps slot to member; slots[0] is cover.first. A vacant slot keeps
-	// the ID that left it until it is reused.
+	// slots maps slot to member, subs slot to the member's subscriber;
+	// slots[0] is cover.first and subs[0] cover.sub. A vacant slot keeps
+	// what left it until it is reused. subs is written as cover.sub is.
 	slots []model.FilterID
+	subs  []string
 	// slotOf accelerates member→slot lookup but is built lazily, once the
 	// cover reaches coverSlotMapMin slots: most covers stay small, and a
 	// per-cover map would dominate the memory the aggregation saves. Below
@@ -71,15 +83,18 @@ type coverMembers struct {
 	vacant []int32
 }
 
-// cover.flags: the match mode in the low bits, the retired mark, the member
-// count above them.
+// cover.flags: the match mode in the low bits, the retired mark, the inline
+// term count (0 for a predicate held at cover.long), the member count above
+// them.
 const (
 	coverModeMask = uint32(3)
 	// coverRetired: the cover lost its last member and left the signature
 	// table. A registration that found it there before that retries
 	// (Index.joinCover); nothing else reads it again.
 	coverRetired    = uint32(1) << 2
-	coverCountShift = 3
+	coverTermsShift = 3
+	coverTermsMask  = uint32(7)
+	coverCountShift = 6
 	coverOneMember  = uint32(1) << coverCountShift
 )
 
@@ -91,6 +106,31 @@ func (c *cover) mode() model.MatchMode {
 // members returns the member count the flags carry.
 func (c *cover) members() int {
 	return int(c.flags.Load() >> coverCountShift)
+}
+
+// terms returns the cover's predicate: its sorted, distinct term IDs. The
+// slice aliases the cover and must not be written.
+func (c *cover) terms() []uint32 {
+	if n := c.flags.Load() >> coverTermsShift & coverTermsMask; n != 0 {
+		return c.ids[:n:n]
+	}
+	return unsafe.Slice(c.long, c.ids[0])
+}
+
+// newCover returns a cover of signature (mode, ids) with no member: the
+// predicate inline when it fits, an array of its own otherwise.
+func newCover(id uint32, mode model.MatchMode, ids []uint32) *cover {
+	c := &cover{id: id}
+	flags := uint32(mode) & coverModeMask
+	if len(ids) <= coverInline {
+		copy(c.ids[:], ids)
+		flags |= uint32(len(ids)) << coverTermsShift
+	} else {
+		c.long = &slices.Clone(ids)[0]
+		c.ids[0] = uint32(len(ids))
+	}
+	c.flags.Store(flags)
+	return c
 }
 
 // sigHash hashes a cover's canonical signature — mode and the sorted term
@@ -108,23 +148,91 @@ func sigHash(mode model.MatchMode, ids []uint32) uint64 {
 	return h
 }
 
-// coverSigShard interns covers by signature: a table keyed by sigHash, with
-// the covers whose signatures collide on it chained through cover.next — so
-// a cover costs one 16-byte table slot, not a key string of its own.
+// coverSigShard interns covers by signature: a table keyed by sigHash — so a
+// cover costs one 16-byte table slot, not a key string of its own — and a
+// spill list for the covers whose sigHash another signature's cover holds
+// the table's slot for. That takes a 64-bit hash collision: spill is empty
+// but for tests that plant one.
+//
+// Covers retire and new ones take their place as subscribers come and go,
+// and a Go map reclaims the tombstones its deletes leave only by growing, so
+// under that churn it grows past what it holds. The table is therefore
+// copied into a fresh one, sized to what is live, once it has seen twice as
+// many removals as it holds covers.
 type coverSigShard struct {
-	mu     sync.Mutex
-	covers map[uint64]*cover
+	mu      sync.Mutex
+	covers  map[uint64]*cover
+	spill   []*cover
+	removed int
+}
+
+// find returns the cover of signature (mode, ids), hashed to h, or nil.
+// Caller holds s.mu.
+func (s *coverSigShard) find(h uint64, mode model.MatchMode, ids []uint32) *cover {
+	c := s.covers[h]
+	if c == nil || c.hasSig(mode, ids) {
+		return c
+	}
+	for _, c := range s.spill {
+		if c.hasSig(mode, ids) {
+			return c
+		}
+	}
+	return nil
+}
+
+// insert adds c, hashed to h. Caller holds s.mu.
+func (s *coverSigShard) insert(h uint64, c *cover) {
+	if s.covers[h] == nil {
+		s.covers[h] = c
+	} else {
+		s.spill = append(s.spill, c)
+	}
+}
+
+// remove takes c, hashed to h, out of the shard. A spilled cover of the same
+// hash takes a removed table slot over, so find never needs the spill list
+// behind an empty slot. Caller holds s.mu.
+func (s *coverSigShard) remove(h uint64, c *cover) {
+	if s.covers[h] != c {
+		if i := slices.Index(s.spill, c); i >= 0 {
+			s.spill = slices.Delete(s.spill, i, i+1)
+		}
+		return
+	}
+	delete(s.covers, h)
+	if s.removed++; s.removed > 2*len(s.covers)+64 {
+		fresh := make(map[uint64]*cover, len(s.covers))
+		for k, v := range s.covers {
+			fresh[k] = v
+		}
+		s.covers, s.removed = fresh, 0
+	}
+	for i, o := range s.spill {
+		if sigHash(o.mode(), o.terms()) == h {
+			s.covers[h] = o
+			s.spill = slices.Delete(s.spill, i, i+1)
+			return
+		}
+	}
 }
 
 // hasSig reports whether c's signature is exactly this one.
 func (c *cover) hasSig(mode model.MatchMode, ids []uint32) bool {
-	return c.mode() == mode && slices.Equal(c.ids, ids)
+	return c.mode() == mode && slices.Equal(c.terms(), ids)
 }
 
 // names reports whether term ID tid is one of the cover's terms.
 func (c *cover) names(tid uint32) bool {
-	_, ok := slices.BinarySearch(c.ids, tid)
+	_, ok := slices.BinarySearch(c.terms(), tid)
 	return ok
+}
+
+// coverMu returns c's lock: one of DefaultShards mutexes, picked by cover ID.
+// A lock guards membership — cover.more, the member count in flags — so no
+// caller ever holds two of them at once.
+func (ix *Index) coverMu(c *cover) *sync.Mutex {
+	return &ix.coverLocks[c.id&shardMask]
 }
 
 // coverSlotMapMin is the slot count at which a cover materializes its slotOf
@@ -133,7 +241,7 @@ const coverSlotMapMin = 16
 
 // findSlot returns id's slot, if id is a member: the inline one, or via the
 // map when materialized or a linear scan of the (small) slots slice
-// otherwise. Caller holds c.mu.
+// otherwise. Caller holds c's lock.
 func (c *cover) findSlot(id model.FilterID) (int32, bool) {
 	m := c.more
 	if m == nil {
@@ -151,38 +259,63 @@ func (c *cover) findSlot(id model.FilterID) (int32, bool) {
 	return 0, false
 }
 
-// slotIndex returns id's slot in the cover, if it is a member.
-func (c *cover) slotIndex(id model.FilterID) (int32, bool) {
-	c.mu.Lock()
+// slotIndex returns id's slot in c, if it is a member.
+func (ix *Index) slotIndex(c *cover, id model.FilterID) (int32, bool) {
+	mu := ix.coverMu(c)
+	mu.Lock()
 	s, ok := c.findSlot(id)
-	c.mu.Unlock()
+	mu.Unlock()
 	return s, ok
 }
 
-// memberSlot returns id's slot, giving it one — a vacant slot first — when
-// it is not a member yet. The first member takes the inline slot (first);
-// the second allocates the cover's coverMembers (promoted); the lookup map is
-// materialized once the slot table reaches coverSlotMapMin. Caller holds
-// c.mu and has checked that the cover is not retired.
-func (c *cover) memberSlot(id model.FilterID) (slot int32, first, promoted bool) {
+// subOf returns the subscriber of id, a member of c.
+func (ix *Index) subOf(c *cover, id model.FilterID) string {
+	mu := ix.coverMu(c)
+	mu.Lock()
+	defer mu.Unlock()
+	if slot, _ := c.findSlot(id); slot != 0 {
+		return c.more.subs[slot]
+	}
+	return c.sub
+}
+
+// setSub rewrites the subscriber of the member in slot. Caller holds c's
+// lock and the member's filter shard's write lock.
+func (c *cover) setSub(slot int32, sub string) {
+	if slot == 0 {
+		c.sub = sub
+	}
+	if m := c.more; m != nil {
+		m.subs[slot] = sub
+	}
+}
+
+// memberSlot returns id's slot, giving it one — a vacant slot first — with
+// subscriber sub when it is not a member yet (joined). The first member takes
+// the inline slot (first); the second allocates the cover's coverMembers
+// (promoted); the lookup map is materialized once the slot table reaches
+// coverSlotMapMin. Caller holds c's lock and has checked that the cover is
+// not retired.
+func (c *cover) memberSlot(id model.FilterID, sub string) (slot int32, joined, first, promoted bool) {
 	if s, ok := c.findSlot(id); ok {
-		return s, false, false
+		return s, false, false, false
 	}
 	f := c.flags.Load()
 	m := c.more
 	switch {
 	case m == nil && f < coverOneMember:
-		c.first = id
+		c.first, c.sub = id, sub
 		first = true
 	case m == nil:
-		m = &coverMembers{slots: make([]model.FilterID, 1, 2)}
-		m.slots[0] = c.first
+		m = &coverMembers{slots: make([]model.FilterID, 1, 2), subs: make([]string, 1, 2)}
+		m.slots[0], m.subs[0] = c.first, c.sub
 		c.more = m
 		promoted = true
 		fallthrough
 	case len(m.vacant) == 0:
 		slot = int32(len(m.slots))
 		m.slots = append(m.slots, id)
+		m.subs = append(m.subs, sub)
 		if m.slotOf == nil && len(m.slots) >= coverSlotMapMin {
 			m.slotOf = make(map[model.FilterID]int32, len(m.slots))
 			for i, member := range m.slots {
@@ -192,20 +325,21 @@ func (c *cover) memberSlot(id model.FilterID) (slot int32, first, promoted bool)
 	default:
 		slot = m.vacant[len(m.vacant)-1]
 		m.vacant = m.vacant[:len(m.vacant)-1]
-		m.slots[slot] = id
+		m.slots[slot], m.subs[slot] = id, sub
 		if slot == 0 {
-			c.first = id
+			c.first, c.sub = id, sub
 		}
 	}
 	if m != nil && m.slotOf != nil {
 		m.slotOf[id] = slot
 	}
 	c.flags.Store(f + coverOneMember)
-	return slot, first, promoted
+	return slot, true, first, promoted
 }
 
 // vacate takes the member out of slot, reporting whether the cover is left
-// without members. Its posting bits must be gone already. Caller holds c.mu.
+// without members. Its posting bits must be gone already. Caller holds c's
+// lock.
 func (c *cover) vacate(slot int32) (emptied bool) {
 	f := c.flags.Load() - coverOneMember
 	if m := c.more; m != nil {
@@ -218,12 +352,13 @@ func (c *cover) vacate(slot int32) (emptied bool) {
 	return f < coverOneMember
 }
 
-// Rep returns the cover's representative — the "covering filter" of the
-// subsumption literature: the member in the lowest occupied slot, 0 when the
-// cover has none.
-func (c *cover) Rep() model.FilterID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// rep returns c's representative — the "covering filter" of the subsumption
+// literature: the member in the lowest occupied slot, 0 when the cover has
+// none.
+func (ix *Index) rep(c *cover) model.FilterID {
+	mu := ix.coverMu(c)
+	mu.Lock()
+	defer mu.Unlock()
 	if c.flags.Load() < coverOneMember {
 		return 0
 	}
@@ -247,7 +382,7 @@ func (ix *Index) RepFor(f model.Filter) (model.FilterID, bool) {
 	if c == nil {
 		return 0, false
 	}
-	r := c.Rep()
+	r := ix.rep(c)
 	return r, c.members() > 0
 }
 
@@ -276,79 +411,62 @@ func (ix *Index) coverOf(f *model.Filter, create bool) *cover {
 	h := sigHash(f.Mode, ids)
 	sh := ix.sigShard(h)
 	sh.mu.Lock()
-	c := sh.covers[h]
-	for c != nil && !c.hasSig(f.Mode, ids) {
-		c = c.next
-	}
+	c := sh.find(h, f.Mode, ids)
 	if c == nil && create {
-		c = &cover{
-			id:   ix.coverIDs.take(),
-			ids:  slices.Clone(ids),
-			next: sh.covers[h],
-		}
-		c.flags.Store(uint32(f.Mode) & coverModeMask)
-		sh.covers[h] = c
+		c = newCover(ix.coverIDs.take(), f.Mode, ids)
+		sh.insert(h, c)
 	}
 	sh.mu.Unlock()
 	return c
 }
 
-// joinCover makes id a member of the cover of f's signature and returns the
-// cover and id's slot in it. A cover coverOf handed out can retire before
-// its lock is taken here — its last member left in between — and then no
-// longer serves the signature: the lookup is repeated, and finds or creates
-// its successor.
-func (ix *Index) joinCover(f *model.Filter, id model.FilterID) (*cover, int32) {
+// joinCover makes id a member of the cover of f's signature, with
+// subscriber sub, and returns the cover and id's slot in it; joined is false
+// when id was a member already — a re-registration under the same signature,
+// whose subscriber the caller rewrites. A cover coverOf handed out can retire
+// before its lock is taken here — its last member left in between — and then
+// no longer serves the signature: the lookup is repeated, and finds or
+// creates its successor.
+func (ix *Index) joinCover(f *model.Filter, sub string) (c *cover, slot int32, joined bool) {
 	for {
 		c := ix.coverOf(f, true)
-		c.mu.Lock()
+		mu := ix.coverMu(c)
+		mu.Lock()
 		if c.flags.Load()&coverRetired != 0 {
-			c.mu.Unlock()
+			mu.Unlock()
 			continue
 		}
-		slot, first, promoted := c.memberSlot(id)
-		c.mu.Unlock()
+		slot, joined, first, promoted := c.memberSlot(f.ID, sub)
+		mu.Unlock()
 		if first {
 			ix.coversLive.Add(1)
 			ix.singletons.Add(1)
 		} else if promoted {
 			ix.singletons.Add(-1)
 		}
-		return c, slot
+		return c, slot, joined
 	}
 }
 
 // leave takes the member in slot out of c, whose posting bits it no longer
 // holds, and retires the cover when that was its last member: the cover is
-// marked and unlinked from the signature table under the signature shard's
+// marked and taken out of the signature table under the signature shard's
 // lock — the lock coverOf reads the table under — so no registration can
 // join it afterwards (joinCover retries on the mark), and its ID goes back to
 // the pool.
 func (ix *Index) leave(c *cover, slot int32) {
-	h := sigHash(c.mode(), c.ids)
+	h := sigHash(c.mode(), c.terms())
 	sh := ix.sigShard(h)
+	mu := ix.coverMu(c)
 	sh.mu.Lock()
-	c.mu.Lock()
+	mu.Lock()
 	emptied := c.vacate(slot)
 	if emptied {
 		c.flags.Store(c.flags.Load() | coverRetired)
-		if sh.covers[h] == c {
-			if c.next == nil {
-				delete(sh.covers, h)
-			} else {
-				sh.covers[h] = c.next
-			}
-		} else {
-			for p := sh.covers[h]; p != nil; p = p.next {
-				if p.next == c {
-					p.next = c.next
-					break
-				}
-			}
-		}
+		sh.remove(h, c)
 	}
 	single := c.more == nil
-	c.mu.Unlock()
+	mu.Unlock()
 	sh.mu.Unlock()
 	if emptied {
 		ix.coversLive.Add(-1)

@@ -250,14 +250,15 @@ func shapeOf(t *testing.T, ix *Index, sig model.Filter) coverShape {
 	if c == nil {
 		t.Fatalf("no cover for %v", sig.Terms)
 	}
-	rep := c.Rep()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	rep := ix.rep(c)
+	mu := ix.coverMu(c)
+	mu.Lock()
+	defer mu.Unlock()
 	slots := 1
 	if m := c.more; m != nil {
 		slots = len(m.slots)
-		if m.slots[0] != c.first || c.members() != slots-len(m.vacant) {
-			t.Fatalf("cover %v: slot table %v (vacant %v) beside first=%v, flags say %d members", sig.Terms, m.slots, m.vacant, c.first, c.members())
+		if m.slots[0] != c.first || m.subs[0] != c.sub || len(m.subs) != slots || c.members() != slots-len(m.vacant) {
+			t.Fatalf("cover %v: slot table %v, subscribers %v (vacant %v) beside first=%v sub=%q, flags say %d members", sig.Terms, m.slots, m.subs, m.vacant, c.first, c.sub, c.members())
 		}
 	}
 	return coverShape{
@@ -274,13 +275,20 @@ func retired(t *testing.T, ix *Index, sig model.Filter) {
 	}
 }
 
-// TestCoverSize pins the struct the singleton shape is priced by.
+// TestCoverSize pins the structs the singleton shape is priced by: the
+// cover, which holds a filter's predicate, mode and subscriber; the
+// filter-table value, which holds nothing but the cover pointer; and the
+// posting entry.
 func TestCoverSize(t *testing.T) {
 	if size := unsafe.Sizeof(cover{}); size > 64 {
 		t.Fatalf("cover is %d bytes, want at most 64", size)
 	}
-	if size := unsafe.Sizeof(def{}); size > 32 {
-		t.Fatalf("def is %d bytes, want at most 32 (a 40-byte filter-table slot)", size)
+	var sh filterShard
+	if size := unsafe.Sizeof(sh.defs[0]); size != 8 {
+		t.Fatalf("the filter table's value is %d bytes, want 8 (a 16-byte slot)", size)
+	}
+	if size := unsafe.Sizeof(postingEntry{}); size > 16 {
+		t.Fatalf("postingEntry is %d bytes, want at most 16", size)
 	}
 }
 
@@ -408,11 +416,14 @@ func TestCoverShapes(t *testing.T) {
 		// spelled in canonical order on the way out. A member registered out of
 		// that order keeps its own, and GetFilter hands out that very array.
 		for id, own := range map[model.FilterID]bool{1: false, 2: true, 3: true} {
-			d, _ := p.ix.defs.shard(id).get(id)
-			if (d.own != nil) != own {
-				t.Fatalf("filter %d: own term array %v, want one: %v", id, d.own, own)
+			sh := p.ix.defs.shard(id)
+			sh.mu.RLock()
+			kept := sh.own[id]
+			sh.mu.RUnlock()
+			if (kept != nil) != own {
+				t.Fatalf("filter %d: own term array %v, want one: %v", id, kept, own)
 			}
-			if f, _, _ := p.ix.GetFilter(id); own && unsafe.SliceData(f.Terms) != unsafe.SliceData(*d.own) {
+			if f, _, _ := p.ix.GetFilter(id); own && unsafe.SliceData(f.Terms) != unsafe.SliceData(kept) {
 				t.Fatalf("GetFilter(%d) handed out a copy of the record's own terms", id)
 			}
 		}
@@ -464,6 +475,59 @@ func TestCoverShapes(t *testing.T) {
 	})
 }
 
+// TestReRegisterNewSubscriber: a live ID registered again under the same
+// signature with another subscriber keeps its slot, and the new subscriber is
+// what MatchTerm, MatchTerms and GetFilter report — for a singleton (slot 0,
+// held inline), for a grouped member in slot 1, and for a fresh ID in a
+// vacated and reused slot 0.
+func TestReRegisterNewSubscriber(t *testing.T) {
+	doc := &model.Document{ID: 1, Terms: []string{"a", "b"}}
+	p := newEnginePair(t)
+	sig := anyFilter(0, "a", "b")
+	// expect holds both engines to each other, then checks every member's
+	// subscriber as each matcher and GetFilter report it.
+	expect := func(t *testing.T, want map[model.FilterID]string) {
+		t.Helper()
+		p.compareAll(t, doc)
+		for _, terms := range [][]string{{"a"}, {"a", "b"}} {
+			got, _, err := p.ix.MatchTerms(doc, terms)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("MatchTerms(%v) = %+v, %v; want %d matches", terms, got, err, len(want))
+			}
+			for _, m := range got {
+				if m.Subscriber != want[m.ID] {
+					t.Fatalf("MatchTerms(%v) reports %v for %s, want %s", terms, m.ID, m.Subscriber, want[m.ID])
+				}
+			}
+		}
+		for id, sub := range want {
+			if f, ok, _ := p.ix.GetFilter(id); !ok || f.Subscriber != sub {
+				t.Fatalf("GetFilter(%v) = %+v, %v; want subscriber %s", id, f, ok, sub)
+			}
+		}
+	}
+	with := func(f model.Filter, sub string) model.Filter {
+		f.Subscriber = sub
+		return f
+	}
+
+	p.register(t, with(anyFilter(1, "a", "b"), "alice"), []string{"a", "b"})
+	p.register(t, with(anyFilter(1, "a", "b"), "bob"), []string{"a", "b"})
+	expect(t, map[model.FilterID]string{1: "bob"})
+
+	p.register(t, with(anyFilter(2, "a", "b"), "carol"), []string{"a", "b"})
+	p.register(t, with(anyFilter(2, "a", "b"), "dave"), []string{"a"})
+	expect(t, map[model.FilterID]string{1: "bob", 2: "dave"})
+
+	p.unregister(t, 1)
+	p.register(t, with(anyFilter(3, "a", "b"), "erin"), []string{"a", "b"})
+	p.register(t, with(anyFilter(3, "a", "b"), "frank"), []string{"b"})
+	expect(t, map[model.FilterID]string{2: "dave", 3: "frank"})
+	if got := shapeOf(t, p.ix, sig); got.slots != 2 || got.first != 3 {
+		t.Fatalf("shape = %+v, want f3 in the reused slot 0 of two", got)
+	}
+}
+
 // TestMatchMemberMidMove: a member found under its old cover while it moves
 // to another signature — its new definition stored, its old bits not cleared
 // yet, as a match racing Register sees it — is decided by its new
@@ -478,8 +542,7 @@ func TestMatchMemberMidMove(t *testing.T) {
 	// Register's first half for the new definition, stopped before the old
 	// cover's bits are dropped.
 	moved := anyFilter(1, "c", "z")
-	c, _ := ix.joinCover(&moved, moved.ID)
-	ix.defs.put(moved.ID, ix.newDef(&moved, c))
+	ix.join(ix.defs.shard(moved.ID), &moved)
 	for _, tc := range []struct {
 		doc  []string
 		want []model.Filter
@@ -545,6 +608,73 @@ func TestMatchWhileCoverPromotes(t *testing.T) {
 	}
 	if cs := ix.CoverStats(); cs.Singletons != 0 || cs.Covers != covers {
 		t.Fatalf("CoverStats = %+v, want %d covers, none a singleton", cs, covers)
+	}
+}
+
+// TestMatchWhileSubscriberChanges runs MatchTerm, MatchTerms and GetFilter
+// while a writer registers the members of two covers again under their
+// signatures with other subscribers, round after round: a singleton's slot 0
+// and a group's slots, rewritten in place under readers that take no cover
+// lock (run under -race). Every reported subscriber is one the member was
+// registered with.
+func TestMatchWhileSubscriberChanges(t *testing.T) {
+	ix := newIndex(t)
+	subs := []string{"alice", "bob", "carol"}
+	filters := []model.Filter{anyFilter(1, "t", "u"), allFilter(2, "t", "v"), allFilter(3, "t", "v"), allFilter(4, "t", "v")}
+	register := func(round int) error {
+		for i, f := range filters {
+			f.Subscriber = subs[(round+i)%len(subs)]
+			if err := ix.Register(f, []string{"t"}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := register(0); err != nil {
+		t.Fatal(err)
+	}
+	doc := model.Document{ID: 1, Terms: []string{"t", "u", "v"}}
+	doc.View()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 1; round <= 300; round++ {
+			if err := register(round); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	known := func(sub string) bool { return slices.Contains(subs, sub) }
+	for changing := true; changing; {
+		select {
+		case <-done:
+			changing = false
+		default:
+		}
+		single, _, err := ix.MatchTerm(&doc, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, _, err := ix.MatchTerms(&doc, doc.Terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fs := range [][]model.Filter{single, multi} {
+			if len(fs) != len(filters) {
+				t.Fatalf("matched %d filters, want %d", len(fs), len(filters))
+			}
+			for _, m := range fs {
+				if !known(m.Subscriber) {
+					t.Fatalf("filter %v matched for subscriber %q", m.ID, m.Subscriber)
+				}
+			}
+		}
+		for _, f := range filters {
+			if got, ok, _ := ix.GetFilter(f.ID); !ok || !known(got.Subscriber) {
+				t.Fatalf("GetFilter(%v) = %+v, %v", f.ID, got, ok)
+			}
+		}
 	}
 }
 
@@ -978,10 +1108,10 @@ func TestCoverSigCollisionChain(t *testing.T) {
 	if ca == nil || cb == nil || ca == cb {
 		t.Fatalf("covers = %p, %p; want two distinct covers", ca, cb)
 	}
-	h := sigHash(ca.mode(), ca.ids)
+	h := sigHash(ca.mode(), ca.terms())
 	sh := &ix.sig[h&shardMask]
-	foreign := &cover{id: ix.coverIDs.take(), ids: cb.ids, next: sh.covers[h]}
-	foreign.flags.Store(uint32(cb.mode()))
+	foreign := newCover(ix.coverIDs.take(), cb.mode(), cb.terms())
+	sh.spill = append(sh.spill, sh.covers[h])
 	sh.covers[h] = foreign
 	if got := ix.coverOf(&fa, false); got != ca {
 		t.Fatalf("lookup behind a colliding cover = %p, want %p", got, ca)
@@ -989,8 +1119,17 @@ func TestCoverSigCollisionChain(t *testing.T) {
 	if rep, ok := ix.RepFor(fa); !ok || rep != 1 {
 		t.Fatalf("RepFor = %v,%v, want f1", rep, ok)
 	}
+	// The colliding cover leaves the table: the spilled one takes its slot
+	// over and is still found.
+	sh.remove(h, foreign)
+	if sh.covers[h] != ca || len(sh.spill) != 0 {
+		t.Fatalf("after the colliding cover left: table slot %p, spill %v; want %p and none", sh.covers[h], sh.spill, ca)
+	}
+	if got := ix.coverOf(&fa, false); got != ca {
+		t.Fatalf("lookup after the colliding cover left = %p, want %p", got, ca)
+	}
 	// Same terms, other mode: a different signature.
-	if ca.hasSig(model.MatchAll, ca.ids) || !ca.hasSig(model.MatchAny, ca.ids) {
+	if ca.hasSig(model.MatchAll, ca.terms()) || !ca.hasSig(model.MatchAny, ca.terms()) {
 		t.Fatal("hasSig does not tell MatchAll{a,b} from MatchAny{a,b}")
 	}
 }

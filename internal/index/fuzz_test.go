@@ -38,7 +38,10 @@ import (
 //	4,6 match      (termMask)
 //	5   matchDoc   (termMask), then restart the durable index
 //
-// An even modeByte registers a MatchAny filter, an odd one a MatchAll filter.
+// An even modeByte registers a MatchAny filter, an odd one a MatchAll filter;
+// modeByte/2 picks its subscriber among three, so a live ID re-registers
+// under its signature with another subscriber (and a byte below 2 keeps the
+// first, "s", which every older input used).
 //
 // Opcode 4 was drop-term (termIndex), an operation the index no longer has.
 // It still takes one argument byte, read as a match's term mask, so every
@@ -89,6 +92,10 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// named them, across restarts: a two-term filter, a three-term one posted
 	// under one term, a replayed one, an unregistration.
 	f.Add([]byte{5, 0x03, 6, 0x01, 0, 0, 0x03, 33, 0, 6, 0x02, 0, 1, 0x07, 15, 1, 5, 0x05, 6, 0x03, 6, 0x04, 6, 0x07, 3, 2, 0x06, 3, 6, 0x06, 2, 0, 5, 0x01, 6, 0x07})
+	// Same-signature re-registrations under another subscriber: a singleton,
+	// a second member in slot 1, and a fresh ID in the vacated slot 0, the
+	// last re-registered under one of its terms; restart.
+	f.Add([]byte{0, 0, 0x03, 0, 0, 0, 0, 0x03, 2, 0, 6, 0x03, 0, 1, 0x03, 0, 0, 0, 1, 0x03, 4, 0, 6, 0x03, 2, 0, 0, 2, 0x03, 2, 0, 0, 2, 0x03, 4, 1, 5, 0x03, 6, 0x07})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		p := &enginePair{ix: newIndex(t), ref: newRefIndex()}
 		ix := p.ix
@@ -137,10 +144,11 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 			}
 			return terms
 		}
+		subscribers := []string{"s", "t", "u"}
 		buildFilter := func(id, mask, modeByte byte) model.Filter {
 			f := model.Filter{
 				ID:         model.FilterID(1 + id%12),
-				Subscriber: "s",
+				Subscriber: subscribers[int(modeByte/2)%len(subscribers)],
 				Terms:      termsFromMask(mask),
 			}
 			f.Mode = model.MatchAny

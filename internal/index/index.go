@@ -20,18 +20,20 @@
 // a cover once before expanding it to filters (agg_match.go). Terms, covers
 // and filter definitions live in power-of-two in-memory shards with per-shard
 // locks (shard.go), so concurrent registers, unregisters, and matches on
-// different terms do not contend. A filter definition and a posting entry live
-// once in the heap — here — and a predicate is kept once, as its cover's
-// sorted dictionary IDs: a match result names its filter by ID, subscriber and
-// mode, and only GetFilter and EachFilter, where a whole definition leaves the
-// index, spell the terms back into strings. Every read is served from the
-// shards; the store is a write-through durability layer that exists only for a
-// node with a data directory and is read once, at startup, when the shards are
-// rebuilt from it.
+// different terms do not contend. A filter is one slot of its cover: the
+// filter table maps its ID to the cover pointer alone, and the cover holds the
+// predicate — once, as sorted dictionary IDs, inline up to four — the mode,
+// and in the filter's slot its ID and subscriber. A match result names its
+// filter by ID, subscriber and mode, and only GetFilter and EachFilter, where
+// a whole definition leaves the index, spell the terms back into strings.
+// Every read is served from the shards; the store is a write-through
+// durability layer that exists only for a node with a data directory and is
+// read once, at startup, when the shards are rebuilt from it.
 package index
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"github.com/movesys/move/internal/metrics"
@@ -53,8 +55,12 @@ type Index struct {
 	dict     *termDict
 	sig      [DefaultShards]coverSigShard
 	term     [DefaultShards]termShard
-	// defs is the filter table: a definition is its subscriber and its cover.
+	// defs is the filter table: a definition is its cover, the filter a slot
+	// of it.
 	defs filterTable
+	// coverLocks are the covers' membership locks, striped by cover ID
+	// (coverMu).
+	coverLocks [DefaultShards]sync.Mutex
 	// subs shares subscriber names between definitions.
 	subs subCache
 	// extra holds the posting terms of covers outside their signatures.
@@ -234,11 +240,11 @@ func (ix *Index) EachFilter(fn func(model.Filter) bool) error {
 // GetFilter loads one filter definition, writing its Terms out of the index:
 // in canonical (string-sorted) order, spelled from the dictionary into a
 // fresh slice, or — for a filter registered in another order or with repeats
-// — the record's own array, which is shared and must not be mutated.
+// — its own array, which is shared and must not be mutated.
 func (ix *Index) GetFilter(id model.FilterID) (model.Filter, bool, error) {
-	d, ok := ix.defs.shard(id).get(id)
+	c, sub, own, ok := ix.lookup(id)
 	if !ok {
 		return model.Filter{}, false, nil
 	}
-	return model.Filter{ID: id, Subscriber: d.sub, Terms: ix.termsOf(d), Mode: d.c.mode()}, true, nil
+	return model.Filter{ID: id, Subscriber: sub, Terms: ix.termsOf(c, own), Mode: c.mode()}, true, nil
 }

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"github.com/movesys/move/internal/dataset"
@@ -143,55 +142,6 @@ func registerDecoded(tb testing.TB, ix *Index, reg populationReg) {
 	}
 }
 
-// memComponents are the parts TestMemBudget splits a population's heap into,
-// each named by the functions that allocate it: a live object is charged to
-// the first of these found on its allocation stack, innermost frame first.
-var memComponents = []struct {
-	name  string
-	funcs []string
-}{
-	{"cover.ids", []string{"slices.Clone"}},
-	{"dictionary", []string{"(*termDict).intern"}},
-	{"posting entries", []string{"(*termShard).add", "(*slotSet).", "(*slotBig)."}},
-	{"covers + signature table", []string{"(*Index).coverOf", "(*cover).memberSlot"}},
-	{"definitions", []string{"filterTable", "(*Index).newDef", "(*subCache).share"}},
-}
-
-// heapByComponent sums the live heap bytes the allocation profile holds per
-// memComponents entry (the last element: everything else). Exact only for
-// what was allocated while runtime.MemProfileRate was 1.
-func heapByComponent() []float64 {
-	runtime.GC()
-	runtime.GC()
-	n, _ := runtime.MemProfile(nil, true)
-	recs := make([]runtime.MemProfileRecord, n+64)
-	n, ok := runtime.MemProfile(recs, true)
-	if !ok {
-		panic("allocation profile grew while it was read")
-	}
-	out := make([]float64, len(memComponents)+1)
-records:
-	for _, r := range recs[:n] {
-		frames := runtime.CallersFrames(r.Stack())
-		for {
-			fr, more := frames.Next()
-			for i, c := range memComponents {
-				for _, fn := range c.funcs {
-					if strings.Contains(fr.Function, fn) {
-						out[i] += float64(r.InUseBytes())
-						continue records
-					}
-				}
-			}
-			if !more {
-				break
-			}
-		}
-		out[len(memComponents)] += float64(r.InUseBytes())
-	}
-	return out
-}
-
 // TestMemBudget is the index layer's memory microbench (make mem-budget, the
 // twin of make wire-budget): heap bytes per registered filter for the three
 // populations the repository benchmark registers, each beside a ceiling 5 %
@@ -222,9 +172,9 @@ func TestMemBudget(t *testing.T) {
 		regs    []populationReg
 		ceiling float64
 	}{
-		{"match_heavy: 40k MatchAll, >= 3 terms of 10k, 64 subscribers", matchHeavy, 330},
-		{"wire_mixed: 20k MSN-like MatchAny over 16k terms, 64 subscribers", wireMixed, 307},
-		{"fanout_heavy: 256 three-term MatchAny over 18 terms, 256 subscribers", fanoutHeavy, 269},
+		{"match_heavy: 40k MatchAll, >= 3 terms of 10k, 64 subscribers", matchHeavy, 240},
+		{"wire_mixed: 20k MSN-like MatchAny over 16k terms, 64 subscribers", wireMixed, 232},
+		{"fanout_heavy: 256 three-term MatchAny over 18 terms, 256 subscribers", fanoutHeavy, 215},
 	} {
 		ix, got := registerPopulation(t, p.regs)
 		row(p.name, got, p.ceiling, "B/filter")
@@ -236,9 +186,10 @@ func TestMemBudget(t *testing.T) {
 	// above.
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
-	base := heapByComponent()
+	comps := testutil.IndexMemComponents
+	base := testutil.HeapByComponent(comps)
 	ix, _ := registerPopulation(t, matchHeavy)
-	parts := heapByComponent()
+	parts := testutil.HeapByComponent(comps)
 	runtime.MemProfileRate = rate
 	cs := ix.CoverStats()
 	t.Logf("match_heavy by component (%d covers, %d singletons):", cs.Covers, cs.Singletons)
@@ -246,8 +197,8 @@ func TestMemBudget(t *testing.T) {
 		// Besides the empty index: 16-byte allocator blocks a dictionary string
 		// shares with a caller's temporary one are charged to the caller.
 		name := "other"
-		if i < len(memComponents) {
-			name = memComponents[i].name
+		if i < len(comps) {
+			name = comps[i].Name
 		}
 		t.Logf("    %-66s %8.1f B/filter", name, (parts[i]-base[i])/float64(len(matchHeavy)))
 	}

@@ -42,10 +42,17 @@ func filterShardFor(id model.FilterID) uint32 {
 	return uint32((uint64(id)*0x9E3779B97F4A7C15)>>56) & shardMask
 }
 
-// filterShard holds the filter definitions whose IDs hash to it.
+// filterShard holds the filter definitions whose IDs hash to it: an ID's
+// definition is its cover, where the predicate, the mode and — in the ID's
+// slot — the subscriber are; the table's value is that one pointer.
 type filterShard struct {
 	mu   sync.RWMutex
-	defs map[model.FilterID]def
+	defs map[model.FilterID]*cover
+	// own holds the Terms of the shard's filters registered in another order
+	// than the canonical (string-sorted) one, or with repeats: rare, so a map
+	// beside the table rather than a field of every definition. nil until
+	// the first such filter.
+	own map[model.FilterID][]string
 	// wmu serializes the writers of the shard's IDs (Register,
 	// EnsureRegistered, Unregister) from first read to last write, so an ID's
 	// definition, cover slot, posting bits and store operands change as one;
@@ -53,12 +60,12 @@ type filterShard struct {
 	wmu sync.Mutex
 }
 
-// get returns the stored definition of id, if registered.
-func (s *filterShard) get(id model.FilterID) (def, bool) {
+// get returns id's cover, if registered.
+func (s *filterShard) get(id model.FilterID) (*cover, bool) {
 	s.mu.RLock()
-	d, ok := s.defs[id]
+	c, ok := s.defs[id]
 	s.mu.RUnlock()
-	return d, ok
+	return c, ok
 }
 
 // filterTable is the index's sharded filter table.
@@ -66,23 +73,12 @@ type filterTable [DefaultShards]filterShard
 
 func (t *filterTable) init() {
 	for i := range t {
-		t[i].defs = make(map[model.FilterID]def)
+		t[i].defs = make(map[model.FilterID]*cover)
 	}
 }
 
 func (t *filterTable) shard(id model.FilterID) *filterShard {
 	return &t[filterShardFor(id)]
-}
-
-// put stores (or replaces) d as id's definition and reports whether the ID
-// had none before.
-func (t *filterTable) put(id model.FilterID, d def) (created bool) {
-	sh := t.shard(id)
-	sh.mu.Lock()
-	_, had := sh.defs[id]
-	sh.defs[id] = d
-	sh.mu.Unlock()
-	return !had
 }
 
 // ids returns the registered IDs in ascending order, each shard read-locked

@@ -9,10 +9,10 @@ import "math/bits"
 //
 // The representation is roaring-style with three container forms:
 //
-//   - inline: a set that has only ever held one slot keeps it in the
-//     16-byte slotSet value itself — no slice header, no heap array. When
-//     subscriptions do not share predicates nearly every (term, cover)
-//     container is this form, so it is what bounds bytes per filter.
+//   - inline: a set that has only ever held one slot keeps it in the 4-byte
+//     slotSet value itself — no heap half. When subscriptions do not share
+//     predicates nearly every (term, cover) container is this form, so it is
+//     what bounds bytes per filter.
 //   - array: a sorted []uint16 of slot indexes, used from the second member
 //     while the set holds fewer than slotArrayMax entries and every slot
 //     fits in 16 bits: 2 bytes per member.
@@ -21,15 +21,23 @@ import "math/bits"
 //     thousands of members cost 1 bit per slot instead of an 8-byte
 //     per-filter posting entry.
 //
+// The two promoted forms live in a slotBig, held by the term shard's
+// slotSets table; the slotSet names it by its index there. So a posting
+// entry carries no pointer for a set that never promoted.
+//
 // Promotion is one-way (inline → array → bitmap); clears never demote. The
 // cached cardinality makes the logical posting-list length — what
 // MatchStats charges — an O(1) read.
 //
 // slotSets are guarded by their term shard's RWMutex; they carry no
 // synchronization of their own.
-type slotSet struct {
-	one int32    // inline form: slot+1, 0 when empty; unused once big is set
-	big *slotBig // nil until a second member promotes the set
+type slotSet int32 // > 0: the inline slot+1; < 0: -(i+1) for slotSets.big[i]; 0: empty
+
+// slotSets is a term shard's table of promoted sets: slotBigs by index, and
+// the indexes freed by entries that left, which the next promotion reuses.
+type slotSets struct {
+	big  []*slotBig
+	free []int32
 }
 
 // slotBig is the heap half of a promoted slotSet: the array or bitmap
@@ -45,12 +53,20 @@ type slotBig struct {
 // stops losing to the array on both space and membership-test cost.
 const slotArrayMax = 64
 
-// count returns the cardinality.
-func (s *slotSet) count() int {
-	if s.big != nil {
-		return int(s.big.card)
+// of returns s's promoted container, nil for an inline or empty set.
+func (t *slotSets) of(s slotSet) *slotBig {
+	if s < 0 {
+		return t.big[-s-1]
 	}
-	if s.one != 0 {
+	return nil
+}
+
+// count returns s's cardinality.
+func (t *slotSets) count(s slotSet) int {
+	switch {
+	case s < 0:
+		return int(t.big[-s-1].card)
+	case s > 0:
 		return 1
 	}
 	return 0
@@ -72,11 +88,11 @@ func (b *slotBig) arrFind(slot int) (int, bool) {
 }
 
 // has reports slot membership.
-func (s *slotSet) has(slot int) bool {
-	b := s.big
-	if b == nil {
-		return s.one != 0 && int(s.one-1) == slot
+func (t *slotSets) has(s slotSet, slot int) bool {
+	if s >= 0 {
+		return s != 0 && int(s-1) == slot
 	}
+	b := t.big[-s-1]
 	if b.words != nil {
 		w := slot >> 6
 		return w < len(b.words) && b.words[w]&(1<<(uint(slot)&63)) != 0
@@ -85,21 +101,40 @@ func (s *slotSet) has(slot int) bool {
 	return ok
 }
 
-// testAndSet inserts slot, reporting whether it was newly added.
-func (s *slotSet) testAndSet(slot int) bool {
-	if s.big == nil {
-		if s.one == 0 {
-			s.one = int32(slot + 1)
+// testAndSet inserts slot into *s, reporting whether it was newly added.
+// The second distinct slot promotes the set into a slotBig of the table.
+func (t *slotSets) testAndSet(s *slotSet, slot int) bool {
+	if *s >= 0 {
+		if *s == 0 {
+			*s = slotSet(slot + 1)
 			return true
 		}
-		if int(s.one-1) == slot {
+		if int(*s-1) == slot {
 			return false
 		}
-		s.big = &slotBig{}
-		s.big.set(int(s.one - 1))
-		s.one = 0
+		b := &slotBig{}
+		b.set(int(*s - 1))
+		var i int32
+		if n := len(t.free); n > 0 {
+			i = t.free[n-1]
+			t.free = t.free[:n-1]
+			t.big[i] = b
+		} else {
+			i = int32(len(t.big))
+			t.big = append(t.big, b)
+		}
+		*s = slotSet(-i - 1)
 	}
-	return s.big.set(slot)
+	return t.big[-*s-1].set(slot)
+}
+
+// release gives s's promoted container back when its entry leaves the
+// posting list.
+func (t *slotSets) release(s slotSet) {
+	if s < 0 {
+		t.big[-s-1] = nil
+		t.free = append(t.free, int32(-s-1))
+	}
 }
 
 // set inserts slot into the array or bitmap container.
@@ -145,16 +180,16 @@ func (b *slotBig) promote(maxSlot int) {
 	b.arr = nil
 }
 
-// clear removes slot, reporting whether it was present.
-func (s *slotSet) clear(slot int) bool {
-	b := s.big
-	if b == nil {
-		if s.one == 0 || int(s.one-1) != slot {
+// clear removes slot from s, reporting whether it was present.
+func (t *slotSets) clear(s *slotSet, slot int) bool {
+	if *s >= 0 {
+		if *s == 0 || int(*s-1) != slot {
 			return false
 		}
-		s.one = 0
+		*s = 0
 		return true
 	}
+	b := t.big[-*s-1]
 	if b.words != nil {
 		w, mask := slot>>6, uint64(1)<<(uint(slot)&63)
 		if w >= len(b.words) || b.words[w]&mask == 0 {

@@ -13,37 +13,38 @@ import (
 func TestSlotSetMatchesMapSet(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		var sets slotSets
 		var s slotSet
 		ref := map[int]bool{}
 		maxSlot := 1 + rng.Intn(3000)
 		for step := 0; step < 2000; step++ {
 			slot := rng.Intn(maxSlot)
 			if rng.Intn(3) == 0 {
-				if s.clear(slot) != ref[slot] {
+				if sets.clear(&s, slot) != ref[slot] {
 					t.Errorf("seed %d: clear(%d) disagreed", seed, slot)
 					return false
 				}
 				delete(ref, slot)
 			} else {
-				if s.testAndSet(slot) != !ref[slot] {
+				if sets.testAndSet(&s, slot) != !ref[slot] {
 					t.Errorf("seed %d: testAndSet(%d) disagreed", seed, slot)
 					return false
 				}
 				ref[slot] = true
 			}
-			if s.count() != len(ref) {
-				t.Errorf("seed %d: count=%d ref=%d", seed, s.count(), len(ref))
+			if sets.count(s) != len(ref) {
+				t.Errorf("seed %d: count=%d ref=%d", seed, sets.count(s), len(ref))
 				return false
 			}
 		}
 		for slot := 0; slot < maxSlot; slot++ {
-			if s.has(slot) != ref[slot] {
-				t.Errorf("seed %d: has(%d)=%v ref=%v", seed, slot, s.has(slot), ref[slot])
+			if sets.has(s, slot) != ref[slot] {
+				t.Errorf("seed %d: has(%d)=%v ref=%v", seed, slot, sets.has(s, slot), ref[slot])
 				return false
 			}
 		}
 		prev, n := -1, 0
-		s.forEach(func(slot int) {
+		sets.forEach(s, func(slot int) {
 			if slot <= prev {
 				t.Errorf("seed %d: forEach not ascending: %d after %d", seed, slot, prev)
 			}
@@ -65,11 +66,11 @@ func TestSlotSetMatchesMapSet(t *testing.T) {
 }
 
 // slotForm names the container a slotSet currently uses.
-func slotForm(s *slotSet) string {
-	switch {
-	case s.big == nil:
+func slotForm(sets *slotSets, s slotSet) string {
+	switch b := sets.of(s); {
+	case b == nil:
 		return "inline"
-	case s.big.words == nil:
+	case b.words == nil:
 		return "array"
 	default:
 		return "bitmap"
@@ -108,33 +109,34 @@ func TestSlotSetPromotion(t *testing.T) {
 		{"array-drained", []int{7, 3}, []int{7, 3}, "array"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var sets slotSets
 			var s slotSet
 			want := map[int]bool{}
 			for _, v := range tc.insert {
-				if s.testAndSet(v) == want[v] {
+				if sets.testAndSet(&s, v) == want[v] {
 					t.Fatalf("testAndSet(%d) = %v with the slot already present: %v", v, !want[v], want[v])
 				}
 				want[v] = true
 			}
 			for _, v := range tc.clear {
-				if !s.clear(v) {
+				if !sets.clear(&s, v) {
 					t.Fatalf("clear(%d) found nothing", v)
 				}
 				delete(want, v)
 			}
-			if got := slotForm(&s); got != tc.form {
+			if got := slotForm(&sets, s); got != tc.form {
 				t.Fatalf("container = %s, want %s", got, tc.form)
 			}
-			if s.count() != len(want) {
-				t.Fatalf("count = %d, want %d", s.count(), len(want))
+			if sets.count(s) != len(want) {
+				t.Fatalf("count = %d, want %d", sets.count(s), len(want))
 			}
 			for _, v := range tc.insert {
-				if s.has(v) != want[v] {
-					t.Fatalf("has(%d) = %v, want %v", v, s.has(v), want[v])
+				if sets.has(s, v) != want[v] {
+					t.Fatalf("has(%d) = %v, want %v", v, sets.has(s, v), want[v])
 				}
 			}
 			n := 0
-			s.forEach(func(slot int) {
+			sets.forEach(s, func(slot int) {
 				if !want[slot] {
 					t.Fatalf("forEach yielded absent slot %d", slot)
 				}
@@ -148,21 +150,33 @@ func TestSlotSetPromotion(t *testing.T) {
 
 	// The inline form re-arms: a set emptied before it ever grew takes its
 	// next member inline again.
+	var sets slotSets
 	var s slotSet
-	s.testAndSet(4)
-	s.clear(4)
-	s.testAndSet(11)
-	if slotForm(&s) != "inline" || !s.has(11) || s.has(4) {
-		t.Fatalf("emptied inline set: form=%s has(11)=%v has(4)=%v", slotForm(&s), s.has(11), s.has(4))
+	sets.testAndSet(&s, 4)
+	sets.clear(&s, 4)
+	sets.testAndSet(&s, 11)
+	if slotForm(&sets, s) != "inline" || !sets.has(s, 11) || sets.has(s, 4) {
+		t.Fatalf("emptied inline set: form=%s has(11)=%v has(4)=%v", slotForm(&sets, s), sets.has(s, 11), sets.has(s, 4))
+	}
+
+	// A released container's index goes to the next set that promotes.
+	var a, b slotSet
+	sets.testAndSet(&a, 1)
+	sets.testAndSet(&a, 2)
+	sets.release(a)
+	sets.testAndSet(&b, 5)
+	sets.testAndSet(&b, 6)
+	if b != a || len(sets.big) != 1 || !sets.has(b, 5) || sets.has(b, 1) || sets.count(b) != 2 {
+		t.Fatalf("promotion after a release: set %d (released %d), %d containers, count %d", b, a, len(sets.big), sets.count(b))
 	}
 }
 
 // forEach calls fn for every slot of s in ascending order.
-func (s *slotSet) forEach(fn func(slot int)) {
-	b := s.big
+func (t *slotSets) forEach(s slotSet, fn func(slot int)) {
+	b := t.of(s)
 	if b == nil {
-		if s.one != 0 {
-			fn(int(s.one - 1))
+		if s > 0 {
+			fn(int(s - 1))
 		}
 		return
 	}

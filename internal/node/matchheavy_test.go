@@ -92,6 +92,8 @@ func homedAt(tb testing.TB, nd *Node, terms []string) []string {
 // between the homes — and the wire_mixed population of MatchAny filters, which
 // every home they are sent to keeps under all of their terms homed there. Each
 // heap row's ceiling is 5 % above the value measured when it was last set.
+// The match_heavy row is also split by what holds its bytes on the homes,
+// by the parts internal/index's row is split into (testutil.IndexMemComponents).
 func TestMemBudget(t *testing.T) {
 	const filters = 40000
 	homes, bytesPerFilter := matchHeavyHomes(t, filters)
@@ -119,11 +121,38 @@ func TestMemBudget(t *testing.T) {
 		t.Fatalf("the homes hold %d filters between them, want each of the %d once", held, filters)
 	}
 	row("match_heavy through the nodes: posting entries per filter, both homes", float64(postings)/filters, 1.0, "entries/filter")
-	row("match_heavy through the nodes: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 290, "B/filter")
+	row("match_heavy through the nodes: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 217, "B/filter")
+	runtime.KeepAlive(homes)
+
+	// The same population again with every allocation profiled, split by
+	// what holds the bytes on both homes — the index's parts, as
+	// internal/index's TestMemBudget splits its own row, and the rest of what
+	// the register frames left on the nodes. The parts sum to the row above.
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	comps := testutil.IndexMemComponents
+	base := testutil.HeapByComponent(comps)
+	homes, _ = matchHeavyHomes(t, filters)
+	parts := testutil.HeapByComponent(comps)
+	runtime.MemProfileRate = rate
+	var covers, singletons int
+	for _, home := range homes {
+		cs := home.Index().CoverStats()
+		covers += cs.Covers
+		singletons += cs.Singletons
+	}
+	t.Logf("match_heavy through the nodes by component (%d covers, %d singletons):", covers, singletons)
+	for i := range parts {
+		name := "other"
+		if i < len(comps) {
+			name = comps[i].Name
+		}
+		t.Logf("    %-66s %8.1f B/filter", name, (parts[i]-base[i])/filters)
+	}
 	runtime.KeepAlive(homes)
 
 	homes, bytesPerFilter = populationHomes(t, 20000, 16000, 1, model.MatchAny)
-	row("wire_mixed through the nodes: 20k MSN-like MatchAny over 16k terms, 64 subs", bytesPerFilter, 441, "B/filter")
+	row("wire_mixed through the nodes: 20k MSN-like MatchAny over 16k terms, 64 subs", bytesPerFilter, 337, "B/filter")
 	runtime.KeepAlive(homes)
 }
 
