@@ -68,8 +68,9 @@ wire-budget:
 # The index layer's memory microbench: heap bytes one registered filter costs
 # in the three populations the repository benchmark registers, on an index
 # over a store without a data directory (what its daemons run), one row per
-# population; then match_heavy's figure split by what holds the bytes (covers,
-# definitions, posting entries, term arrays, dictionary), the fixed heap of an
+# population; then match_heavy's figure split by what holds the bytes (long
+# predicates, dictionary, posting entries, cover slab chunks, side tables,
+# signature table, filter table: testutil.IndexMemComponents), the fixed heap of an
 # empty index, the bytes a departed filter leaves behind under fresh-ID
 # churn, and the bytes per distinct document term no filter names that a
 # document stream through MatchTerms leaves behind (a match writes nothing
@@ -79,7 +80,8 @@ wire-budget:
 # a two-node ring, each sent its share as the benchmark's harness sends it: the
 # home of a MatchAll filter's key term keeps it, keyed once, the other declines
 # it — filters held and posting entries per filter cluster-wide (exactly 1.0
-# each) and the heap bytes per filter over both homes. Then the churn soak
+# each), the heap bytes per filter over both homes and the part of them the
+# garbage collector scans (/gc/scan/heap:bytes). Then the churn soak
 # (TestMemChurnSoak, both packages): rounds of fresh-ID unregister/register
 # pairs at a constant live population, on a bare index and through Handle on
 # a two-home ring with a committed grid; the post-GC heap after the last round

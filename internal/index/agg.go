@@ -31,9 +31,9 @@ import (
 // postingEntry is one (term, cover) posting entry: the compressed
 // replacement for a run of per-filter posting entries sharing a signature.
 // set holds the member slots posted under the term; cid is the cover's ID,
-// so a list is searched without a load from each cover. 16 bytes.
+// its address in the cover slab — so a list is searched without a load from
+// any cover, and holds no pointer. 8 bytes.
 type postingEntry struct {
-	c   *cover
 	cid uint32
 	set slotSet
 }
@@ -82,10 +82,10 @@ func (s *termShard) posting(term uint32) *posting {
 	return nil
 }
 
-// add sets (c, slot)'s bit under term, inserting the entry as needed.
+// add sets (cid, slot)'s bit under term, inserting the entry as needed.
 // newBit reports whether the bit was not set, newEntry whether the entry
 // was not there.
-func (s *termShard) add(term uint32, c *cover, slot int32) (newBit, newEntry bool) {
+func (s *termShard) add(term, cid uint32, slot int32) (newBit, newEntry bool) {
 	s.mu.Lock()
 	if i := int(term >> shardBits); i >= cap(s.lists) {
 		// An eighth of headroom, not append's doubling: term IDs arrive one
@@ -97,9 +97,9 @@ func (s *termShard) add(term uint32, c *cover, slot int32) (newBit, newEntry boo
 		s.lists = s.lists[:i+1]
 	}
 	p := &s.lists[term>>shardBits]
-	i, ok := p.find(c.id)
+	i, ok := p.find(cid)
 	if !ok {
-		p.entries = slices.Insert(p.entries, i, postingEntry{c: c, cid: c.id})
+		p.entries = slices.Insert(p.entries, i, postingEntry{cid: cid})
 	}
 	if s.sets.testAndSet(&p.entries[i].set, int(slot)) {
 		p.card++
@@ -109,17 +109,17 @@ func (s *termShard) add(term uint32, c *cover, slot int32) (newBit, newEntry boo
 	return newBit, !ok
 }
 
-// clear clears (c, slot)'s bit under term and drops the entry once it holds
-// no bit, so a retiring cover leaves no entry behind. cleared reports
+// clear clears (cid, slot)'s bit under term and drops the entry once it
+// holds no bit, so a retiring cover leaves no entry behind. cleared reports
 // whether the bit was set, gone whether the entry went.
-func (s *termShard) clear(term uint32, c *cover, slot int32) (cleared, gone bool) {
+func (s *termShard) clear(term, cid uint32, slot int32) (cleared, gone bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.posting(term)
 	if p == nil {
 		return false, false
 	}
-	i, ok := p.find(c.id)
+	i, ok := p.find(cid)
 	if !ok {
 		return false, false
 	}
@@ -138,55 +138,55 @@ func (s *termShard) clear(term uint32, c *cover, slot int32) (cleared, gone bool
 	return true, true
 }
 
-// extraTerms records, per cover, the terms outside its signature that it has
-// posting entries under: rare — a grid column replaying a newer definition of
-// a filter it holds under an older one posts the old cover under a term of
-// the new — so one locked map, not a field of every cover. An entry lives
-// until its cover retires.
+// extraTerms records, per cover ID, the terms outside the cover's signature
+// that it has posting entries under: rare — a grid column replaying a newer
+// definition of a filter it holds under an older one posts the old cover
+// under a term of the new — so one locked map, not a field of every cover.
+// An entry lives until its cover retires.
 type extraTerms struct {
 	mu    sync.Mutex
-	terms map[*cover][]uint32
+	terms map[uint32][]uint32
 }
 
-// add records tid as one of c's extra terms.
-func (x *extraTerms) add(c *cover, tid uint32) {
+// add records tid as one of cover cid's extra terms.
+func (x *extraTerms) add(cid, tid uint32) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if !slices.Contains(x.terms[c], tid) {
+	if !slices.Contains(x.terms[cid], tid) {
 		if x.terms == nil {
-			x.terms = make(map[*cover][]uint32)
+			x.terms = make(map[uint32][]uint32)
 		}
-		x.terms[c] = append(x.terms[c], tid)
+		x.terms[cid] = append(x.terms[cid], tid)
 	}
 }
 
-// of returns every term c may have posting entries under: ids, its own,
-// and its extra terms.
-func (x *extraTerms) of(c *cover, ids []uint32) []uint32 {
+// of returns every term cover cid may have posting entries under: ids, its
+// own, and its extra terms.
+func (x *extraTerms) of(cid uint32, ids []uint32) []uint32 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if more := x.terms[c]; len(more) > 0 {
+	if more := x.terms[cid]; len(more) > 0 {
 		return append(slices.Clip(ids), more...)
 	}
 	return ids
 }
 
 // forget drops a retired cover's record.
-func (x *extraTerms) forget(c *cover) {
+func (x *extraTerms) forget(cid uint32) {
 	x.mu.Lock()
-	delete(x.terms, c)
+	delete(x.terms, cid)
 	x.mu.Unlock()
 }
 
-// holds reports whether term's posting list holds (c, slot).
-func (s *termShard) holds(term uint32, c *cover, slot int32) bool {
+// holds reports whether term's posting list holds (cid, slot).
+func (s *termShard) holds(term, cid uint32, slot int32) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := s.posting(term)
 	if p == nil {
 		return false
 	}
-	i, ok := p.find(c.id)
+	i, ok := p.find(cid)
 	return ok && s.sets.has(p.entries[i].set, int(slot))
 }
 
@@ -216,14 +216,13 @@ func (ix *Index) ownTerms(f *model.Filter) []string {
 // under the same signature — keeps its slot and takes f's subscriber,
 // written under the shard's write lock, which the match path reads a
 // member's subscriber under.
-func (ix *Index) join(sh *filterShard, f *model.Filter) (c *cover, slot int32, created bool) {
+func (ix *Index) join(sh *filterShard, f *model.Filter) (cid uint32, slot int32, created bool) {
 	sub := ix.subs.share(f.Subscriber)
-	c, slot, joined := ix.joinCover(f, sub)
+	cid, slot, joined := ix.joinCover(f, sub)
 	own := ix.ownTerms(f)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, had := sh.defs[f.ID]
-	sh.defs[f.ID] = c
+	had := sh.put(f.ID, cid)
 	if own != nil {
 		if sh.own == nil {
 			sh.own = make(map[model.FilterID][]string)
@@ -233,33 +232,12 @@ func (ix *Index) join(sh *filterShard, f *model.Filter) (c *cover, slot int32, c
 		delete(sh.own, f.ID)
 	}
 	if !joined {
-		mu := ix.coverMu(c)
+		mu := ix.coverMu(cid)
 		mu.Lock()
-		c.setSub(slot, sub)
+		ix.setSub(cid, slot, sub)
 		mu.Unlock()
 	}
-	return c, slot, !had
-}
-
-// lookup returns id's definition: its cover, subscriber and own term order.
-func (ix *Index) lookup(id model.FilterID) (c *cover, sub string, own []string, ok bool) {
-	sh := ix.defs.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if c, ok = sh.defs[id]; !ok {
-		return nil, "", nil, false
-	}
-	return c, ix.subOf(c, id), sh.own[id], true
-}
-
-// termsOf spells a definition's Terms: its own array, or the cover's term
-// set in canonical order, written out from the dictionary into a fresh
-// slice.
-func (ix *Index) termsOf(c *cover, own []string) []string {
-	if own != nil {
-		return own
-	}
-	return ix.dict.canonical(c.terms())
+	return cid, slot, !had
 }
 
 // strictlySorted reports whether terms is in canonical order: ascending,
@@ -273,20 +251,20 @@ func strictlySorted(terms []string) bool {
 	return true
 }
 
-// post sets (c, slot)'s bit under each of terms, writing a posting operand
+// post sets (cid, slot)'s bit under each of terms, writing a posting operand
 // through for every bit it sets unless the bits are being recovered from the
-// store, and returns the term IDs it posted under. A term c does not name —
-// a grid column's replay of a newer definition than the one it holds —
-// is recorded as one of the cover's extra terms first.
-func (ix *Index) post(c *cover, slot int32, id model.FilterID, terms []string, write bool) ([]uint32, error) {
-	var posted []uint32
+// store, and returns the term IDs it posted under, appended to posted. A term
+// the cover does not name — a grid column's replay of a newer definition than
+// the one it holds — is recorded as one of the cover's extra terms first.
+func (ix *Index) post(cid uint32, slot int32, id model.FilterID, terms []string, write bool, posted []uint32) ([]uint32, error) {
+	c := ix.slab.rec(cid)
 	for _, t := range terms {
 		tid := ix.dict.intern(t)
-		if !c.names(tid) {
-			ix.extra.add(c, tid)
+		if !ix.slab.names(c, tid) {
+			ix.extra.add(cid, tid)
 		}
 		posted = append(posted, tid)
-		newBit, newEntry := ix.termShard(tid).add(tid, c, slot)
+		newBit, newEntry := ix.termShard(tid).add(tid, cid, slot)
 		if newEntry {
 			ix.storedEntries.Add(1)
 		}
@@ -303,15 +281,15 @@ func (ix *Index) post(c *cover, slot int32, id model.FilterID, terms []string, w
 	return posted, nil
 }
 
-// drop takes id, the member in slot, out of c: its bit leaves every entry of
-// the cover, under the cover's terms and its extra ones — with a removal
-// operand written through for each term but those in keep, the terms the
-// same filter was just posted under in its new cover — and the slot is
+// drop takes id, the member in slot, out of cover cid: its bit leaves every
+// entry of the cover, under the cover's terms and its extra ones — with a
+// removal operand written through for each term but those in keep, the terms
+// the same filter was just posted under in its new cover — and the slot is
 // vacated, retiring the cover when it was the last member.
-func (ix *Index) drop(c *cover, slot int32, id model.FilterID, keep []uint32) error {
+func (ix *Index) drop(cid uint32, slot int32, id model.FilterID, keep []uint32) error {
 	var err error
-	for _, tid := range ix.extra.of(c, c.terms()) {
-		cleared, gone := ix.termShard(tid).clear(tid, c, slot)
+	for _, tid := range ix.extra.of(cid, ix.slab.terms(ix.slab.rec(cid))) {
+		cleared, gone := ix.termShard(tid).clear(tid, cid, slot)
 		if gone {
 			ix.storedEntries.Add(-1)
 		}
@@ -322,7 +300,7 @@ func (ix *Index) drop(c *cover, slot int32, id model.FilterID, keep []uint32) er
 			}
 		}
 	}
-	ix.leave(c, slot)
+	ix.leave(cid, slot)
 	return err
 }
 
@@ -354,12 +332,13 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 		return err
 	}
 	old, had := sh.get(f.ID)
-	c, slot, created := ix.join(sh, &f)
+	cid, slot, created := ix.join(sh, &f)
 	if created {
 		ix.numFilters.Add(1)
 	}
-	posted, err := ix.post(c, slot, f.ID, postingTerms, true)
-	if had && old != c {
+	var buf [8]uint32
+	posted, err := ix.post(cid, slot, f.ID, postingTerms, true, buf[:0])
+	if had && old != cid {
 		oldSlot, _ := ix.slotIndex(old, f.ID)
 		if e := ix.drop(old, oldSlot, f.ID, posted); err == nil {
 			err = e
@@ -388,20 +367,20 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 	sh := ix.defs.shard(f.ID)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	c, ok := sh.get(f.ID)
+	cid, ok := sh.get(f.ID)
 	var slot int32
 	if ok {
 		// A copy already existed, possibly under a different signature; the
 		// bits belong with the definition the match path will read.
-		slot, _ = ix.slotIndex(c, f.ID)
+		slot, _ = ix.slotIndex(cid, f.ID)
 	} else {
 		if err := ix.storeFilter(f); err != nil {
 			return false, err
 		}
-		c, slot, _ = ix.join(sh, &f)
+		cid, slot, _ = ix.join(sh, &f)
 		ix.numFilters.Add(1)
 	}
-	_, err := ix.post(c, slot, f.ID, postingTerms, true)
+	_, err := ix.post(cid, slot, f.ID, postingTerms, true, nil)
 	return !ok, err
 }
 
@@ -415,7 +394,7 @@ func (ix *Index) Unregister(id model.FilterID) error {
 	sh := ix.defs.shard(id)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	c, present := sh.get(id)
+	cid, present := sh.get(id)
 	if !present {
 		return nil
 	}
@@ -423,30 +402,34 @@ func (ix *Index) Unregister(id model.FilterID) error {
 		return err
 	}
 	sh.mu.Lock()
-	delete(sh.defs, id)
+	sh.delete(id)
 	delete(sh.own, id)
 	sh.mu.Unlock()
 	ix.numFilters.Add(-1)
-	slot, _ := ix.slotIndex(c, id)
-	return ix.drop(c, slot, id, nil)
+	slot, _ := ix.slotIndex(cid, id)
+	return ix.drop(cid, slot, id, nil)
 }
 
 // PostedUnder returns, in the order given, the terms whose posting list holds
 // id. Read-only: it is how a node repeats a posting choice (re-registration,
 // migration) instead of making it again. An unregistered id is posted under
-// nothing.
+// nothing. It holds the ID's writer lock, so the cover it reads the slot of
+// stays id's.
 func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
-	c, ok := ix.defs.shard(id).get(id)
+	sh := ix.defs.shard(id)
+	sh.wmu.Lock()
+	defer sh.wmu.Unlock()
+	cid, ok := sh.get(id)
 	if !ok {
 		return nil
 	}
-	slot, ok := ix.slotIndex(c, id)
+	slot, ok := ix.slotIndex(cid, id)
 	if !ok {
 		return nil
 	}
 	var posted []string
 	for _, t := range terms {
-		if tid := ix.dict.lookup(t); tid != noTerm && ix.termShard(tid).holds(tid, c, slot) {
+		if tid := ix.dict.lookup(t); tid != noTerm && ix.termShard(tid).holds(tid, cid, slot) {
 			posted = append(posted, t)
 		}
 	}
@@ -472,9 +455,9 @@ func (ix *Index) loadFromStore() error {
 	return ix.postings.Each(func(t string, ids []model.FilterID) bool {
 		term := [1]string{t}
 		for _, id := range ids {
-			if c, ok := ix.defs.shard(id).get(id); ok {
-				slot, _ := ix.slotIndex(c, id)
-				ix.post(c, slot, id, term[:], false)
+			if cid, ok := ix.defs.shard(id).get(id); ok {
+				slot, _ := ix.slotIndex(cid, id)
+				ix.post(cid, slot, id, term[:], false, nil)
 			}
 		}
 		return true

@@ -145,18 +145,23 @@ func (sc *matchScratch) setMemo(id, state, covers uint32) {
 // membership tests with early exit. MatchAll probes the highest ID first —
 // IDs are assigned in order of first registration, so it is the term the
 // node learned last and, under skewed popularity, the one a document is
-// least likely to hold.
-func coverMatches(c *cover, sc *matchScratch) bool {
-	ids := c.terms()
+// least likely to hold. A long predicate keeps its two highest IDs in the
+// record, so a MatchAll cover that fails on them is decided without a read
+// of its array.
+func coverMatches(slab *coverSlab, c *cover, sc *matchScratch) bool {
 	switch c.mode() {
 	case model.MatchAny:
-		for _, id := range ids {
+		for _, id := range slab.terms(c) {
 			if sc.has(id) {
 				return true
 			}
 		}
 		return false
 	case model.MatchAll:
+		if c.flags.Load()>>coverTermsShift&coverTermsMask == 0 && (!sc.has(c.ids[2]) || !sc.has(c.ids[3])) {
+			return false
+		}
+		ids := slab.terms(c)
 		for i := len(ids) - 1; i >= 0; i-- {
 			if !sc.has(ids[i]) {
 				return false
@@ -192,12 +197,12 @@ func (r *matchRun) results() []model.Filter {
 // scanPosting decides every entry of p, a list of term shard sh, against
 // the document.
 func (r *matchRun) scanPosting(sh *termShard, p *posting) {
+	slab := &r.ix.slab
 	for i := range p.entries {
 		e := &p.entries[i]
-		c := e.c
 		memo := memoUnseen
 		if r.multi {
-			memo = r.sc.memoOf(c.id)
+			memo = r.sc.memoOf(e.cid)
 		}
 		switch memo {
 		case memoSkipped:
@@ -206,7 +211,8 @@ func (r *matchRun) scanPosting(sh *termShard, p *posting) {
 		case memoWalked:
 			r.walk(sh, e, verdictNoMatch)
 		default:
-			if coverMatches(c, r.sc) {
+			c := slab.rec(e.cid)
+			if coverMatches(slab, c, r.sc) {
 				memo = memoMatch
 				r.walk(sh, e, verdictMatch)
 			} else if n := sh.sets.count(e.set); !r.multi || n == c.members() {
@@ -219,7 +225,7 @@ func (r *matchRun) scanPosting(sh *termShard, p *posting) {
 				r.walk(sh, e, verdictNoMatch)
 			}
 			if r.multi {
-				r.sc.setMemo(c.id, memo, r.ix.coverIDs.seq.Load())
+				r.sc.setMemo(e.cid, memo, r.ix.coverIDs.seq.Load())
 			}
 		}
 	}
@@ -229,45 +235,48 @@ func (r *matchRun) scanPosting(sh *termShard, p *posting) {
 // (word-wise for bitmap containers) so the warm path stays allocation-free.
 // verdict is the cover's verdict when the caller knows it.
 func (r *matchRun) walk(sh *termShard, e *postingEntry, verdict uint8) {
-	c := e.c
+	cid, slab := e.cid, &r.ix.slab
+	c := slab.rec(cid)
 	if e.set == 0 || e.set == 1 {
 		// At most slot 0, the inline member: read without the cover lock
 		// (cover.first).
 		if e.set == 1 {
-			r.emit(c, c.first, &c.sub, verdict)
+			r.emit(cid, c, c.first, slab.sub(cid), verdict)
 		}
 		return
 	}
 	// Some other slot: a second member joined before its bit was set.
-	mu := r.ix.coverMu(c)
+	mu := r.ix.coverMu(cid)
 	mu.Lock()
-	slots, subs := c.more.slots, c.more.subs
+	m := slab.membersOf(c)
+	slots, subs := m.slots, m.subs
 	mu.Unlock()
 	b := sh.sets.of(e.set)
 	switch {
 	case b == nil:
-		r.emit(c, slots[e.set-1], &subs[e.set-1], verdict)
+		r.emit(cid, c, slots[e.set-1], &subs[e.set-1], verdict)
 	case b.words != nil:
 		for w, word := range b.words {
 			for word != 0 {
 				s := w<<6 + trailingZeros(word)
-				verdict = r.emit(c, slots[s], &subs[s], verdict)
+				verdict = r.emit(cid, c, slots[s], &subs[s], verdict)
 				word &= word - 1
 			}
 		}
 	default:
 		for _, v := range b.arr {
-			verdict = r.emit(c, slots[v], &subs[v], verdict)
+			verdict = r.emit(cid, c, slots[v], &subs[v], verdict)
 		}
 	}
 }
 
-// emit decides one member of c, id with its subscriber at sub: dedup,
-// definition lookup, predicate (the cover's verdict for a member whose
-// definition c is, evaluated on first need), result append. sub is read
-// under the member's filter shard's read lock, the lock a re-registration
-// rewrites it under. Returns the cover's verdict as far as it is known.
-func (r *matchRun) emit(c *cover, id model.FilterID, sub *string, verdict uint8) uint8 {
+// emit decides one member of cover cid, record c, id with its subscriber at
+// sub: dedup, definition lookup, predicate (the cover's verdict for a member
+// whose definition the cover is, evaluated on first need), result append.
+// sub is read under the member's filter shard's read lock, the lock a
+// re-registration rewrites it under. Returns the cover's verdict as far as it
+// is known.
+func (r *matchRun) emit(cid uint32, c *cover, id model.FilterID, sub *string, verdict uint8) uint8 {
 	if r.multi {
 		if _, dup := r.sc.seen[id]; dup {
 			return verdict
@@ -276,22 +285,22 @@ func (r *matchRun) emit(c *cover, id model.FilterID, sub *string, verdict uint8)
 	}
 	sh := r.ix.defs.shard(id)
 	sh.mu.RLock()
-	dc, ok := sh.defs[id]
+	dcid := sh.cover(id)
 	var name string
-	if dc == c {
+	if dcid == cid {
 		name = *sub
 	}
 	sh.mu.RUnlock()
-	if !ok {
+	if dcid == 0 {
 		return verdict // unregistering: its bits are on their way out
 	}
 	r.st.Evaluated++
 	mode := c.mode()
 	var isMatch bool
-	if dc == c {
+	if dcid == cid {
 		if verdict == 0 {
 			verdict = verdictNoMatch
-			if coverMatches(c, r.sc) {
+			if coverMatches(&r.ix.slab, c, r.sc) {
 				verdict = verdictMatch
 			}
 		}
@@ -301,12 +310,11 @@ func (r *matchRun) emit(c *cover, id model.FilterID, sub *string, verdict uint8)
 		// cover yet: evaluate its current definition individually, its terms
 		// spelled from the dictionary — they may be newer than the call's ID
 		// set. Rare, and exactness beats the fast path.
-		nc, nsub, own, ok := r.ix.lookup(id)
+		f, ok, _ := r.ix.GetFilter(id)
 		if !ok {
 			return verdict
 		}
-		name, mode = nsub, nc.mode()
-		f := model.Filter{Terms: r.ix.termsOf(nc, own), Mode: mode}
+		name, mode = f.Subscriber, f.Mode
 		isMatch = evaluate(&f, r.view)
 	}
 	if isMatch {

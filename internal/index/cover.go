@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"github.com/movesys/move/internal/model"
 )
@@ -16,8 +15,8 @@ import (
 // records which members were posted under that term; the cover itself is
 // the expansion table mapping that compressed entry back to concrete filter
 // IDs and their subscribers. It is also where a member's predicate is
-// stored: the filter table maps an ID to its cover and nothing else, and a
-// filter is a slot of its cover.
+// stored: the filter table maps an ID to its cover ID and nothing else, and
+// a filter is a slot of its cover.
 //
 // Members get dense slot indexes. A member that unregisters, or re-registers
 // under another signature, takes its posting bits with it and vacates its
@@ -26,41 +25,44 @@ import (
 // what the index holds follows the filters registered now, not the ones that
 // ever were (DESIGN.md §15).
 //
-// When subscriptions do not share predicates nearly every cover has one
-// member for life, so that shape is the one priced, at 64 bytes: slot 0's ID
-// and subscriber are held inline (first, sub), and so is a predicate of up to
-// coverInline terms (ids); everything a group needs — the slot and
-// subscriber tables, the member→slot map, the vacated slots — sits behind
-// more, allocated when a second member joins. The membership lock is not a
-// field either: Index.coverMu stripes it by cover ID.
+// A cover is a record in the index's cover slab (coverSlab), addressed by its
+// cover ID, and holds no pointer. When subscriptions do not share predicates
+// nearly every cover has one member for life, so that shape is the one
+// priced, at 32 bytes and the slab's 16-byte subscriber beside it: slot 0's
+// ID is held inline (first), and so is a predicate of up to coverInline terms
+// (ids); a longer predicate and everything a group needs — the slot and
+// subscriber tables, the member→slot map, the vacated slots — sit in the
+// slab's side tables, the group's allocated when a second member joins. The
+// membership lock is not a field either: Index.coverMu stripes it by cover
+// ID.
 type cover struct {
-	id uint32
 	// flags is the lock-free summary the match path reads: the match mode and
-	// the inline term count (both immutable), the retired mark and the member
-	// count above them. Stored under the cover's lock, loaded without it.
+	// the inline term count (both immutable) and the member count above
+	// them. Stored under the cover's lock, loaded without it.
 	flags atomic.Uint32
-	// ids is the predicate, and the only copy of it the index keeps: the term
-	// set as sorted, deduplicated dictionary IDs, inline when it has at most
-	// coverInline terms. A longer one is an array of its own at long, its
-	// length in ids[0]. Immutable. The match path evaluates them; GetFilter
-	// and EachFilter spell them back into strings. They are also the terms
-	// the cover has posting entries under, but for the rare extra ones
-	// (Index.extra).
-	ids  [coverInline]uint32
-	long *uint32
-	// first and sub are the member in slot 0 and its subscriber. first and a
-	// joining member's sub are written under the cover's lock when slot 0 is
+	// more indexes the cover's member table in the slab's members side
+	// table; 0 until a second member joins.
+	more uint32
+	// first is the member in slot 0; its subscriber is the slab's
+	// sub(cover ID). Both are written under the cover's lock when slot 0 is
 	// assigned — before any posting entry can carry the slot's bit, since a
 	// bit is set only after its member joined — and only rewritten once the
 	// slot is vacant, which its member's bits must have left first. A reader
 	// that found slot 0's bit under a term shard's lock therefore reads them
 	// without the cover's lock. A re-registration under the same signature
-	// rewrites sub in place under the member's filter shard's write lock as
-	// well, so the match path reads it under that shard's read lock.
+	// rewrites the subscriber in place under the member's filter shard's
+	// write lock as well, so the match path reads it under that shard's read
+	// lock.
 	first model.FilterID
-	sub   string
-	// more is nil until a second member joins.
-	more *coverMembers
+	// ids is the predicate, and the only copy of it the index keeps: the term
+	// set as sorted, deduplicated dictionary IDs, inline when it has at most
+	// coverInline terms. A longer one is an array in the slab's longs side
+	// table: its length in ids[0], its index there in ids[1], and its two
+	// highest IDs in ids[2] and ids[3] — where a MatchAll evaluation starts,
+	// and nearly always ends. Immutable. The match path evaluates them;
+	// GetFilter and EachFilter spell them back into strings. They are also the terms the cover has posting entries
+	// under, but for the rare extra ones (Index.extra).
+	ids [coverInline]uint32
 }
 
 // coverInline is the longest predicate a cover holds inline.
@@ -70,8 +72,8 @@ const coverInline = 4
 // member. Guarded by the cover's lock.
 type coverMembers struct {
 	// slots maps slot to member, subs slot to the member's subscriber;
-	// slots[0] is cover.first and subs[0] cover.sub. A vacant slot keeps
-	// what left it until it is reused. subs is written as cover.sub is.
+	// slots[0] is cover.first and subs[0] the slab's sub. A vacant slot keeps
+	// what left it until it is reused. subs is written as the slab's sub is.
 	slots []model.FilterID
 	subs  []string
 	// slotOf accelerates member→slot lookup but is built lazily, once the
@@ -83,18 +85,13 @@ type coverMembers struct {
 	vacant []int32
 }
 
-// cover.flags: the match mode in the low bits, the retired mark, the inline
-// term count (0 for a predicate held at cover.long), the member count above
-// them.
+// cover.flags: the match mode in the low bits, the inline term count (0 for
+// a predicate in the longs side table), the member count above them.
 const (
-	coverModeMask = uint32(3)
-	// coverRetired: the cover lost its last member and left the signature
-	// table. A registration that found it there before that retries
-	// (Index.joinCover); nothing else reads it again.
-	coverRetired    = uint32(1) << 2
-	coverTermsShift = 3
+	coverModeMask   = uint32(3)
+	coverTermsShift = 2
 	coverTermsMask  = uint32(7)
-	coverCountShift = 6
+	coverCountShift = 5
 	coverOneMember  = uint32(1) << coverCountShift
 )
 
@@ -108,34 +105,9 @@ func (c *cover) members() int {
 	return int(c.flags.Load() >> coverCountShift)
 }
 
-// terms returns the cover's predicate: its sorted, distinct term IDs. The
-// slice aliases the cover and must not be written.
-func (c *cover) terms() []uint32 {
-	if n := c.flags.Load() >> coverTermsShift & coverTermsMask; n != 0 {
-		return c.ids[:n:n]
-	}
-	return unsafe.Slice(c.long, c.ids[0])
-}
-
-// newCover returns a cover of signature (mode, ids) with no member: the
-// predicate inline when it fits, an array of its own otherwise.
-func newCover(id uint32, mode model.MatchMode, ids []uint32) *cover {
-	c := &cover{id: id}
-	flags := uint32(mode) & coverModeMask
-	if len(ids) <= coverInline {
-		copy(c.ids[:], ids)
-		flags |= uint32(len(ids)) << coverTermsShift
-	} else {
-		c.long = &slices.Clone(ids)[0]
-		c.ids[0] = uint32(len(ids))
-	}
-	c.flags.Store(flags)
-	return c
-}
-
 // sigHash hashes a cover's canonical signature — mode and the sorted term
 // IDs — with FNV-1a over the integers themselves. Its low bits pick the
-// signature shard, the whole value keys the shard's table.
+// signature shard, the whole value the shard table's first probe.
 func sigHash(mode model.MatchMode, ids []uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -148,108 +120,110 @@ func sigHash(mode model.MatchMode, ids []uint32) uint64 {
 	return h
 }
 
-// coverSigShard interns covers by signature: a table keyed by sigHash — so a
-// cover costs one 16-byte table slot, not a key string of its own — and a
-// spill list for the covers whose sigHash another signature's cover holds
-// the table's slot for. That takes a 64-bit hash collision: spill is empty
-// but for tests that plant one.
-//
-// Covers retire and new ones take their place as subscribers come and go,
-// and a Go map reclaims the tombstones its deletes leave only by growing, so
-// under that churn it grows past what it holds. The table is therefore
-// copied into a fresh one, sized to what is live, once it has seen twice as
-// many removals as it holds covers.
+// coverSigShard interns covers by signature: an open-addressed table of
+// cover IDs, probed linearly from the signature's hash, in which a probe
+// compares the record's own signature — so a cover costs the table one
+// 4-byte slot, and a 64-bit hash collision is told apart like any other
+// neighbour. A removal moves the later entries of its probe run back
+// (backward shift) instead of leaving a tombstone, so covers retiring and
+// new ones taking their place leave the table as full as what is live, and
+// the table is resized to twice what is live when it passes three quarters
+// full or falls under a quarter.
 type coverSigShard struct {
-	mu      sync.Mutex
-	covers  map[uint64]*cover
-	spill   []*cover
-	removed int
+	mu    sync.Mutex
+	slots []uint32 // cover IDs; 0 marks an empty slot
+	n     int
 }
 
-// find returns the cover of signature (mode, ids), hashed to h, or nil.
+// find returns the cover of signature (mode, ids), hashed to h, or 0.
 // Caller holds s.mu.
-func (s *coverSigShard) find(h uint64, mode model.MatchMode, ids []uint32) *cover {
-	c := s.covers[h]
-	if c == nil || c.hasSig(mode, ids) {
-		return c
+func (s *coverSigShard) find(slab *coverSlab, h uint64, mode model.MatchMode, ids []uint32) uint32 {
+	if len(s.slots) == 0 {
+		return 0
 	}
-	for _, c := range s.spill {
-		if c.hasSig(mode, ids) {
-			return c
-		}
-	}
-	return nil
-}
-
-// insert adds c, hashed to h. Caller holds s.mu.
-func (s *coverSigShard) insert(h uint64, c *cover) {
-	if s.covers[h] == nil {
-		s.covers[h] = c
-	} else {
-		s.spill = append(s.spill, c)
-	}
-}
-
-// remove takes c, hashed to h, out of the shard. A spilled cover of the same
-// hash takes a removed table slot over, so find never needs the spill list
-// behind an empty slot. Caller holds s.mu.
-func (s *coverSigShard) remove(h uint64, c *cover) {
-	if s.covers[h] != c {
-		if i := slices.Index(s.spill, c); i >= 0 {
-			s.spill = slices.Delete(s.spill, i, i+1)
-		}
-		return
-	}
-	delete(s.covers, h)
-	if s.removed++; s.removed > 2*len(s.covers)+64 {
-		fresh := make(map[uint64]*cover, len(s.covers))
-		for k, v := range s.covers {
-			fresh[k] = v
-		}
-		s.covers, s.removed = fresh, 0
-	}
-	for i, o := range s.spill {
-		if sigHash(o.mode(), o.terms()) == h {
-			s.covers[h] = o
-			s.spill = slices.Delete(s.spill, i, i+1)
-			return
+	for i := probeStart(h, len(s.slots)); ; i = probeNext(i, len(s.slots)) {
+		if cid := s.slots[i]; cid == 0 || slab.hasSig(slab.rec(cid), mode, ids) {
+			return cid
 		}
 	}
 }
 
-// hasSig reports whether c's signature is exactly this one.
-func (c *cover) hasSig(mode model.MatchMode, ids []uint32) bool {
-	return c.mode() == mode && slices.Equal(c.terms(), ids)
+// insert adds cover cid, hashed to h. Caller holds s.mu.
+func (s *coverSigShard) insert(slab *coverSlab, h uint64, cid uint32) {
+	if (s.n+1)*4 > len(s.slots)*3 {
+		s.resize(slab, 2*(s.n+1)+8)
+	}
+	s.place(h, cid)
+	s.n++
 }
 
-// names reports whether term ID tid is one of the cover's terms.
-func (c *cover) names(tid uint32) bool {
-	_, ok := slices.BinarySearch(c.terms(), tid)
+// place puts cid in the first empty slot of h's probe run.
+func (s *coverSigShard) place(h uint64, cid uint32) {
+	i := probeStart(h, len(s.slots))
+	for s.slots[i] != 0 {
+		i = probeNext(i, len(s.slots))
+	}
+	s.slots[i] = cid
+}
+
+// remove takes cover cid, hashed to h, out of the shard. Caller holds s.mu.
+func (s *coverSigShard) remove(slab *coverSlab, h uint64, cid uint32) {
+	hole := probeStart(h, len(s.slots))
+	for s.slots[hole] != cid {
+		hole = probeNext(hole, len(s.slots))
+	}
+	for j := probeNext(hole, len(s.slots)); s.slots[j] != 0; j = probeNext(j, len(s.slots)) {
+		if fillsHole(hole, j, probeStart(slab.sigHashOf(s.slots[j]), len(s.slots))) {
+			s.slots[hole] = s.slots[j]
+			hole = j
+		}
+	}
+	s.slots[hole] = 0
+	if s.n--; len(s.slots) > 16 && s.n*4 < len(s.slots) {
+		s.resize(slab, 2*s.n+8)
+	}
+}
+
+// resize moves the table into n slots.
+func (s *coverSigShard) resize(slab *coverSlab, n int) {
+	old := s.slots
+	s.slots = make([]uint32, n)
+	for _, cid := range old {
+		if cid != 0 {
+			s.place(slab.sigHashOf(cid), cid)
+		}
+	}
+}
+
+// names reports whether term ID tid is one of c's terms.
+func (s *coverSlab) names(c *cover, tid uint32) bool {
+	_, ok := slices.BinarySearch(s.terms(c), tid)
 	return ok
 }
 
-// coverMu returns c's lock: one of DefaultShards mutexes, picked by cover ID.
-// A lock guards membership — cover.more, the member count in flags — so no
-// caller ever holds two of them at once.
-func (ix *Index) coverMu(c *cover) *sync.Mutex {
-	return &ix.coverLocks[c.id&shardMask]
+// coverMu returns cover cid's lock: one of DefaultShards mutexes, picked by
+// cover ID. A lock guards membership — cover.more, the member count in
+// flags, the slot-0 member and subscriber — so no caller ever holds two of
+// them at once.
+func (ix *Index) coverMu(cid uint32) *sync.Mutex {
+	return &ix.coverLocks[cid&shardMask]
 }
 
 // coverSlotMapMin is the slot count at which a cover materializes its slotOf
 // map; below it, findSlot scans the slots slice.
 const coverSlotMapMin = 16
 
-// findSlot returns id's slot, if id is a member: the inline one, or via the
-// map when materialized or a linear scan of the (small) slots slice
-// otherwise. Caller holds c's lock.
-func (c *cover) findSlot(id model.FilterID) (int32, bool) {
-	m := c.more
+// findSlot returns id's slot in cover c, if id is a member: the inline one,
+// or via the map when materialized or a linear scan of the (small) slots
+// slice otherwise. Caller holds c's lock.
+func (s *coverSlab) findSlot(c *cover, id model.FilterID) (int32, bool) {
+	m := s.membersOf(c)
 	if m == nil {
 		return 0, c.flags.Load() >= coverOneMember && c.first == id
 	}
 	if m.slotOf != nil {
-		s, ok := m.slotOf[id]
-		return s, ok
+		slot, ok := m.slotOf[id]
+		return slot, ok
 	}
 	for i, member := range m.slots {
 		if member == id && !slices.Contains(m.vacant, int32(i)) {
@@ -259,57 +233,59 @@ func (c *cover) findSlot(id model.FilterID) (int32, bool) {
 	return 0, false
 }
 
-// slotIndex returns id's slot in c, if it is a member.
-func (ix *Index) slotIndex(c *cover, id model.FilterID) (int32, bool) {
-	mu := ix.coverMu(c)
+// slotIndex returns id's slot in cover cid, if it is a member.
+func (ix *Index) slotIndex(cid uint32, id model.FilterID) (int32, bool) {
+	mu := ix.coverMu(cid)
 	mu.Lock()
-	s, ok := c.findSlot(id)
+	s, ok := ix.slab.findSlot(ix.slab.rec(cid), id)
 	mu.Unlock()
 	return s, ok
 }
 
-// subOf returns the subscriber of id, a member of c.
-func (ix *Index) subOf(c *cover, id model.FilterID) string {
-	mu := ix.coverMu(c)
+// subOf returns the subscriber of id, a member of cover cid.
+func (ix *Index) subOf(cid uint32, id model.FilterID) string {
+	mu := ix.coverMu(cid)
 	mu.Lock()
 	defer mu.Unlock()
-	if slot, _ := c.findSlot(id); slot != 0 {
-		return c.more.subs[slot]
+	c := ix.slab.rec(cid)
+	if slot, _ := ix.slab.findSlot(c, id); slot != 0 {
+		return ix.slab.membersOf(c).subs[slot]
 	}
-	return c.sub
+	return *ix.slab.sub(cid)
 }
 
-// setSub rewrites the subscriber of the member in slot. Caller holds c's
-// lock and the member's filter shard's write lock.
-func (c *cover) setSub(slot int32, sub string) {
+// setSub rewrites the subscriber of the member in slot of cover cid. Caller
+// holds the cover's lock and the member's filter shard's write lock.
+func (ix *Index) setSub(cid uint32, slot int32, sub string) {
 	if slot == 0 {
-		c.sub = sub
+		*ix.slab.sub(cid) = sub
 	}
-	if m := c.more; m != nil {
+	if m := ix.slab.membersOf(ix.slab.rec(cid)); m != nil {
 		m.subs[slot] = sub
 	}
 }
 
-// memberSlot returns id's slot, giving it one — a vacant slot first — with
-// subscriber sub when it is not a member yet (joined). The first member takes
-// the inline slot (first); the second allocates the cover's coverMembers
-// (promoted); the lookup map is materialized once the slot table reaches
-// coverSlotMapMin. Caller holds c's lock and has checked that the cover is
-// not retired.
-func (c *cover) memberSlot(id model.FilterID, sub string) (slot int32, joined, first, promoted bool) {
-	if s, ok := c.findSlot(id); ok {
+// memberSlot returns id's slot in cover cid, giving it one — a vacant slot
+// first — with subscriber sub when it is not a member yet (joined). The first
+// member takes the inline slot (first); the second gives the cover its
+// coverMembers (promoted); the lookup map is materialized once the slot
+// table reaches coverSlotMapMin. Caller holds the cover's lock and the lock
+// of its signature shard, which keeps it from retiring.
+func (ix *Index) memberSlot(cid uint32, id model.FilterID, sub string) (slot int32, joined, first, promoted bool) {
+	c := ix.slab.rec(cid)
+	if s, ok := ix.slab.findSlot(c, id); ok {
 		return s, false, false, false
 	}
 	f := c.flags.Load()
-	m := c.more
+	m := ix.slab.membersOf(c)
 	switch {
 	case m == nil && f < coverOneMember:
-		c.first, c.sub = id, sub
+		c.first, *ix.slab.sub(cid) = id, sub
 		first = true
 	case m == nil:
 		m = &coverMembers{slots: make([]model.FilterID, 1, 2), subs: make([]string, 1, 2)}
-		m.slots[0], m.subs[0] = c.first, c.sub
-		c.more = m
+		m.slots[0], m.subs[0] = c.first, *ix.slab.sub(cid)
+		ix.slab.promote(c, m)
 		promoted = true
 		fallthrough
 	case len(m.vacant) == 0:
@@ -327,7 +303,7 @@ func (c *cover) memberSlot(id model.FilterID, sub string) (slot int32, joined, f
 		m.vacant = m.vacant[:len(m.vacant)-1]
 		m.slots[slot], m.subs[slot] = id, sub
 		if slot == 0 {
-			c.first, c.sub = id, sub
+			c.first, *ix.slab.sub(cid) = id, sub
 		}
 	}
 	if m != nil && m.slotOf != nil {
@@ -337,12 +313,12 @@ func (c *cover) memberSlot(id model.FilterID, sub string) (slot int32, joined, f
 	return slot, true, first, promoted
 }
 
-// vacate takes the member out of slot, reporting whether the cover is left
-// without members. Its posting bits must be gone already. Caller holds c's
-// lock.
-func (c *cover) vacate(slot int32) (emptied bool) {
+// vacate takes the member out of slot of cover c, reporting whether the
+// cover is left without members. Its posting bits must be gone already.
+// Caller holds c's lock.
+func (s *coverSlab) vacate(c *cover, slot int32) (emptied bool) {
 	f := c.flags.Load() - coverOneMember
-	if m := c.more; m != nil {
+	if m := s.membersOf(c); m != nil {
 		if m.slotOf != nil {
 			delete(m.slotOf, m.slots[slot])
 		}
@@ -352,17 +328,18 @@ func (c *cover) vacate(slot int32) (emptied bool) {
 	return f < coverOneMember
 }
 
-// rep returns c's representative — the "covering filter" of the subsumption
-// literature: the member in the lowest occupied slot, 0 when the cover has
-// none.
-func (ix *Index) rep(c *cover) model.FilterID {
-	mu := ix.coverMu(c)
+// rep returns cover cid's representative — the "covering filter" of the
+// subsumption literature: the member in the lowest occupied slot, 0 when the
+// cover has none.
+func (ix *Index) rep(cid uint32) model.FilterID {
+	mu := ix.coverMu(cid)
 	mu.Lock()
 	defer mu.Unlock()
+	c := ix.slab.rec(cid)
 	if c.flags.Load() < coverOneMember {
 		return 0
 	}
-	m := c.more
+	m := ix.slab.membersOf(c)
 	if m == nil {
 		return c.first
 	}
@@ -378,12 +355,18 @@ func (ix *Index) rep(c *cover) model.FilterID {
 // predicate signature — the "covering filter" of f's group. ok is false
 // when no such cover exists. Diagnostic/test use.
 func (ix *Index) RepFor(f model.Filter) (model.FilterID, bool) {
-	c := ix.coverOf(&f, false)
-	if c == nil {
+	var buf [8]uint32
+	ids, h, ok := ix.signature(&f, false, buf[:0])
+	if !ok {
 		return 0, false
 	}
-	r := ix.rep(c)
-	return r, c.members() > 0
+	sh := ix.sigShard(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if cid := sh.find(&ix.slab, h, f.Mode, ids); cid != 0 {
+		return ix.rep(cid), true
+	}
+	return 0, false
 }
 
 // sigShard returns the signature shard of a signature hash.
@@ -391,81 +374,77 @@ func (ix *Index) sigShard(h uint64) *coverSigShard {
 	return &ix.sig[h&shardMask]
 }
 
-// coverOf returns the cover of f's predicate signature. With create it
-// interns f's terms and, on first use of the signature, the cover; without,
-// it returns nil when no live cover has that signature.
-func (ix *Index) coverOf(f *model.Filter, create bool) *cover {
-	var idBuf [8]uint32
-	ids := idBuf[:0]
+// signature returns f's canonical term IDs — sorted, deduplicated — and
+// their signature hash. With intern it assigns IDs to terms the dictionary
+// has not seen; without, ok is false when it has not seen one, as no cover
+// can then have the signature.
+// The IDs are appended to buf.
+func (ix *Index) signature(f *model.Filter, intern bool, buf []uint32) (ids []uint32, h uint64, ok bool) {
+	ids = buf[:0]
 	for _, t := range f.Terms {
 		var id uint32
-		if create {
+		if intern {
 			id = ix.dict.intern(t)
 		} else if id = ix.dict.lookup(t); id == noTerm {
-			return nil
+			return nil, 0, false
 		}
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
-	h := sigHash(f.Mode, ids)
+	return ids, sigHash(f.Mode, ids), true
+}
+
+// joinCover makes id a member of the cover of f's signature — creating the
+// cover on first use of the signature — with subscriber sub, and returns the
+// cover and id's slot in it; joined is false when id was a member already —
+// a re-registration under the same signature, whose subscriber the caller
+// rewrites. The signature shard's lock is held from the lookup to the join,
+// and leave takes it to retire a cover, so no registration joins a cover
+// that is retiring.
+func (ix *Index) joinCover(f *model.Filter, sub string) (cid uint32, slot int32, joined bool) {
+	var buf [8]uint32
+	ids, h, _ := ix.signature(f, true, buf[:0])
 	sh := ix.sigShard(h)
 	sh.mu.Lock()
-	c := sh.find(h, f.Mode, ids)
-	if c == nil && create {
-		c = newCover(ix.coverIDs.take(), f.Mode, ids)
-		sh.insert(h, c)
+	if cid = sh.find(&ix.slab, h, f.Mode, ids); cid == 0 {
+		cid = ix.coverIDs.take()
+		ix.slab.init(cid, f.Mode, ids)
+		sh.insert(&ix.slab, h, cid)
 	}
+	mu := ix.coverMu(cid)
+	mu.Lock()
+	slot, joined, first, promoted := ix.memberSlot(cid, f.ID, sub)
+	mu.Unlock()
 	sh.mu.Unlock()
-	return c
-}
-
-// joinCover makes id a member of the cover of f's signature, with
-// subscriber sub, and returns the cover and id's slot in it; joined is false
-// when id was a member already — a re-registration under the same signature,
-// whose subscriber the caller rewrites. A cover coverOf handed out can retire
-// before its lock is taken here — its last member left in between — and then
-// no longer serves the signature: the lookup is repeated, and finds or
-// creates its successor.
-func (ix *Index) joinCover(f *model.Filter, sub string) (c *cover, slot int32, joined bool) {
-	for {
-		c := ix.coverOf(f, true)
-		mu := ix.coverMu(c)
-		mu.Lock()
-		if c.flags.Load()&coverRetired != 0 {
-			mu.Unlock()
-			continue
-		}
-		slot, joined, first, promoted := c.memberSlot(f.ID, sub)
-		mu.Unlock()
-		if first {
-			ix.coversLive.Add(1)
-			ix.singletons.Add(1)
-		} else if promoted {
-			ix.singletons.Add(-1)
-		}
-		return c, slot, joined
+	if first {
+		ix.coversLive.Add(1)
+		ix.singletons.Add(1)
+	} else if promoted {
+		ix.singletons.Add(-1)
 	}
+	return cid, slot, joined
 }
 
-// leave takes the member in slot out of c, whose posting bits it no longer
-// holds, and retires the cover when that was its last member: the cover is
-// marked and taken out of the signature table under the signature shard's
-// lock — the lock coverOf reads the table under — so no registration can
-// join it afterwards (joinCover retries on the mark), and its ID goes back to
-// the pool.
-func (ix *Index) leave(c *cover, slot int32) {
-	h := sigHash(c.mode(), c.terms())
+// leave takes the member in slot out of cover cid, whose posting bits it no
+// longer holds, and retires the cover when that was its last member: the
+// cover is taken out of the signature table under the signature shard's lock
+// — the lock joinCover holds from lookup to join — so no registration can
+// join it afterwards, the slab frees what it held beside the record, and its
+// ID goes back to the pool.
+func (ix *Index) leave(cid uint32, slot int32) {
+	c := ix.slab.rec(cid)
+	h := ix.slab.sigHashOf(cid)
 	sh := ix.sigShard(h)
-	mu := ix.coverMu(c)
+	mu := ix.coverMu(cid)
 	sh.mu.Lock()
 	mu.Lock()
-	emptied := c.vacate(slot)
+	emptied := ix.slab.vacate(c, slot)
+	single := c.more == 0
 	if emptied {
-		c.flags.Store(c.flags.Load() | coverRetired)
-		sh.remove(h, c)
+		sh.remove(&ix.slab, h, cid)
+		ix.slab.retire(cid)
 	}
-	single := c.more == nil
 	mu.Unlock()
 	sh.mu.Unlock()
 	if emptied {
@@ -473,8 +452,8 @@ func (ix *Index) leave(c *cover, slot int32) {
 		if single {
 			ix.singletons.Add(-1)
 		}
-		ix.extra.forget(c)
-		ix.coverIDs.put(c.id)
+		ix.extra.forget(cid)
+		ix.coverIDs.put(cid)
 	}
 }
 

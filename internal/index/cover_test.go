@@ -234,6 +234,21 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 	p.compareAll(t, doc)
 }
 
+// coverOf returns the ID of the live cover of f's predicate signature, 0
+// when there is none. The ID names that cover only while something holds it
+// live.
+func (ix *Index) coverOf(f *model.Filter) uint32 {
+	var buf [8]uint32
+	ids, h, ok := ix.signature(f, false, buf[:0])
+	if !ok {
+		return 0
+	}
+	sh := ix.sigShard(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.find(&ix.slab, h, f.Mode, ids)
+}
+
 // coverShape is what TestCoverShapes reads off a cover under its lock.
 type coverShape struct {
 	slots            int // slot table length (1 for an inline cover)
@@ -246,23 +261,25 @@ type coverShape struct {
 
 func shapeOf(t *testing.T, ix *Index, sig model.Filter) coverShape {
 	t.Helper()
-	c := ix.coverOf(&sig, false)
-	if c == nil {
+	cid := ix.coverOf(&sig)
+	if cid == 0 {
 		t.Fatalf("no cover for %v", sig.Terms)
 	}
-	rep := ix.rep(c)
-	mu := ix.coverMu(c)
+	rep := ix.rep(cid)
+	mu := ix.coverMu(cid)
 	mu.Lock()
 	defer mu.Unlock()
+	c, sub := ix.slab.rec(cid), *ix.slab.sub(cid)
 	slots := 1
-	if m := c.more; m != nil {
+	m := ix.slab.membersOf(c)
+	if m != nil {
 		slots = len(m.slots)
-		if m.slots[0] != c.first || m.subs[0] != c.sub || len(m.subs) != slots || c.members() != slots-len(m.vacant) {
-			t.Fatalf("cover %v: slot table %v, subscribers %v (vacant %v) beside first=%v sub=%q, flags say %d members", sig.Terms, m.slots, m.subs, m.vacant, c.first, c.sub, c.members())
+		if m.slots[0] != c.first || m.subs[0] != sub || len(m.subs) != slots || c.members() != slots-len(m.vacant) {
+			t.Fatalf("cover %v: slot table %v, subscribers %v (vacant %v) beside first=%v sub=%q, flags say %d members", sig.Terms, m.slots, m.subs, m.vacant, c.first, sub, c.members())
 		}
 	}
 	return coverShape{
-		slots: slots, members: c.members(), promoted: c.more != nil,
+		slots: slots, members: c.members(), promoted: m != nil,
 		rep: rep, first: c.first, singletonsInStat: ix.CoverStats().Singletons,
 	}
 }
@@ -270,26 +287,52 @@ func shapeOf(t *testing.T, ix *Index, sig model.Filter) coverShape {
 // retired fails unless no cover serves sig's signature.
 func retired(t *testing.T, ix *Index, sig model.Filter) {
 	t.Helper()
-	if c := ix.coverOf(&sig, false); c != nil {
-		t.Fatalf("cover %v (%d members) still serves its signature", sig.Terms, c.members())
+	if cid := ix.coverOf(&sig); cid != 0 {
+		t.Fatalf("cover %v (%d members) still serves its signature", sig.Terms, ix.slab.rec(cid).members())
 	}
 }
 
-// TestCoverSize pins the structs the singleton shape is priced by: the
-// cover, which holds a filter's predicate, mode and subscriber; the
-// filter-table value, which holds nothing but the cover pointer; and the
-// posting entry.
+// TestCoverSize pins the layout the singleton shape is priced by: the cover
+// record, which holds a filter's predicate, mode and slot-0 member in 32
+// bytes and no pointer — a pointer-bearing field would put the whole slab
+// back on the garbage collector's scan; the filter table's slot, a filter ID
+// and a cover ID; and the posting entry, a cover ID and a slot set, 8 bytes
+// and no pointer.
 func TestCoverSize(t *testing.T) {
-	if size := unsafe.Sizeof(cover{}); size > 64 {
-		t.Fatalf("cover is %d bytes, want at most 64", size)
+	if size := unsafe.Sizeof(cover{}); size != 32 {
+		t.Errorf("cover is %d bytes, want 32", size)
 	}
-	var sh filterShard
-	if size := unsafe.Sizeof(sh.defs[0]); size != 8 {
-		t.Fatalf("the filter table's value is %d bytes, want 8 (a 16-byte slot)", size)
+	if size := unsafe.Sizeof(postingEntry{}); size != 8 {
+		t.Errorf("postingEntry is %d bytes, want 8", size)
 	}
-	if size := unsafe.Sizeof(postingEntry{}); size > 16 {
-		t.Fatalf("postingEntry is %d bytes, want at most 16", size)
+	if size := unsafe.Sizeof(filterSlot{}); size != 12 {
+		t.Errorf("a filter table slot is %d bytes, want 12", size)
 	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(cover{}), reflect.TypeOf(postingEntry{}), reflect.TypeOf(filterSlot{})} {
+		if path := pointerField(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer", path)
+		}
+	}
+}
+
+// pointerField returns the path, below name, of the first field of type t
+// that holds a pointer the garbage collector would trace, or "".
+func pointerField(t reflect.Type, name string) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if path := pointerField(t.Field(i).Type, name+"."+t.Field(i).Name); path != "" {
+				return path
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(t.Elem(), name+"[]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return name + " (" + t.String() + ")"
+	}
+	return ""
 }
 
 // TestCoverShapes walks a cover through the shapes its representation
@@ -944,7 +987,7 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 		}
 	}
 	for _, gone := range []model.Filter{allFilter(0, "gone", "x"), allFilter(0, "q", "x")} {
-		if c := agg2.coverOf(&gone, false); c != nil {
+		if cid := agg2.coverOf(&gone); cid != 0 {
 			t.Fatalf("cover %v was rebuilt though no definition names it", gone.Terms)
 		}
 	}
@@ -1092,10 +1135,10 @@ func TestDictionaryBoundedByVocabulary(t *testing.T) {
 }
 
 // TestCoverSigCollisionChain pins the signature table's collision handling:
-// two signatures that share a sigHash live on one chain, and a lookup
-// compares the whole signature, not the hash. A 64-bit FNV collision cannot
-// be produced on demand, so the test plants a foreign cover at the head of a
-// real signature's chain.
+// two signatures can share a probe run, and a lookup compares the whole
+// signature — the record's — not the hash. A 64-bit FNV collision cannot be
+// produced on demand, so the test files a foreign cover under a real
+// signature's hash, at the head of that signature's run.
 func TestCoverSigCollisionChain(t *testing.T) {
 	ix := newIndex(t)
 	fa, fb := anyFilter(1, "a", "b"), allFilter(2, "c", "d", "e")
@@ -1104,32 +1147,47 @@ func TestCoverSigCollisionChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ca, cb := ix.coverOf(&fa, false), ix.coverOf(&fb, false)
-	if ca == nil || cb == nil || ca == cb {
-		t.Fatalf("covers = %p, %p; want two distinct covers", ca, cb)
+	ca, cb := ix.coverOf(&fa), ix.coverOf(&fb)
+	if ca == 0 || cb == 0 || ca == cb {
+		t.Fatalf("covers = %d, %d; want two distinct covers", ca, cb)
 	}
-	h := sigHash(ca.mode(), ca.terms())
-	sh := &ix.sig[h&shardMask]
-	foreign := newCover(ix.coverIDs.take(), cb.mode(), cb.terms())
-	sh.spill = append(sh.spill, sh.covers[h])
-	sh.covers[h] = foreign
-	if got := ix.coverOf(&fa, false); got != ca {
-		t.Fatalf("lookup behind a colliding cover = %p, want %p", got, ca)
+	slab := &ix.slab
+	h := slab.sigHashOf(ca)
+	sh := ix.sigShard(h)
+	foreign := ix.coverIDs.take()
+	slab.init(foreign, slab.rec(cb).mode(), slab.terms(slab.rec(cb)))
+	head := func() uint32 {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.slots[probeStart(h, len(sh.slots))]
+	}
+	sh.mu.Lock()
+	sh.remove(slab, h, ca)
+	sh.insert(slab, h, foreign)
+	sh.insert(slab, h, ca)
+	sh.mu.Unlock()
+	if got := head(); got != foreign {
+		t.Fatalf("head of the run = cover %d, want the planted cover %d", got, foreign)
+	}
+	if got := ix.coverOf(&fa); got != ca {
+		t.Fatalf("lookup behind a colliding cover = %d, want %d", got, ca)
 	}
 	if rep, ok := ix.RepFor(fa); !ok || rep != 1 {
 		t.Fatalf("RepFor = %v,%v, want f1", rep, ok)
 	}
-	// The colliding cover leaves the table: the spilled one takes its slot
-	// over and is still found.
-	sh.remove(h, foreign)
-	if sh.covers[h] != ca || len(sh.spill) != 0 {
-		t.Fatalf("after the colliding cover left: table slot %p, spill %v; want %p and none", sh.covers[h], sh.spill, ca)
+	// The colliding cover leaves the table: the cover behind it moves back to
+	// the head of the run and is still found.
+	sh.mu.Lock()
+	sh.remove(slab, h, foreign)
+	sh.mu.Unlock()
+	if got := head(); got != ca {
+		t.Fatalf("after the colliding cover left the head of the run is cover %d, want %d", got, ca)
 	}
-	if got := ix.coverOf(&fa, false); got != ca {
-		t.Fatalf("lookup after the colliding cover left = %p, want %p", got, ca)
+	if got := ix.coverOf(&fa); got != ca {
+		t.Fatalf("lookup after the colliding cover left = %d, want %d", got, ca)
 	}
 	// Same terms, other mode: a different signature.
-	if ca.hasSig(model.MatchAll, ca.terms()) || !ca.hasSig(model.MatchAny, ca.terms()) {
+	if c := slab.rec(ca); slab.hasSig(c, model.MatchAll, slab.terms(c)) || !slab.hasSig(c, model.MatchAny, slab.terms(c)) {
 		t.Fatal("hasSig does not tell MatchAll{a,b} from MatchAny{a,b}")
 	}
 }

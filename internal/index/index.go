@@ -21,9 +21,14 @@
 // and filter definitions live in power-of-two in-memory shards with per-shard
 // locks (shard.go), so concurrent registers, unregisters, and matches on
 // different terms do not contend. A filter is one slot of its cover: the
-// filter table maps its ID to the cover pointer alone, and the cover holds the
-// predicate — once, as sorted dictionary IDs, inline up to four — the mode,
-// and in the filter's slot its ID and subscriber. A match result names its
+// filter table — a flat open-addressed array per shard — maps its ID to the
+// cover's ID alone, and the cover holds the predicate — once, as sorted
+// dictionary IDs, inline up to four — the mode, and in the filter's slot its
+// ID and subscriber. Covers are pointer-free records in a slab addressed by
+// cover ID (slab.go), so a posting entry is a cover ID and a slot set, 8
+// bytes, and the signature table an open-addressed array of cover IDs; only
+// subscriber names and the rare member tables and long predicates hold
+// pointers for the garbage collector to trace. A match result names its
 // filter by ID, subscriber and mode, and only GetFilter and EachFilter, where
 // a whole definition leaves the index, spell the terms back into strings.
 // Every read is served from the shards; the store is a write-through
@@ -52,9 +57,11 @@ type Index struct {
 
 	// The sharded in-memory serving layer every read is answered from.
 	coverIDs coverIDs
-	dict     *termDict
-	sig      [DefaultShards]coverSigShard
-	term     [DefaultShards]termShard
+	// slab holds the covers, by cover ID.
+	slab coverSlab
+	dict *termDict
+	sig  [DefaultShards]coverSigShard
+	term [DefaultShards]termShard
 	// defs is the filter table: a definition is its cover, the filter a slot
 	// of it.
 	defs filterTable
@@ -101,10 +108,6 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 // serving matches with its full pre-crash state.
 func New(s *store.Store) (*Index, error) {
 	ix := &Index{dict: newTermDict()}
-	ix.defs.init()
-	for i := range ix.sig {
-		ix.sig[i].covers = make(map[uint64]*cover)
-	}
 	if !s.Durable() {
 		// Nothing to recover and nowhere to persist: no write-through.
 		return ix, nil
@@ -240,11 +243,20 @@ func (ix *Index) EachFilter(fn func(model.Filter) bool) error {
 // GetFilter loads one filter definition, writing its Terms out of the index:
 // in canonical (string-sorted) order, spelled from the dictionary into a
 // fresh slice, or — for a filter registered in another order or with repeats
-// — its own array, which is shared and must not be mutated.
+// — its own array, which is shared and must not be mutated. All of it is read
+// under the filter shard's read lock, which keeps the filter's cover live.
 func (ix *Index) GetFilter(id model.FilterID) (model.Filter, bool, error) {
-	c, sub, own, ok := ix.lookup(id)
-	if !ok {
+	sh := ix.defs.shard(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	cid := sh.cover(id)
+	if cid == 0 {
 		return model.Filter{}, false, nil
 	}
-	return model.Filter{ID: id, Subscriber: sub, Terms: ix.termsOf(c, own), Mode: c.mode()}, true, nil
+	c := ix.slab.rec(cid)
+	terms := sh.own[id]
+	if terms == nil {
+		terms = ix.dict.canonical(ix.slab.terms(c))
+	}
+	return model.Filter{ID: id, Subscriber: ix.subOf(cid, id), Terms: terms, Mode: c.mode()}, true, nil
 }

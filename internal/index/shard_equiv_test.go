@@ -392,6 +392,8 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 		perWriter = 150
 		perChurn  = 400
 		perNamer  = 1500
+		reuseSigs = 8
+		perReuse  = 2000
 	)
 	terms := make([]string, 16)
 	for i := range terms {
@@ -464,6 +466,70 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 				if why := phantom(m, &doc); why != "" {
 					t.Errorf("phantom match: %+v for document %v: %s", m, doc.Terms, why)
 					return
+				}
+			}
+		}
+	}()
+	// Cover-ID reuse: a few distinct signatures over their own terms, each
+	// held by one filter at a time, so every registration creates a cover
+	// and every unregistration retires one, while a matcher scans the same
+	// terms. A posting entry names its cover by ID alone: an ID handed to a
+	// new cover while a call could still take it for the old one would show
+	// as a phantom match.
+	reuseSig := func(k int) ([]string, model.MatchMode) {
+		terms := model.SortTerms([]string{fmt.Sprintf("r%d", k), fmt.Sprintf("r%d", (k+1)%reuseSigs), fmt.Sprintf("r%d", (k+3)%reuseSigs)})
+		if k%2 == 1 {
+			return terms, model.MatchAny
+		}
+		return terms, model.MatchAll
+	}
+	writerWg.Add(1)
+	go func() {
+		defer writerWg.Done()
+		for i := 0; i < perReuse; i++ {
+			terms, mode := reuseSig(i % reuseSigs)
+			f := model.Filter{ID: model.FilterID(300000 + i), Subscriber: fmt.Sprintf("reuse%d", i%reuseSigs), Terms: terms, Mode: mode}
+			if err := register(f, f.Terms); err != nil {
+				t.Errorf("register %v: %v", f.ID, err)
+				return
+			}
+			if err := ix.Unregister(f.ID); err != nil {
+				t.Errorf("unregister %v: %v", f.ID, err)
+				return
+			}
+		}
+	}()
+	matcherWg.Add(1)
+	go func() {
+		defer matcherWg.Done()
+		rng := rand.New(rand.NewSource(77))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var doc model.Document
+			for len(doc.Terms) < 2 {
+				doc.Terms = nil
+				for k := range reuseSigs {
+					if rng.Intn(2) == 0 {
+						doc.Terms = append(doc.Terms, fmt.Sprintf("r%d", k))
+					}
+				}
+			}
+			doc.ID, doc.Terms = 3, model.SortTerms(doc.Terms)
+			for _, query := range [][]string{doc.Terms, doc.Terms[:1]} {
+				fs, _, err := ix.MatchTerms(&doc, query)
+				if err != nil {
+					t.Errorf("match terms: %v", err)
+					return
+				}
+				for _, m := range fs {
+					if why := phantom(m, &doc); why != "" {
+						t.Errorf("phantom match: %+v for document %v: %s", m, doc.Terms, why)
+						return
+					}
 				}
 			}
 		}
@@ -575,5 +641,16 @@ func TestShardedIndexConcurrentMutationsAndMatches(t *testing.T) {
 	}
 	if cs := ix.CoverStats(); cs.CoveredFilters != writers*perWriter || cs.Covers != len(terms) || cs.LogicalPostings != writers*perWriter {
 		t.Fatalf("CoverStats = %+v, want %d filters in %d covers", cs, writers*perWriter, len(terms))
+	}
+	// The reuse input and the namer each create a cover per registration,
+	// perReuse + perNamer in all, besides the others': fewer IDs handed out
+	// means retired IDs came back while the matchers ran. How many come back
+	// depends on the schedule — a matcher descheduled mid-call holds its
+	// grace phase open — so the bound is what was created, not a count.
+	created := uint32(perReuse + perNamer)
+	if seq := ix.coverIDs.seq.Load(); seq >= created {
+		t.Fatalf("%d cover IDs handed out for more than %d covers created: no ID was reused", seq, created)
+	} else {
+		t.Logf("%d cover IDs handed out for more than %d covers created", seq, created)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"github.com/movesys/move/internal/dataset"
@@ -22,18 +23,19 @@ import (
 // — which call index.Register themselves and so post every filter under all of
 // a home's terms — behind the register path, where one home keeps each filter
 // and keys it once. bytesPerFilter is the heap the registrations retained on
-// both homes together.
-func matchHeavyHomes(tb testing.TB, nFilters int) (homes []*Node, bytesPerFilter float64) {
+// both homes together, scanPerFilter the part of it the garbage collector
+// scans (heapScan).
+func matchHeavyHomes(tb testing.TB, nFilters int) (homes []*Node, bytesPerFilter, scanPerFilter float64) {
 	return populationHomes(tb, nFilters, matchHeavyVocab, 3, model.MatchAll)
 }
 
 // populationHomes registers nFilters filters of at least minTerms terms,
 // drawn from internal/dataset's Zipf query model over vocab terms, on a
 // two-node ring through Handle as matchHeavyHomes describes, and returns the
-// heap bytes per filter they retained on both homes together. A MatchAny
-// filter is kept by every home it is sent to, under all of its terms homed
-// there.
-func populationHomes(tb testing.TB, nFilters, vocab, minTerms int, mode model.MatchMode) (homes []*Node, bytesPerFilter float64) {
+// heap bytes per filter they retained on both homes together, and how many of
+// those the garbage collector scans. A MatchAny filter is kept by every home
+// it is sent to, under all of its terms homed there.
+func populationHomes(tb testing.TB, nFilters, vocab, minTerms int, mode model.MatchMode) (homes []*Node, bytesPerFilter, scanPerFilter float64) {
 	tb.Helper()
 	homes = newHarness(tb, 2).nodes
 	fg, err := dataset.NewFilterGen(dataset.FilterConfig{DistinctTerms: vocab, Seed: matchHeavySeed})
@@ -42,6 +44,7 @@ func populationHomes(tb testing.TB, nFilters, vocab, minTerms int, mode model.Ma
 	}
 	ctx := context.Background()
 	before := testutil.HeapNow()
+	scanBefore := heapScan()
 	for n := 0; n < nFilters; {
 		terms := model.SortTerms(fg.Next())
 		if len(terms) < minTerms {
@@ -59,7 +62,19 @@ func populationHomes(tb testing.TB, nFilters, vocab, minTerms int, mode model.Ma
 			}
 		}
 	}
-	return homes, float64(testutil.HeapNow()-before) / float64(nFilters)
+	after := testutil.HeapNow()
+	return homes, float64(after-before) / float64(nFilters), float64(heapScan()-scanBefore) / float64(nFilters)
+}
+
+// heapScan returns the scannable heap — runtime/metrics'
+// /gc/scan/heap:bytes, the live heap less the objects and object tails that
+// hold no pointer, so the bytes a garbage collection traces — as the last
+// collection measured it: read right after testutil.HeapNow, it is the
+// figure of HeapNow's two collections.
+func heapScan() uint64 {
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 const (
@@ -90,13 +105,15 @@ func homedAt(tb testing.TB, nd *Node, terms []string) []string {
 // key term keeps it, keyed once, and the other declines it — filters and
 // posting entries are exact, one of each per filter cluster-wide, split
 // between the homes — and the wire_mixed population of MatchAny filters, which
-// every home they are sent to keeps under all of their terms homed there. Each
-// heap row's ceiling is 5 % above the value measured when it was last set.
+// every home they are sent to keeps under all of their terms homed there.
+// Each population's heap row is followed by the part of it the garbage
+// collector scans (/gc/scan/heap:bytes). Each heap row's ceiling is 5 % above
+// the value measured when it was last set.
 // The match_heavy row is also split by what holds its bytes on the homes,
 // by the parts internal/index's row is split into (testutil.IndexMemComponents).
 func TestMemBudget(t *testing.T) {
 	const filters = 40000
-	homes, bytesPerFilter := matchHeavyHomes(t, filters)
+	homes, bytesPerFilter, scanPerFilter := matchHeavyHomes(t, filters)
 	row := func(name string, got, ceiling float64, unit string) {
 		t.Helper()
 		t.Logf("%-70s %8.1f %s (ceiling %.1f)", name, got, unit, ceiling)
@@ -121,7 +138,8 @@ func TestMemBudget(t *testing.T) {
 		t.Fatalf("the homes hold %d filters between them, want each of the %d once", held, filters)
 	}
 	row("match_heavy through the nodes: posting entries per filter, both homes", float64(postings)/filters, 1.0, "entries/filter")
-	row("match_heavy through the nodes: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 217, "B/filter")
+	row("match_heavy through the nodes: 40k MatchAll, >= 3 terms of 10k, 64 subs", bytesPerFilter, 161, "B/filter")
+	row("match_heavy through the nodes: of which the GC scans (/gc/scan/heap)", scanPerFilter, 71, "B/filter")
 	runtime.KeepAlive(homes)
 
 	// The same population again with every allocation profiled, split by
@@ -132,7 +150,7 @@ func TestMemBudget(t *testing.T) {
 	runtime.MemProfileRate = 1
 	comps := testutil.IndexMemComponents
 	base := testutil.HeapByComponent(comps)
-	homes, _ = matchHeavyHomes(t, filters)
+	homes, _, _ = matchHeavyHomes(t, filters)
 	parts := testutil.HeapByComponent(comps)
 	runtime.MemProfileRate = rate
 	var covers, singletons int
@@ -151,8 +169,9 @@ func TestMemBudget(t *testing.T) {
 	}
 	runtime.KeepAlive(homes)
 
-	homes, bytesPerFilter = populationHomes(t, 20000, 16000, 1, model.MatchAny)
-	row("wire_mixed through the nodes: 20k MSN-like MatchAny over 16k terms, 64 subs", bytesPerFilter, 337, "B/filter")
+	homes, bytesPerFilter, scanPerFilter = populationHomes(t, 20000, 16000, 1, model.MatchAny)
+	row("wire_mixed through the nodes: 20k MSN-like MatchAny over 16k terms, 64 subs", bytesPerFilter, 256, "B/filter")
+	row("wire_mixed through the nodes: of which the GC scans (/gc/scan/heap)", scanPerFilter, 127, "B/filter")
 	runtime.KeepAlive(homes)
 }
 
@@ -168,7 +187,7 @@ func TestMemBudget(t *testing.T) {
 // divides, the matches the homes report before the entry deduplicates them and
 // the heap bytes one registered filter costs.
 func BenchmarkHomeMatchConjunctive(b *testing.B) {
-	homes, bytesPerFilter := matchHeavyHomes(b, 35000)
+	homes, bytesPerFilter, _ := matchHeavyHomes(b, 35000)
 	const nDocs, docTerms, hotTerms, hotVocab = 256, 65, 20, 250
 	rng := rand.New(rand.NewSource(matchHeavySeed + 1))
 	ctx := context.Background()

@@ -20,8 +20,10 @@ var IndexMemComponents = []MemComponent{
 	{"long predicates", []string{"slices.Clone"}},
 	{"dictionary", []string{"(*termDict).intern"}},
 	{"posting entries", []string{"(*termShard).add", "(*slotSets).", "(*slotBig)."}},
-	{"covers + signature table", []string{"index.newCover", "(*Index).coverOf", "(*cover).memberSlot"}},
-	{"definitions", []string{"(*Index).join", "(*filterTable).", "(*Index).ownTerms", "(*subCache).share"}},
+	{"cover slab chunks (records, subscribers)", []string{"(*coverSlab).reach"}},
+	{"side tables (member tables, long-predicate index)", []string{"(*sideTable[", "(*Index).memberSlot"}},
+	{"signature table", []string{"(*coverSigShard)."}},
+	{"filter table", []string{"(*filterShard).", "(*Index).ownTerms", "(*subCache).share"}},
 }
 
 // HeapByComponent sums the live heap bytes the allocation profile holds per
