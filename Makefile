@@ -41,7 +41,9 @@ examples:
 # top-level identifiers — functions, methods, types, variables, constants —
 # counted the same way for the index, and the two operator surfaces:
 # cmd/movectl's lines and the flags `moved -h` lists — plus the one server
-# assembly, internal/daemon with cmd/moved, its flag front end.
+# assembly, internal/daemon with cmd/moved, its flag front end, and the
+# bytes of moved's read-only and executable PT_LOAD segments
+# (TestImageHasNoHTTPStack, which also fails above its ceiling).
 loc:
 	@wc -l internal/node/node.go internal/node/proto.go | sed '$$d'
 	@cat $(filter-out %_test.go,$(wildcard internal/frame/*.go)) internal/transport/writer.go internal/delivery/server.go | wc -l | sed 's/$$/ internal\/frame\/*.go (non-test) + transport\/writer.go + delivery\/server.go/'
@@ -57,6 +59,7 @@ loc:
 	@cat $(filter-out %_test.go,$(wildcard internal/node/*.go)) | grep -cE '^(func (\([a-z]+ \*?[A-Z][A-Za-z0-9]*\) )?|type |var |const )[A-Z]' | sed 's/$$/ exported identifiers in internal\/node (non-test)/'
 	@cat $(filter-out %_test.go,$(wildcard internal/index/*.go)) | grep -cE '^(func (\([a-z]+ \*?[A-Z][A-Za-z0-9]*\) )?|type |var |const )[A-Z]' | sed 's/$$/ exported identifiers in internal\/index (non-test)/'
 	@grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/moved/main.go | sed 's/$$/ moved flags/'
+	@$(GO) test -count=1 -run '^TestImageHasNoHTTPStack$$' -v ./cmd/moved | sed -n 's/.*: \(PT_LOAD .*\)/\1 moved image/p'
 
 # The codec layer's microbench: every frame one document costs, by frame
 # class, in the three shapes the repository benchmark publishes — built with
@@ -118,8 +121,8 @@ bench-rpc:
 	$(GO) test -run='^$$' -bench=BenchmarkTCPRoundTrip -benchtime=20000x -count=5 -cpu 1,2 ./internal/transport
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
-# shake out regressions in the codec, framing, tokenizer, index and
-# node-dispatcher invariants on each CI run without burning minutes.
+# shake out regressions in the codec, framing, tokenizer, index,
+# node-dispatcher and debug-request-reader invariants on each CI run without burning minutes.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=10s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzFrameRead -fuzztime=10s ./internal/frame
@@ -128,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexRegisterMatch -fuzztime=10s ./internal/index
 	$(GO) test -run='^$$' -fuzz=FuzzNodeHandle -fuzztime=10s ./internal/node
 	$(GO) test -run='^$$' -fuzz=FuzzStoreReplay -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDebugRequest -fuzztime=10s ./internal/daemon
 
 # Full chaos soak of the two-phase reallocation protocol under the race
 # detector: 100 consecutive realloc rounds with Zipf-drift, flash crowds,

@@ -3,12 +3,14 @@ package main
 import (
 	"bufio"
 	"context"
+	"debug/elf"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -212,6 +214,56 @@ func TestHealthzKeys(t *testing.T) {
 	info, _ := body["info"].(map[string]any)
 	if got := sortedKeys(info); !slices.Equal(got, []string{"id", "listen", "rack"}) {
 		t.Fatalf("/healthz info keys %v, want [id listen rack]", got)
+	}
+}
+
+// TestImageHasNoHTTPStack: the built moved links no HTTP server, TLS or
+// X.509 code — its debug endpoint answers HTTP/1.1 itself — and its
+// read-only and executable PT_LOAD segments, which every daemon maps and
+// mostly keeps resident, stay within maxImageBytes.
+func TestImageHasNoHTTPStack(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads an ELF image")
+	}
+	const maxImageBytes = 4 << 20
+	bin := filepath.Join(t.TempDir(), "moved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	f, err := elf.Open(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	syms, err := f.Symbols()
+	if err != nil {
+		t.Fatalf("symbols of %s: %v", bin, err)
+	}
+	banned := []string{"net/http.", "crypto/tls.", "crypto/x509.", "vendor/golang.org/x/net/http2"}
+	found := map[string]string{} // banned prefix → first symbol found under it
+	for _, s := range syms {
+		for _, p := range banned {
+			if _, ok := found[p]; !ok && strings.HasPrefix(s.Name, p) {
+				found[p] = s.Name
+			}
+		}
+	}
+	for p, name := range found {
+		t.Errorf("moved links %s code (%s)", p, name)
+	}
+	var text, rodata uint64
+	for _, p := range f.Progs {
+		switch {
+		case p.Type != elf.PT_LOAD || p.Flags&elf.PF_W != 0:
+		case p.Flags&elf.PF_X != 0:
+			text += p.Filesz
+		default:
+			rodata += p.Filesz
+		}
+	}
+	t.Logf("PT_LOAD R+X %d B, R %d B: %.2f MiB (ceiling %.2f MiB)", text, rodata, float64(text+rodata)/(1<<20), float64(maxImageBytes)/(1<<20))
+	if text+rodata > maxImageBytes {
+		t.Errorf("PT_LOAD R and R+X segments hold %d B, over %d", text+rodata, maxImageBytes)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"context"
 	"log/slog"
 	"net"
-	"net/http"
 	"runtime"
 	"time"
 
@@ -68,9 +67,9 @@ type Daemon struct {
 	Sub    *delivery.Server
 	Debug  net.Listener
 
-	store    *store.Store
-	tr       transport.Transport // what listen returned
-	debugSrv *http.Server
+	store *store.Store
+	tr    transport.Transport // what listen returned
+	debug *debugServer
 }
 
 // Start builds the server and brings it up. listen makes the RPC transport
@@ -207,10 +206,8 @@ func (d *Daemon) Close() error {
 	if d.Gossip != nil {
 		d.Gossip.Stop()
 	}
-	if d.debugSrv != nil {
-		// The listener too: Serve may not have taken it over yet.
-		_ = d.debugSrv.Close()
-		_ = d.Debug.Close()
+	if d.debug != nil {
+		d.debug.close()
 	}
 	if d.tr != nil {
 		_ = d.tr.Close()

@@ -11,7 +11,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -410,4 +412,96 @@ func TestDebugEndpoints(t *testing.T) {
 	if body := get(t, base+"/debug/pprof/"); len(body) == 0 {
 		t.Fatal("/debug/pprof/ returned empty body")
 	}
+
+	// Every path answers 200 with its content type.
+	const text, octets = "text/plain; charset=utf-8", "application/octet-stream"
+	paths := map[string]string{
+		"/metrics": "application/json", "/metrics?format=json": "application/json",
+		"/trace/last": "application/json", "/healthz": "application/json",
+		"/debug/pprof/": text, "/debug/pprof/cmdline": text, "/debug/pprof/symbol": text,
+		"/debug/pprof/profile?seconds=0.2": octets, "/debug/pprof/trace?seconds=0.2": octets,
+	}
+	for _, p := range pprof.Profiles() {
+		paths["/debug/pprof/"+p.Name()] = octets
+		paths["/debug/pprof/"+p.Name()+"?debug=1"] = text
+		paths["/debug/pprof/"+p.Name()+"?debug=2"] = text
+	}
+	for path, ctype := range paths {
+		status, got, body := fetch(t, "GET", base+path)
+		if status != http.StatusOK || got != ctype || len(body) == 0 {
+			t.Errorf("GET %s: %d %q, %d bytes; want 200 %q and a body", path, status, got, len(body), ctype)
+		}
+	}
+	for _, path := range []string{"/nope", "/debug/pprof/nope", "/debug/pprof", "/metrics/"} {
+		if status, _, _ := fetch(t, "GET", base+path); status != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, status)
+		}
+	}
+	for _, path := range []string{"/debug/pprof/profile?seconds=61", "/debug/pprof/profile?seconds=0",
+		"/debug/pprof/trace?seconds=-1", "/debug/pprof/trace?seconds=NaN", "/debug/pprof/heap?debug=x", "/debug/pprof/heap?seconds=5"} {
+		if status, _, _ := fetch(t, "GET", base+path); status != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, status)
+		}
+	}
+	if status, _, _ := fetch(t, "POST", base+"/healthz"); status != http.StatusMethodNotAllowed {
+		t.Errorf("POST /healthz: status %d, want 405", status)
+	}
+	if status, ctype, body := fetch(t, "HEAD", base+"/healthz"); status != http.StatusOK || ctype != "application/json" || len(body) != 0 {
+		t.Errorf("HEAD /healthz: %d %q, %d body bytes; want 200, application/json and no body", status, ctype, len(body))
+	}
+
+	// The harness's scrape: ?format=json changes nothing.
+	dump = metrics.Dump{}
+	if err := json.Unmarshal(get(t, base+"/metrics?format=json"), &dump); err != nil || dump.Counters["rpc.retries"] != 3 {
+		t.Fatalf("/metrics?format=json: %v, rpc.retries = %d", err, dump.Counters["rpc.retries"])
+	}
+	// The harness's memCounters read the MemStats block heap?debug=1 ends with.
+	heap := string(get(t, base+"/debug/pprof/heap?debug=1"))
+	for _, key := range []string{"\n# Mallocs = ", "\n# TotalAlloc = ", "\n# NumGC = "} {
+		if !strings.Contains(heap, key) {
+			t.Errorf("heap?debug=1 lacks %q", key)
+		}
+	}
+	if proto := get(t, base+"/debug/pprof/heap"); !bytes.HasPrefix(proto, []byte{0x1f, 0x8b}) {
+		t.Errorf("heap profile starts % x, want the gzip magic 1f 8b", proto[:min(len(proto), 2)])
+	}
+	symbols := string(get(t, base+"/debug/pprof/symbol?"+fmt.Sprintf("%#x", reflect.ValueOf(TestDebugEndpoints).Pointer())))
+	if !strings.HasPrefix(symbols, "num_symbols: 1\n") || !strings.Contains(symbols, "daemon.TestDebugEndpoints") {
+		t.Errorf("symbol lookup answered %q", symbols)
+	}
+
+	// A client that keeps connections alive is told to close each one and
+	// dials again.
+	keepAlive := &http.Client{Transport: &http.Transport{}}
+	defer keepAlive.CloseIdleConnections()
+	for i := 0; i < 3; i++ {
+		resp, err := keepAlive.Get(base + "/healthz")
+		if err != nil {
+			t.Fatalf("keep-alive GET %d: %v", i, err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !resp.Close {
+			t.Fatalf("keep-alive GET %d: status %d, close %v, %v", i, resp.StatusCode, resp.Close, err)
+		}
+	}
+}
+
+// fetch answers url's status, content type and body for a request of method.
+func fetch(t *testing.T, method, url string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read %s: %v", url, err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
