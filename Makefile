@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test race bench examples loc wire-budget mem-budget bench-home bench-rpc fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
+.PHONY: build vet fmt-check test race bench examples loc wire-budget mem-budget bench-home bench-rpc bench-durable fuzz-smoke soak-churn bench-churn soak-delivery bench-delivery bench-aggregate benchmark-unit benchmark-smoke ci
 
 build:
 	$(GO) build ./...
@@ -119,6 +119,17 @@ bench-home:
 # (copy internal/transport/tcp_bench_test.go into its tree).
 bench-rpc:
 	$(GO) test -run='^$$' -bench=BenchmarkTCPRoundTrip -benchtime=20000x -count=5 -cpu 1,2 ./internal/transport
+
+# The durable register path's microbench: a register frame answered through
+# Handle by a node over a data directory — one store record written, the
+# group-committed fsync before the answer — serial and RunParallel (8
+# registrars a CPU, whose frames can share an fsync); reports ns/op and the
+# p99 and slowest register in µs. fsync time depends on the disk, so compare
+# only against a base-commit binary built with `go test -c` and run
+# alternately with this one (copy internal/node/durable_bench_test.go into
+# its tree).
+bench-durable:
+	$(GO) test -run='^$$' -bench=BenchmarkRegisterDurable -benchtime=100000x ./internal/node
 
 # Short native-fuzzing runs of every checked-in fuzz target — enough to
 # shake out regressions in the codec, framing, tokenizer, index,

@@ -89,11 +89,6 @@ type Config struct {
 	// AllocRatio overrides the §IV-B allocation-ratio choice (ablation:
 	// pure replication vs pure separation vs optimizer-chosen).
 	AllocRatio alloc.RatioMode
-	// BloomFPR is the false-positive rate of the filter-term Bloom filter;
-	// default 0.01.
-	BloomFPR float64
-	// BloomCapacity sizes the Bloom filter; default 1<<20 distinct terms.
-	BloomCapacity int
 	// Seed makes the cluster deterministic.
 	Seed int64
 	// Delivery, when set, enables the subscriber delivery tier (§14): every
@@ -116,11 +111,6 @@ type Config struct {
 	// control RPCs bypass injection — they model the paper's dedicated
 	// master node, not the data path.
 	Fault *transport.FaultConfig
-	// RPCLatency adds a fixed one-way delivery delay to every RPC on the
-	// in-memory transport. Zero (the default) keeps the fabric
-	// instantaneous; benchmarks set it so publish figures include a
-	// realistic per-RPC cost for frame coalescing to amortize.
-	RPCLatency time.Duration
 	// Metrics receives the cluster's resilience counters (rpc.retries,
 	// breaker.open, publish.failover, ...). Nil creates a private registry
 	// exposed via Cluster.Metrics.
@@ -192,6 +182,14 @@ type Cluster struct {
 	perNodeRecvLocal map[ring.NodeID]int64
 }
 
+// The filter-term Bloom filter RefreshBloom installs is sized for
+// bloomCapacity distinct terms — or for every registered term, when there are
+// more — at a bloomFPR false-positive rate.
+const (
+	bloomCapacity = 1 << 20
+	bloomFPR      = 0.01
+)
+
 // rsReplicas is the key/value platform's standard replication factor
 // applied to RS-registered filters (§VI.C).
 const rsReplicas = 3
@@ -228,12 +226,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.AllocStrategy == 0 {
 		cfg.AllocStrategy = alloc.StrategyGeneral
 	}
-	if cfg.BloomFPR == 0 {
-		cfg.BloomFPR = 0.01
-	}
-	if cfg.BloomCapacity == 0 {
-		cfg.BloomCapacity = 1 << 20
-	}
 	if cfg.ControlTimeout == 0 {
 		cfg.ControlTimeout = 30 * time.Second
 	}
@@ -248,7 +240,7 @@ func New(cfg Config) (*Cluster, error) {
 
 	c := &Cluster{
 		cfg:              cfg,
-		net:              transport.NewNetwork(transport.NetworkConfig{Latency: cfg.RPCLatency}),
+		net:              transport.NewNetwork(transport.NetworkConfig{}),
 		ring:             ring.New(ring.Config{}),
 		rng:              rand.New(rand.NewSource(seed)),
 		daemons:          make(map[ring.NodeID]*daemon.Daemon, cfg.Nodes),
@@ -743,11 +735,7 @@ func (c *Cluster) RefreshBloom(ctx context.Context) error {
 	}
 	c.bloomMu.Unlock()
 
-	capacity := c.cfg.BloomCapacity
-	if len(terms) > capacity {
-		capacity = len(terms)
-	}
-	bf, err := bloom.New(capacity, c.cfg.BloomFPR)
+	bf, err := bloom.New(max(bloomCapacity, len(terms)), bloomFPR)
 	if err != nil {
 		return err
 	}

@@ -251,43 +251,30 @@ func strictlySorted(terms []string) bool {
 	return true
 }
 
-// post sets (cid, slot)'s bit under each of terms, writing a posting operand
-// through for every bit it sets unless the bits are being recovered from the
-// store, and returns the term IDs it posted under, appended to posted. A term
-// the cover does not name — a grid column's replay of a newer definition than
-// the one it holds — is recorded as one of the cover's extra terms first.
-func (ix *Index) post(cid uint32, slot int32, id model.FilterID, terms []string, write bool, posted []uint32) ([]uint32, error) {
+// post sets (cid, slot)'s bit under each of terms. A term the cover does not
+// name — a grid column's replay of a newer definition than the one it holds
+// — is recorded as one of the cover's extra terms first.
+func (ix *Index) post(cid uint32, slot int32, terms []string) {
 	c := ix.slab.rec(cid)
 	for _, t := range terms {
 		tid := ix.dict.intern(t)
 		if !ix.slab.names(c, tid) {
 			ix.extra.add(cid, tid)
 		}
-		posted = append(posted, tid)
 		newBit, newEntry := ix.termShard(tid).add(tid, cid, slot)
 		if newEntry {
 			ix.storedEntries.Add(1)
 		}
-		if !newBit {
-			continue
-		}
-		ix.numPostings.Add(1)
-		if write {
-			if err := ix.storePosting(t, id); err != nil {
-				return posted, err
-			}
+		if newBit {
+			ix.numPostings.Add(1)
 		}
 	}
-	return posted, nil
 }
 
-// drop takes id, the member in slot, out of cover cid: its bit leaves every
-// entry of the cover, under the cover's terms and its extra ones — with a
-// removal operand written through for each term but those in keep, the terms
-// the same filter was just posted under in its new cover — and the slot is
+// drop takes the member in slot out of cover cid: its bit leaves every entry
+// of the cover, under the cover's terms and its extra ones, and the slot is
 // vacated, retiring the cover when it was the last member.
-func (ix *Index) drop(cid uint32, slot int32, id model.FilterID, keep []uint32) error {
-	var err error
+func (ix *Index) drop(cid uint32, slot int32) {
 	for _, tid := range ix.extra.of(cid, ix.slab.terms(ix.slab.rec(cid))) {
 		cleared, gone := ix.termShard(tid).clear(tid, cid, slot)
 		if gone {
@@ -295,21 +282,18 @@ func (ix *Index) drop(cid uint32, slot int32, id model.FilterID, keep []uint32) 
 		}
 		if cleared {
 			ix.numPostings.Add(-1)
-			if !slices.Contains(keep, tid) && err == nil {
-				err = ix.storeRemovePosting(tid, id)
-			}
 		}
 	}
 	ix.leave(cid, slot)
-	return err
 }
 
 // Register stores filter f and adds it to the posting lists of
 // postingTerms. On a home node postingTerms is the single responsible
 // term (or the node's responsible subset of f's terms); the RS baseline passes
-// all of f's terms. The definition's store write happens first, so the
-// in-memory shards never serve a filter the durability layer doesn't have; a
-// posting entry is written through only when its bit was not already set.
+// all of f's terms. On a durable index the filter's one store record — its
+// definition and every term it is posted under — is written first, so the
+// in-memory shards never serve a filter the durability layer doesn't have,
+// and only when the call changes it (persist).
 //
 // Re-registering a live ID with the same signature adds to the terms it is
 // posted under; with another signature it replaces the filter: the posting
@@ -328,7 +312,7 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	sh := ix.defs.shard(f.ID)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	if err := ix.storeFilter(f); err != nil {
+	if err := ix.persist(&f, postingTerms, true); err != nil {
 		return err
 	}
 	old, had := sh.get(f.ID)
@@ -336,15 +320,12 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 	if created {
 		ix.numFilters.Add(1)
 	}
-	var buf [8]uint32
-	posted, err := ix.post(cid, slot, f.ID, postingTerms, true, buf[:0])
+	ix.post(cid, slot, postingTerms)
 	if had && old != cid {
 		oldSlot, _ := ix.slotIndex(old, f.ID)
-		if e := ix.drop(old, oldSlot, f.ID, posted); err == nil {
-			err = e
-		}
+		ix.drop(old, oldSlot)
 	}
-	return err
+	return nil
 }
 
 // EnsureRegistered is Register made idempotent for migration replay: a
@@ -357,9 +338,9 @@ func (ix *Index) Register(f model.Filter, postingTerms []string) error {
 // whichever definition is current.
 //
 // The ID's writers are serialized (filterShard.wmu), so concurrent replays
-// agree on exactly one creator and the layers never disagree. A crash
-// between a bit and its store write loses only in-memory state, which the
-// next replay of the same batch restores.
+// agree on exactly one creator and the layers never disagree. On a durable
+// index the record is written before the shards change, and a replay that
+// adds no posting term writes nothing.
 func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, error) {
 	if err := f.Validate(); err != nil {
 		return false, err
@@ -367,6 +348,9 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 	sh := ix.defs.shard(f.ID)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
+	if err := ix.persist(&f, postingTerms, false); err != nil {
+		return false, err
+	}
 	cid, ok := sh.get(f.ID)
 	var slot int32
 	if ok {
@@ -374,22 +358,20 @@ func (ix *Index) EnsureRegistered(f model.Filter, postingTerms []string) (bool, 
 		// bits belong with the definition the match path will read.
 		slot, _ = ix.slotIndex(cid, f.ID)
 	} else {
-		if err := ix.storeFilter(f); err != nil {
-			return false, err
-		}
 		cid, slot, _ = ix.join(sh, &f)
 		ix.numFilters.Add(1)
 	}
-	_, err := ix.post(cid, slot, f.ID, postingTerms, true, nil)
-	return !ok, err
+	ix.post(cid, slot, postingTerms)
+	return !ok, nil
 }
 
 // Unregister removes a filter definition if present (no-op otherwise, so
 // cluster-wide broadcasts are safe) and everything the index held for it:
-// its posting bits, its slot in its cover, and the cover itself when it was
-// the last member (DESIGN.md §15). The definition goes first, so a match
-// racing the removal drops the filter's still-set bits on the missing
-// definition, as it would a stale candidate of a plain posting list.
+// its store record, its posting bits, its slot in its cover, and the cover
+// itself when it was the last member (DESIGN.md §15). The definition goes
+// first, so a match racing the removal drops the filter's still-set bits on
+// the missing definition, as it would a stale candidate of a plain posting
+// list.
 func (ix *Index) Unregister(id model.FilterID) error {
 	sh := ix.defs.shard(id)
 	sh.wmu.Lock()
@@ -398,8 +380,10 @@ func (ix *Index) Unregister(id model.FilterID) error {
 	if !present {
 		return nil
 	}
-	if err := ix.storeDeleteFilter(id); err != nil {
-		return err
+	if ix.filters != nil {
+		if err := ix.filters.Delete(id); err != nil {
+			return err
+		}
 	}
 	sh.mu.Lock()
 	sh.delete(id)
@@ -407,7 +391,60 @@ func (ix *Index) Unregister(id model.FilterID) error {
 	sh.mu.Unlock()
 	ix.numFilters.Add(-1)
 	slot, _ := ix.slotIndex(cid, id)
-	return ix.drop(cid, slot, id, nil)
+	ix.drop(cid, slot)
+	return nil
+}
+
+// persist writes the store record f.ID will have once postingTerms are
+// posted, unless the ID's record is that already. replace is Register's rule:
+// f takes the live definition's place, posted under postingTerms — and under
+// the live posting terms too when f's signature names the live cover. Else it
+// is EnsureRegistered's: a live definition stays, its posting terms grown by
+// postingTerms. An index without a store writes nothing. Caller holds the
+// ID's writer lock.
+func (ix *Index) persist(f *model.Filter, postingTerms []string, replace bool) error {
+	if ix.filters == nil {
+		return nil
+	}
+	live, cid, posted := ix.record(f.ID)
+	def, next := *f, postingTerms
+	switch {
+	case cid == 0:
+	case !replace:
+		def, next = live, append(posted, postingTerms...)
+	case ix.coverOf(f) == cid:
+		next = append(posted, postingTerms...)
+	}
+	next = sortedSet(next)
+	if cid != 0 && slices.Equal(next, posted) && def.Subscriber == live.Subscriber && def.Mode == live.Mode && slices.Equal(def.Terms, live.Terms) {
+		return nil
+	}
+	return ix.filters.Put(def, next)
+}
+
+// record returns id's live definition, as GetFilter spells it, its cover and
+// the terms whose posting lists hold it, sorted; cid is 0 when id has no
+// definition. Caller holds the ID's writer lock.
+func (ix *Index) record(id model.FilterID) (f model.Filter, cid uint32, posted []string) {
+	f, had, _ := ix.GetFilter(id)
+	if !had {
+		return f, 0, nil
+	}
+	cid, _ = ix.defs.shard(id).get(id)
+	slot, _ := ix.slotIndex(cid, id)
+	for _, tid := range ix.extra.of(cid, ix.slab.terms(ix.slab.rec(cid))) {
+		if ix.termShard(tid).holds(tid, cid, slot) {
+			posted = append(posted, ix.dict.term(tid))
+		}
+	}
+	return f, cid, sortedSet(posted)
+}
+
+// sortedSet returns a sorted copy of terms without repeats.
+func sortedSet(terms []string) []string {
+	s := slices.Clone(terms)
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // PostedUnder returns, in the order given, the terms whose posting list holds
@@ -436,30 +473,14 @@ func (ix *Index) PostedUnder(id model.FilterID, terms []string) []string {
 	return posted
 }
 
-// loadFromStore rebuilds the serving layer and counters after a restart, one
-// scan per column family. Definitions are interned into covers first; then
-// each recovered posting is attached to its ID's cover. An ID without a
-// definition is one that unregistered before an older binary wrote removal
-// operands, and is skipped.
+// loadFromStore rebuilds the serving layer and counters after a restart, in
+// one pass over the filter store: each definition joins its cover, and its
+// bits are set under the terms its record names.
 func (ix *Index) loadFromStore() error {
-	count := 0
-	err := ix.filters.Each(func(f model.Filter) bool {
-		ix.join(ix.defs.shard(f.ID), &f)
-		count++
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	ix.numFilters.Store(int64(count))
-	return ix.postings.Each(func(t string, ids []model.FilterID) bool {
-		term := [1]string{t}
-		for _, id := range ids {
-			if cid, ok := ix.defs.shard(id).get(id); ok {
-				slot, _ := ix.slotIndex(cid, id)
-				ix.post(cid, slot, id, term[:], false, nil)
-			}
-		}
+	return ix.filters.Each(func(f model.Filter, posted []string) bool {
+		cid, slot, _ := ix.join(ix.defs.shard(f.ID), &f)
+		ix.numFilters.Add(1)
+		ix.post(cid, slot, posted)
 		return true
 	})
 }

@@ -355,18 +355,24 @@ func (ix *Index) rep(cid uint32) model.FilterID {
 // predicate signature — the "covering filter" of f's group. ok is false
 // when no such cover exists. Diagnostic/test use.
 func (ix *Index) RepFor(f model.Filter) (model.FilterID, bool) {
+	if cid := ix.coverOf(&f); cid != 0 {
+		return ix.rep(cid), true
+	}
+	return 0, false
+}
+
+// coverOf returns the ID of the live cover of f's signature, 0 when there is
+// none. The ID names that cover only while something holds it live.
+func (ix *Index) coverOf(f *model.Filter) uint32 {
 	var buf [8]uint32
-	ids, h, ok := ix.signature(&f, false, buf[:0])
+	ids, h, ok := ix.signature(f, false, buf[:0])
 	if !ok {
-		return 0, false
+		return 0
 	}
 	sh := ix.sigShard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if cid := sh.find(&ix.slab, h, f.Mode, ids); cid != 0 {
-		return ix.rep(cid), true
-	}
-	return 0, false
+	return sh.find(&ix.slab, h, f.Mode, ids)
 }
 
 // sigShard returns the signature shard of a signature hash.

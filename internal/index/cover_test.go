@@ -234,21 +234,6 @@ func TestUnregisterCoverPromotesSurvivor(t *testing.T) {
 	p.compareAll(t, doc)
 }
 
-// coverOf returns the ID of the live cover of f's predicate signature, 0
-// when there is none. The ID names that cover only while something holds it
-// live.
-func (ix *Index) coverOf(f *model.Filter) uint32 {
-	var buf [8]uint32
-	ids, h, ok := ix.signature(f, false, buf[:0])
-	if !ok {
-		return 0
-	}
-	sh := ix.sigShard(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.find(&ix.slab, h, f.Mode, ids)
-}
-
 // coverShape is what TestCoverShapes reads off a cover under its lock.
 type coverShape struct {
 	slots            int // slot table length (1 for an inline cover)
@@ -925,9 +910,9 @@ func TestAggRefOracleQuick(t *testing.T) {
 }
 
 // TestAggRestartRecoversCovers exercises the recovery path: covers are
-// rebuilt from stored definitions and the posting lists from the store's
-// operands — what unregistered filters and signature moves wrote there
-// included, which recovery must replay to nothing — and an ID that departed
+// rebuilt from the stored records, each a definition and the terms it is
+// posted under — unregistered filters and signature moves superseded some of
+// them, which recovery must replay to nothing — and an ID that departed
 // before the restart registers again afterwards.
 func TestAggRestartRecoversCovers(t *testing.T) {
 	dir := t.TempDir()
@@ -936,8 +921,8 @@ func TestAggRestartRecoversCovers(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		p.register(t, anyFilter(model.FilterID(i), "x", fmt.Sprintf("t%d", i%4)), []string{"x", fmt.Sprintf("t%d", i%4)})
 	}
-	// Unregister a third of the filters: their operands stay on disk, with
-	// their removals after them.
+	// Unregister a third of the filters: their records stay on disk, with
+	// their deletes after them.
 	for i := 1; i <= 20; i += 3 {
 		p.unregister(t, model.FilterID(i))
 	}

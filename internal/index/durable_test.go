@@ -1,7 +1,6 @@
 package index
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/movesys/move/internal/codec"
 	"github.com/movesys/move/internal/model"
 	"github.com/movesys/move/internal/store"
 	"github.com/movesys/move/internal/testutil"
@@ -89,12 +87,9 @@ func TestEphemeralIndexWritesNothing(t *testing.T) {
 	if got := ix.NumFilters(); got != 4030 {
 		t.Fatalf("NumFilters = %d, want 4030", got)
 	}
-	for _, name := range []string{"filters", "postings"} {
-		cf := s.CF(name)
-		n := 0
-		if err := cf.Scan("", func(string, []byte, [][]byte) bool { n++; return true }); err != nil || n != 0 {
-			t.Errorf("column family %s holds %d keys (%v), want nothing", name, n, err)
-		}
+	n := 0
+	if err := s.CF("filters").Scan(func(string, []byte) bool { n++; return true }); err != nil || n != 0 {
+		t.Errorf("the filter column family holds %d keys (%v), want nothing", n, err)
 	}
 }
 
@@ -141,7 +136,7 @@ func TestEachFilterFromShards(t *testing.T) {
 	}
 	fs := store.NewFilterStore(s)
 	var stored []model.Filter
-	if err := fs.Each(func(f model.Filter) bool {
+	if err := fs.Each(func(f model.Filter, _ []string) bool {
 		stored = append(stored, f)
 		return true
 	}); err != nil {
@@ -255,8 +250,7 @@ func TestDurableStoreReleasesFlushedSegments(t *testing.T) {
 // population keep a log the size of that population, not of the operations
 // performed, all the while — a Sync after each pair, as a node answers each
 // frame, rewrites the log once it has doubled, dropping deletions and
-// superseded definitions and folding each posting list's add and removal
-// operands to the IDs it holds.
+// superseded records.
 func TestStoreBoundedUnderChurn(t *testing.T) {
 	const population, pairs = 1000, 20000
 	opts := store.Options{}
@@ -379,52 +373,69 @@ func TestSubscriberNamesShared(t *testing.T) {
 	}
 }
 
-// TestLoadsFilterValueWithTrailingFloat: a data directory whose filter
-// values carry an 8-byte float after the mode byte — the layout filters were
-// stored in while a score threshold was part of them — loads as the same
-// MatchAny and MatchAll filters, posted as before, and matches.
-func TestLoadsFilterValueWithTrailingFloat(t *testing.T) {
+// TestDurableOneRecordPerFilter: a live filter is one record of the store,
+// whatever it was posted under and however often: registered under k of its
+// terms, re-registered under one more with the same signature, then ensured
+// as a migration replay would — which adds no posting and writes nothing —
+// each filter leaves one record once the log is rewritten, and the reopened
+// index posts and matches as the live one does.
+func TestDurableOneRecordPerFilter(t *testing.T) {
+	const filters, k = 1000, 3
 	dir := t.TempDir()
 	ix, s := openDurable(t, dir, store.Options{})
-	fs := []model.Filter{
-		{ID: 1, Subscriber: "alice", Terms: []string{"go", "news"}, Mode: model.MatchAny},
-		{ID: 2, Subscriber: "bob", Terms: []string{"go", "news"}, Mode: model.MatchAll},
+	filter := func(i int) model.Filter {
+		terms := model.SortTerms([]string{
+			fmt.Sprintf("a%d", i%50), fmt.Sprintf("b%d", i%70), fmt.Sprintf("c%d", i%30), fmt.Sprintf("d%d", i%90),
+		})
+		return model.Filter{ID: model.FilterID(i), Subscriber: fmt.Sprintf("s%d", i%8), Terms: terms, Mode: model.MatchAny}
 	}
-	cf := s.CF("filters")
-	for _, f := range fs {
-		if err := ix.Register(f, f.Terms); err != nil {
+	for i := 1; i <= filters; i++ {
+		f := filter(i)
+		if err := ix.Register(f, f.Terms[:k]); err != nil {
 			t.Fatal(err)
 		}
-		w := codec.NewWriter(64)
-		f.EncodeTo(w)
-		w.Float64(0)
-		var key [8]byte
-		binary.BigEndian.PutUint64(key[:], uint64(f.ID))
-		if err := cf.Put(string(key[:]), w.Bytes()); err != nil {
+		if err := ix.Register(f, f.Terms[k:]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	grown := logBytes(t, dir)
+	for i := 1; i <= filters; i++ {
+		f := filter(i)
+		if created, err := ix.EnsureRegistered(f, f.Terms); err != nil || created {
+			t.Fatalf("EnsureRegistered(%d) = %v, %v; want the live copy kept", i, created, err)
+		}
+	}
+	if after := logBytes(t, dir); after != grown {
+		t.Fatalf("replaying the live filters grew the log from %d to %d bytes", grown, after)
+	}
+	if err := s.Sync(); err != nil { // past the rewrite floor: one record per live key
+		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	re, _ := openDurable(t, dir, store.Options{})
-	for _, f := range fs {
-		if got, ok, err := re.GetFilter(f.ID); err != nil || !ok || !reflect.DeepEqual(got, f) {
-			t.Fatalf("GetFilter(%v) after reload = %+v, %v, %v; want %+v", f.ID, got, ok, err, f)
+	re, rs := openDurable(t, dir, store.Options{})
+	if got := rs.Replayed().Records; got != filters {
+		t.Fatalf("the log holds %d records for %d live filters", got, filters)
+	}
+	for i := 1; i <= filters; i++ {
+		f := filter(i)
+		if a, b := ix.PostedUnder(f.ID, f.Terms), re.PostedUnder(f.ID, f.Terms); !slices.Equal(a, b) || len(a) != k+1 {
+			t.Fatalf("filter %d: posted under %v live, %v reopened; want all %d terms", i, a, b, k+1)
 		}
 	}
-	for _, tc := range []struct {
-		terms []string
-		want  []model.FilterID
-	}{
-		{[]string{"go", "weather"}, []model.FilterID{1}},
-		{[]string{"go", "news"}, []model.FilterID{1, 2}},
-	} {
-		d := &model.Document{ID: 1, Terms: tc.terms}
-		matched, _, err := re.MatchTerms(d, d.Terms)
-		if err != nil || !slices.Equal(matchedIDs(matched), tc.want) {
-			t.Fatalf("MatchTerms(%v) after reload = %v, %v; want %v", tc.terms, matchedIDs(matched), err, tc.want)
+	for i := 0; i < 90; i++ {
+		doc := &model.Document{ID: uint64(i + 1), Terms: model.SortTerms([]string{fmt.Sprintf("a%d", i%50), fmt.Sprintf("d%d", i)})}
+		a, ast, err := ix.MatchTerms(doc, doc.Terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, bst, err := re.MatchTerms(doc, doc.Terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(matchedIDs(a), matchedIDs(b)) || ast != bst {
+			t.Fatalf("doc %v: live %v %+v, reopened %v %+v", doc.Terms, matchedIDs(a), ast, matchedIDs(b), bst)
 		}
 	}
 }

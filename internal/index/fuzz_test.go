@@ -20,8 +20,10 @@ import (
 // holds a member mid-move, documents none of whose terms any filter names, a
 // cover's promotion from its inline member to a slot table and back to one
 // live member, slots vacated and reused under fresh-ID churn, a retired
-// cover's signature registered again, a retirement across a restart, and
-// MatchAll filters over terms documents carried before a filter named them.
+// cover's signature registered again, a retirement across a restart,
+// MatchAll filters over terms documents carried before a filter named them,
+// and migration replays that grow a live copy's posting terms — under its
+// own signature and under a newer one's — before a restart.
 //
 // A second index — over a data directory — takes the same
 // operations, and every op 5 also closes its store and reopens it: a
@@ -96,6 +98,10 @@ func FuzzIndexRegisterMatch(f *testing.F) {
 	// a second member in slot 1, and a fresh ID in the vacated slot 0, the
 	// last re-registered under one of its terms; restart.
 	f.Add([]byte{0, 0, 0x03, 0, 0, 0, 0, 0x03, 2, 0, 6, 0x03, 0, 1, 0x03, 0, 0, 0, 1, 0x03, 4, 0, 6, 0x03, 2, 0, 0, 2, 0x03, 2, 0, 0, 2, 0x03, 4, 1, 5, 0x03, 6, 0x07})
+	// A filter registered under one of its terms; a migration replay posts
+	// the live copy under all three, restart; a replay of a newer definition
+	// posts its cover under two terms it does not name, restart.
+	f.Add([]byte{0, 1, 0x07, 0, 1, 3, 1, 0x07, 0, 5, 0x01, 6, 0x07, 3, 1, 0x18, 0, 5, 0x10, 6, 0xff})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		p := &enginePair{ix: newIndex(t), ref: newRefIndex()}
 		ix := p.ix

@@ -31,8 +31,10 @@
 // pointers for the garbage collector to trace. A match result names its
 // filter by ID, subscriber and mode, and only GetFilter and EachFilter, where
 // a whole definition leaves the index, spell the terms back into strings.
-// Every read is served from the shards; the store is a write-through
-// durability layer that exists only for a node with a data directory and is
+// Every read is served from the shards. The store is a write-through
+// durability layer that exists only for a node with a data directory: one
+// record per filter, its definition and the terms it is posted under,
+// written before the shards change and only when the call changes it, and
 // read once, at startup, when the shards are rebuilt from it.
 package index
 
@@ -47,13 +49,15 @@ import (
 )
 
 // Index is one node's filter index: full filter definitions plus posting
-// lists for the terms this node is responsible for.
+// lists for the terms this node is responsible for. On a durable index each
+// live filter is one record of the store's filter column family, which holds
+// its definition and the terms it is posted under; the posting lists are
+// rebuilt from those at startup.
 type Index struct {
-	// filters and postings are the write-through durability layer; both nil
-	// on a node without a data directory, whose mutations live in the shards
-	// alone (storeFilter and its siblings below are the only users).
-	filters  *store.FilterStore
-	postings *store.PostingStore
+	// filters is the write-through durability layer; nil on a node without
+	// a data directory, whose mutations live in the shards alone (persist,
+	// Unregister and loadFromStore are its only users).
+	filters *store.FilterStore
 
 	// The sharded in-memory serving layer every read is answered from.
 	coverIDs coverIDs
@@ -104,50 +108,19 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 
 // New builds an index over a node-local store. When the store was opened
 // from a data directory, the in-memory shards and counters are rebuilt from
-// the recovered filters and posting lists, so a restarted node resumes
-// serving matches with its full pre-crash state.
+// the recovered filter records, so a restarted node resumes serving matches
+// with its full pre-crash state.
 func New(s *store.Store) (*Index, error) {
 	ix := &Index{dict: newTermDict()}
 	if !s.Durable() {
 		// Nothing to recover and nowhere to persist: no write-through.
 		return ix, nil
 	}
-	ix.filters, ix.postings = store.NewFilterStore(s), store.NewPostingStore(s)
+	ix.filters = store.NewFilterStore(s)
 	if err := ix.loadFromStore(); err != nil {
 		return nil, fmt.Errorf("index: load from store: %w", err)
 	}
 	return ix, nil
-}
-
-// The four write-through operations: each mirrors one shard mutation into
-// the store when there is one.
-
-func (ix *Index) storeFilter(f model.Filter) error {
-	if ix.filters == nil {
-		return nil
-	}
-	return ix.filters.Put(f)
-}
-
-func (ix *Index) storeDeleteFilter(id model.FilterID) error {
-	if ix.filters == nil {
-		return nil
-	}
-	return ix.filters.Delete(id)
-}
-
-func (ix *Index) storePosting(term string, id model.FilterID) error {
-	if ix.postings == nil {
-		return nil
-	}
-	return ix.postings.Add(term, id)
-}
-
-func (ix *Index) storeRemovePosting(tid uint32, id model.FilterID) error {
-	if ix.postings == nil {
-		return nil
-	}
-	return ix.postings.Remove(ix.dict.term(tid), id)
 }
 
 // CoverStats summarizes the index's compression state (O(1) atomic reads).

@@ -94,7 +94,7 @@ type filterShard struct {
 	own map[model.FilterID][]string
 	// wmu serializes the writers of the shard's IDs (Register,
 	// EnsureRegistered, Unregister) from first read to last write, so an ID's
-	// definition, cover slot, posting bits and store operands change as one;
+	// definition, cover slot, posting bits and store record change as one;
 	// readers never take it, but for PostedUnder, which reads a slot.
 	wmu sync.Mutex
 }

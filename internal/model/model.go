@@ -127,10 +127,8 @@ func (f *Filter) EncodeTo(w *codec.Writer) {
 	w.Uint8(uint8(f.Mode))
 }
 
-// DecodeFilter parses a filter from r. Bytes after the mode byte are left
-// unread, so a stored value that carries an 8-byte float there (data
-// directories written while filters had a score threshold) decodes as the
-// same filter.
+// DecodeFilter parses a filter from r, which it leaves just after the mode
+// byte: what follows is the caller's to read.
 func DecodeFilter(r *codec.Reader) (Filter, error) {
 	var f Filter
 	id, err := r.Uvarint()
@@ -148,8 +146,6 @@ func DecodeFilter(r *codec.Reader) (Filter, error) {
 	if err != nil {
 		return f, fmt.Errorf("model: filter mode: %w", err)
 	}
-	// An unknown mode ends the decode, so the bytes after it — the 8-byte
-	// score a mode-3 filter carries — are never read as this layout.
 	if f.Mode = MatchMode(mode); f.Mode != MatchAny && f.Mode != MatchAll {
 		return f, fmt.Errorf("model: filter %s: %w: %v", f.ID, ErrBadMode, f.Mode)
 	}

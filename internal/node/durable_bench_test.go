@@ -18,7 +18,8 @@ import (
 // data directory: the register frame through Handle, whatever the store does
 // before the answer included. "serial" is one registrar; "parallel" is 8
 // b.RunParallel registrars a CPU, whose frames can share an fsync. Each reports
-// the p99 and the slowest of one register in µs beside ns/op.
+// the p99 and the slowest of one register in µs beside ns/op. `make
+// bench-durable` runs it as
 //
 //	go test -run='^$' -bench=BenchmarkRegisterDurable -benchtime=100000x ./internal/node
 func BenchmarkRegisterDurable(b *testing.B) {

@@ -69,10 +69,11 @@ type Config struct {
 	// publish.home, publish.fanout, publish.column.rpc, match.term,
 	// index.posting.read, index.eval); nil creates a private registry.
 	Metrics *metrics.Registry
-	// TraceDepth sizes the ring buffer of recent publish traces the node
-	// keeps for the debug server's /trace/last; 0 means 64.
-	TraceDepth int
 }
+
+// traceDepth is the number of recent publish traces a node keeps for the
+// debug server's /trace/last.
+const traceDepth = 64
 
 // Node is one MOVE server.
 type Node struct {
@@ -135,7 +136,7 @@ type Node struct {
 	held heldDocs // documents reference batches name (deliver.go)
 
 	// Per-stage latency histograms (§IV latency model, one per pipeline
-	// stage) and the ring of recent publish traces.
+	// stage) and the ring of the traceDepth most recent publish traces.
 	hE2E       *metrics.Histogram
 	hHome      *metrics.Histogram
 	hFanout    *metrics.Histogram
@@ -194,10 +195,6 @@ func New(cfg Config) (*Node, error) {
 		reg = metrics.NewRegistry()
 	}
 	ix.Instrument(reg)
-	depth := cfg.TraceDepth
-	if depth == 0 {
-		depth = 64
-	}
 	n := &Node{
 		cfg:           cfg,
 		ix:            ix,
@@ -220,7 +217,7 @@ func New(cfg Config) (*Node, error) {
 		hFanout:       reg.Histogram("publish.fanout"),
 		hColumnRPC:    reg.Histogram("publish.column.rpc"),
 		hMatchTerm:    reg.Histogram("match.term"),
-		traces:        trace.NewRing(depth),
+		traces:        trace.NewRing(traceDepth),
 		migratedC:     reg.Counter("realloc.filters.migrated"),
 		commitsC:      reg.Counter("realloc.commits"),
 		abortsC:       reg.Counter("realloc.aborts"),

@@ -16,17 +16,6 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
-func BenchmarkAppendPosting(b *testing.B) {
-	cf := tempCF(b)
-	op := []byte{1, 2, 3, 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cf.Append("term-"+strconv.Itoa(i%1024), op); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkScanLog is the recovery read: the log read and replayed, and
 // every live key of the column family walked once.
 func BenchmarkScanLog(b *testing.B) {
@@ -35,13 +24,10 @@ func BenchmarkScanLog(b *testing.B) {
 		if err := cf.Put("key-"+strconv.Itoa(i), []byte("v")); err != nil {
 			b.Fatal(err)
 		}
-		if err := cf.Append("term-"+strconv.Itoa(i%1024), []byte{byte(i)}); err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cf.Scan("", func(string, []byte, [][]byte) bool { return true }); err != nil {
+		if err := cf.Scan(func(string, []byte) bool { return true }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -11,24 +12,18 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"github.com/movesys/move/internal/model"
 )
 
 // dump renders every live key of the named column families as
-// "cf/key=value" or "cf/key=[op op]", sorted.
+// "cf/key=value", sorted.
 func dump(t testing.TB, s *Store, cfs ...string) []string {
 	t.Helper()
 	var out []string
 	for _, name := range cfs {
-		cf := s.CF(name)
-		must(t, cf.Scan("", func(key string, val []byte, ops [][]byte) bool {
-			line := name + "/" + key + "=" + string(val)
-			if ops != nil {
-				line = name + "/" + key + "=" + strconv.Quote(string(packOps(nil, ops...)))
-			}
-			out = append(out, line)
+		must(t, s.CF(name).Scan(func(key string, val []byte) bool {
+			out = append(out, name+"/"+strconv.Quote(key)+"="+strconv.Quote(string(val)))
 			return true
 		}))
 	}
@@ -44,22 +39,23 @@ func writeLog(t testing.TB, data []byte) string {
 	return dir
 }
 
-// validLog writes a log over two column families — puts, a delete, merge
-// operands, an overwrite — and returns its bytes and the offset its last
-// record starts at.
+// validLog writes a log as the index writes one — filter records posted
+// under nothing, under one term and under several, a re-registration that
+// grows a posted set, an unregistration — beside a second column family,
+// and returns its bytes and the offset its last record starts at.
 func validLog(t testing.TB) (data []byte, last int) {
 	t.Helper()
 	s := tempStore(t)
-	a := s.CF("filters")
-	b := s.CF("postings")
+	fs := NewFilterStore(s)
+	other := s.CF("other")
 	for i := 0; i < 6; i++ {
-		must(t, a.Put("f"+strconv.Itoa(i), []byte("def-"+strconv.Itoa(i))))
-		must(t, b.Append("t"+strconv.Itoa(i%2), []byte{byte(i)}))
+		f := model.Filter{ID: model.FilterID(i + 1), Subscriber: "s" + strconv.Itoa(i%2), Terms: []string{"t" + strconv.Itoa(i%3), "u"}, Mode: model.MatchMode(1 + i%2)}
+		must(t, fs.Put(f, f.Terms[:i%3]))
+		must(t, other.Put("k"+strconv.Itoa(i%2), []byte{byte(i)}))
 	}
-	must(t, a.Delete("f2"))
-	must(t, a.Put("f0", []byte("redefined")))
+	must(t, fs.Delete(3))
 	last = int(logSize(t, s))
-	must(t, b.Append("t1", []byte("last")))
+	must(t, fs.Put(model.Filter{ID: 1, Subscriber: "s0", Terms: []string{"t0", "u"}, Mode: model.MatchAny}, []string{"t0", "u"}))
 	must(t, s.Close())
 	data, err := os.ReadFile(filepath.Join(s.dir, logName))
 	must(t, err)
@@ -72,8 +68,8 @@ func validLog(t testing.TB) (data []byte, last int) {
 // write cleanly after it.
 func TestReplayCutsCorruptTail(t *testing.T) {
 	valid, last := validLog(t)
-	whole := dump(t, mustOpen(t, writeLog(t, valid)), "filters", "postings")
-	want := dump(t, mustOpen(t, writeLog(t, valid[:last])), "filters", "postings")
+	whole := dump(t, mustOpen(t, writeLog(t, valid)), "filters", "other")
+	want := dump(t, mustOpen(t, writeLog(t, valid[:last])), "filters", "other")
 	if reflect.DeepEqual(whole, want) {
 		t.Fatal("the last record changes nothing the test can see")
 	}
@@ -81,21 +77,21 @@ func TestReplayCutsCorruptTail(t *testing.T) {
 		t.Helper()
 		dir := writeLog(t, data)
 		s := mustOpen(t, dir)
-		if r := s.Replayed(); r.Records != 14 || r.Bytes != int64(last) || r.Truncated != int64(len(data)-last) {
-			t.Fatalf("%s: replayed %+v, want 14 records, %d bytes, %d truncated", what, r, last, len(data)-last)
+		if r := s.Replayed(); r.Records != 13 || r.Bytes != int64(last) || r.Truncated != int64(len(data)-last) {
+			t.Fatalf("%s: replayed %+v, want 13 records, %d bytes, %d truncated", what, r, last, len(data)-last)
 		}
-		if got := dump(t, s, "filters", "postings"); !reflect.DeepEqual(got, want) {
+		if got := dump(t, s, "filters", "other"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: read back\n%q\nwant\n%q", what, got, want)
 		}
-		cf := s.CF("filters")
+		cf := s.CF("other")
 		must(t, cf.Put("after", []byte("the cut")))
 		s = reopen(t, s)
-		if r := s.Replayed(); r.Records != 15 || r.Truncated != 0 {
-			t.Fatalf("%s: a write after the cut replayed %+v, want 15 records and no cut", what, r)
+		if r := s.Replayed(); r.Records != 14 || r.Truncated != 0 {
+			t.Fatalf("%s: a write after the cut replayed %+v, want 14 records and no cut", what, r)
 		}
-		wantAfter := append([]string{"filters/after=the cut"}, want...)
+		wantAfter := append([]string{`other/"after"="the cut"`}, want...)
 		sort.Strings(wantAfter)
-		if got := dump(t, s, "filters", "postings"); !reflect.DeepEqual(got, wantAfter) {
+		if got := dump(t, s, "filters", "other"); !reflect.DeepEqual(got, wantAfter) {
 			t.Fatalf("%s: after a write past the cut, read back %q", what, got)
 		}
 	}
@@ -106,6 +102,16 @@ func TestReplayCutsCorruptTail(t *testing.T) {
 		flipped := append([]byte(nil), valid...)
 		flipped[i] ^= 0x5a
 		check("byte "+strconv.Itoa(i)+" flipped", flipped)
+	}
+	// A power cut can leave zeros past the last write: an all-zero header
+	// checks out over an empty body. Neither it nor any body too short for a
+	// family and a kind is a record a write makes.
+	check("a zero-filled tail", append(valid[:last:last], make([]byte, 64)...))
+	for _, body := range [][]byte{{}, {0}, {5, 'f'}} {
+		bad := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(body, castagnoli))
+		bad = append(append(bad, body...), valid[last:]...)
+		check("a body of "+strconv.Quote(string(body)), append(valid[:last:last], bad...))
 	}
 }
 
@@ -148,50 +154,15 @@ func TestRecoveryIgnoresForeignFiles(t *testing.T) {
 	wantValue(t, cf, "k", "v", true)
 }
 
-// TestMergeOrderPreservedProperty: Scan hands a merge key its operands
-// oldest-first across arbitrary reopen and rewrite points, duplicates
-// included.
-func TestMergeOrderPreservedProperty(t *testing.T) {
-	prop := func(ops []byte, reopenMask, rewriteMask uint32) bool {
-		if len(ops) > 24 {
-			ops = ops[:24]
-		}
-		cf := tempCF(t)
-		for i, b := range ops {
-			if err := cf.Append("k", []byte{b}); err != nil {
-				return false
-			}
-			if rewriteMask&(1<<uint(i%32)) != 0 {
-				rewrite(t, cf.s)
-			}
-			if reopenMask&(1<<uint(i%32)) != 0 {
-				cf = reopenCF(t, cf)
-			}
-		}
-		_, got, _ := lookup(t, cf, "k")
-		if len(got) != len(ops) {
-			return false
-		}
-		for i := range ops {
-			if len(got[i]) != 1 || got[i][0] != ops[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCompactIdempotent: rewriting a rewritten log changes no byte of it.
 func TestCompactIdempotent(t *testing.T) {
 	s := tempStore(t)
-	ps := NewPostingStore(s)
+	fs := NewFilterStore(s)
 	for i := 0; i < 10; i++ {
-		must(t, ps.Add("t"+strconv.Itoa(i%3), model.FilterID(1000+i)))
+		f := model.Filter{ID: model.FilterID(1000 + i%4), Subscriber: "s", Terms: []string{"t" + strconv.Itoa(i%3), "u"}, Mode: model.MatchAny}
+		must(t, fs.Put(f, f.Terms[:1+i%2]))
 		if i%4 == 0 {
-			must(t, ps.Remove("t"+strconv.Itoa(i%3), model.FilterID(1000+i)))
+			must(t, fs.Delete(f.ID))
 		}
 	}
 	rewrite(t, s)
@@ -205,31 +176,94 @@ func TestCompactIdempotent(t *testing.T) {
 	}
 }
 
+// mergeLog is a commit log written by an older build, which kept posting
+// lists as a second column family of merge operands: a filter put, then a
+// "postings" record of kind 3 adding the filter to the list of "news".
+const mergeLog = "testdata/postings-merge/commit.log"
+
+// TestOpenRefusesMergeRecord: a log holding an older build's posting merge
+// record does not open — the error names the file and the record — and is
+// left byte for byte as it was, not cut back to the put before the record.
+func TestOpenRefusesMergeRecord(t *testing.T) {
+	data, err := os.ReadFile(mergeLog)
+	must(t, err)
+	dir := writeLog(t, data)
+	path := filepath.Join(dir, logName)
+	_, err = Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "record 2 ") || !strings.Contains(err.Error(), `family "postings" kind 3`) {
+		t.Fatalf("Open over a log with a merge record: %v; want an error naming %s and its record 2", err, path)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("the refused log changed: %d bytes, was %d (%v)", len(after), len(data), err)
+	}
+}
+
+// TestOpenRefusesUnreadableRecord: a whole record whose checksum holds but
+// whose body this build cannot read fails Open and stays in the file with
+// everything after it; only bytes that fail the length or checksum check are
+// ever cut.
+func TestOpenRefusesUnreadableRecord(t *testing.T) {
+	valid, last := validLog(t)
+	for _, bad := range [][]byte{
+		appendRecord(nil, "filters", 9, "key", nil),                  // no such kind
+		appendRecord(nil, "filters", kindDelete, "key", []byte{1}),   // a delete with a payload
+		appendRecord(nil, "filters", kindPut, "", nil)[:headerLen+9], // no key
+	} {
+		binary.LittleEndian.PutUint32(bad, uint32(len(bad)-headerLen))
+		binary.LittleEndian.PutUint32(bad[4:], crc32.Checksum(bad[headerLen:], castagnoli))
+		data := append(append(append([]byte(nil), valid[:last]...), bad...), valid[last:]...)
+		dir := writeLog(t, data)
+		_, err := Open(dir, Options{})
+		if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, logName)) || !strings.Contains(err.Error(), "record 14 ") {
+			t.Fatalf("Open over an unreadable record 14: %v; want an error naming the log and the record", err)
+		}
+		if after, err := os.ReadFile(filepath.Join(dir, logName)); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("the refused log changed: %d bytes, was %d (%v)", len(after), len(data), err)
+		}
+	}
+}
+
 // FuzzStoreReplay opens a data directory whose log is arbitrary bytes. Open
-// never fails or panics on them and allocates in proportion to them; what
-// it keeps is a prefix of whole records with valid checksums, cut from the
-// file, and reads back as that prefix does on its own; a write after it
-// reopens cleanly.
+// never panics on them and allocates in proportion to them. The records at
+// the front of the file whose length and checksum hold and whose body holds
+// a family and a kind are whole. When each is a put or a delete with a key,
+// Open keeps exactly them — cutting the rest off the file — and reads back
+// as that prefix does on its own, a write after it reopening cleanly. When
+// one is not, Open fails naming the log and the first such record, and
+// leaves the file byte for byte as it was.
 func FuzzStoreReplay(f *testing.F) {
 	valid, last := validLog(f)
 	f.Add(valid)
 	f.Add(valid[:last+3])
 	f.Add(append(append([]byte(nil), valid...), 0xff, 0, 0, 0))
+	f.Add(append(valid[:last:last], make([]byte, 64)...))
+	merge, err := os.ReadFile(mergeLog)
+	must(f, err)
+	f.Add(merge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		s := mustOpen(t, writeLog(t, data))
-		r := s.Replayed()
-		names := recordCFs(t, data[:r.Bytes], r.Records)
-		got := dump(t, s, names...)
+		dir := writeLog(t, data)
+		s, err := Open(dir, Options{})
 		runtime.ReadMemStats(&ms)
 		if alloc := ms.TotalAlloc - before; alloc > 128*uint64(len(data))+1<<20 {
 			t.Fatalf("replaying %d bytes allocated %d", len(data), alloc)
 		}
-		if r.Bytes+r.Truncated != int64(len(data)) || logSize(t, s) != r.Bytes {
-			t.Fatalf("replayed %+v of %d bytes, the log is %d", r, len(data), logSize(t, s))
+		names, n, end, unread := wholePrefix(data)
+		if unread != 0 || err != nil {
+			after, rerr := os.ReadFile(filepath.Join(dir, logName))
+			if unread == 0 || err == nil || !strings.Contains(err.Error(), filepath.Join(dir, logName)+": record "+strconv.Itoa(unread)+" ") || rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("Open over %d whole records, record %d unreadable (0: none): %v; the file is now %d bytes of %d", n, unread, err, len(after), len(data))
+			}
+			return
 		}
+		t.Cleanup(func() { _ = s.Close() })
+		r := s.Replayed()
+		if r.Records != n || r.Bytes != int64(end) || r.Truncated != int64(len(data)-end) || logSize(t, s) != r.Bytes {
+			t.Fatalf("replayed %+v of %d bytes, the log is %d; %d whole records end at %d", r, len(data), logSize(t, s), n, end)
+		}
+		got := dump(t, s, names...)
 		prefix := mustOpen(t, writeLog(t, data[:r.Bytes]))
 		if pr := prefix.Replayed(); pr != (Replay{Records: r.Records, Bytes: r.Bytes}) {
 			t.Fatalf("the kept prefix replays %+v, the whole %+v", pr, r)
@@ -245,31 +279,35 @@ func FuzzStoreReplay(f *testing.F) {
 	})
 }
 
-// recordCFs walks a log that should hold exactly n whole records with valid
-// checksums, by their headers alone, and returns their column families.
-func recordCFs(t *testing.T, data []byte, n int) []string {
-	t.Helper()
+// wholePrefix walks the whole records at the front of data — length and
+// checksum hold, the body holds a family and a kind — and returns how many
+// there are, where they end, the column families they name, and the number
+// of the first that is not a put or a delete with a key (0 when all are).
+func wholePrefix(data []byte) (names []string, n, end, unread int) {
 	seen := map[string]bool{}
-	for ; n > 0; n-- {
-		if len(data) < headerLen {
-			t.Fatalf("the kept log ends inside a header")
+	for len(data)-end >= headerLen {
+		l := int(binary.LittleEndian.Uint32(data[end:]))
+		if l > len(data)-end-headerLen {
+			break
 		}
-		l := int(binary.LittleEndian.Uint32(data))
-		body := data[headerLen : headerLen+l]
-		if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(data[4:]) {
-			t.Fatalf("the kept log holds a record with a bad checksum")
+		body := data[end+headerLen : end+headerLen+l]
+		if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(data[end+4:]) {
+			break
 		}
-		cl, w := binary.Uvarint(body)
-		seen[string(body[w:w+int(cl)])] = true
-		data = data[headerLen+l:]
+		cf, rest, ok := field(body)
+		if !ok || len(rest) == 0 {
+			break
+		}
+		seen[string(cf)] = true
+		n, end = n+1, end+headerLen+l
+		_, payload, ok := field(rest[1:])
+		if unread == 0 && (!ok || rest[0] != kindPut && (rest[0] != kindDelete || len(payload) > 0)) {
+			unread = n
+		}
 	}
-	if len(data) != 0 {
-		t.Fatalf("%d bytes after the replayed records", len(data))
-	}
-	var names []string
 	for name := range seen {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return names
+	return names, n, end, unread
 }

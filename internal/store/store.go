@@ -1,11 +1,14 @@
 // Package store implements the node-local durability layer beneath two of
 // MOVE's data stores (§V, Figure 3): the filter store and the local inverted
-// list. It is the commit log of the BigTable/Cassandra column families the
-// paper builds on, and nothing else: each write is one record appended with
-// its own write(2), so a process killed after a write returns loses none of
-// it, and Sync makes it durable against a machine crash. Nothing reads the
-// store while a node runs — the index's shards answer — so the only reader is
-// Scan, which a restarted node runs once per column family.
+// list. A home's posting lists are a function of the filters it holds and
+// the terms it posts each one under, so one record per filter — its
+// definition and those terms — keeps both. The store is the commit log of
+// the BigTable/Cassandra column families the paper builds on, and nothing
+// else: each write is one record appended with its own write(2), so a
+// process killed after a write returns loses none of it, and Sync makes it
+// durable against a machine crash. Nothing reads the store while a node runs
+// — the index's shards answer — so the only reader is Scan, which a
+// restarted node runs once.
 package store
 
 import (
@@ -57,9 +60,13 @@ type Store struct {
 	synced   int64     // written as of the last fsync
 }
 
-// Open creates a store rooted at dir and replays its log, cutting a torn or
-// corrupt tail off it. dir == "" keeps nothing: Scan finds nothing and a
-// write fails (the index writes to no such store).
+// Open creates a store rooted at dir and replays its log, cutting off a torn
+// or corrupt tail: the bytes from the first record whose length or checksum
+// fails, or whose body holds no family and kind. A whole record it cannot
+// read — an older build's merge records among them — fails Open, naming the
+// file and the record, and the file is left as it is. dir == "" keeps
+// nothing: Scan finds nothing and a write fails (the index writes to no such
+// store).
 func Open(dir string, _ Options) (*Store, error) {
 	s := &Store{dir: dir}
 	s.syncDone.L = &s.syncMu
@@ -81,7 +88,15 @@ func Open(dir string, _ Options) (*Store, error) {
 		return nil, fmt.Errorf("store: read log: %w", err)
 	}
 	kept := 0
-	for _, n := nextRecord(data); n > 0; _, n = nextRecord(data[kept:]) {
+	for {
+		_, n, err := nextRecord(data[kept:])
+		if err != nil {
+			return nil, fmt.Errorf("store: %s: record %d at byte %d: %w; this build reads only puts and deletes, and left the log as it is",
+				path, s.replay.Records+1, kept, err)
+		}
+		if n == 0 {
+			break
+		}
 		kept += n
 		s.replay.Records++
 	}
@@ -188,30 +203,18 @@ func (s *Store) Close() error {
 	return err
 }
 
-// rewriteLocked replaces the log with one record per live key, each posting
-// list folded, through a temporary file: a crash leaves the old log or the
-// new one.
+// rewriteLocked replaces the log with one record per live key through a
+// temporary file: a crash leaves the old log or the new one.
 func (s *Store) rewriteLocked() error {
 	data, err := s.readLocked()
 	if err != nil {
 		return err
 	}
-	cfs := replay(data, "")
+	cfs := replay(data)
 	var out []byte
 	for _, cf := range sortedKeys(cfs) {
-		keys := cfs[cf]
-		for _, key := range sortedKeys(keys) {
-			e := keys[key]
-			if !e.merge {
-				out = appendRecord(out, cf, kindPut, key, e.val)
-				continue
-			}
-			if cf == cfPostings {
-				e.ops = foldPostings(e.ops)
-			}
-			if len(e.ops) > 0 {
-				out = appendRecord(out, cf, kindMerge, key, packOps(nil, e.ops...))
-			}
+		for _, key := range sortedKeys(cfs[cf]) {
+			out = appendRecord(out, cf, kindPut, key, cfs[cf][key])
 		}
 	}
 	path := filepath.Join(s.dir, logName)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -72,45 +73,29 @@ func logSize(t testing.TB, s *Store) int64 {
 	return info.Size()
 }
 
-// lookup reads one key the only way the store is read: a Scan. It returns
-// copies, since Scan's slices die with the call.
-func lookup(t testing.TB, cf *CF, key string) (val []byte, ops [][]byte, ok bool) {
+// lookup reads one key the only way the store is read: a Scan. It returns a
+// copy, since Scan's slices die with the call.
+func lookup(t testing.TB, cf *CF, key string) (val []byte, ok bool) {
 	t.Helper()
-	err := cf.Scan(key, func(k string, v []byte, o [][]byte) bool {
+	err := cf.Scan(func(k string, v []byte) bool {
 		if k != key {
 			return true
 		}
 		val, ok = append([]byte{}, v...), true
-		for _, op := range o {
-			ops = append(ops, append([]byte{}, op...))
-		}
 		return false
 	})
 	if err != nil {
-		t.Fatalf("Scan(%q): %v", key, err)
+		t.Fatalf("Scan: %v", err)
 	}
-	return val, ops, ok
+	return val, ok
 }
 
 // wantValue asserts key's plain value ("" ok=false: the key is absent).
 func wantValue(t testing.TB, cf *CF, key, want string, wantOK bool) {
 	t.Helper()
-	v, _, ok := lookup(t, cf, key)
+	v, ok := lookup(t, cf, key)
 	if ok != wantOK || string(v) != want {
 		t.Fatalf("%q = %q, %v; want %q, %v", key, v, ok, want, wantOK)
-	}
-}
-
-// wantOps asserts key's merge operands, oldest first.
-func wantOps(t testing.TB, cf *CF, key string, want ...string) {
-	t.Helper()
-	_, ops, _ := lookup(t, cf, key)
-	got := make([]string, len(ops))
-	for i, op := range ops {
-		got[i] = string(op)
-	}
-	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-		t.Fatalf("%q operands = %q, want %q", key, got, want)
 	}
 }
 
@@ -133,7 +118,8 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 // TestNewestRecordWins: a key holds the value of its newest put, before a
-// restart and after one, and a delete over it holds across a restart.
+// restart and after one; a delete over it holds across a restart and a
+// rewrite, and a put after the delete starts the key afresh.
 func TestNewestRecordWins(t *testing.T) {
 	cf := tempCF(t)
 	for i := 0; i < 3; i++ {
@@ -149,46 +135,29 @@ func TestNewestRecordWins(t *testing.T) {
 	wantValue(t, cf, "other", "o2", true)
 }
 
-// TestMergeAcrossReopens: a merge key collects its operands oldest first
-// across restarts and rewrites.
-func TestMergeAcrossReopens(t *testing.T) {
-	cf := tempCF(t)
-	for i := 0; i < 5; i++ {
-		must(t, cf.Append("list", []byte{byte(i)}))
-		switch i {
-		case 1:
-			cf = reopenCF(t, cf)
-		case 3:
-			rewrite(t, cf.s)
-		}
-	}
-	wantOps(t, cf, "list", "\x00", "\x01", "\x02", "\x03", "\x04")
-	cf = reopenCF(t, cf)
-	wantOps(t, cf, "list", "\x00", "\x01", "\x02", "\x03", "\x04")
-}
-
+// TestMergeTombstoneCutsHistory: a delete cuts a key's history, and the cut
+// holds over a restart and a rewrite; a put after it starts the key afresh.
+// (The log no longer has a merge record kind; the tombstone half stands.)
 func TestMergeTombstoneCutsHistory(t *testing.T) {
 	cf := tempCF(t)
-	must(t, cf.Append("list", []byte("old")))
+	must(t, cf.Put("list", []byte("old")))
+	must(t, cf.Put("other", []byte("kept")))
 	must(t, cf.Delete("list"))
-	must(t, cf.Append("list", []byte("new")))
-	wantOps(t, cf, "list", "new")
-	// The cut holds over a restart and a rewrite, and what comes after it
-	// appends as before.
+	wantValue(t, cf, "list", "", false)
 	cf = reopenCF(t, cf)
-	wantOps(t, cf, "list", "new")
+	wantValue(t, cf, "list", "", false)
 	rewrite(t, cf.s)
+	wantValue(t, cf, "list", "", false)
+	must(t, cf.Put("list", []byte("new")))
+	wantValue(t, cf, "list", "new", true)
+	cf = reopenCF(t, cf)
+	wantValue(t, cf, "list", "new", true)
 	must(t, cf.Delete("list"))
-	must(t, cf.Append("list", []byte("newer")))
-	wantOps(t, cf, "list", "newer")
+	must(t, cf.Put("list", []byte("newer")))
+	rewrite(t, cf.s)
 	cf = reopenCF(t, cf)
-	must(t, cf.Append("list", []byte("newest")))
-	wantOps(t, cf, "list", "newer", "newest")
-	// A put over merge operands supersedes them too.
-	must(t, cf.Put("list", []byte("plain")))
-	cf = reopenCF(t, cf)
-	wantValue(t, cf, "list", "plain", true)
-	wantOps(t, cf, "list")
+	wantValue(t, cf, "list", "newer", true)
+	wantValue(t, cf, "other", "kept", true)
 }
 
 // TestSyncRewritesDoubledLog: a Sync that finds the log past rewriteFloor
@@ -218,17 +187,14 @@ func TestSyncRewritesDoubledLog(t *testing.T) {
 	}
 }
 
-// TestCompact: a rewrite keeps every live key's newest value and every merge
-// key's operands in order, drops deleted keys, and writes one record per
-// live key.
+// TestCompact: a rewrite keeps every live key's newest value, drops deleted
+// keys, and writes one record per live key.
 func TestCompact(t *testing.T) {
 	s := tempStore(t)
 	cf := s.CF("test")
 	for i := 0; i < 4; i++ {
 		must(t, cf.Put("stable", []byte("s"+strconv.Itoa(i))))
-		for _, op := range []string{"a", "b"} {
-			must(t, cf.Append("list", []byte(op+strconv.Itoa(i))))
-		}
+		must(t, cf.Put("other", []byte("o"+strconv.Itoa(i))))
 	}
 	must(t, cf.Put("gone", []byte("x")))
 	must(t, cf.Delete("gone"))
@@ -243,24 +209,8 @@ func TestCompact(t *testing.T) {
 	}
 	cf = s.CF("test")
 	wantValue(t, cf, "stable", "s3", true)
+	wantValue(t, cf, "other", "o3", true)
 	wantValue(t, cf, "gone", "", false)
-	wantOps(t, cf, "list", "a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3")
-}
-
-func TestScanPrefix(t *testing.T) {
-	cf := tempCF(t)
-	for _, k := range []string{"a:1", "a:2", "b:1", "a:3"} {
-		must(t, cf.Put(k, []byte(k)))
-	}
-	must(t, cf.Delete("a:2"))
-	var got []string
-	must(t, cf.Scan("a:", func(key string, val []byte, _ [][]byte) bool {
-		got = append(got, key)
-		return true
-	}))
-	if !reflect.DeepEqual(got, []string{"a:1", "a:3"}) {
-		t.Fatalf("Scan = %v, want [a:1 a:3]", got)
-	}
 }
 
 func TestScanEarlyStop(t *testing.T) {
@@ -269,7 +219,7 @@ func TestScanEarlyStop(t *testing.T) {
 		must(t, cf.Put("k"+strconv.Itoa(i), nil))
 	}
 	n := 0
-	must(t, cf.Scan("", func(string, []byte, [][]byte) bool {
+	must(t, cf.Scan(func(string, []byte) bool {
 		n++
 		return n < 3
 	}))
@@ -290,9 +240,7 @@ func TestPersistenceRecovery(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		must(t, cf.Put("k"+strconv.Itoa(i), []byte("v"+strconv.Itoa(i))))
 	}
-	must(t, cf.Append("plist", []byte("op1")))
 	must(t, other.Put("k0", []byte("elsewhere")))
-	must(t, cf.Append("plist", []byte("op2")))
 	must(t, cf.Put("k0", []byte("newer")))
 	must(t, cf.Delete("k1"))
 
@@ -302,14 +250,13 @@ func TestPersistenceRecovery(t *testing.T) {
 		}
 		s2, err := Open(dir, Options{})
 		must(t, err)
-		if r := s2.Replayed(); r.Records != 55 || r.Bytes != logSize(t, s2) || r.Truncated != 0 {
-			t.Fatalf("closed=%v: replayed %+v, want 55 records, the whole log and no cut", closed, r)
+		if r := s2.Replayed(); r.Records != 53 || r.Bytes != logSize(t, s2) || r.Truncated != 0 {
+			t.Fatalf("closed=%v: replayed %+v, want 53 records, the whole log and no cut", closed, r)
 		}
 		cf2 := s2.CF("data")
 		wantValue(t, cf2, "k0", "newer", true)
 		wantValue(t, cf2, "k1", "", false)
 		wantValue(t, cf2, "k25", "v25", true)
-		wantOps(t, cf2, "plist", "op1", "op2")
 		other2 := s2.CF("other")
 		wantValue(t, other2, "k0", "elsewhere", true)
 		must(t, s2.Close())
@@ -369,8 +316,8 @@ func TestConcurrentMixedOps(t *testing.T) {
 					t.Errorf("put: %v", err)
 					return
 				}
-				if err := cf.Append("shared-list", []byte(key)); err != nil {
-					t.Errorf("append: %v", err)
+				if err := cf.Put("last-"+strconv.Itoa(w), []byte(key)); err != nil {
+					t.Errorf("put: %v", err)
 					return
 				}
 				if err := cf.s.Sync(); err != nil {
@@ -378,7 +325,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					if err := cf.Scan(key, func(string, []byte, [][]byte) bool { return false }); err != nil {
+					if err := cf.Scan(func(string, []byte) bool { return false }); err != nil {
 						t.Errorf("scan: %v", err)
 						return
 					}
@@ -391,8 +338,18 @@ func TestConcurrentMixedOps(t *testing.T) {
 		t.Fatalf("%d of %d written bytes synced", synced, written)
 	}
 	cf = reopenCF(t, cf)
-	if _, ops, _ := lookup(t, cf, "shared-list"); len(ops) != 8*200 {
-		t.Fatalf("shared list has %d ops, want %d", len(ops), 8*200)
+	n := 0
+	must(t, cf.Scan(func(key string, val []byte) bool {
+		if !strings.HasPrefix(key, "last-") {
+			n++
+		}
+		return true
+	}))
+	if n != 8*200 {
+		t.Fatalf("%d keys read back, want %d", n, 8*200)
+	}
+	for w := 0; w < 8; w++ {
+		wantValue(t, cf, "last-"+strconv.Itoa(w), "w"+strconv.Itoa(w)+"-199", true)
 	}
 }
 
@@ -412,7 +369,7 @@ func TestPutGetRoundTripProperty(t *testing.T) {
 			}
 		}
 		seen := 0
-		err := cf.Scan("", func(k string, got []byte, _ [][]byte) bool {
+		err := cf.Scan(func(k string, got []byte) bool {
 			v, ok := pairs[k]
 			if ok && bytes.Equal(got, v) {
 				seen++
@@ -436,13 +393,13 @@ func TestEphemeralStoreRefusesWrites(t *testing.T) {
 		t.Fatal("a store without a directory reports Durable")
 	}
 	cf := s.CF("test")
-	for _, err := range []error{cf.Put("k", []byte("v")), cf.Delete("k"), cf.Append("list", []byte("op"))} {
+	for _, err := range []error{cf.Put("k", []byte("v")), cf.Delete("k")} {
 		if !errors.Is(err, errNoLog) {
 			t.Fatalf("write = %v, want %v", err, errNoLog)
 		}
 	}
 	n := 0
-	must(t, cf.Scan("", func(string, []byte, [][]byte) bool { n++; return true }))
+	must(t, cf.Scan(func(string, []byte) bool { n++; return true }))
 	if n != 0 {
 		t.Fatalf("Scan visited %d keys", n)
 	}
@@ -450,82 +407,93 @@ func TestEphemeralStoreRefusesWrites(t *testing.T) {
 	must(t, s.Close())
 }
 
+// filterRecord is a filter as the filter store hands it back: its definition
+// and the terms it is posted under.
+type filterRecord struct {
+	f      model.Filter
+	posted []string
+}
+
+// allFilters reads back every record of fs.
+func allFilters(t testing.TB, fs *FilterStore) []filterRecord {
+	t.Helper()
+	var out []filterRecord
+	must(t, fs.Each(func(f model.Filter, posted []string) bool {
+		out = append(out, filterRecord{f, posted})
+		return true
+	}))
+	return out
+}
+
 func TestFilterStoreRoundTrip(t *testing.T) {
 	fs := NewFilterStore(tempStore(t))
 	f := model.Filter{ID: 42, Subscriber: "alice", Terms: []string{"cloud", "storage"}, Mode: model.MatchAny}
-	must(t, fs.Put(f))
-	all := func() []model.Filter {
-		t.Helper()
-		var out []model.Filter
-		must(t, fs.Each(func(f model.Filter) bool {
-			out = append(out, f)
-			return true
-		}))
-		return out
-	}
-	if got := all(); !reflect.DeepEqual(got, []model.Filter{f}) {
-		t.Fatalf("Each = %+v, want [%+v]", got, f)
+	must(t, fs.Put(f, []string{"cloud"}))
+	if got, want := allFilters(t, fs), []filterRecord{{f, []string{"cloud"}}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Each = %+v, want %+v", got, want)
 	}
 	must(t, fs.Delete(43))
-	if got := all(); len(got) != 1 {
+	if got := allFilters(t, fs); len(got) != 1 {
 		t.Fatalf("deleting a missing ID left %d filters, want 1", len(got))
 	}
 	must(t, fs.Delete(42))
-	if got := all(); len(got) != 0 {
+	if got := allFilters(t, fs); len(got) != 0 {
 		t.Fatalf("filter visible after delete: %+v", got)
 	}
 }
 
 func TestFilterStoreRejectsInvalid(t *testing.T) {
 	fs := NewFilterStore(tempStore(t))
-	if err := fs.Put(model.Filter{ID: 1, Mode: model.MatchAny}); !errors.Is(err, model.ErrNoTerms) {
+	if err := fs.Put(model.Filter{ID: 1, Mode: model.MatchAny}, nil); !errors.Is(err, model.ErrNoTerms) {
 		t.Fatalf("err = %v, want ErrNoTerms", err)
 	}
 }
 
 func TestFilterStoreEach(t *testing.T) {
 	fs := NewFilterStore(tempStore(t))
-	for i := 1; i <= 5; i++ {
-		must(t, fs.Put(model.Filter{ID: model.FilterID(i), Terms: []string{"t" + strconv.Itoa(i)}, Mode: model.MatchAny}))
+	for _, i := range []int{4, 1, 5, 3, 2} {
+		must(t, fs.Put(model.Filter{ID: model.FilterID(i), Terms: []string{"t" + strconv.Itoa(i)}, Mode: model.MatchAny}, nil))
 	}
 	var ids []model.FilterID
-	must(t, fs.Each(func(f model.Filter) bool {
-		ids = append(ids, f.ID)
-		return true
-	}))
-	if len(ids) != 5 {
-		t.Fatalf("Each visited %d filters, want 5", len(ids))
+	for _, r := range allFilters(t, fs) {
+		ids = append(ids, r.f.ID)
+	}
+	if !reflect.DeepEqual(ids, []model.FilterID{1, 2, 3, 4, 5}) {
+		t.Fatalf("Each visited %v, want IDs 1 to 5 in order", ids)
 	}
 }
 
-// TestPostingStore: a list reads back the IDs it holds, duplicates once,
-// removals gone — and a rewrite folds it to exactly those.
-func TestPostingStore(t *testing.T) {
+// TestFilterStorePostedTerms: a record carries the terms its filter is
+// posted under, however many — none is a value that ends at the mode byte —
+// and its newest put holds them, across a restart and a rewrite.
+func TestFilterStorePostedTerms(t *testing.T) {
 	s := tempStore(t)
-	ps := NewPostingStore(s)
-	for i := 1; i <= 4; i++ {
-		must(t, ps.Add("news", model.FilterID(i)))
+	fs := NewFilterStore(s)
+	news := model.Filter{ID: 1, Subscriber: "a", Terms: []string{"go", "news", "rust"}, Mode: model.MatchAny}
+	passive := model.Filter{ID: 2, Subscriber: "b", Terms: []string{"go", "news"}, Mode: model.MatchAll}
+	gone := model.Filter{ID: 3, Subscriber: "c", Terms: []string{"x"}, Mode: model.MatchAny}
+	must(t, fs.Put(news, []string{"go"}))
+	must(t, fs.Put(news, []string{"go", "news", "rust"}))
+	must(t, fs.Put(passive, nil))
+	must(t, fs.Put(gone, []string{"x"}))
+	must(t, fs.Delete(3))
+	want := []filterRecord{{news, []string{"go", "news", "rust"}}, {passive, nil}}
+	if v, _ := lookup(t, fs.cf, filterKey(2)); !bytes.Equal(v, passive.Encode()) {
+		t.Fatalf("a filter posted under nothing is stored as %x, want its encoding %x alone", v, passive.Encode())
 	}
-	must(t, ps.Add("news", 2)) // a duplicate registration dedups on read
-	must(t, ps.Remove("news", 3))
-	must(t, ps.Add("gone", 9))
-	must(t, ps.Remove("gone", 9))
-	want := map[string][]model.FilterID{"news": {1, 2, 4}}
-	for _, rewritten := range []bool{false, true} {
-		if rewritten {
+	for _, step := range []string{"written", "reopened", "rewritten"} {
+		switch step {
+		case "reopened":
+			s = reopen(t, s)
+		case "rewritten":
 			rewrite(t, s)
-			_, ops, _ := lookup(t, ps.cf, "news")
-			if len(ops) != 3 {
-				t.Fatalf("the rewritten list holds %d operands, want 3", len(ops))
-			}
 		}
-		got := make(map[string][]model.FilterID)
-		must(t, ps.Each(func(term string, ids []model.FilterID) bool {
-			got[term] = ids
-			return true
-		}))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rewritten=%v: Each = %v, want %v", rewritten, got, want)
+		fs = NewFilterStore(s)
+		if got := allFilters(t, fs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Each = %+v, want %+v", step, got, want)
 		}
+	}
+	if r := reopen(t, s).Replayed(); r.Records != 2 {
+		t.Fatalf("the rewritten log replays %d records, want one per live filter", r.Records)
 	}
 }

@@ -83,8 +83,7 @@ type TCPOptions struct {
 
 	// DialBackoff is the cooldown after a failed dial during which further
 	// dial attempts to that peer fail fast with ErrNodeDown instead of
-	// redialing (per-peer breaker, threshold 1). 0 → 250ms; negative
-	// disables backoff.
+	// redialing (per-peer breaker, threshold 1). 0 → 250ms.
 	DialBackoff time.Duration
 
 	// Metrics receives the transport.tcp.* counters, gauges, and
@@ -103,10 +102,8 @@ func (o TCPOptions) withDefaults() TCPOptions {
 			o.Conns = 8
 		}
 	}
-	if o.DialBackoff == 0 {
+	if o.DialBackoff <= 0 {
 		o.DialBackoff = 250 * time.Millisecond
-	} else if o.DialBackoff < 0 {
-		o.DialBackoff = 0
 	}
 	return o
 }
@@ -475,15 +472,11 @@ type peerPool struct {
 }
 
 func newPeerPool(n *TCPNode, to ring.NodeID) *peerPool {
-	p := &peerPool{n: n, to: to, conns: make([]*tcpConn, n.opts.Conns)}
-	if n.opts.DialBackoff > 0 {
-		p.redial = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold:      1,
-			Cooldown:       n.opts.DialBackoff,
-			HalfOpenProbes: 1,
-		})
-	}
-	return p
+	return &peerPool{n: n, to: to, conns: make([]*tcpConn, n.opts.Conns), redial: resilience.NewBreaker(resilience.BreakerConfig{
+		Threshold:      1,
+		Cooldown:       n.opts.DialBackoff,
+		HalfOpenProbes: 1,
+	})}
 }
 
 func (p *peerPool) get() (*tcpConn, error) {
@@ -507,29 +500,23 @@ func (p *peerPool) dial(slot int) (*tcpConn, error) {
 	}
 	p.mu.Unlock()
 
-	if p.redial != nil && !p.redial.Allow() {
+	if !p.redial.Allow() {
 		p.n.met.redialSuppressed.Inc()
 		return nil, fmt.Errorf("dial %s suppressed by backoff: %w", p.to, ErrNodeDown)
 	}
 	addr, err := p.n.resolver(p.to)
 	if err != nil {
-		if p.redial != nil {
-			p.redial.RecordFailure()
-		}
+		p.redial.RecordFailure()
 		return nil, err
 	}
 	p.n.met.dials.Inc()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		p.n.met.dialFailures.Inc()
-		if p.redial != nil {
-			p.redial.RecordFailure()
-		}
+		p.redial.RecordFailure()
 		return nil, fmt.Errorf("dial %s (%s): %w", p.to, addr, ErrNodeDown)
 	}
-	if p.redial != nil {
-		p.redial.RecordSuccess()
-	}
+	p.redial.RecordSuccess()
 	c := newTCPConn(raw, p.n.met)
 
 	n := p.n
